@@ -31,7 +31,7 @@
 
 use crate::experiments::setup::EXEC_SF;
 use geoqp_common::{ChurnEvent, Location, Rows, Value};
-use geoqp_core::{CatalogHealth, CatalogService, Engine, FailoverOpts, OptimizerMode};
+use geoqp_core::{CatalogHealth, CatalogService, Engine, ExecOptions, OptimizerMode};
 use geoqp_exec::RetryPolicy;
 use geoqp_net::{FaultPlan, NetworkTopology, StepWindow};
 use geoqp_policy::PolicyCatalog;
@@ -275,10 +275,10 @@ pub fn churn_grid(seed: u64) -> Vec<ChurnCell> {
         let Ok(optimized) = fx.engine.optimize(plan, OptimizerMode::Compliant, None) else {
             continue;
         };
-        let Ok(reference) =
-            fx.engine
-                .execute_resilient(&optimized, &FaultPlan::new(seed), &retry, 0)
-        else {
+        let Ok(reference) = fx.engine.run(
+            &optimized,
+            &ExecOptions::failover(&FaultPlan::new(seed), &retry, 0),
+        ) else {
             continue;
         };
         let reference_rows = multiset(&reference.rows);
@@ -287,13 +287,10 @@ pub fn churn_grid(seed: u64) -> Vec<ChurnCell> {
             let pid = pids[(qi * REVOKE_STEPS.len() + si) % pids.len()];
             let svc = scripted_service(&fx, pid, step, None);
             let pin = geoqp_common::CatalogPin::new(0, fx.engine.policies().epoch());
-            let opts = FailoverOpts::new(sites).with_churn(Arc::clone(&svc), pin);
-            let cell = match fx.engine.execute_resilient_opts(
-                &optimized,
-                &FaultPlan::new(seed),
-                &retry,
-                &opts,
-            ) {
+            let faults = FaultPlan::new(seed);
+            let opts =
+                ExecOptions::failover(&faults, &retry, sites).with_churn(Arc::clone(&svc), pin);
+            let cell = match fx.engine.run(&optimized, &opts) {
                 Ok(res) => ChurnCell {
                     query,
                     revoke_step: step,
@@ -366,10 +363,10 @@ pub fn grant_grid(seed: u64) -> (Vec<GrantCell>, PlaneStats) {
         let Ok(optimized) = fx.engine.optimize(plan, OptimizerMode::Compliant, None) else {
             continue;
         };
-        let Ok(reference) =
-            fx.engine
-                .execute_resilient(&optimized, &FaultPlan::new(seed), &retry, 0)
-        else {
+        let Ok(reference) = fx.engine.run(
+            &optimized,
+            &ExecOptions::failover(&FaultPlan::new(seed), &retry, 0),
+        ) else {
             continue;
         };
         let reference_rows = multiset(&reference.rows);
@@ -408,13 +405,10 @@ pub fn grant_grid(seed: u64) -> (Vec<GrantCell>, PlaneStats) {
             );
             svc.sync_full();
             let pin = geoqp_common::CatalogPin::new(0, fx.engine.policies().epoch());
-            let opts = FailoverOpts::new(sites).with_churn(Arc::clone(&svc), pin);
-            let cell = match fx.engine.execute_resilient_opts(
-                &optimized,
-                &FaultPlan::new(seed),
-                &retry,
-                &opts,
-            ) {
+            let faults = FaultPlan::new(seed);
+            let opts =
+                ExecOptions::failover(&faults, &retry, sites).with_churn(Arc::clone(&svc), pin);
+            let cell = match fx.engine.run(&optimized, &opts) {
                 Ok(res) => GrantCell {
                     query,
                     grant_step,
@@ -473,10 +467,10 @@ pub fn stale_sweep(seed: u64) -> Vec<StaleCell> {
         let Ok(optimized) = fx.engine.optimize(plan, OptimizerMode::Compliant, None) else {
             continue;
         };
-        let Ok(reference) =
-            fx.engine
-                .execute_resilient(&optimized, &FaultPlan::new(seed), &retry, 0)
-        else {
+        let Ok(reference) = fx.engine.run(
+            &optimized,
+            &ExecOptions::failover(&FaultPlan::new(seed), &retry, 0),
+        ) else {
             continue;
         };
         let reference_rows = multiset(&reference.rows);
@@ -489,13 +483,10 @@ pub fn stale_sweep(seed: u64) -> Vec<StaleCell> {
                 FaultPlan::new(seed).with_partition([site.clone()], StepWindow::ALWAYS);
             let svc = scripted_service(&fx, pid, 0, Some(catalog_faults));
             let pin = geoqp_common::CatalogPin::new(0, fx.engine.policies().epoch());
-            let opts = FailoverOpts::new(sites).with_churn(Arc::clone(&svc), pin);
-            let cell = match fx.engine.execute_resilient_opts(
-                &optimized,
-                &FaultPlan::new(seed),
-                &retry,
-                &opts,
-            ) {
+            let faults = FaultPlan::new(seed);
+            let opts =
+                ExecOptions::failover(&faults, &retry, sites).with_churn(Arc::clone(&svc), pin);
+            let cell = match fx.engine.run(&optimized, &opts) {
                 Ok(res) => StaleCell {
                     query,
                     partitioned: site.clone(),

@@ -2,7 +2,7 @@
 //! crash of each site in turn.
 //!
 //! For every (query, crashed site) pair the engine runs
-//! [`Engine::execute_resilient`]: the crash surfaces as a typed
+//! [`Engine::run`] with a failover budget: the crash surfaces as a typed
 //! `SiteUnavailable`, Algorithm 2 re-runs with the dead site excluded
 //! from every execution trait, and the new placement is re-verified
 //! against Definition 1 before execution resumes. The matrix reports,
@@ -12,7 +12,7 @@
 
 use crate::experiments::setup::{engine_with_policies, EXEC_SF};
 use geoqp_common::{Location, Rows, Value};
-use geoqp_core::{Engine, FailoverOpts, OptimizerMode};
+use geoqp_core::{Engine, ExecOptions, OptimizerMode};
 use geoqp_exec::RetryPolicy;
 use geoqp_net::{FaultPlan, StepWindow};
 use geoqp_tpch::policy_gen::{generate_policies, PolicyTemplate};
@@ -63,7 +63,10 @@ pub fn crash_one(
     max_replans: usize,
 ) -> (Outcome, usize) {
     let faults = FaultPlan::new(0).with_crash(site.clone(), StepWindow::ALWAYS);
-    match engine.execute_resilient(optimized, &faults, &RetryPolicy::default(), max_replans) {
+    match engine.run(
+        optimized,
+        &ExecOptions::failover(&faults, &RetryPolicy::default(), max_replans),
+    ) {
         Ok(res) => {
             let outcome = if res.replans == 0 {
                 Outcome::Unaffected
@@ -200,7 +203,8 @@ pub fn resume_matrix(seed: u64) -> Vec<ResumeCell> {
         // Fault-free run: reference rows and total step count, so the
         // crash can be pinned to the run's final third.
         let probe = FaultPlan::new(seed);
-        let Ok(reference) = engine.execute_resilient(&optimized, &probe, &retry, 0) else {
+        let Ok(reference) = engine.run(&optimized, &ExecOptions::failover(&probe, &retry, 0))
+        else {
             continue;
         };
         let crash_step = probe.step() * 2 / 3;
@@ -220,10 +224,11 @@ pub fn resume_matrix(seed: u64) -> Vec<ResumeCell> {
                         StepWindow::new(crash_step, crash_step + window),
                     )
                 };
-                let resume_opts = FailoverOpts::new(sites.len());
-                let Ok(resumed) =
-                    engine.execute_resilient_opts(&optimized, &crash(), &retry, &resume_opts)
-                else {
+                let faults = crash();
+                let Ok(resumed) = engine.run(
+                    &optimized,
+                    &ExecOptions::failover(&faults, &retry, sites.len()),
+                ) else {
                     continue;
                 };
                 // Only cells where the crash actually bit and a checkpoint
@@ -237,12 +242,11 @@ pub fn resume_matrix(seed: u64) -> Vec<ResumeCell> {
             let Some((window, scratch_faults, resumed)) = found else {
                 continue 'sites;
             };
-            let scratch_opts = FailoverOpts {
+            let scratch_opts = ExecOptions {
                 resume: false,
-                ..FailoverOpts::new(sites.len())
+                ..ExecOptions::failover(&scratch_faults, &retry, sites.len())
             };
-            let scratch =
-                engine.execute_resilient_opts(&optimized, &scratch_faults, &retry, &scratch_opts);
+            let scratch = engine.run(&optimized, &scratch_opts);
             let (scratch_recovery_bytes, scratch_replanned, scratch_agrees, replans_match) =
                 match &scratch {
                     Ok(s) => (

@@ -20,7 +20,9 @@
 
 use crate::experiments::setup::{engine_with_policies, EXEC_SF};
 use geoqp_common::{Location, Rows, Value};
-use geoqp_core::{Engine, FailoverOpts, HealthConfig, HedgeConfig, OptimizerMode, RuntimeConfig};
+use geoqp_core::{
+    Engine, ExecOptions, HealthConfig, HedgeConfig, OptimizerMode, RuntimeConfig, RuntimeMetrics,
+};
 use geoqp_exec::RetryPolicy;
 use geoqp_net::{FaultPlan, StepWindow};
 use geoqp_tpch::policy_gen::{generate_policies, PolicyTemplate};
@@ -124,6 +126,25 @@ fn busiest_link(metrics: &geoqp_core::RuntimeMetrics) -> Option<(Location, Locat
         .map(|e| (e.from.clone(), e.to.clone()))
 }
 
+/// One pipelined run of `optimized` under `faults`, with the metrics of
+/// the attempt that completed.
+fn run_under(
+    engine: &Engine,
+    optimized: &geoqp_core::OptimizedQuery,
+    faults: &FaultPlan,
+    opts: &ExecOptions<'_>,
+) -> geoqp_common::Result<(geoqp_core::QueryOutcome, RuntimeMetrics)> {
+    let mut run = engine.run(
+        optimized,
+        &ExecOptions {
+            faults: Some(faults),
+            ..opts.clone()
+        },
+    )?;
+    let metrics = run.metrics.take().expect("pipelined runs report metrics");
+    Ok((run, metrics))
+}
+
 /// Hedged vs unhedged completion for every TPC-H query whose busiest
 /// link turns gray: degraded by `factor` and dropping each batch with
 /// probability `loss` (a loss burst). The two fault modes exercise both
@@ -136,9 +157,9 @@ pub fn grayfail_matrix(seed: u64, factor: f64, loss: f64) -> Vec<GrayfailCell> {
     // No replanning in either arm: the comparison isolates hedging, so
     // the breaker's open budget is effectively unlimited here (the tight
     // budget is `condemnation_matrix`'s subject).
-    let plain_opts = FailoverOpts {
-        resume: false,
-        ..FailoverOpts::new(0)
+    let plain_opts = ExecOptions {
+        retry: retry.clone(),
+        ..ExecOptions::default().pipelined(config)
     };
     let hedge_opts = plain_opts.clone().with_hedge(HedgeConfig {
         delay_ms: 0.0,
@@ -152,13 +173,9 @@ pub fn grayfail_matrix(seed: u64, factor: f64, loss: f64) -> Vec<GrayfailCell> {
         let Ok(optimized) = engine.optimize(&plan, OptimizerMode::Compliant, None) else {
             continue;
         };
-        let Ok((reference, ref_metrics)) = engine.execute_resilient_parallel_opts(
-            &optimized,
-            &FaultPlan::new(seed),
-            &retry,
-            &plain_opts,
-            &config,
-        ) else {
+        let Ok((reference, ref_metrics)) =
+            run_under(&engine, &optimized, &FaultPlan::new(seed), &plain_opts)
+        else {
             continue;
         };
         let Some(link) = busiest_link(&ref_metrics) else {
@@ -169,22 +186,12 @@ pub fn grayfail_matrix(seed: u64, factor: f64, loss: f64) -> Vec<GrayfailCell> {
                 .with_degrade(link.0.clone(), link.1.clone(), factor, StepWindow::ALWAYS)
                 .with_loss_burst(link.0.clone(), link.1.clone(), loss, StepWindow::ALWAYS)
         };
-        let Ok((plain, plain_metrics)) = engine.execute_resilient_parallel_opts(
-            &optimized,
-            &degrade(),
-            &retry,
-            &plain_opts,
-            &config,
-        ) else {
+        let Ok((plain, plain_metrics)) = run_under(&engine, &optimized, &degrade(), &plain_opts)
+        else {
             continue;
         };
-        let Ok((hedged, hedged_metrics)) = engine.execute_resilient_parallel_opts(
-            &optimized,
-            &degrade(),
-            &retry,
-            &hedge_opts,
-            &config,
-        ) else {
+        let Ok((hedged, hedged_metrics)) = run_under(&engine, &optimized, &degrade(), &hedge_opts)
+        else {
             continue;
         };
         let reference_rows = multiset(&reference.rows);
@@ -239,11 +246,16 @@ pub struct CondemnCell {
 pub fn condemnation_matrix(seed: u64, factor: f64) -> Vec<CondemnCell> {
     let (engine, config) = grayfail_engine(seed);
     let retry = RetryPolicy::default();
-    let plain_opts = FailoverOpts {
-        resume: false,
-        ..FailoverOpts::new(0)
+    let plain_opts = ExecOptions {
+        retry: retry.clone(),
+        ..ExecOptions::default().pipelined(config)
     };
-    let condemn_opts = FailoverOpts::new(2).with_hedge(HedgeConfig {
+    let condemn_opts = ExecOptions {
+        max_replans: 2,
+        resume: true,
+        ..plain_opts.clone()
+    }
+    .with_hedge(HedgeConfig {
         delay_ms: 0.0,
         health: HealthConfig {
             open_budget: 1,
@@ -256,13 +268,9 @@ pub fn condemnation_matrix(seed: u64, factor: f64) -> Vec<CondemnCell> {
         let Ok(optimized) = engine.optimize(&plan, OptimizerMode::Compliant, None) else {
             continue;
         };
-        let Ok((reference, ref_metrics)) = engine.execute_resilient_parallel_opts(
-            &optimized,
-            &FaultPlan::new(seed),
-            &retry,
-            &plain_opts,
-            &config,
-        ) else {
+        let Ok((reference, ref_metrics)) =
+            run_under(&engine, &optimized, &FaultPlan::new(seed), &plain_opts)
+        else {
             continue;
         };
         let Some(link) = busiest_link(&ref_metrics) else {
@@ -274,13 +282,7 @@ pub fn condemnation_matrix(seed: u64, factor: f64) -> Vec<CondemnCell> {
             factor,
             StepWindow::ALWAYS,
         );
-        let (run, _) = match engine.execute_resilient_parallel_opts(
-            &optimized,
-            &faults,
-            &retry,
-            &condemn_opts,
-            &config,
-        ) {
+        let (run, _) = match run_under(&engine, &optimized, &faults, &condemn_opts) {
             Ok(r) => r,
             Err(_) => continue,
         };

@@ -134,7 +134,12 @@ pub fn measure(seed: u64) -> Vec<ScaleupRow> {
         };
         let sequential = engine.execute(&optimized.physical).expect("sequential");
         let parallel = engine
-            .execute_parallel(&optimized.physical)
+            .execute_parallel_opts(
+                &optimized.physical,
+                None,
+                &RetryPolicy::none(),
+                &RuntimeConfig::default(),
+            )
             .expect("parallel");
         let sequential_ms = sequential.transfers.total_cost_ms();
         let parallel_ms = parallel.metrics.completion_ms;

@@ -8,10 +8,11 @@
 //! schedules, where both engines must agree outcome-for-outcome —
 //! including failing with the same typed error at the same site.
 
-use geoqp_core::{Engine, ExecutionResult, OptimizerMode, RuntimeConfig};
+use geoqp_core::{
+    Engine, ExecOptions, ExecutionResult, OptimizedQuery, OptimizerMode, RuntimeConfig,
+};
 use geoqp_exec::RetryPolicy;
 use geoqp_net::FaultPlan;
-use geoqp_plan::PhysicalPlan;
 use geoqp_tpch::adhoc::generate_adhoc;
 use geoqp_tpch::policy_gen::{generate_policies, PolicyTemplate};
 use std::sync::Arc;
@@ -33,7 +34,7 @@ fn adhoc_n() -> usize {
 
 /// Generate the sample and optimize every query in compliant mode. The
 /// generator's contract says nothing may fail to plan.
-fn optimized_adhoc() -> (Engine, Vec<(usize, Arc<PhysicalPlan>)>) {
+fn optimized_adhoc() -> (Engine, Vec<(usize, OptimizedQuery)>) {
     let catalog = Arc::new(geoqp_tpch::paper_catalog(SF));
     geoqp_tpch::populate(&catalog, SF, SEED).expect("populate");
     let policies =
@@ -46,10 +47,34 @@ fn optimized_adhoc() -> (Engine, Vec<(usize, Arc<PhysicalPlan>)>) {
             let opt = engine
                 .optimize(&q.plan, OptimizerMode::Compliant, None)
                 .unwrap_or_else(|e| panic!("query #{} failed to plan: {e}\n{}", q.id, q.sql));
-            (q.id, Arc::clone(&opt.physical))
+            (q.id, opt)
         })
         .collect();
     (engine, plans)
+}
+
+/// One sequential try under `faults` — no failover — on the row or the
+/// columnar engine.
+fn with_faults(
+    engine: &Engine,
+    optimized: &OptimizedQuery,
+    faults: &FaultPlan,
+    retry: &RetryPolicy,
+    columnar: bool,
+) -> Result<ExecutionResult, geoqp_common::GeoError> {
+    let opts = ExecOptions {
+        faults: Some(faults),
+        retry: retry.clone(),
+        runtime: RuntimeConfig {
+            columnar,
+            ..RuntimeConfig::default()
+        },
+        ..ExecOptions::default()
+    };
+    engine.run(optimized, &opts).map(|o| ExecutionResult {
+        rows: o.rows,
+        transfers: o.transfers,
+    })
 }
 
 /// Two executions of the *same engine pair* must be observationally
@@ -99,7 +124,7 @@ fn engines_and_runtimes_agree_on_generated_queries() {
     let (engine, plans) = optimized_adhoc();
     assert!(plans.len() >= adhoc_n(), "sample came up short");
     let retry = RetryPolicy::none();
-    for (id, plan) in &plans {
+    for (id, OptimizedQuery { physical: plan, .. }) in &plans {
         let seq_row = engine.execute(plan);
         let seq_col = engine.execute_columnar(plan);
         let par = |columnar: bool| {
@@ -146,11 +171,12 @@ fn fault_schedule_slice_agrees_across_engines() {
     let retry = RetryPolicy::default();
     for spec in FAULT_SPECS {
         let faults = FaultPlan::parse(spec, SEED).expect("fault spec");
-        for (id, plan) in slice {
+        for (id, opt) in slice {
+            let plan = &opt.physical;
             faults.reset_clock();
-            let row = engine.execute_with_faults(plan, &faults, &retry);
+            let row = with_faults(&engine, opt, &faults, &retry, false);
             faults.reset_clock();
-            let col = engine.execute_with_faults_columnar(plan, &faults, &retry);
+            let col = with_faults(&engine, opt, &faults, &retry, true);
             assert_identical(*id, "sequential", spec, row, col);
 
             let par = |columnar: bool| {

@@ -16,10 +16,11 @@
 //!
 //! Columnar execution is a CPU optimization; nothing observable may move.
 
-use geoqp_core::{Engine, ExecutionResult, OptimizerMode, RuntimeConfig};
+use geoqp_core::{
+    Engine, ExecOptions, ExecutionResult, OptimizedQuery, OptimizerMode, RuntimeConfig,
+};
 use geoqp_exec::RetryPolicy;
 use geoqp_net::FaultPlan;
-use geoqp_plan::PhysicalPlan;
 use geoqp_tpch::policy_gen::{generate_policies, PolicyTemplate};
 use geoqp_tpch::queries::all_queries;
 use std::sync::Arc;
@@ -39,7 +40,7 @@ const FAULT_SPECS: [&str; 4] = [
 
 /// Build the standard experiment engine and the optimized plans for
 /// every query the CRA policy set admits.
-fn optimized_queries() -> (Engine, Vec<(&'static str, Arc<PhysicalPlan>)>) {
+fn optimized_queries() -> (Engine, Vec<(&'static str, OptimizedQuery)>) {
     let catalog = Arc::new(geoqp_tpch::paper_catalog(SF));
     geoqp_tpch::populate(&catalog, SF, SEED).expect("populate");
     let policies =
@@ -49,11 +50,35 @@ fn optimized_queries() -> (Engine, Vec<(&'static str, Arc<PhysicalPlan>)>) {
     let mut plans = Vec::new();
     for (query, plan) in all_queries(&catalog).expect("queries") {
         if let Ok(optimized) = engine.optimize(&plan, OptimizerMode::Compliant, None) {
-            plans.push((query, Arc::clone(&optimized.physical)));
+            plans.push((query, optimized));
         }
     }
     assert!(!plans.is_empty(), "no query survived the policy set");
     (engine, plans)
+}
+
+/// One sequential try under `faults` — no failover — on the row or the
+/// columnar engine.
+fn with_faults(
+    engine: &Engine,
+    optimized: &OptimizedQuery,
+    faults: &FaultPlan,
+    retry: &RetryPolicy,
+    columnar: bool,
+) -> Result<ExecutionResult, geoqp_common::GeoError> {
+    let opts = ExecOptions {
+        faults: Some(faults),
+        retry: retry.clone(),
+        runtime: RuntimeConfig {
+            columnar,
+            ..RuntimeConfig::default()
+        },
+        ..ExecOptions::default()
+    };
+    engine.run(optimized, &opts).map(|o| ExecutionResult {
+        rows: o.rows,
+        transfers: o.transfers,
+    })
 }
 
 /// Assert that two execution outcomes are observationally identical:
@@ -93,7 +118,7 @@ fn assert_identical(
 #[test]
 fn sequential_engines_agree_without_faults() {
     let (engine, plans) = optimized_queries();
-    for (query, plan) in &plans {
+    for (query, OptimizedQuery { physical: plan, .. }) in &plans {
         assert_identical(
             query,
             "sequential",
@@ -112,9 +137,9 @@ fn sequential_engines_agree_under_every_fault_schedule() {
         let faults = FaultPlan::parse(spec, SEED).expect("fault spec");
         for (query, plan) in &plans {
             faults.reset_clock();
-            let row = engine.execute_with_faults(plan, &faults, &retry);
+            let row = with_faults(&engine, plan, &faults, &retry, false);
             faults.reset_clock();
-            let col = engine.execute_with_faults_columnar(plan, &faults, &retry);
+            let col = with_faults(&engine, plan, &faults, &retry, true);
             assert_identical(query, "sequential", spec, row, col);
         }
     }
@@ -124,7 +149,7 @@ fn sequential_engines_agree_under_every_fault_schedule() {
 fn parallel_runtime_agrees_without_faults() {
     let (engine, plans) = optimized_queries();
     let retry = RetryPolicy::none();
-    for (query, plan) in &plans {
+    for (query, OptimizedQuery { physical: plan, .. }) in &plans {
         let run = |columnar: bool| {
             let config = RuntimeConfig {
                 columnar,
@@ -147,7 +172,7 @@ fn parallel_runtime_agrees_under_every_fault_schedule() {
     let retry = RetryPolicy::default();
     for spec in FAULT_SPECS {
         let faults = FaultPlan::parse(spec, SEED).expect("fault spec");
-        for (query, plan) in &plans {
+        for (query, OptimizedQuery { physical: plan, .. }) in &plans {
             let run = |columnar: bool| {
                 faults.reset_clock();
                 let config = RuntimeConfig {
@@ -172,7 +197,7 @@ fn sequential_and_parallel_columnar_ship_the_same_bytes() {
     // batch as column vectors must charge exactly what the sequential
     // engine's one monolithic row encoding charges.
     let (engine, plans) = optimized_queries();
-    for (query, plan) in &plans {
+    for (query, OptimizedQuery { physical: plan, .. }) in &plans {
         let seq = engine.execute_columnar(plan).expect("sequential columnar");
         let config = RuntimeConfig {
             columnar: true,

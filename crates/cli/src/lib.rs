@@ -6,8 +6,8 @@ use geoqp_common::{
     CancelToken, CatalogPin, GeoError, Location, QueryDeadline, Result, Rows, TableRef,
 };
 use geoqp_core::{
-    CatalogService, ChurnOpts, Engine, FailoverOpts, HedgeConfig, LinkReport, OptimizerMode,
-    ResilientResult, RuntimeConfig, RuntimeMetrics, RuntimeMode,
+    CatalogService, ChurnOpts, Engine, ExecOptions, HedgeConfig, LinkReport, OptimizerMode,
+    QueryOutcome, RuntimeConfig, RuntimeMetrics,
 };
 use geoqp_exec::RetryPolicy;
 use geoqp_net::{FaultPlan, NetworkTopology};
@@ -29,10 +29,11 @@ struct ServerSession {
 pub struct Shell {
     engine: Option<Engine>,
     mode: OptimizerMode,
-    runtime: RuntimeMode,
-    columnar: bool,
-    /// Morsel workers per site for columnar parallel-runtime queries.
-    workers: usize,
+    /// `\runtime parallel`: queries run on the pipelined runtime.
+    pipelined: bool,
+    /// `\columnar` and `\workers` (morsel workers per site for columnar
+    /// parallel-runtime queries) live here.
+    config: RuntimeConfig,
     result_location: Option<Location>,
     faults: Option<FaultPlan>,
     last_metrics: Option<RuntimeMetrics>,
@@ -60,9 +61,8 @@ impl Shell {
         Shell {
             engine: None,
             mode: OptimizerMode::Compliant,
-            runtime: RuntimeMode::Sequential,
-            columnar: false,
-            workers: 1,
+            pipelined: false,
+            config: RuntimeConfig::default(),
             result_location: None,
             faults: None,
             last_metrics: None,
@@ -143,16 +143,17 @@ impl Shell {
                 }
             }
             "runtime" => {
-                self.runtime = match arg {
+                self.pipelined = match arg {
                     "" => {
-                        let current = match self.runtime {
-                            RuntimeMode::Sequential => "sequential",
-                            RuntimeMode::Parallel => "parallel",
+                        let current = if self.pipelined {
+                            "parallel"
+                        } else {
+                            "sequential"
                         };
                         return Ok(format!("runtime: {current}\n"));
                     }
-                    "sequential" => RuntimeMode::Sequential,
-                    "parallel" => RuntimeMode::Parallel,
+                    "sequential" => false,
+                    "parallel" => true,
                     other => {
                         return Err(GeoError::Execution(format!(
                             "unknown runtime `{other}` (parallel|sequential)"
@@ -162,9 +163,9 @@ impl Shell {
                 Ok(format!("runtime: {arg}\n"))
             }
             "columnar" => {
-                self.columnar = match arg {
+                self.config.columnar = match arg {
                     "" => {
-                        let current = if self.columnar { "on" } else { "off" };
+                        let current = if self.config.columnar { "on" } else { "off" };
                         return Ok(format!("columnar: {current}\n"));
                     }
                     "on" => true,
@@ -179,7 +180,7 @@ impl Shell {
             }
             "workers" => {
                 if arg.is_empty() {
-                    return Ok(format!("workers: {}\n", self.workers));
+                    return Ok(format!("workers: {}\n", self.config.workers_per_site));
                 }
                 let n: usize = arg.parse().map_err(|_| {
                     GeoError::Execution(format!("bad worker count `{arg}` (positive integer)"))
@@ -189,7 +190,7 @@ impl Shell {
                         "bad worker count `0` (positive integer)".into(),
                     ));
                 }
-                self.workers = n;
+                self.config.workers_per_site = n;
                 Ok(format!("workers: {n}\n"))
             }
             "metrics" => {
@@ -644,36 +645,20 @@ impl Shell {
         Ok(format!("deadline: {ms:.1} ms simulated\n"))
     }
 
-    /// The failover knobs every controlled execution uses: resume from
-    /// checkpoints, honor the session deadline, poll the session token.
-    fn failover_opts(&self) -> FailoverOpts {
-        FailoverOpts {
-            max_replans: 4,
-            resume: true,
-            deadline: self.deadline,
-            cancel: Some(self.cancel.clone()),
-            hedge: self.hedge.clone(),
-            columnar: self.columnar,
-            workers_per_site: self.workers,
-            // Every controlled query pins the catalog head at admission;
-            // a mid-flight revocation re-plans it under the new epoch.
-            churn: self.churn.as_ref().map(|svc| ChurnOpts {
-                service: Arc::clone(svc),
-                pin: svc.head(),
-            }),
-        }
-    }
-
-    /// Whether queries must run through the resilient path even without a
-    /// fault plan (a deadline or an armed cancellation needs the control
-    /// surface threaded through execution).
-    fn needs_control(&self) -> bool {
-        self.deadline.is_some() || self.cancel.is_cancelled() || self.hedge.is_some()
+    /// Whether queries run *controlled* — failover budget, checkpoints,
+    /// a catalog pin, and the control surface threaded through execution —
+    /// which a fault plan, a deadline, an armed cancellation, or hedging
+    /// each require.
+    fn controlled(&self) -> bool {
+        self.faults.is_some()
+            || self.deadline.is_some()
+            || self.cancel.is_cancelled()
+            || self.hedge.is_some()
     }
 
     /// Record the failover counters for `\metrics` and render the summary
     /// fragment appended to the result line.
-    fn note_failover(&mut self, result: &ResilientResult) -> String {
+    fn note_failover(&mut self, result: &QueryOutcome) -> String {
         let mut summary = format!(
             "failover: {} replans, excluded {}; checkpoints: {} hits, {} misses; \
              {} bytes resumed, {} bytes recomputed\n",
@@ -830,7 +815,7 @@ impl Shell {
             let svc = QueryService::new(ServiceConfig {
                 workers: 4,
                 cache_capacity: 256,
-                columnar: self.columnar,
+                columnar: self.config.columnar,
                 max_replans: 4,
             });
             let mut tenants = Vec::new();
@@ -937,116 +922,79 @@ impl Shell {
     }
 
     fn sql(&mut self, sql: &str) -> Result<String> {
-        match self.runtime {
-            RuntimeMode::Sequential => self.sql_sequential(sql),
-            RuntimeMode::Parallel => self.sql_parallel(sql),
-        }
-    }
-
-    fn sql_sequential(&mut self, sql: &str) -> Result<String> {
         let eng = self.engine()?;
-        if self.faults.is_some() || self.needs_control() {
+        let controlled = self.controlled();
+        // Without a fault plan, an empty one threads the deadline/cancel
+        // controls (and link-health scoring) through the same path.
+        let no_faults = FaultPlan::new(0);
+        let mut opts = if controlled {
+            let faults = self.faults.as_ref().unwrap_or(&no_faults);
             // Each query replays the fault schedule from step 0, so a
-            // given seed + spec is deterministic per statement. Without a
-            // fault plan, an empty one threads the deadline/cancel
-            // controls through the same resilient path.
-            let no_faults = FaultPlan::new(0);
-            let faults = self.faults.as_ref().unwrap_or(&no_faults);
+            // given seed + spec is deterministic per statement.
             faults.reset_clock();
-            let opts = self.failover_opts();
-            let attempt = eng.run_sql_resilient_opts(
-                sql,
-                self.mode,
-                self.result_location.clone(),
-                faults,
-                &RetryPolicy::default(),
-                &opts,
-            );
-            // An armed cancellation consumes itself on the statement it
-            // unwound, so the session keeps working afterwards.
-            self.cancel.reset();
-            let (optimized, result) = attempt?;
-            let mut out = render_rows(&result.rows, &result.physical.schema.names());
-            let audit = match eng.audit(&result.physical) {
-                Ok(()) => "compliant",
-                Err(_) => "NON-COMPLIANT",
-            };
-            let ckpt = self.note_failover(&result);
-            let _ = writeln!(
-                out,
-                "({} rows at {}; {} transfers, {} bytes, {:.1} ms simulated WAN; \
-                 {} faults, {} replans, excluded {}; {ckpt}; plan {audit})",
-                result.rows.len(),
-                optimized.result_location,
-                result.transfers.transfer_count(),
-                result.transfers.total_bytes(),
-                result.transfers.total_cost_ms(),
-                result.transfers.fault_count(),
-                result.replans,
-                if result.excluded.is_empty() {
-                    "∅".to_string()
-                } else {
-                    result.excluded.to_string()
-                },
-            );
-            return Ok(out);
-        }
-        let (optimized, result) = if self.columnar {
-            eng.run_sql_columnar(sql, self.mode, self.result_location.clone())?
+            ExecOptions {
+                deadline: self.deadline,
+                cancel: Some(self.cancel.clone()),
+                hedge: self.hedge.clone(),
+                // Every controlled query pins the catalog head at
+                // admission; a mid-flight revocation re-plans it under
+                // the new epoch.
+                churn: self.churn.as_ref().map(|svc| ChurnOpts {
+                    service: Arc::clone(svc),
+                    pin: svc.head(),
+                }),
+                ..ExecOptions::failover(faults, &RetryPolicy::default(), 4)
+            }
         } else {
-            eng.run_sql(sql, self.mode, self.result_location.clone())?
+            ExecOptions::default()
         };
-        let mut out = render_rows(&result.rows, &optimized.physical.schema.names());
-        let audit = match eng.audit(&optimized.physical) {
+        opts.pipelined = self.pipelined;
+        opts.runtime = self.config.clone();
+        let attempt = eng.run_sql(sql, self.mode, self.result_location.clone(), &opts);
+        // An armed cancellation consumes itself on the statement it
+        // unwound, so the session keeps working afterwards.
+        self.cancel.reset();
+        let (optimized, result) = attempt?;
+        let mut out = render_rows(&result.rows, &result.physical.schema.names());
+        let audit = match eng.audit(&result.physical) {
             Ok(()) => "compliant",
             Err(_) => "NON-COMPLIANT",
         };
-        let _ = writeln!(
+        // One summary line: rows; what the WAN carried, in the selected
+        // runtime's terms; the failover story when the run was
+        // controlled; the audit verdict.
+        let _ = write!(
             out,
-            "({} rows at {}; {} transfers, {} bytes, {:.1} ms simulated WAN; plan {audit})",
+            "({} rows at {}; {} transfers, {} bytes",
             result.rows.len(),
             optimized.result_location,
             result.transfers.transfer_count(),
             result.transfers.total_bytes(),
-            result.transfers.total_cost_ms(),
         );
-        Ok(out)
-    }
-
-    fn sql_parallel(&mut self, sql: &str) -> Result<String> {
-        let eng = self.engine()?;
-        if self.faults.is_some() || self.needs_control() {
-            let no_faults = FaultPlan::new(0);
-            let faults = self.faults.as_ref().unwrap_or(&no_faults);
-            faults.reset_clock();
-            let opts = self.failover_opts();
-            let attempt = eng.run_sql_resilient_parallel_opts(
-                sql,
-                self.mode,
-                self.result_location.clone(),
-                faults,
-                &RetryPolicy::default(),
-                &opts,
-            );
-            self.cancel.reset();
-            let (optimized, result, metrics) = attempt?;
-            let mut out = render_rows(&result.rows, &result.physical.schema.names());
-            let audit = match eng.audit(&result.physical) {
-                Ok(()) => "compliant",
-                Err(_) => "NON-COMPLIANT",
-            };
+        match &result.metrics {
+            None => {
+                let _ = write!(
+                    out,
+                    ", {:.1} ms simulated WAN",
+                    result.transfers.total_cost_ms()
+                );
+            }
+            Some(m) => {
+                let _ = write!(
+                    out,
+                    "; pipelined completion {:.1} ms of {:.1} ms network",
+                    m.completion_ms, m.network_ms
+                );
+                if !controlled {
+                    let _ = write!(out, " ({:.2}x overlap)", m.overlap_speedup());
+                }
+            }
+        }
+        if controlled {
             let ckpt = self.note_failover(&result);
-            let _ = writeln!(
+            let _ = write!(
                 out,
-                "({} rows at {}; {} transfers, {} bytes; pipelined completion \
-                 {:.1} ms of {:.1} ms network; {} faults, {} replans, excluded {}; \
-                 {ckpt}; plan {audit}; \\metrics for detail)",
-                result.rows.len(),
-                optimized.result_location,
-                result.transfers.transfer_count(),
-                result.transfers.total_bytes(),
-                metrics.completion_ms,
-                metrics.network_ms,
+                "; {} faults, {} replans, excluded {}; {ckpt}",
                 result.transfers.fault_count(),
                 result.replans,
                 if result.excluded.is_empty() {
@@ -1055,35 +1003,13 @@ impl Shell {
                     result.excluded.to_string()
                 },
             );
-            self.last_metrics = Some(metrics);
-            return Ok(out);
         }
-        let optimized = eng.optimize_sql(sql, self.mode, self.result_location.clone())?;
-        let config = RuntimeConfig {
-            columnar: self.columnar,
-            workers_per_site: self.workers,
-            ..RuntimeConfig::default()
-        };
-        let result =
-            eng.execute_parallel_opts(&optimized.physical, None, &RetryPolicy::none(), &config)?;
-        let mut out = render_rows(&result.rows, &optimized.physical.schema.names());
-        let audit = match eng.audit(&optimized.physical) {
-            Ok(()) => "compliant",
-            Err(_) => "NON-COMPLIANT",
-        };
-        let _ = writeln!(
-            out,
-            "({} rows at {}; {} transfers, {} bytes; pipelined completion {:.1} ms \
-             of {:.1} ms network ({:.2}x overlap); plan {audit}; \\metrics for detail)",
-            result.rows.len(),
-            optimized.result_location,
-            result.transfers.transfer_count(),
-            result.transfers.total_bytes(),
-            result.metrics.completion_ms,
-            result.metrics.network_ms,
-            result.metrics.overlap_speedup(),
-        );
-        self.last_metrics = Some(result.metrics);
+        let _ = write!(out, "; plan {audit}");
+        if let Some(metrics) = result.metrics {
+            out.push_str("; \\metrics for detail");
+            self.last_metrics = Some(metrics);
+        }
+        out.push_str(")\n");
         Ok(out)
     }
 }

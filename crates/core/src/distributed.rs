@@ -1,90 +1,54 @@
-//! Distributed execution plumbing: a catalog-backed data source and a
-//! network-simulating SHIP handler, both optionally consulting a
-//! [`FaultPlan`] so availability faults surface as typed
+//! Distributed execution plumbing for the sequential interpreter: a
+//! catalog-backed data source and a network-simulating SHIP handler.
+//! Both adjudicate through the attempt's [`ShipEnv`] — the same
+//! adjudicator the pipelined runtime calls — on the fault plan's ticking
+//! clock, so availability faults surface as typed
 //! [`GeoError::SiteUnavailable`] errors during execution.
 
 use geoqp_common::{
-    ChurnWatch, ColumnarBatch, GeoError, Location, LocationSet, Result, Rows, RunControl, Schema,
-    TableRef, Unavailable,
+    ColumnarBatch, GeoError, Location, LocationSet, Result, Rows, Schema, TableRef,
 };
-use geoqp_exec::{DataSource, RetryPolicy, ShipHandler};
-use geoqp_net::{
-    backup_beats, plan_hedge, run_hedge, FaultPlan, FaultVerdict, HedgeConfig, LinkHealth,
-    NetworkTopology, RelayEvent, TransferLog, TransferRecord,
-};
-use geoqp_runtime::{CheckpointSpec, CheckpointStore};
+use geoqp_exec::{DataSource, ShipHandler};
+use geoqp_net::TransferLog;
+use geoqp_runtime::{CheckpointSpec, ShipEdge, ShipEnv};
 use geoqp_storage::Catalog;
 use std::sync::Arc;
 
 /// Scans base tables from the per-site databases of a [`Catalog`]. With
-/// faults attached, every scan attempt consults the fault plan's crash
-/// windows under the retry policy before touching the data. With a
-/// checkpoint store attached, [`PhysOp::ResumeScan`] leaves read retained
-/// intermediate results instead of recomputing them.
+/// a [`ShipEnv`] attached, every leaf read polls its cancel token and
+/// passes its availability gate (one tick of the fault clock per attempt)
+/// before touching the data, and [`PhysOp::ResumeScan`] leaves read
+/// retained intermediate results from its checkpoint store.
+///
+/// [`PhysOp::ResumeScan`]: geoqp_plan::PhysOp::ResumeScan
 pub struct CatalogSource<'a> {
     catalog: &'a Catalog,
-    faults: Option<&'a FaultPlan>,
-    retry: RetryPolicy,
-    control: RunControl,
-    resume_from: Option<&'a CheckpointStore>,
+    env: Option<&'a ShipEnv<'a>>,
 }
 
 impl<'a> CatalogSource<'a> {
-    /// Create a source over the catalog.
+    /// Create an ungated source over the catalog.
     pub fn new(catalog: &'a Catalog) -> CatalogSource<'a> {
-        CatalogSource {
-            catalog,
-            faults: None,
-            retry: RetryPolicy::none(),
-            control: RunControl::unlimited(),
-            resume_from: None,
-        }
+        CatalogSource { catalog, env: None }
     }
 
-    /// Attach a fault plan and retry policy.
-    pub fn with_faults(mut self, faults: &'a FaultPlan, retry: RetryPolicy) -> CatalogSource<'a> {
-        self.faults = Some(faults);
-        self.retry = retry;
+    /// Gate every leaf read through `env`.
+    pub fn with_env(mut self, env: &'a ShipEnv<'a>) -> CatalogSource<'a> {
+        self.env = Some(env);
         self
     }
 
-    /// Attach cancellation/deadline controls; scans poll the cancel token.
-    pub fn with_control(mut self, control: RunControl) -> CatalogSource<'a> {
-        self.control = control;
-        self
-    }
-
-    /// Attach a checkpoint store for resolving `ResumeScan` leaves.
-    pub fn with_resume(mut self, store: &'a CheckpointStore) -> CatalogSource<'a> {
-        self.resume_from = Some(store);
-        self
-    }
-
-    /// Gate a leaf read on its site's crash windows, one fault-clock step
-    /// per attempt under the retry policy.
-    fn site_gate(&self, location: &Location, what: &str) -> Result<()> {
-        if let Some(faults) = self.faults {
-            // Each attempt consumes one logical step; a bounded crash
-            // window counts as transient, so a retry can outlast it.
-            self.retry.run(|_| {
-                let step = faults.tick();
-                match faults.site_down_until(location, step) {
-                    None => Ok(()),
-                    Some(end) => Err(GeoError::SiteUnavailable(Unavailable {
-                        site: Some(location.clone()),
-                        link: None,
-                        transient: end != u64::MAX,
-                        breaker: false,
-                        message: format!("{what} failed: site {location} is down at step {step}"),
-                    })),
-                }
-            })?;
+    /// Cancellation poll and availability gate in front of a leaf read.
+    fn gate(&self, location: &Location, what: &str) -> Result<()> {
+        if let Some(env) = self.env {
+            env.control()
+                .check_cancel(&format!("{what} at {location}"))?;
+            // The sequential clock ticks once per attempt.
+            env.leaf_gate(location, what, 0, |faults, _| faults.tick())?;
         }
         Ok(())
     }
-}
 
-impl<'a> CatalogSource<'a> {
     /// Resolve and fetch the materialized table behind a scan, after
     /// cancellation and availability gates. Shared by the row and
     /// columnar scan paths so both consume fault-clock ticks identically.
@@ -93,9 +57,7 @@ impl<'a> CatalogSource<'a> {
         table: &TableRef,
         location: &Location,
     ) -> Result<Arc<geoqp_storage::Table>> {
-        self.control
-            .check_cancel(&format!("scan of {table} at {location}"))?;
-        self.site_gate(location, &format!("scan of {table}"))?;
+        self.gate(location, &format!("scan of {table}"))?;
         let entries = self.catalog.resolve(table);
         let entry = entries
             .iter()
@@ -128,128 +90,65 @@ impl DataSource for CatalogSource<'_> {
     }
 
     fn resume(&self, fingerprint: u64, location: &Location, arity: usize) -> Result<Rows> {
-        self.control.check_cancel(&format!(
-            "resume of checkpoint {fingerprint:016x} at {location}"
-        ))?;
+        let _ = arity;
         // The checkpoint's home site must be up to serve its rows — a
         // resume leaf is gated by availability exactly like a tablescan.
-        self.site_gate(
+        self.gate(
             location,
             &format!("resume of checkpoint {fingerprint:016x}"),
         )?;
-        let store = self.resume_from.ok_or_else(|| {
-            GeoError::Execution(format!(
+        match self.env {
+            Some(env) => env.resume(fingerprint, location),
+            None => Err(GeoError::Execution(format!(
                 "no checkpoint store attached: cannot resume fragment \
                  {fingerprint:016x} at {location}"
-            ))
-        })?;
-        let cp = store.get(fingerprint, location).ok_or_else(|| {
-            GeoError::Execution(format!(
-                "checkpoint {fingerprint:016x} is not homed at {location}"
-            ))
-        })?;
-        let _ = arity;
-        Rows::decode(&cp.encoded, cp.arity).ok_or_else(|| {
-            GeoError::Execution("checkpoint corruption: batch failed to decode".into())
-        })
+            ))),
+        }
     }
 }
 
-/// Serializes every shipped batch to bytes, charges the network simulator
-/// for the exact volume, and decodes the batch on "arrival" — so the
-/// simulated WAN carries real byte counts, not estimates.
-///
-/// With faults attached, every transfer attempt consults the
-/// [`FaultPlan`] at the next logical step: drops are retried under the
-/// [`RetryPolicy`] with simulated exponential backoff (charged to the
-/// transfer's cost), and an exhausted budget or permanent fault surfaces
-/// as [`GeoError::SiteUnavailable`] with the failing link identified.
+/// The sequential interpreter's SHIP: every edge is a **one-batch
+/// stream** through the attempt's [`ShipEnv`], on the fault plan's
+/// ticking clock. The batch is charged for its exact serialized volume,
+/// so the simulated WAN carries real byte counts, not estimates; faults,
+/// retries, hedging, churn, the deadline, and checkpoint capture are the
+/// adjudicator's, identical to the pipelined runtime's.
 pub struct SimShip<'a> {
-    topology: &'a NetworkTopology,
+    env: &'a ShipEnv<'a>,
     log: TransferLog,
-    faults: Option<&'a FaultPlan>,
-    retry: RetryPolicy,
-    control: RunControl,
-    capture: Option<(&'a CheckpointStore, Vec<CheckpointSpec>)>,
-    next_spec: usize,
-    hedge: Option<(&'a LinkHealth, HedgeConfig)>,
-    // Per-SHIP-edge shipping traits 𝒮ₙ in execution order: the only
-    // sites a hedged relay may route through.
-    legal_sets: Vec<LocationSet>,
+    // Per-SHIP-edge shipping traits 𝒮ₙ and checkpoint specs, both in
+    // execution order (see [`SimShip::with_edges`]).
+    audits: Vec<LocationSet>,
+    specs: Vec<CheckpointSpec>,
     next_edge: usize,
-    churn: Option<ChurnWatch>,
 }
 
 impl<'a> SimShip<'a> {
-    /// Create a handler over a topology with an empty transfer log.
-    pub fn new(topology: &'a NetworkTopology) -> SimShip<'a> {
+    /// Create a handler adjudicating against `env`, with an empty
+    /// transfer log.
+    pub fn new(env: &'a ShipEnv<'a>) -> SimShip<'a> {
         SimShip {
-            topology,
+            env,
             log: TransferLog::new(),
-            faults: None,
-            retry: RetryPolicy::none(),
-            control: RunControl::unlimited(),
-            capture: None,
-            next_spec: 0,
-            hedge: None,
-            legal_sets: Vec::new(),
+            audits: Vec::new(),
+            specs: Vec::new(),
             next_edge: 0,
-            churn: None,
         }
     }
 
-    /// Enforce live policy churn: before each SHIP edge moves, a site
-    /// whose catalog replica cannot prove the pinned sequence refuses to
-    /// originate ([`GeoError::CatalogStale`]), and a revocation newer
-    /// than the pin aborts the attempt ([`GeoError::PolicyChurn`]) so
-    /// the failover loop can re-plan under the new epoch. The churn
-    /// clock is the edge index — the sequential interpreter ships one
-    /// monolithic batch per edge.
-    pub fn with_churn(mut self, watch: ChurnWatch) -> SimShip<'a> {
-        self.churn = Some(watch);
-        self
-    }
-
-    /// Attach a fault plan and retry policy.
-    pub fn with_faults(mut self, faults: &'a FaultPlan, retry: RetryPolicy) -> SimShip<'a> {
-        self.faults = Some(faults);
-        self.retry = retry;
-        self
-    }
-
-    /// Attach cancellation/deadline controls. The deadline is checked
-    /// against accumulated simulated transfer cost before each delivery
-    /// is committed to the log.
-    pub fn with_control(mut self, control: RunControl) -> SimShip<'a> {
-        self.control = control;
-        self
-    }
-
-    /// Attach a checkpoint store plus per-edge specs in **execution
-    /// order** (the order SHIPs complete in the sequential interpreter:
-    /// left-to-right post-order). Every fully delivered edge is retained
-    /// at both endpoints for failover resume.
-    pub fn with_capture(
+    /// Attach the per-edge shipping traits `𝒮ₙ` — each batch's
+    /// Definition-1 audit set and the only sites a hedged relay may route
+    /// through — and, when `env` carries a checkpoint store, the per-edge
+    /// specs every delivered edge is retained under. Both in **execution
+    /// order**: the order SHIPs complete in the sequential interpreter,
+    /// left-to-right post-order.
+    pub fn with_edges(
         mut self,
-        store: &'a CheckpointStore,
+        audits: Vec<LocationSet>,
         specs: Vec<CheckpointSpec>,
     ) -> SimShip<'a> {
-        self.capture = Some((store, specs));
-        self
-    }
-
-    /// Attach gray-failure defenses: a shared [`LinkHealth`] table (so
-    /// breaker state survives across failover attempts) plus hedge
-    /// tuning and the per-SHIP-edge shipping traits `𝒮ₙ` in execution
-    /// order — the only sites a hedged relay may legally route through.
-    pub fn with_hedge(
-        mut self,
-        health: &'a LinkHealth,
-        config: HedgeConfig,
-        legal_sets: Vec<LocationSet>,
-    ) -> SimShip<'a> {
-        self.hedge = Some((health, config));
-        self.legal_sets = legal_sets;
+        self.audits = audits;
+        self.specs = specs;
         self
     }
 
@@ -262,12 +161,8 @@ impl<'a> SimShip<'a> {
     pub fn log(&self) -> &TransferLog {
         &self.log
     }
-}
 
-impl SimShip<'_> {
-    /// The transfer core shared by the row and columnar SHIP paths:
-    /// fault gating with retries, gray-failure hedging, deadline
-    /// enforcement, log accounting, and checkpoint capture for one edge
+    /// The transfer shared by the row and columnar SHIP paths: one edge
     /// carrying `bytes` over `n_rows` rows. `encode` materializes the
     /// wire bytes and is invoked only when a checkpoint store is
     /// attached — the columnar path otherwise never encodes.
@@ -280,251 +175,32 @@ impl SimShip<'_> {
         schema_len: usize,
         encode: impl FnOnce() -> Vec<u8>,
     ) -> Result<()> {
-        self.control.check_cancel(&format!("SHIP {from} -> {to}"))?;
-        let model_ms = self.topology.ship_cost_ms(from, to, bytes as f64);
         let edge = self.next_edge;
         self.next_edge += 1;
-        if let Some(watch) = &self.churn {
-            if from != to {
-                if let Some(guard) = &watch.stale {
-                    guard.check_origin(from)?;
-                }
-            }
-            if let Some(head) = watch.signal.revoked_since(watch.pin.seq, edge as u64) {
-                return Err(GeoError::policy_churn(
-                    head.seq,
-                    head.epoch,
-                    edge as u64,
-                    format!(
-                        "policy revocation at catalog seq {} landed while SHIP \
-                         {from} -> {to} was in flight under pinned seq {}",
-                        head.seq, watch.pin.seq
-                    ),
-                ));
-            }
-        }
-        // Gray-failure gate, from pre-transfer health state: a breaker
-        // open past its budget condemns the link (soft exclusion for the
-        // re-planner); a link past the hedge threshold races a backup.
-        let mut backup_route: Option<Option<Location>> = None;
-        if let Some((health, _)) = &self.hedge {
-            if from != to {
-                if health.breaker_exhausted(from, to, 0) {
-                    let state = health.state(from, to, 0);
-                    return Err(GeoError::breaker_open(
-                        from.clone(),
-                        to.clone(),
-                        format!(
-                            "circuit breaker for link {from} -> {to} is open past its \
-                             budget ({} trips, EWMA cost ratio {:.2}): soft-excluding \
-                             the link",
-                            state.trips, state.ewma_ratio
-                        ),
-                    ));
-                }
-                if health.should_hedge(from, to, 0) {
-                    let ratio = health.state(from, to, 0).ewma_ratio;
-                    let via = self.legal_sets.get(edge).and_then(|legal| {
-                        plan_hedge(self.topology, from, to, bytes as f64, legal, ratio)
-                    });
-                    backup_route = Some(via);
-                }
-            }
-        }
-        let health = self.hedge.as_ref().map(|(h, _)| *h);
-        let mut last_step = 0u64;
-        let primary = match self.faults {
-            None => Ok((1, 0.0, 0)),
-            Some(faults) => {
-                let log = &mut self.log;
-                self.retry
-                    .run(|_| {
-                        let step = faults.tick();
-                        last_step = step;
-                        match faults.check_transfer(from, to, step) {
-                            FaultVerdict::Deliver { extra_delay_ms } => {
-                                if let Some(h) = health.filter(|_| from != to) {
-                                    h.observe_delivery(
-                                        from,
-                                        to,
-                                        0,
-                                        step,
-                                        model_ms,
-                                        model_ms + extra_delay_ms,
-                                    );
-                                }
-                                Ok((extra_delay_ms, step))
-                            }
-                            // A gray link delivers at factor × the model;
-                            // the surcharge rides in extra_ms so the log
-                            // prices the transfer honestly.
-                            FaultVerdict::Degraded {
-                                factor,
-                                extra_delay_ms,
-                            } => {
-                                let surcharge = (factor - 1.0) * model_ms + extra_delay_ms;
-                                if let Some(h) = health.filter(|_| from != to) {
-                                    h.observe_delivery(
-                                        from,
-                                        to,
-                                        0,
-                                        step,
-                                        model_ms,
-                                        model_ms + surcharge,
-                                    );
-                                }
-                                Ok((surcharge, step))
-                            }
-                            FaultVerdict::Drop {
-                                transient,
-                                culprit,
-                                reason,
-                            } => {
-                                log.record_fault(step, from, to, reason.clone());
-                                if let Some(h) = health.filter(|_| from != to) {
-                                    h.observe_failure(from, to, 0, step);
-                                }
-                                Err(GeoError::SiteUnavailable(Unavailable {
-                                    // A crashed endpoint is what re-planning
-                                    // must exclude; for pure link/partition
-                                    // faults, route away from the destination.
-                                    site: culprit.or_else(|| Some(to.clone())),
-                                    link: Some((from.clone(), to.clone())),
-                                    transient,
-                                    breaker: false,
-                                    message: reason,
-                                }))
-                            }
-                        }
-                    })
-                    .map(|d| (d.attempts, d.value.0 + d.backoff_ms, d.value.1))
-            }
-        };
-        // The hedge race: the backup launches after a short delay, on
-        // independent fault coins, and may route via a relay site — but
-        // only one inside the producing subtree's 𝒮ₙ. First delivery
-        // wins; a primary that failed outright is rescued by a delivered
-        // backup.
-        let mut rescued_by_backup = false;
-        if let Some(via) = backup_route {
-            let (health, config) = self.hedge.as_ref().expect("hedge config present");
-            let empty = LocationSet::new();
-            let legal = self.legal_sets.get(edge).unwrap_or(&empty);
-            let primary_arrival = primary.as_ref().ok().map(|(_, extra, _)| model_ms + extra);
+        let mut stream = self.env.open(
+            ShipEdge {
+                from,
+                to,
+                legal: self.audits.get(edge),
+                // The clock ticks per attempt, so steps are already
+                // globally ordered: one health lane serves every edge.
+                lane: 0,
+                // The churn clock is the edge index: one monolithic batch
+                // per edge.
+                churn_slot: edge as u64,
+                churn_stride: 0,
+                ready_ms: 0.0,
+            },
+            |faults, _| faults.tick(),
             // One monolithic transfer per edge: every leg pays its full
             // α + β·b — there is no stream to amortize headers over.
-            let run = run_hedge(
-                |a, b| self.topology.ship_cost_ms(a, b, bytes as f64),
-                self.faults,
-                config,
-                from,
-                to,
-                via.as_ref(),
-                legal,
-                last_step,
-                // The sequential clock ticks per transfer, so the base
-                // step itself already varies: no batch coin needed.
-                0,
-                primary_arrival,
-            )?;
-            for leg in &run.legs {
-                if leg.delivered {
-                    // Every transmitted backup leg is cost-charged: the
-                    // shipped-bytes overhead of hedging is real.
-                    self.log.push(TransferRecord {
-                        step: leg.step,
-                        from: leg.from.clone(),
-                        to: leg.to.clone(),
-                        bytes,
-                        rows: n_rows,
-                        cost_ms: leg.cost_ms,
-                        attempts: 1,
-                    });
-                } else {
-                    self.log.record_fault(
-                        leg.step,
-                        &leg.from,
-                        &leg.to,
-                        "hedged backup leg dropped".into(),
-                    );
-                }
-            }
-            let backup_won = match (primary_arrival, run.backup_arrival_ms) {
-                (Some(p), Some(b)) => backup_beats(b, p),
-                (None, Some(_)) => true,
-                _ => false,
-            };
-            rescued_by_backup = primary_arrival.is_none() && run.backup_arrival_ms.is_some();
-            health.note_hedge(
-                backup_won,
-                run.relay.as_ref().map(|r| RelayEvent {
-                    lane: 0,
-                    from: from.clone(),
-                    to: to.clone(),
-                    via: r.clone(),
-                }),
-            );
-        }
-        let (attempts, extra_ms, step) = match primary {
-            Ok(delivered) => delivered,
-            Err(e) if rescued_by_backup => {
-                // The backup already delivered (and was charged above):
-                // the transfer succeeds without a primary record.
-                let _ = e;
-                (0, 0.0, last_step)
-            }
-            Err(e) => return Err(e),
-        };
-        // The simulated clock is the transfer log: the deadline trips as
-        // soon as accumulated cost plus this delivery would exceed the
-        // budget, before the delivery is committed.
-        let cost_ms = if attempts > 0 {
-            model_ms + extra_ms
-        } else {
-            0.0
-        };
-        self.control.check_deadline(
-            self.log.total_cost_ms() + cost_ms,
-            &format!("SHIP {from} -> {to}"),
-        )?;
-        if attempts > 0 {
-            self.log.record_delivery(
-                self.topology,
-                from,
-                to,
-                bytes,
-                n_rows,
-                attempts,
-                extra_ms,
-                step,
-            );
-        }
-        // The edge fully delivered: retain its output for failover
-        // resume, at both endpoints — the producer computed it there (its
-        // site is in ℰ ⊆ 𝒮) and the consumer legally received it. An
-        // illegal home is a typed refusal from the store, not a silent
-        // choice.
-        if let Some((store, specs)) = &self.capture {
-            let spec = specs.get(self.next_spec).ok_or_else(|| {
-                GeoError::Execution(
-                    "checkpoint spec underflow: more SHIPs executed than edges audited".into(),
-                )
-            })?;
-            self.next_spec += 1;
-            let encoded = encode();
-            for home in [to, from] {
-                store.put(
-                    spec.fingerprint,
-                    home.clone(),
-                    &spec.legal,
-                    &spec.logical,
-                    encoded.clone(),
-                    n_rows,
-                    schema_len,
-                )?;
-            }
-        }
-        Ok(())
+            |link, bytes| link.alpha_ms + link.beta_ms_per_byte * bytes,
+            // The simulated clock is the transfer log: sites take turns,
+            // so elapsed time is the sum of everything charged so far.
+            |batch| batch.log.total_cost_ms() + batch.primary_ms,
+        );
+        stream.ship_batch(bytes, n_rows, &mut self.log)?;
+        stream.finish(self.specs.get(edge), n_rows, schema_len, encode)
     }
 }
 
@@ -562,32 +238,5 @@ impl ShipHandler for SimShip<'_> {
             batch.to_rows().encode()
         })?;
         Ok(batch)
-    }
-}
-
-/// Convenience: an owned catalog source for engines holding `Arc<Catalog>`.
-pub struct ArcCatalogSource {
-    catalog: Arc<Catalog>,
-}
-
-impl ArcCatalogSource {
-    /// Create from a shared catalog.
-    pub fn new(catalog: Arc<Catalog>) -> ArcCatalogSource {
-        ArcCatalogSource { catalog }
-    }
-}
-
-impl DataSource for ArcCatalogSource {
-    fn scan(&self, table: &TableRef, location: &Location) -> Result<Rows> {
-        CatalogSource::new(&self.catalog).scan(table, location)
-    }
-
-    fn scan_columnar(
-        &self,
-        table: &TableRef,
-        location: &Location,
-        arity: usize,
-    ) -> Result<Arc<ColumnarBatch>> {
-        CatalogSource::new(&self.catalog).scan_columnar(table, location, arity)
     }
 }

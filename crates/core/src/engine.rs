@@ -22,24 +22,12 @@ use geoqp_plan::{PhysOp, PhysicalPlan};
 use geoqp_policy::{ImplicationMemo, PolicyCatalog, PolicyEvaluator};
 use geoqp_runtime::{
     fingerprint, stitch, CheckpointSpec, CheckpointStore, Runtime, RuntimeConfig, RuntimeMetrics,
+    ShipEnv,
 };
 use geoqp_storage::Catalog;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Which executor runs a located plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RuntimeMode {
-    /// The single-threaded recursive interpreter: sites take turns, each
-    /// SHIP moves one monolithic batch.
-    #[default]
-    Sequential,
-    /// The concurrent pipelined runtime (`geoqp-runtime`): one worker
-    /// thread per plan fragment, streaming bounded-batch exchanges at
-    /// SHIP boundaries, per-batch Definition-1 audit.
-    Parallel,
-}
 
 /// Which optimizer to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,13 +126,17 @@ pub struct ParallelResult {
     pub metrics: RuntimeMetrics,
 }
 
-/// The result of a fault-tolerant execution with compliant failover.
+/// The result of [`Engine::run`]: the rows plus everything the run did to
+/// get them — transfers, failover re-plans, checkpoint reuse, hedging.
 #[derive(Debug)]
-pub struct ResilientResult {
+pub struct QueryOutcome {
     /// The result rows (at the plan's result location).
     pub rows: Rows,
     /// Every transfer and dropped attempt across all execution tries.
     pub transfers: TransferLog,
+    /// Per-site and per-exchange observability of the attempt that
+    /// completed, when it ran on the pipelined runtime.
+    pub metrics: Option<RuntimeMetrics>,
     /// How many times the engine re-ran site selection around a failure.
     pub replans: usize,
     /// How many of those re-plans were forced by a mid-flight policy
@@ -196,17 +188,26 @@ pub struct ResilientResult {
     pub relay_events: Vec<RelayEvent>,
 }
 
-/// Knobs for [`Engine::execute_resilient_opts`]: the failover budget plus
-/// the robustness controls this layer adds.
-#[derive(Debug, Clone)]
-pub struct FailoverOpts {
+/// Everything [`Engine::run`] can be told about *how* to execute a
+/// located plan. The default is the plain run: one attempt on the
+/// sequential row interpreter, no faults, nothing retained.
+#[derive(Debug, Clone, Default)]
+pub struct ExecOptions<'a> {
+    /// Fault injection: every transfer and leaf read consults this plan.
+    /// `None` runs fault-free without a step clock.
+    pub faults: Option<&'a FaultPlan>,
+    /// Retry budget for transient faults within one attempt.
+    pub retry: RetryPolicy,
     /// How many times the engine may re-run site selection around a
     /// failure before giving up.
     pub max_replans: usize,
     /// Retain completed SHIP edges in a checkpoint store and stitch
     /// failover re-plans against it, so only lost work re-executes.
     pub resume: bool,
-    /// Simulated-clock completion budget for the whole resilient run.
+    /// The checkpoint store to retain into, so tests and tools can
+    /// inspect what was kept where. `None` uses one private to the run.
+    pub store: Option<&'a CheckpointStore>,
+    /// Simulated-clock completion budget for the whole run.
     pub deadline: Option<QueryDeadline>,
     /// Cooperative abort flag, polled at batch granularity.
     pub cancel: Option<CancelToken>,
@@ -215,64 +216,69 @@ pub struct FailoverOpts {
     /// threshold, and let an exhausted breaker trigger a soft-exclusion
     /// re-plan. `None` disables hedging and breakers entirely.
     pub hedge: Option<HedgeConfig>,
-    /// Run every sequential attempt on the vectorized columnar engine.
-    /// Rows, shipped bytes, audits, and fault replay are identical to
-    /// the row engine; only CPU time changes.
-    pub columnar: bool,
-    /// Morsel workers per site for parallel-runtime attempts (columnar
-    /// only; `1` keeps kernels inline). Like `columnar`, this changes
-    /// CPU time and nothing observable: rows, bytes, transfer logs, and
-    /// fault replay are worker-count-invariant.
-    pub workers_per_site: usize,
     /// Live policy churn: the catalog service and the epoch pinned at
     /// admission. Execution re-audits SHIP edges against revocations at
     /// batch granularity, refuses transfers from replicas that cannot
     /// prove freshness, and re-plans through the checkpoint-stitching
     /// path when a revocation lands mid-flight. `None` runs against the
-    /// frozen catalog, exactly as before.
+    /// frozen catalog.
     pub churn: Option<ChurnOpts>,
+    /// Run every attempt on the concurrent pipelined runtime (one worker
+    /// thread per plan fragment, streaming exchanges, the Definition-1
+    /// audit on every batch) instead of the sequential interpreter. Rows,
+    /// shipped bytes, and total network cost are identical; simulated
+    /// completion is the critical path instead of the sum.
+    pub pipelined: bool,
+    /// Engine and exchange configuration. `columnar` selects the
+    /// vectorized engine on either runtime; the rest applies to the
+    /// pipelined runtime only. None of it changes rows, bytes, transfer
+    /// logs, or fault replay.
+    pub runtime: RuntimeConfig,
 }
 
-impl FailoverOpts {
-    /// Resume-enabled failover with `max_replans` re-plans, no deadline,
-    /// no cancel token, hedging off.
-    pub fn new(max_replans: usize) -> FailoverOpts {
-        FailoverOpts {
+impl<'a> ExecOptions<'a> {
+    /// Fault injection with compliant failover: up to `max_replans`
+    /// re-plans around failures, transient faults retried per `retry`,
+    /// checkpoint/resume on.
+    pub fn failover(
+        faults: &'a FaultPlan,
+        retry: &RetryPolicy,
+        max_replans: usize,
+    ) -> ExecOptions<'a> {
+        ExecOptions {
+            faults: Some(faults),
+            retry: retry.clone(),
             max_replans,
             resume: true,
-            deadline: None,
-            cancel: None,
-            hedge: None,
-            columnar: false,
-            workers_per_site: 1,
-            churn: None,
+            ..ExecOptions::default()
         }
+    }
+
+    /// Run on the pipelined runtime under `config`.
+    pub fn pipelined(mut self, config: RuntimeConfig) -> ExecOptions<'a> {
+        self.pipelined = true;
+        self.runtime = config;
+        self
+    }
+
+    /// Retain checkpoints into a caller-provided store.
+    pub fn with_store(mut self, store: &'a CheckpointStore) -> ExecOptions<'a> {
+        self.store = Some(store);
+        self
     }
 
     /// Pin this execution to `pin` of `service`'s catalog and enforce
     /// live churn: per-batch revocation checks, stale-origin fail-safe,
     /// and compliant mid-flight re-planning.
-    pub fn with_churn(mut self, service: Arc<CatalogService>, pin: CatalogPin) -> FailoverOpts {
+    pub fn with_churn(mut self, service: Arc<CatalogService>, pin: CatalogPin) -> ExecOptions<'a> {
         self.churn = Some(ChurnOpts { service, pin });
         self
     }
 
     /// Enable link-health scoring, circuit breakers, and compliant hedged
-    /// transfers for every attempt of the resilient run.
-    pub fn with_hedge(mut self, config: HedgeConfig) -> FailoverOpts {
+    /// transfers for every attempt of the run.
+    pub fn with_hedge(mut self, config: HedgeConfig) -> ExecOptions<'a> {
         self.hedge = Some(config);
-        self
-    }
-
-    /// Run sequential attempts on the vectorized columnar engine.
-    pub fn with_columnar(mut self, columnar: bool) -> FailoverOpts {
-        self.columnar = columnar;
-        self
-    }
-
-    /// Set the morsel workers per site for parallel-runtime attempts.
-    pub fn with_workers(mut self, workers_per_site: usize) -> FailoverOpts {
-        self.workers_per_site = workers_per_site.max(1);
         self
     }
 
@@ -284,12 +290,6 @@ impl FailoverOpts {
             deadline: self.deadline,
             base_ms,
         }
-    }
-}
-
-impl Default for FailoverOpts {
-    fn default() -> FailoverOpts {
-        FailoverOpts::new(0)
     }
 }
 
@@ -468,9 +468,9 @@ impl Engine {
     /// Execute a located physical plan over the per-site databases,
     /// simulating every SHIP with real byte accounting.
     pub fn execute(&self, plan: &PhysicalPlan) -> Result<ExecutionResult> {
-        let source = CatalogSource::new(&self.catalog);
-        let mut ship = SimShip::new(&self.topology);
-        let rows = geoqp_exec::execute(plan, &source, &mut ship)?;
+        let env = ShipEnv::new(&self.topology);
+        let mut ship = SimShip::new(&env);
+        let rows = geoqp_exec::execute(plan, &CatalogSource::new(&self.catalog), &mut ship)?;
         Ok(ExecutionResult {
             rows,
             transfers: ship.into_log(),
@@ -484,62 +484,18 @@ impl Engine {
     /// row order, shipped bytes, and audit outcomes are identical to the
     /// row engine's.
     pub fn execute_columnar(&self, plan: &PhysicalPlan) -> Result<ExecutionResult> {
-        let source = CatalogSource::new(&self.catalog);
-        let mut ship = SimShip::new(&self.topology);
-        let rows = geoqp_exec::execute_columnar(plan, &source, &mut ship)?;
+        let env = ShipEnv::new(&self.topology);
+        let mut ship = SimShip::new(&env);
+        let rows =
+            geoqp_exec::execute_columnar(plan, &CatalogSource::new(&self.catalog), &mut ship)?;
         Ok(ExecutionResult {
             rows,
             transfers: ship.into_log(),
         })
     }
 
-    /// Execute a plan with fault injection active but no failover: a
-    /// single try under `faults`, transient errors retried per `retry`.
-    pub fn execute_with_faults(
-        &self,
-        plan: &PhysicalPlan,
-        faults: &FaultPlan,
-        retry: &RetryPolicy,
-    ) -> Result<ExecutionResult> {
-        let (outcome, transfers) = self.try_execute_with_faults(plan, faults, retry, false);
-        outcome.map(|rows| ExecutionResult { rows, transfers })
-    }
-
-    /// [`Engine::execute_with_faults`] on the columnar engine. The
-    /// columnar interpreter recurses in the row engine's exact order, so
-    /// fault-clock ticks — and therefore the whole failure replay — are
-    /// bit-identical between the two.
-    pub fn execute_with_faults_columnar(
-        &self,
-        plan: &PhysicalPlan,
-        faults: &FaultPlan,
-        retry: &RetryPolicy,
-    ) -> Result<ExecutionResult> {
-        let (outcome, transfers) = self.try_execute_with_faults(plan, faults, retry, true);
-        outcome.map(|rows| ExecutionResult { rows, transfers })
-    }
-
-    /// One execution try under faults, returning the transfer log even on
-    /// failure (dropped attempts are evidence the failover path reports).
-    fn try_execute_with_faults(
-        &self,
-        plan: &PhysicalPlan,
-        faults: &FaultPlan,
-        retry: &RetryPolicy,
-        columnar: bool,
-    ) -> (Result<Rows>, TransferLog) {
-        let source = CatalogSource::new(&self.catalog).with_faults(faults, retry.clone());
-        let mut ship = SimShip::new(&self.topology).with_faults(faults, retry.clone());
-        let outcome = if columnar {
-            geoqp_exec::execute_columnar(plan, &source, &mut ship)
-        } else {
-            geoqp_exec::execute(plan, &source, &mut ship)
-        };
-        (outcome, ship.into_log())
-    }
-
-    /// The per-SHIP-edge shipping traits the parallel runtime audits each
-    /// batch against (pre-order).
+    /// The per-SHIP-edge shipping traits every batch is audited against
+    /// (pre-order).
     fn ship_audits(&self, plan: &PhysicalPlan) -> Result<Vec<LocationSet>> {
         ship_traits(plan, &self.evaluator(), &self.catalog)
     }
@@ -567,17 +523,12 @@ impl Engine {
 
     /// Execute a located plan on the concurrent pipelined runtime: one
     /// worker thread per plan fragment, streaming bounded-batch exchanges
-    /// at SHIP edges, and the Definition-1 audit enforced on every batch.
+    /// at SHIP edges, and the Definition-1 audit enforced on every batch,
+    /// with optional fault injection (a single try, no failover).
     ///
     /// Row results, shipped bytes, and total network cost are identical
     /// to [`Engine::execute`]; simulated completion time is the pipelined
     /// critical path instead of the sequential sum.
-    pub fn execute_parallel(&self, plan: &PhysicalPlan) -> Result<ParallelResult> {
-        self.execute_parallel_opts(plan, None, &RetryPolicy::none(), &RuntimeConfig::default())
-    }
-
-    /// [`Engine::execute_parallel`] with fault injection and explicit
-    /// exchange configuration.
     pub fn execute_parallel_opts(
         &self,
         plan: &PhysicalPlan,
@@ -586,12 +537,15 @@ impl Engine {
         config: &RuntimeConfig,
     ) -> Result<ParallelResult> {
         let audits = self.ship_audits(plan)?;
-        let source = CatalogSource::new(&self.catalog);
-        let mut runtime = Runtime::new(&self.topology).with_config(config.clone());
+        let mut env = ShipEnv::new(&self.topology);
         if let Some(faults) = faults {
-            runtime = runtime.with_faults(faults, retry.clone());
+            env = env.with_faults(faults, retry.clone());
         }
-        let out = runtime.run(plan, &source, Some(&audits))?;
+        let out = Runtime::new(env).with_config(config.clone()).run(
+            plan,
+            &CatalogSource::new(&self.catalog),
+            Some(&audits),
+        )?;
         Ok(ParallelResult {
             rows: out.rows,
             transfers: out.transfers,
@@ -599,217 +553,96 @@ impl Engine {
         })
     }
 
-    /// Execute with fault injection *and* compliant failover re-planning.
+    /// One execution attempt of `physical` under `opts`, on whichever
+    /// runtime `opts.pipelined` selects, `base_ms` of simulated time
+    /// already spent by earlier attempts. The transfer log is returned
+    /// even on failure: dropped attempts are evidence the failover loop
+    /// reports.
+    fn attempt(
+        &self,
+        physical: &PhysicalPlan,
+        opts: &ExecOptions<'_>,
+        store: &CheckpointStore,
+        health: Option<&LinkHealth>,
+        base_ms: f64,
+        watch: Option<&ChurnWatch>,
+    ) -> (Result<(Rows, Option<RuntimeMetrics>)>, TransferLog) {
+        // The adjudicator audits and relays against each edge's 𝒮ₙ; the
+        // checkpoint store additionally needs each edge's spec.
+        let traits = if opts.resume {
+            self.ship_specs(physical)
+        } else if opts.pipelined || opts.hedge.is_some() {
+            self.ship_audits(physical)
+                .map(|audits| (audits, Vec::new()))
+        } else {
+            Ok((Vec::new(), Vec::new()))
+        };
+        let (audits, specs) = match traits {
+            Ok(x) => x,
+            Err(e) => return (Err(e), TransferLog::new()),
+        };
+        let mut env = ShipEnv::new(&self.topology).with_control(opts.control(base_ms));
+        if let Some(faults) = opts.faults {
+            env = env.with_faults(faults, opts.retry.clone());
+        }
+        if opts.resume {
+            env = env.with_checkpoints(store);
+        }
+        if let (Some(health), Some(config)) = (health, opts.hedge.as_ref()) {
+            env = env.with_hedge(health, config.clone());
+        }
+        if let Some(watch) = watch {
+            env = env.with_churn(watch.clone());
+        }
+        if opts.pipelined {
+            let (outcome, log) = Runtime::new(env)
+                .with_config(opts.runtime.clone())
+                .with_specs(specs)
+                .try_run(physical, &CatalogSource::new(&self.catalog), Some(&audits));
+            return (outcome.map(|(rows, m)| (rows, Some(m))), log);
+        }
+        // The sequential interpreter completes SHIPs in left-to-right
+        // post-order, not pre-order — both the audit sets and the
+        // checkpoint specs must follow that order.
+        let order = exec_ship_order(physical);
+        debug_assert!(audits.is_empty() || audits.len() == order.len());
+        let source = CatalogSource::new(&self.catalog).with_env(&env);
+        let mut ship =
+            SimShip::new(&env).with_edges(in_order(&order, &audits), in_order(&order, &specs));
+        let outcome = if opts.runtime.columnar {
+            geoqp_exec::execute_columnar(physical, &source, &mut ship)
+        } else {
+            geoqp_exec::execute(physical, &source, &mut ship)
+        };
+        (outcome.map(|rows| (rows, None)), ship.into_log())
+    }
+
+    /// Execute an optimized query under `opts` — the one entry point
+    /// behind the shell, the service, and the experiment harness.
     ///
-    /// When an execution attempt dies on a [`GeoError::SiteUnavailable`]
-    /// that survived its retry budget, the failed site is excluded from
-    /// every execution trait `ℰ_n` of the annotated plan, Algorithm 2
-    /// site selection is re-run over what remains, the new placement is
-    /// re-verified against Definition 1 by the compliance checker, and
-    /// execution resumes on the new plan — up to `max_replans` times.
+    /// With the default options this is a single attempt. With a
+    /// re-plan budget it is compliant failover: when an attempt dies on a
+    /// [`GeoError::SiteUnavailable`] that survived its retry budget, the
+    /// failed site is excluded from every execution trait `ℰ_n` of the
+    /// annotated plan (or — for a breaker-condemned gray link — the link
+    /// is priced at ∞ without excluding anything), dead checkpoints are
+    /// dropped, Algorithm 2 site selection is re-run over what remains,
+    /// the new placement is stitched against surviving checkpoints and
+    /// re-verified against Definition 1, and execution resumes on the new
+    /// plan — up to `max_replans` times. A mid-flight revocation re-pins
+    /// and re-optimizes under the new catalog the same way.
     ///
     /// The failover path never falls back to a non-compliant placement:
     /// if no operator placement survives the failure, the typed policy
     /// error ([`GeoError::QueryRejected`]) is returned instead.
-    pub fn execute_resilient(
-        &self,
-        optimized: &OptimizedQuery,
-        faults: &FaultPlan,
-        retry: &RetryPolicy,
-        max_replans: usize,
-    ) -> Result<ResilientResult> {
-        self.execute_resilient_opts(optimized, faults, retry, &FailoverOpts::new(max_replans))
-    }
-
-    /// [`Engine::execute_resilient`] with explicit [`FailoverOpts`]:
-    /// checkpoint/resume, a simulated-clock deadline, and cooperative
-    /// cancellation.
-    pub fn execute_resilient_opts(
-        &self,
-        optimized: &OptimizedQuery,
-        faults: &FaultPlan,
-        retry: &RetryPolicy,
-        opts: &FailoverOpts,
-    ) -> Result<ResilientResult> {
-        let store = CheckpointStore::new();
-        self.execute_resilient_store(optimized, faults, retry, opts, &store)
-    }
-
-    /// [`Engine::execute_resilient_opts`] over a caller-provided
-    /// [`CheckpointStore`], so tests and tools can inspect what was
-    /// retained where.
-    pub fn execute_resilient_store(
-        &self,
-        optimized: &OptimizedQuery,
-        faults: &FaultPlan,
-        retry: &RetryPolicy,
-        opts: &FailoverOpts,
-        store: &CheckpointStore,
-    ) -> Result<ResilientResult> {
+    pub fn run(&self, optimized: &OptimizedQuery, opts: &ExecOptions<'_>) -> Result<QueryOutcome> {
+        let own_store = CheckpointStore::new();
+        let store = opts.store.unwrap_or(&own_store);
         let health = opts
             .hedge
             .as_ref()
             .map(|h| LinkHealth::new(h.health.clone()));
-        self.resilient_loop(
-            optimized,
-            opts,
-            store,
-            health.as_ref(),
-            |engine, physical, base_ms, watch| {
-                // The sequential interpreter completes SHIPs in left-to-right
-                // post-order, not pre-order — both the checkpoint specs and
-                // the hedge legality sets must follow that order.
-                let wired = opts.resume || opts.hedge.is_some();
-                let (audits, specs) = if wired {
-                    match engine.ship_specs(physical) {
-                        Ok(x) => x,
-                        Err(e) => return (Err(e), TransferLog::new()),
-                    }
-                } else {
-                    (Vec::new(), Vec::new())
-                };
-                let order = if wired {
-                    exec_ship_order(physical, audits.len())
-                } else {
-                    Vec::new()
-                };
-                let control = opts.control(base_ms);
-                let mut source = CatalogSource::new(&engine.catalog)
-                    .with_faults(faults, retry.clone())
-                    .with_control(control.clone());
-                if opts.resume {
-                    source = source.with_resume(store);
-                }
-                let mut ship = SimShip::new(&engine.topology)
-                    .with_faults(faults, retry.clone())
-                    .with_control(control);
-                if opts.resume {
-                    let specs = order.iter().map(|&i| specs[i].clone()).collect();
-                    ship = ship.with_capture(store, specs);
-                }
-                if let (Some(health), Some(config)) = (health.as_ref(), opts.hedge.as_ref()) {
-                    let legal = order.iter().map(|&i| audits[i].clone()).collect();
-                    ship = ship.with_hedge(health, config.clone(), legal);
-                }
-                if let Some(watch) = watch {
-                    ship = ship.with_churn(watch.clone());
-                }
-                let outcome = if opts.columnar {
-                    geoqp_exec::execute_columnar(physical, &source, &mut ship)
-                } else {
-                    geoqp_exec::execute(physical, &source, &mut ship)
-                };
-                (outcome, ship.into_log())
-            },
-        )
-    }
-
-    /// [`Engine::execute_resilient`] on the parallel runtime: each failover
-    /// attempt runs concurrently and pipelined, and the metrics of the
-    /// attempt that completed are returned alongside the result.
-    pub fn execute_resilient_parallel(
-        &self,
-        optimized: &OptimizedQuery,
-        faults: &FaultPlan,
-        retry: &RetryPolicy,
-        max_replans: usize,
-        config: &RuntimeConfig,
-    ) -> Result<(ResilientResult, RuntimeMetrics)> {
-        self.execute_resilient_parallel_opts(
-            optimized,
-            faults,
-            retry,
-            &FailoverOpts::new(max_replans),
-            config,
-        )
-    }
-
-    /// [`Engine::execute_resilient_parallel`] with explicit
-    /// [`FailoverOpts`].
-    pub fn execute_resilient_parallel_opts(
-        &self,
-        optimized: &OptimizedQuery,
-        faults: &FaultPlan,
-        retry: &RetryPolicy,
-        opts: &FailoverOpts,
-        config: &RuntimeConfig,
-    ) -> Result<(ResilientResult, RuntimeMetrics)> {
-        let store = CheckpointStore::new();
-        self.execute_resilient_parallel_store(optimized, faults, retry, opts, config, &store)
-    }
-
-    /// [`Engine::execute_resilient_parallel_opts`] over a caller-provided
-    /// [`CheckpointStore`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_resilient_parallel_store(
-        &self,
-        optimized: &OptimizedQuery,
-        faults: &FaultPlan,
-        retry: &RetryPolicy,
-        opts: &FailoverOpts,
-        config: &RuntimeConfig,
-        store: &CheckpointStore,
-    ) -> Result<(ResilientResult, RuntimeMetrics)> {
-        let mut metrics = None;
-        let health = opts
-            .hedge
-            .as_ref()
-            .map(|h| LinkHealth::new(h.health.clone()));
-        let result = self.resilient_loop(
-            optimized,
-            opts,
-            store,
-            health.as_ref(),
-            |engine, physical, base_ms, watch| {
-                let (audits, specs) = match engine.ship_specs(physical) {
-                    Ok(x) => x,
-                    Err(e) => return (Err(e), TransferLog::new()),
-                };
-                let source = CatalogSource::new(&engine.catalog);
-                let mut runtime = Runtime::new(&engine.topology)
-                    .with_faults(faults, retry.clone())
-                    .with_config(config.clone())
-                    .with_control(opts.control(base_ms));
-                if opts.resume {
-                    runtime = runtime.with_checkpoints(store, specs);
-                }
-                if let (Some(health), Some(hedge)) = (health.as_ref(), opts.hedge.as_ref()) {
-                    runtime = runtime.with_hedge(health, hedge.clone());
-                }
-                if let Some(watch) = watch {
-                    runtime = runtime.with_churn(watch.clone());
-                }
-                let (outcome, log) = runtime.try_run(physical, &source, Some(&audits));
-                (
-                    outcome.map(|(rows, m)| {
-                        metrics = Some(m);
-                        rows
-                    }),
-                    log,
-                )
-            },
-        )?;
-        let metrics = metrics.expect("a successful parallel attempt recorded its metrics");
-        Ok((result, metrics))
-    }
-
-    /// The shared failover skeleton: try, exclude the failed site (or —
-    /// for a breaker-condemned gray link — price the link at ∞ without
-    /// excluding anything), drop dead checkpoints, re-run Algorithm 2,
-    /// stitch against surviving checkpoints, re-audit, repeat.
-    fn resilient_loop(
-        &self,
-        optimized: &OptimizedQuery,
-        opts: &FailoverOpts,
-        store: &CheckpointStore,
-        health: Option<&LinkHealth>,
-        mut try_once: impl FnMut(
-            &Engine,
-            &Arc<PhysicalPlan>,
-            f64,
-            Option<&ChurnWatch>,
-        ) -> (Result<Rows>, TransferLog),
-    ) -> Result<ResilientResult> {
+        let health = health.as_ref();
         let mut physical = Arc::clone(&optimized.physical);
         let mut excluded = LocationSet::new();
         let mut avoided: BTreeSet<(Location, Location)> = BTreeSet::new();
@@ -834,15 +667,22 @@ impl Engine {
             let annotated = churned
                 .as_ref()
                 .map_or(&optimized.annotated, |o| &o.annotated);
-            let (attempt, log) =
-                try_once(engine, &physical, transfers.total_cost_ms(), watch.as_ref());
+            let (attempt, log) = engine.attempt(
+                &physical,
+                opts,
+                store,
+                health,
+                transfers.total_cost_ms(),
+                watch.as_ref(),
+            );
             transfers.absorb(log);
             match attempt {
-                Ok(rows) => {
+                Ok((rows, metrics)) => {
                     let recovered_from =
                         first_attempt_bytes.unwrap_or_else(|| transfers.total_bytes());
-                    return Ok(ResilientResult {
+                    return Ok(QueryOutcome {
                         rows,
+                        metrics,
                         replans,
                         churn_replans,
                         grant_retries,
@@ -1125,110 +965,11 @@ impl Engine {
         sql: &str,
         mode: OptimizerMode,
         result_location: Option<Location>,
-    ) -> Result<(OptimizedQuery, ExecutionResult)> {
+        opts: &ExecOptions<'_>,
+    ) -> Result<(OptimizedQuery, QueryOutcome)> {
         let optimized = self.optimize_sql(sql, mode, result_location)?;
-        let result = self.execute(&optimized.physical)?;
-        Ok((optimized, result))
-    }
-
-    /// [`Engine::run_sql`] with execution on the vectorized columnar
-    /// engine.
-    pub fn run_sql_columnar(
-        &self,
-        sql: &str,
-        mode: OptimizerMode,
-        result_location: Option<Location>,
-    ) -> Result<(OptimizedQuery, ExecutionResult)> {
-        let optimized = self.optimize_sql(sql, mode, result_location)?;
-        let result = self.execute_columnar(&optimized.physical)?;
-        Ok((optimized, result))
-    }
-
-    /// Parse, lower, optimize, and execute on the chosen runtime.
-    pub fn run_sql_parallel(
-        &self,
-        sql: &str,
-        mode: OptimizerMode,
-        result_location: Option<Location>,
-    ) -> Result<(OptimizedQuery, ParallelResult)> {
-        let optimized = self.optimize_sql(sql, mode, result_location)?;
-        let result = self.execute_parallel(&optimized.physical)?;
-        Ok((optimized, result))
-    }
-
-    /// The full pipeline under fault injection with compliant failover on
-    /// the parallel runtime.
-    pub fn run_sql_resilient_parallel(
-        &self,
-        sql: &str,
-        mode: OptimizerMode,
-        result_location: Option<Location>,
-        faults: &FaultPlan,
-        retry: &RetryPolicy,
-        max_replans: usize,
-    ) -> Result<(OptimizedQuery, ResilientResult, RuntimeMetrics)> {
-        let optimized = self.optimize_sql(sql, mode, result_location)?;
-        let (result, metrics) = self.execute_resilient_parallel(
-            &optimized,
-            faults,
-            retry,
-            max_replans,
-            &RuntimeConfig::default(),
-        )?;
-        Ok((optimized, result, metrics))
-    }
-
-    /// The full pipeline under fault injection with compliant failover.
-    pub fn run_sql_resilient(
-        &self,
-        sql: &str,
-        mode: OptimizerMode,
-        result_location: Option<Location>,
-        faults: &FaultPlan,
-        retry: &RetryPolicy,
-        max_replans: usize,
-    ) -> Result<(OptimizedQuery, ResilientResult)> {
-        let optimized = self.optimize_sql(sql, mode, result_location)?;
-        let result = self.execute_resilient(&optimized, faults, retry, max_replans)?;
-        Ok((optimized, result))
-    }
-
-    /// [`Engine::run_sql_resilient`] with explicit [`FailoverOpts`].
-    pub fn run_sql_resilient_opts(
-        &self,
-        sql: &str,
-        mode: OptimizerMode,
-        result_location: Option<Location>,
-        faults: &FaultPlan,
-        retry: &RetryPolicy,
-        opts: &FailoverOpts,
-    ) -> Result<(OptimizedQuery, ResilientResult)> {
-        let optimized = self.optimize_sql(sql, mode, result_location)?;
-        let result = self.execute_resilient_opts(&optimized, faults, retry, opts)?;
-        Ok((optimized, result))
-    }
-
-    /// [`Engine::run_sql_resilient_parallel`] with explicit
-    /// [`FailoverOpts`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_sql_resilient_parallel_opts(
-        &self,
-        sql: &str,
-        mode: OptimizerMode,
-        result_location: Option<Location>,
-        faults: &FaultPlan,
-        retry: &RetryPolicy,
-        opts: &FailoverOpts,
-    ) -> Result<(OptimizedQuery, ResilientResult, RuntimeMetrics)> {
-        let optimized = self.optimize_sql(sql, mode, result_location)?;
-        let config = RuntimeConfig {
-            columnar: opts.columnar,
-            workers_per_site: opts.workers_per_site,
-            ..RuntimeConfig::default()
-        };
-        let (result, metrics) =
-            self.execute_resilient_parallel_opts(&optimized, faults, retry, opts, &config)?;
-        Ok((optimized, result, metrics))
+        let outcome = self.run(&optimized, opts)?;
+        Ok((optimized, outcome))
     }
 }
 
@@ -1248,7 +989,7 @@ fn collect_ship_fingerprints(plan: &PhysicalPlan, epoch: u64, out: &mut Vec<u64>
 /// only after every SHIP inside its producer subtree has). Checkpoint
 /// specs and hedge legality sets — both produced in pre-order — are
 /// permuted through this before they meet the interpreter.
-fn exec_ship_order(plan: &PhysicalPlan, ships: usize) -> Vec<usize> {
+fn exec_ship_order(plan: &PhysicalPlan) -> Vec<usize> {
     fn walk(plan: &PhysicalPlan, next_pre: &mut usize, out: &mut Vec<usize>) {
         let my_pre = if matches!(plan.op, PhysOp::Ship) {
             let id = *next_pre;
@@ -1264,8 +1005,16 @@ fn exec_ship_order(plan: &PhysicalPlan, ships: usize) -> Vec<usize> {
             out.push(id);
         }
     }
-    let mut order = Vec::with_capacity(ships);
+    let mut order = Vec::new();
     walk(plan, &mut 0, &mut order);
-    debug_assert_eq!(order.len(), ships);
     order
+}
+
+/// `items` (one per SHIP in pre-order, or none at all) permuted into
+/// `order`.
+fn in_order<T: Clone>(order: &[usize], items: &[T]) -> Vec<T> {
+    order
+        .iter()
+        .filter_map(|&i| items.get(i).cloned())
+        .collect()
 }

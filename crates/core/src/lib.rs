@@ -26,12 +26,17 @@
 //! validate Theorem 1 (the optimizer never emits a non-compliant plan) and
 //! to audit the traditional baseline's plans in the experiments.
 //!
-//! [`engine::Engine::execute_resilient`] adds fault tolerance on top: when
-//! a site dies mid-query (simulated by a `geoqp-net` fault plan), the
-//! engine re-runs phase 2 with the dead site excluded from every execution
-//! trait and re-verifies the placement against Definition 1 before
-//! resuming — failures degrade into typed errors, never into
-//! non-compliant dataflows.
+//! [`engine::Engine::run`] is the one way to execute an optimized query;
+//! [`engine::ExecOptions`] says how (which runtime and engine, fault
+//! injection, failover budget, checkpoints, deadline, hedging, live
+//! churn). With a re-plan budget it adds fault tolerance on top: when a
+//! site dies mid-query (simulated by a `geoqp-net` fault plan), the engine
+//! re-runs phase 2 with the dead site excluded from every execution trait
+//! and re-verifies the placement against Definition 1 before resuming —
+//! failures degrade into typed errors, never into non-compliant
+//! dataflows. Both runtimes adjudicate every SHIP through the same
+//! `geoqp_runtime::ShipEnv`; [`distributed`] is the sequential
+//! interpreter's thin binding to it.
 
 pub mod annotate;
 pub mod churn;
@@ -49,18 +54,18 @@ pub use annotate::{AnnotatedNode, Annotator};
 pub use churn::{CatalogHealth, CatalogService, ChurnOpts, ReplicaHealth};
 pub use compliance::{check_compliance, ship_audit_info, ship_traits, ShipAudit};
 pub use engine::{
-    Engine, ExecutionResult, FailoverOpts, OptimizeStats, OptimizedQuery, OptimizerMode,
-    OptimizerOptions, ParallelResult, ResilientResult, RuntimeMode,
+    Engine, ExecOptions, ExecutionResult, OptimizeStats, OptimizedQuery, OptimizerMode,
+    OptimizerOptions, ParallelResult, QueryOutcome,
 };
 pub use site_selector::{select_sites, select_sites_with, Objective, SitedPlan};
 
-// The parallel runtime's knobs and metrics, re-exported so front ends can
-// configure [`Engine::execute_parallel_opts`] and render `\metrics` without
-// depending on `geoqp-runtime` directly — plus the failover checkpoint
-// store, so tests and tools can inspect what was retained where.
+// The pipelined runtime's knobs and metrics, re-exported so front ends can
+// fill [`ExecOptions::runtime`] and render `\metrics` without depending on
+// `geoqp-runtime` directly — plus the failover checkpoint store, so tests
+// and tools can inspect what was retained where ([`ExecOptions::store`]).
 pub use geoqp_runtime::{Checkpoint, CheckpointStore, RuntimeConfig, RuntimeMetrics};
 
 // The gray-failure defense knobs and reports, re-exported so front ends
-// can enable hedged transfers ([`FailoverOpts::with_hedge`]) and render
+// can enable hedged transfers ([`ExecOptions::with_hedge`]) and render
 // `\health` without depending on `geoqp-net` directly.
 pub use geoqp_net::{BreakerState, HealthConfig, HedgeConfig, LinkReport, LinkState, RelayEvent};

@@ -14,7 +14,7 @@
 //! * and the joins execute in Europe, as the paper's walkthrough derives.
 
 use geoqp_common::{DataType, Field, Location, Schema, TableRef, Value};
-use geoqp_core::{Engine, OptimizerMode};
+use geoqp_core::{Engine, ExecOptions, OptimizerMode};
 use geoqp_net::NetworkTopology;
 use geoqp_parser::parse_policy;
 use geoqp_plan::{PhysOp, PhysicalPlan};
@@ -180,7 +180,12 @@ fn check_rows(rows: &geoqp_common::Rows) {
 fn compliant_plan_is_found_audited_and_correct() {
     let eng = engine();
     let (opt, result) = eng
-        .run_sql(Q_EX, OptimizerMode::Compliant, Some(Location::new("E")))
+        .run_sql(
+            Q_EX,
+            OptimizerMode::Compliant,
+            Some(Location::new("E")),
+            &ExecOptions::default(),
+        )
         .unwrap();
 
     // Theorem 1: the emitted plan audits clean.
@@ -225,10 +230,20 @@ fn compliant_plan_is_found_audited_and_correct() {
 fn traditional_optimizer_matches_semantics_but_not_compliance() {
     let eng = engine();
     let (opt_c, res_c) = eng
-        .run_sql(Q_EX, OptimizerMode::Compliant, Some(Location::new("E")))
+        .run_sql(
+            Q_EX,
+            OptimizerMode::Compliant,
+            Some(Location::new("E")),
+            &ExecOptions::default(),
+        )
         .unwrap();
     let (opt_t, res_t) = eng
-        .run_sql(Q_EX, OptimizerMode::Traditional, Some(Location::new("E")))
+        .run_sql(
+            Q_EX,
+            OptimizerMode::Traditional,
+            Some(Location::new("E")),
+            &ExecOptions::default(),
+        )
         .unwrap();
 
     // Both plans compute the same answer (plan transformations preserve
@@ -313,7 +328,12 @@ fn explain_shows_traits() {
 fn execution_accounts_transfers() {
     let eng = engine();
     let (_, result) = eng
-        .run_sql(Q_EX, OptimizerMode::Compliant, Some(Location::new("E")))
+        .run_sql(
+            Q_EX,
+            OptimizerMode::Compliant,
+            Some(Location::new("E")),
+            &ExecOptions::default(),
+        )
         .unwrap();
     assert!(result.transfers.transfer_count() >= 2); // N→E and A→E at least
     assert!(result.transfers.total_bytes() > 0);

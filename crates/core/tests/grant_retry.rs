@@ -12,7 +12,7 @@
 use geoqp_common::{
     CatalogPin, ChurnEvent, DataType, Field, Location, LocationSet, Schema, TableRef, Value,
 };
-use geoqp_core::{CatalogService, Engine, FailoverOpts, OptimizerMode};
+use geoqp_core::{CatalogService, Engine, ExecOptions, OptimizerMode};
 use geoqp_exec::RetryPolicy;
 use geoqp_net::{FaultPlan, NetworkTopology};
 use geoqp_policy::PolicyCatalog;
@@ -137,10 +137,10 @@ fn run_scripted(regrant: bool, revoke_step: u64, grant_step: u64) -> geoqp_commo
     let optimized = engine
         .optimize_sql(SQL, OptimizerMode::Compliant, Some(Location::new("EU")))
         .unwrap();
-    let opts = FailoverOpts::new(3).with_churn(Arc::clone(&svc), pin);
     let faults = FaultPlan::new(7);
-    let result =
-        engine.execute_resilient_opts(&optimized, &faults, &RetryPolicy::default(), &opts)?;
+    let opts = ExecOptions::failover(&faults, &RetryPolicy::default(), 3)
+        .with_churn(Arc::clone(&svc), pin);
+    let result = engine.run(&optimized, &opts)?;
     Ok(Run {
         rows: result.rows.iter().map(|r| format!("{r:?}")).collect(),
         transfer_bytes: result.transfers.total_bytes(),

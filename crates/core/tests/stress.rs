@@ -2,7 +2,7 @@
 //! unions, degenerate inputs.
 
 use geoqp_common::{DataType, Field, Location, LocationSet, Schema, TableRef};
-use geoqp_core::{Engine, OptimizerMode};
+use geoqp_core::{Engine, ExecOptions, OptimizerMode};
 use geoqp_net::NetworkTopology;
 use geoqp_plan::PlanBuilder;
 use geoqp_policy::{PolicyCatalog, PolicyExpression, ShipAttrs};
@@ -169,6 +169,7 @@ fn unicode_values_flow_through_predicates_and_wire() {
             "SELECT name FROM cities WHERE name LIKE 'Z%' ORDER BY name",
             OptimizerMode::Compliant,
             Some(Location::new("V")),
+            &ExecOptions::default(),
         )
         .unwrap();
     let names: Vec<String> = result

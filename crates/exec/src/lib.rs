@@ -31,4 +31,4 @@ pub use executor::{
     ShipHandler,
 };
 pub use parallel::{morsel_bounds, MorselRunner, SerialRunner, MORSEL_ROWS_DEFAULT, SERIAL};
-pub use retry::{Retried, RetryPolicy, RetryingShip, RetryingSource};
+pub use retry::{Retried, RetryPolicy};

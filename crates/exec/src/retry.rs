@@ -21,11 +21,7 @@
 //! byte-identical, because the jitter is a pure hash of
 //! `(seed, salt, attempt)`, never of wall-clock or thread timing.
 
-#[cfg(test)]
-use geoqp_common::GeoError;
-use geoqp_common::{Location, Result, Rows, Schema, TableRef};
-
-use crate::executor::{DataSource, ShipHandler};
+use geoqp_common::Result;
 
 /// Attempt budget and backoff schedule for retryable operations.
 #[derive(Debug, Clone, PartialEq)]
@@ -170,71 +166,10 @@ pub struct Retried<T> {
     pub backoff_ms: f64,
 }
 
-/// A [`ShipHandler`] decorator that retries transient failures of the
-/// inner handler under a [`RetryPolicy`].
-pub struct RetryingShip<H> {
-    inner: H,
-    policy: RetryPolicy,
-}
-
-impl<H> RetryingShip<H> {
-    /// Wrap `inner` with `policy`.
-    pub fn new(inner: H, policy: RetryPolicy) -> RetryingShip<H> {
-        RetryingShip { inner, policy }
-    }
-
-    /// Unwrap the inner handler.
-    pub fn into_inner(self) -> H {
-        self.inner
-    }
-}
-
-impl<H: ShipHandler> ShipHandler for RetryingShip<H> {
-    fn ship(
-        &mut self,
-        from: &Location,
-        to: &Location,
-        rows: Rows,
-        schema: &Schema,
-    ) -> Result<Rows> {
-        let inner = &mut self.inner;
-        self.policy
-            .run(|_| inner.ship(from, to, rows.clone(), schema))
-            .map(|r| r.value)
-    }
-}
-
-/// A [`DataSource`] decorator that retries transient scan failures.
-pub struct RetryingSource<S> {
-    inner: S,
-    policy: RetryPolicy,
-}
-
-impl<S> RetryingSource<S> {
-    /// Wrap `inner` with `policy`.
-    pub fn new(inner: S, policy: RetryPolicy) -> RetryingSource<S> {
-        RetryingSource { inner, policy }
-    }
-}
-
-impl<S: DataSource> DataSource for RetryingSource<S> {
-    fn scan(&self, table: &TableRef, location: &Location) -> Result<Rows> {
-        self.policy
-            .run(|_| self.inner.scan(table, location))
-            .map(|r| r.value)
-    }
-
-    fn resume(&self, fingerprint: u64, location: &Location, arity: usize) -> Result<Rows> {
-        self.policy
-            .run(|_| self.inner.resume(fingerprint, location, arity))
-            .map(|r| r.value)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geoqp_common::Location;
+    use geoqp_common::{GeoError, Location};
 
     fn transient(n: u32) -> GeoError {
         GeoError::link_down(
@@ -397,56 +332,6 @@ mod tests {
                 .unwrap()
                 .backoff_ms,
             30.0
-        );
-    }
-
-    #[test]
-    fn retrying_ship_recovers_a_flaky_handler() {
-        struct Flaky {
-            failures_left: u32,
-        }
-        impl ShipHandler for Flaky {
-            fn ship(
-                &mut self,
-                from: &Location,
-                to: &Location,
-                rows: Rows,
-                _schema: &Schema,
-            ) -> Result<Rows> {
-                if self.failures_left > 0 {
-                    self.failures_left -= 1;
-                    Err(GeoError::link_down(from.clone(), to.clone(), true, "drop"))
-                } else {
-                    Ok(rows)
-                }
-            }
-        }
-        let schema = geoqp_common::Schema::new(vec![geoqp_common::Field::new(
-            "x",
-            geoqp_common::DataType::Int64,
-        )])
-        .unwrap();
-        let rows = Rows::from_rows(vec![vec![geoqp_common::Value::Int64(7)]]);
-
-        let mut ok = RetryingShip::new(Flaky { failures_left: 2 }, RetryPolicy::default());
-        let shipped = ok
-            .ship(
-                &Location::new("A"),
-                &Location::new("B"),
-                rows.clone(),
-                &schema,
-            )
-            .unwrap();
-        assert_eq!(shipped, rows);
-
-        let mut dead = RetryingShip::new(Flaky { failures_left: 99 }, RetryPolicy::default());
-        let err = dead
-            .ship(&Location::new("A"), &Location::new("B"), rows, &schema)
-            .unwrap_err();
-        assert_eq!(err.kind(), "unavailable");
-        assert_eq!(
-            err.failed_link(),
-            Some((&Location::new("A"), &Location::new("B")))
         );
     }
 }

@@ -29,7 +29,6 @@
 
 use crate::fault::{FaultPlan, FaultVerdict};
 use crate::health::HealthConfig;
-use crate::topology::NetworkTopology;
 use geoqp_common::{CancelToken, GeoError, Location, LocationSet, Result};
 
 /// Base of the designed step space backup legs record under: far above
@@ -120,7 +119,8 @@ pub struct HedgeRun {
 /// leg at the full `α + β·b`, while the streaming runtime pays a link's
 /// header once per stream and therefore compares **marginal** (β-only)
 /// leg costs — a relay route's headers are a one-time investment
-/// amortized over the remaining batches of the stream.
+/// amortized over the remaining batches of the stream. The degraded
+/// direct estimate is the observed cost ratio × the direct link's price.
 pub fn plan_hedge_with<F>(
     model: F,
     from: &Location,
@@ -142,28 +142,6 @@ where
         }
     }
     best.map(|(_, s)| s.clone())
-}
-
-/// [`plan_hedge_with`] under the full `α + β·b` model: the right pricing
-/// for a monolithic (non-streaming) transfer, where every leg pays its
-/// own header. The degraded direct estimate is `observed_ratio ×` the
-/// model cost.
-pub fn plan_hedge(
-    topology: &NetworkTopology,
-    from: &Location,
-    to: &Location,
-    bytes: f64,
-    legal: &LocationSet,
-    observed_ratio: f64,
-) -> Option<Location> {
-    let degraded_direct = topology.ship_cost_ms(from, to, bytes) * observed_ratio.max(1.0);
-    plan_hedge_with(
-        |a, b| topology.ship_cost_ms(a, b, bytes),
-        from,
-        to,
-        legal,
-        degraded_direct,
-    )
 }
 
 /// Run the backup side of a hedge race, deterministically.
@@ -292,6 +270,7 @@ where
 mod tests {
     use super::*;
     use crate::fault::StepWindow;
+    use crate::topology::NetworkTopology;
 
     fn loc(n: &str) -> Location {
         Location::new(n)
@@ -308,19 +287,27 @@ mod tests {
         // it, so a healthy ratio plans no relay...
         let (from, to) = (loc("L1"), loc("L4"));
         let all = LocationSet::from_iter(["L1", "L2", "L3", "L4", "L5"]);
-        assert_eq!(plan_hedge(&t, &from, &to, 1_000_000.0, &all, 1.0), None);
+        // Full `α + β·b` pricing of a monolithic 1 MB transfer, against
+        // the direct link degraded by `ratio`.
+        let plan_hedge = |legal: &LocationSet, ratio: f64| {
+            plan_hedge_with(
+                |a, b| t.ship_cost_ms(a, b, 1_000_000.0),
+                &from,
+                &to,
+                legal,
+                t.ship_cost_ms(&from, &to, 1_000_000.0) * ratio,
+            )
+        };
+        assert_eq!(plan_hedge(&all, 1.0), None);
         // ...under a 4x slowdown a relay wins when the whole WAN is legal...
-        let relay = plan_hedge(&t, &from, &to, 1_000_000.0, &all, 4.0);
+        let relay = plan_hedge(&all, 4.0);
         assert!(relay.is_some());
         let r = relay.unwrap();
         assert!(all.contains(&r));
         assert!(r != from && r != to);
         // ...but with 𝒮ₙ restricted to the endpoints, no relay exists.
         let endpoints = LocationSet::from_iter(["L1", "L4"]);
-        assert_eq!(
-            plan_hedge(&t, &from, &to, 1_000_000.0, &endpoints, 4.0),
-            None
-        );
+        assert_eq!(plan_hedge(&endpoints, 4.0), None);
     }
 
     #[test]

@@ -34,8 +34,7 @@ pub mod topology;
 pub use fault::{FaultPlan, FaultVerdict, StepWindow};
 pub use health::{BreakerState, HealthConfig, LinkHealth, LinkReport, LinkState, RelayEvent};
 pub use hedge::{
-    backup_beats, hedge_step, plan_hedge, plan_hedge_with, run_hedge, HedgeConfig, HedgeLeg,
-    HedgeRun,
+    backup_beats, hedge_step, plan_hedge_with, run_hedge, HedgeConfig, HedgeLeg, HedgeRun,
 };
 pub use replication::{CatalogGossip, CATALOG_SYNC_SALT};
 pub use sim::{FaultEvent, TransferLog, TransferRecord};

@@ -32,6 +32,9 @@ pub struct Edge<'p> {
     pub from: Location,
     /// Consumer site.
     pub to: Location,
+    /// The fragment that consumes this edge: the enclosing edge's id, or
+    /// `None` for the root fragment.
+    pub consumer: Option<usize>,
 }
 
 impl Edge<'_> {
@@ -74,7 +77,7 @@ pub fn cut(plan: &PhysicalPlan) -> Result<Cut<'_>> {
         scan_count: 0,
     };
     let mut shared_ship = false;
-    walk(plan, &mut out, &mut shared_ship);
+    walk(plan, None, &mut out, &mut shared_ship);
     if shared_ship {
         return Err(GeoError::Execution(
             "parallel runtime requires a tree-shaped plan: a Ship subtree is shared \
@@ -85,7 +88,14 @@ pub fn cut(plan: &PhysicalPlan) -> Result<Cut<'_>> {
     Ok(out)
 }
 
-fn walk<'p>(p: &'p PhysicalPlan, out: &mut Cut<'p>, shared_ship: &mut bool) {
+/// `consumer` is the edge whose producer fragment `p` belongs to (`None`
+/// in the root fragment).
+fn walk<'p>(
+    p: &'p PhysicalPlan,
+    mut consumer: Option<usize>,
+    out: &mut Cut<'p>,
+    shared_ship: &mut bool,
+) {
     match &p.op {
         PhysOp::Ship => {
             let id = out.edges.len();
@@ -97,7 +107,9 @@ fn walk<'p>(p: &'p PhysicalPlan, out: &mut Cut<'p>, shared_ship: &mut bool) {
                 ship: p,
                 from: p.inputs[0].location.clone(),
                 to: p.location.clone(),
+                consumer,
             });
+            consumer = Some(id);
         }
         // ResumeScan is a leaf read gated by its home site's availability,
         // so it draws fault-clock steps from the same scan-slot grid.
@@ -109,6 +121,6 @@ fn walk<'p>(p: &'p PhysicalPlan, out: &mut Cut<'p>, shared_ship: &mut bool) {
         _ => {}
     }
     for c in &p.inputs {
-        walk(c, out, shared_ship);
+        walk(c, consumer, out, shared_ship);
     }
 }

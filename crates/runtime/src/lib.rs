@@ -28,6 +28,12 @@
 //! to the sequential interpreter by construction; simulated *completion
 //! time* is the critical path instead of the sum, which is the speedup
 //! the `scaleup` benchmark figure reports.
+//!
+//! "By construction" is literal: [`ship`] holds the one SHIP adjudicator
+//! (fault verdicts, retries, hedging, breakers, churn, deadline, log,
+//! checkpoint capture) and the one leaf gate, and the sequential
+//! interpreter in `geoqp-core` calls the same code as a one-batch stream
+//! on a ticking clock.
 
 pub mod checkpoint;
 pub mod exchange;
@@ -35,6 +41,7 @@ pub mod fragment;
 pub mod metrics;
 pub mod morsel;
 pub mod runtime;
+pub mod ship;
 
 pub use checkpoint::{
     fingerprint, stitch, Checkpoint, CheckpointSpec, CheckpointStore, StitchOutcome,
@@ -44,6 +51,7 @@ pub use fragment::{cut, Cut, Edge};
 pub use metrics::{EdgeMetrics, RuntimeMetrics, SiteMetrics};
 pub use morsel::{MorselPool, PoolRunner, PoolStats};
 pub use runtime::{RunOutput, Runtime, RuntimeConfig};
+pub use ship::{BatchClock, ShipEdge, ShipEnv, ShipStream};
 
 #[cfg(test)]
 mod tests {
@@ -163,7 +171,7 @@ mod tests {
         let seq_rows = execute(&plan, &source, &mut seq_ship).unwrap();
 
         // Small batches force multi-batch streams.
-        let out = Runtime::new(&topology)
+        let out = Runtime::new(ShipEnv::new(&topology))
             .with_config(RuntimeConfig {
                 batch_rows: 7,
                 channel_capacity: 2,
@@ -194,7 +202,7 @@ mod tests {
         let (plan, source) = two_edge_plan();
         let topology = NetworkTopology::paper_wan();
         let run = |columnar: bool| {
-            Runtime::new(&topology)
+            Runtime::new(ShipEnv::new(&topology))
                 .with_config(RuntimeConfig {
                     batch_rows: 7,
                     channel_capacity: 2,
@@ -222,8 +230,7 @@ mod tests {
         let topology = NetworkTopology::paper_wan();
         let faults = FaultPlan::parse("drop:L1-L4@0..1", 1).unwrap();
         let run = |columnar: bool| {
-            Runtime::new(&topology)
-                .with_faults(&faults, RetryPolicy::default())
+            Runtime::new(ShipEnv::new(&topology).with_faults(&faults, RetryPolicy::default()))
                 .with_config(RuntimeConfig {
                     batch_rows: 7,
                     channel_capacity: 2,
@@ -249,7 +256,7 @@ mod tests {
         let topology = NetworkTopology::paper_wan();
         let runs: Vec<_> = (0..4)
             .map(|_| {
-                Runtime::new(&topology)
+                Runtime::new(ShipEnv::new(&topology))
                     .with_config(RuntimeConfig {
                         batch_rows: 3,
                         channel_capacity: 1,
@@ -278,7 +285,7 @@ mod tests {
             LocationSet::from_iter(["L1", "L5"]),
             LocationSet::from_iter(["L3", "L4"]),
         ];
-        let err = Runtime::new(&topology)
+        let err = Runtime::new(ShipEnv::new(&topology))
             .run(&plan, &source, Some(&audits))
             .unwrap_err();
         assert_eq!(err.kind(), "non-compliant");
@@ -288,7 +295,7 @@ mod tests {
             LocationSet::from_iter(["L1", "L4"]),
             LocationSet::from_iter(["L3", "L4"]),
         ];
-        Runtime::new(&topology)
+        Runtime::new(ShipEnv::new(&topology))
             .run(&plan, &source, Some(&audits))
             .unwrap();
     }
@@ -302,10 +309,10 @@ mod tests {
         // and... attempt grid: slot 0, n_slots=4 -> steps 0,4,8). Drop
         // window 0..1 kills only attempt 1; attempt 2 (step 4) delivers.
         let faults = FaultPlan::parse("drop:L1-L4@0..1", 1).unwrap();
-        let out = Runtime::new(&topology)
-            .with_faults(&faults, RetryPolicy::default())
-            .run(&plan, &source, None)
-            .unwrap();
+        let out =
+            Runtime::new(ShipEnv::new(&topology).with_faults(&faults, RetryPolicy::default()))
+                .run(&plan, &source, None)
+                .unwrap();
         assert!(out.transfers.fault_count() >= 1);
         assert!(out
             .transfers
@@ -316,10 +323,10 @@ mod tests {
         // A permanent crash of L3 exhausts the budget with a typed error
         // naming the site.
         let faults = FaultPlan::parse("crash:L3", 1).unwrap();
-        let err = Runtime::new(&topology)
-            .with_faults(&faults, RetryPolicy::default())
-            .run(&plan, &source, None)
-            .unwrap_err();
+        let err =
+            Runtime::new(ShipEnv::new(&topology).with_faults(&faults, RetryPolicy::default()))
+                .run(&plan, &source, None)
+                .unwrap_err();
         assert_eq!(err.failed_site(), Some(&loc("L3")));
     }
 
@@ -342,7 +349,7 @@ mod tests {
         );
         let topology = NetworkTopology::paper_wan();
         let run = |workers: usize| {
-            Runtime::new(&topology)
+            Runtime::new(ShipEnv::new(&topology))
                 .with_config(RuntimeConfig {
                     batch_rows: 7,
                     channel_capacity: 2,
@@ -373,7 +380,9 @@ mod tests {
         let mut source = MapSource::new();
         source.insert(TableRef::bare("t1"), loc("L1"), rows_i64(&[1, 2, 3]));
         let topology = NetworkTopology::paper_wan();
-        let out = Runtime::new(&topology).run(&t1, &source, None).unwrap();
+        let out = Runtime::new(ShipEnv::new(&topology))
+            .run(&t1, &source, None)
+            .unwrap();
         assert_eq!(out.rows.len(), 3);
         assert_eq!(out.metrics.batches, 0);
         assert_eq!(out.metrics.completion_ms, 0.0);

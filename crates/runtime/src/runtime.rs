@@ -23,23 +23,18 @@
 //! is the root fragment's critical path over exchange arrivals — the
 //! quantity pipelining improves.
 
-use crate::checkpoint::{CheckpointSpec, CheckpointStore};
+use crate::checkpoint::CheckpointSpec;
 use crate::exchange::{Exchange, Payload, Received};
 use crate::fragment::{cut, node_key, Cut, Edge};
 use crate::metrics::{EdgeMetrics, RuntimeMetrics, SiteMetrics};
 use crate::morsel::{MorselPool, PoolRunner};
-use geoqp_common::{
-    ChurnWatch, ColumnarBatch, GeoError, Location, LocationSet, Result, Row, Rows, RunControl,
-    TableRef, Unavailable,
-};
+use crate::ship::{ShipEdge, ShipEnv};
+use geoqp_common::{ColumnarBatch, GeoError, Location, LocationSet, Result, Row, Rows};
 use geoqp_exec::{
     execute_fragment, execute_fragment_columnar, DataSource, ExchangeSource, LocalShip,
-    MorselRunner, RetryPolicy, SERIAL,
+    MorselRunner, SERIAL,
 };
-use geoqp_net::{
-    backup_beats, plan_hedge_with, run_hedge, FaultPlan, FaultVerdict, HedgeConfig, LinkHealth,
-    NetworkTopology, RelayEvent, TransferLog, TransferRecord,
-};
+use geoqp_net::TransferLog;
 use geoqp_plan::{PhysOp, PhysicalPlan};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -116,36 +111,23 @@ pub struct RunOutput {
 
 /// The concurrent pipelined executor.
 pub struct Runtime<'a> {
-    topology: &'a NetworkTopology,
-    faults: Option<&'a FaultPlan>,
-    retry: RetryPolicy,
+    env: ShipEnv<'a>,
     config: RuntimeConfig,
-    control: RunControl,
-    checkpoints: Option<(&'a CheckpointStore, Vec<CheckpointSpec>)>,
-    hedge: Option<(&'a LinkHealth, HedgeConfig)>,
-    churn: Option<ChurnWatch>,
+    specs: Vec<CheckpointSpec>,
 }
 
 impl<'a> Runtime<'a> {
-    /// A runtime charging transfers against `topology`, without faults.
-    pub fn new(topology: &'a NetworkTopology) -> Runtime<'a> {
+    /// A runtime adjudicating every transfer and leaf read against `env`
+    /// (topology, faults, controls, checkpoint store, hedging, churn).
+    /// Each edge's health lane is its pre-order slot, so the observation
+    /// stream — and therefore breaker state — is a pure function of the
+    /// seeded fault grid, independent of thread schedule.
+    pub fn new(env: ShipEnv<'a>) -> Runtime<'a> {
         Runtime {
-            topology,
-            faults: None,
-            retry: RetryPolicy::none(),
+            env,
             config: RuntimeConfig::default(),
-            control: RunControl::unlimited(),
-            checkpoints: None,
-            hedge: None,
-            churn: None,
+            specs: Vec::new(),
         }
-    }
-
-    /// Attach a fault plan and retry policy.
-    pub fn with_faults(mut self, faults: &'a FaultPlan, retry: RetryPolicy) -> Runtime<'a> {
-        self.faults = Some(faults);
-        self.retry = retry;
-        self
     }
 
     /// Override the exchange configuration.
@@ -154,49 +136,11 @@ impl<'a> Runtime<'a> {
         self
     }
 
-    /// Attach a cancel token and/or deadline. Every fragment worker polls
-    /// them at batch granularity; a trip unwinds the whole run through the
-    /// exchange cancellation path, so all workers join.
-    pub fn with_control(mut self, control: RunControl) -> Runtime<'a> {
-        self.control = control;
-        self
-    }
-
-    /// Attach a checkpoint store plus one [`CheckpointSpec`] per SHIP edge
-    /// (pre-order, same order as the audit traits). Each fully drained
-    /// edge's output is retained at both endpoints, and
-    /// [`PhysOp::ResumeScan`] leaves are served from the store.
-    pub fn with_checkpoints(
-        mut self,
-        store: &'a CheckpointStore,
-        specs: Vec<CheckpointSpec>,
-    ) -> Runtime<'a> {
-        self.checkpoints = Some((store, specs));
-        self
-    }
-
-    /// Attach gray-failure defenses: a shared [`LinkHealth`] table (so
-    /// breaker state survives across failover attempts) plus hedge
-    /// tuning. Each edge's health lane is its pre-order slot, so the
-    /// observation stream — and therefore breaker state — is a pure
-    /// function of the seeded fault grid, independent of thread schedule.
-    /// Hedged relays are restricted to the edge's audit set `𝒮ₙ`.
-    pub fn with_hedge(mut self, health: &'a LinkHealth, config: HedgeConfig) -> Runtime<'a> {
-        self.hedge = Some((health, config));
-        self
-    }
-
-    /// Attach live policy-churn enforcement: every fragment re-checks the
-    /// pinned catalog epoch at batch granularity (a revocation newer than
-    /// the pin aborts the attempt with [`GeoError::PolicyChurn`] before
-    /// the next batch leaves), and — when a [`StaleGuard`] rides along —
-    /// a site whose catalog replica cannot prove it has applied the
-    /// pinned sequence refuses to originate its transfer with
-    /// [`GeoError::CatalogStale`].
-    ///
-    /// [`StaleGuard`]: geoqp_common::StaleGuard
-    pub fn with_churn(mut self, watch: ChurnWatch) -> Runtime<'a> {
-        self.churn = Some(watch);
+    /// One [`CheckpointSpec`] per SHIP edge (pre-order, same order as the
+    /// audit traits), required when `env` carries a checkpoint store:
+    /// each fully drained edge's output is retained under its spec.
+    pub fn with_specs(mut self, specs: Vec<CheckpointSpec>) -> Runtime<'a> {
+        self.specs = specs;
         self
     }
 
@@ -246,17 +190,15 @@ impl<'a> Runtime<'a> {
                 );
             }
         }
-        if let Some((_, specs)) = &self.checkpoints {
-            if specs.len() != cut.edges.len() {
-                return (
-                    Err(GeoError::Execution(format!(
-                        "checkpoint specs cover {} SHIP edges but the plan has {}",
-                        specs.len(),
-                        cut.edges.len()
-                    ))),
-                    TransferLog::new(),
-                );
-            }
+        if self.env.store.is_some() && self.specs.len() != cut.edges.len() {
+            return (
+                Err(GeoError::Execution(format!(
+                    "checkpoint specs cover {} SHIP edges but the plan has {}",
+                    self.specs.len(),
+                    cut.edges.len()
+                ))),
+                TransferLog::new(),
+            );
         }
         let shared = Shared {
             cut: &cut,
@@ -310,7 +252,9 @@ impl<'a> Runtime<'a> {
                 };
                 match result.and_then(|rows| {
                     let done_ms = view.ready_ms();
-                    self.control.check(done_ms, "root fragment completion")?;
+                    self.env
+                        .control
+                        .check(done_ms, "root fragment completion")?;
                     Ok((rows, done_ms))
                 }) {
                     Ok((rows, done_ms)) => {
@@ -362,7 +306,7 @@ impl<'a> Runtime<'a> {
                 arrival_ms: ex.arrival_ms(),
             })
             .collect::<Vec<_>>();
-        let health = self.hedge.as_ref().map(|(h, _)| *h);
+        let health = self.env.hedge.as_ref().map(|(h, _)| *h);
         let metrics = RuntimeMetrics {
             completion_ms,
             network_ms: log.total_cost_ms(),
@@ -400,6 +344,9 @@ impl<'a> Runtime<'a> {
                 .map(|rows| Produced::Rows(rows.into_rows()))
         };
         let ready_ms = view.ready_ms();
+        // The stream logs locally and publishes once, success or failure:
+        // dropped attempts are evidence the failover path reports.
+        let mut log = TransferLog::new();
         let outcome = result.and_then(|produced| {
             self.stream(
                 edge,
@@ -408,15 +355,19 @@ impl<'a> Runtime<'a> {
                 view.attempts.get(),
                 shared,
                 audits,
+                &mut log,
             )
         });
+        shared.log.lock().unwrap().absorb(log);
         if let Err(e) = outcome {
             shared.fail(edge.id, e);
         }
     }
 
-    /// Chunk `rows` into batches and push them through the edge's channel,
-    /// auditing, fault-checking, and cost-charging each batch.
+    /// Chunk `produced` into batches, adjudicate each through the edge's
+    /// [`ShipStream`](crate::ship::ShipStream), and push the delivered
+    /// ones through the edge's channel.
+    #[allow(clippy::too_many_arguments)]
     fn stream(
         &self,
         edge: &Edge<'_>,
@@ -425,72 +376,52 @@ impl<'a> Runtime<'a> {
         fragment_attempts: u64,
         shared: &Shared<'_, '_>,
         audits: Option<&[LocationSet]>,
+        log: &mut TransferLog,
     ) -> Result<()> {
-        let link = self.topology.link(&edge.from, &edge.to);
         let arity = edge.ship.schema.len();
         let total = produced.len();
         let batch_rows = self.config.batch_rows.max(1);
         // An empty result still ships one (empty) batch, so transfer
         // counts and header bytes match the sequential interpreter.
         let n_batches = total.div_ceil(batch_rows).max(1);
-        let mut arrival_ms = ready_ms;
-        let mut attempts_total = fragment_attempts;
-        // Backup routes whose α header has been paid: a stream charges a
-        // link's header once (the primary pays its own on batch 0), so a
-        // hedged leg that delivered keeps its route open and later
-        // backups on it pay only β·bytes. A dropped or cancelled leg
-        // re-pays the header, like a reconnect after a broken circuit.
-        let mut opened_legs: BTreeSet<(Location, Location)> = BTreeSet::new();
+        let n_slots = shared.cut.n_slots();
+        let slot = edge.id as u64;
+        let mut ship = self.env.open(
+            ShipEdge {
+                from: &edge.from,
+                to: &edge.to,
+                legal: audits.map(|a| &a[edge.id]),
+                lane: slot,
+                churn_slot: slot,
+                churn_stride: n_slots,
+                ready_ms,
+            },
+            // The step grid is `(attempt, slot)`: every batch of a lane
+            // replays the same steps, independent of thread schedule.
+            move |_, attempt| (attempt as u64 - 1) * n_slots + slot,
+            // Steady-state route choice: a stream pays each link's α
+            // header once, so the relay decision compares marginal
+            // (β-only) leg costs against the degraded primary's cost —
+            // the headers are a one-time investment amortized over the
+            // remaining batches. The race itself still charges the full
+            // header on a route's first use, so it stays honest.
+            |link, bytes| link.beta_ms_per_byte * bytes,
+            // Completion is the critical path over exchange arrivals.
+            |batch| batch.arrival_ms,
+        );
+        // A consumer that failed tears its input edges down. The producer
+        // then stops sending but keeps adjudicating to its own verdict,
+        // log, and checkpoint — so what a failed attempt leaves behind is
+        // a function of the seed, never of which thread lost a race.
+        let mut receiver_alive = true;
 
         for i in 0..n_batches {
-            // Batch granularity for cooperative control: an aborted query
-            // stops between batches, never mid-wire.
-            self.control
-                .check_cancel(&format!("batch {i} on SHIP {} -> {}", edge.from, edge.to))?;
             let lo = (i * batch_rows).min(total);
             let hi = ((i + 1) * batch_rows).min(total);
-            if let Some(watch) = &self.churn {
-                // Stale-replica fail-safe, once per edge before the first
-                // batch leaves: the origin site must prove its catalog
-                // replica has applied the pinned sequence, else it cannot
-                // trust the audit set it is about to enforce.
-                if i == 0 && edge.from != edge.to {
-                    if let Some(guard) = &watch.stale {
-                        guard.check_origin(&edge.from)?;
-                    }
-                }
-                // Per-batch epoch re-check: revocations push to in-flight
-                // queries at batch granularity, on the same deterministic
-                // slot clock the fault grid uses. A newer revocation
-                // aborts the attempt before this batch leaves; the
-                // failover loop re-pins, re-plans, and restitches.
-                let churn_step = i as u64 * shared.cut.n_slots() + edge.id as u64;
-                if let Some(head) = watch.signal.revoked_since(watch.pin.seq, churn_step) {
-                    return Err(GeoError::policy_churn(
-                        head.seq,
-                        head.epoch,
-                        churn_step,
-                        format!(
-                            "policy revocation at catalog seq {} landed while batch {i} \
-                             on SHIP {} -> {} was in flight under pinned seq {}",
-                            head.seq, edge.from, edge.to, watch.pin.seq
-                        ),
-                    ));
-                }
-            }
-            if let Some(audits) = audits {
-                if !audits[edge.id].contains(&edge.to) {
-                    return Err(GeoError::NonCompliant(format!(
-                        "runtime audit: batch {i} on SHIP {} -> {} leaves the operator's \
-                         shipping trait (legal: {})",
-                        edge.from, edge.to, audits[edge.id]
-                    )));
-                }
-            }
             let (payload, bytes) = match &produced {
                 Produced::Rows(all) => {
                     let batch = Rows::from_rows(all[lo..hi].to_vec());
-                    // Wire roundtrip, as the sequential SimShip does: the
+                    // Wire roundtrip, as the sequential SHIP does: the
                     // consumer sees decoded bytes, and the stream pays the
                     // 8-byte batch header only once.
                     let encoded = batch.encode();
@@ -516,293 +447,26 @@ impl<'a> Runtime<'a> {
                     (Payload::Columnar(slice), bytes)
                 }
             };
-            let n_rows = payload.len() as u64;
-
-            let lane = edge.id as u64;
-            let alpha = if i == 0 { link.alpha_ms } else { 0.0 };
-            let base_ms = alpha + link.beta_ms_per_byte * bytes as f64;
-            // Gray-failure gate, from pre-batch health state: a breaker
-            // open past its budget condemns the link (a soft exclusion
-            // the re-planner prices at ∞); a link past the hedge
-            // threshold races a backup for this batch.
-            let mut backup_route: Option<Option<Location>> = None;
-            if let Some((health, _)) = &self.hedge {
-                if edge.from != edge.to {
-                    if health.breaker_exhausted(&edge.from, &edge.to, lane) {
-                        let state = health.state(&edge.from, &edge.to, lane);
-                        return Err(GeoError::breaker_open(
-                            edge.from.clone(),
-                            edge.to.clone(),
-                            format!(
-                                "circuit breaker for link {} -> {} is open past its \
-                                 budget ({} trips, EWMA cost ratio {:.2}): \
-                                 soft-excluding the link",
-                                edge.from, edge.to, state.trips, state.ewma_ratio
-                            ),
-                        ));
-                    }
-                    if health.should_hedge(&edge.from, &edge.to, lane) {
-                        let ratio = health.state(&edge.from, &edge.to, lane).ewma_ratio;
-                        // Steady-state route choice: a stream pays each
-                        // link's α header once, so the relay decision
-                        // compares marginal (β-only) leg costs against
-                        // the degraded primary's marginal cost — the
-                        // headers are a one-time investment amortized
-                        // over the remaining batches. Arrival times
-                        // below still charge the full header on a
-                        // route's first use, so the race stays honest.
-                        let steady = |a: &Location, b: &Location| {
-                            self.topology.link(a, b).beta_ms_per_byte * bytes as f64
-                        };
-                        let via = audits.and_then(|a| {
-                            plan_hedge_with(
-                                steady,
-                                &edge.from,
-                                &edge.to,
-                                &a[edge.id],
-                                ratio.max(1.0) * base_ms,
-                            )
-                        });
-                        backup_route = Some(via);
-                    }
-                }
-            }
-            let health = self.hedge.as_ref().map(|(h, _)| *h);
-            let mut last_step = 0u64;
-            // The step grid is `(attempt, slot)` — every batch of a lane
-            // replays the same steps, so window-scheduled faults hit the
-            // whole stream uniformly. Probabilistic faults draw from a
-            // per-batch coin instead: a loss burst drops *individual*
-            // batches, not a lane's every batch or none. Batch 0 keeps
-            // coin 0, the classic single-transfer flip.
-            let coin = (i as u64).wrapping_mul(0xA076_1D64_78BD_642F);
-            let primary = match self.faults {
-                None => Ok((1, 0.0, 0)),
-                Some(faults) => {
-                    let n_slots = shared.cut.n_slots();
-                    let slot = edge.id as u64;
-                    // Salting by slot desynchronizes concurrent jittered
-                    // backoffs while keeping every replay byte-identical.
-                    self.retry
-                        .run_salted(slot, |attempt| {
-                            let step = (attempt as u64 - 1) * n_slots + slot;
-                            last_step = step;
-                            match faults.check_transfer_salted(&edge.from, &edge.to, step, coin) {
-                                FaultVerdict::Deliver { extra_delay_ms } => {
-                                    if let Some(h) = health.filter(|_| edge.from != edge.to) {
-                                        h.observe_delivery(
-                                            &edge.from,
-                                            &edge.to,
-                                            lane,
-                                            step,
-                                            base_ms,
-                                            base_ms + extra_delay_ms,
-                                        );
-                                    }
-                                    Ok((extra_delay_ms, step))
-                                }
-                                // A gray link delivers at factor × the
-                                // model; the surcharge rides in extra_ms
-                                // so the log prices the batch honestly.
-                                FaultVerdict::Degraded {
-                                    factor,
-                                    extra_delay_ms,
-                                } => {
-                                    let surcharge = (factor - 1.0) * base_ms + extra_delay_ms;
-                                    if let Some(h) = health.filter(|_| edge.from != edge.to) {
-                                        h.observe_delivery(
-                                            &edge.from,
-                                            &edge.to,
-                                            lane,
-                                            step,
-                                            base_ms,
-                                            base_ms + surcharge,
-                                        );
-                                    }
-                                    Ok((surcharge, step))
-                                }
-                                FaultVerdict::Drop {
-                                    transient,
-                                    culprit,
-                                    reason,
-                                } => {
-                                    shared.log.lock().unwrap().record_fault(
-                                        step,
-                                        &edge.from,
-                                        &edge.to,
-                                        reason.clone(),
-                                    );
-                                    if let Some(h) = health.filter(|_| edge.from != edge.to) {
-                                        h.observe_failure(&edge.from, &edge.to, lane, step);
-                                    }
-                                    Err(GeoError::SiteUnavailable(Unavailable {
-                                        site: culprit.or_else(|| Some(edge.to.clone())),
-                                        link: Some((edge.from.clone(), edge.to.clone())),
-                                        transient,
-                                        breaker: false,
-                                        message: reason,
-                                    }))
-                                }
-                            }
-                        })
-                        .map(|d| (d.attempts, d.value.0 + d.backoff_ms, d.value.1))
-                }
-            };
-            // The hedge race: the backup launches on independent fault
-            // coins (consuming no grid steps, so hedging never perturbs
-            // the primary fault sequence) and may relay via a site inside
-            // the edge's audit set 𝒮ₙ. First delivery wins; a delivered
-            // backup rescues a primary that failed outright.
-            let primary_cost = primary.as_ref().ok().map(|(_, extra, _)| base_ms + extra);
-            let mut winner_cost = primary_cost;
-            let mut rescued = false;
-            if let Some(via) = backup_route {
-                let (health_table, config) = self.hedge.as_ref().expect("hedge config present");
-                let empty = LocationSet::new();
-                let legal = audits.map(|a| &a[edge.id]).unwrap_or(&empty);
-                // Marginal pricing: a leg whose route is already open
-                // (the direct link after batch 0, or a relay leg that
-                // delivered before) pays only β·bytes; an unopened leg
-                // pays the full α + β·bytes header. Computed from the
-                // link parameters — the identical arithmetic the
-                // primary's `base_ms` uses — so an equal-cost duplicate
-                // ties the race exactly instead of "winning" by a
-                // floating-point cancellation artifact.
-                let pricing = |a: &Location, b: &Location| {
-                    let leg = self.topology.link(a, b);
-                    let wire = leg.beta_ms_per_byte * bytes as f64;
-                    if opened_legs.contains(&(a.clone(), b.clone())) {
-                        wire
-                    } else {
-                        leg.alpha_ms + wire
-                    }
-                };
-                let run = run_hedge(
-                    pricing,
-                    self.faults,
-                    config,
-                    &edge.from,
-                    &edge.to,
-                    via.as_ref(),
-                    legal,
-                    last_step,
-                    coin,
-                    primary_cost,
-                )?;
-                for leg in &run.legs {
-                    if leg.delivered {
-                        opened_legs.insert((leg.from.clone(), leg.to.clone()));
-                    }
-                }
-                {
-                    let mut log = shared.log.lock().unwrap();
-                    for leg in &run.legs {
-                        if leg.delivered {
-                            // Every transmitted backup leg is charged:
-                            // hedging's shipped-bytes overhead is real.
-                            log.push(TransferRecord {
-                                step: leg.step,
-                                from: leg.from.clone(),
-                                to: leg.to.clone(),
-                                bytes,
-                                rows: n_rows,
-                                cost_ms: leg.cost_ms,
-                                attempts: 1,
-                            });
-                        } else {
-                            log.record_fault(
-                                leg.step,
-                                &leg.from,
-                                &leg.to,
-                                "hedged backup leg dropped".into(),
-                            );
-                        }
-                    }
-                }
-                let backup_won = match (primary_cost, run.backup_arrival_ms) {
-                    (Some(p), Some(b)) => backup_beats(b, p),
-                    (None, Some(_)) => true,
-                    _ => false,
-                };
-                rescued = primary_cost.is_none() && run.backup_arrival_ms.is_some();
-                if backup_won {
-                    winner_cost = run.backup_arrival_ms;
-                }
-                health_table.note_hedge(
-                    backup_won,
-                    run.relay.as_ref().map(|r| RelayEvent {
-                        lane,
-                        from: edge.from.clone(),
-                        to: edge.to.clone(),
-                        via: r.clone(),
-                    }),
-                );
-            }
-            let (attempts, extra_ms, step) = match primary {
-                Ok(delivered) => delivered,
-                Err(_) if rescued => (0, 0.0, last_step),
-                Err(e) => return Err(e),
-            };
-            attempts_total += attempts as u64;
-
-            // The batch's effective delivery time is the race winner's
-            // arrival; an unhedged batch is just the primary.
-            arrival_ms += winner_cost.expect("either primary or backup delivered");
-            // Simulated-clock deadline, per batch: a batch that would land
-            // past the budget is never delivered. Each edge's arrival is a
-            // pure function of the plan and the fault schedule, so the
-            // verdict is deterministic.
-            self.control.check_deadline(
-                arrival_ms,
-                &format!("batch {i} on SHIP {} -> {}", edge.from, edge.to),
-            )?;
-            if attempts > 0 {
-                shared.log.lock().unwrap().push(TransferRecord {
-                    step,
-                    from: edge.from.clone(),
-                    to: edge.to.clone(),
-                    bytes,
-                    rows: n_rows,
-                    cost_ms: base_ms + extra_ms,
-                    attempts,
-                });
-                // The primary paid the direct link's header (on batch 0):
-                // duplicate backups ride the open stream at β-only price.
-                opened_legs.insert((edge.from.clone(), edge.to.clone()));
-            }
-            if !shared.exchanges[edge.id].send_payload(payload, bytes) {
-                // Cancelled elsewhere; unwind without recording an error.
-                return Ok(());
+            ship.ship_batch(bytes, payload.len() as u64, log)?;
+            if receiver_alive {
+                receiver_alive = shared.exchanges[edge.id].send_payload(payload, bytes);
             }
         }
-        shared.exchanges[edge.id].close(arrival_ms);
-        shared.note_site(&edge.from, attempts_total, arrival_ms);
-        // The edge fully drained: retain its output for failover resume,
-        // at both endpoints — the producer computed it there (its site is
-        // in ℰ ⊆ 𝒮) and the consumer legally received it (the per-batch
-        // audit already held). An illegal home is a typed refusal from
-        // the store, surfaced like any other fragment failure.
-        if let Some((store, specs)) = &self.checkpoints {
-            let spec = &specs[edge.id];
-            // Checkpoints persist the row encoding either way, so a resumed
-            // plan replays bit-identically no matter which engine captured.
-            let encoded = match produced {
+        shared.exchanges[edge.id].close(ship.arrival_ms());
+        shared.note_site(
+            &edge.from,
+            fragment_attempts + ship.attempts(),
+            ship.arrival_ms(),
+        );
+        ship.finish(
+            self.specs.get(edge.id),
+            total as u64,
+            arity,
+            || match produced {
                 Produced::Rows(all) => Rows::from_rows(all).encode(),
                 Produced::Columnar(cb) => cb.to_rows().encode(),
-            };
-            for home in [&edge.to, &edge.from] {
-                store.put(
-                    spec.fingerprint,
-                    home.clone(),
-                    &spec.legal,
-                    &spec.logical,
-                    encoded.clone(),
-                    total as u64,
-                    arity,
-                )?;
-            }
-        }
-        Ok(())
+            },
+        )
     }
 }
 
@@ -818,15 +482,24 @@ struct Shared<'c, 'p> {
 }
 
 impl Shared<'_, '_> {
-    /// Record a fragment failure (unless it is cancellation fallout) and
-    /// tear down every channel so no worker stays blocked.
+    /// Record the failure of the fragment at `slot` (unless it is
+    /// cancellation fallout) and tear down only that fragment's own
+    /// channels: its output edge, so the failure propagates downstream,
+    /// and its input edges, so no producer stays blocked on it. Every
+    /// other fragment runs to its own verdict, which makes the recorded
+    /// error set — and the lowest-slot winner — a function of the seed
+    /// rather than of which failure happened to cancel the others first.
     fn fail(&self, slot: usize, e: GeoError) {
         let is_propagated = matches!(&e, GeoError::Execution(m) if m == CANCELLED);
         if !is_propagated {
             self.errors.lock().unwrap().push((slot, e));
         }
-        for ex in &self.exchanges {
-            ex.cancel();
+        // The root fragment's slot is one past the last edge.
+        let fragment = (slot < self.exchanges.len()).then_some(slot);
+        for (edge, ex) in self.cut.edges.iter().zip(&self.exchanges) {
+            if Some(edge.id) == fragment || edge.consumer == fragment {
+                ex.cancel();
+            }
         }
     }
 
@@ -930,70 +603,31 @@ impl<'r, 's> FragmentView<'r, 's> {
         }
     }
 
-    /// Gate a leaf read on its site's availability: retried under the
-    /// fault plan's crash windows at the leaf's scan slot, at
-    /// deterministic steps, charging backoff to this fragment's local
-    /// simulated time.
+    /// Gate a leaf read on its site's availability at the leaf's scan
+    /// slot of the deterministic step grid, charging retry backoff to
+    /// this fragment's local simulated time.
     fn site_gate(&self, node: &PhysicalPlan, what: &str) -> Result<()> {
-        match self.runtime.faults {
-            None => {
-                self.attempts.set(self.attempts.get() + 1);
-            }
-            Some(faults) => {
-                let n_slots = self.shared.cut.n_slots();
-                let slot = (self.shared.cut.edges.len()
-                    + self.shared.cut.scan_slot[&node_key(node)]) as u64;
-                let delivered = self.runtime.retry.run_salted(slot, |attempt| {
-                    let step = (attempt as u64 - 1) * n_slots + slot;
-                    match faults.site_down_until(&node.location, step) {
-                        None => Ok(()),
-                        Some(end) => Err(GeoError::SiteUnavailable(Unavailable {
-                            site: Some(node.location.clone()),
-                            link: None,
-                            transient: end != u64::MAX,
-                            breaker: false,
-                            message: format!(
-                                "{what} failed: site {} is down at step {step}",
-                                node.location
-                            ),
-                        })),
-                    }
-                })?;
-                self.attempts
-                    .set(self.attempts.get() + delivered.attempts as u64);
-                self.local_extra_ms
-                    .set(self.local_extra_ms.get() + delivered.backoff_ms);
-            }
-        }
+        let n_slots = self.shared.cut.n_slots();
+        let slot =
+            (self.shared.cut.edges.len() + self.shared.cut.scan_slot[&node_key(node)]) as u64;
+        let gated = self
+            .runtime
+            .env
+            .leaf_gate(&node.location, what, slot, |_, attempt| {
+                (attempt as u64 - 1) * n_slots + slot
+            })?;
+        self.attempts
+            .set(self.attempts.get() + gated.attempts as u64);
+        self.local_extra_ms
+            .set(self.local_extra_ms.get() + gated.backoff_ms);
         Ok(())
-    }
-
-    /// A scan, gated on the site's crash windows.
-    fn scan(&self, node: &PhysicalPlan, table: &TableRef) -> Result<Rows> {
-        self.site_gate(node, &format!("scan of {table}"))?;
-        self.source.scan(table, &node.location)
     }
 
     /// A resume leaf: read a retained checkpoint homed at this node's
     /// site, gated on that site's crash windows like any other leaf.
     fn resume(&self, node: &PhysicalPlan, fingerprint: u64) -> Result<Rows> {
         self.site_gate(node, &format!("resume of checkpoint {fingerprint:016x}"))?;
-        let Some((store, _)) = &self.runtime.checkpoints else {
-            return Err(GeoError::Execution(format!(
-                "no checkpoint store attached: cannot resume fragment \
-                 {fingerprint:016x} at {}",
-                node.location
-            )));
-        };
-        let cp = store.get(fingerprint, &node.location).ok_or_else(|| {
-            GeoError::Execution(format!(
-                "checkpoint {fingerprint:016x} is not homed at {}",
-                node.location
-            ))
-        })?;
-        Rows::decode(&cp.encoded, cp.arity).ok_or_else(|| {
-            GeoError::Execution("checkpoint corruption: batch failed to decode".into())
-        })
+        self.runtime.env.resume(fingerprint, &node.location)
     }
 }
 
@@ -1001,18 +635,21 @@ impl ExchangeSource for FragmentView<'_, '_> {
     fn fetch(&self, node: &PhysicalPlan) -> Option<Result<Rows>> {
         // Cooperative cancellation, polled per plan node: even a fragment
         // doing pure local compute notices an abort between operators.
-        if let Err(e) =
-            self.runtime
-                .control
-                .check_cancel(&format!("{} at {}", node.op.name(), node.location))
-        {
+        if let Err(e) = self.runtime.env.control.check_cancel(&format!(
+            "{} at {}",
+            node.op.name(),
+            node.location
+        )) {
             return Some(Err(e));
         }
         if let Some(&id) = self.shared.cut.edge_of.get(&node_key(node)) {
             return Some(self.collect_edge(id));
         }
         if let PhysOp::Scan { table } = &node.op {
-            return Some(self.scan(node, table));
+            let gated = self
+                .site_gate(node, &format!("scan of {table}"))
+                .and_then(|()| self.source.scan(table, &node.location));
+            return Some(gated);
         }
         if let PhysOp::ResumeScan { fingerprint, .. } = &node.op {
             return Some(self.resume(node, *fingerprint));
@@ -1021,11 +658,11 @@ impl ExchangeSource for FragmentView<'_, '_> {
     }
 
     fn fetch_columnar(&self, node: &PhysicalPlan) -> Option<Result<Arc<ColumnarBatch>>> {
-        if let Err(e) =
-            self.runtime
-                .control
-                .check_cancel(&format!("{} at {}", node.op.name(), node.location))
-        {
+        if let Err(e) = self.runtime.env.control.check_cancel(&format!(
+            "{} at {}",
+            node.op.name(),
+            node.location
+        )) {
             return Some(Err(e));
         }
         if let Some(&id) = self.shared.cut.edge_of.get(&node_key(node)) {

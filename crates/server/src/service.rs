@@ -37,7 +37,7 @@
 
 use crate::plan_cache::{query_fingerprint, CacheStats, PlanCache, PlanKey};
 use geoqp_common::{CancelToken, CatalogPin, GeoError, Location, QueryDeadline, Result, Rows};
-use geoqp_core::{CatalogService, ChurnOpts, Engine, FailoverOpts, OptimizerMode};
+use geoqp_core::{CatalogService, ChurnOpts, Engine, ExecOptions, OptimizerMode, RuntimeConfig};
 use geoqp_exec::RetryPolicy;
 use geoqp_net::{FaultPlan, NetworkTopology, TransferLog};
 use geoqp_policy::{PolicyCatalog, PolicyExpression};
@@ -857,21 +857,20 @@ fn run_job(
             }
             None => FaultPlan::new(0),
         };
-        let opts = FailoverOpts {
-            max_replans: shared.max_replans,
-            resume: true,
+        let opts = ExecOptions {
             deadline: request.deadline,
             cancel: request.cancel.clone(),
-            hedge: None,
-            columnar: shared.columnar,
-            workers_per_site: 1,
             churn: Some(ChurnOpts {
                 service: Arc::clone(churn),
                 pin,
             }),
+            runtime: RuntimeConfig {
+                columnar: shared.columnar,
+                ..RuntimeConfig::default()
+            },
+            ..ExecOptions::failover(&faults, &RetryPolicy::default(), shared.max_replans)
         };
-        let result =
-            engine.execute_resilient_opts(&optimized, &faults, &RetryPolicy::default(), &opts)?;
+        let result = engine.run(&optimized, &opts)?;
         (
             result.rows,
             result.transfers,

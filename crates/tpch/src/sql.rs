@@ -108,7 +108,12 @@ mod tests {
         for name in ["Q1", "Q6"] {
             let sql = sql_of(name).unwrap();
             let (_, sql_result) = engine
-                .run_sql(sql, geoqp_core::OptimizerMode::Compliant, None)
+                .run_sql(
+                    sql,
+                    geoqp_core::OptimizerMode::Compliant,
+                    None,
+                    &geoqp_core::ExecOptions::default(),
+                )
                 .unwrap_or_else(|e| panic!("{name} sql run: {e}"));
             let built = crate::queries::query_by_name(&catalog, name).unwrap();
             let opt = engine

@@ -142,7 +142,12 @@ fn main() -> Result<()> {
     }
 
     // The compliance-based optimizer (Figure 1(b)).
-    let (comp, result) = engine.run_sql(sql, OptimizerMode::Compliant, Some(Location::new("E")))?;
+    let (comp, result) = engine.run_sql(
+        sql,
+        OptimizerMode::Compliant,
+        Some(Location::new("E")),
+        &ExecOptions::default(),
+    )?;
     println!("compliant plan:");
     print!("{}", geoqp::plan::display::display_physical(&comp.physical));
     engine.audit(&comp.physical)?;

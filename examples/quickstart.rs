@@ -98,7 +98,8 @@ fn main() -> Result<()> {
     let sql = "SELECT u_name, e_kind FROM users, events WHERE u_id = e_user \
                ORDER BY u_name, e_kind";
     println!("\nquery: {sql}");
-    let (optimized, result) = engine.run_sql(sql, OptimizerMode::Compliant, None)?;
+    let (optimized, result) =
+        engine.run_sql(sql, OptimizerMode::Compliant, None, &ExecOptions::default())?;
     println!(
         "\ncompliant plan (result at {}):",
         optimized.result_location

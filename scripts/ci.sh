@@ -28,8 +28,26 @@ cargo build --release
 echo "==> cargo build --release --benches (criterion + kernel microbenchmarks)"
 cargo build --release "${pkg_flags[@]}" --benches
 
+echo "==> tier-1: cargo test -q (default test-thread schedule)"
+cargo test -q
+
+echo "==> tier-1 again, serialized: cargo test -q -- --test-threads=1" \
+     "(a verdict that depends on the schedule differs between the two)"
+cargo test -q -- --test-threads=1
+
+echo "==> chaos soak x5 at default threads: the twin-determinism checks" \
+     "must hold on every schedule the host happens to produce"
+for i in 1 2 3 4 5; do
+    echo "    chaos_soak pass $i/5"
+    cargo test -q --test chaos_soak
+done
+
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
+
+echo "==> benchmark smoke: the benchmark package is its own workspace, so" \
+     "nothing above compiles benchmark/src/sut.rs against the engine API"
+bash benchmark/run.sh --smoke
 
 echo "==> columnar differential suite: row vs vectorized engines," \
      "both runtimes, all fault schedules (release)"

@@ -105,9 +105,8 @@ pub mod prelude {
         LocationSet, QueryDeadline, Result, Row, Rows, RunControl, Schema, TableRef, Value,
     };
     pub use geoqp_core::{
-        CatalogService, CheckpointStore, ChurnOpts, Engine, ExecutionResult, FailoverOpts,
-        OptimizedQuery, OptimizerMode, ParallelResult, ResilientResult, RuntimeConfig,
-        RuntimeMetrics, RuntimeMode,
+        CatalogService, CheckpointStore, ChurnOpts, Engine, ExecOptions, ExecutionResult,
+        OptimizedQuery, OptimizerMode, ParallelResult, QueryOutcome, RuntimeConfig, RuntimeMetrics,
     };
     pub use geoqp_exec::RetryPolicy;
     pub use geoqp_expr::{AggCall, AggFunc, ScalarExpr};

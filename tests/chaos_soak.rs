@@ -40,6 +40,19 @@ fn live_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// [`Engine::run`] on the pipelined runtime, with the metrics of the
+/// attempt that completed split out.
+fn run_pipelined(
+    eng: &Engine,
+    opt: &OptimizedQuery,
+    opts: ExecOptions<'_>,
+    config: &RuntimeConfig,
+) -> Result<(QueryOutcome, RuntimeMetrics)> {
+    let mut res = eng.run(opt, &opts.pipelined(config.clone()))?;
+    let metrics = res.metrics.take().expect("pipelined runs report metrics");
+    Ok((res, metrics))
+}
+
 /// One randomized schedule: a site blackout, a link partition, a flaky
 /// link, and (half the time) a simulated-clock deadline. Returned as the
 /// `--faults` spec plus its seed so a round can rebuild the *same*
@@ -142,10 +155,18 @@ fn randomized_gray_schedules_stay_compliant_with_hedging_on() {
             let Ok(opt) = eng.optimize(&plan, OptimizerMode::Compliant, None) else {
                 continue;
             };
-            let baseline = eng.execute_parallel(&opt.physical).unwrap();
+            let baseline = eng
+                .execute_parallel_opts(
+                    &opt.physical,
+                    None,
+                    &RetryPolicy::none(),
+                    &RuntimeConfig::default(),
+                )
+                .unwrap();
             let (faults, label) = gray_schedule(&mut rng);
-            let opts = FailoverOpts::new(SITES.len()).with_hedge(HedgeConfig::default());
-            match eng.execute_resilient_parallel_opts(&opt, &faults, &retry, &opts, &config) {
+            let opts = ExecOptions::failover(&faults, &retry, SITES.len())
+                .with_hedge(HedgeConfig::default());
+            match run_pipelined(&eng, &opt, opts, &config) {
                 Ok((res, _metrics)) => {
                     completed += 1;
                     if res.hedges_launched > 0 {
@@ -238,13 +259,20 @@ fn randomized_adhoc_round_stays_compliant_and_leak_free() {
             let Ok(opt) = eng.optimize(&q.plan, OptimizerMode::Compliant, None) else {
                 panic!("adhoc #{} failed to plan fault-free: {}", q.id, q.sql);
             };
-            let baseline = eng.execute_parallel(&opt.physical).unwrap();
+            let baseline = eng
+                .execute_parallel_opts(
+                    &opt.physical,
+                    None,
+                    &RetryPolicy::none(),
+                    &RuntimeConfig::default(),
+                )
+                .unwrap();
             let (faults, deadline, label) = schedule(&mut rng);
-            let opts = FailoverOpts {
+            let opts = ExecOptions {
                 deadline,
-                ..FailoverOpts::new(SITES.len())
+                ..ExecOptions::failover(&faults, &retry, SITES.len())
             };
-            match eng.execute_resilient_parallel_opts(&opt, &faults, &retry, &opts, &config) {
+            match run_pipelined(&eng, &opt, opts, &config) {
                 Ok((res, _metrics)) => {
                     completed += 1;
                     let mut got: Vec<String> = res.rows.iter().map(|r| format!("{r:?}")).collect();
@@ -479,7 +507,14 @@ fn catalog_churn_round_stays_compliant_and_resolves_typed() {
             let Ok(opt) = eng.optimize(&plan, OptimizerMode::Compliant, None) else {
                 continue;
             };
-            let baseline = eng.execute_parallel(&opt.physical).unwrap();
+            let baseline = eng
+                .execute_parallel_opts(
+                    &opt.physical,
+                    None,
+                    &RetryPolicy::none(),
+                    &RuntimeConfig::default(),
+                )
+                .unwrap();
             let (faults, deadline, label) = schedule(&mut rng);
 
             // Fresh catalog service per run: revoke one live policy,
@@ -515,11 +550,12 @@ fn catalog_churn_round_stays_compliant_and_resolves_typed() {
             };
             run_idx += 1;
             let pin = CatalogPin::new(0, eng.policies().epoch());
-            let opts = FailoverOpts {
+            let opts = ExecOptions {
                 deadline,
-                ..FailoverOpts::new(SITES.len()).with_churn(Arc::clone(&svc), pin)
+                ..ExecOptions::failover(&faults, &retry, SITES.len())
+                    .with_churn(Arc::clone(&svc), pin)
             };
-            match eng.execute_resilient_parallel_opts(&opt, &faults, &retry, &opts, &config) {
+            match run_pipelined(&eng, &opt, opts, &config) {
                 Ok((res, _metrics)) => {
                     completed += 1;
                     let mut got: Vec<String> = res.rows.iter().map(|r| format!("{r:?}")).collect();
@@ -602,6 +638,181 @@ fn catalog_churn_round_stays_compliant_and_resolves_typed() {
     );
 }
 
+/// The deployment the replica-crash + grant round runs against.
+struct GrantRound {
+    eng: Engine,
+    policies: PolicyCatalog,
+    coordinator: Location,
+    crash_site: Location,
+}
+
+/// One run of the round, exactly as the soak's seeded stream yields it.
+struct GrantRun {
+    round: usize,
+    query: &'static str,
+    run_idx: u64,
+    opt: OptimizedQuery,
+    spec: String,
+    fseed: u64,
+    deadline: Option<QueryDeadline>,
+    label: String,
+    crash_seed: u64,
+}
+
+impl GrantRun {
+    /// The executor step at which the revocations reach in-flight work.
+    fn revoke_step(&self) -> u64 {
+        self.run_idx % 6
+    }
+
+    fn config(&self) -> RuntimeConfig {
+        RuntimeConfig {
+            columnar: self.round % 2 == 1,
+            // Columnar rounds alternate the morsel worker count so the
+            // soak crosses every fault schedule with the work-stealing
+            // pool engaged (even rounds are row-engine, workers inert).
+            workers_per_site: if self.round % 4 == 1 { 2 } else { 4 },
+            ..RuntimeConfig::default()
+        }
+    }
+}
+
+impl GrantRound {
+    fn new() -> GrantRound {
+        let catalog = Arc::new(tpch::paper_catalog(SF));
+        tpch::populate(&catalog, SF, 7).unwrap();
+        let policies = tpch::generate_policies(&catalog, PolicyTemplate::CRA, 10, 2021).unwrap();
+        let eng = Engine::new(
+            Arc::clone(&catalog),
+            Arc::new(policies.clone()),
+            NetworkTopology::paper_wan(),
+        );
+        let coordinator = eng
+            .catalog()
+            .locations()
+            .iter()
+            .next()
+            .cloned()
+            .expect("the paper catalog has sites");
+        let crash_site = SITES
+            .iter()
+            .map(|s| Location::new(*s))
+            .find(|s| *s != coordinator)
+            .expect("a non-coordinator site exists");
+        GrantRound {
+            eng,
+            policies,
+            coordinator,
+            crash_site,
+        }
+    }
+
+    /// The first `n` rounds of the fixed bootstrap-soak stream.
+    fn runs(&self, n: usize) -> Vec<GrantRun> {
+        let mut rng = 0x626f_6f74_7374_7261u64; // fixed bootstrap-soak seed
+        let mut runs = Vec::new();
+        for round in 0..n {
+            for query in QUERIES {
+                let plan = tpch::query_by_name(self.eng.catalog(), query).unwrap();
+                let Ok(opt) = self.eng.optimize(&plan, OptimizerMode::Compliant, None) else {
+                    continue;
+                };
+                let (spec, fseed, deadline, label) = schedule_spec(&mut rng);
+                let crash_seed = splitmix(&mut rng);
+                runs.push(GrantRun {
+                    round,
+                    query,
+                    run_idx: runs.len() as u64,
+                    opt,
+                    spec,
+                    fseed,
+                    deadline,
+                    label,
+                    crash_seed,
+                });
+            }
+        }
+        runs
+    }
+
+    /// Build the catalog service from identical seeded state: revoke
+    /// every live policy, re-grant it, keep only the newest entries (so
+    /// the floor snapshot is the only recovery path), and crash the
+    /// chosen replica's catalog plane over the first two steps.
+    fn build_svc(&self, run: &GrantRun) -> Arc<CatalogService> {
+        let svc = CatalogService::new(
+            Arc::clone(self.eng.catalog()),
+            self.policies.clone(),
+            self.coordinator.clone(),
+        );
+        let live = svc.live_policies();
+        let svc = svc.with_auto_compact(live.len() as u64);
+        let mut events = Vec::new();
+        for (pid, _) in &live {
+            let rev = svc.revoke(*pid).expect("live pid revokes");
+            events.push(ChurnEvent {
+                step: run.revoke_step(),
+                seq: rev.seq,
+                epoch: rev.epoch,
+                revocation: true,
+            });
+        }
+        for (_, display) in &live {
+            let expr = geoqp::parser::parse_policy(display).expect("live policies re-parse");
+            let grant = svc.grant(expr).expect("re-grant lands");
+            events.push(ChurnEvent {
+                step: 0,
+                seq: grant.seq,
+                epoch: grant.epoch,
+                revocation: false,
+            });
+        }
+        let svc = svc.with_planned(events).with_faults(
+            FaultPlan::new(run.crash_seed)
+                .with_crash(self.crash_site.clone(), StepWindow::new(0, 2)),
+        );
+        svc.sync_full();
+        Arc::new(svc)
+    }
+
+    /// Execute `run` from freshly seeded fault state against `svc`.
+    fn execute(
+        &self,
+        run: &GrantRun,
+        svc: &Arc<CatalogService>,
+    ) -> Result<(QueryOutcome, RuntimeMetrics)> {
+        let faults = FaultPlan::parse(&run.spec, run.fseed).expect("spec re-parses");
+        let retry = RetryPolicy::default().with_jitter(0.3, 2021);
+        let opts = ExecOptions {
+            deadline: run.deadline,
+            ..ExecOptions::failover(&faults, &retry, SITES.len()).with_churn(
+                Arc::clone(svc),
+                CatalogPin::new(0, self.eng.policies().epoch()),
+            )
+        };
+        run_pipelined(&self.eng, &run.opt, opts, &run.config())
+    }
+}
+
+/// Everything a duplicate execution must reproduce: rows, typed outcome,
+/// re-plan counts, and transfer bytes.
+fn grant_outcome(r: &Result<(QueryOutcome, RuntimeMetrics)>) -> String {
+    match r {
+        Ok((res, _)) => {
+            let mut rows: Vec<String> = res.rows.iter().map(|r| format!("{r:?}")).collect();
+            rows.sort();
+            format!(
+                "ok replans={} churn={} retries={} bytes={} rows={rows:?}",
+                res.replans,
+                res.churn_replans,
+                res.grant_retries,
+                res.transfers.total_bytes()
+            )
+        }
+        Err(e) => format!("err kind={} msg={e}", e.kind()),
+    }
+}
+
 /// Replica-crash + bootstrap + grant round: every run revokes the *entire*
 /// live policy set (released to in-flight execution at a seeded step) and
 /// re-grants it (released at step 0), while a catalog-plane crash wipes a
@@ -620,211 +831,115 @@ fn replica_crash_bootstrap_and_grant_round_rescues_refused_queries() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(8);
-    let catalog = Arc::new(tpch::paper_catalog(SF));
-    tpch::populate(&catalog, SF, 7).unwrap();
-    let policies = tpch::generate_policies(&catalog, PolicyTemplate::CRA, 10, 2021).unwrap();
-    let eng = Engine::new(
-        Arc::clone(&catalog),
-        Arc::new(policies.clone()),
-        NetworkTopology::paper_wan(),
-    );
-    let coordinator = eng
-        .catalog()
-        .locations()
-        .iter()
-        .next()
-        .cloned()
-        .expect("the paper catalog has sites");
-    let crash_site = SITES
-        .iter()
-        .map(|s| Location::new(*s))
-        .find(|s| *s != coordinator)
-        .expect("a non-coordinator site exists");
+    let fx = GrantRound::new();
+    let eng = &fx.eng;
 
-    let mut rng = 0x626f_6f74_7374_7261u64; // fixed bootstrap-soak seed
     let before = live_threads();
     let (mut completed, mut rescued, mut refused) = (0usize, 0usize, 0usize);
     let (mut wipes, mut bootstraps, mut chain_rejects) = (0u64, 0u64, 0u64);
     let mut determinism_checks = 0usize;
-    let mut run_idx = 0u64;
-    for round in 0..n {
-        let config = RuntimeConfig {
-            columnar: round % 2 == 1,
-            // Columnar rounds alternate the morsel worker count so the
-            // soak crosses every fault schedule with the work-stealing
-            // pool engaged (even rounds are row-engine, workers inert).
-            workers_per_site: if round % 4 == 1 { 2 } else { 4 },
-            ..RuntimeConfig::default()
-        };
-        for query in QUERIES {
-            let plan = tpch::query_by_name(eng.catalog(), query).unwrap();
-            let Ok(opt) = eng.optimize(&plan, OptimizerMode::Compliant, None) else {
-                continue;
-            };
-            let baseline = eng.execute_parallel(&opt.physical).unwrap();
-            let (spec, fseed, deadline, label) = schedule_spec(&mut rng);
-            let revoke_step = run_idx % 6;
-            let crash_seed = splitmix(&mut rng);
+    for run in fx.runs(n) {
+        let (round, query, label) = (run.round, run.query, &run.label);
+        let revoke_step = run.revoke_step();
+        let baseline = eng
+            .execute_parallel_opts(
+                &run.opt.physical,
+                None,
+                &RetryPolicy::none(),
+                &RuntimeConfig::default(),
+            )
+            .unwrap();
 
-            // Build the catalog service from identical seeded state: revoke
-            // every live policy, re-grant it, keep only the newest entries
-            // (so the floor snapshot is the only recovery path), and crash
-            // the chosen replica's catalog plane over the first two steps.
-            let build_svc = || {
-                let svc = CatalogService::new(
-                    Arc::clone(eng.catalog()),
-                    policies.clone(),
-                    coordinator.clone(),
-                );
-                let live = svc.live_policies();
-                let svc = svc.with_auto_compact(live.len() as u64);
-                let mut events = Vec::new();
-                for (pid, _) in &live {
-                    let rev = svc.revoke(*pid).expect("live pid revokes");
-                    events.push(ChurnEvent {
-                        step: revoke_step,
-                        seq: rev.seq,
-                        epoch: rev.epoch,
-                        revocation: true,
-                    });
-                }
-                for (_, display) in &live {
-                    let expr =
-                        geoqp::parser::parse_policy(display).expect("live policies re-parse");
-                    let grant = svc.grant(expr).expect("re-grant lands");
-                    events.push(ChurnEvent {
-                        step: 0,
-                        seq: grant.seq,
-                        epoch: grant.epoch,
-                        revocation: false,
-                    });
-                }
-                let svc = svc.with_planned(events).with_faults(
-                    FaultPlan::new(crash_seed)
-                        .with_crash(crash_site.clone(), StepWindow::new(0, 2)),
-                );
-                svc.sync_full();
-                Arc::new(svc)
-            };
-            let run = |svc: &Arc<CatalogService>, faults: &FaultPlan| {
-                let retry = RetryPolicy::default().with_jitter(0.3, 2021);
-                let opts = FailoverOpts {
-                    deadline,
-                    ..FailoverOpts::new(SITES.len())
-                        .with_churn(Arc::clone(svc), CatalogPin::new(0, eng.policies().epoch()))
-                };
-                eng.execute_resilient_parallel_opts(&opt, faults, &retry, &opts, &config)
-            };
-            let outcome = |r: &Result<(ResilientResult, RuntimeMetrics)>| match r {
-                Ok((res, _)) => {
-                    let mut rows: Vec<String> = res.rows.iter().map(|r| format!("{r:?}")).collect();
-                    rows.sort();
-                    format!(
-                        "ok replans={} churn={} retries={} bytes={} rows={rows:?}",
-                        res.replans,
-                        res.churn_replans,
-                        res.grant_retries,
-                        res.transfers.total_bytes()
-                    )
-                }
-                Err(e) => format!("err kind={} msg={e}", e.kind()),
-            };
+        let svc = fx.build_svc(&run);
+        let synced = svc.health();
+        let result = fx.execute(&run, &svc);
 
-            let svc = build_svc();
-            let synced = svc.health();
-            let faults = FaultPlan::parse(&spec, fseed).expect("spec re-parses");
-            let result = run(&svc, &faults);
-
-            // Every fourth run replays from identically-seeded state; the
-            // outcome — rows, re-plan counts, transfer bytes — must be
-            // byte-identical.
-            if run_idx.is_multiple_of(4) {
-                let twin_svc = build_svc();
-                let twin_faults = FaultPlan::parse(&spec, fseed).expect("spec re-parses");
-                let twin = run(&twin_svc, &twin_faults);
-                assert_eq!(
-                    outcome(&result),
-                    outcome(&twin),
-                    "round {round} {query} [{label}]: identically-seeded reruns diverged"
-                );
-                determinism_checks += 1;
-            }
-
-            // Heal the catalog plane: step 1 is inside the crash window
-            // (the replica wipes), step 2 is past it (the replica must
-            // re-bootstrap from the floor snapshot — replay from seq 0 is
-            // impossible, compaction truncated the prefix).
-            svc.sync_at(1);
-            svc.sync_at(2);
-            let health = svc.health();
-            assert!(
-                health.bootstraps > synced.bootstraps,
-                "round {round} {query} [{label}]: the crashed replica never \
-                 bootstrapped from the floor snapshot"
+        // Every fourth run replays from identically-seeded state; the
+        // outcome — rows, re-plan counts, transfer bytes — must be
+        // byte-identical.
+        if run.run_idx.is_multiple_of(4) {
+            let twin = fx.execute(&run, &fx.build_svc(&run));
+            assert_eq!(
+                grant_outcome(&result),
+                grant_outcome(&twin),
+                "round {round} {query} [{label}]: identically-seeded reruns diverged"
             );
-            wipes += health.wipes;
-            bootstraps += health.bootstraps - synced.bootstraps;
-            chain_rejects += health.chain_rejects;
+            determinism_checks += 1;
+        }
 
-            match &result {
-                Ok((res, _)) => {
-                    completed += 1;
-                    let mut got: Vec<String> = res.rows.iter().map(|r| format!("{r:?}")).collect();
-                    let mut want: Vec<String> =
-                        baseline.rows.iter().map(|r| format!("{r:?}")).collect();
-                    got.sort();
-                    want.sort();
-                    assert_eq!(
-                        got, want,
-                        "round {round} {query} [{label}] revoke-all@{revoke_step}: \
-                         the grant round changed the answer"
-                    );
-                    if res.churn_replans > 0 {
-                        // The revocations emptied the live set, so a churn
-                        // re-plan can only have completed through the grant
-                        // retry: refused under the revocation pin, rescued
-                        // under the head where the re-grants live.
-                        assert!(
-                            res.grant_retries > 0,
-                            "round {round} {query} [{label}]: a re-plan under the \
-                             empty revocation pin completed without a grant retry"
-                        );
-                        rescued += 1;
-                        let head = eng.fork_with_policies(svc.snapshot(svc.head().seq).unwrap());
-                        head.audit(&res.physical).unwrap_or_else(|e| {
-                            panic!(
-                                "round {round} {query} [{label}]: a rescued query \
-                                 landed on a placement the head catalog forbids: {e}"
-                            )
-                        });
-                    } else {
-                        eng.audit(&res.physical).unwrap_or_else(|e| {
-                            panic!(
-                                "round {round} {query} [{label}]: completed through a \
-                                 non-compliant placement: {e}"
-                            )
-                        });
-                    }
-                }
-                Err(e) => {
-                    refused += 1;
+        // Heal the catalog plane: step 1 is inside the crash window
+        // (the replica wipes), step 2 is past it (the replica must
+        // re-bootstrap from the floor snapshot — replay from seq 0 is
+        // impossible, compaction truncated the prefix).
+        svc.sync_at(1);
+        svc.sync_at(2);
+        let health = svc.health();
+        assert!(
+            health.bootstraps > synced.bootstraps,
+            "round {round} {query} [{label}]: the crashed replica never \
+             bootstrapped from the floor snapshot"
+        );
+        wipes += health.wipes;
+        bootstraps += health.bootstraps - synced.bootstraps;
+        chain_rejects += health.chain_rejects;
+
+        match &result {
+            Ok((res, _)) => {
+                completed += 1;
+                let mut got: Vec<String> = res.rows.iter().map(|r| format!("{r:?}")).collect();
+                let mut want: Vec<String> =
+                    baseline.rows.iter().map(|r| format!("{r:?}")).collect();
+                got.sort();
+                want.sort();
+                assert_eq!(
+                    got, want,
+                    "round {round} {query} [{label}] revoke-all@{revoke_step}: \
+                     the grant round changed the answer"
+                );
+                if res.churn_replans > 0 {
+                    // The revocations emptied the live set, so a churn
+                    // re-plan can only have completed through the grant
+                    // retry: refused under the revocation pin, rescued
+                    // under the head where the re-grants live.
                     assert!(
-                        matches!(
-                            e.kind(),
-                            "rejected"
-                                | "unavailable"
-                                | "deadline"
-                                | "cancelled"
-                                | "non-compliant"
-                                | "catalog-stale"
-                                | "churn"
-                        ),
-                        "round {round} {query} [{label}] revoke-all@{revoke_step}: \
-                         untyped failure {e}"
+                        res.grant_retries > 0,
+                        "round {round} {query} [{label}]: a re-plan under the \
+                         empty revocation pin completed without a grant retry"
                     );
+                    rescued += 1;
+                    let head = eng.fork_with_policies(svc.snapshot(svc.head().seq).unwrap());
+                    head.audit(&res.physical).unwrap_or_else(|e| {
+                        panic!(
+                            "round {round} {query} [{label}]: a rescued query \
+                             landed on a placement the head catalog forbids: {e}"
+                        )
+                    });
+                } else {
+                    eng.audit(&res.physical).unwrap_or_else(|e| {
+                        panic!(
+                            "round {round} {query} [{label}]: completed through a \
+                             non-compliant placement: {e}"
+                        )
+                    });
                 }
             }
-            run_idx += 1;
+            Err(e) => {
+                refused += 1;
+                assert!(
+                    matches!(
+                        e.kind(),
+                        "rejected"
+                            | "unavailable"
+                            | "deadline"
+                            | "cancelled"
+                            | "non-compliant"
+                            | "catalog-stale"
+                            | "churn"
+                    ),
+                    "round {round} {query} [{label}] revoke-all@{revoke_step}: \
+                     untyped failure {e}"
+                );
+            }
         }
     }
     let mut after = live_threads();
@@ -865,6 +980,62 @@ fn replica_crash_bootstrap_and_grant_round_rescues_refused_queries() {
     );
 }
 
+/// Regression for the schedule-dependent pipelined verdict: the two runs
+/// of the round above whose identically-seeded twins diverged (between a
+/// stale-replica refusal and a churn re-plan) whenever the test binary
+/// ran its tests concurrently. With every fragment running to its own
+/// verdict, which failure a run reports — and what it logged and
+/// checkpointed on the way — is a function of the seed, so the twins must
+/// agree under any schedule. Here the schedule is made hostile on
+/// purpose: spinner threads oversubscribe every core while each run is
+/// repeated from identically-seeded state.
+#[test]
+fn twin_verdicts_agree_under_oversubscribed_spinners() {
+    const DIVERGED_AT_PARENT: [u64; 2] = [6252809824418646282, 1817732632702134065];
+    const REPEATS: usize = 8;
+    let fx = GrantRound::new();
+    let runs: Vec<GrantRun> = fx
+        .runs(4)
+        .into_iter()
+        .filter(|run| DIVERGED_AT_PARENT.contains(&run.fseed))
+        .collect();
+    assert_eq!(runs.len(), 2, "the soak stream no longer yields both seeds");
+
+    let cores = std::thread::available_parallelism().map_or(2, |n| n.get());
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|s| {
+        for _ in 0..4 * cores {
+            s.spawn(|| {
+                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    std::hint::spin_loop();
+                }
+            });
+        }
+        // Stop the spinners even when an assertion below unwinds, or the
+        // scope would never join them.
+        struct Stop<'a>(&'a std::sync::atomic::AtomicBool);
+        impl Drop for Stop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, std::sync::atomic::Ordering::Relaxed);
+            }
+        }
+        let _stop = Stop(&stop);
+        for run in &runs {
+            let first = grant_outcome(&fx.execute(run, &fx.build_svc(run)));
+            for repeat in 0..REPEATS {
+                assert_eq!(
+                    grant_outcome(&fx.execute(run, &fx.build_svc(run))),
+                    first,
+                    "round {} {} [{}]: twin {repeat} diverged under contention",
+                    run.round,
+                    run.query,
+                    run.label
+                );
+            }
+        }
+    });
+}
+
 #[test]
 fn randomized_chaos_schedules_stay_compliant_and_leak_free() {
     let n: usize = std::env::var("GEOQP_CHAOS_N")
@@ -896,13 +1067,20 @@ fn randomized_chaos_schedules_stay_compliant_and_leak_free() {
             let Ok(opt) = eng.optimize(&plan, OptimizerMode::Compliant, None) else {
                 continue;
             };
-            let baseline = eng.execute_parallel(&opt.physical).unwrap();
+            let baseline = eng
+                .execute_parallel_opts(
+                    &opt.physical,
+                    None,
+                    &RetryPolicy::none(),
+                    &RuntimeConfig::default(),
+                )
+                .unwrap();
             let (faults, deadline, label) = schedule(&mut rng);
-            let opts = FailoverOpts {
+            let opts = ExecOptions {
                 deadline,
-                ..FailoverOpts::new(SITES.len())
+                ..ExecOptions::failover(&faults, &retry, SITES.len())
             };
-            match eng.execute_resilient_parallel_opts(&opt, &faults, &retry, &opts, &config) {
+            match run_pipelined(&eng, &opt, opts, &config) {
                 Ok((res, _metrics)) => {
                     completed += 1;
                     let mut got: Vec<String> = res.rows.iter().map(|r| format!("{r:?}")).collect();

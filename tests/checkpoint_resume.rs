@@ -51,7 +51,7 @@ fn differential_grid(template: PolicyTemplate, horizon: u64) -> (usize, usize, u
         };
         let probe = FaultPlan::new(SEED);
         let reference = eng
-            .execute_resilient(&opt, &probe, &retry, 0)
+            .run(&opt, &ExecOptions::failover(&probe, &retry, 0))
             .expect("fault-free probe");
         let total = probe.step().max(4);
         for site in SITES {
@@ -66,19 +66,16 @@ fn differential_grid(template: PolicyTemplate, horizon: u64) -> (usize, usize, u
                         StepWindow::new(crash_step, crash_step.saturating_add(horizon)),
                     )
                 };
-                let resumed = eng.execute_resilient_opts(
+                let (resumed_faults, scratch_faults) = (crash(), crash());
+                let resumed = eng.run(
                     &opt,
-                    &crash(),
-                    &retry,
-                    &FailoverOpts::new(SITES.len()),
+                    &ExecOptions::failover(&resumed_faults, &retry, SITES.len()),
                 );
-                let scratch = eng.execute_resilient_opts(
+                let scratch = eng.run(
                     &opt,
-                    &crash(),
-                    &retry,
-                    &FailoverOpts {
+                    &ExecOptions {
                         resume: false,
-                        ..FailoverOpts::new(SITES.len())
+                        ..ExecOptions::failover(&scratch_faults, &retry, SITES.len())
                     },
                 );
                 match (&resumed, &scratch) {

@@ -123,6 +123,7 @@ fn sql_pipeline_runs_against_tpch_catalog() {
              GROUP BY n_name ORDER BY suppliers DESC, n_name LIMIT 5",
             OptimizerMode::Compliant,
             None,
+            &ExecOptions::default(),
         )
         .unwrap();
     eng.audit(&opt.physical).unwrap();
@@ -153,6 +154,7 @@ fn empty_policy_catalog_confines_every_query_to_single_sites() {
             "SELECT c_name FROM customer WHERE c_acctbal > 9000.0",
             OptimizerMode::Compliant,
             None,
+            &ExecOptions::default(),
         )
         .unwrap();
     eng.audit(&opt.physical).unwrap();

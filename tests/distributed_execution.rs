@@ -74,6 +74,7 @@ fn intra_site_pipelines_ship_nothing() {
              GROUP BY c_mktsegment",
             OptimizerMode::Compliant,
             Some(Location::new("L1")),
+            &ExecOptions::default(),
         )
         .unwrap();
     assert_eq!(opt.physical.ship_count(), 0);

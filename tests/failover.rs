@@ -45,7 +45,10 @@ fn tpch_query_survives_single_site_crash_or_fails_typed() {
     let mut refused = 0;
     for site in ["L1", "L2", "L3", "L4", "L5"] {
         let faults = FaultPlan::parse(&format!("crash:{site}"), 11).unwrap();
-        match eng.execute_resilient(&opt, &faults, &RetryPolicy::default(), 5) {
+        match eng.run(
+            &opt,
+            &ExecOptions::failover(&faults, &RetryPolicy::default(), 5),
+        ) {
             Ok(res) => {
                 assert_eq!(
                     canonical(&res.rows),
@@ -97,8 +100,11 @@ fn same_fault_seed_replays_identically() {
 
     let run = |seed: u64| {
         let faults = FaultPlan::parse(spec, seed).unwrap();
-        eng.execute_resilient(&opt, &faults, &RetryPolicy::default(), 5)
-            .expect("bounded faults under a generous retry budget")
+        eng.run(
+            &opt,
+            &ExecOptions::failover(&faults, &RetryPolicy::default(), 5),
+        )
+        .expect("bounded faults under a generous retry budget")
     };
 
     let a = run(7);
@@ -129,7 +135,10 @@ fn transient_crash_window_is_ridden_out_by_retries() {
     let opt = eng.optimize(&plan, OptimizerMode::Compliant, None).unwrap();
     let faults = FaultPlan::parse("crash:L2@0..2", 3).unwrap();
     let res = eng
-        .execute_resilient(&opt, &faults, &RetryPolicy::default(), 5)
+        .run(
+            &opt,
+            &ExecOptions::failover(&faults, &RetryPolicy::default(), 5),
+        )
         .expect("a two-step outage is inside the default retry budget");
     assert_eq!(res.replans, 0, "retries should absorb a transient window");
     assert!(res.excluded.is_empty());
@@ -146,7 +155,10 @@ fn permanent_crash_of_result_site_is_a_typed_rejection() {
     let result_site = opt.result_location.clone();
     let faults = FaultPlan::new(1).with_crash(result_site.clone(), StepWindow::ALWAYS);
     let err = eng
-        .execute_resilient(&opt, &faults, &RetryPolicy::default(), 5)
+        .run(
+            &opt,
+            &ExecOptions::failover(&faults, &RetryPolicy::default(), 5),
+        )
         .unwrap_err();
     assert_eq!(err.kind(), "rejected", "got: {err}");
     assert!(
@@ -256,7 +268,10 @@ fn failover_replans_to_an_alternate_compliant_site() {
 
     let faults = FaultPlan::new(9).with_crash("C", StepWindow::ALWAYS);
     let res = eng
-        .execute_resilient(&opt, &faults, &RetryPolicy::default(), 3)
+        .run(
+            &opt,
+            &ExecOptions::failover(&faults, &RetryPolicy::default(), 3),
+        )
         .expect("a compliant alternative placement at D exists");
     assert_eq!(res.replans, 1, "exactly one re-plan should be needed");
     assert!(res.excluded.contains(&Location::new("C")));
@@ -286,7 +301,10 @@ fn exhausted_retries_surface_the_failing_link() {
     };
     let faults = FaultPlan::new(5).with_drop(t0.from.clone(), t0.to.clone(), StepWindow::ALWAYS);
     let err = eng
-        .execute_resilient(&opt, &faults, &RetryPolicy::default(), 0)
+        .run(
+            &opt,
+            &ExecOptions::failover(&faults, &RetryPolicy::default(), 0),
+        )
         .unwrap_err();
     assert_eq!(err.kind(), "unavailable", "got: {err}");
     assert_eq!(

@@ -56,6 +56,19 @@ fn live_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// [`Engine::run`] on the pipelined runtime, with the metrics of the
+/// attempt that completed split out.
+fn run_pipelined(
+    eng: &Engine,
+    opt: &OptimizedQuery,
+    opts: ExecOptions<'_>,
+    config: &RuntimeConfig,
+) -> Result<(QueryOutcome, RuntimeMetrics)> {
+    let mut res = eng.run(opt, &opts.pipelined(config.clone()))?;
+    let metrics = res.metrics.take().expect("pipelined runs report metrics");
+    Ok((res, metrics))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -77,7 +90,7 @@ proptest! {
         legal_sites(&opt.annotated, &mut legal);
 
         let faults = FaultPlan::new(seed).with_crash(dead.clone(), StepWindow::ALWAYS);
-        match eng.execute_resilient(&opt, &faults, &RetryPolicy::default(), 5) {
+        match eng.run(&opt, &ExecOptions::failover(&faults, &RetryPolicy::default(), 5)) {
             Ok(res) => {
                 // The placement that answered is compliance-verified…
                 eng.audit(&res.physical).expect("final placement must audit clean");
@@ -132,19 +145,16 @@ proptest! {
         // Crash onset varies with the seed so checkpoints are taken at
         // every stage of the run, not only before an early failure.
         let onset = seed % 8;
-        let opts = FailoverOpts::new(5);
         let retry = RetryPolicy::default();
         for parallel in [false, true] {
             let faults = FaultPlan::new(seed)
                 .with_crash(dead.clone(), StepWindow::new(onset, u64::MAX));
             let store = CheckpointStore::new();
+            let opts = ExecOptions::failover(&faults, &retry, 5).with_store(&store);
             let outcome = if parallel {
-                eng.execute_resilient_parallel_store(
-                    &opt, &faults, &retry, &opts, &RuntimeConfig::default(), &store,
-                ).map(|_| ())
+                eng.run(&opt, &opts.pipelined(RuntimeConfig::default())).map(|_| ())
             } else {
-                eng.execute_resilient_store(&opt, &faults, &retry, &opts, &store)
-                    .map(|_| ())
+                eng.run(&opt, &opts).map(|_| ())
             };
             if let Err(e) = outcome {
                 prop_assert!(
@@ -178,25 +188,20 @@ proptest! {
         let query = QUERIES[qi];
         let plan = tpch::query_by_name(eng.catalog(), query).unwrap();
         if let Ok(opt) = eng.optimize(&plan, OptimizerMode::Compliant, None) {
-        let baseline = eng.execute_parallel(&opt.physical).unwrap();
+        let baseline = eng.execute_parallel_opts(&opt.physical, None, &RetryPolicy::none(), &RuntimeConfig::default()).unwrap();
         let fire_cancel = seed & 1 == 1;
         let cancel = CancelToken::new();
         if fire_cancel {
             cancel.cancel();
         }
-        let opts = FailoverOpts {
+        let faults = FaultPlan::new(seed);
+        let opts = ExecOptions {
             deadline: Some(QueryDeadline::new(budget)),
             cancel: Some(cancel),
-            ..FailoverOpts::new(5)
+            ..ExecOptions::failover(&faults, &RetryPolicy::default(), 5)
         };
         let before = live_threads();
-        let run = eng.execute_resilient_parallel_opts(
-            &opt,
-            &FaultPlan::new(seed),
-            &RetryPolicy::default(),
-            &opts,
-            &RuntimeConfig::default(),
-        );
+        let run = run_pipelined(eng, &opt, opts, &RuntimeConfig::default());
         match run {
             Ok(_) => prop_assert!(!fire_cancel, "{query}: a fired token must cancel"),
             Err(e) => prop_assert!(
@@ -221,7 +226,7 @@ proptest! {
             before
         );
         // Nothing is poisoned: the same engine answers immediately.
-        let again = eng.execute_parallel(&opt.physical).unwrap();
+        let again = eng.execute_parallel_opts(&opt.physical, None, &RetryPolicy::none(), &RuntimeConfig::default()).unwrap();
         prop_assert_eq!(&again.rows, &baseline.rows);
         }
     }
@@ -255,21 +260,14 @@ proptest! {
         if fire_cancel {
             cancel.cancel();
         }
-        let opts = FailoverOpts {
+        let faults = FaultPlan::new(seed);
+        let opts = ExecOptions {
             deadline: Some(QueryDeadline::new(budget)),
             cancel: Some(cancel),
-            columnar: true,
-            workers_per_site: 4,
-            ..FailoverOpts::new(5)
+            ..ExecOptions::failover(&faults, &RetryPolicy::default(), 5)
         };
         let before = live_threads();
-        let run = eng.execute_resilient_parallel_opts(
-            &opt,
-            &FaultPlan::new(seed),
-            &RetryPolicy::default(),
-            &opts,
-            &config,
-        );
+        let run = run_pipelined(eng, &opt, opts, &config);
         match run {
             Ok(_) => prop_assert!(!fire_cancel, "{query}: a fired token must cancel"),
             Err(e) => prop_assert!(
@@ -320,7 +318,7 @@ proptest! {
             "flaky:L1-L4:{prob}; flaky:L2-L5:{prob}; crash:L3@1..3; delay:L1-L2:40ms"
         );
         let faults = FaultPlan::parse(&spec, seed).unwrap();
-        match eng.execute_resilient(&opt, &faults, &RetryPolicy::default(), 5) {
+        match eng.run(&opt, &ExecOptions::failover(&faults, &RetryPolicy::default(), 5)) {
             Ok(res) => prop_assert_eq!(&res.rows, &baseline.rows),
             Err(e) => prop_assert!(
                 matches!(e.kind(), "rejected" | "unavailable"),
@@ -354,10 +352,9 @@ proptest! {
         let faults = FaultPlan::new(seed)
             .with_degrade(from, to, factor, StepWindow::ALWAYS)
             .with_loss_burst(from, to, loss, StepWindow::ALWAYS);
-        let opts = FailoverOpts::new(5).with_hedge(HedgeConfig::default());
-        match eng.execute_resilient_parallel_opts(
-            &opt, &faults, &RetryPolicy::default(), &opts, &RuntimeConfig::default(),
-        ) {
+        let opts = ExecOptions::failover(&faults, &RetryPolicy::default(), 5)
+            .with_hedge(HedgeConfig::default());
+        match run_pipelined(eng, &opt, opts, &RuntimeConfig::default()) {
             Ok((res, _)) => {
                 eng.audit(&res.physical).expect("final placement must audit clean");
                 for relay in &res.relay_events {
@@ -405,10 +402,9 @@ proptest! {
             let faults = FaultPlan::new(seed)
                 .with_degrade(from, to, factor, StepWindow::ALWAYS)
                 .with_loss_burst(from, to, loss, StepWindow::ALWAYS);
-            let opts = FailoverOpts::new(5).with_hedge(HedgeConfig::default());
-            eng.execute_resilient_parallel_opts(
-                &opt, &faults, &RetryPolicy::default(), &opts, &RuntimeConfig::default(),
-            )
+            let opts = ExecOptions::failover(&faults, &RetryPolicy::default(), 5)
+                .with_hedge(HedgeConfig::default());
+            run_pipelined(eng, &opt, opts, &RuntimeConfig::default())
         };
         match (run(), run()) {
             (Ok((a, am)), Ok((b, bm))) => {
@@ -453,14 +449,13 @@ proptest! {
             let faults = FaultPlan::new(seed)
                 .with_degrade(from, to, factor, StepWindow::ALWAYS)
                 .with_loss_burst(from, to, loss, StepWindow::ALWAYS);
+            let opts = ExecOptions::failover(&faults, &RetryPolicy::default(), 5);
             let opts = if hedge {
-                FailoverOpts::new(5).with_hedge(HedgeConfig::default())
+                opts.with_hedge(HedgeConfig::default())
             } else {
-                FailoverOpts::new(5)
+                opts
             };
-            eng.execute_resilient_parallel_opts(
-                &opt, &faults, &RetryPolicy::default(), &opts, &RuntimeConfig::default(),
-            )
+            run_pipelined(eng, &opt, opts, &RuntimeConfig::default())
         };
         match (run(false), run(true)) {
             (Ok((plain, _)), Ok((hedged, _))) => {

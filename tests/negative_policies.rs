@@ -112,6 +112,7 @@ fn denial_expanded_engine_plans_around_the_denied_column() {
              ORDER BY p_name, v_site",
             OptimizerMode::Compliant,
             Some(Location::new("US")),
+            &ExecOptions::default(),
         )
         .unwrap();
     engine.audit(&opt.physical).unwrap();
@@ -176,6 +177,7 @@ fn conditional_denial_interacts_with_query_predicates() {
              WHERE p_id = v_person AND p_id >= 3",
             OptimizerMode::Compliant,
             Some(Location::new("US")),
+            &ExecOptions::default(),
         )
         .unwrap();
     engine.audit(&opt.physical).unwrap();

@@ -55,11 +55,31 @@ fn same_rows(a: &Rows, b: &Rows) -> bool {
     canonical(a) == canonical(b)
 }
 
+/// [`Engine::run`] on the pipelined runtime, with the metrics of the
+/// attempt that completed split out.
+fn run_pipelined(
+    eng: &Engine,
+    opt: &OptimizedQuery,
+    opts: ExecOptions<'_>,
+    config: &RuntimeConfig,
+) -> Result<(QueryOutcome, RuntimeMetrics)> {
+    let mut res = eng.run(opt, &opts.pipelined(config.clone()))?;
+    let metrics = res.metrics.take().expect("pipelined runs report metrics");
+    Ok((res, metrics))
+}
+
 /// Sequential vs parallel on one optimized plan: identical rows, bytes,
 /// and total network cost.
 fn assert_differential(eng: &Engine, optimized: &OptimizedQuery, label: &str) -> usize {
     let seq = eng.execute(&optimized.physical).unwrap();
-    let par = eng.execute_parallel(&optimized.physical).unwrap();
+    let par = eng
+        .execute_parallel_opts(
+            &optimized.physical,
+            None,
+            &RetryPolicy::none(),
+            &RuntimeConfig::default(),
+        )
+        .unwrap();
     assert!(
         same_rows(&seq.rows, &par.rows),
         "{label}: row multisets diverged (sequential {}, parallel {})",
@@ -92,6 +112,66 @@ fn tpch_queries_differential() {
             continue;
         };
         assert_differential(&eng, &optimized, query);
+        executed += 1;
+    }
+    assert!(executed >= 4, "only {executed} TPC-H queries executed");
+}
+
+/// One SHIP: the sequential interpreter's monolithic transfer *is* a
+/// one-batch stream on a ticking clock, so the pipelined runtime
+/// configured to stream each edge as a single batch must produce the
+/// same transfer records — endpoints, bytes, rows, cost, attempts — edge
+/// for edge, fault-free and under faults whose verdict does not depend on
+/// which step clock consults them.
+#[test]
+fn one_batch_streams_match_the_monolithic_ship_record_for_record() {
+    let (eng, catalog) = engine(PolicyTemplate::CRA, SEED);
+    let gray = FaultPlan::parse("degrade:L2-L4:3x; delay:L2-L1:25; degrade:L4-L1:2x", 7).unwrap();
+    let one_batch = RuntimeConfig {
+        batch_rows: usize::MAX,
+        ..RuntimeConfig::default()
+    };
+    let records = |log: &TransferLog| {
+        let mut v: Vec<_> = log
+            .records()
+            .iter()
+            .map(|r| {
+                (
+                    r.from.clone(),
+                    r.to.clone(),
+                    r.bytes,
+                    r.rows,
+                    r.cost_ms.to_bits(),
+                    r.attempts,
+                )
+            })
+            .collect();
+        v.sort();
+        v
+    };
+    let mut executed = 0;
+    for (query, plan) in all_queries(&catalog).unwrap() {
+        let Ok(optimized) = eng.optimize(&plan, OptimizerMode::Compliant, None) else {
+            continue;
+        };
+        for faults in [None, Some(&gray)] {
+            let opts = ExecOptions {
+                faults,
+                ..ExecOptions::default()
+            };
+            let seq = eng.run(&optimized, &opts).unwrap();
+            let par = eng
+                .run(&optimized, &opts.pipelined(one_batch.clone()))
+                .unwrap();
+            assert!(same_rows(&seq.rows, &par.rows), "{query}: rows diverged");
+            assert_eq!(
+                records(&seq.transfers),
+                records(&par.transfers),
+                "{query} (faults: {}): a one-batch stream and the monolithic SHIP \
+                 recorded different transfers",
+                faults.is_some()
+            );
+        }
         executed += 1;
     }
     assert!(executed >= 4, "only {executed} TPC-H queries executed");
@@ -197,7 +277,12 @@ fn permanent_crashes_survive_or_error_typed() {
         let clean = eng.execute(&optimized.physical).unwrap();
         for site in &sites {
             let faults = FaultPlan::new(0).with_crash(site.clone(), StepWindow::ALWAYS);
-            match eng.execute_resilient_parallel(&optimized, &faults, &retry, 5, &config) {
+            match run_pipelined(
+                &eng,
+                &optimized,
+                ExecOptions::failover(&faults, &retry, 5),
+                &config,
+            ) {
                 Ok((res, metrics)) => {
                     // Surviving a crash (with or without re-planning)
                     // must preserve the query's answer.
@@ -309,7 +394,14 @@ fn parallel_failover_replans_around_crashed_relay() {
     let opt = eng
         .optimize_sql(sql, OptimizerMode::Compliant, Some(Location::new("D")))
         .unwrap();
-    let baseline = eng.execute_parallel(&opt.physical).unwrap();
+    let baseline = eng
+        .execute_parallel_opts(
+            &opt.physical,
+            None,
+            &RetryPolicy::none(),
+            &RuntimeConfig::default(),
+        )
+        .unwrap();
     assert_eq!(baseline.rows.len(), 1);
     assert!(
         baseline
@@ -321,15 +413,13 @@ fn parallel_failover_replans_around_crashed_relay() {
     );
 
     let faults = FaultPlan::new(9).with_crash("C", StepWindow::ALWAYS);
-    let (res, metrics) = eng
-        .execute_resilient_parallel(
-            &opt,
-            &faults,
-            &RetryPolicy::default(),
-            3,
-            &RuntimeConfig::default(),
-        )
-        .expect("a compliant alternative placement at D exists");
+    let (res, metrics) = run_pipelined(
+        &eng,
+        &opt,
+        ExecOptions::failover(&faults, &RetryPolicy::default(), 3),
+        &RuntimeConfig::default(),
+    )
+    .expect("a compliant alternative placement at D exists");
     assert_eq!(res.replans, 1, "exactly one re-plan should be needed");
     assert!(res.excluded.contains(&Location::new("C")));
     assert_eq!(canonical(&res.rows), canonical(&baseline.rows));
@@ -361,13 +451,25 @@ fn runtime_audit_catches_non_compliant_plans() {
         };
         if eng.audit(&optimized.physical).is_ok() {
             // Compliant by luck: the runtime must agree and execute it.
-            let par = eng.execute_parallel(&optimized.physical).unwrap();
+            let par = eng
+                .execute_parallel_opts(
+                    &optimized.physical,
+                    None,
+                    &RetryPolicy::none(),
+                    &RuntimeConfig::default(),
+                )
+                .unwrap();
             let seq = eng.execute(&optimized.physical).unwrap();
             assert!(same_rows(&seq.rows, &par.rows), "{query}");
             continue;
         }
         let err = eng
-            .execute_parallel(&optimized.physical)
+            .execute_parallel_opts(
+                &optimized.physical,
+                None,
+                &RetryPolicy::none(),
+                &RuntimeConfig::default(),
+            )
             .expect_err("non-compliant plan must not execute");
         assert_eq!(err.kind(), "non-compliant", "{query}: {err}");
         caught += 1;

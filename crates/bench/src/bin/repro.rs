@@ -4,8 +4,10 @@
 //!   repro                # everything
 //!   repro --figure 6a    # one artifact: table1|table2|table3|5a|5bcde|
 //!                        # 6a|6b|6c|6d|6e|6f|6g|6h|7abc|7de|8ab|
-//!                        # ablation|failover|scaleup|adhoc|service|churn
+//!                        # ablation|failover|grayfail|adhoc|churn
 //!   repro --quick        # fewer runs / fewer ad-hoc queries
+//!
+//! An unknown `--figure` id is an error that lists the valid ones.
 //!
 //! `--figure adhoc` reproduces the paper's 400-query effectiveness and
 //! overhead curves per template set, then scales the generated workload
@@ -14,16 +16,12 @@
 //! scale-run size is `GEOQP_ADHOC_N` (default 100000, or 2000 with
 //! `--quick`).
 //!
-//! `--figure service` drives a closed loop of concurrent sessions across
-//! four template tenants through the multi-tenant `QueryService`
-//! (admission control, DRR fair scheduling, epoch-keyed plan cache) and
-//! writes `BENCH_service.json`. The session count is
-//! `GEOQP_SERVICE_SESSIONS` (default 1000, or 120 with `--quick`).
+//! Wall-clock performance of the runtime, the kernels and the service
+//! is measured by the repo benchmark (`benchmark/run.sh`), not here.
 
 use geoqp_bench::experiments::overhead::OverheadCase;
 use geoqp_bench::experiments::{
-    ablation, churn, effectiveness, failover, grayfail, kernels, optimizer, overhead, quality,
-    scalability, scaleup, service,
+    ablation, churn, effectiveness, failover, grayfail, optimizer, overhead, quality, scalability,
 };
 use geoqp_common::LocationSet;
 use geoqp_plan::descriptor::describe_local;
@@ -35,80 +33,57 @@ const SEED: u64 = 2021;
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let figure = args
-        .iter()
-        .position(|a| a == "--figure")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.to_ascii_lowercase());
     let runs = if quick { 3 } else { 7 };
     let adhoc_n = if quick { 80 } else { 400 };
 
-    let want = |name: &str| figure.as_deref().is_none_or(|f| f == name);
+    // Every artifact, in print order. `--figure` is checked against
+    // this one list, so an id that selects nothing cannot exist.
+    type Arm = (&'static str, Box<dyn Fn()>);
+    let overhead = |id: &'static str, case: OverheadCase| -> Arm {
+        (id, Box::new(move || fig6_overhead(id, case, runs)))
+    };
+    let quality = |id: &'static str, template: PolicyTemplate| -> Arm {
+        (id, Box::new(move || fig6_quality(id, template, quick)))
+    };
+    let arms: Vec<Arm> = vec![
+        ("table1", Box::new(table1)),
+        ("table2", Box::new(table2)),
+        ("table3", Box::new(table3)),
+        ("5a", Box::new(fig5a)),
+        ("5bcde", Box::new(fig5bcde)),
+        ("6a", Box::new(move || fig6a(adhoc_n))),
+        overhead("6b", OverheadCase::NoRestrictions),
+        overhead("6c", OverheadCase::Template(PolicyTemplate::T)),
+        overhead("6d", OverheadCase::Template(PolicyTemplate::C)),
+        overhead("6e", OverheadCase::Template(PolicyTemplate::CR)),
+        overhead("6f", OverheadCase::Template(PolicyTemplate::CRA)),
+        quality("6g", PolicyTemplate::C),
+        quality("6h", PolicyTemplate::CR),
+        ("7abc", Box::new(move || fig7abc(runs))),
+        ("7de", Box::new(move || fig7de(runs))),
+        ("8ab", Box::new(move || fig8ab(runs))),
+        ("ablation", Box::new(ablations)),
+        ("failover", Box::new(failover_matrix)),
+        ("grayfail", Box::new(grayfail_figure)),
+        ("adhoc", Box::new(move || adhoc_figure(adhoc_n, quick))),
+        ("churn", Box::new(churn_figure)),
+    ];
 
-    if want("table1") {
-        table1();
-    }
-    if want("table2") {
-        table2();
-    }
-    if want("table3") {
-        table3();
-    }
-    if want("5a") {
-        fig5a();
-    }
-    if want("5bcde") {
-        fig5bcde();
-    }
-    if want("6a") {
-        fig6a(adhoc_n);
-    }
-    for (id, case) in [
-        ("6b", OverheadCase::NoRestrictions),
-        ("6c", OverheadCase::Template(PolicyTemplate::T)),
-        ("6d", OverheadCase::Template(PolicyTemplate::C)),
-        ("6e", OverheadCase::Template(PolicyTemplate::CR)),
-        ("6f", OverheadCase::Template(PolicyTemplate::CRA)),
-    ] {
-        if want(id) {
-            fig6_overhead(id, case, runs);
+    let figure = args.iter().position(|a| a == "--figure").map(|i| {
+        let id = args
+            .get(i + 1)
+            .map_or(String::new(), |s| s.to_ascii_lowercase());
+        if !arms.iter().any(|(known, _)| *known == id) {
+            let ids: Vec<&str> = arms.iter().map(|(id, _)| *id).collect();
+            eprintln!("repro: --figure takes one of {}; got `{id}`", ids.join("|"));
+            std::process::exit(2);
         }
-    }
-    if want("6g") {
-        fig6_quality("6g", PolicyTemplate::C, quick);
-    }
-    if want("6h") {
-        fig6_quality("6h", PolicyTemplate::CR, quick);
-    }
-    if want("7abc") {
-        fig7abc(runs);
-    }
-    if want("7de") {
-        fig7de(runs);
-    }
-    if want("8ab") {
-        fig8ab(runs);
-    }
-    if want("ablation") {
-        ablations(quick);
-    }
-    if want("failover") {
-        failover_matrix();
-    }
-    if want("grayfail") {
-        grayfail_figure();
-    }
-    if want("scaleup") {
-        scaleup_figure(if quick { 2 } else { 5 });
-    }
-    if want("adhoc") {
-        adhoc_figure(adhoc_n, quick);
-    }
-    if want("service") {
-        service_figure(quick);
-    }
-    if want("churn") {
-        churn_figure();
+        id
+    });
+    for (id, run) in &arms {
+        if figure.as_deref().is_none_or(|f| f == *id) {
+            run();
+        }
     }
 }
 
@@ -204,61 +179,6 @@ fn churn_figure() {
     match std::fs::write("BENCH_churn.json", &json) {
         Ok(()) => println!("  wrote BENCH_churn.json"),
         Err(e) => println!("  could not write BENCH_churn.json: {e}"),
-    }
-}
-
-fn service_figure(quick: bool) {
-    let sessions: usize = std::env::var("GEOQP_SERVICE_SESSIONS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if quick { 120 } else { 1_000 });
-    header(&format!(
-        "Extension E11: multi-tenant service — {sessions} closed-loop sessions, 4 template tenants"
-    ));
-    let b = service::closed_loop(sessions, 0.01, SEED);
-    println!(
-        "  {:10} {:>9} {:>9} {:>10} {:>7} {:>7} {:>9} {:>9} {:>9} {:>8}",
-        "tenant",
-        "sessions",
-        "admitted",
-        "completed",
-        "failed",
-        "rej",
-        "cache-hit",
-        "p50 ms",
-        "p99 ms",
-        "replans"
-    );
-    for t in &b.tenants {
-        println!(
-            "  {:10} {:>9} {:>9} {:>10} {:>7} {:>7} {:>8.1}% {:>9.1} {:>9.1} {:>8}",
-            t.stats.name,
-            t.sessions,
-            t.stats.admitted,
-            t.stats.completed,
-            t.stats.failed,
-            t.stats.rejected,
-            t.stats.cache_hit_rate() * 100.0,
-            t.stats.p50_ms,
-            t.stats.p99_ms,
-            t.stats.replans
-        );
-    }
-    println!(
-        "  total: {} queries in {:.0} ms on {} workers — {:.0} queries/sec, \
-         {:.0} fresh plans/sec, plan-cache hit rate {:.1}% ({} evictions)",
-        b.completed,
-        b.wall_ms,
-        b.workers,
-        b.queries_per_sec,
-        b.fresh_plans_per_sec,
-        b.cache.hit_rate() * 100.0,
-        b.cache.evictions
-    );
-    let json = service::to_json(&b, SEED);
-    match std::fs::write("BENCH_service.json", &json) {
-        Ok(()) => println!("  wrote BENCH_service.json"),
-        Err(e) => println!("  could not write BENCH_service.json: {e}"),
     }
 }
 
@@ -380,124 +300,6 @@ fn grayfail_figure() {
     }
 }
 
-fn scaleup_figure(kernel_runs: usize) {
-    header("Extension E5: sequential vs pipelined runtime (CR+A, simulated WAN ms)");
-    println!(
-        "  {:6} {:>6} {:>6} {:>12} {:>14} {:>13} {:>8} {:>6}",
-        "query", "ships", "rows", "bytes", "sequential ms", "pipelined ms", "speedup", "rows="
-    );
-    let rows = scaleup::measure(SEED);
-    for r in &rows {
-        assert_eq!(
-            r.bytes_sequential, r.bytes_parallel,
-            "{}: runtimes shipped different bytes",
-            r.query
-        );
-        println!(
-            "  {:6} {:>6} {:>6} {:>12} {:>14.1} {:>13.1} {:>7.2}x {:>6}",
-            r.query,
-            r.ship_edges,
-            r.rows,
-            r.bytes_sequential,
-            r.sequential_ms,
-            r.parallel_ms,
-            r.speedup,
-            if r.rows_match { "yes" } else { "NO" }
-        );
-    }
-
-    header("Extension E9: columnar vs row engine, same plans (real CPU ms, best of 3)");
-    println!(
-        "  {:6} {:>6} {:>10} {:>13} {:>8} {:>10}",
-        "query", "rows", "row ms", "columnar ms", "speedup", "identical"
-    );
-    for r in &rows {
-        println!(
-            "  {:6} {:>6} {:>10.2} {:>13.2} {:>7.2}x {:>10}",
-            r.query,
-            r.rows,
-            r.row_cpu_ms,
-            r.columnar_cpu_ms,
-            r.cpu_speedup(),
-            if r.columnar_identical { "yes" } else { "NO" }
-        );
-    }
-
-    header(&format!(
-        "Extension E13: morsel-driven intra-fragment parallelism \
-         ({} workers/site, {}-row morsels, modeled end-to-end ms)",
-        scaleup::SCALEUP_WORKERS,
-        scaleup::SCALEUP_MORSEL_ROWS
-    ));
-    println!(
-        "  {:6} {:>10} {:>12} {:>12} {:>9} {:>10}",
-        "query", "makespan", "w=1 ms", "w=4 ms", "speedup", "identical"
-    );
-    for r in &rows {
-        println!(
-            "  {:6} {:>9.1}% {:>12.2} {:>12.2} {:>8.2}x {:>10}",
-            r.query,
-            r.makespan_fraction_w * 100.0,
-            r.endtoend_w1_ms(),
-            r.endtoend_w_ms(),
-            r.intra_speedup(),
-            if r.workers_identical { "yes" } else { "NO" }
-        );
-    }
-
-    header(&format!(
-        "Extension E9: kernel microbenchmarks (best of {kernel_runs}, SF 0.01)"
-    ));
-    println!(
-        "  {:14} {:>9} {:>8} {:>10} {:>13} {:>12} {:>12} {:>8} {:>6}",
-        "kernel",
-        "in rows",
-        "out",
-        "row ms",
-        "columnar ms",
-        "row rows/s",
-        "col rows/s",
-        "speedup",
-        "rows="
-    );
-    let kernel_rows = kernels::measure(SEED, kernel_runs);
-    for k in &kernel_rows {
-        println!(
-            "  {:14} {:>9} {:>8} {:>10.2} {:>13.2} {:>12.0} {:>12.0} {:>7.2}x {:>6}",
-            k.kernel,
-            k.input_rows,
-            k.output_rows,
-            k.row_ms,
-            k.columnar_ms,
-            k.row_rows_per_sec(),
-            k.columnar_rows_per_sec(),
-            k.speedup(),
-            if k.rows_match { "yes" } else { "NO" }
-        );
-        for m in &k.morsel {
-            println!(
-                "  {:14} {:>9} workers: makespan {:>5.1}%, modeled {:>8.2} ms, \
-                 wall {:>8.2} ms, rows {}",
-                "",
-                m.workers,
-                m.makespan_fraction * 100.0,
-                m.modeled_ms,
-                m.wall_ms,
-                if m.rows_match {
-                    "identical"
-                } else {
-                    "DIVERGED"
-                }
-            );
-        }
-    }
-    let json = kernels::to_json(&kernel_rows, SEED);
-    match std::fs::write("BENCH_kernels.json", &json) {
-        Ok(()) => println!("  wrote BENCH_kernels.json"),
-        Err(e) => println!("  could not write BENCH_kernels.json: {e}"),
-    }
-}
-
 fn failover_matrix() {
     header("Extension E4: single-site crashes — compliant failover matrix (CR+A)");
     println!(
@@ -539,7 +341,7 @@ fn failover_matrix() {
     }
 }
 
-fn ablations(_quick: bool) {
+fn ablations() {
     header("Extension E1/E2: rejections over delivery-constrained revenue rollups (CR+A, result at L1)");
     println!(
         "  {:24} {:>8} {:>9}",

@@ -5,13 +5,10 @@ pub mod churn;
 pub mod effectiveness;
 pub mod failover;
 pub mod grayfail;
-pub mod kernels;
 pub mod optimizer;
 pub mod overhead;
 pub mod quality;
 pub mod scalability;
-pub mod scaleup;
-pub mod service;
 pub mod setup;
 
 pub use setup::engine_with_policies;

@@ -14,8 +14,8 @@
 //! * **audit outcome**: success, or the same typed error naming the
 //!   same site.
 //!
-//! The worker pool is a scheduling freedom, not a semantic one; only
-//! the steal/occupancy counters may differ between runs.
+//! The worker pool is a scheduling freedom, not a semantic one: which
+//! worker runs which morsel is schedule noise no output may reflect.
 
 use geoqp_core::{Engine, OptimizerMode, ParallelResult, RuntimeConfig};
 use geoqp_exec::RetryPolicy;
@@ -32,7 +32,7 @@ const SEED: u64 = 2021;
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// Small morsels so the SF 0.01 fragments split into many tasks and
-/// the steal paths actually run.
+/// several workers really do share each dispatch.
 const MORSEL_ROWS: usize = 128;
 
 /// Same fault matrix as the columnar differential suite: drops with a
@@ -73,7 +73,7 @@ fn config_for(workers: usize) -> RuntimeConfig {
 
 /// Total pooled morsels a run dispatched across its site pools.
 fn pooled_morsels(run: &ParallelResult) -> u64 {
-    run.metrics.sites.values().map(|m| m.pool.morsels).sum()
+    run.metrics.sites.values().map(|m| m.morsels).sum()
 }
 
 /// Assert a multi-worker outcome is bit-identical to the one-worker
@@ -154,8 +154,7 @@ fn worker_counts_agree_under_every_fault_schedule() {
 fn merge_order_is_pure_across_repeated_runs() {
     // Purity of the deterministic merge: re-running the *same* worker
     // count must reproduce rows and transfers exactly, run after run,
-    // even though the work-stealing schedule differs every time. Only
-    // the steal/occupancy counters are allowed to move.
+    // even though which worker runs which morsel differs every time.
     let (engine, plans) = optimized_queries();
     let retry = RetryPolicy::none();
     for (query, plan) in plans.iter().take(6) {

@@ -32,9 +32,9 @@ use crate::aggregate::{Accumulator, BoundAgg};
 use crate::executor::{sort_group_keys, DataSource, ExchangeSource, NoExchange, ShipHandler};
 use crate::parallel::{first_error, morsel_bounds, parallel_map, MorselRunner};
 use geoqp_common::{
-    columnar::mix_fingerprint, Column, ColumnarBatch, DataType, GeoError, Result, Rows, Value,
+    columnar::mix_fingerprint, Column, ColumnarBatch, DataType, Result, Rows, Value,
 };
-use geoqp_expr::{apply_cmp, as_tv, bind, eval_arith, like_match, BinaryOp, BoundExpr, UnaryOp};
+use geoqp_expr::{apply_cmp, as_tv, bind, like_match, BinaryOp, BoundExpr, UnaryOp};
 use geoqp_plan::{PhysOp, PhysicalPlan, SortKey};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -338,130 +338,11 @@ pub fn execute_fragment_columnar(
     }
 }
 
-// ---------------------------------------------------------------------
-// Scalar mirror of `BoundExpr::eval`, reading from columns.
-// ---------------------------------------------------------------------
-
-/// Evaluate `e` at physical row `i` of `b`, with semantics (including
-/// short-circuiting, null propagation, and error cases) identical to
-/// [`BoundExpr::eval`] over the materialized row.
+/// Evaluate `e` at physical row `i` of `b`: [`BoundExpr::eval`] reading
+/// its column values straight from the batch instead of a materialized
+/// row.
 fn eval_scalar(e: &BoundExpr, b: &ColumnarBatch, i: usize) -> Result<Value> {
-    match e {
-        BoundExpr::Column(c) => {
-            if *c < b.arity() {
-                Ok(b.get(i, *c))
-            } else {
-                Err(GeoError::Execution(format!("row too short for column {c}")))
-            }
-        }
-        BoundExpr::Literal(v) => Ok(v.clone()),
-        BoundExpr::Binary { op, lhs, rhs } => {
-            if *op == BinaryOp::And || *op == BinaryOp::Or {
-                return eval_logical_scalar(*op, lhs, rhs, b, i);
-            }
-            let l = eval_scalar(lhs, b, i)?;
-            let r = eval_scalar(rhs, b, i)?;
-            if l.is_null() || r.is_null() {
-                return Ok(Value::Null);
-            }
-            if op.is_comparison() {
-                let ord = l.sql_cmp(&r).ok_or_else(|| {
-                    GeoError::Execution(format!("incomparable values {l} and {r}"))
-                })?;
-                Ok(Value::Bool(apply_cmp(*op, ord)))
-            } else {
-                eval_arith(*op, &l, &r)
-            }
-        }
-        BoundExpr::Unary { op, expr } => {
-            let v = eval_scalar(expr, b, i)?;
-            match (op, v) {
-                (_, Value::Null) => Ok(Value::Null),
-                (UnaryOp::Not, Value::Bool(x)) => Ok(Value::Bool(!x)),
-                (UnaryOp::Neg, Value::Int64(x)) => Ok(Value::Int64(-x)),
-                (UnaryOp::Neg, Value::Float64(x)) => Ok(Value::Float64(-x)),
-                (op, v) => Err(GeoError::Execution(format!("cannot apply {op:?} to {v}"))),
-            }
-        }
-        BoundExpr::Like {
-            expr,
-            pattern,
-            negated,
-        } => {
-            let v = eval_scalar(expr, b, i)?;
-            match v {
-                Value::Null => Ok(Value::Null),
-                Value::Str(s) => Ok(Value::Bool(like_match(pattern, &s) != *negated)),
-                other => Err(GeoError::Execution(format!("LIKE on non-string {other}"))),
-            }
-        }
-        BoundExpr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            let v = eval_scalar(expr, b, i)?;
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            let found = list.iter().any(|c| v.sql_cmp(c) == Some(Ordering::Equal));
-            Ok(Value::Bool(found != *negated))
-        }
-        BoundExpr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => {
-            let v = eval_scalar(expr, b, i)?;
-            let lo = eval_scalar(low, b, i)?;
-            let hi = eval_scalar(high, b, i)?;
-            if v.is_null() || lo.is_null() || hi.is_null() {
-                return Ok(Value::Null);
-            }
-            let ge_lo = matches!(
-                v.sql_cmp(&lo),
-                Some(Ordering::Greater) | Some(Ordering::Equal)
-            );
-            let le_hi = matches!(v.sql_cmp(&hi), Some(Ordering::Less) | Some(Ordering::Equal));
-            Ok(Value::Bool((ge_lo && le_hi) != *negated))
-        }
-        BoundExpr::IsNull { expr, negated } => {
-            let v = eval_scalar(expr, b, i)?;
-            Ok(Value::Bool(v.is_null() != *negated))
-        }
-    }
-}
-
-fn eval_logical_scalar(
-    op: BinaryOp,
-    lhs: &BoundExpr,
-    rhs: &BoundExpr,
-    b: &ColumnarBatch,
-    i: usize,
-) -> Result<Value> {
-    let l = eval_scalar(lhs, b, i)?;
-    match (op, &l) {
-        (BinaryOp::And, Value::Bool(false)) => return Ok(Value::Bool(false)),
-        (BinaryOp::Or, Value::Bool(true)) => return Ok(Value::Bool(true)),
-        _ => {}
-    }
-    let r = eval_scalar(rhs, b, i)?;
-    let lb = as_tv(&l)?;
-    let rb = as_tv(&r)?;
-    Ok(match op {
-        BinaryOp::And => match (lb, rb) {
-            (Some(false), _) | (_, Some(false)) => Value::Bool(false),
-            (Some(true), Some(true)) => Value::Bool(true),
-            _ => Value::Null,
-        },
-        BinaryOp::Or => match (lb, rb) {
-            (Some(true), _) | (_, Some(true)) => Value::Bool(true),
-            (Some(false), Some(false)) => Value::Bool(false),
-            _ => Value::Null,
-        },
-        _ => unreachable!("eval_logical_scalar only handles AND/OR"),
-    })
+    e.eval_with(&|c| (c < b.arity()).then(|| b.get(i, c)))
 }
 
 // ---------------------------------------------------------------------
@@ -1455,6 +1336,40 @@ mod tests {
         assert!(out.sel.is_some(), "filter must return a selection vector");
         assert_eq!(out.n_rows(), 2);
         assert_engines_agree(&plan);
+    }
+
+    /// A source that hands out one held allocation, so a test can tell
+    /// whether an operator passed the batch through or rebuilt it.
+    struct Held(Arc<ColumnarBatch>);
+
+    impl DataSource for Held {
+        fn scan(&self, _table: &TableRef, _location: &Location) -> Result<Rows> {
+            Ok(self.0.to_rows())
+        }
+        fn scan_columnar(
+            &self,
+            _table: &TableRef,
+            _location: &Location,
+            _arity: usize,
+        ) -> Result<Arc<ColumnarBatch>> {
+            Ok(Arc::clone(&self.0))
+        }
+    }
+
+    #[test]
+    fn ship_through_local_ship_is_the_same_allocation() {
+        let held = Held(
+            source()
+                .scan_columnar(&TableRef::bare("customer"), &loc("N"), 3)
+                .unwrap(),
+        );
+        let plan = PhysicalPlan::ship(customer_scan(), loc("E"));
+        let out = execute_fragment_columnar(&plan, &held, &mut LocalShip, &NoExchange).unwrap();
+        assert!(out.sel.is_none());
+        assert!(
+            Arc::ptr_eq(&out.batch, &held.0),
+            "LocalShip must not transpose the batch through rows and back"
+        );
     }
 
     #[test]

@@ -85,6 +85,18 @@ impl ShipHandler for LocalShip {
     ) -> Result<Rows> {
         Ok(rows)
     }
+
+    /// Moving nothing costs nothing: the batch arrives as the same
+    /// allocation, not a row transpose and back.
+    fn ship_columnar(
+        &mut self,
+        _from: &Location,
+        _to: &Location,
+        batch: Arc<ColumnarBatch>,
+        _schema: &Schema,
+    ) -> Result<Arc<ColumnarBatch>> {
+        Ok(batch)
+    }
 }
 
 /// Intercepts plan nodes that are evaluated *outside* the current
@@ -109,7 +121,7 @@ pub trait ExchangeSource {
 
     /// The morsel runner that CPU-bound columnar kernels dispatch on. The
     /// default is the inline serial runner; the concurrent runtime
-    /// overrides this with its per-site work-stealing pool.
+    /// overrides this with its per-site worker pool.
     fn runner(&self) -> &dyn crate::parallel::MorselRunner {
         &crate::parallel::SERIAL
     }

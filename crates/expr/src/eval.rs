@@ -127,19 +127,27 @@ impl BoundExpr {
     /// propagates through arithmetic and comparisons; `AND`/`OR` follow
     /// Kleene logic; `IS NULL` observes NULL directly.
     pub fn eval(&self, row: &Row) -> Result<Value> {
+        self.eval_with(&|i| row.get(i).cloned())
+    }
+
+    /// [`eval`](Self::eval) over any source of column values: `col(i)`
+    /// is the value of input column `i`, or `None` when the input has no
+    /// such column. The one scalar evaluator — the row engine reads a
+    /// [`Row`], the vectorized engine reads row `r` of a columnar batch —
+    /// so semantics, short-circuiting and error text cannot drift apart.
+    pub fn eval_with(&self, col: &impl Fn(usize) -> Option<Value>) -> Result<Value> {
         match self {
-            BoundExpr::Column(i) => row
-                .get(*i)
-                .cloned()
-                .ok_or_else(|| GeoError::Execution(format!("row too short for column {i}"))),
+            BoundExpr::Column(i) => {
+                col(*i).ok_or_else(|| GeoError::Execution(format!("row too short for column {i}")))
+            }
             BoundExpr::Literal(v) => Ok(v.clone()),
             BoundExpr::Binary { op, lhs, rhs } => {
                 // Kleene short-circuiting for AND/OR.
                 if *op == BinaryOp::And || *op == BinaryOp::Or {
-                    return eval_logical(*op, lhs, rhs, row);
+                    return eval_logical(*op, lhs, rhs, col);
                 }
-                let l = lhs.eval(row)?;
-                let r = rhs.eval(row)?;
+                let l = lhs.eval_with(col)?;
+                let r = rhs.eval_with(col)?;
                 if l.is_null() || r.is_null() {
                     return Ok(Value::Null);
                 }
@@ -153,7 +161,7 @@ impl BoundExpr {
                 }
             }
             BoundExpr::Unary { op, expr } => {
-                let v = expr.eval(row)?;
+                let v = expr.eval_with(col)?;
                 match (op, v) {
                     (_, Value::Null) => Ok(Value::Null),
                     (UnaryOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
@@ -167,7 +175,7 @@ impl BoundExpr {
                 pattern,
                 negated,
             } => {
-                let v = expr.eval(row)?;
+                let v = expr.eval_with(col)?;
                 match v {
                     Value::Null => Ok(Value::Null),
                     Value::Str(s) => Ok(Value::Bool(like_match(pattern, &s) != *negated)),
@@ -179,7 +187,7 @@ impl BoundExpr {
                 list,
                 negated,
             } => {
-                let v = expr.eval(row)?;
+                let v = expr.eval_with(col)?;
                 if v.is_null() {
                     return Ok(Value::Null);
                 }
@@ -192,9 +200,9 @@ impl BoundExpr {
                 high,
                 negated,
             } => {
-                let v = expr.eval(row)?;
-                let lo = low.eval(row)?;
-                let hi = high.eval(row)?;
+                let v = expr.eval_with(col)?;
+                let lo = low.eval_with(col)?;
+                let hi = high.eval_with(col)?;
                 if v.is_null() || lo.is_null() || hi.is_null() {
                     return Ok(Value::Null);
                 }
@@ -206,21 +214,26 @@ impl BoundExpr {
                 Ok(Value::Bool((ge_lo && le_hi) != *negated))
             }
             BoundExpr::IsNull { expr, negated } => {
-                let v = expr.eval(row)?;
+                let v = expr.eval_with(col)?;
                 Ok(Value::Bool(v.is_null() != *negated))
             }
         }
     }
 }
 
-fn eval_logical(op: BinaryOp, lhs: &BoundExpr, rhs: &BoundExpr, row: &Row) -> Result<Value> {
-    let l = lhs.eval(row)?;
+fn eval_logical(
+    op: BinaryOp,
+    lhs: &BoundExpr,
+    rhs: &BoundExpr,
+    col: &impl Fn(usize) -> Option<Value>,
+) -> Result<Value> {
+    let l = lhs.eval_with(col)?;
     match (op, &l) {
         (BinaryOp::And, Value::Bool(false)) => return Ok(Value::Bool(false)),
         (BinaryOp::Or, Value::Bool(true)) => return Ok(Value::Bool(true)),
         _ => {}
     }
-    let r = rhs.eval(row)?;
+    let r = rhs.eval_with(col)?;
     let lb = as_tv(&l)?;
     let rb = as_tv(&r)?;
     Ok(match op {
@@ -266,9 +279,8 @@ pub fn apply_cmp(op: BinaryOp, ord: Ordering) -> bool {
 }
 
 /// Arithmetic with SQL typing rules (dates ± integer days, wrapping
-/// integer arithmetic, float fallback). Public for the vectorized
-/// executor's scalar mirror.
-pub fn eval_arith(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
+/// integer arithmetic, float fallback).
+fn eval_arith(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
     // Date ± integer days.
     if let (Value::Date(d), Some(n)) = (l, r.as_i64()) {
         if !matches!(r, Value::Date(_)) {

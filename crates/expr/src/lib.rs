@@ -21,7 +21,7 @@ pub mod normalize;
 pub mod predicate;
 
 pub use agg::{AggCall, AggFunc};
-pub use eval::{apply_cmp, as_tv, bind, eval_arith, BoundExpr};
+pub use eval::{apply_cmp, as_tv, bind, BoundExpr};
 pub use expr::{BinaryOp, ScalarExpr, UnaryOp};
 pub use implication::implies;
 pub use like::like_match;

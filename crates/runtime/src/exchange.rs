@@ -253,12 +253,12 @@ mod tests {
     #[test]
     fn cancel_unblocks_a_full_sender() {
         let ex = Exchange::new(1);
+        // Fill the queue before the sender thread exists: a cancel that
+        // won the race against its first send would refuse that one too.
+        assert!(ex.send(batch(1), 1));
         std::thread::scope(|s| {
-            let h = s.spawn(|| {
-                assert!(ex.send(batch(1), 1));
-                // Blocks on the full queue until cancel.
-                ex.send(batch(2), 1)
-            });
+            // Blocks on the full queue until cancel.
+            let h = s.spawn(|| ex.send(batch(2), 1));
             // Give the sender a chance to block, then tear down.
             std::thread::yield_now();
             ex.cancel();

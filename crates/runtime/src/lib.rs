@@ -27,7 +27,7 @@
 //! Row results, total shipped bytes, and total network cost are identical
 //! to the sequential interpreter by construction; simulated *completion
 //! time* is the critical path instead of the sum, which is the speedup
-//! the `scaleup` benchmark figure reports.
+//! the benchmark reports as `runtime.overlap_speedup`.
 //!
 //! "By construction" is literal: [`ship`] holds the one SHIP adjudicator
 //! (fault verdicts, retries, hedging, breakers, churn, deadline, log,
@@ -49,7 +49,7 @@ pub use checkpoint::{
 pub use exchange::{Exchange, ExchangeStats, Payload, Received};
 pub use fragment::{cut, Cut, Edge};
 pub use metrics::{EdgeMetrics, RuntimeMetrics, SiteMetrics};
-pub use morsel::{MorselPool, PoolRunner, PoolStats};
+pub use morsel::{MorselPool, PoolRunner};
 pub use runtime::{RunOutput, Runtime, RuntimeConfig};
 pub use ship::{BatchClock, ShipEdge, ShipEnv, ShipStream};
 
@@ -369,7 +369,7 @@ mod tests {
             assert_eq!(out.metrics.completion_ms, base.metrics.completion_ms);
             // The pool saw work, and the deterministic counters agree
             // with the morsel split (8-row morsels over tiny fragments).
-            let pooled: u64 = out.metrics.sites.values().map(|m| m.pool.morsels).sum();
+            let pooled: u64 = out.metrics.sites.values().map(|m| m.morsels).sum();
             assert!(pooled > 0, "workers={workers} should dispatch morsels");
         }
     }

@@ -1,7 +1,6 @@
 //! Observability for one parallel run.
 
 use crate::exchange::ExchangeStats;
-use crate::morsel::PoolStats;
 use geoqp_common::Location;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -18,10 +17,10 @@ pub struct SiteMetrics {
     /// Simulated time at which the site's last fragment finished
     /// producing, ms.
     pub busy_ms: f64,
-    /// Morsel-pool activity when intra-fragment parallelism is on
-    /// (all-zero otherwise). `morsels` and `makespan_morsels` are
-    /// deterministic; `steals`/`peak_workers` record real scheduling.
-    pub pool: PoolStats,
+    /// Morsel tasks the site's pool dispatched when intra-fragment
+    /// parallelism is on (zero otherwise). Deterministic for a given
+    /// plan and morsel size.
+    pub morsels: u64,
 }
 
 /// Per-exchange-edge activity during one run.
@@ -109,13 +108,8 @@ impl fmt::Display for RuntimeMetrics {
                 "site {site}: {} fragment(s), {} busy step(s), done at {:.3} ms",
                 m.fragments, m.busy_steps, m.busy_ms
             )?;
-            if m.pool.morsels > 0 {
-                writeln!(
-                    f,
-                    "  morsel pool: {} morsel(s), {} steal(s), peak {} worker(s), \
-                     modeled makespan {} morsel-slot(s)",
-                    m.pool.morsels, m.pool.steals, m.pool.peak_workers, m.pool.makespan_morsels
-                )?;
+            if m.morsels > 0 {
+                writeln!(f, "  morsel pool: {} morsel(s)", m.morsels)?;
             }
         }
         for e in &self.edges {

@@ -1,4 +1,4 @@
-//! The per-site morsel worker pool: work-stealing execution of the
+//! The per-site morsel worker pool: a shared parallel-for over the
 //! columnar kernels' morsel tasks.
 //!
 //! One [`MorselPool`] is created per site per run when
@@ -7,46 +7,45 @@
 //! kernels' morsels into the pool, so a site's fragments share one set
 //! of CPU workers instead of each being capped at one thread.
 //!
-//! Scheduling is work-stealing: a dispatch seeds its tasks round-robin
-//! across per-worker deques; each worker pops from its own deque front
-//! and steals from other deques' backs when empty. The dispatching
-//! fragment thread is itself a worker for the duration of the dispatch
-//! (it grabs tasks until none remain queued, then blocks until its job
-//! completes), so `workers_per_site` counts the fragment thread plus
+//! Scheduling is an atomic cursor per dispatch: a dispatch of `n` tasks
+//! opens one job on the pool's list of open jobs, and every thread
+//! working on that job claims the next unclaimed index with a
+//! `fetch_add` until the cursor passes `n` — so no index is ever parked
+//! behind a slow one. The dispatching fragment thread is itself a
+//! worker for the duration of the dispatch (it drains its own job, then
+//! blocks until the indices claimed by other workers finish), so
+//! `workers_per_site` counts the fragment thread plus
 //! `workers_per_site - 1` pool threads — and task execution can never
 //! deadlock on pool capacity.
 //!
 //! **Determinism**: which worker runs which morsel is scheduling noise,
 //! by design. The kernels in `geoqp-exec` merge morsel results by morsel
 //! sequence number, so rows, bytes, transfer logs, and fault-clock
-//! replay are bit-identical across worker counts and schedules. The only
-//! schedule-dependent observables are the pool's own counters
-//! ([`PoolStats`]: steals, peak concurrency), which are reported as
-//! metrics and excluded from determinism contracts.
-//!
-//! The pool also maintains a deterministic *model* of parallel CPU time:
-//! each dispatch of `n` tasks adds `ceil(n / workers)` to
-//! [`PoolStats::makespan_morsels`] and `n` to [`PoolStats::morsels`].
-//! The ratio is the ideal parallel fraction of kernel CPU under perfect
-//! stealing, and — unlike wall-clock on a core-starved host — is a pure
-//! function of the workload, which is what the scale-up experiments
-//! report.
+//! replay are bit-identical across worker counts and schedules. The
+//! pool's one counter — morsels dispatched — is a pure function of the
+//! workload and the morsel size.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use geoqp_exec::MorselRunner;
 
-/// One dispatched batch of morsel tasks sharing a job closure.
+/// One dispatched batch of morsel tasks sharing a task closure.
 struct Job {
     /// The dispatcher's task closure with its lifetime erased. Valid
     /// because `PoolCore::dispatch` does not return until `remaining`
     /// hits zero, and no worker dereferences the pointer after its final
     /// decrement.
     task: *const (dyn Fn(usize) + Sync),
+    /// Task count: indices `0..n` each run exactly once.
+    n: usize,
+    /// The cursor: the next unclaimed index. A claim is valid iff the
+    /// value `fetch_add` returned is `< n`. `Relaxed` suffices — the
+    /// job's fields reach a worker through the open-list mutex, and the
+    /// tasks' results reach the dispatcher through `remaining`.
+    next: AtomicUsize,
     /// Tasks not yet finished.
     remaining: AtomicUsize,
     /// A task panicked; the dispatcher re-raises.
@@ -55,77 +54,34 @@ struct Job {
 
 // SAFETY: the raw closure pointer is only dereferenced while the
 // dispatching stack frame is alive (see `Job::task`), and the closure
-// itself is `Sync`.
+// itself is `Sync`; every other field is an atomic or immutable.
 unsafe impl Send for Job {}
 unsafe impl Sync for Job {}
 
-/// One queued morsel: a job and the task index to run.
-struct Task {
-    job: Arc<Job>,
-    idx: usize,
-}
-
-/// Wake/sleep state shared by the pool's workers.
-struct PoolState {
-    /// Tasks queued in deques and not yet grabbed.
-    queued: usize,
+/// What the pool's one mutex guards.
+#[derive(Default)]
+struct Open {
+    /// Jobs whose dispatcher has not yet seen their cursor run out.
+    jobs: Vec<Arc<Job>>,
     /// Pool is shutting down; workers exit.
     shutdown: bool,
-}
-
-/// Schedule counters, folded into per-site runtime metrics. `steals` and
-/// `peak_workers` depend on thread timing and are **not** part of any
-/// determinism contract; `morsels` and `makespan_morsels` are exact
-/// functions of the workload and configuration.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Total morsel tasks dispatched.
-    pub morsels: u64,
-    /// Tasks executed by a worker other than the deque they were seeded
-    /// to (work stealing in action).
-    pub steals: u64,
-    /// Peak number of workers observed running tasks at once.
-    pub peak_workers: u32,
-    /// Modeled parallel makespan: `Σ ceil(n / workers)` over dispatches.
-    /// `makespan_morsels / morsels` is the ideal parallel fraction of
-    /// kernel CPU time at this worker count.
-    pub makespan_morsels: u64,
-}
-
-impl PoolStats {
-    /// Fold another pool's counters into this one.
-    pub fn absorb(&mut self, other: &PoolStats) {
-        self.morsels += other.morsels;
-        self.steals += other.steals;
-        self.peak_workers = self.peak_workers.max(other.peak_workers);
-        self.makespan_morsels += other.makespan_morsels;
-    }
 }
 
 /// The shared interior of a pool. Worker threads and [`PoolRunner`]s
 /// hold `Arc`s of this — never of [`MorselPool`] itself, which owns the
 /// join handles (an `Arc` cycle there would keep workers alive forever).
 struct PoolCore {
-    /// Per-worker task deques; the last deque belongs to dispatchers.
-    deques: Vec<Mutex<VecDeque<Task>>>,
-    state: Mutex<PoolState>,
-    /// Signals workers that tasks were queued (or shutdown).
+    open: Mutex<Open>,
+    /// Signals workers that a job was opened (or shutdown).
     work_cv: Condvar,
-    /// Signals dispatchers that a job may have completed.
-    done: Mutex<()>,
+    /// Signals dispatchers that a job's last task finished.
     done_cv: Condvar,
-    /// Round-robin seed origin, rotated per dispatch to spread jobs.
-    next_seed: AtomicUsize,
     workers: usize,
     morsels: AtomicU64,
-    steals: AtomicU64,
-    busy: AtomicU32,
-    peak_busy: AtomicU32,
-    makespan: AtomicU64,
 }
 
-/// A work-stealing morsel pool for one site. Dropping the pool shuts the
-/// workers down and joins them (no thread leaks across runs).
+/// A morsel pool for one site. Dropping the pool shuts the workers down
+/// and joins them (no thread leaks across runs).
 pub struct MorselPool {
     core: Arc<PoolCore>,
     handles: Vec<JoinHandle<()>>,
@@ -139,28 +95,18 @@ impl MorselPool {
     pub fn new(workers: usize) -> MorselPool {
         let workers = workers.max(1);
         let core = Arc::new(PoolCore {
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            state: Mutex::new(PoolState {
-                queued: 0,
-                shutdown: false,
-            }),
+            open: Mutex::new(Open::default()),
             work_cv: Condvar::new(),
-            done: Mutex::new(()),
             done_cv: Condvar::new(),
-            next_seed: AtomicUsize::new(0),
             workers,
             morsels: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            busy: AtomicU32::new(0),
-            peak_busy: AtomicU32::new(0),
-            makespan: AtomicU64::new(0),
         });
         let handles = (0..workers - 1)
             .map(|me| {
                 let c = Arc::clone(&core);
                 std::thread::Builder::new()
                     .name(format!("geoqp-morsel-{me}"))
-                    .spawn(move || c.worker_loop(me))
+                    .spawn(move || c.worker_loop())
                     .expect("spawn morsel worker")
             })
             .collect();
@@ -174,15 +120,16 @@ impl MorselPool {
 
     /// Run `task(t)` for every `t in 0..n_tasks`, blocking until all
     /// have completed. Reentrant across fragment threads: concurrent
-    /// dispatches interleave in the same deques and help run each
-    /// other's tasks.
+    /// dispatches are open side by side and idle workers help whichever
+    /// still has unclaimed tasks.
     pub fn dispatch(&self, n_tasks: usize, task: &(dyn Fn(usize) + Sync)) {
         self.core.dispatch(n_tasks, task);
     }
 
-    /// Counter snapshot.
-    pub fn stats(&self) -> PoolStats {
-        self.core.stats()
+    /// Total morsel tasks dispatched so far. Deterministic for a given
+    /// workload and morsel size.
+    pub fn morsels(&self) -> u64 {
+        self.core.morsels.load(Ordering::Relaxed)
     }
 
     /// A [`MorselRunner`] over this pool with the run's morsel size. The
@@ -199,11 +146,8 @@ impl MorselPool {
 
 impl Drop for MorselPool {
     fn drop(&mut self) {
-        {
-            let mut st = self.core.state.lock().unwrap();
-            st.shutdown = true;
-            self.core.work_cv.notify_all();
-        }
+        self.core.lock().shutdown = true;
+        self.core.work_cv.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -211,21 +155,31 @@ impl Drop for MorselPool {
 }
 
 impl PoolCore {
+    /// Tasks run outside the lock and every update under it (push,
+    /// retain, set a flag) leaves `Open` valid at each step, so a
+    /// poisoned guard is still good — and `Drop` must not panic.
+    fn lock(&self) -> MutexGuard<'_, Open> {
+        self.open.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Sleep on `cv`, giving the lock up meanwhile (poison: see `lock`).
+    fn wait<'a>(&self, cv: &Condvar, open: MutexGuard<'a, Open>) -> MutexGuard<'a, Open> {
+        cv.wait(open).unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn dispatch(&self, n_tasks: usize, task: &(dyn Fn(usize) + Sync)) {
         if n_tasks == 0 {
             return;
         }
         self.morsels.fetch_add(n_tasks as u64, Ordering::Relaxed);
-        self.makespan
-            .fetch_add(n_tasks.div_ceil(self.workers) as u64, Ordering::Relaxed);
         if self.workers == 1 {
             for t in 0..n_tasks {
                 task(t);
             }
             return;
         }
-        // Erase the closure's lifetime; `Job::task` documents why this
-        // cannot dangle.
+        // SAFETY: only the closure's lifetime is erased; `Job::task`
+        // documents why the pointer cannot dangle.
         let raw: *const (dyn Fn(usize) + Sync) = unsafe {
             std::mem::transmute::<*const (dyn Fn(usize) + Sync), *const (dyn Fn(usize) + Sync)>(
                 task,
@@ -233,121 +187,69 @@ impl PoolCore {
         };
         let job = Arc::new(Job {
             task: raw,
+            n: n_tasks,
+            next: AtomicUsize::new(0),
             remaining: AtomicUsize::new(n_tasks),
             panicked: AtomicBool::new(false),
         });
+        self.lock().jobs.push(Arc::clone(&job));
+        self.work_cv.notify_all();
 
-        // Seed tasks round-robin and publish the count in one wakeup,
-        // all under the state lock: a task must never be poppable
-        // before it is counted in `queued`, or a concurrent grabber
-        // could drive the counter below zero (`grab` takes the state
-        // lock only *after* releasing the deque lock, so holding
-        // state across the pushes cannot invert lock order).
-        let start = self.next_seed.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut st = self.state.lock().unwrap();
-            for t in 0..n_tasks {
-                let d = (start + t) % self.deques.len();
-                self.deques[d].lock().unwrap().push_back(Task {
-                    job: Arc::clone(&job),
-                    idx: t,
-                });
-            }
-            st.queued += n_tasks;
-            self.work_cv.notify_all();
+        // Help: the dispatcher claims indices of its own job until the
+        // cursor runs out, then closes the job and waits for the
+        // stragglers other workers claimed.
+        self.drain(&job);
+        let mut open = self.lock();
+        open.jobs.retain(|j| !Arc::ptr_eq(j, &job));
+        while job.remaining.load(Ordering::Acquire) > 0 {
+            open = self.wait(&self.done_cv, open);
         }
-
-        // Help: the dispatcher grabs tasks (its own job's or another
-        // concurrent dispatch's) until the deques drain.
-        let me = self.deques.len() - 1;
-        while let Some(task) = self.grab(me) {
-            self.run_task(task);
-        }
-
-        // Wait for this job's stragglers running on other workers.
-        {
-            let mut guard = self.done.lock().unwrap();
-            while job.remaining.load(Ordering::Acquire) > 0 {
-                guard = self.done_cv.wait(guard).unwrap();
-            }
-        }
+        drop(open);
         if job.panicked.load(Ordering::Relaxed) {
             resume_unwind(Box::new("morsel task panicked"));
         }
     }
 
-    fn stats(&self) -> PoolStats {
-        PoolStats {
-            morsels: self.morsels.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            peak_workers: self.peak_busy.load(Ordering::Relaxed),
-            makespan_morsels: self.makespan.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Take one queued task: own deque's front first, then steal from
-    /// the backs of the others. Returns `None` when every deque is
-    /// empty.
-    ///
-    /// Deque guards must be confined to single `let` statements here:
-    /// under edition 2021, an `if let` scrutinee's temporary guard
-    /// lives through the *else* branch, and holding one deque's lock
-    /// while acquiring another's lets two concurrent stealers deadlock
-    /// ABBA-style (each owning its deque, each wanting the other's).
-    fn grab(&self, me: usize) -> Option<Task> {
-        let n = self.deques.len();
-        let mut found = self.deques[me].lock().unwrap().pop_front();
-        if found.is_none() {
-            for k in 1..n {
-                let victim = (me + k) % n;
-                found = self.deques[victim].lock().unwrap().pop_back();
-                if found.is_some() {
-                    self.steals.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-            }
-        }
-        if found.is_some() {
-            let mut st = self.state.lock().unwrap();
-            st.queued -= 1;
-        }
-        found
-    }
-
-    /// Run one task, tracking occupancy and completing its job.
-    fn run_task(&self, task: Task) {
-        let now = self.busy.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak_busy.fetch_max(now, Ordering::Relaxed);
-        // SAFETY: the dispatcher's stack frame is alive until
-        // `remaining` reaches zero, which happens strictly after this
-        // call returns.
-        let result = catch_unwind(AssertUnwindSafe(|| unsafe { (*task.job.task)(task.idx) }));
-        self.busy.fetch_sub(1, Ordering::Relaxed);
-        if result.is_err() {
-            task.job.panicked.store(true, Ordering::Relaxed);
-        }
-        if task.job.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _guard = self.done.lock().unwrap();
-            self.done_cv.notify_all();
-        }
-    }
-
-    fn worker_loop(&self, me: usize) {
+    /// Claim and run indices of `job` until its cursor passes `n`.
+    fn drain(&self, job: &Job) {
         loop {
-            if let Some(task) = self.grab(me) {
-                self.run_task(task);
-                continue;
+            let idx = job.next.fetch_add(1, Ordering::Relaxed);
+            if idx >= job.n {
+                return;
             }
-            let mut st = self.state.lock().unwrap();
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if st.queued > 0 {
-                    break;
-                }
-                st = self.work_cv.wait(st).unwrap();
+            // SAFETY: `idx < n` is a claimed task still counted in
+            // `remaining`, and the dispatcher's stack frame is alive
+            // until `remaining` reaches zero, which happens strictly
+            // after this call returns.
+            let result = catch_unwind(AssertUnwindSafe(|| unsafe { (*job.task)(idx) }));
+            if result.is_err() {
+                job.panicked.store(true, Ordering::Relaxed);
             }
+            if job.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                // Taking the lock orders this wakeup after the
+                // dispatcher's check-then-wait, so it cannot be lost.
+                let _open = self.lock();
+                self.done_cv.notify_all();
+            }
+        }
+    }
+
+    fn worker_loop(&self) {
+        let mut open = self.lock();
+        while !open.shutdown {
+            let job = open
+                .jobs
+                .iter()
+                .find(|j| j.next.load(Ordering::Relaxed) < j.n)
+                .cloned();
+            open = match job {
+                Some(job) => {
+                    drop(open);
+                    self.drain(&job);
+                    self.lock()
+                }
+                None => self.wait(&self.work_cv, open),
+            };
         }
     }
 }
@@ -388,9 +290,7 @@ mod tests {
                 let out = parallel_map(&runner, n, |t| t * 2);
                 assert_eq!(out, (0..n).map(|t| t * 2).collect::<Vec<_>>());
             }
-            let stats = pool.stats();
-            assert!(stats.morsels > 0);
-            assert!(stats.makespan_morsels <= stats.morsels);
+            assert!(pool.morsels() > 0);
         }
         // All pool threads joined after drop. Other tests may be
         // spawning concurrently, so poll for quiescence instead of
@@ -420,15 +320,108 @@ mod tests {
         });
     }
 
+    /// Per-index execution counts for a job of `n` tasks.
+    fn counters(n: usize) -> Vec<AtomicUsize> {
+        (0..n).map(|_| AtomicUsize::new(0)).collect()
+    }
+
+    fn assert_each_ran_once(ran: &[AtomicUsize]) {
+        for (t, c) in ran.iter().enumerate() {
+            assert_eq!(c.load(Ordering::Relaxed), 1, "task {t}");
+        }
+    }
+
     #[test]
-    fn makespan_model_is_exact() {
+    fn task_panic_reraises_after_the_job_completes_and_the_pool_survives() {
+        let pool = MorselPool::new(3);
+        let ran = counters(24);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            pool.dispatch(24, &|t| {
+                ran[t].fetch_add(1, Ordering::Relaxed);
+                if t == 5 {
+                    panic!("task 5 fails");
+                }
+            })
+        }));
+        assert!(outcome.is_err(), "the dispatcher must re-raise");
+        assert_each_ran_once(&ran);
+
+        let runner = pool.runner(8);
+        assert_eq!(
+            parallel_map(&runner, 10, |t| t + 1),
+            (1..=10).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn degenerate_task_counts_run_each_index_once() {
         let pool = MorselPool::new(4);
-        pool.dispatch(10, &|_| {});
-        pool.dispatch(3, &|_| {});
-        let stats = pool.stats();
-        assert_eq!(stats.morsels, 13);
-        // ceil(10/4) + ceil(3/4) = 3 + 1.
-        assert_eq!(stats.makespan_morsels, 4);
+        for n in [0, 1, pool.workers() - 1] {
+            let ran = counters(n);
+            pool.dispatch(n, &|t| {
+                ran[t].fetch_add(1, Ordering::Relaxed);
+            });
+            assert_each_ran_once(&ran);
+        }
+        assert_eq!(pool.morsels(), 4);
+    }
+
+    /// Task 0 cannot finish before every other index has: whichever
+    /// thread claims it is stuck, so the other must be able to reach all
+    /// the rest. A static split of the index range deadlocks here.
+    #[test]
+    fn no_index_is_parked_behind_a_blocked_one() {
+        const N: usize = 9;
+        let pool = MorselPool::new(2);
+        let others_done = Mutex::new(0usize);
+        let all_others = Condvar::new();
+        pool.dispatch(N, &|t| {
+            let mut done = others_done.lock().unwrap();
+            if t == 0 {
+                while *done < N - 1 {
+                    done = all_others.wait(done).unwrap();
+                }
+            } else {
+                *done += 1;
+                all_others.notify_all();
+            }
+        });
+        assert_eq!(*others_done.lock().unwrap(), N - 1);
+    }
+
+    #[test]
+    fn more_dispatchers_than_workers_each_complete_their_own_job() {
+        const DISPATCHERS: usize = 8;
+        let pool = MorselPool::new(2);
+        let start = std::sync::Barrier::new(DISPATCHERS);
+        std::thread::scope(|s| {
+            for d in 0..DISPATCHERS {
+                let (pool, start) = (&pool, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for round in 0..25 {
+                        let ran = counters(1 + (d + round) % 7);
+                        pool.dispatch(ran.len(), &|t| {
+                            ran[t].fetch_add(1, Ordering::Relaxed);
+                        });
+                        assert_each_ran_once(&ran);
+                    }
+                });
+            }
+        });
+    }
+
+    /// Each worker thread owns one `Arc` of the pool's interior for as
+    /// long as it lives, so a count of one after `drop` means every
+    /// thread was joined.
+    #[test]
+    fn no_thread_outlives_drop() {
+        let pool = MorselPool::new(4);
+        pool.dispatch(32, &|_| {});
+        let core = Arc::clone(&pool.core);
+        assert_eq!(Arc::strong_count(&core), 5);
+        drop(pool);
+        assert_eq!(Arc::strong_count(&core), 1);
     }
 
     fn count_threads() -> usize {

@@ -267,14 +267,11 @@ impl<'a> Runtime<'a> {
         });
 
         // Attribute pool activity to its site before the metrics freeze.
-        // Counters are deterministic except `steals`/`peak_workers`, which
-        // record real scheduling and are excluded from differential
-        // comparisons.
         for (site, pool) in &pools {
-            let stats = pool.stats();
-            if stats.morsels > 0 {
+            let morsels = pool.morsels();
+            if morsels > 0 {
                 let mut sites = shared.sites.lock().unwrap();
-                sites.entry(site.clone()).or_default().pool.absorb(&stats);
+                sites.entry(site.clone()).or_default().morsels += morsels;
             }
         }
 

@@ -576,6 +576,98 @@ fn lru_eviction_under_adhoc_stream() {
     assert!(last.cached, "latest query must still be resident");
 }
 
+/// Concurrent closed loops across four template tenants: every query
+/// completes, and afterwards the counters reconcile. The plan-cache
+/// identity in particular holds only if no lookup is lost or counted
+/// twice while several workers hit the cache at once — nothing else
+/// checks it under concurrency.
+#[test]
+fn concurrent_closed_loops_reconcile_cache_and_tenant_counters() {
+    const SEED: u64 = 2021;
+    const CLIENTS: usize = 12;
+    const PER_CLIENT: usize = 4;
+    const POOL: usize = 10;
+    let templates = [
+        PolicyTemplate::T,
+        PolicyTemplate::C,
+        PolicyTemplate::CR,
+        PolicyTemplate::CRA,
+    ];
+
+    let svc = service(4, 1024);
+    // Disjoint policy sets: a different template AND a different seed each.
+    let tenants: Vec<_> = templates
+        .iter()
+        .zip(1u64..)
+        .map(|(template, i)| {
+            let (catalog, policies) = tpch_setup(*template, SEED ^ i);
+            let pool = generate_adhoc(&catalog, POOL, SEED ^ (i << 8)).unwrap();
+            let id = svc.add_tenant(
+                template.name(),
+                catalog,
+                policies,
+                NetworkTopology::paper_wan(),
+                TenantConfig {
+                    max_inflight: 8,
+                    max_queue: CLIENTS,
+                    quantum: 1,
+                },
+            );
+            (id, pool)
+        })
+        .collect();
+
+    std::thread::scope(|scope| {
+        for client in 0..CLIENTS {
+            let (tenant, pool) = &tenants[client % tenants.len()];
+            let svc = &svc;
+            scope.spawn(move || {
+                // A closed loop: the next query goes out only once the
+                // previous one's rows are back. Strides over a small pool
+                // make clients of one tenant collide on some queries
+                // (cache hits, racing misses) and not on others.
+                for k in 0..PER_CLIENT {
+                    let q = &pool[(client * 3 + k * 7) % pool.len()];
+                    svc.submit(*tenant, QueryRequest::new(&q.sql))
+                        .expect("a closed loop never overflows admission")
+                        .wait()
+                        .expect("generated queries plan and execute");
+                }
+            });
+        }
+    });
+    svc.wait_idle();
+
+    let stats: Vec<_> = tenants
+        .iter()
+        .map(|(id, _)| svc.tenant_stats(*id).expect("tenant registered"))
+        .collect();
+    let completed: u64 = stats.iter().map(|t| t.completed).sum();
+    assert_eq!(completed, (CLIENTS * PER_CLIENT) as u64);
+    for t in &stats {
+        assert_eq!(
+            t.failed, 0,
+            "{}: generated queries plan compliantly",
+            t.name
+        );
+        assert_eq!(t.rejected, 0, "{}: closed loops fit admission", t.name);
+        assert_eq!(t.inflight, 0);
+        assert_eq!(t.queued, 0);
+        assert_eq!(t.completed + t.failed, t.admitted);
+        assert!(t.p99_ms >= t.p50_ms);
+    }
+    let cs = svc.cache_stats();
+    assert_eq!(
+        cs.hits + cs.misses,
+        completed + cs.invalidations,
+        "every query went through the plan cache exactly once"
+    );
+    assert!(
+        cs.hits > 0 && cs.misses > 0,
+        "the loop mixes hits and misses"
+    );
+}
+
 /// Fingerprint-collision safety: a cache entry that fails the
 /// Definition-1 re-audit (staged here under the victim key) is never
 /// served — it is invalidated and the query re-optimizes compliantly.

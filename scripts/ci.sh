@@ -25,9 +25,6 @@ cargo clippy "${pkg_flags[@]}" --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo build --release --benches (criterion + kernel microbenchmarks)"
-cargo build --release "${pkg_flags[@]}" --benches
-
 echo "==> tier-1: cargo test -q (default test-thread schedule)"
 cargo test -q
 
@@ -49,6 +46,23 @@ echo "==> benchmark smoke: the benchmark package is its own workspace, so" \
      "nothing above compiles benchmark/src/sut.rs against the engine API"
 bash benchmark/run.sh --smoke
 
+echo "==> benchmark gate: the seed-deterministic metrics of tpch_exec at" \
+     "seed 2021 must equal scripts/bench_expected.txt exactly (timing is" \
+     "never gated: it is a paired comparison made by the PR that claims it)"
+bench_out="$(mktemp)"
+trap 'rm -f "$bench_out"' EXIT
+bash benchmark/run.sh --workload tpch_exec --smoke --seed 2021 >"$bench_out"
+bash benchmark/run.sh --workload tpch_exec --smoke --seed 2021 --trace 1 >>"$bench_out"
+while read -r name _ want; do
+    case "$name" in '' | '#'*) continue ;; esac
+    # Every line either run printed for the metric, collapsed: one value.
+    got="$(awk -v n="$name" '$1 == n && $2 == "=" { print $3 }' "$bench_out" | sort -u)"
+    if [ "$got" != "$want" ]; then
+        echo "benchmark gate: $name = ${got:-<not printed>}, expected $want" >&2
+        exit 1
+    fi
+done <scripts/bench_expected.txt
+
 echo "==> columnar differential suite: row vs vectorized engines," \
      "both runtimes, all fault schedules (release)"
 cargo test -q -p geoqp-bench --release --test columnar_differential
@@ -63,12 +77,6 @@ echo "==> ad-hoc workload differential fuzz: generated queries," \
      "(GEOQP_ADHOC_N=${GEOQP_ADHOC_N:-200} queries, release)"
 GEOQP_ADHOC_N="${GEOQP_ADHOC_N:-200}" \
     cargo test -q -p geoqp-bench --release --test adhoc_differential
-
-echo "==> multi-tenant service smoke: closed-loop sessions through" \
-     "admission, DRR scheduling, and the plan cache" \
-     "(GEOQP_SERVICE_SESSIONS=${GEOQP_SERVICE_SESSIONS:-40} sessions, release)"
-GEOQP_SERVICE_SESSIONS="${GEOQP_SERVICE_SESSIONS:-40}" \
-    cargo test -q -p geoqp-bench --release --test service_smoke
 
 echo "==> catalog replication + compaction property tests: 10k seeded" \
      "schedules, byte-identical replicas, snapshot-bootstrap ≡ replay-from-0" \

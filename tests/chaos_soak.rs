@@ -145,7 +145,7 @@ fn randomized_gray_schedules_stay_compliant_with_hedging_on() {
         let config = RuntimeConfig {
             columnar: round % 2 == 1,
             // Columnar rounds alternate the morsel worker count so the
-            // soak crosses every fault schedule with the work-stealing
+            // soak crosses every fault schedule with the morsel worker
             // pool engaged (even rounds are row-engine, workers inert).
             workers_per_site: if round % 4 == 1 { 2 } else { 4 },
             ..RuntimeConfig::default()
@@ -250,7 +250,7 @@ fn randomized_adhoc_round_stays_compliant_and_leak_free() {
         let config = RuntimeConfig {
             columnar: round % 2 == 1,
             // Columnar rounds alternate the morsel worker count so the
-            // soak crosses every fault schedule with the work-stealing
+            // soak crosses every fault schedule with the morsel worker
             // pool engaged (even rounds are row-engine, workers inert).
             workers_per_site: if round % 4 == 1 { 2 } else { 4 },
             ..RuntimeConfig::default()
@@ -497,7 +497,7 @@ fn catalog_churn_round_stays_compliant_and_resolves_typed() {
         let config = RuntimeConfig {
             columnar: round % 2 == 1,
             // Columnar rounds alternate the morsel worker count so the
-            // soak crosses every fault schedule with the work-stealing
+            // soak crosses every fault schedule with the morsel worker
             // pool engaged (even rounds are row-engine, workers inert).
             workers_per_site: if round % 4 == 1 { 2 } else { 4 },
             ..RuntimeConfig::default()
@@ -669,7 +669,7 @@ impl GrantRun {
         RuntimeConfig {
             columnar: self.round % 2 == 1,
             // Columnar rounds alternate the morsel worker count so the
-            // soak crosses every fault schedule with the work-stealing
+            // soak crosses every fault schedule with the morsel worker
             // pool engaged (even rounds are row-engine, workers inert).
             workers_per_site: if self.round % 4 == 1 { 2 } else { 4 },
             ..RuntimeConfig::default()
@@ -1057,7 +1057,7 @@ fn randomized_chaos_schedules_stay_compliant_and_leak_free() {
         let config = RuntimeConfig {
             columnar: round % 2 == 1,
             // Columnar rounds alternate the morsel worker count so the
-            // soak crosses every fault schedule with the work-stealing
+            // soak crosses every fault schedule with the morsel worker
             // pool engaged (even rounds are row-engine, workers inert).
             workers_per_site: if round % 4 == 1 { 2 } else { 4 },
             ..RuntimeConfig::default()

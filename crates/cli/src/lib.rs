@@ -116,9 +116,8 @@ impl Shell {
                 }
                 Ok(out)
             }
-            "policy" => self.add_policy(arg),
+            "policy" | "grant" => self.grant(arg),
             "deny" => self.add_denial(arg),
-            "grant" => self.grant(arg),
             "revoke" => self.revoke(arg),
             "catalog" => self.catalog_status(),
             "mode" => {
@@ -267,10 +266,19 @@ impl Shell {
                 )
             }
             "tpch" => {
-                let sf: f64 = parts
-                    .next()
-                    .map(|s| s.parse().unwrap_or(0.002))
-                    .unwrap_or(0.002);
+                let sf = match parts.next() {
+                    None => 0.002,
+                    Some(s) => s
+                        .parse::<f64>()
+                        .ok()
+                        .filter(|sf| sf.is_finite() && *sf > 0.0)
+                        .ok_or_else(|| {
+                            GeoError::Execution(format!(
+                                "bad scale factor `{s}`: expected a finite number greater \
+                                 than 0 (e.g. \\demo tpch 0.002)"
+                            ))
+                        })?,
+                };
                 self.service = None;
                 self.engine = Some(demo::tpch(sf)?);
                 self.attach_catalog();
@@ -300,30 +308,9 @@ impl Shell {
         Ok(out)
     }
 
-    fn add_policy(&mut self, text: &str) -> Result<String> {
-        let expr = geoqp_parser::parse_policy(text)?;
-        let eng = self.engine()?;
-        let entries = eng.catalog().resolve(&expr.table);
-        let entry = entries
-            .first()
-            .ok_or_else(|| GeoError::Policy(format!("unknown table `{}`", expr.table)))?;
-        // Policies are registered into a rebuilt catalog (the engine holds
-        // them immutably).
-        let mut policies = PolicyCatalog::new();
-        for e in eng.policies().expressions() {
-            let sch = eng
-                .catalog()
-                .resolve(&e.expr.table)
-                .first()
-                .map(|t| t.schema.as_ref().clone())
-                .ok_or_else(|| GeoError::Policy("stale policy table".into()))?;
-            policies.register(e.expr.clone(), &sch)?;
-        }
-        policies.register(expr, &entry.schema)?;
-        self.swap_policies(policies)?;
-        Ok("policy registered\n".to_string())
-    }
-
+    /// `\deny <expression>` — closed-world expansion: the denial becomes
+    /// the grants of everything else, each appended to the catalog log
+    /// like a `\grant`.
     fn add_denial(&mut self, text: &str) -> Result<String> {
         let full = format!("deny {text}");
         let denial = geoqp_parser::parse_denial(if text.starts_with("deny") {
@@ -342,34 +329,14 @@ impl Shell {
             &[denial],
             eng.catalog().locations(),
         )?;
-        let mut policies = PolicyCatalog::new();
-        for e in eng.policies().expressions() {
-            let sch = eng
-                .catalog()
-                .resolve(&e.expr.table)
-                .first()
-                .map(|t| t.schema.as_ref().clone())
-                .ok_or_else(|| GeoError::Policy("stale policy table".into()))?;
-            policies.register(e.expr.clone(), &sch)?;
-        }
+        let svc = self.catalog_service()?;
         let mut out = String::new();
         for g in grants {
             let _ = writeln!(out, "expanded grant: {g}");
-            policies.register(g, &entry.schema)?;
+            svc.grant(g)?;
         }
-        self.swap_policies(policies)?;
+        self.refresh_engine(&svc, svc.head())?;
         Ok(out)
-    }
-
-    fn swap_policies(&mut self, policies: PolicyCatalog) -> Result<()> {
-        let eng = self.engine()?;
-        let catalog = Arc::clone(eng.catalog());
-        let topology = eng.topology().clone();
-        self.engine = Some(Engine::new(catalog, Arc::new(policies), topology));
-        // `\policy` / `\deny` rewrite the whole catalog, so the log of
-        // record restarts from the rewritten set as its new base.
-        self.attach_catalog();
-        Ok(())
     }
 
     /// (Re)build the replicated catalog service over the loaded engine's
@@ -411,8 +378,9 @@ impl Shell {
         Ok(())
     }
 
-    /// `\grant ship <attrs> from <table> to <locs> …` — append a grant to
-    /// the catalog log. The new policy takes effect for queries admitted
+    /// `\grant ship <attrs> from <table> to <locs> …` (or `\policy …`) —
+    /// append a grant to the catalog log, the one way a session adds a
+    /// policy. The new policy takes effect for queries admitted
     /// from the new head onward; it never interrupts in-flight work.
     fn grant(&mut self, text: &str) -> Result<String> {
         let expr = geoqp_parser::parse_policy(text)?;
@@ -1054,10 +1022,12 @@ commands:
   \\tables                   list databases and tables
   \\locations                list sites
   \\policies                 list dataflow policies
-  \\policy <expression>      register: ship <attrs> from <t> to <locs> …
-  \\deny <expression>        register a denial (closed-world expansion)
-  \\grant <expression>       append a grant to the replicated catalog log
-                            (takes effect for queries admitted after it)
+  \\grant <expression>       append a grant to the replicated catalog log:
+                            ship <attrs> from <t> to <locs> … (takes
+                            effect for queries admitted after it)
+  \\policy <expression>      same as \\grant
+  \\deny <expression>        grant everything a denial leaves open
+                            (closed-world expansion), one append each
   \\revoke <pid|expression>  append a revocation (pushed to in-flight
                             queries: re-plan under the new epoch or a
                             typed refusal)
@@ -1661,6 +1631,14 @@ mod tests {
         let b = replay(&["\\grant ship c_acctbal from customer to E", "\\revoke 4"]);
         assert_eq!(a, b, "identical histories hash to identical heads");
 
+        // `\policy` is `\grant`: it appends to the same log, so earlier
+        // entries and their pids survive it.
+        sh.run_command("\\policy ship c_acctbal from customer to A")
+            .unwrap();
+        let listed = sh.run_command("\\catalog").unwrap();
+        assert!(listed.contains("#1 grant p4"), "{listed}");
+        assert!(listed.contains("p5: ship c_acctbal"), "{listed}");
+
         let help = sh.run_command("\\help").unwrap();
         assert!(help.contains("\\grant"));
         assert!(help.contains("\\revoke"));
@@ -1698,6 +1676,12 @@ mod tests {
         assert!(sh.run_command("SELEKT oops").is_err());
         assert!(sh.run_command("\\mode sideways").is_err());
         assert!(sh.run_command("\\demo nope").is_err());
+        for sf in ["abc", "-1", "0", "nan", "inf"] {
+            let e = sh.run_command(&format!("\\demo tpch {sf}")).unwrap_err();
+            assert!(e.message().contains("bad scale factor"), "{sf}: {e}");
+        }
+        // A refused load leaves the session on the deployment it had.
+        assert!(sh.run_command("SELECT c_name FROM customer").is_ok());
     }
 
     #[test]

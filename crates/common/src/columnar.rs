@@ -91,7 +91,7 @@ pub enum Column {
     },
     /// Dictionary-encoded strings.
     Str {
-        /// Distinct entries, shared across slices/gathers.
+        /// Distinct entries, shared across gathers.
         dict: Arc<Vec<Arc<str>>>,
         /// Precomputed per-entry byte fingerprints (parallel to `dict`).
         hashes: Arc<Vec<u64>>,
@@ -549,26 +549,27 @@ impl Column {
         }
     }
 
-    /// Sum of [`Column::encoded_width`] over all rows, computed from
-    /// column metadata (validity counts and dictionary lengths) without
-    /// visiting a wire encoding.
-    pub fn encoded_size(&self) -> usize {
+    /// Sum of [`Column::encoded_width`] over rows `offset..offset + len`,
+    /// computed from column metadata (validity counts and dictionary
+    /// lengths) without visiting a wire encoding or copying the range.
+    pub fn encoded_size(&self, offset: usize, len: usize) -> usize {
         fn fixed(valid: &[bool], width: usize) -> usize {
             let non_null = valid.iter().filter(|v| **v).count();
             non_null * width + (valid.len() - non_null)
         }
+        let rows = offset..offset + len;
         match self {
-            Column::Int64 { valid, .. } | Column::Float64 { valid, .. } => fixed(valid, 9),
-            Column::Date { valid, .. } => fixed(valid, 5),
-            Column::Bool { valid, .. } => fixed(valid, 2),
+            Column::Int64 { valid, .. } | Column::Float64 { valid, .. } => fixed(&valid[rows], 9),
+            Column::Date { valid, .. } => fixed(&valid[rows], 5),
+            Column::Bool { valid, .. } => fixed(&valid[rows], 2),
             Column::Str {
                 dict, codes, valid, ..
-            } => codes
+            } => codes[rows.clone()]
                 .iter()
-                .zip(valid)
+                .zip(&valid[rows])
                 .map(|(c, ok)| if *ok { 5 + dict[*c as usize].len() } else { 1 })
                 .sum(),
-            Column::Any { values } => values.iter().map(Value::estimated_exact_width).sum(),
+            Column::Any { values } => values[rows].iter().map(Value::estimated_exact_width).sum(),
         }
     }
 
@@ -714,43 +715,6 @@ impl Column {
                     a.get(i) == b.get(j)
                 }
             }
-        }
-    }
-
-    /// Copy rows `offset..offset + len` into a new column. String slices
-    /// share the source dictionary (`Arc` clone).
-    pub fn slice(&self, offset: usize, len: usize) -> Column {
-        match self {
-            Column::Int64 { values, valid } => Column::Int64 {
-                values: values[offset..offset + len].to_vec(),
-                valid: valid[offset..offset + len].to_vec(),
-            },
-            Column::Float64 { values, valid } => Column::Float64 {
-                values: values[offset..offset + len].to_vec(),
-                valid: valid[offset..offset + len].to_vec(),
-            },
-            Column::Date { values, valid } => Column::Date {
-                values: values[offset..offset + len].to_vec(),
-                valid: valid[offset..offset + len].to_vec(),
-            },
-            Column::Bool { values, valid } => Column::Bool {
-                values: values[offset..offset + len].to_vec(),
-                valid: valid[offset..offset + len].to_vec(),
-            },
-            Column::Str {
-                dict,
-                hashes,
-                codes,
-                valid,
-            } => Column::Str {
-                dict: Arc::clone(dict),
-                hashes: Arc::clone(hashes),
-                codes: codes[offset..offset + len].to_vec(),
-                valid: valid[offset..offset + len].to_vec(),
-            },
-            Column::Any { values } => Column::Any {
-                values: values[offset..offset + len].to_vec(),
-            },
         }
     }
 
@@ -1002,15 +966,15 @@ impl ColumnarBatch {
     /// `self.to_rows().encode().len()` (8-byte header plus every value's
     /// exact width) but is computed from column metadata alone.
     pub fn encoded_size(&self) -> usize {
-        8 + self.columns.iter().map(Column::encoded_size).sum::<usize>()
+        self.encoded_size_of(0, self.len)
     }
 
-    /// Copy rows `offset..offset + len` into a new batch.
-    pub fn slice(&self, offset: usize, len: usize) -> ColumnarBatch {
-        ColumnarBatch {
-            len,
-            columns: self.columns.iter().map(|c| c.slice(offset, len)).collect(),
-        }
+    /// [`ColumnarBatch::encoded_size`] of rows `offset..offset + len` as
+    /// a batch of their own — what shipping that range costs, header
+    /// included, without copying it out.
+    pub fn encoded_size_of(&self, offset: usize, len: usize) -> usize {
+        let width = |c: &Column| c.encoded_size(offset, len);
+        8 + self.columns.iter().map(width).sum::<usize>()
     }
 
     /// Gather the rows at `indices` (in order) into a new batch.
@@ -1125,6 +1089,21 @@ mod tests {
         let batch = ColumnarBatch::from_rows(rows.rows(), 5);
         assert_eq!(batch.encoded_size(), rows.encode().len());
         assert_eq!(batch.encoded_size(), rows.encoded_size());
+        // Every row range costs exactly what encoding those rows as a
+        // batch of their own would: the stream charges per batch from
+        // this, without slicing.
+        for offset in 0..=rows.len() {
+            for len in 0..=rows.len() - offset {
+                let part = Rows::from_rows(rows.rows()[offset..offset + len].to_vec());
+                assert_eq!(
+                    batch.encoded_size_of(offset, len),
+                    part.encode().len(),
+                    "rows {offset}..{}",
+                    offset + len
+                );
+                assert_eq!(rows.encoded_size_of(offset, len), part.encode().len());
+            }
+        }
         // Empty batches are header-only, like `Rows`.
         let empty = ColumnarBatch::from_rows(&[], 3);
         assert_eq!(empty.encoded_size(), 8);
@@ -1132,23 +1111,14 @@ mod tests {
     }
 
     #[test]
-    fn slice_and_gather_match_row_slicing() {
+    fn gather_matches_row_indexing() {
         let rows = mixed_rows();
         let batch = ColumnarBatch::from_rows(&rows, 5);
-        let s = batch.slice(1, 2);
-        assert_eq!(s.to_rows().rows(), &rows[1..3]);
         let g = batch.gather(&[3, 0, 3]);
         assert_eq!(g.len(), 3);
         assert_eq!(g.row(0), rows[3]);
         assert_eq!(g.row(1), rows[0]);
         assert_eq!(g.row(2), rows[3]);
-        // Sliced/gathered batches keep exact byte accounting.
-        let expect: usize = 8 + rows[1..3]
-            .iter()
-            .flatten()
-            .map(Value::estimated_exact_width)
-            .sum::<usize>();
-        assert_eq!(s.encoded_size(), expect);
     }
 
     #[test]
@@ -1177,7 +1147,8 @@ mod tests {
         let col = Column::from_values(vec![Value::Int64(1), Value::str("x")]);
         assert!(matches!(col, Column::Any { .. }));
         assert_eq!(col.get(0), Value::Int64(1));
-        assert_eq!(col.encoded_size(), 9 + 6);
+        assert_eq!(col.encoded_size(0, 2), 9 + 6);
+        assert_eq!(col.encoded_size(1, 1), 6);
     }
 
     #[test]

@@ -120,13 +120,18 @@ impl Rows {
     /// from column metadata while the batch is still columnar
     /// ([`ColumnarBatch::encoded_size`] is defined to agree exactly).
     pub fn encoded_size(&self) -> usize {
+        self.encoded_size_of(0, self.len())
+    }
+
+    /// [`Rows::encoded_size`] of rows `offset..offset + len` as a batch
+    /// of their own (header included), without copying them out.
+    pub fn encoded_size_of(&self, offset: usize, len: usize) -> usize {
         if self.rows.get().is_none() {
             if let Some(b) = &self.cols {
-                return b.encoded_size();
+                return b.encoded_size_of(offset, len);
             }
         }
-        8 + self
-            .materialized()
+        8 + self.materialized()[offset..offset + len]
             .iter()
             .flat_map(|r| r.iter())
             .map(Value::estimated_exact_width)

@@ -224,8 +224,9 @@ pub struct ExecOptions<'a> {
     /// frozen catalog.
     pub churn: Option<ChurnOpts>,
     /// Run every attempt on the concurrent pipelined runtime (one worker
-    /// thread per plan fragment, streaming exchanges, the Definition-1
-    /// audit on every batch) instead of the sequential interpreter. Rows,
+    /// thread per plan fragment, one hand-off per SHIP edge, the
+    /// Definition-1 audit on every batch) instead of the sequential
+    /// interpreter. Rows,
     /// shipped bytes, and total network cost are identical; simulated
     /// completion is the critical path instead of the sum.
     pub pipelined: bool,
@@ -522,8 +523,9 @@ impl Engine {
     }
 
     /// Execute a located plan on the concurrent pipelined runtime: one
-    /// worker thread per plan fragment, streaming bounded-batch exchanges
-    /// at SHIP edges, and the Definition-1 audit enforced on every batch,
+    /// worker thread per plan fragment, one hand-off per SHIP edge
+    /// adjudicated in bounded batches, and the Definition-1 audit
+    /// enforced on every batch,
     /// with optional fault injection (a single try, no failover).
     ///
     /// Row results, shipped bytes, and total network cost are identical

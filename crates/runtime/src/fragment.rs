@@ -2,7 +2,7 @@
 //!
 //! Every [`PhysOp::Ship`] node is an **exchange edge**: its input subtree
 //! (located at the Ship's source site) becomes a producer fragment, and the
-//! fragment containing the Ship node consumes the edge's stream in place of
+//! fragment containing the Ship node consumes the edge's output in place of
 //! interpreting the subtree. Because non-Ship operators are validated to be
 //! colocated with their inputs, each fragment is single-site by
 //! construction, so one worker thread per fragment is one worker per

@@ -11,8 +11,9 @@
 //!   boundaries;
 //! * each fragment runs on its own worker thread
 //!   (`std::thread::scope`), so sites genuinely compute concurrently;
-//! * SHIP becomes a **streaming exchange**: bounded batches over bounded
-//!   channels with backpressure ([`exchange::Exchange`]);
+//! * SHIP becomes a **hand-off exchange**: the producer's output is
+//!   adjudicated as a stream of bounded batches and then handed to the
+//!   consumer whole, once ([`exchange::Exchange`]);
 //! * every batch is charged through the existing
 //!   [`NetworkTopology`](geoqp_net::NetworkTopology) cost model and
 //!   [`FaultPlan`](geoqp_net::FaultPlan) at **deterministic** logical
@@ -21,8 +22,8 @@
 //! * the Definition-1 **runtime compliance audit** is enforced per batch:
 //!   no batch leaves a site for a destination outside the operator's
 //!   shipping trait `𝒮`;
-//! * a [`RuntimeMetrics`] report exposes per-site busy steps, exchange
-//!   queue depths, bytes in flight, and pipeline stall counts.
+//! * a [`RuntimeMetrics`] report exposes per-site busy steps and per-edge
+//!   batches, bytes, arrival times and consumer waits.
 //!
 //! Row results, total shipped bytes, and total network cost are identical
 //! to the sequential interpreter by construction; simulated *completion
@@ -46,7 +47,7 @@ pub mod ship;
 pub use checkpoint::{
     fingerprint, stitch, Checkpoint, CheckpointSpec, CheckpointStore, StitchOutcome,
 };
-pub use exchange::{Exchange, ExchangeStats, Payload, Received};
+pub use exchange::{Cancelled, Exchange, ExchangeStats, Payload};
 pub use fragment::{cut, Cut, Edge};
 pub use metrics::{EdgeMetrics, RuntimeMetrics, SiteMetrics};
 pub use morsel::{MorselPool, PoolRunner};
@@ -174,7 +175,6 @@ mod tests {
         let out = Runtime::new(ShipEnv::new(&topology))
             .with_config(RuntimeConfig {
                 batch_rows: 7,
-                channel_capacity: 2,
                 columnar: false,
                 ..RuntimeConfig::default()
             })
@@ -205,7 +205,6 @@ mod tests {
             Runtime::new(ShipEnv::new(&topology))
                 .with_config(RuntimeConfig {
                     batch_rows: 7,
-                    channel_capacity: 2,
                     columnar,
                     ..RuntimeConfig::default()
                 })
@@ -233,7 +232,6 @@ mod tests {
             Runtime::new(ShipEnv::new(&topology).with_faults(&faults, RetryPolicy::default()))
                 .with_config(RuntimeConfig {
                     batch_rows: 7,
-                    channel_capacity: 2,
                     columnar,
                     ..RuntimeConfig::default()
                 })
@@ -259,7 +257,6 @@ mod tests {
                 Runtime::new(ShipEnv::new(&topology))
                     .with_config(RuntimeConfig {
                         batch_rows: 3,
-                        channel_capacity: 1,
                         columnar: false,
                         ..RuntimeConfig::default()
                     })
@@ -352,7 +349,6 @@ mod tests {
             Runtime::new(ShipEnv::new(&topology))
                 .with_config(RuntimeConfig {
                     batch_rows: 7,
-                    channel_capacity: 2,
                     columnar: true,
                     morsel_rows: 8,
                     workers_per_site: workers,

@@ -32,7 +32,7 @@ pub struct EdgeMetrics {
     pub from: Location,
     /// Consumer site.
     pub to: Location,
-    /// Channel counters: batches, bytes, queue depths, stalls.
+    /// Hand-off counters: batches, bytes, consumer waits.
     pub stats: ExchangeStats,
     /// Simulated time the stream's last byte arrived, ms.
     pub arrival_ms: f64,
@@ -53,7 +53,8 @@ pub struct RuntimeMetrics {
     pub batches: u64,
     /// Serialized bytes exchanged.
     pub bytes: u64,
-    /// Pipeline stalls across all edges (producer + consumer waits).
+    /// Pipeline stalls: consumers that reached a fragment boundary
+    /// before their producer had delivered.
     pub stalls: u64,
     /// Hedged backup transfers launched (0 when hedging is off).
     pub hedges_launched: u64,
@@ -115,16 +116,13 @@ impl fmt::Display for RuntimeMetrics {
         for e in &self.edges {
             writeln!(
                 f,
-                "edge #{} {} -> {}: {} batch(es), {} bytes, queue depth {} \
-                 (peak {} B in flight), stalls {}/{}, arrival {:.3} ms",
+                "edge #{} {} -> {}: {} batch(es), {} bytes, {} consumer wait(s), \
+                 arrival {:.3} ms",
                 e.edge,
                 e.from,
                 e.to,
                 e.stats.batches,
                 e.stats.bytes,
-                e.stats.max_queue_depth,
-                e.stats.peak_bytes_in_flight,
-                e.stats.send_stalls,
                 e.stats.recv_stalls,
                 e.arrival_ms
             )?;

@@ -1,5 +1,5 @@
-//! The concurrent runtime: one worker thread per plan fragment, streaming
-//! exchanges at SHIP edges, deterministic fault charging, and a per-batch
+//! The concurrent runtime: one worker thread per plan fragment, one
+//! hand-off per SHIP edge, deterministic fault charging, and a per-batch
 //! Definition-1 compliance audit.
 //!
 //! # Determinism
@@ -15,21 +15,23 @@
 //!
 //! # Cost model
 //!
-//! Each exchange stream pays its link's startup cost `α` once (on the
-//! first batch) and `β` per serialized byte; the 8-byte batch header is
-//! charged once per stream. Summed over batches this equals the
-//! sequential interpreter's single-monolithic-SHIP cost exactly, which is
-//! what makes the differential byte/cost tests possible. Completion time
-//! is the root fragment's critical path over exchange arrivals — the
-//! quantity pipelining improves.
+//! A fragment's output is adjudicated as a stream of `batch_rows`-row
+//! batches and then handed to its consumer whole. Each stream pays its
+//! link's startup cost `α` once (on the first batch) and `β` per
+//! serialized byte; the 8-byte batch header is charged once per stream.
+//! Summed over batches this equals the sequential interpreter's
+//! single-monolithic-SHIP cost exactly, which is what makes the
+//! differential byte/cost tests possible. Completion time is the root
+//! fragment's critical path over exchange arrivals — the quantity
+//! pipelining improves.
 
 use crate::checkpoint::CheckpointSpec;
-use crate::exchange::{Exchange, Payload, Received};
+use crate::exchange::{Cancelled, Exchange, Payload};
 use crate::fragment::{cut, node_key, Cut, Edge};
 use crate::metrics::{EdgeMetrics, RuntimeMetrics, SiteMetrics};
 use crate::morsel::{MorselPool, PoolRunner};
 use crate::ship::{ShipEdge, ShipEnv};
-use geoqp_common::{ColumnarBatch, GeoError, Location, LocationSet, Result, Row, Rows};
+use geoqp_common::{ColumnarBatch, GeoError, Location, LocationSet, Result, Rows};
 use geoqp_exec::{
     execute_fragment, execute_fragment_columnar, DataSource, ExchangeSource, LocalShip,
     MorselRunner, SERIAL,
@@ -44,18 +46,17 @@ use std::sync::{Arc, Mutex};
 /// interpreter. Never surfaced to callers: the originating failure wins.
 const CANCELLED: &str = "parallel runtime cancelled: another fragment failed";
 
-/// Knobs for the streaming exchange.
+/// Knobs for the pipelined runtime.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// Rows per exchange batch.
+    /// Rows per adjudicated batch: the unit of audit, fault verdict, cost
+    /// and transfer-log record on every SHIP edge.
     pub batch_rows: usize,
-    /// Batches a channel buffers before the producer blocks.
-    pub channel_capacity: usize,
-    /// Run every fragment on the vectorized columnar engine and ship
-    /// `Arc`'d batch slices through the exchanges instead of serialized
-    /// rows. Bytes are charged from column metadata — provably equal to
-    /// the row encoding's size — so transfer logs, audits, and fault
-    /// replay are identical to the row configuration.
+    /// Run every fragment on the vectorized columnar engine and hand
+    /// `Arc`'d batches across the exchanges instead of serialized rows.
+    /// Bytes are charged from column metadata — provably equal to the
+    /// row encoding's size — so transfer logs, audits, and fault replay
+    /// are identical to the row configuration.
     pub columnar: bool,
     /// Rows per morsel when columnar kernels split their work for the
     /// per-site worker pool.
@@ -73,26 +74,9 @@ impl Default for RuntimeConfig {
     fn default() -> RuntimeConfig {
         RuntimeConfig {
             batch_rows: 256,
-            channel_capacity: 4,
             columnar: false,
             morsel_rows: 2048,
             workers_per_site: 1,
-        }
-    }
-}
-
-/// One producer fragment's fully evaluated output, in whichever layout
-/// the configured engine produced it.
-enum Produced {
-    Rows(Vec<Row>),
-    Columnar(Arc<ColumnarBatch>),
-}
-
-impl Produced {
-    fn len(&self) -> usize {
-        match self {
-            Produced::Rows(all) => all.len(),
-            Produced::Columnar(b) => b.len(),
         }
     }
 }
@@ -200,15 +184,7 @@ impl<'a> Runtime<'a> {
                 TransferLog::new(),
             );
         }
-        let shared = Shared {
-            cut: &cut,
-            exchanges: (0..cut.edges.len())
-                .map(|_| Exchange::new(self.config.channel_capacity))
-                .collect(),
-            log: Mutex::new(TransferLog::new()),
-            errors: Mutex::new(Vec::new()),
-            sites: Mutex::new(BTreeMap::new()),
-        };
+        let shared = Shared::new(&cut);
         let root_slot = cut.edges.len();
         let root_out: Mutex<Option<(Rows, f64)>> = Mutex::new(None);
 
@@ -309,10 +285,7 @@ impl<'a> Runtime<'a> {
             network_ms: log.total_cost_ms(),
             batches: edges.iter().map(|e| e.stats.batches).sum(),
             bytes: log.total_bytes(),
-            stalls: edges
-                .iter()
-                .map(|e| e.stats.send_stalls + e.stats.recv_stalls)
-                .sum(),
+            stalls: edges.iter().map(|e| e.stats.recv_stalls).sum(),
             hedges_launched: health.map_or(0, |h| h.hedges_launched()),
             hedges_won: health.map_or(0, |h| h.hedges_won()),
             relays_used: health.map_or(0, |h| h.relays_used()),
@@ -323,7 +296,8 @@ impl<'a> Runtime<'a> {
         (Ok((rows, metrics)), log)
     }
 
-    /// One producer worker: evaluate the edge's subtree, then stream it.
+    /// One producer worker: evaluate the edge's subtree, adjudicate the
+    /// output as a stream, then hand it over.
     fn run_producer(
         &self,
         edge: &Edge<'_>,
@@ -335,19 +309,18 @@ impl<'a> Runtime<'a> {
         let view = FragmentView::new(self, shared, source, runner);
         let result = if self.config.columnar {
             execute_fragment_columnar(edge.subtree(), source, &mut LocalShip, &view)
-                .map(|b| Produced::Columnar(b.materialize()))
+                .map(|b| Payload::Columnar(b.materialize()))
         } else {
-            execute_fragment(edge.subtree(), source, &mut LocalShip, &view)
-                .map(|rows| Produced::Rows(rows.into_rows()))
+            execute_fragment(edge.subtree(), source, &mut LocalShip, &view).map(Payload::Rows)
         };
         let ready_ms = view.ready_ms();
         // The stream logs locally and publishes once, success or failure:
         // dropped attempts are evidence the failover path reports.
         let mut log = TransferLog::new();
-        let outcome = result.and_then(|produced| {
+        let outcome = result.and_then(|output| {
             self.stream(
                 edge,
-                produced,
+                output,
                 ready_ms,
                 view.attempts.get(),
                 shared,
@@ -361,14 +334,16 @@ impl<'a> Runtime<'a> {
         }
     }
 
-    /// Chunk `produced` into batches, adjudicate each through the edge's
-    /// [`ShipStream`](crate::ship::ShipStream), and push the delivered
-    /// ones through the edge's channel.
+    /// Walk `output` in batches of `batch_rows`, adjudicate each through
+    /// the edge's [`ShipStream`](crate::ship::ShipStream) — priced from
+    /// its row range, nothing is copied — and, once every batch has been
+    /// delivered on the simulated wire, hand the whole output to the
+    /// consumer.
     #[allow(clippy::too_many_arguments)]
     fn stream(
         &self,
         edge: &Edge<'_>,
-        produced: Produced,
+        output: Payload,
         ready_ms: f64,
         fragment_attempts: u64,
         shared: &Shared<'_, '_>,
@@ -376,7 +351,7 @@ impl<'a> Runtime<'a> {
         log: &mut TransferLog,
     ) -> Result<()> {
         let arity = edge.ship.schema.len();
-        let total = produced.len();
+        let total = output.len();
         let batch_rows = self.config.batch_rows.max(1);
         // An empty result still ships one (empty) batch, so transfer
         // counts and header bytes match the sequential interpreter.
@@ -406,64 +381,43 @@ impl<'a> Runtime<'a> {
             // Completion is the critical path over exchange arrivals.
             |batch| batch.arrival_ms,
         );
-        // A consumer that failed tears its input edges down. The producer
-        // then stops sending but keeps adjudicating to its own verdict,
-        // log, and checkpoint — so what a failed attempt leaves behind is
-        // a function of the seed, never of which thread lost a race.
-        let mut receiver_alive = true;
 
+        let mut shipped = 0;
         for i in 0..n_batches {
             let lo = (i * batch_rows).min(total);
             let hi = ((i + 1) * batch_rows).min(total);
-            let (payload, bytes) = match &produced {
-                Produced::Rows(all) => {
-                    let batch = Rows::from_rows(all[lo..hi].to_vec());
-                    // Wire roundtrip, as the sequential SHIP does: the
-                    // consumer sees decoded bytes, and the stream pays the
-                    // 8-byte batch header only once.
-                    let encoded = batch.encode();
-                    let bytes = if i == 0 {
-                        encoded.len() as u64
-                    } else {
-                        encoded.len() as u64 - 8
-                    };
-                    let batch = Rows::decode(&encoded, arity).ok_or_else(|| {
-                        GeoError::Execution("wire corruption: batch failed to decode".into())
-                    })?;
-                    (Payload::Rows(batch), bytes)
-                }
-                Produced::Columnar(cb) => {
-                    // Zero-copy: the slice shares the parent's column
-                    // allocations and crosses the exchange as an `Arc`.
-                    // Bytes come from column metadata; `encoded_size` is
-                    // exactly what the row encoding of these rows costs,
-                    // so the header arithmetic matches the row path.
-                    let slice = Arc::new(cb.slice(lo, hi - lo));
-                    let sz = slice.encoded_size() as u64;
-                    let bytes = if i == 0 { sz } else { sz - 8 };
-                    (Payload::Columnar(slice), bytes)
-                }
-            };
-            ship.ship_batch(bytes, payload.len() as u64, log)?;
-            if receiver_alive {
-                receiver_alive = shared.exchanges[edge.id].send_payload(payload, bytes);
-            }
+            // `encoded_size` is exactly what the row encoding of these
+            // rows costs; the stream pays its 8-byte header only once.
+            let sz = output.encoded_size(lo, hi - lo) as u64;
+            let bytes = if i == 0 { sz } else { sz - 8 };
+            ship.ship_batch(bytes, (hi - lo) as u64, log)?;
+            shipped += bytes;
         }
-        shared.exchanges[edge.id].close(ship.arrival_ms());
+        let delivered = match &output {
+            // Wire roundtrip, as the sequential SHIP does: the consumer
+            // sees decoded bytes.
+            Payload::Rows(rows) => Rows::decode(&rows.encode(), arity)
+                .map(Payload::Rows)
+                .ok_or_else(|| {
+                    GeoError::Execution("wire corruption: batch failed to decode".into())
+                })?,
+            // The consumer gets the producer's own allocation.
+            Payload::Columnar(batch) => Payload::Columnar(Arc::clone(batch)),
+        };
+        // A consumer that failed has torn this edge down, which makes the
+        // hand-off a no-op: the producer has still adjudicated to its own
+        // verdict, log, and checkpoint — so what a failed attempt leaves
+        // behind is a function of the seed, never of which thread lost a
+        // race.
+        shared.exchanges[edge.id].deliver(delivered, n_batches as u64, shipped, ship.arrival_ms());
         shared.note_site(
             &edge.from,
             fragment_attempts + ship.attempts(),
             ship.arrival_ms(),
         );
-        ship.finish(
-            self.specs.get(edge.id),
-            total as u64,
-            arity,
-            || match produced {
-                Produced::Rows(all) => Rows::from_rows(all).encode(),
-                Produced::Columnar(cb) => cb.to_rows().encode(),
-            },
-        )
+        ship.finish(self.specs.get(edge.id), total as u64, arity, || {
+            output.into_rows().encode()
+        })
     }
 }
 
@@ -478,11 +432,21 @@ struct Shared<'c, 'p> {
     sites: Mutex<BTreeMap<Location, SiteMetrics>>,
 }
 
-impl Shared<'_, '_> {
+impl<'c, 'p> Shared<'c, 'p> {
+    fn new(cut: &'c Cut<'p>) -> Shared<'c, 'p> {
+        Shared {
+            cut,
+            exchanges: cut.edges.iter().map(|_| Exchange::default()).collect(),
+            log: Mutex::new(TransferLog::new()),
+            errors: Mutex::new(Vec::new()),
+            sites: Mutex::new(BTreeMap::new()),
+        }
+    }
+
     /// Record the failure of the fragment at `slot` (unless it is
     /// cancellation fallout) and tear down only that fragment's own
-    /// channels: its output edge, so the failure propagates downstream,
-    /// and its input edges, so no producer stays blocked on it. Every
+    /// edges: its output edge, so the failure propagates downstream, and
+    /// its input edges, so their outputs are dropped on arrival. Every
     /// other fragment runs to its own verdict, which makes the recorded
     /// error set — and the lowest-slot winner — a function of the seed
     /// rather than of which failure happened to cancel the others first.
@@ -510,8 +474,9 @@ impl Shared<'_, '_> {
 }
 
 /// One fragment's view of the exchange plane: intercepts boundary Ship
-/// nodes (draining their streams) and scan nodes (counting attempts and,
-/// under faults, consulting the crash schedule at deterministic steps).
+/// nodes (taking their producers' outputs) and scan nodes (counting
+/// attempts and, under faults, consulting the crash schedule at
+/// deterministic steps).
 struct FragmentView<'r, 's> {
     runtime: &'r Runtime<'r>,
     shared: &'s Shared<'s, 's>,
@@ -550,53 +515,52 @@ impl<'r, 's> FragmentView<'r, 's> {
         self.max_arrival_ms.get() + self.local_extra_ms.get()
     }
 
-    /// Drain one boundary edge into a materialized batch.
-    fn collect_edge(&self, id: usize) -> Result<Rows> {
-        let ex = &self.shared.exchanges[id];
-        let mut out = Rows::new();
-        loop {
-            match ex.recv() {
-                Received::Batch(payload) => {
-                    for row in payload.into_rows().into_rows() {
-                        out.push(row);
-                    }
-                }
-                Received::Done => {
-                    let arrival = ex.arrival_ms();
-                    self.max_arrival_ms
-                        .set(self.max_arrival_ms.get().max(arrival));
-                    return Ok(out);
-                }
-                Received::Cancelled => {
-                    return Err(GeoError::Execution(CANCELLED.into()));
-                }
-            }
-        }
+    /// Wait for one boundary edge's producer and take its output.
+    fn take_edge(&self, id: usize) -> Result<Payload> {
+        let (output, arrival_ms) = self.shared.exchanges[id]
+            .take()
+            .map_err(|Cancelled| GeoError::Execution(CANCELLED.into()))?;
+        self.max_arrival_ms
+            .set(self.max_arrival_ms.get().max(arrival_ms));
+        Ok(output)
     }
 
-    /// [`FragmentView::collect_edge`] for a columnar consumer: batches
-    /// cross as `Arc` clones and are stitched back with one concat, so a
-    /// single-batch stream (the common case) is handed through untouched.
-    fn collect_edge_columnar(&self, id: usize, arity: usize) -> Result<Arc<ColumnarBatch>> {
-        let ex = &self.shared.exchanges[id];
-        let mut parts = Vec::new();
-        loop {
-            match ex.recv() {
-                Received::Batch(payload) => parts.push(payload.into_columnar(arity)),
-                Received::Done => {
-                    let arrival = ex.arrival_ms();
-                    self.max_arrival_ms
-                        .set(self.max_arrival_ms.get().max(arrival));
-                    return Ok(if parts.len() == 1 {
-                        parts.pop().expect("one part")
-                    } else {
-                        Arc::new(ColumnarBatch::concat(&parts, arity))
-                    });
-                }
-                Received::Cancelled => {
-                    return Err(GeoError::Execution(CANCELLED.into()));
-                }
+    /// What `node` evaluates to when it is supplied from outside this
+    /// fragment's interpreter, for both engines: cancel poll → boundary
+    /// edge → gated scan → resume. `columnar` only picks the layout a
+    /// scan is read in; the fault clock ticks in the identical order.
+    fn fetch_as(&self, node: &PhysicalPlan, columnar: bool) -> Option<Result<Payload>> {
+        // Cooperative cancellation, polled per plan node: even a fragment
+        // doing pure local compute notices an abort between operators.
+        if let Err(e) = self.runtime.env.control.check_cancel(&format!(
+            "{} at {}",
+            node.op.name(),
+            node.location
+        )) {
+            return Some(Err(e));
+        }
+        if let Some(&id) = self.shared.cut.edge_of.get(&node_key(node)) {
+            return Some(self.take_edge(id));
+        }
+        match &node.op {
+            PhysOp::Scan { table } => Some(
+                self.site_gate(node, &format!("scan of {table}"))
+                    .and_then(|()| {
+                        if columnar {
+                            // The table's shared columnar mirror, without
+                            // materializing rows.
+                            self.source
+                                .scan_columnar(table, &node.location, node.schema.len())
+                                .map(Payload::Columnar)
+                        } else {
+                            self.source.scan(table, &node.location).map(Payload::Rows)
+                        }
+                    }),
+            ),
+            PhysOp::ResumeScan { fingerprint, .. } => {
+                Some(self.resume(node, *fingerprint).map(Payload::Rows))
             }
+            _ => None,
         }
     }
 
@@ -630,60 +594,14 @@ impl<'r, 's> FragmentView<'r, 's> {
 
 impl ExchangeSource for FragmentView<'_, '_> {
     fn fetch(&self, node: &PhysicalPlan) -> Option<Result<Rows>> {
-        // Cooperative cancellation, polled per plan node: even a fragment
-        // doing pure local compute notices an abort between operators.
-        if let Err(e) = self.runtime.env.control.check_cancel(&format!(
-            "{} at {}",
-            node.op.name(),
-            node.location
-        )) {
-            return Some(Err(e));
-        }
-        if let Some(&id) = self.shared.cut.edge_of.get(&node_key(node)) {
-            return Some(self.collect_edge(id));
-        }
-        if let PhysOp::Scan { table } = &node.op {
-            let gated = self
-                .site_gate(node, &format!("scan of {table}"))
-                .and_then(|()| self.source.scan(table, &node.location));
-            return Some(gated);
-        }
-        if let PhysOp::ResumeScan { fingerprint, .. } = &node.op {
-            return Some(self.resume(node, *fingerprint));
-        }
-        None
+        self.fetch_as(node, false)
+            .map(|r| r.map(Payload::into_rows))
     }
 
     fn fetch_columnar(&self, node: &PhysicalPlan) -> Option<Result<Arc<ColumnarBatch>>> {
-        if let Err(e) = self.runtime.env.control.check_cancel(&format!(
-            "{} at {}",
-            node.op.name(),
-            node.location
-        )) {
-            return Some(Err(e));
-        }
-        if let Some(&id) = self.shared.cut.edge_of.get(&node_key(node)) {
-            return Some(self.collect_edge_columnar(id, node.schema.len()));
-        }
-        if let PhysOp::Scan { table } = &node.op {
-            // Same site gate as the row scan — the fault clock ticks in
-            // the identical order — but the table is handed out as its
-            // shared columnar mirror, without materializing rows.
-            let gated = self
-                .site_gate(node, &format!("scan of {table}"))
-                .and_then(|()| {
-                    self.source
-                        .scan_columnar(table, &node.location, node.schema.len())
-                });
-            return Some(gated);
-        }
-        if let PhysOp::ResumeScan { fingerprint, .. } = &node.op {
-            return Some(
-                self.resume(node, *fingerprint)
-                    .map(|rows| Arc::new(ColumnarBatch::from_rows(rows.rows(), node.schema.len()))),
-            );
-        }
-        None
+        let arity = node.schema.len();
+        self.fetch_as(node, true)
+            .map(|r| r.map(|p| p.into_columnar(arity)))
     }
 
     fn runner(&self) -> &dyn MorselRunner {
@@ -691,5 +609,85 @@ impl ExchangeSource for FragmentView<'_, '_> {
             Some(r) => r,
             None => &SERIAL,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use geoqp_common::{DataType, Field, Row, Schema, TableRef, Value};
+    use geoqp_net::NetworkTopology;
+
+    /// A source that hands out one held allocation, so a test can tell
+    /// whether the batch reached its consumer or a copy of it did.
+    struct Held(Arc<ColumnarBatch>);
+
+    impl DataSource for Held {
+        fn scan(&self, _table: &TableRef, _location: &Location) -> Result<Rows> {
+            Ok(self.0.to_rows())
+        }
+        fn scan_columnar(
+            &self,
+            _table: &TableRef,
+            _location: &Location,
+            _arity: usize,
+        ) -> Result<Arc<ColumnarBatch>> {
+            Ok(Arc::clone(&self.0))
+        }
+    }
+
+    #[test]
+    fn a_columnar_edge_hands_over_the_producers_allocation() {
+        let rows: Vec<Row> = (0..1000)
+            .map(|i| vec![Value::Int64(i), Value::str(format!("s{}", i % 13))])
+            .collect();
+        let held = Held(Arc::new(ColumnarBatch::from_rows(&rows, 2)));
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Int64),
+            Field::new("s", DataType::Str),
+        ]);
+        let scan = PhysicalPlan::new(
+            PhysOp::Scan {
+                table: TableRef::bare("t"),
+            },
+            Arc::new(schema.unwrap()),
+            Location::new("L1"),
+            vec![],
+        );
+        let plan = PhysicalPlan::ship(Arc::new(scan.unwrap()), Location::new("L4"));
+        let topology = NetworkTopology::paper_wan();
+
+        // One producer, then its consumer, on this thread: a producer
+        // that could block on its consumer would hang right here.
+        let run = |batch_rows: usize| {
+            let runtime = Runtime::new(ShipEnv::new(&topology)).with_config(RuntimeConfig {
+                batch_rows,
+                columnar: true,
+                ..RuntimeConfig::default()
+            });
+            let cut = cut(&plan).unwrap();
+            let shared = Shared::new(&cut);
+            runtime.run_producer(&cut.edges[0], &shared, &held, None, None);
+            let view = FragmentView::new(&runtime, &shared, &held, None);
+            let got = view.fetch_columnar(&plan).unwrap().unwrap();
+            assert!(shared.errors.lock().unwrap().is_empty());
+            assert_eq!(shared.exchanges[0].stats().recv_stalls, 0);
+            (got, shared.log.into_inner().unwrap())
+        };
+
+        let (got, batched) = run(7);
+        assert!(
+            Arc::ptr_eq(&got, &held.0),
+            "the consumer must hold the producer's allocation, not a re-assembled copy"
+        );
+        // The batch is still the unit of adjudication: ⌈1000/7⌉ records,
+        // which together cost exactly what one monolithic SHIP costs.
+        let (_, whole) = run(usize::MAX);
+        assert_eq!(batched.transfer_count(), 143);
+        assert_eq!(whole.transfer_count(), 1);
+        assert_eq!(batched.total_rows(), 1000);
+        assert_eq!(batched.total_bytes(), whole.total_bytes());
+        assert_eq!(whole.total_bytes(), held.0.encoded_size() as u64);
+        assert!((batched.total_cost_ms() - whole.total_cost_ms()).abs() < 1e-9);
     }
 }

@@ -237,7 +237,9 @@ pub struct TenantStats {
     /// Completed queries that were refused under their revocation pin
     /// and rescued by re-pinning onto an in-flight grant.
     pub grants_rescued: u64,
-    /// Median submit-to-completion latency, ms.
+    /// Median submit-to-completion latency, ms — like `p99_ms` and
+    /// `mean_ms`, over the tenant's most recent [`LATENCY_WINDOW`]
+    /// resolved queries.
     pub p50_ms: f64,
     /// 99th-percentile submit-to-completion latency, ms.
     pub p99_ms: f64,
@@ -245,7 +247,24 @@ pub struct TenantStats {
     pub mean_ms: f64,
 }
 
+/// Latency samples kept per tenant: the newest replace the oldest, so a
+/// long-lived service's memory and its stats snapshots stay bounded.
+pub const LATENCY_WINDOW: usize = 4096;
+
 impl TenantStats {
+    /// Fill in the latency fields from a copy of the tenant's sample
+    /// window. The sort happens here, on the caller's copy, after the
+    /// scheduler lock that produced it has been released.
+    fn with_latencies(mut self, mut samples: Vec<f64>) -> TenantStats {
+        samples.sort_by(f64::total_cmp);
+        if !samples.is_empty() {
+            self.mean_ms = samples.iter().sum::<f64>() / samples.len() as f64;
+        }
+        self.p50_ms = percentile(&samples, 0.50);
+        self.p99_ms = percentile(&samples, 0.99);
+        self
+    }
+
     /// Plan-cache hit rate over this tenant's completed queries.
     pub fn cache_hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
@@ -294,19 +313,16 @@ struct TenantState {
     churn_replans: u64,
     grant_retries: u64,
     grants_rescued: u64,
-    latencies_ms: Vec<f64>,
+    /// The most recent [`LATENCY_WINDOW`] latencies, oldest first.
+    latencies_ms: VecDeque<f64>,
 }
 
 impl TenantState {
-    fn stats(&self) -> TenantStats {
-        let mut sorted = self.latencies_ms.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let mean = if sorted.is_empty() {
-            0.0
-        } else {
-            sorted.iter().sum::<f64>() / sorted.len() as f64
-        };
-        TenantStats {
+    /// The counters plus an unsorted copy of the latency window, for
+    /// [`TenantStats::with_latencies`] once the scheduler lock — which
+    /// every `submit` and every worker's next claim needs — is released.
+    fn snapshot(&self) -> (TenantStats, Vec<f64>) {
+        let counters = TenantStats {
             name: self.name.clone(),
             admitted: self.admitted,
             rejected: self.rejected,
@@ -321,10 +337,9 @@ impl TenantState {
             churn_reruns: self.churn_reruns,
             grant_retries: self.grant_retries,
             grants_rescued: self.grants_rescued,
-            p50_ms: percentile(&sorted, 0.50),
-            p99_ms: percentile(&sorted, 0.99),
-            mean_ms: mean,
-        }
+            ..TenantStats::default()
+        };
+        (counters, self.latencies_ms.iter().copied().collect())
     }
 }
 
@@ -492,7 +507,7 @@ impl QueryService {
             churn_replans: 0,
             grant_retries: 0,
             grants_rescued: 0,
-            latencies_ms: Vec::new(),
+            latencies_ms: VecDeque::new(),
         });
         TenantId(st.tenants.len() - 1)
     }
@@ -654,17 +669,25 @@ impl QueryService {
 
     /// Snapshot one tenant's counters.
     pub fn tenant_stats(&self, tenant: TenantId) -> Result<TenantStats> {
-        let st = self.shared.state.lock().unwrap();
-        st.tenants
-            .get(tenant.0)
-            .map(|t| t.stats())
+        let snapshot = {
+            let st = self.shared.state.lock().unwrap();
+            st.tenants.get(tenant.0).map(TenantState::snapshot)
+        };
+        snapshot
+            .map(|(counters, samples)| counters.with_latencies(samples))
             .ok_or_else(|| GeoError::Execution(format!("unknown tenant #{}", tenant.0)))
     }
 
     /// Snapshot every tenant's counters, in registration order.
     pub fn all_stats(&self) -> Vec<TenantStats> {
-        let st = self.shared.state.lock().unwrap();
-        st.tenants.iter().map(|t| t.stats()).collect()
+        let snapshots: Vec<_> = {
+            let st = self.shared.state.lock().unwrap();
+            st.tenants.iter().map(TenantState::snapshot).collect()
+        };
+        snapshots
+            .into_iter()
+            .map(|(counters, samples)| counters.with_latencies(samples))
+            .collect()
     }
 
     /// Snapshot the shared plan cache's counters.
@@ -760,7 +783,10 @@ fn worker_loop(shared: &Arc<Shared>) {
             let mut st = shared.state.lock().unwrap();
             let ten = &mut st.tenants[tenant_idx];
             ten.inflight -= 1;
-            ten.latencies_ms.push(latency_ms);
+            if ten.latencies_ms.len() == LATENCY_WINDOW {
+                ten.latencies_ms.pop_front();
+            }
+            ten.latencies_ms.push_back(latency_ms);
             ten.churn_reruns += reruns;
             match &outcome {
                 Ok(reply) => {
@@ -823,17 +849,10 @@ fn run_job(
         // policies. A refused plan is invalidated and re-optimized — a
         // collision costs one optimization, never compliance.
         Some(hit) if engine.audit(&hit.physical).is_ok() => (hit, true),
-        Some(_) => {
-            shared.cache.invalidate(&key);
-            let fresh = Arc::new(engine.optimize(
-                &plan,
-                OptimizerMode::Compliant,
-                request.result_location.clone(),
-            )?);
-            shared.cache.insert(key, fresh.clone());
-            (fresh, false)
-        }
-        None => {
+        refused => {
+            if refused.is_some() {
+                shared.cache.invalidate(&key);
+            }
             let fresh = Arc::new(engine.optimize(
                 &plan,
                 OptimizerMode::Compliant,
@@ -844,55 +863,50 @@ fn run_job(
         }
     };
 
+    // Faults, a deadline or a cancel token ask for the resilient preset
+    // (failover, checkpoint/resume, live churn enforcement); anything
+    // else is the plain single attempt. Either way it is one call, and
+    // the engine is data.
     let needs_resilient =
         request.faults.is_some() || request.deadline.is_some() || request.cancel.is_some();
-    let (rows, transfers, replans, churn_replans, grant_retries) = if needs_resilient {
-        let faults = match &request.faults {
-            Some(plan) => {
-                // Job-local clone: the fault step clock must start at 0
-                // for every query, not wherever the previous run left it.
-                let plan = plan.clone();
-                plan.reset_clock();
-                plan
-            }
-            None => FaultPlan::new(0),
-        };
-        let opts = ExecOptions {
-            deadline: request.deadline,
-            cancel: request.cancel.clone(),
-            churn: Some(ChurnOpts {
-                service: Arc::clone(churn),
-                pin,
-            }),
-            runtime: RuntimeConfig {
-                columnar: shared.columnar,
-                ..RuntimeConfig::default()
+    let faults = needs_resilient.then(|| match &request.faults {
+        Some(plan) => {
+            // Job-local clone: the fault step clock must start at 0
+            // for every query, not wherever the previous run left it.
+            let plan = plan.clone();
+            plan.reset_clock();
+            plan
+        }
+        None => FaultPlan::new(0),
+    });
+    let retry = RetryPolicy::default();
+    let opts = ExecOptions {
+        runtime: RuntimeConfig {
+            columnar: shared.columnar,
+            ..RuntimeConfig::default()
+        },
+        ..match &faults {
+            Some(faults) => ExecOptions {
+                deadline: request.deadline,
+                cancel: request.cancel.clone(),
+                churn: Some(ChurnOpts {
+                    service: Arc::clone(churn),
+                    pin,
+                }),
+                ..ExecOptions::failover(faults, &retry, shared.max_replans)
             },
-            ..ExecOptions::failover(&faults, &RetryPolicy::default(), shared.max_replans)
-        };
-        let result = engine.run(&optimized, &opts)?;
-        (
-            result.rows,
-            result.transfers,
-            result.replans,
-            result.churn_replans,
-            result.grant_retries,
-        )
-    } else if shared.columnar {
-        let result = engine.execute_columnar(&optimized.physical)?;
-        (result.rows, result.transfers, 0, 0, 0)
-    } else {
-        let result = engine.execute(&optimized.physical)?;
-        (result.rows, result.transfers, 0, 0, 0)
+            None => ExecOptions::default(),
+        }
     };
+    let result = engine.run(&optimized, &opts)?;
 
     Ok(QueryReply {
-        rows,
-        transfers,
+        rows: result.rows,
+        transfers: result.transfers,
         cached,
-        replans,
-        churn_replans,
-        grant_retries,
+        replans: result.replans,
+        churn_replans: result.churn_replans,
+        grant_retries: result.grant_retries,
         latency_ms: 0.0, // stamped by the worker after the clock stops
         result_location: optimized.result_location.clone(),
     })

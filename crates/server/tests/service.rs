@@ -654,7 +654,18 @@ fn concurrent_closed_loops_reconcile_cache_and_tenant_counters() {
         assert_eq!(t.inflight, 0);
         assert_eq!(t.queued, 0);
         assert_eq!(t.completed + t.failed, t.admitted);
+        // The latency fields are computed from a bounded sample window,
+        // sorted after the scheduler lock is released: still populated,
+        // still ordered.
+        assert!(t.p50_ms > 0.0 && t.mean_ms > 0.0, "{}: {t:?}", t.name);
         assert!(t.p99_ms >= t.p50_ms);
+    }
+    // Both snapshot paths read the same window of an idle service.
+    for (one, all) in stats.iter().zip(svc.all_stats()) {
+        assert_eq!(
+            (one.p50_ms, one.p99_ms, one.mean_ms),
+            (all.p50_ms, all.p99_ms, all.mean_ms)
+        );
     }
     let cs = svc.cache_stats();
     assert_eq!(

@@ -2,7 +2,7 @@
 //! Section 7.5 variant with Customer and Orders partitioned across sites.
 
 use crate::gen::generate;
-use crate::schema::{schema_of, stats_of, TABLES};
+use crate::schema::{check_scale_factor, schema_of, stats_of, TABLES};
 use geoqp_common::{GeoError, Location, Result, TableRef};
 use geoqp_storage::{Catalog, Table, TableStats};
 use std::sync::Arc;
@@ -79,6 +79,7 @@ pub fn paper_catalog_partitioned(sf: f64, n_locations: usize) -> Result<Catalog>
 /// at load time — the first columnar scan is already a zero-copy `Arc`
 /// clone instead of paying a row-to-column conversion mid-query.
 pub fn populate(catalog: &Catalog, sf: f64, seed: u64) -> Result<()> {
+    check_scale_factor(sf)?;
     for t in TABLES {
         let entries = catalog.resolve(&TableRef::bare(t));
         if entries.is_empty() {
@@ -137,6 +138,11 @@ mod tests {
     #[test]
     fn populate_attaches_all_data() {
         let c = paper_catalog(0.001);
+        // A scale factor nothing can be generated at is refused up front.
+        assert_eq!(
+            populate(&c, f64::INFINITY, 42).unwrap_err().kind(),
+            "storage"
+        );
         populate(&c, 0.001, 42).unwrap();
         for t in TABLES {
             let e = c.resolve_one(&TableRef::bare(t)).unwrap();

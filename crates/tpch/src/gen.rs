@@ -6,7 +6,7 @@
 //! two-key join has matches), date ranges, and the categorical
 //! distributions behind every predicate used in Section 7's workloads.
 
-use crate::schema::{rows_at, unknown_table};
+use crate::schema::{check_scale_factor, rows_at, unknown_table};
 use crate::text;
 use geoqp_common::{value::days_from_civil, Result, Row, Value};
 use rand::rngs::StdRng;
@@ -51,6 +51,7 @@ fn rng_for(table: &str, seed: u64) -> StdRng {
 /// Generate a TPC-H table's rows at a scale factor, deterministically from
 /// `seed`.
 pub fn generate(table: &str, sf: f64, seed: u64) -> Result<Vec<Row>> {
+    check_scale_factor(sf)?;
     Ok(match table {
         "region" => region(),
         "nation" => nation(),
@@ -358,5 +359,14 @@ mod tests {
         let e = generate("widgets", SF, 7).unwrap_err();
         assert_eq!(e.kind(), "storage");
         assert!(e.message().contains("unknown TPC-H table `widgets`"));
+    }
+
+    #[test]
+    fn bad_scale_factor_is_a_typed_storage_error() {
+        for sf in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let e = generate("customer", sf, 7).unwrap_err();
+            assert_eq!(e.kind(), "storage", "sf {sf}");
+            assert!(e.message().contains("scale factor"), "sf {sf}: {e}");
+        }
     }
 }

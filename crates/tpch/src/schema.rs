@@ -18,6 +18,19 @@ pub(crate) fn unknown_table(table: &str) -> GeoError {
     ))
 }
 
+/// The typed error for a scale factor no data can be generated at: a
+/// non-finite value would size a table at `u64::MAX` rows and abort the
+/// process on allocation, and a non-positive one would load 1-row tables.
+pub(crate) fn check_scale_factor(sf: f64) -> Result<()> {
+    if sf.is_finite() && sf > 0.0 {
+        Ok(())
+    } else {
+        Err(GeoError::Storage(format!(
+            "TPC-H scale factor must be finite and greater than 0, got {sf}"
+        )))
+    }
+}
+
 /// Base cardinality of a table at scale factor 1 (TPC-H specification).
 pub fn base_rows(table: &str) -> Result<u64> {
     Ok(match table {

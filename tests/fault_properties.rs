@@ -176,7 +176,7 @@ proptest! {
 
     /// Cooperative unwinding: a deadline or a pre-fired cancellation
     /// must join every fragment worker (no thread leak) and leave no
-    /// exchange channel poisoned — the very next run of the same query
+    /// exchange slot poisoned — the very next run of the same query
     /// on the same engine succeeds with the fault-free answer.
     #[test]
     fn cancellation_joins_workers_and_poisons_nothing(
@@ -234,7 +234,7 @@ proptest! {
     /// The same cooperative-unwinding contract with morsel workers: a
     /// deadline or pre-fired cancellation landing *mid-morsel* — small
     /// morsels, 4 workers per site — must join every fragment worker
-    /// and every pool thread, leave no exchange channel or deque
+    /// and every pool thread, leave no exchange slot or job list
     /// poisoned, and keep the engine answering the fault-free result.
     #[test]
     fn cancellation_mid_morsel_joins_pool_workers(

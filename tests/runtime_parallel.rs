@@ -235,7 +235,6 @@ fn parallel_fault_runs_are_deterministic() {
     let retry = RetryPolicy::default();
     let config = RuntimeConfig {
         batch_rows: 16,
-        channel_capacity: 2,
         columnar: false,
         ..RuntimeConfig::default()
     };

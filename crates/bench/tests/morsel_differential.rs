@@ -6,9 +6,10 @@
 //! site, under a matrix of deterministic fault schedules. For every
 //! cell the multi-worker run must reproduce the one-worker run's
 //!
-//! * **rows**, bit-for-bit and in the same order (the partitioned hash
-//!   join and parallel aggregates merge per-morsel results in morsel
-//!   sequence order, so not even row order may move),
+//! * **rows**, bit-for-bit and in the same order (the hash join probes
+//!   one index built in input order, and it and the parallel aggregates
+//!   merge per-morsel results in morsel sequence order, so not even row
+//!   order may move),
 //! * **transfer log** — every transfer's source, destination, bytes,
 //!   rows, attempts, and cost, which makes fault replay identical, and
 //! * **audit outcome**: success, or the same typed error naming the

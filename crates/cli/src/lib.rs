@@ -502,18 +502,20 @@ impl Shell {
             return Ok("faults: off\n".to_string());
         }
         let mut seed = 42u64;
-        let spec: Vec<&str> = arg
-            .split(';')
-            .map(str::trim)
-            .filter(|part| {
-                if let Some(s) = part.strip_prefix("seed=") {
-                    seed = s.trim().parse().unwrap_or(42);
-                    false
-                } else {
-                    true
+        let mut spec: Vec<&str> = Vec::new();
+        for part in arg.split(';').map(str::trim) {
+            match part.strip_prefix("seed=") {
+                // A schedule is a function of (seed, spec): a seed that
+                // does not parse must not silently become another one.
+                Some(s) => {
+                    let s = s.trim();
+                    seed = s.parse().map_err(|_| {
+                        GeoError::Execution(format!("bad fault seed `{s}` (seed=<u64>)"))
+                    })?
                 }
-            })
-            .collect();
+                None => spec.push(part),
+            }
+        }
         let plan = FaultPlan::parse(&spec.join(";"), seed).map_err(GeoError::Execution)?;
         self.faults = Some(plan);
         Ok(format!("faults: active (seed {seed})\n"))
@@ -1682,6 +1684,17 @@ mod tests {
         }
         // A refused load leaves the session on the deployment it had.
         assert!(sh.run_command("SELECT c_name FROM customer").is_ok());
+        // A fault seed that does not parse is refused, not replaced, and
+        // the session keeps the fault plan it had.
+        sh.run_command("\\faults seed=7; crash:A@0..2").unwrap();
+        for seed in ["abc", "-1", ""] {
+            let e = sh
+                .run_command(&format!("\\faults seed={seed}; crash:E"))
+                .unwrap_err();
+            assert!(e.message().contains("bad fault seed"), "{seed:?}: {e}");
+            let status = sh.run_command("\\faults").unwrap();
+            assert_eq!(status, "faults: active (seed 7)\n");
+        }
     }
 
     #[test]

@@ -49,8 +49,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Mix one value fingerprint into a running key fingerprint. The rotate
-/// keeps column order significant; the multiply diffuses.
-pub fn mix_fingerprint(h: u64, v: u64) -> u64 {
+/// keeps column order significant; the multiply diffuses upward only —
+/// low result bits depend on low input bits alone — so a consumer that
+/// needs table positions must finalize the fingerprint itself.
+fn mix_fingerprint(h: u64, v: u64) -> u64 {
     (h.rotate_left(23) ^ v).wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
@@ -352,8 +354,10 @@ impl Column {
 
     /// Fingerprint of row `i`, consistent with [`value_fingerprint`] on
     /// [`Column::get`]'s result (string hashes come precomputed from the
-    /// dictionary).
-    pub fn fingerprint_at(&self, i: usize) -> u64 {
+    /// dictionary). The per-row reference the tests hold the vectorized
+    /// fold to.
+    #[cfg(test)]
+    fn fingerprint_at(&self, i: usize) -> u64 {
         match self {
             Column::Int64 { values, valid } => {
                 if valid[i] {
@@ -399,72 +403,50 @@ impl Column {
         }
     }
 
-    /// Vectorized [`Column::fingerprint_at`] fold for join/group keys:
-    /// mixes this column's per-row fingerprints into the running key
-    /// fingerprints `h`, clearing `live[i]` where the row is NULL (NULL
-    /// keys never join, so their mixed value is irrelevant). One column
-    /// -type dispatch per column instead of one per cell.
-    pub fn fold_key_fingerprints(&self, h: &mut [u64], live: &mut [bool]) {
+    /// Fold this column into the running key fingerprints `h` of the rows
+    /// `sel` (physical indices, in order; `None` = every row): `h[k]`
+    /// takes the fingerprint of row `sel[k]`. A NULL mixes `FP_NULL` —
+    /// grouping counts NULL as a key value — and clears `live[k]`, which
+    /// is how a join learns to skip the row. The variant dispatch runs
+    /// once per column, not once per cell.
+    fn fold_key_fingerprints(&self, sel: Option<&[u32]>, h: &mut [u64], live: &mut [bool]) {
+        // `value_at(i)`: the fingerprint of physical row `i`, `None` on NULL.
+        fn fold(
+            sel: Option<&[u32]>,
+            h: &mut [u64],
+            live: &mut [bool],
+            value_at: impl Fn(usize) -> Option<u64>,
+        ) {
+            for k in 0..h.len() {
+                let v = value_at(sel.map_or(k, |s| s[k] as usize));
+                live[k] &= v.is_some();
+                h[k] = mix_fingerprint(h[k], v.unwrap_or(FP_NULL));
+            }
+        }
         match self {
-            Column::Int64 { values, valid } => {
-                for i in 0..values.len() {
-                    if valid[i] {
-                        h[i] = mix_fingerprint(h[i], FP_NUM ^ (values[i] as f64).to_bits());
-                    } else {
-                        live[i] = false;
-                    }
-                }
-            }
-            Column::Float64 { values, valid } => {
-                for i in 0..values.len() {
-                    if valid[i] {
-                        h[i] = mix_fingerprint(h[i], FP_NUM ^ values[i].to_bits());
-                    } else {
-                        live[i] = false;
-                    }
-                }
-            }
-            Column::Date { values, valid } => {
-                for i in 0..values.len() {
-                    if valid[i] {
-                        h[i] = mix_fingerprint(h[i], FP_DATE ^ (values[i] as i64 as u64));
-                    } else {
-                        live[i] = false;
-                    }
-                }
-            }
-            Column::Bool { values, valid } => {
-                for i in 0..values.len() {
-                    if valid[i] {
-                        h[i] = mix_fingerprint(h[i], FP_BOOL ^ (values[i] as u64));
-                    } else {
-                        live[i] = false;
-                    }
-                }
-            }
+            Column::Int64 { values, valid } => fold(sel, h, live, |i| {
+                valid[i].then(|| FP_NUM ^ (values[i] as f64).to_bits())
+            }),
+            Column::Float64 { values, valid } => fold(sel, h, live, |i| {
+                valid[i].then(|| FP_NUM ^ values[i].to_bits())
+            }),
+            Column::Date { values, valid } => fold(sel, h, live, |i| {
+                valid[i].then(|| FP_DATE ^ (values[i] as i64 as u64))
+            }),
+            Column::Bool { values, valid } => fold(sel, h, live, |i| {
+                valid[i].then(|| FP_BOOL ^ (values[i] as u64))
+            }),
             Column::Str {
                 hashes,
                 codes,
                 valid,
                 ..
-            } => {
-                for i in 0..codes.len() {
-                    if valid[i] {
-                        h[i] = mix_fingerprint(h[i], FP_STR ^ hashes[codes[i] as usize]);
-                    } else {
-                        live[i] = false;
-                    }
-                }
-            }
-            Column::Any { values } => {
-                for (i, v) in values.iter().enumerate() {
-                    if v.is_null() {
-                        live[i] = false;
-                    } else {
-                        h[i] = mix_fingerprint(h[i], value_fingerprint(v));
-                    }
-                }
-            }
+            } => fold(sel, h, live, |i| {
+                valid[i].then(|| FP_STR ^ hashes[codes[i] as usize])
+            }),
+            Column::Any { values } => fold(sel, h, live, |i| {
+                (!values[i].is_null()).then(|| value_fingerprint(&values[i]))
+            }),
         }
     }
 
@@ -1001,11 +983,10 @@ impl ColumnarBatch {
         ColumnarBatch { len, columns }
     }
 
-    /// Combined fingerprint of the key columns `key_cols` at row `i`.
-    /// Equal key tuples (under [`Value`] equality) always produce equal
-    /// fingerprints; kernels verify candidate matches with real value
-    /// comparisons, so collisions cost time, never correctness.
-    pub fn key_fingerprint(&self, key_cols: &[usize], i: usize) -> u64 {
+    /// Combined fingerprint of the key columns `key_cols` at row `i`:
+    /// the per-row reference for [`ColumnarBatch::key_fingerprints`].
+    #[cfg(test)]
+    fn key_fingerprint(&self, key_cols: &[usize], i: usize) -> u64 {
         let mut h = FNV_OFFSET;
         for &c in key_cols {
             h = mix_fingerprint(h, self.columns[c].fingerprint_at(i));
@@ -1013,15 +994,24 @@ impl ColumnarBatch {
         h
     }
 
-    /// [`ColumnarBatch::key_fingerprint`] for every row at once, plus a
-    /// liveness mask: `live[i]` is false iff any key column is NULL at
-    /// row `i` (such rows never join, and their fingerprint slot is
-    /// unspecified). For live rows `fps[i] == self.key_fingerprint(key_cols, i)`.
-    pub fn key_fingerprints(&self, key_cols: &[usize]) -> (Vec<u64>, Vec<bool>) {
-        let mut fps = vec![FNV_OFFSET; self.len];
-        let mut live = vec![true; self.len];
+    /// Key fingerprints of the rows `sel` (physical indices, in order;
+    /// `None` = every row) over the key columns `key_cols`, plus a
+    /// liveness mask, both indexed by position in `sel`. Equal key
+    /// tuples (under [`Value`] equality, NULL equal to NULL) always
+    /// produce equal fingerprints; kernels verify candidate matches with
+    /// real value comparisons, so collisions cost time, never
+    /// correctness. `live[k]` is false iff any key column is NULL at
+    /// that row: grouping keeps such rows, a join skips them.
+    pub fn key_fingerprints(
+        &self,
+        key_cols: &[usize],
+        sel: Option<&[u32]>,
+    ) -> (Vec<u64>, Vec<bool>) {
+        let n = sel.map_or(self.len, <[u32]>::len);
+        let mut fps = vec![FNV_OFFSET; n];
+        let mut live = vec![true; n];
         for &c in key_cols {
-            self.columns[c].fold_key_fingerprints(&mut fps, &mut live);
+            self.columns[c].fold_key_fingerprints(sel, &mut fps, &mut live);
         }
         (fps, live)
     }
@@ -1206,6 +1196,42 @@ mod tests {
         let b = ColumnarBatch::from_rows(&rows, 2);
         assert_eq!(b.key_fingerprint(&[0, 1], 0), b.key_fingerprint(&[0, 1], 2));
         assert_ne!(b.key_fingerprint(&[0, 1], 0), b.key_fingerprint(&[0, 1], 1));
+    }
+
+    #[test]
+    fn vectorized_fold_matches_the_per_row_reference() {
+        let typed = ColumnarBatch::from_rows(&mixed_rows(), 5);
+        let any = ColumnarBatch::from_columns(
+            (0..5)
+                .map(|c| Column::Any {
+                    values: mixed_rows().iter().map(|r| r[c].clone()).collect(),
+                })
+                .collect(),
+        );
+        let selections: [Option<&[u32]>; 3] = [None, Some(&[3, 0, 3, 2]), Some(&[])];
+        for batch in [&typed, &any] {
+            for key in [&[0usize][..], &[1, 3], &[4, 2, 0], &[]] {
+                for sel in selections {
+                    let (fps, live) = batch.key_fingerprints(key, sel);
+                    let rows: Vec<usize> = match sel {
+                        Some(s) => s.iter().map(|&i| i as usize).collect(),
+                        None => (0..batch.len()).collect(),
+                    };
+                    assert_eq!((fps.len(), live.len()), (rows.len(), rows.len()));
+                    for (k, &i) in rows.iter().enumerate() {
+                        // NULL rows too: grouping keys on them.
+                        assert_eq!(fps[k], batch.key_fingerprint(key, i), "{key:?} row {i}");
+                        let null = key.iter().any(|&c| batch.column(c).is_null(i));
+                        assert_eq!(live[k], !null, "{key:?} row {i}");
+                    }
+                }
+            }
+        }
+        // Layout never shows: the typed and `Any` folds agree.
+        assert_eq!(
+            typed.key_fingerprints(&[0, 1, 2, 3, 4], None),
+            any.key_fingerprints(&[0, 1, 2, 3, 4], None)
+        );
     }
 
     #[test]

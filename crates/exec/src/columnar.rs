@@ -30,40 +30,13 @@
 
 use crate::aggregate::{Accumulator, BoundAgg};
 use crate::executor::{sort_group_keys, DataSource, ExchangeSource, NoExchange, ShipHandler};
+use crate::keyed::{KeyEq, KeyIndex};
 use crate::parallel::{first_error, morsel_bounds, parallel_map, MorselRunner};
-use geoqp_common::{
-    columnar::mix_fingerprint, Column, ColumnarBatch, DataType, Result, Rows, Value,
-};
+use geoqp_common::{Column, ColumnarBatch, DataType, Result, Rows, Value};
 use geoqp_expr::{apply_cmp, as_tv, bind, like_match, BinaryOp, BoundExpr, UnaryOp};
 use geoqp_plan::{PhysOp, PhysicalPlan, SortKey};
 use std::cmp::Ordering;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
-
-/// Identity hasher for key fingerprints: the FNV + multiply-mix
-/// fingerprints are already well diffused, so feeding them through
-/// SipHash again (the `HashMap` default) only burns cycles. Join and
-/// group-by tables key on `u64` fingerprints exclusively.
-#[derive(Default)]
-struct FpHasher(u64);
-
-impl Hasher for FpHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 << 8) | b as u64;
-        }
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.0 = v;
-    }
-}
-
-type FpBuild = BuildHasherDefault<FpHasher>;
-type FpMap<V> = HashMap<u64, V, FpBuild>;
 
 /// A batch with an optional selection vector: the unit flowing between
 /// columnar operators. `sel` lists the surviving physical row indices in
@@ -97,6 +70,11 @@ impl ColBatch {
             Some(s) => s[i] as usize,
             None => i,
         }
+    }
+
+    /// The selected physical rows as a slice; `None` = every row.
+    fn selection(&self) -> Option<&[u32]> {
+        self.sel.as_deref().map(Vec::as_slice)
     }
 
     /// The logical row indices as an explicit vector (identity when no
@@ -853,71 +831,20 @@ fn eval_column(e: &BoundExpr, b: &ColumnarBatch, idx: &[u32]) -> Result<Column> 
 // Join and aggregate kernels.
 // ---------------------------------------------------------------------
 
-/// Radix partition count for the hash join. Partitioning keys off the
-/// *high* fingerprint bits so the low bits — which the per-partition
-/// hash maps use for bucket selection — stay fully diverse within a
-/// partition.
-const JOIN_PARTITIONS: usize = 16;
-const JOIN_PARTITION_SHIFT: u32 = 60;
-
-#[inline]
-fn join_partition(fp: u64) -> usize {
-    (fp >> JOIN_PARTITION_SHIFT) as usize
-}
-
-/// Pre-resolved join-key comparator: for the common single-column case
-/// where both sides carry the same fixed-width layout, candidate
-/// verification compares raw slices instead of dispatching through
-/// [`Column::eq_at`] per candidate. Only consulted for rows whose keys
-/// are non-NULL (the build and probe loops skip NULL keys first), where
-/// raw equality coincides with [`Column::eq_at`]'s typed arms.
-#[derive(Clone, Copy)]
-enum KeyEq<'a> {
-    Int64(&'a [i64], &'a [i64]),
-    Date(&'a [i32], &'a [i32]),
-    General,
-}
-
-impl<'a> KeyEq<'a> {
-    fn resolve(
-        lb: &'a ColumnarBatch,
-        lidx: &[usize],
-        rb: &'a ColumnarBatch,
-        ridx: &[usize],
-    ) -> Self {
-        if let (&[lc], &[rc]) = (lidx, ridx) {
-            match (lb.column(lc), rb.column(rc)) {
-                (Column::Int64 { values: a, .. }, Column::Int64 { values: b, .. }) => {
-                    return KeyEq::Int64(a, b);
-                }
-                (Column::Date { values: a, .. }, Column::Date { values: b, .. }) => {
-                    return KeyEq::Date(a, b);
-                }
-                _ => {}
-            }
-        }
-        KeyEq::General
-    }
-}
-
-/// Radix-partitioned hash join, morsel-parallel on both sides, with
-/// output bit-identical to the sequential build/probe it replaced:
+/// Hash join, output bit-identical to the row engine's build/probe:
 ///
-/// * **Build** — key fingerprints and NULL masks are precomputed for
-///   both sides in one typed pass per key column
-///   ([`ColumnarBatch::key_fingerprints`]); build-side morsels then
-///   scatter `(fingerprint, row)` entries
-///   into [`JOIN_PARTITIONS`] partitions; then one
-///   task per partition folds the morsels' entries *in morsel order*
-///   into a pre-sized fingerprint-keyed table. A fingerprint lands in
-///   exactly one partition, so each candidate list sees its rows in
-///   build-input order — the row engine's match order.
+/// * **Build** — the left input's selected rows are fingerprinted in one
+///   typed pass per key column ([`ColumnarBatch::key_fingerprints`]) and
+///   inserted into one [`KeyIndex`] in input order, NULL keys skipped
+///   (they never join: SQL semantics). The index hands candidates back
+///   in insertion order, so every probe sees its matches in build-input
+///   order — the row engine's match order — with no schedule to depend
+///   on.
 /// * **Probe** — probe-side morsels scan their rows in order against the
-///   partition tables (candidates verified with typed
-///   [`Column::eq_at`], so hash collisions cost time, never
-///   correctness), and the per-morsel match lists concatenate in morsel
-///   sequence order. The resulting `(left, right)` pair list is exactly
-///   the sequential probe's.
+///   shared index (candidates verified by [`KeyEq`], so collisions cost
+///   time, never correctness), and the per-morsel match lists
+///   concatenate in morsel sequence order. The resulting `(left, right)`
+///   pair list is exactly the sequential probe's.
 /// * **Materialize** — output columns gather in parallel (one task per
 ///   column), and the residual filter runs morsel-parallel with
 ///   first-error-wins ordering.
@@ -946,87 +873,41 @@ fn execute_hash_join_columnar(
         .collect::<Result<_>>()?;
     let bound_filter = filter.map(|f| bind(f, &plan.schema)).transpose()?;
 
-    // Key fingerprints and NULL-key masks for both sides, computed in
-    // one typed pass per key column (NULL keys never join: SQL
-    // semantics). Morsel loops below only load from these arrays.
     let lb = &lbatch.batch;
     let rb = &rbatch.batch;
-    let (lfps, llive) = lb.key_fingerprints(&lidx);
-    let (rfps, rlive) = rb.key_fingerprints(&ridx);
-    let keq = KeyEq::resolve(lb, &lidx, rb, &ridx);
+    let (lfps, llive) = lb.key_fingerprints(&lidx, lbatch.selection());
+    let (rfps, rlive) = rb.key_fingerprints(&ridx, rbatch.selection());
+    // NULL keys are skipped on both sides before any comparison.
+    let keq = KeyEq::new(lb, &lidx, rb, &ridx, true);
 
-    // Build on the left input: each morsel scatters its rows'
-    // fingerprints into radix partitions.
-    let bounds = morsel_bounds(lbatch.n_rows(), runner.morsel_rows());
-    let scattered: Vec<[Vec<(u64, u32)>; JOIN_PARTITIONS]> =
-        parallel_map(runner, bounds.len(), |m| {
-            let (lo, hi) = bounds[m];
-            let mut parts: [Vec<(u64, u32)>; JOIN_PARTITIONS] = std::array::from_fn(|_| Vec::new());
-            for k in lo..hi {
-                let i = lbatch.phys(k);
-                if !llive[i] {
-                    continue;
-                }
-                let fp = lfps[i];
-                parts[join_partition(fp)].push((fp, i as u32));
-            }
-            parts
-        });
-
-    // One table per partition, pre-sized from the scatter counts and
-    // filled in morsel order so candidate lists keep build-input order.
-    let tables: Vec<FpMap<Vec<u32>>> = parallel_map(runner, JOIN_PARTITIONS, |p| {
-        let total: usize = scattered.iter().map(|s| s[p].len()).sum();
-        let mut table: FpMap<Vec<u32>> =
-            HashMap::with_capacity_and_hasher(total, FpBuild::default());
-        for s in &scattered {
-            for &(fp, li) in &s[p] {
-                table.entry(fp).or_default().push(li);
-            }
+    let mut index = KeyIndex::with_capacity(lfps.len());
+    for (k, &fp) in lfps.iter().enumerate() {
+        if llive[k] {
+            index.insert(fp, lbatch.phys(k) as u32);
         }
-        table
-    });
+    }
 
-    // Probe with the right input in morsel order; fingerprint candidates
-    // are verified with typed value comparisons, so hash collisions
-    // cannot produce wrong matches.
     let pbounds = morsel_bounds(rbatch.n_rows(), runner.morsel_rows());
     let matches: Vec<(Vec<u32>, Vec<u32>)> = parallel_map(runner, pbounds.len(), |m| {
         let (lo, hi) = pbounds[m];
         let mut out_l: Vec<u32> = Vec::new();
         let mut out_r: Vec<u32> = Vec::new();
         for k in lo..hi {
-            let i = rbatch.phys(k);
-            if !rlive[i] {
+            if !rlive[k] {
                 continue;
             }
-            let fp = rfps[i];
-            if let Some(candidates) = tables[join_partition(fp)].get(&fp) {
-                for &li in candidates {
-                    let ok = match keq {
-                        KeyEq::Int64(a, b) => a[li as usize] == b[i],
-                        KeyEq::Date(a, b) => a[li as usize] == b[i],
-                        KeyEq::General => lidx
-                            .iter()
-                            .zip(&ridx)
-                            .all(|(&lc, &rc)| lb.column(lc).eq_at(li as usize, rb.column(rc), i)),
-                    };
-                    if ok {
-                        out_l.push(li);
-                        out_r.push(i as u32);
-                    }
+            let i = rbatch.phys(k);
+            for li in index.candidates(rfps[k]) {
+                if keq.eq(li as usize, i) {
+                    out_l.push(li);
+                    out_r.push(i as u32);
                 }
             }
         }
         (out_l, out_r)
     });
-    let n_matches: usize = matches.iter().map(|(l, _)| l.len()).sum();
-    let mut out_left: Vec<u32> = Vec::with_capacity(n_matches);
-    let mut out_right: Vec<u32> = Vec::with_capacity(n_matches);
-    for (l, r) in matches {
-        out_left.extend_from_slice(&l);
-        out_right.extend_from_slice(&r);
-    }
+    let (out_left, out_right): (Vec<_>, Vec<_>) = matches.into_iter().unzip();
+    let (out_left, out_right) = (out_left.concat(), out_right.concat());
 
     // Materialize the joined batch: left columns then right columns,
     // gathered in parallel (one task per output column).
@@ -1056,6 +937,45 @@ fn execute_hash_join_columnar(
         batch: Arc::new(joined),
         sel,
     })
+}
+
+/// One group of a hash aggregate: its key is the key of input row `rep`
+/// (the first row that carried it), compared through [`KeyEq`] rather
+/// than materialized per candidate.
+struct Group {
+    fp: u64,
+    rep: u32,
+    accs: Vec<Accumulator>,
+}
+
+/// The groups of one input range in first-appearance order, indexed by
+/// key fingerprint.
+struct Groups {
+    index: KeyIndex,
+    list: Vec<Group>,
+}
+
+impl Groups {
+    fn new() -> Groups {
+        Groups {
+            index: KeyIndex::with_capacity(0),
+            list: Vec::new(),
+        }
+    }
+
+    /// The group whose key equals physical row `row`'s, if any.
+    fn find(&self, keq: &KeyEq<'_>, fp: u64, row: u32) -> Option<usize> {
+        let same_key = |&g: &u32| keq.eq(self.list[g as usize].rep as usize, row as usize);
+        self.index.candidates(fp).find(same_key).map(|g| g as usize)
+    }
+
+    /// Append a group whose key is physical row `rep`'s; returns its
+    /// position.
+    fn add(&mut self, fp: u64, rep: u32, accs: Vec<Accumulator>) -> usize {
+        self.index.insert(fp, self.list.len() as u32);
+        self.list.push(Group { fp, rep, accs });
+        self.list.len() - 1
+    }
 }
 
 fn execute_hash_aggregate_columnar(
@@ -1105,121 +1025,72 @@ fn execute_hash_aggregate_columnar(
         })
         .collect::<Result<_>>()?;
 
-    // Group-key fingerprints, morsel-parallel (pure computation).
-    let fbounds = morsel_bounds(idx.len(), runner.morsel_rows());
-    let fps: Vec<u64> = parallel_map(runner, fbounds.len(), |m| {
-        let (lo, hi) = fbounds[m];
-        idx[lo..hi]
-            .iter()
-            .map(|&i| {
-                let mut h = 0xcbf2_9ce4_8422_2325u64;
-                for &c in &gidx {
-                    h = mix_fingerprint(h, b.column(c).fingerprint_at(i as usize));
-                }
-                h
-            })
-            .collect::<Vec<u64>>()
-    })
-    .concat();
+    // NULL is a key value when grouping, so `live` only tells the
+    // comparator whether it may skip the validity checks.
+    let (fps, live) = b.key_fingerprints(&gidx, Some(&idx));
+    let keq = KeyEq::new(b, &gidx, b, &gidx, live.iter().all(|&l| l));
 
-    // Group by key fingerprint; candidate slots are verified against the
-    // stored key values. When any aggregate is order-sensitive (float
-    // SUM/AVG accumulate in non-associative f64 adds), rows feed the
-    // accumulators sequentially in input order, exactly like the row
-    // engine. When every aggregate is order-insensitive, morsels
-    // accumulate partial groups in parallel and merge in morsel order —
-    // provably the same result (see `Accumulator::merge`).
-    let parallel_groups = runner.workers() > 1
-        && fbounds.len() > 1
-        && bound.iter().all(BoundAgg::order_insensitive)
-        && !bound.is_empty();
-    let mut groups: Vec<(Vec<Value>, Vec<Accumulator>)> = if parallel_groups {
-        type LocalGroups = Vec<(u64, Vec<Value>, Vec<Accumulator>)>;
-        let locals: Vec<Result<LocalGroups>> = parallel_map(runner, fbounds.len(), |m| {
-            let (lo, hi) = fbounds[m];
-            let mut slots: FpMap<Vec<usize>> = FpMap::default();
-            let mut local: LocalGroups = Vec::new();
-            for k in lo..hi {
-                let i = idx[k] as usize;
-                let fp = fps[k];
-                let candidates = slots.entry(fp).or_default();
-                let slot = candidates
-                    .iter()
-                    .copied()
-                    .find(|&s| {
-                        gidx.iter()
-                            .enumerate()
-                            .all(|(j, &c)| local[s].1[j] == b.column(c).get(i))
-                    })
-                    .unwrap_or_else(|| {
-                        let key: Vec<Value> = gidx.iter().map(|&c| b.column(c).get(i)).collect();
-                        local.push((fp, key, bound.iter().map(BoundAgg::new_acc).collect()));
-                        candidates.push(local.len() - 1);
-                        local.len() - 1
-                    });
-                let accs = &mut local[slot].2;
-                for (a, agg) in bound.iter().enumerate() {
-                    let value = args[a].as_ref().map(|col| col.get(k));
-                    agg.apply(&mut accs[a], value)?;
-                }
-            }
-            Ok(local)
-        });
-        // Merge morsel-local groups in morsel order: groups appear in
-        // global first-appearance order (as sequentially), and partial
-        // accumulators fold in input-range order.
-        let mut slots: FpMap<Vec<usize>> = FpMap::default();
-        let mut groups: Vec<(Vec<Value>, Vec<Accumulator>)> = Vec::new();
-        for local in first_error(locals)? {
-            for (fp, key, accs) in local {
-                let candidates = slots.entry(fp).or_default();
-                match candidates.iter().copied().find(|&s| groups[s].0 == key) {
-                    Some(s) => {
-                        for (dst, src) in groups[s].1.iter_mut().zip(accs) {
-                            dst.merge(src);
-                        }
-                    }
-                    None => {
-                        groups.push((key, accs));
-                        candidates.push(groups.len() - 1);
-                    }
-                }
-            }
-        }
-        groups
-    } else {
-        let mut slots: FpMap<Vec<usize>> = FpMap::default();
-        let mut groups: Vec<(Vec<Value>, Vec<Accumulator>)> = Vec::new();
-        for (k, &i) in idx.iter().enumerate() {
-            let i = i as usize;
-            let fp = fps[k];
-            let candidates = slots.entry(fp).or_default();
-            let slot = candidates
-                .iter()
-                .copied()
-                .find(|&s| {
-                    gidx.iter()
-                        .enumerate()
-                        .all(|(j, &c)| groups[s].0[j] == b.column(c).get(i))
-                })
-                .unwrap_or_else(|| {
-                    let key: Vec<Value> = gidx.iter().map(|&c| b.column(c).get(i)).collect();
-                    groups.push((key, bound.iter().map(BoundAgg::new_acc).collect()));
-                    candidates.push(groups.len() - 1);
-                    groups.len() - 1
-                });
-            let accs = &mut groups[slot].1;
+    // Rows `lo..hi` of the selection, grouped: each row joins the group
+    // whose representative row carries its key, or starts one, then
+    // feeds that group's accumulators — in row order.
+    let fresh = || bound.iter().map(BoundAgg::new_acc).collect::<Vec<_>>();
+    let accumulate = |(lo, hi): (usize, usize)| -> Result<Groups> {
+        let mut groups = Groups::new();
+        for k in lo..hi {
+            let g = groups
+                .find(&keq, fps[k], idx[k])
+                .unwrap_or_else(|| groups.add(fps[k], idx[k], fresh()));
             for (a, agg) in bound.iter().enumerate() {
                 let value = args[a].as_ref().map(|col| col.get(k));
-                agg.apply(&mut accs[a], value)?;
+                agg.apply(&mut groups.list[g].accs[a], value)?;
             }
         }
-        groups
+        Ok(groups)
     };
+
+    // When any aggregate is order-sensitive (float SUM/AVG accumulate in
+    // non-associative f64 adds), rows feed the accumulators sequentially
+    // in input order, exactly like the row engine. When every aggregate
+    // is order-insensitive, morsels accumulate partial groups in parallel
+    // and later morsels fold into the first in morsel order — provably
+    // the same result (see `Accumulator::merge`), with groups in global
+    // first-appearance order either way.
+    let parallel_groups =
+        runner.workers() > 1 && bound.iter().all(BoundAgg::order_insensitive) && !bound.is_empty();
+    let bounds = if parallel_groups {
+        morsel_bounds(idx.len(), runner.morsel_rows())
+    } else {
+        vec![(0, idx.len())]
+    };
+    let partials = parallel_map(runner, bounds.len(), |m| accumulate(bounds[m]));
+    let mut partials = first_error(partials)?.into_iter();
+    let mut groups = partials.next().expect("at least one morsel");
+    for later in partials {
+        for group in later.list {
+            match groups.find(&keq, group.fp, group.rep) {
+                Some(g) => {
+                    for (dst, src) in groups.list[g].accs.iter_mut().zip(group.accs) {
+                        dst.merge(src);
+                    }
+                }
+                None => {
+                    groups.add(group.fp, group.rep, group.accs);
+                }
+            }
+        }
+    }
+    let mut groups: Vec<(Vec<Value>, Vec<Accumulator>)> = groups
+        .list
+        .into_iter()
+        .map(|g| {
+            let key = gidx.iter().map(|&c| b.get(g.rep as usize, c)).collect();
+            (key, g.accs)
+        })
+        .collect();
 
     // SQL: a global aggregate over empty input yields one row.
     if groups.is_empty() && group_by.is_empty() {
-        groups.push((vec![], bound.iter().map(BoundAgg::new_acc).collect()));
+        groups.push((vec![], fresh()));
     }
 
     // The same single explicit final sort as the row engine.
@@ -1285,7 +1156,47 @@ mod tests {
                 vec![Value::Null, Value::Float64(99.0)],
             ]),
         );
+        // NULL and string group keys, duplicate-heavy, with float values
+        // whose sum depends on the order they are added in.
+        let ev = |k: Option<i64>, tag: Option<&str>, x: f64| {
+            vec![
+                k.map_or(Value::Null, Value::Int64),
+                tag.map_or(Value::Null, Value::str),
+                Value::Float64(x),
+            ]
+        };
+        s.insert(
+            TableRef::bare("events"),
+            loc("N"),
+            Rows::from_rows(vec![
+                ev(Some(1), Some("a"), 0.1),
+                ev(None, Some("a"), 0.2),
+                ev(Some(1), None, 0.3),
+                ev(Some(1), Some("a"), 0.7),
+                ev(None, None, 1.1),
+                ev(Some(2), Some("b"), 2.0),
+                ev(None, Some("a"), 0.4),
+                ev(None, None, 0.6),
+                ev(Some(2), Some("b"), 1.0),
+                ev(Some(3), Some("a"), 3.0),
+                ev(Some(1), Some("a"), 1e16),
+                ev(Some(1), Some("a"), -1e16),
+                ev(Some(0), None, 5.5),
+            ]),
+        );
         s
+    }
+
+    fn events_scan() -> Arc<PhysicalPlan> {
+        scan_node(
+            "events",
+            "N",
+            vec![
+                Field::new("k", DataType::Int64),
+                Field::new("tag", DataType::Str),
+                Field::new("x", DataType::Float64),
+            ],
+        )
     }
 
     fn customer_scan() -> Arc<PhysicalPlan> {
@@ -1389,6 +1300,68 @@ mod tests {
         )
         .unwrap();
         assert_engines_agree(&join);
+
+        // Float64 ⋈ Int64: the numeric domain is merged, so 1.0 = 1, and
+        // the comparator takes its general arm. The same plan built on
+        // `k` has a duplicate-heavy Int64 key — where match order shows —
+        // with NULLs on both sides.
+        for build_key in ["x", "k"] {
+            let (e, c) = (events_scan(), customer_scan());
+            let schema = Arc::new(e.schema.join(&c.schema).unwrap());
+            let op = PhysOp::HashJoin {
+                left_keys: vec![build_key.into()],
+                right_keys: vec!["custkey".into()],
+                filter: None,
+            };
+            let join = PhysicalPlan::new(op, schema, loc("N"), vec![e, c]).unwrap();
+            let out = execute_columnar(&join, &source(), &mut LocalShip).unwrap();
+            assert_eq!(out.len(), if build_key == "x" { 3 } else { 8 });
+            assert_engines_agree(&join);
+        }
+    }
+
+    #[test]
+    fn null_and_string_group_keys_agree_with_row_engine() {
+        use geoqp_expr::{AggCall, AggFunc};
+        let x = || ScalarExpr::col("x");
+        let cases = [
+            // Order-insensitive.
+            (
+                vec![
+                    AggCall::count_star("n"),
+                    AggCall::new(AggFunc::Min, x(), "lo"),
+                ],
+                vec![
+                    Field::new("n", DataType::Int64),
+                    Field::new("lo", DataType::Float64),
+                ],
+            ),
+            // Order-sensitive: a float SUM must add in input order.
+            (
+                vec![AggCall::new(AggFunc::Sum, x(), "total")],
+                vec![Field::new("total", DataType::Float64)],
+            ),
+        ];
+        for (aggs, outputs) in cases {
+            let mut fields = vec![
+                Field::new("k", DataType::Int64),
+                Field::new("tag", DataType::Str),
+            ];
+            fields.extend(outputs);
+            let op = PhysOp::HashAggregate {
+                group_by: vec!["k".into(), "tag".into()],
+                aggs,
+            };
+            let schema = Arc::new(Schema::new(fields).unwrap());
+            let agg = PhysicalPlan::new(op, schema, loc("N"), vec![events_scan()]).unwrap();
+            let out = execute_columnar(&agg, &source(), &mut LocalShip).unwrap();
+            assert_eq!(
+                out.len(),
+                7,
+                "(NULL, NULL), (NULL, a) and (1, NULL) are groups"
+            );
+            assert_engines_agree(&agg);
+        }
     }
 
     #[test]

@@ -14,6 +14,17 @@
 //! residual filters, hash aggregation (SUM/AVG/MIN/MAX/COUNT with SQL null
 //! semantics), sort, limit, union, ship.
 //!
+//! Two interpreters run the same plans to the same rows, row order and
+//! shipped bytes: the row-at-a-time [`executor`] (the oracle every
+//! differential suite compares against) and the vectorized [`columnar`]
+//! engine, whose kernels split into morsels on a [`MorselRunner`]. The
+//! columnar engine's two keyed kernels, hash join and hash aggregate,
+//! share the private `keyed` module: `KeyIndex`, the only place a key
+//! fingerprint becomes a table position (it finalizes fingerprints
+//! itself and returns candidates in insertion order, which is what
+//! keeps match order independent of any schedule), and `KeyEq`, the one
+//! typed comparator candidates are verified with.
+//!
 //! SHIP and scan operations can additionally run under a [`RetryPolicy`]
 //! with simulated exponential backoff, so transient site/link faults are
 //! absorbed and permanent ones surface as typed
@@ -22,6 +33,7 @@
 pub mod aggregate;
 pub mod columnar;
 pub mod executor;
+mod keyed;
 pub mod parallel;
 pub mod retry;
 

@@ -46,7 +46,7 @@ pub trait MorselRunner: Sync {
 }
 
 /// Default rows per morsel: large enough that per-morsel overhead
-/// (dispatch, result slot, partition vectors) is noise, small enough that
+/// (dispatch, result slot, match vectors) is noise, small enough that
 /// a TPC-H-sized batch still splits into tens of morsels.
 pub const MORSEL_ROWS_DEFAULT: usize = 2048;
 

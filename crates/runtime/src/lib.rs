@@ -327,6 +327,17 @@ mod tests {
         assert_eq!(err.failed_site(), Some(&loc("L3")));
     }
 
+    /// The columnar engine on tiny batches and morsels, so even these
+    /// fixtures split into several of each.
+    fn pooled(workers: usize) -> RuntimeConfig {
+        RuntimeConfig {
+            batch_rows: 7,
+            columnar: true,
+            morsel_rows: 8,
+            workers_per_site: workers,
+        }
+    }
+
     #[test]
     fn worker_count_never_changes_results_or_transfers() {
         // A filter above the union gives the root fragment a CPU kernel
@@ -347,12 +358,7 @@ mod tests {
         let topology = NetworkTopology::paper_wan();
         let run = |workers: usize| {
             Runtime::new(ShipEnv::new(&topology))
-                .with_config(RuntimeConfig {
-                    batch_rows: 7,
-                    columnar: true,
-                    morsel_rows: 8,
-                    workers_per_site: workers,
-                })
+                .with_config(pooled(workers))
                 .run(&plan, &source, None)
                 .unwrap()
         };
@@ -367,6 +373,106 @@ mod tests {
             // with the morsel split (8-row morsels over tiny fragments).
             let pooled: u64 = out.metrics.sites.values().map(|m| m.morsels).sum();
             assert!(pooled > 0, "workers={workers} should dispatch morsels");
+        }
+    }
+
+    /// The keyed kernels under a real pool: rows *and row order* equal
+    /// the row engine's at 1, 2 and 4 workers, for the inputs where a
+    /// schedule could show — a duplicate-heavy Int64 key whose build
+    /// side spans five morsels, NULL keys on both sides, an Int64 ⋈
+    /// Float64 key, and NULL/string group keys under an order-insensitive
+    /// (COUNT, MIN: morsel partials merged) and an order-sensitive
+    /// (float SUM: serial) aggregate.
+    #[test]
+    fn keyed_kernels_match_the_row_engine_at_every_worker_count() {
+        use geoqp_expr::{AggCall, AggFunc};
+        let typed_scan = |table: &str, fields: &[(&str, DataType)]| {
+            let fields = fields.iter().map(|(n, t)| Field::new(*n, *t)).collect();
+            let schema = Arc::new(Schema::new(fields).unwrap());
+            let op = PhysOp::Scan {
+                table: TableRef::bare(table),
+            };
+            Arc::new(PhysicalPlan::new(op, schema, loc("L1"), vec![]).unwrap())
+        };
+        let nullable = |i: i64, m: i64| {
+            if i % 6 == 5 {
+                Value::Null
+            } else {
+                Value::Int64(i % m)
+            }
+        };
+        let mut source = MapSource::new();
+        let build = (0..40).map(|i| {
+            let tag = [Value::str("a"), Value::str("b"), Value::Null][i as usize % 3].clone();
+            vec![nullable(i, 4), tag, Value::Float64(i as f64 * 0.1 + 1e15)]
+        });
+        source.insert(TableRef::bare("build"), loc("L1"), build.collect());
+        let probe = (0..30).map(|i| vec![nullable(i, 7), Value::Float64((i % 5) as f64 * 0.5)]);
+        source.insert(TableRef::bare("probe"), loc("L1"), probe.collect());
+
+        let build = typed_scan(
+            "build",
+            &[
+                ("bk", DataType::Int64),
+                ("tag", DataType::Str),
+                ("x", DataType::Float64),
+            ],
+        );
+        let probe = typed_scan(
+            "probe",
+            &[("pk", DataType::Int64), ("pf", DataType::Float64)],
+        );
+        let join = |right_key: &str| {
+            let schema = Arc::new(build.schema.join(&probe.schema).unwrap());
+            let op = PhysOp::HashJoin {
+                left_keys: vec!["bk".into()],
+                right_keys: vec![right_key.into()],
+                filter: None,
+            };
+            let inputs = vec![Arc::clone(&build), Arc::clone(&probe)];
+            PhysicalPlan::new(op, schema, loc("L1"), inputs).unwrap()
+        };
+        let aggregate = |aggs: Vec<AggCall>, outputs: &[(&str, DataType)]| {
+            let keys = [("bk", DataType::Int64), ("tag", DataType::Str)];
+            let fields = keys.iter().chain(outputs);
+            let fields = fields.map(|(n, t)| Field::new(*n, *t)).collect();
+            let op = PhysOp::HashAggregate {
+                group_by: vec!["bk".into(), "tag".into()],
+                aggs,
+            };
+            let schema = Arc::new(Schema::new(fields).unwrap());
+            PhysicalPlan::new(op, schema, loc("L1"), vec![Arc::clone(&build)]).unwrap()
+        };
+        let x = || ScalarExpr::col("x");
+        let plans = [
+            join("pk"),
+            join("pf"),
+            aggregate(
+                vec![
+                    AggCall::count_star("n"),
+                    AggCall::new(AggFunc::Min, x(), "lo"),
+                ],
+                &[("n", DataType::Int64), ("lo", DataType::Float64)],
+            ),
+            aggregate(
+                vec![AggCall::new(AggFunc::Sum, x(), "total")],
+                &[("total", DataType::Float64)],
+            ),
+        ];
+        let topology = NetworkTopology::paper_wan();
+        for plan in &plans {
+            let want = execute(plan, &source, &mut geoqp_exec::LocalShip).unwrap();
+            assert!(
+                want.len() > 3,
+                "a fixture that matches nothing pins nothing"
+            );
+            for workers in [1, 2, 4] {
+                let out = Runtime::new(ShipEnv::new(&topology))
+                    .with_config(pooled(workers))
+                    .run(plan, &source, None)
+                    .unwrap();
+                assert_eq!(out.rows, want, "workers={workers}: {:?}", plan.op);
+            }
         }
     }
 

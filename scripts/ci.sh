@@ -63,6 +63,10 @@ while read -r name _ want; do
     fi
 done <scripts/bench_expected.txt
 
+echo "==> benchmark adapter contract: no step above may have touched" \
+     "benchmark/ or BENCHMARK.json (run outputs are git-ignored)"
+test -z "$(git status --porcelain benchmark BENCHMARK.json)"
+
 echo "==> columnar differential suite: row vs vectorized engines," \
      "both runtimes, all fault schedules (release)"
 cargo test -q -p geoqp-bench --release --test columnar_differential

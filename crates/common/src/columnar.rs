@@ -9,6 +9,21 @@
 //! engine as `Arc<ColumnarBatch>`, so fragment hand-off and scan caching
 //! are zero-copy.
 //!
+//! **A cell is copied when something first reads it, and never
+//! otherwise.** A batch holds its columns as [`SharedColumn`]s, so
+//! carrying a column into another batch (a projection of plain column
+//! references) is a pointer copy, and [`ColumnarBatch::gather`] copies
+//! nothing at all: each column of its result is *pending* — a source
+//! column plus a position list the whole result shares — until a reader
+//! asks for it ([`ColumnarBatch::column`] and everything built on it:
+//! `get`, `encoded_size_of`, `key_fingerprints`, `to_row_vec`). That
+//! first read gathers the column once, into a [`OnceLock`] every batch
+//! sharing the column sees; gathering a still-pending column composes
+//! the two position lists instead, once per distinct list. A join's
+//! output therefore costs index work per *source*, and only the columns
+//! somebody reads are ever copied. None of this is visible from outside:
+//! a pending column reads exactly as its eager [`Column::gather`] would.
+//!
 //! Two invariants tie the columnar engine to the row engine:
 //!
 //! * **Round-trip exactness** — [`ColumnarBatch::to_rows`] reproduces the
@@ -18,20 +33,20 @@
 //!   [`Rows::encoded_size`] (and therefore `Rows::encode().len()`) for
 //!   the same rows, computed from column metadata without materializing
 //!   the wire encoding. The network simulator charges identical bytes
-//!   whether a SHIP carries rows or a columnar batch.
+//!   whether a SHIP carries rows or a columnar batch. Sizing reads every
+//!   column, so whatever is shipped has been gathered.
 //!
 //! [`Any`]: Column::Any
 
 use crate::row::{Row, Rows};
 use crate::value::Value;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A selection vector: physical row indices (in order) that survive a
-/// filter. Kernels compose selections instead of materializing filtered
-/// batches; [`ColumnarBatch::gather`] materializes when required (e.g.
-/// before a SHIP, whose byte accounting must see exactly the surviving
-/// rows).
+/// filter, or that a join matched. Kernels compose selections instead of
+/// copying filtered batches, and [`ColumnarBatch::gather`] keeps the
+/// vector, shared, as its result's position list.
 pub type SelectionVector = Vec<u32>;
 
 /// FNV-1a offset basis / prime, used for string and key fingerprints.
@@ -863,11 +878,80 @@ impl Column {
     }
 }
 
-/// An immutable column-major row batch.
+/// The position list of a pending column, shared by every column gathered
+/// through it.
+type Positions = Arc<SelectionVector>;
+
+// How many position lists `ColumnarBatch::gather` has composed on this
+// thread: what the tests count to show a list shared by *k* columns is
+// composed once.
+#[cfg(test)]
+thread_local! {
+    static COMPOSITIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// One column of a batch, shared: every batch that carries the column
+/// holds the same allocation. It is either *materialized* — its cells
+/// exist — or *pending*: a materialized source column and the positions
+/// to gather out of it, which the first [`SharedColumn::get`] does,
+/// exactly once, for every holder.
+#[derive(Debug, Clone)]
+pub struct SharedColumn(Arc<Slot>);
+
+#[derive(Debug)]
+struct Slot {
+    /// The cells: set at construction, or by the first read of a
+    /// pending column (racing readers block, then see the one result).
+    cells: OnceLock<Column>,
+    /// What a pending column's first read gathers. The source is always
+    /// materialized: gathering a pending column composes positions down
+    /// to *its* source instead of stacking.
+    pending: Option<(SharedColumn, Positions)>,
+}
+
+impl From<Column> for SharedColumn {
+    fn from(column: Column) -> SharedColumn {
+        SharedColumn(Arc::new(Slot {
+            cells: OnceLock::from(column),
+            pending: None,
+        }))
+    }
+}
+
+impl SharedColumn {
+    /// The column, gathering it first if nobody has read it yet.
+    pub fn get(&self) -> &Column {
+        self.0.cells.get_or_init(|| {
+            let (source, positions) = self
+                .0
+                .pending
+                .as_ref()
+                .expect("a column is materialized or pending");
+            source.get().gather(positions)
+        })
+    }
+
+    /// True once the column's cells exist — from construction, or
+    /// because something read it.
+    fn is_materialized(&self) -> bool {
+        self.0.cells.get().is_some()
+    }
+
+    /// Number of rows, without materializing.
+    fn len(&self) -> usize {
+        match (self.0.cells.get(), &self.0.pending) {
+            (Some(column), _) => column.len(),
+            (None, Some((_, positions))) => positions.len(),
+            (None, None) => unreachable!("a column is materialized or pending"),
+        }
+    }
+}
+
+/// An immutable column-major row batch of [`SharedColumn`]s.
 #[derive(Debug, Clone)]
 pub struct ColumnarBatch {
     len: usize,
-    columns: Vec<Column>,
+    columns: Vec<SharedColumn>,
 }
 
 impl ColumnarBatch {
@@ -875,7 +959,7 @@ impl ColumnarBatch {
     /// for empty inputs, whose rows cannot be inspected).
     pub fn from_rows(rows: &[Row], arity: usize) -> ColumnarBatch {
         let columns = (0..arity)
-            .map(|j| Column::from_values(rows.iter().map(|r| r[j].clone()).collect()))
+            .map(|j| Column::from_values(rows.iter().map(|r| r[j].clone()).collect()).into())
             .collect();
         ColumnarBatch {
             len: rows.len(),
@@ -886,6 +970,13 @@ impl ColumnarBatch {
     /// Build from pre-constructed columns (all the same length).
     pub fn from_columns(columns: Vec<Column>) -> ColumnarBatch {
         let len = columns.first().map_or(0, Column::len);
+        ColumnarBatch::from_shared(len, columns.into_iter().map(Into::into).collect())
+    }
+
+    /// Build from columns other batches may also hold, each `len` rows
+    /// long (`len` is what an arity-0 batch still knows): pointer copies,
+    /// pending columns stay pending.
+    pub fn from_shared(len: usize, columns: Vec<SharedColumn>) -> ColumnarBatch {
         debug_assert!(columns.iter().all(|c| c.len() == len));
         ColumnarBatch { len, columns }
     }
@@ -905,24 +996,29 @@ impl ColumnarBatch {
         self.columns.len()
     }
 
-    /// The columns.
-    pub fn columns(&self) -> &[Column] {
+    /// One column — the read that materializes a pending one.
+    pub fn column(&self, j: usize) -> &Column {
+        self.columns[j].get()
+    }
+
+    /// The columns as other batches can carry them, pending or not.
+    pub fn shared_columns(&self) -> &[SharedColumn] {
         &self.columns
     }
 
-    /// One column.
-    pub fn column(&self, j: usize) -> &Column {
-        &self.columns[j]
+    /// Has anything read column `j` yet (or was it built materialized)?
+    pub fn is_materialized(&self, j: usize) -> bool {
+        self.columns[j].is_materialized()
     }
 
     /// The value at (`row`, `col`).
     pub fn get(&self, row: usize, col: usize) -> Value {
-        self.columns[col].get(row)
+        self.column(col).get(row)
     }
 
     /// Materialize row `i`.
     pub fn row(&self, i: usize) -> Row {
-        self.columns.iter().map(|c| c.get(i)).collect()
+        self.columns.iter().map(|c| c.get().get(i)).collect()
     }
 
     /// Round-trip back to row-major form (materialized eagerly; the
@@ -939,7 +1035,7 @@ impl ColumnarBatch {
         let arity = self.columns.len();
         let mut rows: Vec<Row> = (0..self.len).map(|_| Row::with_capacity(arity)).collect();
         for c in &self.columns {
-            c.append_rows(&mut rows);
+            c.get().append_rows(&mut rows);
         }
         rows
     }
@@ -955,15 +1051,54 @@ impl ColumnarBatch {
     /// a batch of their own — what shipping that range costs, header
     /// included, without copying it out.
     pub fn encoded_size_of(&self, offset: usize, len: usize) -> usize {
-        let width = |c: &Column| c.encoded_size(offset, len);
+        let width = |c: &SharedColumn| c.get().encoded_size(offset, len);
         8 + self.columns.iter().map(width).sum::<usize>()
     }
 
-    /// Gather the rows at `indices` (in order) into a new batch.
-    pub fn gather(&self, indices: &[u32]) -> ColumnarBatch {
+    /// The rows at `positions` (in order) as a batch of their own —
+    /// without copying a cell: every column of the result is pending on
+    /// `positions` until something reads it. A column that is itself
+    /// still pending is not read for this: its positions are composed
+    /// with the new ones, once per distinct list however many columns
+    /// share it, and the result gathers straight from the original
+    /// source. Every row in order — a foreign-key join whose probe side
+    /// all matched — is the batch itself: the same columns, even when read.
+    pub fn gather(&self, positions: Positions) -> ColumnarBatch {
+        let in_place = |(k, &p): (usize, &u32)| k == p as usize;
+        if positions.len() == self.len && positions.iter().enumerate().all(in_place) {
+            return self.clone();
+        }
+        // (a pending input list, its composition with `positions`)
+        let mut composed: Vec<(&Positions, Positions)> = Vec::new();
+        let mut through = |inner| {
+            if let Some((_, done)) = composed.iter().find(|(of, _)| Arc::ptr_eq(of, inner)) {
+                return Arc::clone(done);
+            }
+            #[cfg(test)]
+            COMPOSITIONS.with(|n| n.set(n.get() + 1));
+            let done: Positions = Arc::new(positions.iter().map(|&k| inner[k as usize]).collect());
+            composed.push((inner, Arc::clone(&done)));
+            done
+        };
+        let columns = self
+            .columns
+            .iter()
+            .map(|column| {
+                let pending = match &column.0.pending {
+                    Some((source, inner)) if !column.is_materialized() => {
+                        (source.clone(), through(inner))
+                    }
+                    _ => (column.clone(), Arc::clone(&positions)),
+                };
+                SharedColumn(Arc::new(Slot {
+                    cells: OnceLock::new(),
+                    pending: Some(pending),
+                }))
+            })
+            .collect();
         ColumnarBatch {
-            len: indices.len(),
-            columns: self.columns.iter().map(|c| c.gather(indices)).collect(),
+            len: positions.len(),
+            columns,
         }
     }
 
@@ -977,7 +1112,7 @@ impl ColumnarBatch {
         let columns = (0..parts[0].arity())
             .map(|j| {
                 let cols: Vec<&Column> = parts.iter().map(|p| p.column(j)).collect();
-                Column::concat(&cols)
+                Column::concat(&cols).into()
             })
             .collect();
         ColumnarBatch { len, columns }
@@ -989,7 +1124,7 @@ impl ColumnarBatch {
     fn key_fingerprint(&self, key_cols: &[usize], i: usize) -> u64 {
         let mut h = FNV_OFFSET;
         for &c in key_cols {
-            h = mix_fingerprint(h, self.columns[c].fingerprint_at(i));
+            h = mix_fingerprint(h, self.column(c).fingerprint_at(i));
         }
         h
     }
@@ -1011,7 +1146,8 @@ impl ColumnarBatch {
         let mut fps = vec![FNV_OFFSET; n];
         let mut live = vec![true; n];
         for &c in key_cols {
-            self.columns[c].fold_key_fingerprints(sel, &mut fps, &mut live);
+            self.column(c)
+                .fold_key_fingerprints(sel, &mut fps, &mut live);
         }
         (fps, live)
     }
@@ -1104,11 +1240,262 @@ mod tests {
     fn gather_matches_row_indexing() {
         let rows = mixed_rows();
         let batch = ColumnarBatch::from_rows(&rows, 5);
-        let g = batch.gather(&[3, 0, 3]);
+        let g = batch.gather(Arc::new(vec![3, 0, 3]));
         assert_eq!(g.len(), 3);
         assert_eq!(g.row(0), rows[3]);
         assert_eq!(g.row(1), rows[0]);
         assert_eq!(g.row(2), rows[3]);
+    }
+
+    /// Every layout in one batch: the five typed ones with NULLs (float
+    /// NaN and -0.0 included), an `Any` column, and an all-NULL column.
+    fn every_layout() -> ColumnarBatch {
+        let mut rows = mixed_rows();
+        rows.push(vec![
+            Value::Int64(1),
+            Value::str("beta"),
+            Value::Null,
+            Value::Date(9000),
+            Value::Bool(false),
+        ]);
+        rows.push(vec![
+            Value::Int64(i64::MIN),
+            Value::str("alpha"),
+            Value::Float64(0.0),
+            Value::Date(1),
+            Value::Null,
+        ]);
+        let any = [
+            Value::Int64(1),
+            Value::str("x"),
+            Value::Null,
+            Value::Float64(1.0),
+            Value::Date(1),
+            Value::Bool(true),
+        ];
+        for (row, v) in rows.iter_mut().zip(any) {
+            row.push(v);
+            row.push(Value::Null);
+        }
+        let batch = ColumnarBatch::from_rows(&rows, 7);
+        assert!(matches!(batch.column(5), Column::Any { .. }));
+        batch
+    }
+
+    /// Bit-exact row comparison (NaN included): through the wire encoding.
+    fn encoded(rows: Vec<Row>) -> Vec<u8> {
+        Rows::from_rows(rows).encode()
+    }
+
+    /// Repeated, empty, out-of-order, identity and single-row lists over
+    /// [`every_layout`]'s six rows.
+    fn position_lists() -> Vec<Vec<u32>> {
+        vec![
+            vec![3, 0, 3, 3, 5],
+            vec![],
+            vec![5, 2, 4, 0, 1, 3],
+            vec![0, 1, 2, 3, 4, 5],
+            vec![4],
+        ]
+    }
+
+    #[test]
+    fn a_pending_batch_reads_exactly_as_its_eager_gather() {
+        let source = every_layout();
+        for positions in position_lists() {
+            let eager_columns: Vec<Column> = (0..source.arity())
+                .map(|j| source.column(j).gather(&positions))
+                .collect();
+            let eager = ColumnarBatch::from_columns(eager_columns);
+            // A fresh pending batch per accessor, so each is a first read.
+            let identity = positions.iter().map(|&p| p as usize).eq(0..source.len());
+            let pending = || {
+                let p = source.gather(Arc::new(positions.clone()));
+                assert_eq!((p.len(), p.arity()), (positions.len(), source.arity()));
+                for j in 0..p.arity() {
+                    // Never a copy: pending, or — every row in order —
+                    // the source's own column.
+                    assert_eq!(p.is_materialized(j), identity);
+                    assert!(!identity || std::ptr::eq(p.column(j), source.column(j)));
+                }
+                p
+            };
+            let n = positions.len();
+
+            let p = pending();
+            for i in 0..n {
+                assert_eq!(encoded(vec![p.row(i)]), encoded(vec![eager.row(i)]));
+                for j in 0..p.arity() {
+                    assert_eq!(
+                        encoded(vec![vec![p.get(i, j)]]),
+                        encoded(vec![vec![eager.get(i, j)]])
+                    );
+                }
+            }
+            assert_eq!(encoded(pending().to_row_vec()), encoded(eager.to_row_vec()));
+
+            for offset in 0..=n {
+                for len in 0..=n - offset {
+                    assert_eq!(
+                        pending().encoded_size_of(offset, len),
+                        eager.encoded_size_of(offset, len),
+                        "rows {offset}..{} of {positions:?}",
+                        offset + len
+                    );
+                }
+            }
+
+            let all: Vec<usize> = (0..source.arity()).collect();
+            let some: Vec<u32> = (0..n as u32).rev().step_by(2).collect();
+            for key in [&all[..], &[1], &[5, 0], &[]] {
+                for sel in [None, Some(&some[..])] {
+                    assert_eq!(
+                        pending().key_fingerprints(key, sel),
+                        eager.key_fingerprints(key, sel)
+                    );
+                }
+            }
+
+            let p = pending();
+            for j in 0..p.arity() {
+                for i in 0..n {
+                    for (k, &at) in positions.iter().enumerate() {
+                        let want = eager.column(j).eq_at(i, eager.column(j), k);
+                        assert_eq!(p.column(j).eq_at(i, eager.column(j), k), want);
+                        assert_eq!(p.column(j).eq_at(i, p.column(j), k), want);
+                        // Against the ungathered source, too.
+                        let in_source = p.column(j).eq_at(i, source.column(j), at as usize);
+                        assert_eq!(in_source, want);
+                    }
+                }
+            }
+            // A gathered string column still shares its source's dictionary.
+            match (p.column(1), source.column(1)) {
+                (Column::Str { dict: a, .. }, Column::Str { dict: b, .. }) => {
+                    assert!(Arc::ptr_eq(a, b))
+                }
+                other => panic!("expected dictionary columns, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn gather_of_gather_of_gather_composes() {
+        let source = every_layout();
+        let lists = [
+            vec![5u32, 5, 0, 2, 3, 1, 4, 0],
+            vec![7, 0, 0, 3, 6, 2],
+            vec![2, 5, 5, 0],
+        ];
+        let eager = |j: usize| {
+            let through = |c: Column, l: &Vec<u32>| c.gather(l);
+            lists.iter().fold(source.column(j).clone(), through)
+        };
+        let want = ColumnarBatch::from_columns((0..source.arity()).map(eager).collect());
+
+        // Nothing read on the way: the lists compose, the intermediates
+        // are never gathered, and the one read goes to the source.
+        let g1 = source.gather(Arc::new(lists[0].clone()));
+        let g2 = g1.gather(Arc::new(lists[1].clone()));
+        let g3 = g2.gather(Arc::new(lists[2].clone()));
+        assert_eq!(encoded(g3.to_row_vec()), encoded(want.to_row_vec()));
+        for g in [&g1, &g2] {
+            assert!((0..g.arity()).all(|j| !g.is_materialized(j)));
+        }
+
+        // Some columns read on the way (a join key, say): those gather
+        // from the copy that exists, the rest still compose.
+        let g1 = source.gather(Arc::new(lists[0].clone()));
+        g1.column(0);
+        g1.column(5);
+        let g2 = g1.gather(Arc::new(lists[1].clone()));
+        g2.column(1);
+        let g3 = g2.gather(Arc::new(lists[2].clone()));
+        assert_eq!(encoded(g3.to_row_vec()), encoded(want.to_row_vec()));
+        assert!(!g1.is_materialized(2) && !g2.is_materialized(2));
+
+        // An empty list anywhere in the chain is an empty batch.
+        let none = g2.gather(Arc::new(vec![])).gather(Arc::new(vec![]));
+        assert_eq!((none.len(), none.to_row_vec().len()), (0, 0));
+        assert_eq!(none.encoded_size(), 8);
+    }
+
+    #[test]
+    fn a_position_list_shared_by_k_columns_is_composed_once() {
+        let composed = |f: &dyn Fn() -> ColumnarBatch| {
+            let before = COMPOSITIONS.with(|n| n.get());
+            let out = f();
+            (out, COMPOSITIONS.with(|n| n.get()) - before)
+        };
+        let source = every_layout();
+        let first = Arc::new(vec![4u32, 4, 1, 0]);
+        let then = Arc::new(vec![3u32, 0, 0]);
+
+        // Materialized columns have no list to compose.
+        let (g1, n) = composed(&|| source.gather(Arc::clone(&first)));
+        assert_eq!(n, 0);
+        // Seven pending columns on one list: one composition.
+        let (g2, n) = composed(&|| g1.gather(Arc::clone(&then)));
+        assert_eq!(n, 1);
+
+        // A join's shape — columns pending on two different lists — is
+        // two compositions, however the columns interleave.
+        let other = source.gather(Arc::new(vec![2u32, 2, 5, 1]));
+        let columns = (0..7)
+            .flat_map(|j| {
+                [
+                    g1.shared_columns()[j].clone(),
+                    other.shared_columns()[j].clone(),
+                ]
+            })
+            .collect();
+        let joined = ColumnarBatch::from_shared(4, columns);
+        let (g3, n) = composed(&|| joined.gather(Arc::clone(&then)));
+        assert_eq!(n, 2);
+        for j in 0..7 {
+            assert_eq!(
+                encoded(vec![vec![g3.get(1, 2 * j)]]),
+                encoded(vec![vec![g2.get(1, j)]])
+            );
+            assert_eq!(
+                encoded(vec![vec![g3.get(0, 2 * j + 1)]]),
+                encoded(vec![vec![source.get(1, j)]])
+            );
+        }
+
+        // Columns that have been read gather from their copy: nothing
+        // left to compose.
+        let (_, n) = composed(&|| g2.gather(Arc::new(vec![0])));
+        assert_eq!(n, 0, "g2 was read above");
+    }
+
+    #[test]
+    fn racing_first_reads_end_with_one_allocation() {
+        let rows: Vec<Row> = (0..50_000)
+            .map(|i| vec![Value::Int64(i), Value::str(format!("s{}", i % 97))])
+            .collect();
+        let source = ColumnarBatch::from_rows(&rows, 2);
+        let pending = source.gather(Arc::new((0..50_000u32).rev().collect()));
+        // A second batch carrying the same columns (a projection).
+        let carried = ColumnarBatch::from_shared(pending.len(), pending.shared_columns().to_vec());
+
+        let start = std::sync::Barrier::new(2);
+        let read = |b: &ColumnarBatch| {
+            start.wait();
+            (
+                b.column(0) as *const Column as usize,
+                b.column(1) as *const Column as usize,
+            )
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| read(&pending));
+            let b = s.spawn(|| read(&carried));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a, b, "both readers hold the one gathered column");
+        assert!(carried.is_materialized(0) && pending.is_materialized(1));
+        assert_eq!(pending.get(0, 0), Value::Int64(49_999));
+        assert_eq!(carried.get(49_999, 1), Value::str("s0"));
     }
 
     #[test]

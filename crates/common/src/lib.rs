@@ -29,7 +29,7 @@ pub mod types;
 pub mod value;
 
 pub use churn::{CatalogPin, ChurnEvent, ChurnSignal, ChurnWatch, StaleGuard};
-pub use columnar::{Column, ColumnarBatch, SelectionVector};
+pub use columnar::{Column, ColumnarBatch, SelectionVector, SharedColumn};
 pub use control::{CancelToken, QueryDeadline, RunControl};
 pub use error::{ChurnAbort, GeoError, Result, StaleReplica, Unavailable};
 pub use location::{Location, LocationPattern, LocationSet};

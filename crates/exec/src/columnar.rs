@@ -23,18 +23,28 @@
 //!   order-preserving, so SHIP payloads batch identically and shipped
 //!   bytes match to the byte.
 //!
-//! Filters do not materialize: they return the input batch plus a
-//! selection vector, which downstream kernels (project, join, aggregate)
-//! consume positionally. Materialization happens only where physical
-//! row identity matters — SHIP boundaries and the plan root.
+//! **A cell is copied when an operator first reads it, and never
+//! otherwise.** Filters return the input batch plus a selection vector,
+//! which downstream kernels consume positionally. A projection of plain
+//! column references is pointer copies of its input's columns, whatever
+//! their size; only computed expressions make new cells. A join emits two
+//! position lists, and its output columns stay *pending* on them (see
+//! [`geoqp_common::columnar`]) until a kernel's own read set — a key, a
+//! predicate column, an aggregate argument — asks for one, so a column
+//! that rides through three joins to be read by nobody is never
+//! gathered, and one that is read is gathered once, from its original
+//! source. Everything is forced where rows leave the interpreter: SHIP
+//! (whose byte accounting sizes every column, one task per column on the
+//! morsel pool), the plan root, and `Union` (which concatenates).
 
 use crate::aggregate::{Accumulator, BoundAgg};
 use crate::executor::{sort_group_keys, DataSource, ExchangeSource, NoExchange, ShipHandler};
 use crate::keyed::{KeyEq, KeyIndex};
-use crate::parallel::{first_error, morsel_bounds, parallel_map, MorselRunner};
-use geoqp_common::{Column, ColumnarBatch, DataType, Result, Rows, Value};
-use geoqp_expr::{apply_cmp, as_tv, bind, like_match, BinaryOp, BoundExpr, UnaryOp};
+use crate::parallel::{first_error, morsel_bounds, parallel_map, MorselRunner, SERIAL};
+use geoqp_common::{Column, ColumnarBatch, DataType, Result, Rows, SharedColumn, Value};
+use geoqp_expr::{apply_cmp, as_tv, bind, BinaryOp, BoundExpr, UnaryOp};
 use geoqp_plan::{PhysOp, PhysicalPlan, SortKey};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -86,42 +96,34 @@ impl ColBatch {
         }
     }
 
-    /// Materialize the selection into a standalone batch (a cheap `Arc`
-    /// clone when nothing is filtered out).
+    /// The selected rows as a standalone batch, without copying a cell:
+    /// an `Arc` clone when nothing is filtered out, otherwise columns
+    /// pending on the selection until something reads them.
     pub fn materialize(&self) -> Arc<ColumnarBatch> {
         match &self.sel {
             None => Arc::clone(&self.batch),
-            Some(s) => Arc::new(self.batch.gather(s)),
+            Some(s) => Arc::new(self.batch.gather(Arc::clone(s))),
         }
     }
 
-    /// Convert to row-major form. The transpose is deferred
-    /// ([`Rows::from_batch`]): a selection gathers into a standalone
-    /// columnar batch here, but per-row materialization happens only if
-    /// a consumer asks for rows.
+    /// [`ColBatch::materialize`] for rows that leave the interpreter — a
+    /// SHIP payload, the plan root: every column still pending is
+    /// gathered now, one task per column on `runner` (columns are
+    /// independent, so the batch is the same on any schedule).
+    pub fn materialize_all(&self, runner: &dyn MorselRunner) -> Arc<ColumnarBatch> {
+        let out = self.materialize();
+        parallel_map(runner, out.arity(), |j| {
+            out.column(j);
+        });
+        out
+    }
+
+    /// Convert to row-major form. The columns are gathered here; the
+    /// transpose is deferred ([`Rows::from_batch`]) and happens only if a
+    /// consumer asks for rows.
     pub fn to_rows(&self) -> Rows {
-        Rows::from_batch(self.materialize())
+        Rows::from_batch(self.materialize_all(&SERIAL))
     }
-
-    /// [`ColBatch::materialize`] with the column gathers fanned out over
-    /// `runner` — column values are independent, so the result is the
-    /// same batch regardless of schedule.
-    fn materialize_par(&self, runner: &dyn MorselRunner) -> Arc<ColumnarBatch> {
-        match &self.sel {
-            None => Arc::clone(&self.batch),
-            Some(s) => Arc::new(gather_parallel(runner, &self.batch, s)),
-        }
-    }
-}
-
-/// Gather `indices` out of every column of `b`, one morsel task per
-/// column. Identical output to [`ColumnarBatch::gather`].
-fn gather_parallel(runner: &dyn MorselRunner, b: &ColumnarBatch, indices: &[u32]) -> ColumnarBatch {
-    if runner.workers() <= 1 || b.arity() <= 1 {
-        return b.gather(indices);
-    }
-    let columns = parallel_map(runner, b.arity(), |j| b.column(j).gather(indices));
-    ColumnarBatch::from_columns(columns)
 }
 
 /// Morsel-parallel [`filter_indices`]: split the index window into
@@ -146,32 +148,43 @@ fn filter_indices_morsel(
     Ok(first_error(parts)?.concat())
 }
 
-/// Morsel-parallel [`eval_column`] for computed expressions: each morsel
-/// evaluates its rows through the scalar mirror, and the chunks are
-/// joined in morsel order before the one type-sniffing
+/// The column `e` evaluates to over the selected rows of `input`, whose
+/// pending materialization is `base`. A plain column reference *is*
+/// `base`'s column — a pointer copy, gathered if and when somebody reads
+/// it; anything else is computed now.
+fn eval_shared(
+    runner: &dyn MorselRunner,
+    e: &BoundExpr,
+    input: &ColBatch,
+    base: &ColumnarBatch,
+) -> Result<SharedColumn> {
+    match e {
+        BoundExpr::Column(c) if *c < base.arity() => Ok(base.shared_columns()[*c].clone()),
+        _ => eval_column_morsel(runner, e, &input.batch, input.selection()).map(Into::into),
+    }
+}
+
+/// Morsel-parallel [`eval_column`] for expressions only the scalar mirror
+/// can evaluate: each morsel evaluates its rows through it, and the
+/// chunks are joined in morsel order before the one type-sniffing
 /// [`Column::from_values`] pass — so the output column (layout included)
-/// is identical to the sequential evaluation. Plain column references
-/// and literals are already vectorized and skip the split.
+/// is identical to the sequential evaluation. Literals and typed
+/// arithmetic are already column-at-a-time and skip the split.
 fn eval_column_morsel(
     runner: &dyn MorselRunner,
     e: &BoundExpr,
     b: &ColumnarBatch,
-    idx: &[u32],
+    sel: Option<&[u32]>,
 ) -> Result<Column> {
-    if matches!(e, BoundExpr::Column(_) | BoundExpr::Literal(_)) || runner.workers() <= 1 {
-        return eval_column(e, b, idx);
+    let bounds = morsel_bounds(n_selected(b, sel), runner.morsel_rows());
+    if runner.workers() <= 1 || bounds.len() <= 1 || matches!(e, BoundExpr::Literal(_)) {
+        return eval_column(e, b, sel);
     }
-    let bounds = morsel_bounds(idx.len(), runner.morsel_rows());
-    if bounds.len() <= 1 {
-        return eval_column(e, b, idx);
+    if let Some(column) = arith_column(e, b, sel) {
+        return Ok(column);
     }
     let parts = parallel_map(runner, bounds.len(), |m| {
-        let (lo, hi) = bounds[m];
-        let mut values = Vec::with_capacity(hi - lo);
-        for &i in &idx[lo..hi] {
-            values.push(eval_scalar(e, b, i as usize)?);
-        }
-        Ok(values)
+        eval_scalar_rows(e, b, sel, bounds[m])
     });
     Ok(Column::from_values(first_error(parts)?.concat()))
 }
@@ -223,16 +236,12 @@ pub fn execute_fragment_columnar(
                 .iter()
                 .map(|(e, _)| bind(e, &input.schema))
                 .collect::<Result<_>>()?;
-            let idx = in_batch.indices();
-            let columns: Vec<Column> = bound
+            let base = in_batch.materialize();
+            let columns: Vec<SharedColumn> = bound
                 .iter()
-                .map(|b| eval_column_morsel(exchange.runner(), b, &in_batch.batch, &idx))
+                .map(|e| eval_shared(exchange.runner(), e, &in_batch, &base))
                 .collect::<Result<_>>()?;
-            let out = if columns.is_empty() {
-                ColumnarBatch::from_rows(&vec![Vec::new(); idx.len()], 0)
-            } else {
-                ColumnarBatch::from_columns(columns)
-            };
+            let out = ColumnarBatch::from_shared(in_batch.n_rows(), columns);
             Ok(ColBatch::all(Arc::new(out)))
         }
         PhysOp::HashJoin {
@@ -254,15 +263,17 @@ pub fn execute_fragment_columnar(
         PhysOp::Sort { keys } => {
             let input = &plan.inputs[0];
             let in_batch = execute_fragment_columnar(input, source, ship, exchange)?;
-            let cols: Vec<(usize, bool)> = keys
+            let cols: Vec<(&Column, bool)> = keys
                 .iter()
-                .map(|k: &SortKey| Ok((input.schema.require_index(&k.column)?, k.descending)))
+                .map(|k: &SortKey| {
+                    let c = input.schema.require_index(&k.column)?;
+                    Ok((in_batch.batch.column(c), k.descending))
+                })
                 .collect::<Result<_>>()?;
             let mut idx = in_batch.indices();
             // Stable, like the row engine's `sort_by`: ties keep input order.
             idx.sort_by(|&a, &b| {
-                for (c, desc) in &cols {
-                    let col = in_batch.batch.column(*c);
+                for (col, desc) in &cols {
                     let ord = col.get(a as usize).total_cmp(&col.get(b as usize));
                     let ord = if *desc { ord.reverse() } else { ord };
                     if ord != Ordering::Equal {
@@ -298,7 +309,7 @@ pub fn execute_fragment_columnar(
         PhysOp::Ship => {
             let input = &plan.inputs[0];
             let in_batch = execute_fragment_columnar(input, source, ship, exchange)?;
-            let payload = in_batch.materialize_par(exchange.runner());
+            let payload = in_batch.materialize_all(exchange.runner());
             Ok(ColBatch::all(ship.ship_columnar(
                 &input.location,
                 &plan.location,
@@ -321,6 +332,24 @@ pub fn execute_fragment_columnar(
 /// row.
 fn eval_scalar(e: &BoundExpr, b: &ColumnarBatch, i: usize) -> Result<Value> {
     e.eval_with(&|c| (c < b.arity()).then(|| b.get(i, c)))
+}
+
+/// How many rows `sel` selects of `b` (`None` = every row).
+fn n_selected(b: &ColumnarBatch, sel: Option<&[u32]>) -> usize {
+    sel.map_or(b.len(), <[u32]>::len)
+}
+
+/// [`eval_scalar`] over rows `lo..hi` of the selection, in row order,
+/// stopping at the first error.
+fn eval_scalar_rows(
+    e: &BoundExpr,
+    b: &ColumnarBatch,
+    sel: Option<&[u32]>,
+    (lo, hi): (usize, usize),
+) -> Result<Vec<Value>> {
+    (lo..hi)
+        .map(|k| eval_scalar(e, b, sel.map_or(k, |s| s[k] as usize)))
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -479,7 +508,7 @@ fn fast_mask(e: &BoundExpr, b: &ColumnarBatch, idx: &[u32]) -> Option<Mask> {
                         // Match each distinct dictionary entry once.
                         let hits: Vec<bool> = dict
                             .iter()
-                            .map(|s| like_match(pattern, s) != *negated)
+                            .map(|s| pattern.matches(s) != *negated)
                             .collect();
                         return Some(
                             idx.iter()
@@ -804,27 +833,162 @@ fn hybrid_filter(
     Ok(out)
 }
 
-/// Evaluate a projection expression into a column over the rows `idx`.
-/// Plain column references gather (or share) the input column; anything
-/// else goes through the scalar mirror and re-sniffs a typed layout.
-fn eval_column(e: &BoundExpr, b: &ColumnarBatch, idx: &[u32]) -> Result<Column> {
-    match e {
-        BoundExpr::Column(c) if *c < b.arity() => {
-            if idx.len() == b.len() && idx.iter().enumerate().all(|(k, &i)| k == i as usize) {
-                Ok(b.column(*c).clone())
-            } else {
-                Ok(b.column(*c).gather(idx))
-            }
-        }
-        BoundExpr::Literal(v) => Ok(Column::from_values(vec![v.clone(); idx.len()])),
-        _ => {
-            let mut values = Vec::with_capacity(idx.len());
-            for &i in idx {
-                values.push(eval_scalar(e, b, i as usize)?);
-            }
-            Ok(Column::from_values(values))
+/// Evaluate a computed expression into a column over the rows `sel` of
+/// `b` (`None` = every row). Literals broadcast and error-free numeric
+/// arithmetic runs column-at-a-time ([`arith_column`]); anything else
+/// goes through the scalar mirror, in row order, and re-sniffs a typed
+/// layout.
+fn eval_column(e: &BoundExpr, b: &ColumnarBatch, sel: Option<&[u32]>) -> Result<Column> {
+    let n = n_selected(b, sel);
+    if let BoundExpr::Literal(v) = e {
+        return Ok(Column::from_values(vec![v.clone(); n]));
+    }
+    if let Some(column) = arith_column(e, b, sel) {
+        return Ok(column);
+    }
+    Ok(Column::from_values(eval_scalar_rows(e, b, sel, (0, n))?))
+}
+
+// ---------------------------------------------------------------------
+// Typed arithmetic.
+// ---------------------------------------------------------------------
+
+/// A numeric operand over the selected rows: a typed vector with its
+/// validity, or a literal standing for the same value in every row.
+enum Num<'a> {
+    Ints(Cow<'a, [i64]>, Cow<'a, [bool]>),
+    Floats(Cow<'a, [f64]>, Cow<'a, [bool]>),
+    Int(i64),
+    Float(f64),
+}
+
+impl Num<'_> {
+    fn is_int(&self) -> bool {
+        matches!(self, Num::Ints(..) | Num::Int(_))
+    }
+
+    #[inline]
+    fn valid(&self, k: usize) -> bool {
+        match self {
+            Num::Ints(_, valid) | Num::Floats(_, valid) => valid[k],
+            Num::Int(_) | Num::Float(_) => true,
         }
     }
+
+    /// Row `k` of an integer operand.
+    #[inline]
+    fn int(&self, k: usize) -> i64 {
+        match self {
+            Num::Ints(values, _) => values[k],
+            Num::Int(x) => *x,
+            Num::Floats(..) | Num::Float(_) => unreachable!("checked by is_int"),
+        }
+    }
+
+    /// Row `k` as `Value::as_f64` reads it.
+    #[inline]
+    fn float(&self, k: usize) -> f64 {
+        match self {
+            Num::Ints(values, _) => values[k] as f64,
+            Num::Floats(values, _) => values[k],
+            Num::Int(x) => *x as f64,
+            Num::Float(x) => *x,
+        }
+    }
+}
+
+/// The cells of a column at the selected rows: borrowed when every row
+/// is selected, copied through the selection otherwise.
+fn selected<'a, T: Copy>(cells: &'a [T], sel: Option<&[u32]>) -> Cow<'a, [T]> {
+    match sel {
+        None => Cow::Borrowed(cells),
+        Some(s) => Cow::Owned(s.iter().map(|&i| cells[i as usize]).collect()),
+    }
+}
+
+/// `e` as a numeric operand, when it is built only from `Int64`/`Float64`
+/// columns, numeric literals and the arithmetic [`arith`] accepts — the
+/// shapes that cannot raise an error on any row. `None` otherwise.
+fn num_expr<'a>(e: &'a BoundExpr, b: &'a ColumnarBatch, sel: Option<&[u32]>) -> Option<Num<'a>> {
+    match e {
+        BoundExpr::Literal(Value::Int64(x)) => Some(Num::Int(*x)),
+        BoundExpr::Literal(Value::Float64(x)) => Some(Num::Float(*x)),
+        BoundExpr::Column(c) if *c < b.arity() => match b.column(*c) {
+            Column::Int64 { values, valid } => {
+                Some(Num::Ints(selected(values, sel), selected(valid, sel)))
+            }
+            Column::Float64 { values, valid } => {
+                Some(Num::Floats(selected(values, sel), selected(valid, sel)))
+            }
+            _ => None,
+        },
+        BoundExpr::Binary { op, lhs, rhs } => {
+            let (l, r) = (num_expr(lhs, b, sel)?, num_expr(rhs, b, sel)?);
+            arith(*op, &l, &r, n_selected(b, sel))
+        }
+        _ => None,
+    }
+}
+
+/// `l op r` over `n` rows, row by row exactly as `eval_arith` computes
+/// it: two integers stay in wrapping integer arithmetic, any other pair
+/// widens both sides to `f64` first, and a NULL on either side is a NULL
+/// (a zero placeholder under a cleared validity bit, as
+/// [`Column::from_values`] lays it out). `None` for what is not
+/// arithmetic or can fail: integer division raises on a zero divisor, so
+/// it stays with the scalar mirror and its row-order errors.
+fn arith(op: BinaryOp, l: &Num<'_>, r: &Num<'_>, n: usize) -> Option<Num<'static>> {
+    use BinaryOp::{Add, Div, Mul, Sub};
+    let ints = l.is_int() && r.is_int();
+    if !matches!(op, Add | Sub | Mul | Div) || (ints && op == Div) {
+        return None;
+    }
+    let int_at = |k: usize| match op {
+        Add => l.int(k).wrapping_add(r.int(k)),
+        Sub => l.int(k).wrapping_sub(r.int(k)),
+        _ => l.int(k).wrapping_mul(r.int(k)),
+    };
+    let float_at = |k: usize| match op {
+        Add => l.float(k) + r.float(k),
+        Sub => l.float(k) - r.float(k),
+        Mul => l.float(k) * r.float(k),
+        _ => l.float(k) / r.float(k),
+    };
+    fn rows<T: Default>(valid: &[bool], at: impl Fn(usize) -> T) -> Vec<T> {
+        let cell = |(k, ok): (usize, &bool)| if *ok { at(k) } else { T::default() };
+        valid.iter().enumerate().map(cell).collect()
+    }
+    let valid: Vec<bool> = (0..n).map(|k| l.valid(k) && r.valid(k)).collect();
+    Some(if ints {
+        Num::Ints(rows(&valid, int_at).into(), valid.into())
+    } else {
+        Num::Floats(rows(&valid, float_at).into(), valid.into())
+    })
+}
+
+/// The typed arm of [`eval_column`]: arithmetic over numeric columns and
+/// literals, computed column-at-a-time instead of boxing every cell into
+/// a [`Value`]. The result is the column [`Column::from_values`] would
+/// have sniffed from the scalar mirror's values, layout included — in
+/// particular a result with no non-NULL row (empty input, all-NULL
+/// operand) takes the `Int64` layout whatever its type.
+fn arith_column(e: &BoundExpr, b: &ColumnarBatch, sel: Option<&[u32]>) -> Option<Column> {
+    Some(match num_expr(e, b, sel)? {
+        Num::Ints(values, valid) => Column::Int64 {
+            values: values.into_owned(),
+            valid: valid.into_owned(),
+        },
+        Num::Floats(values, valid) if valid.contains(&true) => Column::Float64 {
+            values: values.into_owned(),
+            valid: valid.into_owned(),
+        },
+        Num::Floats(_, valid) => Column::Int64 {
+            values: vec![0; valid.len()],
+            valid: valid.into_owned(),
+        },
+        // A bare literal is the caller's to broadcast.
+        Num::Int(_) | Num::Float(_) => return None,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -845,9 +1009,12 @@ fn eval_column(e: &BoundExpr, b: &ColumnarBatch, idx: &[u32]) -> Result<Column> 
 ///   time, never correctness), and the per-morsel match lists
 ///   concatenate in morsel sequence order. The resulting `(left, right)`
 ///   pair list is exactly the sequential probe's.
-/// * **Materialize** — output columns gather in parallel (one task per
-///   column), and the residual filter runs morsel-parallel with
-///   first-error-wins ordering.
+/// * **Emit** — the output is the two match lists: every left column
+///   pends on one, every right column on the other, and an input column
+///   that was itself still pending has the lists composed (once per
+///   distinct list) rather than being read. No cell is copied here; the
+///   residual filter, which runs morsel-parallel with first-error-wins
+///   ordering, gathers the columns its predicate reads.
 #[allow(clippy::too_many_arguments)]
 fn execute_hash_join_columnar(
     plan: &PhysicalPlan,
@@ -909,21 +1076,13 @@ fn execute_hash_join_columnar(
     let (out_left, out_right): (Vec<_>, Vec<_>) = matches.into_iter().unzip();
     let (out_left, out_right) = (out_left.concat(), out_right.concat());
 
-    // Materialize the joined batch: left columns then right columns,
-    // gathered in parallel (one task per output column).
-    let arity = lb.arity() + rb.arity();
-    let joined = if arity == 0 {
-        ColumnarBatch::from_rows(&vec![Vec::new(); out_left.len()], 0)
-    } else {
-        let columns = parallel_map(runner, arity, |j| {
-            if j < lb.arity() {
-                lb.column(j).gather(&out_left)
-            } else {
-                rb.column(j - lb.arity()).gather(&out_right)
-            }
-        });
-        ColumnarBatch::from_columns(columns)
-    };
+    // The joined batch: left columns then right columns, pending.
+    let n = out_left.len();
+    let (l, r) = (
+        lb.gather(Arc::new(out_left)),
+        rb.gather(Arc::new(out_right)),
+    );
+    let joined = ColumnarBatch::from_shared(n, [l.shared_columns(), r.shared_columns()].concat());
 
     // Residual filter runs over the joined schema, like the row engine.
     let sel = match &bound_filter {
@@ -1009,25 +1168,31 @@ fn execute_hash_aggregate_columnar(
         })
         .collect::<Result<_>>()?;
 
-    // Evaluate every aggregate argument column-at-a-time up front
-    // (computed expressions split into morsels; the chunks rejoin before
-    // type sniffing, so the columns match sequential evaluation exactly).
+    // Evaluate every aggregate argument column-at-a-time up front: a
+    // plain column reference is the input's own column, read in place
+    // (computed expressions the scalar mirror must evaluate split into
+    // morsels; the chunks rejoin before type sniffing, so the columns
+    // match sequential evaluation exactly).
     let runner = exchange.runner();
-    let idx = in_batch.indices();
     let b = &in_batch.batch;
-    let args: Vec<Option<Column>> = bound
+    let base = in_batch.materialize();
+    let args: Vec<Option<SharedColumn>> = bound
         .iter()
         .map(|agg| {
             agg.arg
                 .as_ref()
-                .map(|e| eval_column_morsel(runner, e, b, &idx))
+                .map(|e| eval_shared(runner, e, &in_batch, &base))
                 .transpose()
         })
         .collect::<Result<_>>()?;
+    let args: Vec<Option<&Column>> = args
+        .iter()
+        .map(|arg| arg.as_ref().map(SharedColumn::get))
+        .collect();
 
     // NULL is a key value when grouping, so `live` only tells the
     // comparator whether it may skip the validity checks.
-    let (fps, live) = b.key_fingerprints(&gidx, Some(&idx));
+    let (fps, live) = b.key_fingerprints(&gidx, in_batch.selection());
     let keq = KeyEq::new(b, &gidx, b, &gidx, live.iter().all(|&l| l));
 
     // Rows `lo..hi` of the selection, grouped: each row joins the group
@@ -1036,12 +1201,13 @@ fn execute_hash_aggregate_columnar(
     let fresh = || bound.iter().map(BoundAgg::new_acc).collect::<Vec<_>>();
     let accumulate = |(lo, hi): (usize, usize)| -> Result<Groups> {
         let mut groups = Groups::new();
-        for k in lo..hi {
+        for (k, &fp) in fps.iter().enumerate().take(hi).skip(lo) {
+            let row = in_batch.phys(k) as u32;
             let g = groups
-                .find(&keq, fps[k], idx[k])
-                .unwrap_or_else(|| groups.add(fps[k], idx[k], fresh()));
+                .find(&keq, fp, row)
+                .unwrap_or_else(|| groups.add(fp, row, fresh()));
             for (a, agg) in bound.iter().enumerate() {
-                let value = args[a].as_ref().map(|col| col.get(k));
+                let value = args[a].map(|col| col.get(k));
                 agg.apply(&mut groups.list[g].accs[a], value)?;
             }
         }
@@ -1058,9 +1224,9 @@ fn execute_hash_aggregate_columnar(
     let parallel_groups =
         runner.workers() > 1 && bound.iter().all(BoundAgg::order_insensitive) && !bound.is_empty();
     let bounds = if parallel_groups {
-        morsel_bounds(idx.len(), runner.morsel_rows())
+        morsel_bounds(fps.len(), runner.morsel_rows())
     } else {
-        vec![(0, idx.len())]
+        vec![(0, fps.len())]
     };
     let partials = parallel_map(runner, bounds.len(), |m| accumulate(bounds[m]));
     let mut partials = first_error(partials)?.into_iter();
@@ -1283,6 +1449,217 @@ mod tests {
         );
     }
 
+    fn hash_join(
+        left: Arc<PhysicalPlan>,
+        right: Arc<PhysicalPlan>,
+        keys: &[(&str, &str)],
+    ) -> Arc<PhysicalPlan> {
+        let schema = Arc::new(left.schema.join(&right.schema).unwrap());
+        let op = PhysOp::HashJoin {
+            left_keys: keys.iter().map(|(l, _)| l.to_string()).collect(),
+            right_keys: keys.iter().map(|(_, r)| r.to_string()).collect(),
+            filter: None,
+        };
+        Arc::new(PhysicalPlan::new(op, schema, loc("N"), vec![left, right]).unwrap())
+    }
+
+    fn project(input: Arc<PhysicalPlan>, exprs: Vec<(ScalarExpr, &str, DataType)>) -> PhysicalPlan {
+        let fields = exprs.iter().map(|(_, n, t)| Field::new(*n, *t)).collect();
+        let exprs = exprs
+            .into_iter()
+            .map(|(e, n, _)| (e, n.to_string()))
+            .collect();
+        PhysicalPlan::new(
+            PhysOp::Project { exprs },
+            Arc::new(Schema::new(fields).unwrap()),
+            input.location.clone(),
+            vec![input],
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn project_of_plain_columns_is_the_sources_own_allocations() {
+        let held = Held(
+            source()
+                .scan_columnar(&TableRef::bare("customer"), &loc("N"), 3)
+                .unwrap(),
+        );
+        let exprs = || {
+            vec![
+                (ScalarExpr::col("name"), "name", DataType::Str),
+                (
+                    ScalarExpr::col("acctbal").mul(ScalarExpr::lit(2.0)),
+                    "dbl",
+                    DataType::Float64,
+                ),
+                (ScalarExpr::col("custkey"), "custkey", DataType::Int64),
+                (ScalarExpr::col("name"), "again", DataType::Str),
+            ]
+        };
+        let plan = project(customer_scan(), exprs());
+        let out = execute_fragment_columnar(&plan, &held, &mut LocalShip, &NoExchange).unwrap();
+        assert!(out.sel.is_none());
+        for (j, from) in [(0, 1), (2, 0), (3, 1)] {
+            assert!(
+                std::ptr::eq(out.batch.column(j), held.0.column(from)),
+                "output column {j} must be the scan's column {from}, not a copy"
+            );
+        }
+        assert_engines_agree(&plan);
+
+        // Over a filter the plain references stay pending on the
+        // selection — still no cell copied — and only the computed
+        // column exists.
+        let filter = PhysicalPlan::new(
+            PhysOp::Filter {
+                predicate: ScalarExpr::col("acctbal").gt(ScalarExpr::lit(150.0)),
+            },
+            Arc::clone(&customer_scan().schema),
+            loc("N"),
+            vec![customer_scan()],
+        );
+        let plan = project(Arc::new(filter.unwrap()), exprs());
+        let out = execute_fragment_columnar(&plan, &held, &mut LocalShip, &NoExchange).unwrap();
+        assert_eq!((out.n_rows(), out.batch.len()), (2, 2));
+        let read: Vec<bool> = (0..4).map(|j| out.batch.is_materialized(j)).collect();
+        assert_eq!(read, [false, true, false, false]);
+        // The same column projected twice is gathered once.
+        assert!(std::ptr::eq(out.batch.column(0), out.batch.column(3)));
+        assert_engines_agree(&plan);
+    }
+
+    /// An exchange that supplies one node's output from outside, the way
+    /// a fragment boundary does — here so a test can keep hold of the
+    /// batch an operator reads.
+    struct Supplied<'p>(&'p PhysicalPlan, Arc<ColumnarBatch>);
+
+    impl ExchangeSource for Supplied<'_> {
+        fn fetch(&self, _node: &PhysicalPlan) -> Option<Result<Rows>> {
+            None
+        }
+        fn fetch_columnar(&self, node: &PhysicalPlan) -> Option<Result<Arc<ColumnarBatch>>> {
+            std::ptr::eq(node, self.0).then(|| Ok(Arc::clone(&self.1)))
+        }
+    }
+
+    #[test]
+    fn a_join_copies_the_columns_somebody_reads_and_no_others() {
+        use geoqp_expr::{AggCall, AggFunc};
+        // (events ⋈ customer) ⋈ orders ⋈ events again: 11 columns, of
+        // which the aggregate on top reads two.
+        let again = scan_node(
+            "events",
+            "N",
+            vec![
+                Field::new("k2", DataType::Int64),
+                Field::new("tag2", DataType::Str),
+                Field::new("x2", DataType::Float64),
+            ],
+        );
+        let join = hash_join(events_scan(), customer_scan(), &[("k", "custkey")]);
+        let join = hash_join(join, orders_scan(), &[("custkey", "o_custkey")]);
+        let join = hash_join(join, again, &[("k", "k2"), ("tag", "tag2")]);
+        let agg = PhysicalPlan::new(
+            PhysOp::HashAggregate {
+                group_by: vec!["name".into()],
+                aggs: vec![
+                    AggCall::new(AggFunc::Sum, ScalarExpr::col("x2"), "total"),
+                    AggCall::count_star("n"),
+                ],
+            },
+            Arc::new(
+                Schema::new(vec![
+                    Field::new("name", DataType::Str),
+                    Field::new("total", DataType::Float64),
+                    Field::new("n", DataType::Int64),
+                ])
+                .unwrap(),
+            ),
+            loc("N"),
+            vec![Arc::clone(&join)],
+        )
+        .unwrap();
+
+        let joined =
+            execute_fragment_columnar(&join, &source(), &mut LocalShip, &NoExchange).unwrap();
+        assert!(joined.sel.is_none() && joined.n_rows() > 0);
+        let read = |b: &ColumnarBatch| -> Vec<usize> {
+            (0..b.arity()).filter(|&j| b.is_materialized(j)).collect()
+        };
+        assert_eq!(joined.batch.arity(), 11);
+        assert_eq!(
+            read(&joined.batch),
+            Vec::<usize>::new(),
+            "three joins read their keys on their inputs; the output is two position lists"
+        );
+
+        // The aggregate, fed that very batch, gathers `name` and `x2`.
+        let supplied = Supplied(&join, Arc::clone(&joined.batch));
+        let out = execute_fragment_columnar(&agg, &source(), &mut LocalShip, &supplied).unwrap();
+        let (name, x2) = (
+            join.schema.require_index("name").unwrap(),
+            join.schema.require_index("x2").unwrap(),
+        );
+        assert_eq!(read(&joined.batch), vec![name, x2]);
+        assert_eq!(
+            out.to_rows(),
+            execute(&agg, &source(), &mut LocalShip).unwrap()
+        );
+        assert_engines_agree(&agg);
+    }
+
+    /// Records what each SHIP was handed, on either path.
+    #[derive(Default)]
+    struct Recording {
+        bytes: Vec<usize>,
+        unread: usize,
+    }
+
+    impl ShipHandler for Recording {
+        fn ship(&mut self, _: &Location, _: &Location, rows: Rows, _: &Schema) -> Result<Rows> {
+            self.bytes.push(rows.encoded_size());
+            Ok(rows)
+        }
+        fn ship_columnar(
+            &mut self,
+            _: &Location,
+            _: &Location,
+            batch: Arc<ColumnarBatch>,
+            _: &Schema,
+        ) -> Result<Arc<ColumnarBatch>> {
+            self.unread += (0..batch.arity())
+                .filter(|&j| !batch.is_materialized(j))
+                .count();
+            self.bytes.push(batch.encoded_size());
+            Ok(batch)
+        }
+    }
+
+    #[test]
+    fn a_join_that_crosses_a_ship_arrives_gathered_at_the_row_engines_bytes() {
+        let join = hash_join(events_scan(), customer_scan(), &[("k", "custkey")]);
+        // Once as the join emits it, once behind a filter's selection.
+        let filtered = PhysicalPlan::new(
+            PhysOp::Filter {
+                predicate: ScalarExpr::col("x").gt(ScalarExpr::lit(0.25)),
+            },
+            Arc::clone(&join.schema),
+            loc("N"),
+            vec![Arc::clone(&join)],
+        );
+        for input in [join, Arc::new(filtered.unwrap())] {
+            let plan = PhysicalPlan::ship(input, loc("E"));
+            let (mut row, mut col) = (Recording::default(), Recording::default());
+            let want = execute(&plan, &source(), &mut row).unwrap();
+            let got = execute_columnar(&plan, &source(), &mut col).unwrap();
+            assert_eq!(got, want);
+            assert_eq!(col.bytes, row.bytes);
+            assert_eq!(col.bytes.len(), 1);
+            assert_eq!(col.unread, 0, "a SHIP payload has no pending column");
+        }
+    }
+
     #[test]
     fn join_and_residual_filter_agree_with_row_engine() {
         let c = customer_scan();
@@ -1318,6 +1695,129 @@ mod tests {
             assert_eq!(out.len(), if build_key == "x" { 3 } else { 8 });
             assert_engines_agree(&join);
         }
+
+        // Two-column keys. `(k, tag)` has NULLs in both columns and
+        // `(k2, tag2)` only in the second, so every row the comparator
+        // is asked about is whole and both pairs compare raw; in the
+        // mixed key the `Int64 = Float64` pair must stay on the general
+        // arm (1 = 1.0) beside a raw `Int64` pair.
+        let keyed = |name: &str| {
+            let fields = ["k", "tag", "x"].map(|f| format!("{name}_{f}"));
+            scan_node(
+                "events",
+                "N",
+                vec![
+                    Field::new(&fields[0], DataType::Int64),
+                    Field::new(&fields[1], DataType::Str),
+                    Field::new(&fields[2], DataType::Float64),
+                ],
+            )
+        };
+        let second_only = {
+            let mut s = source();
+            let key =
+                |k: i64, o: Option<i64>| vec![Value::Int64(k), o.map_or(Value::Null, Value::Int64)];
+            let rows = vec![
+                key(1, Some(1)),
+                key(1, None),
+                key(2, Some(1)),
+                key(1, Some(1)),
+                key(2, None),
+            ];
+            s.insert(TableRef::bare("pairs"), loc("N"), Rows::from_rows(rows));
+            s
+        };
+        let pairs = |name: &str| {
+            scan_node(
+                "pairs",
+                "N",
+                vec![
+                    Field::new(format!("{name}_a"), DataType::Int64),
+                    Field::new(format!("{name}_b"), DataType::Int64),
+                ],
+            )
+        };
+        let cases = [
+            (
+                keyed("l"),
+                keyed("r"),
+                vec![("l_k", "r_k"), ("l_tag", "r_tag")],
+                21,
+            ),
+            (
+                pairs("l"),
+                pairs("r"),
+                vec![("l_a", "r_a"), ("l_b", "r_b")],
+                5,
+            ),
+            // (2, 1) = (2, 1.0), once.
+            (
+                pairs("l"),
+                keyed("r"),
+                vec![("l_a", "r_k"), ("l_b", "r_x")],
+                1,
+            ),
+        ];
+        for (left, right, keys, rows) in cases {
+            let join = hash_join(left, right, &keys);
+            let row = execute(&join, &second_only, &mut LocalShip).unwrap();
+            let col = execute_columnar(&join, &second_only, &mut LocalShip).unwrap();
+            assert_eq!(row, col, "{keys:?}");
+            assert_eq!(col.len(), rows, "{keys:?}");
+        }
+    }
+
+    #[test]
+    fn join_filter_join_aggregate_with_null_keys_agrees_with_row_engine() {
+        use geoqp_expr::{AggCall, AggFunc};
+        // NULL join keys on both sides of both joins, a selection over a
+        // pending batch between them, NULL group keys on top.
+        let join = hash_join(events_scan(), customer_scan(), &[("k", "custkey")]);
+        let filter = PhysicalPlan::new(
+            PhysOp::Filter {
+                predicate: ScalarExpr::col("x")
+                    .gt(ScalarExpr::lit(0.25))
+                    .and(ScalarExpr::col("acctbal").lt(ScalarExpr::lit(250.0))),
+            },
+            Arc::clone(&join.schema),
+            loc("N"),
+            vec![join],
+        );
+        let join = hash_join(
+            Arc::new(filter.unwrap()),
+            orders_scan(),
+            &[("custkey", "o_custkey")],
+        );
+        let agg = PhysicalPlan::new(
+            PhysOp::HashAggregate {
+                group_by: vec!["tag".into(), "name".into()],
+                aggs: vec![
+                    AggCall::new(
+                        AggFunc::Sum,
+                        ScalarExpr::col("o_price").mul(ScalarExpr::col("x")),
+                        "weighted",
+                    ),
+                    AggCall::new(AggFunc::Max, ScalarExpr::col("acctbal"), "top"),
+                    AggCall::count_star("n"),
+                ],
+            },
+            Arc::new(
+                Schema::new(vec![
+                    Field::new("tag", DataType::Str),
+                    Field::new("name", DataType::Str),
+                    Field::new("weighted", DataType::Float64),
+                    Field::new("top", DataType::Float64),
+                    Field::new("n", DataType::Int64),
+                ])
+                .unwrap(),
+            ),
+            loc("N"),
+            vec![join],
+        )
+        .unwrap();
+        let out = execute_columnar(&agg, &source(), &mut LocalShip).unwrap();
+        assert!(out.len() >= 3, "NULL-tagged and tagged groups: {out:?}");
+        assert_engines_agree(&agg);
     }
 
     #[test]
@@ -1493,6 +1993,189 @@ mod tests {
             let row = execute(&plan, &source(), &mut LocalShip).unwrap();
             let col = execute_columnar(&plan, &source(), &mut LocalShip).unwrap();
             assert_eq!(row, col, "predicate {p:?} diverged");
+        }
+    }
+
+    #[test]
+    fn typed_arithmetic_is_the_column_the_scalar_mirror_would_build() {
+        let v = |x: Option<i64>| x.map_or(Value::Null, Value::Int64);
+        let f = |x: Option<f64>| x.map_or(Value::Null, Value::Float64);
+        let rows: Vec<Vec<Value>> = vec![
+            vec![v(Some(i64::MAX)), v(Some(1)), f(Some(0.5)), f(Some(0.0))],
+            vec![
+                v(Some(i64::MIN)),
+                v(Some(-1)),
+                f(Some(f64::NAN)),
+                f(Some(2.0)),
+            ],
+            vec![v(None), v(Some(7)), f(Some(-0.0)), f(Some(-0.0))],
+            vec![v(Some(-3)), v(None), f(None), f(Some(f64::INFINITY))],
+            vec![v(Some(0)), v(Some(0)), f(Some(1e300)), f(None)],
+            vec![v(Some(12)), v(Some(5)), f(Some(-7.25)), f(Some(1e-300))],
+        ];
+        let extra = [
+            Value::Int64(1),
+            Value::str("x"),
+            Value::Null,
+            Value::Float64(1.0),
+            Value::Int64(2),
+            Value::Null,
+        ];
+        let rows: Vec<Vec<Value>> = rows
+            .into_iter()
+            .zip(extra)
+            .map(|(mut r, any)| {
+                r.extend([Value::Null, Value::Date(10), Value::str("s"), any]);
+                r
+            })
+            .collect();
+        let names = ["i", "j", "f", "g", "nulls", "d", "s", "any"];
+        let types = [
+            DataType::Int64,
+            DataType::Int64,
+            DataType::Float64,
+            DataType::Float64,
+            DataType::Float64,
+            DataType::Date,
+            DataType::Str,
+            DataType::Str,
+        ];
+        let fields = names.iter().zip(types).map(|(n, t)| Field::new(*n, t));
+        let schema = Schema::new(fields.collect()).unwrap();
+        let batch = ColumnarBatch::from_rows(&rows, 8);
+        let empty = ColumnarBatch::from_rows(&[], 8);
+        let c = ScalarExpr::col;
+        let l = |x: f64| ScalarExpr::lit(x);
+        let n = |x: i64| ScalarExpr::lit(x);
+
+        // Shapes the typed arm takes: it must build, cell for cell and
+        // placeholder for placeholder, what sniffing the scalar mirror's
+        // values builds.
+        let typed = vec![
+            c("i").add(c("j")), // MAX + 1 and MIN + -1 wrap
+            c("i").sub(c("j")),
+            c("i").mul(c("j")), // MIN * -1 wraps
+            c("i").mul(c("f")),
+            c("f").sub(c("i")),
+            c("i").div(c("f")), // Int64 / Float64 is float division
+            c("f").div(c("g")), // 0.5 / 0.0, -0.0 / -0.0, x / inf
+            c("i").div(l(0.0)),
+            c("i").add(n(1)),
+            n(1).sub(c("f")),
+            l(1.5).mul(n(2)), // literal only
+            n(i64::MAX).add(n(1)),
+            n(1).div(l(4.0)),
+            // The TPC-H shape: price * (1 - discount) - cost * quantity.
+            c("f").mul(n(1).sub(c("g"))).sub(c("g").mul(c("i"))),
+            c("nulls").mul(c("f")), // all NULL: the Int64 layout
+            c("nulls").add(c("i")),
+            l(2.0).mul(c("nulls")),
+            c("nulls").div(l(0.0)),
+        ];
+        let selections: [Option<&[u32]>; 4] = [None, Some(&[4, 0, 0, 2, 5]), Some(&[3]), Some(&[])];
+        for e in &typed {
+            let bound = bind(e, &schema).unwrap();
+            for (b, sels) in [
+                (&batch, &selections[..]),
+                (&empty, &[None, Some(&[][..])][..]),
+            ] {
+                for &sel in sels {
+                    let rows = sel.map_or(b.len(), <[u32]>::len);
+                    let at = |k: usize| sel.map_or(k, |s| s[k] as usize);
+                    let mirror = (0..rows).map(|k| eval_scalar(&bound, b, at(k)).unwrap());
+                    let want = format!("{:?}", Column::from_values(mirror.collect()));
+                    // (An empty batch's columns all have the `Int64`
+                    // layout, so there a `/` is integer division's.)
+                    let arm = arith_column(&bound, b, sel);
+                    assert!(arm.is_some() || b.is_empty(), "{e:?}: not column-at-a-time");
+                    if let Some(arm) = arm {
+                        assert_eq!(format!("{arm:?}"), want, "{e:?} over {sel:?}");
+                    }
+                    let whole = eval_column(&bound, b, sel).unwrap();
+                    assert_eq!(format!("{whole:?}"), want, "{e:?} over {sel:?}");
+                }
+            }
+        }
+
+        // Shapes that can raise stay on the scalar mirror, whole: integer
+        // division, dates, strings, `Any`, negation, a NULL literal.
+        let scalar = vec![
+            c("i").div(c("j")),
+            c("i").div(n(2)),
+            c("f").add(c("i").div(c("j"))),
+            c("d").add(n(1)),
+            c("s").add(c("i")),
+            c("any").mul(c("i")),
+            ScalarExpr::Unary {
+                op: UnaryOp::Neg,
+                expr: Box::new(c("j")),
+            }
+            .add(n(1)),
+            ScalarExpr::lit(Value::Null).add(c("i")),
+            c("i").gt(c("j")),
+        ];
+        for e in &scalar {
+            let bound = bind(e, &schema).unwrap();
+            assert!(arith_column(&bound, &batch, None).is_none(), "{e:?}");
+            // Same verdict as the mirror, row order and all.
+            let mirror: Result<Vec<Value>> = (0..batch.len())
+                .map(|k| eval_scalar(&bound, &batch, k))
+                .collect();
+            match (eval_column(&bound, &batch, None), mirror) {
+                (Ok(col), Ok(values)) => {
+                    assert_eq!(
+                        format!("{col:?}"),
+                        format!("{:?}", Column::from_values(values))
+                    )
+                }
+                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
+                (a, b) => panic!("{e:?}: {a:?} vs {b:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn the_first_error_is_the_row_engines_beside_typed_arithmetic() {
+        // Row 1 fails in the addition, row 2 in the division: an engine
+        // that ran `a / b` down the column first would report row 2.
+        let mut s = MapSource::new();
+        let row = |b: i64, c: Value| vec![Value::Int64(6), Value::Int64(b), c];
+        s.insert(
+            TableRef::bare("t"),
+            loc("N"),
+            Rows::from_rows(vec![
+                row(3, Value::Int64(1)),
+                row(2, Value::str("oops")),
+                row(0, Value::Int64(1)),
+            ]),
+        );
+        let scan = || {
+            scan_node(
+                "t",
+                "N",
+                vec![
+                    Field::new("a", DataType::Int64),
+                    Field::new("b", DataType::Int64),
+                    Field::new("c", DataType::Int64),
+                ],
+            )
+        };
+        let c = ScalarExpr::col;
+        let cases = [
+            (c("a").div(c("b")).add(c("c")), "oops"),
+            // A typed-evaluable half does not pull the other half off
+            // the mirror: `a / 0` still raises, as the row engine's.
+            (
+                c("a").mul(ScalarExpr::lit(2i64)).add(c("a").div(c("b"))),
+                "division by zero",
+            ),
+        ];
+        for (e, what) in cases {
+            let plan = project(scan(), vec![(e, "out", DataType::Int64)]);
+            let row = execute(&plan, &s, &mut LocalShip).unwrap_err();
+            let col = execute_columnar(&plan, &s, &mut LocalShip).unwrap_err();
+            assert_eq!(row.to_string(), col.to_string());
+            assert!(row.to_string().contains(what), "{row}");
         }
     }
 

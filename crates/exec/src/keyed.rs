@@ -117,21 +117,26 @@ impl KeyIndex {
 /// "Row `i` of batch A equals row `j` of batch B on these key columns",
 /// with [`Column::eq_at`]'s semantics: NULL equals NULL, which is what
 /// grouping wants; a join never asks about a NULL key because it skips
-/// such rows before they reach the index.
-pub(crate) enum KeyEq<'a> {
-    /// One `Int64` key on both sides, no NULL row ever compared.
+/// such rows before they reach the index. One resolved [`KeyPair`] per
+/// key column, so a two-column key is two slice comparisons, not two
+/// walks of `eq_at`'s variant match.
+pub(crate) struct KeyEq<'a>(Vec<KeyPair<'a>>);
+
+/// How one key column of A is compared with its counterpart in B.
+enum KeyPair<'a> {
+    /// `Int64` on both sides, no NULL row ever compared.
     Int64(&'a [i64], &'a [i64]),
-    /// One `Date` key on both sides, no NULL row ever compared.
+    /// `Date` on both sides, no NULL row ever compared.
     Date(&'a [i32], &'a [i32]),
-    /// Any other shape: the column pairs, through [`Column::eq_at`].
-    General(Vec<(&'a Column, &'a Column)>),
+    /// Any other pairing, through [`Column::eq_at`].
+    General(&'a Column, &'a Column),
 }
 
 impl<'a> KeyEq<'a> {
     /// Resolve the comparator once per kernel call. `null_free` promises
     /// that no row with a NULL key will be passed to [`KeyEq::eq`]; only
-    /// then may a single fixed-width key compare raw slices, whose NULL
-    /// slots hold a placeholder rather than a value.
+    /// then may a fixed-width pair compare raw slices, whose NULL slots
+    /// hold a placeholder rather than a value.
     pub(crate) fn new(
         a: &'a ColumnarBatch,
         a_cols: &[usize],
@@ -139,29 +144,26 @@ impl<'a> KeyEq<'a> {
         b_cols: &[usize],
         null_free: bool,
     ) -> KeyEq<'a> {
-        if let (true, &[ac], &[bc]) = (null_free, a_cols, b_cols) {
-            match (a.column(ac), b.column(bc)) {
-                (Column::Int64 { values: x, .. }, Column::Int64 { values: y, .. }) => {
-                    return KeyEq::Int64(x, y);
-                }
-                (Column::Date { values: x, .. }, Column::Date { values: y, .. }) => {
-                    return KeyEq::Date(x, y);
-                }
-                _ => {}
+        let pair = |(&ac, &bc)| match (null_free, a.column(ac), b.column(bc)) {
+            (true, Column::Int64 { values: x, .. }, Column::Int64 { values: y, .. }) => {
+                KeyPair::Int64(x, y)
             }
-        }
-        let pair = |(&ac, &bc)| (a.column(ac), b.column(bc));
-        KeyEq::General(a_cols.iter().zip(b_cols).map(pair).collect())
+            (true, Column::Date { values: x, .. }, Column::Date { values: y, .. }) => {
+                KeyPair::Date(x, y)
+            }
+            (_, x, y) => KeyPair::General(x, y),
+        };
+        KeyEq(a_cols.iter().zip(b_cols).map(pair).collect())
     }
 
     /// Does row `i` of A carry the same key as row `j` of B?
     #[inline]
     pub(crate) fn eq(&self, i: usize, j: usize) -> bool {
-        match self {
-            KeyEq::Int64(a, b) => a[i] == b[j],
-            KeyEq::Date(a, b) => a[i] == b[j],
-            KeyEq::General(pairs) => pairs.iter().all(|(a, b)| a.eq_at(i, b, j)),
-        }
+        self.0.iter().all(|pair| match pair {
+            KeyPair::Int64(a, b) => a[i] == b[j],
+            KeyPair::Date(a, b) => a[i] == b[j],
+            KeyPair::General(a, b) => a.eq_at(i, b, j),
+        })
     }
 }
 
@@ -286,19 +288,57 @@ mod tests {
             let same = |&c: &u32| keq.eq(c as usize, row);
             index.candidates(42).filter(same).collect()
         };
-        // Join-style: single fixed-width key, NULL rows never asked about.
+        // Join-style: fixed-width keys, NULL rows never asked about.
         let raw = KeyEq::new(&b, &[0], &b, &[0], true);
-        assert!(matches!(raw, KeyEq::Int64(..)));
+        assert!(matches!(raw.0[..], [KeyPair::Int64(..)]));
         assert_eq!(matching(&raw, 0), vec![0, 2]);
         assert_eq!(matching(&raw, 1), vec![1]);
         // Group-style: NULL equals NULL and nothing else — not even the
         // 0 its slot holds.
         for cols in [&[0usize][..], &[0, 1][..]] {
             let general = KeyEq::new(&b, cols, &b, cols, false);
-            assert!(matches!(general, KeyEq::General(_)));
+            assert!(general.0.iter().all(|p| matches!(p, KeyPair::General(..))));
             assert_eq!(matching(&general, 0), vec![0, 2]);
             assert_eq!(matching(&general, 3), vec![3, 4]);
             assert_eq!(matching(&general, 5), vec![5]);
         }
+    }
+
+    #[test]
+    fn every_key_pair_resolves_on_its_own() {
+        let rows = vec![
+            vec![
+                Value::Int64(1),
+                Value::Date(10),
+                Value::Float64(1.0),
+                Value::str("x"),
+            ],
+            vec![
+                Value::Int64(2),
+                Value::Date(10),
+                Value::Float64(2.5),
+                Value::str("y"),
+            ],
+        ];
+        let b = ColumnarBatch::from_rows(&rows, 4);
+        // Two fixed-width keys: both raw.
+        let two = KeyEq::new(&b, &[0, 1], &b, &[0, 1], true);
+        assert!(matches!(two.0[..], [KeyPair::Int64(..), KeyPair::Date(..)]));
+        assert!(two.eq(0, 0) && !two.eq(0, 1), "the Int64 half differs");
+        // A raw pair beside ones that must stay general: Int64 ⋈ Float64
+        // merges the numeric domain, strings go through the dictionary.
+        let mixed = KeyEq::new(&b, &[0, 0, 3], &b, &[0, 2, 3], true);
+        assert!(matches!(
+            mixed.0[..],
+            [
+                KeyPair::Int64(..),
+                KeyPair::General(..),
+                KeyPair::General(..)
+            ]
+        ));
+        assert!(mixed.eq(0, 0), "1 = 1 = 1.0, x = x");
+        assert!(!mixed.eq(1, 1), "2 != 2.5");
+        // The empty key: every row equals every row.
+        assert!(KeyEq::new(&b, &[], &b, &[], true).eq(0, 1));
     }
 }

@@ -6,7 +6,7 @@
 //! evaluates per row without any name lookups on the hot path.
 
 use crate::expr::{BinaryOp, ScalarExpr, UnaryOp};
-use crate::like::like_match;
+use crate::like::LikePattern;
 use geoqp_common::{GeoError, Result, Row, Schema, Value};
 use std::cmp::Ordering;
 
@@ -37,8 +37,8 @@ pub enum BoundExpr {
     Like {
         /// Matched expression.
         expr: Box<BoundExpr>,
-        /// Pattern.
-        pattern: String,
+        /// Pattern, compiled once at bind time.
+        pattern: LikePattern,
         /// Negated?
         negated: bool,
     },
@@ -92,7 +92,7 @@ pub fn bind(expr: &ScalarExpr, schema: &Schema) -> Result<BoundExpr> {
             negated,
         } => BoundExpr::Like {
             expr: Box::new(bind(expr, schema)?),
-            pattern: pattern.clone(),
+            pattern: LikePattern::new(pattern),
             negated: *negated,
         },
         ScalarExpr::InList {
@@ -178,7 +178,7 @@ impl BoundExpr {
                 let v = expr.eval_with(col)?;
                 match v {
                     Value::Null => Ok(Value::Null),
-                    Value::Str(s) => Ok(Value::Bool(like_match(pattern, &s) != *negated)),
+                    Value::Str(s) => Ok(Value::Bool(pattern.matches(&s) != *negated)),
                     other => Err(GeoError::Execution(format!("LIKE on non-string {other}"))),
                 }
             }
@@ -300,7 +300,8 @@ fn eval_arith(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
                 if *b == 0 {
                     Err(GeoError::Execution("integer division by zero".into()))
                 } else {
-                    Ok(Value::Int64(a / b))
+                    // Wrapping like `+ - *`: `i64::MIN / -1` is not a panic.
+                    Ok(Value::Int64(a.wrapping_div(*b)))
                 }
             }
             _ => unreachable!(),
@@ -383,6 +384,12 @@ mod tests {
     fn integer_division_by_zero_errors() {
         let e = ScalarExpr::col("a").div(ScalarExpr::lit(0i64));
         assert!(eval_once(&e, &row(), &schema()).is_err());
+    }
+
+    #[test]
+    fn integer_division_wraps_instead_of_panicking() {
+        let e = ScalarExpr::lit(i64::MIN).div(ScalarExpr::lit(-1i64));
+        assert_eq!(ev(e), Value::Int64(i64::MIN));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! the example the paper gives.
 
 use crate::expr::{BinaryOp, ScalarExpr};
-use crate::like::{is_exact_pattern, like_match, prefix_of_pattern};
+use crate::like::{is_exact_pattern, prefix_of_pattern, LikePattern};
 use crate::normalize::normalize;
 use geoqp_common::Value;
 use std::cmp::Ordering;
@@ -367,16 +367,22 @@ impl Summary {
     }
 
     fn entails_like(&self, f: &ColumnFacts, pattern: &str, negated: bool) -> bool {
-        let value_check = |v: &Value| {
-            v.as_str()
-                .map(|s| like_match(pattern, s) != negated)
-                .unwrap_or(false)
-        };
+        // Known values decide by matching: the pattern is compiled once
+        // for all of them, and not at all when there are none.
+        fn holds<'v>(
+            pattern: &str,
+            negated: bool,
+            mut values: impl Iterator<Item = &'v Value>,
+        ) -> bool {
+            let compiled = LikePattern::new(pattern);
+            let matches = |s| compiled.matches(s) != negated;
+            values.all(|v| v.as_str().is_some_and(matches))
+        }
         if let Some(eq) = &f.eq {
-            return value_check(eq);
+            return holds(pattern, negated, std::iter::once(eq));
         }
         if let Some(allowed) = &f.allowed {
-            return allowed.iter().all(value_check);
+            return holds(pattern, negated, allowed.iter());
         }
         if negated {
             f.not_likes.iter().any(|p| p == pattern)

@@ -24,5 +24,5 @@ pub use agg::{AggCall, AggFunc};
 pub use eval::{apply_cmp, as_tv, bind, BoundExpr};
 pub use expr::{BinaryOp, ScalarExpr, UnaryOp};
 pub use implication::implies;
-pub use like::like_match;
+pub use like::LikePattern;
 pub use predicate::{columns_of, conjoin, split_conjunction};

@@ -309,7 +309,7 @@ impl<'a> Runtime<'a> {
         let view = FragmentView::new(self, shared, source, runner);
         let result = if self.config.columnar {
             execute_fragment_columnar(edge.subtree(), source, &mut LocalShip, &view)
-                .map(|b| Payload::Columnar(b.materialize()))
+                .map(|b| Payload::Columnar(b.materialize_all(view.runner())))
         } else {
             execute_fragment(edge.subtree(), source, &mut LocalShip, &view).map(Payload::Rows)
         };
@@ -633,6 +633,132 @@ mod tests {
             _arity: usize,
         ) -> Result<Arc<ColumnarBatch>> {
             Ok(Arc::clone(&self.0))
+        }
+    }
+
+    /// Two held tables, told apart by name.
+    struct HeldTables(Vec<(&'static str, Arc<ColumnarBatch>)>);
+
+    impl HeldTables {
+        fn table(&self, table: &TableRef) -> &Arc<ColumnarBatch> {
+            let named = |(name, _): &&(&str, _)| *name == table.table;
+            &self.0.iter().find(named).expect("a held table").1
+        }
+    }
+
+    impl DataSource for HeldTables {
+        fn scan(&self, table: &TableRef, _location: &Location) -> Result<Rows> {
+            Ok(self.table(table).to_rows())
+        }
+        fn scan_columnar(
+            &self,
+            table: &TableRef,
+            _location: &Location,
+            _arity: usize,
+        ) -> Result<Arc<ColumnarBatch>> {
+            Ok(Arc::clone(self.table(table)))
+        }
+    }
+
+    #[test]
+    fn a_join_crossing_an_edge_arrives_gathered_at_the_row_engines_bytes() {
+        let int = |i: i64| {
+            if i % 11 == 0 {
+                Value::Null
+            } else {
+                Value::Int64(i % 40)
+            }
+        };
+        let build: Vec<Row> = (0..60)
+            .map(|i| {
+                vec![
+                    int(i),
+                    Value::str(format!("b{}", i % 7)),
+                    Value::Float64(i as f64),
+                ]
+            })
+            .collect();
+        let probe: Vec<Row> = (0..500)
+            .map(|i| {
+                vec![
+                    int(i),
+                    Value::Date(i as i32),
+                    Value::str(format!("p{}", i % 3)),
+                ]
+            })
+            .collect();
+        let held = HeldTables(vec![
+            ("build", Arc::new(ColumnarBatch::from_rows(&build, 3))),
+            ("probe", Arc::new(ColumnarBatch::from_rows(&probe, 3))),
+        ]);
+        let scan = |table: &str, fields: [(&str, DataType); 3]| {
+            let fields = fields.map(|(n, t)| Field::new(n, t)).to_vec();
+            let op = PhysOp::Scan {
+                table: TableRef::bare(table),
+            };
+            let schema = Arc::new(Schema::new(fields).unwrap());
+            Arc::new(PhysicalPlan::new(op, schema, Location::new("L1"), vec![]).unwrap())
+        };
+        let (b, p) = (
+            scan(
+                "build",
+                [
+                    ("bk", DataType::Int64),
+                    ("bs", DataType::Str),
+                    ("bx", DataType::Float64),
+                ],
+            ),
+            scan(
+                "probe",
+                [
+                    ("pk", DataType::Int64),
+                    ("pd", DataType::Date),
+                    ("ps", DataType::Str),
+                ],
+            ),
+        );
+        let join = PhysicalPlan::new(
+            PhysOp::HashJoin {
+                left_keys: vec!["bk".into()],
+                right_keys: vec!["pk".into()],
+                filter: None,
+            },
+            Arc::new(b.schema.join(&p.schema).unwrap()),
+            Location::new("L1"),
+            vec![b, p],
+        );
+        let plan = PhysicalPlan::ship(Arc::new(join.unwrap()), Location::new("L4"));
+        let topology = NetworkTopology::paper_wan();
+
+        let run = |columnar: bool, pool: Option<&MorselPool>| {
+            let runtime = Runtime::new(ShipEnv::new(&topology)).with_config(RuntimeConfig {
+                batch_rows: 64,
+                columnar,
+                ..RuntimeConfig::default()
+            });
+            let cut = cut(&plan).unwrap();
+            let shared = Shared::new(&cut);
+            let runner = pool.map(|p| p.runner(128));
+            runtime.run_producer(&cut.edges[0], &shared, &held, None, runner);
+            let view = FragmentView::new(&runtime, &shared, &held, None);
+            let got = view.fetch_columnar(&plan).unwrap().unwrap();
+            assert!(shared.errors.lock().unwrap().is_empty());
+            (got, shared.log.into_inner().unwrap())
+        };
+
+        let (rows, row_log) = run(false, None);
+        assert!(rows.len() > 500, "duplicate keys fan out: {}", rows.len());
+        let pool = MorselPool::new(2);
+        for pool in [None, Some(&pool)] {
+            let (got, log) = run(true, pool);
+            assert!(
+                (0..got.arity()).all(|j| got.is_materialized(j)),
+                "sizing the stream read every column: nothing pending crosses an edge"
+            );
+            assert_eq!(got.to_rows(), rows.to_rows());
+            assert_eq!(log.total_bytes(), row_log.total_bytes());
+            assert_eq!(log.transfer_count(), row_log.transfer_count());
+            assert_eq!(log.total_rows(), row_log.total_rows());
         }
     }
 

@@ -9,15 +9,15 @@
 //!
 //! An unknown `--figure` id is an error that lists the valid ones.
 //!
-//! `--figure adhoc` reproduces the paper's 400-query effectiveness and
-//! overhead curves per template set, then scales the generated workload
-//! to measure optimizer throughput (plans/sec, implication-memo hit
-//! rate, Algorithm 2 DP states) and writes `BENCH_optimizer.json`. The
-//! scale-run size is `GEOQP_ADHOC_N` (default 100000, or 2000 with
-//! `--quick`).
+//! `--figure adhoc` optimizes `GEOQP_ADHOC_N` generated queries (default
+//! 100000, or 2000 with `--quick`) per the four template sets and writes
+//! their seed-deterministic search-volume counters (compliant fraction,
+//! η, Algorithm 2 DP states, implication-memo hits) to
+//! `BENCH_optimizer.json` — byte-identical run to run.
 //!
-//! Wall-clock performance of the runtime, the kernels and the service
-//! is measured by the repo benchmark (`benchmark/run.sh`), not here.
+//! Wall-clock performance of the optimizer, the runtime, the kernels and
+//! the service is measured by the repo benchmark (`benchmark/run.sh`),
+//! not here.
 
 use geoqp_bench::experiments::overhead::OverheadCase;
 use geoqp_bench::experiments::{
@@ -65,7 +65,7 @@ fn main() {
         ("ablation", Box::new(ablations)),
         ("failover", Box::new(failover_matrix)),
         ("grayfail", Box::new(grayfail_figure)),
-        ("adhoc", Box::new(move || adhoc_figure(adhoc_n, quick))),
+        ("adhoc", Box::new(move || adhoc_figure(quick))),
         ("churn", Box::new(churn_figure)),
     ];
 
@@ -182,65 +182,31 @@ fn churn_figure() {
     }
 }
 
-fn adhoc_figure(curve_n: usize, quick: bool) {
-    header(&format!(
-        "Extension E10: ad-hoc workload — effectiveness and overhead curves ({curve_n} queries)"
-    ));
-    println!(
-        "  {:14} {:>8} {:>12} {:>12} {:>10} {:>10} {:>9}",
-        "template", "queries", "traditional", "compliant", "trad ms", "compl ms", "overhead"
-    );
-    let curves = optimizer::adhoc_curves(curve_n, SEED);
-    for c in &curves {
-        println!(
-            "  {:14} {:>8} {:>12.2} {:>12.2} {:>10.2} {:>10.2} {:>8.2}x",
-            format!("{}({})", c.template.name(), c.expressions),
-            c.queries,
-            c.traditional_fraction,
-            c.compliant_fraction,
-            c.traditional_mean_ms,
-            c.compliant_mean_ms,
-            c.overhead_factor()
-        );
-    }
-
-    let scale_n: usize = std::env::var("GEOQP_ADHOC_N")
+fn adhoc_figure(quick: bool) {
+    let n: usize = std::env::var("GEOQP_ADHOC_N")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(if quick { 2_000 } else { 100_000 });
     header(&format!(
-        "Extension E10: optimizer throughput over {scale_n} generated queries (compliant mode)"
+        "Extension E10: optimizer search volume over {n} generated queries (compliant mode)"
     ));
     println!(
-        "  {:14} {:>8} {:>8} {:>10} {:>11} {:>9} {:>8} {:>10} {:>10} {:>9}",
-        "template",
-        "queries",
-        "workers",
-        "wall ms",
-        "plans/sec",
-        "opt ms",
-        "found",
-        "memo hit%",
-        "DP states",
-        "η mean"
+        "  {:14} {:>8} {:>8} {:>10} {:>10} {:>9}",
+        "template", "queries", "found", "memo hit%", "DP states", "η mean"
     );
-    let throughput = optimizer::adhoc_throughput(scale_n, SEED);
-    for t in &throughput {
+    let counters = optimizer::adhoc_counters(n, SEED);
+    for t in &counters {
         println!(
-            "  {:14} {:>8} {:>8} {:>10.0} {:>11.0} {:>9.3} {:>8.2} {:>9.1}% {:>10.1} {:>9.1}",
+            "  {:14} {:>8} {:>8.2} {:>9.1}% {:>10.1} {:>9.1}",
             format!("{}({})", t.template.name(), t.expressions),
             t.queries,
-            t.workers,
-            t.wall_ms,
-            t.plans_per_sec,
-            t.mean_opt_ms,
             t.compliant_fraction,
             t.memo_hit_rate * 100.0,
             t.dp_states_mean,
             t.eta_mean
         );
     }
-    let json = optimizer::to_json(&curves, &throughput, SEED);
+    let json = optimizer::to_json(&counters, SEED);
     match std::fs::write("BENCH_optimizer.json", &json) {
         Ok(()) => println!("  wrote BENCH_optimizer.json"),
         Err(e) => println!("  could not write BENCH_optimizer.json: {e}"),

@@ -1,22 +1,22 @@
-//! Optimizer-throughput benchmarking over the scaled-out ad-hoc
-//! workload (`repro --figure adhoc`).
+//! Search-volume counters of the compliant optimizer over the scaled-out
+//! ad-hoc workload (`repro --figure adhoc`, `BENCH_optimizer.json`).
 //!
-//! Two measurements share one generator. [`adhoc_curves`] reproduces the
-//! paper's 400-query Section 7 evaluation per template set — compliance
-//! effectiveness of both optimizers *and* their planning overhead — in a
-//! single pass. [`adhoc_throughput`] then scales the same workload to
-//! ~100k queries (sized via `GEOQP_ADHOC_N`) and measures the optimizer
-//! as a system: plans per second across a worker pool, implication-memo
-//! hit rates, Algorithm 2 DP states explored, and the fraction of
-//! queries for which a compliant plan exists. Results feed
-//! `BENCH_optimizer.json`.
+//! One single-threaded pass per template set over seeded
+//! [`generate_adhoc`] queries, reporting only what the seed determines:
+//! the fraction of queries for which a compliant plan exists, η,
+//! Algorithm 2 DP states, implication-memo hits and misses. Nothing here
+//! reads a clock — planning *time*, and its ratio to the traditional
+//! optimizer's, is `benchmark/`'s `adhoc_optimize` — and effectiveness
+//! against the traditional optimizer is Fig. 6(a)
+//! ([`effectiveness::adhoc_effectiveness`](super::effectiveness::adhoc_effectiveness))
+//! — so the JSON is byte-identical run to run and is regression-checked
+//! (`crates/bench/tests/adhoc_counters.rs`).
 
 use crate::experiments::setup::{engine_with_policies, OPT_SF};
 use geoqp_core::OptimizerMode;
 use geoqp_tpch::adhoc::generate_adhoc;
 use geoqp_tpch::policy_gen::{generate_policies, PolicyTemplate};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The four template sets, in the paper's order.
 pub const TEMPLATES: [PolicyTemplate; 4] = [
@@ -35,124 +35,15 @@ pub fn expressions_for(template: PolicyTemplate) -> usize {
     }
 }
 
-/// Worker threads used for the fan-out (the engine is shareable).
-fn worker_count() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get().min(8))
-        .unwrap_or(4)
-}
-
-/// One template's effectiveness/overhead curve point (the 400-query run).
+/// One template's search-volume counters.
 #[derive(Debug)]
-pub struct AdhocCurve {
-    /// Template set.
-    pub template: PolicyTemplate,
-    /// Expression count used.
-    pub expressions: usize,
-    /// Queries evaluated.
-    pub queries: usize,
-    /// Fraction of queries whose *traditional* plan audits compliant.
-    pub traditional_fraction: f64,
-    /// Fraction for the compliant optimizer (the paper finds 1.0).
-    pub compliant_fraction: f64,
-    /// Mean traditional optimization time, ms.
-    pub traditional_mean_ms: f64,
-    /// Mean compliant optimization time, ms.
-    pub compliant_mean_ms: f64,
-}
-
-impl AdhocCurve {
-    /// Compliant-over-traditional planning-time overhead factor.
-    pub fn overhead_factor(&self) -> f64 {
-        if self.traditional_mean_ms > 0.0 {
-            self.compliant_mean_ms / self.traditional_mean_ms
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
-/// The paper's 400-query curves: queries split evenly across the four
-/// template sets, both optimizers run on every query, effectiveness
-/// audited per Definition 1 and planning time taken from
-/// [`geoqp_core::OptimizeStats`].
-pub fn adhoc_curves(total_queries: usize, seed: u64) -> Vec<AdhocCurve> {
-    let catalog = Arc::new(geoqp_tpch::paper_catalog(OPT_SF));
-    let per_group = total_queries / 4;
-    let mut out = Vec::new();
-    for (i, template) in TEMPLATES.into_iter().enumerate() {
-        let n_expr = expressions_for(template);
-        let policies = generate_policies(&catalog, template, n_expr, seed).unwrap();
-        let engine = engine_with_policies(Arc::clone(&catalog), policies);
-        let queries = generate_adhoc(&catalog, per_group, seed.wrapping_add(i as u64)).unwrap();
-        let chunk = queries.len().div_ceil(worker_count()).max(1);
-        let (t_ok, c_ok, t_ms, c_ms) = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for part in queries.chunks(chunk) {
-                let engine = &engine;
-                handles.push(scope.spawn(move || {
-                    let (mut t_ok, mut c_ok) = (0usize, 0usize);
-                    let (mut t_ms, mut c_ms) = (0f64, 0f64);
-                    for q in part {
-                        if let Ok(opt) = engine.optimize(&q.plan, OptimizerMode::Traditional, None)
-                        {
-                            t_ms += opt.stats.total_ms;
-                            if engine.audit(&opt.physical).is_ok() {
-                                t_ok += 1;
-                            }
-                        }
-                        if let Ok(opt) = engine.optimize(&q.plan, OptimizerMode::Compliant, None) {
-                            c_ms += opt.stats.total_ms;
-                            if engine.audit(&opt.physical).is_ok() {
-                                c_ok += 1;
-                            }
-                        }
-                    }
-                    (t_ok, c_ok, t_ms, c_ms)
-                }));
-            }
-            handles.into_iter().map(|h| h.join().expect("worker")).fold(
-                (0, 0, 0.0, 0.0),
-                |acc, part| {
-                    (
-                        acc.0 + part.0,
-                        acc.1 + part.1,
-                        acc.2 + part.2,
-                        acc.3 + part.3,
-                    )
-                },
-            )
-        });
-        out.push(AdhocCurve {
-            template,
-            expressions: n_expr,
-            queries: per_group,
-            traditional_fraction: t_ok as f64 / per_group as f64,
-            compliant_fraction: c_ok as f64 / per_group as f64,
-            traditional_mean_ms: t_ms / per_group as f64,
-            compliant_mean_ms: c_ms / per_group as f64,
-        });
-    }
-    out
-}
-
-/// One template's optimizer-throughput numbers from the scale run.
-#[derive(Debug)]
-pub struct AdhocThroughput {
+pub struct AdhocCounters {
     /// Template set.
     pub template: PolicyTemplate,
     /// Expression count used.
     pub expressions: usize,
     /// Queries optimized (compliant mode).
     pub queries: usize,
-    /// Worker threads in the fan-out.
-    pub workers: usize,
-    /// Wall-clock for the whole batch, ms.
-    pub wall_ms: f64,
-    /// Optimizations per second of wall clock across all workers.
-    pub plans_per_sec: f64,
-    /// Mean per-query optimization time, ms (sum of per-query stats).
-    pub mean_opt_ms: f64,
     /// Fraction of queries for which a compliant plan was found.
     pub compliant_fraction: f64,
     /// Implication-memo hits over the batch.
@@ -169,185 +60,69 @@ pub struct AdhocThroughput {
     pub eta_mean: f64,
 }
 
-/// The scale run: `total_queries` split evenly across the four template
-/// sets, compliant-mode optimization only, measuring throughput and
-/// search-volume counters. Memo counters are engine-wide, so they are
-/// reset per template batch and read back as batch totals.
-pub fn adhoc_throughput(total_queries: usize, seed: u64) -> Vec<AdhocThroughput> {
+/// `total_queries` split evenly across the four template sets, each batch
+/// optimized in compliant mode, in generation order, on one thread (the
+/// implication memo is engine-wide, so its counters depend on the order).
+pub fn adhoc_counters(total_queries: usize, seed: u64) -> Vec<AdhocCounters> {
     let catalog = Arc::new(geoqp_tpch::paper_catalog(OPT_SF));
     let per_group = total_queries / 4;
-    let workers = worker_count();
     let mut out = Vec::new();
     for (i, template) in TEMPLATES.into_iter().enumerate() {
         let n_expr = expressions_for(template);
         let policies = generate_policies(&catalog, template, n_expr, seed).unwrap();
         let engine = engine_with_policies(Arc::clone(&catalog), policies);
         let queries = generate_adhoc(&catalog, per_group, seed.wrapping_add(i as u64)).unwrap();
-        let chunk = queries.len().div_ceil(workers).max(1);
-        engine.implication_memo().reset_counters();
-        let t0 = Instant::now();
-        let (found, opt_ms, dp, eta) = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for part in queries.chunks(chunk) {
-                let engine = &engine;
-                handles.push(scope.spawn(move || {
-                    let mut found = 0usize;
-                    let mut opt_ms = 0f64;
-                    let mut dp = 0u64;
-                    let mut eta = 0u64;
-                    for q in part {
-                        if let Ok(opt) = engine.optimize(&q.plan, OptimizerMode::Compliant, None) {
-                            found += 1;
-                            opt_ms += opt.stats.total_ms;
-                            dp += opt.stats.dp_states as u64;
-                            eta += opt.stats.eta;
-                        }
-                    }
-                    (found, opt_ms, dp, eta)
-                }));
+        let (mut found, mut dp, mut eta) = (0usize, 0u64, 0u64);
+        for q in &queries {
+            if let Ok(opt) = engine.optimize(&q.plan, OptimizerMode::Compliant, None) {
+                found += 1;
+                dp += opt.stats.dp_states as u64;
+                eta += opt.stats.eta;
             }
-            handles.into_iter().map(|h| h.join().expect("worker")).fold(
-                (0, 0.0, 0, 0),
-                |acc, part| {
-                    (
-                        acc.0 + part.0,
-                        acc.1 + part.1,
-                        acc.2 + part.2,
-                        acc.3 + part.3,
-                    )
-                },
-            )
-        });
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+        }
         let memo = engine.implication_memo();
-        out.push(AdhocThroughput {
+        let n = per_group.max(1) as f64;
+        out.push(AdhocCounters {
             template,
             expressions: n_expr,
             queries: per_group,
-            workers,
-            wall_ms,
-            plans_per_sec: if wall_ms > 0.0 {
-                per_group as f64 / (wall_ms / 1e3)
-            } else {
-                f64::INFINITY
-            },
-            mean_opt_ms: opt_ms / per_group.max(1) as f64,
-            compliant_fraction: found as f64 / per_group.max(1) as f64,
+            compliant_fraction: found as f64 / n,
             memo_hits: memo.hits(),
             memo_misses: memo.misses(),
             memo_hit_rate: memo.hit_rate(),
             dp_states_total: dp,
-            dp_states_mean: dp as f64 / per_group.max(1) as f64,
-            eta_mean: eta as f64 / per_group.max(1) as f64,
+            dp_states_mean: dp as f64 / n,
+            eta_mean: eta as f64 / n,
         });
     }
     out
 }
 
-/// Render both measurements as the `BENCH_optimizer.json` document.
-pub fn to_json(curves: &[AdhocCurve], throughput: &[AdhocThroughput], seed: u64) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"seed\": {seed},\n"));
-    s.push_str(&format!("  \"scale_factor\": {OPT_SF},\n"));
-    s.push_str("  \"curves\": [\n");
-    for (i, c) in curves.iter().enumerate() {
-        s.push_str("    {");
-        s.push_str(&format!("\"template\": \"{}\", ", c.template.name()));
-        s.push_str(&format!("\"expressions\": {}, ", c.expressions));
-        s.push_str(&format!("\"queries\": {}, ", c.queries));
-        s.push_str(&format!(
-            "\"traditional_fraction\": {:.4}, ",
-            c.traditional_fraction
-        ));
-        s.push_str(&format!(
-            "\"compliant_fraction\": {:.4}, ",
-            c.compliant_fraction
-        ));
-        s.push_str(&format!(
-            "\"traditional_mean_ms\": {:.4}, ",
-            c.traditional_mean_ms
-        ));
-        s.push_str(&format!(
-            "\"compliant_mean_ms\": {:.4}, ",
-            c.compliant_mean_ms
-        ));
-        s.push_str(&format!("\"overhead_factor\": {:.2}", c.overhead_factor()));
-        s.push('}');
-        if i + 1 < curves.len() {
-            s.push(',');
-        }
-        s.push('\n');
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"throughput\": [\n");
-    for (i, t) in throughput.iter().enumerate() {
-        s.push_str("    {");
-        s.push_str(&format!("\"template\": \"{}\", ", t.template.name()));
-        s.push_str(&format!("\"expressions\": {}, ", t.expressions));
-        s.push_str(&format!("\"queries\": {}, ", t.queries));
-        s.push_str(&format!("\"workers\": {}, ", t.workers));
-        s.push_str(&format!("\"wall_ms\": {:.1}, ", t.wall_ms));
-        s.push_str(&format!("\"plans_per_sec\": {:.0}, ", t.plans_per_sec));
-        s.push_str(&format!("\"mean_opt_ms\": {:.4}, ", t.mean_opt_ms));
-        s.push_str(&format!(
-            "\"compliant_fraction\": {:.4}, ",
-            t.compliant_fraction
-        ));
-        s.push_str(&format!("\"memo_hits\": {}, ", t.memo_hits));
-        s.push_str(&format!("\"memo_misses\": {}, ", t.memo_misses));
-        s.push_str(&format!("\"memo_hit_rate\": {:.4}, ", t.memo_hit_rate));
-        s.push_str(&format!("\"dp_states_total\": {}, ", t.dp_states_total));
-        s.push_str(&format!("\"dp_states_mean\": {:.2}, ", t.dp_states_mean));
-        s.push_str(&format!("\"eta_mean\": {:.2}", t.eta_mean));
-        s.push('}');
-        if i + 1 < throughput.len() {
-            s.push(',');
-        }
-        s.push('\n');
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn curves_cover_all_templates_and_find_compliant_plans() {
-        let curves = adhoc_curves(16, 7);
-        assert_eq!(curves.len(), 4);
-        for c in &curves {
-            assert_eq!(c.queries, 4);
-            assert!(
-                (c.compliant_fraction - 1.0).abs() < f64::EPSILON,
-                "{}: compliant optimizer must always find a plan (got {})",
-                c.template.name(),
-                c.compliant_fraction
-            );
-            assert!((0.0..=1.0).contains(&c.traditional_fraction));
-            assert!(c.compliant_mean_ms >= 0.0 && c.traditional_mean_ms >= 0.0);
-        }
-    }
-
-    #[test]
-    fn throughput_counters_are_populated() {
-        let rows = adhoc_throughput(16, 9);
-        assert_eq!(rows.len(), 4);
-        for t in &rows {
-            assert_eq!(t.queries, 4);
-            assert!((t.compliant_fraction - 1.0).abs() < f64::EPSILON);
-            assert!(t.plans_per_sec > 0.0);
-            assert!(
-                t.dp_states_total > 0,
-                "{}: Algorithm 2 must report DP states",
-                t.template.name()
-            );
-            assert!(t.memo_hits + t.memo_misses > 0);
-            assert!((0.0..=1.0).contains(&t.memo_hit_rate));
-        }
-        let json = to_json(&[], &rows, 9);
-        assert!(json.contains("\"plans_per_sec\""));
-        assert!(json.contains("\"dp_states_mean\""));
-    }
+/// Render the counters as the `BENCH_optimizer.json` document.
+pub fn to_json(counters: &[AdhocCounters], seed: u64) -> String {
+    let rows: Vec<String> = counters
+        .iter()
+        .map(|t| {
+            format!(
+                "    {{\"template\": \"{}\", \"expressions\": {}, \"queries\": {}, \
+                 \"compliant_fraction\": {:.4}, \"memo_hits\": {}, \"memo_misses\": {}, \
+                 \"memo_hit_rate\": {:.4}, \"dp_states_total\": {}, \"dp_states_mean\": {:.2}, \
+                 \"eta_mean\": {:.2}}}",
+                t.template.name(),
+                t.expressions,
+                t.queries,
+                t.compliant_fraction,
+                t.memo_hits,
+                t.memo_misses,
+                t.memo_hit_rate,
+                t.dp_states_total,
+                t.dp_states_mean,
+                t.eta_mean
+            )
+        })
+        .collect();
+    format!(
+        "{{\n  \"seed\": {seed},\n  \"scale_factor\": {OPT_SF},\n  \"counters\": [\n{}\n  ]\n}}\n",
+        rows.join(",\n")
+    )
 }

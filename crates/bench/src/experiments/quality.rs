@@ -8,7 +8,7 @@
 //! charged, rather than estimated.
 
 use crate::experiments::setup::engine_with_policies;
-use geoqp_core::{Engine, OptimizerMode};
+use geoqp_core::OptimizerMode;
 use geoqp_tpch::policy_gen::{generate_policies, PolicyTemplate};
 use geoqp_tpch::queries::all_queries;
 use std::sync::Arc;
@@ -85,12 +85,4 @@ fn sorted(rows: &geoqp_common::Rows) -> Vec<geoqp_common::Row> {
         std::cmp::Ordering::Equal
     });
     v
-}
-
-/// Shared engine builder for external callers (benches).
-pub fn engine_for(template: PolicyTemplate, sf: f64, seed: u64) -> Engine {
-    let catalog = Arc::new(geoqp_tpch::paper_catalog(sf));
-    geoqp_tpch::populate(&catalog, sf, seed).expect("populate");
-    let policies = generate_policies(&catalog, template, template.base_count(), seed).unwrap();
-    engine_with_policies(catalog, policies)
 }

@@ -4,7 +4,6 @@ use geoqp_core::Engine;
 use geoqp_net::NetworkTopology;
 use geoqp_policy::PolicyCatalog;
 use geoqp_storage::Catalog;
-use geoqp_tpch::policy_gen::{generate_policies, PolicyTemplate};
 use std::sync::Arc;
 
 /// The evaluation's scale factor for optimization experiments (paper:
@@ -17,11 +16,4 @@ pub const EXEC_SF: f64 = 0.01;
 /// Build an engine over the Table 2 catalog with a given policy catalog.
 pub fn engine_with_policies(catalog: Arc<Catalog>, policies: PolicyCatalog) -> Engine {
     Engine::new(catalog, Arc::new(policies), NetworkTopology::paper_wan())
-}
-
-/// Engine over the paper catalog with a generated template set.
-pub fn engine_for_template(sf: f64, template: PolicyTemplate, count: usize, seed: u64) -> Engine {
-    let catalog = Arc::new(geoqp_tpch::paper_catalog(sf));
-    let policies = generate_policies(&catalog, template, count, seed).expect("policy generation");
-    engine_with_policies(catalog, policies)
 }

@@ -20,6 +20,10 @@ fn unknown_figure_id_fails_and_lists_the_valid_ones() {
         stderr.contains("table1"),
         "stderr lists valid ids: {stderr}"
     );
+    assert!(
+        stderr.contains("|adhoc|"),
+        "adhoc stays a valid id: {stderr}"
+    );
     assert!(stderr.contains("nope"), "stderr names the bad id: {stderr}");
 
     let out = repro("table1");

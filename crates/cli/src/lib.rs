@@ -137,7 +137,9 @@ impl Shell {
                     self.result_location = None;
                     Ok("result location: optimizer's choice\n".to_string())
                 } else {
-                    self.result_location = Some(Location::new(arg));
+                    let site = Location::new(arg);
+                    self.engine()?.check_site(&site)?;
+                    self.result_location = Some(site);
                     Ok(format!("result location: {arg}\n"))
                 }
             }
@@ -1202,6 +1204,27 @@ mod tests {
         assert!(sh
             .run_command("SELECT c_name, c_acctbal FROM customer")
             .is_ok());
+    }
+
+    #[test]
+    fn unknown_site_is_refused_and_the_session_keeps_its_pin() {
+        let mut sh = Shell::new();
+        sh.run_command("\\demo tpch 0.001").unwrap();
+        sh.run_command("\\at L3").unwrap();
+        // A typo is not a policy refusal: it names the site and the known
+        // ones, and must not poison the statements that follow.
+        let err = sh.run_command("\\at L9").unwrap_err();
+        assert_ne!(err.kind(), "rejected", "{err}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("L9") && msg.contains("L1") && msg.contains("L5"),
+            "{msg}"
+        );
+        let out = sh.run_command("SELECT r_name FROM region").unwrap();
+        assert!(
+            out.contains("rows at L3"),
+            "result still pinned to L3: {out}"
+        );
     }
 
     #[test]

@@ -56,12 +56,6 @@ impl Schema {
         Ok(Schema { fields })
     }
 
-    /// Build a schema without the duplicate check (for internal composition
-    /// where uniqueness was already established).
-    pub fn new_unchecked(fields: Vec<Field>) -> Schema {
-        Schema { fields }
-    }
-
     /// The empty schema.
     pub fn empty() -> Schema {
         Schema { fields: Vec::new() }

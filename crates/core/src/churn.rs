@@ -396,17 +396,6 @@ impl CatalogService {
         }
     }
 
-    /// Each site's applied log sequence, in site order (the `\catalog`
-    /// shell verb's replica listing).
-    pub fn replica_seqs(&self) -> Vec<(Location, u64)> {
-        self.replicas
-            .lock()
-            .expect("replica table lock poisoned")
-            .iter()
-            .map(|(site, r)| (site.clone(), r.seq()))
-            .collect()
-    }
-
     /// The set of sites whose catalog-plane link to the coordinator is
     /// cut by an open-ended fault at the current catalog step — their
     /// replica lag is unbounded and will never close on its own.

@@ -377,6 +377,20 @@ impl Engine {
         self.optimize_opts(plan, mode, result_location, &OptimizerOptions::default())
     }
 
+    /// A result location must be one of the catalog's sites: asking for
+    /// one that does not exist is a typo, not a policy refusal, so it is
+    /// typed as a catalog error naming the site and the known ones —
+    /// never as [`GeoError::QueryRejected`].
+    pub fn check_site(&self, site: &Location) -> Result<()> {
+        let known = self.catalog.locations();
+        if known.contains(site) {
+            return Ok(());
+        }
+        Err(GeoError::Storage(format!(
+            "unknown result location `{site}`: the catalog's sites are {known}"
+        )))
+    }
+
     /// [`Engine::optimize`] with explicit [`OptimizerOptions`].
     pub fn optimize_opts(
         &self,
@@ -385,6 +399,9 @@ impl Engine {
         result_location: Option<Location>,
         options: &OptimizerOptions,
     ) -> Result<OptimizedQuery> {
+        if let Some(site) = &result_location {
+            self.check_site(site)?;
+        }
         let t_start = Instant::now();
 
         // Phase 1: normalize (dominating rewrites), explore, annotate.

@@ -6,9 +6,11 @@
 //!
 //! The optimizer follows Section 6's two-phase design:
 //!
-//! 1. **Plan annotator** (phase 1): a Volcano-style memo optimizer. Logical
-//!    alternatives are enumerated by transformation rules (join
-//!    commutativity/associativity, filter pushdown, projection pushdown,
+//! 1. **Plan annotator** (phase 1): a Volcano-style memo optimizer. Filter
+//!    pushdown and column pruning always win, so [`normalize`] applies
+//!    them once, before the memo exists; logical alternatives are then
+//!    enumerated by the four rules of [`rules::default_rules`] (join
+//!    re-association in both directions, projection through union,
 //!    **aggregation pushdown past joins** — the rule Section 6.4 identifies
 //!    as necessary for completeness). Physical candidates are derived
 //!    bottom-up; each candidate carries the two new logical properties of

@@ -1,7 +1,7 @@
-//! The rule engine: algebraic transformation rules applied to the memo
-//! until fixpoint (Volcano's "apply equivalence rules in a top-down
-//! fashion", Section 6 — here realized as an exhaustive fixpoint over the
-//! memo, which explores the same space).
+//! The rule engine: the transformation rules with genuine trade-offs
+//! ([`default_rules`], the one rule list), applied to the memo until
+//! fixpoint (Volcano's "apply equivalence rules in a top-down fashion",
+//! Section 6 — here an exhaustive fixpoint, which explores the same space).
 
 pub mod transform;
 
@@ -20,35 +20,18 @@ pub trait TransformRule: Send + Sync {
     fn apply(&self, memo: &mut Memo, group: GroupId, expr: &MExpr) -> Result<Vec<MExpr>>;
 }
 
-/// The default rule set of the compliance-based optimizer. Filter
-/// pushdown and column pruning are *not* explored here — they are
-/// dominating rewrites applied exhaustively by the
-/// [`normalize`](crate::normalize) pre-pass; the memo explores only the
-/// transformations with genuine trade-offs.
+/// The rule set of both optimizers: join re-association, eager
+/// aggregation past joins, projection through union. Filter pushdown and
+/// column pruning are *not* explored here — they are dominating rewrites
+/// applied by the [`normalize`](crate::normalize) pre-pass.
+/// [`transform::JoinExchange`] is the one implemented rule left out (it
+/// opens star join orders for 1.37× the memo expressions; see DESIGN §4).
 pub fn default_rules() -> Vec<Box<dyn TransformRule>> {
     vec![
         Box::new(transform::JoinAssocLeft),
         Box::new(transform::JoinAssocRight),
         Box::new(transform::AggregateJoinPushdown),
         Box::new(transform::ProjectUnionTranspose),
-    ]
-}
-
-/// Every implemented rule, including the pushdown/pruning rules the
-/// default pipeline handles in the normalization pre-pass. Used by rule
-/// unit tests and available for experimentation.
-pub fn all_rules() -> Vec<Box<dyn TransformRule>> {
-    vec![
-        Box::new(transform::FilterMerge),
-        Box::new(transform::FilterPushdown),
-        Box::new(transform::ProjectMerge),
-        Box::new(transform::ProjectJoinTranspose),
-        Box::new(transform::ProjectUnionTranspose),
-        Box::new(transform::AggregateInputPrune),
-        Box::new(transform::JoinAssocLeft),
-        Box::new(transform::JoinAssocRight),
-        Box::new(transform::JoinExchange),
-        Box::new(transform::AggregateJoinPushdown),
     ]
 }
 
@@ -97,8 +80,8 @@ pub fn explore(memo: &mut Memo, rules: &[Box<dyn TransformRule>]) -> Result<Expl
             break;
         }
         if stats.passes > 64 {
-            // Safety valve; in practice fixpoint lands within a handful of
-            // passes.
+            // Safety valve, 16× the measured maximum: 4 passes over the six
+            // + 2 000 ad-hoc queries (9 with `JoinExchange`, on Q8).
             break;
         }
     }

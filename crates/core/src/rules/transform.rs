@@ -1,17 +1,20 @@
-//! The logical transformation rules.
+//! The logical transformation rules the memo explores.
 //!
-//! Together these span the plan space the paper's optimizer explores:
-//! filter pushdown and merge, projection pushdown (the *masking* operators
-//! that make restricted subplans shippable), join re-association and
-//! exchange (join-order enumeration), and **eager aggregation past joins**
-//! with count adjustment — the rule Section 6.4 singles out as the one
-//! completeness hinges on (without it, Figure 4's only compliant plan is
-//! never generated and the query is rejected).
+//! Four run on the product path ([`default_rules`](super::default_rules)):
+//! join re-association in both directions (join-order enumeration),
+//! projection through union (masking each partition at its site), and
+//! **eager aggregation past joins** with count adjustment — the rule
+//! Section 6.4 singles out as the one completeness hinges on (without it,
+//! Figure 4's only compliant plan is never generated and the query is
+//! rejected). [`JoinExchange`] is implemented and exported but not in the
+//! default set. Filter pushdown/merge and column pruning are not rules:
+//! they dominate, so [`normalize`](crate::normalize) applies them once,
+//! before the memo exists.
 
 use crate::memo::{GroupId, MExpr, MOp, Memo};
 use crate::rules::TransformRule;
 use geoqp_common::Result;
-use geoqp_expr::{conjoin, predicate::partition_conjuncts, AggCall, AggFunc, ScalarExpr};
+use geoqp_expr::{conjoin, AggCall, AggFunc, ScalarExpr};
 use std::collections::{BTreeMap, BTreeSet};
 
 // --------------------------------------------------------------- helpers
@@ -33,329 +36,6 @@ fn make_group(memo: &mut Memo, op: MOp, children: Vec<GroupId>) -> Result<GroupI
     };
     let repr = memo.repr_plan_of(&expr)?;
     memo.add_group_with_expr(repr, expr)
-}
-
-/// Replace column references by mapped expressions (projection inlining).
-fn substitute(expr: &ScalarExpr, map: &BTreeMap<String, ScalarExpr>) -> ScalarExpr {
-    match expr {
-        ScalarExpr::Column(n) => map.get(n).cloned().unwrap_or_else(|| expr.clone()),
-        ScalarExpr::Literal(_) => expr.clone(),
-        ScalarExpr::Binary { op, lhs, rhs } => ScalarExpr::Binary {
-            op: *op,
-            lhs: Box::new(substitute(lhs, map)),
-            rhs: Box::new(substitute(rhs, map)),
-        },
-        ScalarExpr::Unary { op, expr } => ScalarExpr::Unary {
-            op: *op,
-            expr: Box::new(substitute(expr, map)),
-        },
-        ScalarExpr::Like {
-            expr,
-            pattern,
-            negated,
-        } => ScalarExpr::Like {
-            expr: Box::new(substitute(expr, map)),
-            pattern: pattern.clone(),
-            negated: *negated,
-        },
-        ScalarExpr::InList {
-            expr,
-            list,
-            negated,
-        } => ScalarExpr::InList {
-            expr: Box::new(substitute(expr, map)),
-            list: list.clone(),
-            negated: *negated,
-        },
-        ScalarExpr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => ScalarExpr::Between {
-            expr: Box::new(substitute(expr, map)),
-            low: Box::new(substitute(low, map)),
-            high: Box::new(substitute(high, map)),
-            negated: *negated,
-        },
-        ScalarExpr::IsNull { expr, negated } => ScalarExpr::IsNull {
-            expr: Box::new(substitute(expr, map)),
-            negated: *negated,
-        },
-    }
-}
-
-// ------------------------------------------------------------ FilterMerge
-
-/// `σ_p(σ_q(x)) → σ_{p∧q}(x)`
-pub struct FilterMerge;
-
-impl TransformRule for FilterMerge {
-    fn name(&self) -> &'static str {
-        "FilterMerge"
-    }
-
-    fn apply(&self, memo: &mut Memo, _group: GroupId, expr: &MExpr) -> Result<Vec<MExpr>> {
-        let MOp::Filter { predicate } = &expr.op else {
-            return Ok(vec![]);
-        };
-        let child = expr.children[0];
-        let mut out = Vec::new();
-        for ce in memo.group(child).exprs.clone() {
-            if let MOp::Filter { predicate: inner } = &ce.op {
-                out.push(MExpr {
-                    op: MOp::Filter {
-                        predicate: predicate.clone().and(inner.clone()),
-                    },
-                    children: ce.children.clone(),
-                });
-            }
-        }
-        Ok(out)
-    }
-}
-
-// --------------------------------------------------------- FilterPushdown
-
-/// Push filters through joins, projections, unions, aggregations, and
-/// sorts.
-pub struct FilterPushdown;
-
-impl TransformRule for FilterPushdown {
-    fn name(&self) -> &'static str {
-        "FilterPushdown"
-    }
-
-    fn apply(&self, memo: &mut Memo, _group: GroupId, expr: &MExpr) -> Result<Vec<MExpr>> {
-        let MOp::Filter { predicate } = &expr.op else {
-            return Ok(vec![]);
-        };
-        let child = expr.children[0];
-        let mut out = Vec::new();
-        for ce in memo.group(child).exprs.clone() {
-            match &ce.op {
-                MOp::Join { on, filter } => {
-                    let lcols = group_columns(memo, ce.children[0]);
-                    let rcols = group_columns(memo, ce.children[1]);
-                    let (lparts, rest) = partition_conjuncts(predicate, &lcols);
-                    let (rparts, rest) = match conjoin(rest) {
-                        None => (Vec::new(), Vec::new()),
-                        Some(r) => partition_conjuncts(&r, &rcols),
-                    };
-                    if lparts.is_empty() && rparts.is_empty() {
-                        continue;
-                    }
-                    let new_l = match conjoin(lparts) {
-                        Some(p) => {
-                            make_group(memo, MOp::Filter { predicate: p }, vec![ce.children[0]])?
-                        }
-                        None => ce.children[0],
-                    };
-                    let new_r = match conjoin(rparts) {
-                        Some(p) => {
-                            make_group(memo, MOp::Filter { predicate: p }, vec![ce.children[1]])?
-                        }
-                        None => ce.children[1],
-                    };
-                    let join_op = MOp::Join {
-                        on: on.clone(),
-                        filter: filter.clone(),
-                    };
-                    match conjoin(rest) {
-                        None => out.push(MExpr {
-                            op: join_op,
-                            children: vec![new_l, new_r],
-                        }),
-                        Some(rest) => {
-                            let jg = make_group(memo, join_op, vec![new_l, new_r])?;
-                            out.push(MExpr {
-                                op: MOp::Filter { predicate: rest },
-                                children: vec![jg],
-                            });
-                        }
-                    }
-                }
-                MOp::Project { exprs } => {
-                    let map: BTreeMap<String, ScalarExpr> =
-                        exprs.iter().map(|(e, n)| (n.clone(), e.clone())).collect();
-                    let inner = substitute(predicate, &map);
-                    let fg =
-                        make_group(memo, MOp::Filter { predicate: inner }, vec![ce.children[0]])?;
-                    out.push(MExpr {
-                        op: MOp::Project {
-                            exprs: exprs.clone(),
-                        },
-                        children: vec![fg],
-                    });
-                }
-                MOp::Union => {
-                    let mut filtered = Vec::with_capacity(ce.children.len());
-                    for c in &ce.children {
-                        filtered.push(make_group(
-                            memo,
-                            MOp::Filter {
-                                predicate: predicate.clone(),
-                            },
-                            vec![*c],
-                        )?);
-                    }
-                    out.push(MExpr {
-                        op: MOp::Union,
-                        children: filtered,
-                    });
-                }
-                MOp::Aggregate { group_by, aggs } => {
-                    // Push only predicates over grouping columns.
-                    let gset: BTreeSet<String> = group_by.iter().cloned().collect();
-                    if predicate.referenced_columns().is_subset(&gset) {
-                        let fg = make_group(
-                            memo,
-                            MOp::Filter {
-                                predicate: predicate.clone(),
-                            },
-                            vec![ce.children[0]],
-                        )?;
-                        out.push(MExpr {
-                            op: MOp::Aggregate {
-                                group_by: group_by.clone(),
-                                aggs: aggs.clone(),
-                            },
-                            children: vec![fg],
-                        });
-                    }
-                }
-                MOp::Sort { keys } => {
-                    let fg = make_group(
-                        memo,
-                        MOp::Filter {
-                            predicate: predicate.clone(),
-                        },
-                        vec![ce.children[0]],
-                    )?;
-                    out.push(MExpr {
-                        op: MOp::Sort { keys: keys.clone() },
-                        children: vec![fg],
-                    });
-                }
-                _ => {}
-            }
-        }
-        Ok(out)
-    }
-}
-
-// ----------------------------------------------------------- ProjectMerge
-
-/// `Π_a(Π_b(x)) → Π_{a∘b}(x)`
-pub struct ProjectMerge;
-
-impl TransformRule for ProjectMerge {
-    fn name(&self) -> &'static str {
-        "ProjectMerge"
-    }
-
-    fn apply(&self, memo: &mut Memo, _group: GroupId, expr: &MExpr) -> Result<Vec<MExpr>> {
-        let MOp::Project { exprs } = &expr.op else {
-            return Ok(vec![]);
-        };
-        let child = expr.children[0];
-        let mut out = Vec::new();
-        for ce in memo.group(child).exprs.clone() {
-            if let MOp::Project { exprs: inner } = &ce.op {
-                let map: BTreeMap<String, ScalarExpr> =
-                    inner.iter().map(|(e, n)| (n.clone(), e.clone())).collect();
-                let merged: Vec<(ScalarExpr, String)> = exprs
-                    .iter()
-                    .map(|(e, n)| (substitute(e, &map), n.clone()))
-                    .collect();
-                out.push(MExpr {
-                    op: MOp::Project { exprs: merged },
-                    children: ce.children.clone(),
-                });
-            }
-        }
-        Ok(out)
-    }
-}
-
-// -------------------------------------------------- ProjectJoinTranspose
-
-/// Push column pruning below a join: `Π(A ⋈ B) → Π(Π(A) ⋈ Π(B))`.
-/// This generates the *masking* projections that make restricted source
-/// data shippable (Figure 1(b), operator 2).
-pub struct ProjectJoinTranspose;
-
-impl TransformRule for ProjectJoinTranspose {
-    fn name(&self) -> &'static str {
-        "ProjectJoinTranspose"
-    }
-
-    fn apply(&self, memo: &mut Memo, _group: GroupId, expr: &MExpr) -> Result<Vec<MExpr>> {
-        let MOp::Project { exprs } = &expr.op else {
-            return Ok(vec![]);
-        };
-        let child = expr.children[0];
-        let mut out = Vec::new();
-        for ce in memo.group(child).exprs.clone() {
-            let MOp::Join { on, filter } = &ce.op else {
-                continue;
-            };
-            let mut needed: BTreeSet<String> = BTreeSet::new();
-            for (e, _) in exprs {
-                needed.extend(e.referenced_columns());
-            }
-            for (l, r) in on {
-                needed.insert(l.clone());
-                needed.insert(r.clone());
-            }
-            if let Some(f) = filter {
-                needed.extend(f.referenced_columns());
-            }
-            let prune = |memo: &mut Memo, g: GroupId| -> Result<Option<GroupId>> {
-                let cols = group_columns(memo, g);
-                let keep: Vec<String> = memo
-                    .group(g)
-                    .schema
-                    .names()
-                    .iter()
-                    .filter(|c| needed.contains(**c))
-                    .map(|s| s.to_string())
-                    .collect();
-                if keep.len() == cols.len() || keep.is_empty() {
-                    return Ok(None);
-                }
-                let p = MOp::Project {
-                    exprs: keep
-                        .into_iter()
-                        .map(|c| (ScalarExpr::col(c.clone()), c))
-                        .collect(),
-                };
-                Ok(Some(make_group(memo, p, vec![g])?))
-            };
-            let new_l = prune(memo, ce.children[0])?;
-            let new_r = prune(memo, ce.children[1])?;
-            if new_l.is_none() && new_r.is_none() {
-                continue;
-            }
-            let jl = new_l.unwrap_or(ce.children[0]);
-            let jr = new_r.unwrap_or(ce.children[1]);
-            let jg = make_group(
-                memo,
-                MOp::Join {
-                    on: on.clone(),
-                    filter: filter.clone(),
-                },
-                vec![jl, jr],
-            )?;
-            out.push(MExpr {
-                op: MOp::Project {
-                    exprs: exprs.clone(),
-                },
-                children: vec![jg],
-            });
-        }
-        Ok(out)
-    }
 }
 
 // ------------------------------------------------- ProjectUnionTranspose
@@ -393,61 +73,6 @@ impl TransformRule for ProjectUnionTranspose {
             }
         }
         Ok(out)
-    }
-}
-
-// -------------------------------------------------- AggregateInputPrune
-
-/// Insert a column-pruning projection below an aggregation:
-/// `Γ_{G,F}(x) → Γ_{G,F}(Π_{G ∪ cols(F)}(x))`. Enables the
-/// projection-into-join cascade that masks source tables before shipping.
-pub struct AggregateInputPrune;
-
-impl TransformRule for AggregateInputPrune {
-    fn name(&self) -> &'static str {
-        "AggregateInputPrune"
-    }
-
-    fn apply(&self, memo: &mut Memo, _group: GroupId, expr: &MExpr) -> Result<Vec<MExpr>> {
-        let MOp::Aggregate { group_by, aggs } = &expr.op else {
-            return Ok(vec![]);
-        };
-        let child = expr.children[0];
-        let mut needed: BTreeSet<String> = group_by.iter().cloned().collect();
-        for a in aggs {
-            if let Some(arg) = &a.arg {
-                needed.extend(arg.referenced_columns());
-            }
-        }
-        let all = group_columns(memo, child);
-        if needed.len() >= all.len() || needed.is_empty() {
-            return Ok(vec![]);
-        }
-        let keep: Vec<String> = memo
-            .group(child)
-            .schema
-            .names()
-            .iter()
-            .filter(|c| needed.contains(**c))
-            .map(|s| s.to_string())
-            .collect();
-        let pg = make_group(
-            memo,
-            MOp::Project {
-                exprs: keep
-                    .into_iter()
-                    .map(|c| (ScalarExpr::col(c.clone()), c))
-                    .collect(),
-            },
-            vec![child],
-        )?;
-        Ok(vec![MExpr {
-            op: MOp::Aggregate {
-                group_by: group_by.clone(),
-                aggs: aggs.clone(),
-            },
-            children: vec![pg],
-        }])
     }
 }
 
@@ -939,7 +564,7 @@ impl TransformRule for AggregateJoinPushdown {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::{all_rules, explore};
+    use crate::rules::{default_rules, explore};
     use geoqp_common::{DataType, Field, Location, Schema, TableRef};
     use geoqp_plan::PlanBuilder;
     use std::sync::Arc;
@@ -969,27 +594,10 @@ mod tests {
     fn explore_plan(plan: Arc<geoqp_plan::LogicalPlan>) -> (Memo, GroupId) {
         let mut memo = Memo::new();
         let root = memo.copy_in(&plan).unwrap();
-        explore(&mut memo, &all_rules()).unwrap();
+        let mut rules = default_rules();
+        rules.push(Box::new(JoinExchange));
+        explore(&mut memo, &rules).unwrap();
         (memo, root)
-    }
-
-    #[test]
-    fn filter_pushdown_through_join() {
-        let plan = scan("a", "X", &["a_k", "a_v"])
-            .join(scan("b", "Y", &["b_k", "b_v"]), vec![("a_k", "b_k")])
-            .unwrap()
-            .filter(ScalarExpr::col("a_v").gt(ScalarExpr::lit(5i64)))
-            .unwrap()
-            .build();
-        let (memo, root) = explore_plan(plan);
-        // The filter group should now contain a Join expression whose left
-        // child holds a filtered scan.
-        let has_pushed_join = memo
-            .group(root)
-            .exprs
-            .iter()
-            .any(|e| matches!(e.op, MOp::Join { .. }));
-        assert!(has_pushed_join, "filter not pushed through join");
     }
 
     #[test]
@@ -1085,31 +693,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn project_prunes_join_inputs() {
-        let plan = scan("a", "X", &["a_k", "a_v", "a_w"])
-            .join(scan("b", "Y", &["b_k", "b_v"]), vec![("a_k", "b_k")])
-            .unwrap()
-            .project_columns(&["a_v", "b_v"])
-            .unwrap()
-            .build();
-        let (memo, _root) = explore_plan(plan);
-        // Some group should contain a 2-column projection over scan a
-        // (a_k for the join key, a_v for the output — a_w pruned).
-        let mut pruned = false;
-        for g in memo.groups() {
-            for e in &g.exprs {
-                if let MOp::Project { exprs } = &e.op {
-                    let names: Vec<&str> = exprs.iter().map(|(_, n)| n.as_str()).collect();
-                    if names == vec!["a_k", "a_v"] {
-                        pruned = true;
-                    }
-                }
-            }
-        }
-        assert!(pruned, "masking projection not generated");
     }
 
     #[test]

@@ -111,3 +111,23 @@ fn ablation_knobs_do_not_break_soundness() {
         eng.audit(&opt.physical).unwrap();
     }
 }
+
+#[test]
+fn unknown_result_location_is_a_typed_error_not_a_policy_refusal() {
+    let eng = engine();
+    let err = eng
+        .optimize_sql(SQL, OptimizerMode::Compliant, Some(Location::new("W")))
+        .unwrap_err();
+    assert_ne!(err.kind(), "rejected", "a typo is not a refusal: {err}");
+    let msg = err.to_string();
+    assert!(msg.contains("`W`") && msg.contains("{X, Y, Z}"), "{msg}");
+    // The traditional optimizer takes the same gate.
+    assert!(eng
+        .optimize_sql(SQL, OptimizerMode::Traditional, Some(Location::new("W")))
+        .is_err());
+    // A real site still plans there.
+    let opt = eng
+        .optimize_sql(SQL, OptimizerMode::Compliant, Some(Location::new("Z")))
+        .unwrap();
+    assert_eq!(opt.result_location, Location::new("Z"));
+}

@@ -1,6 +1,6 @@
 //! Exhaustive rule-semantics validation: **every** physical candidate the
-//! optimizer can derive for a query — across all transformation rules,
-//! including `JoinExchange` and the count-adjusted aggregation pushdown —
+//! optimizer can derive for a query — across `default_rules()` plus
+//! `JoinExchange`, the one exported rule the default set leaves out —
 //! must compute the same result when executed.
 //!
 //! This goes beyond the pipeline fuzz (which only executes the chosen
@@ -11,7 +11,8 @@ use geoqp_common::{DataType, Field, Location, LocationSet, Row, Rows, Schema, Ta
 use geoqp_core::annotate::{fill_stats, AnnotateMode, Annotator};
 use geoqp_core::memo::Memo;
 use geoqp_core::normalize::normalize_plan;
-use geoqp_core::rules::{all_rules, explore};
+use geoqp_core::rules::transform::JoinExchange;
+use geoqp_core::rules::{default_rules, explore, TransformRule};
 use geoqp_core::select_sites;
 use geoqp_exec::{LocalShip, MapSource};
 use geoqp_net::NetworkTopology;
@@ -87,12 +88,19 @@ fn canonical(rows: Rows) -> Vec<Row> {
     v
 }
 
-/// Explore with the FULL rule set, then execute every root candidate.
+/// Every rule the crate implements: the product set plus `JoinExchange`.
+fn every_rule() -> Vec<Box<dyn TransformRule>> {
+    let mut rules = default_rules();
+    rules.push(Box::new(JoinExchange));
+    rules
+}
+
+/// Explore with every rule, then execute every root candidate.
 fn assert_all_candidates_agree(f: &Fixture, plan: Arc<LogicalPlan>) {
     let normalized = normalize_plan(&plan).unwrap();
     let mut memo = Memo::new();
     let root = memo.copy_in(&normalized).unwrap();
-    explore(&mut memo, &all_rules()).unwrap();
+    explore(&mut memo, &every_rule()).unwrap();
 
     let policies = PolicyCatalog::new();
     let universe = LocationSet::from_iter(["A", "B", "C"]);
@@ -217,4 +225,65 @@ fn filters_and_residuals_agree() {
         .unwrap()
         .build();
     assert_all_candidates_agree(&f, plan);
+}
+
+/// Single-table projections over the partitioned `customer` / `orders`:
+/// the only shape that leaves a `Project` directly on a `Union` after
+/// normalization (which already prunes inside every union branch), hence
+/// the only corpus `ProjectUnionTranspose` fires on — on the six + 200
+/// ad-hoc queries over the partitioned catalog it adds nothing.
+const PARTITIONED_PROJECTIONS: [&str; 3] = [
+    "SELECT c_custkey, c_acctbal * 2 AS d FROM customer",
+    "SELECT c_name, c_custkey FROM customer",
+    "SELECT o_orderkey, o_totalprice + 1 AS t FROM orders WHERE o_totalprice > 100",
+];
+
+/// A rule that never fires is a dead rule: taking any one rule out of
+/// `default_rules()` must cost the memo an expression somewhere on its
+/// named corpus (the rules are judged inside the set they run in — alone,
+/// `JoinAssocRight` adds nothing to a left-deep corpus), and the whole set
+/// must reach its fixpoint far below `explore`'s 64-pass valve.
+#[test]
+fn every_default_rule_fires_and_exploration_converges() {
+    use geoqp_tpch::{adhoc::generate_adhoc, queries::all_queries};
+    let flat_catalog = geoqp_tpch::paper_catalog(10.0);
+    let six = all_queries(&flat_catalog).unwrap().into_iter().map(|q| q.1);
+    let adhoc = generate_adhoc(&flat_catalog, 200, 2021).unwrap();
+    let flat: Vec<Arc<LogicalPlan>> = six.chain(adhoc.into_iter().map(|q| q.plan)).collect();
+    let partitioned_catalog = geoqp_tpch::paper_catalog_partitioned(10.0, 3).unwrap();
+    let partitioned: Vec<Arc<LogicalPlan>> = PARTITIONED_PROJECTIONS
+        .iter()
+        .map(|sql| {
+            let ast = geoqp_parser::parse_query(sql).unwrap();
+            geoqp_parser::lower_query(&ast, &partitioned_catalog).unwrap()
+        })
+        .collect();
+
+    // (memo expressions, most fixpoint passes) over a corpus, explored
+    // as `Engine::optimize_opts` does: normalize, copy in, explore.
+    let explore_all = |plans: &[Arc<LogicalPlan>], rules: &[Box<dyn TransformRule>]| {
+        let (mut exprs, mut max_passes) = (0, 0);
+        for plan in plans {
+            let mut memo = Memo::new();
+            memo.copy_in(&normalize_plan(plan).unwrap()).unwrap();
+            let stats = explore(&mut memo, rules).unwrap();
+            exprs += memo.expr_count();
+            max_passes = max_passes.max(stats.passes);
+        }
+        (exprs, max_passes)
+    };
+    let (flat_exprs, flat_passes) = explore_all(&flat, &default_rules());
+    let (partitioned_exprs, partitioned_passes) = explore_all(&partitioned, &default_rules());
+    let max_passes = flat_passes.max(partitioned_passes);
+    assert!(max_passes <= 8, "fixpoint took {max_passes} passes");
+    for (i, rule) in default_rules().iter().enumerate() {
+        let (plans, with) = match rule.name() {
+            "ProjectUnionTranspose" => (&partitioned, partitioned_exprs),
+            _ => (&flat, flat_exprs),
+        };
+        let mut without = default_rules();
+        without.remove(i);
+        let (lacking, _) = explore_all(plans, &without);
+        assert!(with > lacking, "{} adds nothing to its corpus", rule.name());
+    }
 }

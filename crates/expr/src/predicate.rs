@@ -32,12 +32,6 @@ pub fn conjoin(preds: impl IntoIterator<Item = ScalarExpr>) -> Option<ScalarExpr
     preds.into_iter().reduce(|a, b| a.and(b))
 }
 
-/// Combine predicates with OR; `None` when empty (the always-false
-/// predicate in a disjunctive context).
-pub fn disjoin(preds: impl IntoIterator<Item = ScalarExpr>) -> Option<ScalarExpr> {
-    preds.into_iter().reduce(|a, b| a.or(b))
-}
-
 /// The set of columns referenced by an optional predicate.
 pub fn columns_of(pred: Option<&ScalarExpr>) -> BTreeSet<String> {
     pred.map(ScalarExpr::referenced_columns).unwrap_or_default()

@@ -30,7 +30,7 @@
 use crate::catalog::PolicyCatalog;
 use crate::expression::PolicyKind;
 use crate::memo::{predicate_fingerprint, ImplicationMemo};
-use geoqp_common::{Location, LocationSet};
+use geoqp_common::LocationSet;
 use geoqp_expr::implication::implies_opt;
 use geoqp_plan::descriptor::{LocalQuery, OutputShape};
 use std::collections::{BTreeMap, BTreeSet};
@@ -232,12 +232,6 @@ impl<'a> PolicyEvaluator<'a> {
         self.eta.store(0, Ordering::Relaxed);
         self.invocations.store(0, Ordering::Relaxed);
     }
-}
-
-/// A home-location result for a `LocalQuery` (used by conservative
-/// fallbacks when description fails: data may stay where it is).
-pub fn home_only(location: &Location) -> LocationSet {
-    LocationSet::singleton(location.clone())
 }
 
 #[cfg(test)]

@@ -16,6 +16,13 @@ GEOQP_PACKAGES=(
 pkg_flags=()
 for p in "${GEOQP_PACKAGES[@]}"; do pkg_flags+=(-p "$p"); done
 
+echo "==> one rule list: the rules normalization dominates stay deleted"
+if grep -rnE 'all_rules|FilterMerge|FilterPushdown|ProjectMerge|ProjectJoinTranspose|AggregateInputPrune' \
+    crates tests README.md DESIGN.md; then
+    echo "a second rule list or a rule core::normalize already applies is back" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check (geoqp crates)"
 cargo fmt --check "${pkg_flags[@]}"
 
@@ -95,5 +102,8 @@ echo "==> chaos soak: crash/partition + gray degrade/loss + catalog-churn" \
      "bootstrap round adds replica-crash + snapshot-bootstrap + grant-retry" \
      "rescues with duplicate-execution determinism checks)"
 GEOQP_CHAOS_N="${GEOQP_CHAOS_N:-24}" cargo test -q --test chaos_soak -- --nocapture
+
+echo "==> line counts (informational, never a gate)"
+bash scripts/loc.sh
 
 echo "CI OK"

@@ -38,9 +38,9 @@
 //!
 //! [`Any`]: Column::Any
 
+use crate::builder::{ColumnBuilder, ColumnarBuilder, Dictionary};
 use crate::row::{Row, Rows};
 use crate::value::Value;
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// A selection vector: physical row indices (in order) that survive a
@@ -54,7 +54,7 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
 /// FNV-1a over a byte string.
-fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     for &b in bytes {
         h ^= b as u64;
@@ -151,146 +151,14 @@ impl Column {
     /// Build a column from row values, sniffing the narrowest typed
     /// representation: a column whose non-null values are all one
     /// variant becomes that typed vector, anything mixed falls back to
-    /// [`Column::Any`].
+    /// [`Column::Any`]. One pass, through the same builder a
+    /// [`ColumnarBuilder`](crate::ColumnarBuilder) fills.
     pub fn from_values(values: Vec<Value>) -> Column {
-        #[derive(PartialEq, Clone, Copy)]
-        enum Kind {
-            Int,
-            Float,
-            Date,
-            Bool,
-            Str,
-        }
-        let mut kind: Option<Kind> = None;
+        let mut column = ColumnBuilder::with_capacity(values.len());
         for v in &values {
-            let k = match v {
-                Value::Null => continue,
-                Value::Int64(_) => Kind::Int,
-                Value::Float64(_) => Kind::Float,
-                Value::Date(_) => Kind::Date,
-                Value::Bool(_) => Kind::Bool,
-                Value::Str(_) => Kind::Str,
-            };
-            match kind {
-                None => kind = Some(k),
-                Some(prev) if prev == k => {}
-                Some(_) => return Column::Any { values },
-            }
+            column.push_value(v);
         }
-        let n = values.len();
-        match kind {
-            // All-NULL columns take the cheapest fixed-width layout.
-            None | Some(Kind::Int) => {
-                let mut vals = Vec::with_capacity(n);
-                let mut valid = Vec::with_capacity(n);
-                for v in &values {
-                    match v {
-                        Value::Int64(i) => {
-                            vals.push(*i);
-                            valid.push(true);
-                        }
-                        _ => {
-                            vals.push(0);
-                            valid.push(false);
-                        }
-                    }
-                }
-                Column::Int64 {
-                    values: vals,
-                    valid,
-                }
-            }
-            Some(Kind::Float) => {
-                let mut vals = Vec::with_capacity(n);
-                let mut valid = Vec::with_capacity(n);
-                for v in &values {
-                    match v {
-                        Value::Float64(f) => {
-                            vals.push(*f);
-                            valid.push(true);
-                        }
-                        _ => {
-                            vals.push(0.0);
-                            valid.push(false);
-                        }
-                    }
-                }
-                Column::Float64 {
-                    values: vals,
-                    valid,
-                }
-            }
-            Some(Kind::Date) => {
-                let mut vals = Vec::with_capacity(n);
-                let mut valid = Vec::with_capacity(n);
-                for v in &values {
-                    match v {
-                        Value::Date(d) => {
-                            vals.push(*d);
-                            valid.push(true);
-                        }
-                        _ => {
-                            vals.push(0);
-                            valid.push(false);
-                        }
-                    }
-                }
-                Column::Date {
-                    values: vals,
-                    valid,
-                }
-            }
-            Some(Kind::Bool) => {
-                let mut vals = Vec::with_capacity(n);
-                let mut valid = Vec::with_capacity(n);
-                for v in &values {
-                    match v {
-                        Value::Bool(b) => {
-                            vals.push(*b);
-                            valid.push(true);
-                        }
-                        _ => {
-                            vals.push(false);
-                            valid.push(false);
-                        }
-                    }
-                }
-                Column::Bool {
-                    values: vals,
-                    valid,
-                }
-            }
-            Some(Kind::Str) => {
-                let mut dict: Vec<Arc<str>> = Vec::new();
-                let mut hashes: Vec<u64> = Vec::new();
-                let mut intern: HashMap<Arc<str>, u32> = HashMap::new();
-                let mut codes = Vec::with_capacity(n);
-                let mut valid = Vec::with_capacity(n);
-                for v in &values {
-                    match v {
-                        Value::Str(s) => {
-                            let code = *intern.entry(Arc::clone(s)).or_insert_with(|| {
-                                dict.push(Arc::clone(s));
-                                hashes.push(fnv1a(s.as_bytes()));
-                                (dict.len() - 1) as u32
-                            });
-                            codes.push(code);
-                            valid.push(true);
-                        }
-                        _ => {
-                            codes.push(0);
-                            valid.push(false);
-                        }
-                    }
-                }
-                Column::Str {
-                    dict: Arc::new(dict),
-                    hashes: Arc::new(hashes),
-                    codes,
-                    valid,
-                }
-            }
-        }
+        column.finish()
     }
 
     /// Number of rows.
@@ -465,44 +333,43 @@ impl Column {
         }
     }
 
-    /// Push this column's values onto `rows` (one value per row, in row
-    /// order) — the column-wise leg of [`ColumnarBatch::to_rows`], with
-    /// the variant dispatch hoisted out of the per-cell loop.
-    pub fn append_rows(&self, rows: &mut [Row]) {
+    /// Push the values of rows `offset..offset + rows.len()` onto `rows`
+    /// (one value per row, in row order) — the column-wise leg of
+    /// [`ColumnarBatch::to_row_vec`], with the variant dispatch hoisted
+    /// out of the per-cell loop.
+    pub fn append_rows(&self, offset: usize, rows: &mut [Row]) {
+        // One typed pass: `value` wraps a non-NULL cell.
+        fn fill<T: Copy>(
+            rows: &mut [Row],
+            cells: &[T],
+            valid: &[bool],
+            value: impl Fn(T) -> Value,
+        ) {
+            for ((row, &cell), &ok) in rows.iter_mut().zip(cells).zip(valid) {
+                row.push(if ok { value(cell) } else { Value::Null });
+            }
+        }
+        let range = offset..offset + rows.len();
         match self {
             Column::Int64 { values, valid } => {
-                for ((row, &v), &ok) in rows.iter_mut().zip(values).zip(valid) {
-                    row.push(if ok { Value::Int64(v) } else { Value::Null });
-                }
+                fill(rows, &values[range.clone()], &valid[range], Value::Int64)
             }
             Column::Float64 { values, valid } => {
-                for ((row, &v), &ok) in rows.iter_mut().zip(values).zip(valid) {
-                    row.push(if ok { Value::Float64(v) } else { Value::Null });
-                }
+                fill(rows, &values[range.clone()], &valid[range], Value::Float64)
             }
             Column::Date { values, valid } => {
-                for ((row, &v), &ok) in rows.iter_mut().zip(values).zip(valid) {
-                    row.push(if ok { Value::Date(v) } else { Value::Null });
-                }
+                fill(rows, &values[range.clone()], &valid[range], Value::Date)
             }
             Column::Bool { values, valid } => {
-                for ((row, &v), &ok) in rows.iter_mut().zip(values).zip(valid) {
-                    row.push(if ok { Value::Bool(v) } else { Value::Null });
-                }
+                fill(rows, &values[range.clone()], &valid[range], Value::Bool)
             }
             Column::Str {
                 dict, codes, valid, ..
-            } => {
-                for ((row, &c), &ok) in rows.iter_mut().zip(codes).zip(valid) {
-                    row.push(if ok {
-                        Value::Str(Arc::clone(&dict[c as usize]))
-                    } else {
-                        Value::Null
-                    });
-                }
-            }
+            } => fill(rows, &codes[range.clone()], &valid[range], |code| {
+                Value::Str(Arc::clone(&dict[code as usize]))
+            }),
             Column::Any { values } => {
-                for (row, v) in rows.iter_mut().zip(values) {
+                for (row, v) in rows.iter_mut().zip(&values[range]) {
                     row.push(v.clone());
                 }
             }
@@ -830,9 +697,7 @@ impl Column {
                 Column::Bool { values, valid }
             }
             Column::Str { .. } => {
-                let mut dict: Vec<Arc<str>> = Vec::new();
-                let mut hashes: Vec<u64> = Vec::new();
-                let mut intern: HashMap<Arc<str>, u32> = HashMap::new();
+                let mut merged = Dictionary::default();
                 let (mut codes, mut valid) = (Vec::new(), Vec::new());
                 for p in parts {
                     if let Column::Str {
@@ -846,21 +711,16 @@ impl Column {
                         let remap: Vec<u32> = d
                             .iter()
                             .zip(h.iter())
-                            .map(|(s, hash)| {
-                                *intern.entry(Arc::clone(s)).or_insert_with(|| {
-                                    dict.push(Arc::clone(s));
-                                    hashes.push(*hash);
-                                    (dict.len() - 1) as u32
-                                })
-                            })
+                            .map(|(s, &hash)| merged.code_of(hash, s, || Arc::clone(s)))
                             .collect();
                         codes.extend(c.iter().map(|&code| remap[code as usize]));
                         valid.extend_from_slice(k);
                     }
                 }
+                let (dict, hashes) = merged.finish();
                 Column::Str {
-                    dict: Arc::new(dict),
-                    hashes: Arc::new(hashes),
+                    dict,
+                    hashes,
                     codes,
                     valid,
                 }
@@ -958,13 +818,11 @@ impl ColumnarBatch {
     /// Build from row-major data. `arity` fixes the column count (needed
     /// for empty inputs, whose rows cannot be inspected).
     pub fn from_rows(rows: &[Row], arity: usize) -> ColumnarBatch {
-        let columns = (0..arity)
-            .map(|j| Column::from_values(rows.iter().map(|r| r[j].clone()).collect()).into())
-            .collect();
-        ColumnarBatch {
-            len: rows.len(),
-            columns,
+        let mut batch = ColumnarBuilder::with_capacity(arity, rows.len());
+        for row in rows {
+            batch.push_row(row);
         }
+        batch.finish()
     }
 
     /// Build from pre-constructed columns (all the same length).
@@ -1027,15 +885,26 @@ impl ColumnarBatch {
         Rows::from_rows(self.to_row_vec())
     }
 
-    /// The row-major transpose itself. Column-wise: each column appends
-    /// its values to every row in one typed pass, so the variant dispatch
-    /// runs once per column rather than once per cell. Output is
-    /// identical to materializing [`ColumnarBatch::row`] per row.
+    /// The row-major transpose itself, in blocks of rows: every column
+    /// appends its values to one block's rows in a typed pass of its own
+    /// (the variant dispatch runs once per column and block, not once per
+    /// cell) before the next block is touched, so the rows being filled
+    /// stay in cache across the columns. Each row is allocated once, at
+    /// its final capacity. Output is identical to materializing
+    /// [`ColumnarBatch::row`] per row.
     pub fn to_row_vec(&self) -> Vec<Row> {
-        let arity = self.columns.len();
-        let mut rows: Vec<Row> = (0..self.len).map(|_| Row::with_capacity(arity)).collect();
-        for c in &self.columns {
-            c.get().append_rows(&mut rows);
+        // Measured flat from 32 to 1 024 rows on a 16-column table and
+        // a third slower at 4 096, where a block's rows (1.6 MB) no
+        // longer stay cached across the columns.
+        const BLOCK_ROWS: usize = 256;
+        let columns: Vec<&Column> = self.columns.iter().map(SharedColumn::get).collect();
+        let mut rows: Vec<Row> = Vec::with_capacity(self.len);
+        for offset in (0..self.len).step_by(BLOCK_ROWS) {
+            let block = BLOCK_ROWS.min(self.len - offset);
+            rows.extend((0..block).map(|_| Row::with_capacity(columns.len())));
+            for column in &columns {
+                column.append_rows(offset, &mut rows[offset..]);
+            }
         }
         rows
     }

@@ -17,6 +17,7 @@
 //! Everything here is deliberately dependency-light so that every other crate
 //! in the workspace can build on it.
 
+pub mod builder;
 pub mod churn;
 pub mod columnar;
 pub mod control;
@@ -28,6 +29,7 @@ pub mod table_ref;
 pub mod types;
 pub mod value;
 
+pub use builder::ColumnarBuilder;
 pub use churn::{CatalogPin, ChurnEvent, ChurnSignal, ChurnWatch, StaleGuard};
 pub use columnar::{Column, ColumnarBatch, SelectionVector, SharedColumn};
 pub use control::{CancelToken, QueryDeadline, RunControl};

@@ -84,8 +84,8 @@ impl DataSource for CatalogSource<'_> {
         arity: usize,
     ) -> Result<Arc<ColumnarBatch>> {
         let _ = arity;
-        // Zero-copy: the table's cached columnar mirror, shared by `Arc`.
-        // No per-scan row cloning, unlike the row path's `to_rows`.
+        // Zero-copy: the table's own columns, shared by `Arc`. Only the
+        // row path's `to_rows` copies (a transpose per scan).
         Ok(self.gated_data(table, location)?.to_columnar())
     }
 

@@ -496,7 +496,7 @@ impl Engine {
     }
 
     /// [`Engine::execute`] on the vectorized columnar engine: scans are
-    /// zero-copy reads of each table's cached columnar mirror, operators
+    /// zero-copy reads of each table's stored columns, operators
     /// run the typed kernels, and SHIP edges hand `Arc`'d batches to the
     /// simulator with bytes computed from column metadata. Result rows,
     /// row order, shipped bytes, and audit outcomes are identical to the

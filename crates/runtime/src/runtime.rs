@@ -547,8 +547,8 @@ impl<'r, 's> FragmentView<'r, 's> {
                 self.site_gate(node, &format!("scan of {table}"))
                     .and_then(|()| {
                         if columnar {
-                            // The table's shared columnar mirror, without
-                            // materializing rows.
+                            // The table's own columns, shared: no rows
+                            // are materialized.
                             self.source
                                 .scan_columnar(table, &node.location, node.schema.len())
                                 .map(Payload::Columnar)

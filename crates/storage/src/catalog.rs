@@ -260,9 +260,8 @@ mod tests {
         entry.set_data(t).unwrap();
         assert_eq!(entry.data().unwrap().row_count(), 1);
 
-        let wrong = Table::empty(Arc::new(
-            Schema::new(vec![Field::new("x", DataType::Str)]).unwrap(),
-        ));
+        let other = Schema::new(vec![Field::new("x", DataType::Str)]).unwrap();
+        let wrong = Table::new(Arc::new(other), vec![]).unwrap();
         assert!(entry.set_data(wrong).is_err());
     }
 

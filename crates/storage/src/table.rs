@@ -1,29 +1,22 @@
-//! Row-oriented in-memory tables with a lazily-built columnar mirror.
+//! Typed columnar in-memory tables; rows are a per-scan transpose for the
+//! row interpreter.
 
 use geoqp_common::{ColumnarBatch, GeoError, Result, Row, Rows, Schema};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-/// A materialized table: a schema and its rows, plus a lazily-built,
-/// shared columnar form so repeated columnar scans are zero-copy `Arc`
-/// clones instead of per-scan row copies.
+/// A materialized table: a schema and its cells, stored once, as typed
+/// columns. A columnar scan shares them by `Arc`; a row scan transposes
+/// them into a fresh [`Rows`]. Nothing above this type can tell which
+/// layout is the stored one.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: Arc<Schema>,
-    rows: Vec<Row>,
-    columnar: OnceLock<Arc<ColumnarBatch>>,
+    columns: Arc<ColumnarBatch>,
 }
 
 impl Table {
-    /// Create an empty table.
-    pub fn empty(schema: Arc<Schema>) -> Table {
-        Table {
-            schema,
-            rows: Vec::new(),
-            columnar: OnceLock::new(),
-        }
-    }
-
-    /// Create a table from rows, validating arity against the schema.
+    /// Create a table from rows, validating arity against the schema. The
+    /// rows are laid out as columns and dropped.
     pub fn new(schema: Arc<Schema>, rows: Vec<Row>) -> Result<Table> {
         for (i, r) in rows.iter().enumerate() {
             if r.len() != schema.len() {
@@ -34,10 +27,24 @@ impl Table {
                 )));
             }
         }
+        let columns = Arc::new(ColumnarBatch::from_rows(&rows, schema.len()));
+        Ok(Table { schema, columns })
+    }
+
+    /// Create a table from columns built elsewhere (a generator writing
+    /// straight into a `ColumnarBuilder`), validating arity against the
+    /// schema.
+    pub fn from_columnar(schema: Arc<Schema>, columns: ColumnarBatch) -> Result<Table> {
+        if columns.arity() != schema.len() {
+            return Err(GeoError::Storage(format!(
+                "batch has {} columns, schema has {}",
+                columns.arity(),
+                schema.len()
+            )));
+        }
         Ok(Table {
             schema,
-            rows,
-            columnar: OnceLock::new(),
+            columns: Arc::new(columns),
         })
     }
 
@@ -48,41 +55,17 @@ impl Table {
 
     /// Number of rows.
     pub fn row_count(&self) -> usize {
-        self.rows.len()
+        self.columns.len()
     }
 
-    /// Borrow the rows.
-    pub fn rows(&self) -> &[Row] {
-        &self.rows
-    }
-
-    /// Append a row, validating arity.
-    pub fn push(&mut self, row: Row) -> Result<()> {
-        if row.len() != self.schema.len() {
-            return Err(GeoError::Storage(format!(
-                "row has {} values, schema has {} columns",
-                row.len(),
-                self.schema.len()
-            )));
-        }
-        self.rows.push(row);
-        // The cached columnar mirror (if built) no longer matches.
-        self.columnar = OnceLock::new();
-        Ok(())
-    }
-
-    /// Copy all rows into a batch.
+    /// Transpose all rows into a batch of their own.
     pub fn to_rows(&self) -> Rows {
-        Rows::from_rows(self.rows.clone())
+        self.columns.to_rows()
     }
 
-    /// The columnar mirror of this table, built once on first use and
-    /// shared thereafter: every subsequent call is an `Arc` clone.
+    /// The table's columns: every call is a clone of the one `Arc`.
     pub fn to_columnar(&self) -> Arc<ColumnarBatch> {
-        Arc::clone(
-            self.columnar
-                .get_or_init(|| Arc::new(ColumnarBatch::from_rows(&self.rows, self.schema.len()))),
-        )
+        Arc::clone(&self.columns)
     }
 }
 
@@ -105,10 +88,10 @@ mod tests {
     fn arity_is_enforced() {
         let err = Table::new(schema(), vec![vec![Value::Int64(1)]]).unwrap_err();
         assert_eq!(err.kind(), "storage");
-        let mut t = Table::empty(schema());
-        assert!(t.push(vec![Value::Int64(1), Value::str("x")]).is_ok());
-        assert!(t.push(vec![Value::Int64(1)]).is_err());
-        assert_eq!(t.row_count(), 1);
+        let one_column = ColumnarBatch::from_rows(&[vec![Value::Int64(1)]], 1);
+        let err = Table::from_columnar(schema(), one_column).unwrap_err();
+        assert_eq!(err.kind(), "storage");
+        assert_eq!(Table::new(schema(), vec![]).unwrap().row_count(), 0);
     }
 
     #[test]
@@ -120,15 +103,19 @@ mod tests {
     }
 
     #[test]
-    fn columnar_mirror_is_cached_and_invalidated_on_push() {
-        let mut t = Table::new(schema(), vec![vec![Value::Int64(7), Value::str("seven")]]).unwrap();
-        let a = t.to_columnar();
-        let b = t.to_columnar();
-        assert!(Arc::ptr_eq(&a, &b), "second call must reuse the cache");
-        assert_eq!(a.to_rows(), t.to_rows());
-        t.push(vec![Value::Int64(8), Value::str("eight")]).unwrap();
-        let c = t.to_columnar();
-        assert!(!Arc::ptr_eq(&a, &c), "push must invalidate the cache");
-        assert_eq!(c.to_rows(), t.to_rows());
+    fn columns_are_shared_and_rows_read_back_as_given() {
+        let rows = vec![
+            vec![Value::Int64(7), Value::str("seven")],
+            vec![Value::Null, Value::str("seven")],
+            vec![Value::Int64(8), Value::Null],
+        ];
+        let t = Table::new(schema(), rows.clone()).unwrap();
+        let (a, b) = (t.to_columnar(), t.to_columnar());
+        assert!(Arc::ptr_eq(&a, &b), "every scan shares the one batch");
+        assert!(Arc::ptr_eq(&a, &t.clone().to_columnar()));
+        assert_eq!(t.row_count(), 3);
+        assert_eq!(t.to_rows().rows(), &rows[..]);
+        let same = Table::from_columnar(schema(), ColumnarBatch::from_rows(&rows, 2)).unwrap();
+        assert_eq!(same.to_rows(), t.to_rows());
     }
 }

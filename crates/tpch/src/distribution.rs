@@ -1,7 +1,7 @@
 //! The geo-distribution of TPC-H tables (paper Table 2), plus the
 //! Section 7.5 variant with Customer and Orders partitioned across sites.
 
-use crate::gen::generate;
+use crate::gen::generate_columnar;
 use crate::schema::{check_scale_factor, schema_of, stats_of, TABLES};
 use geoqp_common::{GeoError, Location, Result, TableRef};
 use geoqp_storage::{Catalog, Table, TableStats};
@@ -60,8 +60,7 @@ pub fn paper_catalog_partitioned(sf: f64, n_locations: usize) -> Result<Catalog>
     // Spread customer and orders over db-1..db-n with split statistics.
     for t in ["customer", "orders"] {
         let full = stats_of(t, sf)?;
-        for (loc_idx, (_, db, _)) in DISTRIBUTION.iter().enumerate().take(n_locations) {
-            let _ = loc_idx;
+        for (_, db, _) in DISTRIBUTION.iter().take(n_locations) {
             let mut part_stats =
                 TableStats::new(full.row_count / n_locations as u64, full.avg_row_bytes);
             for (col, ndv) in &full.ndv {
@@ -73,11 +72,11 @@ pub fn paper_catalog_partitioned(sf: f64, n_locations: usize) -> Result<Catalog>
     Ok(c)
 }
 
-/// Generate data at `sf` and attach it to every registered table. For
-/// partitioned tables the generated rows are distributed round-robin over
-/// the partitions. Each attached table's columnar mirror is built here,
-/// at load time — the first columnar scan is already a zero-copy `Arc`
-/// clone instead of paying a row-to-column conversion mid-query.
+/// Generate data at `sf` and attach it to every registered table. Each
+/// table is generated straight into typed columns — no row is built and
+/// nothing is converted afterwards — so a columnar scan is an `Arc` clone
+/// from the first query on. For partitioned tables generated row *j* goes
+/// to partition *j mod n* as it is produced.
 pub fn populate(catalog: &Catalog, sf: f64, seed: u64) -> Result<()> {
     check_scale_factor(sf)?;
     for t in TABLES {
@@ -85,25 +84,9 @@ pub fn populate(catalog: &Catalog, sf: f64, seed: u64) -> Result<()> {
         if entries.is_empty() {
             continue;
         }
-        let rows = generate(t, sf, seed)?;
-        if entries.len() == 1 {
-            let entry = &entries[0];
-            let table = Table::new(Arc::clone(&entry.schema), rows)?;
-            table.to_columnar();
-            entry.set_data(table)?;
-        } else {
-            let n = entries.len();
-            for (i, entry) in entries.iter().enumerate() {
-                let part: Vec<_> = rows
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| j % n == i)
-                    .map(|(_, r)| r.clone())
-                    .collect();
-                let table = Table::new(Arc::clone(&entry.schema), part)?;
-                table.to_columnar();
-                entry.set_data(table)?;
-            }
+        let partitions = generate_columnar(t, sf, seed, entries.len())?;
+        for (entry, columns) in entries.iter().zip(partitions) {
+            entry.set_data(Table::from_columnar(Arc::clone(&entry.schema), columns)?)?;
         }
     }
     Ok(())
@@ -156,14 +139,25 @@ mod tests {
 
     #[test]
     fn populate_partitioned_round_robin() {
-        let c = paper_catalog_partitioned(0.001, 2).unwrap();
-        populate(&c, 0.001, 42).unwrap();
-        let parts = c.resolve(&TableRef::bare("customer"));
-        let total: usize = parts.iter().map(|e| e.data().unwrap().row_count()).sum();
-        assert_eq!(
-            total as u64,
-            crate::schema::rows_at("customer", 0.001).unwrap()
-        );
-        assert!(parts.iter().all(|e| e.data().unwrap().row_count() > 0));
+        // Partition i of n holds generated rows i, i+n, i+2n, … in that
+        // order, and together the partitions hold every row once.
+        for n in 2..=5 {
+            let c = paper_catalog_partitioned(0.001, n).unwrap();
+            populate(&c, 0.001, 42).unwrap();
+            for t in ["customer", "orders"] {
+                let rows = crate::gen::generate(t, 0.001, 42).unwrap();
+                assert_eq!(rows.len() as u64, crate::schema::rows_at(t, 0.001).unwrap());
+                let parts = c.resolve(&TableRef::bare(t));
+                assert_eq!(parts.len(), n);
+                let mut total = 0;
+                for (i, entry) in parts.iter().enumerate() {
+                    let got = entry.data().unwrap().to_rows();
+                    let want: Vec<_> = rows.iter().skip(i).step_by(n).cloned().collect();
+                    assert_eq!(got.rows(), &want[..], "{t}: partition {i} of {n}");
+                    total += got.len();
+                }
+                assert_eq!(total, rows.len(), "{t} over {n} partitions");
+            }
+        }
     }
 }

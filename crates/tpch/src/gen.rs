@@ -6,9 +6,9 @@
 //! two-key join has matches), date ranges, and the categorical
 //! distributions behind every predicate used in Section 7's workloads.
 
-use crate::schema::{check_scale_factor, rows_at, unknown_table};
+use crate::schema::{check_scale_factor, rows_at, schema_of, unknown_table};
 use crate::text;
-use geoqp_common::{value::days_from_civil, Result, Row, Value};
+use geoqp_common::{value::days_from_civil, ColumnarBatch, ColumnarBuilder, GeoError, Result, Row};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -48,168 +48,191 @@ fn rng_for(table: &str, seed: u64) -> StdRng {
     StdRng::seed_from_u64(h)
 }
 
+/// Where a table's generated cells go: typed column builders, one per
+/// horizontal partition, row *j* of the table to partition *j mod n*.
+struct Partitions {
+    builders: Vec<ColumnarBuilder>,
+    /// Rows started so far, over all partitions.
+    rows: usize,
+}
+
+impl Partitions {
+    /// The builder the table's next row belongs to. The caller pushes
+    /// exactly one cell per column, in schema order.
+    fn next_row(&mut self) -> &mut ColumnarBuilder {
+        let at = self.rows % self.builders.len();
+        self.rows += 1;
+        &mut self.builders[at]
+    }
+}
+
 /// Generate a TPC-H table's rows at a scale factor, deterministically from
-/// `seed`.
+/// `seed`: the transpose of [`generate_columnar`]'s one partition.
 pub fn generate(table: &str, sf: f64, seed: u64) -> Result<Vec<Row>> {
+    Ok(generate_columnar(table, sf, seed, 1)?[0].to_row_vec())
+}
+
+/// Generate a TPC-H table straight into typed columns, split round-robin
+/// over `partitions` (≥ 1) batches: row *j* of the table is row *j div n*
+/// of batch *j mod n*. No row is ever built.
+pub fn generate_columnar(
+    table: &str,
+    sf: f64,
+    seed: u64,
+    partitions: usize,
+) -> Result<Vec<ColumnarBatch>> {
     check_scale_factor(sf)?;
-    Ok(match table {
-        "region" => region(),
-        "nation" => nation(),
-        "supplier" => supplier(sf, seed),
-        "part" => part(sf, seed),
-        "partsupp" => partsupp(sf, seed),
-        "customer" => customer(sf, seed),
-        "orders" => orders(sf, seed),
-        "lineitem" => lineitem(sf, seed),
+    if partitions == 0 {
+        return Err(GeoError::Storage(format!(
+            "cannot generate `{table}` into 0 partitions"
+        )));
+    }
+    let arity = schema_of(table)?.len();
+    let rows = (rows_at(table, sf)? as usize).div_ceil(partitions);
+    let mut out = Partitions {
+        builders: (0..partitions)
+            .map(|_| ColumnarBuilder::with_capacity(arity, rows))
+            .collect(),
+        rows: 0,
+    };
+    match table {
+        "region" => region(&mut out),
+        "nation" => nation(&mut out),
+        "supplier" => supplier(sf, seed, &mut out),
+        "part" => part(sf, seed, &mut out),
+        "partsupp" => partsupp(sf, seed, &mut out),
+        "customer" => customer(sf, seed, &mut out),
+        "orders" => orders(sf, seed, &mut out),
+        "lineitem" => lineitem(sf, seed, &mut out),
         _ => return Err(unknown_table(table)),
-    })
+    }
+    Ok(out
+        .builders
+        .into_iter()
+        .map(ColumnarBuilder::finish)
+        .collect())
 }
 
-fn region() -> Vec<Row> {
-    text::REGIONS
-        .iter()
-        .enumerate()
-        .map(|(i, name)| {
-            vec![
-                Value::Int64(i as i64),
-                Value::str(*name),
-                Value::str(text::comment(i as u64, 4)),
-            ]
-        })
-        .collect()
+fn region(out: &mut Partitions) {
+    for (i, name) in text::REGIONS.iter().enumerate() {
+        let row = out.next_row();
+        row.push_i64(i as i64);
+        row.push_str(name);
+        row.push_str(&text::comment(i as u64, 4));
+    }
 }
 
-fn nation() -> Vec<Row> {
-    text::NATIONS
-        .iter()
-        .enumerate()
-        .map(|(i, (name, region))| {
-            vec![
-                Value::Int64(i as i64),
-                Value::str(*name),
-                Value::Int64(*region as i64),
-                Value::str(text::comment(100 + i as u64, 4)),
-            ]
-        })
-        .collect()
+fn nation(out: &mut Partitions) {
+    for (i, (name, region)) in text::NATIONS.iter().enumerate() {
+        let row = out.next_row();
+        row.push_i64(i as i64);
+        row.push_str(name);
+        row.push_i64(*region as i64);
+        row.push_str(&text::comment(100 + i as u64, 4));
+    }
 }
 
-fn supplier(sf: f64, seed: u64) -> Vec<Row> {
+fn supplier(sf: f64, seed: u64, out: &mut Partitions) {
     let n = n_rows("supplier", sf);
     let mut rng = rng_for("supplier", seed);
-    (1..=n as i64)
-        .map(|k| {
-            vec![
-                Value::Int64(k),
-                Value::str(format!("Supplier#{k:09}")),
-                Value::str(format!("addr-s-{k}")),
-                Value::Int64(rng.gen_range(0..25)),
-                Value::str(format!("{}-{:07}", 10 + k % 25, k)),
-                Value::Float64((rng.gen_range(-99_999..999_999) as f64) / 100.0),
-                Value::str(text::comment(seed ^ k as u64, 8)),
-            ]
-        })
-        .collect()
+    for k in 1..=n as i64 {
+        let row = out.next_row();
+        row.push_i64(k);
+        row.push_str(&format!("Supplier#{k:09}"));
+        row.push_str(&format!("addr-s-{k}"));
+        row.push_i64(rng.gen_range(0..25));
+        row.push_str(&format!("{}-{:07}", 10 + k % 25, k));
+        row.push_f64((rng.gen_range(-99_999..999_999) as f64) / 100.0);
+        row.push_str(&text::comment(seed ^ k as u64, 8));
+    }
 }
 
-fn part(sf: f64, seed: u64) -> Vec<Row> {
+fn part(sf: f64, seed: u64, out: &mut Partitions) {
     let n = n_rows("part", sf);
     let mut rng = rng_for("part", seed);
-    (1..=n as i64)
-        .map(|k| {
-            let name: Vec<&str> = (0..5)
-                .map(|_| text::COLORS[rng.gen_range(0..text::COLORS.len())])
-                .collect();
-            let mfgr = rng.gen_range(1..=5);
-            let brand = mfgr * 10 + rng.gen_range(1..=5);
-            let ptype = format!(
-                "{} {} {}",
-                text::TYPE_SYLLABLE_1[rng.gen_range(0..text::TYPE_SYLLABLE_1.len())],
-                text::TYPE_SYLLABLE_2[rng.gen_range(0..text::TYPE_SYLLABLE_2.len())],
-                text::TYPE_SYLLABLE_3[rng.gen_range(0..text::TYPE_SYLLABLE_3.len())],
-            );
-            let container = format!(
-                "{} {}",
-                text::CONTAINER_SIZES[rng.gen_range(0..text::CONTAINER_SIZES.len())],
-                text::CONTAINER_KINDS[rng.gen_range(0..text::CONTAINER_KINDS.len())],
-            );
-            vec![
-                Value::Int64(k),
-                Value::str(name.join(" ")),
-                Value::str(format!("Manufacturer#{mfgr}")),
-                Value::str(format!("Brand#{brand}")),
-                Value::str(ptype),
-                Value::Int64(rng.gen_range(1..=50)),
-                Value::str(container),
-                Value::Float64((90_000 + (k % 200) * 100 + k % 1000) as f64 / 100.0),
-                Value::str(text::comment(seed ^ (k as u64) << 1, 5)),
-            ]
-        })
-        .collect()
+    for k in 1..=n as i64 {
+        let name: Vec<&str> = (0..5)
+            .map(|_| text::COLORS[rng.gen_range(0..text::COLORS.len())])
+            .collect();
+        let mfgr = rng.gen_range(1..=5);
+        let brand = mfgr * 10 + rng.gen_range(1..=5);
+        let ptype = format!(
+            "{} {} {}",
+            text::TYPE_SYLLABLE_1[rng.gen_range(0..text::TYPE_SYLLABLE_1.len())],
+            text::TYPE_SYLLABLE_2[rng.gen_range(0..text::TYPE_SYLLABLE_2.len())],
+            text::TYPE_SYLLABLE_3[rng.gen_range(0..text::TYPE_SYLLABLE_3.len())],
+        );
+        let container = format!(
+            "{} {}",
+            text::CONTAINER_SIZES[rng.gen_range(0..text::CONTAINER_SIZES.len())],
+            text::CONTAINER_KINDS[rng.gen_range(0..text::CONTAINER_KINDS.len())],
+        );
+        let row = out.next_row();
+        row.push_i64(k);
+        row.push_str(&name.join(" "));
+        row.push_str(&format!("Manufacturer#{mfgr}"));
+        row.push_str(&format!("Brand#{brand}"));
+        row.push_str(&ptype);
+        row.push_i64(rng.gen_range(1..=50));
+        row.push_str(&container);
+        row.push_f64((90_000 + (k % 200) * 100 + k % 1000) as f64 / 100.0);
+        row.push_str(&text::comment(seed ^ (k as u64) << 1, 5));
+    }
 }
 
-fn partsupp(sf: f64, seed: u64) -> Vec<Row> {
+fn partsupp(sf: f64, seed: u64, out: &mut Partitions) {
     let n_part = n_rows("part", sf) as i64;
     let n_supp = n_rows("supplier", sf) as i64;
     let mut rng = rng_for("partsupp", seed);
-    let mut rows = Vec::with_capacity((n_part * 4) as usize);
     for partkey in 1..=n_part {
         for i in 0..4 {
-            rows.push(vec![
-                Value::Int64(partkey),
-                Value::Int64(ps_suppkey_for(partkey, i, n_supp)),
-                Value::Int64(rng.gen_range(1..=9999)),
-                Value::Float64((rng.gen_range(100..100_000) as f64) / 100.0),
-                Value::str(text::comment(seed ^ (partkey as u64 * 4 + i as u64), 6)),
-            ]);
+            let row = out.next_row();
+            row.push_i64(partkey);
+            row.push_i64(ps_suppkey_for(partkey, i, n_supp));
+            row.push_i64(rng.gen_range(1..=9999));
+            row.push_f64((rng.gen_range(100..100_000) as f64) / 100.0);
+            row.push_str(&text::comment(seed ^ (partkey as u64 * 4 + i as u64), 6));
         }
     }
-    rows
 }
 
-fn customer(sf: f64, seed: u64) -> Vec<Row> {
+fn customer(sf: f64, seed: u64, out: &mut Partitions) {
     let n = n_rows("customer", sf);
     let mut rng = rng_for("customer", seed);
-    (1..=n as i64)
-        .map(|k| {
-            vec![
-                Value::Int64(k),
-                Value::str(format!("Customer#{k:09}")),
-                Value::str(format!("addr-c-{k}")),
-                Value::Int64(rng.gen_range(0..25)),
-                Value::str(format!("{}-{:07}", 10 + k % 25, k)),
-                Value::Float64((rng.gen_range(-99_999..999_999) as f64) / 100.0),
-                Value::str(text::SEGMENTS[rng.gen_range(0..text::SEGMENTS.len())]),
-                Value::str(text::comment(seed ^ (k as u64) << 2, 8)),
-            ]
-        })
-        .collect()
+    for k in 1..=n as i64 {
+        let row = out.next_row();
+        row.push_i64(k);
+        row.push_str(&format!("Customer#{k:09}"));
+        row.push_str(&format!("addr-c-{k}"));
+        row.push_i64(rng.gen_range(0..25));
+        row.push_str(&format!("{}-{:07}", 10 + k % 25, k));
+        row.push_f64((rng.gen_range(-99_999..999_999) as f64) / 100.0);
+        row.push_str(text::SEGMENTS[rng.gen_range(0..text::SEGMENTS.len())]);
+        row.push_str(&text::comment(seed ^ (k as u64) << 2, 8));
+    }
 }
 
-fn orders(sf: f64, seed: u64) -> Vec<Row> {
+fn orders(sf: f64, seed: u64, out: &mut Partitions) {
     let n = n_rows("orders", sf);
     let n_cust = n_rows("customer", sf) as i64;
     let dates = order_dates(sf, seed);
     let mut rng = rng_for("orders", seed);
-    (1..=n as i64)
-        .map(|k| {
-            let status = ["F", "O", "P"][rng.gen_range(0..3usize)];
-            vec![
-                Value::Int64(k),
-                Value::Int64(rng.gen_range(1..=n_cust.max(1))),
-                Value::str(status),
-                Value::Float64((rng.gen_range(100_000..50_000_000) as f64) / 100.0),
-                Value::Date(dates[(k - 1) as usize]),
-                Value::str(text::PRIORITIES[rng.gen_range(0..text::PRIORITIES.len())]),
-                Value::str(format!("Clerk#{:09}", rng.gen_range(1..=1000))),
-                Value::Int64(0),
-                Value::str(text::comment(seed ^ (k as u64) << 3, 10)),
-            ]
-        })
-        .collect()
+    for k in 1..=n as i64 {
+        let row = out.next_row();
+        let status = ["F", "O", "P"][rng.gen_range(0..3usize)];
+        row.push_i64(k);
+        row.push_i64(rng.gen_range(1..=n_cust.max(1)));
+        row.push_str(status);
+        row.push_f64((rng.gen_range(100_000..50_000_000) as f64) / 100.0);
+        row.push_date(dates[(k - 1) as usize]);
+        row.push_str(text::PRIORITIES[rng.gen_range(0..text::PRIORITIES.len())]);
+        row.push_str(&format!("Clerk#{:09}", rng.gen_range(1..=1000)));
+        row.push_i64(0);
+        row.push_str(&text::comment(seed ^ (k as u64) << 3, 10));
+    }
 }
 
-fn lineitem(sf: f64, seed: u64) -> Vec<Row> {
+fn lineitem(sf: f64, seed: u64, out: &mut Partitions) {
     let n_orders = n_rows("orders", sf) as i64;
     let n_part = n_rows("part", sf) as i64;
     let n_supp = n_rows("supplier", sf) as i64;
@@ -218,13 +241,16 @@ fn lineitem(sf: f64, seed: u64) -> Vec<Row> {
     let order_dates = order_dates(sf, seed);
 
     let mut rng = rng_for("lineitem", seed);
-    let mut rows = Vec::with_capacity(target + 8);
     let mut orderkey = 0i64;
-    while rows.len() < target {
+    while out.rows < target {
         orderkey = orderkey % n_orders + 1;
         let lines = rng.gen_range(1..=7usize);
         let odate = order_dates[(orderkey - 1) as usize];
         for line in 1..=lines {
+            // The last order is cut short where the table is full.
+            if out.rows == target {
+                break;
+            }
             let partkey = rng.gen_range(1..=n_part.max(1));
             let supp_i = rng.gen_range(0..4i64);
             let suppkey = ps_suppkey_for(partkey, supp_i, n_supp.max(1));
@@ -240,40 +266,37 @@ fn lineitem(sf: f64, seed: u64) -> Vec<Row> {
                 "N"
             };
             let ship = odate + rng.gen_range(1..=121);
-            rows.push(vec![
-                Value::Int64(orderkey),
-                Value::Int64(partkey),
-                Value::Int64(suppkey),
-                Value::Int64(line as i64),
-                Value::Int64(quantity),
-                Value::Float64(quantity as f64 * price_per),
-                Value::Float64(discount),
-                Value::Float64(tax),
-                Value::str(returnflag),
-                Value::str(if ship > days_from_civil(1995, 6, 17) {
-                    "O"
-                } else {
-                    "F"
-                }),
-                Value::Date(ship),
-                Value::Date(ship + rng.gen_range(-30..=60)),
-                Value::Date(ship + rng.gen_range(1..=30)),
-                Value::str(
-                    text::SHIP_INSTRUCTIONS[rng.gen_range(0..text::SHIP_INSTRUCTIONS.len())],
-                ),
-                Value::str(text::SHIP_MODES[rng.gen_range(0..text::SHIP_MODES.len())]),
-                Value::str(text::comment(seed ^ rows.len() as u64, 10)),
-            ]);
+            let nth = out.rows as u64;
+            let row = out.next_row();
+            row.push_i64(orderkey);
+            row.push_i64(partkey);
+            row.push_i64(suppkey);
+            row.push_i64(line as i64);
+            row.push_i64(quantity);
+            row.push_f64(quantity as f64 * price_per);
+            row.push_f64(discount);
+            row.push_f64(tax);
+            row.push_str(returnflag);
+            row.push_str(if ship > days_from_civil(1995, 6, 17) {
+                "O"
+            } else {
+                "F"
+            });
+            row.push_date(ship);
+            row.push_date(ship + rng.gen_range(-30..=60));
+            row.push_date(ship + rng.gen_range(1..=30));
+            row.push_str(text::SHIP_INSTRUCTIONS[rng.gen_range(0..text::SHIP_INSTRUCTIONS.len())]);
+            row.push_str(text::SHIP_MODES[rng.gen_range(0..text::SHIP_MODES.len())]);
+            row.push_str(&text::comment(seed ^ nth, 10));
         }
     }
-    rows.truncate(target);
-    rows
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::TABLES;
+    use geoqp_common::Value;
     use std::collections::BTreeSet;
 
     const SF: f64 = 0.002;

@@ -23,6 +23,12 @@ if grep -rnE 'all_rules|FilterMerge|FilterPushdown|ProjectMerge|ProjectJoinTrans
     exit 1
 fi
 
+echo "==> stored once: a table keeps no row copy and no lazily built mirror"
+if grep -nE '^[[:space:]]*(pub )?[a-z_]+: Vec<Row>,|OnceLock' crates/storage/src/table.rs; then
+    echo "storage::Table holds rows or a lazily built second layout again" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check (geoqp crates)"
 cargo fmt --check "${pkg_flags[@]}"
 
@@ -88,6 +94,11 @@ echo "==> ad-hoc workload differential fuzz: generated queries," \
      "(GEOQP_ADHOC_N=${GEOQP_ADHOC_N:-200} queries, release)"
 GEOQP_ADHOC_N="${GEOQP_ADHOC_N:-200}" \
     cargo test -q -p geoqp-bench --release --test adhoc_differential
+
+echo "==> generated data digests + resident bytes: every table, through" \
+     "generate and through populate, is the recorded data, and a populated" \
+     "catalog holds it once, as columns (counting allocator, release)"
+cargo test -q -p geoqp-tpch --release --test data_digest --test resident_bytes
 
 echo "==> catalog replication + compaction property tests: 10k seeded" \
      "schedules, byte-identical replicas, snapshot-bootstrap ≡ replay-from-0" \

@@ -29,8 +29,8 @@
 //! Everything is simulated-clock and seed-driven: identically-seeded
 //! runs serialize byte-identically.
 
-use crate::experiments::setup::EXEC_SF;
-use geoqp_common::{ChurnEvent, Location, Rows, Value};
+use crate::experiments::setup::{multiset, EXEC_SF};
+use geoqp_common::{ChurnEvent, Location};
 use geoqp_core::{CatalogHealth, CatalogService, Engine, ExecOptions, OptimizerMode};
 use geoqp_exec::RetryPolicy;
 use geoqp_net::{FaultPlan, NetworkTopology, StepWindow};
@@ -176,18 +176,6 @@ pub struct StaleCell {
     pub outcome: ChurnOutcome,
     /// Completed cells only: the answer matched the reference multiset.
     pub rows_match: bool,
-}
-
-fn multiset(rows: &Rows) -> Vec<Vec<Value>> {
-    let mut v: Vec<Vec<Value>> = rows.rows().to_vec();
-    v.sort_by(|a, b| {
-        a.iter()
-            .zip(b.iter())
-            .map(|(x, y)| x.total_cmp(y))
-            .find(|o| *o != std::cmp::Ordering::Equal)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    v
 }
 
 struct Fixture {

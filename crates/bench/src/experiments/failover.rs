@@ -10,8 +10,8 @@
 //! or degraded into a typed rejection — never a silent non-compliant
 //! answer.
 
-use crate::experiments::setup::{engine_with_policies, EXEC_SF};
-use geoqp_common::{Location, Rows, Value};
+use crate::experiments::setup::{engine_with_policies, multiset, EXEC_SF};
+use geoqp_common::Location;
 use geoqp_core::{Engine, ExecOptions, OptimizerMode};
 use geoqp_exec::RetryPolicy;
 use geoqp_net::{FaultPlan, StepWindow};
@@ -163,18 +163,6 @@ impl ResumeCell {
             self.resume_recovery_bytes as f64 / self.scratch_recovery_bytes as f64
         }
     }
-}
-
-fn multiset(rows: &Rows) -> Vec<Vec<Value>> {
-    let mut v: Vec<Vec<Value>> = rows.rows().to_vec();
-    v.sort_by(|a, b| {
-        a.iter()
-            .zip(b.iter())
-            .map(|(x, y)| x.total_cmp(y))
-            .find(|o| *o != std::cmp::Ordering::Equal)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    v
 }
 
 /// Late-crash recovery comparison across the TPC-H queries: for each

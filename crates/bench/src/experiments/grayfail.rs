@@ -18,8 +18,8 @@
 //! Every run's final plan is re-audited against Definition 1: the
 //! defense never buys latency with a non-compliant dataflow.
 
-use crate::experiments::setup::{engine_with_policies, EXEC_SF};
-use geoqp_common::{Location, Rows, Value};
+use crate::experiments::setup::{engine_with_policies, multiset, EXEC_SF};
+use geoqp_common::Location;
 use geoqp_core::{
     Engine, ExecOptions, HealthConfig, HedgeConfig, OptimizerMode, RuntimeConfig, RuntimeMetrics,
 };
@@ -82,18 +82,6 @@ impl GrayfailCell {
             0.0
         }
     }
-}
-
-fn multiset(rows: &Rows) -> Vec<Vec<Value>> {
-    let mut v: Vec<Vec<Value>> = rows.rows().to_vec();
-    v.sort_by(|a, b| {
-        a.iter()
-            .zip(b.iter())
-            .map(|(x, y)| x.total_cmp(y))
-            .find(|o| *o != std::cmp::Ordering::Equal)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    v
 }
 
 /// The engine and config shared by both matrices.
@@ -260,7 +248,6 @@ pub fn condemnation_matrix(seed: u64, factor: f64) -> Vec<CondemnCell> {
         health: HealthConfig {
             open_budget: 1,
             cooldown_steps: 2,
-            ..HealthConfig::default()
         },
     });
     let mut out = Vec::new();

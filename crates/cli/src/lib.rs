@@ -10,7 +10,7 @@ use geoqp_core::{
     QueryOutcome, RuntimeConfig, RuntimeMetrics,
 };
 use geoqp_exec::RetryPolicy;
-use geoqp_net::{FaultPlan, NetworkTopology};
+use geoqp_net::{FaultPlan, HealthConfig, NetworkTopology};
 use geoqp_policy::{expand_denials, PolicyCatalog};
 use geoqp_server::{QueryRequest, QueryService, ServiceConfig, TenantConfig, TenantId};
 use geoqp_storage::Catalog;
@@ -31,8 +31,8 @@ pub struct Shell {
     mode: OptimizerMode,
     /// `\runtime parallel`: queries run on the pipelined runtime.
     pipelined: bool,
-    /// `\columnar` and `\workers` (morsel workers per site for columnar
-    /// parallel-runtime queries) live here.
+    /// `\workers` (morsel workers per site for parallel-runtime queries)
+    /// lives here.
     config: RuntimeConfig,
     result_location: Option<Location>,
     faults: Option<FaultPlan>,
@@ -162,22 +162,6 @@ impl Shell {
                     }
                 };
                 Ok(format!("runtime: {arg}\n"))
-            }
-            "columnar" => {
-                self.config.columnar = match arg {
-                    "" => {
-                        let current = if self.config.columnar { "on" } else { "off" };
-                        return Ok(format!("columnar: {current}\n"));
-                    }
-                    "on" => true,
-                    "off" => false,
-                    other => {
-                        return Err(GeoError::Execution(format!(
-                            "unknown columnar setting `{other}` (on|off)"
-                        )))
-                    }
-                };
-                Ok(format!("columnar: {arg}\n"))
             }
             "workers" => {
                 if arg.is_empty() {
@@ -532,7 +516,9 @@ impl Shell {
                 None => "hedge: off\n".to_string(),
                 Some(h) => format!(
                     "hedge: on (delay {:.1} ms, hedge ratio {:.2}, trip ratio {:.2})\n",
-                    h.delay_ms, h.health.hedge_ratio, h.health.trip_ratio
+                    h.delay_ms,
+                    HealthConfig::HEDGE_RATIO,
+                    HealthConfig::TRIP_RATIO
                 ),
             }),
             "off" => {
@@ -1040,8 +1026,7 @@ commands:
   \\mode compliant|traditional
   \\runtime parallel|sequential
                             choose the execution runtime (default sequential)
-  \\columnar on|off          run queries on the vectorized columnar engine
-  \\workers [n]              morsel workers per site (columnar parallel runtime)
+  \\workers [n]              morsel workers per site (parallel runtime)
                             (same rows, bytes, and audits; faster CPU path)
   \\metrics                  per-site/per-edge metrics of the last parallel
                             query, plus policy-memo hit/miss counters
@@ -1396,8 +1381,11 @@ mod tests {
     fn columnar_session_matches_row_session() {
         let sql = "SELECT c_name, SUM(o_totprice) AS total FROM customer, orders \
                    WHERE c_custkey = o_custkey GROUP BY c_name ORDER BY c_name";
-        let run = |commands: &[&str]| {
+        // The session runs columnar; the row interpreter is the oracle.
+        let run = |columnar: bool, commands: &[&str]| {
             let mut sh = Shell::new();
+            assert!(sh.config.columnar);
+            sh.config.columnar = columnar;
             sh.run_command("\\demo carco").unwrap();
             for c in commands {
                 sh.run_command(c).unwrap();
@@ -1405,28 +1393,18 @@ mod tests {
             sh.run_command(sql).unwrap()
         };
         // Sequential: byte-for-byte identical output (rows, order, bytes,
-        // audit verdict) between the row and columnar engines.
-        let row = run(&[]);
-        let col = run(&["\\columnar on"]);
-        assert!(col.contains("plan compliant"), "{col}");
-        assert_eq!(col, row);
-        // Parallel runtime too.
-        let row_par = run(&["\\runtime parallel"]);
-        let col_par = run(&["\\runtime parallel", "\\columnar on"]);
-        assert_eq!(col_par, row_par);
-        // Under faults (the resilient path) as well.
-        let row_flt = run(&["\\faults seed=7; crash:A@0..2"]);
-        let col_flt = run(&["\\faults seed=7; crash:A@0..2", "\\columnar on"]);
-        assert_eq!(col_flt, row_flt);
-
-        // The toggle round-trips and rejects junk.
-        let mut sh = Shell::new();
-        sh.run_command("\\demo carco").unwrap();
-        assert_eq!(sh.run_command("\\columnar").unwrap(), "columnar: off\n");
-        sh.run_command("\\columnar on").unwrap();
-        assert_eq!(sh.run_command("\\columnar").unwrap(), "columnar: on\n");
-        sh.run_command("\\columnar off").unwrap();
-        assert!(sh.run_command("\\columnar sideways").is_err());
+        // audit verdict) between the row and columnar engines; on the
+        // parallel runtime too, and under faults (the resilient path).
+        let sessions: [&[&str]; 3] = [
+            &[],
+            &["\\runtime parallel"],
+            &["\\faults seed=7; crash:A@0..2"],
+        ];
+        for commands in sessions {
+            let (row, col) = (run(false, commands), run(true, commands));
+            assert!(col.contains("plan compliant"), "{col}");
+            assert_eq!(col, row, "{commands:?}");
+        }
     }
 
     #[test]
@@ -1443,17 +1421,13 @@ mod tests {
         };
         // Morsel workers change CPU scheduling only: the rendered rows,
         // transfer counts, bytes, and audit verdict are identical.
-        let one = run(&["\\runtime parallel", "\\columnar on"]);
-        let four = run(&["\\runtime parallel", "\\columnar on", "\\workers 4"]);
+        let one = run(&["\\runtime parallel"]);
+        let four = run(&["\\runtime parallel", "\\workers 4"]);
         assert!(four.contains("plan compliant"), "{four}");
         assert_eq!(four, one);
         // The resilient (faulted) path is worker-invariant too.
-        let flt_one = run(&["\\faults seed=7; crash:A@0..2", "\\columnar on"]);
-        let flt_four = run(&[
-            "\\faults seed=7; crash:A@0..2",
-            "\\columnar on",
-            "\\workers 4",
-        ]);
+        let flt_one = run(&["\\faults seed=7; crash:A@0..2"]);
+        let flt_four = run(&["\\faults seed=7; crash:A@0..2", "\\workers 4"]);
         assert_eq!(flt_four, flt_one);
 
         // The knob round-trips and rejects junk.

@@ -8,10 +8,8 @@
 //! ... -- --demo tpch --faults 'seed=7; crash:L2@0..6; flaky:L1-L3:0.2'
 //! # run queries on the concurrent pipelined runtime:
 //! ... -- --demo tpch --runtime parallel
-//! # run queries on the vectorized columnar engine:
-//! ... -- --demo tpch --columnar
-//! # morsel-parallel kernels: 4 workers per site (implies --columnar):
-//! ... -- --demo tpch --runtime parallel --columnar --workers 4
+//! # morsel-parallel kernels: 4 workers per site:
+//! ... -- --demo tpch --runtime parallel --workers 4
 //! # give every query a simulated-clock completion budget:
 //! ... -- --demo tpch --deadline-ms 500
 //! # defend against gray failures with hedged backup transfers:
@@ -51,12 +49,6 @@ fn main() {
         .and_then(|i| args.get(i + 1))
     {
         match shell.run_command(&format!("\\runtime {mode}")) {
-            Ok(out) => print!("{out}"),
-            Err(e) => eprintln!("error: {e}"),
-        }
-    }
-    if args.iter().any(|a| a == "--columnar") {
-        match shell.run_command("\\columnar on") {
             Ok(out) => print!("{out}"),
             Err(e) => eprintln!("error: {e}"),
         }

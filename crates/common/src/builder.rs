@@ -13,7 +13,7 @@
 //! dictionary keeps anyway: each cell's bytes are hashed once, and an
 //! `Arc<str>` is allocated once per *distinct* string.
 
-use crate::columnar::{fnv1a, Column, ColumnarBatch};
+use crate::columnar::{by_layout, fnv1a, Cell, Cells, Column, ColumnarBatch};
 use crate::value::Value;
 use std::sync::Arc;
 
@@ -85,113 +85,100 @@ impl Dictionary {
     }
 }
 
-/// The cells of one column so far (NULL slots hold a zero placeholder;
-/// the builder's `valid` vector says which they are).
+impl<T: Copy + Default> Cells<T> {
+    /// `nulls` NULL rows, with room for `capacity` rows.
+    fn nulls(nulls: usize, capacity: usize) -> Cells<T> {
+        let mut cells = Cells {
+            values: Vec::with_capacity(capacity.max(nulls)),
+            valid: Vec::with_capacity(capacity.max(nulls)),
+        };
+        cells.values.resize(nulls, T::default());
+        cells.valid.resize(nulls, false);
+        cells
+    }
+
+    /// Append a cell; `None` is a NULL.
+    fn push(&mut self, cell: Option<T>) {
+        self.values.push(cell.unwrap_or_default());
+        self.valid.push(cell.is_some());
+    }
+}
+
+/// The cells of one column so far.
 #[derive(Debug)]
-enum Cells {
-    /// Nothing but NULLs yet: the type is still open.
-    Nulls,
-    Int64(Vec<i64>),
-    Float64(Vec<f64>),
-    Date(Vec<i32>),
-    Bool(Vec<bool>),
-    Str(Dictionary, Vec<u32>),
-    /// Two types met: one [`Value`] per row, NULLs included.
-    Any(Vec<Value>),
+enum Open {
+    /// Nothing but NULLs yet, this many: the type is still open.
+    Nulls(usize),
+    /// A fixed-width layout — or `Any`, once two types met.
+    Cells(Column),
+    /// Strings: the dictionary so far and a code per row.
+    Str(Dictionary, Cells<u32>),
 }
 
 /// One column under construction.
 #[derive(Debug)]
 pub(crate) struct ColumnBuilder {
-    cells: Cells,
-    /// Which typed cells are not NULL (left empty once the column is
-    /// `Any`). Its capacity is the rows to reserve once the type is known.
-    valid: Vec<bool>,
-}
-
-/// Append a typed cell: open the column on its first non-NULL cell
-/// (back-filling the NULLs before it), push when the type matches, demote
-/// to `Any` when it does not.
-macro_rules! typed_push {
-    ($self:ident, $variant:ident, $zero:expr, $cell:expr, $value:expr) => {{
-        match &mut $self.cells {
-            Cells::$variant(cells) => cells.push($cell),
-            Cells::Nulls => {
-                let mut cells = Vec::with_capacity($self.reserve());
-                cells.resize($self.valid.len(), $zero);
-                cells.push($cell);
-                $self.cells = Cells::$variant(cells);
-            }
-            _ => return $self.push_mixed($value),
-        }
-        $self.valid.push(true);
-    }};
+    open: Open,
+    /// Rows announced up front: what to reserve once the type is known.
+    capacity: usize,
 }
 
 impl ColumnBuilder {
     pub(crate) fn with_capacity(capacity: usize) -> ColumnBuilder {
         ColumnBuilder {
-            cells: Cells::Nulls,
-            valid: Vec::with_capacity(capacity),
+            open: Open::Nulls(0),
+            capacity,
         }
     }
 
-    /// Room for the rows announced up front, and at least one more cell.
-    fn reserve(&self) -> usize {
-        self.valid.capacity().max(self.valid.len() + 1)
-    }
-
-    fn push_i64(&mut self, v: i64) {
-        typed_push!(self, Int64, 0, v, Value::Int64(v))
-    }
-
-    fn push_f64(&mut self, v: f64) {
-        typed_push!(self, Float64, 0.0, v, Value::Float64(v))
-    }
-
-    fn push_date(&mut self, v: i32) {
-        typed_push!(self, Date, 0, v, Value::Date(v))
-    }
-
-    fn push_bool(&mut self, v: bool) {
-        typed_push!(self, Bool, false, v, Value::Bool(v))
+    /// Append a fixed-width cell: open the column on its first non-NULL
+    /// cell (back-filling the NULLs before it), push when the type
+    /// matches, demote to `Any` when it does not.
+    fn push<T: for<'a> Cell<With<'a> = ()>>(&mut self, cell: T) {
+        match &mut self.open {
+            Open::Nulls(nulls) => {
+                let mut cells = Cells::nulls(*nulls, self.capacity);
+                cells.push(Some(cell));
+                self.open = Open::Cells(T::column(cells, ()));
+            }
+            Open::Cells(column) => match T::cells_mut(column) {
+                Some(cells) => cells.push(Some(cell)),
+                None => self.push_mixed(cell.value(())),
+            },
+            Open::Str(..) => self.push_mixed(cell.value(())),
+        }
     }
 
     /// A string cell; `entry` makes the `Arc<str>` a new dictionary entry
     /// (or an `Any` cell) holds.
     fn push_str(&mut self, s: &str, entry: impl FnOnce() -> Arc<str>) {
-        if let Cells::Nulls = self.cells {
-            let mut codes = Vec::with_capacity(self.reserve());
-            codes.resize(self.valid.len(), 0);
-            self.cells = Cells::Str(Dictionary::default(), codes);
+        if let Open::Nulls(nulls) = self.open {
+            let codes = Cells::nulls(nulls, self.capacity);
+            self.open = Open::Str(Dictionary::default(), codes);
         }
-        match &mut self.cells {
-            Cells::Str(dict, codes) => codes.push(dict.code_of(fnv1a(s.as_bytes()), s, entry)),
-            _ => return self.push_mixed(Value::Str(entry())),
+        match &mut self.open {
+            Open::Str(dict, codes) => codes.push(Some(dict.code_of(fnv1a(s.as_bytes()), s, entry))),
+            _ => self.push_mixed(Value::Str(entry())),
         }
-        self.valid.push(true);
     }
 
     fn push_null(&mut self) {
-        match &mut self.cells {
-            Cells::Nulls => {}
-            Cells::Int64(cells) => cells.push(0),
-            Cells::Float64(cells) => cells.push(0.0),
-            Cells::Date(cells) => cells.push(0),
-            Cells::Bool(cells) => cells.push(false),
-            Cells::Str(_, codes) => codes.push(0),
-            Cells::Any(cells) => return cells.push(Value::Null),
+        match &mut self.open {
+            Open::Nulls(nulls) => *nulls += 1,
+            Open::Cells(column) => {
+                by_layout!(column, (cells, _with) => cells.push(None), values => values.push(Value::Null))
+            }
+            Open::Str(_, codes) => codes.push(None),
         }
-        self.valid.push(false);
     }
 
     pub(crate) fn push_value(&mut self, v: &Value) {
         match v {
             Value::Null => self.push_null(),
-            Value::Int64(i) => self.push_i64(*i),
-            Value::Float64(f) => self.push_f64(*f),
-            Value::Date(d) => self.push_date(*d),
-            Value::Bool(b) => self.push_bool(*b),
+            Value::Int64(i) => self.push(*i),
+            Value::Float64(f) => self.push(*f),
+            Value::Date(d) => self.push(*d),
+            Value::Bool(b) => self.push(*b),
             Value::Str(s) => self.push_str(s, || Arc::clone(s)),
         }
     }
@@ -199,43 +186,34 @@ impl ColumnBuilder {
     /// A cell whose type differs from the column's: the column becomes
     /// (or already is) `Any`.
     fn push_mixed(&mut self, v: Value) {
-        if !matches!(self.cells, Cells::Any(_)) {
-            let mut cells = Vec::with_capacity(self.reserve());
+        if !matches!(self.open, Open::Cells(Column::Any { .. })) {
             let typed = ColumnBuilder {
-                cells: std::mem::replace(&mut self.cells, Cells::Nulls),
-                valid: std::mem::take(&mut self.valid),
+                open: std::mem::replace(&mut self.open, Open::Nulls(0)),
+                capacity: 0,
             }
             .finish();
-            cells.extend((0..typed.len()).map(|i| typed.get(i)));
-            self.cells = Cells::Any(cells);
+            let mut values = Vec::with_capacity(self.capacity.max(typed.len() + 1));
+            values.extend((0..typed.len()).map(|i| typed.get(i)));
+            self.open = Open::Cells(Column::Any { values });
         }
-        if let Cells::Any(cells) = &mut self.cells {
-            cells.push(v);
+        if let Open::Cells(Column::Any { values }) = &mut self.open {
+            values.push(v);
         }
     }
 
     pub(crate) fn finish(self) -> Column {
-        let valid = self.valid;
-        match self.cells {
+        match self.open {
             // All-NULL columns take the cheapest fixed-width layout.
-            Cells::Nulls => Column::Int64 {
-                values: vec![0; valid.len()],
-                valid,
-            },
-            Cells::Int64(values) => Column::Int64 { values, valid },
-            Cells::Float64(values) => Column::Float64 { values, valid },
-            Cells::Date(values) => Column::Date { values, valid },
-            Cells::Bool(values) => Column::Bool { values, valid },
-            Cells::Str(dict, codes) => {
+            Open::Nulls(nulls) => Column::Int64(Cells::nulls(nulls, 0)),
+            Open::Cells(column) => column,
+            Open::Str(dict, codes) => {
                 let (dict, hashes) = dict.finish();
                 Column::Str {
                     dict,
                     hashes,
                     codes,
-                    valid,
                 }
             }
-            Cells::Any(values) => Column::Any { values },
         }
     }
 }
@@ -278,22 +256,22 @@ impl ColumnarBuilder {
 
     /// Append an integer cell.
     pub fn push_i64(&mut self, v: i64) {
-        self.cell().push_i64(v)
+        self.cell().push(v)
     }
 
     /// Append a float cell.
     pub fn push_f64(&mut self, v: f64) {
-        self.cell().push_f64(v)
+        self.cell().push(v)
     }
 
     /// Append a date cell (days since the Unix epoch).
     pub fn push_date(&mut self, v: i32) {
-        self.cell().push_date(v)
+        self.cell().push(v)
     }
 
     /// Append a boolean cell.
     pub fn push_bool(&mut self, v: bool) {
-        self.cell().push_bool(v)
+        self.cell().push(v)
     }
 
     /// Append a string cell; the bytes are copied only if the column has

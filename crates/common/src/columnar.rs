@@ -40,7 +40,9 @@
 
 use crate::builder::{ColumnBuilder, ColumnarBuilder, Dictionary};
 use crate::row::{Row, Rows};
+use crate::types::DataType;
 use crate::value::Value;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// A selection vector: physical row indices (in order) that survive a
@@ -71,51 +73,60 @@ fn mix_fingerprint(h: u64, v: u64) -> u64 {
     (h.rotate_left(23) ^ v).wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
-/// One typed column vector. Fixed-width variants carry a parallel
-/// validity vector (`valid[i] == false` means NULL; the slot in `values`
-/// is then a zero placeholder). Strings are dictionary-encoded with
-/// per-entry fingerprints precomputed so join/group keys never rehash
-/// string bytes per row.
+/// The one fixed-width layout: a cell per row and a parallel validity
+/// vector. `valid[i] == false` means NULL, and the slot in `values` is
+/// then `T::default()`, a placeholder nothing reads.
+#[derive(Debug, Clone, Default)]
+pub struct Cells<T> {
+    /// Fixed-width buffer (`T::default()` on NULL slots).
+    pub values: Vec<T>,
+    /// Validity: false = NULL.
+    pub valid: Vec<bool>,
+}
+
+impl<T: Copy + Default> Cells<T> {
+    /// The cell at row `i`; `None` is a NULL.
+    pub fn get(&self, i: usize) -> Option<T> {
+        self.valid[i].then(|| self.values[i])
+    }
+
+    /// The cells of `rows`, in order.
+    fn range(&self, rows: Range<usize>) -> impl Iterator<Item = Option<T>> + '_ {
+        let cells = self.values[rows.clone()].iter().zip(&self.valid[rows]);
+        cells.map(|(&cell, &ok)| ok.then_some(cell))
+    }
+
+    /// The rows at `indices`, in order.
+    pub fn gather(&self, indices: &[u32]) -> Cells<T> {
+        Cells {
+            values: indices.iter().map(|&i| self.values[i as usize]).collect(),
+            valid: indices.iter().map(|&i| self.valid[i as usize]).collect(),
+        }
+    }
+}
+
+/// One typed column vector: the four fixed-width types as [`Cells`] of
+/// themselves, strings dictionary-encoded — [`Cells`] of `u32` codes,
+/// with per-entry fingerprints precomputed so join/group keys never
+/// rehash string bytes per row — and a mixed-typed fallback.
 #[derive(Debug, Clone)]
 pub enum Column {
     /// 64-bit integers.
-    Int64 {
-        /// Fixed-width buffer (0 on NULL slots).
-        values: Vec<i64>,
-        /// Validity: false = NULL.
-        valid: Vec<bool>,
-    },
+    Int64(Cells<i64>),
     /// 64-bit floats.
-    Float64 {
-        /// Fixed-width buffer (0.0 on NULL slots).
-        values: Vec<f64>,
-        /// Validity: false = NULL.
-        valid: Vec<bool>,
-    },
+    Float64(Cells<f64>),
     /// Days since the Unix epoch.
-    Date {
-        /// Fixed-width buffer (0 on NULL slots).
-        values: Vec<i32>,
-        /// Validity: false = NULL.
-        valid: Vec<bool>,
-    },
+    Date(Cells<i32>),
     /// Booleans.
-    Bool {
-        /// Fixed-width buffer (false on NULL slots).
-        values: Vec<bool>,
-        /// Validity: false = NULL.
-        valid: Vec<bool>,
-    },
+    Bool(Cells<bool>),
     /// Dictionary-encoded strings.
     Str {
         /// Distinct entries, shared across gathers.
         dict: Arc<Vec<Arc<str>>>,
         /// Precomputed per-entry byte fingerprints (parallel to `dict`).
         hashes: Arc<Vec<u64>>,
-        /// Per-row dictionary codes (0 on NULL slots).
-        codes: Vec<u32>,
-        /// Validity: false = NULL.
-        valid: Vec<bool>,
+        /// Per-row dictionary codes.
+        codes: Cells<u32>,
     },
     /// Mixed-typed fallback: one [`Value`] per row.
     Any {
@@ -134,15 +145,216 @@ const FP_NUM: u64 = 0x1b87_3593_21e4_9d09;
 const FP_DATE: u64 = 0x60be_e2be_e120_fc15;
 const FP_STR: u64 = 0xa0b4_28db_8a4b_cc69;
 
-/// Fingerprint of one scalar [`Value`], consistent with [`Value`]'s
-/// `Eq`/`Hash` classes: equal values always produce equal fingerprints.
+/// Wire width of a NULL: its tag byte.
+pub(crate) const NULL_WIDTH: usize = 1;
+
+/// Wire width of a string: tag byte, `u32` length, bytes.
+pub(crate) fn str_width(s: &str) -> usize {
+    5 + s.len()
+}
+
+/// What the rest of the crate knows about a cell type, beside its NULL
+/// placeholder (`Self::default()`): which [`Column`] variant lays it out,
+/// the [`Value`] a cell stands for, that value's fingerprint (consistent
+/// with [`Value`]'s `Eq`/`Hash` classes: equal values, equal
+/// fingerprints), its exact width under the wire encoding (tag byte
+/// included), and when two cells hold equal values.
+pub(crate) trait Cell: Copy + Default {
+    /// What reading a cell takes beside the cell: nothing when the cell
+    /// is its own value, the dictionary when it is a code.
+    type With<'a>: Copy;
+    const TYPE: DataType;
+    fn column(cells: Cells<Self>, with: Self::With<'_>) -> Column;
+    /// The cells of `column`, when it is of this layout.
+    fn of(column: &Column) -> Option<(&Cells<Self>, Self::With<'_>)>;
+    /// The same cells, for the builder to push onto.
+    fn cells_mut(column: &mut Column) -> Option<&mut Cells<Self>>;
+    fn value(self, with: Self::With<'_>) -> Value;
+    fn fingerprint(self, with: Self::With<'_>) -> u64;
+    /// The width of every cell, when the type has just one.
+    const WIDTH: Option<usize>;
+    fn width(self, _with: Self::With<'_>) -> usize {
+        Self::WIDTH.expect("a type of many widths gives each cell's")
+    }
+    /// Under [`Value`]'s equality (`total_cmp == Equal`).
+    fn same(self, with: Self::With<'_>, other: Self, other_with: Self::With<'_>) -> bool;
+
+    /// `first` and then `rest` end to end, when all are of this layout.
+    fn concat(first: &Cells<Self>, with: Self::With<'_>, rest: &[&Column]) -> Option<Column> {
+        let mut all = first.clone();
+        for column in rest {
+            let (cells, _) = Self::of(column)?;
+            all.values.extend_from_slice(&cells.values);
+            all.valid.extend_from_slice(&cells.valid);
+        }
+        Some(Self::column(all, with))
+    }
+}
+
+/// The cell table — type, variant (of [`Column`], [`Value`] and
+/// [`DataType`] alike), wire width, fingerprint, equality — for the
+/// types whose cells are their own value.
+macro_rules! fixed_width {
+    ($($t:ty => $variant:ident, $width:literal, |$x:ident| $fingerprint:expr,
+       |$a:ident, $b:ident| $same:expr;)*) => {$(
+        impl Cell for $t {
+            type With<'a> = ();
+            const TYPE: DataType = DataType::$variant;
+            fn column(cells: Cells<$t>, _: ()) -> Column {
+                Column::$variant(cells)
+            }
+            fn of(column: &Column) -> Option<(&Cells<$t>, ())> {
+                match column {
+                    Column::$variant(cells) => Some((cells, ())),
+                    _ => None,
+                }
+            }
+            fn cells_mut(column: &mut Column) -> Option<&mut Cells<$t>> {
+                match column {
+                    Column::$variant(cells) => Some(cells),
+                    _ => None,
+                }
+            }
+            fn value(self, _: ()) -> Value {
+                Value::$variant(self)
+            }
+            fn fingerprint(self, _: ()) -> u64 {
+                let $x = self;
+                $fingerprint
+            }
+            const WIDTH: Option<usize> = Some($width);
+            fn same(self, _: (), other: $t, _: ()) -> bool {
+                let ($a, $b) = (self, other);
+                $same
+            }
+        }
+    )*};
+}
+
+fixed_width! {
+    i64 => Int64, 9, |x| FP_NUM ^ (x as f64).to_bits(), |a, b| a == b;
+    f64 => Float64, 9, |x| FP_NUM ^ x.to_bits(), |a, b| a.total_cmp(&b).is_eq();
+    i32 => Date, 5, |x| FP_DATE ^ (x as i64 as u64), |a, b| a == b;
+    bool => Bool, 2, |x| FP_BOOL ^ (x as u64), |a, b| a == b;
+}
+
+/// What reads the codes of a string column: its dictionary.
+#[derive(Clone, Copy)]
+pub(crate) struct Coded<'a> {
+    pub(crate) dict: &'a Arc<Vec<Arc<str>>>,
+    pub(crate) hashes: &'a Arc<Vec<u64>>,
+}
+
+/// A dictionary code.
+impl Cell for u32 {
+    type With<'a> = Coded<'a>;
+    const TYPE: DataType = DataType::Str;
+    fn column(codes: Cells<u32>, with: Coded<'_>) -> Column {
+        Column::Str {
+            dict: Arc::clone(with.dict),
+            hashes: Arc::clone(with.hashes),
+            codes,
+        }
+    }
+    fn of(column: &Column) -> Option<(&Cells<u32>, Coded<'_>)> {
+        match column {
+            Column::Str {
+                dict,
+                hashes,
+                codes,
+            } => Some((codes, Coded { dict, hashes })),
+            _ => None,
+        }
+    }
+    fn cells_mut(column: &mut Column) -> Option<&mut Cells<u32>> {
+        match column {
+            Column::Str { codes, .. } => Some(codes),
+            _ => None,
+        }
+    }
+    fn value(self, with: Coded<'_>) -> Value {
+        Value::Str(Arc::clone(&with.dict[self as usize]))
+    }
+    fn fingerprint(self, with: Coded<'_>) -> u64 {
+        FP_STR ^ with.hashes[self as usize]
+    }
+    const WIDTH: Option<usize> = None;
+    fn width(self, with: Coded<'_>) -> usize {
+        str_width(&with.dict[self as usize])
+    }
+    fn same(self, with: Coded<'_>, other: u32, other_with: Coded<'_>) -> bool {
+        let (a, b) = (self as usize, other as usize);
+        if Arc::ptr_eq(with.dict, other_with.dict) {
+            // Interned dictionary: same code ⇔ same string.
+            a == b
+        } else {
+            with.hashes[a] == other_with.hashes[b] && with.dict[a] == other_with.dict[b]
+        }
+    }
+
+    /// The dictionaries are merged and every part's codes remapped.
+    fn concat(first: &Cells<u32>, with: Coded<'_>, rest: &[&Column]) -> Option<Column> {
+        let mut merged = Dictionary::default();
+        let mut codes = Cells::default();
+        let rest = rest.iter().map(|c| Self::of(c));
+        for part in std::iter::once(Some((first, with))).chain(rest) {
+            let (from, with) = part?;
+            let entries = with.dict.iter().zip(with.hashes.iter());
+            let remap: Vec<u32> = entries
+                .map(|(s, &hash)| merged.code_of(hash, s, || Arc::clone(s)))
+                .collect();
+            let remapped = from.values.iter().map(|&code| remap[code as usize]);
+            codes.values.extend(remapped);
+            codes.valid.extend_from_slice(&from.valid);
+        }
+        let (dict, hashes) = merged.finish();
+        Some(Column::Str {
+            dict,
+            hashes,
+            codes,
+        })
+    }
+}
+
+/// Evaluate `$typed` with `$cells` bound to the column's [`Cells`] and
+/// `$with` to what their [`Cell`] type is read with — written once,
+/// compiled once per fixed-width type and once for dictionary codes — or
+/// `$mixed` with `$values` bound to a [`Column::Any`]'s values. The
+/// variant dispatch therefore runs once per call, never once per cell.
+macro_rules! by_layout {
+    ($column:expr, ($cells:ident, $with:ident) => $typed:expr, $values:ident => $mixed:expr) => {
+        match $column {
+            Column::Int64($cells) => by_layout!(@fixed $with, $typed),
+            Column::Float64($cells) => by_layout!(@fixed $with, $typed),
+            Column::Date($cells) => by_layout!(@fixed $with, $typed),
+            Column::Bool($cells) => by_layout!(@fixed $with, $typed),
+            Column::Str {
+                dict,
+                hashes,
+                codes: $cells,
+            } => {
+                let $with = $crate::columnar::Coded { dict, hashes };
+                $typed
+            }
+            Column::Any { values: $values } => $mixed,
+        }
+    };
+    (@fixed $with:ident, $typed:expr) => {{
+        let $with = ();
+        $typed
+    }};
+}
+
+pub(crate) use by_layout;
+
+/// Fingerprint of one scalar [`Value`]: its [`Cell`]'s.
 pub fn value_fingerprint(v: &Value) -> u64 {
     match v {
         Value::Null => FP_NULL,
-        Value::Bool(b) => FP_BOOL ^ (*b as u64),
-        Value::Int64(i) => FP_NUM ^ (*i as f64).to_bits(),
-        Value::Float64(f) => FP_NUM ^ f.to_bits(),
-        Value::Date(d) => FP_DATE ^ (*d as i64 as u64),
+        Value::Bool(b) => b.fingerprint(()),
+        Value::Int64(i) => i.fingerprint(()),
+        Value::Float64(f) => f.fingerprint(()),
+        Value::Date(d) => d.fingerprint(()),
         Value::Str(s) => FP_STR ^ fnv1a(s.as_bytes()),
     }
 }
@@ -163,14 +375,7 @@ impl Column {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        match self {
-            Column::Int64 { values, .. } => values.len(),
-            Column::Float64 { values, .. } => values.len(),
-            Column::Date { values, .. } => values.len(),
-            Column::Bool { values, .. } => values.len(),
-            Column::Str { codes, .. } => codes.len(),
-            Column::Any { values } => values.len(),
-        }
+        by_layout!(self, (cells, _with) => cells.valid.len(), values => values.len())
     }
 
     /// True when the column holds no rows.
@@ -178,120 +383,33 @@ impl Column {
         self.len() == 0
     }
 
+    /// The type of the column's non-NULL cells; `None` when mixed.
+    pub fn data_type(&self) -> Option<DataType> {
+        fn type_of<T: Cell>(_: &Cells<T>) -> DataType {
+            T::TYPE
+        }
+        by_layout!(self, (cells, _with) => Some(type_of(cells)), _values => None)
+    }
+
     /// The value at row `i` (clones are cheap: strings share their
     /// dictionary entry's `Arc`).
     pub fn get(&self, i: usize) -> Value {
-        match self {
-            Column::Int64 { values, valid } => {
-                if valid[i] {
-                    Value::Int64(values[i])
-                } else {
-                    Value::Null
-                }
-            }
-            Column::Float64 { values, valid } => {
-                if valid[i] {
-                    Value::Float64(values[i])
-                } else {
-                    Value::Null
-                }
-            }
-            Column::Date { values, valid } => {
-                if valid[i] {
-                    Value::Date(values[i])
-                } else {
-                    Value::Null
-                }
-            }
-            Column::Bool { values, valid } => {
-                if valid[i] {
-                    Value::Bool(values[i])
-                } else {
-                    Value::Null
-                }
-            }
-            Column::Str {
-                dict, codes, valid, ..
-            } => {
-                if valid[i] {
-                    Value::Str(Arc::clone(&dict[codes[i] as usize]))
-                } else {
-                    Value::Null
-                }
-            }
-            Column::Any { values } => values[i].clone(),
-        }
+        by_layout!(self,
+            (cells, with) => cells.get(i).map_or(Value::Null, |c| c.value(with)),
+            values => values[i].clone())
     }
 
     /// True when row `i` is NULL.
     pub fn is_null(&self, i: usize) -> bool {
-        match self {
-            Column::Int64 { valid, .. }
-            | Column::Float64 { valid, .. }
-            | Column::Date { valid, .. }
-            | Column::Bool { valid, .. }
-            | Column::Str { valid, .. } => !valid[i],
-            Column::Any { values } => values[i].is_null(),
-        }
-    }
-
-    /// Fingerprint of row `i`, consistent with [`value_fingerprint`] on
-    /// [`Column::get`]'s result (string hashes come precomputed from the
-    /// dictionary). The per-row reference the tests hold the vectorized
-    /// fold to.
-    #[cfg(test)]
-    fn fingerprint_at(&self, i: usize) -> u64 {
-        match self {
-            Column::Int64 { values, valid } => {
-                if valid[i] {
-                    FP_NUM ^ (values[i] as f64).to_bits()
-                } else {
-                    FP_NULL
-                }
-            }
-            Column::Float64 { values, valid } => {
-                if valid[i] {
-                    FP_NUM ^ values[i].to_bits()
-                } else {
-                    FP_NULL
-                }
-            }
-            Column::Date { values, valid } => {
-                if valid[i] {
-                    FP_DATE ^ (values[i] as i64 as u64)
-                } else {
-                    FP_NULL
-                }
-            }
-            Column::Bool { values, valid } => {
-                if valid[i] {
-                    FP_BOOL ^ (values[i] as u64)
-                } else {
-                    FP_NULL
-                }
-            }
-            Column::Str {
-                hashes,
-                codes,
-                valid,
-                ..
-            } => {
-                if valid[i] {
-                    FP_STR ^ hashes[codes[i] as usize]
-                } else {
-                    FP_NULL
-                }
-            }
-            Column::Any { values } => value_fingerprint(&values[i]),
-        }
+        by_layout!(self, (cells, _with) => !cells.valid[i], values => values[i].is_null())
     }
 
     /// Fold this column into the running key fingerprints `h` of the rows
     /// `sel` (physical indices, in order; `None` = every row): `h[k]`
-    /// takes the fingerprint of row `sel[k]`. A NULL mixes `FP_NULL` —
-    /// grouping counts NULL as a key value — and clears `live[k]`, which
-    /// is how a join learns to skip the row. The variant dispatch runs
-    /// once per column, not once per cell.
+    /// takes the fingerprint of row `sel[k]`, consistent with
+    /// [`value_fingerprint`] on [`Column::get`]'s result. A NULL mixes
+    /// `FP_NULL` — grouping counts NULL as a key value — and clears
+    /// `live[k]`, which is how a join learns to skip the row.
     fn fold_key_fingerprints(&self, sel: Option<&[u32]>, h: &mut [u64], live: &mut [bool]) {
         // `value_at(i)`: the fingerprint of physical row `i`, `None` on NULL.
         fn fold(
@@ -306,135 +424,45 @@ impl Column {
                 h[k] = mix_fingerprint(h[k], v.unwrap_or(FP_NULL));
             }
         }
-        match self {
-            Column::Int64 { values, valid } => fold(sel, h, live, |i| {
-                valid[i].then(|| FP_NUM ^ (values[i] as f64).to_bits())
-            }),
-            Column::Float64 { values, valid } => fold(sel, h, live, |i| {
-                valid[i].then(|| FP_NUM ^ values[i].to_bits())
-            }),
-            Column::Date { values, valid } => fold(sel, h, live, |i| {
-                valid[i].then(|| FP_DATE ^ (values[i] as i64 as u64))
-            }),
-            Column::Bool { values, valid } => fold(sel, h, live, |i| {
-                valid[i].then(|| FP_BOOL ^ (values[i] as u64))
-            }),
-            Column::Str {
-                hashes,
-                codes,
-                valid,
-                ..
-            } => fold(sel, h, live, |i| {
-                valid[i].then(|| FP_STR ^ hashes[codes[i] as usize])
-            }),
-            Column::Any { values } => fold(sel, h, live, |i| {
-                (!values[i].is_null()).then(|| value_fingerprint(&values[i]))
-            }),
-        }
+        by_layout!(self,
+        (cells, with) => fold(sel, h, live, |i| cells.get(i).map(|c| c.fingerprint(with))),
+        values => fold(sel, h, live, |i| {
+            (!values[i].is_null()).then(|| value_fingerprint(&values[i]))
+        }))
     }
 
     /// Push the values of rows `offset..offset + rows.len()` onto `rows`
     /// (one value per row, in row order) — the column-wise leg of
-    /// [`ColumnarBatch::to_row_vec`], with the variant dispatch hoisted
-    /// out of the per-cell loop.
+    /// [`ColumnarBatch::to_row_vec`].
     pub fn append_rows(&self, offset: usize, rows: &mut [Row]) {
-        // One typed pass: `value` wraps a non-NULL cell.
-        fn fill<T: Copy>(
-            rows: &mut [Row],
-            cells: &[T],
-            valid: &[bool],
-            value: impl Fn(T) -> Value,
-        ) {
-            for ((row, &cell), &ok) in rows.iter_mut().zip(cells).zip(valid) {
-                row.push(if ok { value(cell) } else { Value::Null });
-            }
-        }
         let range = offset..offset + rows.len();
-        match self {
-            Column::Int64 { values, valid } => {
-                fill(rows, &values[range.clone()], &valid[range], Value::Int64)
-            }
-            Column::Float64 { values, valid } => {
-                fill(rows, &values[range.clone()], &valid[range], Value::Float64)
-            }
-            Column::Date { values, valid } => {
-                fill(rows, &values[range.clone()], &valid[range], Value::Date)
-            }
-            Column::Bool { values, valid } => {
-                fill(rows, &values[range.clone()], &valid[range], Value::Bool)
-            }
-            Column::Str {
-                dict, codes, valid, ..
-            } => fill(rows, &codes[range.clone()], &valid[range], |code| {
-                Value::Str(Arc::clone(&dict[code as usize]))
-            }),
-            Column::Any { values } => {
-                for (row, v) in rows.iter_mut().zip(&values[range]) {
-                    row.push(v.clone());
-                }
-            }
-        }
+        by_layout!(self,
+        (cells, with) => for (row, cell) in rows.iter_mut().zip(cells.range(range)) {
+            row.push(cell.map_or(Value::Null, |c| c.value(with)));
+        },
+        values => for (row, v) in rows.iter_mut().zip(&values[range]) {
+            row.push(v.clone());
+        })
     }
 
-    /// Exact wire width of row `i` under [`Value::estimated_exact_width`].
-    pub fn encoded_width(&self, i: usize) -> usize {
-        match self {
-            Column::Int64 { valid, .. } | Column::Float64 { valid, .. } => {
-                if valid[i] {
-                    9
-                } else {
-                    1
-                }
-            }
-            Column::Date { valid, .. } => {
-                if valid[i] {
-                    5
-                } else {
-                    1
-                }
-            }
-            Column::Bool { valid, .. } => {
-                if valid[i] {
-                    2
-                } else {
-                    1
-                }
-            }
-            Column::Str {
-                dict, codes, valid, ..
-            } => {
-                if valid[i] {
-                    5 + dict[codes[i] as usize].len()
-                } else {
-                    1
-                }
-            }
-            Column::Any { values } => values[i].estimated_exact_width(),
-        }
-    }
-
-    /// Sum of [`Column::encoded_width`] over rows `offset..offset + len`,
-    /// computed from column metadata (validity counts and dictionary
-    /// lengths) without visiting a wire encoding or copying the range.
+    /// Exact wire size of rows `offset..offset + len` — the sum of their
+    /// values' [`Value::estimated_exact_width`] — computed from column
+    /// metadata (validity and dictionary lengths) without visiting a wire
+    /// encoding or copying the range.
     pub fn encoded_size(&self, offset: usize, len: usize) -> usize {
-        fn fixed(valid: &[bool], width: usize) -> usize {
-            let non_null = valid.iter().filter(|v| **v).count();
-            non_null * width + (valid.len() - non_null)
+        fn size<T: Cell>(cells: &Cells<T>, rows: Range<usize>, with: T::With<'_>) -> usize {
+            let Some(width) = T::WIDTH else {
+                let width = |cell: Option<T>| cell.map_or(NULL_WIDTH, |c| c.width(with));
+                return cells.range(rows).map(width).sum();
+            };
+            // One width: count the NULLs and read no cell.
+            let nulls = cells.valid[rows.clone()].iter().filter(|ok| !**ok).count();
+            (rows.len() - nulls) * width + nulls * NULL_WIDTH
         }
         let rows = offset..offset + len;
-        match self {
-            Column::Int64 { valid, .. } | Column::Float64 { valid, .. } => fixed(&valid[rows], 9),
-            Column::Date { valid, .. } => fixed(&valid[rows], 5),
-            Column::Bool { valid, .. } => fixed(&valid[rows], 2),
-            Column::Str {
-                dict, codes, valid, ..
-            } => codes[rows.clone()]
-                .iter()
-                .zip(&valid[rows])
-                .map(|(c, ok)| if *ok { 5 + dict[*c as usize].len() } else { 1 })
-                .sum(),
-            Column::Any { values } => values[rows].iter().map(Value::estimated_exact_width).sum(),
-        }
+        by_layout!(self,
+            (cells, with) => size(cells, rows, with),
+            values => values[rows].iter().map(Value::estimated_exact_width).sum())
     }
 
     /// Typed equality between row `i` of this column and row `j` of
@@ -444,297 +472,53 @@ impl Column {
     /// numbers) — but without materializing `Value`s, so join/group key
     /// verification stays allocation-free on typed columns.
     pub fn eq_at(&self, i: usize, other: &Column, j: usize) -> bool {
-        use std::cmp::Ordering;
+        /// Two cells of one type; a NULL equals a NULL only.
+        fn same<T: Cell>(a: Option<T>, wa: T::With<'_>, b: Option<T>, wb: T::With<'_>) -> bool {
+            match (a, b) {
+                (Some(x), Some(y)) => x.same(wa, y, wb),
+                (x, y) => x.is_none() && y.is_none(),
+            }
+        }
+        // Two layouts (`Any` on either side, or types whose values can
+        // never be equal, though their NULLs are): Value equality itself.
+        let mixed = || self.get(i) == other.get(j);
+        let float = |x: i64| x as f64;
         match (self, other) {
-            (
-                Column::Int64 {
-                    values: a,
-                    valid: va,
+            // The one rule that crosses types: an integer is the float it
+            // converts to.
+            (Column::Int64(a), Column::Float64(b)) => same(a.get(i).map(float), (), b.get(j), ()),
+            (Column::Float64(a), Column::Int64(b)) => same(a.get(i), (), b.get(j).map(float), ()),
+            _ => by_layout!(self,
+                (a, with) => match Cell::of(other) {
+                    Some((b, other_with)) => same(a.get(i), with, b.get(j), other_with),
+                    None => mixed(),
                 },
-                Column::Int64 {
-                    values: b,
-                    valid: vb,
-                },
-            ) => {
-                if va[i] && vb[j] {
-                    a[i] == b[j]
-                } else {
-                    va[i] == vb[j]
-                }
-            }
-            (
-                Column::Float64 {
-                    values: a,
-                    valid: va,
-                },
-                Column::Float64 {
-                    values: b,
-                    valid: vb,
-                },
-            ) => {
-                if va[i] && vb[j] {
-                    a[i].total_cmp(&b[j]) == Ordering::Equal
-                } else {
-                    va[i] == vb[j]
-                }
-            }
-            (
-                Column::Int64 {
-                    values: a,
-                    valid: va,
-                },
-                Column::Float64 {
-                    values: b,
-                    valid: vb,
-                },
-            ) => {
-                if va[i] && vb[j] {
-                    (a[i] as f64).total_cmp(&b[j]) == Ordering::Equal
-                } else {
-                    va[i] == vb[j]
-                }
-            }
-            (
-                Column::Float64 {
-                    values: a,
-                    valid: va,
-                },
-                Column::Int64 {
-                    values: b,
-                    valid: vb,
-                },
-            ) => {
-                if va[i] && vb[j] {
-                    a[i].total_cmp(&(b[j] as f64)) == Ordering::Equal
-                } else {
-                    va[i] == vb[j]
-                }
-            }
-            (
-                Column::Date {
-                    values: a,
-                    valid: va,
-                },
-                Column::Date {
-                    values: b,
-                    valid: vb,
-                },
-            ) => {
-                if va[i] && vb[j] {
-                    a[i] == b[j]
-                } else {
-                    va[i] == vb[j]
-                }
-            }
-            (
-                Column::Bool {
-                    values: a,
-                    valid: va,
-                },
-                Column::Bool {
-                    values: b,
-                    valid: vb,
-                },
-            ) => {
-                if va[i] && vb[j] {
-                    a[i] == b[j]
-                } else {
-                    va[i] == vb[j]
-                }
-            }
-            (
-                Column::Str {
-                    dict: da,
-                    hashes: ha,
-                    codes: ca,
-                    valid: va,
-                },
-                Column::Str {
-                    dict: db,
-                    hashes: hb,
-                    codes: cb,
-                    valid: vb,
-                },
-            ) => {
-                if va[i] && vb[j] {
-                    let (x, y) = (ca[i] as usize, cb[j] as usize);
-                    if Arc::ptr_eq(da, db) {
-                        // Interned dictionary: same code ⇔ same string.
-                        x == y
-                    } else {
-                        ha[x] == hb[y] && da[x] == db[y]
-                    }
-                } else {
-                    va[i] == vb[j]
-                }
-            }
-            // Mixed layouts (Any on either side, or typed kinds whose
-            // non-null values can never be equal): NULLs still compare
-            // equal to each other; otherwise defer to Value equality.
-            (a, b) => {
-                let (na, nb) = (a.is_null(i), b.is_null(j));
-                if na || nb {
-                    na && nb
-                } else {
-                    a.get(i) == b.get(j)
-                }
-            }
+                _values => mixed()),
         }
     }
 
     /// Gather the rows at `indices` (in order) into a new column.
     pub fn gather(&self, indices: &[u32]) -> Column {
-        match self {
-            Column::Int64 { values, valid } => Column::Int64 {
-                values: indices.iter().map(|&i| values[i as usize]).collect(),
-                valid: indices.iter().map(|&i| valid[i as usize]).collect(),
-            },
-            Column::Float64 { values, valid } => Column::Float64 {
-                values: indices.iter().map(|&i| values[i as usize]).collect(),
-                valid: indices.iter().map(|&i| valid[i as usize]).collect(),
-            },
-            Column::Date { values, valid } => Column::Date {
-                values: indices.iter().map(|&i| values[i as usize]).collect(),
-                valid: indices.iter().map(|&i| valid[i as usize]).collect(),
-            },
-            Column::Bool { values, valid } => Column::Bool {
-                values: indices.iter().map(|&i| values[i as usize]).collect(),
-                valid: indices.iter().map(|&i| valid[i as usize]).collect(),
-            },
-            Column::Str {
-                dict,
-                hashes,
-                codes,
-                valid,
-            } => Column::Str {
-                dict: Arc::clone(dict),
-                hashes: Arc::clone(hashes),
-                codes: indices.iter().map(|&i| codes[i as usize]).collect(),
-                valid: indices.iter().map(|&i| valid[i as usize]).collect(),
-            },
-            Column::Any { values } => Column::Any {
-                values: indices
-                    .iter()
-                    .map(|&i| values[i as usize].clone())
-                    .collect(),
-            },
-        }
+        by_layout!(self,
+        (cells, with) => Cell::column(cells.gather(indices), with),
+        values => Column::Any {
+            values: indices.iter().map(|&i| values[i as usize].clone()).collect(),
+        })
     }
 
     /// Concatenate columns end to end. Homogeneous typed inputs stay
     /// typed (string dictionaries are merged with code remapping); mixed
     /// inputs fall back to [`Column::Any`].
     pub fn concat(parts: &[&Column]) -> Column {
-        use std::mem::discriminant;
-        if parts.is_empty() {
-            return Column::Any { values: Vec::new() };
-        }
-        let homogeneous = parts
-            .iter()
-            .all(|c| discriminant(*c) == discriminant(parts[0]));
-        if !homogeneous {
-            let values = parts
+        let typed = parts.split_first().and_then(|(first, rest)| {
+            by_layout!(first, (cells, with) => Cell::concat(cells, with, rest), _values => None)
+        });
+        typed.unwrap_or_else(|| Column::Any {
+            values: parts
                 .iter()
                 .flat_map(|c| (0..c.len()).map(|i| c.get(i)))
-                .collect();
-            return Column::Any { values };
-        }
-        match parts[0] {
-            Column::Int64 { .. } => {
-                let (mut values, mut valid) = (Vec::new(), Vec::new());
-                for p in parts {
-                    if let Column::Int64 {
-                        values: v,
-                        valid: k,
-                    } = p
-                    {
-                        values.extend_from_slice(v);
-                        valid.extend_from_slice(k);
-                    }
-                }
-                Column::Int64 { values, valid }
-            }
-            Column::Float64 { .. } => {
-                let (mut values, mut valid) = (Vec::new(), Vec::new());
-                for p in parts {
-                    if let Column::Float64 {
-                        values: v,
-                        valid: k,
-                    } = p
-                    {
-                        values.extend_from_slice(v);
-                        valid.extend_from_slice(k);
-                    }
-                }
-                Column::Float64 { values, valid }
-            }
-            Column::Date { .. } => {
-                let (mut values, mut valid) = (Vec::new(), Vec::new());
-                for p in parts {
-                    if let Column::Date {
-                        values: v,
-                        valid: k,
-                    } = p
-                    {
-                        values.extend_from_slice(v);
-                        valid.extend_from_slice(k);
-                    }
-                }
-                Column::Date { values, valid }
-            }
-            Column::Bool { .. } => {
-                let (mut values, mut valid) = (Vec::new(), Vec::new());
-                for p in parts {
-                    if let Column::Bool {
-                        values: v,
-                        valid: k,
-                    } = p
-                    {
-                        values.extend_from_slice(v);
-                        valid.extend_from_slice(k);
-                    }
-                }
-                Column::Bool { values, valid }
-            }
-            Column::Str { .. } => {
-                let mut merged = Dictionary::default();
-                let (mut codes, mut valid) = (Vec::new(), Vec::new());
-                for p in parts {
-                    if let Column::Str {
-                        dict: d,
-                        hashes: h,
-                        codes: c,
-                        valid: k,
-                    } = p
-                    {
-                        // Remap this part's codes into the merged dictionary.
-                        let remap: Vec<u32> = d
-                            .iter()
-                            .zip(h.iter())
-                            .map(|(s, &hash)| merged.code_of(hash, s, || Arc::clone(s)))
-                            .collect();
-                        codes.extend(c.iter().map(|&code| remap[code as usize]));
-                        valid.extend_from_slice(k);
-                    }
-                }
-                let (dict, hashes) = merged.finish();
-                Column::Str {
-                    dict,
-                    hashes,
-                    codes,
-                    valid,
-                }
-            }
-            Column::Any { .. } => {
-                let mut values = Vec::new();
-                for p in parts {
-                    if let Column::Any { values: v } = p {
-                        values.extend(v.iter().cloned());
-                    }
-                }
-                Column::Any { values }
-            }
-        }
+                .collect(),
+        })
     }
 }
 
@@ -987,17 +771,6 @@ impl ColumnarBatch {
         ColumnarBatch { len, columns }
     }
 
-    /// Combined fingerprint of the key columns `key_cols` at row `i`:
-    /// the per-row reference for [`ColumnarBatch::key_fingerprints`].
-    #[cfg(test)]
-    fn key_fingerprint(&self, key_cols: &[usize], i: usize) -> u64 {
-        let mut h = FNV_OFFSET;
-        for &c in key_cols {
-            h = mix_fingerprint(h, self.column(c).fingerprint_at(i));
-        }
-        h
-    }
-
     /// Key fingerprints of the rows `sel` (physical indices, in order;
     /// `None` = every row) over the key columns `key_cols`, plus a
     /// liveness mask, both indexed by position in `sel`. Equal key
@@ -1119,6 +892,12 @@ mod tests {
     /// Every layout in one batch: the five typed ones with NULLs (float
     /// NaN and -0.0 included), an `Any` column, and an all-NULL column.
     fn every_layout() -> ColumnarBatch {
+        let batch = ColumnarBatch::from_rows(&every_layout_rows(), 7);
+        assert!(matches!(batch.column(5), Column::Any { .. }));
+        batch
+    }
+
+    fn every_layout_rows() -> Vec<Row> {
         let mut rows = mixed_rows();
         rows.push(vec![
             Value::Int64(1),
@@ -1146,9 +925,102 @@ mod tests {
             row.push(v);
             row.push(Value::Null);
         }
-        let batch = ColumnarBatch::from_rows(&rows, 7);
-        assert!(matches!(batch.column(5), Column::Any { .. }));
-        batch
+        rows
+    }
+
+    /// [`every_layout`]'s columns beside the values they were built from,
+    /// plus its strings twice more: gathered (the source's dictionary,
+    /// shared) and rebuilt back to front (an equal dictionary of its own,
+    /// in another order).
+    fn every_layout_columns() -> Vec<(Column, Vec<Value>)> {
+        let (batch, rows) = (every_layout(), every_layout_rows());
+        let values = |j: usize| rows.iter().map(|r| r[j].clone()).collect::<Vec<_>>();
+        let mut columns: Vec<(Column, Vec<Value>)> = (0..batch.arity())
+            .map(|j| (batch.column(j).clone(), values(j)))
+            .collect();
+        let back_to_front: Vec<u32> = (0..rows.len() as u32).rev().collect();
+        let reversed: Vec<Value> = values(1).into_iter().rev().collect();
+        columns.push((batch.column(1).gather(&back_to_front), reversed.clone()));
+        columns.push((Column::from_values(reversed.clone()), reversed));
+        columns
+    }
+
+    /// The per-row reference for [`ColumnarBatch::key_fingerprints`]: the
+    /// fold of [`value_fingerprint`] over the key columns' values.
+    fn key_fingerprint(batch: &ColumnarBatch, key_cols: &[usize], i: usize) -> u64 {
+        let values = key_cols.iter().map(|&c| batch.get(i, c));
+        values.fold(FNV_OFFSET, |h, v| mix_fingerprint(h, value_fingerprint(&v)))
+    }
+
+    #[test]
+    fn every_layout_reads_as_the_values_it_was_built_from() {
+        fn layout(column: &Column) -> &'static str {
+            match column {
+                Column::Int64(_) => "Int64",
+                Column::Float64(_) => "Float64",
+                Column::Date(_) => "Date",
+                Column::Bool(_) => "Bool",
+                Column::Str { .. } => "Str",
+                Column::Any { .. } => "Any",
+            }
+        }
+        // Bit-exact, NaN included: values, and a column's cells, on the wire.
+        let wire = |values: &[Value]| encoded(values.iter().map(|v| vec![v.clone()]).collect());
+        let read = |c: &Column| wire(&(0..c.len()).map(|i| c.get(i)).collect::<Vec<_>>());
+        let columns = every_layout_columns();
+        let layouts: Vec<&str> = columns.iter().map(|(c, _)| layout(c)).collect();
+        let expected = [
+            "Int64", "Str", "Float64", "Date", "Bool", "Any", "Int64", "Str", "Str",
+        ];
+        assert_eq!(layouts, expected);
+        for (column, values) in &columns {
+            let n = values.len();
+            assert_eq!(read(column), wire(values), "{column:?}");
+            assert!(
+                (0..n).all(|i| column.is_null(i) == values[i].is_null()),
+                "{column:?}"
+            );
+            // All NULL is laid out as integers; mixed has no type.
+            let sniffed = values.iter().find_map(Value::data_type);
+            let typed = (layout(column) != "Any").then(|| sniffed.unwrap_or(DataType::Int64));
+            assert_eq!(column.data_type(), typed);
+
+            for positions in position_lists() {
+                let gathered = column.gather(&positions);
+                let want: Vec<Value> = positions
+                    .iter()
+                    .map(|&p| values[p as usize].clone())
+                    .collect();
+                assert_eq!(
+                    read(&gathered),
+                    wire(&want),
+                    "gather {positions:?} of {column:?}"
+                );
+                assert_eq!(layout(&gathered), layout(column));
+            }
+
+            for offset in 0..=n {
+                for len in 0..=n - offset {
+                    // The column's share of the encoding: all but the header.
+                    let want = wire(&values[offset..offset + len]);
+                    let size = column.encoded_size(offset, len);
+                    assert_eq!(size + 8, want.len(), "{offset}.. {len} of {column:?}");
+                    let mut rows = vec![Row::new(); len];
+                    column.append_rows(offset, &mut rows);
+                    assert_eq!(encoded(rows), want, "{offset}.. {len} of {column:?}");
+                }
+            }
+
+            // End to end with a column of its own layout, and of another.
+            for (other, other_values) in &columns {
+                let joined = Column::concat(&[column, other, column]);
+                let want = [&values[..], other_values, values].concat();
+                assert_eq!(read(&joined), wire(&want), "{column:?} ++ {other:?}");
+                let kept = layout(column) == layout(other);
+                let want = if kept { layout(column) } else { "Any" };
+                assert_eq!(layout(&joined), want, "{column:?} ++ {other:?}");
+            }
+        }
     }
 
     /// Bit-exact row comparison (NaN included): through the wire encoding.
@@ -1428,18 +1300,24 @@ mod tests {
             Value::Bool(true),
             Value::Date(42),
         ];
-        let any = Column::Any {
-            values: vals.clone(),
+        let folded = |column: Column| {
+            ColumnarBatch::from_columns(vec![column])
+                .key_fingerprints(&[0], None)
+                .0
         };
+        let scalar = |v: &Value| mix_fingerprint(FNV_OFFSET, value_fingerprint(v));
+        let any = folded(Column::Any {
+            values: vals.clone(),
+        });
         for (i, v) in vals.iter().enumerate() {
-            assert_eq!(any.fingerprint_at(i), value_fingerprint(v));
+            assert_eq!(any[i], scalar(v));
         }
-        let ints = Column::from_values(vec![Value::Int64(42), Value::Null]);
-        assert_eq!(ints.fingerprint_at(0), value_fingerprint(&Value::Int64(42)));
-        assert_eq!(ints.fingerprint_at(1), value_fingerprint(&Value::Null));
-        let strs = Column::from_values(vec![Value::str("k"), Value::str("k")]);
-        assert_eq!(strs.fingerprint_at(0), value_fingerprint(&Value::str("k")));
-        assert_eq!(strs.fingerprint_at(0), strs.fingerprint_at(1));
+        let ints = folded(Column::from_values(vec![Value::Int64(42), Value::Null]));
+        assert_eq!(ints[0], scalar(&Value::Int64(42)));
+        assert_eq!(ints[1], scalar(&Value::Null));
+        let strs = folded(Column::from_values(vec![Value::str("k"), Value::str("k")]));
+        assert_eq!(strs[0], scalar(&Value::str("k")));
+        assert_eq!(strs[0], strs[1]);
     }
 
     #[test]
@@ -1449,9 +1327,9 @@ mod tests {
             vec![Value::Int64(2), Value::Int64(1)],
             vec![Value::Int64(1), Value::Int64(2)],
         ];
-        let b = ColumnarBatch::from_rows(&rows, 2);
-        assert_eq!(b.key_fingerprint(&[0, 1], 0), b.key_fingerprint(&[0, 1], 2));
-        assert_ne!(b.key_fingerprint(&[0, 1], 0), b.key_fingerprint(&[0, 1], 1));
+        let (fps, _) = ColumnarBatch::from_rows(&rows, 2).key_fingerprints(&[0, 1], None);
+        assert_eq!(fps[0], fps[2]);
+        assert_ne!(fps[0], fps[1]);
     }
 
     #[test]
@@ -1464,9 +1342,14 @@ mod tests {
                 })
                 .collect(),
         );
+        let columns = every_layout_columns().into_iter().map(|(c, _)| c);
+        let every = ColumnarBatch::from_columns(columns.collect());
         let selections: [Option<&[u32]>; 3] = [None, Some(&[3, 0, 3, 2]), Some(&[])];
-        for batch in [&typed, &any] {
-            for key in [&[0usize][..], &[1, 3], &[4, 2, 0], &[]] {
+        for batch in [&typed, &any, &every] {
+            for key in [&[0usize][..], &[1, 3], &[4, 2, 0], &[], &[8, 5, 6, 7]] {
+                if key.iter().any(|&c| c >= batch.arity()) {
+                    continue;
+                }
                 for sel in selections {
                     let (fps, live) = batch.key_fingerprints(key, sel);
                     let rows: Vec<usize> = match sel {
@@ -1476,7 +1359,7 @@ mod tests {
                     assert_eq!((fps.len(), live.len()), (rows.len(), rows.len()));
                     for (k, &i) in rows.iter().enumerate() {
                         // NULL rows too: grouping keys on them.
-                        assert_eq!(fps[k], batch.key_fingerprint(key, i), "{key:?} row {i}");
+                        assert_eq!(fps[k], key_fingerprint(batch, key, i), "{key:?} row {i}");
                         let null = key.iter().any(|&c| batch.column(c).is_null(i));
                         assert_eq!(live[k], !null, "{key:?} row {i}");
                     }
@@ -1523,8 +1406,10 @@ mod tests {
             Column::from_values(vec![Value::Bool(true), Value::Bool(false), Value::Null]),
             Column::from_values(vec![Value::str("k"), Value::str("m"), Value::Null]),
         ];
+        let every = every_layout_columns();
         let mut cols: Vec<&Column> = vec![&any];
         cols.extend(typed.iter());
+        cols.extend(every.iter().map(|(c, _)| c));
         for a in &cols {
             for b in &cols {
                 for i in 0..a.len() {

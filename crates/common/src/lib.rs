@@ -31,7 +31,7 @@ pub mod value;
 
 pub use builder::ColumnarBuilder;
 pub use churn::{CatalogPin, ChurnEvent, ChurnSignal, ChurnWatch, StaleGuard};
-pub use columnar::{Column, ColumnarBatch, SelectionVector, SharedColumn};
+pub use columnar::{Cells, Column, ColumnarBatch, SelectionVector, SharedColumn};
 pub use control::{CancelToken, QueryDeadline, RunControl};
 pub use error::{ChurnAbort, GeoError, Result, StaleReplica, Unavailable};
 pub use location::{Location, LocationPattern, LocationSet};

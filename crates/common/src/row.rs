@@ -1,6 +1,6 @@
 //! Rows and row batches.
 
-use crate::columnar::ColumnarBatch;
+use crate::columnar::{str_width, Cell, ColumnarBatch, NULL_WIDTH};
 use crate::value::Value;
 use std::sync::{Arc, OnceLock};
 
@@ -200,11 +200,12 @@ impl Value {
     /// Exact width of this value under the wire encoding (tag byte included).
     pub fn estimated_exact_width(&self) -> usize {
         match self {
-            Value::Null => 1,
-            Value::Bool(_) => 2,
-            Value::Int64(_) | Value::Float64(_) => 9,
-            Value::Date(_) => 5,
-            Value::Str(s) => 5 + s.len(),
+            Value::Null => NULL_WIDTH,
+            Value::Bool(b) => b.width(()),
+            Value::Int64(i) => i.width(()),
+            Value::Float64(f) => f.width(()),
+            Value::Date(d) => d.width(()),
+            Value::Str(s) => str_width(s),
         }
     }
 }

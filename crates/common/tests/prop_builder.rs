@@ -5,7 +5,7 @@
 //! collecting the column's `Value`s first and sniffing them in a second
 //! pass gave — and typed appends must build what `Value` appends build.
 
-use geoqp_common::{Column, ColumnarBatch, ColumnarBuilder, Row, Value};
+use geoqp_common::{Cells, Column, ColumnarBatch, ColumnarBuilder, Row, Value};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -64,28 +64,28 @@ fn from_values_two_pass(values: Vec<Value>) -> Column {
                 Value::Int64(i) => Some(*i),
                 _ => None,
             });
-            Column::Int64 { values, valid }
+            Column::Int64(Cells { values, valid })
         }
         Some(Kind::Float) => {
             let (values, valid) = fixed(&values, |v| match v {
                 Value::Float64(f) => Some(*f),
                 _ => None,
             });
-            Column::Float64 { values, valid }
+            Column::Float64(Cells { values, valid })
         }
         Some(Kind::Date) => {
             let (values, valid) = fixed(&values, |v| match v {
                 Value::Date(d) => Some(*d),
                 _ => None,
             });
-            Column::Date { values, valid }
+            Column::Date(Cells { values, valid })
         }
         Some(Kind::Bool) => {
             let (values, valid) = fixed(&values, |v| match v {
                 Value::Bool(b) => Some(*b),
                 _ => None,
             });
-            Column::Bool { values, valid }
+            Column::Bool(Cells { values, valid })
         }
         Some(Kind::Str) => {
             let mut dict: Vec<Arc<str>> = Vec::new();
@@ -112,8 +112,10 @@ fn from_values_two_pass(values: Vec<Value>) -> Column {
             Column::Str {
                 dict: Arc::new(dict),
                 hashes: Arc::new(hashes),
-                codes,
-                valid,
+                codes: Cells {
+                    values: codes,
+                    valid,
+                },
             }
         }
     }

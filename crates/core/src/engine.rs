@@ -190,7 +190,7 @@ pub struct QueryOutcome {
 
 /// Everything [`Engine::run`] can be told about *how* to execute a
 /// located plan. The default is the plain run: one attempt on the
-/// sequential row interpreter, no faults, nothing retained.
+/// sequential columnar interpreter, no faults, nothing retained.
 #[derive(Debug, Clone, Default)]
 pub struct ExecOptions<'a> {
     /// Fault injection: every transfer and leaf read consults this plan.
@@ -230,8 +230,9 @@ pub struct ExecOptions<'a> {
     /// shipped bytes, and total network cost are identical; simulated
     /// completion is the critical path instead of the sum.
     pub pipelined: bool,
-    /// Engine and exchange configuration. `columnar` selects the
-    /// vectorized engine on either runtime; the rest applies to the
+    /// Engine and exchange configuration. `columnar` (the default)
+    /// selects the vectorized engine on either runtime, `false` the row
+    /// interpreter tests keep as their oracle; the rest applies to the
     /// pipelined runtime only. None of it changes rows, bytes, transfer
     /// logs, or fault replay.
     pub runtime: RuntimeConfig,

@@ -40,8 +40,8 @@
 use crate::aggregate::{Accumulator, BoundAgg};
 use crate::executor::{sort_group_keys, DataSource, ExchangeSource, NoExchange, ShipHandler};
 use crate::keyed::{KeyEq, KeyIndex};
-use crate::parallel::{first_error, morsel_bounds, parallel_map, MorselRunner, SERIAL};
-use geoqp_common::{Column, ColumnarBatch, DataType, Result, Rows, SharedColumn, Value};
+use crate::parallel::{first_error, morsels, parallel_map, MorselRunner, SERIAL};
+use geoqp_common::{Cells, Column, ColumnarBatch, DataType, Result, Rows, SharedColumn, Value};
 use geoqp_expr::{apply_cmp, as_tv, bind, BinaryOp, BoundExpr, UnaryOp};
 use geoqp_plan::{PhysOp, PhysicalPlan, SortKey};
 use std::borrow::Cow;
@@ -137,8 +137,8 @@ fn filter_indices_morsel(
     b: &ColumnarBatch,
     idx: &[u32],
 ) -> Result<Vec<u32>> {
-    let bounds = morsel_bounds(idx.len(), runner.morsel_rows());
-    if runner.workers() <= 1 || bounds.len() <= 1 {
+    let bounds = morsels(runner, idx.len());
+    if bounds.len() <= 1 {
         return filter_indices(predicate, b, idx);
     }
     let parts = parallel_map(runner, bounds.len(), |m| {
@@ -176,8 +176,8 @@ fn eval_column_morsel(
     b: &ColumnarBatch,
     sel: Option<&[u32]>,
 ) -> Result<Column> {
-    let bounds = morsel_bounds(n_selected(b, sel), runner.morsel_rows());
-    if runner.workers() <= 1 || bounds.len() <= 1 || matches!(e, BoundExpr::Literal(_)) {
+    let bounds = morsels(runner, n_selected(b, sel));
+    if bounds.len() <= 1 || matches!(e, BoundExpr::Literal(_)) {
         return eval_column(e, b, sel);
     }
     if let Some(column) = arith_column(e, b, sel) {
@@ -360,34 +360,11 @@ fn eval_scalar_rows(
 /// (NULL), one entry per index.
 type Mask = Vec<Option<bool>>;
 
-/// Broad type class used to prove a comparison cannot error: `sql_cmp`
-/// only returns `None` (→ "incomparable" error) across classes.
-#[derive(PartialEq, Clone, Copy)]
-enum Class {
-    Num,
-    Date,
-    Str,
-    Bool,
-}
-
-fn column_class(c: &Column) -> Option<Class> {
-    match c {
-        Column::Int64 { .. } | Column::Float64 { .. } => Some(Class::Num),
-        Column::Date { .. } => Some(Class::Date),
-        Column::Str { .. } => Some(Class::Str),
-        Column::Bool { .. } => Some(Class::Bool),
-        Column::Any { .. } => None,
-    }
-}
-
-fn value_class(v: &Value) -> Option<Class> {
-    match v {
-        Value::Int64(_) | Value::Float64(_) => Some(Class::Num),
-        Value::Date(_) => Some(Class::Date),
-        Value::Str(_) => Some(Class::Str),
-        Value::Bool(_) => Some(Class::Bool),
-        Value::Null => None,
-    }
+/// Can `sql_cmp` order values of these two types? It only returns
+/// `None` (→ "incomparable" error) when it cannot; a mixed column or a
+/// NULL literal (no type) proves nothing.
+fn comparable(a: Option<DataType>, b: Option<DataType>) -> bool {
+    matches!((a, b), (Some(a), Some(b)) if a.comparable_with(b))
 }
 
 /// One comparison operand: a typed column or a literal.
@@ -428,34 +405,24 @@ fn fast_mask(e: &BoundExpr, b: &ColumnarBatch, idx: &[u32]) -> Option<Mask> {
             let m = fast_mask(expr, b, idx)?;
             Some(m.into_iter().map(|t| t.map(|x| !x)).collect())
         }
-        BoundExpr::IsNull { expr, negated } => {
-            if let BoundExpr::Column(c) = expr.as_ref() {
-                if *c < b.arity() {
-                    let col = b.column(*c);
-                    return Some(
-                        idx.iter()
-                            .map(|&i| Some(col.is_null(i as usize) != *negated))
-                            .collect(),
-                    );
-                }
-            }
-            None
-        }
+        BoundExpr::IsNull { expr, negated } => match operand(expr, b)? {
+            Operand::Col(col) => Some(
+                idx.iter()
+                    .map(|&i| Some(col.is_null(i as usize) != *negated))
+                    .collect(),
+            ),
+            Operand::Lit(_) => None,
+        },
         BoundExpr::InList {
             expr,
             list,
             negated,
-        } => {
+        } => match operand(expr, b)? {
             // `IN` over constants never errors (incomparable candidates
             // simply don't match), so any column shape is fair game.
-            if let BoundExpr::Column(c) = expr.as_ref() {
-                if *c < b.arity() {
-                    let col = b.column(*c);
-                    return Some(in_list_mask(col, list, *negated, idx));
-                }
-            }
-            None
-        }
+            Operand::Col(col) => Some(in_list_mask(col, list, *negated, idx)),
+            Operand::Lit(_) => None,
+        },
         BoundExpr::Between {
             expr,
             low,
@@ -496,37 +463,15 @@ fn fast_mask(e: &BoundExpr, b: &ColumnarBatch, idx: &[u32]) -> Option<Mask> {
             expr,
             pattern,
             negated,
-        } => {
+        } => match operand(expr, b)? {
             // Only string-typed columns are provably error-free (LIKE on
             // a non-string value is a runtime error in the row engine).
-            if let BoundExpr::Column(c) = expr.as_ref() {
-                if *c < b.arity() {
-                    if let Column::Str {
-                        dict, codes, valid, ..
-                    } = b.column(*c)
-                    {
-                        // Match each distinct dictionary entry once.
-                        let hits: Vec<bool> = dict
-                            .iter()
-                            .map(|s| pattern.matches(s) != *negated)
-                            .collect();
-                        return Some(
-                            idx.iter()
-                                .map(|&i| {
-                                    let i = i as usize;
-                                    if valid[i] {
-                                        Some(hits[codes[i] as usize])
-                                    } else {
-                                        None
-                                    }
-                                })
-                                .collect(),
-                        );
-                    }
-                }
+            Operand::Col(Column::Str { dict, codes, .. }) => {
+                let hit = |s: &Arc<str>| pattern.matches(s) != *negated;
+                Some(dict_mask(dict, codes, idx, hit))
             }
-            None
-        }
+            _ => None,
+        },
         _ => None,
     }
 }
@@ -550,42 +495,29 @@ fn merge_kleene(op: BinaryOp, l: &Mask, r: &Mask) -> Mask {
         .collect()
 }
 
+/// A mask over a string column from one test per distinct dictionary
+/// entry; a NULL row is NULL.
+fn dict_mask(
+    dict: &[Arc<str>],
+    codes: &Cells<u32>,
+    idx: &[u32],
+    hit: impl Fn(&Arc<str>) -> bool,
+) -> Mask {
+    let hits: Vec<bool> = dict.iter().map(hit).collect();
+    let row = |&i: &u32| codes.get(i as usize).map(|code| hits[code as usize]);
+    idx.iter().map(row).collect()
+}
+
 fn in_list_mask(col: &Column, list: &[Value], negated: bool, idx: &[u32]) -> Mask {
-    if let Column::Str {
-        dict, codes, valid, ..
-    } = col
-    {
-        // Evaluate membership once per distinct dictionary entry.
-        let hits: Vec<bool> = dict
-            .iter()
-            .map(|s| {
-                let v = Value::Str(Arc::clone(s));
-                let found = list.iter().any(|c| v.sql_cmp(c) == Some(Ordering::Equal));
-                found != negated
-            })
-            .collect();
-        return idx
-            .iter()
-            .map(|&i| {
-                let i = i as usize;
-                if valid[i] {
-                    Some(hits[codes[i] as usize])
-                } else {
-                    None
-                }
-            })
-            .collect();
+    let listed = |v: &Value| list.iter().any(|c| v.sql_cmp(c) == Some(Ordering::Equal)) != negated;
+    if let Column::Str { dict, codes, .. } = col {
+        return dict_mask(dict, codes, idx, |s| listed(&Value::Str(Arc::clone(s))));
     }
-    idx.iter()
-        .map(|&i| {
-            let v = col.get(i as usize);
-            if v.is_null() {
-                return None;
-            }
-            let found = list.iter().any(|c| v.sql_cmp(c) == Some(Ordering::Equal));
-            Some(found != negated)
-        })
-        .collect()
+    let row = |&i: &u32| {
+        let v = col.get(i as usize);
+        (!v.is_null()).then(|| listed(&v))
+    };
+    idx.iter().map(row).collect()
 }
 
 /// Vectorized comparison of two operands, or `None` when the pair cannot
@@ -598,27 +530,16 @@ fn cmp_mask(op: BinaryOp, lhs: Operand<'_>, rhs: Operand<'_>, idx: &[u32]) -> Op
     }
     match (&lhs, &rhs) {
         (Operand::Lit(a), Operand::Lit(b)) => {
-            let class_a = value_class(a)?;
-            if class_a != value_class(b)? {
+            if !comparable(a.data_type(), b.data_type()) {
                 return None;
             }
             let ord = a.sql_cmp(b)?;
             Some(vec![Some(apply_cmp(op, ord)); idx.len()])
         }
-        (Operand::Col(c), Operand::Lit(v)) => {
-            if column_class(c)? != value_class(v)? {
-                return None;
-            }
-            Some(col_lit_mask(op, c, v, idx, false))
-        }
-        (Operand::Lit(v), Operand::Col(c)) => {
-            if column_class(c)? != value_class(v)? {
-                return None;
-            }
-            Some(col_lit_mask(op, c, v, idx, true))
-        }
+        (Operand::Col(c), Operand::Lit(v)) => col_lit_mask(op, c, v, idx, false),
+        (Operand::Lit(v), Operand::Col(c)) => col_lit_mask(op, c, v, idx, true),
         (Operand::Col(a), Operand::Col(b)) => {
-            if column_class(a)? != column_class(b)? {
+            if !comparable(a.data_type(), b.data_type()) {
                 return None;
             }
             Some(
@@ -637,93 +558,39 @@ fn cmp_mask(op: BinaryOp, lhs: Operand<'_>, rhs: Operand<'_>, idx: &[u32]) -> Op
     }
 }
 
-/// Column-vs-literal comparison with typed fast paths. `flipped` means
-/// the literal is on the left (`lit OP col`), so the ordering reverses.
-fn col_lit_mask(op: BinaryOp, col: &Column, lit: &Value, idx: &[u32], flipped: bool) -> Mask {
-    let orient = |ord: Ordering| if flipped { ord.reverse() } else { ord };
-    match (col, lit) {
-        // Numeric columns vs numeric literal: sql_cmp merges the numeric
-        // domain through f64 total_cmp — mirror that exactly.
-        (Column::Int64 { values, valid }, _) => {
-            let litf = lit.as_f64().expect("numeric class");
-            idx.iter()
-                .map(|&i| {
-                    let i = i as usize;
-                    if !valid[i] {
-                        return None;
-                    }
-                    Some(apply_cmp(op, orient((values[i] as f64).total_cmp(&litf))))
-                })
-                .collect()
-        }
-        (Column::Float64 { values, valid }, _) => {
-            let litf = lit.as_f64().expect("numeric class");
-            idx.iter()
-                .map(|&i| {
-                    let i = i as usize;
-                    if !valid[i] {
-                        return None;
-                    }
-                    Some(apply_cmp(op, orient(values[i].total_cmp(&litf))))
-                })
-                .collect()
-        }
-        (Column::Date { values, valid }, Value::Date(d)) => idx
-            .iter()
-            .map(|&i| {
-                let i = i as usize;
-                if !valid[i] {
-                    return None;
-                }
-                Some(apply_cmp(op, orient(values[i].cmp(d))))
-            })
-            .collect(),
-        (
-            Column::Str {
-                dict, codes, valid, ..
-            },
-            Value::Str(s),
-        ) => {
-            // One comparison per distinct dictionary entry.
-            let hits: Vec<bool> = dict
-                .iter()
-                .map(|e| apply_cmp(op, orient(e.as_ref().cmp(s.as_ref()))))
-                .collect();
-            idx.iter()
-                .map(|&i| {
-                    let i = i as usize;
-                    if valid[i] {
-                        Some(hits[codes[i] as usize])
-                    } else {
-                        None
-                    }
-                })
-                .collect()
-        }
-        (Column::Bool { values, valid }, Value::Bool(x)) => idx
-            .iter()
-            .map(|&i| {
-                let i = i as usize;
-                if !valid[i] {
-                    return None;
-                }
-                Some(apply_cmp(op, orient(values[i].cmp(x))))
-            })
-            .collect(),
-        // Class check upstream makes this unreachable, but fall back to
-        // the generic scalar comparison rather than panic.
-        _ => idx
-            .iter()
-            .map(|&i| {
-                let v = col.get(i as usize);
-                if v.is_null() {
-                    return None;
-                }
-                let ord = v.sql_cmp(lit).expect("same class compares");
-                Some(apply_cmp(op, orient(ord)))
-            })
-            .collect(),
+/// Column-vs-literal comparison, one typed pass per layout: `None` when
+/// the two are not comparable. `flipped` means the literal is on the left
+/// (`lit OP col`), so the ordering reverses.
+fn col_lit_mask(
+    op: BinaryOp,
+    col: &Column,
+    lit: &Value,
+    idx: &[u32],
+    flipped: bool,
+) -> Option<Mask> {
+    let test = |ord: Ordering| apply_cmp(op, if flipped { ord.reverse() } else { ord });
+    // `order` is `sql_cmp` against the literal, for a non-NULL cell.
+    fn mask<T: Copy + Default>(
+        cells: &Cells<T>,
+        idx: &[u32],
+        order: impl Fn(T) -> Ordering,
+        test: impl Fn(Ordering) -> bool,
+    ) -> Mask {
+        let row = |&i: &u32| cells.get(i as usize).map(|cell| test(order(cell)));
+        idx.iter().map(row).collect()
     }
+    // sql_cmp merges the numeric domain through f64 total_cmp.
+    let number = lit.data_type().filter(|t| t.is_numeric()).and(lit.as_f64());
+    Some(match (col, lit, number) {
+        (Column::Int64(cells), _, Some(y)) => mask(cells, idx, |x| (x as f64).total_cmp(&y), test),
+        (Column::Float64(cells), _, Some(y)) => mask(cells, idx, |x| x.total_cmp(&y), test),
+        (Column::Date(cells), Value::Date(d), _) => mask(cells, idx, |x| x.cmp(d), test),
+        (Column::Bool(cells), Value::Bool(b), _) => mask(cells, idx, |x| x.cmp(b), test),
+        (Column::Str { dict, codes, .. }, Value::Str(lit), _) => {
+            dict_mask(dict, codes, idx, |s| test(s.as_ref().cmp(lit.as_ref())))
+        }
+        _ => return None,
+    })
 }
 
 /// Compute the surviving physical row indices for `predicate` over the
@@ -856,21 +723,22 @@ fn eval_column(e: &BoundExpr, b: &ColumnarBatch, sel: Option<&[u32]>) -> Result<
 /// A numeric operand over the selected rows: a typed vector with its
 /// validity, or a literal standing for the same value in every row.
 enum Num<'a> {
-    Ints(Cow<'a, [i64]>, Cow<'a, [bool]>),
-    Floats(Cow<'a, [f64]>, Cow<'a, [bool]>),
+    Ints(Cow<'a, Cells<i64>>),
+    Floats(Cow<'a, Cells<f64>>),
     Int(i64),
     Float(f64),
 }
 
 impl Num<'_> {
     fn is_int(&self) -> bool {
-        matches!(self, Num::Ints(..) | Num::Int(_))
+        matches!(self, Num::Ints(_) | Num::Int(_))
     }
 
     #[inline]
     fn valid(&self, k: usize) -> bool {
         match self {
-            Num::Ints(_, valid) | Num::Floats(_, valid) => valid[k],
+            Num::Ints(cells) => cells.valid[k],
+            Num::Floats(cells) => cells.valid[k],
             Num::Int(_) | Num::Float(_) => true,
         }
     }
@@ -879,9 +747,9 @@ impl Num<'_> {
     #[inline]
     fn int(&self, k: usize) -> i64 {
         match self {
-            Num::Ints(values, _) => values[k],
+            Num::Ints(cells) => cells.values[k],
             Num::Int(x) => *x,
-            Num::Floats(..) | Num::Float(_) => unreachable!("checked by is_int"),
+            Num::Floats(_) | Num::Float(_) => unreachable!("checked by is_int"),
         }
     }
 
@@ -889,8 +757,8 @@ impl Num<'_> {
     #[inline]
     fn float(&self, k: usize) -> f64 {
         match self {
-            Num::Ints(values, _) => values[k] as f64,
-            Num::Floats(values, _) => values[k],
+            Num::Ints(cells) => cells.values[k] as f64,
+            Num::Floats(cells) => cells.values[k],
             Num::Int(x) => *x as f64,
             Num::Float(x) => *x,
         }
@@ -899,10 +767,10 @@ impl Num<'_> {
 
 /// The cells of a column at the selected rows: borrowed when every row
 /// is selected, copied through the selection otherwise.
-fn selected<'a, T: Copy>(cells: &'a [T], sel: Option<&[u32]>) -> Cow<'a, [T]> {
+fn selected<'a, T: Copy + Default>(cells: &'a Cells<T>, sel: Option<&[u32]>) -> Cow<'a, Cells<T>> {
     match sel {
         None => Cow::Borrowed(cells),
-        Some(s) => Cow::Owned(s.iter().map(|&i| cells[i as usize]).collect()),
+        Some(s) => Cow::Owned(cells.gather(s)),
     }
 }
 
@@ -914,12 +782,8 @@ fn num_expr<'a>(e: &'a BoundExpr, b: &'a ColumnarBatch, sel: Option<&[u32]>) -> 
         BoundExpr::Literal(Value::Int64(x)) => Some(Num::Int(*x)),
         BoundExpr::Literal(Value::Float64(x)) => Some(Num::Float(*x)),
         BoundExpr::Column(c) if *c < b.arity() => match b.column(*c) {
-            Column::Int64 { values, valid } => {
-                Some(Num::Ints(selected(values, sel), selected(valid, sel)))
-            }
-            Column::Float64 { values, valid } => {
-                Some(Num::Floats(selected(values, sel), selected(valid, sel)))
-            }
+            Column::Int64(cells) => Some(Num::Ints(selected(cells, sel))),
+            Column::Float64(cells) => Some(Num::Floats(selected(cells, sel))),
             _ => None,
         },
         BoundExpr::Binary { op, lhs, rhs } => {
@@ -954,15 +818,16 @@ fn arith(op: BinaryOp, l: &Num<'_>, r: &Num<'_>, n: usize) -> Option<Num<'static
         Mul => l.float(k) * r.float(k),
         _ => l.float(k) / r.float(k),
     };
-    fn rows<T: Default>(valid: &[bool], at: impl Fn(usize) -> T) -> Vec<T> {
+    fn rows<T: Default>(valid: Vec<bool>, at: impl Fn(usize) -> T) -> Cells<T> {
         let cell = |(k, ok): (usize, &bool)| if *ok { at(k) } else { T::default() };
-        valid.iter().enumerate().map(cell).collect()
+        let values = valid.iter().enumerate().map(cell).collect();
+        Cells { values, valid }
     }
     let valid: Vec<bool> = (0..n).map(|k| l.valid(k) && r.valid(k)).collect();
     Some(if ints {
-        Num::Ints(rows(&valid, int_at).into(), valid.into())
+        Num::Ints(Cow::Owned(rows(valid, int_at)))
     } else {
-        Num::Floats(rows(&valid, float_at).into(), valid.into())
+        Num::Floats(Cow::Owned(rows(valid, float_at)))
     })
 }
 
@@ -974,18 +839,12 @@ fn arith(op: BinaryOp, l: &Num<'_>, r: &Num<'_>, n: usize) -> Option<Num<'static
 /// operand) takes the `Int64` layout whatever its type.
 fn arith_column(e: &BoundExpr, b: &ColumnarBatch, sel: Option<&[u32]>) -> Option<Column> {
     Some(match num_expr(e, b, sel)? {
-        Num::Ints(values, valid) => Column::Int64 {
-            values: values.into_owned(),
-            valid: valid.into_owned(),
-        },
-        Num::Floats(values, valid) if valid.contains(&true) => Column::Float64 {
-            values: values.into_owned(),
-            valid: valid.into_owned(),
-        },
-        Num::Floats(_, valid) => Column::Int64 {
-            values: vec![0; valid.len()],
-            valid: valid.into_owned(),
-        },
+        Num::Ints(cells) => Column::Int64(cells.into_owned()),
+        Num::Floats(cells) if cells.valid.contains(&true) => Column::Float64(cells.into_owned()),
+        Num::Floats(cells) => Column::Int64(Cells {
+            values: vec![0; cells.valid.len()],
+            valid: cells.into_owned().valid,
+        }),
         // A bare literal is the caller's to broadcast.
         Num::Int(_) | Num::Float(_) => return None,
     })
@@ -1054,8 +913,8 @@ fn execute_hash_join_columnar(
         }
     }
 
-    let pbounds = morsel_bounds(rbatch.n_rows(), runner.morsel_rows());
-    let matches: Vec<(Vec<u32>, Vec<u32>)> = parallel_map(runner, pbounds.len(), |m| {
+    let pbounds = morsels(runner, rbatch.n_rows());
+    let mut matches: Vec<(Vec<u32>, Vec<u32>)> = parallel_map(runner, pbounds.len(), |m| {
         let (lo, hi) = pbounds[m];
         let mut out_l: Vec<u32> = Vec::new();
         let mut out_r: Vec<u32> = Vec::new();
@@ -1073,8 +932,12 @@ fn execute_hash_join_columnar(
         }
         (out_l, out_r)
     });
-    let (out_left, out_right): (Vec<_>, Vec<_>) = matches.into_iter().unzip();
-    let (out_left, out_right) = (out_left.concat(), out_right.concat());
+    let (out_left, out_right) = if matches.len() == 1 {
+        matches.pop().expect("one morsel")
+    } else {
+        let (left, right): (Vec<_>, Vec<_>) = matches.into_iter().unzip();
+        (left.concat(), right.concat())
+    };
 
     // The joined batch: left columns then right columns, pending.
     let n = out_left.len();
@@ -1221,10 +1084,8 @@ fn execute_hash_aggregate_columnar(
     // and later morsels fold into the first in morsel order — provably
     // the same result (see `Accumulator::merge`), with groups in global
     // first-appearance order either way.
-    let parallel_groups =
-        runner.workers() > 1 && bound.iter().all(BoundAgg::order_insensitive) && !bound.is_empty();
-    let bounds = if parallel_groups {
-        morsel_bounds(fps.len(), runner.morsel_rows())
+    let bounds = if bound.iter().all(BoundAgg::order_insensitive) && !bound.is_empty() {
+        morsels(runner, fps.len())
     } else {
         vec![(0, fps.len())]
     };

@@ -145,12 +145,8 @@ impl<'a> KeyEq<'a> {
         null_free: bool,
     ) -> KeyEq<'a> {
         let pair = |(&ac, &bc)| match (null_free, a.column(ac), b.column(bc)) {
-            (true, Column::Int64 { values: x, .. }, Column::Int64 { values: y, .. }) => {
-                KeyPair::Int64(x, y)
-            }
-            (true, Column::Date { values: x, .. }, Column::Date { values: y, .. }) => {
-                KeyPair::Date(x, y)
-            }
+            (true, Column::Int64(x), Column::Int64(y)) => KeyPair::Int64(&x.values, &y.values),
+            (true, Column::Date(x), Column::Date(y)) => KeyPair::Date(&x.values, &y.values),
             (_, x, y) => KeyPair::General(x, y),
         };
         KeyEq(a_cols.iter().zip(b_cols).map(pair).collect())

@@ -42,5 +42,5 @@ pub use executor::{
     execute, execute_fragment, DataSource, ExchangeSource, LocalShip, MapSource, NoExchange,
     ShipHandler,
 };
-pub use parallel::{morsel_bounds, MorselRunner, SerialRunner, MORSEL_ROWS_DEFAULT, SERIAL};
+pub use parallel::{MorselRunner, SerialRunner, MORSEL_ROWS_DEFAULT, SERIAL};
 pub use retry::{Retried, RetryPolicy};

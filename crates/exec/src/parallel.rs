@@ -65,10 +65,21 @@ impl MorselRunner for SerialRunner {
 /// The shared inline runner, used wherever no pool was injected.
 pub static SERIAL: SerialRunner = SerialRunner;
 
+/// The `[lo, hi)` bounds, in order, of the morsels a kernel on `runner`
+/// splits a window of `total` rows into. One worker gets the whole window
+/// as one morsel: its tasks run inline, so a split would buy nothing and
+/// cost a result vector per morsel and a concatenation.
+pub(crate) fn morsels(runner: &dyn MorselRunner, total: usize) -> Vec<(usize, usize)> {
+    if runner.workers() <= 1 {
+        return vec![(0, total)];
+    }
+    morsel_bounds(total, runner.morsel_rows())
+}
+
 /// `[lo, hi)` bounds of each morsel over a window of `total` rows. Always
 /// at least one morsel (possibly empty), so kernels never special-case
 /// empty inputs.
-pub fn morsel_bounds(total: usize, morsel_rows: usize) -> Vec<(usize, usize)> {
+fn morsel_bounds(total: usize, morsel_rows: usize) -> Vec<(usize, usize)> {
     let step = morsel_rows.max(1);
     let n = total.div_ceil(step).max(1);
     (0..n)
@@ -157,6 +168,9 @@ mod tests {
             }
             assert_eq!(next, total);
         }
+        // One worker: the window is not split, whatever its size.
+        assert_eq!(morsels(&SERIAL, 1000), [(0, 1000)]);
+        assert_eq!(morsels(&SERIAL, 0), [(0, 0)]);
     }
 
     #[test]

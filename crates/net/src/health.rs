@@ -30,19 +30,9 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Tuning for the health scorer and breakers.
+/// Tuning for the breakers; the scorer's thresholds are constants.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthConfig {
-    /// Weight of the newest cost ratio in the EWMA.
-    pub ewma_alpha: f64,
-    /// Launch a hedged backup once the EWMA ratio reaches this.
-    pub hedge_ratio: f64,
-    /// Trip the breaker once the EWMA ratio reaches this.
-    pub trip_ratio: f64,
-    /// Trip the breaker after this many consecutive failed attempts.
-    pub trip_failures: u32,
-    /// Observations required before ratio-based decisions fire.
-    pub min_observations: u32,
     /// Logical steps an open breaker waits before probing (half-open).
     pub cooldown_steps: u64,
     /// Trips a lane's breaker may take before the link is condemned and
@@ -53,15 +43,23 @@ pub struct HealthConfig {
 impl Default for HealthConfig {
     fn default() -> HealthConfig {
         HealthConfig {
-            ewma_alpha: 0.5,
-            hedge_ratio: 1.5,
-            trip_ratio: 2.5,
-            trip_failures: 3,
-            min_observations: 1,
             cooldown_steps: 8,
             open_budget: 2,
         }
     }
+}
+
+impl HealthConfig {
+    /// Weight of the newest cost ratio in the EWMA.
+    pub const EWMA_ALPHA: f64 = 0.5;
+    /// Launch a hedged backup once the EWMA ratio reaches this.
+    pub const HEDGE_RATIO: f64 = 1.5;
+    /// Trip the breaker once the EWMA ratio reaches this.
+    pub const TRIP_RATIO: f64 = 2.5;
+    /// Trip the breaker after this many consecutive failed attempts.
+    pub const TRIP_FAILURES: u32 = 3;
+    /// Observations required before ratio-based decisions fire.
+    pub const MIN_OBSERVATIONS: u32 = 1;
 }
 
 /// Circuit-breaker lifecycle state.
@@ -240,8 +238,8 @@ impl LinkHealth {
     pub fn should_hedge(&self, from: &Location, to: &Location, lane: u64) -> bool {
         let s = self.state(from, to, lane);
         s.breaker != BreakerState::Closed
-            || (s.observations >= self.config.min_observations
-                && s.ewma_ratio >= self.config.hedge_ratio)
+            || (s.observations >= HealthConfig::MIN_OBSERVATIONS
+                && s.ewma_ratio >= HealthConfig::HEDGE_RATIO)
     }
 
     /// Whether this lane's breaker has re-opened past its budget — the
@@ -358,21 +356,22 @@ fn fold(config: &HealthConfig, stream: &BTreeMap<u64, Observation>) -> LinkState
         match obs {
             Observation::Delivered { ratio } => {
                 s.consecutive_failures = 0;
-                s.ewma_ratio = config.ewma_alpha * ratio + (1.0 - config.ewma_alpha) * s.ewma_ratio;
+                s.ewma_ratio = HealthConfig::EWMA_ALPHA * ratio
+                    + (1.0 - HealthConfig::EWMA_ALPHA) * s.ewma_ratio;
             }
             Observation::Failed => {
                 s.consecutive_failures += 1;
                 // A failure is evidence of an unusable link: fold it into
                 // the ratio as a maximally-degraded delivery would be.
-                s.ewma_ratio = config.ewma_alpha * config.trip_ratio
-                    + (1.0 - config.ewma_alpha) * s.ewma_ratio;
+                s.ewma_ratio = HealthConfig::EWMA_ALPHA * HealthConfig::TRIP_RATIO
+                    + (1.0 - HealthConfig::EWMA_ALPHA) * s.ewma_ratio;
             }
         }
         match s.breaker {
             BreakerState::Closed => {
-                let sick_ratio =
-                    s.observations >= config.min_observations && s.ewma_ratio >= config.trip_ratio;
-                if s.consecutive_failures >= config.trip_failures || sick_ratio {
+                let sick_ratio = s.observations >= HealthConfig::MIN_OBSERVATIONS
+                    && s.ewma_ratio >= HealthConfig::TRIP_RATIO;
+                if s.consecutive_failures >= HealthConfig::TRIP_FAILURES || sick_ratio {
                     s.breaker = BreakerState::Open;
                     s.trips += 1;
                     opened_at = step;
@@ -382,7 +381,7 @@ fn fold(config: &HealthConfig, stream: &BTreeMap<u64, Observation>) -> LinkState
                 // The probe decides: a healthy delivery closes the
                 // breaker, anything else re-opens it.
                 let healthy = matches!(obs, Observation::Delivered { ratio }
-                    if *ratio < config.hedge_ratio);
+                    if *ratio < HealthConfig::HEDGE_RATIO);
                 if healthy {
                     s.breaker = BreakerState::Closed;
                     s.consecutive_failures = 0;

@@ -53,8 +53,9 @@ pub struct RuntimeConfig {
     /// and transfer-log record on every SHIP edge.
     pub batch_rows: usize,
     /// Run every fragment on the vectorized columnar engine and hand
-    /// `Arc`'d batches across the exchanges instead of serialized rows.
-    /// Bytes are charged from column metadata — provably equal to the
+    /// `Arc`'d batches across the exchanges instead of serialized rows
+    /// (the default; `false` is the row interpreter tests keep as their
+    /// oracle). Bytes are charged from column metadata — provably equal to the
     /// row encoding's size — so transfer logs, audits, and fault replay
     /// are identical to the row configuration.
     pub columnar: bool,
@@ -74,7 +75,7 @@ impl Default for RuntimeConfig {
     fn default() -> RuntimeConfig {
         RuntimeConfig {
             batch_rows: 256,
-            columnar: false,
+            columnar: true,
             morsel_rows: 2048,
             workers_per_site: 1,
         }

@@ -29,6 +29,16 @@ if grep -nE '^[[:space:]]*(pub )?[a-z_]+: Vec<Row>,|OnceLock' crates/storage/src
     exit 1
 fi
 
+echo "==> one cell table: a fixed-width type is described once, so above" \
+     "its tests common/src/columnar.rs names a typed variant on at most four" \
+     "lines (today three: the layout dispatch, eq_at's two cross-type arms)"
+typed_arms="$(sed '/^mod tests/,$d' crates/common/src/columnar.rs | grep -c 'Column::Float64')"
+if [ "$typed_arms" -gt 4 ]; then
+    echo "crates/common/src/columnar.rs names Column::Float64 on $typed_arms lines:" \
+        "a per-type arm was copied back in" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check (geoqp crates)"
 cargo fmt --check "${pkg_flags[@]}"
 

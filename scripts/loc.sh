@@ -11,6 +11,8 @@ for src in crates/*/src; do
     crate="${src#crates/}"
     printf '%-10s %6d\n' "${crate%/src}" "$(lines "$src")"
 done
+printf '%-10s %6d  (crates/common/src/columnar.rs above `mod tests`)\n' cell-table \
+    "$(sed '/^mod tests/,$d' crates/common/src/columnar.rs | wc -l)"
 printf '%-10s %6d  (core exec runtime net cli server: src/ only)\n' six-crate \
     "$(lines crates/{core,exec,runtime,net,cli,server}/src)"
 printf '%-10s %6d  (every .rs outside benchmark/ and build outputs)\n' all-rust \

@@ -9,6 +9,9 @@
 //!
 //! `GEOQP_CHAOS_N` sets the number of schedules (default 8).
 
+mod common;
+
+use common::run_pipelined;
 use geoqp::prelude::*;
 use geoqp::tpch;
 use geoqp::tpch::policy_gen::PolicyTemplate;
@@ -17,6 +20,15 @@ use std::sync::Arc;
 const SF: f64 = 0.001;
 const QUERIES: [&str; 6] = ["Q2", "Q3", "Q5", "Q8", "Q9", "Q10"];
 const SITES: [&str; 5] = ["L1", "L2", "L3", "L4", "L5"];
+
+/// The fault-free answer every round is held to is the row interpreter's,
+/// whichever engine the round soaks.
+fn row_oracle() -> RuntimeConfig {
+    RuntimeConfig {
+        columnar: false,
+        ..RuntimeConfig::default()
+    }
+}
 
 /// splitmix64: the soak's only randomness, seeded and replayable.
 fn splitmix(state: &mut u64) -> u64 {
@@ -38,19 +50,6 @@ fn live_threads() -> usize {
                 .and_then(|n| n.parse().ok())
         })
         .unwrap_or(1)
-}
-
-/// [`Engine::run`] on the pipelined runtime, with the metrics of the
-/// attempt that completed split out.
-fn run_pipelined(
-    eng: &Engine,
-    opt: &OptimizedQuery,
-    opts: ExecOptions<'_>,
-    config: &RuntimeConfig,
-) -> Result<(QueryOutcome, RuntimeMetrics)> {
-    let mut res = eng.run(opt, &opts.pipelined(config.clone()))?;
-    let metrics = res.metrics.take().expect("pipelined runs report metrics");
-    Ok((res, metrics))
 }
 
 /// One randomized schedule: a site blackout, a link partition, a flaky
@@ -156,12 +155,7 @@ fn randomized_gray_schedules_stay_compliant_with_hedging_on() {
                 continue;
             };
             let baseline = eng
-                .execute_parallel_opts(
-                    &opt.physical,
-                    None,
-                    &RetryPolicy::none(),
-                    &RuntimeConfig::default(),
-                )
+                .execute_parallel_opts(&opt.physical, None, &RetryPolicy::none(), &row_oracle())
                 .unwrap();
             let (faults, label) = gray_schedule(&mut rng);
             let opts = ExecOptions::failover(&faults, &retry, SITES.len())
@@ -260,12 +254,7 @@ fn randomized_adhoc_round_stays_compliant_and_leak_free() {
                 panic!("adhoc #{} failed to plan fault-free: {}", q.id, q.sql);
             };
             let baseline = eng
-                .execute_parallel_opts(
-                    &opt.physical,
-                    None,
-                    &RetryPolicy::none(),
-                    &RuntimeConfig::default(),
-                )
+                .execute_parallel_opts(&opt.physical, None, &RetryPolicy::none(), &row_oracle())
                 .unwrap();
             let (faults, deadline, label) = schedule(&mut rng);
             let opts = ExecOptions {
@@ -508,12 +497,7 @@ fn catalog_churn_round_stays_compliant_and_resolves_typed() {
                 continue;
             };
             let baseline = eng
-                .execute_parallel_opts(
-                    &opt.physical,
-                    None,
-                    &RetryPolicy::none(),
-                    &RuntimeConfig::default(),
-                )
+                .execute_parallel_opts(&opt.physical, None, &RetryPolicy::none(), &row_oracle())
                 .unwrap();
             let (faults, deadline, label) = schedule(&mut rng);
 
@@ -842,12 +826,7 @@ fn replica_crash_bootstrap_and_grant_round_rescues_refused_queries() {
         let (round, query, label) = (run.round, run.query, &run.label);
         let revoke_step = run.revoke_step();
         let baseline = eng
-            .execute_parallel_opts(
-                &run.opt.physical,
-                None,
-                &RetryPolicy::none(),
-                &RuntimeConfig::default(),
-            )
+            .execute_parallel_opts(&run.opt.physical, None, &RetryPolicy::none(), &row_oracle())
             .unwrap();
 
         let svc = fx.build_svc(&run);
@@ -1068,12 +1047,7 @@ fn randomized_chaos_schedules_stay_compliant_and_leak_free() {
                 continue;
             };
             let baseline = eng
-                .execute_parallel_opts(
-                    &opt.physical,
-                    None,
-                    &RetryPolicy::none(),
-                    &RuntimeConfig::default(),
-                )
+                .execute_parallel_opts(&opt.physical, None, &RetryPolicy::none(), &row_oracle())
                 .unwrap();
             let (faults, deadline, label) = schedule(&mut rng);
             let opts = ExecOptions {

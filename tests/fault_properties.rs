@@ -8,6 +8,9 @@
 //! with a *typed* error. No case may produce an untyped failure or a
 //! silently non-compliant dataflow.
 
+mod common;
+
+use common::run_pipelined;
 use geoqp::core::AnnotatedNode;
 use geoqp::prelude::*;
 use geoqp::tpch;
@@ -54,19 +57,6 @@ fn live_threads() -> usize {
                 .and_then(|n| n.parse().ok())
         })
         .unwrap_or(1)
-}
-
-/// [`Engine::run`] on the pipelined runtime, with the metrics of the
-/// attempt that completed split out.
-fn run_pipelined(
-    eng: &Engine,
-    opt: &OptimizedQuery,
-    opts: ExecOptions<'_>,
-    config: &RuntimeConfig,
-) -> Result<(QueryOutcome, RuntimeMetrics)> {
-    let mut res = eng.run(opt, &opts.pipelined(config.clone()))?;
-    let metrics = res.metrics.take().expect("pipelined runs report metrics");
-    Ok((res, metrics))
 }
 
 proptest! {

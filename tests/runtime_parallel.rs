@@ -11,6 +11,9 @@
 //! audit catches non-compliant (traditional-optimizer) plans at the
 //! offending SHIP edge.
 
+mod common;
+
+use common::run_pipelined;
 use geoqp::prelude::*;
 use geoqp::tpch;
 use geoqp::tpch::adhoc::generate_adhoc;
@@ -53,19 +56,6 @@ fn canonical(rows: &Rows) -> Vec<Row> {
 /// bit-identical).
 fn same_rows(a: &Rows, b: &Rows) -> bool {
     canonical(a) == canonical(b)
-}
-
-/// [`Engine::run`] on the pipelined runtime, with the metrics of the
-/// attempt that completed split out.
-fn run_pipelined(
-    eng: &Engine,
-    opt: &OptimizedQuery,
-    opts: ExecOptions<'_>,
-    config: &RuntimeConfig,
-) -> Result<(QueryOutcome, RuntimeMetrics)> {
-    let mut res = eng.run(opt, &opts.pipelined(config.clone()))?;
-    let metrics = res.metrics.take().expect("pipelined runs report metrics");
-    Ok((res, metrics))
 }
 
 /// Sequential vs parallel on one optimized plan: identical rows, bytes,

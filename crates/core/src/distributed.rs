@@ -48,62 +48,41 @@ impl<'a> CatalogSource<'a> {
         }
         Ok(())
     }
+}
 
-    /// Resolve and fetch the materialized table behind a scan, after
-    /// cancellation and availability gates. Shared by the row and
-    /// columnar scan paths so both consume fault-clock ticks identically.
-    fn gated_data(
-        &self,
-        table: &TableRef,
-        location: &Location,
-    ) -> Result<Arc<geoqp_storage::Table>> {
+impl DataSource for CatalogSource<'_> {
+    /// The table's own columns, shared by `Arc` — after the cancellation
+    /// and availability gates.
+    fn scan(&self, table: &TableRef, location: &Location) -> Result<Arc<ColumnarBatch>> {
         self.gate(location, &format!("scan of {table}"))?;
         let entries = self.catalog.resolve(table);
         let entry = entries
             .iter()
             .find(|e| e.location == *location)
             .ok_or_else(|| GeoError::Execution(format!("no table {table} at {location}")))?;
-        entry.data().ok_or_else(|| {
+        let data = entry.data().ok_or_else(|| {
             GeoError::Execution(format!(
                 "table {table} at {location} has no materialized data; \
                  attach rows with TableEntry::set_data"
             ))
-        })
-    }
-}
-
-impl DataSource for CatalogSource<'_> {
-    fn scan(&self, table: &TableRef, location: &Location) -> Result<Rows> {
-        Ok(self.gated_data(table, location)?.to_rows())
+        })?;
+        Ok(data.to_columnar())
     }
 
-    fn scan_columnar(
-        &self,
-        table: &TableRef,
-        location: &Location,
-        arity: usize,
-    ) -> Result<Arc<ColumnarBatch>> {
-        let _ = arity;
-        // Zero-copy: the table's own columns, shared by `Arc`. Only the
-        // row path's `to_rows` copies (a transpose per scan).
-        Ok(self.gated_data(table, location)?.to_columnar())
-    }
-
-    fn resume(&self, fingerprint: u64, location: &Location, arity: usize) -> Result<Rows> {
-        let _ = arity;
-        // The checkpoint's home site must be up to serve its rows — a
-        // resume leaf is gated by availability exactly like a tablescan.
+    fn resume(&self, fingerprint: u64, location: &Location) -> Result<Arc<ColumnarBatch>> {
+        // The checkpoint's home site must be up to serve it — a resume
+        // leaf is gated by availability exactly like a tablescan.
         self.gate(
             location,
             &format!("resume of checkpoint {fingerprint:016x}"),
         )?;
-        match self.env {
-            Some(env) => env.resume(fingerprint, location),
-            None => Err(GeoError::Execution(format!(
-                "no checkpoint store attached: cannot resume fragment \
+        let env = self.env.ok_or_else(|| {
+            GeoError::Execution(format!(
+                "an ungated CatalogSource reads base tables only: cannot resume \
                  {fingerprint:016x} at {location}"
-            ))),
-        }
+            ))
+        })?;
+        env.resume(fingerprint, location)
     }
 }
 
@@ -163,17 +142,16 @@ impl<'a> SimShip<'a> {
     }
 
     /// The transfer shared by the row and columnar SHIP paths: one edge
-    /// carrying `bytes` over `n_rows` rows. `encode` materializes the
-    /// wire bytes and is invoked only when a checkpoint store is
-    /// attached — the columnar path otherwise never encodes.
+    /// carrying `bytes` over `n_rows` rows. `delivered` lays the arrived
+    /// rows out as a batch and runs only when the edge is retained (a
+    /// checkpoint spec is attached) — the columnar path's is its own `Arc`.
     fn transfer(
         &mut self,
         from: &Location,
         to: &Location,
         bytes: u64,
         n_rows: u64,
-        schema_len: usize,
-        encode: impl FnOnce() -> Vec<u8>,
+        delivered: impl FnOnce() -> Arc<ColumnarBatch>,
     ) -> Result<()> {
         let edge = self.next_edge;
         self.next_edge += 1;
@@ -200,11 +178,13 @@ impl<'a> SimShip<'a> {
             |batch| batch.log.total_cost_ms() + batch.primary_ms,
         );
         stream.ship_batch(bytes, n_rows, &mut self.log)?;
-        stream.finish(self.specs.get(edge), n_rows, schema_len, encode)
+        stream.finish(self.specs.get(edge).map(|spec| (spec, delivered())))
     }
 }
 
 impl ShipHandler for SimShip<'_> {
+    /// The row oracle's SHIP: a real wire round trip, so the consumer
+    /// sees decoded bytes.
     fn ship(
         &mut self,
         from: &Location,
@@ -213,12 +193,13 @@ impl ShipHandler for SimShip<'_> {
         schema: &Schema,
     ) -> Result<Rows> {
         let encoded = rows.encode();
+        let decoded = Rows::decode(&encoded, schema.len())
+            .ok_or_else(|| GeoError::Execution("wire corruption: batch failed to decode".into()))?;
         let bytes = encoded.len() as u64;
-        self.transfer(from, to, bytes, rows.len() as u64, schema.len(), || {
-            encoded.clone()
+        self.transfer(from, to, bytes, rows.len() as u64, || {
+            Arc::new(ColumnarBatch::from_rows(decoded.rows(), schema.len()))
         })?;
-        Rows::decode(&encoded, schema.len())
-            .ok_or_else(|| GeoError::Execution("wire corruption: batch failed to decode".into()))
+        Ok(decoded)
     }
 
     fn ship_columnar(
@@ -226,7 +207,7 @@ impl ShipHandler for SimShip<'_> {
         from: &Location,
         to: &Location,
         batch: Arc<ColumnarBatch>,
-        schema: &Schema,
+        _schema: &Schema,
     ) -> Result<Arc<ColumnarBatch>> {
         // Byte accounting comes from column metadata
         // ([`ColumnarBatch::encoded_size`] equals the wire encoding's
@@ -234,9 +215,7 @@ impl ShipHandler for SimShip<'_> {
         // the row path without ever materializing the encoding. The
         // delivered batch is the same `Arc` — zero-copy hand-off.
         let bytes = batch.encoded_size() as u64;
-        self.transfer(from, to, bytes, batch.len() as u64, schema.len(), || {
-            batch.to_rows().encode()
-        })?;
+        self.transfer(from, to, bytes, batch.len() as u64, || Arc::clone(&batch))?;
         Ok(batch)
     }
 }

@@ -114,17 +114,9 @@ pub struct ExecutionResult {
     pub transfers: TransferLog,
 }
 
-/// The result of executing a distributed plan on the parallel runtime.
-#[derive(Debug)]
-pub struct ParallelResult {
-    /// The result rows (at the plan's result location).
-    pub rows: Rows,
-    /// Every exchange batch delivered (and every dropped attempt), in
-    /// the canonical normalized order.
-    pub transfers: TransferLog,
-    /// Per-site and per-exchange observability for the run.
-    pub metrics: RuntimeMetrics,
-}
+/// The result of executing a distributed plan on the parallel runtime:
+/// the runtime's own output.
+pub use geoqp_runtime::RunOutput as ParallelResult;
 
 /// The result of [`Engine::run`]: the rows plus everything the run did to
 /// get them — transfers, failover re-plans, checkpoint reuse, hedging.
@@ -484,33 +476,33 @@ impl Engine {
         check_compliance(plan, &self.evaluator(), &self.catalog)
     }
 
-    /// Execute a located physical plan over the per-site databases,
-    /// simulating every SHIP with real byte accounting.
+    /// Execute a located physical plan over the per-site databases on the
+    /// row interpreter, simulating every SHIP with real byte accounting:
+    /// one plain sequential attempt.
     pub fn execute(&self, plan: &PhysicalPlan) -> Result<ExecutionResult> {
-        let env = ShipEnv::new(&self.topology);
-        let mut ship = SimShip::new(&env);
-        let rows = geoqp_exec::execute(plan, &CatalogSource::new(&self.catalog), &mut ship)?;
-        Ok(ExecutionResult {
-            rows,
-            transfers: ship.into_log(),
-        })
+        self.execute_sequential(plan, false)
     }
 
-    /// [`Engine::execute`] on the vectorized columnar engine: scans are
-    /// zero-copy reads of each table's stored columns, operators
-    /// run the typed kernels, and SHIP edges hand `Arc`'d batches to the
-    /// simulator with bytes computed from column metadata. Result rows,
+    /// [`Engine::execute`] on the vectorized columnar engine. Result rows,
     /// row order, shipped bytes, and audit outcomes are identical to the
     /// row engine's.
     pub fn execute_columnar(&self, plan: &PhysicalPlan) -> Result<ExecutionResult> {
-        let env = ShipEnv::new(&self.topology);
-        let mut ship = SimShip::new(&env);
-        let rows =
-            geoqp_exec::execute_columnar(plan, &CatalogSource::new(&self.catalog), &mut ship)?;
-        Ok(ExecutionResult {
-            rows,
-            transfers: ship.into_log(),
-        })
+        self.execute_sequential(plan, true)
+    }
+
+    /// One [`ExecOptions::default`] attempt on the sequential interpreter
+    /// with the engine `columnar` selects.
+    fn execute_sequential(&self, plan: &PhysicalPlan, columnar: bool) -> Result<ExecutionResult> {
+        let opts = ExecOptions {
+            runtime: RuntimeConfig {
+                columnar,
+                ..RuntimeConfig::default()
+            },
+            ..ExecOptions::default()
+        };
+        let (outcome, transfers) =
+            self.attempt(plan, &opts, &CheckpointStore::new(), None, 0.0, None);
+        outcome.map(|(rows, _)| ExecutionResult { rows, transfers })
     }
 
     /// The per-SHIP-edge shipping traits every batch is audited against
@@ -561,16 +553,11 @@ impl Engine {
         if let Some(faults) = faults {
             env = env.with_faults(faults, retry.clone());
         }
-        let out = Runtime::new(env).with_config(config.clone()).run(
+        Runtime::new(env).with_config(config.clone()).run(
             plan,
             &CatalogSource::new(&self.catalog),
             Some(&audits),
-        )?;
-        Ok(ParallelResult {
-            rows: out.rows,
-            transfers: out.transfers,
-            metrics: out.metrics,
-        })
+        )
     }
 
     /// One execution attempt of `physical` under `opts`, on whichever

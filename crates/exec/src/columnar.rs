@@ -209,15 +209,11 @@ pub fn execute_fragment_columnar(
     ship: &mut dyn ShipHandler,
     exchange: &dyn ExchangeSource,
 ) -> Result<ColBatch> {
-    if let Some(batch) = exchange.fetch_columnar(plan) {
+    if let Some(batch) = exchange.fetch(plan) {
         return Ok(ColBatch::all(batch?));
     }
     match &plan.op {
-        PhysOp::Scan { table } => Ok(ColBatch::all(source.scan_columnar(
-            table,
-            &plan.location,
-            plan.schema.len(),
-        )?)),
+        PhysOp::Scan { table } => Ok(ColBatch::all(source.scan(table, &plan.location)?)),
         PhysOp::Filter { predicate } => {
             let input = &plan.inputs[0];
             let in_batch = execute_fragment_columnar(input, source, ship, exchange)?;
@@ -318,11 +314,7 @@ pub fn execute_fragment_columnar(
             )?))
         }
         PhysOp::ResumeScan { fingerprint, .. } => {
-            let rows = source.resume(*fingerprint, &plan.location, plan.schema.len())?;
-            Ok(ColBatch::all(Arc::new(ColumnarBatch::from_rows(
-                rows.rows(),
-                plan.schema.len(),
-            ))))
+            Ok(ColBatch::all(source.resume(*fingerprint, &plan.location)?))
         }
     }
 }
@@ -1276,36 +1268,21 @@ mod tests {
         assert_engines_agree(&plan);
     }
 
-    /// A source that hands out one held allocation, so a test can tell
-    /// whether an operator passed the batch through or rebuilt it.
-    struct Held(Arc<ColumnarBatch>);
-
-    impl DataSource for Held {
-        fn scan(&self, _table: &TableRef, _location: &Location) -> Result<Rows> {
-            Ok(self.0.to_rows())
-        }
-        fn scan_columnar(
-            &self,
-            _table: &TableRef,
-            _location: &Location,
-            _arity: usize,
-        ) -> Result<Arc<ColumnarBatch>> {
-            Ok(Arc::clone(&self.0))
-        }
+    /// The customer table's one batch: every scan of `source` hands out
+    /// this allocation, so a test can tell whether an operator passed it
+    /// through or rebuilt it.
+    fn customer_batch(source: &MapSource) -> Arc<ColumnarBatch> {
+        source.scan(&TableRef::bare("customer"), &loc("N")).unwrap()
     }
 
     #[test]
     fn ship_through_local_ship_is_the_same_allocation() {
-        let held = Held(
-            source()
-                .scan_columnar(&TableRef::bare("customer"), &loc("N"), 3)
-                .unwrap(),
-        );
+        let held = source();
         let plan = PhysicalPlan::ship(customer_scan(), loc("E"));
         let out = execute_fragment_columnar(&plan, &held, &mut LocalShip, &NoExchange).unwrap();
         assert!(out.sel.is_none());
         assert!(
-            Arc::ptr_eq(&out.batch, &held.0),
+            Arc::ptr_eq(&out.batch, &customer_batch(&held)),
             "LocalShip must not transpose the batch through rows and back"
         );
     }
@@ -1341,11 +1318,8 @@ mod tests {
 
     #[test]
     fn project_of_plain_columns_is_the_sources_own_allocations() {
-        let held = Held(
-            source()
-                .scan_columnar(&TableRef::bare("customer"), &loc("N"), 3)
-                .unwrap(),
-        );
+        let held = source();
+        let customer = customer_batch(&held);
         let exprs = || {
             vec![
                 (ScalarExpr::col("name"), "name", DataType::Str),
@@ -1363,7 +1337,7 @@ mod tests {
         assert!(out.sel.is_none());
         for (j, from) in [(0, 1), (2, 0), (3, 1)] {
             assert!(
-                std::ptr::eq(out.batch.column(j), held.0.column(from)),
+                std::ptr::eq(out.batch.column(j), customer.column(from)),
                 "output column {j} must be the scan's column {from}, not a copy"
             );
         }
@@ -1396,10 +1370,7 @@ mod tests {
     struct Supplied<'p>(&'p PhysicalPlan, Arc<ColumnarBatch>);
 
     impl ExchangeSource for Supplied<'_> {
-        fn fetch(&self, _node: &PhysicalPlan) -> Option<Result<Rows>> {
-            None
-        }
-        fn fetch_columnar(&self, node: &PhysicalPlan) -> Option<Result<Arc<ColumnarBatch>>> {
+        fn fetch(&self, node: &PhysicalPlan) -> Option<Result<Arc<ColumnarBatch>>> {
             std::ptr::eq(node, self.0).then(|| Ok(Arc::clone(&self.1)))
         }
     }

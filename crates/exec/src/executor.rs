@@ -9,38 +9,18 @@ use geoqp_plan::{PhysOp, PhysicalPlan, SortKey};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Supplies base-table rows for scans. Implemented by the distributed
+/// Supplies the data a plan's leaves read — base-table scans and
+/// checkpointed intermediate results — as the shared columnar batch
+/// either interpreter is handed; the row interpreter transposes it at its
+/// own leaves ([`Rows::from_batch`]). Implemented by the distributed
 /// engine over its per-site databases.
 pub trait DataSource {
-    /// Materialize the rows of `table` stored at `location`.
-    fn scan(&self, table: &TableRef, location: &Location) -> Result<Rows>;
+    /// The columns of `table` stored at `location`.
+    fn scan(&self, table: &TableRef, location: &Location) -> Result<Arc<ColumnarBatch>>;
 
-    /// Materialize a checkpointed intermediate result for a
-    /// [`PhysOp::ResumeScan`] leaf: the retained output of fingerprint
-    /// `fingerprint`, homed at `location`, decoded to `arity` columns.
-    /// Sources without a checkpoint store refuse — the failover stitcher
-    /// only emits resume leaves when the engine attached one.
-    fn resume(&self, fingerprint: u64, location: &Location, arity: usize) -> Result<Rows> {
-        let _ = arity;
-        Err(GeoError::Execution(format!(
-            "no checkpoint store attached: cannot resume fragment \
-             {fingerprint:016x} at {location}"
-        )))
-    }
-
-    /// Columnar twin of [`DataSource::scan`]. Sources that cache their
-    /// tables in columnar form override this to hand out a shared
-    /// `Arc<ColumnarBatch>` without copying a row; the default converts
-    /// the row scan.
-    fn scan_columnar(
-        &self,
-        table: &TableRef,
-        location: &Location,
-        arity: usize,
-    ) -> Result<Arc<ColumnarBatch>> {
-        let rows = self.scan(table, location)?;
-        Ok(Arc::new(ColumnarBatch::from_rows(rows.rows(), arity)))
-    }
+    /// The retained output behind a [`PhysOp::ResumeScan`] leaf:
+    /// checkpoint `fingerprint`, homed at `location`.
+    fn resume(&self, fingerprint: u64, location: &Location) -> Result<Arc<ColumnarBatch>>;
 }
 
 /// Observes every SHIP operator. The distributed engine uses this hook to
@@ -102,22 +82,13 @@ impl ShipHandler for LocalShip {
 /// Intercepts plan nodes that are evaluated *outside* the current
 /// interpreter — the concurrent runtime's fragment boundaries. Before
 /// recursing into any node, the interpreter asks the exchange whether the
-/// node's rows are supplied externally (a SHIP whose producer subtree runs
-/// on another site's worker thread); if so, the returned rows are used and
-/// the subtree below is never visited here.
+/// node's output is supplied externally (a SHIP whose producer subtree
+/// runs on another site's worker thread); if so, the returned batch is
+/// used and the subtree below is never visited here.
 pub trait ExchangeSource {
-    /// The externally produced rows for `node`, or `None` when the node is
-    /// local to this interpreter.
-    fn fetch(&self, node: &PhysicalPlan) -> Option<Result<Rows>>;
-
-    /// Columnar twin of [`ExchangeSource::fetch`]: exchanges that carry
-    /// `Arc<ColumnarBatch>` payloads override this to hand the batch
-    /// through untouched; the default converts the row fetch.
-    fn fetch_columnar(&self, node: &PhysicalPlan) -> Option<Result<Arc<ColumnarBatch>>> {
-        let arity = node.schema.len();
-        self.fetch(node)
-            .map(|r| r.map(|rows| Arc::new(ColumnarBatch::from_rows(rows.rows(), arity))))
-    }
+    /// The externally produced output of `node`, or `None` when the node
+    /// is local to this interpreter.
+    fn fetch(&self, node: &PhysicalPlan) -> Option<Result<Arc<ColumnarBatch>>>;
 
     /// The morsel runner that CPU-bound columnar kernels dispatch on. The
     /// default is the inline serial runner; the concurrent runtime
@@ -132,7 +103,7 @@ pub trait ExchangeSource {
 pub struct NoExchange;
 
 impl ExchangeSource for NoExchange {
-    fn fetch(&self, _node: &PhysicalPlan) -> Option<Result<Rows>> {
+    fn fetch(&self, _node: &PhysicalPlan) -> Option<Result<Arc<ColumnarBatch>>> {
         None
     }
 }
@@ -148,19 +119,19 @@ pub fn execute(
 }
 
 /// [`execute`] with fragment boundaries: nodes claimed by `exchange` are
-/// not interpreted here — their rows come from the exchange (produced by
-/// another site's worker in the concurrent runtime).
+/// not interpreted here — their output comes from the exchange (produced
+/// by another site's worker in the concurrent runtime).
 pub fn execute_fragment(
     plan: &PhysicalPlan,
     source: &dyn DataSource,
     ship: &mut dyn ShipHandler,
     exchange: &dyn ExchangeSource,
 ) -> Result<Rows> {
-    if let Some(rows) = exchange.fetch(plan) {
-        return rows;
+    if let Some(batch) = exchange.fetch(plan) {
+        return batch.map(Rows::from_batch);
     }
     match &plan.op {
-        PhysOp::Scan { table } => source.scan(table, &plan.location),
+        PhysOp::Scan { table } => source.scan(table, &plan.location).map(Rows::from_batch),
         PhysOp::Filter { predicate } => {
             let input = &plan.inputs[0];
             let rows = execute_fragment(input, source, ship, exchange)?;
@@ -246,9 +217,9 @@ pub fn execute_fragment(
             let rows = execute_fragment(input, source, ship, exchange)?;
             ship.ship(&input.location, &plan.location, rows, &input.schema)
         }
-        PhysOp::ResumeScan { fingerprint, .. } => {
-            source.resume(*fingerprint, &plan.location, plan.schema.len())
-        }
+        PhysOp::ResumeScan { fingerprint, .. } => source
+            .resume(*fingerprint, &plan.location)
+            .map(Rows::from_batch),
     }
 }
 
@@ -391,9 +362,10 @@ pub fn sort_group_keys<T>(entries: &mut [(Vec<Value>, T)]) {
 }
 
 /// A [`DataSource`] backed by an in-memory map — the workhorse for tests.
+/// It holds base tables only: a resume leaf finds nothing to read.
 #[derive(Debug, Default)]
 pub struct MapSource {
-    tables: HashMap<(TableRef, Location), Rows>,
+    tables: HashMap<(TableRef, Location), Arc<ColumnarBatch>>,
 }
 
 impl MapSource {
@@ -402,18 +374,28 @@ impl MapSource {
         MapSource::default()
     }
 
-    /// Register a table's rows at a location.
+    /// Register a table's rows at a location, laid out as columns once so
+    /// that every scan shares the one batch. The first row fixes the
+    /// column count.
     pub fn insert(&mut self, table: TableRef, location: Location, rows: Rows) {
-        self.tables.insert((table, location), rows);
+        let arity = rows.rows().first().map_or(0, Vec::len);
+        let batch = ColumnarBatch::from_rows(rows.rows(), arity);
+        self.tables.insert((table, location), Arc::new(batch));
     }
 }
 
 impl DataSource for MapSource {
-    fn scan(&self, table: &TableRef, location: &Location) -> Result<Rows> {
+    fn scan(&self, table: &TableRef, location: &Location) -> Result<Arc<ColumnarBatch>> {
         self.tables
             .get(&(table.clone(), location.clone()))
             .cloned()
             .ok_or_else(|| GeoError::Execution(format!("no data for {table} at {location}")))
+    }
+
+    fn resume(&self, fingerprint: u64, location: &Location) -> Result<Arc<ColumnarBatch>> {
+        Err(GeoError::Execution(format!(
+            "a MapSource holds no checkpoint {fingerprint:016x} at {location}"
+        )))
     }
 }
 
@@ -422,7 +404,6 @@ mod tests {
     use super::*;
     use geoqp_common::Field;
     use geoqp_expr::{AggCall, AggFunc, ScalarExpr};
-    use std::sync::Arc;
 
     fn loc(n: &str) -> Location {
         Location::new(n)

@@ -5,10 +5,16 @@
 //!
 //! The engine is parameterized by two capabilities supplied by the caller:
 //!
-//! * a [`DataSource`] that materializes base-table scans at a site, and
+//! * a [`DataSource`] that hands out what a plan's leaves read at a site —
+//!   base tables and checkpointed intermediate results — and
 //! * a [`ShipHandler`] invoked for every SHIP operator, which is where the
-//!   distributed engine (in `geoqp-core`) serializes rows, charges the
-//!   network simulator, and enforces runtime compliance accounting.
+//!   distributed engine (in `geoqp-core`) charges the network simulator
+//!   and enforces runtime compliance accounting.
+//!
+//! Data enters an interpreter from outside in one layout: a leaf read and
+//! a fragment boundary ([`ExchangeSource`]) both supply one shared
+//! `Arc<ColumnarBatch>`. Rows exist only inside the row interpreter,
+//! which transposes at its own leaves.
 //!
 //! Operators implemented: scan, filter, project, hash equi-join with
 //! residual filters, hash aggregation (SUM/AVG/MIN/MAX/COUNT with SQL null

@@ -1,7 +1,7 @@
 //! Compliant checkpoint/resume for failover.
 //!
-//! When a fragment's output fully crosses a SHIP edge, the encoded batches
-//! are retained in a [`CheckpointStore`], keyed by a canonical
+//! When a fragment's output fully crosses a SHIP edge, the delivered batch
+//! is retained in a [`CheckpointStore`], keyed by a canonical
 //! **fingerprint** of the producer subtree (operator parameters, schemas,
 //! placement — mixed with the policy-catalog epoch) and homed at a site.
 //! The legality rule is the paper's shipping trait `𝒮_n` (AR1–AR4): an
@@ -20,7 +20,7 @@
 //! so subtrees untouched by the crash re-plan to identical placements and
 //! hit their checkpoints.
 
-use geoqp_common::{GeoError, Location, LocationSet, Result};
+use geoqp_common::{ColumnarBatch, GeoError, Location, LocationSet, Result};
 use geoqp_plan::logical::LogicalPlan;
 use geoqp_plan::{PhysOp, PhysicalPlan};
 use std::collections::BTreeMap;
@@ -47,18 +47,15 @@ pub struct CheckpointSpec {
 pub struct Checkpoint {
     /// Fingerprint of the subtree that produced it.
     pub fingerprint: u64,
-    /// The site holding the encoded rows.
+    /// The site holding the output.
     pub home: Location,
     /// The producing subtree's shipping trait at checkpoint time.
     pub legal: LocationSet,
     /// The producing subtree's logical content.
     pub logical: Arc<LogicalPlan>,
-    /// The output rows, encoded with [`Rows::encode`].
-    pub encoded: Vec<u8>,
-    /// Row count (reporting).
-    pub rows: u64,
-    /// Column count, needed to decode.
-    pub arity: usize,
+    /// The output as it was delivered — the same allocation at every
+    /// home, and the very batch a resume leaf hands its interpreter.
+    pub batch: Arc<ColumnarBatch>,
 }
 
 /// The per-query checkpoint store, shared by every fragment worker and
@@ -84,16 +81,13 @@ impl CheckpointStore {
     /// typed [`GeoError::NonCompliant`] — persisting data at a site its
     /// policies forbid is a Definition-1 violation even if no query ever
     /// reads it back.
-    #[allow(clippy::too_many_arguments)]
     pub fn put(
         &self,
         fingerprint: u64,
         home: Location,
         legal: &LocationSet,
         logical: &Arc<LogicalPlan>,
-        encoded: Vec<u8>,
-        rows: u64,
-        arity: usize,
+        batch: Arc<ColumnarBatch>,
     ) -> Result<()> {
         if !legal.contains(&home) {
             return Err(GeoError::NonCompliant(format!(
@@ -108,9 +102,7 @@ impl CheckpointStore {
                 home,
                 legal: legal.clone(),
                 logical: Arc::clone(logical),
-                encoded,
-                rows,
-                arity,
+                batch,
             },
         );
         Ok(())
@@ -206,7 +198,7 @@ impl CheckpointStore {
         self.misses.load(Ordering::SeqCst)
     }
 
-    /// Encoded bytes served from checkpoints instead of recomputation.
+    /// Wire bytes served from checkpoints instead of recomputation.
     pub fn resumed_bytes(&self) -> u64 {
         self.resumed_bytes.load(Ordering::SeqCst)
     }
@@ -255,7 +247,7 @@ pub struct StitchOutcome {
     pub hits: u64,
     /// SHIP edges with no usable checkpoint.
     pub misses: u64,
-    /// Encoded bytes the hits will serve from the store.
+    /// Wire bytes the hits will serve from the store.
     pub resumed_bytes: u64,
 }
 
@@ -308,7 +300,8 @@ fn stitch_node(
         let fp = fingerprint(input, epoch);
         if let Some(cp) = store.lookup(fp, &plan.location) {
             *hits += 1;
-            *resumed_bytes += cp.encoded.len() as u64;
+            // The row encoding's length, from column metadata.
+            *resumed_bytes += cp.batch.encoded_size() as u64;
             let leaf = Arc::new(PhysicalPlan::new(
                 PhysOp::ResumeScan {
                     fingerprint: fp,
@@ -345,7 +338,7 @@ fn stitch_node(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geoqp_common::{DataType, Field, Rows, Schema, TableRef, Value};
+    use geoqp_common::{DataType, Field, Schema, TableRef, Value};
 
     fn scan(table: &str, loc: &str) -> Arc<PhysicalPlan> {
         Arc::new(
@@ -372,9 +365,9 @@ mod tests {
         })
     }
 
-    fn encoded_rows() -> (Vec<u8>, u64) {
-        let rows = Rows::from_rows(vec![vec![Value::Int64(1)], vec![Value::Int64(2)]]);
-        (rows.encode(), rows.len() as u64)
+    fn batch() -> Arc<ColumnarBatch> {
+        let rows = [vec![Value::Int64(1)], vec![Value::Int64(2)]];
+        Arc::new(ColumnarBatch::from_rows(&rows, 1))
     }
 
     #[test]
@@ -394,16 +387,13 @@ mod tests {
         let store = CheckpointStore::new();
         let node = scan("t", "L1");
         let legal = LocationSet::from_iter(["L1", "L2"]);
-        let (encoded, n) = encoded_rows();
         let err = store
             .put(
                 fingerprint(&node, 0),
                 Location::new("L3"),
                 &legal,
                 &logical_of(&node),
-                encoded,
-                n,
-                1,
+                batch(),
             )
             .unwrap_err();
         assert_eq!(err.kind(), "non-compliant");
@@ -419,9 +409,8 @@ mod tests {
         let legal = LocationSet::from_iter(["L1", "L2"]);
         let logical = logical_of(&node);
         for home in ["L1", "L2"] {
-            let (encoded, n) = encoded_rows();
             store
-                .put(fp, Location::new(home), &legal, &logical, encoded, n, 1)
+                .put(fp, Location::new(home), &legal, &logical, batch())
                 .unwrap();
         }
         assert_eq!(store.len(), 2);
@@ -441,9 +430,8 @@ mod tests {
         let legal = LocationSet::from_iter(["L1", "L2"]);
         let logical = logical_of(&node);
         for home in ["L1", "L2"] {
-            let (encoded, n) = encoded_rows();
             store
-                .put(old_fp, Location::new(home), &legal, &logical, encoded, n, 1)
+                .put(old_fp, Location::new(home), &legal, &logical, batch())
                 .unwrap();
         }
         // The revocation shrank 𝒮ₙ to {L1}: L2's copy must not survive.
@@ -478,18 +466,11 @@ mod tests {
         let store = CheckpointStore::new();
         let fp = fingerprint(&t1, 0);
         let legal = LocationSet::from_iter(["L1", "L4"]);
-        let (encoded, n) = encoded_rows();
-        let bytes = encoded.len() as u64;
+        let retained = batch();
+        // What the row encoding of the retained rows weighs on the wire.
+        let bytes = retained.to_rows().encode().len() as u64;
         store
-            .put(
-                fp,
-                Location::new("L4"),
-                &legal,
-                &logical_of(&t1),
-                encoded,
-                n,
-                1,
-            )
+            .put(fp, Location::new("L4"), &legal, &logical_of(&t1), retained)
             .unwrap();
 
         let out = stitch(&plan, &store, 0).unwrap();

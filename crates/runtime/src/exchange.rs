@@ -10,67 +10,16 @@
 //! [`RuntimeMetrics`](crate::RuntimeMetrics) counts. No operator consumes
 //! a partial stream, so nothing is queued and a producer never blocks.
 //!
+//! What crosses is the producer's own `Arc<ColumnarBatch>`, whichever
+//! engine produced it: the consumer holds the same allocation, so an edge
+//! is crossed without copying a value. (A row-engine fragment — the test
+//! oracle — lays its output out as columns once, at the producer.)
+//!
 //! A failed run is torn down with [`Exchange::cancel`], which wakes a
 //! waiting consumer for good and turns a later `deliver` into a no-op.
 
-use geoqp_common::{ColumnarBatch, Rows};
+use geoqp_common::ColumnarBatch;
 use std::sync::{Arc, Condvar, Mutex};
-
-/// One fragment's fully evaluated output, in whichever layout the
-/// configured engine produced it. Row-engine fragments hand over
-/// materialized [`Rows`]; columnar fragments hand over the producer's own
-/// `Arc<ColumnarBatch>` — the consumer holds the same allocation, so an
-/// edge is crossed without copying a single value. Byte accounting is
-/// computed per batch from a row range either way (for a columnar output,
-/// from column metadata), so the transfer log cannot tell the two apart.
-#[derive(Debug, Clone)]
-pub enum Payload {
-    /// Materialized rows (row engine).
-    Rows(Rows),
-    /// A shared columnar batch (columnar engine, zero-copy).
-    Columnar(Arc<ColumnarBatch>),
-}
-
-impl Payload {
-    /// Rows in the output.
-    pub fn len(&self) -> usize {
-        match self {
-            Payload::Rows(r) => r.len(),
-            Payload::Columnar(b) => b.len(),
-        }
-    }
-
-    /// True when the output holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Exact wire size of rows `offset..offset + len` shipped as a batch
-    /// of their own (8-byte header included), without building it.
-    pub fn encoded_size(&self, offset: usize, len: usize) -> usize {
-        match self {
-            Payload::Rows(r) => r.encoded_size_of(offset, len),
-            Payload::Columnar(b) => b.encoded_size_of(offset, len),
-        }
-    }
-
-    /// The output as rows (columnar payloads defer the transpose until a
-    /// consumer asks for row-major data).
-    pub fn into_rows(self) -> Rows {
-        match self {
-            Payload::Rows(r) => r,
-            Payload::Columnar(b) => Rows::from_batch(b),
-        }
-    }
-
-    /// The output in columnar form (converts only for row payloads).
-    pub fn into_columnar(self, arity: usize) -> Arc<ColumnarBatch> {
-        match self {
-            Payload::Rows(r) => Arc::new(ColumnarBatch::from_rows(r.rows(), arity)),
-            Payload::Columnar(b) => b,
-        }
-    }
-}
 
 /// A one-shot single-producer single-consumer hand-off; `default()` is
 /// the empty slot.
@@ -83,7 +32,7 @@ pub struct Exchange {
 #[derive(Default)]
 struct State {
     /// `Some` between `deliver` and `take`.
-    output: Option<Payload>,
+    output: Option<Arc<ColumnarBatch>>,
     /// Set by `deliver` and by `cancel`: `take` has nothing to wait for.
     settled: bool,
     arrival_ms: f64,
@@ -111,7 +60,7 @@ impl Exchange {
     /// at simulated time `arrival_ms`. Never blocks; a no-op once the
     /// edge is cancelled, so a producer whose consumer died still runs to
     /// its own verdict.
-    pub fn deliver(&self, output: Payload, batches: u64, bytes: u64, arrival_ms: f64) {
+    pub fn deliver(&self, output: Arc<ColumnarBatch>, batches: u64, bytes: u64, arrival_ms: f64) {
         let mut st = self.state.lock().unwrap();
         if st.settled {
             return;
@@ -135,7 +84,7 @@ impl Exchange {
 
     /// The producer's output and its simulated arrival time, blocking
     /// until it is delivered or the edge is cancelled.
-    pub fn take(&self) -> Result<(Payload, f64), Cancelled> {
+    pub fn take(&self) -> Result<(Arc<ColumnarBatch>, f64), Cancelled> {
         let mut st = self.state.lock().unwrap();
         if !st.settled {
             st.stats.recv_stalls += 1;
@@ -163,16 +112,18 @@ mod tests {
     use super::*;
     use geoqp_common::Value;
 
-    fn rows(n: i64) -> Payload {
-        Payload::Rows(Rows::from_rows(vec![vec![Value::Int64(n)]]))
+    fn batch(n: i64) -> Arc<ColumnarBatch> {
+        Arc::new(ColumnarBatch::from_rows(&[vec![Value::Int64(n)]], 1))
     }
 
     #[test]
     fn deliver_take_roundtrip() {
         let ex = Exchange::default();
-        ex.deliver(rows(1), 2, 30, 42.0);
+        let b = batch(1);
+        ex.deliver(Arc::clone(&b), 2, 30, 42.0);
         let (got, arrival) = ex.take().unwrap();
-        assert_eq!(got.into_rows().rows()[0][0], Value::Int64(1));
+        // The consumer holds the producer's allocation, not a copy.
+        assert!(Arc::ptr_eq(&got, &b));
         assert_eq!(arrival, 42.0);
         assert_eq!(ex.arrival_ms(), 42.0);
         let st = ex.stats();
@@ -202,21 +153,9 @@ mod tests {
         let ex = Exchange::default();
         ex.cancel();
         // Returns at once and leaves nothing behind.
-        ex.deliver(rows(1), 1, 10, 5.0);
+        ex.deliver(batch(1), 1, 10, 5.0);
         assert_eq!(ex.take().unwrap_err(), Cancelled);
         assert_eq!(ex.stats(), ExchangeStats::default());
         assert_eq!(ex.arrival_ms(), 0.0);
-    }
-
-    #[test]
-    fn columnar_payload_crosses_zero_copy() {
-        let ex = Exchange::default();
-        let b = Arc::new(ColumnarBatch::from_rows(&[vec![Value::Int64(7)]], 1));
-        ex.deliver(Payload::Columnar(Arc::clone(&b)), 1, 9, 0.0);
-        match ex.take().unwrap() {
-            // The consumer holds the producer's allocation, not a copy.
-            (Payload::Columnar(got), _) => assert!(Arc::ptr_eq(&got, &b)),
-            _ => panic!("expected columnar output"),
-        }
     }
 }

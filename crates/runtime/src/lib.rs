@@ -47,7 +47,7 @@ pub mod ship;
 pub use checkpoint::{
     fingerprint, stitch, Checkpoint, CheckpointSpec, CheckpointStore, StitchOutcome,
 };
-pub use exchange::{Cancelled, Exchange, ExchangeStats, Payload};
+pub use exchange::{Cancelled, Exchange, ExchangeStats};
 pub use fragment::{cut, Cut, Edge};
 pub use metrics::{EdgeMetrics, RuntimeMetrics, SiteMetrics};
 pub use morsel::{MorselPool, PoolRunner};

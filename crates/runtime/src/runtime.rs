@@ -26,7 +26,7 @@
 //! pipelining improves.
 
 use crate::checkpoint::CheckpointSpec;
-use crate::exchange::{Cancelled, Exchange, Payload};
+use crate::exchange::{Cancelled, Exchange};
 use crate::fragment::{cut, node_key, Cut, Edge};
 use crate::metrics::{EdgeMetrics, RuntimeMetrics, SiteMetrics};
 use crate::morsel::{MorselPool, PoolRunner};
@@ -52,12 +52,12 @@ pub struct RuntimeConfig {
     /// Rows per adjudicated batch: the unit of audit, fault verdict, cost
     /// and transfer-log record on every SHIP edge.
     pub batch_rows: usize,
-    /// Run every fragment on the vectorized columnar engine and hand
-    /// `Arc`'d batches across the exchanges instead of serialized rows
-    /// (the default; `false` is the row interpreter tests keep as their
-    /// oracle). Bytes are charged from column metadata — provably equal to the
-    /// row encoding's size — so transfer logs, audits, and fault replay
-    /// are identical to the row configuration.
+    /// Run every fragment on the vectorized columnar engine (the
+    /// default; `false` is the row interpreter tests keep as their
+    /// oracle). Either way an exchange hands over one `Arc`'d batch and
+    /// bytes are charged from column metadata — provably equal to the row
+    /// encoding's size — so transfer logs, audits, and fault replay are
+    /// identical between the two.
     pub columnar: bool,
     /// Rows per morsel when columnar kernels split their work for the
     /// per-site worker pool.
@@ -310,9 +310,12 @@ impl<'a> Runtime<'a> {
         let view = FragmentView::new(self, shared, source, runner);
         let result = if self.config.columnar {
             execute_fragment_columnar(edge.subtree(), source, &mut LocalShip, &view)
-                .map(|b| Payload::Columnar(b.materialize_all(view.runner())))
+                .map(|b| b.materialize_all(view.runner()))
         } else {
-            execute_fragment(edge.subtree(), source, &mut LocalShip, &view).map(Payload::Rows)
+            // The row oracle's output is laid out as columns once, here.
+            let arity = edge.ship.schema.len();
+            execute_fragment(edge.subtree(), source, &mut LocalShip, &view)
+                .map(|rows| Arc::new(ColumnarBatch::from_rows(rows.rows(), arity)))
         };
         let ready_ms = view.ready_ms();
         // The stream logs locally and publishes once, success or failure:
@@ -338,20 +341,19 @@ impl<'a> Runtime<'a> {
     /// Walk `output` in batches of `batch_rows`, adjudicate each through
     /// the edge's [`ShipStream`](crate::ship::ShipStream) — priced from
     /// its row range, nothing is copied — and, once every batch has been
-    /// delivered on the simulated wire, hand the whole output to the
-    /// consumer.
+    /// delivered on the simulated wire, hand the producer's own
+    /// allocation to the consumer.
     #[allow(clippy::too_many_arguments)]
     fn stream(
         &self,
         edge: &Edge<'_>,
-        output: Payload,
+        output: Arc<ColumnarBatch>,
         ready_ms: f64,
         fragment_attempts: u64,
         shared: &Shared<'_, '_>,
         audits: Option<&[LocationSet]>,
         log: &mut TransferLog,
     ) -> Result<()> {
-        let arity = edge.ship.schema.len();
         let total = output.len();
         let batch_rows = self.config.batch_rows.max(1);
         // An empty result still ships one (empty) batch, so transfer
@@ -387,38 +389,27 @@ impl<'a> Runtime<'a> {
         for i in 0..n_batches {
             let lo = (i * batch_rows).min(total);
             let hi = ((i + 1) * batch_rows).min(total);
-            // `encoded_size` is exactly what the row encoding of these
+            // `encoded_size_of` is exactly what the row encoding of these
             // rows costs; the stream pays its 8-byte header only once.
-            let sz = output.encoded_size(lo, hi - lo) as u64;
+            let sz = output.encoded_size_of(lo, hi - lo) as u64;
             let bytes = if i == 0 { sz } else { sz - 8 };
             ship.ship_batch(bytes, (hi - lo) as u64, log)?;
             shipped += bytes;
         }
-        let delivered = match &output {
-            // Wire roundtrip, as the sequential SHIP does: the consumer
-            // sees decoded bytes.
-            Payload::Rows(rows) => Rows::decode(&rows.encode(), arity)
-                .map(Payload::Rows)
-                .ok_or_else(|| {
-                    GeoError::Execution("wire corruption: batch failed to decode".into())
-                })?,
-            // The consumer gets the producer's own allocation.
-            Payload::Columnar(batch) => Payload::Columnar(Arc::clone(batch)),
-        };
         // A consumer that failed has torn this edge down, which makes the
         // hand-off a no-op: the producer has still adjudicated to its own
         // verdict, log, and checkpoint — so what a failed attempt leaves
         // behind is a function of the seed, never of which thread lost a
         // race.
-        shared.exchanges[edge.id].deliver(delivered, n_batches as u64, shipped, ship.arrival_ms());
-        shared.note_site(
-            &edge.from,
-            fragment_attempts + ship.attempts(),
-            ship.arrival_ms(),
+        let arrival_ms = ship.arrival_ms();
+        shared.exchanges[edge.id].deliver(
+            Arc::clone(&output),
+            n_batches as u64,
+            shipped,
+            arrival_ms,
         );
-        ship.finish(self.specs.get(edge.id), total as u64, arity, || {
-            output.into_rows().encode()
-        })
+        shared.note_site(&edge.from, fragment_attempts + ship.attempts(), arrival_ms);
+        ship.finish(self.specs.get(edge.id).map(|spec| (spec, output)))
     }
 }
 
@@ -517,52 +508,13 @@ impl<'r, 's> FragmentView<'r, 's> {
     }
 
     /// Wait for one boundary edge's producer and take its output.
-    fn take_edge(&self, id: usize) -> Result<Payload> {
+    fn take_edge(&self, id: usize) -> Result<Arc<ColumnarBatch>> {
         let (output, arrival_ms) = self.shared.exchanges[id]
             .take()
             .map_err(|Cancelled| GeoError::Execution(CANCELLED.into()))?;
         self.max_arrival_ms
             .set(self.max_arrival_ms.get().max(arrival_ms));
         Ok(output)
-    }
-
-    /// What `node` evaluates to when it is supplied from outside this
-    /// fragment's interpreter, for both engines: cancel poll → boundary
-    /// edge → gated scan → resume. `columnar` only picks the layout a
-    /// scan is read in; the fault clock ticks in the identical order.
-    fn fetch_as(&self, node: &PhysicalPlan, columnar: bool) -> Option<Result<Payload>> {
-        // Cooperative cancellation, polled per plan node: even a fragment
-        // doing pure local compute notices an abort between operators.
-        if let Err(e) = self.runtime.env.control.check_cancel(&format!(
-            "{} at {}",
-            node.op.name(),
-            node.location
-        )) {
-            return Some(Err(e));
-        }
-        if let Some(&id) = self.shared.cut.edge_of.get(&node_key(node)) {
-            return Some(self.take_edge(id));
-        }
-        match &node.op {
-            PhysOp::Scan { table } => Some(
-                self.site_gate(node, &format!("scan of {table}"))
-                    .and_then(|()| {
-                        if columnar {
-                            // The table's own columns, shared: no rows
-                            // are materialized.
-                            self.source
-                                .scan_columnar(table, &node.location, node.schema.len())
-                                .map(Payload::Columnar)
-                        } else {
-                            self.source.scan(table, &node.location).map(Payload::Rows)
-                        }
-                    }),
-            ),
-            PhysOp::ResumeScan { fingerprint, .. } => {
-                Some(self.resume(node, *fingerprint).map(Payload::Rows))
-            }
-            _ => None,
-        }
     }
 
     /// Gate a leaf read on its site's availability at the leaf's scan
@@ -587,22 +539,37 @@ impl<'r, 's> FragmentView<'r, 's> {
 
     /// A resume leaf: read a retained checkpoint homed at this node's
     /// site, gated on that site's crash windows like any other leaf.
-    fn resume(&self, node: &PhysicalPlan, fingerprint: u64) -> Result<Rows> {
+    fn resume(&self, node: &PhysicalPlan, fingerprint: u64) -> Result<Arc<ColumnarBatch>> {
         self.site_gate(node, &format!("resume of checkpoint {fingerprint:016x}"))?;
         self.runtime.env.resume(fingerprint, &node.location)
     }
 }
 
 impl ExchangeSource for FragmentView<'_, '_> {
-    fn fetch(&self, node: &PhysicalPlan) -> Option<Result<Rows>> {
-        self.fetch_as(node, false)
-            .map(|r| r.map(Payload::into_rows))
-    }
-
-    fn fetch_columnar(&self, node: &PhysicalPlan) -> Option<Result<Arc<ColumnarBatch>>> {
-        let arity = node.schema.len();
-        self.fetch_as(node, true)
-            .map(|r| r.map(|p| p.into_columnar(arity)))
+    /// What `node` evaluates to when it is supplied from outside this
+    /// fragment's interpreter, for both engines: cancel poll → boundary
+    /// edge → gated scan → resume.
+    fn fetch(&self, node: &PhysicalPlan) -> Option<Result<Arc<ColumnarBatch>>> {
+        // Cooperative cancellation, polled per plan node: even a fragment
+        // doing pure local compute notices an abort between operators.
+        if let Err(e) = self.runtime.env.control.check_cancel(&format!(
+            "{} at {}",
+            node.op.name(),
+            node.location
+        )) {
+            return Some(Err(e));
+        }
+        if let Some(&id) = self.shared.cut.edge_of.get(&node_key(node)) {
+            return Some(self.take_edge(id));
+        }
+        match &node.op {
+            PhysOp::Scan { table } => Some(
+                self.site_gate(node, &format!("scan of {table}"))
+                    .and_then(|()| self.source.scan(table, &node.location)),
+            ),
+            PhysOp::ResumeScan { fingerprint, .. } => Some(self.resume(node, *fingerprint)),
+            _ => None,
+        }
     }
 
     fn runner(&self) -> &dyn MorselRunner {
@@ -617,49 +584,8 @@ impl ExchangeSource for FragmentView<'_, '_> {
 mod tests {
     use super::*;
     use geoqp_common::{DataType, Field, Row, Schema, TableRef, Value};
+    use geoqp_exec::MapSource;
     use geoqp_net::NetworkTopology;
-
-    /// A source that hands out one held allocation, so a test can tell
-    /// whether the batch reached its consumer or a copy of it did.
-    struct Held(Arc<ColumnarBatch>);
-
-    impl DataSource for Held {
-        fn scan(&self, _table: &TableRef, _location: &Location) -> Result<Rows> {
-            Ok(self.0.to_rows())
-        }
-        fn scan_columnar(
-            &self,
-            _table: &TableRef,
-            _location: &Location,
-            _arity: usize,
-        ) -> Result<Arc<ColumnarBatch>> {
-            Ok(Arc::clone(&self.0))
-        }
-    }
-
-    /// Two held tables, told apart by name.
-    struct HeldTables(Vec<(&'static str, Arc<ColumnarBatch>)>);
-
-    impl HeldTables {
-        fn table(&self, table: &TableRef) -> &Arc<ColumnarBatch> {
-            let named = |(name, _): &&(&str, _)| *name == table.table;
-            &self.0.iter().find(named).expect("a held table").1
-        }
-    }
-
-    impl DataSource for HeldTables {
-        fn scan(&self, table: &TableRef, _location: &Location) -> Result<Rows> {
-            Ok(self.table(table).to_rows())
-        }
-        fn scan_columnar(
-            &self,
-            table: &TableRef,
-            _location: &Location,
-            _arity: usize,
-        ) -> Result<Arc<ColumnarBatch>> {
-            Ok(Arc::clone(self.table(table)))
-        }
-    }
 
     #[test]
     fn a_join_crossing_an_edge_arrives_gathered_at_the_row_engines_bytes() {
@@ -688,10 +614,17 @@ mod tests {
                 ]
             })
             .collect();
-        let held = HeldTables(vec![
-            ("build", Arc::new(ColumnarBatch::from_rows(&build, 3))),
-            ("probe", Arc::new(ColumnarBatch::from_rows(&probe, 3))),
-        ]);
+        let mut source = MapSource::new();
+        source.insert(
+            TableRef::bare("build"),
+            Location::new("L1"),
+            Rows::from_rows(build),
+        );
+        source.insert(
+            TableRef::bare("probe"),
+            Location::new("L1"),
+            Rows::from_rows(probe),
+        );
         let scan = |table: &str, fields: [(&str, DataType); 3]| {
             let fields = fields.map(|(n, t)| Field::new(n, t)).to_vec();
             let op = PhysOp::Scan {
@@ -740,9 +673,9 @@ mod tests {
             let cut = cut(&plan).unwrap();
             let shared = Shared::new(&cut);
             let runner = pool.map(|p| p.runner(128));
-            runtime.run_producer(&cut.edges[0], &shared, &held, None, runner);
-            let view = FragmentView::new(&runtime, &shared, &held, None);
-            let got = view.fetch_columnar(&plan).unwrap().unwrap();
+            runtime.run_producer(&cut.edges[0], &shared, &source, None, runner);
+            let view = FragmentView::new(&runtime, &shared, &source, None);
+            let got = view.fetch(&plan).unwrap().unwrap();
             assert!(shared.errors.lock().unwrap().is_empty());
             (got, shared.log.into_inner().unwrap())
         };
@@ -768,7 +701,15 @@ mod tests {
         let rows: Vec<Row> = (0..1000)
             .map(|i| vec![Value::Int64(i), Value::str(format!("s{}", i % 13))])
             .collect();
-        let held = Held(Arc::new(ColumnarBatch::from_rows(&rows, 2)));
+        let mut source = MapSource::new();
+        source.insert(
+            TableRef::bare("t"),
+            Location::new("L1"),
+            Rows::from_rows(rows),
+        );
+        let table = source
+            .scan(&TableRef::bare("t"), &Location::new("L1"))
+            .unwrap();
         let schema = Schema::new(vec![
             Field::new("k", DataType::Int64),
             Field::new("s", DataType::Str),
@@ -794,9 +735,9 @@ mod tests {
             });
             let cut = cut(&plan).unwrap();
             let shared = Shared::new(&cut);
-            runtime.run_producer(&cut.edges[0], &shared, &held, None, None);
-            let view = FragmentView::new(&runtime, &shared, &held, None);
-            let got = view.fetch_columnar(&plan).unwrap().unwrap();
+            runtime.run_producer(&cut.edges[0], &shared, &source, None, None);
+            let view = FragmentView::new(&runtime, &shared, &source, None);
+            let got = view.fetch(&plan).unwrap().unwrap();
             assert!(shared.errors.lock().unwrap().is_empty());
             assert_eq!(shared.exchanges[0].stats().recv_stalls, 0);
             (got, shared.log.into_inner().unwrap())
@@ -804,7 +745,7 @@ mod tests {
 
         let (got, batched) = run(7);
         assert!(
-            Arc::ptr_eq(&got, &held.0),
+            Arc::ptr_eq(&got, &table),
             "the consumer must hold the producer's allocation, not a re-assembled copy"
         );
         // The batch is still the unit of adjudication: ⌈1000/7⌉ records,
@@ -814,7 +755,7 @@ mod tests {
         assert_eq!(whole.transfer_count(), 1);
         assert_eq!(batched.total_rows(), 1000);
         assert_eq!(batched.total_bytes(), whole.total_bytes());
-        assert_eq!(whole.total_bytes(), held.0.encoded_size() as u64);
+        assert_eq!(whole.total_bytes(), table.encoded_size() as u64);
         assert!((batched.total_cost_ms() - whole.total_cost_ms()).abs() < 1e-9);
     }
 }

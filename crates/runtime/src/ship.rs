@@ -33,7 +33,7 @@
 
 use crate::checkpoint::{CheckpointSpec, CheckpointStore};
 use geoqp_common::{
-    ChurnWatch, GeoError, Location, LocationSet, Result, Rows, RunControl, Unavailable,
+    ChurnWatch, ColumnarBatch, GeoError, Location, LocationSet, Result, RunControl, Unavailable,
 };
 use geoqp_exec::{Retried, RetryPolicy};
 use geoqp_net::topology::Link;
@@ -42,6 +42,7 @@ use geoqp_net::{
     NetworkTopology, RelayEvent, TransferLog, TransferRecord,
 };
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// What one execution attempt adjudicates against: the WAN model, the
 /// fault plan and retry budget, cancellation and deadline, the
@@ -154,10 +155,11 @@ impl<'a> ShipEnv<'a> {
         })
     }
 
-    /// Read the retained checkpoint behind a `ResumeScan` leaf homed at
-    /// `site`. The caller gates availability first with
-    /// [`ShipEnv::leaf_gate`], exactly like a tablescan.
-    pub fn resume(&self, fingerprint: u64, site: &Location) -> Result<Rows> {
+    /// The retained checkpoint behind a `ResumeScan` leaf homed at
+    /// `site`: the batch its edge delivered, shared. The caller gates
+    /// availability first with [`ShipEnv::leaf_gate`], exactly like a
+    /// tablescan.
+    pub fn resume(&self, fingerprint: u64, site: &Location) -> Result<Arc<ColumnarBatch>> {
         let store = self.store.ok_or_else(|| {
             GeoError::Execution(format!(
                 "no checkpoint store attached: cannot resume fragment \
@@ -169,9 +171,7 @@ impl<'a> ShipEnv<'a> {
                 "checkpoint {fingerprint:016x} is not homed at {site}"
             ))
         })?;
-        Rows::decode(&cp.encoded, cp.arity).ok_or_else(|| {
-            GeoError::Execution("checkpoint corruption: batch failed to decode".into())
-        })
+        Ok(cp.batch)
     }
 
     /// Open the stream of one SHIP edge under the caller's three clocks:
@@ -560,35 +560,25 @@ where
     /// both endpoints — the producer computed it there (its site is in
     /// ℰ ⊆ 𝒮) and the consumer legally received it (the per-batch audit
     /// held). An illegal home is a typed refusal from the store, not a
-    /// silent choice. `encode` materializes the row encoding and runs
-    /// only when a store is attached; checkpoints persist that encoding
-    /// whichever engine produced the rows, so a resumed plan replays
-    /// bit-identically.
-    pub fn finish(
-        self,
-        spec: Option<&CheckpointSpec>,
-        rows: u64,
-        arity: usize,
-        encode: impl FnOnce() -> Vec<u8>,
-    ) -> Result<()> {
+    /// silent choice. `retain` pairs the edge's spec with the batch it
+    /// delivered; both homes keep that one allocation, so a resume hands
+    /// the interpreter exactly what the consumer was handed.
+    pub fn finish(self, retain: Option<(&CheckpointSpec, Arc<ColumnarBatch>)>) -> Result<()> {
         let Some(store) = self.env.store else {
             return Ok(());
         };
-        let spec = spec.ok_or_else(|| {
+        let (spec, batch) = retain.ok_or_else(|| {
             GeoError::Execution(
                 "checkpoint spec underflow: more SHIPs executed than edges audited".into(),
             )
         })?;
-        let encoded = encode();
         for home in [self.edge.to, self.edge.from] {
             store.put(
                 spec.fingerprint,
                 home.clone(),
                 &spec.legal,
                 &spec.logical,
-                encoded.clone(),
-                rows,
-                arity,
+                Arc::clone(&batch),
             )?;
         }
         Ok(())

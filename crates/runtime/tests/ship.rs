@@ -4,8 +4,8 @@
 //! only exercised through two whole runtimes.
 
 use geoqp_common::{
-    CatalogPin, ChurnEvent, ChurnSignal, ChurnWatch, GeoError, Location, LocationSet,
-    QueryDeadline, Rows, RunControl, StaleGuard, TableRef, Value,
+    CatalogPin, ChurnEvent, ChurnSignal, ChurnWatch, ColumnarBatch, GeoError, Location,
+    LocationSet, QueryDeadline, RunControl, StaleGuard, TableRef, Value,
 };
 use geoqp_exec::RetryPolicy;
 use geoqp_net::hedge::HEDGE_STEP_BASE;
@@ -560,37 +560,42 @@ fn spec(legal: LocationSet) -> CheckpointSpec {
     }
 }
 
-#[test]
-fn a_drained_edge_is_retained_at_both_endpoints_or_refused_typed() {
-    let topology = wan();
-    let (from, to) = (loc("L1"), loc("L4"));
-    let rows = Rows::from_rows(vec![vec![Value::Int64(1)], vec![Value::Int64(2)]]);
-    let edge = || ShipEdge {
-        from: &from,
-        to: &to,
+fn delivered() -> Arc<ColumnarBatch> {
+    let rows = [vec![Value::Int64(1)], vec![Value::Int64(2)]];
+    Arc::new(ColumnarBatch::from_rows(&rows, 1))
+}
+
+fn drained_edge<'a>(from: &'a Location, to: &'a Location) -> ShipEdge<'a> {
+    ShipEdge {
+        from,
+        to,
         legal: None,
         lane: 0,
         churn_slot: 0,
         churn_stride: 0,
         ready_ms: 0.0,
-    };
+    }
+}
 
-    // No store: nothing is encoded, nothing retained.
+#[test]
+fn a_drained_edge_is_retained_at_both_endpoints_or_refused_typed() {
+    let topology = wan();
+    let (from, to) = (loc("L1"), loc("L4"));
+    let edge = || drained_edge(&from, &to);
+
+    // No store: nothing retained, spec or not.
     let bare = ShipEnv::new(&topology);
     bare.open(edge(), |_, _| 0, |_, _| 0.0, |_| 0.0)
-        .finish(None, 2, 1, || panic!("encode must not run without a store"))
+        .finish(None)
         .unwrap();
 
     let store = CheckpointStore::new();
     let env = ShipEnv::new(&topology).with_checkpoints(&store);
     env.open(edge(), |_, _| 0, |_, _| 0.0, |_| 0.0)
-        .finish(Some(&spec(endpoints())), 2, 1, || rows.encode())
+        .finish(Some((&spec(endpoints()), delivered())))
         .unwrap();
     assert_eq!(store.len(), 2);
-    for home in [&from, &to] {
-        assert_eq!(env.resume(0xfeed, home).unwrap(), rows);
-    }
-    // A ResumeScan can only be served from the site that holds the rows.
+    // A ResumeScan can only be served from the site that holds the batch.
     assert_eq!(
         env.resume(0xfeed, &loc("L2")).unwrap_err().kind(),
         "execution"
@@ -600,17 +605,32 @@ fn a_drained_edge_is_retained_at_both_endpoints_or_refused_typed() {
     // A home outside the producer's 𝒮ₙ is refused, never silently kept.
     let illegal = env
         .open(edge(), |_, _| 0, |_, _| 0.0, |_| 0.0)
-        .finish(Some(&spec(LocationSet::from_iter(["L4"]))), 2, 1, || {
-            rows.encode()
-        })
+        .finish(Some((&spec(LocationSet::from_iter(["L4"])), delivered())))
         .unwrap_err();
     assert_eq!(illegal.kind(), "non-compliant");
     // More edges than specs is a typed error, not a skipped checkpoint.
     let underflow = env
         .open(edge(), |_, _| 0, |_, _| 0.0, |_| 0.0)
-        .finish(None, 2, 1, || rows.encode())
+        .finish(None)
         .unwrap_err();
     assert_eq!(underflow.kind(), "execution");
+}
+
+/// A resume is a pointer copy: both homes hand back the very allocation
+/// the drained edge delivered.
+#[test]
+fn resume_returns_the_batch_finish_retained_at_both_homes() {
+    let topology = wan();
+    let (from, to) = (loc("L1"), loc("L4"));
+    let store = CheckpointStore::new();
+    let env = ShipEnv::new(&topology).with_checkpoints(&store);
+    let batch = delivered();
+    env.open(drained_edge(&from, &to), |_, _| 0, |_, _| 0.0, |_| 0.0)
+        .finish(Some((&spec(endpoints()), Arc::clone(&batch))))
+        .unwrap();
+    for home in [&from, &to] {
+        assert!(Arc::ptr_eq(&env.resume(0xfeed, home).unwrap(), &batch));
+    }
 }
 
 #[test]

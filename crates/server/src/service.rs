@@ -286,9 +286,6 @@ struct Job {
 struct TenantState {
     name: String,
     engine: Arc<Engine>,
-    /// Cached `policies().epoch()` so the hot path never re-hashes the
-    /// catalog; refreshed by `update_tenant_policies`.
-    epoch: u64,
     /// The tenant's replicated catalog service: every policy change is a
     /// log append here, and its churn signal reaches in-flight queries.
     churn: Arc<CatalogService>,
@@ -343,13 +340,14 @@ impl TenantState {
     }
 }
 
-/// Nearest-rank percentile over an ascending-sorted slice.
+/// Nearest-rank percentile over an ascending-sorted slice: the smallest
+/// sample with at least a `p` share of the samples at or below it.
 fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
+    let rank = (p * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 struct SchedState {
@@ -464,7 +462,6 @@ impl QueryService {
         topology: NetworkTopology,
         config: TenantConfig,
     ) -> TenantId {
-        let epoch = policies.epoch();
         // The tenant's catalog log starts at the registered policy set;
         // the first site (in canonical order) coordinates replication.
         let coordinator = catalog
@@ -480,7 +477,8 @@ impl QueryService {
         ));
         let pin = churn.head();
         debug_assert_eq!(
-            pin.epoch, epoch,
+            pin.epoch,
+            policies.epoch(),
             "base log epoch must match the frozen catalog's"
         );
         let engine = Arc::new(Engine::new(catalog, policies, topology));
@@ -488,7 +486,6 @@ impl QueryService {
         st.tenants.push(TenantState {
             name: name.into(),
             engine,
-            epoch,
             churn,
             pin,
             last_revoke_seq: 0,
@@ -629,7 +626,6 @@ impl QueryService {
                 .get_mut(tenant.0)
                 .ok_or_else(|| GeoError::Execution(format!("unknown tenant #{}", tenant.0)))?;
             ten.engine = new_engine;
-            ten.epoch = head.epoch;
             ten.pin = head;
             if revoke_seq > 0 {
                 ten.last_revoke_seq = ten.last_revoke_seq.max(revoke_seq);
@@ -663,7 +659,7 @@ impl QueryService {
         let st = self.shared.state.lock().unwrap();
         st.tenants
             .get(tenant.0)
-            .map(|t| t.epoch)
+            .map(|t| t.pin.epoch)
             .ok_or_else(|| GeoError::Execution(format!("unknown tenant #{}", tenant.0)))
     }
 
@@ -910,4 +906,21 @@ fn run_job(
         latency_ms: 0.0, // stamped by the worker after the clock stops
         result_location: optimized.result_location.clone(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::percentile;
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        assert_eq!(percentile(&[], 0.5), 0.0);
+        assert_eq!(percentile(&[7.0], 0.5), 7.0);
+        assert_eq!(percentile(&[7.0], 0.99), 7.0);
+        // Of two samples the median is the smaller: one of two is half.
+        assert_eq!(percentile(&[1.0, 2.0], 0.5), 1.0);
+        let hundred: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(percentile(&hundred, 0.99), 99.0);
+        assert_eq!(percentile(&hundred, 0.5), 50.0);
+    }
 }

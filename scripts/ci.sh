@@ -29,6 +29,19 @@ if grep -nE '^[[:space:]]*(pub )?[a-z_]+: Vec<Row>,|OnceLock' crates/storage/src
     exit 1
 fi
 
+echo "==> one boundary layout: a scan, a fragment hand-off and a checkpoint" \
+     "resume each hand an interpreter an Arc<ColumnarBatch>, never rows"
+if grep -rnE 'enum Payload|fn scan_columnar|fn fetch_columnar|fn into_columnar' crates; then
+    echo "a second layout at an interpreter's boundary is back" >&2
+    exit 1
+fi
+for f in crates/runtime/src/*.rs; do
+    if sed '/^mod tests/,$d' "$f" | grep -nE 'Rows::decode|\.encode\(\)'; then
+        echo "$f encodes or decodes rows outside its tests: the runtime moves batches" >&2
+        exit 1
+    fi
+done
+
 echo "==> one cell table: a fixed-width type is described once, so above" \
      "its tests common/src/columnar.rs names a typed variant on at most four" \
      "lines (today three: the layout dispatch, eq_at's two cross-type arms)"

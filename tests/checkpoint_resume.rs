@@ -9,6 +9,11 @@
 //! recovery is impossible but resume succeeds, the resumed answer must
 //! equal the fault-free reference and its plan must pass the
 //! Definition-1 audit.
+//!
+//! The engine is one more input: every cell runs sequential and
+//! pipelined, each on the row and the columnar engine, and on one runtime
+//! the two engines must resume alike — a checkpoint is the same batch
+//! whichever engine delivered it.
 
 use geoqp::prelude::*;
 use geoqp::tpch;
@@ -27,6 +32,24 @@ fn engine(template: PolicyTemplate) -> Engine {
     Engine::new(catalog, Arc::new(policies), NetworkTopology::paper_wan())
 }
 
+/// An engine a grid cell runs on: `(pipelined, columnar)`.
+type EngineSel = (bool, bool);
+
+/// Both runtimes, each with the row engine first and the columnar second.
+const ENGINES: [EngineSel; 4] = [(false, false), (false, true), (true, false), (true, true)];
+
+fn on_engine(opts: ExecOptions<'_>, (pipelined, columnar): EngineSel) -> ExecOptions<'_> {
+    let runtime = RuntimeConfig {
+        columnar,
+        ..RuntimeConfig::default()
+    };
+    if pipelined {
+        opts.pipelined(runtime)
+    } else {
+        ExecOptions { runtime, ..opts }
+    }
+}
+
 /// Rows in a canonical order: semantically equal results from
 /// differently-placed plans compare as multisets.
 fn multiset(rows: &Rows) -> Vec<String> {
@@ -35,15 +58,51 @@ fn multiset(rows: &Rows) -> Vec<String> {
     v
 }
 
+/// The row and the columnar engine resumed one cell on the same runtime:
+/// the same outcome kind, rows, checkpoint traffic, re-plans and log.
+/// Returns whether the cell was served from a checkpoint at all.
+fn assert_engines_agree(
+    cell: &str,
+    row: &Result<QueryOutcome>,
+    col: &Result<QueryOutcome>,
+) -> bool {
+    match (row, col) {
+        (Ok(r), Ok(c)) => {
+            assert_eq!(multiset(&r.rows), multiset(&c.rows), "{cell}: rows");
+            assert_eq!(
+                (r.resumed_bytes, r.recomputed_bytes, r.replans),
+                (c.resumed_bytes, c.recomputed_bytes, c.replans),
+                "{cell}: (resumed bytes, recomputed bytes, re-plans)"
+            );
+            assert_eq!(r.transfers, c.transfers, "{cell}: transfer log");
+            r.resumed_bytes > 0
+        }
+        (Err(r), Err(c)) => {
+            assert_eq!(r.kind(), c.kind(), "{cell}: {r} vs {c}");
+            false
+        }
+        (r, c) => panic!(
+            "{cell}: row engine {:?}, columnar {:?}",
+            r.is_ok(),
+            c.is_ok()
+        ),
+    }
+}
+
 /// The grid: for each query, crash each site at each of four steps
 /// spread over the run (learned from a fault-free probe) for `horizon`
 /// fault-clock steps (`u64::MAX` = permanently), and compare scratch
 /// failover against checkpoint/resume failover on the identical
-/// schedule.
-fn differential_grid(template: PolicyTemplate, horizon: u64) -> (usize, usize, usize) {
+/// schedule, on every engine; the row and the columnar engine of one
+/// runtime must resume alike. Returns the cell-engine runs where both
+/// modes completed, where only resume did, where both refused, and — per
+/// runtime, sequential first — the cells whose two engines agreed on a
+/// run that resumed from checkpoints.
+fn differential_grid(template: PolicyTemplate, horizon: u64) -> (usize, usize, usize, [usize; 2]) {
     let eng = engine(template);
     let retry = RetryPolicy::default();
     let (mut both_ok, mut resume_only, mut both_err) = (0usize, 0usize, 0usize);
+    let mut resumed_alike = [0; 2];
     for query in QUERIES {
         let plan = tpch::query_by_name(eng.catalog(), query).unwrap();
         let Ok(opt) = eng.optimize(&plan, OptimizerMode::Compliant, None) else {
@@ -66,100 +125,122 @@ fn differential_grid(template: PolicyTemplate, horizon: u64) -> (usize, usize, u
                         StepWindow::new(crash_step, crash_step.saturating_add(horizon)),
                     )
                 };
-                let (resumed_faults, scratch_faults) = (crash(), crash());
-                let resumed = eng.run(
-                    &opt,
-                    &ExecOptions::failover(&resumed_faults, &retry, SITES.len()),
-                );
-                let scratch = eng.run(
-                    &opt,
-                    &ExecOptions {
-                        resume: false,
-                        ..ExecOptions::failover(&scratch_faults, &retry, SITES.len())
-                    },
-                );
-                match (&resumed, &scratch) {
-                    (Ok(r), Ok(s)) => {
-                        both_ok += 1;
-                        assert_eq!(
-                            multiset(&r.rows),
-                            multiset(&s.rows),
-                            "{query}/{site}@{crash_step}: resume changed the answer"
-                        );
-                        assert_eq!(
-                            multiset(&r.rows),
-                            multiset(&reference.rows),
-                            "{query}/{site}@{crash_step}: failover changed the answer"
-                        );
-                        // The byte/replan comparison is exact only for a
-                        // permanent crash, where both modes walk the same
-                        // failover rounds; a bounded outage lets the two
-                        // step schedules drift.
-                        if horizon == u64::MAX {
+                let mut resumed_on: Vec<Result<QueryOutcome>> = Vec::new();
+                for engine in ENGINES {
+                    let cell = format!("{query}/{site}@{crash_step} on {engine:?}");
+                    let (resumed_faults, scratch_faults) = (crash(), crash());
+                    let resumed = eng.run(
+                        &opt,
+                        &on_engine(
+                            ExecOptions::failover(&resumed_faults, &retry, SITES.len()),
+                            engine,
+                        ),
+                    );
+                    let scratch = eng.run(
+                        &opt,
+                        &on_engine(
+                            ExecOptions {
+                                resume: false,
+                                ..ExecOptions::failover(&scratch_faults, &retry, SITES.len())
+                            },
+                            engine,
+                        ),
+                    );
+                    match (&resumed, &scratch) {
+                        (Ok(r), Ok(s)) => {
+                            both_ok += 1;
                             assert_eq!(
-                                r.replans, s.replans,
-                                "{query}/{site}@{crash_step}: resume changed the \
-                                 replan count"
+                                multiset(&r.rows),
+                                multiset(&s.rows),
+                                "{cell}: resume changed the answer"
                             );
-                            assert!(
-                                r.recomputed_bytes <= s.recomputed_bytes,
-                                "{query}/{site}@{crash_step}: resume recovery shipped \
-                                 {} bytes, scratch only {}",
-                                r.recomputed_bytes,
-                                s.recomputed_bytes
+                            assert_eq!(
+                                multiset(&r.rows),
+                                multiset(&reference.rows),
+                                "{cell}: failover changed the answer"
                             );
+                            // The byte/replan comparison is exact only for
+                            // a permanent crash, where both modes walk the
+                            // same failover rounds; a bounded outage lets
+                            // the two step schedules drift.
+                            if horizon == u64::MAX {
+                                assert_eq!(
+                                    r.replans, s.replans,
+                                    "{cell}: resume changed the replan count"
+                                );
+                                assert!(
+                                    r.recomputed_bytes <= s.recomputed_bytes,
+                                    "{cell}: resume recovery shipped {} bytes, scratch only {}",
+                                    r.recomputed_bytes,
+                                    s.recomputed_bytes
+                                );
+                                assert!(
+                                    r.transfers.total_bytes() <= s.transfers.total_bytes(),
+                                    "{cell}: resume shipped more in total"
+                                );
+                            }
+                            eng.audit(&r.physical)
+                                .expect("resumed placement must pass the Definition-1 audit");
+                        }
+                        (Ok(r), Err(_)) => {
+                            // Resume is strictly more available than
+                            // scratch: checkpoints can rescue crashes of
+                            // base-table sites that no re-placement
+                            // survives.
+                            resume_only += 1;
+                            assert_eq!(
+                                multiset(&r.rows),
+                                multiset(&reference.rows),
+                                "{cell}: resume-only recovery changed the answer"
+                            );
+                            eng.audit(&r.physical)
+                                .expect("resumed placement must pass the Definition-1 audit");
+                        }
+                        (Err(r), scratch) => {
+                            both_err += 1;
                             assert!(
-                                r.transfers.total_bytes() <= s.transfers.total_bytes(),
-                                "{query}/{site}@{crash_step}: resume shipped more in total"
+                                matches!(r.kind(), "rejected" | "unavailable"),
+                                "{cell}: untyped resume failure {r}"
+                            );
+                            // Under a *permanent* crash, scratch must never
+                            // out-recover resume. (A bounded outage can
+                            // fall either way: the stitched plan replays
+                            // fewer fault-clock steps, so the two modes
+                            // reach the dead site at different simulated
+                            // instants.)
+                            assert!(
+                                horizon != u64::MAX || scratch.is_err(),
+                                "{cell}: scratch recovered where resume failed"
                             );
                         }
-                        eng.audit(&r.physical)
-                            .expect("resumed placement must pass the Definition-1 audit");
                     }
-                    (Ok(r), Err(_)) => {
-                        // Resume is strictly more available than scratch:
-                        // checkpoints can rescue crashes of base-table
-                        // sites that no re-placement survives.
-                        resume_only += 1;
-                        assert_eq!(
-                            multiset(&r.rows),
-                            multiset(&reference.rows),
-                            "{query}/{site}@{crash_step}: resume-only recovery \
-                             changed the answer"
-                        );
-                        eng.audit(&r.physical)
-                            .expect("resumed placement must pass the Definition-1 audit");
-                    }
-                    (Err(r), scratch) => {
-                        both_err += 1;
-                        assert!(
-                            matches!(r.kind(), "rejected" | "unavailable"),
-                            "{query}/{site}@{crash_step}: untyped resume failure {r}"
-                        );
-                        // Under a *permanent* crash, scratch must never
-                        // out-recover resume. (A bounded outage can fall
-                        // either way: the stitched plan replays fewer
-                        // fault-clock steps, so the two modes reach the
-                        // dead site at different simulated instants.)
-                        assert!(
-                            horizon != u64::MAX || scratch.is_err(),
-                            "{query}/{site}@{crash_step}: scratch recovered where \
-                             resume failed"
-                        );
+                    resumed_on.push(resumed);
+                }
+                // `ENGINES` pairs row then columnar, sequential first.
+                for (pipelined, pair) in [false, true].into_iter().zip(resumed_on.chunks(2)) {
+                    let cell = format!("{query}/{site}@{crash_step} pipelined={pipelined}");
+                    if assert_engines_agree(&cell, &pair[0], &pair[1]) {
+                        resumed_alike[usize::from(pipelined)] += 1;
                     }
                 }
             }
         }
     }
-    (both_ok, resume_only, both_err)
+    (both_ok, resume_only, both_err, resumed_alike)
 }
 
 /// The full permanent-crash grid under the paper's most restrictive
 /// policies: every outcome class must actually occur, or the comparison
-/// is vacuous.
+/// is vacuous. On this grid only the pipelined runtime resumes from
+/// checkpoints; the bounded grid below is where the sequential one does.
 #[test]
 fn resume_and_scratch_agree_on_the_crash_grid_cra() {
-    let (both_ok, _resume_only, both_err) = differential_grid(PolicyTemplate::CRA, u64::MAX);
+    let (both_ok, _resume_only, both_err, [_, pipelined_resumes]) =
+        differential_grid(PolicyTemplate::CRA, u64::MAX);
+    assert!(
+        pipelined_resumes >= 1,
+        "expected the pipelined engines to be compared on a resumed run"
+    );
     assert!(
         both_ok >= 3,
         "expected ≥3 grid cells where both recovery modes complete, got {both_ok}"
@@ -178,11 +259,17 @@ fn resume_and_scratch_agree_on_the_crash_grid_cra() {
 fn resume_out_recovers_scratch_on_the_crash_grid_c() {
     let mut both_ok = 0;
     let mut resume_only = 0;
+    let mut sequential_resumes = 0;
     for horizon in [1, 2, 4] {
-        let (ok, ro, _) = differential_grid(PolicyTemplate::C, horizon);
+        let (ok, ro, _, [sequential, _]) = differential_grid(PolicyTemplate::C, horizon);
         both_ok += ok;
         resume_only += ro;
+        sequential_resumes += sequential;
     }
+    assert!(
+        sequential_resumes >= 1,
+        "expected the sequential engines to be compared on a resumed run"
+    );
     assert!(
         both_ok >= 3,
         "expected ≥3 grid cells where both recovery modes complete, got {both_ok}"

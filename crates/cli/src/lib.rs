@@ -329,20 +329,10 @@ impl Shell {
     /// policies: the engine's policy set becomes log sequence 0 and
     /// every site's replica starts fresh at the head.
     fn attach_catalog(&mut self) {
-        self.churn = self.engine.as_ref().map(|eng| {
-            let coordinator = eng
-                .catalog()
-                .locations()
-                .iter()
-                .next()
-                .cloned()
-                .unwrap_or_else(|| Location::new("L0"));
-            Arc::new(CatalogService::new(
-                Arc::clone(eng.catalog()),
-                (**eng.policies()).clone(),
-                coordinator,
-            ))
-        });
+        self.churn = self
+            .engine
+            .as_ref()
+            .map(|eng| Arc::new(CatalogService::for_engine(eng)));
     }
 
     fn catalog_service(&self) -> Result<Arc<CatalogService>> {
@@ -352,15 +342,9 @@ impl Shell {
             .ok_or_else(|| GeoError::Execution("no deployment loaded; try \\demo carco".into()))
     }
 
-    /// Re-admit the session under the catalog head `pin`: the engine is
-    /// forked over the epoch-pinned snapshot (cold implication memo, same
-    /// storage and topology), and every replica is brought fully up to
-    /// date so no site refuses transfers as catalog-stale.
+    /// Re-admit the session under the catalog head `pin`.
     fn refresh_engine(&mut self, svc: &CatalogService, pin: CatalogPin) -> Result<()> {
-        svc.sync_full();
-        let snapshot = svc.snapshot(pin.seq)?;
-        let forked = self.engine()?.fork_with_policies(snapshot);
-        self.engine = Some(forked);
+        self.engine = Some(svc.readmit(self.engine()?, pin)?);
         Ok(())
     }
 

@@ -19,6 +19,7 @@
 //! [`StaleGuard`] built from what each replica can *prove* it has seen,
 //! and fresh watches after a mid-flight re-pin.
 
+use crate::engine::Engine;
 use geoqp_common::{
     CatalogPin, ChurnEvent, ChurnSignal, ChurnWatch, GeoError, Location, LocationSet, Result,
     StaleGuard,
@@ -154,6 +155,33 @@ impl CatalogService {
         }
     }
 
+    /// A service whose log starts at `engine`'s policy set, coordinated
+    /// from the first site in canonical order (`L0` for a siteless
+    /// catalog), with every replica fresh at the head.
+    pub fn for_engine(engine: &Engine) -> CatalogService {
+        let coordinator = engine
+            .catalog()
+            .locations()
+            .iter()
+            .next()
+            .cloned()
+            .unwrap_or_else(|| Location::new("L0"));
+        CatalogService::new(
+            Arc::clone(engine.catalog()),
+            (**engine.policies()).clone(),
+            coordinator,
+        )
+    }
+
+    /// Re-admit under catalog head `pin`: every replica is brought fully
+    /// up to date (so no site refuses transfers as catalog-stale), and
+    /// `engine` is forked over the epoch-pinned snapshot — cold
+    /// implication memo, same storage and topology.
+    pub fn readmit(&self, engine: &Engine, pin: CatalogPin) -> Result<Engine> {
+        self.sync_full();
+        Ok(engine.fork_with_policies(self.snapshot(pin.seq)?))
+    }
+
     /// Drive catalog replication through a seeded fault schedule:
     /// partitions and crashes involving the coordinator link stall a
     /// replica's pulls, which is how a site ends up unable to prove
@@ -287,16 +315,19 @@ impl CatalogService {
     /// *bootstraps* from it — chain-verifying the snapshot's anchored
     /// hash before installing — then tails the remaining entries.
     pub fn sync_at(&self, step: u64) -> u64 {
+        self.sync(self.faults.as_ref(), step)
+    }
+
+    /// [`CatalogService::sync_at`] under `faults`; with none, every pull
+    /// and snapshot transfer gets through.
+    fn sync(&self, faults: Option<&FaultPlan>, step: u64) -> u64 {
         let log = self.log();
         let head = log.seq();
         let mut replicas = self.replicas.lock().expect("replica table lock poisoned");
         let mut frontier = head;
         for (site, replica) in replicas.iter_mut() {
             if site != self.coordinator()
-                && self
-                    .faults
-                    .as_ref()
-                    .is_some_and(|plan| plan.site_down_until(site, step).is_some())
+                && faults.is_some_and(|plan| plan.site_down_until(site, step).is_some())
             {
                 // The crash loses whatever the replica held beyond its
                 // static deployment base; a bare replica has nothing to
@@ -310,10 +341,7 @@ impl CatalogService {
             }
             if replica.seq() < log.floor_seq() {
                 let snap = log.latest_snapshot();
-                if !self
-                    .gossip
-                    .pull_snapshot(site, snap.seq(), self.faults.as_ref(), step)
-                {
+                if !self.gossip.pull_snapshot(site, snap.seq(), faults, step) {
                     frontier = frontier.min(replica.seq());
                     continue;
                 }
@@ -337,9 +365,7 @@ impl CatalogService {
                     }
                 }
             }
-            let target = self
-                .gossip
-                .pull(site, replica.seq(), head, self.faults.as_ref(), step);
+            let target = self.gossip.pull(site, replica.seq(), head, faults, step);
             for entry in log.entries_after(replica.seq()) {
                 if entry.seq > target {
                     break;
@@ -368,32 +394,7 @@ impl CatalogService {
     /// compaction floor bootstrap from the floor snapshot (still
     /// chain-verified, still byte-charged) before tailing entries.
     pub fn sync_full(&self) {
-        let log = self.log();
-        let head = log.seq();
-        let mut replicas = self.replicas.lock().expect("replica table lock poisoned");
-        for (site, replica) in replicas.iter_mut() {
-            if replica.seq() < log.floor_seq() {
-                let snap = log.latest_snapshot();
-                replica
-                    .bootstrap(snap)
-                    .expect("the coordinator's own floor snapshot chain-verifies");
-                if site != self.coordinator() {
-                    self.bootstraps.fetch_add(1, Ordering::Relaxed);
-                    self.snapshot_bytes
-                        .fetch_add(snap.encoded_len(), Ordering::Relaxed);
-                }
-            }
-            for entry in log.entries_after(replica.seq()) {
-                replica
-                    .apply(entry)
-                    .expect("entries pulled from the coordinator's own log chain-verify");
-                if site != self.coordinator() {
-                    self.entry_bytes
-                        .fetch_add(entry.encoded_len(), Ordering::Relaxed);
-                }
-            }
-            debug_assert_eq!(replica.seq(), head);
-        }
+        self.sync(None, 0);
     }
 
     /// The set of sites whose catalog-plane link to the coordinator is

@@ -628,20 +628,18 @@ impl Engine {
     /// behind the shell, the service, and the experiment harness.
     ///
     /// With the default options this is a single attempt. With a
-    /// re-plan budget it is compliant failover: when an attempt dies on a
-    /// [`GeoError::SiteUnavailable`] that survived its retry budget, the
-    /// failed site is excluded from every execution trait `ℰ_n` of the
-    /// annotated plan (or — for a breaker-condemned gray link — the link
-    /// is priced at ∞ without excluding anything), dead checkpoints are
-    /// dropped, Algorithm 2 site selection is re-run over what remains,
-    /// the new placement is stitched against surviving checkpoints and
-    /// re-verified against Definition 1, and execution resumes on the new
-    /// plan — up to `max_replans` times. A mid-flight revocation re-pins
-    /// and re-optimizes under the new catalog the same way.
+    /// re-plan budget it is compliant failover: an attempt that dies on a
+    /// mid-flight revocation, a site down past its retry budget, or a
+    /// breaker-condemned gray link takes one recovery step — the
+    /// cause's own state change, then Algorithm 2 re-run around every
+    /// excluded site and avoided link, the placement stitched against
+    /// surviving checkpoints and re-verified against Definition 1 — and
+    /// execution resumes on the new plan, up to `max_replans` times.
     ///
     /// The failover path never falls back to a non-compliant placement:
     /// if no operator placement survives the failure, the typed policy
-    /// error ([`GeoError::QueryRejected`]) is returned instead.
+    /// error ([`GeoError::QueryRejected`]; [`GeoError::NonCompliant`] for a
+    /// revocation) is returned instead.
     pub fn run(&self, optimized: &OptimizedQuery, opts: &ExecOptions<'_>) -> Result<QueryOutcome> {
         let own_store = CheckpointStore::new();
         let store = opts.store.unwrap_or(&own_store);
@@ -650,307 +648,65 @@ impl Engine {
             .as_ref()
             .map(|h| LinkHealth::new(h.health.clone()));
         let health = health.as_ref();
+        let mut recovery = Recovery {
+            base: self,
+            optimized,
+            opts,
+            store,
+            health,
+            excluded: LocationSet::new(),
+            avoided: BTreeSet::new(),
+            replans: 0,
+            churn_replans: 0,
+            grant_retries: 0,
+            last_grant_retry_seq: opts.churn.as_ref().map_or(0, |c| c.pin.seq),
+            watch: opts.churn.as_ref().map(|c| c.service.watch(c.pin)),
+            churned: None,
+        };
         let mut physical = Arc::clone(&optimized.physical);
-        let mut excluded = LocationSet::new();
-        let mut avoided: BTreeSet<(Location, Location)> = BTreeSet::new();
-        let mut replans = 0usize;
-        let mut churn_replans = 0u64;
-        let mut grant_retries = 0u64;
-        // The newest grant sequence a retry has already consumed: each
-        // retry must see a strictly newer grant, so a refusal retries at
-        // most once per epoch advance and can never spin.
-        let mut last_grant_retry_seq = opts.churn.as_ref().map_or(0, |c| c.pin.seq);
         let mut transfers = TransferLog::new();
         let mut first_attempt_bytes = None;
-        // Live churn state: the engine and annotated plan of the *current*
-        // catalog pin. A mid-flight revocation forks a fresh engine over
-        // the new snapshot and re-optimizes from the logical plan; until
-        // then both stay `None` and the admission-time ones apply.
-        let mut watch: Option<ChurnWatch> = opts.churn.as_ref().map(|c| c.service.watch(c.pin));
-        let mut forked_engine: Option<Engine> = None;
-        let mut churned: Option<OptimizedQuery> = None;
         loop {
-            let engine: &Engine = forked_engine.as_ref().unwrap_or(self);
-            let annotated = churned
-                .as_ref()
-                .map_or(&optimized.annotated, |o| &o.annotated);
-            let (attempt, log) = engine.attempt(
+            let (attempt, log) = recovery.current().0.attempt(
                 &physical,
                 opts,
                 store,
                 health,
                 transfers.total_cost_ms(),
-                watch.as_ref(),
+                recovery.watch.as_ref(),
             );
             transfers.absorb(log);
-            match attempt {
-                Ok((rows, metrics)) => {
-                    let recovered_from =
-                        first_attempt_bytes.unwrap_or_else(|| transfers.total_bytes());
-                    return Ok(QueryOutcome {
-                        rows,
-                        metrics,
-                        replans,
-                        churn_replans,
-                        grant_retries,
-                        excluded,
-                        physical,
-                        checkpoint_hits: store.hits(),
-                        checkpoint_misses: store.misses(),
-                        resumed_bytes: store.resumed_bytes(),
-                        recomputed_bytes: transfers.total_bytes() - recovered_from,
-                        hedges_launched: health.map_or(0, |h| h.hedges_launched()),
-                        hedges_won: health.map_or(0, |h| h.hedges_won()),
-                        relays_used: health.map_or(0, |h| h.relays_used()),
-                        breaker_trips: health.map_or(0, |h| h.breaker_trips()),
-                        avoided_links: avoided.into_iter().collect(),
-                        waived_links: health.map_or_else(Vec::new, |h| h.waived_links()),
-                        link_health: health.map_or_else(Vec::new, |h| h.snapshot()),
-                        relay_events: health.map_or_else(Vec::new, |h| h.relay_events()),
-                        transfers,
-                    });
-                }
+            let (rows, metrics) = match attempt {
+                Ok(done) => done,
                 Err(e) => {
                     first_attempt_bytes.get_or_insert(transfers.total_bytes());
-                    // A mid-flight revocation: re-pin to the new catalog
-                    // head, re-run the whole optimizer under it, migrate
-                    // surviving checkpoints to the new epoch, and retry —
-                    // or refuse typed if no compliant placement remains.
-                    if let (Some((churn_seq, churn_epoch)), Some(churn)) =
-                        (e.churn_head(), opts.churn.as_ref())
-                    {
-                        if replans >= opts.max_replans {
-                            return Err(GeoError::NonCompliant(format!(
-                                "revocation at catalog seq {churn_seq} caught the query \
-                                 in flight and the re-plan budget ({}) is exhausted; \
-                                 refusing to finish under the revoked catalog",
-                                opts.max_replans
-                            )));
-                        }
-                        replans += 1;
-                        churn_replans += 1;
-                        let old_epoch = engine.policies.epoch();
-                        let abort_step = e.churn_step().unwrap_or(0);
-                        let mut new_pin = CatalogPin::new(churn_seq, churn_epoch);
-                        let (forked, reoptimized) = loop {
-                            let policies = churn.service.snapshot(new_pin.seq)?;
-                            let forked = self.fork_with_policies(policies);
-                            // Give the catalog plane one replication round
-                            // to chase the new head; sites still behind
-                            // stay in the stale guard and fail safe at
-                            // transfer time.
-                            churn.service.sync_round();
-                            match forked.optimize(
-                                &optimized.logical,
-                                OptimizerMode::Compliant,
-                                Some(optimized.result_location.clone()),
-                            ) {
-                                Ok(reopt) => break (forked, reopt),
-                                Err(GeoError::QueryRejected(m)) => {
-                                    // Quiesce-free grant retry: the query
-                                    // was refused under this pin, but a
-                                    // grant that had already landed by the
-                                    // abort step may have re-grown the
-                                    // legal set. Policies are additive
-                                    // (Definition 1 re-audits the whole
-                                    // plan below), so re-pinning forward
-                                    // is sound — and it is bounded: each
-                                    // retry must consume a strictly newer
-                                    // grant than the last.
-                                    if let Some(grant_head) = churn
-                                        .service
-                                        .signal()
-                                        .granted_since(new_pin.seq, abort_step)
-                                    {
-                                        if grant_head.seq > last_grant_retry_seq {
-                                            last_grant_retry_seq = grant_head.seq;
-                                            grant_retries += 1;
-                                            new_pin = grant_head;
-                                            continue;
-                                        }
-                                    }
-                                    return Err(GeoError::NonCompliant(format!(
-                                        "no compliant placement survives the revocation at \
-                                         catalog seq {}: {m}",
-                                        new_pin.seq
-                                    )));
-                                }
-                                Err(other) => return Err(other),
-                            }
-                        };
-                        // Re-apply failure state accumulated by earlier
-                        // attempts: dead sites leave the traits, condemned
-                        // gray links stay priced at ∞.
-                        let next_physical = if excluded.is_empty() && avoided.is_empty() {
-                            Arc::clone(&reoptimized.physical)
-                        } else {
-                            let plan_topology = if avoided.is_empty() {
-                                None
-                            } else {
-                                Some(self.topology.avoiding_links(&avoided))
-                            };
-                            let ann = reoptimized
-                                .annotated
-                                .excluding_sites(&excluded)
-                                .ok_or_else(|| {
-                                    GeoError::NonCompliant(format!(
-                                        "no compliant placement survives the revocation at \
-                                         catalog seq {} with {excluded} excluded",
-                                        new_pin.seq
-                                    ))
-                                })?;
-                            select_sites_with(
-                                &ann,
-                                plan_topology.as_ref().unwrap_or(&self.topology),
-                                Some(&optimized.result_location),
-                                Objective::TotalCost,
-                            )?
-                            .physical
-                        };
-                        let next = if opts.resume {
-                            // Migrate retained checkpoints across the epoch
-                            // bump: homes still inside the (possibly
-                            // shrunken) shipping trait are re-keyed to the
-                            // new epoch, homes the revocation outlawed are
-                            // dropped. Then stitch as usual.
-                            let mut old_fps = Vec::new();
-                            collect_ship_fingerprints(&next_physical, old_epoch, &mut old_fps);
-                            let (_, specs) = forked.ship_specs(&next_physical)?;
-                            debug_assert_eq!(old_fps.len(), specs.len());
-                            for (old_fp, spec) in old_fps.iter().zip(&specs) {
-                                store.migrate(*old_fp, spec.fingerprint, &spec.legal);
-                            }
-                            stitch(&next_physical, store, forked.policies.epoch())?.plan
-                        } else {
-                            next_physical
-                        };
-                        // Definition-1 audit under the *new* catalog —
-                        // resume edges included.
-                        check_compliance(&next, &forked.evaluator(), &forked.catalog)?;
-                        watch = Some(churn.service.watch(new_pin));
-                        physical = next;
-                        churned = Some(reoptimized);
-                        forked_engine = Some(forked);
-                        continue;
-                    }
-                    let breaker = e
-                        .breaker_link()
-                        .map(|(from, to)| (from.clone(), to.clone()));
-                    if breaker.is_none() && e.failed_site().is_none() {
-                        // Not an availability failure (e.g. a deadline or
-                        // cancellation); nothing to re-plan around.
-                        return Err(e);
-                    }
-                    if replans >= opts.max_replans {
-                        return Err(e);
-                    }
-                    let just_condemned = breaker.clone();
-                    if let Some(link) = breaker {
-                        // Soft exclusion: both endpoints of the gray link
-                        // are alive, so no site leaves the execution
-                        // traits and no checkpoints are dropped — the
-                        // re-planner just stops routing over the link.
-                        avoided.insert(link);
-                    } else {
-                        let site = e
-                            .failed_site()
-                            .cloned()
-                            .expect("availability checked above");
-                        if site == optimized.result_location {
-                            return Err(GeoError::QueryRejected(format!(
-                                "result site {site} is unavailable; no compliant \
-                                 failover can deliver the result there"
-                            )));
-                        }
-                        excluded.insert(site.clone());
-                        // The crashed site's retained state died with it.
-                        store.drop_site(&site);
-                    }
-                    replans += 1;
-
-                    // Re-run Algorithm 2 with the failed sites excluded
-                    // from every execution trait and every condemned gray
-                    // link priced at ∞. Execution still runs on the real
-                    // topology — only planning costs change.
-                    let plan_topology = if avoided.is_empty() {
-                        None
-                    } else {
-                        Some(self.topology.avoiding_links(&avoided))
-                    };
-                    let replanned = annotated
-                        .excluding_sites(&excluded)
-                        .ok_or_else(|| {
-                            GeoError::QueryRejected(format!(
-                                "no compliant placement survives the failure of {excluded}: \
-                                 an operator's execution trait became empty"
-                            ))
-                        })
-                        .and_then(|annotated| {
-                            select_sites_with(
-                                &annotated,
-                                plan_topology.as_ref().unwrap_or(&self.topology),
-                                Some(&optimized.result_location),
-                                Objective::TotalCost,
-                            )
-                        });
-                    // A condemned gray link may admit no compliant
-                    // detour: every placement Algorithm 2 can produce
-                    // crosses it (compliance pins the endpoints). Gray is
-                    // not dead — the link delivers, just slowly — so
-                    // rather than rejecting a query that was completing,
-                    // waive the condemnation: the breaker gate stops
-                    // firing for that link while health scoring and
-                    // hedging continue, and the current plan retries.
-                    let replanned = match (replanned, &just_condemned) {
-                        (Err(GeoError::QueryRejected(_)), Some((from, to))) => {
-                            avoided.remove(&(from.clone(), to.clone()));
-                            let table = health.expect("breaker errors require a health table");
-                            table.waive(from, to);
-                            continue;
-                        }
-                        (outcome, _) => outcome,
-                    };
-                    // Stitch the failover placement against surviving
-                    // checkpoints: subtrees whose fingerprint still has a
-                    // live, trait-legal checkpoint become ResumeScan
-                    // leaves, so only lost work re-executes.
-                    let next = match replanned {
-                        Ok(sited) if opts.resume => {
-                            stitch(&sited.physical, store, engine.policies.epoch())?.plan
-                        }
-                        Ok(sited) => sited.physical,
-                        Err(e) if opts.resume => {
-                            // Algorithm 2 has no placement without the dead
-                            // site — it hosts a base table, say, so some
-                            // operator's execution trait emptied (c1 pins
-                            // its scans there). Surviving checkpoints are
-                            // the last line of recovery: stitch the plan
-                            // that just failed, replacing every subtree
-                            // whose output already reached a live home with
-                            // a ResumeScan leaf, and retry. Completed work
-                            // never re-executes, and if the outage was
-                            // transient the remainder now succeeds; a
-                            // permanently dead site fails the retry again,
-                            // and once stitching stops making progress the
-                            // typed error surfaces. Bounded by
-                            // `max_replans` like any other re-plan.
-                            let outcome = stitch(&physical, store, engine.policies.epoch())?;
-                            if outcome.hits == 0 || Arc::ptr_eq(&outcome.plan, &physical) {
-                                return Err(e);
-                            }
-                            outcome.plan
-                        }
-                        Err(e) => return Err(e),
-                    };
-                    // Definition-1 audit of the failover placement —
-                    // including every resume edge; a violation here would
-                    // be a Theorem-1 bug (or an illegal checkpoint home),
-                    // and must surface as an error, never execute
-                    // silently.
-                    check_compliance(&next, &engine.evaluator(), &engine.catalog)?;
-                    physical = next;
+                    physical = recovery.step(e, physical)?;
+                    continue;
                 }
-            }
+            };
+            let recovered_from = first_attempt_bytes.unwrap_or_else(|| transfers.total_bytes());
+            return Ok(QueryOutcome {
+                rows,
+                metrics,
+                replans: recovery.replans,
+                churn_replans: recovery.churn_replans,
+                grant_retries: recovery.grant_retries,
+                excluded: recovery.excluded,
+                physical,
+                checkpoint_hits: store.hits(),
+                checkpoint_misses: store.misses(),
+                resumed_bytes: store.resumed_bytes(),
+                recomputed_bytes: transfers.total_bytes() - recovered_from,
+                hedges_launched: health.map_or(0, |h| h.hedges_launched()),
+                hedges_won: health.map_or(0, |h| h.hedges_won()),
+                relays_used: health.map_or(0, |h| h.relays_used()),
+                breaker_trips: health.map_or(0, |h| h.breaker_trips()),
+                avoided_links: recovery.avoided.into_iter().collect(),
+                waived_links: health.map_or_else(Vec::new, |h| h.waived_links()),
+                link_health: health.map_or_else(Vec::new, |h| h.snapshot()),
+                relay_events: health.map_or_else(Vec::new, |h| h.relay_events()),
+                transfers,
+            });
         }
     }
 
@@ -977,6 +733,256 @@ impl Engine {
         let optimized = self.optimize_sql(sql, mode, result_location)?;
         let outcome = self.run(&optimized, opts)?;
         Ok((optimized, outcome))
+    }
+}
+
+/// Why an attempt failed, as far as re-planning is concerned: each cause
+/// is one state change in [`Recovery::step`].
+enum Cause {
+    /// A mid-flight revocation published catalog head `head`, caught at
+    /// executor step `step`. Once re-pinned, `head` is the pin the query
+    /// continues under (a grant retry may have moved it forward).
+    Revoked { head: CatalogPin, step: u64 },
+    /// A site failed past its retry budget.
+    SiteDown(Location),
+    /// A circuit breaker condemned this gray link.
+    GrayLink((Location, Location)),
+}
+
+/// What a run's failures have changed so far, and the one step that turns
+/// the next failure into the next plan.
+struct Recovery<'a> {
+    base: &'a Engine,
+    optimized: &'a OptimizedQuery,
+    opts: &'a ExecOptions<'a>,
+    store: &'a CheckpointStore,
+    health: Option<&'a LinkHealth>,
+    /// Crashed sites, out of every execution trait `ℰ_n`.
+    excluded: LocationSet,
+    /// Condemned gray links, priced at ∞ by every placement.
+    avoided: BTreeSet<(Location, Location)>,
+    replans: usize,
+    churn_replans: u64,
+    grant_retries: u64,
+    /// The newest grant sequence a retry has already consumed: each
+    /// retry must see a strictly newer grant, so a refusal retries at
+    /// most once per epoch advance and can never spin.
+    last_grant_retry_seq: u64,
+    /// The revocation watch of the current catalog pin.
+    watch: Option<ChurnWatch>,
+    /// The engine and re-optimized query of the current pin once a
+    /// revocation has re-pinned the run; until then the admission-time
+    /// ones apply.
+    churned: Option<(Engine, OptimizedQuery)>,
+}
+
+impl Recovery<'_> {
+    /// The engine and annotated plan of the current catalog pin.
+    fn current(&self) -> (&Engine, &AnnotatedNode) {
+        match &self.churned {
+            Some((engine, reoptimized)) => (engine, &reoptimized.annotated),
+            None => (self.base, &self.optimized.annotated),
+        }
+    }
+
+    /// Turn the failure of `failed` into the plan the next attempt runs:
+    /// read the cause off the error and apply its one state change, then
+    /// place the current annotated plan around every excluded site and
+    /// avoided link, stitch it against surviving checkpoints, and audit it
+    /// under the current engine. Any other error ends the run as it is.
+    fn step(&mut self, failure: GeoError, failed: Arc<PhysicalPlan>) -> Result<Arc<PhysicalPlan>> {
+        let mut cause = match (failure.churn_head(), failure.breaker_link()) {
+            (Some((seq, epoch)), _) if self.opts.churn.is_some() => Cause::Revoked {
+                head: CatalogPin::new(seq, epoch),
+                step: failure.churn_step().unwrap_or(0),
+            },
+            (_, Some((from, to))) => Cause::GrayLink((from.clone(), to.clone())),
+            // Not an availability failure (e.g. a deadline or
+            // cancellation): nothing to re-plan around.
+            _ => match failure.failed_site() {
+                Some(site) => Cause::SiteDown(site.clone()),
+                None => return Err(failure),
+            },
+        };
+        if self.replans >= self.opts.max_replans {
+            return Err(match cause {
+                Cause::Revoked { head, .. } => GeoError::NonCompliant(format!(
+                    "revocation at catalog seq {} caught the query in flight and the \
+                     re-plan budget ({}) is exhausted; refusing to finish under the \
+                     revoked catalog",
+                    head.seq, self.opts.max_replans
+                )),
+                _ => failure,
+            });
+        }
+        self.replans += 1;
+        let epoch_before = self.current().0.policies.epoch();
+        match &mut cause {
+            Cause::Revoked { head, step } => self.repin(head, *step)?,
+            Cause::SiteDown(site) if *site == self.optimized.result_location => {
+                return Err(GeoError::QueryRejected(format!(
+                    "result site {site} is unavailable; no compliant \
+                     failover can deliver the result there"
+                )));
+            }
+            Cause::SiteDown(site) => {
+                self.excluded.insert(site.clone());
+                // The crashed site's retained state died with it.
+                self.store.drop_site(site);
+            }
+            // Soft exclusion: both endpoints of the gray link are alive,
+            // so no site leaves the execution traits and no checkpoints
+            // are dropped — placement just stops routing over the link.
+            Cause::GrayLink(link) => {
+                self.avoided.insert(link.clone());
+            }
+        }
+
+        // Re-run Algorithm 2 with every excluded site out of every
+        // execution trait and every avoided link priced at ∞. Execution
+        // still runs on the real topology — only planning costs change.
+        let topology = &self.base.topology;
+        let avoiding = (!self.avoided.is_empty()).then(|| topology.avoiding_links(&self.avoided));
+        let placed = self
+            .current()
+            .1
+            .excluding_sites(&self.excluded)
+            .ok_or_else(|| match &cause {
+                Cause::Revoked { head, .. } => GeoError::NonCompliant(format!(
+                    "no compliant placement survives the revocation at catalog seq {} \
+                     with {} excluded",
+                    head.seq, self.excluded
+                )),
+                _ => GeoError::QueryRejected(format!(
+                    "no compliant placement survives the failure of {}: \
+                     an operator's execution trait became empty",
+                    self.excluded
+                )),
+            })
+            .and_then(|annotated| {
+                select_sites_with(
+                    &annotated,
+                    avoiding.as_ref().unwrap_or(topology),
+                    Some(&self.optimized.result_location),
+                    Objective::TotalCost,
+                )
+            });
+        let (placed, fallback) = match (placed, &cause) {
+            (Ok(sited), _) => (sited.physical, None),
+            // A condemned gray link may admit no compliant detour: every
+            // placement Algorithm 2 can produce crosses it (compliance
+            // pins the endpoints). Gray is not dead — the link delivers,
+            // just slowly — so rather than rejecting a query that was
+            // completing, waive the condemnation: the breaker gate stops
+            // firing for that link while health scoring and hedging
+            // continue, and the current plan retries.
+            (Err(GeoError::QueryRejected(_)), Cause::GrayLink(link)) => {
+                self.avoided.remove(link);
+                let table = self.health.expect("breaker errors require a health table");
+                table.waive(&link.0, &link.1);
+                return Ok(failed);
+            }
+            // Algorithm 2 has no placement without the dead site — it
+            // hosts a base table, say, so some operator's execution trait
+            // emptied (c1 pins its scans there). Surviving checkpoints are
+            // the last line of recovery: stitch the plan that just failed,
+            // replacing every subtree whose output already reached a live
+            // home with a ResumeScan leaf, and retry. Completed work never
+            // re-executes, and if the outage was transient the remainder
+            // now succeeds; a permanently dead site fails the retry again,
+            // and once stitching stops making progress the typed error
+            // surfaces. Bounded by `max_replans` like any other re-plan.
+            (Err(e), Cause::SiteDown(_) | Cause::GrayLink(_)) if self.opts.resume => {
+                (failed, Some(e))
+            }
+            (Err(e), _) => return Err(e),
+        };
+
+        // Stitch the placement against surviving checkpoints: subtrees
+        // whose fingerprint still has a live, trait-legal checkpoint
+        // become ResumeScan leaves, so only lost work re-executes.
+        let engine = self.current().0;
+        let next = if self.opts.resume {
+            if let Cause::Revoked { .. } = cause {
+                // Migrate retained checkpoints across the epoch bump:
+                // homes still inside the (possibly shrunken) shipping
+                // trait are re-keyed to the new epoch, homes the
+                // revocation outlawed are dropped.
+                let mut old_fps = Vec::new();
+                collect_ship_fingerprints(&placed, epoch_before, &mut old_fps);
+                let (_, specs) = engine.ship_specs(&placed)?;
+                debug_assert_eq!(old_fps.len(), specs.len());
+                for (old_fp, spec) in old_fps.iter().zip(&specs) {
+                    self.store.migrate(*old_fp, spec.fingerprint, &spec.legal);
+                }
+            }
+            let outcome = stitch(&placed, self.store, engine.policies.epoch())?;
+            match fallback {
+                Some(e) if outcome.hits == 0 || Arc::ptr_eq(&outcome.plan, &placed) => {
+                    return Err(e)
+                }
+                _ => outcome.plan,
+            }
+        } else {
+            placed
+        };
+        // Definition-1 audit under the current catalog, resume edges
+        // included: a violation here would be a Theorem-1 bug (or an
+        // illegal checkpoint home), and must surface as an error, never
+        // execute silently.
+        check_compliance(&next, &engine.evaluator(), &engine.catalog)?;
+        Ok(next)
+    }
+
+    /// Re-pin to the revocation's catalog `head`: fork the engine over
+    /// that snapshot and re-run the whole optimizer under it. A refusal
+    /// there is answered by the grant retry, which moves `head` forward;
+    /// otherwise it is typed [`GeoError::NonCompliant`].
+    fn repin(&mut self, head: &mut CatalogPin, abort_step: u64) -> Result<()> {
+        let churn = (self.opts.churn.as_ref()).expect("revocations are causes only under churn");
+        self.churn_replans += 1;
+        loop {
+            let forked = (self.base).fork_with_policies(churn.service.snapshot(head.seq)?);
+            // Give the catalog plane one replication round to chase the
+            // new head; sites still behind stay in the stale guard and
+            // fail safe at transfer time.
+            churn.service.sync_round();
+            let result_location = Some(self.optimized.result_location.clone());
+            match forked.optimize(
+                &self.optimized.logical,
+                OptimizerMode::Compliant,
+                result_location,
+            ) {
+                Ok(reoptimized) => {
+                    self.watch = Some(churn.service.watch(*head));
+                    self.churned = Some((forked, reoptimized));
+                    return Ok(());
+                }
+                // Quiesce-free grant retry: the query was refused under
+                // this pin, but a grant that had already landed by the
+                // abort step may have re-grown the legal set. Policies are
+                // additive (Definition 1 re-audits the whole plan), so
+                // re-pinning forward is sound — and it is bounded: each
+                // retry must consume a strictly newer grant than the last.
+                Err(GeoError::QueryRejected(m)) => {
+                    match churn.service.signal().granted_since(head.seq, abort_step) {
+                        Some(grant) if grant.seq > self.last_grant_retry_seq => {
+                            self.last_grant_retry_seq = grant.seq;
+                            self.grant_retries += 1;
+                            *head = grant;
+                        }
+                        _ => {
+                            return Err(GeoError::NonCompliant(format!(
+                                "no compliant placement survives the revocation at \
+                                 catalog seq {}: {m}",
+                                head.seq
+                            )))
+                        }
+                    }
+                }
+                Err(other) => return Err(other),
+            }
+        }
     }
 }
 

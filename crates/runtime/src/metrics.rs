@@ -56,14 +56,6 @@ pub struct RuntimeMetrics {
     /// Pipeline stalls: consumers that reached a fragment boundary
     /// before their producer had delivered.
     pub stalls: u64,
-    /// Hedged backup transfers launched (0 when hedging is off).
-    pub hedges_launched: u64,
-    /// Hedged backups that delivered before their primary.
-    pub hedges_won: u64,
-    /// Hedged backups that routed via a compliant relay site.
-    pub relays_used: u64,
-    /// Circuit-breaker closed → open transitions across all link lanes.
-    pub breaker_trips: u64,
     /// Per-site breakdown.
     pub sites: BTreeMap<Location, SiteMetrics>,
     /// Per-edge breakdown, in pre-order SHIP order.
@@ -96,13 +88,6 @@ impl fmt::Display for RuntimeMetrics {
             "exchanged {} batches / {} bytes, {} pipeline stalls",
             self.batches, self.bytes, self.stalls
         )?;
-        if self.hedges_launched > 0 || self.breaker_trips > 0 {
-            writeln!(
-                f,
-                "hedges {} launched / {} won, {} relay(s), {} breaker trip(s)",
-                self.hedges_launched, self.hedges_won, self.relays_used, self.breaker_trips
-            )?;
-        }
         for (site, m) in &self.sites {
             writeln!(
                 f,

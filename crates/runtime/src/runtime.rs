@@ -280,17 +280,12 @@ impl<'a> Runtime<'a> {
                 arrival_ms: ex.arrival_ms(),
             })
             .collect::<Vec<_>>();
-        let health = self.env.hedge.as_ref().map(|(h, _)| *h);
         let metrics = RuntimeMetrics {
             completion_ms,
             network_ms: log.total_cost_ms(),
             batches: edges.iter().map(|e| e.stats.batches).sum(),
             bytes: log.total_bytes(),
             stalls: edges.iter().map(|e| e.stats.recv_stalls).sum(),
-            hedges_launched: health.map_or(0, |h| h.hedges_launched()),
-            hedges_won: health.map_or(0, |h| h.hedges_won()),
-            relays_used: health.map_or(0, |h| h.relays_used()),
-            breaker_trips: health.map_or(0, |h| h.breaker_trips()),
             sites: shared.sites.into_inner().unwrap(),
             edges,
         };

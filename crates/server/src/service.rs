@@ -462,26 +462,15 @@ impl QueryService {
         topology: NetworkTopology,
         config: TenantConfig,
     ) -> TenantId {
-        // The tenant's catalog log starts at the registered policy set;
-        // the first site (in canonical order) coordinates replication.
-        let coordinator = catalog
-            .locations()
-            .iter()
-            .next()
-            .cloned()
-            .unwrap_or_else(|| Location::new("L0"));
-        let churn = Arc::new(CatalogService::new(
-            Arc::clone(&catalog),
-            (*policies).clone(),
-            coordinator,
-        ));
+        // The tenant's catalog log starts at the registered policy set.
+        let engine = Arc::new(Engine::new(catalog, policies, topology));
+        let churn = Arc::new(CatalogService::for_engine(&engine));
         let pin = churn.head();
         debug_assert_eq!(
             pin.epoch,
-            policies.epoch(),
+            engine.policies().epoch(),
             "base log epoch must match the frozen catalog's"
         );
-        let engine = Arc::new(Engine::new(catalog, policies, topology));
         let mut st = self.shared.state.lock().unwrap();
         st.tenants.push(TenantState {
             name: name.into(),
@@ -615,10 +604,8 @@ impl QueryService {
         }
         // A single-process deployment's replicas follow the coordinator
         // synchronously; catalog-plane faults are a harness concern.
-        churn.sync_full();
         let head = churn.head();
-        let snapshot = churn.snapshot(head.seq)?;
-        let new_engine = Arc::new(engine.fork_with_policies(snapshot));
+        let new_engine = Arc::new(churn.readmit(&engine, head)?);
         {
             let mut st = self.shared.state.lock().unwrap();
             let ten = st

@@ -52,6 +52,23 @@ if [ "$typed_arms" -gt 4 ]; then
     exit 1
 fi
 
+echo "==> one recovery step: a failed attempt becomes the next plan in one" \
+     "place, so crates/core/src places, excludes, avoids and stitches once" \
+     "(select_sites_with: phase 2 + Recovery::step)"
+recovery_gate() { # <pattern> <max> [file to skip]
+    local n
+    n="$(grep -rF "$1" crates/core/src --include='*.rs' | grep -vc "^crates/core/src/${3:-}:" || true)"
+    if [ "$n" -gt "$2" ]; then
+        echo "crates/core/src has $n lines with '$1' (at most $2):" \
+            "a second re-planning path is back" >&2
+        exit 1
+    fi
+}
+recovery_gate 'select_sites_with(' 2 site_selector.rs
+recovery_gate 'excluding_sites(' 1 annotate.rs
+recovery_gate 'avoiding_links(' 1
+recovery_gate 'stitch(' 1
+
 echo "==> cargo fmt --check (geoqp crates)"
 cargo fmt --check "${pkg_flags[@]}"
 

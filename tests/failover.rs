@@ -313,3 +313,426 @@ fn exhausted_retries_surface_the_failing_link() {
         "the error must identify the dead link"
     );
 }
+
+// Recovery causes combined in one run. Each failure cause changes the
+// state every later re-plan places around: a crash excludes a site, a
+// condemned gray link is priced at ∞, a revocation re-pins the engine and
+// the annotated plan. The scans below look, the way E6 looks for
+// late-crash cells, for runs where two causes meet in a known order, and
+// check that the second re-plan kept what the first one changed.
+
+const QUERIES: [&str; 6] = ["Q2", "Q3", "Q5", "Q8", "Q9", "Q10"];
+const SITES: [&str; 5] = ["L1", "L2", "L3", "L4", "L5"];
+const FAULT_SEED: u64 = 11;
+/// Re-plan budget of a scanned run: room for both causes and then some.
+const BUDGET: usize = 5;
+/// Churn steps a revocation is released at. The sequential interpreter
+/// checks one step per SHIP edge, in the order it completes them.
+const TRIGGER_STEPS: [u64; 6] = [0, 1, 2, 3, 4, 6];
+
+/// A catalog service whose log starts at `eng`'s policies.
+fn catalog_service(eng: &Engine) -> CatalogService {
+    let coordinator = eng.catalog().locations().iter().next().cloned().unwrap();
+    CatalogService::new(
+        Arc::clone(eng.catalog()),
+        (**eng.policies()).clone(),
+        coordinator,
+    )
+}
+
+/// A catalog service whose log holds the revocation of `pid`, released
+/// to in-flight work at churn step `step`.
+fn revoking(eng: &Engine, pid: u64, step: u64) -> Arc<CatalogService> {
+    let svc = catalog_service(eng);
+    let rev = svc.revoke(pid).unwrap();
+    let svc = svc.with_planned(vec![ChurnEvent {
+        step,
+        seq: rev.seq,
+        epoch: rev.epoch,
+        revocation: true,
+    }]);
+    svc.sync_full();
+    Arc::new(svc)
+}
+
+/// Everything identical seeds must reproduce: rows, typed outcome,
+/// counters and the transfer log.
+fn replay(run: &Result<QueryOutcome>) -> String {
+    match run {
+        Ok(r) => format!(
+            "{:?} {:?} {:?}",
+            r.rows,
+            (
+                r.replans,
+                r.churn_replans,
+                r.grant_retries,
+                (r.checkpoint_hits, r.checkpoint_misses),
+                (r.resumed_bytes, r.recomputed_bytes),
+                (r.hedges_launched, r.hedges_won, r.breaker_trips),
+                (&r.excluded, &r.avoided_links, &r.waived_links),
+            ),
+            r.transfers
+        ),
+        Err(e) => format!("{}: {}", e.kind(), e.message()),
+    }
+}
+
+/// One cell of a scan: a query with live policy `pid` revoked at churn
+/// step `step`, on top of the fault schedule `faults` builds.
+struct Cell<'a> {
+    eng: &'a Engine,
+    opt: &'a OptimizedQuery,
+    label: String,
+    pid: u64,
+    step: u64,
+    faults: Box<dyn Fn() -> FaultPlan + 'a>,
+    /// Everything but the faults, the budget and the churn wiring.
+    base: ExecOptions<'static>,
+}
+
+impl Cell<'_> {
+    /// One run with `max_replans`: its result, its catalog service, and
+    /// the fault clock it ended on.
+    fn run(&self, max_replans: usize) -> (Result<QueryOutcome>, Arc<CatalogService>, u64) {
+        let svc = revoking(self.eng, self.pid, self.step);
+        let faults = (self.faults)();
+        let pin = CatalogPin::new(0, self.eng.policies().epoch());
+        let opts = ExecOptions {
+            faults: Some(&faults),
+            max_replans,
+            ..self.base.clone()
+        }
+        .with_churn(Arc::clone(&svc), pin);
+        (self.eng.run(self.opt, &opts), svc, faults.step())
+    }
+
+    /// Two runs under the scan's budget, which must agree.
+    fn twice(&self) -> (Result<QueryOutcome>, Arc<CatalogService>) {
+        let (a, svc, _) = self.run(BUDGET);
+        let (b, _, _) = self.run(BUDGET);
+        assert_eq!(
+            replay(&a),
+            replay(&b),
+            "{}: identical seeds diverged",
+            self.label
+        );
+        (a, svc)
+    }
+
+    /// The second cause the run meets: with a budget of one re-plan, the
+    /// first cause is absorbed and the second ends the run typed.
+    fn second_cause(&self) -> Option<GeoError> {
+        self.run(1).0.err()
+    }
+
+    /// A completed run that re-planned for both causes, one of them the
+    /// revocation.
+    fn both_causes(&self) -> Option<(QueryOutcome, Arc<CatalogService>)> {
+        match self.twice() {
+            (Ok(res), svc) if res.replans >= 2 && res.churn_replans == 1 => Some((res, svc)),
+            _ => None,
+        }
+    }
+}
+
+/// A revocation budget refusal: the revocation was the second cause.
+fn revocation_came_second(e: Option<GeoError>) -> bool {
+    e.is_some_and(|e| e.kind() == "non-compliant" && e.message().contains("re-plan budget (1)"))
+}
+
+/// A cell that met two causes re-plans exactly twice: a third re-plan
+/// means the second one forgot what the first changed and met it again.
+const KEPT: &str = "re-planned a third time: the second re-plan forgot the first cause";
+
+/// The final plan touches no dead site, kept it excluded, and audits
+/// clean under the catalog the revocation left.
+fn assert_crash_and_revocation_kept(
+    label: &str,
+    res: &QueryOutcome,
+    svc: &CatalogService,
+    eng: &Engine,
+    dead: &Location,
+) {
+    assert_eq!(res.replans, 2, "{label}: {KEPT}");
+    assert!(
+        res.excluded.contains(dead),
+        "{label}: {dead} left the excluded set"
+    );
+    res.physical.visit(&mut |p| {
+        assert_ne!(
+            &p.location, dead,
+            "{label}: the final plan runs at dead {dead}"
+        );
+    });
+    let shrunk = eng.fork_with_policies(svc.snapshot(svc.head().seq).unwrap());
+    shrunk
+        .audit(&res.physical)
+        .unwrap_or_else(|e| panic!("{label}: final plan fails the post-revocation audit: {e}"));
+}
+
+/// Live pids of `eng`'s policy catalog, in pid order.
+fn live_pids(eng: &Engine) -> Vec<u64> {
+    let svc = catalog_service(eng);
+    svc.live_policies().iter().map(|(pid, _)| *pid).collect()
+}
+
+/// `engine()` on a WAN whose only cheap links touch L3. Every site of
+/// Table 2 hosts a table, and on the paper's WAN every site a plan uses
+/// holds a table the query reads, so no permanent crash is survived by
+/// re-placement. Here plans relay through L3, whose one table (`part`)
+/// Q3, Q5 and Q10 do not read: a crash of L3 can be placed around.
+fn relay_engine() -> Engine {
+    use geoqp::net::topology::Link;
+    let eng = engine();
+    let mut topology = NetworkTopology::paper_wan();
+    for from in SITES.iter().filter(|s| **s != "L3") {
+        for to in SITES.iter().filter(|s| **s != "L3" && *s != from) {
+            let dear = Link {
+                alpha_ms: 5000.0,
+                beta_ms_per_byte: 0.01,
+            };
+            topology.set_link(Location::new(*from), Location::new(*to), dear);
+        }
+    }
+    Engine::new(
+        Arc::clone(eng.catalog()),
+        Arc::clone(eng.policies()),
+        topology,
+    )
+}
+
+/// A permanent crash of `site` from fault step `from` onward.
+fn crash_from(site: &Location, from: u64) -> Box<dyn Fn() -> FaultPlan> {
+    let site = site.clone();
+    Box::new(move || FaultPlan::new(FAULT_SEED).with_crash(site.clone(), StepWindow::from(from)))
+}
+
+/// The crash scans' search space: each query optimized for each result
+/// site, paired with each other site whose permanent crash alone is
+/// survived by a re-plan.
+fn survivable_crashes(eng: &Engine) -> Vec<(String, Arc<OptimizedQuery>, Location)> {
+    let mut out = Vec::new();
+    for query in QUERIES {
+        let plan = tpch::query_by_name(eng.catalog(), query).unwrap();
+        for result in SITES.map(Location::new) {
+            let Ok(opt) = eng.optimize(&plan, OptimizerMode::Compliant, Some(result.clone()))
+            else {
+                continue;
+            };
+            let opt = Arc::new(opt);
+            for site in SITES.map(Location::new) {
+                let faults = crash_from(&site, 0)();
+                let retry = RetryPolicy::default();
+                let survived = site != result
+                    && eng
+                        .run(&opt, &ExecOptions::failover(&faults, &retry, BUDGET))
+                        .is_ok_and(|res| res.replans > 0);
+                if survived {
+                    out.push((format!("{query}@{result}"), Arc::clone(&opt), site));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Crash, then revocation: a site dies for good, the failover re-plan
+/// excludes it, and a revocation then catches the re-planned attempt.
+/// The revocation's re-plan must keep the dead site excluded.
+#[test]
+fn a_revocation_after_a_crash_keeps_the_dead_site_excluded() {
+    let eng = relay_engine();
+    let pids = live_pids(&eng);
+    let mut found = None;
+    'scan: for (query, opt, site) in &survivable_crashes(&eng) {
+        for &pid in &pids {
+            for step in TRIGGER_STEPS {
+                let cell = Cell {
+                    eng: &eng,
+                    opt,
+                    label: format!("{query}: crash {site}, then revoke p{pid} at step {step}"),
+                    pid,
+                    step,
+                    faults: crash_from(site, 0),
+                    base: ExecOptions {
+                        resume: true,
+                        ..ExecOptions::default()
+                    },
+                };
+                let Some((res, svc)) = cell.both_causes() else {
+                    continue;
+                };
+                if !revocation_came_second(cell.second_cause()) {
+                    continue;
+                }
+                assert_crash_and_revocation_kept(&cell.label, &res, &svc, &eng, site);
+                found = Some(cell.label);
+                break 'scan;
+            }
+        }
+    }
+    eprintln!("crash → revocation: {found:?}");
+    assert!(found.is_some(), "no cell met a crash and then a revocation");
+}
+
+/// Revocation, then crash: a revocation re-pins the query and
+/// re-optimizes it under the forked engine, and a crash opening after the
+/// abort step then fails the re-optimized plan. The failure re-plan must
+/// place the re-optimized tree and audit it under the revoked catalog.
+#[test]
+fn a_crash_after_a_revocation_replans_the_reoptimized_tree() {
+    let eng = relay_engine();
+    let pids = live_pids(&eng);
+    let mut found = None;
+    'scan: for (query, opt, site) in &survivable_crashes(&eng) {
+        for &pid in &pids {
+            for step in TRIGGER_STEPS {
+                // The fault step the revocation aborts at: with no budget
+                // the revocation ends the run there.
+                let probe = Cell {
+                    eng: &eng,
+                    opt,
+                    label: format!("{query}: revoke p{pid} at step {step}"),
+                    pid,
+                    step,
+                    faults: Box::new(|| FaultPlan::new(FAULT_SEED)),
+                    base: ExecOptions {
+                        resume: true,
+                        ..ExecOptions::default()
+                    },
+                };
+                let (run, svc, abort) = probe.run(0);
+                if !run.is_err_and(|e| e.message().contains("re-plan budget (0)")) {
+                    continue;
+                }
+                // Only a revocation that outlaws the admission-time plan
+                // tells the re-optimized tree from the original one.
+                let revoked = eng.fork_with_policies(svc.snapshot(svc.head().seq).unwrap());
+                if revoked.audit(&opt.physical).is_ok() {
+                    continue;
+                }
+                let cell = Cell {
+                    label: format!("{}, then crash {site} from fault step {abort}", probe.label),
+                    faults: crash_from(site, abort),
+                    ..probe
+                };
+                let Some((res, svc)) = cell.both_causes() else {
+                    continue;
+                };
+                assert!(
+                    cell.second_cause()
+                        .is_some_and(|e| e.kind() == "unavailable"),
+                    "{}: the crash opens after the abort, so it must be the second cause",
+                    cell.label
+                );
+                assert_crash_and_revocation_kept(&cell.label, &res, &svc, &eng, site);
+                found = Some(cell.label);
+                break 'scan;
+            }
+        }
+    }
+    eprintln!("revocation → crash: {found:?}");
+    assert!(found.is_some(), "no cell met a revocation and then a crash");
+}
+
+/// Condemned link, then revocation: with hedging on and E8's schedule (the
+/// busiest link degraded 6x, a one-trip breaker budget), the breaker
+/// condemns the link and a revocation then catches the re-planned
+/// attempt. The revocation's re-plan must keep pricing the link at ∞: the
+/// final plan ships nothing over it. (A waived condemnation may carry the
+/// plan over the link, so the scan looks for one the re-plan avoided.)
+#[test]
+fn a_revocation_after_a_condemnation_keeps_the_link_avoided() {
+    let eng = engine();
+    let pids = live_pids(&eng);
+    let config = RuntimeConfig {
+        batch_rows: 32,
+        ..RuntimeConfig::default()
+    };
+    let base = ExecOptions {
+        resume: true,
+        ..ExecOptions::default()
+    }
+    .pipelined(config.clone())
+    .with_hedge(HedgeConfig {
+        delay_ms: 0.0,
+        health: HealthConfig {
+            open_budget: 1,
+            cooldown_steps: 2,
+        },
+    });
+    let mut found = None;
+    'scan: for query in QUERIES {
+        let plan = tpch::query_by_name(eng.catalog(), query).unwrap();
+        let Ok(opt) = eng.optimize(&plan, OptimizerMode::Compliant, None) else {
+            continue;
+        };
+        // E8's gray link: the fault-free run's busiest cross-site edge.
+        let reference = eng
+            .run(&opt, &ExecOptions::default().pipelined(config.clone()))
+            .unwrap();
+        let Some(link) = reference
+            .metrics
+            .unwrap()
+            .edges
+            .iter()
+            .filter(|e| e.from != e.to)
+            .max_by(|a, b| {
+                (a.stats.bytes.cmp(&b.stats.bytes)).then(a.arrival_ms.total_cmp(&b.arrival_ms))
+            })
+            .map(|e| (e.from.clone(), e.to.clone()))
+        else {
+            continue;
+        };
+        for &pid in &pids {
+            for step in [0, 4, 16, 64, 256] {
+                let gray = link.clone();
+                let cell = Cell {
+                    eng: &eng,
+                    opt: &opt,
+                    label: format!(
+                        "{query}: condemn {}->{}, then revoke p{pid} at step {step}",
+                        link.0, link.1
+                    ),
+                    pid,
+                    step,
+                    faults: Box::new(move || {
+                        FaultPlan::new(FAULT_SEED).with_degrade(
+                            gray.0.clone(),
+                            gray.1.clone(),
+                            6.0,
+                            StepWindow::ALWAYS,
+                        )
+                    }),
+                    base: base.clone(),
+                };
+                let Some((res, _)) = cell.both_causes() else {
+                    continue;
+                };
+                if !res.avoided_links.contains(&link)
+                    || !revocation_came_second(cell.second_cause())
+                {
+                    continue;
+                }
+                assert_eq!(res.replans, 2, "{}: {}", cell.label, KEPT);
+                res.physical.visit(&mut |p| {
+                    if matches!(p.op, geoqp::plan::PhysOp::Ship) {
+                        let hop = (p.inputs[0].location.clone(), p.location.clone());
+                        assert!(
+                            hop != link,
+                            "{}: the final plan ships over the avoided link",
+                            cell.label
+                        );
+                    }
+                });
+                found = Some(cell.label);
+                break 'scan;
+            }
+        }
+    }
+    eprintln!("condemned link → revocation: {found:?}");
+    assert!(
+        found.is_some(),
+        "no cell met a condemnation and then a revocation"
+    );
+}

@@ -18,24 +18,23 @@
 //!   **Deficit round-robin** fair queueing guarantees a flooding tenant
 //!   cannot starve a trickle tenant — every backlogged tenant earns service
 //!   credit at the same (quantum-weighted) rate.
-//! * A [`PlanCache`] memoizes whole optimized located plans, keyed by query
-//!   structural fingerprint × tenant × policy-catalog epoch. This extends
-//!   the PR-5 `ImplicationMemo` pattern from single implication verdicts to
-//!   entire `SitedPlan`s: an epoch bump (policy change) invalidates by
-//!   construction, LRU eviction bounds the footprint under ad-hoc query
-//!   diversity, and every cache hit is re-audited by the Definition-1
-//!   checker before reuse so a fingerprint collision can never leak a
-//!   non-compliant plan.
+//! * A private plan cache memoizes whole optimized located plans, keyed by
+//!   value: the lowered query, the pinned result location, the tenant and
+//!   its catalog-log sequence. A hit is therefore the plan the compliant
+//!   optimizer returned for this very input under this very policy
+//!   snapshot, so it runs without a second audit; a policy change moves
+//!   the sequence, and LRU eviction bounds the footprint under ad-hoc
+//!   query diversity ([`CacheStats`] counts it).
 //!
 //! Per-query deadlines, cancellation, and fault plans ride through
 //! unchanged ([`QueryRequest`]); the service aggregates their outcomes into
 //! per-tenant [`TenantStats`] (admitted/rejected/completed, p50/p99
 //! latency, cache hits, replans).
 
-pub mod plan_cache;
+mod plan_cache;
 pub mod service;
 
-pub use plan_cache::{query_fingerprint, CacheStats, PlanCache, PlanKey};
+pub use plan_cache::CacheStats;
 pub use service::{
     QueryReply, QueryRequest, QueryService, QueryTicket, ServiceConfig, TenantConfig, TenantId,
     TenantStats,

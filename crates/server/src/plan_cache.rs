@@ -1,69 +1,51 @@
-//! Epoch-keyed cache of optimized located plans.
+//! The service's cache of optimized located plans, keyed by value.
 //!
-//! The PR-5 `ImplicationMemo` caches single policy-implication *verdicts*
-//! keyed by predicate fingerprint × expression id × catalog epoch. This
-//! module applies the same idea one level up: it caches whole
-//! [`OptimizedQuery`]s (the located physical plan plus its annotated
-//! traits) keyed by
+//! A [`PlanKey`] holds the lowered query itself, the pinned result
+//! location, the tenant, and the catalog-log sequence the tenant's engine
+//! was built at. The map settles hash collisions with `Eq`, so a hit is
+//! the same lowered plan at the same result site for the same tenant under
+//! the same policy snapshot: the very plan the compliant optimizer
+//! returned for this input under this catalog. Theorem 1 holds on a hit by
+//! construction, so nothing is audited again.
 //!
-//! > query structural fingerprint × tenant × policy-catalog epoch.
-//!
-//! * **Epoch-bump invalidation.** The policy-catalog epoch is a content
-//!   hash of the tenant's policy expressions, so any policy change moves
-//!   every lookup to a fresh key — stale plans simply stop being found
-//!   (and [`PlanCache::purge_tenant`] reclaims their slots eagerly).
+//! * **A policy update moves the key.** Every grant or revoke appends to
+//!   the tenant's catalog log, and the sequence only moves forward, so a
+//!   plan optimized under an older snapshot is never found again
+//!   ([`PlanCache::purge_tenant`] reclaims its slot eagerly).
 //! * **LRU eviction.** The cache holds at most `capacity` entries; the
 //!   least-recently-used entry is evicted when a fresh plan needs a slot.
-//! * **Collision safety is the caller's job.** Two different queries could
-//!   in principle hash to the same fingerprint. The service therefore
-//!   re-audits every cache hit with the Definition-1 checker before reuse
-//!   and calls [`PlanCache::invalidate`] when the audit refuses the plan —
-//!   a collision costs one re-optimization, never a non-compliant plan.
 
 use geoqp_common::Location;
 use geoqp_core::OptimizedQuery;
 use geoqp_plan::LogicalPlan;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Structural fingerprint of a query: a hash of the full logical plan tree
-/// plus the requested result location. Policies do **not** contribute —
-/// the policy catalog is keyed separately through the epoch component of
-/// [`PlanKey`], so the same query text maps to the same fingerprint under
-/// every tenant.
-pub fn query_fingerprint(plan: &LogicalPlan, result_location: Option<&Location>) -> u64 {
-    let mut h = DefaultHasher::new();
-    plan.hash(&mut h);
-    result_location.hash(&mut h);
-    h.finish()
-}
-
-/// The full cache key: fingerprint × tenant × policy-catalog epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PlanKey {
-    /// Tenant index inside the service. Plans never cross tenants even
-    /// when their policy catalogs happen to hash to the same epoch.
+/// What makes a cached plan the plan for a request, compared by value.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct PlanKey {
+    /// Tenant index inside the service: plans never cross tenants.
     pub tenant: usize,
-    /// Structural query fingerprint from [`query_fingerprint`].
-    pub fingerprint: u64,
-    /// The tenant's policy-catalog epoch when the plan was optimized.
-    pub epoch: u64,
+    /// The tenant's catalog-log sequence (`CatalogPin::seq`) when the
+    /// plan was optimized. With `tenant` it names one policy snapshot:
+    /// the engine and the pin are swapped and read together.
+    pub seq: u64,
+    /// The lowered query.
+    pub query: Arc<LogicalPlan>,
+    /// The requested result location (`None`: the optimizer's choice).
+    pub result_location: Option<Location>,
 }
 
 /// Counter snapshot for observability (`\tenants`, bench JSON).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CacheStats {
-    /// Lookups served from the cache (net of invalidated collisions).
+    /// Lookups served from the cache.
     pub hits: u64,
-    /// Lookups that missed (including invalidated collisions).
+    /// Lookups that missed.
     pub misses: u64,
     /// Entries evicted by the LRU policy to make room.
     pub evictions: u64,
-    /// Cache hits the caller's re-audit refused (fingerprint collisions).
-    pub invalidations: u64,
     /// Live entries.
     pub len: usize,
     /// Maximum entries.
@@ -95,13 +77,12 @@ struct CacheState {
 
 /// Thread-safe LRU cache of optimized located plans. Interior mutability
 /// throughout: workers share it behind an `Arc` without outer locking.
-pub struct PlanCache {
+pub(crate) struct PlanCache {
     state: Mutex<CacheState>,
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    invalidations: AtomicU64,
 }
 
 impl PlanCache {
@@ -116,7 +97,6 @@ impl PlanCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
         }
     }
 
@@ -149,7 +129,7 @@ impl PlanCache {
                 .map
                 .iter()
                 .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
+                .map(|(k, _)| k.clone())
             {
                 st.map.remove(&victim);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -164,38 +144,12 @@ impl PlanCache {
         );
     }
 
-    /// Drop an entry whose re-audit failed (fingerprint collision) and
-    /// reclassify the hit [`lookup`](PlanCache::lookup) just counted as a
-    /// miss. Must only be called immediately after a successful lookup of
-    /// the same key by the same caller.
-    pub fn invalidate(&self, key: &PlanKey) {
-        let mut st = self.state.lock().unwrap();
-        if st.map.remove(key).is_some() {
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
-        }
-        self.hits.fetch_sub(1, Ordering::Relaxed);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Eagerly drop every entry belonging to `tenant` (policy update):
-    /// the epoch component of the key already makes them unreachable, but
-    /// purging frees their LRU slots immediately. Returns how many entries
-    /// were dropped.
-    pub fn purge_tenant(&self, tenant: usize) -> usize {
+    /// the sequence component of the key already makes them unreachable,
+    /// but purging frees their LRU slots immediately.
+    pub fn purge_tenant(&self, tenant: usize) {
         let mut st = self.state.lock().unwrap();
-        let before = st.map.len();
         st.map.retain(|k, _| k.tenant != tenant);
-        before - st.map.len()
-    }
-
-    /// Live entry count.
-    pub fn len(&self) -> usize {
-        self.state.lock().unwrap().map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Counter snapshot.
@@ -204,22 +158,8 @@ impl PlanCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            len: self.len(),
+            len: self.state.lock().unwrap().map.len(),
             capacity: self.capacity,
         }
-    }
-}
-
-impl std::fmt::Debug for PlanCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.stats();
-        f.debug_struct("PlanCache")
-            .field("len", &s.len)
-            .field("capacity", &s.capacity)
-            .field("hits", &s.hits)
-            .field("misses", &s.misses)
-            .field("evictions", &s.evictions)
-            .finish()
     }
 }

@@ -10,7 +10,7 @@
 //!                                              │
 //!                          bounded worker pool (OS threads)
 //!                                              │
-//!            parse → lower → PlanCache lookup (re-audited) / optimize
+//!     parse → lower → plan-cache lookup by value (hit) / optimize (miss)
 //!                                              │
 //!            execute (plain or resilient: faults/deadline/cancel)
 //!                                              │
@@ -35,7 +35,7 @@
 //! trickle tenant — the trickle tenant's next query is at most one DRR
 //! rotation away.
 
-use crate::plan_cache::{query_fingerprint, CacheStats, PlanCache, PlanKey};
+use crate::plan_cache::{CacheStats, PlanCache, PlanKey};
 use geoqp_common::{CancelToken, CatalogPin, GeoError, Location, QueryDeadline, Result, Rows};
 use geoqp_core::{CatalogService, ChurnOpts, Engine, ExecOptions, OptimizerMode, RuntimeConfig};
 use geoqp_exec::RetryPolicy;
@@ -163,8 +163,9 @@ pub struct QueryReply {
     pub rows: Rows,
     /// Every cross-site transfer the execution performed.
     pub transfers: TransferLog,
-    /// Whether the located plan came from the [`PlanCache`] (and passed
-    /// its Definition-1 re-audit).
+    /// Whether the located plan came from the plan cache: a plan the
+    /// compliant optimizer returned for the same lowered query, result
+    /// location and tenant under the same catalog-log sequence.
     pub cached: bool,
     /// Failover re-plans performed (0 for fault-free runs).
     pub replans: usize,
@@ -677,12 +678,6 @@ impl QueryService {
     pub fn cache_stats(&self) -> CacheStats {
         self.shared.cache.stats()
     }
-
-    /// The shared plan cache (tests use this to stage entries and probe
-    /// the collision-safety re-audit).
-    pub fn cache(&self) -> &PlanCache {
-        &self.shared.cache
-    }
 }
 
 impl Drop for QueryService {
@@ -709,7 +704,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         // Claim a job under the lock; execute it outside. The claim
         // captures the engine AND the catalog pin together, so the job's
         // plan-cache key, churn watch, and completion re-check all agree
-        // on the epoch it was admitted under.
+        // on the policy snapshot it was admitted under.
         let (tenant_idx, job, mut engine, mut pin, mut churn) = {
             let mut st = shared.state.lock().unwrap();
             loop {
@@ -730,8 +725,8 @@ fn worker_loop(shared: &Arc<Shared>) {
         // Admission-race repair: `update_tenant_policies` may have
         // revoked a policy after this job pinned its epoch but before it
         // finished. A completion whose pin predates the newest revocation
-        // cannot be trusted — re-run it under the current engine (which
-        // re-audits everything under the new epoch), bounded so a
+        // cannot be trusted — re-run it under the current engine and pin
+        // (which plan it under the new snapshot), bounded so a
         // pathologically churny catalog resolves typed instead of looping.
         let mut reruns = 0u64;
         while outcome.is_ok() {
@@ -820,26 +815,22 @@ fn run_job(
 
     let ast = geoqp_parser::parse_query(&request.sql)?;
     let plan = geoqp_parser::lower_query(&ast, engine.catalog())?;
+    // `engine` was built at `pin.seq` (the claim read them together), so
+    // a hit is the plan this engine's compliant optimizer returned for
+    // this very input: it runs with no second audit.
     let key = PlanKey {
         tenant,
-        fingerprint: query_fingerprint(&plan, request.result_location.as_ref()),
-        epoch: pin.epoch,
+        seq: pin.seq,
+        query: plan,
+        result_location: request.result_location.clone(),
     };
-
     let (optimized, cached) = match shared.cache.lookup(&key) {
-        // Fingerprint-collision safety: a cached plan is only reused after
-        // the Definition-1 checker re-audits it under this tenant's
-        // policies. A refused plan is invalidated and re-optimized — a
-        // collision costs one optimization, never compliance.
-        Some(hit) if engine.audit(&hit.physical).is_ok() => (hit, true),
-        refused => {
-            if refused.is_some() {
-                shared.cache.invalidate(&key);
-            }
+        Some(hit) => (hit, true),
+        None => {
             let fresh = Arc::new(engine.optimize(
-                &plan,
+                &key.query,
                 OptimizerMode::Compliant,
-                request.result_location.clone(),
+                key.result_location.clone(),
             )?);
             shared.cache.insert(key, fresh.clone());
             (fresh, false)

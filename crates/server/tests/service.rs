@@ -1,21 +1,21 @@
 //! Integration suite for the multi-tenant query service: admission
-//! control, deficit-round-robin fairness, the epoch-keyed plan cache
-//! (invalidation, LRU eviction, collision re-audit, hit/miss
-//! determinism), cancellation/deadline handling mid-queue, and
-//! cross-tenant memo/plan isolation.
+//! control, deficit-round-robin fairness, the value-keyed plan cache
+//! (each key component, invalidation by policy update, LRU eviction,
+//! hit/miss determinism, hits equal to a fresh optimize across policy
+//! churn), cancellation/deadline handling mid-queue, and cross-tenant
+//! memo/plan isolation.
 
 use geoqp_common::{
     CancelToken, DataType, Field, Location, LocationSet, QueryDeadline, Schema, TableRef, Value,
 };
-use geoqp_core::OptimizerMode;
+use geoqp_core::{ExecOptions, OptimizerMode};
 use geoqp_net::NetworkTopology;
 use geoqp_policy::PolicyCatalog;
-use geoqp_server::{
-    query_fingerprint, PlanKey, QueryRequest, QueryService, ServiceConfig, TenantConfig, TenantId,
-};
+use geoqp_server::{QueryRequest, QueryService, ServiceConfig, TenantConfig, TenantId};
 use geoqp_storage::{Catalog, Table, TableStats};
 use geoqp_tpch::adhoc::generate_adhoc;
 use geoqp_tpch::{generate_policies, PolicyTemplate};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------- helpers
@@ -428,7 +428,7 @@ fn epoch_bump_invalidates_cached_plans() {
     let epoch_after = svc.tenant_epoch(tenant).unwrap();
     assert_ne!(epoch_before, epoch_after, "content epoch must change");
     assert_eq!(
-        svc.cache().len(),
+        svc.cache_stats().len,
         0,
         "the tenant's entries are purged on policy update"
     );
@@ -670,7 +670,7 @@ fn concurrent_closed_loops_reconcile_cache_and_tenant_counters() {
     let cs = svc.cache_stats();
     assert_eq!(
         cs.hits + cs.misses,
-        completed + cs.invalidations,
+        completed,
         "every query went through the plan cache exactly once"
     );
     assert!(
@@ -679,11 +679,13 @@ fn concurrent_closed_loops_reconcile_cache_and_tenant_counters() {
     );
 }
 
-/// Fingerprint-collision safety: a cache entry that fails the
-/// Definition-1 re-audit (staged here under the victim key) is never
-/// served — it is invalidated and the query re-optimizes compliantly.
+/// The cache key is compared by value, component by component: the same
+/// lowered query pinned at three result locations is three entries, and
+/// a select list in another order lowers to another plan and gets its
+/// own entry. (The tenant and catalog-sequence components are covered by
+/// the isolation and policy-update tests.)
 #[test]
-fn poisoned_cache_entry_is_reaudited_and_replaced() {
+fn plan_cache_key_separates_result_location_and_lowered_plan() {
     let catalog = tiny_catalog();
     let svc = service(1, 16);
     let tenant = svc.add_tenant(
@@ -693,53 +695,136 @@ fn poisoned_cache_entry_is_reaudited_and_replaced() {
         tiny_topology(),
         TenantConfig::default(),
     );
-    let engine = svc.tenant_engine(tenant).unwrap();
-    let us = Location::new("US");
-
-    // The victim query is compliant under the restrictive set.
-    let victim_plan = geoqp_parser::lower_query(
-        &geoqp_parser::parse_query(Q_NAMES).unwrap(),
-        engine.catalog(),
-    )
-    .unwrap();
-    let key = PlanKey {
-        tenant: tenant.0,
-        fingerprint: query_fingerprint(&victim_plan, Some(&us)),
-        epoch: svc.tenant_epoch(tenant).unwrap(),
+    let run = |sql: &str, at: Option<&str>| {
+        let mut request = QueryRequest::new(sql);
+        request.result_location = at.map(Location::new);
+        svc.submit(tenant, request).unwrap().wait().unwrap().cached
     };
+    let sites = [None, Some("EU"), Some("US")];
 
-    // Stage a plan under that key which ships raw emails to the US —
-    // exactly what a fingerprint collision could smuggle in. Optimized
-    // in Traditional mode so the (non-compliant) plan exists at all.
-    let poison = engine
-        .optimize_sql(Q_EMAILS, OptimizerMode::Traditional, Some(us.clone()))
-        .unwrap();
-    assert!(
-        engine.audit(&poison.physical).is_err(),
-        "the staged plan must genuinely violate the tenant's policies"
-    );
-    svc.cache().insert(key, Arc::new(poison));
+    for at in sites {
+        assert!(!run(Q_NAMES, at), "first run at {at:?} optimizes fresh");
+    }
+    for at in sites {
+        assert!(run(Q_NAMES, at), "second run at {at:?} hits its own entry");
+    }
+    let cs = svc.cache_stats();
+    assert_eq!((cs.hits, cs.misses, cs.len), (3, 3, 3));
 
-    // The lookup hits, the re-audit refuses, the service re-optimizes.
-    let reply = svc
-        .submit(tenant, QueryRequest::new(Q_NAMES).at(us.clone()))
-        .unwrap()
-        .wait()
-        .unwrap();
-    assert!(!reply.cached, "a refused entry must not count as a hit");
-    assert_eq!(reply.result_location, us);
-    assert_eq!(reply.rows.len(), 4, "join yields one row per event");
-    assert_eq!(svc.cache_stats().invalidations, 1);
+    // Same tables, same join, same columns — in another order.
+    const Q_NAMES_REORDERED: &str = "SELECT e_kind, u_name FROM users, events WHERE u_id = e_user";
+    assert!(!run(Q_NAMES_REORDERED, None), "a different plan is a miss");
+    assert!(run(Q_NAMES_REORDERED, None));
+    assert!(run(Q_NAMES, None), "the original entry is still its own");
+    let cs = svc.cache_stats();
+    assert_eq!((cs.hits, cs.misses, cs.len), (5, 4, 4));
+}
 
-    // The replacement entry is genuine: next run hits and matches.
-    let hit = svc
-        .submit(tenant, QueryRequest::new(Q_NAMES).at(us))
-        .unwrap()
-        .wait()
-        .unwrap();
-    assert!(hit.cached);
-    assert_eq!(hit.rows, reply.rows);
-    assert_eq!(hit.transfers, reply.transfers);
+/// Across policy churn, every reply — hit or miss — is what the tenant's
+/// current engine gives for a fresh optimize → audit → run: the same
+/// rows, the same transfers, the same result site, or a refusal of the
+/// same kind. One worker, four template tenants, a seeded 80/20 stream
+/// over a 20-query pool, and one tenant moved between policy set A (10
+/// expressions) and set B (A plus one) on every 7th submit. The service
+/// must hit exactly when this tenant planned the query since its last
+/// policy update — so the first submit after an update is always a miss.
+/// (The pool's generated queries plan under every set here, so the
+/// refusal arm guards a regression rather than a case this seed draws.)
+#[test]
+fn every_reply_equals_a_fresh_optimize_across_policy_churn() {
+    const SEED: u64 = 29;
+    const SUBMITS: usize = 400;
+    const POOL: usize = 20;
+    const HOT: usize = 4;
+    const TOGGLE_EVERY: usize = 7;
+    let templates = [
+        PolicyTemplate::T,
+        PolicyTemplate::C,
+        PolicyTemplate::CR,
+        PolicyTemplate::CRA,
+    ];
+
+    let (catalog, _) = tpch_setup(PolicyTemplate::T, SEED);
+    let pool = generate_adhoc(&catalog, POOL, SEED).unwrap();
+    let svc = service(1, 1024);
+    let tenants: Vec<_> = templates
+        .iter()
+        .zip(1u64..)
+        .map(|(template, i)| {
+            let set = |n| Arc::new(generate_policies(&catalog, *template, n, SEED ^ i).unwrap());
+            let sets = [set(10), set(11)];
+            let id = svc.add_tenant(
+                template.name(),
+                catalog.clone(),
+                sets[0].clone(),
+                NetworkTopology::paper_wan(),
+                TenantConfig::default(),
+            );
+            (id, sets)
+        })
+        .collect();
+
+    let mut state = SEED;
+    let mut draw = |n: usize| {
+        // SplitMix64: the stream is a function of SEED alone.
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) % n as u64) as usize
+    };
+    // Per tenant: whether it is on set B, and the pool queries it planned
+    // since its last update.
+    let mut on_b = [false; 4];
+    let mut planned: Vec<HashSet<usize>> = vec![HashSet::new(); 4];
+    let mut hits = 0;
+    for k in 0..SUBMITS {
+        if k % TOGGLE_EVERY == TOGGLE_EVERY - 1 {
+            let t = (k / TOGGLE_EVERY) % tenants.len();
+            on_b[t] = !on_b[t];
+            let (id, sets) = &tenants[t];
+            svc.update_tenant_policies(*id, sets[usize::from(on_b[t])].clone())
+                .unwrap();
+            planned[t].clear();
+        }
+        let t = draw(tenants.len());
+        let q = if draw(10) < 8 {
+            draw(HOT)
+        } else {
+            HOT + draw(POOL - HOT)
+        };
+        let (id, _) = &tenants[t];
+        let sql = &pool[q].sql;
+        let reply = svc.submit(*id, QueryRequest::new(sql)).unwrap().wait();
+
+        let engine = svc.tenant_engine(*id).unwrap();
+        let fresh = engine.optimize_sql(sql, OptimizerMode::Compliant, None);
+        match (reply, fresh) {
+            (Ok(reply), Ok(fresh)) => {
+                engine.audit(&fresh.physical).unwrap();
+                let run = engine.run(&fresh, &ExecOptions::default()).unwrap();
+                // A hit exactly when planned since the last update: the
+                // first submit of a query after an update is a miss.
+                let seen = !planned[t].insert(q);
+                assert_eq!(reply.cached, seen, "submit {k}: {sql}");
+                assert_eq!(reply.rows, run.rows, "submit {k}: rows of {sql}");
+                assert_eq!(reply.transfers, run.transfers, "submit {k}: {sql}");
+                assert_eq!(reply.result_location, fresh.result_location);
+                hits += usize::from(seen);
+            }
+            (Err(served), Err(fresh)) => assert_eq!(
+                served.kind(),
+                fresh.kind(),
+                "submit {k}: {sql} refused as {served}, fresh as {fresh}"
+            ),
+            (served, fresh) => panic!(
+                "submit {k}: {sql}: service {:?} but fresh {:?}",
+                served.map(|r| r.cached),
+                fresh.map(|f| f.result_location)
+            ),
+        }
+    }
+    assert!(hits >= 100, "only {hits} hits in {SUBMITS} submits");
 }
 
 // ------------------------------------------------------ tenant isolation
@@ -848,5 +933,5 @@ fn identical_policy_tenants_still_get_separate_plan_cache_entries() {
     // Same SQL, same epoch — but a different tenant must optimize fresh.
     assert!(!run(b).cached, "plans must not leak across tenants");
     assert!(run(b).cached);
-    assert_eq!(svc.cache().len(), 2, "one entry per tenant");
+    assert_eq!(svc.cache_stats().len, 2, "one entry per tenant");
 }

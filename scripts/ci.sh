@@ -69,6 +69,15 @@ recovery_gate 'excluding_sites(' 1 annotate.rs
 recovery_gate 'avoiding_links(' 1
 recovery_gate 'stitch(' 1
 
+echo "==> one plan identity: a plan-cache hit is the same lowered query, result" \
+     "site, tenant and catalog sequence, compared by value, so the server" \
+     "neither fingerprints a plan nor audits a hit again"
+if grep -rnE '\.audit\(|fingerprint|pub mod plan_cache' crates/server/src; then
+    echo "crates/server/src fingerprints or re-audits plans, or exports its plan" \
+        "cache: a hit is identified by value and only CacheStats leaves the crate" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check (geoqp crates)"
 cargo fmt --check "${pkg_flags[@]}"
 

@@ -116,8 +116,8 @@ pub mod prelude {
     pub use geoqp_plan::{LogicalPlan, PlanBuilder};
     pub use geoqp_policy::{PolicyCatalog, PolicyEvaluator, PolicyExpression, ShipAttrs};
     pub use geoqp_server::{
-        PlanCache, QueryReply, QueryRequest, QueryService, QueryTicket, ServiceConfig,
-        TenantConfig, TenantId, TenantStats,
+        QueryReply, QueryRequest, QueryService, QueryTicket, ServiceConfig, TenantConfig, TenantId,
+        TenantStats,
     };
     pub use geoqp_storage::{Catalog, Table, TableStats};
 }

@@ -6,9 +6,10 @@
 //! catalog), a revocation is already appended at sequence 1, and the
 //! churn signal releases it at a chosen executor step. A revocation
 //! released before the query's last SHIP edge aborts the attempt and
-//! re-plans under the new epoch (checkpoints migrated, compliance
-//! re-verified); one released too late never bites. Cells where the
-//! shrunken policy set leaves no compliant placement refuse typed.
+//! re-plans under the new snapshot (checkpoints restricted to the
+//! re-placed plan, compliance re-verified); one released too late never
+//! bites. Cells where the shrunken policy set leaves no compliant
+//! placement refuse typed.
 //!
 //! The stale sweep layers a catalog-plane partition on top: after the
 //! churn re-plan re-pins the query to sequence 1, the partitioned
@@ -95,9 +96,9 @@ pub struct ChurnCell {
     /// Bytes the fault-free, churn-free reference run shipped.
     pub reference_bytes: u64,
     /// Bytes re-shipped after the abort (checkpoint misses); the re-plan
-    /// overhead the checkpoint migration is there to bound.
+    /// overhead the retained checkpoints are there to bound.
     pub recomputed_bytes: u64,
-    /// Bytes served from migrated checkpoints instead of re-shipping.
+    /// Bytes served from retained checkpoints instead of re-shipping.
     pub resumed_bytes: u64,
     /// Completed cells only: the answer matched the reference multiset.
     pub rows_match: bool,
@@ -274,7 +275,7 @@ pub fn churn_grid(seed: u64) -> Vec<ChurnCell> {
         for (si, &step) in REVOKE_STEPS.iter().enumerate() {
             let pid = pids[(qi * REVOKE_STEPS.len() + si) % pids.len()];
             let svc = scripted_service(&fx, pid, step, None);
-            let pin = geoqp_common::CatalogPin::new(0, fx.engine.policies().epoch());
+            let pin = geoqp_common::CatalogPin::new(0, svc.epoch_at(0).expect("seq 0 is held"));
             let faults = FaultPlan::new(seed);
             let opts =
                 ExecOptions::failover(&faults, &retry, sites).with_churn(Arc::clone(&svc), pin);
@@ -366,6 +367,8 @@ pub fn grant_grid(seed: u64) -> (Vec<GrantCell>, PlaneStats) {
                 fx.coordinator.clone(),
             )
             .with_auto_compact(1);
+            // Seq 0 is compacted away by the first append: pin it first.
+            let pin = svc.head();
             let rev = svc.revoke(*pid).expect("revoking a live template pid");
             let regrant = geoqp_parser::parse_policy(display).expect("live display forms re-parse");
             let re = svc
@@ -392,7 +395,6 @@ pub fn grant_grid(seed: u64) -> (Vec<GrantCell>, PlaneStats) {
                 ),
             );
             svc.sync_full();
-            let pin = geoqp_common::CatalogPin::new(0, fx.engine.policies().epoch());
             let faults = FaultPlan::new(seed);
             let opts =
                 ExecOptions::failover(&faults, &retry, sites).with_churn(Arc::clone(&svc), pin);
@@ -470,7 +472,7 @@ pub fn stale_sweep(seed: u64) -> Vec<StaleCell> {
             let catalog_faults =
                 FaultPlan::new(seed).with_partition([site.clone()], StepWindow::ALWAYS);
             let svc = scripted_service(&fx, pid, 0, Some(catalog_faults));
-            let pin = geoqp_common::CatalogPin::new(0, fx.engine.policies().epoch());
+            let pin = geoqp_common::CatalogPin::new(0, svc.epoch_at(0).expect("seq 0 is held"));
             let faults = FaultPlan::new(seed);
             let opts =
                 ExecOptions::failover(&faults, &retry, sites).with_churn(Arc::clone(&svc), pin);

@@ -7,8 +7,11 @@
 //!
 //! * [`CatalogPin`] — the `(seq, epoch)` snapshot a query pins at
 //!   admission. Epochs are chain hashes (unordered), so freshness is
-//!   proven by the monotone log **sequence number**, and the epoch rides
-//!   along to key checkpoints, memos, and plan caches.
+//!   proven by the monotone log **sequence number**; the epoch names the
+//!   prefix in replica chain checks and typed errors. Nothing derived
+//!   from a snapshot is keyed by it: the engine holding the snapshot
+//!   owns its implication memo, a run owns its checkpoint store, and the
+//!   service's plan cache keys by `(tenant, seq)`.
 //! * [`ChurnSignal`] — how revocations reach in-flight queries: a set of
 //!   pre-planned, step-triggered events (deterministic replay for the
 //!   bench and chaos harnesses) plus a live published head (the server's

@@ -576,13 +576,13 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_are_epoch_pinned_and_cached() {
+    fn snapshots_are_materialized_per_seq_and_cached() {
         let svc = CatalogService::new(storage(), PolicyCatalog::new(), Location::new("L1"));
         let g = svc.grant(expr("a")).unwrap();
         let s0 = svc.snapshot(0).unwrap();
         let s1 = svc.snapshot(g.seq).unwrap();
-        assert_ne!(s0.epoch(), s1.epoch());
-        assert_eq!(s1.epoch(), g.epoch);
+        assert_ne!(s0.canonical_bytes(), s1.canonical_bytes());
+        assert_eq!(svc.epoch_at(g.seq).unwrap(), g.epoch);
         assert!(Arc::ptr_eq(&s1, &svc.snapshot(g.seq).unwrap()));
     }
 

@@ -198,6 +198,9 @@ pub struct ExecOptions<'a> {
     pub resume: bool,
     /// The checkpoint store to retain into, so tests and tools can
     /// inspect what was kept where. `None` uses one private to the run.
+    /// A store serves one run: fingerprints name plan structure, not the
+    /// policy snapshot it was derived under, so a store shared across
+    /// runs could resume one run's output in another.
     pub store: Option<&'a CheckpointStore>,
     /// Simulated-clock completion budget for the whole run.
     pub deadline: Option<QueryDeadline>,
@@ -294,7 +297,9 @@ pub struct Engine {
     topology: NetworkTopology,
     /// Implication-verdict cache shared by every evaluator the engine
     /// creates — across AR1–AR4 annotation, plan enumeration, audits,
-    /// and failover re-plans. Epoch-scoped to the policy catalog.
+    /// and failover re-plans. It serves `policies` alone: the snapshot
+    /// never changes under this engine, and a new snapshot is a new
+    /// engine ([`Engine::fork_with_policies`]) with a cold memo.
     implication_memo: ImplicationMemo,
 }
 
@@ -320,7 +325,7 @@ impl Engine {
     }
 
     /// A sibling engine over the same deployment but a different policy
-    /// catalog snapshot — the epoch bump after a grant or revoke. The
+    /// catalog snapshot — the catalog after a grant or revoke. The
     /// implication memo starts **cold**: a verdict proven under the old
     /// catalog must never be served under the new one.
     pub fn fork_with_policies(&self, policies: Arc<PolicyCatalog>) -> Engine {
@@ -516,9 +521,8 @@ impl Engine {
     /// in pre-order SHIP order.
     fn ship_specs(&self, plan: &PhysicalPlan) -> Result<(Vec<LocationSet>, Vec<CheckpointSpec>)> {
         let audits = ship_audit_info(plan, &self.evaluator(), &self.catalog)?;
-        let epoch = self.policies.epoch();
         let mut fps = Vec::new();
-        collect_ship_fingerprints(plan, epoch, &mut fps);
+        collect_ship_fingerprints(plan, &mut fps);
         debug_assert_eq!(fps.len(), audits.len());
         let specs = audits
             .iter()
@@ -816,7 +820,6 @@ impl Recovery<'_> {
             });
         }
         self.replans += 1;
-        let epoch_before = self.current().0.policies.epoch();
         match &mut cause {
             Cause::Revoked { head, step } => self.repin(head, *step)?,
             Cause::SiteDown(site) if *site == self.optimized.result_location => {
@@ -904,19 +907,13 @@ impl Recovery<'_> {
         let engine = self.current().0;
         let next = if self.opts.resume {
             if let Cause::Revoked { .. } = cause {
-                // Migrate retained checkpoints across the epoch bump:
-                // homes still inside the (possibly shrunken) shipping
-                // trait are re-keyed to the new epoch, homes the
-                // revocation outlawed are dropped.
-                let mut old_fps = Vec::new();
-                collect_ship_fingerprints(&placed, epoch_before, &mut old_fps);
+                // The run changed policy snapshot: keep only checkpoints
+                // the re-placed plan can resume, at homes still inside
+                // their (possibly shrunken) shipping traits.
                 let (_, specs) = engine.ship_specs(&placed)?;
-                debug_assert_eq!(old_fps.len(), specs.len());
-                for (old_fp, spec) in old_fps.iter().zip(&specs) {
-                    self.store.migrate(*old_fp, spec.fingerprint, &spec.legal);
-                }
+                self.store.retain(&specs);
             }
-            let outcome = stitch(&placed, self.store, engine.policies.epoch())?;
+            let outcome = stitch(&placed, self.store)?;
             match fallback {
                 Some(e) if outcome.hits == 0 || Arc::ptr_eq(&outcome.plan, &placed) => {
                     return Err(e)
@@ -988,12 +985,12 @@ impl Recovery<'_> {
 
 /// Fingerprint every SHIP edge's producer subtree, in pre-order SHIP
 /// order (matching [`ship_audit_info`]).
-fn collect_ship_fingerprints(plan: &PhysicalPlan, epoch: u64, out: &mut Vec<u64>) {
+fn collect_ship_fingerprints(plan: &PhysicalPlan, out: &mut Vec<u64>) {
     if matches!(plan.op, PhysOp::Ship) {
-        out.push(fingerprint(&plan.inputs[0], epoch));
+        out.push(fingerprint(&plan.inputs[0]));
     }
     for c in &plan.inputs {
-        collect_ship_fingerprints(c, epoch, out);
+        collect_ship_fingerprints(c, out);
     }
 }
 

@@ -111,7 +111,7 @@ fn implication_memo_restarts_cold_across_an_epoch_bump() {
     let grant = geoqp_parser::parse_policy("ship u_email from users to EU").unwrap();
     let pin = svc.grant(grant).unwrap();
     let forked = engine.fork_with_policies(svc.snapshot(pin.seq).unwrap());
-    assert_ne!(forked.policies().epoch(), engine.policies().epoch());
+    assert_ne!(pin.epoch, svc.epoch_at(0).unwrap());
     assert_eq!(forked.implication_memo().hits(), 0);
     assert_eq!(forked.implication_memo().misses(), 0);
     assert_eq!(forked.implication_memo().len(), 0);
@@ -159,12 +159,10 @@ fn implication_memo_restarts_cold_across_an_epoch_bump() {
     svc.revoke(pid).unwrap();
     let regrant = geoqp_parser::parse_policy("ship u_email from users to EU").unwrap();
     let repin = svc.grant(regrant).unwrap();
-    let snap = svc.snapshot(repin.seq).unwrap();
     assert_ne!(
-        snap.epoch(),
-        pin.epoch,
+        repin.epoch, pin.epoch,
         "revoke-then-regrant must not return to the revoked epoch"
     );
-    let refork = engine.fork_with_policies(snap);
+    let refork = engine.fork_with_policies(svc.snapshot(repin.seq).unwrap());
     assert_eq!(refork.implication_memo().len(), 0, "cold again");
 }

@@ -51,11 +51,6 @@ impl fmt::Display for RegisteredExpression {
 #[derive(Debug, Clone, Default)]
 pub struct PolicyCatalog {
     expressions: Vec<RegisteredExpression>,
-    /// When the catalog is a snapshot materialized from a versioned
-    /// catalog log, the log's deterministic chain epoch overrides the
-    /// content hash — so revoke-then-regrant can never silently return
-    /// to an old epoch and resurrect stale checkpoints or memo verdicts.
-    pinned_epoch: Option<u64>,
 }
 
 impl PolicyCatalog {
@@ -89,10 +84,7 @@ impl PolicyCatalog {
     /// responsible for id renumbering (registration order).
     pub(crate) fn from_registered(expressions: Vec<RegisteredExpression>) -> PolicyCatalog {
         debug_assert!(expressions.iter().enumerate().all(|(i, e)| e.id == i));
-        PolicyCatalog {
-            expressions,
-            pinned_epoch: None,
-        }
+        PolicyCatalog { expressions }
     }
 
     /// All expressions, in registration order.
@@ -119,17 +111,10 @@ impl PolicyCatalog {
         self.expressions.is_empty()
     }
 
-    /// A stable content hash of the registered expressions — the
-    /// *policy-catalog epoch*. Checkpoint fingerprints mix this in so
-    /// that intermediate results retained under one policy set can never
-    /// be resumed under a different one: a changed catalog changes every
-    /// fingerprint, and every lookup misses.
-    pub fn epoch(&self) -> u64 {
-        self.pinned_epoch.unwrap_or_else(|| self.content_epoch())
-    }
-
-    /// The content hash itself, ignoring any pinned log epoch.
-    pub fn content_epoch(&self) -> u64 {
+    /// A stable content hash of the registered expressions: the genesis
+    /// epoch of a [`CatalogLog`](crate::CatalogLog) started from this
+    /// catalog. Chain epochs after it live only in the log.
+    pub(crate) fn content_epoch(&self) -> u64 {
         // FNV-1a over each expression's canonical display form.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for e in &self.expressions {
@@ -141,15 +126,6 @@ impl PolicyCatalog {
             h = h.wrapping_mul(0x1000_0000_01b3);
         }
         h
-    }
-
-    /// Pin the catalog's epoch to a versioned-log chain epoch. Set by
-    /// [`CatalogLog::materialize`](crate::CatalogLog::materialize) on
-    /// every snapshot it produces; everything keyed by `epoch()` —
-    /// checkpoint fingerprints, the implication memo, the server's plan
-    /// cache — then follows the log's history instead of raw content.
-    pub fn pin_epoch(&mut self, epoch: u64) {
-        self.pinned_epoch = Some(epoch);
     }
 
     /// The canonical byte rendering of the catalog's registered
@@ -238,10 +214,12 @@ mod tests {
     }
 
     #[test]
-    fn epoch_tracks_catalog_content() {
+    fn log_genesis_epoch_tracks_catalog_content() {
+        use crate::CatalogLog;
+        let genesis = |c: &PolicyCatalog| CatalogLog::new(c.clone()).epoch();
         let mut a = PolicyCatalog::new();
         let mut b = PolicyCatalog::new();
-        assert_eq!(a.epoch(), b.epoch(), "empty catalogs share an epoch");
+        assert_eq!(genesis(&a), genesis(&b), "empty catalogs share an epoch");
         let expr = || {
             PolicyExpression::basic(
                 TableRef::bare("t"),
@@ -251,9 +229,13 @@ mod tests {
             )
         };
         a.register(expr(), &schema()).unwrap();
-        assert_ne!(a.epoch(), b.epoch(), "registering must change the epoch");
+        assert_ne!(
+            genesis(&a),
+            genesis(&b),
+            "registering must change the epoch"
+        );
         b.register(expr(), &schema()).unwrap();
-        assert_eq!(a.epoch(), b.epoch(), "same content, same epoch");
+        assert_eq!(genesis(&a), genesis(&b), "same content, same epoch");
     }
 
     #[test]

@@ -29,7 +29,7 @@
 
 use crate::catalog::PolicyCatalog;
 use crate::expression::PolicyKind;
-use crate::memo::{predicate_fingerprint, ImplicationMemo};
+use crate::memo::ImplicationMemo;
 use geoqp_common::LocationSet;
 use geoqp_expr::implication::implies_opt;
 use geoqp_plan::descriptor::{LocalQuery, OutputShape};
@@ -62,10 +62,13 @@ impl<'a> PolicyEvaluator<'a> {
 
     /// [`PolicyEvaluator::new`] with a shared [`ImplicationMemo`]: line-3
     /// implication verdicts are served from (and recorded into) the memo,
-    /// keyed by predicate fingerprint × expression id under the catalog's
-    /// current epoch. Evaluators across AR1–AR4, plan enumeration, and
-    /// failover re-plans may share one memo; verdicts transfer because
-    /// the prover is pure.
+    /// keyed by query predicate × expression id. Evaluators across
+    /// AR1–AR4, plan enumeration, and failover re-plans may share one
+    /// memo; verdicts transfer because the prover is pure.
+    ///
+    /// Precondition: one memo serves one catalog. Expression ids are only
+    /// meaningful within `catalog`, so a memo that has seen another
+    /// catalog would serve that catalog's verdicts.
     pub fn with_memo(
         catalog: &'a PolicyCatalog,
         universe: &'a LocationSet,
@@ -114,15 +117,6 @@ impl<'a> PolicyEvaluator<'a> {
             .map(|a| (a.as_str(), LocationSet::new()))
             .collect();
 
-        // Memo key parts, computed once per evaluation.
-        let memo_key = self.memo.map(|m| {
-            (
-                m,
-                self.catalog.epoch(),
-                predicate_fingerprint(q.predicate.as_ref()),
-            )
-        });
-
         for e in self.catalog.expressions() {
             // The expression must govern the query's tables — all of its
             // tables for multi-table expressions (footnote 4)...
@@ -137,11 +131,10 @@ impl<'a> PolicyEvaluator<'a> {
             }
             // Line 3: the implication test, memoized when a memo is
             // attached (the prover is pure, so cached verdicts are exact).
-            let implied = match &memo_key {
-                Some((m, epoch, fp)) => m.check(*epoch, *fp, e.id, || {
-                    implies_opt(q.predicate.as_ref(), e.expr.predicate.as_ref())
-                }),
-                None => implies_opt(q.predicate.as_ref(), e.expr.predicate.as_ref()),
+            let prove = || implies_opt(q.predicate.as_ref(), e.expr.predicate.as_ref());
+            let implied = match self.memo {
+                Some(m) => m.check(&q.predicate, e.id, prove),
+                None => prove(),
             };
             if !implied {
                 continue;
@@ -225,12 +218,6 @@ impl<'a> PolicyEvaluator<'a> {
     /// Total `evaluate` calls.
     pub fn invocations(&self) -> u64 {
         self.invocations.load(Ordering::Relaxed)
-    }
-
-    /// Reset both counters.
-    pub fn reset_counters(&self) {
-        self.eta.store(0, Ordering::Relaxed);
-        self.invocations.store(0, Ordering::Relaxed);
     }
 }
 

@@ -22,5 +22,5 @@ pub use catalog::{PolicyCatalog, RegisteredExpression};
 pub use evaluator::PolicyEvaluator;
 pub use expression::{PolicyExpression, PolicyKind, ShipAttrs};
 pub use log::{CatalogAction, CatalogEntry, CatalogLog, CatalogReplica, CatalogSnapshot};
-pub use memo::{predicate_fingerprint, ImplicationMemo};
+pub use memo::ImplicationMemo;
 pub use negative::{expand_denials, DenyExpression};

@@ -4,9 +4,11 @@
 //! an append-only [`CatalogLog`], and each entry deterministically bumps
 //! the *epoch* — a chain hash over the whole log prefix, seeded with the
 //! base catalog's content hash. Chaining (rather than re-hashing content)
-//! means revoke-then-regrant never returns to an old epoch, so nothing
-//! keyed by epoch (checkpoints, the implication memo, the server's plan
-//! cache) can ever be resurrected across a revocation.
+//! means revoke-then-regrant never returns to an old epoch, so a replica
+//! that verifies the chain has seen exactly the coordinator's history.
+//! Epochs name log prefixes only: a materialized [`PolicyCatalog`] does
+//! not carry one, and what is derived from a snapshot (implication
+//! verdicts, checkpoints, cached plans) is tied to it by who holds it.
 //!
 //! Epochs are hashes and therefore unordered; freshness is proven by the
 //! monotone **sequence number**. A query pins `(seq, epoch)` at admission
@@ -240,36 +242,18 @@ impl CatalogSnapshot {
         lines + 32 // seq + epoch + hash + next_pid
     }
 
-    /// Materialize this snapshot into an epoch-pinned [`PolicyCatalog`]
-    /// (ids renumbered densely, exactly as a log replay would).
+    /// Materialize this snapshot into a [`PolicyCatalog`] (ids
+    /// renumbered densely, exactly as a log replay would).
     pub fn materialize(&self) -> PolicyCatalog {
-        let exprs = self
-            .live
-            .iter()
-            .enumerate()
-            .map(|(id, (_, e))| {
-                let mut e = e.clone();
-                e.id = id;
-                e
-            })
-            .collect();
-        let mut cat = PolicyCatalog::from_registered(exprs);
-        cat.pin_epoch(self.epoch);
-        cat
+        renumbered(self.live.clone())
     }
 }
 
 /// Replay `entries` up to absolute sequence `seq` over the floor
-/// snapshot into a fresh catalog pinned at `epoch`. Shared by
-/// coordinator and replica so the two can only ever disagree if the
-/// chain verification already failed. `entries[0]` must be the entry at
-/// `floor.seq() + 1`.
-fn replay(
-    floor: &CatalogSnapshot,
-    entries: &[CatalogEntry],
-    seq: u64,
-    epoch: u64,
-) -> Result<PolicyCatalog> {
+/// snapshot into a fresh catalog. Shared by coordinator and replica so
+/// the two can only ever disagree if the chain verification already
+/// failed. `entries[0]` must be the entry at `floor.seq() + 1`.
+fn replay(floor: &CatalogSnapshot, entries: &[CatalogEntry], seq: u64) -> Result<PolicyCatalog> {
     if seq < floor.seq || seq - floor.seq > entries.len() as u64 {
         return Err(GeoError::Policy(format!(
             "catalog holds seqs {}..={}; cannot materialize seq {seq}",
@@ -277,7 +261,12 @@ fn replay(
             floor.seq + entries.len() as u64
         )));
     }
-    let exprs = live_state(floor, entries, seq)
+    Ok(renumbered(live_state(floor, entries, seq)))
+}
+
+/// The catalog of `live` policies, ids renumbered densely in order.
+fn renumbered(live: Vec<(u64, RegisteredExpression)>) -> PolicyCatalog {
+    let exprs = live
         .into_iter()
         .enumerate()
         .map(|(id, (_, mut e))| {
@@ -285,9 +274,7 @@ fn replay(
             e
         })
         .collect();
-    let mut snapshot = PolicyCatalog::from_registered(exprs);
-    snapshot.pin_epoch(epoch);
-    Ok(snapshot)
+    PolicyCatalog::from_registered(exprs)
 }
 
 /// The live `(pid, expression)` state after replaying `entries` up to
@@ -349,8 +336,8 @@ pub struct CatalogLog {
 
 impl CatalogLog {
     /// Start a log from the deployment's base catalog. Sequence 0 *is*
-    /// the base: its epoch is the base content hash, so a log that has
-    /// seen no churn keys everything exactly as the frozen catalog did.
+    /// the base: its genesis epoch is the base content hash, so two logs
+    /// started from the same policies chain identically.
     pub fn new(base: PolicyCatalog) -> CatalogLog {
         let base_epoch = base.content_epoch();
         let next_pid = base.len() as u64;
@@ -521,10 +508,9 @@ impl CatalogLog {
         Ok(pin)
     }
 
-    /// Materialize the catalog as of sequence `seq`, pinned to that
-    /// prefix's chain epoch. `seq == 0` reproduces the base catalog
-    /// (same expressions, same epoch). A sequence below the compaction
-    /// floor is gone for good and returns the typed
+    /// Materialize the catalog as of sequence `seq`. `seq == 0`
+    /// reproduces the base catalog's expressions. A sequence below the
+    /// compaction floor is gone for good and returns the typed
     /// `GeoError::CatalogCompacted`.
     pub fn materialize(&self, seq: u64) -> Result<PolicyCatalog> {
         if seq < self.floor.seq {
@@ -534,13 +520,13 @@ impl CatalogLog {
                 self.floor.seq
             )));
         }
-        let epoch = self.epoch_at(seq).ok_or_else(|| {
-            GeoError::Policy(format!(
+        if seq > self.seq() {
+            return Err(GeoError::Policy(format!(
                 "catalog log head is seq {}; cannot materialize seq {seq}",
                 self.seq()
-            ))
-        })?;
-        replay(&self.floor, &self.entries, seq, epoch)
+            )));
+        }
+        replay(&self.floor, &self.entries, seq)
     }
 
     /// The live policies at `seq`: `(pid, display form)` pairs in pid
@@ -688,25 +674,13 @@ impl CatalogReplica {
                 self.floor.seq
             )));
         }
-        let epoch = self.epoch_at_local(seq).ok_or_else(|| {
-            GeoError::Policy(format!(
+        if seq > self.seq() {
+            return Err(GeoError::Policy(format!(
                 "replica holds up to seq {}; cannot materialize seq {seq}",
                 self.seq()
-            ))
-        })?;
-        replay(&self.floor, &self.entries, seq, epoch)
-    }
-
-    fn epoch_at_local(&self, seq: u64) -> Option<u64> {
-        if seq == self.floor.seq {
-            Some(self.floor.epoch)
-        } else if seq > self.floor.seq {
-            self.entries
-                .get((seq - self.floor.seq) as usize - 1)
-                .map(|e| e.epoch)
-        } else {
-            None
+            )));
         }
+        replay(&self.floor, &self.entries, seq)
     }
 }
 
@@ -744,7 +718,11 @@ mod tests {
         let mut log1 = CatalogLog::new(base());
         let mut log2 = CatalogLog::new(base());
         assert_eq!(log1.head(), log2.head());
-        assert_eq!(log1.epoch(), base().epoch(), "seq 0 is the base catalog");
+        assert_eq!(
+            log1.epoch(),
+            base().content_epoch(),
+            "seq 0 is the base catalog"
+        );
 
         let p1 = log1.grant(expr("b"), &schema()).unwrap();
         let p2 = log2.grant(expr("b"), &schema()).unwrap();
@@ -768,7 +746,7 @@ mod tests {
         let snap1 = log.materialize(1).unwrap();
         let snap3 = log.materialize(3).unwrap();
         assert_eq!(snap1.canonical_bytes(), snap3.canonical_bytes());
-        assert_ne!(snap1.epoch(), snap3.epoch());
+        assert_ne!(log.epoch_at(1), log.epoch_at(3));
     }
 
     #[test]
@@ -778,12 +756,12 @@ mod tests {
         log.revoke(0).unwrap(); // drop the base policy
         let snap = log.materialize(2).unwrap();
         assert_eq!(snap.len(), 1);
-        assert_eq!(snap.epoch(), log.epoch());
+        assert_eq!(log.epoch_at(2), Some(log.epoch()));
         assert_eq!(log.live_policies(2), vec![(1, expr("b").to_string())]);
         // seq 0 reproduces the base, epoch included.
         let at0 = log.materialize(0).unwrap();
         assert_eq!(at0.canonical_bytes(), base().canonical_bytes());
-        assert_eq!(at0.epoch(), base().epoch());
+        assert_eq!(log.epoch_at(0), Some(base().content_epoch()));
     }
 
     #[test]

@@ -9,43 +9,24 @@
 //! fault. The prover is pure — its verdict depends only on the two
 //! predicates — so the verdicts memoize perfectly.
 //!
-//! Keys are `(predicate fingerprint, expression id)`, scoped to one
-//! policy-catalog **epoch** ([`crate::PolicyCatalog::epoch`]): the first
-//! probe under a new epoch clears the table, so a changed catalog can
-//! never serve stale verdicts (expression ids are reused across
-//! registrations, fingerprints are not content-bound to the catalog).
-//! Hit/miss counters feed the engine's optimizer metrics.
+//! Verdicts are keyed by value: the query predicate itself, then the
+//! expression id. Expression ids name expressions of one catalog, so
+//! one memo serves one catalog — the engine that owns the memo holds an
+//! immutable snapshot, and a new snapshot gets a new engine and a cold
+//! memo. Hit/miss counters feed the engine's optimizer metrics.
 
 use geoqp_expr::ScalarExpr;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Fingerprint of an optional query predicate, as used in memo keys.
-/// Structural: two structurally equal predicates collide intentionally.
-pub fn predicate_fingerprint(p: Option<&ScalarExpr>) -> u64 {
-    let mut h = DefaultHasher::new();
-    match p {
-        None => 0u8.hash(&mut h),
-        Some(e) => {
-            1u8.hash(&mut h);
-            e.hash(&mut h);
-        }
-    }
-    h.finish()
-}
+/// Verdicts keyed by query predicate, then by expression id.
+type Verdicts = HashMap<Option<ScalarExpr>, HashMap<usize, bool>>;
 
-/// Verdicts keyed by `(predicate fingerprint, expression id)`.
-type Verdicts = HashMap<(u64, usize), bool>;
-
-/// A shared, epoch-scoped cache of implication verdicts.
+/// A shared cache of implication verdicts over one policy catalog.
 #[derive(Debug, Default)]
 pub struct ImplicationMemo {
-    /// `(current epoch, verdicts)`; one lock so an epoch check and the
-    /// probe it guards are atomic.
-    state: Mutex<(u64, Verdicts)>,
+    verdicts: Mutex<Verdicts>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -56,36 +37,33 @@ impl ImplicationMemo {
         ImplicationMemo::default()
     }
 
-    /// Return the memoized verdict for `(pred_fp, expr_id)` under
-    /// `epoch`, computing and storing it via `prove` on a miss. An epoch
-    /// change (policy catalog edited) drops every cached verdict first.
+    /// Return the memoized verdict for `(pred, expr_id)`, computing and
+    /// storing it via `prove` on a miss. A hit clones nothing; the
+    /// predicate is cloned once, on its first miss.
     pub fn check(
         &self,
-        epoch: u64,
-        pred_fp: u64,
+        pred: &Option<ScalarExpr>,
         expr_id: usize,
         prove: impl FnOnce() -> bool,
     ) -> bool {
-        let mut state = self.state.lock().expect("memo lock poisoned");
-        if state.0 != epoch {
-            state.0 = epoch;
-            state.1.clear();
-        }
-        if let Some(&v) = state.1.get(&(pred_fp, expr_id)) {
+        let mut verdicts = self.verdicts.lock().expect("memo lock poisoned");
+        if let Some(&v) = verdicts.get(pred).and_then(|by_id| by_id.get(&expr_id)) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return v;
         }
         // The prover is pure and lock-cheap at this scale; holding the
         // lock keeps concurrent re-plans from proving the same pair twice.
         let v = prove();
-        state.1.insert((pred_fp, expr_id), v);
+        if let Some(by_id) = verdicts.get_mut(pred) {
+            by_id.insert(expr_id, v);
+        } else {
+            verdicts.insert(pred.clone(), HashMap::from([(expr_id, v)]));
+        }
         self.misses.fetch_add(1, Ordering::Relaxed);
         v
     }
 
-    /// Memo hits since creation (or the last [`reset_counters`]).
-    ///
-    /// [`reset_counters`]: ImplicationMemo::reset_counters
+    /// Memo hits since creation.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
@@ -97,7 +75,8 @@ impl ImplicationMemo {
 
     /// Cached verdicts currently held.
     pub fn len(&self) -> usize {
-        self.state.lock().expect("memo lock poisoned").1.len()
+        let verdicts = self.verdicts.lock().expect("memo lock poisoned");
+        verdicts.values().map(HashMap::len).sum()
     }
 
     /// True when no verdicts are cached.
@@ -105,8 +84,8 @@ impl ImplicationMemo {
         self.len() == 0
     }
 
-    /// Fraction of lookups served from the cache since creation (or the
-    /// last counter reset); 0 when nothing has been looked up.
+    /// Fraction of lookups served from the cache since creation; 0 when
+    /// nothing has been looked up.
     pub fn hit_rate(&self) -> f64 {
         let (h, m) = (self.hits(), self.misses());
         if h + m == 0 {
@@ -115,24 +94,20 @@ impl ImplicationMemo {
             h as f64 / (h + m) as f64
         }
     }
-
-    /// Zero the hit/miss counters (cached verdicts are kept).
-    pub fn reset_counters(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geoqp_expr::ScalarExpr as E;
 
     #[test]
     fn memoizes_per_key_and_counts() {
         let m = ImplicationMemo::new();
+        let p = Some(E::col("x").gt(E::lit(5i64)));
         let mut proofs = 0;
         for _ in 0..3 {
-            let v = m.check(1, 42, 7, || {
+            let v = m.check(&p, 7, || {
                 proofs += 1;
                 true
             });
@@ -142,36 +117,20 @@ mod tests {
         assert_eq!(m.hits(), 2);
         assert_eq!(m.misses(), 1);
         // A different key proves again.
-        assert!(!m.check(1, 42, 8, || false));
+        assert!(!m.check(&p, 8, || false));
         assert_eq!(m.misses(), 2);
     }
 
     #[test]
-    fn epoch_bump_invalidates() {
+    fn predicates_are_keyed_by_value() {
         let m = ImplicationMemo::new();
-        assert!(m.check(1, 5, 0, || true));
-        assert_eq!(m.len(), 1);
-        // Same key, new epoch: the old verdict must not be served.
-        assert!(!m.check(2, 5, 0, || false));
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.hits(), 0);
-        assert_eq!(m.misses(), 2);
-    }
-
-    #[test]
-    fn predicate_fingerprint_is_structural() {
-        use geoqp_expr::ScalarExpr as E;
-        let a = E::col("x").gt(E::lit(5i64));
-        let b = E::col("x").gt(E::lit(5i64));
-        let c = E::col("x").gt(E::lit(6i64));
-        assert_eq!(
-            predicate_fingerprint(Some(&a)),
-            predicate_fingerprint(Some(&b))
-        );
-        assert_ne!(
-            predicate_fingerprint(Some(&a)),
-            predicate_fingerprint(Some(&c))
-        );
-        assert_ne!(predicate_fingerprint(None), predicate_fingerprint(Some(&a)));
+        assert!(m.check(&Some(E::col("x").gt(E::lit(5i64))), 0, || true));
+        // A structurally equal predicate built anew is the same key...
+        assert!(m.check(&Some(E::col("x").gt(E::lit(5i64))), 0, || false));
+        assert_eq!((m.hits(), m.misses()), (1, 1));
+        // ...a different literal, or no predicate at all, is not.
+        assert!(!m.check(&Some(E::col("x").gt(E::lit(6i64))), 0, || false));
+        assert!(!m.check(&None, 0, || false));
+        assert_eq!((m.len(), m.misses()), (3, 3));
     }
 }

@@ -121,7 +121,6 @@ fn check_replica(seed: u64, log: &CatalogLog, replica: &CatalogReplica) {
             theirs.canonical_bytes(),
             "seed {seed}: replica snapshot at seq {seq} is not byte-identical"
         );
-        assert_eq!(ours.epoch(), theirs.epoch());
     }
     // A prefix the replica has not seen must refuse to materialize
     // rather than guess.

@@ -9,13 +9,17 @@
 //!   only grow the legal set (more expressions become implied).
 //! * **Masking monotonicity**: dropping output attributes can only grow
 //!   the legal set (the paper's masking-via-projection rationale).
+//! * **Memo transparency**: one implication memo shared across a whole
+//!   workload answers exactly what the memo-less evaluator answers, and
+//!   proves each distinct (predicate, expression) pair once.
 
 use geoqp_common::{DataType, Field, Location, LocationPattern, LocationSet, Schema, TableRef};
 use geoqp_expr::{AggCall, AggFunc, ScalarExpr};
-use geoqp_plan::descriptor::describe_local;
+use geoqp_plan::descriptor::{describe_local, LocalQuery, OutputShape};
 use geoqp_plan::PlanBuilder;
-use geoqp_policy::{PolicyCatalog, PolicyEvaluator, PolicyExpression, ShipAttrs};
+use geoqp_policy::{ImplicationMemo, PolicyCatalog, PolicyEvaluator, PolicyExpression, ShipAttrs};
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 const COLS: [&str; 5] = ["a", "b", "c", "d", "e"];
 const LOCS: [&str; 4] = ["l1", "l2", "l3", "l4"];
@@ -79,6 +83,27 @@ fn catalog_of(exprs: &[PolicyExpression]) -> PolicyCatalog {
         cat.register(e.clone(), &s).unwrap();
     }
     cat
+}
+
+/// The ids of the expressions whose line-3 implication test Algorithm 1
+/// reaches for `q`: those governing its tables and sharing an accessed
+/// attribute with it.
+fn implication_tests(cat: &PolicyCatalog, q: &LocalQuery) -> Vec<usize> {
+    let mut accessed = q.output.output_attrs();
+    if let Some(p) = &q.predicate {
+        accessed.extend(p.referenced_columns());
+    }
+    if let OutputShape::Aggregated { group_attrs, .. } = &q.output {
+        accessed.extend(group_attrs.iter().cloned());
+    }
+    if accessed.is_empty() {
+        return Vec::new();
+    }
+    cat.expressions()
+        .iter()
+        .filter(|e| e.applies_to(q.tables.iter()) && accessed.iter().any(|a| e.attrs.contains(a)))
+        .map(|e| e.id)
+        .collect()
 }
 
 /// A random describable local query: optional filter, projection or
@@ -185,5 +210,40 @@ proptest! {
             l_wide.is_subset(&l_narrow),
             "masking lost locations: {l_wide} vs {l_narrow}"
         );
+    }
+
+    #[test]
+    fn a_memo_shared_across_a_workload_answers_as_the_memo_less_evaluator(
+        exprs in proptest::collection::vec(arb_expr(), 0..6),
+        pool in proptest::collection::vec(arb_query(), 1..8),
+        picks in proptest::collection::vec(0usize..8, 1..=40),
+    ) {
+        let uni = universe();
+        let cat = catalog_of(&exprs);
+        let memo = ImplicationMemo::new();
+        let shared = PolicyEvaluator::with_memo(&cat, &uni, &memo);
+        let mut pairs = HashSet::new();
+        let mut lookups = 0u64;
+        for pick in picks {
+            let q = describe_local(&pool[pick % pool.len()]).unwrap();
+            let eta_before = shared.eta();
+            let got = shared.evaluate(&q);
+
+            let reference = PolicyEvaluator::new(&cat, &uni);
+            prop_assert_eq!(&got, &reference.evaluate(&q));
+            prop_assert_eq!(shared.eta() - eta_before, reference.eta());
+
+            // A cold memo over the same query counts the lookups one
+            // evaluation makes, independently of the shared memo.
+            let cold = ImplicationMemo::new();
+            PolicyEvaluator::with_memo(&cat, &uni, &cold).evaluate(&q);
+            let tested = implication_tests(&cat, &q);
+            prop_assert_eq!(cold.misses(), tested.len() as u64);
+            lookups += tested.len() as u64;
+            pairs.extend(tested.into_iter().map(|id| (q.predicate.clone(), id)));
+        }
+        prop_assert_eq!(memo.len(), pairs.len());
+        prop_assert_eq!(memo.misses(), pairs.len() as u64);
+        prop_assert_eq!(memo.hits() + memo.misses(), lookups);
     }
 }

@@ -3,7 +3,7 @@
 //! When a fragment's output fully crosses a SHIP edge, the delivered batch
 //! is retained in a [`CheckpointStore`], keyed by a canonical
 //! **fingerprint** of the producer subtree (operator parameters, schemas,
-//! placement — mixed with the policy-catalog epoch) and homed at a site.
+//! placement) and homed at a site.
 //! The legality rule is the paper's shipping trait `𝒮_n` (AR1–AR4): an
 //! operator's output may persist exactly at the sites its output may ship
 //! to, so [`CheckpointStore::put`] refuses any home outside the trait with
@@ -19,6 +19,13 @@
 //! structural (never pointer identity), and Algorithm 2 is deterministic,
 //! so subtrees untouched by the crash re-plan to identical placements and
 //! hit their checkpoints.
+//!
+//! A store serves one run, hence one policy snapshot at a time. The run
+//! changes snapshot only when a live revocation re-plans it, and then
+//! [`CheckpointStore::retain`] restricts the store to the re-placed
+//! plan's SHIP producers at homes inside their new `𝒮_n`, dropping
+//! everything else: retained data never outlives the policy that
+//! allowed it there.
 
 use geoqp_common::{ColumnarBatch, GeoError, Location, LocationSet, Result};
 use geoqp_plan::logical::LogicalPlan;
@@ -140,37 +147,25 @@ impl CheckpointStore {
         before - map.len()
     }
 
-    /// Re-key every checkpoint of one subtree across a policy-epoch bump
-    /// (a live revocation re-planned the query): entries under `old_fp`
-    /// whose home still lies inside the subtree's *new* shipping trait
-    /// move to `new_fp` with the shrunken trait recorded; homes that
-    /// fell outside 𝒮ₙ are dropped — retained data may not outlive the
-    /// policy that allowed it there. Returns `(kept, dropped)`.
-    pub fn migrate(&self, old_fp: u64, new_fp: u64, legal: &LocationSet) -> (usize, usize) {
-        if old_fp == new_fp {
-            return (0, 0);
-        }
+    /// Restrict the store to a plan re-placed under a new policy
+    /// snapshot (a live revocation re-planned the query): keep exactly
+    /// the checkpoints of `specs`' SHIP producers whose home lies inside
+    /// that edge's new shipping trait, recording the new 𝒮ₙ on them, and
+    /// drop everything else — retained data may not outlive the policy
+    /// that allowed it there. Returns `(kept, dropped)`.
+    pub fn retain(&self, specs: &[CheckpointSpec]) -> (usize, usize) {
+        let new_legal: BTreeMap<u64, &LocationSet> =
+            specs.iter().map(|s| (s.fingerprint, &s.legal)).collect();
         let mut map = self.by_key.lock().unwrap();
-        let homes: Vec<Location> = map
-            .range((old_fp, Location::new(""))..)
-            .take_while(|((fp, _), _)| *fp == old_fp)
-            .map(|((_, home), _)| home.clone())
-            .collect();
-        let (mut kept, mut dropped) = (0, 0);
-        for home in homes {
-            let mut cp = map
-                .remove(&(old_fp, home.clone()))
-                .expect("home just listed");
-            if legal.contains(&home) {
-                cp.fingerprint = new_fp;
-                cp.legal = legal.clone();
-                map.insert((new_fp, home), cp);
-                kept += 1;
-            } else {
-                dropped += 1;
+        let before = map.len();
+        map.retain(|(fp, home), cp| match new_legal.get(fp) {
+            Some(legal) if legal.contains(home) => {
+                cp.legal = (*legal).clone();
+                true
             }
-        }
-        (kept, dropped)
+            _ => false,
+        });
+        (map.len(), before - map.len())
     }
 
     /// Number of retained checkpoints.
@@ -206,16 +201,15 @@ impl CheckpointStore {
 
 /// Canonical structural fingerprint of a physical subtree: a pure
 /// function of every node's operator parameters, output schema, and
-/// placement, mixed with the policy-catalog `epoch`. Two structurally
-/// identical subtrees fingerprint equal across independently built plans
-/// (no pointer identity anywhere), which is what lets a re-planned query
-/// find the checkpoints its previous attempt left behind.
-pub fn fingerprint(plan: &PhysicalPlan, epoch: u64) -> u64 {
+/// placement. Two structurally identical subtrees fingerprint equal
+/// across independently built plans (no pointer identity anywhere),
+/// which is what lets a re-planned query find the checkpoints its
+/// previous attempt left behind.
+pub fn fingerprint(plan: &PhysicalPlan) -> u64 {
     let mut canon = String::new();
     write_canonical(plan, &mut canon);
-    // FNV-1a seeded with the policy epoch: a changed catalog invalidates
-    // every checkpoint by changing every fingerprint.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ epoch;
+    // FNV-1a.
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in canon.bytes() {
         h ^= b as u64;
         h = h.wrapping_mul(0x1000_0000_01b3);
@@ -258,22 +252,11 @@ pub struct StitchOutcome {
 /// audit against the same trait). Subtrees under a hit are skipped;
 /// subtrees under a miss are stitched recursively, so inner edges can
 /// still resume even when their consumer's work was lost.
-pub fn stitch(
-    plan: &Arc<PhysicalPlan>,
-    store: &CheckpointStore,
-    epoch: u64,
-) -> Result<StitchOutcome> {
+pub fn stitch(plan: &Arc<PhysicalPlan>, store: &CheckpointStore) -> Result<StitchOutcome> {
     let mut hits = 0;
     let mut misses = 0;
     let mut resumed_bytes = 0;
-    let stitched = stitch_node(
-        plan,
-        store,
-        epoch,
-        &mut hits,
-        &mut misses,
-        &mut resumed_bytes,
-    )?;
+    let stitched = stitch_node(plan, store, &mut hits, &mut misses, &mut resumed_bytes)?;
     store.hits.fetch_add(hits, Ordering::SeqCst);
     store.misses.fetch_add(misses, Ordering::SeqCst);
     store
@@ -290,14 +273,13 @@ pub fn stitch(
 fn stitch_node(
     plan: &Arc<PhysicalPlan>,
     store: &CheckpointStore,
-    epoch: u64,
     hits: &mut u64,
     misses: &mut u64,
     resumed_bytes: &mut u64,
 ) -> Result<Arc<PhysicalPlan>> {
     if matches!(plan.op, PhysOp::Ship) {
         let input = &plan.inputs[0];
-        let fp = fingerprint(input, epoch);
+        let fp = fingerprint(input);
         if let Some(cp) = store.lookup(fp, &plan.location) {
             *hits += 1;
             // The row encoding's length, from column metadata.
@@ -320,7 +302,7 @@ fn stitch_node(
     let mut new_inputs = Vec::with_capacity(plan.inputs.len());
     let mut changed = false;
     for c in &plan.inputs {
-        let s = stitch_node(c, store, epoch, hits, misses, resumed_bytes)?;
+        let s = stitch_node(c, store, hits, misses, resumed_bytes)?;
         changed |= !Arc::ptr_eq(&s, c);
         new_inputs.push(s);
     }
@@ -375,11 +357,10 @@ mod tests {
         let a = scan("t", "L1");
         let b = scan("t", "L1");
         assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(fingerprint(&a, 7), fingerprint(&b, 7));
-        // Placement, table, and policy epoch all discriminate.
-        assert_ne!(fingerprint(&a, 7), fingerprint(&scan("t", "L2"), 7));
-        assert_ne!(fingerprint(&a, 7), fingerprint(&scan("u", "L1"), 7));
-        assert_ne!(fingerprint(&a, 7), fingerprint(&a, 8));
+        assert_eq!(fingerprint(&a), fingerprint(&b));
+        // Placement and table both discriminate.
+        assert_ne!(fingerprint(&a), fingerprint(&scan("t", "L2")));
+        assert_ne!(fingerprint(&a), fingerprint(&scan("u", "L1")));
     }
 
     #[test]
@@ -389,7 +370,7 @@ mod tests {
         let legal = LocationSet::from_iter(["L1", "L2"]);
         let err = store
             .put(
-                fingerprint(&node, 0),
+                fingerprint(&node),
                 Location::new("L3"),
                 &legal,
                 &logical_of(&node),
@@ -405,7 +386,7 @@ mod tests {
     fn drop_site_forgets_only_that_home() {
         let store = CheckpointStore::new();
         let node = scan("t", "L1");
-        let fp = fingerprint(&node, 0);
+        let fp = fingerprint(&node);
         let legal = LocationSet::from_iter(["L1", "L2"]);
         let logical = logical_of(&node);
         for home in ["L1", "L2"] {
@@ -422,27 +403,49 @@ mod tests {
     }
 
     #[test]
-    fn migrate_rekeys_surviving_homes_and_drops_revoked_ones() {
+    fn retain_restricts_to_the_new_plan_and_drops_the_rest() {
         let store = CheckpointStore::new();
-        let node = scan("t", "L1");
-        let old_fp = fingerprint(&node, 1);
-        let new_fp = fingerprint(&node, 2);
         let legal = LocationSet::from_iter(["L1", "L2"]);
-        let logical = logical_of(&node);
-        for home in ["L1", "L2"] {
-            store
-                .put(old_fp, Location::new(home), &legal, &logical, batch())
-                .unwrap();
+        let nodes = [scan("t", "L1"), scan("u", "L1"), scan("v", "L1")];
+        for node in &nodes {
+            for home in ["L1", "L2"] {
+                store
+                    .put(
+                        fingerprint(node),
+                        Location::new(home),
+                        &legal,
+                        &logical_of(node),
+                        batch(),
+                    )
+                    .unwrap();
+            }
         }
-        // The revocation shrank 𝒮ₙ to {L1}: L2's copy must not survive.
+        let spec = |node: &Arc<PhysicalPlan>, legal: &LocationSet| CheckpointSpec {
+            fingerprint: fingerprint(node),
+            legal: legal.clone(),
+            logical: logical_of(node),
+        };
+        // The re-placed plan ships `t` and `u` only, and the revocation
+        // shrank `u`'s 𝒮ₙ to {L1}: L2's copy of `u` must not survive,
+        // and neither may anything of `v`.
         let shrunken = LocationSet::from_iter(["L1"]);
-        assert_eq!(store.migrate(old_fp, new_fp, &shrunken), (1, 1));
-        assert_eq!(store.len(), 1);
-        assert!(store.get(old_fp, &Location::new("L1")).is_none());
-        let cp = store.get(new_fp, &Location::new("L1")).unwrap();
-        assert_eq!(cp.legal, shrunken);
-        // Same-epoch migration is a no-op.
-        assert_eq!(store.migrate(new_fp, new_fp, &shrunken), (0, 0));
+        let specs = [spec(&nodes[0], &legal), spec(&nodes[1], &shrunken)];
+        assert_eq!(store.retain(&specs), (3, 3));
+        assert_eq!(store.len(), 3);
+        for home in ["L1", "L2"] {
+            let cp = store
+                .get(fingerprint(&nodes[0]), &Location::new(home))
+                .unwrap();
+            assert_eq!(cp.legal, legal);
+        }
+        let u = fingerprint(&nodes[1]);
+        assert_eq!(store.get(u, &Location::new("L1")).unwrap().legal, shrunken);
+        assert!(store.get(u, &Location::new("L2")).is_none());
+        assert!(store
+            .lookup(fingerprint(&nodes[2]), &Location::new("L1"))
+            .is_none());
+        // Retaining the same plan again changes nothing.
+        assert_eq!(store.retain(&specs), (3, 0));
     }
 
     #[test]
@@ -464,7 +467,7 @@ mod tests {
             .unwrap(),
         );
         let store = CheckpointStore::new();
-        let fp = fingerprint(&t1, 0);
+        let fp = fingerprint(&t1);
         let legal = LocationSet::from_iter(["L1", "L4"]);
         let retained = batch();
         // What the row encoding of the retained rows weighs on the wire.
@@ -473,7 +476,7 @@ mod tests {
             .put(fp, Location::new("L4"), &legal, &logical_of(&t1), retained)
             .unwrap();
 
-        let out = stitch(&plan, &store, 0).unwrap();
+        let out = stitch(&plan, &store).unwrap();
         assert_eq!((out.hits, out.misses), (1, 1));
         assert_eq!(out.resumed_bytes, bytes);
         assert_eq!((store.hits(), store.misses()), (1, 1));
@@ -491,7 +494,7 @@ mod tests {
 
         // Nothing matching: the plan comes back untouched (same Arc).
         let empty = CheckpointStore::new();
-        let same = stitch(&plan, &empty, 0).unwrap();
+        let same = stitch(&plan, &empty).unwrap();
         assert!(Arc::ptr_eq(&same.plan, &plan));
         assert_eq!((same.hits, same.misses), (0, 2));
     }

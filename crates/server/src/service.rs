@@ -467,11 +467,6 @@ impl QueryService {
         let engine = Arc::new(Engine::new(catalog, policies, topology));
         let churn = Arc::new(CatalogService::for_engine(&engine));
         let pin = churn.head();
-        debug_assert_eq!(
-            pin.epoch,
-            engine.policies().epoch(),
-            "base log epoch must match the frozen catalog's"
-        );
         let mut st = self.shared.state.lock().unwrap();
         st.tenants.push(TenantState {
             name: name.into(),

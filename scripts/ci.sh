@@ -78,6 +78,18 @@ if grep -rnE '\.audit\(|fingerprint|pub mod plan_cache' crates/server/src; then
     exit 1
 fi
 
+echo "==> one snapshot owner: implication verdicts belong to the engine holding" \
+     "the policy snapshot and checkpoints to the run, so no catalog epoch keys" \
+     "either, and a revocation restricts the run's store instead of re-keying it"
+if grep -rnE 'predicate_fingerprint|pin_epoch|pinned_epoch|reset_counters' crates/policy/src ||
+    grep -nE 'fn migrate' crates/runtime/src/checkpoint.rs ||
+    grep -rnE --include='*.rs' 'policies\(\)\.epoch\(\)|policies\.epoch\(\)' crates src tests; then
+    echo "a policy catalog carries an epoch again, the implication memo is keyed by" \
+        "a fingerprint or epoch, or checkpoints migrate across epochs: a snapshot" \
+        "is identified by the engine and the run that hold it" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check (geoqp crates)"
 cargo fmt --check "${pkg_flags[@]}"
 

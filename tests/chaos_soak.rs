@@ -533,7 +533,7 @@ fn catalog_churn_round_stays_compliant_and_resolves_typed() {
                 Arc::new(svc)
             };
             run_idx += 1;
-            let pin = CatalogPin::new(0, eng.policies().epoch());
+            let pin = CatalogPin::new(0, svc.epoch_at(0).unwrap());
             let opts = ExecOptions {
                 deadline,
                 ..ExecOptions::failover(&faults, &retry, SITES.len())
@@ -723,12 +723,15 @@ impl GrantRound {
     /// every live policy, re-grant it, keep only the newest entries (so
     /// the floor snapshot is the only recovery path), and crash the
     /// chosen replica's catalog plane over the first two steps.
-    fn build_svc(&self, run: &GrantRun) -> Arc<CatalogService> {
+    /// Also returns the pin at seq 0, read before the appends compact it
+    /// away.
+    fn build_svc(&self, run: &GrantRun) -> (Arc<CatalogService>, CatalogPin) {
         let svc = CatalogService::new(
             Arc::clone(self.eng.catalog()),
             self.policies.clone(),
             self.coordinator.clone(),
         );
+        let base = svc.head();
         let live = svc.live_policies();
         let svc = svc.with_auto_compact(live.len() as u64);
         let mut events = Vec::new();
@@ -756,23 +759,21 @@ impl GrantRound {
                 .with_crash(self.crash_site.clone(), StepWindow::new(0, 2)),
         );
         svc.sync_full();
-        Arc::new(svc)
+        (Arc::new(svc), base)
     }
 
-    /// Execute `run` from freshly seeded fault state against `svc`.
+    /// Execute `run` from freshly seeded fault state against `svc`,
+    /// admitted at `pin`.
     fn execute(
         &self,
         run: &GrantRun,
-        svc: &Arc<CatalogService>,
+        (svc, pin): &(Arc<CatalogService>, CatalogPin),
     ) -> Result<(QueryOutcome, RuntimeMetrics)> {
         let faults = FaultPlan::parse(&run.spec, run.fseed).expect("spec re-parses");
         let retry = RetryPolicy::default().with_jitter(0.3, 2021);
         let opts = ExecOptions {
             deadline: run.deadline,
-            ..ExecOptions::failover(&faults, &retry, SITES.len()).with_churn(
-                Arc::clone(svc),
-                CatalogPin::new(0, self.eng.policies().epoch()),
-            )
+            ..ExecOptions::failover(&faults, &retry, SITES.len()).with_churn(Arc::clone(svc), *pin)
         };
         run_pipelined(&self.eng, &run.opt, opts, &run.config())
     }
@@ -829,9 +830,10 @@ fn replica_crash_bootstrap_and_grant_round_rescues_refused_queries() {
             .execute_parallel_opts(&run.opt.physical, None, &RetryPolicy::none(), &row_oracle())
             .unwrap();
 
-        let svc = fx.build_svc(&run);
+        let admitted = fx.build_svc(&run);
+        let svc = &admitted.0;
         let synced = svc.health();
-        let result = fx.execute(&run, &svc);
+        let result = fx.execute(&run, &admitted);
 
         // Every fourth run replays from identically-seeded state; the
         // outcome — rows, re-plan counts, transfer bytes — must be

@@ -396,7 +396,7 @@ impl Cell<'_> {
     fn run(&self, max_replans: usize) -> (Result<QueryOutcome>, Arc<CatalogService>, u64) {
         let svc = revoking(self.eng, self.pid, self.step);
         let faults = (self.faults)();
-        let pin = CatalogPin::new(0, self.eng.policies().epoch());
+        let pin = CatalogPin::new(0, svc.epoch_at(0).unwrap());
         let opts = ExecOptions {
             faults: Some(&faults),
             max_replans,

@@ -97,10 +97,14 @@ fn churn_figure() {
     );
     let grid = churn::churn_grid(SEED);
     for c in &grid {
+        let step = match c.revoke_step {
+            u64::MAX => "∞".to_string(),
+            step => step.to_string(),
+        };
         println!(
             "  {:6} {:>6} {:>5} {:>14} {:>8} {:>12} {:>12} {:>12} {:>6}",
             c.query,
-            c.revoke_step,
+            step,
             c.revoked_pid,
             c.outcome.label(),
             c.replans,

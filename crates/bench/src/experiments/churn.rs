@@ -4,11 +4,13 @@
 //! Each cell of the grid runs one TPC-H query under a scripted catalog
 //! log: the query is admitted pinned to log sequence 0 (the base
 //! catalog), a revocation is already appended at sequence 1, and the
-//! churn signal releases it at a chosen executor step. A revocation
-//! released before the query's last SHIP edge aborts the attempt and
-//! re-plans under the new snapshot (checkpoints restricted to the
-//! re-placed plan, compliance re-verified); one released too late never
-//! bites. Cells where the shrunken policy set leaves no compliant
+//! churn signal releases it at a chosen churn step. The runtime checks
+//! every batch of the edge it ships `p`-th at churn step `p`, so a
+//! revocation released at step `p` lets the first `p` edges drain, aborts
+//! the next one before it ships, and re-plans under the new snapshot
+//! (checkpoints of the drained edges restricted to the re-placed plan,
+//! compliance re-verified); one released past the query's last edge
+//! never bites. Cells where the shrunken policy set leaves no compliant
 //! placement refuse typed.
 //!
 //! The stale sweep layers a catalog-plane partition on top: after the
@@ -40,13 +42,13 @@ use geoqp_tpch::policy_gen::{generate_policies, PolicyTemplate};
 use geoqp_tpch::queries::all_queries;
 use std::sync::Arc;
 
-/// Revocation-release steps of the grid: the executor's transfer clock
-/// at which the revocation becomes visible to the in-flight query. The
-/// last value is past any query's edge count — the control column where
-/// churn never bites.
-pub const REVOKE_STEPS: [u64; 5] = [0, 1, 2, 4, 1_000];
+/// Revocation-release steps of the grid: the number of edges the
+/// runtime ships before the revocation becomes visible. The last value
+/// is past any query's edge count — the control column where churn never
+/// bites.
+pub const REVOKE_STEPS: [u64; 5] = [0, 1, 2, 4, u64::MAX];
 
-/// Grant-release steps of the grant grid: the executor step at which
+/// Grant-release steps of the grant grid: the churn step at which
 /// the re-grant of the revoked expression becomes visible. The last
 /// value lands after any abort, so it can never rescue — the control
 /// column proving retries consult only grants the query could have
@@ -83,7 +85,7 @@ impl ChurnOutcome {
 pub struct ChurnCell {
     /// Query name.
     pub query: &'static str,
-    /// Executor step the revocation was released at.
+    /// Churn step the revocation was released at (`u64::MAX`: never).
     pub revoke_step: u64,
     /// The stable policy id revoked.
     pub revoked_pid: u64,
@@ -111,7 +113,7 @@ pub struct ChurnCell {
 pub struct GrantCell {
     /// Query name.
     pub query: &'static str,
-    /// Executor step the re-grant was released at.
+    /// Churn step the re-grant was released at.
     pub grant_step: u64,
     /// The stable policy id revoked (and whose expression was
     /// re-granted).
@@ -241,7 +243,7 @@ fn scripted_service(
     Arc::new(svc)
 }
 
-/// The E12 grid: every TPC-H query × every revocation-release step,
+/// The E12 grid: every TPC-H query × every revocation-release point,
 /// revoking a different live policy per cell (cycling through the
 /// template set in pid order).
 pub fn churn_grid(seed: u64) -> Vec<ChurnCell> {
@@ -317,7 +319,7 @@ pub fn churn_grid(seed: u64) -> Vec<ChurnCell> {
 
 /// The grant grid: every TPC-H query × every grant-release step. Each
 /// cell's scripted log holds the revocation of a live pid at sequence 1
-/// (released at executor step 0) and a re-grant of the *same*
+/// (released at churn step 0) and a re-grant of the *same*
 /// expression at sequence 2 (released at the swept grant step), with
 /// the log auto-compacted to one tail entry and the first
 /// non-coordinator site's catalog replica crashing across sync steps
@@ -716,7 +718,7 @@ mod tests {
                     assert!(*n >= 1);
                     replanned += 1;
                 }
-                ChurnOutcome::Finished if c.revoke_step == 1_000 => finished_control += 1,
+                ChurnOutcome::Finished if c.revoke_step == u64::MAX => finished_control += 1,
                 _ => {}
             }
         }
@@ -728,6 +730,17 @@ mod tests {
         assert!(
             finished_control >= 1,
             "the past-the-end control step must leave some query untouched"
+        );
+        // A late revocation finds the edges shipped before it drained:
+        // re-plans stitch most of the reference traffic from checkpoints.
+        let mostly_resumed = grid
+            .iter()
+            .filter(|c| matches!(c.outcome, ChurnOutcome::Replanned(_)))
+            .filter(|c| 2 * c.resumed_bytes >= c.reference_bytes)
+            .count();
+        assert!(
+            mostly_resumed >= 3,
+            "only {mostly_resumed} re-planned cells resume half their reference bytes"
         );
         // Identically-seeded runs serialize byte-identically.
         let stale = stale_sweep(2021);

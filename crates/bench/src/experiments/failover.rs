@@ -124,9 +124,11 @@ pub struct ResumeCell {
     pub query: &'static str,
     /// The site crashed for this run.
     pub crashed: Location,
-    /// Fault-clock step the crash begins at (final third of the run).
+    /// Walk step the crash begins at: the edges the runtime ships from
+    /// this position on (the final third of the run) fail.
     pub crash_step: u64,
-    /// Length of the outage window in fault-clock steps.
+    /// Length of the outage in rows of the fault-step grid: a failed
+    /// edge's retries fail for this many further attempts.
     pub crash_window: u64,
     /// Bytes to recover without checkpoints: the post-failure traffic of
     /// a scratch failover when one exists, else the full traffic of
@@ -166,11 +168,11 @@ impl ResumeCell {
 }
 
 /// Late-crash recovery comparison across the TPC-H queries: for each
-/// query, a fault-free run counts the fault-clock steps, a site outage
-/// is injected in the final third of the run (a bounded window, grown
-/// until the crash actually bites an in-flight operation), and the same
-/// schedule is recovered twice — once without checkpoints and once with
-/// checkpoint/resume — comparing recovery traffic.
+/// query, a site outage is injected for the final third of the edges the
+/// runtime ships (a bounded outage, grown until the crash actually bites
+/// an in-flight operation), and the same schedule is recovered twice —
+/// once without checkpoints and once with checkpoint/resume — comparing
+/// recovery traffic.
 pub fn resume_matrix(seed: u64) -> Vec<ResumeCell> {
     // The column-restriction template: restrictive enough that compliance
     // is audited everywhere, permissive enough that the sites doing late
@@ -188,29 +190,34 @@ pub fn resume_matrix(seed: u64) -> Vec<ResumeCell> {
         let Ok(optimized) = engine.optimize(&plan, OptimizerMode::Compliant, None) else {
             continue;
         };
-        // Fault-free run: reference rows and total step count, so the
-        // crash can be pinned to the run's final third.
+        // Fault-free run: reference rows. The crash is pinned to the
+        // final third of the run's edges.
         let probe = FaultPlan::new(seed);
         let Ok(reference) = engine.run(&optimized, &ExecOptions::failover(&probe, &retry, 0))
         else {
             continue;
         };
-        let crash_step = probe.step() * 2 / 3;
+        let cut = geoqp_runtime::cut(&optimized.physical).expect("an optimized plan is a tree");
+        let (width, crash_step) = (cut.n_slots(), cut.edges.len() * 2 / 3);
         'sites: for site in &sites {
             if *site == optimized.result_location {
                 continue;
             }
-            // Grow the outage window until the crash bites something the
-            // site had in flight *and* the resumed retry clears it: too
-            // short and the site was idle for the whole window; too long
-            // and even the stitched retry re-fails inside it.
+            // Grow the outage window, in rows of the grid, until the crash
+            // bites something the site had in flight *and* the resumed
+            // retry clears it: too short and every attempt's retry rides
+            // it out; too long and even the stitched retry re-fails
+            // inside it.
             let mut found = None;
             for window in [1u64, 2, 4, 8, 16] {
+                // The edges shipped from `crash_step` on fail their first
+                // attempt; every retry fails for `window` rows.
                 let crash = || {
-                    FaultPlan::new(seed).with_crash(
-                        site.clone(),
-                        StepWindow::new(crash_step, crash_step + window),
-                    )
+                    let late = cut.walk[crash_step..].iter().map(|&id| id as u64);
+                    let late = late.map(|s| StepWindow::new(s, s + 1));
+                    let retries = StepWindow::new(width, width + window * width);
+                    (late.chain([retries]))
+                        .fold(FaultPlan::new(seed), |f, w| f.with_crash(site.clone(), w))
                 };
                 let faults = crash();
                 let Ok(resumed) = engine.run(
@@ -253,7 +260,7 @@ pub fn resume_matrix(seed: u64) -> Vec<ResumeCell> {
             out.push(ResumeCell {
                 query,
                 crashed: site.clone(),
-                crash_step,
+                crash_step: crash_step as u64,
                 crash_window: window,
                 scratch_recovery_bytes,
                 scratch_replanned,

@@ -2,9 +2,9 @@
 //! busiest link is degraded (delivering at a multiple of its modelled
 //! cost), with and without the hedged-transfer defense.
 //!
-//! For every query the harness first runs fault-free on the pipelined
-//! runtime to find the busiest cross-site exchange edge, then degrades
-//! that link and measures pipelined completion time three ways:
+//! For every query the harness first runs fault-free to find the busiest
+//! cross-site exchange edge, then degrades that link and measures
+//! simulated completion time three ways:
 //!
 //! * **no-hedge** — the baseline rides the degraded link at full price;
 //! * **hedged** — link-health scoring launches compliant backup
@@ -98,9 +98,9 @@ fn grayfail_engine(seed: u64) -> (Engine, RuntimeConfig) {
     (engine, config)
 }
 
-/// The busiest cross-site exchange edge of a fault-free pipelined run —
+/// The busiest cross-site exchange edge of a fault-free run —
 /// the link a gray failure hurts most.
-fn busiest_link(metrics: &geoqp_core::RuntimeMetrics) -> Option<(Location, Location)> {
+fn busiest_link(metrics: &RuntimeMetrics) -> Option<(Location, Location)> {
     metrics
         .edges
         .iter()
@@ -114,23 +114,20 @@ fn busiest_link(metrics: &geoqp_core::RuntimeMetrics) -> Option<(Location, Locat
         .map(|e| (e.from.clone(), e.to.clone()))
 }
 
-/// One pipelined run of `optimized` under `faults`, with the metrics of
-/// the attempt that completed.
+/// One run of `optimized` under `faults`.
 fn run_under(
     engine: &Engine,
     optimized: &geoqp_core::OptimizedQuery,
     faults: &FaultPlan,
     opts: &ExecOptions<'_>,
-) -> geoqp_common::Result<(geoqp_core::QueryOutcome, RuntimeMetrics)> {
-    let mut run = engine.run(
+) -> geoqp_common::Result<geoqp_core::QueryOutcome> {
+    engine.run(
         optimized,
         &ExecOptions {
             faults: Some(faults),
             ..opts.clone()
         },
-    )?;
-    let metrics = run.metrics.take().expect("pipelined runs report metrics");
-    Ok((run, metrics))
+    )
 }
 
 /// Hedged vs unhedged completion for every TPC-H query whose busiest
@@ -147,7 +144,8 @@ pub fn grayfail_matrix(seed: u64, factor: f64, loss: f64) -> Vec<GrayfailCell> {
     // budget is `condemnation_matrix`'s subject).
     let plain_opts = ExecOptions {
         retry: retry.clone(),
-        ..ExecOptions::default().pipelined(config)
+        runtime: config,
+        ..ExecOptions::default()
     };
     let hedge_opts = plain_opts.clone().with_hedge(HedgeConfig {
         delay_ms: 0.0,
@@ -161,12 +159,11 @@ pub fn grayfail_matrix(seed: u64, factor: f64, loss: f64) -> Vec<GrayfailCell> {
         let Ok(optimized) = engine.optimize(&plan, OptimizerMode::Compliant, None) else {
             continue;
         };
-        let Ok((reference, ref_metrics)) =
-            run_under(&engine, &optimized, &FaultPlan::new(seed), &plain_opts)
+        let Ok(reference) = run_under(&engine, &optimized, &FaultPlan::new(seed), &plain_opts)
         else {
             continue;
         };
-        let Some(link) = busiest_link(&ref_metrics) else {
+        let Some(link) = busiest_link(&reference.metrics) else {
             continue;
         };
         let degrade = || {
@@ -174,12 +171,10 @@ pub fn grayfail_matrix(seed: u64, factor: f64, loss: f64) -> Vec<GrayfailCell> {
                 .with_degrade(link.0.clone(), link.1.clone(), factor, StepWindow::ALWAYS)
                 .with_loss_burst(link.0.clone(), link.1.clone(), loss, StepWindow::ALWAYS)
         };
-        let Ok((plain, plain_metrics)) = run_under(&engine, &optimized, &degrade(), &plain_opts)
-        else {
+        let Ok(plain) = run_under(&engine, &optimized, &degrade(), &plain_opts) else {
             continue;
         };
-        let Ok((hedged, hedged_metrics)) = run_under(&engine, &optimized, &degrade(), &hedge_opts)
-        else {
+        let Ok(hedged) = run_under(&engine, &optimized, &degrade(), &hedge_opts) else {
             continue;
         };
         let reference_rows = multiset(&reference.rows);
@@ -187,8 +182,8 @@ pub fn grayfail_matrix(seed: u64, factor: f64, loss: f64) -> Vec<GrayfailCell> {
             query,
             link: link.clone(),
             factor,
-            nohedge_ms: plain_metrics.completion_ms,
-            hedged_ms: hedged_metrics.completion_ms,
+            nohedge_ms: plain.metrics.completion_ms,
+            hedged_ms: hedged.metrics.completion_ms,
             nohedge_bytes: plain.transfers.total_bytes(),
             hedged_bytes: hedged.transfers.total_bytes(),
             hedges_launched: hedged.hedges_launched,
@@ -236,7 +231,8 @@ pub fn condemnation_matrix(seed: u64, factor: f64) -> Vec<CondemnCell> {
     let retry = RetryPolicy::default();
     let plain_opts = ExecOptions {
         retry: retry.clone(),
-        ..ExecOptions::default().pipelined(config)
+        runtime: config,
+        ..ExecOptions::default()
     };
     let condemn_opts = ExecOptions {
         max_replans: 2,
@@ -255,12 +251,11 @@ pub fn condemnation_matrix(seed: u64, factor: f64) -> Vec<CondemnCell> {
         let Ok(optimized) = engine.optimize(&plan, OptimizerMode::Compliant, None) else {
             continue;
         };
-        let Ok((reference, ref_metrics)) =
-            run_under(&engine, &optimized, &FaultPlan::new(seed), &plain_opts)
+        let Ok(reference) = run_under(&engine, &optimized, &FaultPlan::new(seed), &plain_opts)
         else {
             continue;
         };
-        let Some(link) = busiest_link(&ref_metrics) else {
+        let Some(link) = busiest_link(&reference.metrics) else {
             continue;
         };
         let faults = FaultPlan::new(seed).with_degrade(
@@ -269,7 +264,7 @@ pub fn condemnation_matrix(seed: u64, factor: f64) -> Vec<CondemnCell> {
             factor,
             StepWindow::ALWAYS,
         );
-        let (run, _) = match run_under(&engine, &optimized, &faults, &condemn_opts) {
+        let run = match run_under(&engine, &optimized, &faults, &condemn_opts) {
             Ok(r) => r,
             Err(_) => continue,
         };

@@ -2,7 +2,9 @@
 //! search-volume counters are a pure function of (size, seed), so a small
 //! instance is recomputed here and compared exactly with a committed
 //! expectation, twice (twin determinism). The committed file itself is
-//! `repro --figure adhoc` at the default 100 000 queries, same seed.
+//! `repro --figure adhoc` at the default 100 000 queries, same seed. The
+//! counters are build-independent: the optimizer's debug-only Theorem-1
+//! audit runs off the shared memo.
 
 use geoqp_bench::experiments::optimizer::{adhoc_counters, to_json};
 
@@ -10,10 +12,10 @@ const EXPECTED: &str = r#"{
   "seed": 2021,
   "scale_factor": 10,
   "counters": [
-    {"template": "T", "expressions": 8, "queries": 64, "compliant_fraction": 1.0000, "memo_hits": 902, "memo_misses": 149, "memo_hit_rate": 0.8582, "dp_states_total": 1594, "dp_states_mean": 24.91, "eta_mean": 16.42},
-    {"template": "C", "expressions": 50, "queries": 64, "compliant_fraction": 1.0000, "memo_hits": 4182, "memo_misses": 547, "memo_hit_rate": 0.8843, "dp_states_total": 1339, "dp_states_mean": 20.92, "eta_mean": 73.89},
-    {"template": "CR", "expressions": 50, "queries": 64, "compliant_fraction": 1.0000, "memo_hits": 4335, "memo_misses": 633, "memo_hit_rate": 0.8726, "dp_states_total": 1296, "dp_states_mean": 20.25, "eta_mean": 51.67},
-    {"template": "CR+A", "expressions": 50, "queries": 64, "compliant_fraction": 1.0000, "memo_hits": 4189, "memo_misses": 589, "memo_hit_rate": 0.8767, "dp_states_total": 1154, "dp_states_mean": 18.03, "eta_mean": 46.78}
+    {"template": "T", "expressions": 8, "queries": 64, "compliant_fraction": 1.0000, "memo_hits": 382, "memo_misses": 149, "memo_hit_rate": 0.7194, "dp_states_total": 1594, "dp_states_mean": 24.91, "eta_mean": 8.30},
+    {"template": "C", "expressions": 50, "queries": 64, "compliant_fraction": 1.0000, "memo_hits": 1840, "memo_misses": 547, "memo_hit_rate": 0.7708, "dp_states_total": 1339, "dp_states_mean": 20.92, "eta_mean": 37.30},
+    {"template": "CR", "expressions": 50, "queries": 64, "compliant_fraction": 1.0000, "memo_hits": 1888, "memo_misses": 633, "memo_hit_rate": 0.7489, "dp_states_total": 1296, "dp_states_mean": 20.25, "eta_mean": 26.27},
+    {"template": "CR+A", "expressions": 50, "queries": 64, "compliant_fraction": 1.0000, "memo_hits": 1828, "memo_misses": 589, "memo_hit_rate": 0.7563, "dp_states_total": 1154, "dp_states_mean": 18.03, "eta_mean": 23.70}
   ]
 }
 "#;

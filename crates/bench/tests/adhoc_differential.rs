@@ -1,12 +1,11 @@
 //! Differential fuzz over the generated ad-hoc workload: a seeded
 //! sample of generator queries (default 500 in release builds, override
-//! with `GEOQP_ADHOC_N`) is optimized in compliant mode and executed
-//! row vs columnar × sequential vs parallel. Engine pairs must agree on
-//! rows, shipped bytes, and the full normalized transfer log; the two
-//! runtimes must agree on the row multiset and shipped bytes. A slice
-//! of the sample additionally replays under drop and flaky fault
-//! schedules, where both engines must agree outcome-for-outcome —
-//! including failing with the same typed error at the same site.
+//! with `GEOQP_ADHOC_N`) is optimized in compliant mode and executed on
+//! the row and the columnar engine, which must agree on rows, shipped
+//! bytes, and the full normalized transfer log. A slice of the sample
+//! additionally replays under drop and flaky fault schedules, where both
+//! engines must agree outcome-for-outcome — including failing with the
+//! same typed error at the same site.
 
 use geoqp_core::{
     Engine, ExecOptions, ExecutionResult, OptimizedQuery, OptimizerMode, RuntimeConfig,
@@ -53,8 +52,8 @@ fn optimized_adhoc() -> (Engine, Vec<(usize, OptimizedQuery)>) {
     (engine, plans)
 }
 
-/// One sequential try under `faults` — no failover — on the row or the
-/// columnar engine.
+/// One try under `faults` — no failover — on the row or the columnar
+/// engine.
 fn with_faults(
     engine: &Engine,
     optimized: &OptimizedQuery,
@@ -82,12 +81,11 @@ fn with_faults(
 /// or the same typed error naming the same site.
 fn assert_identical(
     id: usize,
-    runtime: &str,
     schedule: &str,
     row: Result<ExecutionResult, geoqp_common::GeoError>,
     col: Result<ExecutionResult, geoqp_common::GeoError>,
 ) {
-    let ctx = format!("adhoc #{id} [{runtime}, faults={schedule}]");
+    let ctx = format!("adhoc #{id} [faults={schedule}]");
     match (row, col) {
         (Ok(r), Ok(c)) => {
             assert_eq!(r.rows, c.rows, "{ctx}: rows diverged");
@@ -111,56 +109,16 @@ fn assert_identical(
     }
 }
 
-/// Sorted row fingerprints, for cross-runtime comparison (the pipelined
-/// runtime may emit unsorted results in a different order).
-fn sorted_rows(r: &ExecutionResult) -> Vec<String> {
-    let mut v: Vec<String> = r.rows.iter().map(|row| format!("{row:?}")).collect();
-    v.sort();
-    v
-}
-
 #[test]
-fn engines_and_runtimes_agree_on_generated_queries() {
+fn engines_agree_on_generated_queries() {
     let (engine, plans) = optimized_adhoc();
     assert!(plans.len() >= adhoc_n(), "sample came up short");
-    let retry = RetryPolicy::none();
     for (id, OptimizedQuery { physical: plan, .. }) in &plans {
-        let seq_row = engine.execute(plan);
-        let seq_col = engine.execute_columnar(plan);
-        let par = |columnar: bool| {
-            let config = RuntimeConfig {
-                columnar,
-                ..RuntimeConfig::default()
-            };
-            engine
-                .execute_parallel_opts(plan, None, &retry, &config)
-                .map(|p| ExecutionResult {
-                    rows: p.rows,
-                    transfers: p.transfers,
-                })
-        };
-        let par_row = par(false);
-        let par_col = par(true);
-
-        // Engine pairs: bit-identical within each runtime.
-        let seq_row = seq_row.unwrap_or_else(|e| panic!("adhoc #{id} sequential: {e}"));
-        let seq_col = seq_col.unwrap_or_else(|e| panic!("adhoc #{id} seq columnar: {e}"));
-        let par_row = par_row.unwrap_or_else(|e| panic!("adhoc #{id} parallel: {e}"));
-        let par_col = par_col.unwrap_or_else(|e| panic!("adhoc #{id} par columnar: {e}"));
-        let (seq_sorted, seq_bytes) = (sorted_rows(&seq_row), seq_row.transfers.total_bytes());
-        let (par_sorted, par_bytes) = (sorted_rows(&par_row), par_row.transfers.total_bytes());
-        assert_identical(*id, "sequential", "none", Ok(seq_row), Ok(seq_col));
-        assert_identical(*id, "parallel", "none", Ok(par_row), Ok(par_col));
-
-        // Runtimes: same multiset of rows, same shipped bytes.
-        assert_eq!(
-            seq_sorted, par_sorted,
-            "adhoc #{id}: runtimes returned different rows"
-        );
-        assert_eq!(
-            seq_bytes, par_bytes,
-            "adhoc #{id}: runtimes shipped different bytes"
-        );
+        let row = engine.execute(plan);
+        let col = engine.execute_columnar(plan);
+        let row = row.unwrap_or_else(|e| panic!("adhoc #{id} row engine: {e}"));
+        let col = col.unwrap_or_else(|e| panic!("adhoc #{id} columnar: {e}"));
+        assert_identical(*id, "none", Ok(row), Ok(col));
     }
 }
 
@@ -172,27 +130,9 @@ fn fault_schedule_slice_agrees_across_engines() {
     for spec in FAULT_SPECS {
         let faults = FaultPlan::parse(spec, SEED).expect("fault spec");
         for (id, opt) in slice {
-            let plan = &opt.physical;
-            faults.reset_clock();
             let row = with_faults(&engine, opt, &faults, &retry, false);
-            faults.reset_clock();
             let col = with_faults(&engine, opt, &faults, &retry, true);
-            assert_identical(*id, "sequential", spec, row, col);
-
-            let par = |columnar: bool| {
-                faults.reset_clock();
-                let config = RuntimeConfig {
-                    columnar,
-                    ..RuntimeConfig::default()
-                };
-                engine
-                    .execute_parallel_opts(plan, Some(&faults), &retry, &config)
-                    .map(|p| ExecutionResult {
-                        rows: p.rows,
-                        transfers: p.transfers,
-                    })
-            };
-            assert_identical(*id, "parallel", spec, par(false), par(true));
+            assert_identical(*id, spec, row, col);
         }
     }
 }

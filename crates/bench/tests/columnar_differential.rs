@@ -2,9 +2,8 @@
 //! *observationally identical* to the row-at-a-time engine.
 //!
 //! Every TPC-H query that survives compliant optimization is executed on
-//! both engines, on both runtimes (sequential interpreter and the
-//! concurrent pipelined runtime), under a matrix of deterministic fault
-//! schedules. For every cell the two engines must agree on
+//! both engines under a matrix of deterministic fault schedules. For
+//! every cell the two engines must agree on
 //!
 //! * the result **row multiset** (in fact: the exact rows, in order),
 //! * the **shipped bytes** and the full normalized transfer log (every
@@ -57,8 +56,8 @@ fn optimized_queries() -> (Engine, Vec<(&'static str, OptimizedQuery)>) {
     (engine, plans)
 }
 
-/// One sequential try under `faults` — no failover — on the row or the
-/// columnar engine.
+/// One try under `faults` — no failover — on the row or the columnar
+/// engine.
 fn with_faults(
     engine: &Engine,
     optimized: &OptimizedQuery,
@@ -86,12 +85,11 @@ fn with_faults(
 /// rows, attempts, faults, costs), or the same typed error.
 fn assert_identical(
     query: &str,
-    runtime: &str,
     schedule: &str,
     row: Result<ExecutionResult, geoqp_common::GeoError>,
     col: Result<ExecutionResult, geoqp_common::GeoError>,
 ) {
-    let ctx = format!("{query} [{runtime}, faults={schedule}]");
+    let ctx = format!("{query} [faults={schedule}]");
     match (row, col) {
         (Ok(r), Ok(c)) => {
             assert_eq!(r.rows, c.rows, "{ctx}: rows diverged");
@@ -116,12 +114,11 @@ fn assert_identical(
 }
 
 #[test]
-fn sequential_engines_agree_without_faults() {
+fn engines_agree_without_faults() {
     let (engine, plans) = optimized_queries();
     for (query, OptimizedQuery { physical: plan, .. }) in &plans {
         assert_identical(
             query,
-            "sequential",
             "none",
             engine.execute(plan),
             engine.execute_columnar(plan),
@@ -130,91 +127,15 @@ fn sequential_engines_agree_without_faults() {
 }
 
 #[test]
-fn sequential_engines_agree_under_every_fault_schedule() {
+fn engines_agree_under_every_fault_schedule() {
     let (engine, plans) = optimized_queries();
     let retry = RetryPolicy::default();
     for spec in FAULT_SPECS {
         let faults = FaultPlan::parse(spec, SEED).expect("fault spec");
         for (query, plan) in &plans {
-            faults.reset_clock();
             let row = with_faults(&engine, plan, &faults, &retry, false);
-            faults.reset_clock();
             let col = with_faults(&engine, plan, &faults, &retry, true);
-            assert_identical(query, "sequential", spec, row, col);
+            assert_identical(query, spec, row, col);
         }
-    }
-}
-
-#[test]
-fn parallel_runtime_agrees_without_faults() {
-    let (engine, plans) = optimized_queries();
-    let retry = RetryPolicy::none();
-    for (query, OptimizedQuery { physical: plan, .. }) in &plans {
-        let run = |columnar: bool| {
-            let config = RuntimeConfig {
-                columnar,
-                ..RuntimeConfig::default()
-            };
-            engine
-                .execute_parallel_opts(plan, None, &retry, &config)
-                .map(|p| ExecutionResult {
-                    rows: p.rows,
-                    transfers: p.transfers,
-                })
-        };
-        assert_identical(query, "parallel", "none", run(false), run(true));
-    }
-}
-
-#[test]
-fn parallel_runtime_agrees_under_every_fault_schedule() {
-    let (engine, plans) = optimized_queries();
-    let retry = RetryPolicy::default();
-    for spec in FAULT_SPECS {
-        let faults = FaultPlan::parse(spec, SEED).expect("fault spec");
-        for (query, OptimizedQuery { physical: plan, .. }) in &plans {
-            let run = |columnar: bool| {
-                faults.reset_clock();
-                let config = RuntimeConfig {
-                    columnar,
-                    ..RuntimeConfig::default()
-                };
-                engine
-                    .execute_parallel_opts(plan, Some(&faults), &retry, &config)
-                    .map(|p| ExecutionResult {
-                        rows: p.rows,
-                        transfers: p.transfers,
-                    })
-            };
-            assert_identical(query, "parallel", spec, run(false), run(true));
-        }
-    }
-}
-
-#[test]
-fn sequential_and_parallel_columnar_ship_the_same_bytes() {
-    // Cross-runtime invariant on the columnar path itself: streaming a
-    // batch as column vectors must charge exactly what the sequential
-    // engine's one monolithic row encoding charges.
-    let (engine, plans) = optimized_queries();
-    for (query, OptimizedQuery { physical: plan, .. }) in &plans {
-        let seq = engine.execute_columnar(plan).expect("sequential columnar");
-        let config = RuntimeConfig {
-            columnar: true,
-            ..RuntimeConfig::default()
-        };
-        let par = engine
-            .execute_parallel_opts(plan, None, &RetryPolicy::none(), &config)
-            .expect("parallel columnar");
-        assert_eq!(
-            seq.transfers.total_bytes(),
-            par.transfers.total_bytes(),
-            "{query}: columnar runtimes shipped different bytes"
-        );
-        assert_eq!(
-            seq.rows.len(),
-            par.rows.len(),
-            "{query}: cardinality diverged"
-        );
     }
 }

@@ -2,7 +2,7 @@
 //! *observationally invisible*.
 //!
 //! Every TPC-H query that survives compliant optimization is executed on
-//! the columnar parallel runtime at 1, 2, and 4 morsel workers per
+//! the columnar engine at 1, 2, and 4 morsel workers per
 //! site, under a matrix of deterministic fault schedules. For every
 //! cell the multi-worker run must reproduce the one-worker run's
 //!
@@ -139,10 +139,8 @@ fn worker_counts_agree_under_every_fault_schedule() {
     for spec in FAULT_SPECS {
         let faults = FaultPlan::parse(spec, SEED).expect("fault spec");
         for (query, plan) in &plans {
-            faults.reset_clock();
             let base = engine.execute_parallel_opts(plan, Some(&faults), &retry, &config_for(1));
             for &workers in &WORKER_COUNTS[1..] {
-                faults.reset_clock();
                 let run =
                     engine.execute_parallel_opts(plan, Some(&faults), &retry, &config_for(workers));
                 assert_identical(query, workers, spec, &base, &run);

@@ -29,10 +29,7 @@ struct ServerSession {
 pub struct Shell {
     engine: Option<Engine>,
     mode: OptimizerMode,
-    /// `\runtime parallel`: queries run on the pipelined runtime.
-    pipelined: bool,
-    /// `\workers` (morsel workers per site for parallel-runtime queries)
-    /// lives here.
+    /// `\workers` (morsel workers per site) lives here.
     config: RuntimeConfig,
     result_location: Option<Location>,
     faults: Option<FaultPlan>,
@@ -61,7 +58,6 @@ impl Shell {
         Shell {
             engine: None,
             mode: OptimizerMode::Compliant,
-            pipelined: false,
             config: RuntimeConfig::default(),
             result_location: None,
             faults: None,
@@ -143,26 +139,6 @@ impl Shell {
                     Ok(format!("result location: {arg}\n"))
                 }
             }
-            "runtime" => {
-                self.pipelined = match arg {
-                    "" => {
-                        let current = if self.pipelined {
-                            "parallel"
-                        } else {
-                            "sequential"
-                        };
-                        return Ok(format!("runtime: {current}\n"));
-                    }
-                    "sequential" => false,
-                    "parallel" => true,
-                    other => {
-                        return Err(GeoError::Execution(format!(
-                            "unknown runtime `{other}` (parallel|sequential)"
-                        )))
-                    }
-                };
-                Ok(format!("runtime: {arg}\n"))
-            }
             "workers" => {
                 if arg.is_empty() {
                     return Ok(format!("workers: {}\n", self.config.workers_per_site));
@@ -181,9 +157,7 @@ impl Shell {
             "metrics" => {
                 let mut out = match &self.last_metrics {
                     Some(m) => format!("{m}"),
-                    None => {
-                        "no runtime metrics yet; run a query with \\runtime parallel\n".to_string()
-                    }
+                    None => "no runtime metrics yet; run a query first\n".to_string(),
                 };
                 if let Some(f) = &self.last_failover {
                     out.push_str(f);
@@ -871,9 +845,6 @@ impl Shell {
         let no_faults = FaultPlan::new(0);
         let mut opts = if controlled {
             let faults = self.faults.as_ref().unwrap_or(&no_faults);
-            // Each query replays the fault schedule from step 0, so a
-            // given seed + spec is deterministic per statement.
-            faults.reset_clock();
             ExecOptions {
                 deadline: self.deadline,
                 cancel: Some(self.cancel.clone()),
@@ -890,7 +861,6 @@ impl Shell {
         } else {
             ExecOptions::default()
         };
-        opts.pipelined = self.pipelined;
         opts.runtime = self.config.clone();
         let attempt = eng.run_sql(sql, self.mode, self.result_location.clone(), &opts);
         // An armed cancellation consumes itself on the statement it
@@ -902,8 +872,8 @@ impl Shell {
             Ok(()) => "compliant",
             Err(_) => "NON-COMPLIANT",
         };
-        // One summary line: rows; what the WAN carried, in the selected
-        // runtime's terms; the failover story when the run was
+        // One summary line: rows; what the WAN carried and when the
+        // result completed; the failover story when the run was
         // controlled; the audit verdict.
         let _ = write!(
             out,
@@ -913,24 +883,14 @@ impl Shell {
             result.transfers.transfer_count(),
             result.transfers.total_bytes(),
         );
-        match &result.metrics {
-            None => {
-                let _ = write!(
-                    out,
-                    ", {:.1} ms simulated WAN",
-                    result.transfers.total_cost_ms()
-                );
-            }
-            Some(m) => {
-                let _ = write!(
-                    out,
-                    "; pipelined completion {:.1} ms of {:.1} ms network",
-                    m.completion_ms, m.network_ms
-                );
-                if !controlled {
-                    let _ = write!(out, " ({:.2}x overlap)", m.overlap_speedup());
-                }
-            }
+        let m = &result.metrics;
+        let _ = write!(
+            out,
+            "; completion {:.1} ms of {:.1} ms network",
+            m.completion_ms, m.network_ms
+        );
+        if !controlled {
+            let _ = write!(out, " ({:.2}x overlap)", m.overlap_speedup());
         }
         if controlled {
             let ckpt = self.note_failover(&result);
@@ -946,12 +906,8 @@ impl Shell {
                 },
             );
         }
-        let _ = write!(out, "; plan {audit}");
-        if let Some(metrics) = result.metrics {
-            out.push_str("; \\metrics for detail");
-            self.last_metrics = Some(metrics);
-        }
-        out.push_str(")\n");
+        let _ = writeln!(out, "; plan {audit}; \\metrics for detail)");
+        self.last_metrics = Some(result.metrics);
         Ok(out)
     }
 }
@@ -1008,12 +964,10 @@ commands:
   \\catalog                  catalog head (seq + epoch), live policies
                             with pids, the log, per-site replica seqs
   \\mode compliant|traditional
-  \\runtime parallel|sequential
-                            choose the execution runtime (default sequential)
-  \\workers [n]              morsel workers per site (parallel runtime)
+  \\workers [n]              morsel workers per site
                             (same rows, bytes, and audits; faster CPU path)
-  \\metrics                  per-site/per-edge metrics of the last parallel
-                            query, plus policy-memo hit/miss counters
+  \\metrics                  per-site/per-edge metrics of the last query,
+                            plus policy-memo hit/miss counters
   \\at <location>|anywhere   pin the result location
   \\explain <sql>            show annotated + physical plan
   \\adhoc [n [seed]]         generate seeded ad-hoc queries over the loaded
@@ -1299,66 +1253,32 @@ mod tests {
     }
 
     #[test]
-    fn parallel_runtime_session_with_metrics() {
+    fn every_query_reports_runtime_metrics() {
         let mut sh = Shell::new();
         sh.run_command("\\demo carco").unwrap();
-        assert_eq!(
-            sh.run_command("\\runtime").unwrap(),
-            "runtime: sequential\n"
-        );
         let out = sh.run_command("\\metrics").unwrap();
         assert!(out.contains("no runtime metrics yet"), "{out}");
+        // One runtime: there is no switch to choose another.
+        assert!(sh.run_command("\\runtime parallel").is_err());
 
-        sh.run_command("\\runtime parallel").unwrap();
         let sql = "SELECT c_name, SUM(o_totprice) AS total FROM customer, orders \
                    WHERE c_custkey = o_custkey GROUP BY c_name ORDER BY c_name";
-        let seq = {
-            let mut s = Shell::new();
-            s.run_command("\\demo carco").unwrap();
-            s.run_command(sql).unwrap()
-        };
-        let par = sh.run_command(sql).unwrap();
-        assert!(par.contains("alice"), "{par}");
-        assert!(par.contains("pipelined completion"), "{par}");
-        assert!(par.contains("plan compliant"), "{par}");
-        // Same rows and same shipped bytes as the sequential runtime.
-        let rows_of = |out: &str| {
-            out.lines()
-                .take_while(|l| !l.starts_with('('))
-                .map(String::from)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(rows_of(&par), rows_of(&seq));
-        let bytes_of = |out: &str| {
-            let tail = out
-                .lines()
-                .find(|l| l.starts_with('('))
-                .unwrap()
-                .to_string();
-            let idx = tail.find(" bytes").unwrap();
-            tail[..idx]
-                .rsplit(' ')
-                .next()
-                .unwrap()
-                .parse::<u64>()
-                .unwrap()
-        };
-        assert_eq!(bytes_of(&par), bytes_of(&seq));
+        let out = sh.run_command(sql).unwrap();
+        assert!(out.contains("alice"), "{out}");
+        assert!(out.contains("; completion "), "{out}");
+        assert!(out.contains("plan compliant"), "{out}");
 
         let metrics = sh.run_command("\\metrics").unwrap();
         assert!(metrics.contains("completion"), "{metrics}");
         assert!(metrics.contains("site"), "{metrics}");
 
-        // Faults + parallel runtime: transient crash rides out on retries.
+        // Under faults: a transient crash rides out on retries.
         sh.run_command("\\faults seed=7; crash:A@0..2").unwrap();
         let out = sh
             .run_command("SELECT c_name FROM customer ORDER BY c_name")
             .unwrap();
         assert!(out.contains("alice"), "{out}");
         assert!(out.contains("plan compliant"), "{out}");
-
-        sh.run_command("\\runtime sequential").unwrap();
-        assert!(sh.run_command("\\runtime sideways").is_err());
     }
 
     #[test]
@@ -1376,14 +1296,10 @@ mod tests {
             }
             sh.run_command(sql).unwrap()
         };
-        // Sequential: byte-for-byte identical output (rows, order, bytes,
-        // audit verdict) between the row and columnar engines; on the
-        // parallel runtime too, and under faults (the resilient path).
-        let sessions: [&[&str]; 3] = [
-            &[],
-            &["\\runtime parallel"],
-            &["\\faults seed=7; crash:A@0..2"],
-        ];
+        // Byte-for-byte identical output (rows, order, bytes, audit
+        // verdict) between the row and columnar engines, plain and under
+        // faults (the resilient path).
+        let sessions: [&[&str]; 2] = [&[], &["\\faults seed=7; crash:A@0..2"]];
         for commands in sessions {
             let (row, col) = (run(false, commands), run(true, commands));
             assert!(col.contains("plan compliant"), "{col}");
@@ -1405,8 +1321,8 @@ mod tests {
         };
         // Morsel workers change CPU scheduling only: the rendered rows,
         // transfer counts, bytes, and audit verdict are identical.
-        let one = run(&["\\runtime parallel"]);
-        let four = run(&["\\runtime parallel", "\\workers 4"]);
+        let one = run(&[]);
+        let four = run(&["\\workers 4"]);
         assert!(four.contains("plan compliant"), "{four}");
         assert_eq!(four, one);
         // The resilient (faulted) path is worker-invariant too.
@@ -1476,19 +1392,6 @@ mod tests {
         assert_eq!(err.kind(), "cancelled", "{err}");
         assert!(sh.run_command("SELECT c_name FROM customer").is_ok());
 
-        // Both knobs work on the parallel runtime too.
-        sh.run_command("\\runtime parallel").unwrap();
-        sh.run_command("\\cancel").unwrap();
-        let err = sh.run_command("SELECT c_name FROM customer").unwrap_err();
-        assert_eq!(err.kind(), "cancelled", "{err}");
-        sh.run_command("\\deadline 0.001").unwrap();
-        let err = sh
-            .run_command(
-                "SELECT c_name, SUM(o_totprice) AS total FROM customer, orders \
-                 WHERE c_custkey = o_custkey GROUP BY c_name",
-            )
-            .unwrap_err();
-        assert_eq!(err.kind(), "deadline", "{err}");
         assert!(sh.run_command("\\deadline bogus").is_err());
     }
 

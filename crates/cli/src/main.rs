@@ -6,10 +6,8 @@
 //! echo 'SELECT ...' | cargo run -p geoqp-cli --bin geoqp-shell -- --demo tpch
 //! # inject deterministic faults (see \help for the spec grammar):
 //! ... -- --demo tpch --faults 'seed=7; crash:L2@0..6; flaky:L1-L3:0.2'
-//! # run queries on the concurrent pipelined runtime:
-//! ... -- --demo tpch --runtime parallel
 //! # morsel-parallel kernels: 4 workers per site:
-//! ... -- --demo tpch --runtime parallel --workers 4
+//! ... -- --demo tpch --workers 4
 //! # give every query a simulated-clock completion budget:
 //! ... -- --demo tpch --deadline-ms 500
 //! # defend against gray failures with hedged backup transfers:
@@ -39,16 +37,6 @@ fn main() {
         .and_then(|i| args.get(i + 1))
     {
         match shell.run_command(&format!("\\faults {spec}")) {
-            Ok(out) => print!("{out}"),
-            Err(e) => eprintln!("error: {e}"),
-        }
-    }
-    if let Some(mode) = args
-        .iter()
-        .position(|a| a == "--runtime")
-        .and_then(|i| args.get(i + 1))
-    {
-        match shell.run_command(&format!("\\runtime {mode}")) {
             Ok(out) => print!("{out}"),
             Err(e) => eprintln!("error: {e}"),
         }

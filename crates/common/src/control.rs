@@ -1,11 +1,10 @@
 //! Cooperative query control: cancellation tokens and simulated-clock
 //! deadlines.
 //!
-//! Both engines (the sequential interpreter and the pipelined runtime)
-//! consult a [`RunControl`] at **batch granularity**: before every scan,
-//! every shipped batch, and every exchange fetch. A query past its
-//! [`QueryDeadline`] budget — or one whose [`CancelToken`] was fired —
-//! unwinds every fragment worker with a typed
+//! The runtime consults a [`RunControl`] at **batch granularity**: before
+//! every scan, every shipped batch, and every exchange fetch. A query
+//! past its [`QueryDeadline`] budget — or one whose [`CancelToken`] was
+//! fired — unwinds every fragment with a typed
 //! [`GeoError::DeadlineExceeded`] / [`GeoError::Cancelled`] instead of
 //! running on. Deadlines are measured against the *simulated* network
 //! clock (the same `α + β·b` cost model the optimizer prices plans
@@ -19,7 +18,7 @@ use std::sync::Arc;
 /// A shared, cloneable abort flag. Cloning shares the flag: firing any
 /// clone cancels every worker holding one. Workers poll it between
 /// batches (`check`), so cancellation is cooperative — no thread is ever
-/// killed, every fragment worker joins cleanly.
+/// killed, every worker joins cleanly.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,

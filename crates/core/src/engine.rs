@@ -5,7 +5,7 @@
 use crate::annotate::{fill_stats, AnnotateMode, AnnotatedNode, Annotator};
 use crate::churn::{CatalogService, ChurnOpts};
 use crate::compliance::{check_compliance, ship_audit_info, ship_traits};
-use crate::distributed::{CatalogSource, SimShip};
+use crate::distributed::CatalogSource;
 use crate::memo::Memo;
 use crate::rules::{default_rules, explore};
 use crate::site_selector::{select_sites_with, Objective};
@@ -102,6 +102,11 @@ pub struct OptimizedQuery {
     pub stats: OptimizeStats,
     /// Where the result materializes.
     pub result_location: Location,
+    /// The optimizer that produced the plan. [`Engine::run`] audits every
+    /// batch of a [`OptimizerMode::Compliant`] plan against Definition 1;
+    /// a [`OptimizerMode::Traditional`] plan is the baseline the harness
+    /// audits afterwards, and runs unaudited.
+    pub mode: OptimizerMode,
 }
 
 /// The result of executing a distributed plan.
@@ -127,8 +132,8 @@ pub struct QueryOutcome {
     /// Every transfer and dropped attempt across all execution tries.
     pub transfers: TransferLog,
     /// Per-site and per-exchange observability of the attempt that
-    /// completed, when it ran on the pipelined runtime.
-    pub metrics: Option<RuntimeMetrics>,
+    /// completed.
+    pub metrics: RuntimeMetrics,
     /// How many times the engine re-ran site selection around a failure.
     pub replans: usize,
     /// How many of those re-plans were forced by a mid-flight policy
@@ -182,7 +187,7 @@ pub struct QueryOutcome {
 
 /// Everything [`Engine::run`] can be told about *how* to execute a
 /// located plan. The default is the plain run: one attempt on the
-/// sequential columnar interpreter, no faults, nothing retained.
+/// columnar engine, no faults, nothing retained.
 #[derive(Debug, Clone, Default)]
 pub struct ExecOptions<'a> {
     /// Fault injection: every transfer and leaf read consults this plan.
@@ -218,18 +223,10 @@ pub struct ExecOptions<'a> {
     /// path when a revocation lands mid-flight. `None` runs against the
     /// frozen catalog.
     pub churn: Option<ChurnOpts>,
-    /// Run every attempt on the concurrent pipelined runtime (one worker
-    /// thread per plan fragment, one hand-off per SHIP edge, the
-    /// Definition-1 audit on every batch) instead of the sequential
-    /// interpreter. Rows,
-    /// shipped bytes, and total network cost are identical; simulated
-    /// completion is the critical path instead of the sum.
-    pub pipelined: bool,
     /// Engine and exchange configuration. `columnar` (the default)
-    /// selects the vectorized engine on either runtime, `false` the row
-    /// interpreter tests keep as their oracle; the rest applies to the
-    /// pipelined runtime only. None of it changes rows, bytes, transfer
-    /// logs, or fault replay.
+    /// selects the vectorized engine, `false` the row interpreter tests
+    /// keep as their oracle. None of it changes rows, bytes, or fault
+    /// replay.
     pub runtime: RuntimeConfig,
 }
 
@@ -249,13 +246,6 @@ impl<'a> ExecOptions<'a> {
             resume: true,
             ..ExecOptions::default()
         }
-    }
-
-    /// Run on the pipelined runtime under `config`.
-    pub fn pipelined(mut self, config: RuntimeConfig) -> ExecOptions<'a> {
-        self.pipelined = true;
-        self.runtime = config;
-        self
     }
 
     /// Retain checkpoints into a caller-provided store.
@@ -447,9 +437,16 @@ impl Engine {
         let phase2_ms = t2.elapsed().as_secs_f64() * 1e3;
 
         if mode == OptimizerMode::Compliant {
-            // Theorem 1 safety net: the emitted plan must audit clean.
+            // Theorem 1 safety net: the emitted plan must audit clean. A
+            // memo-less evaluator keeps the check off the shared memo's
+            // counters, so debug and release builds report the same stats.
             debug_assert!(
-                check_compliance(&sited.physical, &evaluator, &self.catalog).is_ok(),
+                check_compliance(
+                    &sited.physical,
+                    &PolicyEvaluator::new(&self.policies, self.catalog.locations()),
+                    &self.catalog
+                )
+                .is_ok(),
                 "Theorem 1 violated: compliant optimizer emitted a non-compliant plan"
             );
         }
@@ -459,6 +456,7 @@ impl Engine {
             annotated,
             logical: normalized,
             result_location: sited.result_location,
+            mode,
             stats: OptimizeStats {
                 phase1_ms,
                 phase2_ms,
@@ -483,31 +481,61 @@ impl Engine {
 
     /// Execute a located physical plan over the per-site databases on the
     /// row interpreter, simulating every SHIP with real byte accounting:
-    /// one plain sequential attempt.
+    /// one plain, unaudited attempt.
     pub fn execute(&self, plan: &PhysicalPlan) -> Result<ExecutionResult> {
-        self.execute_sequential(plan, false)
+        self.execute_unaudited(plan, false)
     }
 
     /// [`Engine::execute`] on the vectorized columnar engine. Result rows,
     /// row order, shipped bytes, and audit outcomes are identical to the
     /// row engine's.
     pub fn execute_columnar(&self, plan: &PhysicalPlan) -> Result<ExecutionResult> {
-        self.execute_sequential(plan, true)
+        self.execute_unaudited(plan, true)
     }
 
-    /// One [`ExecOptions::default`] attempt on the sequential interpreter
-    /// with the engine `columnar` selects.
-    fn execute_sequential(&self, plan: &PhysicalPlan, columnar: bool) -> Result<ExecutionResult> {
+    /// One fault-free, unaudited attempt on the engine `columnar` selects.
+    fn execute_unaudited(&self, plan: &PhysicalPlan, columnar: bool) -> Result<ExecutionResult> {
+        let config = RuntimeConfig {
+            columnar,
+            ..RuntimeConfig::default()
+        };
+        let out = self.attempt_once(plan, None, &RetryPolicy::none(), &config, false)?;
+        Ok(ExecutionResult {
+            rows: out.rows,
+            transfers: out.transfers,
+        })
+    }
+
+    /// One [`Engine::attempt`] with no failover, checkpoints or controls.
+    fn attempt_once(
+        &self,
+        plan: &PhysicalPlan,
+        faults: Option<&FaultPlan>,
+        retry: &RetryPolicy,
+        config: &RuntimeConfig,
+        audited: bool,
+    ) -> Result<ParallelResult> {
         let opts = ExecOptions {
-            runtime: RuntimeConfig {
-                columnar,
-                ..RuntimeConfig::default()
-            },
+            faults,
+            retry: retry.clone(),
+            runtime: config.clone(),
             ..ExecOptions::default()
         };
-        let (outcome, transfers) =
-            self.attempt(plan, &opts, &CheckpointStore::new(), None, 0.0, None);
-        outcome.map(|(rows, _)| ExecutionResult { rows, transfers })
+        let (outcome, transfers) = self.attempt(
+            plan,
+            &opts,
+            audited,
+            &CheckpointStore::new(),
+            None,
+            0.0,
+            None,
+        );
+        let (rows, metrics) = outcome?;
+        Ok(ParallelResult {
+            rows,
+            transfers,
+            metrics,
+        })
     }
 
     /// The per-SHIP-edge shipping traits every batch is audited against
@@ -536,15 +564,10 @@ impl Engine {
         Ok((audits.into_iter().map(|a| a.legal).collect(), specs))
     }
 
-    /// Execute a located plan on the concurrent pipelined runtime: one
-    /// worker thread per plan fragment, one hand-off per SHIP edge
-    /// adjudicated in bounded batches, and the Definition-1 audit
-    /// enforced on every batch,
-    /// with optional fault injection (a single try, no failover).
-    ///
-    /// Row results, shipped bytes, and total network cost are identical
-    /// to [`Engine::execute`]; simulated completion time is the pipelined
-    /// critical path instead of the sequential sum.
+    /// Execute a located plan under `config` with the Definition-1 audit
+    /// enforced on every batch, with optional fault injection (a single
+    /// try, no failover). Row results, shipped bytes, and transfer logs
+    /// are identical to [`Engine::execute`]'s on a compliant plan.
     pub fn execute_parallel_opts(
         &self,
         plan: &PhysicalPlan,
@@ -552,41 +575,36 @@ impl Engine {
         retry: &RetryPolicy,
         config: &RuntimeConfig,
     ) -> Result<ParallelResult> {
-        let audits = self.ship_audits(plan)?;
-        let mut env = ShipEnv::new(&self.topology);
-        if let Some(faults) = faults {
-            env = env.with_faults(faults, retry.clone());
-        }
-        Runtime::new(env).with_config(config.clone()).run(
-            plan,
-            &CatalogSource::new(&self.catalog),
-            Some(&audits),
-        )
+        self.attempt_once(plan, faults, retry, config, true)
     }
 
-    /// One execution attempt of `physical` under `opts`, on whichever
-    /// runtime `opts.pipelined` selects, `base_ms` of simulated time
-    /// already spent by earlier attempts. The transfer log is returned
-    /// even on failure: dropped attempts are evidence the failover loop
+    /// One execution attempt of `physical` under `opts`, `base_ms` of
+    /// simulated time already spent by earlier attempts. Every batch is
+    /// audited against its edge's 𝒮ₙ when `audited`, or when hedging or
+    /// resume needs the traits anyway. The transfer log is returned even
+    /// on failure: dropped attempts are evidence the failover loop
     /// reports.
+    #[allow(clippy::too_many_arguments)]
     fn attempt(
         &self,
         physical: &PhysicalPlan,
         opts: &ExecOptions<'_>,
+        audited: bool,
         store: &CheckpointStore,
         health: Option<&LinkHealth>,
         base_ms: f64,
         watch: Option<&ChurnWatch>,
-    ) -> (Result<(Rows, Option<RuntimeMetrics>)>, TransferLog) {
+    ) -> (Result<(Rows, RuntimeMetrics)>, TransferLog) {
         // The adjudicator audits and relays against each edge's 𝒮ₙ; the
         // checkpoint store additionally needs each edge's spec.
         let traits = if opts.resume {
             self.ship_specs(physical)
-        } else if opts.pipelined || opts.hedge.is_some() {
+                .map(|(audits, specs)| (Some(audits), specs))
+        } else if audited || opts.hedge.is_some() {
             self.ship_audits(physical)
-                .map(|audits| (audits, Vec::new()))
+                .map(|audits| (Some(audits), Vec::new()))
         } else {
-            Ok((Vec::new(), Vec::new()))
+            Ok((None, Vec::new()))
         };
         let (audits, specs) = match traits {
             Ok(x) => x,
@@ -605,33 +623,23 @@ impl Engine {
         if let Some(watch) = watch {
             env = env.with_churn(watch.clone());
         }
-        if opts.pipelined {
-            let (outcome, log) = Runtime::new(env)
-                .with_config(opts.runtime.clone())
-                .with_specs(specs)
-                .try_run(physical, &CatalogSource::new(&self.catalog), Some(&audits));
-            return (outcome.map(|(rows, m)| (rows, Some(m))), log);
-        }
-        // The sequential interpreter completes SHIPs in left-to-right
-        // post-order, not pre-order — both the audit sets and the
-        // checkpoint specs must follow that order.
-        let order = exec_ship_order(physical);
-        debug_assert!(audits.is_empty() || audits.len() == order.len());
-        let source = CatalogSource::new(&self.catalog).with_env(&env);
-        let mut ship =
-            SimShip::new(&env).with_edges(in_order(&order, &audits), in_order(&order, &specs));
-        let outcome = if opts.runtime.columnar {
-            geoqp_exec::execute_columnar(physical, &source, &mut ship)
-        } else {
-            geoqp_exec::execute(physical, &source, &mut ship)
-        };
-        (outcome.map(|rows| (rows, None)), ship.into_log())
+        Runtime::new(env)
+            .with_config(opts.runtime.clone())
+            .with_specs(specs)
+            .try_run(
+                physical,
+                &CatalogSource::new(&self.catalog),
+                audits.as_deref(),
+            )
     }
 
     /// Execute an optimized query under `opts` — the one entry point
     /// behind the shell, the service, and the experiment harness.
     ///
-    /// With the default options this is a single attempt. With a
+    /// With the default options this is a single attempt. A plan from the
+    /// compliant optimizer has every batch audited against Definition 1,
+    /// so a non-compliant edge is refused with [`GeoError::NonCompliant`]
+    /// before a byte leaves its site. With a
     /// re-plan budget it is compliant failover: an attempt that dies on a
     /// mid-flight revocation, a site down past its retry budget, or a
     /// breaker-condemned gray link takes one recovery step — the
@@ -674,6 +682,7 @@ impl Engine {
             let (attempt, log) = recovery.current().0.attempt(
                 &physical,
                 opts,
+                optimized.mode == OptimizerMode::Compliant,
                 store,
                 health,
                 transfers.total_cost_ms(),
@@ -992,39 +1001,4 @@ fn collect_ship_fingerprints(plan: &PhysicalPlan, out: &mut Vec<u64>) {
     for c in &plan.inputs {
         collect_ship_fingerprints(c, out);
     }
-}
-
-/// The pre-order SHIP index of each SHIP in the order the sequential
-/// interpreter completes them: left-to-right post-order (a SHIP finishes
-/// only after every SHIP inside its producer subtree has). Checkpoint
-/// specs and hedge legality sets — both produced in pre-order — are
-/// permuted through this before they meet the interpreter.
-fn exec_ship_order(plan: &PhysicalPlan) -> Vec<usize> {
-    fn walk(plan: &PhysicalPlan, next_pre: &mut usize, out: &mut Vec<usize>) {
-        let my_pre = if matches!(plan.op, PhysOp::Ship) {
-            let id = *next_pre;
-            *next_pre += 1;
-            Some(id)
-        } else {
-            None
-        };
-        for c in &plan.inputs {
-            walk(c, next_pre, out);
-        }
-        if let Some(id) = my_pre {
-            out.push(id);
-        }
-    }
-    let mut order = Vec::new();
-    walk(plan, &mut 0, &mut order);
-    order
-}
-
-/// `items` (one per SHIP in pre-order, or none at all) permuted into
-/// `order`.
-fn in_order<T: Clone>(order: &[usize], items: &[T]) -> Vec<T> {
-    order
-        .iter()
-        .filter_map(|&i| items.get(i).cloned())
-        .collect()
 }

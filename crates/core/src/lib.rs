@@ -29,16 +29,14 @@
 //! to audit the traditional baseline's plans in the experiments.
 //!
 //! [`engine::Engine::run`] is the one way to execute an optimized query;
-//! [`engine::ExecOptions`] says how (which runtime and engine, fault
-//! injection, failover budget, checkpoints, deadline, hedging, live
-//! churn). With a re-plan budget it adds fault tolerance on top: when a
+//! [`engine::ExecOptions`] says how (which engine, fault injection,
+//! failover budget, checkpoints, deadline, hedging, live churn). With a re-plan budget it adds fault tolerance on top: when a
 //! site dies mid-query (simulated by a `geoqp-net` fault plan), the engine
 //! re-runs phase 2 with the dead site excluded from every execution trait
 //! and re-verifies the placement against Definition 1 before resuming —
 //! failures degrade into typed errors, never into non-compliant
-//! dataflows. Both runtimes adjudicate every SHIP through the same
-//! `geoqp_runtime::ShipEnv`; [`distributed`] is the sequential
-//! interpreter's thin binding to it.
+//! dataflows. Every attempt runs on the one `geoqp_runtime::Runtime`;
+//! [`distributed`] holds the catalog-backed source its leaves read.
 
 pub mod annotate;
 pub mod churn;
@@ -61,7 +59,7 @@ pub use engine::{
 };
 pub use site_selector::{select_sites, select_sites_with, Objective, SitedPlan};
 
-// The pipelined runtime's knobs and metrics, re-exported so front ends can
+// The runtime's knobs and metrics, re-exported so front ends can
 // fill [`ExecOptions::runtime`] and render `\metrics` without depending on
 // `geoqp-runtime` directly — plus the failover checkpoint store, so tests
 // and tools can inspect what was retained where ([`ExecOptions::store`]).

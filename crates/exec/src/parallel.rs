@@ -3,8 +3,8 @@
 //! The vectorized operators in [`crate::columnar`] split their row-index
 //! windows into fixed-size **morsels** and hand the per-morsel closures to
 //! a [`MorselRunner`]. The runner decides *where* the closures run — the
-//! trivial [`SerialRunner`] executes them inline in index order (the
-//! sequential engine's behavior, bit-identical to the pre-morsel code),
+//! trivial [`SerialRunner`] executes them inline in index order
+//! (bit-identical to the pre-morsel code),
 //! while `geoqp-runtime` injects a shared per-site worker pool so a
 //! single fragment can saturate every core.
 //!

@@ -13,7 +13,7 @@
 //! the transfer's cost, keeping test runs instant and deterministic.
 //!
 //! Concurrent retries of the *same* schedule synchronize: after a shared
-//! outage, every fragment worker would re-attempt at exactly the same
+//! outage, every edge of a run would re-attempt at exactly the same
 //! simulated instant and hammer the healing link together. [`RetryPolicy`]
 //! therefore supports **seeded deterministic jitter**: each caller salts
 //! the schedule with its identity (the runtime uses the fragment slot), so

@@ -2,9 +2,10 @@
 //!
 //! A [`FaultPlan`] is a *schedule* of availability faults — per-link drops,
 //! delays, and flaky windows, network partitions, and per-site crash
-//! windows — expressed over a **logical step clock** instead of wall time.
-//! The simulator advances the clock once per transfer (or scan) attempt, so
-//! a given seed and schedule replay the exact same fault sequence on every
+//! windows — expressed over **logical steps** instead of wall time. The
+//! plan is an immutable schedule: the runtime gives every transfer and scan
+//! attempt its own step, derived from the attempt's place in the plan, so a
+//! given seed and schedule replay the exact same fault sequence on every
 //! run: determinism is what makes failover behaviour testable.
 //!
 //! Probabilistic faults (`flaky` links) derive their coin flips from a hash
@@ -15,7 +16,6 @@
 use geoqp_common::Location;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A half-open window `[start, end)` of logical steps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,30 +141,14 @@ pub enum FaultVerdict {
     },
 }
 
-/// A deterministic schedule of network and site faults.
-///
-/// The logical step clock is an [`AtomicU64`], so a plan can be shared by
-/// reference across the concurrent runtime's site worker threads: every
-/// `tick` hands out a unique step even under contention.
-#[derive(Debug, Default)]
+/// A deterministic schedule of network and site faults: a pure function
+/// of `(seed, step)`, shared by reference by every run that consults it.
+#[derive(Debug, Default, Clone)]
 pub struct FaultPlan {
     seed: u64,
     site_crashes: BTreeMap<Location, Vec<StepWindow>>,
     link_faults: BTreeMap<(Location, Location), Vec<LinkFault>>,
     partitions: Vec<(BTreeSet<Location>, StepWindow)>,
-    clock: AtomicU64,
-}
-
-impl Clone for FaultPlan {
-    fn clone(&self) -> FaultPlan {
-        FaultPlan {
-            seed: self.seed,
-            site_crashes: self.site_crashes.clone(),
-            link_faults: self.link_faults.clone(),
-            partitions: self.partitions.clone(),
-            clock: AtomicU64::new(self.clock.load(Ordering::SeqCst)),
-        }
-    }
 }
 
 impl FaultPlan {
@@ -292,23 +276,6 @@ impl FaultPlan {
         let set: BTreeSet<Location> = group.into_iter().map(Into::into).collect();
         self.partitions.push((set, window));
         self
-    }
-
-    /// Advance the logical step clock, returning the step of the attempt
-    /// being made. One tick per transfer/scan attempt keeps fault
-    /// schedules replayable.
-    pub fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::SeqCst)
-    }
-
-    /// The current clock value (the step the *next* attempt will get).
-    pub fn step(&self) -> u64 {
-        self.clock.load(Ordering::SeqCst)
-    }
-
-    /// Rewind the clock to step 0 (for replaying the same schedule).
-    pub fn reset_clock(&self) {
-        self.clock.store(0, Ordering::SeqCst);
     }
 
     /// Whether `site` is up at `step` (outside all its crash windows).
@@ -776,16 +743,6 @@ mod tests {
                 != c.check_transfer(&loc("L1"), &loc("L2"), s)
         });
         assert!(diverges, "seeds 42 and 43 produced identical streams");
-    }
-
-    #[test]
-    fn the_clock_ticks_monotonically_and_resets() {
-        let plan = FaultPlan::new(0);
-        assert_eq!(plan.tick(), 0);
-        assert_eq!(plan.tick(), 1);
-        assert_eq!(plan.step(), 2);
-        plan.reset_clock();
-        assert_eq!(plan.tick(), 0);
     }
 
     #[test]

@@ -15,11 +15,11 @@
 //! # Determinism
 //!
 //! Breaker state must be a pure function of the seeded fault grid, never
-//! of thread scheduling. Two mechanisms guarantee that:
+//! of execution order. Two mechanisms guarantee that:
 //!
 //! * observations are keyed by **lane** — the pre-order exchange-edge
-//!   slot (or `0` in the sequential engine) — so each lane's stream is
-//!   produced by exactly one worker, in batch order;
+//!   slot — so each lane's stream is produced by exactly one edge, in
+//!   batch order;
 //! * per lane, observations are stored keyed by their **logical step**
 //!   and every derived quantity (EWMA, breaker state, trip count) is a
 //!   fold over the observations in step order, so state is a function of
@@ -130,7 +130,7 @@ pub struct LinkReport {
     pub from: Location,
     /// Destination site.
     pub to: Location,
-    /// Lane (pre-order exchange-edge slot; 0 in the sequential engine).
+    /// Lane (pre-order exchange-edge slot).
     pub lane: u64,
     /// Folded state.
     pub state: LinkState,
@@ -155,7 +155,7 @@ type LaneKey = (Location, Location, u64);
 
 /// The shared health table: per-(link, lane) observation streams, the
 /// breaker fold, and the hedge counters. Interior-mutable so one `&`
-/// reference serves every fragment worker of a run.
+/// reference serves every fragment of a run.
 #[derive(Debug)]
 pub struct LinkHealth {
     config: HealthConfig,

@@ -17,8 +17,8 @@
 //!
 //! # Determinism
 //!
-//! Backup legs never advance the shared fault clock. They consult the
-//! fault plan at the primary's own base step — so windowed faults
+//! Backup legs take no step of their own. They consult the fault plan at
+//! the primary's own base step — so windowed faults
 //! (degrade, crash, partition) apply to the backup exactly as to the
 //! primary — but draw probabilistic flips from per-leg salted coins, and
 //! record under designed step numbers disjoint from the primary grid
@@ -33,7 +33,7 @@ use geoqp_common::{CancelToken, GeoError, Location, LocationSet, Result};
 
 /// Base of the designed step space backup legs record under: far above
 /// any step the primary grid can reach, so hedge records never collide
-/// with primary records and consume no clock ticks.
+/// with primary records.
 pub const HEDGE_STEP_BASE: u64 = 1 << 48;
 
 /// Salt selecting the hedge coins (independent of flaky/loss coins).
@@ -115,12 +115,11 @@ pub struct HedgeRun {
 /// construction; [`run_hedge`] re-checks anyway.
 ///
 /// The cost model is the caller's because amortization is the caller's:
-/// the sequential engine ships one transfer per edge and prices every
-/// leg at the full `α + β·b`, while the streaming runtime pays a link's
-/// header once per stream and therefore compares **marginal** (β-only)
-/// leg costs — a relay route's headers are a one-time investment
-/// amortized over the remaining batches of the stream. The degraded
-/// direct estimate is the observed cost ratio × the direct link's price.
+/// the streaming runtime pays a link's header once per stream and
+/// therefore compares **marginal** (β-only) leg costs — a relay route's
+/// headers are a one-time investment amortized over the remaining
+/// batches of the stream. The degraded direct estimate is the observed
+/// cost ratio × the direct link's price.
 pub fn plan_hedge_with<F>(
     model: F,
     from: &Location,
@@ -147,16 +146,14 @@ where
 /// Run the backup side of a hedge race, deterministically.
 ///
 /// `model` prices one leg's fault-free wire time; faults scale or drop
-/// on top of it. Callers with streaming amortization (the pipelined
-/// runtime) charge a leg's `α` header only the first time that route
-/// opens; the sequential engine always prices the full `α + β·b`.
+/// on top of it. A streaming caller (the runtime) charges a leg's `α`
+/// header only the first time that route opens.
 ///
 /// `coin` selects an independent family of probabilistic-fault flips
 /// for this race: a caller streaming many batches over one step slot
-/// (the pipelined runtime) passes a per-batch coin so each batch's
-/// backup draws its own flaky/loss flips instead of replaying the
-/// first batch's. Callers whose step already varies per transfer (the
-/// sequential engine) pass `0`.
+/// (the runtime) passes a per-batch coin so each batch's backup draws
+/// its own flaky/loss flips instead of replaying the first batch's; a
+/// single transfer passes `0`.
 ///
 /// `primary_arrival_ms` is the primary's own delivery time relative to
 /// transfer start (`None` when the primary failed outright): when a
@@ -408,10 +405,9 @@ mod tests {
     }
 
     #[test]
-    fn hedge_outcomes_are_deterministic_and_do_not_touch_the_clock() {
+    fn hedge_outcomes_are_deterministic() {
         let t = wan();
         let faults = FaultPlan::new(77).with_loss_burst("L1", "L4", 0.5, StepWindow::ALWAYS);
-        let before = faults.step();
         let legal = LocationSet::from_iter(["L1", "L4"]);
         let a = run_hedge(
             |x, y| t.ship_cost_ms(x, y, 1000.0),
@@ -440,7 +436,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(a, b);
-        assert_eq!(faults.step(), before, "hedges must not consume clock ticks");
         // The backup coin is independent of the primary's: across many
         // base steps both survive-and-drop outcomes occur.
         let outcomes: Vec<bool> = (0..200)

@@ -14,7 +14,7 @@
 //!
 //! The simulator can also inject faults: a deterministic, seedable
 //! [`FaultPlan`] schedules per-link drops/delays/partitions and per-site
-//! crash windows over a logical step clock, and the [`TransferLog`] records
+//! crash windows over logical steps, and the [`TransferLog`] records
 //! both deliveries (with their attempt counts) and dropped attempts.
 //!
 //! Gray faults — sustained degradation and loss bursts rather than clean

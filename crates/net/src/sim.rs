@@ -6,9 +6,9 @@ use geoqp_common::Location;
 /// One recorded cross-site transfer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransferRecord {
-    /// Logical step at which the batch was delivered (0 when no step
-    /// clock was active). Under the concurrent runtime this is the key
-    /// that makes log aggregation order-stable across thread schedules.
+    /// Logical step at which the batch was delivered (0 when no fault
+    /// plan was consulted): the key that makes log aggregation
+    /// order-stable.
     pub step: u64,
     /// Source site.
     pub from: Location,
@@ -69,7 +69,7 @@ impl TransferLog {
     /// Record a delivered transfer that took `attempts` tries, adding
     /// `extra_ms` of injected delay plus retry backoff to its cost.
     /// `step` is the logical step of the delivering attempt (0 when no
-    /// step clock is active).
+    /// fault plan is consulted).
     #[allow(clippy::too_many_arguments)]
     pub fn record_delivery(
         &mut self,

@@ -280,7 +280,7 @@ fn resolve_from_item(f: &FromItem, catalog: &Catalog) -> Result<ResolvedItem> {
         Arc::new(LogicalPlan::scan(
             e.table.clone(),
             e.location.clone(),
-            e.schema.as_ref().clone(),
+            Arc::clone(&e.schema),
         ))
     } else {
         // Partitioned table: union of per-site scans.
@@ -290,7 +290,7 @@ fn resolve_from_item(f: &FromItem, catalog: &Catalog) -> Result<ResolvedItem> {
                 Arc::new(LogicalPlan::scan(
                     e.table.clone(),
                     e.location.clone(),
-                    e.schema.as_ref().clone(),
+                    Arc::clone(&e.schema),
                 ))
             })
             .collect();

@@ -117,12 +117,17 @@ pub enum LogicalPlan {
 }
 
 impl LogicalPlan {
-    /// Create a table scan.
-    pub fn scan(table: TableRef, location: Location, schema: Schema) -> LogicalPlan {
+    /// Create a table scan. An `Arc<Schema>` is shared, not copied: a
+    /// scan of a catalog table holds the catalog's own schema.
+    pub fn scan(
+        table: TableRef,
+        location: Location,
+        schema: impl Into<Arc<Schema>>,
+    ) -> LogicalPlan {
         LogicalPlan::TableScan {
             table,
             location,
-            schema: Arc::new(schema),
+            schema: schema.into(),
         }
     }
 

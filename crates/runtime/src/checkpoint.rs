@@ -65,9 +65,10 @@ pub struct Checkpoint {
     pub batch: Arc<ColumnarBatch>,
 }
 
-/// The per-query checkpoint store, shared by every fragment worker and
-/// surviving across failover re-plans. Interior-mutable: workers `put`
-/// concurrently, the re-planner `drop_site`s between attempts.
+/// The per-query checkpoint store, shared by every fragment of a run and
+/// surviving across failover re-plans. Interior-mutable: fragments `put`
+/// through a shared reference, the re-planner `drop_site`s between
+/// attempts.
 #[derive(Debug, Default)]
 pub struct CheckpointStore {
     by_key: Mutex<BTreeMap<(u64, Location), Checkpoint>>,

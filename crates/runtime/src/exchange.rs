@@ -1,47 +1,46 @@
 //! The hand-off slot between two plan fragments.
 //!
-//! One [`Exchange`] backs one SHIP edge. The producer's worker thread
-//! evaluates its fragment, adjudicates the output batch by batch through
-//! the edge's [`ShipStream`](crate::ship::ShipStream) — the batch is the
-//! unit of audit, fault, cost and log, not of movement — and then hands
-//! the *whole* output over once with [`Exchange::deliver`], together with
-//! the stream's simulated arrival time. The consumer blocks in
-//! [`Exchange::take`] until then; a wait there is the one pipeline stall
-//! [`RuntimeMetrics`](crate::RuntimeMetrics) counts. No operator consumes
-//! a partial stream, so nothing is queued and a producer never blocks.
+//! One [`Exchange`] backs one SHIP edge. The producer fragment is
+//! evaluated, its output adjudicated batch by batch through the edge's
+//! [`ShipStream`](crate::ship::ShipStream) — the batch is the unit of
+//! audit, fault, cost and log, not of movement — and then handed over
+//! *whole*, once, with [`Exchange::deliver`], together with the stream's
+//! simulated arrival time. The runtime runs every producer before its
+//! consumer, so [`Exchange::take`] finds the slot settled; a `take` on an
+//! unsettled slot is a typed error, never a wait.
 //!
 //! What crosses is the producer's own `Arc<ColumnarBatch>`, whichever
 //! engine produced it: the consumer holds the same allocation, so an edge
 //! is crossed without copying a value. (A row-engine fragment — the test
 //! oracle — lays its output out as columns once, at the producer.)
 //!
-//! A failed run is torn down with [`Exchange::cancel`], which wakes a
-//! waiting consumer for good and turns a later `deliver` into a no-op.
+//! A failed run is torn down with [`Exchange::cancel`], which makes a
+//! later `take` fail and a later `deliver` a no-op.
 
-use geoqp_common::ColumnarBatch;
-use std::sync::{Arc, Condvar, Mutex};
+use geoqp_common::{ColumnarBatch, GeoError, Result};
+use std::cell::RefCell;
+use std::sync::Arc;
+
+/// Error message used to propagate a torn-down edge through a fragment's
+/// interpreter. Never surfaced to callers: the originating failure wins.
+pub(crate) const CANCELLED: &str = "runtime cancelled: another fragment failed";
 
 /// A one-shot single-producer single-consumer hand-off; `default()` is
 /// the empty slot.
 #[derive(Default)]
 pub struct Exchange {
-    state: Mutex<State>,
-    settled: Condvar,
+    state: RefCell<State>,
 }
 
 #[derive(Default)]
 struct State {
     /// `Some` between `deliver` and `take`.
     output: Option<Arc<ColumnarBatch>>,
-    /// Set by `deliver` and by `cancel`: `take` has nothing to wait for.
+    /// Set by `deliver` and by `cancel`.
     settled: bool,
     arrival_ms: f64,
     stats: ExchangeStats,
 }
-
-/// [`Exchange::take`] found the edge torn down instead of an output.
-#[derive(Debug, PartialEq)]
-pub struct Cancelled;
 
 /// Observability counters for one exchange edge.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -50,18 +49,15 @@ pub struct ExchangeStats {
     pub batches: u64,
     /// Serialized bytes delivered.
     pub bytes: u64,
-    /// Consumer arrivals that had to wait for the producer (0 or 1).
-    pub recv_stalls: u64,
 }
 
 impl Exchange {
     /// Hand the producer's whole output to the consumer: `batches`
     /// deliveries totalling `bytes` on the wire, the last of which lands
-    /// at simulated time `arrival_ms`. Never blocks; a no-op once the
-    /// edge is cancelled, so a producer whose consumer died still runs to
-    /// its own verdict.
+    /// at simulated time `arrival_ms`. A no-op once the edge is
+    /// cancelled.
     pub fn deliver(&self, output: Arc<ColumnarBatch>, batches: u64, bytes: u64, arrival_ms: f64) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.borrow_mut();
         if st.settled {
             return;
         }
@@ -70,40 +66,40 @@ impl Exchange {
         st.arrival_ms = arrival_ms;
         st.stats.batches = batches;
         st.stats.bytes = bytes;
-        self.settled.notify_all();
     }
 
-    /// Abort the edge: drop an untaken output and wake the consumer for
-    /// good.
+    /// Abort the edge: drop an untaken output for good.
     pub fn cancel(&self) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.borrow_mut();
         st.output = None;
         st.settled = true;
-        self.settled.notify_all();
     }
 
-    /// The producer's output and its simulated arrival time, blocking
-    /// until it is delivered or the edge is cancelled.
-    pub fn take(&self) -> Result<(Arc<ColumnarBatch>, f64), Cancelled> {
-        let mut st = self.state.lock().unwrap();
+    /// The producer's output and its simulated arrival time. A cancelled
+    /// or already-taken edge fails with the propagated cancellation; an
+    /// edge whose producer has not run is an ordering bug, typed as
+    /// [`GeoError::Execution`].
+    pub fn take(&self) -> Result<(Arc<ColumnarBatch>, f64)> {
+        let mut st = self.state.borrow_mut();
         if !st.settled {
-            st.stats.recv_stalls += 1;
-        }
-        while !st.settled {
-            st = self.settled.wait(st).unwrap();
+            return Err(GeoError::Execution(
+                "exchange read before its producer ran: fragments must run producers first".into(),
+            ));
         }
         let arrival_ms = st.arrival_ms;
-        st.output.take().map(|p| (p, arrival_ms)).ok_or(Cancelled)
+        (st.output.take())
+            .map(|p| (p, arrival_ms))
+            .ok_or_else(|| GeoError::Execution(CANCELLED.into()))
     }
 
     /// The stream's simulated arrival time (valid after `deliver`).
     pub fn arrival_ms(&self) -> f64 {
-        self.state.lock().unwrap().arrival_ms
+        self.state.borrow().arrival_ms
     }
 
     /// Snapshot the counters.
     pub fn stats(&self) -> ExchangeStats {
-        self.state.lock().unwrap().stats
+        self.state.borrow().stats
     }
 }
 
@@ -114,6 +110,10 @@ mod tests {
 
     fn batch(n: i64) -> Arc<ColumnarBatch> {
         Arc::new(ColumnarBatch::from_rows(&[vec![Value::Int64(n)]], 1))
+    }
+
+    fn is_cancelled(r: Result<(Arc<ColumnarBatch>, f64)>) -> bool {
+        matches!(r, Err(GeoError::Execution(m)) if m == CANCELLED)
     }
 
     #[test]
@@ -127,34 +127,29 @@ mod tests {
         assert_eq!(arrival, 42.0);
         assert_eq!(ex.arrival_ms(), 42.0);
         let st = ex.stats();
-        assert_eq!((st.batches, st.bytes, st.recv_stalls), (2, 30, 0));
-        // The slot is one-shot: nothing is left, and nothing blocks.
-        assert_eq!(ex.take().unwrap_err(), Cancelled);
+        assert_eq!((st.batches, st.bytes), (2, 30));
+        // The slot is one-shot: nothing is left.
+        assert!(is_cancelled(ex.take()));
     }
 
     #[test]
-    fn cancel_wakes_a_blocked_take() {
+    fn take_before_deliver_is_a_typed_error_not_a_wait() {
         let ex = Exchange::default();
-        std::thread::scope(|s| {
-            let h = s.spawn(|| ex.take());
-            // `take` counts its stall under the lock before it waits, so
-            // once the counter reads 1 the cancel below cannot be the
-            // thing that let it through unblocked.
-            while ex.stats().recv_stalls == 0 {
-                std::thread::yield_now();
-            }
-            ex.cancel();
-            assert_eq!(h.join().unwrap().unwrap_err(), Cancelled);
-        });
+        let err = ex.take().unwrap_err();
+        assert_eq!(err.kind(), "execution");
+        assert!(!is_cancelled(Err(err)), "an ordering bug is not a teardown");
+        // The slot is still open for its producer.
+        ex.deliver(batch(1), 1, 10, 5.0);
+        assert!(ex.take().is_ok());
     }
 
     #[test]
     fn deliver_after_cancel_is_a_no_op() {
         let ex = Exchange::default();
         ex.cancel();
-        // Returns at once and leaves nothing behind.
+        // Leaves nothing behind.
         ex.deliver(batch(1), 1, 10, 5.0);
-        assert_eq!(ex.take().unwrap_err(), Cancelled);
+        assert!(is_cancelled(ex.take()));
         assert_eq!(ex.stats(), ExchangeStats::default());
         assert_eq!(ex.arrival_ms(), 0.0);
     }

@@ -5,19 +5,21 @@
 //! fragment containing the Ship node consumes the edge's output in place of
 //! interpreting the subtree. Because non-Ship operators are validated to be
 //! colocated with their inputs, each fragment is single-site by
-//! construction, so one worker thread per fragment is one worker per
-//! (site, fragment) pair.
+//! construction.
 //!
 //! Edges and scans are numbered in **pre-order**. Those indices are the
 //! runtime's determinism anchor: fault-plan steps are derived from them
-//! (never from thread arrival order), and per-edge shipping-trait audit
-//! sets are passed in the same order.
+//! (never from the order fragments run in), and per-edge shipping-trait
+//! audit sets are passed in the same order. The runtime runs producers
+//! in [`Cut::walk`] order — left-to-right post-order, every edge after
+//! the edges inside its producer subtree — and that order is the clock
+//! revocations are checked on.
 
 use geoqp_common::{GeoError, Location, Result};
 use geoqp_plan::{PhysOp, PhysicalPlan};
 use std::collections::HashMap;
 
-/// Address of a plan node, usable as a map key across worker threads.
+/// Address of a plan node, usable as a map key.
 pub fn node_key(p: &PhysicalPlan) -> usize {
     p as *const PhysicalPlan as usize
 }
@@ -26,6 +28,9 @@ pub fn node_key(p: &PhysicalPlan) -> usize {
 pub struct Edge<'p> {
     /// Pre-order index among the plan's Ship nodes.
     pub id: usize,
+    /// Position in [`Cut::walk`]: how many edges the runtime ships
+    /// before this one.
+    pub order: usize,
     /// The Ship node itself. `ship.inputs[0]` is the producer subtree.
     pub ship: &'p PhysicalPlan,
     /// Producer site.
@@ -48,6 +53,10 @@ impl Edge<'_> {
 pub struct Cut<'p> {
     /// Exchange edges in pre-order.
     pub edges: Vec<Edge<'p>>,
+    /// Edge ids in left-to-right post-order: the order the runtime runs
+    /// producers in, which is the order the SHIPs of a recursive
+    /// evaluation of the plan would complete in.
+    pub walk: Vec<usize>,
     /// Ship node address → edge id.
     pub edge_of: HashMap<usize, usize>,
     /// Scan node address → scan slot (pre-order among scans).
@@ -60,7 +69,7 @@ impl Cut<'_> {
     /// Width of the deterministic fault-step grid: one slot per exchange
     /// edge plus one per scan. Attempt `a` (1-based) of slot `s` consults
     /// the fault plan at step `(a-1)·n_slots + s`, so verdicts depend only
-    /// on the plan shape, never on thread interleaving.
+    /// on the plan shape, never on execution order.
     pub fn n_slots(&self) -> u64 {
         (self.edges.len() + self.scan_count).max(1) as u64
     }
@@ -72,12 +81,16 @@ impl Cut<'_> {
 pub fn cut(plan: &PhysicalPlan) -> Result<Cut<'_>> {
     let mut out = Cut {
         edges: Vec::new(),
+        walk: Vec::new(),
         edge_of: HashMap::new(),
         scan_slot: HashMap::new(),
         scan_count: 0,
     };
     let mut shared_ship = false;
     walk(plan, None, &mut out, &mut shared_ship);
+    for (order, &id) in out.walk.iter().enumerate() {
+        out.edges[id].order = order;
+    }
     if shared_ship {
         return Err(GeoError::Execution(
             "parallel runtime requires a tree-shaped plan: a Ship subtree is shared \
@@ -96,14 +109,17 @@ fn walk<'p>(
     out: &mut Cut<'p>,
     shared_ship: &mut bool,
 ) {
+    let mut ship = None;
     match &p.op {
         PhysOp::Ship => {
             let id = out.edges.len();
+            ship = Some(id);
             if out.edge_of.insert(node_key(p), id).is_some() {
                 *shared_ship = true;
             }
             out.edges.push(Edge {
                 id,
+                order: 0,
                 ship: p,
                 from: p.inputs[0].location.clone(),
                 to: p.location.clone(),
@@ -123,4 +139,5 @@ fn walk<'p>(
     for c in &p.inputs {
         walk(c, consumer, out, shared_ship);
     }
+    out.walk.extend(ship);
 }

@@ -1,40 +1,28 @@
 //! # geoqp-runtime
 //!
-//! The concurrent pipelined execution runtime.
-//!
-//! The sequential interpreter in `geoqp-exec` runs a located plan as one
-//! recursive evaluation: sites take turns, and every SHIP moves one
-//! monolithic batch. This crate executes the same plans the way a real
-//! geo-distributed engine would:
+//! The one execution runtime for located plans.
 //!
 //! * the plan is [cut](fragment::cut) into per-site **fragments** at SHIP
-//!   boundaries;
-//! * each fragment runs on its own worker thread
-//!   (`std::thread::scope`), so sites genuinely compute concurrently;
+//!   boundaries, and the fragments run on the caller's thread in
+//!   dependency order (every producer before its consumer);
 //! * SHIP becomes a **hand-off exchange**: the producer's output is
 //!   adjudicated as a stream of bounded batches and then handed to the
 //!   consumer whole, once ([`exchange::Exchange`]);
-//! * every batch is charged through the existing
-//!   [`NetworkTopology`](geoqp_net::NetworkTopology) cost model and
+//! * every batch is charged through the
+//!   [`NetworkTopology`](geoqp_net::NetworkTopology) cost model and the
 //!   [`FaultPlan`](geoqp_net::FaultPlan) at **deterministic** logical
-//!   steps, so results, bytes, and fault verdicts never depend on thread
-//!   scheduling;
-//! * the Definition-1 **runtime compliance audit** is enforced per batch:
-//!   no batch leaves a site for a destination outside the operator's
-//!   shipping trait `𝒮`;
-//! * a [`RuntimeMetrics`] report exposes per-site busy steps and per-edge
-//!   batches, bytes, arrival times and consumer waits.
+//!   steps of a per-plan slot grid, so results, bytes, and fault verdicts
+//!   are functions of the plan and the seed;
+//! * the Definition-1 **runtime compliance audit** is enforced per batch
+//!   when the caller supplies the shipping traits: no batch leaves a site
+//!   for a destination outside the operator's shipping trait `𝒮`;
+//! * simulated completion is the critical path over exchange arrivals,
+//!   and a [`RuntimeMetrics`] report exposes per-site busy steps and
+//!   per-edge batches, bytes and arrival times.
 //!
-//! Row results, total shipped bytes, and total network cost are identical
-//! to the sequential interpreter by construction; simulated *completion
-//! time* is the critical path instead of the sum, which is the speedup
-//! the benchmark reports as `runtime.overlap_speedup`.
-//!
-//! "By construction" is literal: [`ship`] holds the one SHIP adjudicator
-//! (fault verdicts, retries, hedging, breakers, churn, deadline, log,
-//! checkpoint capture) and the one leaf gate, and the sequential
-//! interpreter in `geoqp-core` calls the same code as a one-batch stream
-//! on a ticking clock.
+//! [`ship`] holds the one SHIP adjudicator (fault verdicts, retries,
+//! hedging, breakers, churn, deadline, log, checkpoint capture) and the
+//! one leaf gate.
 
 pub mod checkpoint;
 pub mod exchange;
@@ -47,12 +35,12 @@ pub mod ship;
 pub use checkpoint::{
     fingerprint, stitch, Checkpoint, CheckpointSpec, CheckpointStore, StitchOutcome,
 };
-pub use exchange::{Cancelled, Exchange, ExchangeStats};
+pub use exchange::{Exchange, ExchangeStats};
 pub use fragment::{cut, Cut, Edge};
 pub use metrics::{EdgeMetrics, RuntimeMetrics, SiteMetrics};
 pub use morsel::{MorselPool, PoolRunner};
 pub use runtime::{RunOutput, Runtime, RuntimeConfig};
-pub use ship::{BatchClock, ShipEdge, ShipEnv, ShipStream};
+pub use ship::{ShipEdge, ShipEnv, ShipStream};
 
 #[cfg(test)]
 mod tests {
@@ -68,8 +56,8 @@ mod tests {
         Location::new(n)
     }
 
-    /// A sequential ship handler equivalent to core's SimShip (no faults):
-    /// encode, charge, decode.
+    /// A whole-plan ship handler for the plain row interpreter (no
+    /// faults): encode, charge one monolithic transfer, decode.
     struct CountingShip<'a> {
         topology: &'a NetworkTopology,
         log: TransferLog,

@@ -1,4 +1,4 @@
-//! Observability for one parallel run.
+//! Observability for one run.
 
 use crate::exchange::ExchangeStats;
 use geoqp_common::Location;
@@ -32,29 +32,29 @@ pub struct EdgeMetrics {
     pub from: Location,
     /// Consumer site.
     pub to: Location,
-    /// Hand-off counters: batches, bytes, consumer waits.
+    /// Hand-off counters: batches and bytes.
     pub stats: ExchangeStats,
     /// Simulated time the stream's last byte arrived, ms.
     pub arrival_ms: f64,
 }
 
-/// The runtime's report for one parallel execution.
+/// The runtime's report for one execution.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RuntimeMetrics {
     /// Simulated completion time of the whole query: the root fragment's
-    /// critical path over exchange arrivals, ms. This is what pipelining
-    /// improves — independent edges overlap instead of queueing.
+    /// critical path over exchange arrivals, ms: independent edges
+    /// overlap instead of queueing.
     pub completion_ms: f64,
-    /// Total simulated network time across all batches, ms — identical to
-    /// the sequential interpreter's total shipping cost (one α per edge,
-    /// β per byte, header bytes charged once per stream).
+    /// Total simulated network time across all batches, ms — one α per
+    /// edge, β per byte, header bytes charged once per stream.
     pub network_ms: f64,
     /// Batches exchanged.
     pub batches: u64,
     /// Serialized bytes exchanged.
     pub bytes: u64,
-    /// Pipeline stalls: consumers that reached a fragment boundary
-    /// before their producer had delivered.
+    /// Always 0: every producer runs before its consumer, so no consumer
+    /// waits. Kept because the benchmark adapter reports it as
+    /// `runtime.stalls`.
     pub stalls: u64,
     /// Per-site breakdown.
     pub sites: BTreeMap<Location, SiteMetrics>,
@@ -63,7 +63,7 @@ pub struct RuntimeMetrics {
 }
 
 impl RuntimeMetrics {
-    /// Speedup of the pipelined critical path over paying every transfer
+    /// Speedup of the critical path over paying every transfer
     /// back to back (1.0 when there is nothing to overlap).
     pub fn overlap_speedup(&self) -> f64 {
         if self.completion_ms > 0.0 {
@@ -85,8 +85,8 @@ impl fmt::Display for RuntimeMetrics {
         )?;
         writeln!(
             f,
-            "exchanged {} batches / {} bytes, {} pipeline stalls",
-            self.batches, self.bytes, self.stalls
+            "exchanged {} batches / {} bytes",
+            self.batches, self.bytes
         )?;
         for (site, m) in &self.sites {
             writeln!(
@@ -101,15 +101,8 @@ impl fmt::Display for RuntimeMetrics {
         for e in &self.edges {
             writeln!(
                 f,
-                "edge #{} {} -> {}: {} batch(es), {} bytes, {} consumer wait(s), \
-                 arrival {:.3} ms",
-                e.edge,
-                e.from,
-                e.to,
-                e.stats.batches,
-                e.stats.bytes,
-                e.stats.recv_stalls,
-                e.arrival_ms
+                "edge #{} {} -> {}: {} batch(es), {} bytes, arrival {:.3} ms",
+                e.edge, e.from, e.to, e.stats.batches, e.stats.bytes, e.arrival_ms
             )?;
         }
         Ok(())

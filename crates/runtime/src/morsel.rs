@@ -3,18 +3,18 @@
 //!
 //! One [`MorselPool`] is created per site per run when
 //! [`RuntimeConfig::workers_per_site`](crate::RuntimeConfig) exceeds 1.
-//! Every fragment thread the runtime pins to that site dispatches its
-//! kernels' morsels into the pool, so a site's fragments share one set
-//! of CPU workers instead of each being capped at one thread.
+//! Every fragment the runtime runs at that site dispatches its kernels'
+//! morsels into the pool, so a site's fragments share one set of CPU
+//! workers instead of each being capped at the caller's thread.
 //!
 //! Scheduling is an atomic cursor per dispatch: a dispatch of `n` tasks
 //! opens one job on the pool's list of open jobs, and every thread
 //! working on that job claims the next unclaimed index with a
 //! `fetch_add` until the cursor passes `n` — so no index is ever parked
-//! behind a slow one. The dispatching fragment thread is itself a
-//! worker for the duration of the dispatch (it drains its own job, then
-//! blocks until the indices claimed by other workers finish), so
-//! `workers_per_site` counts the fragment thread plus
+//! behind a slow one. The dispatching thread is itself a worker for the
+//! duration of the dispatch (it drains its own job, then blocks until
+//! the indices claimed by other workers finish), so `workers_per_site`
+//! counts the dispatching thread plus
 //! `workers_per_site - 1` pool threads — and task execution can never
 //! deadlock on pool capacity.
 //!
@@ -119,7 +119,7 @@ impl MorselPool {
     }
 
     /// Run `task(t)` for every `t in 0..n_tasks`, blocking until all
-    /// have completed. Reentrant across fragment threads: concurrent
+    /// have completed. Reentrant across dispatching threads: concurrent
     /// dispatches are open side by side and idle workers help whichever
     /// still has unclaimed tasks.
     pub fn dispatch(&self, n_tasks: usize, task: &(dyn Fn(usize) + Sync)) {

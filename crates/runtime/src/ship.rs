@@ -2,12 +2,10 @@
 //!
 //! The paper has a single cross-site primitive — SHIP, legal iff the
 //! destination lies in the producer's shipping trait `𝒮ₙ` — and this
-//! module is its single implementation. Both executors call it: the
-//! pipelined [`Runtime`](crate::Runtime) once per exchange batch, and the
-//! sequential interpreter's SHIP handler (`geoqp-core`'s `SimShip`) as a
-//! **one-batch stream on a ticking clock**. The same holds for the leaf
-//! gate ([`ShipEnv::leaf_gate`], [`ShipEnv::resume`]) in front of scans
-//! and `ResumeScan` reads.
+//! module is its single implementation: the [`Runtime`](crate::Runtime)
+//! opens one [`ShipStream`] per exchange edge and adjudicates its output
+//! batch by batch, and gates every scan and `ResumeScan` read through
+//! [`ShipEnv::leaf_gate`] and [`ShipEnv::resume`].
 //!
 //! Per batch, [`ShipStream::ship_batch`] runs one fixed sequence: cancel
 //! poll → stale-origin and revocation check → Definition-1 audit →
@@ -16,20 +14,15 @@
 //! delivered backup → deadline → delivery record. [`ShipStream::finish`]
 //! then retains the drained edge in the checkpoint store.
 //!
-//! Nothing in here knows which executor is calling. What differs between
-//! them is data: [`ShipEdge`] plus the three clocks of [`ShipEnv::open`]:
-//!
-//! | input | pipelined runtime | sequential interpreter |
-//! |---|---|---|
-//! | `step_of` | grid `(attempt-1)·n_slots + slot`, schedule-free | the shared `FaultPlan::tick` clock |
-//! | `lane` | the edge's pre-order slot | `0`: ticks are globally ordered already |
-//! | churn clock | `batch·n_slots + slot` | the edge's execution index |
-//! | `route_cost` | marginal `β·b` (headers amortize over the stream) | full `α + β·b` (nothing to amortize) |
-//! | `clock` | critical path: producer ready + race winners | the transfer log's running sum |
-//!
-//! The per-batch fault coin, the once-per-stream `α` header, and the
-//! open-route marginal pricing of backup legs need no input: for a
-//! one-batch stream they degenerate to coin `0` and the full `α + β·b`.
+//! The clocks are the adjudicator's own. Attempt `a` of slot `s` on a
+//! grid of `n_slots` consults the fault plan at step `(a-1)·n_slots + s`,
+//! a function of the edge's place in the plan; every batch of the edge
+//! the runtime ships `p`-th re-checks revocations at churn step `p`, so a
+//! revocation released at step `p` finds the `p` edges shipped before it
+//! drained and checkpointed; a stream pays its link's `α` once, so a
+//! hedge route is chosen on marginal `β·b` leg prices; and the deadline
+//! reads the stream's critical path — producer ready time plus every
+//! batch's race winner.
 
 use crate::checkpoint::{CheckpointSpec, CheckpointStore};
 use geoqp_common::{
@@ -74,8 +67,8 @@ impl<'a> ShipEnv<'a> {
     }
 
     /// Attach a fault plan and retry policy: every transfer and leaf
-    /// attempt consults the plan at a caller-chosen logical step; drops
-    /// are retried with simulated backoff charged to the transfer.
+    /// attempt consults the plan at its step of the slot grid; drops are
+    /// retried with simulated backoff charged to the transfer.
     pub fn with_faults(mut self, faults: &'a FaultPlan, retry: RetryPolicy) -> ShipEnv<'a> {
         self.faults = Some(faults);
         self.retry = retry;
@@ -122,16 +115,17 @@ impl<'a> ShipEnv<'a> {
         &self.control
     }
 
-    /// Gate a leaf read (scan or `ResumeScan`) on its site's crash
-    /// windows, one fault-clock step per attempt under the retry policy.
-    /// A bounded crash window counts as transient, so a retry can outlast
-    /// it. Returns the attempts taken and the simulated backoff spent.
+    /// Gate a leaf read (scan or `ResumeScan`) at `slot` of an
+    /// `n_slots`-wide grid on its site's crash windows: attempt `a` under
+    /// the retry policy consults step `(a-1)·n_slots + slot`. A bounded
+    /// crash window counts as transient, so a retry can outlast it.
+    /// Returns the attempts taken and the simulated backoff spent.
     pub fn leaf_gate(
         &self,
         site: &Location,
         what: &str,
-        salt: u64,
-        step_of: impl Fn(&FaultPlan, u32) -> u64,
+        slot: u64,
+        n_slots: u64,
     ) -> Result<Retried<()>> {
         let Some(faults) = self.faults else {
             return Ok(Retried {
@@ -140,8 +134,8 @@ impl<'a> ShipEnv<'a> {
                 backoff_ms: 0.0,
             });
         };
-        self.retry.run_salted(salt, |attempt| {
-            let step = step_of(faults, attempt);
+        self.retry.run_salted(slot, |attempt| {
+            let step = grid_step(attempt, slot, n_slots);
             match faults.site_down_until(site, step) {
                 None => Ok(()),
                 Some(end) => Err(GeoError::SiteUnavailable(Unavailable {
@@ -174,35 +168,13 @@ impl<'a> ShipEnv<'a> {
         Ok(cp.batch)
     }
 
-    /// Open the stream of one SHIP edge under the caller's three clocks:
-    ///
-    /// * `step_of` — the fault-clock step of the primary's `attempt`
-    ///   (1-based);
-    /// * `route_cost` — the fault-free price of `bytes` over one leg, for
-    ///   choosing a hedge route against the degraded direct link;
-    /// * `clock` — the caller's simulated elapsed time once a batch
-    ///   lands, checked against the deadline before the delivery is
-    ///   committed.
-    pub fn open<'s, S, R, K>(
-        &'s self,
-        edge: ShipEdge<'s>,
-        step_of: S,
-        route_cost: R,
-        clock: K,
-    ) -> ShipStream<'s, S, R, K>
-    where
-        S: Fn(&FaultPlan, u32) -> u64,
-        R: Fn(&Link, f64) -> f64,
-        K: Fn(&BatchClock<'_>) -> f64,
-    {
+    /// Open the stream of one SHIP edge.
+    pub fn open<'s>(&'s self, edge: ShipEdge<'s>) -> ShipStream<'s> {
         ShipStream {
             env: self,
             link: self.topology.link(edge.from, edge.to),
             arrival_ms: edge.ready_ms,
             edge,
-            step_of,
-            route_cost,
-            clock,
             batches: 0,
             attempts: 0,
             opened_legs: BTreeSet::new(),
@@ -210,9 +182,14 @@ impl<'a> ShipEnv<'a> {
     }
 }
 
-/// One SHIP edge as its executor describes it — with the three clocks of
-/// [`ShipEnv::open`], everything that differs between the callers (see
-/// the module table).
+/// The fault-clock step of `attempt` (1-based) at `slot` of an
+/// `n_slots`-wide grid: every attempt of every slot has its own step, so
+/// a verdict depends on the plan's shape, never on execution order.
+fn grid_step(attempt: u32, slot: u64, n_slots: u64) -> u64 {
+    (attempt as u64 - 1) * n_slots + slot
+}
+
+/// One SHIP edge as the runtime cut it from the plan.
 pub struct ShipEdge<'a> {
     /// Producer site.
     pub from: &'a Location,
@@ -222,40 +199,25 @@ pub struct ShipEdge<'a> {
     /// audit set for every batch and the only sites a hedged relay may
     /// route through. `None` runs unaudited (and never relays).
     pub legal: Option<&'a LocationSet>,
-    /// Health lane and retry-jitter salt of this edge.
-    pub lane: u64,
-    /// Churn clock: batch `i` re-checks revocations at step
-    /// `i · churn_stride + churn_slot`.
-    pub churn_slot: u64,
-    /// See `churn_slot`.
-    pub churn_stride: u64,
+    /// The edge's slot on the fault-step grid: its fault steps, churn
+    /// steps, health lane and retry-jitter salt.
+    pub slot: u64,
+    /// Width of the grid (see [`ShipEnv::leaf_gate`]).
+    pub n_slots: u64,
+    /// How many edges the runtime shipped before this one: the churn
+    /// step every batch of the edge re-checks revocations at.
+    pub order: u64,
     /// Simulated ms at which the producer's output was ready — where the
     /// stream's arrival clock starts.
     pub ready_ms: f64,
 }
 
-/// What a caller's deadline clock may read: its own transfer log with
-/// every backup leg of the batch already charged, the primary's cost
-/// (`0` when a backup rescued it), and the stream's critical-path arrival
-/// including this batch's race winner.
-pub struct BatchClock<'l> {
-    /// The log the batch is being recorded into.
-    pub log: &'l TransferLog,
-    /// Cost of the primary delivery about to be recorded, ms.
-    pub primary_ms: f64,
-    /// Producer ready time plus every race winner so far, ms.
-    pub arrival_ms: f64,
-}
-
 /// The in-flight state of one SHIP edge's stream.
-pub struct ShipStream<'s, S, R, K> {
+pub struct ShipStream<'s> {
     env: &'s ShipEnv<'s>,
     edge: ShipEdge<'s>,
     /// The direct link's cost parameters.
     link: Link,
-    step_of: S,
-    route_cost: R,
-    clock: K,
     batches: u64,
     attempts: u64,
     arrival_ms: f64,
@@ -267,12 +229,7 @@ pub struct ShipStream<'s, S, R, K> {
     opened_legs: BTreeSet<(Location, Location)>,
 }
 
-impl<S, R, K> ShipStream<'_, S, R, K>
-where
-    S: Fn(&FaultPlan, u32) -> u64,
-    R: Fn(&Link, f64) -> f64,
-    K: Fn(&BatchClock<'_>) -> f64,
-{
+impl ShipStream<'_> {
     /// When the last adjudicated batch reaches the consumer, simulated ms.
     pub fn arrival_ms(&self) -> f64 {
         self.arrival_ms
@@ -289,11 +246,12 @@ where
     /// consumer site; the caller then hands over the payload.
     pub fn ship_batch(&mut self, bytes: u64, rows: u64, log: &mut TransferLog) -> Result<()> {
         let env = self.env;
-        let (from, to, legal, lane) = (
+        let (from, to, legal, lane, n_slots) = (
             self.edge.from,
             self.edge.to,
             self.edge.legal,
-            self.edge.lane,
+            self.edge.slot,
+            self.edge.n_slots,
         );
         let i = self.batches;
         self.batches += 1;
@@ -312,11 +270,10 @@ where
                 }
             }
             // Per-batch epoch re-check: revocations push to in-flight
-            // queries at batch granularity, on the caller's deterministic
-            // churn clock. A newer revocation aborts the attempt before
-            // this batch leaves; the failover loop re-pins, re-plans, and
-            // restitches.
-            let churn_step = i * self.edge.churn_stride + self.edge.churn_slot;
+            // queries at batch granularity, on the walk's churn clock. A
+            // newer revocation aborts the attempt before this batch
+            // leaves; the failover loop re-pins, re-plans, and restitches.
+            let churn_step = self.edge.order;
             if let Some(head) = watch.signal.revoked_since(watch.pin.seq, churn_step) {
                 return Err(GeoError::policy_churn(
                     head.seq,
@@ -368,9 +325,14 @@ where
             }
             if health.should_hedge(from, to, lane) {
                 let ratio = health.state(from, to, lane).ewma_ratio;
+                // Steady-state route choice: a stream pays each link's α
+                // header once, so the relay decision compares marginal
+                // (β-only) leg costs against the degraded primary's cost.
+                // The race itself still charges the full header on a
+                // route's first use, so it stays honest.
                 let via = legal.and_then(|legal| {
                     plan_hedge_with(
-                        |a, b| (self.route_cost)(&env.topology.link(a, b), bytes as f64),
+                        |a, b| env.topology.link(a, b).beta_ms_per_byte * bytes as f64,
                         from,
                         to,
                         legal,
@@ -381,12 +343,11 @@ where
             }
         }
 
-        // The step clock is the caller's. Where it repeats per batch (the
-        // pipelined grid), window-scheduled faults hit the whole stream
-        // uniformly and probabilistic faults draw from a per-batch coin
-        // instead: a loss burst drops *individual* batches, not a lane's
-        // every batch or none. Batch 0 keeps coin 0, the classic
-        // single-transfer flip.
+        // The grid step repeats per batch, so window-scheduled faults hit
+        // the whole stream uniformly and probabilistic faults draw from a
+        // per-batch coin instead: a loss burst drops *individual*
+        // batches, not a lane's every batch or none. Batch 0 keeps coin
+        // 0, the classic single-transfer flip.
         let coin = i.wrapping_mul(0xA076_1D64_78BD_642F);
         let mut last_step = 0u64;
         let primary = match env.faults {
@@ -396,7 +357,7 @@ where
             Some(faults) => env
                 .retry
                 .run_salted(lane, |attempt| {
-                    let step = (self.step_of)(faults, attempt);
+                    let step = grid_step(attempt, lane, n_slots);
                     last_step = step;
                     let surcharge = match faults.check_transfer_salted(from, to, step, coin) {
                         FaultVerdict::Deliver { extra_delay_ms } => extra_delay_ms,
@@ -531,14 +492,9 @@ where
         let cost_ms = base_ms + extra_ms;
         // Simulated-clock deadline, per batch: a batch that would land
         // past the budget is never committed. The elapsed time is the
-        // caller's clock, a pure function of the plan and the fault
-        // schedule either way, so the verdict is deterministic.
-        let elapsed_ms = (self.clock)(&BatchClock {
-            log,
-            primary_ms: if attempts > 0 { cost_ms } else { 0.0 },
-            arrival_ms: self.arrival_ms,
-        });
-        env.control.check_deadline(elapsed_ms, &what)?;
+        // stream's critical path, a pure function of the plan and the
+        // fault schedule, so the verdict is deterministic.
+        env.control.check_deadline(self.arrival_ms, &what)?;
         if attempts > 0 {
             log.push(TransferRecord {
                 step,

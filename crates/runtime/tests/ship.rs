@@ -1,7 +1,6 @@
 //! The SHIP adjudicator on its own: one table of single-batch cases over
 //! every verdict it can reach, plus the stream-level and leaf-level
-//! behaviour both executors rely on. Before these, the adjudicator was
-//! only exercised through two whole runtimes.
+//! behaviour the runtime relies on.
 
 use geoqp_common::{
     CatalogPin, ChurnEvent, ChurnSignal, ChurnWatch, ColumnarBatch, GeoError, Location,
@@ -17,7 +16,8 @@ use geoqp_runtime::{CheckpointSpec, CheckpointStore, ShipEdge, ShipEnv};
 use std::sync::Arc;
 
 const BYTES: u64 = 10_000;
-/// The primary's first attempt; lanes are primed at steps below it.
+/// The edge's slot on a one-slot grid, so attempt `a` consults step
+/// `STEP0 + a - 1`; its lane is primed at steps below it.
 const STEP0: u64 = 100;
 
 fn loc(n: &str) -> Location {
@@ -352,7 +352,7 @@ fn cases() -> Vec<Case> {
             check: |r, _, _| {
                 let e = r.as_ref().unwrap_err();
                 assert_eq!(e.churn_head(), Some((4, 0xdef)));
-                assert_eq!(e.churn_step(), Some(0));
+                assert_eq!(e.churn_step(), Some(0), "the edge's place in the walk");
             },
             ..Case::new(
                 "a revocation newer than the pin aborts before the batch leaves",
@@ -377,10 +377,10 @@ fn single_batch_verdicts() {
         match case.prime {
             Prime::Healthy => {}
             Prime::Slow(ratio) => {
-                health.observe_delivery(&from, &to, 0, 0, 1.0, ratio);
-                health.observe_delivery(&from, &to, 0, 1, 1.0, ratio);
+                health.observe_delivery(&from, &to, STEP0, 0, 1.0, ratio);
+                health.observe_delivery(&from, &to, STEP0, 1, 1.0, ratio);
             }
-            Prime::Tripped => (0..3).for_each(|s| health.observe_failure(&from, &to, 0, s)),
+            Prime::Tripped => (0..3).for_each(|s| health.observe_failure(&from, &to, STEP0, s)),
         }
         let mut env = ShipEnv::new(&topology).with_control(RunControl {
             deadline: case.deadline_ms.map(QueryDeadline::new),
@@ -402,20 +402,15 @@ fn single_batch_verdicts() {
             env = env.with_churn(watch.clone());
         }
         let mut log = TransferLog::new();
-        let mut stream = env.open(
-            ShipEdge {
-                from: &from,
-                to: &to,
-                legal: case.legal.as_ref(),
-                lane: 0,
-                churn_slot: 0,
-                churn_stride: 1,
-                ready_ms: 0.0,
-            },
-            |_, attempt| STEP0 + attempt as u64 - 1,
-            |link, bytes| link.beta_ms_per_byte * bytes,
-            |batch| batch.arrival_ms,
-        );
+        let mut stream = env.open(ShipEdge {
+            from: &from,
+            to: &to,
+            legal: case.legal.as_ref(),
+            slot: STEP0,
+            n_slots: 1,
+            order: 0,
+            ready_ms: 0.0,
+        });
         let verdict = stream.ship_batch(BYTES, 7, &mut log);
         let name = case.name;
         match (&case.expect, &verdict) {
@@ -458,94 +453,100 @@ fn single_batch_verdicts() {
     }
 }
 
-/// A stream pays its link's `α` once, draws a fresh fault coin per batch,
-/// and re-checks revocations on the caller's churn clock.
+/// A stream pays its link's `α` once, and re-checks revocations before
+/// every batch at its place in the runtime's walk: a revocation released
+/// for a later edge passes it, one published mid-stream stops the next
+/// batch.
 #[test]
 fn streams_amortize_the_header_and_recheck_churn_per_batch() {
     let topology = wan();
     let (from, to) = (loc("L1"), loc("L4"));
     let link = topology.link(&from, &to);
-    let revoke_at_2 = watch(
+    let revoke_at_3 = watch(
         vec![ChurnEvent {
-            step: 2 * 5 + 3,
+            step: 3,
             seq: 1,
             epoch: 9,
             revocation: true,
         }],
         None,
     );
-    let env = ShipEnv::new(&topology).with_churn(revoke_at_2);
+    let env = ShipEnv::new(&topology).with_churn(revoke_at_3.clone());
+    let edge = |order: u64| ShipEdge {
+        from: &from,
+        to: &to,
+        legal: None,
+        slot: 3,
+        n_slots: 5,
+        order,
+        ready_ms: 50.0,
+    };
     let mut log = TransferLog::new();
-    let mut stream = env.open(
-        ShipEdge {
-            from: &from,
-            to: &to,
-            legal: None,
-            lane: 3,
-            churn_slot: 3,
-            churn_stride: 5,
-            ready_ms: 50.0,
-        },
-        |_, attempt| attempt as u64,
-        |link, bytes| link.beta_ms_per_byte * bytes,
-        |batch| batch.arrival_ms,
-    );
+    let mut stream = env.open(edge(2));
     stream.ship_batch(BYTES, 1, &mut log).unwrap();
     stream.ship_batch(BYTES, 1, &mut log).unwrap();
     let wire = link.beta_ms_per_byte * BYTES as f64;
     assert_eq!(log.records()[0].cost_ms, link.alpha_ms + wire);
     assert_eq!(log.records()[1].cost_ms, wire, "α is paid once per stream");
     assert_eq!(stream.arrival_ms(), 50.0 + link.alpha_ms + wire + wire);
+    revoke_at_3.signal.publish(2, 10, true);
     let abort = stream.ship_batch(BYTES, 1, &mut log).unwrap_err();
-    assert_eq!(
-        abort.churn_step(),
-        Some(13),
-        "batch 2 on slot 3 of a 5-slot grid"
-    );
+    assert_eq!(abort.churn_head(), Some((2, 10)));
+    assert_eq!(abort.churn_step(), Some(2), "the edge shipped third");
     assert_eq!(log.transfer_count(), 2);
+
+    let planned = ShipEnv::new(&topology).with_churn(watch(
+        vec![ChurnEvent {
+            step: 3,
+            seq: 1,
+            epoch: 9,
+            revocation: true,
+        }],
+        None,
+    ));
+    let abort = planned.open(edge(3)).ship_batch(BYTES, 1, &mut log);
+    assert_eq!(abort.unwrap_err().churn_step(), Some(3));
+    assert_eq!(log.transfer_count(), 2, "the fourth edge ships nothing");
 }
 
-/// The deadline reads whichever clock the caller supplies: the same
-/// batch trips under a running-sum clock that has already spent its
-/// budget and passes under a critical-path clock that has not.
+/// The deadline reads the stream's critical path — producer ready time
+/// plus every delivered batch — not the transfer log: cost already spent
+/// by other edges does not count against this one, and a late producer
+/// does.
 #[test]
-fn the_deadline_clock_is_the_callers() {
+fn the_deadline_reads_the_streams_critical_path() {
     let topology = wan();
     let (from, to) = (loc("L1"), loc("L4"));
     let env = ShipEnv::new(&topology).with_control(RunControl {
         deadline: Some(QueryDeadline::new(2.0 * base_ms())),
         ..RunControl::unlimited()
     });
-    let edge = || ShipEdge {
+    let edge = |ready_ms: f64| ShipEdge {
         from: &from,
         to: &to,
         legal: None,
-        lane: 0,
-        churn_slot: 0,
-        churn_stride: 0,
-        ready_ms: 0.0,
+        slot: 0,
+        n_slots: 1,
+        order: 0,
+        ready_ms,
     };
     let mut log = TransferLog::new();
     log.record(&topology, &from, &to, 2 * BYTES, 1);
     let spent = log.total_cost_ms();
-    let route = |link: &geoqp_net::topology::Link, bytes: f64| link.beta_ms_per_byte * bytes;
-    let sum = env
-        .open(
-            edge(),
-            |_, _| 0,
-            route,
-            |b| b.log.total_cost_ms() + b.primary_ms,
-        )
+    assert!(
+        spent + base_ms() > 2.0 * base_ms(),
+        "a running sum would trip"
+    );
+    env.open(edge(0.0)).ship_batch(BYTES, 1, &mut log).unwrap();
+    let late = env
+        .open(edge(1.5 * base_ms()))
         .ship_batch(BYTES, 1, &mut log);
-    assert_eq!(sum.unwrap_err().kind(), "deadline");
+    assert_eq!(late.unwrap_err().kind(), "deadline");
     assert_eq!(
         log.total_cost_ms(),
-        spent,
+        spent + base_ms(),
         "the tripped batch was not committed"
     );
-    env.open(edge(), |_, _| 0, route, |b| b.arrival_ms)
-        .ship_batch(BYTES, 1, &mut log)
-        .unwrap();
 }
 
 fn spec(legal: LocationSet) -> CheckpointSpec {
@@ -570,9 +571,9 @@ fn drained_edge<'a>(from: &'a Location, to: &'a Location) -> ShipEdge<'a> {
         from,
         to,
         legal: None,
-        lane: 0,
-        churn_slot: 0,
-        churn_stride: 0,
+        slot: 0,
+        n_slots: 1,
+        order: 0,
         ready_ms: 0.0,
     }
 }
@@ -585,13 +586,11 @@ fn a_drained_edge_is_retained_at_both_endpoints_or_refused_typed() {
 
     // No store: nothing retained, spec or not.
     let bare = ShipEnv::new(&topology);
-    bare.open(edge(), |_, _| 0, |_, _| 0.0, |_| 0.0)
-        .finish(None)
-        .unwrap();
+    bare.open(edge()).finish(None).unwrap();
 
     let store = CheckpointStore::new();
     let env = ShipEnv::new(&topology).with_checkpoints(&store);
-    env.open(edge(), |_, _| 0, |_, _| 0.0, |_| 0.0)
+    env.open(edge())
         .finish(Some((&spec(endpoints()), delivered())))
         .unwrap();
     assert_eq!(store.len(), 2);
@@ -604,15 +603,12 @@ fn a_drained_edge_is_retained_at_both_endpoints_or_refused_typed() {
 
     // A home outside the producer's 𝒮ₙ is refused, never silently kept.
     let illegal = env
-        .open(edge(), |_, _| 0, |_, _| 0.0, |_| 0.0)
+        .open(edge())
         .finish(Some((&spec(LocationSet::from_iter(["L4"])), delivered())))
         .unwrap_err();
     assert_eq!(illegal.kind(), "non-compliant");
     // More edges than specs is a typed error, not a skipped checkpoint.
-    let underflow = env
-        .open(edge(), |_, _| 0, |_, _| 0.0, |_| 0.0)
-        .finish(None)
-        .unwrap_err();
+    let underflow = env.open(edge()).finish(None).unwrap_err();
     assert_eq!(underflow.kind(), "execution");
 }
 
@@ -625,7 +621,7 @@ fn resume_returns_the_batch_finish_retained_at_both_homes() {
     let store = CheckpointStore::new();
     let env = ShipEnv::new(&topology).with_checkpoints(&store);
     let batch = delivered();
-    env.open(drained_edge(&from, &to), |_, _| 0, |_, _| 0.0, |_| 0.0)
+    env.open(drained_edge(&from, &to))
         .finish(Some((&spec(endpoints()), Arc::clone(&batch))))
         .unwrap();
     for home in [&from, &to] {
@@ -637,33 +633,28 @@ fn resume_returns_the_batch_finish_retained_at_both_homes() {
 fn the_leaf_gate_outlasts_bounded_outages_and_surfaces_permanent_ones() {
     let topology = wan();
     let site = loc("L2");
-    // No fault plan: one attempt, no clock consulted.
+    // No fault plan: one attempt.
     let free = ShipEnv::new(&topology)
-        .leaf_gate(&site, "scan of t", 0, |_, _| {
-            panic!("no clock without faults")
-        })
+        .leaf_gate(&site, "scan of t", 0, 1)
         .unwrap();
     assert_eq!((free.attempts, free.backoff_ms), (1, 0.0));
 
-    let blip = FaultPlan::new(1).with_crash("L2", StepWindow::new(0, 2));
+    // Attempt `a` of slot 1 on a 2-slot grid consults step 2(a-1)+1:
+    // steps 1 and 3 fall in the outage, step 5 does not.
+    let blip = FaultPlan::new(1).with_crash("L2", StepWindow::new(0, 4));
     let env = ShipEnv::new(&topology).with_faults(&blip, RetryPolicy::default());
-    // A ticking clock and a grid clock see the same two-step outage.
-    let ticking = env
-        .leaf_gate(&site, "scan of t", 0, |f, _| f.tick())
-        .unwrap();
-    let grid = env
-        .leaf_gate(&site, "scan of t", 0, |_, attempt| attempt as u64 - 1)
-        .unwrap();
-    assert_eq!((ticking.attempts, ticking.backoff_ms), (3, 30.0));
-    assert_eq!(ticking, grid);
-    assert_eq!(blip.step(), 3, "one tick per attempt");
+    let gated = env.leaf_gate(&site, "scan of t", 1, 2).unwrap();
+    assert_eq!((gated.attempts, gated.backoff_ms), (3, 30.0));
+    // The same outage seen by slot 0 of a 1-slot grid: steps 0..3 are
+    // down, so the retry budget runs out.
+    let err = env.leaf_gate(&site, "scan of t", 0, 1).unwrap_err();
+    assert!(err.is_transient());
 
     let dead = FaultPlan::new(1).with_crash("L2", StepWindow::ALWAYS);
     let err = ShipEnv::new(&topology)
         .with_faults(&dead, RetryPolicy::default())
-        .leaf_gate(&site, "resume of checkpoint 00", 0, |f, _| f.tick())
+        .leaf_gate(&site, "resume of checkpoint 00", 0, 1)
         .unwrap_err();
     assert!(!err.is_transient());
     assert_eq!(err.failed_site(), Some(&site));
-    assert_eq!(dead.step(), 1, "a permanent crash is not retried");
 }

@@ -116,8 +116,7 @@ pub struct QueryRequest {
     /// Cooperative abort flag, polled while queued and at batch
     /// granularity while executing.
     pub cancel: Option<CancelToken>,
-    /// Deterministic fault schedule to execute under (cloned per job so
-    /// the step clock is private to this query).
+    /// Deterministic fault schedule to execute under.
     pub faults: Option<FaultPlan>,
 }
 
@@ -838,23 +837,15 @@ fn run_job(
     // the engine is data.
     let needs_resilient =
         request.faults.is_some() || request.deadline.is_some() || request.cancel.is_some();
-    let faults = needs_resilient.then(|| match &request.faults {
-        Some(plan) => {
-            // Job-local clone: the fault step clock must start at 0
-            // for every query, not wherever the previous run left it.
-            let plan = plan.clone();
-            plan.reset_clock();
-            plan
-        }
-        None => FaultPlan::new(0),
-    });
+    let no_faults = FaultPlan::new(0);
+    let faults = needs_resilient.then(|| request.faults.as_ref().unwrap_or(&no_faults));
     let retry = RetryPolicy::default();
     let opts = ExecOptions {
         runtime: RuntimeConfig {
             columnar: shared.columnar,
             ..RuntimeConfig::default()
         },
-        ..match &faults {
+        ..match faults {
             Some(faults) => ExecOptions {
                 deadline: request.deadline,
                 cancel: request.cancel.clone(),

@@ -935,3 +935,47 @@ fn identical_policy_tenants_still_get_separate_plan_cache_entries() {
     assert!(run(b).cached);
     assert_eq!(svc.cache_stats().len, 2, "one entry per tenant");
 }
+
+/// Two queries that differ only in a literal's type — `1` against `1.0` —
+/// are two plans: each reply is what a fresh optimize → run of its own
+/// text gives, down to the type of every output value, whichever of the
+/// two the cache saw first.
+#[test]
+fn literals_of_different_types_never_share_a_cached_plan() {
+    const INT: &str = "SELECT u_name, u_id + 1 AS k FROM users WHERE u_id > 1";
+    const FLOAT: &str = "SELECT u_name, u_id + 1.0 AS k FROM users WHERE u_id > 1";
+    let typed = |rows: &geoqp_common::Rows| -> Vec<String> {
+        rows.iter().map(|r| format!("{r:?}")).collect()
+    };
+    let catalog = tiny_catalog();
+    let mut answers = std::collections::HashMap::new();
+    for order in [[INT, FLOAT], [FLOAT, INT]] {
+        let svc = service(1, 16);
+        let tenant = svc.add_tenant(
+            "open",
+            catalog.clone(),
+            permissive_policies(&catalog),
+            tiny_topology(),
+            TenantConfig::default(),
+        );
+        for sql in order.into_iter().chain(order) {
+            let reply = svc.submit(tenant, QueryRequest::new(sql)).unwrap().wait();
+            let reply = reply.unwrap();
+            let engine = svc.tenant_engine(tenant).unwrap();
+            let fresh = engine
+                .optimize_sql(sql, OptimizerMode::Compliant, None)
+                .unwrap();
+            let run = engine.run(&fresh, &ExecOptions::default()).unwrap();
+            assert_eq!(typed(&reply.rows), typed(&run.rows), "{sql}");
+            answers.insert(sql, typed(&reply.rows));
+            assert_eq!(reply.transfers, run.transfers, "{sql}");
+            assert_eq!(reply.result_location, fresh.result_location, "{sql}");
+        }
+        let cs = svc.cache_stats();
+        assert_eq!((cs.hits, cs.misses), (2, 2), "{order:?}: one entry each");
+    }
+    assert_ne!(
+        answers[INT], answers[FLOAT],
+        "the two literals type k apart"
+    );
+}

@@ -90,6 +90,17 @@ if grep -rnE 'predicate_fingerprint|pin_epoch|pinned_epoch|reset_counters' crate
     exit 1
 fi
 
+echo "==> one runtime: every located plan runs on the fragment runtime, walked" \
+     "on the caller's thread, so no sequential interpreter, ticking fault" \
+     "clock or runtime switch is back, and the runtime neither spawns a" \
+     "thread per fragment nor waits for a producer"
+if grep -rnE 'SimShip|fn tick|reset_clock|exec_ship_order|pub pipelined' crates/*/src ||
+    grep -nE 'thread::scope|Condvar' crates/runtime/src/runtime.rs crates/runtime/src/exchange.rs; then
+    echo "a second executor, a ticking fault clock, a runtime switch or a" \
+        "threaded fragment walk is back: a located plan has one runtime" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check (geoqp crates)"
 cargo fmt --check "${pkg_flags[@]}"
 
@@ -142,7 +153,7 @@ echo "==> benchmark adapter contract: no step above may have touched" \
 test -z "$(git status --porcelain benchmark BENCHMARK.json)"
 
 echo "==> columnar differential suite: row vs vectorized engines," \
-     "both runtimes, all fault schedules (release)"
+     "all fault schedules (release)"
 cargo test -q -p geoqp-bench --release --test columnar_differential
 
 echo "==> morsel differential suite: 1 vs 2 vs 4 workers per site," \
@@ -151,10 +162,14 @@ echo "==> morsel differential suite: 1 vs 2 vs 4 workers per site," \
 cargo test -q -p geoqp-bench --release --test morsel_differential
 
 echo "==> ad-hoc workload differential fuzz: generated queries," \
-     "row vs columnar x sequential vs parallel, plus a fault slice" \
+     "row vs columnar, plus a fault slice" \
      "(GEOQP_ADHOC_N=${GEOQP_ADHOC_N:-200} queries, release)"
 GEOQP_ADHOC_N="${GEOQP_ADHOC_N:-200}" \
     cargo test -q -p geoqp-bench --release --test adhoc_differential
+
+echo "==> optimizer search-volume counters in a release build: the same" \
+     "committed numbers as the debug run above (release)"
+cargo test -q -p geoqp-bench --release --test adhoc_counters
 
 echo "==> generated data digests + resident bytes: every table, through" \
      "generate and through populate, is the recorded data, and a populated" \

@@ -1,9 +1,9 @@
 //! Fixed-seed chaos soak: randomized crash/partition schedules with
-//! query deadlines, driven through the concurrent pipelined runtime.
+//! query deadlines, driven through the runtime.
 //!
 //! Every schedule is a pure function of the soak seed, so a failure
 //! replays exactly. For each schedule the invariants are: no panic, no
-//! leaked fragment worker, and — on every run that completes — the
+//! leaked worker thread, and — on every run that completes — the
 //! fault-free answer through a placement that passes the Definition-1
 //! audit. Runs that do not complete must fail with a *typed* error.
 //!
@@ -11,7 +11,7 @@
 
 mod common;
 
-use common::run_pipelined;
+use common::run_with_config;
 use geoqp::prelude::*;
 use geoqp::tpch;
 use geoqp::tpch::policy_gen::PolicyTemplate;
@@ -160,7 +160,7 @@ fn randomized_gray_schedules_stay_compliant_with_hedging_on() {
             let (faults, label) = gray_schedule(&mut rng);
             let opts = ExecOptions::failover(&faults, &retry, SITES.len())
                 .with_hedge(HedgeConfig::default());
-            match run_pipelined(&eng, &opt, opts, &config) {
+            match run_with_config(&eng, &opt, opts, &config) {
                 Ok((res, _metrics)) => {
                     completed += 1;
                     if res.hedges_launched > 0 {
@@ -205,7 +205,7 @@ fn randomized_gray_schedules_stay_compliant_with_hedging_on() {
     }
     assert!(
         after <= before + 4,
-        "{before} threads before the gray soak, {after} after — fragment workers leaked"
+        "{before} threads before the gray soak, {after} after — worker threads leaked"
     );
     assert!(
         completed >= 1,
@@ -261,7 +261,7 @@ fn randomized_adhoc_round_stays_compliant_and_leak_free() {
                 deadline,
                 ..ExecOptions::failover(&faults, &retry, SITES.len())
             };
-            match run_pipelined(&eng, &opt, opts, &config) {
+            match run_with_config(&eng, &opt, opts, &config) {
                 Ok((res, _metrics)) => {
                     completed += 1;
                     let mut got: Vec<String> = res.rows.iter().map(|r| format!("{r:?}")).collect();
@@ -306,7 +306,7 @@ fn randomized_adhoc_round_stays_compliant_and_leak_free() {
     }
     assert!(
         after <= before + 4,
-        "{before} threads before the adhoc soak, {after} after — fragment workers leaked"
+        "{before} threads before the adhoc soak, {after} after — worker threads leaked"
     );
     assert!(
         completed >= 1,
@@ -539,7 +539,7 @@ fn catalog_churn_round_stays_compliant_and_resolves_typed() {
                 ..ExecOptions::failover(&faults, &retry, SITES.len())
                     .with_churn(Arc::clone(&svc), pin)
             };
-            match run_pipelined(&eng, &opt, opts, &config) {
+            match run_with_config(&eng, &opt, opts, &config) {
                 Ok((res, _metrics)) => {
                     completed += 1;
                     let mut got: Vec<String> = res.rows.iter().map(|r| format!("{r:?}")).collect();
@@ -609,7 +609,7 @@ fn catalog_churn_round_stays_compliant_and_resolves_typed() {
     }
     assert!(
         after <= before + 4,
-        "{before} threads before the churn soak, {after} after — fragment workers leaked"
+        "{before} threads before the churn soak, {after} after — worker threads leaked"
     );
     assert!(
         completed >= 1,
@@ -775,7 +775,7 @@ impl GrantRound {
             deadline: run.deadline,
             ..ExecOptions::failover(&faults, &retry, SITES.len()).with_churn(Arc::clone(svc), *pin)
         };
-        run_pipelined(&self.eng, &run.opt, opts, &run.config())
+        run_with_config(&self.eng, &run.opt, opts, &run.config())
     }
 }
 
@@ -933,7 +933,7 @@ fn replica_crash_bootstrap_and_grant_round_rescues_refused_queries() {
     }
     assert!(
         after <= before + 4,
-        "{before} threads before the bootstrap soak, {after} after — fragment workers leaked"
+        "{before} threads before the bootstrap soak, {after} after — worker threads leaked"
     );
     assert!(
         completed >= 1,
@@ -961,13 +961,13 @@ fn replica_crash_bootstrap_and_grant_round_rescues_refused_queries() {
     );
 }
 
-/// Regression for the schedule-dependent pipelined verdict: the two runs
-/// of the round above whose identically-seeded twins diverged (between a
-/// stale-replica refusal and a churn re-plan) whenever the test binary
-/// ran its tests concurrently. With every fragment running to its own
-/// verdict, which failure a run reports — and what it logged and
-/// checkpointed on the way — is a function of the seed, so the twins must
-/// agree under any schedule. Here the schedule is made hostile on
+/// Regression for a schedule-dependent verdict of the earlier threaded
+/// runtime: the two runs of the round above whose identically-seeded
+/// twins diverged (between a stale-replica refusal and a churn re-plan)
+/// whenever the test binary ran its tests concurrently. With every
+/// fragment running to its own verdict, which failure a run reports —
+/// and what it logged and checkpointed on the way — is a function of the
+/// seed, so the twins must agree under any schedule. Here the schedule is made hostile on
 /// purpose: spinner threads oversubscribe every core while each run is
 /// repeated from identically-seeded state.
 #[test]
@@ -1056,7 +1056,7 @@ fn randomized_chaos_schedules_stay_compliant_and_leak_free() {
                 deadline,
                 ..ExecOptions::failover(&faults, &retry, SITES.len())
             };
-            match run_pipelined(&eng, &opt, opts, &config) {
+            match run_with_config(&eng, &opt, opts, &config) {
                 Ok((res, _metrics)) => {
                     completed += 1;
                     let mut got: Vec<String> = res.rows.iter().map(|r| format!("{r:?}")).collect();
@@ -1099,7 +1099,7 @@ fn randomized_chaos_schedules_stay_compliant_and_leak_free() {
     }
     assert!(
         after <= before + 4,
-        "{before} threads before the soak, {after} after — fragment workers leaked"
+        "{before} threads before the soak, {after} after — worker threads leaked"
     );
     assert!(
         completed >= 1,

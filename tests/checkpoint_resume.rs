@@ -1,7 +1,8 @@
 //! Differential checkpoint/resume failover tests.
 //!
 //! For every TPC-H query and a grid of crash steps spanning the whole
-//! run, a site is crashed permanently at that step and the identical
+//! run — positions in the order the runtime ships edges — a site is
+//! crashed permanently from that step on and the identical
 //! fault schedule is recovered twice: once from scratch (re-planning
 //! only) and once resuming from checkpoints. Resume must be invisible
 //! except in the traffic: the same row multiset, the same number of
@@ -10,11 +11,11 @@
 //! equal the fault-free reference and its plan must pass the
 //! Definition-1 audit.
 //!
-//! The engine is one more input: every cell runs sequential and
-//! pipelined, each on the row and the columnar engine, and on one runtime
-//! the two engines must resume alike — a checkpoint is the same batch
-//! whichever engine delivered it.
+//! The engine is one more input: every cell runs on the row and the
+//! columnar engine, and the two must resume alike — a checkpoint is the
+//! same batch whichever engine delivered it.
 
+use geoqp::plan::PhysicalPlan;
 use geoqp::prelude::*;
 use geoqp::tpch;
 use geoqp::tpch::policy_gen::PolicyTemplate;
@@ -32,22 +33,16 @@ fn engine(template: PolicyTemplate) -> Engine {
     Engine::new(catalog, Arc::new(policies), NetworkTopology::paper_wan())
 }
 
-/// An engine a grid cell runs on: `(pipelined, columnar)`.
-type EngineSel = (bool, bool);
+/// The engines a grid cell runs on, by `RuntimeConfig::columnar`: the
+/// row engine first, the columnar second.
+const ENGINES: [bool; 2] = [false, true];
 
-/// Both runtimes, each with the row engine first and the columnar second.
-const ENGINES: [EngineSel; 4] = [(false, false), (false, true), (true, false), (true, true)];
-
-fn on_engine(opts: ExecOptions<'_>, (pipelined, columnar): EngineSel) -> ExecOptions<'_> {
+fn on_engine(opts: ExecOptions<'_>, columnar: bool) -> ExecOptions<'_> {
     let runtime = RuntimeConfig {
         columnar,
         ..RuntimeConfig::default()
     };
-    if pipelined {
-        opts.pipelined(runtime)
-    } else {
-        ExecOptions { runtime, ..opts }
-    }
+    ExecOptions { runtime, ..opts }
 }
 
 /// Rows in a canonical order: semantically equal results from
@@ -58,7 +53,7 @@ fn multiset(rows: &Rows) -> Vec<String> {
     v
 }
 
-/// The row and the columnar engine resumed one cell on the same runtime:
+/// The row and the columnar engine resumed one cell:
 /// the same outcome kind, rows, checkpoint traffic, re-plans and log.
 /// Returns whether the cell was served from a checkpoint at all.
 fn assert_engines_agree(
@@ -89,20 +84,30 @@ fn assert_engines_agree(
     }
 }
 
+/// A crash of `site` that fails the first attempt of every edge the
+/// runtime ships from walk position `from` on, and each such edge's
+/// retries for `horizon` rows of the plan's fault-step grid (`u64::MAX`
+/// = permanently). The edges shipped before `from` are left alone.
+fn crash_from(plan: &PhysicalPlan, site: &Location, from: usize, horizon: u64) -> FaultPlan {
+    let cut = geoqp::runtime::cut(plan).unwrap();
+    let width = cut.n_slots();
+    let late = cut.walk[from..]
+        .iter()
+        .map(|&id| StepWindow::new(id as u64, id as u64 + 1));
+    let retries = StepWindow::new(width, width.saturating_add(horizon.saturating_mul(width)));
+    (late.chain([retries])).fold(FaultPlan::new(SEED), |f, w| f.with_crash(site.clone(), w))
+}
+
 /// The grid: for each query, crash each site at each of four steps
-/// spread over the run (learned from a fault-free probe) for `horizon`
-/// fault-clock steps (`u64::MAX` = permanently), and compare scratch
-/// failover against checkpoint/resume failover on the identical
-/// schedule, on every engine; the row and the columnar engine of one
-/// runtime must resume alike. Returns the cell-engine runs where both
-/// modes completed, where only resume did, where both refused, and — per
-/// runtime, sequential first — the cells whose two engines agreed on a
-/// run that resumed from checkpoints.
-fn differential_grid(template: PolicyTemplate, horizon: u64) -> (usize, usize, usize, [usize; 2]) {
+/// spread over the edges the runtime ships, for `horizon` rows of the
+/// grid, and compare scratch failover against checkpoint/resume failover
+/// on the identical schedule, on both engines, which must resume alike.
+/// Returns
+fn differential_grid(template: PolicyTemplate, horizon: u64) -> (usize, usize, usize, usize) {
     let eng = engine(template);
     let retry = RetryPolicy::default();
     let (mut both_ok, mut resume_only, mut both_err) = (0usize, 0usize, 0usize);
-    let mut resumed_alike = [0; 2];
+    let mut resumed_alike = 0;
     for query in QUERIES {
         let plan = tpch::query_by_name(eng.catalog(), query).unwrap();
         let Ok(opt) = eng.optimize(&plan, OptimizerMode::Compliant, None) else {
@@ -112,22 +117,19 @@ fn differential_grid(template: PolicyTemplate, horizon: u64) -> (usize, usize, u
         let reference = eng
             .run(&opt, &ExecOptions::failover(&probe, &retry, 0))
             .expect("fault-free probe");
-        let total = probe.step().max(4);
+        let edges = geoqp::runtime::cut(&opt.physical).unwrap().edges.len();
+        let mut steps = vec![0, edges / 4, edges / 2, 3 * edges / 4];
+        steps.dedup();
         for site in SITES {
             let dead = Location::new(site);
             if dead == opt.result_location {
                 continue;
             }
-            for crash_step in [0, total / 4, total / 2, 3 * total / 4] {
-                let crash = || {
-                    FaultPlan::new(SEED).with_crash(
-                        dead.clone(),
-                        StepWindow::new(crash_step, crash_step.saturating_add(horizon)),
-                    )
-                };
+            for &crash_step in &steps {
+                let crash = || crash_from(&opt.physical, &dead, crash_step, horizon);
                 let mut resumed_on: Vec<Result<QueryOutcome>> = Vec::new();
                 for engine in ENGINES {
-                    let cell = format!("{query}/{site}@{crash_step} on {engine:?}");
+                    let cell = format!("{query}/{site}@{crash_step} columnar={engine}");
                     let (resumed_faults, scratch_faults) = (crash(), crash());
                     let resumed = eng.run(
                         &opt,
@@ -204,10 +206,9 @@ fn differential_grid(template: PolicyTemplate, horizon: u64) -> (usize, usize, u
                             );
                             // Under a *permanent* crash, scratch must never
                             // out-recover resume. (A bounded outage can
-                            // fall either way: the stitched plan replays
-                            // fewer fault-clock steps, so the two modes
-                            // reach the dead site at different simulated
-                            // instants.)
+                            // fall either way: the stitched plan has a
+                            // different fault-step grid, so the two modes
+                            // reach the dead site at different steps.)
                             assert!(
                                 horizon != u64::MAX || scratch.is_err(),
                                 "{cell}: scratch recovered where resume failed"
@@ -216,12 +217,10 @@ fn differential_grid(template: PolicyTemplate, horizon: u64) -> (usize, usize, u
                     }
                     resumed_on.push(resumed);
                 }
-                // `ENGINES` pairs row then columnar, sequential first.
-                for (pipelined, pair) in [false, true].into_iter().zip(resumed_on.chunks(2)) {
-                    let cell = format!("{query}/{site}@{crash_step} pipelined={pipelined}");
-                    if assert_engines_agree(&cell, &pair[0], &pair[1]) {
-                        resumed_alike[usize::from(pipelined)] += 1;
-                    }
+                // `ENGINES` runs row, then columnar.
+                let cell = format!("{query}/{site}@{crash_step}");
+                if assert_engines_agree(&cell, &resumed_on[0], &resumed_on[1]) {
+                    resumed_alike += 1;
                 }
             }
         }
@@ -231,15 +230,14 @@ fn differential_grid(template: PolicyTemplate, horizon: u64) -> (usize, usize, u
 
 /// The full permanent-crash grid under the paper's most restrictive
 /// policies: every outcome class must actually occur, or the comparison
-/// is vacuous. On this grid only the pipelined runtime resumes from
-/// checkpoints; the bounded grid below is where the sequential one does.
+/// is vacuous.
 #[test]
 fn resume_and_scratch_agree_on_the_crash_grid_cra() {
-    let (both_ok, _resume_only, both_err, [_, pipelined_resumes]) =
+    let (both_ok, _resume_only, both_err, resumes) =
         differential_grid(PolicyTemplate::CRA, u64::MAX);
     assert!(
-        pipelined_resumes >= 1,
-        "expected the pipelined engines to be compared on a resumed run"
+        resumes >= 1,
+        "expected the two engines to be compared on a resumed run"
     );
     assert!(
         both_ok >= 3,
@@ -259,16 +257,16 @@ fn resume_and_scratch_agree_on_the_crash_grid_cra() {
 fn resume_out_recovers_scratch_on_the_crash_grid_c() {
     let mut both_ok = 0;
     let mut resume_only = 0;
-    let mut sequential_resumes = 0;
+    let mut resumes = 0;
     for horizon in [1, 2, 4] {
-        let (ok, ro, _, [sequential, _]) = differential_grid(PolicyTemplate::C, horizon);
+        let (ok, ro, _, resumed) = differential_grid(PolicyTemplate::C, horizon);
         both_ok += ok;
         resume_only += ro;
-        sequential_resumes += sequential;
+        resumes += resumed;
     }
     assert!(
-        sequential_resumes >= 1,
-        "expected the sequential engines to be compared on a resumed run"
+        resumes >= 1,
+        "expected the two engines to be compared on a resumed run"
     );
     assert!(
         both_ok >= 3,

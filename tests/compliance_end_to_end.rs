@@ -2,6 +2,9 @@
 //! TPC-H deployment → policies → optimization → distributed simulated
 //! execution → compliance audit.
 
+mod common;
+
+use common::per_edge;
 use geoqp::prelude::*;
 use geoqp::tpch;
 use geoqp::tpch::policy_gen::PolicyTemplate;
@@ -26,17 +29,21 @@ fn all_six_queries_execute_compliantly_under_cra() {
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         eng.audit(&opt.physical)
             .unwrap_or_else(|e| panic!("{name} audit: {e}"));
-        let exec = eng.execute(&opt.physical).unwrap();
-        // Transfers recorded by execution mirror the plan's SHIP edges
-        // (compared as multisets: execution is post-order, the plan
-        // listing pre-order).
+        // Under an empty fault plan every delivery is recorded at its
+        // edge's grid slot, so the edges execution recorded (one record
+        // per batch, grouped per edge) mirror the plan's SHIP edges,
+        // compared as multisets.
+        let no_faults = FaultPlan::new(0);
+        let opts = ExecOptions {
+            faults: Some(&no_faults),
+            ..ExecOptions::default()
+        };
+        let exec = eng.run(&opt, &opts).unwrap();
         let mut planned = opt.physical.transfers();
         planned.sort();
-        let mut executed: Vec<_> = exec
-            .transfers
-            .records()
-            .iter()
-            .map(|r| (r.from.clone(), r.to.clone()))
+        let mut executed: Vec<_> = per_edge(&exec.transfers)
+            .into_iter()
+            .map(|e| (e.from, e.to))
             .collect();
         executed.sort();
         assert_eq!(executed, planned, "{name}: transfer endpoints");

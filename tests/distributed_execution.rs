@@ -1,6 +1,9 @@
 //! Distributed-execution details: SHIP accounting, wire fidelity, and
 //! network-cost consistency between the simulator and the executor.
 
+mod common;
+
+use common::per_edge;
 use geoqp::prelude::*;
 use geoqp::tpch;
 use geoqp::tpch::policy_gen::PolicyTemplate;
@@ -20,16 +23,26 @@ fn transfer_costs_match_the_message_cost_model() {
     let eng = engine();
     let plan = tpch::query_by_name(eng.catalog(), "Q5").unwrap();
     let opt = eng.optimize(&plan, OptimizerMode::Compliant, None).unwrap();
-    let exec = eng.execute(&opt.physical).unwrap();
+    // Under an empty fault plan every delivery is recorded at its edge's
+    // grid slot. An edge streams in batches and pays its α once: each
+    // edge's records together cost α + β·Σbytes.
+    let no_faults = FaultPlan::new(0);
+    let opts = ExecOptions {
+        faults: Some(&no_faults),
+        ..ExecOptions::default()
+    };
+    let exec = eng.run(&opt, &opts).unwrap();
     let topo = NetworkTopology::paper_wan();
-    for t in exec.transfers.records() {
-        let expect = topo.ship_cost_ms(&t.from, &t.to, t.bytes as f64);
+    let edges = per_edge(&exec.transfers);
+    assert_eq!(edges.len(), opt.physical.transfers().len());
+    for e in &edges {
+        let expect = topo.ship_cost_ms(&e.from, &e.to, e.bytes as f64);
         assert!(
-            (t.cost_ms - expect).abs() < 1e-9,
-            "transfer {}→{} cost {} != α+β·b {}",
-            t.from,
-            t.to,
-            t.cost_ms,
+            (e.cost_ms - expect).abs() < 1e-9,
+            "edge {}→{} cost {} != α+β·b {}",
+            e.from,
+            e.to,
+            e.cost_ms,
             expect
         );
     }

@@ -7,6 +7,7 @@
 //! fault schedules are driven by a seedable [`FaultPlan`], so every run
 //! here replays deterministically.
 
+use geoqp::plan::{PhysOp, PhysicalPlan};
 use geoqp::prelude::*;
 use geoqp::tpch;
 use geoqp::tpch::policy_gen::PolicyTemplate;
@@ -326,8 +327,8 @@ const SITES: [&str; 5] = ["L1", "L2", "L3", "L4", "L5"];
 const FAULT_SEED: u64 = 11;
 /// Re-plan budget of a scanned run: room for both causes and then some.
 const BUDGET: usize = 5;
-/// Churn steps a revocation is released at. The sequential interpreter
-/// checks one step per SHIP edge, in the order it completes them.
+/// Churn steps a revocation is released at. The runtime checks one step
+/// per SHIP edge, in the order it ships them.
 const TRIGGER_STEPS: [u64; 6] = [0, 1, 2, 3, 4, 6];
 
 /// A catalog service whose log starts at `eng`'s policies.
@@ -391,9 +392,8 @@ struct Cell<'a> {
 }
 
 impl Cell<'_> {
-    /// One run with `max_replans`: its result, its catalog service, and
-    /// the fault clock it ended on.
-    fn run(&self, max_replans: usize) -> (Result<QueryOutcome>, Arc<CatalogService>, u64) {
+    /// One run with `max_replans`: its result and its catalog service.
+    fn run(&self, max_replans: usize) -> (Result<QueryOutcome>, Arc<CatalogService>) {
         let svc = revoking(self.eng, self.pid, self.step);
         let faults = (self.faults)();
         let pin = CatalogPin::new(0, svc.epoch_at(0).unwrap());
@@ -403,13 +403,13 @@ impl Cell<'_> {
             ..self.base.clone()
         }
         .with_churn(Arc::clone(&svc), pin);
-        (self.eng.run(self.opt, &opts), svc, faults.step())
+        (self.eng.run(self.opt, &opts), svc)
     }
 
     /// Two runs under the scan's budget, which must agree.
     fn twice(&self) -> (Result<QueryOutcome>, Arc<CatalogService>) {
-        let (a, svc, _) = self.run(BUDGET);
-        let (b, _, _) = self.run(BUDGET);
+        let (a, svc) = self.run(BUDGET);
+        let (b, _) = self.run(BUDGET);
         assert_eq!(
             replay(&a),
             replay(&b),
@@ -501,6 +501,26 @@ fn relay_engine() -> Engine {
     )
 }
 
+/// The first fault step past every slot of `plan`'s grid that touches
+/// `site` — an edge into or out of it, or a leaf read there: a crash
+/// from that step on never reaches the plan's first attempt, but does
+/// reach a re-planned grid that uses `site` at a later slot.
+fn past_last_use(plan: &PhysicalPlan, site: &Location) -> u64 {
+    let (mut edges, mut leaves) = (Vec::new(), Vec::new());
+    plan.visit(&mut |p| match p.op {
+        PhysOp::Ship => edges.push(p.location == *site || p.inputs[0].location == *site),
+        PhysOp::Scan { .. } | PhysOp::ResumeScan { .. } => leaves.push(p.location == *site),
+        _ => {}
+    });
+    let slots = edges.into_iter().chain(leaves);
+    slots
+        .enumerate()
+        .filter(|(_, uses)| *uses)
+        .map(|(slot, _)| slot as u64 + 1)
+        .max()
+        .unwrap_or(0)
+}
+
 /// A permanent crash of `site` from fault step `from` onward.
 fn crash_from(site: &Location, from: u64) -> Box<dyn Fn() -> FaultPlan> {
     let site = site.clone();
@@ -576,9 +596,11 @@ fn a_revocation_after_a_crash_keeps_the_dead_site_excluded() {
 }
 
 /// Revocation, then crash: a revocation re-pins the query and
-/// re-optimizes it under the forked engine, and a crash opening after the
-/// abort step then fails the re-optimized plan. The failure re-plan must
-/// place the re-optimized tree and audit it under the revoked catalog.
+/// re-optimizes it under the forked engine, and a crash opening past the
+/// admitted plan's fault-step grid — a step only a wider re-planned grid
+/// reaches on its first attempt — then fails the re-optimized plan. The
+/// failure re-plan must place the re-optimized tree and audit it under
+/// the revoked catalog.
 #[test]
 fn a_crash_after_a_revocation_replans_the_reoptimized_tree() {
     let eng = relay_engine();
@@ -587,8 +609,7 @@ fn a_crash_after_a_revocation_replans_the_reoptimized_tree() {
     'scan: for (query, opt, site) in &survivable_crashes(&eng) {
         for &pid in &pids {
             for step in TRIGGER_STEPS {
-                // The fault step the revocation aborts at: with no budget
-                // the revocation ends the run there.
+                // With no budget the revocation ends the run.
                 let probe = Cell {
                     eng: &eng,
                     opt,
@@ -601,7 +622,7 @@ fn a_crash_after_a_revocation_replans_the_reoptimized_tree() {
                         ..ExecOptions::default()
                     },
                 };
-                let (run, svc, abort) = probe.run(0);
+                let (run, svc) = probe.run(0);
                 if !run.is_err_and(|e| e.message().contains("re-plan budget (0)")) {
                     continue;
                 }
@@ -611,9 +632,10 @@ fn a_crash_after_a_revocation_replans_the_reoptimized_tree() {
                 if revoked.audit(&opt.physical).is_ok() {
                     continue;
                 }
+                let past = past_last_use(&opt.physical, site);
                 let cell = Cell {
-                    label: format!("{}, then crash {site} from fault step {abort}", probe.label),
-                    faults: crash_from(site, abort),
+                    label: format!("{}, then crash {site} from fault step {past}", probe.label),
+                    faults: crash_from(site, past),
                     ..probe
                 };
                 let Some((res, svc)) = cell.both_causes() else {
@@ -622,7 +644,7 @@ fn a_crash_after_a_revocation_replans_the_reoptimized_tree() {
                 assert!(
                     cell.second_cause()
                         .is_some_and(|e| e.kind() == "unavailable"),
-                    "{}: the crash opens after the abort, so it must be the second cause",
+                    "{}: the crash opens past the admitted grid, so it must be the second cause",
                     cell.label
                 );
                 assert_crash_and_revocation_kept(&cell.label, &res, &svc, &eng, site);
@@ -651,9 +673,9 @@ fn a_revocation_after_a_condemnation_keeps_the_link_avoided() {
     };
     let base = ExecOptions {
         resume: true,
+        runtime: config.clone(),
         ..ExecOptions::default()
     }
-    .pipelined(config.clone())
     .with_hedge(HedgeConfig {
         delay_ms: 0.0,
         health: HealthConfig {
@@ -668,12 +690,13 @@ fn a_revocation_after_a_condemnation_keeps_the_link_avoided() {
             continue;
         };
         // E8's gray link: the fault-free run's busiest cross-site edge.
-        let reference = eng
-            .run(&opt, &ExecOptions::default().pipelined(config.clone()))
-            .unwrap();
+        let plain = ExecOptions {
+            runtime: config.clone(),
+            ..ExecOptions::default()
+        };
+        let reference = eng.run(&opt, &plain).unwrap();
         let Some(link) = reference
             .metrics
-            .unwrap()
             .edges
             .iter()
             .filter(|e| e.from != e.to)
@@ -685,7 +708,7 @@ fn a_revocation_after_a_condemnation_keeps_the_link_avoided() {
             continue;
         };
         for &pid in &pids {
-            for step in [0, 4, 16, 64, 256] {
+            for step in TRIGGER_STEPS {
                 let gray = link.clone();
                 let cell = Cell {
                     eng: &eng,
@@ -716,7 +739,7 @@ fn a_revocation_after_a_condemnation_keeps_the_link_avoided() {
                 }
                 assert_eq!(res.replans, 2, "{}: {}", cell.label, KEPT);
                 res.physical.visit(&mut |p| {
-                    if matches!(p.op, geoqp::plan::PhysOp::Ship) {
+                    if matches!(p.op, PhysOp::Ship) {
                         let hop = (p.inputs[0].location.clone(), p.location.clone());
                         assert!(
                             hop != link,

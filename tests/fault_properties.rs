@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::run_pipelined;
+use common::run_with_config;
 use geoqp::core::AnnotatedNode;
 use geoqp::prelude::*;
 use geoqp::tpch;
@@ -136,26 +136,24 @@ proptest! {
         // every stage of the run, not only before an early failure.
         let onset = seed % 8;
         let retry = RetryPolicy::default();
-        for parallel in [false, true] {
+        for columnar in [false, true] {
             let faults = FaultPlan::new(seed)
                 .with_crash(dead.clone(), StepWindow::new(onset, u64::MAX));
             let store = CheckpointStore::new();
-            let opts = ExecOptions::failover(&faults, &retry, 5).with_store(&store);
-            let outcome = if parallel {
-                eng.run(&opt, &opts.pipelined(RuntimeConfig::default())).map(|_| ())
-            } else {
-                eng.run(&opt, &opts).map(|_| ())
+            let opts = ExecOptions {
+                runtime: RuntimeConfig { columnar, ..RuntimeConfig::default() },
+                ..ExecOptions::failover(&faults, &retry, 5).with_store(&store)
             };
-            if let Err(e) = outcome {
+            if let Err(e) = eng.run(&opt, &opts) {
                 prop_assert!(
                     matches!(e.kind(), "rejected" | "unavailable"),
-                    "{query} (parallel={parallel}): untyped failure {e}"
+                    "{query} (columnar={columnar}): untyped failure {e}"
                 );
             }
             for cp in store.snapshot() {
                 prop_assert!(
                     cp.legal.contains(&cp.home),
-                    "{query} (parallel={parallel}): checkpoint {:016x} homed at {} \
+                    "{query} (columnar={columnar}): checkpoint {:016x} homed at {} \
                      outside its shipping trait {}",
                     cp.fingerprint, cp.home, cp.legal
                 );
@@ -165,7 +163,7 @@ proptest! {
     }
 
     /// Cooperative unwinding: a deadline or a pre-fired cancellation
-    /// must join every fragment worker (no thread leak) and leave no
+    /// must join every worker (no thread leak) and leave no
     /// exchange slot poisoned — the very next run of the same query
     /// on the same engine succeeds with the fault-free answer.
     #[test]
@@ -191,7 +189,7 @@ proptest! {
             ..ExecOptions::failover(&faults, &RetryPolicy::default(), 5)
         };
         let before = live_threads();
-        let run = run_pipelined(eng, &opt, opts, &RuntimeConfig::default());
+        let run = run_with_config(eng, &opt, opts, &RuntimeConfig::default());
         match run {
             Ok(_) => prop_assert!(!fire_cancel, "{query}: a fired token must cancel"),
             Err(e) => prop_assert!(
@@ -212,7 +210,7 @@ proptest! {
         }
         prop_assert!(
             after <= before + 4,
-            "{query}: {} threads before, {after} after — fragment workers leaked",
+            "{query}: {} threads before, {after} after — worker threads leaked",
             before
         );
         // Nothing is poisoned: the same engine answers immediately.
@@ -223,8 +221,8 @@ proptest! {
 
     /// The same cooperative-unwinding contract with morsel workers: a
     /// deadline or pre-fired cancellation landing *mid-morsel* — small
-    /// morsels, 4 workers per site — must join every fragment worker
-    /// and every pool thread, leave no exchange slot or job list
+    /// morsels, 4 workers per site — must join every pool thread,
+    /// leave no exchange slot or job list
     /// poisoned, and keep the engine answering the fault-free result.
     #[test]
     fn cancellation_mid_morsel_joins_pool_workers(
@@ -257,7 +255,7 @@ proptest! {
             ..ExecOptions::failover(&faults, &RetryPolicy::default(), 5)
         };
         let before = live_threads();
-        let run = run_pipelined(eng, &opt, opts, &config);
+        let run = run_with_config(eng, &opt, opts, &config);
         match run {
             Ok(_) => prop_assert!(!fire_cancel, "{query}: a fired token must cancel"),
             Err(e) => prop_assert!(
@@ -344,7 +342,7 @@ proptest! {
             .with_loss_burst(from, to, loss, StepWindow::ALWAYS);
         let opts = ExecOptions::failover(&faults, &RetryPolicy::default(), 5)
             .with_hedge(HedgeConfig::default());
-        match run_pipelined(eng, &opt, opts, &RuntimeConfig::default()) {
+        match run_with_config(eng, &opt, opts, &RuntimeConfig::default()) {
             Ok((res, _)) => {
                 eng.audit(&res.physical).expect("final placement must audit clean");
                 for relay in &res.relay_events {
@@ -394,7 +392,7 @@ proptest! {
                 .with_loss_burst(from, to, loss, StepWindow::ALWAYS);
             let opts = ExecOptions::failover(&faults, &RetryPolicy::default(), 5)
                 .with_hedge(HedgeConfig::default());
-            run_pipelined(eng, &opt, opts, &RuntimeConfig::default())
+            run_with_config(eng, &opt, opts, &RuntimeConfig::default())
         };
         match (run(), run()) {
             (Ok((a, am)), Ok((b, bm))) => {
@@ -445,7 +443,7 @@ proptest! {
             } else {
                 opts
             };
-            run_pipelined(eng, &opt, opts, &RuntimeConfig::default())
+            run_with_config(eng, &opt, opts, &RuntimeConfig::default())
         };
         match (run(false), run(true)) {
             (Ok((plain, _)), Ok((hedged, _))) => {

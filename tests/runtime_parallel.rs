@@ -1,19 +1,17 @@
-//! Differential and compliance testing of the concurrent pipelined
-//! runtime against the sequential engine.
+//! Differential and compliance testing of the runtime (`geoqp-runtime`):
+//! the audited columnar run of a plan against the unaudited row oracle.
 //!
-//! The parallel runtime (`geoqp-runtime`) must be an *observable no-op*
-//! relative to the sequential engine: for every plan it returns the same
-//! row multiset and ships exactly the same bytes at exactly the same
-//! total network cost — only the simulated completion time (the critical
-//! path instead of the sum) may differ. These tests enforce that over
-//! the six TPC-H queries and a fuzz fleet of generated ad-hoc queries,
-//! with and without injected faults, and check the per-batch Definition-1
-//! audit catches non-compliant (traditional-optimizer) plans at the
-//! offending SHIP edge.
+//! For every plan the two return the same row multiset and ship exactly
+//! the same bytes at exactly the same total network cost, and simulated
+//! completion — the critical path — never exceeds that network total.
+//! These tests enforce that over the six TPC-H queries and a fuzz fleet
+//! of generated ad-hoc queries, with and without injected faults, and
+//! check the per-batch Definition-1 audit catches non-compliant
+//! (traditional-optimizer) plans at the offending SHIP edge.
 
 mod common;
 
-use common::run_pipelined;
+use common::run_with_config;
 use geoqp::prelude::*;
 use geoqp::tpch;
 use geoqp::tpch::adhoc::generate_adhoc;
@@ -51,18 +49,19 @@ fn canonical(rows: &Rows) -> Vec<Row> {
     v
 }
 
-/// Exact row-multiset equality (both runtimes execute the *same*
+/// Exact row-multiset equality (both engines execute the *same*
 /// physical plan with the same operators, so even float results are
 /// bit-identical).
 fn same_rows(a: &Rows, b: &Rows) -> bool {
     canonical(a) == canonical(b)
 }
 
-/// Sequential vs parallel on one optimized plan: identical rows, bytes,
-/// and total network cost.
+/// Row oracle vs the audited columnar run of one optimized plan:
+/// identical rows, bytes, and total network cost; completion within the
+/// network total.
 fn assert_differential(eng: &Engine, optimized: &OptimizedQuery, label: &str) -> usize {
-    let seq = eng.execute(&optimized.physical).unwrap();
-    let par = eng
+    let row = eng.execute(&optimized.physical).unwrap();
+    let col = eng
         .execute_parallel_opts(
             &optimized.physical,
             None,
@@ -71,26 +70,26 @@ fn assert_differential(eng: &Engine, optimized: &OptimizedQuery, label: &str) ->
         )
         .unwrap();
     assert!(
-        same_rows(&seq.rows, &par.rows),
-        "{label}: row multisets diverged (sequential {}, parallel {})",
-        seq.rows.len(),
-        par.rows.len()
+        same_rows(&row.rows, &col.rows),
+        "{label}: row multisets diverged (row engine {}, columnar {})",
+        row.rows.len(),
+        col.rows.len()
     );
     assert_eq!(
-        seq.transfers.total_bytes(),
-        par.transfers.total_bytes(),
+        row.transfers.total_bytes(),
+        col.transfers.total_bytes(),
         "{label}: shipped bytes diverged"
     );
-    let (sc, pc) = (seq.transfers.total_cost_ms(), par.metrics.network_ms);
+    let (rc, cc) = (row.transfers.total_cost_ms(), col.metrics.network_ms);
     assert!(
-        (sc - pc).abs() <= 1e-6 * sc.max(1.0),
-        "{label}: network cost diverged ({sc} vs {pc})"
+        (rc - cc).abs() <= 1e-6 * rc.max(1.0),
+        "{label}: network cost diverged ({rc} vs {cc})"
     );
     assert!(
-        par.metrics.completion_ms <= sc + 1e-6,
-        "{label}: pipelined completion exceeds sequential total"
+        col.metrics.completion_ms <= cc + 1e-6,
+        "{label}: completion exceeds the network total"
     );
-    par.transfers.transfer_count()
+    col.transfers.transfer_count()
 }
 
 #[test]
@@ -102,66 +101,6 @@ fn tpch_queries_differential() {
             continue;
         };
         assert_differential(&eng, &optimized, query);
-        executed += 1;
-    }
-    assert!(executed >= 4, "only {executed} TPC-H queries executed");
-}
-
-/// One SHIP: the sequential interpreter's monolithic transfer *is* a
-/// one-batch stream on a ticking clock, so the pipelined runtime
-/// configured to stream each edge as a single batch must produce the
-/// same transfer records — endpoints, bytes, rows, cost, attempts — edge
-/// for edge, fault-free and under faults whose verdict does not depend on
-/// which step clock consults them.
-#[test]
-fn one_batch_streams_match_the_monolithic_ship_record_for_record() {
-    let (eng, catalog) = engine(PolicyTemplate::CRA, SEED);
-    let gray = FaultPlan::parse("degrade:L2-L4:3x; delay:L2-L1:25; degrade:L4-L1:2x", 7).unwrap();
-    let one_batch = RuntimeConfig {
-        batch_rows: usize::MAX,
-        ..RuntimeConfig::default()
-    };
-    let records = |log: &TransferLog| {
-        let mut v: Vec<_> = log
-            .records()
-            .iter()
-            .map(|r| {
-                (
-                    r.from.clone(),
-                    r.to.clone(),
-                    r.bytes,
-                    r.rows,
-                    r.cost_ms.to_bits(),
-                    r.attempts,
-                )
-            })
-            .collect();
-        v.sort();
-        v
-    };
-    let mut executed = 0;
-    for (query, plan) in all_queries(&catalog).unwrap() {
-        let Ok(optimized) = eng.optimize(&plan, OptimizerMode::Compliant, None) else {
-            continue;
-        };
-        for faults in [None, Some(&gray)] {
-            let opts = ExecOptions {
-                faults,
-                ..ExecOptions::default()
-            };
-            let seq = eng.run(&optimized, &opts).unwrap();
-            let par = eng
-                .run(&optimized, &opts.pipelined(one_batch.clone()))
-                .unwrap();
-            assert!(same_rows(&seq.rows, &par.rows), "{query}: rows diverged");
-            assert_eq!(
-                records(&seq.transfers),
-                records(&par.transfers),
-                "{query} (faults: {}): a one-batch stream and the monolithic SHIP \
-                 recorded different transfers",
-                faults.is_some()
-            );
-        }
         executed += 1;
     }
     assert!(executed >= 4, "only {executed} TPC-H queries executed");
@@ -266,7 +205,7 @@ fn permanent_crashes_survive_or_error_typed() {
         let clean = eng.execute(&optimized.physical).unwrap();
         for site in &sites {
             let faults = FaultPlan::new(0).with_crash(site.clone(), StepWindow::ALWAYS);
-            match run_pipelined(
+            match run_with_config(
                 &eng,
                 &optimized,
                 ExecOptions::failover(&faults, &retry, 5),
@@ -297,7 +236,7 @@ fn permanent_crashes_survive_or_error_typed() {
 }
 
 /// A crash of an expendable *relay* site: the cheapest compliant plan
-/// joins at C, C dies, and the parallel runtime's resilient loop must
+/// joins at C, C dies, and the resilient loop must
 /// re-plan onto the (expensive but alive) direct placement at D —
 /// exactly once, with the same answer, and without touching C again.
 #[test]
@@ -402,7 +341,7 @@ fn parallel_failover_replans_around_crashed_relay() {
     );
 
     let faults = FaultPlan::new(9).with_crash("C", StepWindow::ALWAYS);
-    let (res, metrics) = run_pipelined(
+    let (res, metrics) = run_with_config(
         &eng,
         &opt,
         ExecOptions::failover(&faults, &RetryPolicy::default(), 3),
@@ -430,8 +369,8 @@ fn parallel_failover_replans_around_crashed_relay() {
 #[test]
 fn runtime_audit_catches_non_compliant_plans() {
     // Under a restrictive policy set the traditional optimizer emits
-    // non-compliant plans (Figure 5a); the parallel runtime's per-batch
-    // audit must refuse them at the offending SHIP edge.
+    // non-compliant plans (Figure 5a); the runtime's per-batch audit
+    // must refuse them at the offending SHIP edge.
     let (eng, catalog) = engine(PolicyTemplate::C, SEED);
     let mut caught = 0;
     for (query, plan) in all_queries(&catalog).unwrap() {
@@ -440,7 +379,7 @@ fn runtime_audit_catches_non_compliant_plans() {
         };
         if eng.audit(&optimized.physical).is_ok() {
             // Compliant by luck: the runtime must agree and execute it.
-            let par = eng
+            let audited = eng
                 .execute_parallel_opts(
                     &optimized.physical,
                     None,
@@ -448,8 +387,8 @@ fn runtime_audit_catches_non_compliant_plans() {
                     &RuntimeConfig::default(),
                 )
                 .unwrap();
-            let seq = eng.execute(&optimized.physical).unwrap();
-            assert!(same_rows(&seq.rows, &par.rows), "{query}");
+            let unaudited = eng.execute(&optimized.physical).unwrap();
+            assert!(same_rows(&unaudited.rows, &audited.rows), "{query}");
             continue;
         }
         let err = eng

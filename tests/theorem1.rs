@@ -112,3 +112,70 @@ fn audits_of_traditional_plans_never_panic() {
         "baseline never violates — policies toothless?"
     );
 }
+
+/// Definition 1 is enforced at execution too, by default: a plan that
+/// claims to come from the compliant optimizer has every batch audited,
+/// so a non-compliant edge is refused — naming the edge — before a byte
+/// leaves its site. A traditional plan is the baseline the harness
+/// audits afterwards, and runs as it is.
+#[test]
+fn a_default_run_enforces_definition_one() {
+    let catalog = Arc::new(tpch::paper_catalog(0.001));
+    tpch::populate(&catalog, 0.001, 7).unwrap();
+    let template = PolicyTemplate::CRA;
+    let policies = generate_policies(&catalog, template, template.base_count(), 2021).unwrap();
+    let eng = Engine::new(
+        Arc::clone(&catalog),
+        Arc::new(policies),
+        NetworkTopology::paper_wan(),
+    );
+    let evaluator = PolicyEvaluator::new(eng.policies(), catalog.locations());
+    let mut refused = 0;
+    for (name, plan) in tpch::all_queries(&catalog).unwrap() {
+        let Ok(compliant) = eng.optimize(&plan, OptimizerMode::Compliant, None) else {
+            continue;
+        };
+        let traditional = eng
+            .optimize(&plan, OptimizerMode::Traditional, None)
+            .unwrap();
+        if eng.audit(&traditional.physical).is_ok() {
+            continue;
+        }
+        // The edges Definition 1 forbids: a destination outside 𝒮ₙ.
+        let traits = geoqp::core::ship_traits(&traditional.physical, &evaluator, &catalog).unwrap();
+        let illegal: Vec<String> = (traditional.physical.transfers().into_iter())
+            .zip(&traits)
+            .filter(|((_, to), legal)| !legal.contains(to))
+            .map(|((from, to), _)| format!("SHIP {from} -> {to}"))
+            .collect();
+        assert!(!illegal.is_empty(), "{name}: the audit failed on no edge");
+
+        let mislabelled = OptimizedQuery {
+            physical: Arc::clone(&traditional.physical),
+            mode: OptimizerMode::Compliant,
+            ..compliant
+        };
+        let err = eng
+            .run(&mislabelled, &ExecOptions::default())
+            .expect_err("a non-compliant plan must not run as a compliant one");
+        assert_eq!(err.kind(), "non-compliant", "{name}: {err}");
+        assert!(
+            illegal
+                .iter()
+                .any(|edge| err.message().contains(edge.as_str())),
+            "{name}: the refusal names no forbidden edge ({illegal:?}): {err}"
+        );
+
+        let baseline = OptimizedQuery {
+            mode: OptimizerMode::Traditional,
+            ..mislabelled
+        };
+        eng.run(&baseline, &ExecOptions::default())
+            .unwrap_or_else(|e| panic!("{name}: the traditional baseline must run: {e}"));
+        refused += 1;
+    }
+    assert!(
+        refused > 0,
+        "no traditional plan was non-compliant under CR+A"
+    );
+}

@@ -1,5 +1,5 @@
 //! Extension E12: live policy churn — mid-flight revocations against
-//! epoch-pinned queries.
+//! queries pinned to a catalog sequence.
 //!
 //! Each cell of the grid runs one TPC-H query under a scripted catalog
 //! log: the query is admitted pinned to log sequence 0 (the base
@@ -15,7 +15,7 @@
 //!
 //! The stale sweep layers a catalog-plane partition on top: after the
 //! churn re-plan re-pins the query to sequence 1, the partitioned
-//! site's replica cannot prove it has seen the new epoch, so a re-plan
+//! site's replica cannot prove it has seen sequence 1, so a re-plan
 //! that ships from that site refuses typed (`catalog-stale`) instead
 //! of originating a transfer it cannot re-audit.
 //!
@@ -61,7 +61,7 @@ pub enum ChurnOutcome {
     /// The revocation landed after the query's last transfer: finished
     /// under the admission pin, untouched.
     Finished,
-    /// Caught in flight: re-planned under the new epoch the given
+    /// Caught in flight: re-planned under the new head the given
     /// number of times and completed.
     Replanned(u64),
     /// Degraded into a typed refusal of the given kind
@@ -230,8 +230,7 @@ fn scripted_service(
     let rev = svc.revoke(pid).expect("revoking a live template pid");
     let planned = vec![ChurnEvent {
         step,
-        seq: rev.seq,
-        epoch: rev.epoch,
+        seq: rev,
         revocation: true,
     }];
     let mut svc = svc.with_planned(planned);
@@ -277,7 +276,7 @@ pub fn churn_grid(seed: u64) -> Vec<ChurnCell> {
         for (si, &step) in REVOKE_STEPS.iter().enumerate() {
             let pid = pids[(qi * REVOKE_STEPS.len() + si) % pids.len()];
             let svc = scripted_service(&fx, pid, step, None);
-            let pin = geoqp_common::CatalogPin::new(0, svc.epoch_at(0).expect("seq 0 is held"));
+            let pin = 0;
             let faults = FaultPlan::new(seed);
             let opts =
                 ExecOptions::failover(&faults, &retry, sites).with_churn(Arc::clone(&svc), pin);
@@ -380,14 +379,12 @@ pub fn grant_grid(seed: u64) -> (Vec<GrantCell>, PlaneStats) {
                 svc.with_planned(vec![
                     ChurnEvent {
                         step: 0,
-                        seq: rev.seq,
-                        epoch: rev.epoch,
+                        seq: rev,
                         revocation: true,
                     },
                     ChurnEvent {
                         step: grant_step,
-                        seq: re.seq,
-                        epoch: re.epoch,
+                        seq: re,
                         revocation: false,
                     },
                 ])
@@ -474,7 +471,7 @@ pub fn stale_sweep(seed: u64) -> Vec<StaleCell> {
             let catalog_faults =
                 FaultPlan::new(seed).with_partition([site.clone()], StepWindow::ALWAYS);
             let svc = scripted_service(&fx, pid, 0, Some(catalog_faults));
-            let pin = geoqp_common::CatalogPin::new(0, svc.epoch_at(0).expect("seq 0 is held"));
+            let pin = 0;
             let faults = FaultPlan::new(seed);
             let opts =
                 ExecOptions::failover(&faults, &retry, sites).with_churn(Arc::clone(&svc), pin);
@@ -507,7 +504,7 @@ pub fn stale_sweep(seed: u64) -> Vec<StaleCell> {
 pub struct ChurnSummary {
     /// Cells that finished under their admission pin.
     pub finished: u64,
-    /// Cells that re-planned under a new epoch and completed.
+    /// Cells that re-planned under a new head and completed.
     pub replanned: u64,
     /// Cells refused `non-compliant`.
     pub refused_non_compliant: u64,

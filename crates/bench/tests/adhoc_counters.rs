@@ -12,10 +12,10 @@ const EXPECTED: &str = r#"{
   "seed": 2021,
   "scale_factor": 10,
   "counters": [
-    {"template": "T", "expressions": 8, "queries": 64, "compliant_fraction": 1.0000, "memo_hits": 382, "memo_misses": 149, "memo_hit_rate": 0.7194, "dp_states_total": 1594, "dp_states_mean": 24.91, "eta_mean": 8.30},
-    {"template": "C", "expressions": 50, "queries": 64, "compliant_fraction": 1.0000, "memo_hits": 1840, "memo_misses": 547, "memo_hit_rate": 0.7708, "dp_states_total": 1339, "dp_states_mean": 20.92, "eta_mean": 37.30},
-    {"template": "CR", "expressions": 50, "queries": 64, "compliant_fraction": 1.0000, "memo_hits": 1888, "memo_misses": 633, "memo_hit_rate": 0.7489, "dp_states_total": 1296, "dp_states_mean": 20.25, "eta_mean": 26.27},
-    {"template": "CR+A", "expressions": 50, "queries": 64, "compliant_fraction": 1.0000, "memo_hits": 1828, "memo_misses": 589, "memo_hit_rate": 0.7563, "dp_states_total": 1154, "dp_states_mean": 18.03, "eta_mean": 23.70}
+    {"template": "T", "expressions": 8, "queries": 64, "compliant_fraction": 1.0000, "memo_hits": 411, "memo_misses": 120, "memo_hit_rate": 0.7740, "dp_states_total": 1594, "dp_states_mean": 24.91, "eta_mean": 8.30},
+    {"template": "C", "expressions": 50, "queries": 64, "compliant_fraction": 1.0000, "memo_hits": 2277, "memo_misses": 110, "memo_hit_rate": 0.9539, "dp_states_total": 1339, "dp_states_mean": 20.92, "eta_mean": 37.30},
+    {"template": "CR", "expressions": 50, "queries": 64, "compliant_fraction": 1.0000, "memo_hits": 2175, "memo_misses": 346, "memo_hit_rate": 0.8628, "dp_states_total": 1296, "dp_states_mean": 20.25, "eta_mean": 26.27},
+    {"template": "CR+A", "expressions": 50, "queries": 64, "compliant_fraction": 1.0000, "memo_hits": 2076, "memo_misses": 341, "memo_hit_rate": 0.8589, "dp_states_total": 1154, "dp_states_mean": 18.03, "eta_mean": 23.70}
   ]
 }
 "#;

@@ -2,9 +2,7 @@
 //! processing engine. All state and command handling lives here so that
 //! the shell is fully testable without a terminal.
 
-use geoqp_common::{
-    CancelToken, CatalogPin, GeoError, Location, QueryDeadline, Result, Rows, TableRef,
-};
+use geoqp_common::{CancelToken, GeoError, Location, QueryDeadline, Result, Rows, TableRef};
 use geoqp_core::{
     CatalogService, ChurnOpts, Engine, ExecOptions, HedgeConfig, LinkReport, OptimizerMode,
     QueryOutcome, RuntimeConfig, RuntimeMetrics,
@@ -42,7 +40,7 @@ pub struct Shell {
     service: Option<ServerSession>,
     /// The deployment's replicated policy-catalog service: `\grant` and
     /// `\revoke` append to its log, `\catalog` renders it, and every
-    /// resilient query pins its head epoch at admission.
+    /// resilient query pins its head seq at admission.
     churn: Option<Arc<CatalogService>>,
 }
 
@@ -178,7 +176,7 @@ impl Shell {
                         out,
                         "catalog plane: head seq {}, floor {} ({} compactions), \
                          lag p50 {} max {}, {} bootstraps, {} wipes, {} chain rejects",
-                        h.head.seq,
+                        h.head,
                         h.floor_seq,
                         h.compactions,
                         h.lag_p50,
@@ -317,7 +315,7 @@ impl Shell {
     }
 
     /// Re-admit the session under the catalog head `pin`.
-    fn refresh_engine(&mut self, svc: &CatalogService, pin: CatalogPin) -> Result<()> {
+    fn refresh_engine(&mut self, svc: &CatalogService, pin: u64) -> Result<()> {
         self.engine = Some(svc.readmit(self.engine()?, pin)?);
         Ok(())
     }
@@ -336,14 +334,13 @@ impl Shell {
             .find_live(&display)
             .expect("the grant just appended is live at the head");
         Ok(format!(
-            "granted p{pid}: {display}\ncatalog head: seq {}, epoch {:016x}\n",
-            pin.seq, pin.epoch
+            "granted p{pid}: {display}\ncatalog head: seq {pin}\n"
         ))
     }
 
     /// `\revoke <pid>|<expression>` — append a revocation. Unlike grants,
     /// revocations reach in-flight queries: one caught shipping on a
-    /// now-revoked edge re-plans under the new epoch or refuses typed.
+    /// now-revoked edge re-plans under the new head or refuses typed.
     fn revoke(&mut self, arg: &str) -> Result<String> {
         if arg.is_empty() {
             return Err(GeoError::Execution(
@@ -365,9 +362,8 @@ impl Shell {
         let pin = svc.revoke(pid)?;
         self.refresh_engine(&svc, pin)?;
         Ok(format!(
-            "revoked p{pid}\ncatalog head: seq {}, epoch {:016x}; queries pinned to \
-             earlier epochs re-plan or refuse typed\n",
-            pin.seq, pin.epoch
+            "revoked p{pid}\ncatalog head: seq {pin}; queries pinned to earlier \
+             seqs re-plan or refuse typed\n"
         ))
     }
 
@@ -378,9 +374,7 @@ impl Shell {
         let svc = self.catalog_service()?;
         let head = svc.head();
         let mut out = format!(
-            "catalog head: seq {}, epoch {:016x} (coordinator {})\nlive policies:\n",
-            head.seq,
-            head.epoch,
+            "catalog head: seq {head} (coordinator {})\nlive policies:\n",
             svc.coordinator()
         );
         let live = svc.live_policies();
@@ -410,7 +404,7 @@ impl Shell {
                 "  {}: seq {}, lag {lag}{}",
                 r.site,
                 r.seq,
-                if r.seq < head.seq { " (STALE)" } else { "" }
+                if r.seq < head { " (STALE)" } else { "" }
             );
         }
         let _ = writeln!(
@@ -851,7 +845,7 @@ impl Shell {
                 hedge: self.hedge.clone(),
                 // Every controlled query pins the catalog head at
                 // admission; a mid-flight revocation re-plans it under
-                // the new epoch.
+                // the new head.
                 churn: self.churn.as_ref().map(|svc| ChurnOpts {
                     service: Arc::clone(svc),
                     pin: svc.head(),
@@ -951,7 +945,8 @@ commands:
   \\demo carco | tpch [sf]   load a demo deployment
   \\tables                   list databases and tables
   \\locations                list sites
-  \\policies                 list dataflow policies
+  \\policies                 list dataflow policies (eN: N is the pid
+                            \\revoke takes)
   \\grant <expression>       append a grant to the replicated catalog log:
                             ship <attrs> from <t> to <locs> … (takes
                             effect for queries admitted after it)
@@ -959,9 +954,9 @@ commands:
   \\deny <expression>        grant everything a denial leaves open
                             (closed-world expansion), one append each
   \\revoke <pid|expression>  append a revocation (pushed to in-flight
-                            queries: re-plan under the new epoch or a
+                            queries: re-plan under the new head or a
                             typed refusal)
-  \\catalog                  catalog head (seq + epoch), live policies
+  \\catalog                  catalog head seq, live policies
                             with pids, the log, per-site replica seqs
   \\mode compliant|traditional
   \\workers [n]              morsel workers per site
@@ -1466,11 +1461,6 @@ mod tests {
         assert!(out.contains("granted p4"), "{out}");
         assert!(out.contains("seq 1"), "{out}");
         assert!(sh.run_command("SELECT c_acctbal FROM customer").is_ok());
-        let epoch_of = |out: &str| {
-            let line = out.lines().find(|l| l.contains("epoch")).unwrap();
-            line.split("epoch ").nth(1).unwrap()[..16].to_string()
-        };
-        let granted_epoch = epoch_of(&out);
 
         // The catalog shows the grant live, logged, and fully replicated,
         // with per-replica lag and the plane-health summary line.
@@ -1487,13 +1477,12 @@ mod tests {
         assert!(listed.contains("0 chain rejects"), "{listed}");
 
         // Revoking by expression resolves the pid; the permission is gone
-        // for later queries and the epoch never returns to an old value.
+        // for later queries and the head only moves forward.
         let out = sh
             .run_command("\\revoke ship c_acctbal from customer to E")
             .unwrap();
         assert!(out.contains("revoked p4"), "{out}");
-        assert!(out.contains("seq 2"), "{out}");
-        assert_ne!(epoch_of(&out), granted_epoch);
+        assert!(out.contains("catalog head: seq 2;"), "{out}");
         assert!(sh.run_command("SELECT c_acctbal FROM customer").is_err());
 
         // Revoking by pid works too, and dead pids are refused.
@@ -1531,11 +1520,32 @@ mod tests {
         assert!(help.contains("\\catalog"));
     }
 
+    /// `\policies` names each policy by the pid `\revoke` takes, before
+    /// and after a revocation: ids are not renumbered per snapshot.
+    #[test]
+    fn policies_list_the_pids_revoke_takes() {
+        let mut sh = Shell::new();
+        sh.run_command("\\demo carco").unwrap();
+        sh.run_command("\\revoke 0").unwrap();
+        let listed = sh.run_command("\\policies").unwrap();
+        let ids: Vec<&str> = listed
+            .lines()
+            .map(|l| l.split(':').next().unwrap())
+            .collect();
+        assert_eq!(ids, ["e1", "e2", "e3"], "{listed}");
+        let e1 = listed.lines().next().unwrap().to_string();
+        sh.run_command("\\revoke 1").unwrap();
+        let relisted = sh.run_command("\\policies").unwrap();
+        assert!(!relisted.contains(&e1), "{relisted}");
+        assert_eq!(relisted.lines().count(), 2, "{relisted}");
+        assert!(relisted.starts_with("e2:"), "{relisted}");
+    }
+
     #[test]
     fn revocation_mid_flight_replans_or_refuses_typed() {
         // Arm a fault plan so queries run the resilient path (which pins
         // the catalog head at admission), then revoke between queries:
-        // the session keeps answering under the new epoch.
+        // the session keeps answering under the new head.
         let mut sh = Shell::new();
         sh.run_command("\\demo carco").unwrap();
         sh.run_command("\\faults seed=7; crash:A@0..2").unwrap();

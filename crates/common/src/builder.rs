@@ -264,7 +264,7 @@ impl ColumnarBuilder {
         self.cell().push(v)
     }
 
-    /// Append a date cell (days since the Unix epoch).
+    /// Append a date cell (days since 1970-01-01).
     pub fn push_date(&mut self, v: i32) {
         self.cell().push(v)
     }

@@ -3,49 +3,30 @@
 //!
 //! The versioned policy-catalog log lives in `geoqp-policy` and its
 //! replication transport in `geoqp-net`; what the *executors* need from
-//! them is deliberately tiny and dependency-free, so it lives here:
+//! them is deliberately tiny and dependency-free, so it lives here. A
+//! catalog snapshot is named by its log **sequence number**, a plain
+//! `u64` (0 = the base catalog): sequences are monotone, so freshness and
+//! "newer than the pin" are comparisons. The chain hashes that make the
+//! log tamper-evident stay inside the log and its replicas.
 //!
-//! * [`CatalogPin`] — the `(seq, epoch)` snapshot a query pins at
-//!   admission. Epochs are chain hashes (unordered), so freshness is
-//!   proven by the monotone log **sequence number**; the epoch names the
-//!   prefix in replica chain checks and typed errors. Nothing derived
-//!   from a snapshot is keyed by it: the engine holding the snapshot
-//!   owns its implication memo, a run owns its checkpoint store, and the
-//!   service's plan cache keys by `(tenant, seq)`.
 //! * [`ChurnSignal`] — how revocations reach in-flight queries: a set of
 //!   pre-planned, step-triggered events (deterministic replay for the
 //!   bench and chaos harnesses) plus a live published head (the server's
-//!   `update_tenant_policies` path). Grants never appear here — they only
-//!   take effect for queries admitted later.
+//!   `update_tenant_policies` path). Grants never abort anything — they
+//!   only take effect for queries admitted later, or for a refused query
+//!   that re-pins forward onto them.
 //! * [`StaleGuard`] — the fail-safe for replication lag: the set of sites
 //!   whose catalog replica has *proven* it applied the pinned sequence.
 //!   A site outside the set refuses to originate a transfer with
 //!   [`GeoError::CatalogStale`] rather than audit against old policy.
+//! * [`ChurnWatch`] — one attempt's pin, signal and guard together.
 
 use crate::error::{GeoError, Result};
 use crate::location::{Location, LocationSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The catalog snapshot a query pins at admission: the log sequence
-/// number it was admitted under and the deterministic epoch that
-/// sequence hashes to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CatalogPin {
-    /// Monotone catalog-log sequence number (0 = the base catalog).
-    pub seq: u64,
-    /// Deterministic chain epoch of the log prefix up to `seq`.
-    pub epoch: u64,
-}
-
-impl CatalogPin {
-    /// A pin at `(seq, epoch)`.
-    pub fn new(seq: u64, epoch: u64) -> CatalogPin {
-        CatalogPin { seq, epoch }
-    }
-}
-
 /// One pre-planned churn event: at executor step `step`, log entry
-/// `seq` (epoch `epoch`) becomes visible to in-flight queries.
+/// `seq` becomes visible to in-flight queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChurnEvent {
     /// Executor step (the runtime's deterministic per-batch clock) at
@@ -53,8 +34,6 @@ pub struct ChurnEvent {
     pub step: u64,
     /// Log sequence number of the entry.
     pub seq: u64,
-    /// Chain epoch at that sequence.
-    pub epoch: u64,
     /// Whether the entry revokes a policy. Only revocations abort
     /// in-flight queries; grants wait for the next admission.
     pub revocation: bool,
@@ -72,7 +51,6 @@ pub struct ChurnEvent {
 pub struct ChurnSignal {
     planned: Vec<ChurnEvent>,
     live_seq: AtomicU64,
-    live_epoch: AtomicU64,
     live_revocation: AtomicU64,
     /// Sequence of the newest live-published *grant*, feeding
     /// [`ChurnSignal::granted_since`]: a refused in-flight query may
@@ -99,10 +77,9 @@ impl ChurnSignal {
     /// Publish a new live head (the server path). `revocation` marks
     /// whether the update contained at least one revoke; only those
     /// interrupt in-flight queries.
-    pub fn publish(&self, seq: u64, epoch: u64, revocation: bool) {
+    pub fn publish(&self, seq: u64, revocation: bool) {
         // Seq is monotone per log, so a plain max-update suffices.
         if seq > self.live_seq.load(Ordering::Acquire) {
-            self.live_epoch.store(epoch, Ordering::Release);
             self.live_seq.store(seq, Ordering::Release);
             if revocation {
                 self.live_revocation.store(seq, Ordering::Release);
@@ -116,26 +93,9 @@ impl ChurnSignal {
     /// pin at `pin_seq` has not seen, if any — the head the aborting
     /// query should re-pin to. Returns the highest-sequence candidate
     /// so one abort absorbs a burst of revocations.
-    pub fn revoked_since(&self, pin_seq: u64, step: u64) -> Option<CatalogPin> {
-        let mut head: Option<CatalogPin> = None;
-        for e in &self.planned {
-            if e.step <= step && e.revocation && e.seq > pin_seq {
-                let better = head.is_none_or(|h| e.seq > h.seq);
-                if better {
-                    head = Some(CatalogPin::new(e.seq, e.epoch));
-                }
-            }
-        }
-        let live_rev = self.live_revocation.load(Ordering::Acquire);
-        if live_rev > pin_seq && head.is_none_or(|h| live_rev > h.seq) {
-            // The epoch published alongside the head is at least as new
-            // as the revocation itself; re-pin to the full head.
-            head = Some(CatalogPin::new(
-                self.live_seq.load(Ordering::Acquire).max(live_rev),
-                self.live_epoch.load(Ordering::Acquire),
-            ));
-        }
-        head
+    pub fn revoked_since(&self, pin_seq: u64, step: u64) -> Option<u64> {
+        let live = self.live_revocation.load(Ordering::Acquire);
+        self.newest(pin_seq, step, true, live)
     }
 
     /// The newest *grant* visible at executor step `step` that the pin at
@@ -149,27 +109,27 @@ impl ChurnSignal {
     /// Planned grants are gated by their trigger step (deterministic
     /// replay); live-published grants really happened, so they are always
     /// visible.
-    pub fn granted_since(&self, pin_seq: u64, step: u64) -> Option<CatalogPin> {
-        let mut head: Option<CatalogPin> = None;
-        for e in &self.planned {
-            if e.step <= step && !e.revocation && e.seq > pin_seq {
-                let better = head.is_none_or(|h| e.seq > h.seq);
-                if better {
-                    head = Some(CatalogPin::new(e.seq, e.epoch));
-                }
-            }
-        }
-        let live_grant = self.live_grant.load(Ordering::Acquire);
-        if live_grant > pin_seq && head.is_none_or(|h| live_grant > h.seq) {
+    pub fn granted_since(&self, pin_seq: u64, step: u64) -> Option<u64> {
+        let live = self.live_grant.load(Ordering::Acquire);
+        self.newest(pin_seq, step, false, live)
+    }
+
+    /// The newest planned entry of the given kind released by `step`, or
+    /// the live head when the newest live entry of that kind (`live`) is
+    /// newer still — newer than the pin either way.
+    fn newest(&self, pin_seq: u64, step: u64, revocation: bool, live: u64) -> Option<u64> {
+        let planned = (self.planned.iter())
+            .filter(|e| e.step <= step && e.revocation == revocation && e.seq > pin_seq)
+            .map(|e| e.seq)
+            .max();
+        if live > pin_seq && planned.is_none_or(|h| live > h) {
             // Re-pin to the full live head: it is at least as new as the
-            // grant, and newer revocations in between must be absorbed,
-            // not skipped.
-            head = Some(CatalogPin::new(
-                self.live_seq.load(Ordering::Acquire).max(live_grant),
-                self.live_epoch.load(Ordering::Acquire),
-            ));
+            // entry, and newer entries in between must be absorbed, not
+            // skipped.
+            Some(self.live_seq.load(Ordering::Acquire).max(live))
+        } else {
+            planned
         }
-        head
     }
 
     /// Whether any planned event exists (used by executors to skip the
@@ -186,7 +146,6 @@ impl ChurnSignal {
 /// site.
 #[derive(Debug, Clone)]
 pub struct StaleGuard {
-    pin: CatalogPin,
     fresh: LocationSet,
     /// Sites whose catalog-plane link to the coordinator is severed for
     /// good (open-ended crash or partition): their lag is unbounded, and
@@ -195,10 +154,9 @@ pub struct StaleGuard {
 }
 
 impl StaleGuard {
-    /// A guard for `pin` with the given proven-fresh sites.
-    pub fn new(pin: CatalogPin, fresh: LocationSet) -> StaleGuard {
+    /// A guard with the given proven-fresh sites.
+    pub fn new(fresh: LocationSet) -> StaleGuard {
         StaleGuard {
-            pin,
             fresh,
             unbounded: LocationSet::new(),
         }
@@ -215,21 +173,16 @@ impl StaleGuard {
         self.unbounded.contains(site)
     }
 
-    /// The pin this guard proves freshness against.
-    pub fn pin(&self) -> CatalogPin {
-        self.pin
-    }
-
     /// Whether `site`'s replica has proven it applied the pinned
     /// sequence.
     pub fn sees(&self, site: &Location) -> bool {
         self.fresh.contains(site)
     }
 
-    /// Fail-safe check before `site` originates a transfer: stale
-    /// replicas refuse with [`GeoError::CatalogStale`] rather than
-    /// audit the transfer against an old catalog.
-    pub fn check_origin(&self, site: &Location) -> Result<()> {
+    /// Fail-safe check before `site` originates a transfer under catalog
+    /// seq `pin`: stale replicas refuse with [`GeoError::CatalogStale`]
+    /// rather than audit the transfer against an old catalog.
+    pub fn check_origin(&self, site: &Location, pin: u64) -> Result<()> {
         if self.sees(site) {
             Ok(())
         } else {
@@ -242,14 +195,11 @@ impl StaleGuard {
             };
             Err(GeoError::catalog_stale(
                 site.clone(),
-                self.pin.seq,
-                self.pin.epoch,
+                pin,
                 unbounded,
                 format!(
-                    "site {site} cannot prove it has seen catalog seq {} \
-                     (epoch {:016x}): {cause}; refusing to originate the \
-                     transfer",
-                    self.pin.seq, self.pin.epoch
+                    "site {site} cannot prove it has seen catalog seq {pin}: \
+                     {cause}; refusing to originate the transfer"
                 ),
             ))
         }
@@ -263,8 +213,8 @@ impl StaleGuard {
 /// churn-driven re-pin.
 #[derive(Debug, Clone)]
 pub struct ChurnWatch {
-    /// The catalog snapshot this attempt executes under.
-    pub pin: CatalogPin,
+    /// The catalog sequence this attempt executes under.
+    pub pin: u64,
     /// Where revocations land (planned events and/or live publishes).
     pub signal: std::sync::Arc<ChurnSignal>,
     /// Per-site freshness proof for `pin`; `None` skips the stale-origin
@@ -283,27 +233,24 @@ mod tests {
             ChurnEvent {
                 step: 4,
                 seq: 2,
-                epoch: 0xa,
                 revocation: true,
             },
             ChurnEvent {
                 step: 9,
                 seq: 3,
-                epoch: 0xb,
                 revocation: true,
             },
             ChurnEvent {
                 step: 1,
                 seq: 1,
-                epoch: 0x9,
                 revocation: false, // a grant: never aborts anything
             },
         ]);
         assert!(!sig.is_idle());
         assert_eq!(sig.revoked_since(0, 3), None);
-        assert_eq!(sig.revoked_since(0, 4), Some(CatalogPin::new(2, 0xa)));
+        assert_eq!(sig.revoked_since(0, 4), Some(2));
         // A burst: the newest visible revocation wins.
-        assert_eq!(sig.revoked_since(0, 100), Some(CatalogPin::new(3, 0xb)));
+        assert_eq!(sig.revoked_since(0, 100), Some(3));
         // A pin that already saw seq 3 is undisturbed.
         assert_eq!(sig.revoked_since(3, 100), None);
     }
@@ -312,14 +259,14 @@ mod tests {
     fn live_publish_reaches_pinned_queries() {
         let sig = ChurnSignal::new();
         assert!(sig.is_idle());
-        sig.publish(5, 0xfeed, false); // grants don't interrupt
+        sig.publish(5, false); // grants don't interrupt
         assert_eq!(sig.revoked_since(0, 0), None);
-        sig.publish(6, 0xbeef, true);
-        assert_eq!(sig.revoked_since(5, 0), Some(CatalogPin::new(6, 0xbeef)));
+        sig.publish(6, true);
+        assert_eq!(sig.revoked_since(5, 0), Some(6));
         assert_eq!(sig.revoked_since(6, 0), None);
         // Stale publishes (lower seq) are ignored.
-        sig.publish(2, 0x2, true);
-        assert_eq!(sig.revoked_since(5, 0), Some(CatalogPin::new(6, 0xbeef)));
+        sig.publish(2, true);
+        assert_eq!(sig.revoked_since(5, 0), Some(6));
     }
 
     #[test]
@@ -328,15 +275,15 @@ mod tests {
         fresh.insert(Location::new("L1"));
         let mut severed = LocationSet::new();
         severed.insert(Location::new("L3"));
-        let guard = StaleGuard::new(CatalogPin::new(2, 0xc0ffee), fresh).with_unbounded(severed);
-        assert!(guard.check_origin(&Location::new("L1")).is_ok());
-        let err = guard.check_origin(&Location::new("L2")).unwrap_err();
+        let guard = StaleGuard::new(fresh).with_unbounded(severed);
+        assert!(guard.check_origin(&Location::new("L1"), 2).is_ok());
+        let err = guard.check_origin(&Location::new("L2"), 2).unwrap_err();
         assert_eq!(err.kind(), "catalog-stale");
         assert!(err.message().contains("seq 2"));
         // The refusal names the lagging site in the typed payload.
         assert_eq!(err.stale_site(), Some((&Location::new("L2"), false)));
         // A severed replica is named as unbounded lag.
-        let err = guard.check_origin(&Location::new("L3")).unwrap_err();
+        let err = guard.check_origin(&Location::new("L3"), 2).unwrap_err();
         assert_eq!(err.stale_site(), Some((&Location::new("L3"), true)));
         assert!(err.message().contains("unbounded lag"));
     }
@@ -347,26 +294,23 @@ mod tests {
             ChurnEvent {
                 step: 2,
                 seq: 1,
-                epoch: 0x1,
                 revocation: true,
             },
             ChurnEvent {
                 step: 4,
                 seq: 2,
-                epoch: 0x2,
                 revocation: false,
             },
             ChurnEvent {
                 step: 9,
                 seq: 3,
-                epoch: 0x3,
                 revocation: false,
             },
         ]);
         assert_eq!(sig.granted_since(0, 3), None, "grant not yet released");
-        assert_eq!(sig.granted_since(0, 4), Some(CatalogPin::new(2, 0x2)));
+        assert_eq!(sig.granted_since(0, 4), Some(2));
         // A burst: the newest visible grant wins.
-        assert_eq!(sig.granted_since(0, 100), Some(CatalogPin::new(3, 0x3)));
+        assert_eq!(sig.granted_since(0, 100), Some(3));
         // A pin that already saw seq 3 gains nothing from retrying.
         assert_eq!(sig.granted_since(3, 100), None);
         // Revocations never count as grants.
@@ -377,11 +321,11 @@ mod tests {
     fn live_grants_are_always_visible() {
         let sig = ChurnSignal::new();
         assert_eq!(sig.granted_since(0, 0), None);
-        sig.publish(4, 0xaaaa, false);
-        assert_eq!(sig.granted_since(0, 0), Some(CatalogPin::new(4, 0xaaaa)));
+        sig.publish(4, false);
+        assert_eq!(sig.granted_since(0, 0), Some(4));
         // A newer revocation moves the head; the grant re-pin absorbs it.
-        sig.publish(5, 0xbbbb, true);
-        assert_eq!(sig.granted_since(0, 0), Some(CatalogPin::new(5, 0xbbbb)));
+        sig.publish(5, true);
+        assert_eq!(sig.granted_since(0, 0), Some(5));
         assert_eq!(sig.granted_since(4, 0), None, "no grant after the pin");
     }
 }

@@ -115,7 +115,7 @@ pub enum Column {
     Int64(Cells<i64>),
     /// 64-bit floats.
     Float64(Cells<f64>),
-    /// Days since the Unix epoch.
+    /// Days since 1970-01-01.
     Date(Cells<i32>),
     /// Booleans.
     Bool(Cells<bool>),

@@ -81,16 +81,14 @@ impl Unavailable {
 }
 
 /// Details of a mid-flight policy-churn abort — the typed payload of
-/// [`GeoError::PolicyChurn`]. Raised by an executor whose per-batch epoch
-/// re-check saw a revocation newer than the query's pinned catalog
+/// [`GeoError::PolicyChurn`]. Raised by an executor whose per-batch
+/// revocation check saw a revocation newer than the query's pinned catalog
 /// sequence; carries the head the executor observed so the failover
 /// re-planner knows which snapshot to re-pin against.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChurnAbort {
     /// Catalog-log sequence number of the revocation that landed.
     pub seq: u64,
-    /// The deterministic epoch that sequence hashes to.
-    pub epoch: u64,
     /// The executor step at which the abort fired. The grant-retry path
     /// replays the churn signal at this step, so which planned grants are
     /// visible to a refused query is as deterministic as the abort itself.
@@ -109,8 +107,6 @@ pub struct StaleReplica {
     pub site: Location,
     /// The pinned catalog sequence the replica could not prove.
     pub seq: u64,
-    /// The pinned epoch at that sequence.
-    pub epoch: u64,
     /// Whether the replica's lag is unbounded: the site is permanently
     /// partitioned or crashed on the catalog plane, so no amount of
     /// waiting or retrying will make it fresh — re-plan around it.
@@ -164,13 +160,13 @@ pub enum GeoError {
     /// once the tenant's backlog drains may succeed.
     Admission(String),
     /// A policy revocation landed while the query was in flight and a
-    /// runtime fragment's per-batch epoch re-check caught it before the
+    /// runtime fragment's per-batch revocation check caught it before the
     /// next transfer left. The resilient loop re-pins to the carried head
     /// and re-plans; anything else must surface this typed, never ship
     /// under the revoked catalog.
     PolicyChurn(ChurnAbort),
-    /// A site's catalog replica could not prove it has applied the epoch
-    /// the coordinator pinned for this query (replication lag, catalog
+    /// A site's catalog replica could not prove it has applied the
+    /// sequence the coordinator pinned for this query (replication lag, catalog
     /// partition, or a crashed replica). The site fails safe: it refuses
     /// to originate the transfer rather than audit against old policy.
     /// The payload names the lagging site and whether its lag is
@@ -209,10 +205,9 @@ impl GeoError {
 
     /// Convenience constructor for a mid-flight revocation abort at
     /// executor step `step`.
-    pub fn policy_churn(seq: u64, epoch: u64, step: u64, message: impl Into<String>) -> GeoError {
+    pub fn policy_churn(seq: u64, step: u64, message: impl Into<String>) -> GeoError {
         GeoError::PolicyChurn(ChurnAbort {
             seq,
-            epoch,
             step,
             message: message.into(),
         })
@@ -222,24 +217,22 @@ impl GeoError {
     pub fn catalog_stale(
         site: Location,
         seq: u64,
-        epoch: u64,
         unbounded: bool,
         message: impl Into<String>,
     ) -> GeoError {
         GeoError::CatalogStale(StaleReplica {
             site,
             seq,
-            epoch,
             unbounded,
             message: message.into(),
         })
     }
 
     /// The catalog head a mid-flight revocation abort observed, if this
-    /// error is one: `(seq, epoch)` of the newest revocation entry.
-    pub fn churn_head(&self) -> Option<(u64, u64)> {
+    /// error is one: the sequence of the newest revocation entry.
+    pub fn churn_head(&self) -> Option<u64> {
         match self {
-            GeoError::PolicyChurn(c) => Some((c.seq, c.epoch)),
+            GeoError::PolicyChurn(c) => Some(c.seq),
             _ => None,
         }
     }
@@ -378,8 +371,8 @@ mod tests {
             GeoError::DeadlineExceeded(String::new()),
             GeoError::Cancelled(String::new()),
             GeoError::Admission(String::new()),
-            GeoError::policy_churn(0, 0, 0, String::new()),
-            GeoError::catalog_stale(Location::new("L1"), 0, 0, false, String::new()),
+            GeoError::policy_churn(0, 0, String::new()),
+            GeoError::catalog_stale(Location::new("L1"), 0, false, String::new()),
             GeoError::CatalogCompacted(String::new()),
         ];
         let mut kinds: Vec<_> = variants.iter().map(|v| v.kind()).collect();
@@ -447,14 +440,14 @@ mod tests {
     /// never exclude a healthy site.
     #[test]
     fn policy_churn_carries_the_observed_head_and_step() {
-        let e = GeoError::policy_churn(3, 0xdead_beef, 7, "revocation landed at seq 3");
+        let e = GeoError::policy_churn(3, 7, "revocation landed at seq 3");
         assert_eq!(e.kind(), "churn");
-        assert_eq!(e.churn_head(), Some((3, 0xdead_beef)));
+        assert_eq!(e.churn_head(), Some(3));
         assert_eq!(e.churn_step(), Some(7));
         assert_eq!(e.failed_site(), None);
         assert!(!e.is_transient());
         assert_eq!(e.message(), "revocation landed at seq 3");
-        let stale = GeoError::catalog_stale(Location::new("L2"), 1, 0, false, String::new());
+        let stale = GeoError::catalog_stale(Location::new("L2"), 1, false, String::new());
         assert_eq!(stale.churn_head(), None);
         assert_eq!(stale.churn_step(), None);
     }
@@ -464,7 +457,7 @@ mod tests {
     /// replication" from "route around a severed replica".
     #[test]
     fn catalog_stale_names_the_lagging_site() {
-        let e = GeoError::catalog_stale(Location::new("L3"), 4, 0xfeed, true, "L3 severed");
+        let e = GeoError::catalog_stale(Location::new("L3"), 4, true, "L3 severed");
         assert_eq!(e.kind(), "catalog-stale");
         assert_eq!(e.stale_site(), Some((&Location::new("L3"), true)));
         assert_eq!(e.failed_site(), None, "stale is not a crashed site");
@@ -491,13 +484,7 @@ mod tests {
             GeoError::DeadlineExceeded("over budget".into()),
             GeoError::Cancelled("aborted".into()),
             GeoError::Admission("tenant backlog full".into()),
-            GeoError::catalog_stale(
-                Location::new("L2"),
-                3,
-                0,
-                false,
-                "replica behind pinned epoch",
-            ),
+            GeoError::catalog_stale(Location::new("L2"), 3, false, "replica behind pinned seq"),
         ] {
             assert!(!e.is_transient());
             assert_eq!(e.failed_site(), None);

@@ -30,7 +30,7 @@ pub mod types;
 pub mod value;
 
 pub use builder::ColumnarBuilder;
-pub use churn::{CatalogPin, ChurnEvent, ChurnSignal, ChurnWatch, StaleGuard};
+pub use churn::{ChurnEvent, ChurnSignal, ChurnWatch, StaleGuard};
 pub use columnar::{Cells, Column, ColumnarBatch, SelectionVector, SharedColumn};
 pub use control::{CancelToken, QueryDeadline, RunControl};
 pub use error::{ChurnAbort, GeoError, Result, StaleReplica, Unavailable};

@@ -20,7 +20,7 @@ pub enum DataType {
     Float64,
     /// UTF-8 string.
     Str,
-    /// Calendar date, stored as days since the Unix epoch.
+    /// Calendar date, stored as days since 1970-01-01.
     Date,
 }
 

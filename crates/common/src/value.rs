@@ -27,7 +27,7 @@ pub enum Value {
     Float64(f64),
     /// UTF-8 string (cheaply clonable).
     Str(Arc<str>),
-    /// Days since the Unix epoch.
+    /// Days since 1970-01-01.
     Date(i32),
 }
 

@@ -7,22 +7,21 @@
 //! each other:
 //!
 //! * `geoqp-policy` owns the [`CatalogLog`] / [`CatalogReplica`] state
-//!   machines (append, chain-epoch, replay),
+//!   machines (append, chain verification, replay),
 //! * `geoqp-net` owns the [`CatalogGossip`] transport (which entry
 //!   sequences get through a fault-scheduled link on one pull round),
 //! * `geoqp-common` owns the tiny executor-facing surface
-//!   ([`CatalogPin`], [`ChurnSignal`], [`StaleGuard`], `ChurnWatch`).
+//!   ([`ChurnSignal`], [`StaleGuard`], `ChurnWatch`).
 //!
 //! The service wires them to the storage catalog (grant validation needs
 //! the governed table's schema) and hands the engine everything churn-
-//! aware execution needs: epoch-pinned snapshots at admission, a
+//! aware execution needs: the snapshot at a pinned log sequence, a
 //! [`StaleGuard`] built from what each replica can *prove* it has seen,
 //! and fresh watches after a mid-flight re-pin.
 
 use crate::engine::Engine;
 use geoqp_common::{
-    CatalogPin, ChurnEvent, ChurnSignal, ChurnWatch, GeoError, Location, LocationSet, Result,
-    StaleGuard,
+    ChurnEvent, ChurnSignal, ChurnWatch, Location, LocationSet, Result, StaleGuard,
 };
 use geoqp_net::{CatalogGossip, FaultPlan};
 use geoqp_policy::{CatalogLog, CatalogReplica, PolicyCatalog, PolicyExpression};
@@ -38,8 +37,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 pub struct ChurnOpts {
     /// The deployment's catalog service.
     pub service: Arc<CatalogService>,
-    /// The `(seq, epoch)` snapshot pinned at admission.
-    pub pin: CatalogPin,
+    /// The catalog sequence pinned at admission.
+    pub pin: u64,
 }
 
 /// One replica's catalog-plane health: its applied sequence, how far it
@@ -50,7 +49,7 @@ pub struct ReplicaHealth {
     pub site: Location,
     /// The highest log sequence the replica has applied.
     pub seq: u64,
-    /// `head.seq - seq`: entries the replica has not yet proven.
+    /// `head - seq`: entries the replica has not yet proven.
     pub lag: u64,
     /// The replica's catalog-plane link to the coordinator is severed by
     /// an open-ended fault — its lag is unbounded and will never close.
@@ -63,8 +62,8 @@ pub struct ReplicaHealth {
 /// snapshot bootstraps, chain-verification rejects, bytes shipped).
 #[derive(Debug, Clone)]
 pub struct CatalogHealth {
-    /// The coordinator's current head `(seq, epoch)`.
-    pub head: CatalogPin,
+    /// The coordinator's current head sequence.
+    pub head: u64,
     /// The compaction floor: the oldest sequence still materializable.
     pub floor_seq: u64,
     /// How many times the log's prefix has been compacted away.
@@ -101,7 +100,7 @@ pub struct CatalogService {
     gossip: CatalogGossip,
     log: Mutex<CatalogLog>,
     replicas: Mutex<BTreeMap<Location, CatalogReplica>>,
-    /// Materialized epoch-pinned snapshots, keyed by log sequence. A
+    /// Materialized snapshots, keyed by log sequence. A
     /// snapshot is immutable once materialized (the log is append-only),
     /// and the cache is deliberately kept across compaction: a query
     /// pinned to a since-compacted sequence keeps executing against the
@@ -175,17 +174,19 @@ impl CatalogService {
 
     /// Re-admit under catalog head `pin`: every replica is brought fully
     /// up to date (so no site refuses transfers as catalog-stale), and
-    /// `engine` is forked over the epoch-pinned snapshot — cold
-    /// implication memo, same storage and topology.
-    pub fn readmit(&self, engine: &Engine, pin: CatalogPin) -> Result<Engine> {
+    /// `engine` is forked over the snapshot at `pin` — same storage,
+    /// topology and implication memo.
+    pub fn readmit(&self, engine: &Engine, pin: u64) -> Result<Engine> {
         self.sync_full();
-        Ok(engine.fork_with_policies(self.snapshot(pin.seq)?))
+        Ok(engine.fork_with_policies(self.snapshot(pin)?))
     }
 
     /// Drive catalog replication through a seeded fault schedule:
     /// partitions and crashes involving the coordinator link stall a
     /// replica's pulls, which is how a site ends up unable to prove
     /// freshness ([`GeoError::CatalogStale`] at transfer time).
+    ///
+    /// [`GeoError::CatalogStale`]: geoqp_common::GeoError::CatalogStale
     pub fn with_faults(mut self, faults: FaultPlan) -> CatalogService {
         self.faults = Some(faults);
         self
@@ -229,17 +230,17 @@ impl CatalogService {
         Arc::clone(&self.signal)
     }
 
-    /// The coordinator's current head `(seq, epoch)` — what a newly
-    /// admitted query pins.
-    pub fn head(&self) -> CatalogPin {
-        self.log().head()
+    /// The coordinator's current head sequence — what a newly admitted
+    /// query pins.
+    pub fn head(&self) -> u64 {
+        self.log().seq()
     }
 
     /// Append a grant: the expression is validated against its governed
-    /// table's schema (resolved through the storage catalog), the epoch
-    /// bumps, and the new head is published. Grants never interrupt
-    /// in-flight queries — they take effect for queries admitted later.
-    pub fn grant(&self, expr: PolicyExpression) -> Result<CatalogPin> {
+    /// table's schema (resolved through the storage catalog), and the new
+    /// head is published and returned. Grants never interrupt in-flight
+    /// queries — they take effect for queries admitted later.
+    pub fn grant(&self, expr: PolicyExpression) -> Result<u64> {
         let schema = Arc::clone(&self.storage.resolve_one(&expr.table)?.schema);
         let pin = {
             let mut log = self.log();
@@ -247,22 +248,21 @@ impl CatalogService {
             self.auto_compact(&mut log);
             pin
         };
-        self.signal.publish(pin.seq, pin.epoch, false);
+        self.signal.publish(pin, false);
         Ok(pin)
     }
 
-    /// Append a revocation of live policy `pid`, bump the epoch, and
-    /// push the new head to in-flight queries: any query caught shipping
-    /// on a now-revoked edge aborts its attempt and re-plans under the
-    /// new epoch.
-    pub fn revoke(&self, pid: u64) -> Result<CatalogPin> {
+    /// Append a revocation of live policy `pid` and push the new head to
+    /// in-flight queries: any query caught shipping on a now-revoked edge
+    /// aborts its attempt and re-plans under the new head.
+    pub fn revoke(&self, pid: u64) -> Result<u64> {
         let pin = {
             let mut log = self.log();
             let pin = log.revoke(pid)?;
             self.auto_compact(&mut log);
             pin
         };
-        self.signal.publish(pin.seq, pin.epoch, true);
+        self.signal.publish(pin, true);
         Ok(pin)
     }
 
@@ -282,14 +282,18 @@ impl CatalogService {
     /// next sync. Returns the new floor sequence. Sequences below the
     /// current floor are [`GeoError::CatalogCompacted`]; sequences above
     /// the head are a policy error.
+    ///
+    /// [`GeoError::CatalogCompacted`]: geoqp_common::GeoError::CatalogCompacted
     pub fn compact(&self, seq: u64) -> Result<u64> {
         Ok(self.log().compact(seq)?.seq())
     }
 
-    /// The epoch-pinned catalog snapshot at log sequence `seq`, cached.
+    /// The catalog snapshot at log sequence `seq`, cached.
     /// The cache is consulted first, so a sequence that was materialized
     /// before being compacted away stays servable; a cold read below the
     /// floor is a typed [`GeoError::CatalogCompacted`].
+    ///
+    /// [`GeoError::CatalogCompacted`]: geoqp_common::GeoError::CatalogCompacted
     pub fn snapshot(&self, seq: u64) -> Result<Arc<PolicyCatalog>> {
         let mut cache = self.snapshots.lock().expect("snapshot cache lock poisoned");
         if let Some(snap) = cache.get(&seq) {
@@ -419,7 +423,7 @@ impl CatalogService {
     /// the refusal names the lagging site — distinguishing a replica
     /// that is merely behind from one whose coordinator link is severed
     /// (unbounded lag, will never catch up).
-    pub fn stale_guard(&self, pin: CatalogPin) -> StaleGuard {
+    pub fn stale_guard(&self, pin: u64) -> StaleGuard {
         let mut fresh = LocationSet::new();
         for (site, replica) in self
             .replicas
@@ -427,11 +431,11 @@ impl CatalogService {
             .expect("replica table lock poisoned")
             .iter()
         {
-            if replica.has_seen(pin.seq) {
+            if replica.has_seen(pin) {
                 fresh.insert(site.clone());
             }
         }
-        StaleGuard::new(pin, fresh).with_unbounded(self.severed_sites())
+        StaleGuard::new(fresh).with_unbounded(self.severed_sites())
     }
 
     /// The catalog plane's health report: head, compaction floor,
@@ -440,7 +444,7 @@ impl CatalogService {
     pub fn health(&self) -> CatalogHealth {
         let (head, floor_seq, compactions) = {
             let log = self.log();
-            (log.head(), log.floor_seq(), log.compactions())
+            (log.seq(), log.floor_seq(), log.compactions())
         };
         let severed = self.severed_sites();
         let replicas: Vec<ReplicaHealth> = self
@@ -451,7 +455,7 @@ impl CatalogService {
             .map(|(site, r)| ReplicaHealth {
                 site: site.clone(),
                 seq: r.seq(),
-                lag: head.seq.saturating_sub(r.seq()),
+                lag: head.saturating_sub(r.seq()),
                 unbounded: severed.contains(site),
             })
             .collect();
@@ -475,7 +479,7 @@ impl CatalogService {
     /// Everything one execution attempt needs to enforce churn under
     /// `pin`: the pin, the revocation signal, and a freshness guard
     /// built from the current replica states.
-    pub fn watch(&self, pin: CatalogPin) -> ChurnWatch {
+    pub fn watch(&self, pin: u64) -> ChurnWatch {
         ChurnWatch {
             pin,
             signal: self.signal(),
@@ -504,22 +508,6 @@ impl CatalogService {
     /// `\catalog` shell verb's history listing).
     pub fn history(&self) -> Vec<String> {
         self.log().entries().iter().map(|e| e.to_string()).collect()
-    }
-
-    /// Validate that `seq` names a prefix the coordinator holds, then
-    /// return its chain epoch. A sequence compacted below the floor is
-    /// a typed [`GeoError::CatalogCompacted`]; one beyond the head is a
-    /// policy error.
-    pub fn epoch_at(&self, seq: u64) -> Result<u64> {
-        let log = self.log();
-        if seq < log.floor_seq() {
-            return Err(GeoError::CatalogCompacted(format!(
-                "catalog seq {seq} was compacted away; the floor snapshot holds seq {}",
-                log.floor_seq()
-            )));
-        }
-        log.epoch_at(seq)
-            .ok_or_else(|| GeoError::Policy(format!("catalog log has no sequence {seq}")))
     }
 }
 
@@ -564,14 +552,14 @@ mod tests {
         let svc = CatalogService::new(storage(), PolicyCatalog::new(), Location::new("L1"));
         let base = svc.head();
         let g = svc.grant(expr("a")).unwrap();
-        assert_eq!(g.seq, base.seq + 1);
+        assert_eq!(g, base + 1);
         assert_eq!(
             svc.signal().revoked_since(0, 0),
             None,
             "grants don't interrupt"
         );
         let r = svc.revoke(0).unwrap();
-        assert_eq!(svc.signal().revoked_since(g.seq, 0), Some(r));
+        assert_eq!(svc.signal().revoked_since(g, 0), Some(r));
         assert!(svc.live_policies().is_empty());
     }
 
@@ -580,10 +568,9 @@ mod tests {
         let svc = CatalogService::new(storage(), PolicyCatalog::new(), Location::new("L1"));
         let g = svc.grant(expr("a")).unwrap();
         let s0 = svc.snapshot(0).unwrap();
-        let s1 = svc.snapshot(g.seq).unwrap();
+        let s1 = svc.snapshot(g).unwrap();
         assert_ne!(s0.canonical_bytes(), s1.canonical_bytes());
-        assert_eq!(svc.epoch_at(g.seq).unwrap(), g.epoch);
-        assert!(Arc::ptr_eq(&s1, &svc.snapshot(g.seq).unwrap()));
+        assert!(Arc::ptr_eq(&s1, &svc.snapshot(g).unwrap()));
     }
 
     #[test]
@@ -596,20 +583,20 @@ mod tests {
         assert_eq!(frontier, 0, "the partitioned replica is the frontier");
         let guard = svc.stale_guard(pin);
         assert!(
-            guard.check_origin(&Location::new("L1")).is_ok(),
+            guard.check_origin(&Location::new("L1"), pin).is_ok(),
             "coordinator"
         );
         assert!(
-            guard.check_origin(&Location::new("L2")).is_ok(),
+            guard.check_origin(&Location::new("L2"), pin).is_ok(),
             "healthy replica"
         );
-        let err = guard.check_origin(&Location::new("L3")).unwrap_err();
+        let err = guard.check_origin(&Location::new("L3"), pin).unwrap_err();
         assert_eq!(err.kind(), "catalog-stale");
         // The partition heals at step 100: the replica catches up.
         svc.sync_at(100);
         assert!(svc
             .stale_guard(pin)
-            .check_origin(&Location::new("L3"))
+            .check_origin(&Location::new("L3"), pin)
             .is_ok());
     }
 
@@ -624,7 +611,7 @@ mod tests {
         let g2 = svc.grant(expr("b")).unwrap();
         svc.sync_at(1); // L2 crashes holding state: wiped.
         let mid = svc.health();
-        assert_eq!(mid.floor_seq, g2.seq, "keep=0 pins the floor to the head");
+        assert_eq!(mid.floor_seq, g2, "keep=0 pins the floor to the head");
         assert_eq!(mid.wipes, 1);
         let l2 = |h: &CatalogHealth| {
             h.replicas
@@ -642,7 +629,7 @@ mod tests {
         );
         svc.sync_at(4); // recovered: bootstraps straight to the floor
         let end = svc.health();
-        assert_eq!(l2(&end).seq, g2.seq);
+        assert_eq!(l2(&end).seq, g2);
         assert_eq!(l2(&end).lag, 0);
         assert!(end.bootstraps > mid.bootstraps);
         assert_eq!(end.chain_rejects, 0, "honest snapshots always verify");
@@ -652,8 +639,8 @@ mod tests {
         );
         assert_eq!(end.entry_bytes, 0, "keep=0 ships everything as snapshots");
         assert!(svc
-            .stale_guard(CatalogPin::new(g2.seq, g2.epoch))
-            .check_origin(&Location::new("L2"))
+            .stale_guard(g2)
+            .check_origin(&Location::new("L2"), g2)
             .is_ok());
         let _ = g1;
     }
@@ -663,18 +650,16 @@ mod tests {
         let svc = CatalogService::new(storage(), PolicyCatalog::new(), Location::new("L1"));
         let g1 = svc.grant(expr("a")).unwrap();
         let g2 = svc.grant(expr("b")).unwrap();
-        let pinned = svc.snapshot(g1.seq).unwrap(); // materialized before compaction
-        svc.compact(g2.seq).unwrap();
+        let pinned = svc.snapshot(g1).unwrap(); // materialized before compaction
+        svc.compact(g2).unwrap();
         // Regression: a cold read below the floor is typed, never a panic.
         assert_eq!(svc.snapshot(0).unwrap_err().kind(), "catalog-compacted");
-        assert_eq!(svc.epoch_at(0).unwrap_err().kind(), "catalog-compacted");
         // In-flight queries pinned before the compaction keep their view.
-        assert!(Arc::ptr_eq(&pinned, &svc.snapshot(g1.seq).unwrap()));
+        assert!(Arc::ptr_eq(&pinned, &svc.snapshot(g1).unwrap()));
         // The floor itself and the head stay readable.
-        assert!(svc.snapshot(g2.seq).is_ok());
-        assert_eq!(svc.epoch_at(g2.seq).unwrap(), g2.epoch);
+        assert!(svc.snapshot(g2).is_ok());
         // Compacting below the floor is itself typed.
-        assert_eq!(svc.compact(g1.seq).unwrap_err().kind(), "catalog-compacted");
+        assert_eq!(svc.compact(g1).unwrap_err().kind(), "catalog-compacted");
         assert_eq!(svc.health().compactions, 1);
     }
 
@@ -692,12 +677,12 @@ mod tests {
             .find(|r| r.site == Location::new("L3"))
             .unwrap();
         assert!(l3.unbounded, "an ALWAYS partition can never heal");
-        assert_eq!(l3.lag, pin.seq);
-        assert_eq!(health.lag_max, pin.seq);
+        assert_eq!(l3.lag, pin);
+        assert_eq!(health.lag_max, pin);
         assert_eq!(health.lag_p50, 0, "the other two replicas are fresh");
         let err = svc
             .stale_guard(pin)
-            .check_origin(&Location::new("L3"))
+            .check_origin(&Location::new("L3"), pin)
             .unwrap_err();
         match (err.stale_site(), &err) {
             (Some((site, unbounded)), _) => {

@@ -19,7 +19,7 @@
 use geoqp_common::{GeoError, LocationSet, Result};
 use geoqp_plan::descriptor::describe_local;
 use geoqp_plan::logical::LogicalPlan;
-use geoqp_plan::{PhysOp, PhysicalPlan};
+use geoqp_plan::{node_key, PhysOp, PhysicalPlan};
 use geoqp_policy::PolicyEvaluator;
 use geoqp_storage::Catalog;
 use std::collections::HashMap;
@@ -79,28 +79,9 @@ pub fn ship_audit_info(
 ) -> Result<Vec<ShipAudit>> {
     let mut by_node = HashMap::new();
     walk(plan, evaluator, catalog, false, &mut by_node)?;
-    let mut out = Vec::new();
-    collect_preorder(plan, &by_node, &mut out);
-    Ok(out)
-}
-
-fn collect_preorder(
-    plan: &PhysicalPlan,
-    by_node: &HashMap<usize, ShipAudit>,
-    out: &mut Vec<ShipAudit>,
-) {
-    if matches!(plan.op, PhysOp::Ship) {
-        if let Some(s) = by_node.get(&node_key(plan)) {
-            out.push(s.clone());
-        }
-    }
-    for c in &plan.inputs {
-        collect_preorder(c, by_node, out);
-    }
-}
-
-fn node_key(p: &PhysicalPlan) -> usize {
-    p as *const PhysicalPlan as usize
+    Ok((plan.ships().into_iter())
+        .filter_map(|ship| by_node.get(&node_key(ship)).cloned())
+        .collect())
 }
 
 /// Bottom-up result: the subtree's shipping trait and its logical content.

@@ -10,15 +10,15 @@ use crate::memo::Memo;
 use crate::rules::{default_rules, explore};
 use crate::site_selector::{select_sites_with, Objective};
 use geoqp_common::{
-    CancelToken, CatalogPin, ChurnWatch, GeoError, Location, LocationSet, QueryDeadline, Result,
-    Rows, RunControl,
+    CancelToken, ChurnWatch, GeoError, Location, LocationSet, QueryDeadline, Result, Rows,
+    RunControl,
 };
 use geoqp_exec::RetryPolicy;
 use geoqp_net::{
     FaultPlan, HedgeConfig, LinkHealth, LinkReport, NetworkTopology, RelayEvent, TransferLog,
 };
 use geoqp_plan::logical::LogicalPlan;
-use geoqp_plan::{PhysOp, PhysicalPlan};
+use geoqp_plan::PhysicalPlan;
 use geoqp_policy::{ImplicationMemo, PolicyCatalog, PolicyEvaluator};
 use geoqp_runtime::{
     fingerprint, stitch, CheckpointSpec, CheckpointStore, Runtime, RuntimeConfig, RuntimeMetrics,
@@ -137,13 +137,13 @@ pub struct QueryOutcome {
     /// How many times the engine re-ran site selection around a failure.
     pub replans: usize,
     /// How many of those re-plans were forced by a mid-flight policy
-    /// revocation (the query re-pinned to a newer catalog epoch).
+    /// revocation (the query re-pinned to a newer catalog sequence).
     pub churn_replans: u64,
     /// Quiesce-free grant retries: times a `NonCompliant` refusal under
     /// the revocation's pin was answered by re-pinning forward onto a
-    /// newer grant and re-optimizing (bounded to once per epoch
-    /// advance). A completed query with `grant_retries > 0` was rescued
-    /// by a grant that landed while it was in flight.
+    /// newer grant and re-optimizing (bounded to once per grant). A
+    /// completed query with `grant_retries > 0` was rescued by a grant
+    /// that landed while it was in flight.
     pub grant_retries: u64,
     /// Sites excluded from execution traits during failover.
     pub excluded: LocationSet,
@@ -216,7 +216,7 @@ pub struct ExecOptions<'a> {
     /// threshold, and let an exhausted breaker trigger a soft-exclusion
     /// re-plan. `None` disables hedging and breakers entirely.
     pub hedge: Option<HedgeConfig>,
-    /// Live policy churn: the catalog service and the epoch pinned at
+    /// Live policy churn: the catalog service and the sequence pinned at
     /// admission. Execution re-audits SHIP edges against revocations at
     /// batch granularity, refuses transfers from replicas that cannot
     /// prove freshness, and re-plans through the checkpoint-stitching
@@ -257,7 +257,7 @@ impl<'a> ExecOptions<'a> {
     /// Pin this execution to `pin` of `service`'s catalog and enforce
     /// live churn: per-batch revocation checks, stale-origin fail-safe,
     /// and compliant mid-flight re-planning.
-    pub fn with_churn(mut self, service: Arc<CatalogService>, pin: CatalogPin) -> ExecOptions<'a> {
+    pub fn with_churn(mut self, service: Arc<CatalogService>, pin: u64) -> ExecOptions<'a> {
         self.churn = Some(ChurnOpts { service, pin });
         self
     }
@@ -287,10 +287,10 @@ pub struct Engine {
     topology: NetworkTopology,
     /// Implication-verdict cache shared by every evaluator the engine
     /// creates — across AR1–AR4 annotation, plan enumeration, audits,
-    /// and failover re-plans. It serves `policies` alone: the snapshot
-    /// never changes under this engine, and a new snapshot is a new
-    /// engine ([`Engine::fork_with_policies`]) with a cold memo.
-    implication_memo: ImplicationMemo,
+    /// failover re-plans, and every engine forked from this one
+    /// ([`Engine::fork_with_policies`]): a verdict depends on two
+    /// predicates and no snapshot, so it holds under every one.
+    implication_memo: Arc<ImplicationMemo>,
 }
 
 impl Engine {
@@ -304,7 +304,7 @@ impl Engine {
             catalog,
             policies,
             topology,
-            implication_memo: ImplicationMemo::new(),
+            implication_memo: Arc::default(),
         }
     }
 
@@ -315,15 +315,16 @@ impl Engine {
     }
 
     /// A sibling engine over the same deployment but a different policy
-    /// catalog snapshot — the catalog after a grant or revoke. The
-    /// implication memo starts **cold**: a verdict proven under the old
-    /// catalog must never be served under the new one.
+    /// catalog snapshot — the catalog after a grant or revoke. It shares
+    /// this engine's implication memo: verdicts are keyed by the two
+    /// predicates they relate, so every one proven under the old catalog
+    /// is exact under the new one.
     pub fn fork_with_policies(&self, policies: Arc<PolicyCatalog>) -> Engine {
         Engine {
             catalog: Arc::clone(&self.catalog),
             policies,
             topology: self.topology.clone(),
-            implication_memo: ImplicationMemo::new(),
+            implication_memo: Arc::clone(&self.implication_memo),
         }
     }
 
@@ -549,14 +550,9 @@ impl Engine {
     /// in pre-order SHIP order.
     fn ship_specs(&self, plan: &PhysicalPlan) -> Result<(Vec<LocationSet>, Vec<CheckpointSpec>)> {
         let audits = ship_audit_info(plan, &self.evaluator(), &self.catalog)?;
-        let mut fps = Vec::new();
-        collect_ship_fingerprints(plan, &mut fps);
-        debug_assert_eq!(fps.len(), audits.len());
-        let specs = audits
-            .iter()
-            .zip(fps)
-            .map(|(a, fingerprint)| CheckpointSpec {
-                fingerprint,
+        let specs = (audits.iter().zip(plan.ships()))
+            .map(|(a, ship)| CheckpointSpec {
+                fingerprint: fingerprint(&ship.inputs[0]),
                 legal: a.legal.clone(),
                 logical: Arc::clone(&a.logical),
             })
@@ -671,7 +667,7 @@ impl Engine {
             replans: 0,
             churn_replans: 0,
             grant_retries: 0,
-            last_grant_retry_seq: opts.churn.as_ref().map_or(0, |c| c.pin.seq),
+            last_grant_retry_seq: opts.churn.as_ref().map_or(0, |c| c.pin),
             watch: opts.churn.as_ref().map(|c| c.service.watch(c.pin)),
             churned: None,
         };
@@ -755,7 +751,7 @@ enum Cause {
     /// A mid-flight revocation published catalog head `head`, caught at
     /// executor step `step`. Once re-pinned, `head` is the pin the query
     /// continues under (a grant retry may have moved it forward).
-    Revoked { head: CatalogPin, step: u64 },
+    Revoked { head: u64, step: u64 },
     /// A site failed past its retry budget.
     SiteDown(Location),
     /// A circuit breaker condemned this gray link.
@@ -779,7 +775,7 @@ struct Recovery<'a> {
     grant_retries: u64,
     /// The newest grant sequence a retry has already consumed: each
     /// retry must see a strictly newer grant, so a refusal retries at
-    /// most once per epoch advance and can never spin.
+    /// most once per grant and can never spin.
     last_grant_retry_seq: u64,
     /// The revocation watch of the current catalog pin.
     watch: Option<ChurnWatch>,
@@ -805,8 +801,8 @@ impl Recovery<'_> {
     /// under the current engine. Any other error ends the run as it is.
     fn step(&mut self, failure: GeoError, failed: Arc<PhysicalPlan>) -> Result<Arc<PhysicalPlan>> {
         let mut cause = match (failure.churn_head(), failure.breaker_link()) {
-            (Some((seq, epoch)), _) if self.opts.churn.is_some() => Cause::Revoked {
-                head: CatalogPin::new(seq, epoch),
+            (Some(head), _) if self.opts.churn.is_some() => Cause::Revoked {
+                head,
                 step: failure.churn_step().unwrap_or(0),
             },
             (_, Some((from, to))) => Cause::GrayLink((from.clone(), to.clone())),
@@ -823,7 +819,7 @@ impl Recovery<'_> {
                     "revocation at catalog seq {} caught the query in flight and the \
                      re-plan budget ({}) is exhausted; refusing to finish under the \
                      revoked catalog",
-                    head.seq, self.opts.max_replans
+                    head, self.opts.max_replans
                 )),
                 _ => failure,
             });
@@ -863,7 +859,7 @@ impl Recovery<'_> {
                 Cause::Revoked { head, .. } => GeoError::NonCompliant(format!(
                     "no compliant placement survives the revocation at catalog seq {} \
                      with {} excluded",
-                    head.seq, self.excluded
+                    head, self.excluded
                 )),
                 _ => GeoError::QueryRejected(format!(
                     "no compliant placement survives the failure of {}: \
@@ -944,11 +940,11 @@ impl Recovery<'_> {
     /// that snapshot and re-run the whole optimizer under it. A refusal
     /// there is answered by the grant retry, which moves `head` forward;
     /// otherwise it is typed [`GeoError::NonCompliant`].
-    fn repin(&mut self, head: &mut CatalogPin, abort_step: u64) -> Result<()> {
+    fn repin(&mut self, head: &mut u64, abort_step: u64) -> Result<()> {
         let churn = (self.opts.churn.as_ref()).expect("revocations are causes only under churn");
         self.churn_replans += 1;
         loop {
-            let forked = (self.base).fork_with_policies(churn.service.snapshot(head.seq)?);
+            let forked = (self.base).fork_with_policies(churn.service.snapshot(*head)?);
             // Give the catalog plane one replication round to chase the
             // new head; sites still behind stay in the stale guard and
             // fail safe at transfer time.
@@ -971,9 +967,9 @@ impl Recovery<'_> {
                 // re-pinning forward is sound — and it is bounded: each
                 // retry must consume a strictly newer grant than the last.
                 Err(GeoError::QueryRejected(m)) => {
-                    match churn.service.signal().granted_since(head.seq, abort_step) {
-                        Some(grant) if grant.seq > self.last_grant_retry_seq => {
-                            self.last_grant_retry_seq = grant.seq;
+                    match churn.service.signal().granted_since(*head, abort_step) {
+                        Some(grant) if grant > self.last_grant_retry_seq => {
+                            self.last_grant_retry_seq = grant;
                             self.grant_retries += 1;
                             *head = grant;
                         }
@@ -981,7 +977,7 @@ impl Recovery<'_> {
                             return Err(GeoError::NonCompliant(format!(
                                 "no compliant placement survives the revocation at \
                                  catalog seq {}: {m}",
-                                head.seq
+                                head
                             )))
                         }
                     }
@@ -989,16 +985,5 @@ impl Recovery<'_> {
                 Err(other) => return Err(other),
             }
         }
-    }
-}
-
-/// Fingerprint every SHIP edge's producer subtree, in pre-order SHIP
-/// order (matching [`ship_audit_info`]).
-fn collect_ship_fingerprints(plan: &PhysicalPlan, out: &mut Vec<u64>) {
-    if matches!(plan.op, PhysOp::Ship) {
-        out.push(fingerprint(&plan.inputs[0]));
-    }
-    for c in &plan.inputs {
-        collect_ship_fingerprints(c, out);
     }
 }

@@ -11,9 +11,7 @@
 //! catch a stale home on its own, because a resume leaf is audited
 //! against the trait its checkpoint records.
 
-use geoqp_common::{
-    CatalogPin, ChurnEvent, DataType, Field, Location, LocationSet, Schema, TableRef, Value,
-};
+use geoqp_common::{ChurnEvent, DataType, Field, Location, LocationSet, Schema, TableRef, Value};
 use geoqp_core::{CatalogService, CheckpointStore, Engine, ExecOptions, OptimizerMode};
 use geoqp_exec::RetryPolicy;
 use geoqp_net::topology::Link;
@@ -129,12 +127,11 @@ fn a_revocation_drops_checkpoints_homed_where_the_new_snapshot_forbids() {
     let mut resumed_runs = 0;
     for step in 0..24 {
         let svc = CatalogService::new(Arc::clone(&catalog), base.clone(), Location::new("D"));
-        let pin = CatalogPin::new(0, svc.epoch_at(0).unwrap());
+        let pin = 0;
         let rev = svc.revoke(USERS_TO_B).unwrap();
         let svc = Arc::new(svc.with_planned(vec![ChurnEvent {
             step,
-            seq: rev.seq,
-            epoch: rev.epoch,
+            seq: rev,
             revocation: true,
         }]));
         svc.sync_full();

@@ -1,17 +1,19 @@
-//! Regression: a memoized implication verdict must never be served
-//! across a catalog epoch bump.
+//! Regression: an implication memo shared across a catalog change
+//! answers exactly as no memo would.
 //!
-//! The implication memo caches `implies_opt` verdicts keyed by policy
-//! content; a grant or revoke changes what the catalog implies, so an
-//! engine forked onto a new epoch must start with a *cold* memo — its
-//! hit/miss counters restart from zero and its first optimization pass
-//! records only misses. The original engine's memo (and the epoch it
-//! was warmed under) stays untouched.
+//! The memo keys a verdict by the two predicates it relates — the query
+//! predicate and the expression predicate — never by a catalog snapshot,
+//! so an engine forked over the catalog after a grant or revoke shares
+//! its parent's memo. The one precondition: a verdict depends on nothing
+//! but its key. This test holds the fork to a memo-less reference over
+//! the new snapshot: the same located plans, and the same `𝒜(q)` for
+//! every local query.
 
 use geoqp_common::{DataType, Field, Location, LocationSet, Schema, TableRef, Value};
 use geoqp_core::{CatalogService, Engine, OptimizerMode};
 use geoqp_net::NetworkTopology;
-use geoqp_policy::PolicyCatalog;
+use geoqp_plan::descriptor::describe_local;
+use geoqp_policy::{PolicyCatalog, PolicyEvaluator};
 use geoqp_storage::{Catalog, Table, TableStats};
 use std::sync::Arc;
 
@@ -41,7 +43,9 @@ fn catalog() -> Arc<Catalog> {
                 Field::new("e_kind", DataType::Str),
             ])
             .unwrap(),
-            TableStats::new(2, 16.0),
+            // Costed as the big side, so the join runs in US unless a
+            // policy keeps names in EU.
+            TableStats::new(1000, 16.0),
         )
         .unwrap();
     users
@@ -75,6 +79,10 @@ fn policies(catalog: &Catalog) -> PolicyCatalog {
     let mut p = PolicyCatalog::new();
     for (table, text) in [
         ("users", "ship u_id, u_name from users to *"),
+        (
+            "users",
+            "ship u_id, u_email from users to US where u_id > 1",
+        ),
         ("events", "ship * from events to *"),
     ] {
         let expr = geoqp_parser::parse_policy(text).unwrap();
@@ -84,85 +92,91 @@ fn policies(catalog: &Catalog) -> PolicyCatalog {
     p
 }
 
-const SQL: &str = "SELECT u_name, e_kind FROM users, events WHERE u_id = e_user";
+const WORKLOAD: [&str; 5] = [
+    "SELECT u_name, e_kind FROM users, events WHERE u_id = e_user",
+    "SELECT u_name, e_kind FROM users, events WHERE u_id = e_user AND u_id > 1",
+    "SELECT u_email FROM users WHERE u_id > 1",
+    "SELECT u_email FROM users WHERE u_id = 2",
+    "SELECT e_kind FROM events WHERE e_user > 0",
+];
+
+/// Optimize the workload on `forked` and on a brand-new engine over the
+/// same snapshot, and require the same located plans. Then require the
+/// fork's shared memo to give every local query of the workload the
+/// legal set a memo-less evaluator gives it. Returns the implication
+/// proofs the fork ran.
+fn assert_plans_as_memo_less(forked: &Engine) -> u64 {
+    let memo = forked.implication_memo();
+    let misses = memo.misses();
+    let fresh = Engine::new(
+        Arc::clone(forked.catalog()),
+        Arc::clone(forked.policies()),
+        forked.topology().clone(),
+    );
+    let locations = forked.catalog().locations();
+    for sql in WORKLOAD {
+        let got = forked.optimize_sql(sql, OptimizerMode::Compliant, None);
+        let want = fresh.optimize_sql(sql, OptimizerMode::Compliant, None);
+        let (got, want) = (got.unwrap(), want.unwrap());
+        assert_eq!(got.physical, want.physical, "{sql}");
+        let shared = PolicyEvaluator::with_memo(forked.policies(), locations, memo);
+        let memo_less = PolicyEvaluator::new(forked.policies(), locations);
+        got.logical.visit(&mut |node| {
+            if let Some(q) = describe_local(node) {
+                assert_eq!(shared.evaluate(&q), memo_less.evaluate(&q), "{sql}: {q:?}");
+            }
+        });
+    }
+    memo.misses() - misses
+}
 
 #[test]
-fn implication_memo_restarts_cold_across_an_epoch_bump() {
+fn a_fork_shares_the_memo_and_plans_as_a_memo_less_engine() {
     let catalog = catalog();
     let base = policies(&catalog);
     let topology = NetworkTopology::uniform(LocationSet::from_iter(["EU", "US"]), 10.0, 100.0);
     let engine = Engine::new(Arc::clone(&catalog), Arc::new(base.clone()), topology);
     let svc = CatalogService::new(Arc::clone(&catalog), base, Location::new("EU"));
 
-    // Warm the memo: the second identical optimization is served from it.
-    engine
-        .optimize_sql(SQL, OptimizerMode::Compliant, None)
-        .unwrap();
-    let warm_misses = engine.implication_memo().misses();
-    assert!(warm_misses > 0, "first pass populates the memo");
-    engine
-        .optimize_sql(SQL, OptimizerMode::Compliant, None)
-        .unwrap();
-    let warm_hits = engine.implication_memo().hits();
-    assert!(warm_hits > 0, "second pass must hit the warmed memo");
+    // Warm the memo over the base catalog.
+    let cold_proofs = assert_plans_as_memo_less(&engine);
+    assert!(cold_proofs > 0, "the first pass populates the memo");
 
-    // Grant a new policy: the epoch bumps, and the forked engine's memo
-    // is cold — zero hits, zero misses, zero cached verdicts.
-    let grant = geoqp_parser::parse_policy("ship u_email from users to EU").unwrap();
-    let pin = svc.grant(grant).unwrap();
-    let forked = engine.fork_with_policies(svc.snapshot(pin.seq).unwrap());
-    assert_ne!(pin.epoch, svc.epoch_at(0).unwrap());
-    assert_eq!(forked.implication_memo().hits(), 0);
-    assert_eq!(forked.implication_memo().misses(), 0);
-    assert_eq!(forked.implication_memo().len(), 0);
-
-    // The fork's first pass behaves exactly like a brand-new engine over
-    // the same snapshot: identical hit/miss/len counters. Any verdict
-    // smuggled across the epoch bump would show up as extra hits (and
-    // fewer misses) than the genuinely cold engine records.
-    forked
-        .optimize_sql(SQL, OptimizerMode::Compliant, None)
+    // Revoke the policy that lets names leave EU: plans must move, and
+    // the fork must plan exactly as a memo-less engine would, while
+    // sharing — not copying — its parent's memo.
+    let seq = svc.revoke(0).unwrap();
+    let forked = engine.fork_with_policies(svc.snapshot(seq).unwrap());
+    assert!(std::ptr::eq(
+        forked.implication_memo(),
+        engine.implication_memo()
+    ));
+    let before = engine
+        .optimize_sql(WORKLOAD[0], OptimizerMode::Compliant, None)
         .unwrap();
-    let fresh = Engine::new(
-        Arc::clone(&catalog),
-        svc.snapshot(pin.seq).unwrap(),
-        forked.topology().clone(),
-    );
-    fresh
-        .optimize_sql(SQL, OptimizerMode::Compliant, None)
+    let after = forked
+        .optimize_sql(WORKLOAD[0], OptimizerMode::Compliant, None)
         .unwrap();
-    assert_eq!(
-        forked.implication_memo().hits(),
-        fresh.implication_memo().hits(),
-        "a forked engine's first pass must hit exactly as often as a cold engine's"
-    );
-    assert_eq!(
-        forked.implication_memo().misses(),
-        fresh.implication_memo().misses()
-    );
-    assert_eq!(
-        forked.implication_memo().len(),
-        fresh.implication_memo().len()
-    );
-    assert!(forked.implication_memo().misses() > 0);
-
-    // The original engine's memo is untouched by the fork's activity.
-    assert_eq!(engine.implication_memo().hits(), warm_hits);
-    assert_eq!(engine.implication_memo().misses(), warm_misses);
-
-    // Revoke-then-regrant restores the policy *content* but chains to a
-    // fresh epoch — so even an identical catalog restarts the memo cold
-    // rather than resurrecting verdicts from before the revocation.
-    let pid = svc
-        .find_live("ship u_email from users to EU")
-        .expect("the grant is live");
-    svc.revoke(pid).unwrap();
-    let regrant = geoqp_parser::parse_policy("ship u_email from users to EU").unwrap();
-    let repin = svc.grant(regrant).unwrap();
     assert_ne!(
-        repin.epoch, pin.epoch,
-        "revoke-then-regrant must not return to the revoked epoch"
+        before.physical, after.physical,
+        "the revocation moves the join"
     );
-    let refork = engine.fork_with_policies(svc.snapshot(repin.seq).unwrap());
-    assert_eq!(refork.implication_memo().len(), 0, "cold again");
+    assert_eq!(
+        assert_plans_as_memo_less(&forked),
+        0,
+        "every verdict the new catalog needs was proven under the old one"
+    );
+
+    // Revoke-then-regrant: the same content under a new pid and seq. The
+    // regranted policy's verdicts were proven before the revocation, and
+    // they still answer exactly.
+    let regrant = geoqp_parser::parse_policy("ship u_id, u_name from users to *").unwrap();
+    let seq = svc.grant(regrant).unwrap();
+    let refork = forked.fork_with_policies(svc.snapshot(seq).unwrap());
+    assert_eq!(refork.policies().expressions().last().unwrap().id, 3);
+    assert_eq!(
+        assert_plans_as_memo_less(&refork),
+        0,
+        "nothing left to prove"
+    );
 }

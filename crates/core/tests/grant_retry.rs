@@ -9,9 +9,7 @@
 //! epoch advance), fires only after a genuine refusal, and replays
 //! byte-identically under identical seeds.
 
-use geoqp_common::{
-    CatalogPin, ChurnEvent, DataType, Field, Location, LocationSet, Schema, TableRef, Value,
-};
+use geoqp_common::{ChurnEvent, DataType, Field, Location, LocationSet, Schema, TableRef, Value};
 use geoqp_core::{CatalogService, Engine, ExecOptions, OptimizerMode};
 use geoqp_exec::RetryPolicy;
 use geoqp_net::{FaultPlan, NetworkTopology};
@@ -114,12 +112,11 @@ fn run_scripted(regrant: bool, revoke_step: u64, grant_step: u64) -> geoqp_commo
     let topology = NetworkTopology::uniform(LocationSet::from_iter(["EU", "US"]), 10.0, 100.0);
     let engine = Engine::new(Arc::clone(&catalog), Arc::new(base.clone()), topology);
     let svc = CatalogService::new(Arc::clone(&catalog), base, Location::new("EU"));
-    let pin = CatalogPin::new(0, svc.epoch_at(0).unwrap());
+    let pin = 0;
     let rev = svc.revoke(EVENTS_PID).unwrap();
     let mut planned = vec![ChurnEvent {
         step: revoke_step,
-        seq: rev.seq,
-        epoch: rev.epoch,
+        seq: rev,
         revocation: true,
     }];
     if regrant {
@@ -127,8 +124,7 @@ fn run_scripted(regrant: bool, revoke_step: u64, grant_step: u64) -> geoqp_commo
         let re = svc.grant(expr).unwrap();
         planned.push(ChurnEvent {
             step: grant_step,
-            seq: re.seq,
-            epoch: re.epoch,
+            seq: re,
             revocation: false,
         });
     }

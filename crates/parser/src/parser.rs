@@ -588,7 +588,7 @@ impl Parser {
     }
 }
 
-/// Parse an ISO date (`YYYY-MM-DD`) into days since the epoch.
+/// Parse an ISO date (`YYYY-MM-DD`) into days since 1970-01-01.
 fn parse_date(s: &str) -> Result<i32> {
     let parts: Vec<&str> = s.split('-').collect();
     if parts.len() != 3 {

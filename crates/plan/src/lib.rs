@@ -22,4 +22,4 @@ pub mod physical;
 pub use builder::PlanBuilder;
 pub use descriptor::{LocalQuery, OutputShape};
 pub use logical::{LogicalPlan, SortKey};
-pub use physical::{PhysOp, PhysicalPlan};
+pub use physical::{node_key, PhysOp, PhysicalPlan};

@@ -97,6 +97,12 @@ impl PhysOp {
     }
 }
 
+/// Address of a plan node, usable as a map key: two parents sharing one
+/// `Arc`'d subtree see the same key.
+pub fn node_key(p: &PhysicalPlan) -> usize {
+    p as *const PhysicalPlan as usize
+}
+
 /// One node of a located physical plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhysicalPlan {
@@ -173,26 +179,33 @@ impl PhysicalPlan {
         }
     }
 
+    /// Every Ship node, in pre-order. This is the one numbering of SHIP
+    /// edges: the `i`-th Ship here is edge `i` of the Definition-1 audit,
+    /// of the checkpoint specs and of the runtime's slot grid.
+    pub fn ships(&self) -> Vec<&PhysicalPlan> {
+        fn walk<'p>(p: &'p PhysicalPlan, out: &mut Vec<&'p PhysicalPlan>) {
+            if matches!(p.op, PhysOp::Ship) {
+                out.push(p);
+            }
+            for c in &p.inputs {
+                walk(c, out);
+            }
+        }
+        let mut out = Vec::new();
+        walk(self, &mut out);
+        out
+    }
+
     /// Number of Ship operators in the plan.
     pub fn ship_count(&self) -> usize {
-        let mut n = 0;
-        self.visit(&mut |p| {
-            if matches!(p.op, PhysOp::Ship) {
-                n += 1;
-            }
-        });
-        n
+        self.ships().len()
     }
 
     /// All `(from, to)` transfers performed by the plan.
     pub fn transfers(&self) -> Vec<(Location, Location)> {
-        let mut out = Vec::new();
-        self.visit(&mut |p| {
-            if matches!(p.op, PhysOp::Ship) {
-                out.push((p.inputs[0].location.clone(), p.location.clone()));
-            }
-        });
-        out
+        (self.ships().iter())
+            .map(|p| (p.inputs[0].location.clone(), p.location.clone()))
+            .collect()
     }
 
     /// Total operator count.

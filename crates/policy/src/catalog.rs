@@ -11,7 +11,9 @@ use std::fmt;
 /// check).
 #[derive(Debug, Clone)]
 pub struct RegisteredExpression {
-    /// Stable id (registration order).
+    /// Stable id: registration order in a catalog built with
+    /// [`PolicyCatalog::register`], the log's pid in a materialized
+    /// snapshot — so an id names one policy in every snapshot.
     pub id: usize,
     /// The original expression.
     pub expr: PolicyExpression,
@@ -60,7 +62,9 @@ impl PolicyCatalog {
     }
 
     /// Register an expression, validating it against the governed table's
-    /// schema. Returns the assigned id.
+    /// schema. Returns the assigned id: one past the largest held, so a
+    /// catalog materialized from a churned log (whose ids have gaps)
+    /// never hands out the id of a policy still live.
     pub fn register(&mut self, expr: PolicyExpression, table_schema: &Schema) -> Result<usize> {
         let attrs = expr.validate(table_schema)?;
         let table_attrs = table_schema
@@ -68,7 +72,7 @@ impl PolicyCatalog {
             .iter()
             .map(|f| f.name.clone())
             .collect();
-        let id = self.expressions.len();
+        let id = self.expressions.iter().map(|e| e.id + 1).max().unwrap_or(0);
         self.expressions.push(RegisteredExpression {
             id,
             expr,
@@ -79,11 +83,10 @@ impl PolicyCatalog {
     }
 
     /// Crate-internal: rebuild a catalog from already-validated
-    /// registered expressions — the versioned log's materialization
-    /// path, where validation happened once at append time. Callers are
-    /// responsible for id renumbering (registration order).
+    /// registered expressions, ids being the log's pids — the versioned
+    /// log's materialization path, where validation happened once at
+    /// append time.
     pub(crate) fn from_registered(expressions: Vec<RegisteredExpression>) -> PolicyCatalog {
-        debug_assert!(expressions.iter().enumerate().all(|(i, e)| e.id == i));
         PolicyCatalog { expressions }
     }
 
@@ -109,23 +112,6 @@ impl PolicyCatalog {
     /// disclosure model this means *nothing* may leave its source site.
     pub fn is_empty(&self) -> bool {
         self.expressions.is_empty()
-    }
-
-    /// A stable content hash of the registered expressions: the genesis
-    /// epoch of a [`CatalogLog`](crate::CatalogLog) started from this
-    /// catalog. Chain epochs after it live only in the log.
-    pub(crate) fn content_epoch(&self) -> u64 {
-        // FNV-1a over each expression's canonical display form.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for e in &self.expressions {
-            for b in e.to_string().bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-            h ^= 0xff;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        h
     }
 
     /// The canonical byte rendering of the catalog's registered
@@ -211,31 +197,6 @@ mod tests {
         );
         assert!(cat.register(bad, &schema()).is_err());
         assert!(cat.is_empty());
-    }
-
-    #[test]
-    fn log_genesis_epoch_tracks_catalog_content() {
-        use crate::CatalogLog;
-        let genesis = |c: &PolicyCatalog| CatalogLog::new(c.clone()).epoch();
-        let mut a = PolicyCatalog::new();
-        let mut b = PolicyCatalog::new();
-        assert_eq!(genesis(&a), genesis(&b), "empty catalogs share an epoch");
-        let expr = || {
-            PolicyExpression::basic(
-                TableRef::bare("t"),
-                ShipAttrs::list(["a"]),
-                LocationPattern::Star,
-                None,
-            )
-        };
-        a.register(expr(), &schema()).unwrap();
-        assert_ne!(
-            genesis(&a),
-            genesis(&b),
-            "registering must change the epoch"
-        );
-        b.register(expr(), &schema()).unwrap();
-        assert_eq!(genesis(&a), genesis(&b), "same content, same epoch");
     }
 
     #[test]

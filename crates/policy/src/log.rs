@@ -6,16 +6,19 @@
 //! base catalog's content hash. Chaining (rather than re-hashing content)
 //! means revoke-then-regrant never returns to an old epoch, so a replica
 //! that verifies the chain has seen exactly the coordinator's history.
-//! Epochs name log prefixes only: a materialized [`PolicyCatalog`] does
-//! not carry one, and what is derived from a snapshot (implication
-//! verdicts, checkpoints, cached plans) is tied to it by who holds it.
+//! Epochs are the log's integrity check and never leave it: a
+//! materialized [`PolicyCatalog`] does not carry one.
 //!
-//! Epochs are hashes and therefore unordered; freshness is proven by the
-//! monotone **sequence number**. A query pins `(seq, epoch)` at admission
-//! ([`CatalogPin`]); a replica that has applied entries up to that
-//! sequence — verifying the chain as it goes — can prove it has seen the
-//! pinned catalog, and one that cannot must fail safe
-//! (`GeoError::CatalogStale`).
+//! Epochs are hashes and therefore unordered; a snapshot is named by its
+//! monotone **sequence number**. A query pins the sequence at admission;
+//! a replica that has applied entries up to that sequence — verifying
+//! the chain as it goes — can prove it has seen the pinned catalog, and
+//! one that cannot must fail safe (`GeoError::CatalogStale`).
+//!
+//! A policy is named by the stable **pid** its grant assigned, in every
+//! snapshot: a materialized catalog keeps each live policy's pid as its
+//! [`RegisteredExpression::id`], so `e3` means the same grant before and
+//! after a revocation of `e0`.
 //!
 //! Grant entries carry their expression pre-validated and pre-expanded
 //! (the attribute sets [`PolicyCatalog::register`] would compute), so
@@ -35,7 +38,7 @@
 
 use crate::catalog::{PolicyCatalog, RegisteredExpression};
 use crate::expression::PolicyExpression;
-use geoqp_common::{CatalogPin, GeoError, Result, Schema};
+use geoqp_common::{GeoError, Result, Schema};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -135,6 +138,21 @@ impl fmt::Display for CatalogEntry {
     }
 }
 
+/// The genesis epoch of a log started from `base`: a stable content hash
+/// (FNV-1a) over each expression's canonical display form.
+fn genesis_epoch(base: &PolicyCatalog) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for e in base.expressions() {
+        for b in e.to_string().bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x1000_0000_01b3);
+        }
+        h ^= 0xff;
+        h = h.wrapping_mul(0x1000_0000_01b3);
+    }
+    h
+}
+
 /// Fold one canonical entry line into the chain: FNV-1a seeded with the
 /// previous epoch (perturbed so an empty line still moves the hash).
 fn chain_epoch(prev: u64, line: &str) -> u64 {
@@ -159,15 +177,13 @@ pub struct CatalogSnapshot {
     seq: u64,
     epoch: u64,
     hash: u64,
-    /// Live `(pid, expression)` state at `seq`, in grant order. Pids are
-    /// the stable log-assigned ids, *not* the dense registration ids a
-    /// materialized [`PolicyCatalog`] renumbers to.
-    live: Vec<(u64, RegisteredExpression)>,
+    /// Live state at `seq`, in grant order, each expression's id its pid.
+    live: Vec<RegisteredExpression>,
     next_pid: u64,
 }
 
 impl CatalogSnapshot {
-    fn build(seq: u64, epoch: u64, live: Vec<(u64, RegisteredExpression)>, next_pid: u64) -> Self {
+    fn build(seq: u64, epoch: u64, live: Vec<RegisteredExpression>, next_pid: u64) -> Self {
         let mut snap = CatalogSnapshot {
             seq,
             epoch,
@@ -182,9 +198,15 @@ impl CatalogSnapshot {
     /// The canonical line for one live policy — same shape as a grant
     /// entry's chain line, so the hash covers everything that affects
     /// materialization.
-    fn line(pid: u64, e: &RegisteredExpression) -> String {
+    fn line(e: &RegisteredExpression) -> String {
         let csv = |s: &BTreeSet<String>| s.iter().cloned().collect::<Vec<_>>().join(",");
-        format!("{pid}:{}|{}|{}", e.expr, csv(&e.attrs), csv(&e.table_attrs))
+        format!(
+            "{}:{}|{}|{}",
+            e.id,
+            e.expr,
+            csv(&e.attrs),
+            csv(&e.table_attrs)
+        )
     }
 
     fn compute_hash(&self) -> u64 {
@@ -192,8 +214,8 @@ impl CatalogSnapshot {
             self.epoch,
             &format!("snapshot:{}:{}", self.seq, self.next_pid),
         );
-        for (pid, e) in &self.live {
-            h = chain_epoch(h, &Self::line(*pid, e));
+        for e in &self.live {
+            h = chain_epoch(h, &Self::line(e));
         }
         h
     }
@@ -213,16 +235,6 @@ impl CatalogSnapshot {
         self.hash
     }
 
-    /// Number of live policies in the snapshot.
-    pub fn len(&self) -> usize {
-        self.live.len()
-    }
-
-    /// Whether the snapshot holds no live policies.
-    pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
-    }
-
     /// Recompute the hash from the carried content and compare against
     /// the claimed one — what a bootstrapping replica does before
     /// installing a snapshot it received over the wire.
@@ -237,83 +249,88 @@ impl CatalogSnapshot {
         let lines: u64 = self
             .live
             .iter()
-            .map(|(pid, e)| Self::line(*pid, e).len() as u64 + 1)
+            .map(|e| Self::line(e).len() as u64 + 1)
             .sum();
         lines + 32 // seq + epoch + hash + next_pid
     }
 
-    /// Materialize this snapshot into a [`PolicyCatalog`] (ids
-    /// renumbered densely, exactly as a log replay would).
+    /// Materialize this snapshot into a [`PolicyCatalog`], exactly as a
+    /// log replay would.
     pub fn materialize(&self) -> PolicyCatalog {
-        renumbered(self.live.clone())
+        PolicyCatalog::from_registered(self.live.clone())
     }
 }
 
-/// Replay `entries` up to absolute sequence `seq` over the floor
-/// snapshot into a fresh catalog. Shared by coordinator and replica so
-/// the two can only ever disagree if the chain verification already
-/// failed. `entries[0]` must be the entry at `floor.seq() + 1`.
-fn replay(floor: &CatalogSnapshot, entries: &[CatalogEntry], seq: u64) -> Result<PolicyCatalog> {
-    if seq < floor.seq || seq - floor.seq > entries.len() as u64 {
-        return Err(GeoError::Policy(format!(
-            "catalog holds seqs {}..={}; cannot materialize seq {seq}",
-            floor.seq,
-            floor.seq + entries.len() as u64
-        )));
+/// A floor snapshot plus the entries applied over it: the state the
+/// coordinator's log and every replica hold, and the one place a sequence
+/// is materialized, so the two can only ever disagree if chain
+/// verification already failed.
+#[derive(Debug, Clone)]
+struct Prefix {
+    floor: CatalogSnapshot,
+    /// Entries `floor.seq + 1 ..=`, in sequence order.
+    entries: Vec<CatalogEntry>,
+}
+
+impl Prefix {
+    fn at(floor: CatalogSnapshot) -> Prefix {
+        Prefix {
+            floor,
+            entries: Vec::new(),
+        }
     }
-    Ok(renumbered(live_state(floor, entries, seq)))
-}
 
-/// The catalog of `live` policies, ids renumbered densely in order.
-fn renumbered(live: Vec<(u64, RegisteredExpression)>) -> PolicyCatalog {
-    let exprs = live
-        .into_iter()
-        .enumerate()
-        .map(|(id, (_, mut e))| {
-            e.id = id;
-            e
-        })
-        .collect();
-    PolicyCatalog::from_registered(exprs)
-}
+    fn seq(&self) -> u64 {
+        self.floor.seq + self.entries.len() as u64
+    }
 
-/// The live `(pid, expression)` state after replaying `entries` up to
-/// absolute sequence `seq` over the floor.
-fn live_state(
-    floor: &CatalogSnapshot,
-    entries: &[CatalogEntry],
-    seq: u64,
-) -> Vec<(u64, RegisteredExpression)> {
-    let mut live = floor.live.clone();
-    for entry in &entries[..(seq - floor.seq) as usize] {
-        match &entry.action {
-            CatalogAction::Grant {
-                pid,
-                expr,
-                attrs,
-                table_attrs,
-            } => live.push((
-                *pid,
-                RegisteredExpression {
-                    id: 0,
+    fn epoch(&self) -> u64 {
+        self.entries.last().map_or(self.floor.epoch, |e| e.epoch)
+    }
+
+    /// The live policies at absolute sequence `seq` (between the floor
+    /// and the head), in grant order, each expression's id its pid.
+    fn live(&self, seq: u64) -> Vec<RegisteredExpression> {
+        let mut live = self.floor.live.clone();
+        for entry in &self.entries[..(seq - self.floor.seq) as usize] {
+            match &entry.action {
+                CatalogAction::Grant {
+                    pid,
+                    expr,
+                    attrs,
+                    table_attrs,
+                } => live.push(RegisteredExpression {
+                    id: *pid as usize,
                     expr: expr.clone(),
                     attrs: attrs.clone(),
                     table_attrs: table_attrs.clone(),
-                },
-            )),
-            CatalogAction::Revoke { pid } => live.retain(|(p, _)| p != pid),
+                }),
+                CatalogAction::Revoke { pid } => live.retain(|e| e.id as u64 != *pid),
+            }
         }
+        live
     }
-    live
-}
 
-/// The pids live (granted and not yet revoked) at absolute sequence
-/// `seq`.
-fn live_pids(floor: &CatalogSnapshot, entries: &[CatalogEntry], seq: u64) -> BTreeSet<u64> {
-    live_state(floor, entries, seq)
-        .iter()
-        .map(|(pid, _)| *pid)
-        .collect()
+    /// The catalog as of `seq`. A sequence below the floor was compacted
+    /// away and is the typed `GeoError::CatalogCompacted` — never a
+    /// panic, and never silently the head state; one past the head is a
+    /// policy error.
+    fn materialize(&self, seq: u64) -> Result<PolicyCatalog> {
+        if seq < self.floor.seq {
+            return Err(GeoError::CatalogCompacted(format!(
+                "catalog seq {seq} was compacted away; the oldest \
+                 reconstructible state is the floor snapshot at seq {}",
+                self.floor.seq
+            )));
+        }
+        if seq > self.seq() {
+            return Err(GeoError::Policy(format!(
+                "catalog holds up to seq {}; cannot materialize seq {seq}",
+                self.seq()
+            )));
+        }
+        Ok(PolicyCatalog::from_registered(self.live(seq)))
+    }
 }
 
 /// The coordinator's append-only catalog log: the base catalog at
@@ -326,56 +343,47 @@ pub struct CatalogLog {
     /// The deployment's static seq-0 state — what a brand-new replica
     /// starts from. Never moves, even after compaction.
     base: CatalogSnapshot,
-    /// The newest compaction point (== `base` before any compaction).
-    floor: CatalogSnapshot,
-    /// Retained entries, seqs `floor.seq() + 1 ..=`.
-    entries: Vec<CatalogEntry>,
+    /// The newest compaction point (== `base` before any compaction)
+    /// and the entries retained above it.
+    prefix: Prefix,
     next_pid: u64,
     compactions: u64,
 }
 
 impl CatalogLog {
     /// Start a log from the deployment's base catalog. Sequence 0 *is*
-    /// the base: its genesis epoch is the base content hash, so two logs
-    /// started from the same policies chain identically.
+    /// the base: its expression ids are its pids, and its genesis epoch
+    /// is the base content hash, so two logs started from the same
+    /// policies chain identically.
     pub fn new(base: PolicyCatalog) -> CatalogLog {
-        let base_epoch = base.content_epoch();
-        let next_pid = base.len() as u64;
-        let live = base
-            .expressions()
-            .iter()
-            .map(|e| (e.id as u64, e.clone()))
-            .collect();
-        let base = CatalogSnapshot::build(0, base_epoch, live, next_pid);
+        let live = base.expressions().to_vec();
+        // Past every id the base holds: a base materialized from a
+        // churned log has gaps, and a pid still live must not recur.
+        let next_pid = live.iter().map(|e| e.id as u64 + 1).max().unwrap_or(0);
+        let base = CatalogSnapshot::build(0, genesis_epoch(&base), live, next_pid);
         CatalogLog {
-            floor: base.clone(),
+            prefix: Prefix::at(base.clone()),
             base,
-            entries: Vec::new(),
             next_pid,
             compactions: 0,
         }
     }
 
-    /// The current head: `(seq, epoch)` of the newest entry (or the base
-    /// when the log is empty).
-    pub fn head(&self) -> CatalogPin {
-        CatalogPin::new(self.seq(), self.epoch())
-    }
-
-    /// The newest appended sequence (floor plus retained entries).
+    /// The head: the newest appended sequence (floor plus retained
+    /// entries; 0 while the log holds only the base).
     pub fn seq(&self) -> u64 {
-        self.floor.seq + self.entries.len() as u64
+        self.prefix.seq()
     }
 
     /// Chain epoch at the head.
     pub fn epoch(&self) -> u64 {
-        self.entries.last().map_or(self.floor.epoch, |e| e.epoch)
+        self.prefix.epoch()
     }
 
     /// The compaction floor: the oldest sequence the log can still
     /// reconstruct exactly. 0 until the first [`CatalogLog::compact`].
     pub fn floor_seq(&self) -> u64 {
-        self.floor.seq
+        self.prefix.floor.seq
     }
 
     /// How many times the log has been compacted.
@@ -386,27 +394,26 @@ impl CatalogLog {
     /// The newest snapshot — the floor itself. What a bootstrapping
     /// replica is shipped.
     pub fn latest_snapshot(&self) -> &CatalogSnapshot {
-        &self.floor
+        &self.prefix.floor
     }
 
     /// Chain epoch at `seq`, if the log still holds that prefix (`None`
     /// for sequences past the head *or* compacted below the floor).
     pub fn epoch_at(&self, seq: u64) -> Option<u64> {
-        if seq < self.floor.seq {
+        let Prefix { floor, entries } = &self.prefix;
+        if seq < floor.seq {
             None
-        } else if seq == self.floor.seq {
-            Some(self.floor.epoch)
+        } else if seq == floor.seq {
+            Some(floor.epoch)
         } else {
-            self.entries
-                .get((seq - self.floor.seq) as usize - 1)
-                .map(|e| e.epoch)
+            entries.get((seq - floor.seq) as usize - 1).map(|e| e.epoch)
         }
     }
 
     /// Every retained entry, in sequence order (compacted entries are
     /// gone — they live on only inside the floor snapshot).
     pub fn entries(&self) -> &[CatalogEntry] {
-        &self.entries
+        &self.prefix.entries
     }
 
     /// The retained entries a replica at `seq` still needs, in order. A
@@ -415,8 +422,9 @@ impl CatalogLog {
     /// a replica must bootstrap from [`CatalogLog::latest_snapshot`]
     /// first.
     pub fn entries_after(&self, seq: u64) -> &[CatalogEntry] {
-        let idx = seq.saturating_sub(self.floor.seq) as usize;
-        &self.entries[idx.min(self.entries.len())..]
+        let entries = self.entries();
+        let idx = seq.saturating_sub(self.floor_seq()) as usize;
+        &entries[idx.min(entries.len())..]
     }
 
     /// Compact the log at `seq`: materialize the live state there into a
@@ -425,11 +433,11 @@ impl CatalogLog {
     /// `GeoError::CatalogCompacted` from then on. Compacting at the
     /// current floor is a no-op; compacting below it is the typed error.
     pub fn compact(&mut self, seq: u64) -> Result<CatalogSnapshot> {
-        if seq < self.floor.seq {
+        let floor = self.floor_seq();
+        if seq < floor {
             return Err(GeoError::CatalogCompacted(format!(
-                "catalog seq {seq} is below the compaction floor at seq {}; \
-                 its exact state is no longer reconstructible",
-                self.floor.seq
+                "catalog seq {seq} is below the compaction floor at seq {floor}; \
+                 its exact state is no longer reconstructible"
             )));
         }
         if seq > self.seq() {
@@ -438,22 +446,22 @@ impl CatalogLog {
                 self.seq()
             )));
         }
-        if seq == self.floor.seq {
-            return Ok(self.floor.clone());
+        if seq == floor {
+            return Ok(self.prefix.floor.clone());
         }
         let epoch = self.epoch_at(seq).expect("seq bounds checked above");
-        let live = live_state(&self.floor, &self.entries, seq);
+        let folded = (seq - floor) as usize;
         // The pid frontier *as of `seq`* — every grant at or below the
         // compaction point has consumed its pid, whether still live or
         // already revoked, so pids can never be reused across the floor.
-        let next_pid = self.floor.next_pid
-            + self.entries[..(seq - self.floor.seq) as usize]
+        let next_pid = self.prefix.floor.next_pid
+            + self.prefix.entries[..folded]
                 .iter()
                 .filter(|e| !e.is_revocation())
                 .count() as u64;
-        let snapshot = CatalogSnapshot::build(seq, epoch, live, next_pid);
-        self.entries.drain(..(seq - self.floor.seq) as usize);
-        self.floor = snapshot.clone();
+        let snapshot = CatalogSnapshot::build(seq, epoch, self.prefix.live(seq), next_pid);
+        self.prefix.entries.drain(..folded);
+        self.prefix.floor = snapshot.clone();
         self.compactions += 1;
         Ok(snapshot)
     }
@@ -461,10 +469,10 @@ impl CatalogLog {
     /// Append a grant: validate the expression against the governed
     /// table's schema (expanding `ship *` and capturing the table's
     /// attribute set, exactly as [`PolicyCatalog::register`] would),
-    /// assign the next stable policy id, and bump the epoch. The new
-    /// policy only affects queries admitted at or after the returned
-    /// head — in-flight pins are undisturbed.
-    pub fn grant(&mut self, expr: PolicyExpression, table_schema: &Schema) -> Result<CatalogPin> {
+    /// assign the next stable policy id, and bump the epoch. Returns the
+    /// new head's seq. The new policy only affects queries admitted at or
+    /// after it — in-flight pins are undisturbed.
+    pub fn grant(&mut self, expr: PolicyExpression, table_schema: &Schema) -> Result<u64> {
         let attrs = expr.validate(table_schema)?;
         let table_attrs = table_schema
             .fields()
@@ -482,11 +490,11 @@ impl CatalogLog {
     }
 
     /// Append a revocation of the live policy `pid` and bump the epoch.
-    /// Unlike grants, revocations are pushed to in-flight queries via
-    /// the churn signal: a query shipping on a now-revoked edge aborts
-    /// and re-plans under the new epoch.
-    pub fn revoke(&mut self, pid: u64) -> Result<CatalogPin> {
-        if !live_pids(&self.floor, &self.entries, self.seq()).contains(&pid) {
+    /// Returns the new head's seq. Unlike grants, revocations are pushed
+    /// to in-flight queries via the churn signal: a query shipping on a
+    /// now-revoked edge aborts and re-plans under the new head.
+    pub fn revoke(&mut self, pid: u64) -> Result<u64> {
+        if !(self.prefix.live(self.seq()).iter()).any(|e| e.id as u64 == pid) {
             return Err(GeoError::Policy(format!(
                 "cannot revoke p{pid}: no such live policy at catalog seq {}",
                 self.seq()
@@ -495,7 +503,7 @@ impl CatalogLog {
         self.append(CatalogAction::Revoke { pid })
     }
 
-    fn append(&mut self, action: CatalogAction) -> Result<CatalogPin> {
+    fn append(&mut self, action: CatalogAction) -> Result<u64> {
         let seq = self.seq() + 1;
         let mut entry = CatalogEntry {
             seq,
@@ -503,9 +511,8 @@ impl CatalogLog {
             action,
         };
         entry.epoch = chain_epoch(self.epoch(), &entry.canonical());
-        let pin = CatalogPin::new(seq, entry.epoch);
-        self.entries.push(entry);
-        Ok(pin)
+        self.prefix.entries.push(entry);
+        Ok(seq)
     }
 
     /// Materialize the catalog as of sequence `seq`. `seq == 0`
@@ -513,29 +520,15 @@ impl CatalogLog {
     /// compaction floor is gone for good and returns the typed
     /// `GeoError::CatalogCompacted`.
     pub fn materialize(&self, seq: u64) -> Result<PolicyCatalog> {
-        if seq < self.floor.seq {
-            return Err(GeoError::CatalogCompacted(format!(
-                "catalog seq {seq} was compacted away; the oldest \
-                 reconstructible state is the floor snapshot at seq {}",
-                self.floor.seq
-            )));
-        }
-        if seq > self.seq() {
-            return Err(GeoError::Policy(format!(
-                "catalog log head is seq {}; cannot materialize seq {seq}",
-                self.seq()
-            )));
-        }
-        replay(&self.floor, &self.entries, seq)
+        self.prefix.materialize(seq)
     }
 
     /// The live policies at `seq`: `(pid, display form)` pairs in pid
     /// order — the `\catalog` shell verb's listing.
     pub fn live_policies(&self, seq: u64) -> Vec<(u64, String)> {
-        let seq = seq.clamp(self.floor.seq, self.seq());
-        let mut out: Vec<(u64, String)> = live_state(&self.floor, &self.entries, seq)
-            .iter()
-            .map(|(pid, e)| (*pid, e.expr.to_string()))
+        let seq = seq.clamp(self.floor_seq(), self.seq());
+        let mut out: Vec<(u64, String)> = (self.prefix.live(seq).iter())
+            .map(|e| (e.id as u64, e.expr.to_string()))
             .collect();
         out.sort_by_key(|(pid, _)| *pid);
         out
@@ -548,8 +541,7 @@ impl CatalogLog {
     pub fn replica(&self) -> CatalogReplica {
         CatalogReplica {
             base: self.base.clone(),
-            floor: self.base.clone(),
-            entries: Vec::new(),
+            prefix: Prefix::at(self.base.clone()),
         }
     }
 }
@@ -569,27 +561,26 @@ impl CatalogLog {
 pub struct CatalogReplica {
     /// The deployment's static seq-0 state — survives wipes.
     base: CatalogSnapshot,
-    /// The snapshot this replica's entries replay over: the base, or an
-    /// installed (hash-verified) coordinator snapshot after a bootstrap.
-    floor: CatalogSnapshot,
-    entries: Vec<CatalogEntry>,
+    /// The applied entries over their floor: the base, or an installed
+    /// (hash-verified) coordinator snapshot after a bootstrap.
+    prefix: Prefix,
 }
 
 impl CatalogReplica {
     /// The newest sequence this replica holds.
     pub fn seq(&self) -> u64 {
-        self.floor.seq + self.entries.len() as u64
+        self.prefix.seq()
     }
 
     /// Chain epoch of the applied prefix.
     pub fn epoch(&self) -> u64 {
-        self.entries.last().map_or(self.floor.epoch, |e| e.epoch)
+        self.prefix.epoch()
     }
 
     /// The oldest sequence this replica can reconstruct: 0 until a
     /// bootstrap installs a newer snapshot floor.
     pub fn floor_seq(&self) -> u64 {
-        self.floor.seq
+        self.prefix.floor.seq
     }
 
     /// Whether this replica can prove it has seen log sequence `seq`.
@@ -616,7 +607,7 @@ impl CatalogReplica {
                 entry.seq, entry.epoch
             )));
         }
-        self.entries.push(entry.clone());
+        self.prefix.entries.push(entry.clone());
         Ok(())
     }
 
@@ -625,8 +616,7 @@ impl CatalogReplica {
     /// sequence from scratch — via entry replay, or a snapshot bootstrap
     /// when the coordinator has compacted past what replay can reach.
     pub fn wipe(&mut self) {
-        self.floor = self.base.clone();
-        self.entries.clear();
+        self.prefix = Prefix::at(self.base.clone());
     }
 
     /// Install a coordinator snapshot as this replica's new floor — the
@@ -655,8 +645,7 @@ impl CatalogReplica {
                 snapshot.seq
             )));
         }
-        self.floor = snapshot.clone();
-        self.entries.clear();
+        self.prefix = Prefix::at(snapshot.clone());
         Ok(())
     }
 
@@ -667,20 +656,7 @@ impl CatalogReplica {
     /// the typed `GeoError::CatalogCompacted` — never a panic, and never
     /// silently the head state.
     pub fn materialize(&self, seq: u64) -> Result<PolicyCatalog> {
-        if seq < self.floor.seq {
-            return Err(GeoError::CatalogCompacted(format!(
-                "replica's floor is the snapshot at seq {}; seq {seq} was \
-                 compacted away and cannot be materialized",
-                self.floor.seq
-            )));
-        }
-        if seq > self.seq() {
-            return Err(GeoError::Policy(format!(
-                "replica holds up to seq {}; cannot materialize seq {seq}",
-                self.seq()
-            )));
-        }
-        replay(&self.floor, &self.entries, seq)
+        self.prefix.materialize(seq)
     }
 }
 
@@ -715,37 +691,55 @@ mod tests {
 
     #[test]
     fn grants_and_revokes_bump_the_epoch_deterministically() {
+        let head = |log: &CatalogLog| (log.seq(), log.epoch());
         let mut log1 = CatalogLog::new(base());
         let mut log2 = CatalogLog::new(base());
-        assert_eq!(log1.head(), log2.head());
-        assert_eq!(
-            log1.epoch(),
-            base().content_epoch(),
-            "seq 0 is the base catalog"
-        );
+        assert_eq!(head(&log1), head(&log2));
+        assert_eq!(log1.epoch(), genesis_epoch(&base()), "seq 0 is the base");
 
-        let p1 = log1.grant(expr("b"), &schema()).unwrap();
-        let p2 = log2.grant(expr("b"), &schema()).unwrap();
-        assert_eq!(p1, p2, "identical appends hash identically");
-        assert_ne!(p1.epoch, log1.epoch_at(0).unwrap());
+        let s1 = log1.grant(expr("b"), &schema()).unwrap();
+        let s2 = log2.grant(expr("b"), &schema()).unwrap();
+        assert_eq!((s1, s2), (1, 1), "a grant returns the new head's seq");
+        assert_eq!(head(&log1), head(&log2), "appends chain alike");
+        assert_ne!(log1.epoch(), log1.epoch_at(0).unwrap());
 
-        log1.revoke(1).unwrap();
+        assert_eq!(log1.revoke(1).unwrap(), 2);
         log2.revoke(1).unwrap();
-        assert_eq!(log1.head(), log2.head());
+        assert_eq!(head(&log1), head(&log2));
+    }
+
+    #[test]
+    fn log_genesis_epoch_tracks_catalog_content() {
+        let genesis = |c: &PolicyCatalog| CatalogLog::new(c.clone()).epoch();
+        let mut a = PolicyCatalog::new();
+        let mut b = PolicyCatalog::new();
+        assert_eq!(genesis(&a), genesis(&b), "empty catalogs share an epoch");
+        a.register(expr("a"), &schema()).unwrap();
+        assert_ne!(
+            genesis(&a),
+            genesis(&b),
+            "registering must change the epoch"
+        );
+        b.register(expr("a"), &schema()).unwrap();
+        assert_eq!(genesis(&a), genesis(&b), "same content, same epoch");
     }
 
     #[test]
     fn revoke_then_regrant_never_returns_to_an_old_epoch() {
         let mut log = CatalogLog::new(base());
-        let after_grant = log.grant(expr("b"), &schema()).unwrap();
+        log.grant(expr("b"), &schema()).unwrap();
         log.revoke(1).unwrap();
-        let after_regrant = log.grant(expr("b"), &schema()).unwrap();
-        // Content at seq 3 equals content at seq 1 (modulo ids), but the
-        // chain epoch remembers the history.
-        assert_ne!(after_regrant.epoch, after_grant.epoch);
-        let snap1 = log.materialize(1).unwrap();
-        let snap3 = log.materialize(3).unwrap();
-        assert_eq!(snap1.canonical_bytes(), snap3.canonical_bytes());
+        log.grant(expr("b"), &schema()).unwrap();
+        // Content at seq 3 equals content at seq 1, but the regrant is a
+        // new policy with a new pid, and the chain epoch remembers the
+        // history.
+        let [(pids1, exprs1), (pids3, exprs3)] = [1, 3].map(|seq| {
+            let snap = log.materialize(seq).unwrap();
+            (snap.expressions().iter().map(|e| (e.id, e.expr.clone())))
+                .unzip::<_, _, Vec<_>, Vec<_>>()
+        });
+        assert_eq!(exprs1, exprs3);
+        assert_eq!((pids1, pids3), (vec![0, 1], vec![0, 2]));
         assert_ne!(log.epoch_at(1), log.epoch_at(3));
     }
 
@@ -754,14 +748,20 @@ mod tests {
         let mut log = CatalogLog::new(base());
         log.grant(expr("b"), &schema()).unwrap(); // pid 1
         log.revoke(0).unwrap(); // drop the base policy
-        let snap = log.materialize(2).unwrap();
-        assert_eq!(snap.len(), 1);
+        let mut snap = log.materialize(2).unwrap();
+        assert_eq!(snap.expressions()[0].id, 1, "ids are pids");
         assert_eq!(log.epoch_at(2), Some(log.epoch()));
         assert_eq!(log.live_policies(2), vec![(1, expr("b").to_string())]);
+        // One expression is held, but id 1 is live: a catalog or log
+        // built from the snapshot hands out id 2 next.
+        let mut relog = CatalogLog::new(snap.clone());
+        assert_eq!(snap.register(expr("a"), &schema()).unwrap(), 2);
+        relog.grant(expr("a"), &schema()).unwrap();
+        assert_eq!(relog.live_policies(1)[1].0, 2);
         // seq 0 reproduces the base, epoch included.
         let at0 = log.materialize(0).unwrap();
         assert_eq!(at0.canonical_bytes(), base().canonical_bytes());
-        assert_eq!(log.epoch_at(0), Some(base().content_epoch()));
+        assert_eq!(log.epoch_at(0), Some(genesis_epoch(&base())));
     }
 
     #[test]
@@ -866,8 +866,7 @@ mod tests {
 
         // Appends keep working across the floor, and pids never reuse
         // compacted ones.
-        let pin = log.grant(expr("b"), &schema()).unwrap();
-        assert_eq!(pin.seq, 4);
+        assert_eq!(log.grant(expr("b"), &schema()).unwrap(), 4);
         let pids: Vec<u64> = log.live_policies(4).iter().map(|(p, _)| *p).collect();
         assert_eq!(pids, vec![1, 2, 3], "pids 0..=2 were consumed before");
     }

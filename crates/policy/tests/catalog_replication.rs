@@ -408,7 +408,7 @@ fn identically_seeded_schedules_produce_identical_heads() {
                 }
             }
             (
-                log.head(),
+                (log.seq(), log.epoch()),
                 log.materialize(log.seq()).unwrap().canonical_bytes(),
             )
         };

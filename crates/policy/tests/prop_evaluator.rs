@@ -11,7 +11,8 @@
 //!   the legal set (the paper's masking-via-projection rationale).
 //! * **Memo transparency**: one implication memo shared across a whole
 //!   workload answers exactly what the memo-less evaluator answers, and
-//!   proves each distinct (predicate, expression) pair once.
+//!   proves each distinct (query predicate, expression predicate) pair
+//!   once.
 
 use geoqp_common::{DataType, Field, Location, LocationPattern, LocationSet, Schema, TableRef};
 use geoqp_expr::{AggCall, AggFunc, ScalarExpr};
@@ -85,10 +86,10 @@ fn catalog_of(exprs: &[PolicyExpression]) -> PolicyCatalog {
     cat
 }
 
-/// The ids of the expressions whose line-3 implication test Algorithm 1
-/// reaches for `q`: those governing its tables and sharing an accessed
-/// attribute with it.
-fn implication_tests(cat: &PolicyCatalog, q: &LocalQuery) -> Vec<usize> {
+/// The predicates of the expressions whose line-3 implication test
+/// Algorithm 1 reaches for `q`: those governing its tables and sharing an
+/// accessed attribute with it.
+fn implication_tests(cat: &PolicyCatalog, q: &LocalQuery) -> Vec<Option<ScalarExpr>> {
     let mut accessed = q.output.output_attrs();
     if let Some(p) = &q.predicate {
         accessed.extend(p.referenced_columns());
@@ -102,7 +103,7 @@ fn implication_tests(cat: &PolicyCatalog, q: &LocalQuery) -> Vec<usize> {
     cat.expressions()
         .iter()
         .filter(|e| e.applies_to(q.tables.iter()) && accessed.iter().any(|a| e.attrs.contains(a)))
-        .map(|e| e.id)
+        .map(|e| e.expr.predicate.clone())
         .collect()
 }
 
@@ -234,13 +235,16 @@ proptest! {
             prop_assert_eq!(shared.eta() - eta_before, reference.eta());
 
             // A cold memo over the same query counts the lookups one
-            // evaluation makes, independently of the shared memo.
+            // evaluation makes, independently of the shared memo, and
+            // proves each distinct expression predicate once.
             let cold = ImplicationMemo::new();
             PolicyEvaluator::with_memo(&cat, &uni, &cold).evaluate(&q);
             let tested = implication_tests(&cat, &q);
-            prop_assert_eq!(cold.misses(), tested.len() as u64);
+            let distinct: HashSet<_> = tested.iter().collect();
+            prop_assert_eq!(cold.misses(), distinct.len() as u64);
+            prop_assert_eq!(cold.hits() + cold.misses(), tested.len() as u64);
             lookups += tested.len() as u64;
-            pairs.extend(tested.into_iter().map(|id| (q.predicate.clone(), id)));
+            pairs.extend(tested.into_iter().map(|e| (q.predicate.clone(), e)));
         }
         prop_assert_eq!(memo.len(), pairs.len());
         prop_assert_eq!(memo.misses(), pairs.len() as u64);

@@ -16,13 +16,8 @@
 //! revocations are checked on.
 
 use geoqp_common::{GeoError, Location, Result};
-use geoqp_plan::{PhysOp, PhysicalPlan};
+use geoqp_plan::{node_key, PhysOp, PhysicalPlan};
 use std::collections::HashMap;
-
-/// Address of a plan node, usable as a map key.
-pub fn node_key(p: &PhysicalPlan) -> usize {
-    p as *const PhysicalPlan as usize
-}
 
 /// One exchange edge: a Ship node and its endpoints.
 pub struct Edge<'p> {
@@ -87,9 +82,16 @@ pub fn cut(plan: &PhysicalPlan) -> Result<Cut<'_>> {
         scan_count: 0,
     };
     let mut shared_ship = false;
-    walk(plan, None, &mut out, &mut shared_ship);
-    for (order, &id) in out.walk.iter().enumerate() {
-        out.edges[id].order = order;
+    for (id, ship) in plan.ships().into_iter().enumerate() {
+        shared_ship |= out.edge_of.insert(node_key(ship), id).is_some();
+        out.edges.push(Edge {
+            id,
+            order: 0,
+            ship,
+            from: ship.inputs[0].location.clone(),
+            to: ship.location.clone(),
+            consumer: None,
+        });
     }
     if shared_ship {
         return Err(GeoError::Execution(
@@ -98,34 +100,23 @@ pub fn cut(plan: &PhysicalPlan) -> Result<Cut<'_>> {
                 .into(),
         ));
     }
+    walk(plan, None, &mut out);
+    for (order, &id) in out.walk.iter().enumerate() {
+        out.edges[id].order = order;
+    }
     Ok(out)
 }
 
-/// `consumer` is the edge whose producer fragment `p` belongs to (`None`
-/// in the root fragment).
-fn walk<'p>(
-    p: &'p PhysicalPlan,
-    mut consumer: Option<usize>,
-    out: &mut Cut<'p>,
-    shared_ship: &mut bool,
-) {
+/// Link each edge to its consumer, number the scans in pre-order and
+/// record the walk. `consumer` is the edge whose producer fragment `p`
+/// belongs to (`None` in the root fragment).
+fn walk(p: &PhysicalPlan, consumer: Option<usize>, out: &mut Cut<'_>) {
     let mut ship = None;
     match &p.op {
         PhysOp::Ship => {
-            let id = out.edges.len();
+            let id = out.edge_of[&node_key(p)];
+            out.edges[id].consumer = consumer;
             ship = Some(id);
-            if out.edge_of.insert(node_key(p), id).is_some() {
-                *shared_ship = true;
-            }
-            out.edges.push(Edge {
-                id,
-                order: 0,
-                ship: p,
-                from: p.inputs[0].location.clone(),
-                to: p.location.clone(),
-                consumer,
-            });
-            consumer = Some(id);
         }
         // ResumeScan is a leaf read gated by its home site's availability,
         // so it draws fault-clock steps from the same scan-slot grid.
@@ -137,7 +128,7 @@ fn walk<'p>(
         _ => {}
     }
     for c in &p.inputs {
-        walk(c, consumer, out, shared_ship);
+        walk(c, ship.or(consumer), out);
     }
     out.walk.extend(ship);
 }

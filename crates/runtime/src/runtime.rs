@@ -34,7 +34,7 @@
 
 use crate::checkpoint::CheckpointSpec;
 use crate::exchange::{Exchange, CANCELLED};
-use crate::fragment::{cut, node_key, Cut, Edge};
+use crate::fragment::{cut, Cut, Edge};
 use crate::metrics::{EdgeMetrics, RuntimeMetrics, SiteMetrics};
 use crate::morsel::{MorselPool, PoolRunner};
 use crate::ship::{ShipEdge, ShipEnv};
@@ -44,7 +44,7 @@ use geoqp_exec::{
     MorselRunner, SERIAL,
 };
 use geoqp_net::TransferLog;
-use geoqp_plan::{PhysOp, PhysicalPlan};
+use geoqp_plan::{node_key, PhysOp, PhysicalPlan};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;

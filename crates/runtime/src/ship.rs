@@ -98,7 +98,7 @@ impl<'a> ShipEnv<'a> {
     }
 
     /// Attach live policy-churn enforcement: every batch re-checks the
-    /// pinned catalog epoch (a revocation newer than the pin aborts the
+    /// pinned catalog sequence (a revocation newer than the pin aborts the
     /// attempt with [`GeoError::PolicyChurn`] before the batch leaves),
     /// and — when a [`StaleGuard`] rides along — a site whose catalog
     /// replica cannot prove it has applied the pinned sequence refuses to
@@ -266,23 +266,22 @@ impl ShipStream<'_> {
             // trust the audit set it is about to enforce.
             if i == 0 && from != to {
                 if let Some(guard) = &watch.stale {
-                    guard.check_origin(from)?;
+                    guard.check_origin(from, watch.pin)?;
                 }
             }
-            // Per-batch epoch re-check: revocations push to in-flight
+            // Per-batch revocation check: revocations push to in-flight
             // queries at batch granularity, on the walk's churn clock. A
             // newer revocation aborts the attempt before this batch
             // leaves; the failover loop re-pins, re-plans, and restitches.
             let churn_step = self.edge.order;
-            if let Some(head) = watch.signal.revoked_since(watch.pin.seq, churn_step) {
+            if let Some(head) = watch.signal.revoked_since(watch.pin, churn_step) {
                 return Err(GeoError::policy_churn(
-                    head.seq,
-                    head.epoch,
+                    head,
                     churn_step,
                     format!(
-                        "policy revocation at catalog seq {} landed while {what} was in \
+                        "policy revocation at catalog seq {head} landed while {what} was in \
                          flight under pinned seq {}",
-                        head.seq, watch.pin.seq
+                        watch.pin
                     ),
                 ));
             }

@@ -3,8 +3,8 @@
 //! behaviour the runtime relies on.
 
 use geoqp_common::{
-    CatalogPin, ChurnEvent, ChurnSignal, ChurnWatch, ColumnarBatch, GeoError, Location,
-    LocationSet, QueryDeadline, RunControl, StaleGuard, TableRef, Value,
+    ChurnEvent, ChurnSignal, ChurnWatch, ColumnarBatch, GeoError, Location, LocationSet,
+    QueryDeadline, RunControl, StaleGuard, TableRef, Value,
 };
 use geoqp_exec::RetryPolicy;
 use geoqp_net::hedge::HEDGE_STEP_BASE;
@@ -109,11 +109,10 @@ fn degrade(factor: f64) -> FaultPlan {
 }
 
 fn watch(planned: Vec<ChurnEvent>, fresh: Option<LocationSet>) -> ChurnWatch {
-    let pin = CatalogPin::new(0, 0xabc);
     ChurnWatch {
-        pin,
+        pin: 0,
         signal: Arc::new(ChurnSignal::with_planned(planned)),
-        stale: fresh.map(|f| Arc::new(StaleGuard::new(pin, f))),
+        stale: fresh.map(|f| Arc::new(StaleGuard::new(f))),
     }
 }
 
@@ -344,14 +343,13 @@ fn cases() -> Vec<Case> {
                 vec![ChurnEvent {
                     step: 0,
                     seq: 4,
-                    epoch: 0xdef,
                     revocation: true,
                 }],
                 Some(all_sites()),
             )),
             check: |r, _, _| {
                 let e = r.as_ref().unwrap_err();
-                assert_eq!(e.churn_head(), Some((4, 0xdef)));
+                assert_eq!(e.churn_head(), Some(4));
                 assert_eq!(e.churn_step(), Some(0), "the edge's place in the walk");
             },
             ..Case::new(
@@ -466,7 +464,6 @@ fn streams_amortize_the_header_and_recheck_churn_per_batch() {
         vec![ChurnEvent {
             step: 3,
             seq: 1,
-            epoch: 9,
             revocation: true,
         }],
         None,
@@ -489,9 +486,9 @@ fn streams_amortize_the_header_and_recheck_churn_per_batch() {
     assert_eq!(log.records()[0].cost_ms, link.alpha_ms + wire);
     assert_eq!(log.records()[1].cost_ms, wire, "α is paid once per stream");
     assert_eq!(stream.arrival_ms(), 50.0 + link.alpha_ms + wire + wire);
-    revoke_at_3.signal.publish(2, 10, true);
+    revoke_at_3.signal.publish(2, true);
     let abort = stream.ship_batch(BYTES, 1, &mut log).unwrap_err();
-    assert_eq!(abort.churn_head(), Some((2, 10)));
+    assert_eq!(abort.churn_head(), Some(2));
     assert_eq!(abort.churn_step(), Some(2), "the edge shipped third");
     assert_eq!(log.transfer_count(), 2);
 
@@ -499,7 +496,6 @@ fn streams_amortize_the_header_and_recheck_churn_per_batch() {
         vec![ChurnEvent {
             step: 3,
             seq: 1,
-            epoch: 9,
             revocation: true,
         }],
         None,

@@ -27,9 +27,9 @@ use std::sync::{Arc, Mutex};
 pub(crate) struct PlanKey {
     /// Tenant index inside the service: plans never cross tenants.
     pub tenant: usize,
-    /// The tenant's catalog-log sequence (`CatalogPin::seq`) when the
-    /// plan was optimized. With `tenant` it names one policy snapshot:
-    /// the engine and the pin are swapped and read together.
+    /// The tenant's catalog-log sequence when the plan was optimized.
+    /// With `tenant` it names one policy snapshot: the engine and the pin
+    /// are swapped and read together.
     pub seq: u64,
     /// The lowered query.
     pub query: Arc<LogicalPlan>,

@@ -17,10 +17,11 @@
 //!                      QueryTicket ◀── reply ──┘  + TenantStats update
 //! ```
 //!
-//! Each tenant owns a full [`Engine`] over its own policy catalog. Since
-//! PR 5 the `ImplicationMemo` lives inside the engine, so per-tenant
-//! engines give per-tenant memo isolation *by construction*: no shared
-//! table to key, no cross-tenant verdict reuse possible.
+//! Each tenant owns a full [`Engine`] over its own policy catalog, and
+//! the engine owns the `ImplicationMemo`: separate tenants get separate
+//! memos *by construction*, while a tenant's policy update forks its
+//! engine over the new snapshot and keeps the memo, whose verdicts relate
+//! two predicates and hold under every snapshot.
 //!
 //! # Admission and fairness
 //!
@@ -36,7 +37,7 @@
 //! rotation away.
 
 use crate::plan_cache::{CacheStats, PlanCache, PlanKey};
-use geoqp_common::{CancelToken, CatalogPin, GeoError, Location, QueryDeadline, Result, Rows};
+use geoqp_common::{CancelToken, GeoError, Location, QueryDeadline, Result, Rows};
 use geoqp_core::{CatalogService, ChurnOpts, Engine, ExecOptions, OptimizerMode, RuntimeConfig};
 use geoqp_exec::RetryPolicy;
 use geoqp_net::{FaultPlan, NetworkTopology, TransferLog};
@@ -230,7 +231,7 @@ pub struct TenantStats {
     /// completed queries (a subset of `replans`).
     pub churn_replans: u64,
     /// Completed jobs re-run at completion time because a revocation
-    /// landed after they pinned their epoch (the admission-race repair).
+    /// landed after they pinned their catalog head (the admission-race repair).
     pub churn_reruns: u64,
     /// Quiesce-free grant retries summed over completed queries.
     pub grant_retries: u64,
@@ -290,7 +291,7 @@ struct TenantState {
     /// log append here, and its churn signal reaches in-flight queries.
     churn: Arc<CatalogService>,
     /// The catalog head new queries pin at admission.
-    pin: CatalogPin,
+    pin: u64,
     /// Log sequence of the newest revocation (0 when none has ever
     /// happened). A job that completes under an older pin is re-run —
     /// the admission-race repair.
@@ -547,22 +548,21 @@ impl QueryService {
     }
 
     /// Move a tenant to a new policy set by **appending to its catalog
-    /// log**: expressions missing from `policies` are revoked, new ones
-    /// granted, and every append bumps the chain epoch. The rebuilt
-    /// engine (fresh implication memo — no verdict crosses the epoch
-    /// bump) serves queries admitted from now on; the tenant's plan-cache
-    /// entries are purged.
+    /// log**: expressions missing from `policies` are revoked and new ones
+    /// granted. The engine forked over the new head (same implication
+    /// memo — its verdicts hold under every snapshot) serves queries
+    /// admitted from now on; the tenant's plan-cache entries are purged.
     ///
     /// Grants only affect later queries. Revocations are **pushed**: the
     /// churn signal aborts in-flight resilient executions at batch
-    /// granularity so they re-plan under the new epoch, and any job that
+    /// granularity so they re-plan under the new head, and any job that
     /// still completes under an older pin is re-run at completion time
-    /// (the admission-race repair). Returns the new catalog head.
+    /// (the admission-race repair). Returns the new head's seq.
     pub fn update_tenant_policies(
         &self,
         tenant: TenantId,
         policies: Arc<PolicyCatalog>,
-    ) -> Result<CatalogPin> {
+    ) -> Result<u64> {
         let (churn, engine) = {
             let st = self.shared.state.lock().unwrap();
             let ten = st
@@ -587,8 +587,7 @@ impl QueryService {
                     v.pop();
                 }
                 _ => {
-                    let r = churn.revoke(pid)?;
-                    revoke_seq = revoke_seq.max(r.seq);
+                    revoke_seq = revoke_seq.max(churn.revoke(pid)?);
                 }
             }
         }
@@ -636,15 +635,6 @@ impl QueryService {
             .ok_or_else(|| GeoError::Execution(format!("unknown tenant #{}", tenant.0)))
     }
 
-    /// The tenant's current policy-catalog epoch.
-    pub fn tenant_epoch(&self, tenant: TenantId) -> Result<u64> {
-        let st = self.shared.state.lock().unwrap();
-        st.tenants
-            .get(tenant.0)
-            .map(|t| t.pin.epoch)
-            .ok_or_else(|| GeoError::Execution(format!("unknown tenant #{}", tenant.0)))
-    }
-
     /// Snapshot one tenant's counters.
     pub fn tenant_stats(&self, tenant: TenantId) -> Result<TenantStats> {
         let snapshot = {
@@ -688,7 +678,7 @@ impl Drop for QueryService {
 }
 
 /// How many times a completed job may be re-run because a revocation
-/// landed after it pinned its epoch, before the race resolves to a typed
+/// landed after it pinned its catalog head, before the race resolves to a typed
 /// refusal instead of chasing a catalog that churns faster than the
 /// query runs.
 const MAX_CHURN_RERUNS: u64 = 3;
@@ -717,7 +707,7 @@ fn worker_loop(shared: &Arc<Shared>) {
 
         let mut outcome = run_job(shared, tenant_idx, &engine, &churn, pin, &job.request);
         // Admission-race repair: `update_tenant_policies` may have
-        // revoked a policy after this job pinned its epoch but before it
+        // revoked a policy after this job pinned its head but before it
         // finished. A completion whose pin predates the newest revocation
         // cannot be trusted — re-run it under the current engine and pin
         // (which plan it under the new snapshot), bounded so a
@@ -727,7 +717,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             let current = {
                 let st = shared.state.lock().unwrap();
                 let ten = &st.tenants[tenant_idx];
-                if ten.last_revoke_seq > pin.seq {
+                if ten.last_revoke_seq > pin {
                     Some((ten.engine.clone(), ten.pin, ten.churn.clone()))
                 } else {
                     None
@@ -739,7 +729,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             if reruns >= MAX_CHURN_RERUNS {
                 outcome = Err(GeoError::NonCompliant(format!(
                     "policy churn outpaced the query: {reruns} completion-time \
-                     re-runs never caught a stable catalog epoch"
+                     re-runs never caught a stable catalog head"
                 )));
                 break;
             }
@@ -798,7 +788,7 @@ fn run_job(
     tenant: usize,
     engine: &Engine,
     churn: &Arc<CatalogService>,
-    pin: CatalogPin,
+    pin: u64,
     request: &QueryRequest,
 ) -> Result<QueryReply> {
     // A cancellation that fired while the query sat in the queue unwinds
@@ -809,12 +799,12 @@ fn run_job(
 
     let ast = geoqp_parser::parse_query(&request.sql)?;
     let plan = geoqp_parser::lower_query(&ast, engine.catalog())?;
-    // `engine` was built at `pin.seq` (the claim read them together), so
+    // `engine` was built at `pin` (the claim read them together), so
     // a hit is the plan this engine's compliant optimizer returned for
     // this very input: it runs with no second audit.
     let key = PlanKey {
         tenant,
-        seq: pin.seq,
+        seq: pin,
         query: plan,
         result_location: request.result_location.clone(),
     };

@@ -402,7 +402,7 @@ fn cache_hit_and_miss_yield_identical_results() {
     assert_eq!(cs.misses, queries.len() as u64);
 }
 
-/// A policy update bumps the tenant's epoch: the next identical query
+/// A policy update moves the tenant's catalog head: the next identical query
 /// re-optimizes under the new catalog instead of reusing the stale plan,
 /// and the tenant's old entries are purged eagerly.
 #[test]
@@ -420,29 +420,31 @@ fn epoch_bump_invalidates_cached_plans() {
     let run = |sql: &str| svc.submit(tenant, QueryRequest::new(sql)).unwrap().wait();
     assert!(!run(Q_NAMES).unwrap().cached);
     assert!(run(Q_NAMES).unwrap().cached);
-    let epoch_before = svc.tenant_epoch(tenant).unwrap();
+    let head_before = svc.tenant_catalog(tenant).unwrap().head();
 
     // Swap in a different (still compatible) policy set.
-    svc.update_tenant_policies(tenant, restrictive_policies(&catalog))
+    let head = svc
+        .update_tenant_policies(tenant, restrictive_policies(&catalog))
         .unwrap();
-    let epoch_after = svc.tenant_epoch(tenant).unwrap();
-    assert_ne!(epoch_before, epoch_after, "content epoch must change");
+    let head_after = svc.tenant_catalog(tenant).unwrap().head();
+    assert_eq!(head, head_after, "the update returns the new head");
+    assert!(head_after > head_before, "the catalog head must move");
     assert_eq!(
         svc.cache_stats().len,
         0,
         "the tenant's entries are purged on policy update"
     );
 
-    // Same SQL, new epoch: a fresh optimize, then hits again.
+    // Same SQL, new head: a fresh optimize, then hits again.
     assert!(!run(Q_NAMES).unwrap().cached);
     assert!(run(Q_NAMES).unwrap().cached);
 }
 
-/// Chain-epoch regression: removing a policy set and then restoring the
-/// *identical* content must not resurrect plans cached before the
-/// revocation. Under content hashing the restored set would reproduce
-/// the old epoch (and the old `PlanKey`s would hit again); the catalog
-/// log's chain epoch makes the restored world a fresh epoch instead.
+/// Regression: removing a policy set and then restoring the *identical*
+/// content must not resurrect plans cached before the revocation. Under
+/// content hashing the restored set would reproduce the old key (and the
+/// old `PlanKey`s would hit again); the catalog log's sequence only moves
+/// forward, so the restored world is a fresh snapshot instead.
 #[test]
 fn revoke_then_regrant_never_resurrects_cached_plans() {
     let catalog = tiny_catalog();
@@ -457,22 +459,18 @@ fn revoke_then_regrant_never_resurrects_cached_plans() {
     let run = |sql: &str| svc.submit(tenant, QueryRequest::new(sql)).unwrap().wait();
     assert!(!run(Q_NAMES).unwrap().cached);
     assert!(run(Q_NAMES).unwrap().cached);
-    let original_epoch = svc.tenant_epoch(tenant).unwrap();
+    let original = svc.tenant_catalog(tenant).unwrap().head();
 
     // Swap to the restrictive set, then back to an identical permissive
     // set: same policy text as the original, different history.
     let restricted = svc
         .update_tenant_policies(tenant, restrictive_policies(&catalog))
         .unwrap();
-    assert_ne!(restricted.epoch, original_epoch);
+    assert!(restricted > original);
     let restored = svc
         .update_tenant_policies(tenant, permissive_policies(&catalog))
         .unwrap();
-    assert_ne!(
-        restored.epoch, original_epoch,
-        "identical content after churn must chain to a fresh epoch"
-    );
-    assert!(restored.seq > restricted.seq, "the log only moves forward");
+    assert!(restored > restricted, "the log only moves forward");
 
     // The tenant's catalog log remembers the whole history, and the
     // restored head re-optimizes fresh before hitting again.
@@ -483,7 +481,7 @@ fn revoke_then_regrant_never_resurrects_cached_plans() {
         !run(Q_NAMES).unwrap().cached,
         "no resurrection across churn"
     );
-    assert!(run(Q_NAMES).unwrap().cached, "fresh epoch caches normally");
+    assert!(run(Q_NAMES).unwrap().cached, "fresh head caches normally");
 }
 
 /// Exact LRU behavior at capacity 2: a lookup refreshes recency, the
@@ -896,7 +894,7 @@ fn conflicting_tenants_never_share_memo_verdicts_or_plans() {
 }
 
 /// Plans never cross tenants even when two tenants run *identical*
-/// policy sets (identical content epoch): the cache key's tenant
+/// policy sets at the same catalog sequence: the cache key's tenant
 /// component keeps their entries apart.
 #[test]
 fn identical_policy_tenants_still_get_separate_plan_cache_entries() {
@@ -917,9 +915,9 @@ fn identical_policy_tenants_still_get_separate_plan_cache_entries() {
         TenantConfig::default(),
     );
     assert_eq!(
-        svc.tenant_epoch(a).unwrap(),
-        svc.tenant_epoch(b).unwrap(),
-        "identical policy text hashes to the same content epoch"
+        svc.tenant_catalog(a).unwrap().head(),
+        svc.tenant_catalog(b).unwrap().head(),
+        "both tenants sit at their base catalog, seq 0"
     );
 
     let run = |tenant| {
@@ -930,7 +928,7 @@ fn identical_policy_tenants_still_get_separate_plan_cache_entries() {
     };
     assert!(!run(a).cached);
     assert!(run(a).cached);
-    // Same SQL, same epoch — but a different tenant must optimize fresh.
+    // Same SQL, same seq — but a different tenant must optimize fresh.
     assert!(!run(b).cached, "plans must not leak across tenants");
     assert!(run(b).cached);
     assert_eq!(svc.cache_stats().len, 2, "one entry per tenant");

@@ -78,15 +78,15 @@ if grep -rnE '\.audit\(|fingerprint|pub mod plan_cache' crates/server/src; then
     exit 1
 fi
 
-echo "==> one snapshot owner: implication verdicts belong to the engine holding" \
-     "the policy snapshot and checkpoints to the run, so no catalog epoch keys" \
+echo "==> one snapshot owner: implication verdicts are keyed by their two" \
+     "predicates and checkpoints belong to the run, so no catalog epoch keys" \
      "either, and a revocation restricts the run's store instead of re-keying it"
 if grep -rnE 'predicate_fingerprint|pin_epoch|pinned_epoch|reset_counters' crates/policy/src ||
     grep -nE 'fn migrate' crates/runtime/src/checkpoint.rs ||
     grep -rnE --include='*.rs' 'policies\(\)\.epoch\(\)|policies\.epoch\(\)' crates src tests; then
     echo "a policy catalog carries an epoch again, the implication memo is keyed by" \
-        "a fingerprint or epoch, or checkpoints migrate across epochs: a snapshot" \
-        "is identified by the engine and the run that hold it" >&2
+        "a fingerprint or epoch, or checkpoints migrate across epochs: a verdict" \
+        "is identified by its predicates and a checkpoint by the run that holds it" >&2
     exit 1
 fi
 
@@ -98,6 +98,17 @@ if grep -rnE 'SimShip|fn tick|reset_clock|exec_ship_order|pub pipelined' crates/
     grep -nE 'thread::scope|Condvar' crates/runtime/src/runtime.rs crates/runtime/src/exchange.rs; then
     echo "a second executor, a ticking fault clock, a runtime switch or a" \
         "threaded fragment walk is back: a located plan has one runtime" >&2
+    exit 1
+fi
+
+echo "==> one policy identity: a snapshot is its log sequence, an expression" \
+     "its log pid and an implication verdict its two predicates, so no pin" \
+     "type, chain epoch outside the log, per-snapshot id renumbering or" \
+     "id-keyed verdict map is back"
+if grep -rnE 'CatalogPin|fn renumbered|live_epoch|tenant_epoch|HashMap<usize, ?bool>' crates/*/src; then
+    echo "a second name for policy state is back: snapshots are u64 seqs, a" \
+        "materialized catalog keeps the log's pids, and the implication memo" \
+        "keys verdicts by (query predicate, expression predicate)" >&2
     exit 1
 fi
 

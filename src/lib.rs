@@ -21,8 +21,9 @@
 //! * [`tpch`] — the evaluation substrate (schemas, dbgen-style generator,
 //!   the six evaluated queries, workload and policy generators),
 //! * [`server`] — the multi-tenant query service: per-tenant admission
-//!   control, deficit-round-robin fair scheduling, and an epoch-keyed
-//!   cache of optimized located plans.
+//!   control, deficit-round-robin fair scheduling, and a cache of
+//!   optimized located plans keyed by tenant, catalog sequence, query
+//!   and result site.
 //!
 //! ## Quickstart
 //!
@@ -101,8 +102,8 @@ pub use geoqp_tpch as tpch;
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use geoqp_common::{
-        CancelToken, CatalogPin, ChurnEvent, DataType, Field, GeoError, Location, LocationPattern,
-        LocationSet, QueryDeadline, Result, Row, Rows, RunControl, Schema, TableRef, Value,
+        CancelToken, ChurnEvent, DataType, Field, GeoError, Location, LocationPattern, LocationSet,
+        QueryDeadline, Result, Row, Rows, RunControl, Schema, TableRef, Value,
     };
     pub use geoqp_core::{
         CatalogService, CheckpointStore, ChurnOpts, Engine, ExecOptions, ExecutionResult,

@@ -515,8 +515,7 @@ fn catalog_churn_round_stays_compliant_and_resolves_typed() {
             let step = run_idx % 6;
             let svc = svc.with_planned(vec![ChurnEvent {
                 step,
-                seq: rev.seq,
-                epoch: rev.epoch,
+                seq: rev,
                 revocation: true,
             }]);
             let partitioned = run_idx % 3 == 2;
@@ -533,7 +532,7 @@ fn catalog_churn_round_stays_compliant_and_resolves_typed() {
                 Arc::new(svc)
             };
             run_idx += 1;
-            let pin = CatalogPin::new(0, svc.epoch_at(0).unwrap());
+            let pin = 0;
             let opts = ExecOptions {
                 deadline,
                 ..ExecOptions::failover(&faults, &retry, SITES.len())
@@ -557,7 +556,7 @@ fn catalog_churn_round_stays_compliant_and_resolves_typed() {
                         // A revocation forced a re-plan: the final
                         // placement was chosen under the shrunken
                         // catalog and must audit clean against it.
-                        let shrunk = eng.fork_with_policies(svc.snapshot(svc.head().seq).unwrap());
+                        let shrunk = eng.fork_with_policies(svc.snapshot(svc.head()).unwrap());
                         shrunk.audit(&res.physical).unwrap_or_else(|e| {
                             panic!(
                                 "round {round} {query} [{label}] revoke p{pid}@{step}: \
@@ -725,7 +724,7 @@ impl GrantRound {
     /// chosen replica's catalog plane over the first two steps.
     /// Also returns the pin at seq 0, read before the appends compact it
     /// away.
-    fn build_svc(&self, run: &GrantRun) -> (Arc<CatalogService>, CatalogPin) {
+    fn build_svc(&self, run: &GrantRun) -> (Arc<CatalogService>, u64) {
         let svc = CatalogService::new(
             Arc::clone(self.eng.catalog()),
             self.policies.clone(),
@@ -739,8 +738,7 @@ impl GrantRound {
             let rev = svc.revoke(*pid).expect("live pid revokes");
             events.push(ChurnEvent {
                 step: run.revoke_step(),
-                seq: rev.seq,
-                epoch: rev.epoch,
+                seq: rev,
                 revocation: true,
             });
         }
@@ -749,8 +747,7 @@ impl GrantRound {
             let grant = svc.grant(expr).expect("re-grant lands");
             events.push(ChurnEvent {
                 step: 0,
-                seq: grant.seq,
-                epoch: grant.epoch,
+                seq: grant,
                 revocation: false,
             });
         }
@@ -767,7 +764,7 @@ impl GrantRound {
     fn execute(
         &self,
         run: &GrantRun,
-        (svc, pin): &(Arc<CatalogService>, CatalogPin),
+        (svc, pin): &(Arc<CatalogService>, u64),
     ) -> Result<(QueryOutcome, RuntimeMetrics)> {
         let faults = FaultPlan::parse(&run.spec, run.fseed).expect("spec re-parses");
         let retry = RetryPolicy::default().with_jitter(0.3, 2021);
@@ -888,7 +885,7 @@ fn replica_crash_bootstrap_and_grant_round_rescues_refused_queries() {
                          empty revocation pin completed without a grant retry"
                     );
                     rescued += 1;
-                    let head = eng.fork_with_policies(svc.snapshot(svc.head().seq).unwrap());
+                    let head = eng.fork_with_policies(svc.snapshot(svc.head()).unwrap());
                     head.audit(&res.physical).unwrap_or_else(|e| {
                         panic!(
                             "round {round} {query} [{label}]: a rescued query \

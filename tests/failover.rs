@@ -348,8 +348,7 @@ fn revoking(eng: &Engine, pid: u64, step: u64) -> Arc<CatalogService> {
     let rev = svc.revoke(pid).unwrap();
     let svc = svc.with_planned(vec![ChurnEvent {
         step,
-        seq: rev.seq,
-        epoch: rev.epoch,
+        seq: rev,
         revocation: true,
     }]);
     svc.sync_full();
@@ -396,7 +395,7 @@ impl Cell<'_> {
     fn run(&self, max_replans: usize) -> (Result<QueryOutcome>, Arc<CatalogService>) {
         let svc = revoking(self.eng, self.pid, self.step);
         let faults = (self.faults)();
-        let pin = CatalogPin::new(0, svc.epoch_at(0).unwrap());
+        let pin = 0;
         let opts = ExecOptions {
             faults: Some(&faults),
             max_replans,
@@ -464,7 +463,7 @@ fn assert_crash_and_revocation_kept(
             "{label}: the final plan runs at dead {dead}"
         );
     });
-    let shrunk = eng.fork_with_policies(svc.snapshot(svc.head().seq).unwrap());
+    let shrunk = eng.fork_with_policies(svc.snapshot(svc.head()).unwrap());
     shrunk
         .audit(&res.physical)
         .unwrap_or_else(|e| panic!("{label}: final plan fails the post-revocation audit: {e}"));
@@ -628,7 +627,7 @@ fn a_crash_after_a_revocation_replans_the_reoptimized_tree() {
                 }
                 // Only a revocation that outlaws the admission-time plan
                 // tells the re-optimized tree from the original one.
-                let revoked = eng.fork_with_policies(svc.snapshot(svc.head().seq).unwrap());
+                let revoked = eng.fork_with_policies(svc.snapshot(svc.head()).unwrap());
                 if revoked.audit(&opt.physical).is_ok() {
                     continue;
                 }

@@ -132,7 +132,7 @@ fn churn_figure() {
     }
     header(
         "Extension E12: quiesce-free grant retry — revoke@step 0, re-grant released at a \
-         swept step, catalog-plane crash + compacted log",
+         swept step, catalog-plane crash",
     );
     println!(
         "  {:6} {:>6} {:>5} {:>14} {:>8} {:>8} {:>6}",
@@ -152,15 +152,8 @@ fn churn_figure() {
         );
     }
     println!(
-        "  catalog plane: {} wipes, {} bootstraps, {} chain rejects, \
-         {} B snapshots, {} B entries, lag p50 {} max {}",
-        plane.wipes,
-        plane.bootstraps,
-        plane.chain_rejects,
-        plane.snapshot_bytes,
-        plane.entry_bytes,
-        plane.lag_p50,
-        plane.lag_max,
+        "  catalog plane: {} wipes, {} B entries, lag p50 {} max {}",
+        plane.wipes, plane.entry_bytes, plane.lag_p50, plane.lag_max,
     );
     let s = churn::summarize(&grid, &stale, &grants);
     println!(

@@ -25,9 +25,9 @@
 //! the revocation refuses outright is rescued — re-pinned forward onto
 //! the grant and completed — exactly when the grant had landed by the
 //! abort step; a grant releasing after the abort cannot rescue in
-//! hindsight. Each grant cell also runs under a catalog-plane crash
-//! with an aggressively compacted log, so the crashed replica's
-//! recovery path (wipe, then snapshot bootstrap) is part of the figure.
+//! hindsight. Each grant cell also runs under a catalog-plane crash, so
+//! the crashed replica's recovery path (wipe, then replay of the log) is
+//! part of the figure.
 //!
 //! Everything is simulated-clock and seed-driven: identically-seeded
 //! runs serialize byte-identically.
@@ -108,7 +108,7 @@ pub struct ChurnCell {
 
 /// One cell of the grant grid: revocation at step 0, the same
 /// expression re-granted at sequence 2 and released at `grant_step`,
-/// under a catalog-plane crash and an auto-compacted log.
+/// under a catalog-plane crash.
 #[derive(Debug)]
 pub struct GrantCell {
     /// Query name.
@@ -136,13 +136,6 @@ pub struct GrantCell {
 pub struct PlaneStats {
     /// Replica state losses from catalog-plane crashes.
     pub wipes: u64,
-    /// Snapshot bootstraps that recovered a wiped (or floored-out)
-    /// replica.
-    pub bootstraps: u64,
-    /// Snapshots refused by chain verification (always 0 honestly).
-    pub chain_rejects: u64,
-    /// Bytes of floor snapshots shipped to bootstrapping replicas.
-    pub snapshot_bytes: u64,
     /// Bytes of log entries shipped on replication pulls.
     pub entry_bytes: u64,
     /// Worst median replica lag observed while faults were active.
@@ -157,9 +150,6 @@ impl PlaneStats {
     /// its lag picture shows the fault actually biting.
     pub fn absorb(&mut self, while_faulted: &CatalogHealth, final_health: &CatalogHealth) {
         self.wipes += final_health.wipes;
-        self.bootstraps += final_health.bootstraps;
-        self.chain_rejects += final_health.chain_rejects;
-        self.snapshot_bytes += final_health.snapshot_bytes;
         self.entry_bytes += final_health.entry_bytes;
         self.lag_p50 = self.lag_p50.max(while_faulted.lag_p50);
         self.lag_max = self.lag_max.max(while_faulted.lag_max);
@@ -320,11 +310,10 @@ pub fn churn_grid(seed: u64) -> Vec<ChurnCell> {
 /// cell's scripted log holds the revocation of a live pid at sequence 1
 /// (released at churn step 0) and a re-grant of the *same*
 /// expression at sequence 2 (released at the swept grant step), with
-/// the log auto-compacted to one tail entry and the first
-/// non-coordinator site's catalog replica crashing across sync steps
-/// [0, 2) — so every churn re-plan's sync round exercises the wipe /
-/// snapshot-bootstrap recovery path while the grant retry decides the
-/// query's fate.
+/// the first non-coordinator site's catalog replica crashing across sync
+/// steps [0, 2) — so every churn re-plan's sync round exercises the wipe
+/// / replay recovery path while the grant retry decides the query's
+/// fate.
 pub fn grant_grid(seed: u64) -> (Vec<GrantCell>, PlaneStats) {
     let fx = fixture(seed);
     let sites = fx.catalog.locations().len();
@@ -366,9 +355,7 @@ pub fn grant_grid(seed: u64) -> (Vec<GrantCell>, PlaneStats) {
                 Arc::clone(&fx.catalog),
                 fx.policies.clone(),
                 fx.coordinator.clone(),
-            )
-            .with_auto_compact(1);
-            // Seq 0 is compacted away by the first append: pin it first.
+            );
             let pin = svc.head();
             let rev = svc.revoke(*pid).expect("revoking a live template pid");
             let regrant = geoqp_parser::parse_policy(display).expect("live display forms re-parse");
@@ -422,8 +409,7 @@ pub fn grant_grid(seed: u64) -> (Vec<GrantCell>, PlaneStats) {
                 },
             };
             // Capture the lag picture while the crash still bites, then
-            // close the window: the wiped replica bootstraps from the
-            // floor snapshot and tails the remaining entry.
+            // close the window: the wiped replica replays the log.
             let while_faulted = svc.health();
             svc.sync_at(2);
             plane.absorb(&while_faulted, &svc.health());
@@ -640,15 +626,6 @@ pub fn to_json(
     s.push_str("  ],\n");
     s.push_str("  \"catalog_plane\": {\n");
     s.push_str(&format!("    \"wipes\": {},\n", plane.wipes));
-    s.push_str(&format!("    \"bootstraps\": {},\n", plane.bootstraps));
-    s.push_str(&format!(
-        "    \"chain_rejects\": {},\n",
-        plane.chain_rejects
-    ));
-    s.push_str(&format!(
-        "    \"snapshot_bytes\": {},\n",
-        plane.snapshot_bytes
-    ));
     s.push_str(&format!("    \"entry_bytes\": {},\n", plane.entry_bytes));
     s.push_str(&format!("    \"lag_p50\": {},\n", plane.lag_p50));
     s.push_str(&format!("    \"lag_max\": {}\n", plane.lag_max));
@@ -792,15 +769,10 @@ mod tests {
             refused_control >= 1,
             "the control column must show what rescue-less churn looks like"
         );
-        // The catalog-plane crash actually bit, and recovery went
-        // through verified snapshot bootstraps — never a bypass.
+        // The catalog-plane crash actually bit, and recovery replayed
+        // chain-verified, byte-charged entries.
         assert!(plane.wipes >= 1, "the crash never wiped a replica");
-        assert!(
-            plane.bootstraps > plane.wipes,
-            "wiped replicas must re-bootstrap"
-        );
-        assert_eq!(plane.chain_rejects, 0, "honest snapshots always verify");
-        assert!(plane.snapshot_bytes > 0, "bootstraps are byte-charged");
+        assert!(plane.entry_bytes > 0, "replays are byte-charged");
         assert!(plane.lag_max >= 1, "the crashed replica trailed the head");
     }
 

@@ -174,16 +174,8 @@ impl Shell {
                     let h = svc.health();
                     let _ = writeln!(
                         out,
-                        "catalog plane: head seq {}, floor {} ({} compactions), \
-                         lag p50 {} max {}, {} bootstraps, {} wipes, {} chain rejects",
-                        h.head,
-                        h.floor_seq,
-                        h.compactions,
-                        h.lag_p50,
-                        h.lag_max,
-                        h.bootstraps,
-                        h.wipes,
-                        h.chain_rejects,
+                        "catalog plane: head seq {}, lag p50 {} max {}, {} wipes",
+                        h.head, h.lag_p50, h.lag_max, h.wipes,
                     );
                 }
                 Ok(out)
@@ -409,18 +401,8 @@ impl Shell {
         }
         let _ = writeln!(
             out,
-            "plane: floor seq {} ({} compactions), lag p50 {} max {}, \
-             {} bootstraps, {} wipes, {} chain rejects, \
-             {} snapshot bytes, {} entry bytes",
-            health.floor_seq,
-            health.compactions,
-            health.lag_p50,
-            health.lag_max,
-            health.bootstraps,
-            health.wipes,
-            health.chain_rejects,
-            health.snapshot_bytes,
-            health.entry_bytes,
+            "plane: lag p50 {} max {}, {} wipes, {} entry bytes",
+            health.lag_p50, health.lag_max, health.wipes, health.entry_bytes,
         );
         Ok(out)
     }
@@ -1471,10 +1453,9 @@ mod tests {
         assert!(listed.contains("lag 0"), "{listed}");
         assert!(!listed.contains("severed"), "{listed}");
         assert!(
-            listed.contains("plane: floor seq 0 (0 compactions)"),
+            listed.contains("plane: lag p50 0 max 0, 0 wipes"),
             "{listed}"
         );
-        assert!(listed.contains("0 chain rejects"), "{listed}");
 
         // Revoking by expression resolves the pid; the permission is gone
         // for later queries and the head only moves forward.

@@ -131,12 +131,6 @@ impl ChurnSignal {
             planned
         }
     }
-
-    /// Whether any planned event exists (used by executors to skip the
-    /// per-batch scan entirely on churn-free runs).
-    pub fn is_idle(&self) -> bool {
-        self.planned.is_empty() && self.live_revocation.load(Ordering::Acquire) == 0
-    }
 }
 
 /// Per-site catalog freshness proof for one pinned sequence: a site in
@@ -246,7 +240,6 @@ mod tests {
                 revocation: false, // a grant: never aborts anything
             },
         ]);
-        assert!(!sig.is_idle());
         assert_eq!(sig.revoked_since(0, 3), None);
         assert_eq!(sig.revoked_since(0, 4), Some(2));
         // A burst: the newest visible revocation wins.
@@ -258,7 +251,6 @@ mod tests {
     #[test]
     fn live_publish_reaches_pinned_queries() {
         let sig = ChurnSignal::new();
-        assert!(sig.is_idle());
         sig.publish(5, false); // grants don't interrupt
         assert_eq!(sig.revoked_since(0, 0), None);
         sig.publish(6, true);

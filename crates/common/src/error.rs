@@ -172,11 +172,6 @@ pub enum GeoError {
     /// The payload names the lagging site and whether its lag is
     /// unbounded (permanent catalog-plane partition or crash).
     CatalogStale(StaleReplica),
-    /// A catalog read named a log sequence older than the compaction
-    /// floor: the prefix was snapshotted and truncated, so the exact
-    /// state at that sequence is no longer reconstructible anywhere.
-    /// Callers holding such a pin must re-pin forward, never guess.
-    CatalogCompacted(String),
 }
 
 impl GeoError {
@@ -199,7 +194,6 @@ impl GeoError {
             GeoError::Admission(_) => "admission",
             GeoError::PolicyChurn(_) => "churn",
             GeoError::CatalogStale(_) => "catalog-stale",
-            GeoError::CatalogCompacted(_) => "catalog-compacted",
         }
     }
 
@@ -320,8 +314,7 @@ impl GeoError {
             | GeoError::Unsupported(m)
             | GeoError::DeadlineExceeded(m)
             | GeoError::Cancelled(m)
-            | GeoError::Admission(m)
-            | GeoError::CatalogCompacted(m) => m,
+            | GeoError::Admission(m) => m,
             GeoError::SiteUnavailable(u) => &u.message,
             GeoError::PolicyChurn(c) => &c.message,
             GeoError::CatalogStale(s) => &s.message,
@@ -373,7 +366,6 @@ mod tests {
             GeoError::Admission(String::new()),
             GeoError::policy_churn(0, 0, String::new()),
             GeoError::catalog_stale(Location::new("L1"), 0, false, String::new()),
-            GeoError::CatalogCompacted(String::new()),
         ];
         let mut kinds: Vec<_> = variants.iter().map(|v| v.kind()).collect();
         kinds.sort_unstable();
@@ -463,16 +455,6 @@ mod tests {
         assert_eq!(e.failed_site(), None, "stale is not a crashed site");
         assert_eq!(e.message(), "L3 severed");
         assert_eq!(GeoError::Execution("boom".into()).stale_site(), None);
-    }
-
-    /// A compacted-prefix read is typed, never a panic or a silent head
-    /// answer — callers holding pre-floor pins must re-pin forward.
-    #[test]
-    fn compacted_reads_are_typed() {
-        let e = GeoError::CatalogCompacted("seq 2 is below the floor at seq 5".into());
-        assert_eq!(e.kind(), "catalog-compacted");
-        assert!(!e.is_transient());
-        assert_eq!(e.failed_site(), None);
     }
 
     /// Deadline and cancellation must never look like a crashed site:

@@ -80,18 +80,18 @@ impl ShipHandler for LocalShip {
 }
 
 /// Intercepts plan nodes that are evaluated *outside* the current
-/// interpreter — the concurrent runtime's fragment boundaries. Before
-/// recursing into any node, the interpreter asks the exchange whether the
-/// node's output is supplied externally (a SHIP whose producer subtree
-/// runs on another site's worker thread); if so, the returned batch is
-/// used and the subtree below is never visited here.
+/// interpreter — the fragment runtime's boundaries. Before recursing
+/// into any node, the interpreter asks the exchange whether the node's
+/// output is supplied externally (a SHIP whose producer fragment the
+/// runtime already ran, earlier in its walk); if so, the returned batch
+/// is used and the subtree below is never visited here.
 pub trait ExchangeSource {
     /// The externally produced output of `node`, or `None` when the node
     /// is local to this interpreter.
     fn fetch(&self, node: &PhysicalPlan) -> Option<Result<Arc<ColumnarBatch>>>;
 
     /// The morsel runner that CPU-bound columnar kernels dispatch on. The
-    /// default is the inline serial runner; the concurrent runtime
+    /// default is the inline serial runner; the fragment runtime
     /// overrides this with its per-site worker pool.
     fn runner(&self) -> &dyn crate::parallel::MorselRunner {
         &crate::parallel::SERIAL
@@ -120,7 +120,7 @@ pub fn execute(
 
 /// [`execute`] with fragment boundaries: nodes claimed by `exchange` are
 /// not interpreted here — their output comes from the exchange (produced
-/// by another site's worker in the concurrent runtime).
+/// by an earlier fragment of the runtime's walk).
 pub fn execute_fragment(
     plan: &PhysicalPlan,
     source: &dyn DataSource,

@@ -14,16 +14,19 @@
 //!
 //! # Determinism
 //!
-//! Breaker state must be a pure function of the seeded fault grid, never
-//! of execution order. Two mechanisms guarantee that:
+//! Breaker state must be a pure function of the seeded fault grid and
+//! the plan. Two mechanisms guarantee that:
 //!
 //! * observations are keyed by **lane** — the pre-order exchange-edge
 //!   slot — so each lane's stream is produced by exactly one edge, in
 //!   batch order;
-//! * per lane, observations are stored keyed by their **logical step**
-//!   and every derived quantity (EWMA, breaker state, trip count) is a
-//!   fold over the observations in step order, so state is a function of
-//!   the observation *set*, which the deterministic step grid fixes.
+//! * per lane, every batch attempt is one observation, grouped by its
+//!   **logical step** (every batch of an edge shares its attempt's grid
+//!   step) and kept in arrival order within a step. Every derived
+//!   quantity (EWMA, breaker state, trip count) is a fold over the
+//!   observations in (step, arrival) order, and the runtime walks one
+//!   edge's batches in order on one thread, so the fold is fixed by the
+//!   seed.
 
 use geoqp_common::Location;
 use std::collections::BTreeMap;
@@ -149,9 +152,12 @@ pub struct RelayEvent {
     pub via: Location,
 }
 
-/// One lane of observations: a link direction on one exchange-edge slot,
-/// its deliveries and failures keyed by fault-grid step.
+/// One lane of observations: a link direction on one exchange-edge slot.
 type LaneKey = (Location, Location, u64);
+
+/// A lane's deliveries and failures, grouped by fault-grid step, each
+/// step's in arrival order.
+type Stream = BTreeMap<u64, Vec<Observation>>;
 
 /// The shared health table: per-(link, lane) observation streams, the
 /// breaker fold, and the hedge counters. Interior-mutable so one `&`
@@ -159,7 +165,7 @@ type LaneKey = (Location, Location, u64);
 #[derive(Debug)]
 pub struct LinkHealth {
     config: HealthConfig,
-    lanes: Mutex<BTreeMap<LaneKey, BTreeMap<u64, Observation>>>,
+    lanes: Mutex<BTreeMap<LaneKey, Stream>>,
     hedges_launched: AtomicU64,
     hedges_won: AtomicU64,
     relays_used: AtomicU64,
@@ -219,11 +225,14 @@ impl LinkHealth {
             .unwrap()
             .entry((from.clone(), to.clone(), lane))
             .or_default()
-            .insert(step, obs);
+            .entry(step)
+            .or_default()
+            .push(obs);
     }
 
-    /// The folded state of one link lane — a pure function of the lane's
-    /// observation set, independent of insertion order.
+    /// The folded state of one link lane — a function of its
+    /// observations in (step, arrival) order, independent of the order
+    /// distinct steps were recorded in.
     pub fn state(&self, from: &Location, to: &Location, lane: u64) -> LinkState {
         let lanes = self.lanes.lock().unwrap();
         match lanes.get(&(from.clone(), to.clone(), lane)) {
@@ -314,9 +323,9 @@ impl LinkHealth {
     }
 
     /// Every relay taken, in canonical `(lane, from, to, via)` order —
-    /// concurrent lanes record in thread-scheduling order, so the raw
-    /// launch sequence is normalized the way `TransferLog` sorts its
-    /// records, making the list byte-identical across reruns.
+    /// the runtime records relays in its fragment-walk order, and the
+    /// list is sorted by lane the way `TransferLog` sorts its records,
+    /// so it reads in edge order.
     pub fn relay_events(&self) -> Vec<RelayEvent> {
         let mut events = self.relay_events.lock().unwrap().clone();
         events.sort_by(|a, b| {
@@ -341,12 +350,16 @@ impl LinkHealth {
     }
 }
 
-/// The breaker fold: walk the lane's observations in step order, updating
-/// the EWMA/failure counters and the lifecycle state machine.
-fn fold(config: &HealthConfig, stream: &BTreeMap<u64, Observation>) -> LinkState {
+/// The breaker fold: walk the lane's observations in (step, arrival)
+/// order, updating the EWMA/failure counters and the lifecycle state
+/// machine.
+fn fold(config: &HealthConfig, stream: &Stream) -> LinkState {
     let mut s = LinkState::default();
     let mut opened_at = 0u64;
-    for (&step, obs) in stream {
+    let observations = stream
+        .iter()
+        .flat_map(|(&step, batch)| batch.iter().map(move |obs| (step, obs)));
+    for (step, obs) in observations {
         s.last_step = step;
         s.observations += 1;
         // An open breaker whose cooldown elapsed probes on this attempt.
@@ -485,9 +498,8 @@ mod tests {
         assert!(h.breaker_exhausted(&a, &b, 0));
     }
 
-    /// The fold is a function of the observation *set*: any insertion
-    /// order produces identical state — the property that makes breaker
-    /// sequences schedule-independent under the concurrent runtime.
+    /// Observations at distinct steps fold in step order whatever order
+    /// they were recorded in.
     #[test]
     fn fold_is_insertion_order_independent() {
         let obs: Vec<(u64, f64)> = (0..10u64).map(|s| (s, 1.0 + (s % 4) as f64)).collect();
@@ -501,6 +513,29 @@ mod tests {
         }
         assert_eq!(forward.snapshot(), backward.snapshot());
         assert_eq!(forward.breaker_trips(), backward.breaker_trips());
+    }
+
+    /// Every batch of a stream shares its attempt's grid step, and each
+    /// is one observation: five deliveries at 1.2× fold to
+    /// 1 → 1.1 → 1.15 → 1.175 → 1.1875 → 1.19375, not to the last alone.
+    #[test]
+    fn observations_at_one_step_all_fold_in_arrival_order() {
+        let h = LinkHealth::new(cfg());
+        let (a, b) = (loc("L1"), loc("L4"));
+        for _ in 0..5 {
+            h.observe_delivery(&a, &b, 0, 7, 100.0, 120.0);
+        }
+        let s = h.state(&a, &b, 0);
+        assert_eq!((s.observations, s.last_step), (5, 7));
+        assert!((s.ewma_ratio - 1.19375).abs() < 1e-12, "{}", s.ewma_ratio);
+        // Within a step the fold follows arrival: a failure then a
+        // delivery ends on zero consecutive failures, the reverse on one.
+        h.observe_failure(&a, &b, 1, 3);
+        h.observe_delivery(&a, &b, 1, 3, 100.0, 100.0);
+        h.observe_delivery(&a, &b, 2, 3, 100.0, 100.0);
+        h.observe_failure(&a, &b, 2, 3);
+        assert_eq!(h.state(&a, &b, 1).consecutive_failures, 0);
+        assert_eq!(h.state(&a, &b, 2).consecutive_failures, 1);
     }
 
     #[test]

@@ -27,7 +27,6 @@
 pub mod fault;
 pub mod health;
 pub mod hedge;
-pub mod replication;
 pub mod sim;
 pub mod topology;
 
@@ -36,6 +35,5 @@ pub use health::{BreakerState, HealthConfig, LinkHealth, LinkReport, LinkState, 
 pub use hedge::{
     backup_beats, hedge_step, plan_hedge_with, run_hedge, HedgeConfig, HedgeLeg, HedgeRun,
 };
-pub use replication::{CatalogGossip, CATALOG_SYNC_SALT};
 pub use sim::{FaultEvent, TransferLog, TransferRecord};
 pub use topology::NetworkTopology;

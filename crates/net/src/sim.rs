@@ -95,7 +95,7 @@ impl TransferLog {
         cost_ms
     }
 
-    /// Append an already-costed record (the concurrent runtime charges
+    /// Append an already-costed record (the fragment runtime charges
     /// per-batch costs itself: the link's startup cost α is paid once per
     /// exchange stream, not once per batch).
     pub fn push(&mut self, record: TransferRecord) {
@@ -166,12 +166,12 @@ impl TransferLog {
     /// `(step, from, to, bytes, rows)` for deliveries and
     /// `(step, from, to, reason)` for drops.
     ///
-    /// Logs produced by the concurrent runtime accumulate in whatever
-    /// order the site worker threads happened to finish; normalizing
-    /// before reporting keeps golden snapshots and failover matrices
-    /// byte-identical across runs. (The sort is stable, so sequential
-    /// logs — which are already in deterministic execution order and
-    /// often all at step 0 — are unchanged by construction.)
+    /// The fragment runtime appends records in its walk order (every
+    /// producer before its consumer), which is not the grid-step order
+    /// golden snapshots and failover matrices report in; and
+    /// `total_cost_ms` sums the records in this order, so the sorted
+    /// order also fixes the floating-point total. (The sort is stable:
+    /// records that tie on the whole key keep their walk order.)
     pub fn normalize(&mut self) {
         self.records.sort_by(|a, b| {
             (a.step, &a.from, &a.to, a.bytes, a.rows)

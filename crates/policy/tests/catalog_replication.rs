@@ -1,15 +1,16 @@
 //! Replication property test for the versioned catalog log.
 //!
-//! Over 10 000 seeded grant/revoke/partition schedules, every replica's
-//! reconstructed catalog at epoch *e* must be byte-identical to the
-//! coordinator's at *e*, and no replica may ever report an epoch it
+//! Over 10 000 seeded grant/revoke/partition/crash schedules, every
+//! replica's reconstructed catalog at epoch *e* must be byte-identical to
+//! the coordinator's at *e*, and no replica may ever report an epoch it
 //! cannot reconstruct. Partitions are modelled as withheld deliveries (a
 //! stalled replica simply stops advancing), lag as short in-order
-//! prefixes, and a byzantine transport as occasional tampered or
-//! out-of-order entries — which the chain verification must refuse,
-//! leaving the replica exactly where it was.
+//! prefixes, crashes as wipes back to the base (recovered by replaying
+//! the log, which nothing truncates), and a byzantine transport as
+//! occasional tampered or out-of-order entries — which the chain
+//! verification must refuse, leaving the replica exactly where it was.
 
-use geoqp_common::{DataType, Field, GeoError, LocationPattern, Schema, TableRef};
+use geoqp_common::{DataType, Field, LocationPattern, Schema, TableRef};
 use geoqp_expr::ScalarExpr;
 use geoqp_policy::{
     CatalogAction, CatalogLog, CatalogReplica, PolicyCatalog, PolicyExpression, ShipAttrs,
@@ -132,6 +133,7 @@ fn replicas_reconstruct_the_coordinator_byte_identically_over_10k_schedules() {
     let schema = schema();
     let mut stalled_schedules = 0u64;
     let mut refusals = 0u64;
+    let mut wipes = 0u64;
     for seed in 0..SCHEDULES {
         let mut rng = seed.wrapping_mul(0x9e37_79b9).wrapping_add(2021);
         let mut log = CatalogLog::new(base_catalog());
@@ -140,7 +142,7 @@ fn replicas_reconstruct_the_coordinator_byte_identically_over_10k_schedules() {
         let partitioned = splitmix64(&mut rng) as usize % (REPLICAS + 1); // REPLICAS = none
         let ops = 1 + splitmix64(&mut rng) % MAX_OPS;
         for _ in 0..ops {
-            match splitmix64(&mut rng) % 4 {
+            match splitmix64(&mut rng) % 5 {
                 // Grant a fresh policy.
                 0 => {
                     let expr = arb_expr(&mut rng);
@@ -169,6 +171,22 @@ fn replicas_reconstruct_the_coordinator_byte_identically_over_10k_schedules() {
                     for entry in &backlog[..take] {
                         replicas[r].apply(entry).unwrap();
                     }
+                }
+                // Crash: a replica holding entries loses everything
+                // above the base. It must still never claim a prefix it
+                // cannot rebuild, and the heal below recovers it by
+                // replay alone.
+                3 => {
+                    let holding: Vec<usize> =
+                        (0..REPLICAS).filter(|&r| replicas[r].seq() > 0).collect();
+                    if holding.is_empty() {
+                        continue;
+                    }
+                    let r = holding[splitmix64(&mut rng) as usize % holding.len()];
+                    replicas[r].wipe();
+                    wipes += 1;
+                    assert_eq!(replicas[r].seq(), 0, "seed {seed}: a wipe keeps state");
+                    assert_eq!(replicas[r].epoch(), log.epoch_at(0).unwrap());
                 }
                 // Byzantine transport: a tampered, replayed, or gapped
                 // entry. All must be refused with the replica unchanged.
@@ -252,141 +270,9 @@ fn replicas_reconstruct_the_coordinator_byte_identically_over_10k_schedules() {
         refusals > 1_000,
         "byzantine deliveries must actually occur ({refusals} refusals)"
     );
-}
-
-/// Bootstrap-equivalence property: over 10 000 seeded schedules that mix
-/// grants, revocations, lagged delivery, mid-schedule compaction, and
-/// replica crashes, a replica recovered from the latest snapshot plus the
-/// tail must be **byte-identical** — at every prefix it can still
-/// reconstruct — to a twin that replayed the full history from seq 0.
-/// Reads below a compaction floor must fail typed (`CatalogCompacted`),
-/// never panic, and a wiped replica stranded below the floor must refuse
-/// plain tail entries (gap) until a snapshot bootstrap re-floors it.
-#[test]
-fn snapshot_bootstrapped_replicas_match_replay_from_zero_over_10k_schedules() {
-    let schema = schema();
-    let mut compactions = 0u64;
-    let mut bootstraps = 0u64;
-    let mut truncated_reads = 0u64;
-    for seed in 0..SCHEDULES {
-        let mut rng = seed.wrapping_mul(0x2545_f491).wrapping_add(0x5eed);
-        let mut log = CatalogLog::new(base_catalog());
-        // The twin replays every entry from seq 0 and is never wiped or
-        // compacted: it is the ground truth a bootstrap must reproduce.
-        let mut twin = log.replica();
-        // The subject lags, crashes, and recovers through snapshots.
-        let mut subject = log.replica();
-        let ops = 2 + splitmix64(&mut rng) % MAX_OPS;
-        for _ in 0..ops {
-            match splitmix64(&mut rng) % 8 {
-                // Mutations, weighted toward grants so the live set grows.
-                // The twin is caught up immediately after each one, so no
-                // later compaction can truncate history it has not seen.
-                0..=2 => {
-                    let expr = arb_expr(&mut rng);
-                    log.grant(expr, &schema).unwrap();
-                    for entry in log.entries_after(twin.seq()).to_vec() {
-                        twin.apply(&entry).unwrap();
-                    }
-                }
-                3 => {
-                    let live = log.live_policies(log.seq());
-                    if !live.is_empty() {
-                        let (pid, _) = live[splitmix64(&mut rng) as usize % live.len()];
-                        log.revoke(pid).unwrap();
-                        for entry in log.entries_after(twin.seq()).to_vec() {
-                            twin.apply(&entry).unwrap();
-                        }
-                    }
-                }
-                // Delivery: an in-order prefix of whatever the subject's
-                // link can still serve — possibly empty, modelling lag. A
-                // subject stranded below the floor must refuse the
-                // truncated tail and recover through a snapshot.
-                4 | 5 => {
-                    if subject.seq() < log.floor_seq() {
-                        if let Some(entry) = log.entries_after(log.floor_seq()).first() {
-                            assert!(
-                                subject.apply(&entry.clone()).is_err(),
-                                "seed {seed}: a stranded replica applied a tail entry \
-                                 across the truncated gap"
-                            );
-                        }
-                        truncated_reads += 1;
-                        subject.bootstrap(log.latest_snapshot()).unwrap();
-                        bootstraps += 1;
-                    }
-                    let backlog = log.entries_after(subject.seq()).to_vec();
-                    let take = splitmix64(&mut rng) as usize % (backlog.len() + 1);
-                    for entry in &backlog[..take] {
-                        subject.apply(entry).unwrap();
-                    }
-                }
-                // Compaction at a random still-held sequence.
-                6 => {
-                    let (floor, head) = (log.floor_seq(), log.seq());
-                    if head > floor {
-                        let at = floor + 1 + splitmix64(&mut rng) % (head - floor);
-                        log.compact(at).unwrap();
-                        compactions += 1;
-                    }
-                }
-                // Crash: the subject loses everything it applied.
-                _ => subject.wipe(),
-            }
-            // Every prefix the subject can reconstruct is byte-identical
-            // to the twin's replay-from-0 view of the same sequence.
-            for seq in subject.floor_seq()..=subject.seq() {
-                assert_eq!(
-                    subject.materialize(seq).unwrap().canonical_bytes(),
-                    twin.materialize(seq).unwrap().canonical_bytes(),
-                    "seed {seed}: bootstrapped subject diverges from the \
-                     replay-from-0 twin at seq {seq}"
-                );
-            }
-        }
-        // Heal: bootstrap if stranded, then drain the tail. The subject
-        // must land on the coordinator's head byte for byte.
-        if subject.seq() < log.floor_seq() {
-            subject.bootstrap(log.latest_snapshot()).unwrap();
-            bootstraps += 1;
-        }
-        for entry in log.entries_after(subject.seq()).to_vec() {
-            subject.apply(&entry).unwrap();
-        }
-        assert_eq!(subject.seq(), log.seq(), "seed {seed}: healed subject lags");
-        assert_eq!(subject.epoch(), log.epoch());
-        assert_eq!(subject.epoch(), twin.epoch());
-        assert_eq!(
-            subject
-                .materialize(subject.seq())
-                .unwrap()
-                .canonical_bytes(),
-            twin.materialize(twin.seq()).unwrap().canonical_bytes(),
-            "seed {seed}: healed subject head is not byte-identical to the twin"
-        );
-        // Truncated prefixes read as typed errors on log and replica both.
-        if log.floor_seq() > 0 {
-            assert!(matches!(
-                log.materialize(log.floor_seq() - 1),
-                Err(GeoError::CatalogCompacted(_))
-            ));
-        }
-        if subject.floor_seq() > 0 {
-            assert!(matches!(
-                subject.materialize(subject.floor_seq() - 1),
-                Err(GeoError::CatalogCompacted(_))
-            ));
-        }
-    }
     assert!(
-        compactions > 2_000,
-        "compaction must actually occur ({compactions} compactions)"
-    );
-    assert!(
-        bootstraps > 500,
-        "snapshot bootstraps must actually occur ({bootstraps} bootstraps, \
-         {truncated_reads} truncated reads)"
+        wipes > 300,
+        "crashes must actually cost replicas state ({wipes} wipes)"
     );
 }
 

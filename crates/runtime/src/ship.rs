@@ -134,7 +134,7 @@ impl<'a> ShipEnv<'a> {
                 backoff_ms: 0.0,
             });
         };
-        self.retry.run_salted(slot, |attempt| {
+        self.retry.run(|attempt| {
             let step = grid_step(attempt, slot, n_slots);
             match faults.site_down_until(site, step) {
                 None => Ok(()),
@@ -200,7 +200,7 @@ pub struct ShipEdge<'a> {
     /// route through. `None` runs unaudited (and never relays).
     pub legal: Option<&'a LocationSet>,
     /// The edge's slot on the fault-step grid: its fault steps, churn
-    /// steps, health lane and retry-jitter salt.
+    /// steps and health lane.
     pub slot: u64,
     /// Width of the grid (see [`ShipEnv::leaf_gate`]).
     pub n_slots: u64,
@@ -351,11 +351,9 @@ impl ShipStream<'_> {
         let mut last_step = 0u64;
         let primary = match env.faults {
             None => Ok((1, 0.0, 0)),
-            // Salting by lane desynchronizes concurrent jittered backoffs
-            // while keeping every replay byte-identical.
             Some(faults) => env
                 .retry
-                .run_salted(lane, |attempt| {
+                .run(|attempt| {
                     let step = grid_step(attempt, lane, n_slots);
                     last_step = step;
                     let surcharge = match faults.check_transfer_salted(from, to, step, coin) {

@@ -505,6 +505,47 @@ fn streams_amortize_the_header_and_recheck_churn_per_batch() {
     assert_eq!(log.transfer_count(), 2, "the fourth edge ships nothing");
 }
 
+/// Every batch attempt is one health observation: a five-batch stream on
+/// a 1.2× gray link folds all five into its lane's EWMA, although every
+/// batch of the edge is judged at the same grid step.
+#[test]
+fn every_batch_of_a_stream_is_one_health_observation() {
+    let topology = wan();
+    let (from, to) = (loc("L1"), loc("L4"));
+    let health = LinkHealth::new(HealthConfig::default());
+    let faults = degrade(1.2);
+    let legal = all_sites();
+    let env = ShipEnv::new(&topology)
+        .with_faults(&faults, RetryPolicy::default())
+        .with_hedge(&health, HedgeConfig::default());
+    let mut stream = env.open(ShipEdge {
+        from: &from,
+        to: &to,
+        legal: Some(&legal),
+        slot: STEP0,
+        n_slots: 1,
+        order: 0,
+        ready_ms: 0.0,
+    });
+    let mut log = TransferLog::new();
+    for _ in 0..5 {
+        stream.ship_batch(BYTES, 1, &mut log).unwrap();
+    }
+    assert!(log.records().iter().all(|r| r.step == STEP0));
+    let state = health.state(&from, &to, STEP0);
+    assert_eq!(state.observations, 5);
+    assert!(
+        (state.ewma_ratio - 1.19375).abs() < 1e-9,
+        "EWMA {} is not five 1.2x deliveries folded",
+        state.ewma_ratio
+    );
+    assert_eq!(
+        health.hedges_launched(),
+        0,
+        "1.2x stays under the hedge ratio"
+    );
+}
+
 /// The deadline reads the stream's critical path — producer ready time
 /// plus every delivered batch — not the transfer log: cost already spent
 /// by other edges does not count against this one, and a late producer

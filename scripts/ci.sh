@@ -112,6 +112,15 @@ if grep -rnE 'CatalogPin|fn renumbered|live_epoch|tenant_epoch|HashMap<usize, ?b
     exit 1
 fi
 
+echo "==> one recovery path: nothing truncates the catalog log, so a wiped" \
+     "replica recovers by chain-verified replay, and no compaction, floor" \
+     "snapshot or snapshot bootstrap is back"
+if grep -rnE 'fn compact|fn bootstrap|CatalogSnapshot|CatalogCompacted|pull_snapshot|CatalogGossip|with_auto_compact' crates/*/src; then
+    echo "catalog compaction or snapshot bootstrap is back: the log of record" \
+        "is never truncated and a replica recovers by replaying it" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check (geoqp crates)"
 cargo fmt --check "${pkg_flags[@]}"
 
@@ -187,9 +196,8 @@ echo "==> generated data digests + resident bytes: every table, through" \
      "catalog holds it once, as columns (counting allocator, release)"
 cargo test -q -p geoqp-tpch --release --test data_digest --test resident_bytes
 
-echo "==> catalog replication + compaction property tests: 10k seeded" \
-     "schedules, byte-identical replicas, snapshot-bootstrap ≡ replay-from-0" \
-     "(release)"
+echo "==> catalog replication property tests: 10k seeded schedules of" \
+     "lag, wipes and tampered entries, byte-identical replicas (release)"
 cargo test -q -p geoqp-policy --release --test catalog_replication
 
 echo "==> chaos soak: crash/partition + gray degrade/loss + catalog-churn" \
@@ -197,7 +205,7 @@ echo "==> chaos soak: crash/partition + gray degrade/loss + catalog-churn" \
      "odd rounds on the columnar engine with alternating 2/4-worker" \
      "morsel pools; churn round layers mid-query" \
      "revocations and catalog-plane partitions on the crash schedules;" \
-     "bootstrap round adds replica-crash + snapshot-bootstrap + grant-retry" \
+     "recovery round adds replica-crash + replay + grant-retry" \
      "rescues with duplicate-execution determinism checks)"
 GEOQP_CHAOS_N="${GEOQP_CHAOS_N:-24}" cargo test -q --test chaos_soak -- --nocapture
 

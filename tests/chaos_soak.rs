@@ -133,7 +133,7 @@ fn randomized_gray_schedules_stay_compliant_with_hedging_on() {
     tpch::populate(&catalog, SF, 7).unwrap();
     let policies = tpch::generate_policies(&catalog, PolicyTemplate::CRA, 10, 2021).unwrap();
     let eng = Engine::new(catalog, Arc::new(policies), NetworkTopology::paper_wan());
-    let retry = RetryPolicy::default().with_jitter(0.3, 2021);
+    let retry = RetryPolicy::default();
 
     let mut rng = 0x6772_6179_736f_616bu64; // fixed gray-soak seed
     let before = live_threads();
@@ -233,7 +233,7 @@ fn randomized_adhoc_round_stays_compliant_and_leak_free() {
     tpch::populate(&catalog, SF, 7).unwrap();
     let policies = tpch::generate_policies(&catalog, PolicyTemplate::CRA, 10, 2021).unwrap();
     let eng = Engine::new(catalog, Arc::new(policies), NetworkTopology::paper_wan());
-    let retry = RetryPolicy::default().with_jitter(0.3, 2021);
+    let retry = RetryPolicy::default();
     // Three generated queries per schedule round, one deterministic batch.
     let queries = tpch::adhoc::generate_adhoc(eng.catalog(), 3 * n, 2021).unwrap();
 
@@ -467,7 +467,7 @@ fn catalog_churn_round_stays_compliant_and_resolves_typed() {
         Arc::new(policies.clone()),
         NetworkTopology::paper_wan(),
     );
-    let retry = RetryPolicy::default().with_jitter(0.3, 2021);
+    let retry = RetryPolicy::default();
     let coordinator = eng
         .catalog()
         .locations()
@@ -690,9 +690,9 @@ impl GrantRound {
         }
     }
 
-    /// The first `n` rounds of the fixed bootstrap-soak stream.
+    /// The first `n` rounds of the fixed recovery-soak stream.
     fn runs(&self, n: usize) -> Vec<GrantRun> {
-        let mut rng = 0x626f_6f74_7374_7261u64; // fixed bootstrap-soak seed
+        let mut rng = 0x626f_6f74_7374_7261u64; // fixed recovery-soak seed
         let mut runs = Vec::new();
         for round in 0..n {
             for query in QUERIES {
@@ -719,11 +719,9 @@ impl GrantRound {
     }
 
     /// Build the catalog service from identical seeded state: revoke
-    /// every live policy, re-grant it, keep only the newest entries (so
-    /// the floor snapshot is the only recovery path), and crash the
-    /// chosen replica's catalog plane over the first two steps.
-    /// Also returns the pin at seq 0, read before the appends compact it
-    /// away.
+    /// every live policy, re-grant it, and crash the chosen replica's
+    /// catalog plane over the first two steps. Also returns the pin at
+    /// seq 0, the base the run is admitted under.
     fn build_svc(&self, run: &GrantRun) -> (Arc<CatalogService>, u64) {
         let svc = CatalogService::new(
             Arc::clone(self.eng.catalog()),
@@ -732,7 +730,6 @@ impl GrantRound {
         );
         let base = svc.head();
         let live = svc.live_policies();
-        let svc = svc.with_auto_compact(live.len() as u64);
         let mut events = Vec::new();
         for (pid, _) in &live {
             let rev = svc.revoke(*pid).expect("live pid revokes");
@@ -767,7 +764,7 @@ impl GrantRound {
         (svc, pin): &(Arc<CatalogService>, u64),
     ) -> Result<(QueryOutcome, RuntimeMetrics)> {
         let faults = FaultPlan::parse(&run.spec, run.fseed).expect("spec re-parses");
-        let retry = RetryPolicy::default().with_jitter(0.3, 2021);
+        let retry = RetryPolicy::default();
         let opts = ExecOptions {
             deadline: run.deadline,
             ..ExecOptions::failover(&faults, &retry, SITES.len()).with_churn(Arc::clone(svc), *pin)
@@ -795,18 +792,18 @@ fn grant_outcome(r: &Result<(QueryOutcome, RuntimeMetrics)>) -> String {
     }
 }
 
-/// Replica-crash + bootstrap + grant round: every run revokes the *entire*
+/// Replica-crash + recovery + grant round: every run revokes the *entire*
 /// live policy set (released to in-flight execution at a seeded step) and
 /// re-grants it (released at step 0), while a catalog-plane crash wipes a
-/// non-coordinator replica that must recover through the floor snapshot —
-/// auto-compaction keeps only the newest entries, so recovery cannot
-/// replay from seq 0. Invariants per run: a query the revocations refuse
-/// under its re-pinned epoch is rescued by the quiesce-free grant retry
-/// and still returns the fault-free answer through a placement the head
-/// catalog allows; the wiped replica bootstraps with zero chain-
-/// verification rejects; failures carry a typed kind; and every fourth
-/// run re-executes from identically-seeded state and must reproduce the
-/// outcome — rows, re-plan counts, and transfer bytes — exactly.
+/// non-coordinator replica that must recover by replaying the log from
+/// seq 1. Invariants per run: a query the revocations refuse under its
+/// re-pinned sequence is rescued by the quiesce-free grant retry and
+/// still returns the fault-free answer through a placement the head
+/// catalog allows; the wiped replica is stale while down and replays to
+/// the head once the window closes; failures carry a typed kind; and
+/// every fourth run re-executes from identically-seeded state and must
+/// reproduce the outcome — rows, re-plan counts, and transfer bytes —
+/// exactly.
 #[test]
 fn replica_crash_bootstrap_and_grant_round_rescues_refused_queries() {
     let n: usize = std::env::var("GEOQP_CHAOS_N")
@@ -818,7 +815,7 @@ fn replica_crash_bootstrap_and_grant_round_rescues_refused_queries() {
 
     let before = live_threads();
     let (mut completed, mut rescued, mut refused) = (0usize, 0usize, 0usize);
-    let (mut wipes, mut bootstraps, mut chain_rejects) = (0u64, 0u64, 0u64);
+    let (mut wipes, mut replays) = (0u64, 0usize);
     let mut determinism_checks = 0usize;
     for run in fx.runs(n) {
         let (round, query, label) = (run.round, run.query, &run.label);
@@ -829,7 +826,6 @@ fn replica_crash_bootstrap_and_grant_round_rescues_refused_queries() {
 
         let admitted = fx.build_svc(&run);
         let svc = &admitted.0;
-        let synced = svc.health();
         let result = fx.execute(&run, &admitted);
 
         // Every fourth run replays from identically-seeded state; the
@@ -846,20 +842,35 @@ fn replica_crash_bootstrap_and_grant_round_rescues_refused_queries() {
         }
 
         // Heal the catalog plane: step 1 is inside the crash window
-        // (the replica wipes), step 2 is past it (the replica must
-        // re-bootstrap from the floor snapshot — replay from seq 0 is
-        // impossible, compaction truncated the prefix).
+        // (the replica is wiped, or stays bare), step 2 is past it (the
+        // replica replays the log from seq 1 to the head).
+        let crashed = |svc: &CatalogService| {
+            let h = svc.health();
+            let r = h.replicas.into_iter().find(|r| r.site == fx.crash_site);
+            (r.expect("the crash site has a replica").seq, h.head)
+        };
         svc.sync_at(1);
-        svc.sync_at(2);
-        let health = svc.health();
-        assert!(
-            health.bootstraps > synced.bootstraps,
-            "round {round} {query} [{label}]: the crashed replica never \
-             bootstrapped from the floor snapshot"
+        assert_eq!(
+            crashed(svc).0,
+            0,
+            "round {round} {query} [{label}]: a crashed replica kept state"
         );
-        wipes += health.wipes;
-        bootstraps += health.bootstraps - synced.bootstraps;
-        chain_rejects += health.chain_rejects;
+        let head = svc.head();
+        assert!(
+            svc.stale_guard(head)
+                .check_origin(&fx.crash_site, head)
+                .is_err(),
+            "round {round} {query} [{label}]: a wiped replica proved the head"
+        );
+        svc.sync_at(2);
+        let (seq, head) = crashed(svc);
+        assert_eq!(
+            seq, head,
+            "round {round} {query} [{label}]: the crashed replica never \
+             replayed to the head"
+        );
+        wipes += svc.health().wipes;
+        replays += 1;
 
         match &result {
             Ok((res, _)) => {
@@ -930,11 +941,11 @@ fn replica_crash_bootstrap_and_grant_round_rescues_refused_queries() {
     }
     assert!(
         after <= before + 4,
-        "{before} threads before the bootstrap soak, {after} after — worker threads leaked"
+        "{before} threads before the recovery soak, {after} after — worker threads leaked"
     );
     assert!(
         completed >= 1,
-        "the bootstrap soak never completed a single run ({refused} refusals) — \
+        "the recovery soak never completed a single run ({refused} refusals) — \
          schedules too harsh"
     );
     assert!(
@@ -943,14 +954,9 @@ fn replica_crash_bootstrap_and_grant_round_rescues_refused_queries() {
          completions ({refused} refusals) — the recovery path was not exercised"
     );
     assert!(
-        wipes >= 1 && bootstraps >= 1,
+        wipes >= 1 && replays >= 1,
         "the catalog-plane crash never cost a replica its state \
-         ({wipes} wipes, {bootstraps} bootstraps)"
-    );
-    assert_eq!(
-        chain_rejects, 0,
-        "a replica accepted state only after failing chain verification {chain_rejects} \
-         time(s) — the bootstrap path has a verification bypass"
+         ({wipes} wipes, {replays} replays)"
     );
     assert!(
         determinism_checks >= 1,
@@ -1024,7 +1030,7 @@ fn randomized_chaos_schedules_stay_compliant_and_leak_free() {
     tpch::populate(&catalog, SF, 7).unwrap();
     let policies = tpch::generate_policies(&catalog, PolicyTemplate::CRA, 10, 2021).unwrap();
     let eng = Engine::new(catalog, Arc::new(policies), NetworkTopology::paper_wan());
-    let retry = RetryPolicy::default().with_jitter(0.3, 2021);
+    let retry = RetryPolicy::default();
 
     let mut rng = 0x6765_6f71_7063_686bu64; // fixed soak seed
     let before = live_threads();

@@ -622,7 +622,7 @@ impl Shell {
             "annotated plan (ℰ = execution trait, 𝒮 = shipping trait):"
         );
         out.push_str(&geoqp_core::explain::display_annotated(
-            &optimized.annotated,
+            &eng.annotate(&optimized)?,
         ));
         let _ = writeln!(
             out,

@@ -87,17 +87,21 @@ pub struct OptimizeStats {
     pub dp_states: usize,
 }
 
-/// A fully optimized query.
+/// A fully optimized query: the located plan, and the input it was
+/// optimized from. Phase 1's annotated plan is not kept — it is a pure
+/// function of that input under the engine's policies, and
+/// [`Engine::annotate`] re-derives it where a re-plan needs it.
 #[derive(Debug)]
 pub struct OptimizedQuery {
     /// Located physical plan with explicit SHIPs.
     pub physical: Arc<PhysicalPlan>,
-    /// The annotated plan phase 1 produced (Figure 4-style traits).
-    pub annotated: AnnotatedNode,
-    /// The normalized logical plan phase 1 ran on — retained so a live
-    /// policy revocation can re-run the *whole* optimizer (both phases)
-    /// under the new catalog snapshot mid-execution.
-    pub logical: Arc<LogicalPlan>,
+    /// The lowered query the optimizer was given, before normalization.
+    pub query: Arc<LogicalPlan>,
+    /// The result location the caller asked for (`None`: the optimizer's
+    /// choice).
+    pub requested: Option<Location>,
+    /// The knobs the optimizer ran with.
+    pub options: OptimizerOptions,
     /// Measurements.
     pub stats: OptimizeStats,
     /// Where the result materializes.
@@ -380,7 +384,8 @@ impl Engine {
         )))
     }
 
-    /// [`Engine::optimize`] with explicit [`OptimizerOptions`].
+    /// [`Engine::optimize`] with explicit [`OptimizerOptions`]: normalize,
+    /// then phase 1 (explore, annotate), then phase 2 (site selection).
     pub fn optimize_opts(
         &self,
         plan: &Arc<LogicalPlan>,
@@ -392,45 +397,14 @@ impl Engine {
             self.check_site(site)?;
         }
         let t_start = Instant::now();
-
-        // Phase 1: normalize (dominating rewrites), explore, annotate.
         let normalized = crate::normalize::normalize_plan(plan)?;
-        let mut memo = Memo::new();
-        let root = memo.copy_in(&normalized)?;
-        let mut rules = default_rules();
-        if options.disable_aggregate_pushdown {
-            rules.retain(|r| r.name() != "AggregateJoinPushdown");
-        }
-        explore(&mut memo, &rules)?;
-
-        let evaluator = self.evaluator();
         let memo_base = (self.implication_memo.hits(), self.implication_memo.misses());
-        let annotate_mode = match mode {
-            OptimizerMode::Compliant => AnnotateMode::Compliant,
-            OptimizerMode::Traditional => AnnotateMode::Traditional,
-        };
-        let mut annotator = Annotator::new(&self.catalog, &evaluator, annotate_mode);
-        if let Some(cap) = options.frontier_cap {
-            annotator = annotator.with_frontier_cap(cap);
-        }
-        let frontiers = annotator.annotate(&memo)?;
-
-        let best = frontiers
-            .best_root(root, result_location.as_ref())
-            .ok_or_else(|| {
-                GeoError::QueryRejected(
-                    "no compliant execution plan exists in the explored search space".into(),
-                )
-            })?
-            .clone();
-        let mut annotated = frontiers.extract(&memo, &best);
-        fill_stats(&mut annotated, &best.logical, &self.catalog);
+        let phase1 = self.phase1(&normalized, mode, result_location.as_ref(), options)?;
         let phase1_ms = t_start.elapsed().as_secs_f64() * 1e3;
 
-        // Phase 2: site selection.
         let t2 = Instant::now();
         let sited = select_sites_with(
-            &annotated,
+            &phase1.annotated,
             &self.topology,
             result_location.as_ref(),
             options.objective,
@@ -454,24 +428,87 @@ impl Engine {
 
         Ok(OptimizedQuery {
             physical: sited.physical,
-            annotated,
-            logical: normalized,
+            query: Arc::clone(plan),
+            requested: result_location,
+            options: options.clone(),
             result_location: sited.result_location,
             mode,
             stats: OptimizeStats {
                 phase1_ms,
                 phase2_ms,
                 total_ms: phase1_ms + phase2_ms,
-                memo_groups: memo.group_count(),
-                memo_exprs: memo.expr_count(),
-                candidates: frontiers.stats().candidates,
-                eta: evaluator.eta(),
-                policy_invocations: evaluator.invocations(),
+                memo_groups: phase1.memo_groups,
+                memo_exprs: phase1.memo_exprs,
+                candidates: phase1.candidates,
+                eta: phase1.eta,
+                policy_invocations: phase1.policy_invocations,
                 est_ship_cost_ms: sited.est_ship_cost_ms,
                 memo_hits: self.implication_memo.hits() - memo_base.0,
                 memo_misses: self.implication_memo.misses() - memo_base.1,
                 dp_states: sited.dp_states,
             },
+        })
+    }
+
+    /// Phase 1's annotated plan for `optimized`, re-derived under this
+    /// engine's policies: the tree phase 2 placed when `optimized` was
+    /// planned by an engine whose expressions governing the query's
+    /// tables are this one's. Deterministic, so a re-plan built on it
+    /// places exactly what a re-plan built on the original tree would.
+    pub fn annotate(&self, optimized: &OptimizedQuery) -> Result<AnnotatedNode> {
+        let normalized = crate::normalize::normalize_plan(&optimized.query)?;
+        let phase1 = self.phase1(
+            &normalized,
+            optimized.mode,
+            optimized.requested.as_ref(),
+            &optimized.options,
+        )?;
+        Ok(phase1.annotated)
+    }
+
+    /// Phase 1 on a normalized plan: explore the memo, annotate every
+    /// candidate with its traits, and extract the cheapest root that can
+    /// deliver to `requested`.
+    fn phase1(
+        &self,
+        normalized: &Arc<LogicalPlan>,
+        mode: OptimizerMode,
+        requested: Option<&Location>,
+        options: &OptimizerOptions,
+    ) -> Result<Phase1> {
+        let mut memo = Memo::new();
+        let root = memo.copy_in(normalized)?;
+        let mut rules = default_rules();
+        if options.disable_aggregate_pushdown {
+            rules.retain(|r| r.name() != "AggregateJoinPushdown");
+        }
+        explore(&mut memo, &rules)?;
+
+        let evaluator = self.evaluator();
+        let annotate_mode = match mode {
+            OptimizerMode::Compliant => AnnotateMode::Compliant,
+            OptimizerMode::Traditional => AnnotateMode::Traditional,
+        };
+        let mut annotator = Annotator::new(&self.catalog, &evaluator, annotate_mode);
+        if let Some(cap) = options.frontier_cap {
+            annotator = annotator.with_frontier_cap(cap);
+        }
+        let frontiers = annotator.annotate(&memo)?;
+
+        let best = frontiers.best_root(root, requested).ok_or_else(|| {
+            GeoError::QueryRejected(
+                "no compliant execution plan exists in the explored search space".into(),
+            )
+        })?;
+        let mut annotated = frontiers.extract(&memo, best);
+        fill_stats(&mut annotated, &best.logical, &self.catalog);
+        Ok(Phase1 {
+            annotated,
+            memo_groups: memo.group_count(),
+            memo_exprs: memo.expr_count(),
+            candidates: frontiers.stats().candidates,
+            eta: evaluator.eta(),
+            policy_invocations: evaluator.invocations(),
         })
     }
 
@@ -670,12 +707,13 @@ impl Engine {
             last_grant_retry_seq: opts.churn.as_ref().map_or(0, |c| c.pin),
             watch: opts.churn.as_ref().map(|c| c.service.watch(c.pin)),
             churned: None,
+            annotated: None,
         };
         let mut physical = Arc::clone(&optimized.physical);
         let mut transfers = TransferLog::new();
         let mut first_attempt_bytes = None;
         loop {
-            let (attempt, log) = recovery.current().0.attempt(
+            let (attempt, log) = recovery.current().attempt(
                 &physical,
                 opts,
                 optimized.mode == OptimizerMode::Compliant,
@@ -745,6 +783,16 @@ impl Engine {
     }
 }
 
+/// Phase 1's output and what it measured.
+struct Phase1 {
+    annotated: AnnotatedNode,
+    memo_groups: usize,
+    memo_exprs: usize,
+    candidates: usize,
+    eta: u64,
+    policy_invocations: u64,
+}
+
 /// Why an attempt failed, as far as re-planning is concerned: each cause
 /// is one state change in [`Recovery::step`].
 enum Cause {
@@ -783,14 +831,26 @@ struct Recovery<'a> {
     /// revocation has re-pinned the run; until then the admission-time
     /// ones apply.
     churned: Option<(Engine, OptimizedQuery)>,
+    /// Phase 1's tree for the current pin, derived on the first re-plan
+    /// that needs it and dropped when a revocation re-pins the run.
+    annotated: Option<AnnotatedNode>,
 }
 
 impl Recovery<'_> {
-    /// The engine and annotated plan of the current catalog pin.
-    fn current(&self) -> (&Engine, &AnnotatedNode) {
+    /// The engine of the current catalog pin.
+    fn current(&self) -> &Engine {
         match &self.churned {
-            Some((engine, reoptimized)) => (engine, &reoptimized.annotated),
-            None => (self.base, &self.optimized.annotated),
+            Some((engine, _)) => engine,
+            None => self.base,
+        }
+    }
+
+    /// Phase 1's tree for the current catalog pin, re-derived from its
+    /// optimized query.
+    fn derive_annotated(&self) -> Result<AnnotatedNode> {
+        match &self.churned {
+            Some((engine, reoptimized)) => engine.annotate(reoptimized),
+            None => self.base.annotate(self.optimized),
         }
     }
 
@@ -849,11 +909,13 @@ impl Recovery<'_> {
         // Re-run Algorithm 2 with every excluded site out of every
         // execution trait and every avoided link priced at ∞. Execution
         // still runs on the real topology — only planning costs change.
+        if self.annotated.is_none() {
+            self.annotated = Some(self.derive_annotated()?);
+        }
+        let annotated = self.annotated.as_ref().expect("derived above");
         let topology = &self.base.topology;
         let avoiding = (!self.avoided.is_empty()).then(|| topology.avoiding_links(&self.avoided));
-        let placed = self
-            .current()
-            .1
+        let placed = annotated
             .excluding_sites(&self.excluded)
             .ok_or_else(|| match &cause {
                 Cause::Revoked { head, .. } => GeoError::NonCompliant(format!(
@@ -909,7 +971,7 @@ impl Recovery<'_> {
         // Stitch the placement against surviving checkpoints: subtrees
         // whose fingerprint still has a live, trait-legal checkpoint
         // become ResumeScan leaves, so only lost work re-executes.
-        let engine = self.current().0;
+        let engine = self.current();
         let next = if self.opts.resume {
             if let Cause::Revoked { .. } = cause {
                 // The run changed policy snapshot: keep only checkpoints
@@ -951,13 +1013,14 @@ impl Recovery<'_> {
             churn.service.sync_round();
             let result_location = Some(self.optimized.result_location.clone());
             match forked.optimize(
-                &self.optimized.logical,
+                &crate::normalize::normalize_plan(&self.optimized.query)?,
                 OptimizerMode::Compliant,
                 result_location,
             ) {
                 Ok(reoptimized) => {
                     self.watch = Some(churn.service.watch(*head));
                     self.churned = Some((forked, reoptimized));
+                    self.annotated = None;
                     return Ok(());
                 }
                 // Quiesce-free grant retry: the query was refused under

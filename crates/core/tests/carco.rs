@@ -316,7 +316,7 @@ fn explain_shows_traits() {
     let opt = eng
         .optimize_sql(Q_EX, OptimizerMode::Compliant, Some(Location::new("E")))
         .unwrap();
-    let text = geoqp_core::explain::display_annotated(&opt.annotated);
+    let text = geoqp_core::explain::display_annotated(&eng.annotate(&opt).unwrap());
     assert!(text.contains("ℰ="));
     assert!(text.contains("𝒮="));
     assert!(text.contains("Scan"));

@@ -10,6 +10,7 @@
 //! every local query.
 
 use geoqp_common::{DataType, Field, Location, LocationSet, Schema, TableRef, Value};
+use geoqp_core::normalize::normalize_plan;
 use geoqp_core::{CatalogService, Engine, OptimizerMode};
 use geoqp_net::NetworkTopology;
 use geoqp_plan::descriptor::describe_local;
@@ -121,7 +122,7 @@ fn assert_plans_as_memo_less(forked: &Engine) -> u64 {
         assert_eq!(got.physical, want.physical, "{sql}");
         let shared = PolicyEvaluator::with_memo(forked.policies(), locations, memo);
         let memo_less = PolicyEvaluator::new(forked.policies(), locations);
-        got.logical.visit(&mut |node| {
+        normalize_plan(&got.query).unwrap().visit(&mut |node| {
             if let Some(q) = describe_local(node) {
                 assert_eq!(shared.evaluate(&q), memo_less.evaluate(&q), "{sql}: {q:?}");
             }

@@ -18,12 +18,13 @@
 //!   **Deficit round-robin** fair queueing guarantees a flooding tenant
 //!   cannot starve a trickle tenant — every backlogged tenant earns service
 //!   credit at the same (quantum-weighted) rate.
-//! * A private plan cache memoizes whole optimized located plans, keyed by
-//!   value: the lowered query, the pinned result location, the tenant and
-//!   its catalog-log sequence. A hit is therefore the plan the compliant
-//!   optimizer returned for this very input under this very policy
-//!   snapshot, so it runs without a second audit; a policy change moves
-//!   the sequence, and LRU eviction bounds the footprint under ad-hoc
+//! * A private plan cache memoizes located plans, keyed by value: the SQL
+//!   text, the requested result location, the tenant and the pids of its
+//!   live expressions governing a table the query scans. A hit is
+//!   therefore the plan the compliant optimizer returns for this input
+//!   under the tenant's current catalog, so it runs without a second
+//!   audit; a grant elsewhere keeps it, a revoke evicts the entries naming
+//!   the revoked pid, and LRU eviction bounds the footprint under ad-hoc
 //!   query diversity ([`CacheStats`] counts it).
 //!
 //! Per-query deadlines, cancellation, and fault plans ride through

@@ -1,24 +1,32 @@
-//! The service's cache of optimized located plans, keyed by value.
+//! The service's cache of located plans, keyed by what the compliant
+//! optimizer reads.
 //!
-//! A [`PlanKey`] holds the lowered query itself, the pinned result
-//! location, the tenant, and the catalog-log sequence the tenant's engine
-//! was built at. The map settles hash collisions with `Eq`, so a hit is
-//! the same lowered plan at the same result site for the same tenant under
-//! the same policy snapshot: the very plan the compliant optimizer
-//! returned for this input under this catalog. Theorem 1 holds on a hit by
-//! construction, so nothing is audited again.
+//! A [`PlanKey`] holds the SQL text, the requested result location, the
+//! tenant, and the pids of the tenant's live expressions that govern a
+//! table the lowered query scans. Algorithm 1 reads no other expression
+//! (`RegisteredExpression::applies_to` skips an expression governing none
+//! of a local query's tables), and a pid names one expression text in
+//! every snapshot, so a hit is the plan the compliant optimizer returns
+//! for this input under the tenant's current catalog. Theorem 1 holds on
+//! a hit by construction, so nothing is audited again.
 //!
-//! * **A policy update moves the key.** Every grant or revoke appends to
-//!   the tenant's catalog log, and the sequence only moves forward, so a
-//!   plan optimized under an older snapshot is never found again
-//!   ([`PlanCache::purge_tenant`] reclaims its slot eagerly).
+//! * **Only a revoke evicts.** A grant on a table the query scans adds a
+//!   pid to its key, so the query misses and plans fresh; a grant
+//!   elsewhere leaves the key, and the plan, as they were. A revoke
+//!   evicts the entries whose key names the revoked pid
+//!   ([`PlanCache::evict_pids`]): the catalog log never reissues a pid,
+//!   so no later lookup could name them again.
+//! * **An entry keeps only what a hit runs**: the located plan, its
+//!   result location and the optimizer's stats — not the lowered query,
+//!   which a hit has just lowered itself, and not phase 1's annotated
+//!   plan, which a re-plan re-derives.
 //! * **LRU eviction.** The cache holds at most `capacity` entries; the
 //!   least-recently-used entry is evicted when a fresh plan needs a slot.
 
 use geoqp_common::Location;
-use geoqp_core::OptimizedQuery;
-use geoqp_plan::LogicalPlan;
-use std::collections::HashMap;
+use geoqp_core::OptimizeStats;
+use geoqp_plan::PhysicalPlan;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -27,14 +35,22 @@ use std::sync::{Arc, Mutex};
 pub(crate) struct PlanKey {
     /// Tenant index inside the service: plans never cross tenants.
     pub tenant: usize,
-    /// The tenant's catalog-log sequence when the plan was optimized.
-    /// With `tenant` it names one policy snapshot: the engine and the pin
-    /// are swapped and read together.
-    pub seq: u64,
-    /// The lowered query.
-    pub query: Arc<LogicalPlan>,
+    /// The query's SQL text. A tenant's data catalog never changes, so
+    /// one text always lowers to one plan.
+    pub sql: String,
     /// The requested result location (`None`: the optimizer's choice).
     pub result_location: Option<Location>,
+    /// Pids of the live expressions governing a table the query scans, in
+    /// catalog order: the part of the policy catalog the optimizer reads.
+    pub policies: Vec<usize>,
+}
+
+/// A cached located plan: what a hit runs.
+#[derive(Clone)]
+pub(crate) struct CachedPlan {
+    pub physical: Arc<PhysicalPlan>,
+    pub result_location: Location,
+    pub stats: OptimizeStats,
 }
 
 /// Counter snapshot for observability (`\tenants`, bench JSON).
@@ -65,7 +81,7 @@ impl CacheStats {
 }
 
 struct Entry {
-    plan: Arc<OptimizedQuery>,
+    plan: CachedPlan,
     last_used: u64,
 }
 
@@ -75,7 +91,7 @@ struct CacheState {
     tick: u64,
 }
 
-/// Thread-safe LRU cache of optimized located plans. Interior mutability
+/// Thread-safe LRU cache of located plans. Interior mutability
 /// throughout: workers share it behind an `Arc` without outer locking.
 pub(crate) struct PlanCache {
     state: Mutex<CacheState>,
@@ -101,7 +117,7 @@ impl PlanCache {
     }
 
     /// Look up a plan, refreshing its LRU stamp and counting hit/miss.
-    pub fn lookup(&self, key: &PlanKey) -> Option<Arc<OptimizedQuery>> {
+    pub fn lookup(&self, key: &PlanKey) -> Option<CachedPlan> {
         let mut st = self.state.lock().unwrap();
         st.tick += 1;
         let tick = st.tick;
@@ -120,7 +136,7 @@ impl PlanCache {
 
     /// Insert (or replace) a plan, evicting the least-recently-used entry
     /// when the cache is full.
-    pub fn insert(&self, key: PlanKey, plan: Arc<OptimizedQuery>) {
+    pub fn insert(&self, key: PlanKey, plan: CachedPlan) {
         let mut st = self.state.lock().unwrap();
         st.tick += 1;
         let tick = st.tick;
@@ -144,12 +160,16 @@ impl PlanCache {
         );
     }
 
-    /// Eagerly drop every entry belonging to `tenant` (policy update):
-    /// the sequence component of the key already makes them unreachable,
-    /// but purging frees their LRU slots immediately.
-    pub fn purge_tenant(&self, tenant: usize) {
+    /// Drop every entry of `tenant` whose key names one of the revoked
+    /// `pids`. Those keys are unreachable already — a pid, once revoked,
+    /// is never live again — so this only frees their slots.
+    pub fn evict_pids(&self, tenant: usize, pids: &BTreeSet<usize>) {
+        if pids.is_empty() {
+            return;
+        }
         let mut st = self.state.lock().unwrap();
-        st.map.retain(|k, _| k.tenant != tenant);
+        st.map
+            .retain(|k, _| k.tenant != tenant || !k.policies.iter().any(|p| pids.contains(p)));
     }
 
     /// Counter snapshot.

@@ -10,12 +10,17 @@
 //!                                              │
 //!                          bounded worker pool (OS threads)
 //!                                              │
-//!     parse → lower → plan-cache lookup by value (hit) / optimize (miss)
+//!       parse → lower → plan-cache lookup (hit) / optimize (miss)
 //!                                              │
 //!            execute (plain or resilient: faults/deadline/cancel)
 //!                                              │
 //!                      QueryTicket ◀── reply ──┘  + TenantStats update
 //! ```
+//!
+//! A plan-cache key is the SQL text, the requested result site, the
+//! tenant and the pids of the tenant's live expressions governing a table
+//! the query scans — everything the compliant optimizer reads — so a
+//! policy update only misses for the queries whose tables it touches.
 //!
 //! Each tenant owns a full [`Engine`] over its own policy catalog, and
 //! the engine owns the `ImplicationMemo`: separate tenants get separate
@@ -36,14 +41,17 @@
 //! trickle tenant — the trickle tenant's next query is at most one DRR
 //! rotation away.
 
-use crate::plan_cache::{CacheStats, PlanCache, PlanKey};
+use crate::plan_cache::{CacheStats, CachedPlan, PlanCache, PlanKey};
 use geoqp_common::{CancelToken, GeoError, Location, QueryDeadline, Result, Rows};
-use geoqp_core::{CatalogService, ChurnOpts, Engine, ExecOptions, OptimizerMode, RuntimeConfig};
+use geoqp_core::{
+    CatalogService, ChurnOpts, Engine, ExecOptions, OptimizedQuery, OptimizerMode,
+    OptimizerOptions, RuntimeConfig,
+};
 use geoqp_exec::RetryPolicy;
 use geoqp_net::{FaultPlan, NetworkTopology, TransferLog};
 use geoqp_policy::{PolicyCatalog, PolicyExpression};
 use geoqp_storage::Catalog;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
@@ -164,8 +172,9 @@ pub struct QueryReply {
     /// Every cross-site transfer the execution performed.
     pub transfers: TransferLog,
     /// Whether the located plan came from the plan cache: a plan the
-    /// compliant optimizer returned for the same lowered query, result
-    /// location and tenant under the same catalog-log sequence.
+    /// compliant optimizer returned for the same SQL text, requested
+    /// result location and tenant, under a catalog whose expressions
+    /// governing the query's tables were the ones live now (same pids).
     pub cached: bool,
     /// Failover re-plans performed (0 for fault-free runs).
     pub replans: usize,
@@ -551,7 +560,11 @@ impl QueryService {
     /// log**: expressions missing from `policies` are revoked and new ones
     /// granted. The engine forked over the new head (same implication
     /// memo — its verdicts hold under every snapshot) serves queries
-    /// admitted from now on; the tenant's plan-cache entries are purged.
+    /// admitted from now on. The plan cache drops exactly the tenant's
+    /// entries whose key names a revoked pid; every other plan stays
+    /// valid, since its key lists every expression the optimizer read
+    /// for it, and a grant on a table a query scans changes that query's
+    /// key instead.
     ///
     /// Grants only affect later queries. Revocations are **pushed**: the
     /// churn signal aborts in-flight resilient executions at batch
@@ -581,6 +594,7 @@ impl QueryService {
                 .push(e.expr.clone());
         }
         let mut revoke_seq = 0u64;
+        let mut revoked = BTreeSet::new();
         for (pid, display) in churn.live_policies() {
             match wanted.get_mut(&display) {
                 Some(v) if !v.is_empty() => {
@@ -588,6 +602,7 @@ impl QueryService {
                 }
                 _ => {
                     revoke_seq = revoke_seq.max(churn.revoke(pid)?);
+                    revoked.insert(pid as usize);
                 }
             }
         }
@@ -612,7 +627,7 @@ impl QueryService {
                 ten.last_revoke_seq = ten.last_revoke_seq.max(revoke_seq);
             }
         }
-        self.shared.cache.purge_tenant(tenant.0);
+        self.shared.cache.evict_pids(tenant.0, &revoked);
         Ok(head)
     }
 
@@ -798,25 +813,47 @@ fn run_job(
     }
 
     let ast = geoqp_parser::parse_query(&request.sql)?;
-    let plan = geoqp_parser::lower_query(&ast, engine.catalog())?;
-    // `engine` was built at `pin` (the claim read them together), so
-    // a hit is the plan this engine's compliant optimizer returned for
-    // this very input: it runs with no second audit.
+    let query = geoqp_parser::lower_query(&ast, engine.catalog())?;
+    // The pids the optimizer can read for this query under `engine`'s
+    // snapshot. A hit was planned under expressions with exactly these
+    // pids, hence these texts, so it is the plan this engine's compliant
+    // optimizer would return: it runs with no second audit.
+    let tables = query.tables();
+    let policies = (engine.policies().expressions().iter())
+        .filter(|e| tables.iter().any(|t| e.governs(t)))
+        .map(|e| e.id)
+        .collect();
     let key = PlanKey {
         tenant,
-        seq: pin,
-        query: plan,
+        sql: request.sql.clone(),
         result_location: request.result_location.clone(),
+        policies,
     };
     let (optimized, cached) = match shared.cache.lookup(&key) {
-        Some(hit) => (hit, true),
+        Some(hit) => {
+            let optimized = OptimizedQuery {
+                physical: hit.physical,
+                query,
+                requested: key.result_location,
+                options: OptimizerOptions::default(),
+                stats: hit.stats,
+                result_location: hit.result_location,
+                mode: OptimizerMode::Compliant,
+            };
+            (optimized, true)
+        }
         None => {
-            let fresh = Arc::new(engine.optimize(
-                &key.query,
+            let fresh = engine.optimize(
+                &query,
                 OptimizerMode::Compliant,
                 key.result_location.clone(),
-            )?);
-            shared.cache.insert(key, fresh.clone());
+            )?;
+            let plan = CachedPlan {
+                physical: Arc::clone(&fresh.physical),
+                result_location: fresh.result_location.clone(),
+                stats: fresh.stats.clone(),
+            };
+            shared.cache.insert(key, plan);
             (fresh, false)
         }
     };

@@ -1,15 +1,16 @@
 //! Integration suite for the multi-tenant query service: admission
 //! control, deficit-round-robin fairness, the value-keyed plan cache
-//! (each key component, invalidation by policy update, LRU eviction,
+//! (each key component, eviction by revocation only, LRU eviction,
 //! hit/miss determinism, hits equal to a fresh optimize across policy
-//! churn), cancellation/deadline handling mid-queue, and cross-tenant
-//! memo/plan isolation.
+//! churn, failover from a hit), cancellation/deadline handling
+//! mid-queue, and cross-tenant memo/plan isolation.
 
 use geoqp_common::{
     CancelToken, DataType, Field, Location, LocationSet, QueryDeadline, Schema, TableRef, Value,
 };
 use geoqp_core::{ExecOptions, OptimizerMode};
-use geoqp_net::NetworkTopology;
+use geoqp_net::topology::Link;
+use geoqp_net::{FaultPlan, NetworkTopology, StepWindow};
 use geoqp_policy::PolicyCatalog;
 use geoqp_server::{QueryRequest, QueryService, ServiceConfig, TenantConfig, TenantId};
 use geoqp_storage::{Catalog, Table, TableStats};
@@ -402,11 +403,11 @@ fn cache_hit_and_miss_yield_identical_results() {
     assert_eq!(cs.misses, queries.len() as u64);
 }
 
-/// A policy update moves the tenant's catalog head: the next identical query
-/// re-optimizes under the new catalog instead of reusing the stale plan,
-/// and the tenant's old entries are purged eagerly.
+/// A policy update that revokes an expression the query reads moves the
+/// tenant's catalog head and evicts the plan: the next identical query
+/// re-optimizes under the new catalog instead of reusing the stale plan.
 #[test]
-fn epoch_bump_invalidates_cached_plans() {
+fn revoking_a_governing_policy_evicts_cached_plans() {
     let catalog = tiny_catalog();
     let svc = service(1, 16);
     let tenant = svc.add_tenant(
@@ -432,7 +433,8 @@ fn epoch_bump_invalidates_cached_plans() {
     assert_eq!(
         svc.cache_stats().len,
         0,
-        "the tenant's entries are purged on policy update"
+        "the update revokes the users expression the only entry's key names, \
+         so that entry is evicted"
     );
 
     // Same SQL, new head: a fresh optimize, then hits again.
@@ -482,6 +484,234 @@ fn revoke_then_regrant_never_resurrects_cached_plans() {
         "no resurrection across churn"
     );
     assert!(run(Q_NAMES).unwrap().cached, "fresh head caches normally");
+}
+
+/// The key's policy component rests on two facts about the tenant's
+/// engine: its expression ids are the catalog log's pids — at
+/// registration and after every update — and revoking then re-granting
+/// the same text yields a fresh pid, so a key naming a revoked pid can
+/// never be formed again.
+#[test]
+fn engine_expression_ids_are_log_pids_and_never_reissued() {
+    let catalog = tiny_catalog();
+    let svc = service(1, 16);
+    let tenant = svc.add_tenant(
+        "t0",
+        catalog.clone(),
+        permissive_policies(&catalog),
+        tiny_topology(),
+        TenantConfig::default(),
+    );
+    let ids_and_pids = || {
+        let engine = svc.tenant_engine(tenant).unwrap();
+        let ids: Vec<u64> = (engine.policies().expressions().iter())
+            .map(|e| e.id as u64)
+            .collect();
+        let live = svc.tenant_catalog(tenant).unwrap().live_policies();
+        (ids, live)
+    };
+    let (ids, live) = ids_and_pids();
+    assert_eq!(ids, live.iter().map(|(pid, _)| *pid).collect::<Vec<_>>());
+    let users_pid = |live: &[(u64, String)]| {
+        (live.iter())
+            .find(|(_, text)| text.contains("from users to *") && text.contains("ship *"))
+            .map(|(pid, _)| *pid)
+    };
+    let original = users_pid(&live).expect("the permissive users expression is live");
+
+    for policies in [
+        restrictive_policies(&catalog),
+        permissive_policies(&catalog),
+    ] {
+        svc.update_tenant_policies(tenant, policies).unwrap();
+        let (ids, live) = ids_and_pids();
+        assert_eq!(ids, live.iter().map(|(pid, _)| *pid).collect::<Vec<_>>());
+    }
+    let (_, live) = ids_and_pids();
+    let restored = users_pid(&live).expect("the same text is live again");
+    assert!(
+        restored > original,
+        "re-granting identical text gets a fresh pid ({original} → {restored})"
+    );
+}
+
+/// A grant on a table the query does not scan leaves the query's key —
+/// and its plan — as they were: the next submit is a hit, equal to a
+/// fresh optimize → run under the new catalog. A query that scans the
+/// granted table misses.
+#[test]
+fn a_grant_on_an_unscanned_table_keeps_the_plan() {
+    const Q_USERS: &str = "SELECT u_name FROM users WHERE u_id > 1";
+    const Q_EVENTS: &str = "SELECT e_kind FROM events";
+    let catalog = tiny_catalog();
+    let svc = service(1, 16);
+    let tenant = svc.add_tenant(
+        "t0",
+        catalog.clone(),
+        restrictive_policies(&catalog),
+        tiny_topology(),
+        TenantConfig::default(),
+    );
+    let run = |sql: &str| svc.submit(tenant, QueryRequest::new(sql)).unwrap().wait();
+    assert!(!run(Q_USERS).unwrap().cached);
+    assert!(!run(Q_EVENTS).unwrap().cached);
+
+    let mut granted = (*restrictive_policies(&catalog)).clone();
+    add_policy(
+        &mut granted,
+        &catalog,
+        "events",
+        "ship e_kind from events to EU",
+    );
+    svc.update_tenant_policies(tenant, Arc::new(granted))
+        .unwrap();
+    assert_eq!(svc.cache_stats().len, 2, "a grant evicts nothing");
+
+    let reply = run(Q_USERS).unwrap();
+    assert!(reply.cached, "no expression the query reads changed");
+    let engine = svc.tenant_engine(tenant).unwrap();
+    let fresh = engine
+        .optimize_sql(Q_USERS, OptimizerMode::Compliant, None)
+        .unwrap();
+    let want = engine.run(&fresh, &ExecOptions::default()).unwrap();
+    assert_eq!(reply.rows, want.rows);
+    assert_eq!(reply.transfers, want.transfers);
+    assert_eq!(reply.result_location, fresh.result_location);
+
+    assert!(
+        !run(Q_EVENTS).unwrap().cached,
+        "the grant governs events, so its key moved"
+    );
+}
+
+/// A revoke evicts exactly the tenant's entries whose key names the
+/// revoked pid: a query over the other table keeps its plan, and a
+/// second tenant's entries are untouched.
+#[test]
+fn a_revoke_evicts_exactly_the_entries_naming_its_pid() {
+    const Q_USERS: &str = "SELECT u_name FROM users";
+    const Q_EVENTS: &str = "SELECT e_kind FROM events";
+    let catalog = tiny_catalog();
+    let mut with_extra = (*permissive_policies(&catalog)).clone();
+    add_policy(
+        &mut with_extra,
+        &catalog,
+        "events",
+        "ship e_kind from events to EU",
+    );
+    let with_extra = Arc::new(with_extra);
+    let svc = service(1, 16);
+    let tenants = ["a", "b"].map(|name| {
+        svc.add_tenant(
+            name,
+            catalog.clone(),
+            with_extra.clone(),
+            tiny_topology(),
+            TenantConfig::default(),
+        )
+    });
+    let run = |tenant, sql: &str| {
+        (svc.submit(tenant, QueryRequest::new(sql)).unwrap().wait())
+            .unwrap()
+            .cached
+    };
+    for tenant in tenants {
+        for sql in [Q_USERS, Q_EVENTS, Q_NAMES] {
+            assert!(!run(tenant, sql), "{sql} plans fresh");
+        }
+    }
+    assert_eq!(svc.cache_stats().len, 6);
+
+    // Tenant a drops the extra events expression: its events and join
+    // entries name that pid, its users entry does not.
+    svc.update_tenant_policies(tenants[0], permissive_policies(&catalog))
+        .unwrap();
+    assert_eq!(
+        svc.cache_stats().len,
+        4,
+        "tenant a's two entries naming the revoked pid are gone, nothing else"
+    );
+    assert!(
+        run(tenants[0], Q_USERS),
+        "the users plan read no revoked pid"
+    );
+    assert!(!run(tenants[0], Q_EVENTS));
+    assert!(!run(tenants[0], Q_NAMES));
+    for sql in [Q_USERS, Q_EVENTS, Q_NAMES] {
+        assert!(run(tenants[1], sql), "tenant b keeps {sql}");
+    }
+}
+
+/// A faulted request served from the cache fails over exactly as the
+/// miss that planned it: the re-plan re-derives phase 1's tree from the
+/// query the hit just lowered, and places the same plan. Two tables at
+/// A and B may ship to a relay C or the result site D; links into D are
+/// dear, so the plan joins at C. C crashed: one re-plan joins at D.
+#[test]
+fn a_cached_plan_fails_over_as_the_miss_that_planned_it() {
+    let mut catalog = Catalog::new();
+    for (db, site) in [("db-a", "A"), ("db-b", "B"), ("db-c", "C"), ("db-d", "D")] {
+        catalog.add_database(db, Location::new(site)).unwrap();
+    }
+    for (db, table, key, val) in [
+        ("db-a", "t1", "u_id", "u_val"),
+        ("db-b", "t2", "v_id", "v_val"),
+    ] {
+        let entry = catalog
+            .add_table(
+                db,
+                table,
+                Schema::new(vec![
+                    Field::new(key, DataType::Int64),
+                    Field::new(val, DataType::Int64),
+                ])
+                .unwrap(),
+                TableStats::new(2, 16.0),
+            )
+            .unwrap();
+        let rows = vec![
+            vec![Value::Int64(1), Value::Int64(10)],
+            vec![Value::Int64(2), Value::Int64(20)],
+        ];
+        (entry.set_data(Table::new(Arc::clone(&entry.schema), rows).unwrap())).unwrap();
+    }
+    let catalog = Arc::new(catalog);
+    let mut policies = PolicyCatalog::new();
+    add_policy(&mut policies, &catalog, "t1", "ship * from t1 to C, D");
+    add_policy(&mut policies, &catalog, "t2", "ship * from t2 to C, D");
+    let mut topology =
+        NetworkTopology::uniform(LocationSet::from_iter(["A", "B", "C", "D"]), 50.0, 100.0);
+    let dear = Link {
+        alpha_ms: 1e7,
+        beta_ms_per_byte: 1.0,
+    };
+    for from in ["A", "B"] {
+        topology.set_link(Location::new(from), Location::new("D"), dear);
+    }
+
+    let svc = service(1, 16);
+    let tenant = svc.add_tenant(
+        "relay",
+        catalog,
+        Arc::new(policies),
+        topology,
+        TenantConfig::default(),
+    );
+    let faults = FaultPlan::new(9).with_crash("C", StepWindow::ALWAYS);
+    let submit = || {
+        let request = QueryRequest::new("SELECT u_val, v_val FROM t1, t2 WHERE u_id = v_id")
+            .at(Location::new("D"))
+            .with_faults(faults.clone());
+        svc.submit(tenant, request).unwrap().wait().unwrap()
+    };
+    let (miss, hit) = (submit(), submit());
+    assert!(!miss.cached && hit.cached);
+    assert_eq!(miss.replans, 1, "the crashed relay forces one re-plan");
+    assert_eq!(hit.replans, miss.replans);
+    assert_eq!(hit.rows, miss.rows);
+    assert_eq!(hit.rows.len(), 2);
+    assert_eq!(hit.transfers, miss.transfers);
+    assert_eq!(hit.result_location, miss.result_location);
 }
 
 /// Exact LRU behavior at capacity 2: a lookup refreshes recency, the
@@ -724,10 +954,13 @@ fn plan_cache_key_separates_result_location_and_lowered_plan() {
 /// same kind. One worker, four template tenants, a seeded 80/20 stream
 /// over a 20-query pool, and one tenant moved between policy set A (10
 /// expressions) and set B (A plus one) on every 7th submit. The service
-/// must hit exactly when this tenant planned the query since its last
-/// policy update — so the first submit after an update is always a miss.
-/// (The pool's generated queries plan under every set here, so the
-/// refusal arm guards a regression rather than a case this seed draws.)
+/// must hit exactly when this tenant planned the query before under the
+/// same governing expressions — the pids of its live expressions that
+/// govern a table the query scans. A pid is never reissued, so a plan
+/// keyed by a revoked one is never asked for again, and plans survive
+/// every update that leaves their governing pids alone. (The pool's
+/// generated queries plan under every set here, so the refusal arm
+/// guards a regression rather than a case this seed draws.)
 #[test]
 fn every_reply_equals_a_fresh_optimize_across_policy_churn() {
     const SEED: u64 = 29;
@@ -771,11 +1004,14 @@ fn every_reply_equals_a_fresh_optimize_across_policy_churn() {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         ((z ^ (z >> 31)) % n as u64) as usize
     };
-    // Per tenant: whether it is on set B, and the pool queries it planned
-    // since its last update.
+    // Per tenant: whether it is on set B, the (pool query, governing
+    // pids) pairs it planned, and the pool queries it ran since its last
+    // update — a hit outside those is one a cache emptied by every update
+    // would have missed.
     let mut on_b = [false; 4];
-    let mut planned: Vec<HashSet<usize>> = vec![HashSet::new(); 4];
-    let mut hits = 0;
+    let mut planned: Vec<HashSet<(usize, Vec<usize>)>> = vec![HashSet::new(); 4];
+    let mut since_update: Vec<HashSet<usize>> = vec![HashSet::new(); 4];
+    let (mut hits, mut hits_across_updates) = (0, 0);
     for k in 0..SUBMITS {
         if k % TOGGLE_EVERY == TOGGLE_EVERY - 1 {
             let t = (k / TOGGLE_EVERY) % tenants.len();
@@ -783,7 +1019,7 @@ fn every_reply_equals_a_fresh_optimize_across_policy_churn() {
             let (id, sets) = &tenants[t];
             svc.update_tenant_policies(*id, sets[usize::from(on_b[t])].clone())
                 .unwrap();
-            planned[t].clear();
+            since_update[t].clear();
         }
         let t = draw(tenants.len());
         let q = if draw(10) < 8 {
@@ -801,14 +1037,21 @@ fn every_reply_equals_a_fresh_optimize_across_policy_churn() {
             (Ok(reply), Ok(fresh)) => {
                 engine.audit(&fresh.physical).unwrap();
                 let run = engine.run(&fresh, &ExecOptions::default()).unwrap();
-                // A hit exactly when planned since the last update: the
-                // first submit of a query after an update is a miss.
-                let seen = !planned[t].insert(q);
+                // A hit exactly when this query was planned before under
+                // the same governing expressions.
+                let tables = fresh.query.tables();
+                let governing: Vec<usize> = (engine.policies().expressions().iter())
+                    .filter(|e| tables.iter().any(|t| e.governs(t)))
+                    .map(|e| e.id)
+                    .collect();
+                let seen = !planned[t].insert((q, governing));
+                let recent = !since_update[t].insert(q);
                 assert_eq!(reply.cached, seen, "submit {k}: {sql}");
                 assert_eq!(reply.rows, run.rows, "submit {k}: rows of {sql}");
                 assert_eq!(reply.transfers, run.transfers, "submit {k}: {sql}");
                 assert_eq!(reply.result_location, fresh.result_location);
                 hits += usize::from(seen);
+                hits_across_updates += usize::from(seen && !recent);
             }
             (Err(served), Err(fresh)) => assert_eq!(
                 served.kind(),
@@ -822,7 +1065,12 @@ fn every_reply_equals_a_fresh_optimize_across_policy_churn() {
             ),
         }
     }
-    assert!(hits >= 100, "only {hits} hits in {SUBMITS} submits");
+    // The stream is a function of SEED alone: these are its counts.
+    assert!(hits >= 312, "only {hits} hits in {SUBMITS} submits");
+    assert!(
+        hits_across_updates >= 160,
+        "only {hits_across_updates} hits on plans made before the tenant's last update"
+    );
 }
 
 // ------------------------------------------------------ tenant isolation

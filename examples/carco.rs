@@ -157,7 +157,7 @@ fn main() -> Result<()> {
         println!("\nannotated plan (execution trait ℰ, shipping trait 𝒮 — Figure 4):");
         print!(
             "{}",
-            geoqp::core::explain::display_annotated(&comp.annotated)
+            geoqp::core::explain::display_annotated(&engine.annotate(&comp)?)
         );
     }
 

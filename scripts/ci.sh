@@ -69,12 +69,25 @@ recovery_gate 'excluding_sites(' 1 annotate.rs
 recovery_gate 'avoiding_links(' 1
 recovery_gate 'stitch(' 1
 
-echo "==> one plan identity: a plan-cache hit is the same lowered query, result" \
-     "site, tenant and catalog sequence, compared by value, so the server" \
-     "neither fingerprints a plan nor audits a hit again"
+echo "==> one plan identity: a plan-cache hit is the same SQL text, result site," \
+     "tenant and governing pids, compared by value, so the server neither" \
+     "fingerprints a plan nor audits a hit again, no policy update but a" \
+     "revoke evicts, and an optimized query keeps no phase-1 tree"
 if grep -rnE '\.audit\(|fingerprint|pub mod plan_cache' crates/server/src; then
     echo "crates/server/src fingerprints or re-audits plans, or exports its plan" \
         "cache: a hit is identified by value and only CacheStats leaves the crate" >&2
+    exit 1
+fi
+if grep -rnE 'purge_tenant|^[[:space:]]*(pub )?seq:' crates/server/src; then
+    echo "the plan cache is keyed or purged by catalog sequence again: a key names" \
+        "the pids the optimizer reads, and only a revoke evicts, the entries" \
+        "naming its pid" >&2
+    exit 1
+fi
+if awk '/^pub struct OptimizedQuery/,/^}/' crates/core/src/engine.rs |
+    grep -nE 'pub (annotated|logical):'; then
+    echo "OptimizedQuery keeps phase 1's tree or the normalized plan again: it" \
+        "keeps its input, and Engine::annotate re-derives the tree" >&2
     exit 1
 fi
 

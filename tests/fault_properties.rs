@@ -77,7 +77,7 @@ proptest! {
         // `if let`, not an early `return`, to skip a case.)
         if let Ok(opt) = eng.optimize(&plan, OptimizerMode::Compliant, None) {
         let mut legal = BTreeSet::new();
-        legal_sites(&opt.annotated, &mut legal);
+        legal_sites(&eng.annotate(&opt).unwrap(), &mut legal);
 
         let faults = FaultPlan::new(seed).with_crash(dead.clone(), StepWindow::ALWAYS);
         match eng.run(&opt, &ExecOptions::failover(&faults, &RetryPolicy::default(), 5)) {
@@ -336,7 +336,7 @@ proptest! {
         let plan = tpch::query_by_name(eng.catalog(), query).unwrap();
         if let Ok(opt) = eng.optimize(&plan, OptimizerMode::Compliant, None) {
         let mut legal = BTreeSet::new();
-        legal_sites(&opt.annotated, &mut legal);
+        legal_sites(&eng.annotate(&opt).unwrap(), &mut legal);
         let faults = FaultPlan::new(seed)
             .with_degrade(from, to, factor, StepWindow::ALWAYS)
             .with_loss_burst(from, to, loss, StepWindow::ALWAYS);

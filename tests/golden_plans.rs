@@ -31,7 +31,7 @@ fn snapshot(eng: &Engine, query: &str) -> String {
         Ok(opt) => format!(
             "{query}: result at {}\n\nannotated plan (ℰ = execution trait, 𝒮 = shipping trait):\n{}\nphysical plan:\n{}",
             opt.result_location,
-            geoqp::core::explain::display_annotated(&opt.annotated),
+            geoqp::core::explain::display_annotated(&eng.annotate(&opt).unwrap()),
             geoqp::plan::display::display_physical(&opt.physical),
         ),
     }
@@ -114,7 +114,7 @@ fn breaker_replans_match_their_snapshot() {
         let gray = eng.topology().avoiding_links(&avoided);
         got.push_str(&format!("{query}: condemned link {from}->{to}\n"));
         match geoqp::core::select_sites_with(
-            &opt.annotated,
+            &eng.annotate(&opt).unwrap(),
             &gray,
             Some(&opt.result_location),
             geoqp::core::Objective::TotalCost,

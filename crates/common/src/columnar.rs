@@ -404,6 +404,13 @@ impl Column {
         by_layout!(self, (cells, _with) => !cells.valid[i], values => values[i].is_null())
     }
 
+    /// True when some row is NULL.
+    pub fn has_null(&self) -> bool {
+        by_layout!(self,
+            (cells, _with) => cells.valid.contains(&false),
+            values => values.iter().any(Value::is_null))
+    }
+
     /// Fold this column into the running key fingerprints `h` of the rows
     /// `sel` (physical indices, in order; `None` = every row): `h[k]`
     /// takes the fingerprint of row `sel[k]`, consistent with

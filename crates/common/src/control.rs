@@ -12,6 +12,7 @@
 //! never depend on wall-clock scheduling.
 
 use crate::error::{GeoError, Result};
+use std::fmt::Display;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -47,8 +48,8 @@ impl CancelToken {
     }
 
     /// Typed check: `Err(GeoError::Cancelled)` naming `what` if the token
-    /// has fired.
-    pub fn check(&self, what: &str) -> Result<()> {
+    /// has fired. `what` is formatted only then.
+    pub fn check(&self, what: impl Display) -> Result<()> {
         if self.is_cancelled() {
             Err(GeoError::Cancelled(format!(
                 "query cancelled before {what}"
@@ -76,7 +77,7 @@ impl QueryDeadline {
 
     /// Typed check: `Err(GeoError::DeadlineExceeded)` if `spent_ms` of
     /// simulated time has already run past the budget.
-    pub fn check(&self, spent_ms: f64, what: &str) -> Result<()> {
+    pub fn check(&self, spent_ms: f64, what: impl Display) -> Result<()> {
         if spent_ms > self.budget_ms {
             Err(GeoError::DeadlineExceeded(format!(
                 "{what} at {spent_ms:.1} ms exceeds the {:.1} ms query budget",
@@ -109,7 +110,7 @@ impl RunControl {
     }
 
     /// Poll the cancel token, if any.
-    pub fn check_cancel(&self, what: &str) -> Result<()> {
+    pub fn check_cancel(&self, what: impl Display) -> Result<()> {
         match &self.cancel {
             Some(token) => token.check(what),
             None => Ok(()),
@@ -118,7 +119,7 @@ impl RunControl {
 
     /// Check `attempt_ms` of this attempt's simulated time (plus the
     /// base spent by earlier attempts) against the deadline, if any.
-    pub fn check_deadline(&self, attempt_ms: f64, what: &str) -> Result<()> {
+    pub fn check_deadline(&self, attempt_ms: f64, what: impl Display) -> Result<()> {
         match self.deadline {
             Some(d) => d.check(self.base_ms + attempt_ms, what),
             None => Ok(()),
@@ -126,8 +127,8 @@ impl RunControl {
     }
 
     /// Both checks, cancellation first.
-    pub fn check(&self, attempt_ms: f64, what: &str) -> Result<()> {
-        self.check_cancel(what)?;
+    pub fn check(&self, attempt_ms: f64, what: impl Display) -> Result<()> {
+        self.check_cancel(&what)?;
         self.check_deadline(attempt_ms, what)
     }
 }

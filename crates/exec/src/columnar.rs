@@ -39,7 +39,7 @@
 
 use crate::aggregate::{Accumulator, BoundAgg};
 use crate::executor::{sort_group_keys, DataSource, ExchangeSource, NoExchange, ShipHandler};
-use crate::keyed::{KeyEq, KeyIndex};
+use crate::keyed::{positioning, JoinIndex, JoinSide, KeyEq, KeyIndex};
 use crate::parallel::{first_error, morsels, parallel_map, MorselRunner, SERIAL};
 use geoqp_common::{Cells, Column, ColumnarBatch, DataType, Result, Rows, SharedColumn, Value};
 use geoqp_expr::{apply_cmp, as_tv, bind, BinaryOp, BoundExpr, UnaryOp};
@@ -848,15 +848,16 @@ fn arith_column(e: &BoundExpr, b: &ColumnarBatch, sel: Option<&[u32]>) -> Option
 
 /// Hash join, output bit-identical to the row engine's build/probe:
 ///
-/// * **Build** — the left input's selected rows are fingerprinted in one
-///   typed pass per key column ([`ColumnarBatch::key_fingerprints`]) and
-///   inserted into one [`KeyIndex`] in input order, NULL keys skipped
-///   (they never join: SQL semantics). The index hands candidates back
-///   in insertion order, so every probe sees its matches in build-input
+/// * **Build** — the left input's selected rows go into one `JoinIndex`
+///   in input order, NULL keys skipped (they never join: SQL
+///   semantics). It positions them by `key − min` when an integer key
+///   pair spans few enough values ([`positioned_key`]) and by key
+///   fingerprint otherwise; either way it hands candidates back in
+///   insertion order, so every probe sees its matches in build-input
 ///   order — the row engine's match order — with no schedule to depend
 ///   on.
-/// * **Probe** — probe-side morsels scan their rows in order against the
-///   shared index (candidates verified by [`KeyEq`], so collisions cost
+/// * **Probe** — probe-side morsels look their rows up in order in the
+///   shared index (candidates verified by `KeyEq`, so collisions cost
 ///   time, never correctness), and the per-morsel match lists
 ///   concatenate in morsel sequence order. The resulting `(left, right)`
 ///   pair list is exactly the sequential probe's.
@@ -891,39 +892,10 @@ fn execute_hash_join_columnar(
         .collect::<Result<_>>()?;
     let bound_filter = filter.map(|f| bind(f, &plan.schema)).transpose()?;
 
-    let lb = &lbatch.batch;
-    let rb = &rbatch.batch;
-    let (lfps, llive) = lb.key_fingerprints(&lidx, lbatch.selection());
-    let (rfps, rlive) = rb.key_fingerprints(&ridx, rbatch.selection());
-    // NULL keys are skipped on both sides before any comparison.
-    let keq = KeyEq::new(lb, &lidx, rb, &ridx, true);
-
-    let mut index = KeyIndex::with_capacity(lfps.len());
-    for (k, &fp) in lfps.iter().enumerate() {
-        if llive[k] {
-            index.insert(fp, lbatch.phys(k) as u32);
-        }
-    }
-
+    let (lb, rb) = (&lbatch.batch, &rbatch.batch);
+    let index = JoinIndex::build(side(&lbatch, &lidx), side(&rbatch, &ridx));
     let pbounds = morsels(runner, rbatch.n_rows());
-    let mut matches: Vec<(Vec<u32>, Vec<u32>)> = parallel_map(runner, pbounds.len(), |m| {
-        let (lo, hi) = pbounds[m];
-        let mut out_l: Vec<u32> = Vec::new();
-        let mut out_r: Vec<u32> = Vec::new();
-        for k in lo..hi {
-            if !rlive[k] {
-                continue;
-            }
-            let i = rbatch.phys(k);
-            for li in index.candidates(rfps[k]) {
-                if keq.eq(li as usize, i) {
-                    out_l.push(li);
-                    out_r.push(i as u32);
-                }
-            }
-        }
-        (out_l, out_r)
-    });
+    let mut matches = parallel_map(runner, pbounds.len(), |m| index.matches(pbounds[m]));
     let (out_left, out_right) = if matches.len() == 1 {
         matches.pop().expect("one morsel")
     } else {
@@ -951,6 +923,30 @@ fn execute_hash_join_columnar(
         batch: Arc::new(joined),
         sel,
     })
+}
+
+/// `batch`'s selected rows, keyed by `keys`, as a join reads them.
+fn side<'a>(batch: &'a ColBatch, keys: &'a [usize]) -> JoinSide<'a> {
+    JoinSide {
+        batch: &batch.batch,
+        sel: batch.selection(),
+        keys,
+    }
+}
+
+/// Which key pair — an index into `left_keys` / `right_keys` — a hash
+/// join of these inputs positions its build (left) rows by, `None` when
+/// it hashes them: the rule the join kernel applies, for a caller that
+/// wants to see it. Only an `Int64 = Int64` or `Date = Date` pair whose
+/// build-side values span at most four slots per row of the two inputs
+/// qualifies, and the widest such span wins.
+pub fn positioned_key(
+    left: &ColBatch,
+    left_keys: &[usize],
+    right: &ColBatch,
+    right_keys: &[usize],
+) -> Option<usize> {
+    positioning(&side(left, left_keys), &side(right, right_keys)).map(|p| p.pair)
 }
 
 /// One group of a hash aggregate: its key is the key of input row `rep`

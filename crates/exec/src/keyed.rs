@@ -1,21 +1,34 @@
-//! The one place a key fingerprint becomes a table position.
+//! The one place a join or grouping key becomes a table position.
 //!
-//! The hash join and the hash aggregate both look rows up by a `u64`
-//! key fingerprint ([`ColumnarBatch::key_fingerprints`]) and then verify
-//! the candidates with a typed comparison. [`KeyIndex`] is the lookup
-//! and [`KeyEq`] the comparison; neither kernel holds a table of its
-//! own.
+//! The hash join and the hash aggregate look rows up by key and verify
+//! the candidates with one typed comparison, [`KeyEq`]; neither kernel
+//! holds a table of its own. A key reaches a position one of two ways:
 //!
-//! The index asks one thing of a fingerprint — *equal keys have equal
-//! fingerprints* — and nothing about how its bits are distributed: it
-//! runs every fingerprint through its own finalizer before taking slot
-//! bits ([`KeyIndex::position`]), so a fold that leaves half the word
-//! constant (an `f64`-encoded small integer does) costs nothing here.
-//! Collisions, of fingerprints or of positions, cost comparisons, never
-//! correctness: `candidates` may yield ids whose key differs, and the
-//! caller's [`KeyEq`] is what decides.
+//! * **Hashed** — [`KeyIndex`] takes a `u64` key fingerprint
+//!   ([`ColumnarBatch::key_fingerprints`]) and runs it through its own
+//!   finalizer before taking slot bits ([`KeyIndex::position`]). It asks
+//!   one thing of a fingerprint — *equal keys have equal fingerprints* —
+//!   and nothing about how its bits are distributed, so a fold that
+//!   leaves half the word constant (an `f64`-encoded small integer does)
+//!   costs nothing here. Collisions, of fingerprints or of positions,
+//!   cost comparisons, never correctness: `candidates` may yield ids
+//!   whose key differs, and the caller's [`KeyEq`] decides. Every
+//!   aggregate hashes, and so does every join [`positioning`] turns down.
+//! * **Positioned** — a join with an `Int64 = Int64` or `Date = Date` key
+//!   pair whose build-side values span few enough slots
+//!   ([`SLOTS_PER_ROW`] per input row) puts a build row whose key is `v`
+//!   at `v − min` of a flat array, and the probe reads its own key column
+//!   instead: one subtraction replaces fingerprinting both sides and the
+//!   finalizer. The widest such span wins (it tells the most rows apart);
+//!   [`KeyEq`] verifies the other pairs.
+//!
+//! Both yield a key's rows in build insertion order — the property that
+//! makes join match order and group numbering a function of the input
+//! alone — so which way a join positions its rows never shows in its
+//! match list. [`JoinIndex`] is the join's one build/probe interface over
+//! either.
 
-use geoqp_common::{Column, ColumnarBatch};
+use geoqp_common::{Cells, Column, ColumnarBatch};
 
 /// End-of-chain / empty-slot marker; never a valid entry number.
 const NONE: u32 = u32::MAX;
@@ -26,6 +39,11 @@ const MAX_LOAD: usize = 1;
 
 /// Smallest slot count (a power of two).
 const MIN_SLOTS: usize = 16;
+
+/// Array slots a positioned join may spend per input row, build plus
+/// probe: a wider span is mostly empty slots, and hashing is cheaper
+/// than the memory.
+const SLOTS_PER_ROW: usize = 4;
 
 /// One `(fingerprint, id)` pair, chained to the next pair that was
 /// inserted into the same slot.
@@ -160,6 +178,299 @@ impl<'a> KeyEq<'a> {
             KeyPair::Date(a, b) => a[i] == b[j],
             KeyPair::General(a, b) => a.eq_at(i, b, j),
         })
+    }
+}
+
+/// One input of a join, as its kernel reads it.
+#[derive(Clone, Copy)]
+pub(crate) struct JoinSide<'a> {
+    pub(crate) batch: &'a ColumnarBatch,
+    /// The selected physical rows, in order and never repeated (a
+    /// filter's, sort's or limit's selection); `None` = every row.
+    pub(crate) sel: Option<&'a [u32]>,
+    /// Key columns, pairwise with the other side's.
+    pub(crate) keys: &'a [usize],
+}
+
+impl<'a> JoinSide<'a> {
+    /// Selected rows.
+    fn len(&self) -> usize {
+        self.sel.map_or(self.batch.len(), <[u32]>::len)
+    }
+
+    /// Physical index of selected row `k`.
+    #[inline]
+    fn phys(&self, k: usize) -> usize {
+        self.sel.map_or(k, |s| s[k] as usize)
+    }
+
+    /// The key columns that are NULL in some row: a row NULL in any key
+    /// column never joins (SQL semantics), and only these need asking.
+    fn nullable(&self) -> Vec<&'a Column> {
+        let columns = self.keys.iter().map(|&c| self.batch.column(c));
+        columns.filter(|c| c.has_null()).collect()
+    }
+}
+
+/// Which key pair positions a join's build rows, and how.
+pub(crate) struct Positioning {
+    /// Index into the sides' `keys`.
+    pub(crate) pair: usize,
+    /// The smallest valid build-side value (0 when there is none).
+    min: i64,
+    /// `max − min + 1` over the valid build-side values (0 when there is
+    /// none): exactly the table's length.
+    span: usize,
+}
+
+/// An integer key column's cells, read in place; a `Date`'s days widen
+/// to `i64`.
+enum Ints<'a> {
+    Int64(&'a [i64]),
+    Date(&'a [i32]),
+}
+
+/// `(min, max)` of `cells` over `side`'s selected rows where it is
+/// valid; `None` when no row is.
+fn min_max<T: Copy + Into<i64>>(side: &JoinSide<'_>, cells: &Cells<T>) -> Option<(i64, i64)> {
+    (0..side.len())
+        .map(|k| side.phys(k))
+        .filter(|&i| cells.valid[i])
+        .map(|i| cells.values[i].into())
+        .fold(None, |acc, v| match acc {
+            None => Some((v, v)),
+            Some((lo, hi)) => Some((v.min(lo), v.max(hi))),
+        })
+}
+
+/// The key pair whose build-side values position `build`'s rows for
+/// `probe`, or `None` when the join hashes: among the `Int64 = Int64`
+/// and `Date = Date` pairs whose values span at most [`SLOTS_PER_ROW`]
+/// slots per row of the two inputs, the widest (the first of equals).
+/// Every other pairing — strings, `Int64 = Float64` — hashes, and so
+/// does a span the bound turns down: `i64::MIN` and `i64::MAX` on one
+/// side span 2^64 values, which the bound's `i128` arithmetic sees.
+pub(crate) fn positioning(build: &JoinSide<'_>, probe: &JoinSide<'_>) -> Option<Positioning> {
+    let limit = SLOTS_PER_ROW.saturating_mul(build.len() + probe.len()) as i128;
+    let (mut best, mut widest) = (None, -1);
+    for (pair, (&b, &p)) in build.keys.iter().zip(probe.keys).enumerate() {
+        let range = match (build.batch.column(b), probe.batch.column(p)) {
+            (Column::Int64(cells), Column::Int64(_)) => min_max(build, cells),
+            (Column::Date(cells), Column::Date(_)) => min_max(build, cells),
+            _ => continue,
+        };
+        let (min, span) = range.map_or((0, 0), |(lo, hi)| (lo, hi as i128 - lo as i128 + 1));
+        if span <= limit && span > widest {
+            widest = span;
+            let span = span as usize;
+            best = Some(Positioning { pair, min, span });
+        }
+    }
+    best
+}
+
+/// A flat table of build rows by `key − min`: `heads[p]` is the first
+/// build row whose key is `min + p`, `next[i]` the one after row `i`.
+struct Positions {
+    min: i64,
+    heads: Vec<u32>,
+    /// Indexed by physical build row.
+    next: Vec<u32>,
+}
+
+impl Positions {
+    /// Place `build`'s rows by `keys`, skipping those NULL in any of
+    /// `nullable`. Back to front: each row goes in front of the rows
+    /// after it, so every chain reads in build order.
+    fn place<T: Copy + Into<i64>>(
+        build: &JoinSide<'_>,
+        keys: &[T],
+        at: &Positioning,
+        nullable: &[&Column],
+    ) -> Positions {
+        assert!(
+            build.batch.len() < NONE as usize,
+            "a join side holds under 2^32 - 1 rows"
+        );
+        let mut heads = vec![NONE; at.span];
+        let mut next = vec![NONE; build.batch.len()];
+        for k in (0..build.len()).rev() {
+            let i = build.phys(k);
+            if nullable.iter().any(|c| c.is_null(i)) {
+                continue;
+            }
+            let p = keys[i].into().wrapping_sub(at.min) as usize;
+            next[i] = heads[p];
+            heads[p] = i as u32;
+        }
+        Positions {
+            min: at.min,
+            heads,
+            next,
+        }
+    }
+
+    /// The first build row whose key is `v`, or `NONE`. Wrapping is
+    /// exact: `heads` is `max − min + 1` long and `max ≤ i64::MAX`, so
+    /// only a `v` in `min..=max` lands inside it.
+    #[inline]
+    fn head(&self, v: i64) -> u32 {
+        let p = v.wrapping_sub(self.min) as u64;
+        if p < self.heads.len() as u64 {
+            self.heads[p as usize]
+        } else {
+            NONE
+        }
+    }
+}
+
+/// How a [`JoinIndex`] finds a probe row's candidates.
+enum Lookup<'a> {
+    /// By fingerprint: the build rows' [`KeyIndex`], and the probe rows'
+    /// fingerprints and liveness by selected row.
+    Hashed {
+        index: KeyIndex,
+        fps: Vec<u64>,
+        live: Vec<bool>,
+    },
+    /// By position: the build rows' table, the probe's positioning key
+    /// column, and the probe key columns that hold a NULL.
+    Positioned {
+        table: Positions,
+        key: Ints<'a>,
+        nullable: Vec<&'a Column>,
+    },
+}
+
+/// A join's build side indexed for its probe side: built once, then
+/// probed by disjoint ranges of probe rows, in any order and from any
+/// thread. Candidates come back in build order whichever [`Lookup`] the
+/// inputs chose, so the match list is the row engine's.
+pub(crate) struct JoinIndex<'a> {
+    probe: JoinSide<'a>,
+    /// The key pairs the lookup does not already prove equal.
+    keq: KeyEq<'a>,
+    lookup: Lookup<'a>,
+}
+
+impl<'a> JoinIndex<'a> {
+    /// Index `build` for `probe`, positioned when [`positioning`] finds
+    /// a pair, hashed otherwise.
+    pub(crate) fn build(build: JoinSide<'a>, probe: JoinSide<'a>) -> JoinIndex<'a> {
+        let Some(at) = positioning(&build, &probe) else {
+            return JoinIndex::hashed(build, probe);
+        };
+        let rest = |keys: &[usize]| -> Vec<usize> {
+            let others = keys.iter().enumerate().filter(|&(q, _)| q != at.pair);
+            others.map(|(_, &c)| c).collect()
+        };
+        // NULL keys are skipped on both sides before any comparison.
+        let keq = KeyEq::new(
+            build.batch,
+            &rest(build.keys),
+            probe.batch,
+            &rest(probe.keys),
+            true,
+        );
+        let (b, p) = (build.keys[at.pair], probe.keys[at.pair]);
+        let nullable = build.nullable();
+        let (table, key) = match (build.batch.column(b), probe.batch.column(p)) {
+            (Column::Int64(bc), Column::Int64(pc)) => (
+                Positions::place(&build, &bc.values, &at, &nullable),
+                Ints::Int64(&pc.values),
+            ),
+            (Column::Date(bc), Column::Date(pc)) => (
+                Positions::place(&build, &bc.values, &at, &nullable),
+                Ints::Date(&pc.values),
+            ),
+            // `positioning` picks only the two pairings above.
+            _ => return JoinIndex::hashed(build, probe),
+        };
+        JoinIndex {
+            probe,
+            keq,
+            lookup: Lookup::Positioned {
+                table,
+                key,
+                nullable: probe.nullable(),
+            },
+        }
+    }
+
+    /// Index `build` for `probe` by key fingerprints.
+    fn hashed(build: JoinSide<'a>, probe: JoinSide<'a>) -> JoinIndex<'a> {
+        let (bfps, blive) = build.batch.key_fingerprints(build.keys, build.sel);
+        let (fps, live) = probe.batch.key_fingerprints(probe.keys, probe.sel);
+        let mut index = KeyIndex::with_capacity(bfps.len());
+        for (k, &fp) in bfps.iter().enumerate() {
+            if blive[k] {
+                index.insert(fp, build.phys(k) as u32);
+            }
+        }
+        JoinIndex {
+            probe,
+            keq: KeyEq::new(build.batch, build.keys, probe.batch, probe.keys, true),
+            lookup: Lookup::Hashed { index, fps, live },
+        }
+    }
+
+    /// The matches of selected probe rows `lo..hi`, in probe order and,
+    /// per probe row, in build order: `(build rows, probe rows)`, both
+    /// physical.
+    pub(crate) fn matches(&self, (lo, hi): (usize, usize)) -> (Vec<u32>, Vec<u32>) {
+        let mut out: (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
+        match &self.lookup {
+            Lookup::Hashed { index, fps, live } => {
+                for k in lo..hi {
+                    if !live[k] {
+                        continue;
+                    }
+                    let j = self.probe.phys(k);
+                    for i in index.candidates(fps[k]) {
+                        if self.keq.eq(i as usize, j) {
+                            out.0.push(i);
+                            out.1.push(j as u32);
+                        }
+                    }
+                }
+            }
+            Lookup::Positioned {
+                table,
+                key,
+                nullable,
+            } => match key {
+                Ints::Int64(keys) => self.walk(table, keys, nullable, lo, hi, &mut out),
+                Ints::Date(keys) => self.walk(table, keys, nullable, lo, hi, &mut out),
+            },
+        }
+        out
+    }
+
+    /// [`JoinIndex::matches`] over a positioned table, the probe's key
+    /// read from `keys`.
+    fn walk<T: Copy + Into<i64>>(
+        &self,
+        table: &Positions,
+        keys: &[T],
+        nullable: &[&Column],
+        lo: usize,
+        hi: usize,
+        out: &mut (Vec<u32>, Vec<u32>),
+    ) {
+        for k in lo..hi {
+            let j = self.probe.phys(k);
+            if nullable.iter().any(|c| c.is_null(j)) {
+                continue;
+            }
+            let mut i = table.head(keys[j].into());
+            while i != NONE {
+                if self.keq.eq(i as usize, j) {
+                    out.0.push(i);
+                    out.1.push(j as u32);
+                }
+                i = table.next[i as usize];
+            }
+        }
     }
 }
 
@@ -336,5 +647,165 @@ mod tests {
         assert!(!mixed.eq(1, 1), "2 != 2.5");
         // The empty key: every row equals every row.
         assert!(KeyEq::new(&b, &[], &b, &[], true).eq(0, 1));
+    }
+
+    fn batch(rows: impl IntoIterator<Item = Vec<Value>>, arity: usize) -> ColumnarBatch {
+        ColumnarBatch::from_rows(&rows.into_iter().collect::<Vec<_>>(), arity)
+    }
+
+    fn side<'a>(b: &'a ColumnarBatch, sel: Option<&'a [u32]>, keys: &'a [usize]) -> JoinSide<'a> {
+        JoinSide {
+            batch: b,
+            sel,
+            keys,
+        }
+    }
+
+    /// Every selected build row against every selected probe row, by
+    /// [`Column::eq_at`] with NULL never joining: the list either lookup
+    /// must produce.
+    fn nested_loops(build: &JoinSide<'_>, probe: &JoinSide<'_>) -> Vec<(u32, u32)> {
+        let mut out = Vec::new();
+        for k in 0..probe.len() {
+            let j = probe.phys(k);
+            for q in 0..build.len() {
+                let i = build.phys(q);
+                let equal = build.keys.iter().zip(probe.keys).all(|(&b, &p)| {
+                    let (bc, pc) = (build.batch.column(b), probe.batch.column(p));
+                    !bc.is_null(i) && !pc.is_null(j) && bc.eq_at(i, pc, j)
+                });
+                if equal {
+                    out.push((i as u32, j as u32));
+                }
+            }
+        }
+        out
+    }
+
+    /// The join through [`JoinIndex::build`], whole and in 3-row probe
+    /// morsels, equal to the hashed index's and to nested loops, in
+    /// order: returns the pair that positioned it.
+    fn check(build: JoinSide<'_>, probe: JoinSide<'_>) -> Option<usize> {
+        let pairs =
+            |(l, r): (Vec<u32>, Vec<u32>)| -> Vec<(u32, u32)> { l.into_iter().zip(r).collect() };
+        let chosen = JoinIndex::build(build, probe);
+        let hashed = JoinIndex::hashed(build, probe);
+        let want = nested_loops(&build, &probe);
+        let n = probe.len();
+        assert_eq!(pairs(hashed.matches((0, n))), want, "hashed");
+        assert_eq!(pairs(chosen.matches((0, n))), want, "chosen");
+        let morsels: Vec<(u32, u32)> = (0..n)
+            .step_by(3)
+            .flat_map(|lo| pairs(chosen.matches((lo, (lo + 3).min(n)))))
+            .collect();
+        assert_eq!(morsels, want, "morsel-split");
+        let at = positioning(&build, &probe);
+        assert_eq!(
+            matches!(chosen.lookup, Lookup::Positioned { .. }),
+            at.is_some(),
+            "the index took the rule's choice"
+        );
+        at.map(|p| p.pair)
+    }
+
+    fn int(v: i64) -> Value {
+        Value::Int64(v)
+    }
+
+    #[test]
+    fn positioned_joins_match_hashed_ones_in_order() {
+        // Negative keys, duplicates on both sides.
+        let b = batch((0..60).map(|i| vec![int(i % 17 - 8)]), 1);
+        let p = batch((0..50).map(|i| vec![int(i % 23 - 11)]), 1);
+        assert_eq!(check(side(&b, None, &[0]), side(&p, None, &[0])), Some(0));
+
+        // NULLs in the positioned column and in a verified one, and
+        // selections on both sides — the build's reversed, as a sort
+        // leaves it, so build order is selection order, not row order.
+        let null_every = |i: i64, m: i64, v: Value| if i % m == 0 { Value::Null } else { v };
+        let b = batch(
+            (0..40).map(|i| vec![null_every(i, 7, int(i % 9)), null_every(i, 5, int(i % 2))]),
+            2,
+        );
+        let p = batch(
+            (0..45).map(|i| vec![null_every(i, 4, int(i % 11)), null_every(i, 6, int(i % 2))]),
+            2,
+        );
+        let bsel: Vec<u32> = (0..40).rev().filter(|i| i % 3 != 1).collect();
+        let psel: Vec<u32> = (0..45).filter(|i| i % 4 != 3).collect();
+        let (b2, p2) = (
+            side(&b, Some(&bsel), &[0, 1]),
+            side(&p, Some(&psel), &[0, 1]),
+        );
+        assert_eq!(check(b2, p2), Some(0), "a span of 9 beats a span of 2");
+        assert_eq!(
+            check(side(&b, None, &[1, 0]), side(&p, None, &[1, 0])),
+            Some(1)
+        );
+
+        // Three pairs, the widest (span 40) in every position; a Date
+        // pair positions like an Int64 one.
+        let row = |i: i64| vec![int(i % 3), int(i % 40 - 20), Value::Date((i % 7) as i32)];
+        let b = batch((0..80).map(row), 3);
+        let p = batch((0..90).map(|i| row(i * 7 + 1)), 3);
+        for (keys, widest) in [([1, 0, 2], 0), ([0, 1, 2], 1), ([0, 2, 1], 2)] {
+            assert_eq!(
+                check(side(&b, None, &keys), side(&p, None, &keys)),
+                Some(widest)
+            );
+        }
+        assert_eq!(check(side(&b, None, &[2]), side(&p, None, &[2])), Some(0));
+    }
+
+    #[test]
+    fn spans_past_the_bound_and_the_i64_extremes_hash() {
+        // 5 + 5 rows: a span of up to SLOTS_PER_ROW · 10 is positioned.
+        let limit = (SLOTS_PER_ROW * 10) as i64;
+        for (span, positioned) in [(limit - 1, true), (limit, true), (limit + 1, false)] {
+            let top = span - 1;
+            let b = batch([0, 0, 7, top, 3].map(|v| vec![int(v)]), 1);
+            let p = batch([0, 7, top, 3, top + 1].map(|v| vec![int(v)]), 1);
+            let at = check(side(&b, None, &[0]), side(&p, None, &[0]));
+            assert_eq!(at.is_some(), positioned, "span {span}");
+        }
+
+        // i64::MIN..=i64::MAX spans 2^64 values: hashed, and still exact.
+        let b = batch([i64::MIN, 0, i64::MAX, i64::MIN].map(|v| vec![int(v)]), 1);
+        let p = batch([i64::MAX, i64::MIN, 1, 0].map(|v| vec![int(v)]), 1);
+        assert_eq!(check(side(&b, None, &[0]), side(&p, None, &[0])), None);
+
+        // A small span at either end, probed from the other: the offset
+        // wraps, and must still land outside the table.
+        let (lo, hi) = (i64::MIN, i64::MAX);
+        let far = [lo, lo + 1, lo + 2, -1, 0, hi - 2, hi - 1, hi];
+        let p = batch(far.map(|v| vec![int(v)]), 1);
+        for near in [[hi - 2, hi, hi - 1, hi], [lo + 1, lo, lo + 2, lo]] {
+            let b = batch(near.map(|v| vec![int(v)]), 1);
+            assert_eq!(check(side(&b, None, &[0]), side(&p, None, &[0])), Some(0));
+        }
+    }
+
+    #[test]
+    fn empty_sides_and_mixed_types() {
+        let rows = batch((0..10).map(|i| vec![int(i), Value::Float64(i as f64)]), 2);
+        let none = batch([], 2);
+        let empty: &[u32] = &[];
+        for (b, p) in [(&none, &rows), (&rows, &none), (&none, &none)] {
+            check(side(b, None, &[0]), side(p, None, &[0]));
+        }
+        check(side(&rows, Some(empty), &[0]), side(&rows, None, &[0]));
+        // Int64 ⋈ Float64 merges the numeric domain: hashed, unless an
+        // Int64 pair beside it positions the join.
+        assert_eq!(
+            check(side(&rows, None, &[0]), side(&rows, None, &[1])),
+            None
+        );
+        assert_eq!(
+            check(side(&rows, None, &[0, 0]), side(&rows, None, &[1, 0])),
+            Some(1)
+        );
+        // NULL in every positioned cell: a zero-length table, no match.
+        let nulls = batch((0..4).map(|_| vec![Value::Null, Value::Null]), 2);
+        check(side(&nulls, None, &[0]), side(&rows, None, &[0]));
     }
 }

@@ -25,11 +25,14 @@
 //! differential suite compares against) and the vectorized [`columnar`]
 //! engine, whose kernels split into morsels on a [`MorselRunner`]. The
 //! columnar engine's two keyed kernels, hash join and hash aggregate,
-//! share the private `keyed` module: `KeyIndex`, the only place a key
-//! fingerprint becomes a table position (it finalizes fingerprints
-//! itself and returns candidates in insertion order, which is what
-//! keeps match order independent of any schedule), and `KeyEq`, the one
-//! typed comparator candidates are verified with.
+//! share the private `keyed` module, the only place a key becomes a
+//! table position: `KeyIndex` hashes a key fingerprint (it finalizes
+//! fingerprints itself), a join whose build side has an integer key of
+//! small enough span positions its rows by `key − min` instead
+//! ([`positioned_key`] states the rule), and both return candidates in
+//! insertion order, which is what keeps match order independent of any
+//! schedule; `KeyEq` is the one typed comparator candidates are
+//! verified with.
 //!
 //! SHIP and scan operations can additionally run under a [`RetryPolicy`]
 //! with simulated exponential backoff, so transient site/link faults are
@@ -43,7 +46,7 @@ mod keyed;
 pub mod parallel;
 pub mod retry;
 
-pub use columnar::{execute_columnar, execute_fragment_columnar, ColBatch};
+pub use columnar::{execute_columnar, execute_fragment_columnar, positioned_key, ColBatch};
 pub use executor::{
     execute, execute_fragment, DataSource, ExchangeSource, LocalShip, MapSource, NoExchange,
     ShipHandler,

@@ -326,6 +326,24 @@ mod tests {
         }
     }
 
+    /// A fired token stops the walk at the first plan node it reaches,
+    /// named as it always was: the first producer's scan.
+    #[test]
+    fn a_cancelled_run_names_the_node_it_stopped_before() {
+        let (plan, source) = two_edge_plan();
+        let topology = NetworkTopology::paper_wan();
+        let cancel = geoqp_common::CancelToken::new();
+        cancel.cancel();
+        let control = geoqp_common::RunControl {
+            cancel: Some(cancel),
+            ..geoqp_common::RunControl::unlimited()
+        };
+        let err = Runtime::new(ShipEnv::new(&topology).with_control(control))
+            .run(&plan, &source, None)
+            .unwrap_err();
+        assert_eq!(err.message(), "query cancelled before Scan at L1");
+    }
+
     #[test]
     fn worker_count_never_changes_results_or_transfers() {
         // A filter above the union gives the root fragment a CPU kernel
@@ -367,12 +385,15 @@ mod tests {
     /// The keyed kernels under a real pool: rows *and row order* equal
     /// the row engine's at 1, 2 and 4 workers, for the inputs where a
     /// schedule could show — a duplicate-heavy Int64 key whose build
-    /// side spans five morsels, NULL keys on both sides, an Int64 ⋈
-    /// Float64 key, and NULL/string group keys under an order-insensitive
-    /// (COUNT, MIN: morsel partials merged) and an order-sensitive
-    /// (float SUM: serial) aggregate.
+    /// side spans five morsels, NULL keys on both sides, negative keys,
+    /// a two-pair Int64 + Date key, filtered (selected) inputs on both
+    /// sides, an Int64 ⋈ Float64 key, and NULL/string group keys under
+    /// an order-insensitive (COUNT, MIN: morsel partials merged) and an
+    /// order-sensitive (float SUM: serial) aggregate. Every join but the
+    /// Int64 ⋈ Float64 one positions its build rows by `key − min`.
     #[test]
     fn keyed_kernels_match_the_row_engine_at_every_worker_count() {
+        use geoqp_exec::{execute_fragment_columnar, positioned_key, LocalShip, NoExchange};
         use geoqp_expr::{AggCall, AggFunc};
         let typed_scan = |table: &str, fields: &[(&str, DataType)]| {
             let fields = fields.iter().map(|(n, t)| Field::new(*n, *t)).collect();
@@ -392,10 +413,23 @@ mod tests {
         let mut source = MapSource::new();
         let build = (0..40).map(|i| {
             let tag = [Value::str("a"), Value::str("b"), Value::Null][i as usize % 3].clone();
-            vec![nullable(i, 4), tag, Value::Float64(i as f64 * 0.1 + 1e15)]
+            vec![
+                nullable(i, 4),
+                tag,
+                Value::Float64(i as f64 * 0.1 + 1e15),
+                Value::Int64(i % 9 - 4),
+                Value::Date((i % 5) as i32),
+            ]
         });
         source.insert(TableRef::bare("build"), loc("L1"), build.collect());
-        let probe = (0..30).map(|i| vec![nullable(i, 7), Value::Float64((i % 5) as f64 * 0.5)]);
+        let probe = (0..30).map(|i| {
+            vec![
+                nullable(i, 7),
+                Value::Float64((i % 5) as f64 * 0.5),
+                Value::Int64(i % 11 - 5),
+                Value::Date((i % 3) as i32),
+            ]
+        });
         source.insert(TableRef::bare("probe"), loc("L1"), probe.collect());
 
         let build = typed_scan(
@@ -404,20 +438,36 @@ mod tests {
                 ("bk", DataType::Int64),
                 ("tag", DataType::Str),
                 ("x", DataType::Float64),
+                ("bn", DataType::Int64),
+                ("bd", DataType::Date),
             ],
         );
         let probe = typed_scan(
             "probe",
-            &[("pk", DataType::Int64), ("pf", DataType::Float64)],
+            &[
+                ("pk", DataType::Int64),
+                ("pf", DataType::Float64),
+                ("pn", DataType::Int64),
+                ("pd", DataType::Date),
+            ],
         );
-        let join = |right_key: &str| {
-            let schema = Arc::new(build.schema.join(&probe.schema).unwrap());
+        let filtered = |input: &Arc<PhysicalPlan>, predicate: ScalarExpr| {
+            let op = PhysOp::Filter { predicate };
+            let schema = Arc::clone(&input.schema);
+            let inputs = vec![Arc::clone(input)];
+            Arc::new(PhysicalPlan::new(op, schema, loc("L1"), inputs).unwrap())
+        };
+        let join = |left: &Arc<PhysicalPlan>,
+                    right: &Arc<PhysicalPlan>,
+                    left_keys: &[&str],
+                    right_keys: &[&str]| {
+            let schema = Arc::new(left.schema.join(&right.schema).unwrap());
             let op = PhysOp::HashJoin {
-                left_keys: vec!["bk".into()],
-                right_keys: vec![right_key.into()],
+                left_keys: left_keys.iter().map(|k| k.to_string()).collect(),
+                right_keys: right_keys.iter().map(|k| k.to_string()).collect(),
                 filter: None,
             };
-            let inputs = vec![Arc::clone(&build), Arc::clone(&probe)];
+            let inputs = vec![Arc::clone(left), Arc::clone(right)];
             PhysicalPlan::new(op, schema, loc("L1"), inputs).unwrap()
         };
         let aggregate = |aggs: Vec<AggCall>, outputs: &[(&str, DataType)]| {
@@ -432,23 +482,57 @@ mod tests {
             PhysicalPlan::new(op, schema, loc("L1"), vec![Arc::clone(&build)]).unwrap()
         };
         let x = || ScalarExpr::col("x");
+        let (build_kept, probe_kept) = (
+            filtered(&build, ScalarExpr::col("bn").gt(ScalarExpr::lit(-3i64))),
+            filtered(&probe, ScalarExpr::col("pn").lt(ScalarExpr::lit(4i64))),
+        );
+        // (plan, the key pair a join positions by)
         let plans = [
-            join("pk"),
-            join("pf"),
-            aggregate(
-                vec![
-                    AggCall::count_star("n"),
-                    AggCall::new(AggFunc::Min, x(), "lo"),
-                ],
-                &[("n", DataType::Int64), ("lo", DataType::Float64)],
+            (join(&build, &probe, &["bk"], &["pk"]), Some(0)),
+            (join(&build, &probe, &["bk"], &["pf"]), None),
+            (join(&build, &probe, &["bn"], &["pn"]), Some(0)),
+            (join(&build, &probe, &["bd", "bk"], &["pd", "pk"]), Some(0)),
+            (join(&build_kept, &probe_kept, &["bn"], &["pn"]), Some(0)),
+            (
+                aggregate(
+                    vec![
+                        AggCall::count_star("n"),
+                        AggCall::new(AggFunc::Min, x(), "lo"),
+                    ],
+                    &[("n", DataType::Int64), ("lo", DataType::Float64)],
+                ),
+                None,
             ),
-            aggregate(
-                vec![AggCall::new(AggFunc::Sum, x(), "total")],
-                &[("total", DataType::Float64)],
+            (
+                aggregate(
+                    vec![AggCall::new(AggFunc::Sum, x(), "total")],
+                    &[("total", DataType::Float64)],
+                ),
+                None,
             ),
         ];
         let topology = NetworkTopology::paper_wan();
-        for plan in &plans {
+        for (plan, positioned) in &plans {
+            if let PhysOp::HashJoin {
+                left_keys,
+                right_keys,
+                ..
+            } = &plan.op
+            {
+                let side = |k: usize, keys: &[String]| {
+                    let input = &plan.inputs[k];
+                    let batch =
+                        execute_fragment_columnar(input, &source, &mut LocalShip, &NoExchange);
+                    let idx = keys.iter().map(|c| input.schema.require_index(c).unwrap());
+                    (batch.unwrap(), idx.collect::<Vec<_>>())
+                };
+                let ((l, lk), (r, rk)) = (side(0, left_keys), side(1, right_keys));
+                assert_eq!(
+                    positioned_key(&l, &lk, &r, &rk),
+                    *positioned,
+                    "{left_keys:?}"
+                );
+            }
             let want = execute(plan, &source, &mut geoqp_exec::LocalShip).unwrap();
             assert!(
                 want.len() > 3,

@@ -505,7 +505,7 @@ impl<'r, 's> FragmentView<'r, 's> {
     /// Gate a leaf read on its site's availability at the leaf's scan
     /// slot of the deterministic step grid, charging retry backoff to
     /// this fragment's local simulated time.
-    fn site_gate(&self, node: &PhysicalPlan, what: &str) -> Result<()> {
+    fn site_gate(&self, node: &PhysicalPlan, what: std::fmt::Arguments<'_>) -> Result<()> {
         let cut = self.shared.cut;
         let slot = (cut.edges.len() + cut.scan_slot[&node_key(node)]) as u64;
         let gated = (self.runtime.env).leaf_gate(&node.location, what, slot, cut.n_slots())?;
@@ -519,7 +519,10 @@ impl<'r, 's> FragmentView<'r, 's> {
     /// A resume leaf: read a retained checkpoint homed at this node's
     /// site, gated on that site's crash windows like any other leaf.
     fn resume(&self, node: &PhysicalPlan, fingerprint: u64) -> Result<Arc<ColumnarBatch>> {
-        self.site_gate(node, &format!("resume of checkpoint {fingerprint:016x}"))?;
+        self.site_gate(
+            node,
+            format_args!("resume of checkpoint {fingerprint:016x}"),
+        )?;
         self.runtime.env.resume(fingerprint, &node.location)
     }
 }
@@ -531,11 +534,10 @@ impl ExchangeSource for FragmentView<'_, '_> {
     fn fetch(&self, node: &PhysicalPlan) -> Option<Result<Arc<ColumnarBatch>>> {
         // Cooperative cancellation, polled per plan node: even a fragment
         // doing pure local compute notices an abort between operators.
-        if let Err(e) = self.runtime.env.control.check_cancel(&format!(
-            "{} at {}",
-            node.op.name(),
-            node.location
-        )) {
+        let control = &self.runtime.env.control;
+        if let Err(e) =
+            control.check_cancel(format_args!("{} at {}", node.op.name(), node.location))
+        {
             return Some(Err(e));
         }
         if let Some(&id) = self.shared.cut.edge_of.get(&node_key(node)) {
@@ -543,7 +545,7 @@ impl ExchangeSource for FragmentView<'_, '_> {
         }
         match &node.op {
             PhysOp::Scan { table } => Some(
-                self.site_gate(node, &format!("scan of {table}"))
+                self.site_gate(node, format_args!("scan of {table}"))
                     .and_then(|()| self.source.scan(table, &node.location)),
             ),
             PhysOp::ResumeScan { fingerprint, .. } => Some(self.resume(node, *fingerprint)),

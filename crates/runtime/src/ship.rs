@@ -35,6 +35,7 @@ use geoqp_net::{
     NetworkTopology, RelayEvent, TransferLog, TransferRecord,
 };
 use std::collections::BTreeSet;
+use std::fmt;
 use std::sync::Arc;
 
 /// What one execution attempt adjudicates against: the WAN model, the
@@ -123,7 +124,7 @@ impl<'a> ShipEnv<'a> {
     pub fn leaf_gate(
         &self,
         site: &Location,
-        what: &str,
+        what: impl fmt::Display,
         slot: u64,
         n_slots: u64,
     ) -> Result<Retried<()>> {
@@ -229,6 +230,21 @@ pub struct ShipStream<'s> {
     opened_legs: BTreeSet<(Location, Location)>,
 }
 
+/// "batch `i` on SHIP `from` -> `to`": what an error about one batch
+/// names, formatted only when an error is built.
+#[derive(Clone, Copy)]
+struct BatchOnShip<'a> {
+    i: u64,
+    from: &'a Location,
+    to: &'a Location,
+}
+
+impl fmt::Display for BatchOnShip<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "batch {} on SHIP {} -> {}", self.i, self.from, self.to)
+    }
+}
+
 impl ShipStream<'_> {
     /// When the last adjudicated batch reaches the consumer, simulated ms.
     pub fn arrival_ms(&self) -> f64 {
@@ -255,10 +271,10 @@ impl ShipStream<'_> {
         );
         let i = self.batches;
         self.batches += 1;
-        let what = format!("batch {i} on SHIP {from} -> {to}");
+        let what = BatchOnShip { i, from, to };
         // Batch granularity for cooperative control: an aborted query
         // stops between batches, never mid-wire.
-        env.control.check_cancel(&what)?;
+        env.control.check_cancel(what)?;
         if let Some(watch) = &env.churn {
             // Stale-replica fail-safe, once per edge before the first
             // batch leaves: the origin site must prove its catalog
@@ -491,7 +507,7 @@ impl ShipStream<'_> {
         // past the budget is never committed. The elapsed time is the
         // stream's critical path, a pure function of the plan and the
         // fault schedule, so the verdict is deterministic.
-        env.control.check_deadline(self.arrival_ms, &what)?;
+        env.control.check_deadline(self.arrival_ms, what)?;
         if attempts > 0 {
             log.push(TransferRecord {
                 step,

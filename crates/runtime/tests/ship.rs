@@ -695,3 +695,56 @@ fn the_leaf_gate_outlasts_bounded_outages_and_surfaces_permanent_ones() {
     assert!(!err.is_transient());
     assert_eq!(err.failed_site(), Some(&site));
 }
+
+/// What a batch's and a leaf's errors name is built only when a check
+/// fails, and reads exactly as it always has.
+#[test]
+fn error_context_names_the_batch_and_the_leaf() {
+    let topology = wan();
+    let (from, to) = (loc("L1"), loc("L4"));
+    let cancel = geoqp_common::CancelToken::new();
+    cancel.cancel();
+    let cancelled = ShipEnv::new(&topology).with_control(RunControl {
+        cancel: Some(cancel),
+        ..RunControl::unlimited()
+    });
+    let err = cancelled
+        .open(drained_edge(&from, &to))
+        .ship_batch(BYTES, 1, &mut TransferLog::new())
+        .unwrap_err();
+    assert_eq!(
+        err.message(),
+        "query cancelled before batch 0 on SHIP L1 -> L4"
+    );
+
+    let budget = base_ms();
+    let tight = ShipEnv::new(&topology).with_control(RunControl {
+        deadline: Some(QueryDeadline::new(budget)),
+        ..RunControl::unlimited()
+    });
+    let mut stream = tight.open(drained_edge(&from, &to));
+    let mut log = TransferLog::new();
+    stream.ship_batch(BYTES, 1, &mut log).unwrap();
+    let err = stream.ship_batch(BYTES, 1, &mut log).unwrap_err();
+    assert_eq!(
+        err.message(),
+        format!(
+            "batch 1 on SHIP L1 -> L4 at {:.1} ms exceeds the {budget:.1} ms query budget",
+            stream.arrival_ms()
+        )
+    );
+
+    let dead = FaultPlan::new(1).with_crash("L2", StepWindow::ALWAYS);
+    let err = ShipEnv::new(&topology)
+        .with_faults(
+            &dead,
+            RetryPolicy {
+                max_attempts: 1,
+                base_backoff_ms: 0.0,
+                multiplier: 1.0,
+            },
+        )
+        .leaf_gate(&loc("L2"), "scan of t", 0, 1)
+        .unwrap_err();
+    assert_eq!(err.message(), "scan of t failed: site L2 is down at step 0");
+}

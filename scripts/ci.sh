@@ -134,6 +134,17 @@ if grep -rnE 'fn compact|fn bootstrap|CatalogSnapshot|CatalogCompacted|pull_snap
     exit 1
 fi
 
+echo "==> one key-to-position map: a join or grouping key becomes a table" \
+     "slot only in crates/exec/src/keyed.rs, hashed by the fmix64 finalizer" \
+     "or positioned by key − min"
+if grep -rnE --include='*.rs' \
+    'ff51_?afd7_?ed55_?8ccd|c4ce_?b9fe_?1a85_?ec53|wrapping_sub\((self\.|at\.)?min\)' \
+    crates src tests | grep -v '^crates/exec/src/keyed.rs:'; then
+    echo "a second place turns keys into table positions: hash or position" \
+        "them through crates/exec/src/keyed.rs" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check (geoqp crates)"
 cargo fmt --check "${pkg_flags[@]}"
 
@@ -184,6 +195,10 @@ done <scripts/bench_expected.txt
 echo "==> benchmark adapter contract: no step above may have touched" \
      "benchmark/ or BENCHMARK.json (run outputs are git-ignored)"
 test -z "$(git status --porcelain benchmark BENCHMARK.json)"
+
+echo "==> exec kernels in a release build: span arithmetic near the i64" \
+     "bounds has no overflow checks there (release)"
+cargo test -q -p geoqp-exec --release
 
 echo "==> columnar differential suite: row vs vectorized engines," \
      "all fault schedules (release)"

@@ -115,30 +115,15 @@ fn churn_figure() {
         );
     }
 
-    header("Extension E12: stale replicas — catalog partition during churn re-plan");
-    println!(
-        "  {:6} {:>12} {:>22} {:>6}",
-        "query", "partitioned", "outcome", "rows="
-    );
-    let stale = churn::stale_sweep(SEED);
-    for c in &stale {
-        println!(
-            "  {:6} {:>12} {:>22} {:>6}",
-            c.query,
-            c.partitioned.to_string(),
-            c.outcome.label(),
-            if c.rows_match { "yes" } else { "NO" }
-        );
-    }
     header(
         "Extension E12: quiesce-free grant retry — revoke@step 0, re-grant released at a \
-         swept step, catalog-plane crash",
+         swept step",
     );
     println!(
         "  {:6} {:>6} {:>5} {:>14} {:>8} {:>8} {:>6}",
         "query", "gstep", "pid", "outcome", "retries", "rescued", "rows="
     );
-    let (grants, plane) = churn::grant_grid(SEED);
+    let grants = churn::grant_grid(SEED);
     for c in &grants {
         println!(
             "  {:6} {:>6} {:>5} {:>14} {:>8} {:>8} {:>6}",
@@ -151,20 +136,15 @@ fn churn_figure() {
             if c.rows_match { "yes" } else { "NO" }
         );
     }
-    println!(
-        "  catalog plane: {} wipes, {} B entries, lag p50 {} max {}",
-        plane.wipes, plane.entry_bytes, plane.lag_p50, plane.lag_max,
-    );
-    let s = churn::summarize(&grid, &stale, &grants);
+    let s = churn::summarize(&grid, &grants);
     println!(
         "  summary: {} finished, {} replanned, {} refused non-compliant, \
-         {} refused catalog-stale, {} other; {} rescued by grant retry \
+         {} other; {} rescued by grant retry \
          ({} retries); re-plan byte overhead {:.1}% \
          ({} B recomputed, {} B resumed from checkpoints)",
         s.finished,
         s.replanned,
         s.refused_non_compliant,
-        s.refused_catalog_stale,
         s.refused_other,
         s.grants_rescued,
         s.grant_retries,
@@ -172,7 +152,7 @@ fn churn_figure() {
         s.recomputed_bytes,
         s.resumed_bytes,
     );
-    let json = churn::to_json(&grid, &stale, &grants, &plane, SEED);
+    let json = churn::to_json(&grid, &grants, SEED);
     match std::fs::write("BENCH_churn.json", &json) {
         Ok(()) => println!("  wrote BENCH_churn.json"),
         Err(e) => println!("  could not write BENCH_churn.json: {e}"),

@@ -38,7 +38,7 @@ pub struct Shell {
     hedge: Option<HedgeConfig>,
     last_health: Option<Vec<LinkReport>>,
     service: Option<ServerSession>,
-    /// The deployment's replicated policy-catalog service: `\grant` and
+    /// The deployment's policy-catalog service: `\grant` and
     /// `\revoke` append to its log, `\catalog` renders it, and every
     /// resilient query pins its head seq at admission.
     churn: Option<Arc<CatalogService>>,
@@ -170,14 +170,6 @@ impl Shell {
                         memo.len(),
                     );
                 }
-                if let Some(svc) = &self.churn {
-                    let h = svc.health();
-                    let _ = writeln!(
-                        out,
-                        "catalog plane: head seq {}, lag p50 {} max {}, {} wipes",
-                        h.head, h.lag_p50, h.lag_max, h.wipes,
-                    );
-                }
                 Ok(out)
             }
             "explain" => self.explain(arg),
@@ -289,9 +281,8 @@ impl Shell {
         Ok(out)
     }
 
-    /// (Re)build the replicated catalog service over the loaded engine's
-    /// policies: the engine's policy set becomes log sequence 0 and
-    /// every site's replica starts fresh at the head.
+    /// (Re)build the catalog service over the loaded engine's policies:
+    /// the engine's policy set becomes log sequence 0.
     fn attach_catalog(&mut self) {
         self.churn = self
             .engine
@@ -308,7 +299,7 @@ impl Shell {
 
     /// Re-admit the session under the catalog head `pin`.
     fn refresh_engine(&mut self, svc: &CatalogService, pin: u64) -> Result<()> {
-        self.engine = Some(svc.readmit(self.engine()?, pin)?);
+        self.engine = Some(self.engine()?.fork_with_policies(svc.snapshot(pin)?));
         Ok(())
     }
 
@@ -359,16 +350,12 @@ impl Shell {
         ))
     }
 
-    /// `\catalog` — the replicated catalog's state: head pin, live
-    /// policies with their stable pids, the append-only log, and each
-    /// site replica's applied sequence.
+    /// `\catalog` — the catalog log's state: head pin, live policies with
+    /// their stable pids, and the append-only log.
     fn catalog_status(&self) -> Result<String> {
         let svc = self.catalog_service()?;
         let head = svc.head();
-        let mut out = format!(
-            "catalog head: seq {head} (coordinator {})\nlive policies:\n",
-            svc.coordinator()
-        );
+        let mut out = format!("catalog head: seq {head}\nlive policies:\n");
         let live = svc.live_policies();
         if live.is_empty() {
             out.push_str("  (none — nothing may leave its site)\n");
@@ -383,27 +370,6 @@ impl Shell {
                 let _ = writeln!(out, "  {line}");
             }
         }
-        let health = svc.health();
-        out.push_str("replicas:\n");
-        for r in &health.replicas {
-            let lag = if r.unbounded {
-                "∞ (severed)".to_string()
-            } else {
-                r.lag.to_string()
-            };
-            let _ = writeln!(
-                out,
-                "  {}: seq {}, lag {lag}{}",
-                r.site,
-                r.seq,
-                if r.seq < head { " (STALE)" } else { "" }
-            );
-        }
-        let _ = writeln!(
-            out,
-            "plane: lag p50 {} max {}, {} wipes, {} entry bytes",
-            health.lag_p50, health.lag_max, health.wipes, health.entry_bytes,
-        );
         Ok(out)
     }
 
@@ -929,7 +895,7 @@ commands:
   \\locations                list sites
   \\policies                 list dataflow policies (eN: N is the pid
                             \\revoke takes)
-  \\grant <expression>       append a grant to the replicated catalog log:
+  \\grant <expression>       append a grant to the catalog log:
                             ship <attrs> from <t> to <locs> … (takes
                             effect for queries admitted after it)
   \\policy <expression>      same as \\grant
@@ -939,7 +905,7 @@ commands:
                             queries: re-plan under the new head or a
                             typed refusal)
   \\catalog                  catalog head seq, live policies
-                            with pids, the log, per-site replica seqs
+                            with pids, the log
   \\mode compliant|traditional
   \\workers [n]              morsel workers per site
                             (same rows, bytes, and audits; faster CPU path)
@@ -1432,7 +1398,6 @@ mod tests {
         let out = sh.run_command("\\catalog").unwrap();
         assert!(out.contains("seq 0"), "{out}");
         assert_eq!(out.matches("\n  p").count(), 4, "{out}");
-        assert!(!out.contains("STALE"), "{out}");
 
         // Balances cannot reach E until a grant appends the permission.
         sh.run_command("\\at E").unwrap();
@@ -1444,18 +1409,10 @@ mod tests {
         assert!(out.contains("seq 1"), "{out}");
         assert!(sh.run_command("SELECT c_acctbal FROM customer").is_ok());
 
-        // The catalog shows the grant live, logged, and fully replicated,
-        // with per-replica lag and the plane-health summary line.
+        // The catalog shows the grant live and logged.
         let listed = sh.run_command("\\catalog").unwrap();
         assert!(listed.contains("p4: ship c_acctbal"), "{listed}");
         assert!(listed.contains("#1 grant p4"), "{listed}");
-        assert!(!listed.contains("STALE"), "{listed}");
-        assert!(listed.contains("lag 0"), "{listed}");
-        assert!(!listed.contains("severed"), "{listed}");
-        assert!(
-            listed.contains("plane: lag p50 0 max 0, 0 wipes"),
-            "{listed}"
-        );
 
         // Revoking by expression resolves the pid; the permission is gone
         // for later queries and the head only moves forward.
@@ -1485,7 +1442,7 @@ mod tests {
         };
         let a = replay(&["\\grant ship c_acctbal from customer to E", "\\revoke 4"]);
         let b = replay(&["\\grant ship c_acctbal from customer to E", "\\revoke 4"]);
-        assert_eq!(a, b, "identical histories hash to identical heads");
+        assert_eq!(a, b, "identical histories list identical catalogs");
 
         // `\policy` is `\grant`: it appends to the same log, so earlier
         // entries and their pids survive it.

@@ -1,13 +1,11 @@
 //! Live policy-churn plumbing shared by the catalog service, the engine,
-//! and both executors.
+//! and the runtime.
 //!
-//! The versioned policy-catalog log lives in `geoqp-policy` and its
-//! replication transport in `geoqp-net`; what the *executors* need from
-//! them is deliberately tiny and dependency-free, so it lives here. A
-//! catalog snapshot is named by its log **sequence number**, a plain
-//! `u64` (0 = the base catalog): sequences are monotone, so freshness and
-//! "newer than the pin" are comparisons. The chain hashes that make the
-//! log tamper-evident stay inside the log and its replicas.
+//! The versioned policy-catalog log lives in `geoqp-policy`; what the
+//! *runtime* needs from it is deliberately tiny and dependency-free, so it
+//! lives here. A catalog snapshot is named by its log **sequence number**,
+//! a plain `u64` (0 = the base catalog): sequences are monotone, so "newer
+//! than the pin" is a comparison.
 //!
 //! * [`ChurnSignal`] — how revocations reach in-flight queries: a set of
 //!   pre-planned, step-triggered events (deterministic replay for the
@@ -15,14 +13,8 @@
 //!   `update_tenant_policies` path). Grants never abort anything — they
 //!   only take effect for queries admitted later, or for a refused query
 //!   that re-pins forward onto them.
-//! * [`StaleGuard`] — the fail-safe for replication lag: the set of sites
-//!   whose catalog replica has *proven* it applied the pinned sequence.
-//!   A site outside the set refuses to originate a transfer with
-//!   [`GeoError::CatalogStale`] rather than audit against old policy.
-//! * [`ChurnWatch`] — one attempt's pin, signal and guard together.
+//! * [`ChurnWatch`] — one attempt's pin and signal together.
 
-use crate::error::{GeoError, Result};
-use crate::location::{Location, LocationSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One pre-planned churn event: at executor step `step`, log entry
@@ -78,15 +70,15 @@ impl ChurnSignal {
     /// whether the update contained at least one revoke; only those
     /// interrupt in-flight queries.
     pub fn publish(&self, seq: u64, revocation: bool) {
-        // Seq is monotone per log, so a plain max-update suffices.
-        if seq > self.live_seq.load(Ordering::Acquire) {
-            self.live_seq.store(seq, Ordering::Release);
-            if revocation {
-                self.live_revocation.store(seq, Ordering::Release);
-            } else {
-                self.live_grant.store(seq, Ordering::Release);
-            }
-        }
+        // Publishers may race, so a revocation published after a newer
+        // grant must still be recorded: each head only ever moves up.
+        self.live_seq.fetch_max(seq, Ordering::AcqRel);
+        let kind = if revocation {
+            &self.live_revocation
+        } else {
+            &self.live_grant
+        };
+        kind.fetch_max(seq, Ordering::AcqRel);
     }
 
     /// The newest *revocation* visible at executor step `step` that the
@@ -133,88 +125,16 @@ impl ChurnSignal {
     }
 }
 
-/// Per-site catalog freshness proof for one pinned sequence: a site in
-/// `fresh` has applied (and chain-verified) every log entry up to the
-/// pin. Built by the catalog service from its replica states at
-/// execution start; consulted by executors before a transfer leaves a
-/// site.
-#[derive(Debug, Clone)]
-pub struct StaleGuard {
-    fresh: LocationSet,
-    /// Sites whose catalog-plane link to the coordinator is severed for
-    /// good (open-ended crash or partition): their lag is unbounded, and
-    /// refusals name them as permanently stale instead of merely behind.
-    unbounded: LocationSet,
-}
-
-impl StaleGuard {
-    /// A guard with the given proven-fresh sites.
-    pub fn new(fresh: LocationSet) -> StaleGuard {
-        StaleGuard {
-            fresh,
-            unbounded: LocationSet::new(),
-        }
-    }
-
-    /// Mark the sites whose replication lag can never clear.
-    pub fn with_unbounded(mut self, unbounded: LocationSet) -> StaleGuard {
-        self.unbounded = unbounded;
-        self
-    }
-
-    /// Whether `site`'s lag is unbounded (severed from the coordinator).
-    pub fn is_unbounded(&self, site: &Location) -> bool {
-        self.unbounded.contains(site)
-    }
-
-    /// Whether `site`'s replica has proven it applied the pinned
-    /// sequence.
-    pub fn sees(&self, site: &Location) -> bool {
-        self.fresh.contains(site)
-    }
-
-    /// Fail-safe check before `site` originates a transfer under catalog
-    /// seq `pin`: stale replicas refuse with [`GeoError::CatalogStale`]
-    /// rather than audit the transfer against an old catalog.
-    pub fn check_origin(&self, site: &Location, pin: u64) -> Result<()> {
-        if self.sees(site) {
-            Ok(())
-        } else {
-            let unbounded = self.is_unbounded(site);
-            let cause = if unbounded {
-                "its catalog-plane link to the coordinator is severed \
-                 (unbounded lag)"
-            } else {
-                "its replica is behind"
-            };
-            Err(GeoError::catalog_stale(
-                site.clone(),
-                pin,
-                unbounded,
-                format!(
-                    "site {site} cannot prove it has seen catalog seq {pin}: \
-                     {cause}; refusing to originate the transfer"
-                ),
-            ))
-        }
-    }
-}
-
 /// Everything an executor needs to enforce live churn on one attempt:
-/// the pin the query was admitted under, the signal revocations arrive
-/// on, and (optionally) the per-site replica-freshness guard. Built by
-/// the catalog service, re-built by the failover loop after each
-/// churn-driven re-pin.
+/// the pin the query was admitted under and the signal revocations
+/// arrive on. Built by the catalog service, re-built by the failover
+/// loop after each churn-driven re-pin.
 #[derive(Debug, Clone)]
 pub struct ChurnWatch {
     /// The catalog sequence this attempt executes under.
     pub pin: u64,
     /// Where revocations land (planned events and/or live publishes).
     pub signal: std::sync::Arc<ChurnSignal>,
-    /// Per-site freshness proof for `pin`; `None` skips the stale-origin
-    /// check (single-site deployments, or the server path where every
-    /// worker reads the coordinator's log directly).
-    pub stale: Option<std::sync::Arc<StaleGuard>>,
 }
 
 #[cfg(test)]
@@ -256,28 +176,22 @@ mod tests {
         sig.publish(6, true);
         assert_eq!(sig.revoked_since(5, 0), Some(6));
         assert_eq!(sig.revoked_since(6, 0), None);
-        // Stale publishes (lower seq) are ignored.
+        // A publish older than the head moves nothing.
         sig.publish(2, true);
         assert_eq!(sig.revoked_since(5, 0), Some(6));
     }
 
+    /// Concurrent grant and revoke calls may publish out of order: a
+    /// revocation published after a newer grant still reaches pins older
+    /// than it.
     #[test]
-    fn stale_guard_refuses_unproven_origins() {
-        let mut fresh = LocationSet::new();
-        fresh.insert(Location::new("L1"));
-        let mut severed = LocationSet::new();
-        severed.insert(Location::new("L3"));
-        let guard = StaleGuard::new(fresh).with_unbounded(severed);
-        assert!(guard.check_origin(&Location::new("L1"), 2).is_ok());
-        let err = guard.check_origin(&Location::new("L2"), 2).unwrap_err();
-        assert_eq!(err.kind(), "catalog-stale");
-        assert!(err.message().contains("seq 2"));
-        // The refusal names the lagging site in the typed payload.
-        assert_eq!(err.stale_site(), Some((&Location::new("L2"), false)));
-        // A severed replica is named as unbounded lag.
-        let err = guard.check_origin(&Location::new("L3"), 2).unwrap_err();
-        assert_eq!(err.stale_site(), Some((&Location::new("L3"), true)));
-        assert!(err.message().contains("unbounded lag"));
+    fn a_revocation_published_after_a_newer_grant_is_kept() {
+        let sig = ChurnSignal::new();
+        sig.publish(6, false);
+        sig.publish(5, true);
+        assert_eq!(sig.revoked_since(4, 0), Some(6), "re-pin to the full head");
+        assert_eq!(sig.revoked_since(5, 0), None);
+        assert_eq!(sig.granted_since(4, 0), Some(6));
     }
 
     #[test]

@@ -97,24 +97,6 @@ pub struct ChurnAbort {
     pub message: String,
 }
 
-/// Details of a stale-replica refusal — the typed payload of
-/// [`GeoError::CatalogStale`]. Names the site whose catalog replica could
-/// not prove freshness, so operators (and the `\catalog` health view) see
-/// *which* replica is lagging, and whether the lag can ever clear.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StaleReplica {
-    /// The site whose replica failed the freshness proof.
-    pub site: Location,
-    /// The pinned catalog sequence the replica could not prove.
-    pub seq: u64,
-    /// Whether the replica's lag is unbounded: the site is permanently
-    /// partitioned or crashed on the catalog plane, so no amount of
-    /// waiting or retrying will make it fresh — re-plan around it.
-    pub unbounded: bool,
-    /// Human-readable description.
-    pub message: String,
-}
-
 /// The error type shared by every `geoqp` crate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GeoError {
@@ -165,13 +147,6 @@ pub enum GeoError {
     /// and re-plans; anything else must surface this typed, never ship
     /// under the revoked catalog.
     PolicyChurn(ChurnAbort),
-    /// A site's catalog replica could not prove it has applied the
-    /// sequence the coordinator pinned for this query (replication lag, catalog
-    /// partition, or a crashed replica). The site fails safe: it refuses
-    /// to originate the transfer rather than audit against old policy.
-    /// The payload names the lagging site and whether its lag is
-    /// unbounded (permanent catalog-plane partition or crash).
-    CatalogStale(StaleReplica),
 }
 
 impl GeoError {
@@ -193,7 +168,6 @@ impl GeoError {
             GeoError::Cancelled(_) => "cancelled",
             GeoError::Admission(_) => "admission",
             GeoError::PolicyChurn(_) => "churn",
-            GeoError::CatalogStale(_) => "catalog-stale",
         }
     }
 
@@ -203,21 +177,6 @@ impl GeoError {
         GeoError::PolicyChurn(ChurnAbort {
             seq,
             step,
-            message: message.into(),
-        })
-    }
-
-    /// Convenience constructor for a stale-replica refusal.
-    pub fn catalog_stale(
-        site: Location,
-        seq: u64,
-        unbounded: bool,
-        message: impl Into<String>,
-    ) -> GeoError {
-        GeoError::CatalogStale(StaleReplica {
-            site,
-            seq,
-            unbounded,
             message: message.into(),
         })
     }
@@ -236,15 +195,6 @@ impl GeoError {
     pub fn churn_step(&self) -> Option<u64> {
         match self {
             GeoError::PolicyChurn(c) => Some(c.step),
-            _ => None,
-        }
-    }
-
-    /// The lagging site a stale-replica refusal names, if this error is
-    /// one, along with whether its lag is unbounded.
-    pub fn stale_site(&self) -> Option<(&Location, bool)> {
-        match self {
-            GeoError::CatalogStale(s) => Some((&s.site, s.unbounded)),
             _ => None,
         }
     }
@@ -317,7 +267,6 @@ impl GeoError {
             | GeoError::Admission(m) => m,
             GeoError::SiteUnavailable(u) => &u.message,
             GeoError::PolicyChurn(c) => &c.message,
-            GeoError::CatalogStale(s) => &s.message,
         }
     }
 }
@@ -365,7 +314,6 @@ mod tests {
             GeoError::Cancelled(String::new()),
             GeoError::Admission(String::new()),
             GeoError::policy_churn(0, 0, String::new()),
-            GeoError::catalog_stale(Location::new("L1"), 0, false, String::new()),
         ];
         let mut kinds: Vec<_> = variants.iter().map(|v| v.kind()).collect();
         kinds.sort_unstable();
@@ -439,22 +387,6 @@ mod tests {
         assert_eq!(e.failed_site(), None);
         assert!(!e.is_transient());
         assert_eq!(e.message(), "revocation landed at seq 3");
-        let stale = GeoError::catalog_stale(Location::new("L2"), 1, false, String::new());
-        assert_eq!(stale.churn_head(), None);
-        assert_eq!(stale.churn_step(), None);
-    }
-
-    /// A stale-replica refusal names the lagging site and whether the lag
-    /// can ever clear, so the failover layer can distinguish "wait for
-    /// replication" from "route around a severed replica".
-    #[test]
-    fn catalog_stale_names_the_lagging_site() {
-        let e = GeoError::catalog_stale(Location::new("L3"), 4, true, "L3 severed");
-        assert_eq!(e.kind(), "catalog-stale");
-        assert_eq!(e.stale_site(), Some((&Location::new("L3"), true)));
-        assert_eq!(e.failed_site(), None, "stale is not a crashed site");
-        assert_eq!(e.message(), "L3 severed");
-        assert_eq!(GeoError::Execution("boom".into()).stale_site(), None);
     }
 
     /// Deadline and cancellation must never look like a crashed site:
@@ -466,7 +398,6 @@ mod tests {
             GeoError::DeadlineExceeded("over budget".into()),
             GeoError::Cancelled("aborted".into()),
             GeoError::Admission("tenant backlog full".into()),
-            GeoError::catalog_stale(Location::new("L2"), 3, false, "replica behind pinned seq"),
         ] {
             assert!(!e.is_transient());
             assert_eq!(e.failed_site(), None);

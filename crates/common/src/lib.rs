@@ -30,10 +30,10 @@ pub mod types;
 pub mod value;
 
 pub use builder::ColumnarBuilder;
-pub use churn::{ChurnEvent, ChurnSignal, ChurnWatch, StaleGuard};
+pub use churn::{ChurnEvent, ChurnSignal, ChurnWatch};
 pub use columnar::{Cells, Column, ColumnarBatch, SelectionVector, SharedColumn};
 pub use control::{CancelToken, QueryDeadline, RunControl};
-pub use error::{ChurnAbort, GeoError, Result, StaleReplica, Unavailable};
+pub use error::{ChurnAbort, GeoError, Result, Unavailable};
 pub use location::{Location, LocationPattern, LocationSet};
 pub use row::{Row, Rows};
 pub use schema::{Field, Schema};

@@ -221,9 +221,8 @@ pub struct ExecOptions<'a> {
     /// re-plan. `None` disables hedging and breakers entirely.
     pub hedge: Option<HedgeConfig>,
     /// Live policy churn: the catalog service and the sequence pinned at
-    /// admission. Execution re-audits SHIP edges against revocations at
-    /// batch granularity, refuses transfers from replicas that cannot
-    /// prove freshness, and re-plans through the checkpoint-stitching
+    /// admission. Execution re-checks SHIP edges against revocations at
+    /// batch granularity and re-plans through the checkpoint-stitching
     /// path when a revocation lands mid-flight. `None` runs against the
     /// frozen catalog.
     pub churn: Option<ChurnOpts>,
@@ -259,8 +258,8 @@ impl<'a> ExecOptions<'a> {
     }
 
     /// Pin this execution to `pin` of `service`'s catalog and enforce
-    /// live churn: per-batch revocation checks, stale-origin fail-safe,
-    /// and compliant mid-flight re-planning.
+    /// live churn: per-batch revocation checks and compliant mid-flight
+    /// re-planning.
     pub fn with_churn(mut self, service: Arc<CatalogService>, pin: u64) -> ExecOptions<'a> {
         self.churn = Some(ChurnOpts { service, pin });
         self
@@ -1007,10 +1006,6 @@ impl Recovery<'_> {
         self.churn_replans += 1;
         loop {
             let forked = (self.base).fork_with_policies(churn.service.snapshot(*head)?);
-            // Give the catalog plane one replication round to chase the
-            // new head; sites still behind stay in the stale guard and
-            // fail safe at transfer time.
-            churn.service.sync_round();
             let result_location = Some(self.optimized.result_location.clone());
             match forked.optimize(
                 &crate::normalize::normalize_plan(&self.optimized.query)?,

@@ -30,13 +30,20 @@
 //!
 //! [`engine::Engine::run`] is the one way to execute an optimized query;
 //! [`engine::ExecOptions`] says how (which engine, fault injection,
-//! failover budget, checkpoints, deadline, hedging, live churn). With a re-plan budget it adds fault tolerance on top: when a
-//! site dies mid-query (simulated by a `geoqp-net` fault plan), the engine
+//! failover budget, checkpoints, deadline, hedging, live churn). With a
+//! re-plan budget it adds fault tolerance on top: when a site dies
+//! mid-query (simulated by a `geoqp-net` fault plan), the engine
 //! re-runs phase 2 with the dead site excluded from every execution trait
 //! and re-verifies the placement against Definition 1 before resuming —
 //! failures degrade into typed errors, never into non-compliant
 //! dataflows. Every attempt runs on the one `geoqp_runtime::Runtime`;
 //! [`distributed`] holds the catalog-backed source its leaves read.
+//!
+//! Live policy churn has one catalog of record, [`churn::CatalogService`]'s
+//! append-only log. A query pins the log's head at admission; every batch
+//! it ships is audited against the snapshot at that pin, and a revocation
+//! newer than the pin aborts the attempt, which re-plans under the new
+//! head.
 
 pub mod annotate;
 pub mod churn;
@@ -51,7 +58,7 @@ pub mod rules;
 pub mod site_selector;
 
 pub use annotate::{AnnotatedNode, Annotator};
-pub use churn::{CatalogHealth, CatalogService, ChurnOpts, ReplicaHealth};
+pub use churn::{CatalogService, ChurnOpts};
 pub use compliance::{check_compliance, ship_audit_info, ship_traits, ShipAudit};
 pub use engine::{
     Engine, ExecOptions, ExecutionResult, OptimizeStats, OptimizedQuery, OptimizerMode,

@@ -126,7 +126,7 @@ fn a_revocation_drops_checkpoints_homed_where_the_new_snapshot_forbids() {
 
     let mut resumed_runs = 0;
     for step in 0..24 {
-        let svc = CatalogService::new(Arc::clone(&catalog), base.clone(), Location::new("D"));
+        let svc = CatalogService::new(Arc::clone(&catalog), base.clone());
         let pin = 0;
         let rev = svc.revoke(USERS_TO_B).unwrap();
         let svc = Arc::new(svc.with_planned(vec![ChurnEvent {
@@ -134,7 +134,6 @@ fn a_revocation_drops_checkpoints_homed_where_the_new_snapshot_forbids() {
             seq: rev,
             revocation: true,
         }]));
-        svc.sync_full();
         let store = CheckpointStore::new();
         let opts = ExecOptions::failover(&faults, &retry, 3)
             .with_store(&store)

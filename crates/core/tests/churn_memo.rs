@@ -137,7 +137,7 @@ fn a_fork_shares_the_memo_and_plans_as_a_memo_less_engine() {
     let base = policies(&catalog);
     let topology = NetworkTopology::uniform(LocationSet::from_iter(["EU", "US"]), 10.0, 100.0);
     let engine = Engine::new(Arc::clone(&catalog), Arc::new(base.clone()), topology);
-    let svc = CatalogService::new(Arc::clone(&catalog), base, Location::new("EU"));
+    let svc = CatalogService::new(Arc::clone(&catalog), base);
 
     // Warm the memo over the base catalog.
     let cold_proofs = assert_plans_as_memo_less(&engine);

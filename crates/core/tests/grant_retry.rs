@@ -111,7 +111,7 @@ fn run_scripted(regrant: bool, revoke_step: u64, grant_step: u64) -> geoqp_commo
     let base = policies(&catalog);
     let topology = NetworkTopology::uniform(LocationSet::from_iter(["EU", "US"]), 10.0, 100.0);
     let engine = Engine::new(Arc::clone(&catalog), Arc::new(base.clone()), topology);
-    let svc = CatalogService::new(Arc::clone(&catalog), base, Location::new("EU"));
+    let svc = CatalogService::new(Arc::clone(&catalog), base);
     let pin = 0;
     let rev = svc.revoke(EVENTS_PID).unwrap();
     let mut planned = vec![ChurnEvent {
@@ -129,7 +129,6 @@ fn run_scripted(regrant: bool, revoke_step: u64, grant_step: u64) -> geoqp_commo
         });
     }
     let svc = Arc::new(svc.with_planned(planned));
-    svc.sync_full();
     let optimized = engine
         .optimize_sql(SQL, OptimizerMode::Compliant, Some(Location::new("EU")))
         .unwrap();

@@ -295,34 +295,6 @@ impl FaultPlan {
         })
     }
 
-    /// Whether the `from → to` link is severed *for good* from `step`
-    /// on: an open-ended crash window on either endpoint, an open-ended
-    /// partition separating them, or an open-ended drop on the link
-    /// itself. A severed link means any replica behind it has
-    /// **unbounded lag** — no later step can ever deliver — so callers
-    /// can report ∞ instead of a number that will never shrink, and
-    /// stale-replica refusals can name the site as permanently stale.
-    pub fn severed(&self, from: &Location, to: &Location, step: u64) -> bool {
-        let site_gone = |site: &Location| self.site_down_until(site, step) == Some(u64::MAX);
-        if site_gone(from) || site_gone(to) {
-            return true;
-        }
-        if self.partitions.iter().any(|(group, window)| {
-            window.contains(step)
-                && window.end == u64::MAX
-                && (group.contains(from) != group.contains(to))
-        }) {
-            return true;
-        }
-        self.link_faults
-            .get(&(from.clone(), to.clone()))
-            .is_some_and(|faults| {
-                faults.iter().any(|fault| {
-                    matches!(fault, LinkFault::Drop(w) if w.contains(step) && w.end == u64::MAX)
-                })
-            })
-    }
-
     /// Judge one `from → to` transfer attempt at `step`. Site crashes
     /// dominate (transient only if the crash window heals), then
     /// partitions, then link faults; delays on distinct schedules
@@ -670,30 +642,6 @@ mod tests {
             plan.check_transfer(&loc("L4"), &loc("L2"), 5),
             FaultVerdict::Drop { .. }
         ));
-    }
-
-    /// `severed` reports only faults that can never heal: open-ended
-    /// crashes, partitions, and drops — the unbounded-lag detector for
-    /// catalog-plane health.
-    #[test]
-    fn severed_links_are_exactly_the_open_ended_faults() {
-        let plan = FaultPlan::new(1)
-            .with_crash("L2", StepWindow::new(0, u64::MAX))
-            .with_crash("L3", StepWindow::new(0, 50))
-            .with_partition(["L4"], StepWindow::ALWAYS)
-            .with_drop("L1", "L5", StepWindow::new(10, u64::MAX));
-        // Permanent crash severs every link touching the site.
-        assert!(plan.severed(&loc("L1"), &loc("L2"), 5));
-        assert!(plan.severed(&loc("L2"), &loc("L1"), 5));
-        // A healing crash window is lag, not severance.
-        assert!(!plan.severed(&loc("L1"), &loc("L3"), 5));
-        // Open-ended partition severs boundary-crossing links only.
-        assert!(plan.severed(&loc("L1"), &loc("L4"), 5));
-        assert!(!plan.severed(&loc("L1"), &loc("L6"), 5));
-        // Open-ended directed drop severs once its window starts.
-        assert!(!plan.severed(&loc("L1"), &loc("L5"), 5));
-        assert!(plan.severed(&loc("L1"), &loc("L5"), 10));
-        assert!(!plan.severed(&loc("L5"), &loc("L1"), 10), "directed");
     }
 
     #[test]

@@ -116,8 +116,8 @@ impl PolicyCatalog {
 
     /// The canonical byte rendering of the catalog's registered
     /// expressions, one display line per expression. Two catalogs are
-    /// the *same* exactly when these bytes match — the replication
-    /// property tests compare coordinator and replica snapshots with it.
+    /// the *same* exactly when these bytes match — tests compare
+    /// snapshots materialized from the catalog log with it.
     pub fn canonical_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         for e in &self.expressions {

@@ -21,6 +21,6 @@ pub mod negative;
 pub use catalog::{PolicyCatalog, RegisteredExpression};
 pub use evaluator::PolicyEvaluator;
 pub use expression::{PolicyExpression, PolicyKind, ShipAttrs};
-pub use log::{CatalogAction, CatalogEntry, CatalogLog, CatalogReplica};
+pub use log::{CatalogAction, CatalogEntry, CatalogLog};
 pub use memo::ImplicationMemo;
 pub use negative::{expand_denials, DenyExpression};

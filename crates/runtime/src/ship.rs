@@ -8,7 +8,7 @@
 //! [`ShipEnv::leaf_gate`] and [`ShipEnv::resume`].
 //!
 //! Per batch, [`ShipStream::ship_batch`] runs one fixed sequence: cancel
-//! poll → stale-origin and revocation check → Definition-1 audit →
+//! poll → revocation check → Definition-1 audit →
 //! breaker gate → hedge route choice → fault verdicts under the retry
 //! policy → hedge race (every transmitted leg logged) → rescue by a
 //! delivered backup → deadline → delivery record. [`ShipStream::finish`]
@@ -99,13 +99,8 @@ impl<'a> ShipEnv<'a> {
     }
 
     /// Attach live policy-churn enforcement: every batch re-checks the
-    /// pinned catalog sequence (a revocation newer than the pin aborts the
-    /// attempt with [`GeoError::PolicyChurn`] before the batch leaves),
-    /// and — when a [`StaleGuard`] rides along — a site whose catalog
-    /// replica cannot prove it has applied the pinned sequence refuses to
-    /// originate its transfer with [`GeoError::CatalogStale`].
-    ///
-    /// [`StaleGuard`]: geoqp_common::StaleGuard
+    /// pinned catalog sequence, and a revocation newer than the pin aborts
+    /// the attempt with [`GeoError::PolicyChurn`] before the batch leaves.
     pub fn with_churn(mut self, watch: ChurnWatch) -> ShipEnv<'a> {
         self.churn = Some(watch);
         self
@@ -276,15 +271,6 @@ impl ShipStream<'_> {
         // stops between batches, never mid-wire.
         env.control.check_cancel(what)?;
         if let Some(watch) = &env.churn {
-            // Stale-replica fail-safe, once per edge before the first
-            // batch leaves: the origin site must prove its catalog
-            // replica has applied the pinned sequence, else it cannot
-            // trust the audit set it is about to enforce.
-            if i == 0 && from != to {
-                if let Some(guard) = &watch.stale {
-                    guard.check_origin(from, watch.pin)?;
-                }
-            }
             // Per-batch revocation check: revocations push to in-flight
             // queries at batch granularity, on the walk's churn clock. A
             // newer revocation aborts the attempt before this batch

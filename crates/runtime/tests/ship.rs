@@ -4,7 +4,7 @@
 
 use geoqp_common::{
     ChurnEvent, ChurnSignal, ChurnWatch, ColumnarBatch, GeoError, Location, LocationSet,
-    QueryDeadline, RunControl, StaleGuard, TableRef, Value,
+    QueryDeadline, RunControl, TableRef, Value,
 };
 use geoqp_exec::RetryPolicy;
 use geoqp_net::hedge::HEDGE_STEP_BASE;
@@ -108,11 +108,10 @@ fn degrade(factor: f64) -> FaultPlan {
     FaultPlan::new(1).with_degrade("L1", "L4", factor, StepWindow::ALWAYS)
 }
 
-fn watch(planned: Vec<ChurnEvent>, fresh: Option<LocationSet>) -> ChurnWatch {
+fn watch(planned: Vec<ChurnEvent>) -> ChurnWatch {
     ChurnWatch {
         pin: 0,
         signal: Arc::new(ChurnSignal::with_planned(planned)),
-        stale: fresh.map(|f| Arc::new(StaleGuard::new(f))),
     }
 }
 
@@ -329,24 +328,11 @@ fn cases() -> Vec<Case> {
             )
         },
         Case {
-            churn: Some(watch(vec![], Some(LocationSet::from_iter(["L4"])))),
-            ..Case::new(
-                "an origin that cannot prove the pinned seq refuses to ship",
-                Expect::Err {
-                    kind: "catalog-stale",
-                    drops: 0,
-                },
-            )
-        },
-        Case {
-            churn: Some(watch(
-                vec![ChurnEvent {
-                    step: 0,
-                    seq: 4,
-                    revocation: true,
-                }],
-                Some(all_sites()),
-            )),
+            churn: Some(watch(vec![ChurnEvent {
+                step: 0,
+                seq: 4,
+                revocation: true,
+            }])),
             check: |r, _, _| {
                 let e = r.as_ref().unwrap_err();
                 assert_eq!(e.churn_head(), Some(4));
@@ -460,14 +446,11 @@ fn streams_amortize_the_header_and_recheck_churn_per_batch() {
     let topology = wan();
     let (from, to) = (loc("L1"), loc("L4"));
     let link = topology.link(&from, &to);
-    let revoke_at_3 = watch(
-        vec![ChurnEvent {
-            step: 3,
-            seq: 1,
-            revocation: true,
-        }],
-        None,
-    );
+    let revoke_at_3 = watch(vec![ChurnEvent {
+        step: 3,
+        seq: 1,
+        revocation: true,
+    }]);
     let env = ShipEnv::new(&topology).with_churn(revoke_at_3.clone());
     let edge = |order: u64| ShipEdge {
         from: &from,
@@ -492,14 +475,11 @@ fn streams_amortize_the_header_and_recheck_churn_per_batch() {
     assert_eq!(abort.churn_step(), Some(2), "the edge shipped third");
     assert_eq!(log.transfer_count(), 2);
 
-    let planned = ShipEnv::new(&topology).with_churn(watch(
-        vec![ChurnEvent {
-            step: 3,
-            seq: 1,
-            revocation: true,
-        }],
-        None,
-    ));
+    let planned = ShipEnv::new(&topology).with_churn(watch(vec![ChurnEvent {
+        step: 3,
+        seq: 1,
+        revocation: true,
+    }]));
     let abort = planned.open(edge(3)).ship_batch(BYTES, 1, &mut log);
     assert_eq!(abort.unwrap_err().churn_step(), Some(3));
     assert_eq!(log.transfer_count(), 2, "the fourth edge ships nothing");

@@ -93,7 +93,8 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Plan-cache capacity (entries across all tenants).
     pub cache_capacity: usize,
-    /// Run fault-free sequential attempts on the columnar engine.
+    /// Run attempts on the columnar engine (`false`: the row
+    /// interpreter).
     pub columnar: bool,
     /// Failover re-plan budget for resilient executions.
     pub max_replans: usize,
@@ -296,7 +297,7 @@ struct Job {
 struct TenantState {
     name: String,
     engine: Arc<Engine>,
-    /// The tenant's replicated catalog service: every policy change is a
+    /// The tenant's catalog service: every policy change is a
     /// log append here, and its churn signal reaches in-flight queries.
     churn: Arc<CatalogService>,
     /// The catalog head new queries pin at admission.
@@ -570,7 +571,9 @@ impl QueryService {
     /// churn signal aborts in-flight resilient executions at batch
     /// granularity so they re-plan under the new head, and any job that
     /// still completes under an older pin is re-run at completion time
-    /// (the admission-race repair). Returns the new head's seq.
+    /// (the admission-race repair). Returns the new head's seq. An update
+    /// with a grant that does not validate is refused whole: nothing is
+    /// appended, and the tenant keeps its engine and cached plans.
     pub fn update_tenant_policies(
         &self,
         tenant: TenantId,
@@ -593,7 +596,6 @@ impl QueryService {
                 .or_default()
                 .push(e.expr.clone());
         }
-        let mut revoke_seq = 0u64;
         let mut revoked = BTreeSet::new();
         for (pid, display) in churn.live_policies() {
             match wanted.get_mut(&display) {
@@ -601,20 +603,26 @@ impl QueryService {
                     v.pop();
                 }
                 _ => {
-                    revoke_seq = revoke_seq.max(churn.revoke(pid)?);
                     revoked.insert(pid as usize);
                 }
             }
         }
-        for exprs in wanted.into_values() {
-            for expr in exprs {
-                churn.grant(expr)?;
-            }
+        let grants: Vec<PolicyExpression> = wanted.into_values().flatten().collect();
+        // Validate every grant before appending anything: a refused
+        // update leaves the log, the engine and the plan cache as they
+        // were.
+        for expr in &grants {
+            expr.validate(&engine.catalog().resolve_one(&expr.table)?.schema)?;
         }
-        // A single-process deployment's replicas follow the coordinator
-        // synchronously; catalog-plane faults are a harness concern.
+        let mut revoke_seq = 0u64;
+        for &pid in &revoked {
+            revoke_seq = revoke_seq.max(churn.revoke(pid as u64)?);
+        }
+        for expr in grants {
+            churn.grant(expr)?;
+        }
         let head = churn.head();
-        let new_engine = Arc::new(churn.readmit(&engine, head)?);
+        let new_engine = Arc::new(engine.fork_with_policies(churn.snapshot(head)?));
         {
             let mut st = self.shared.state.lock().unwrap();
             let ten = st

@@ -486,6 +486,68 @@ fn revoke_then_regrant_never_resurrects_cached_plans() {
     assert!(run(Q_NAMES).unwrap().cached, "fresh head caches normally");
 }
 
+/// An update whose grant cannot be appended — here one registered
+/// against another deployment's `orders` table — is refused whole: the
+/// log does not move, so the revocation it carried never lands while the
+/// engine and cache still serve the revoked policy. The tenant's engine
+/// keeps exactly the log's live pids, and a valid update afterwards
+/// takes effect as usual.
+#[test]
+fn a_refused_policy_update_appends_nothing() {
+    let catalog = tiny_catalog();
+    let svc = service(1, 16);
+    let tenant = svc.add_tenant(
+        "t0",
+        catalog.clone(),
+        permissive_policies(&catalog),
+        tiny_topology(),
+        TenantConfig::default(),
+    );
+    let us = Location::new("US");
+    let run = || {
+        svc.submit(tenant, QueryRequest::new(Q_EMAILS).at(us.clone()))
+            .unwrap()
+            .wait()
+    };
+    assert_eq!(run().unwrap().rows.len(), 4, "emails ship freely at first");
+    let churn = svc.tenant_catalog(tenant).unwrap();
+    let live_pids = || -> Vec<usize> {
+        let mut engine_pids: Vec<usize> = (svc.tenant_engine(tenant).unwrap().policies())
+            .expressions()
+            .iter()
+            .map(|e| e.id)
+            .collect();
+        engine_pids.sort_unstable();
+        let log_pids: Vec<usize> = (churn.live_policies().iter())
+            .map(|(pid, _)| *pid as usize)
+            .collect();
+        assert_eq!(
+            engine_pids, log_pids,
+            "the engine serves the log's live set"
+        );
+        log_pids
+    };
+    let (head, pids) = (churn.head(), live_pids());
+
+    let mut foreign = (*restrictive_policies(&catalog)).clone();
+    let orders = Schema::new(vec![Field::new("x", DataType::Int64)]).unwrap();
+    let expr = geoqp_parser::parse_policy("ship x from orders to *").unwrap();
+    foreign.register(expr, &orders).unwrap();
+    let err = svc
+        .update_tenant_policies(tenant, Arc::new(foreign))
+        .unwrap_err();
+    assert_eq!(err.kind(), "storage", "{err}");
+    assert_eq!(churn.head(), head, "a refused update appends nothing");
+    assert_eq!(live_pids(), pids);
+    assert_eq!(run().unwrap().rows.len(), 4, "pid 0 is still live");
+
+    svc.update_tenant_policies(tenant, restrictive_policies(&catalog))
+        .unwrap();
+    assert!(churn.head() > head);
+    assert!(!live_pids().contains(&0), "the users grant is revoked");
+    assert_eq!(run().unwrap_err().kind(), "rejected");
+}
+
 /// The key's policy component rests on two facts about the tenant's
 /// engine: its expression ids are the catalog log's pids — at
 /// registration and after every update — and revoking then re-granting

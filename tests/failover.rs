@@ -333,12 +333,7 @@ const TRIGGER_STEPS: [u64; 6] = [0, 1, 2, 3, 4, 6];
 
 /// A catalog service whose log starts at `eng`'s policies.
 fn catalog_service(eng: &Engine) -> CatalogService {
-    let coordinator = eng.catalog().locations().iter().next().cloned().unwrap();
-    CatalogService::new(
-        Arc::clone(eng.catalog()),
-        (**eng.policies()).clone(),
-        coordinator,
-    )
+    CatalogService::new(Arc::clone(eng.catalog()), (**eng.policies()).clone())
 }
 
 /// A catalog service whose log holds the revocation of `pid`, released
@@ -351,7 +346,6 @@ fn revoking(eng: &Engine, pid: u64, step: u64) -> Arc<CatalogService> {
         seq: rev,
         revocation: true,
     }]);
-    svc.sync_full();
     Arc::new(svc)
 }
 

@@ -42,6 +42,7 @@ use crate::builder::{ColumnBuilder, ColumnarBuilder, Dictionary};
 use crate::row::{Row, Rows};
 use crate::types::DataType;
 use crate::value::Value;
+use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
@@ -178,6 +179,8 @@ pub(crate) trait Cell: Copy + Default {
     }
     /// Under [`Value`]'s equality (`total_cmp == Equal`).
     fn same(self, with: Self::With<'_>, other: Self, other_with: Self::With<'_>) -> bool;
+    /// Under [`Value::total_cmp`], for two cells read with the same `with`.
+    fn order(self, with: Self::With<'_>, other: Self) -> Ordering;
 
     /// `first` and then `rest` end to end, when all are of this layout.
     fn concat(first: &Cells<Self>, with: Self::With<'_>, rest: &[&Column]) -> Option<Column> {
@@ -192,11 +195,11 @@ pub(crate) trait Cell: Copy + Default {
 }
 
 /// The cell table — type, variant (of [`Column`], [`Value`] and
-/// [`DataType`] alike), wire width, fingerprint, equality — for the
-/// types whose cells are their own value.
+/// [`DataType`] alike), wire width, fingerprint, order (equality is
+/// order `Equal`) — for the types whose cells are their own value.
 macro_rules! fixed_width {
     ($($t:ty => $variant:ident, $width:literal, |$x:ident| $fingerprint:expr,
-       |$a:ident, $b:ident| $same:expr;)*) => {$(
+       |$a:ident, $b:ident| $order:expr;)*) => {$(
         impl Cell for $t {
             type With<'a> = ();
             const TYPE: DataType = DataType::$variant;
@@ -224,18 +227,21 @@ macro_rules! fixed_width {
             }
             const WIDTH: Option<usize> = Some($width);
             fn same(self, _: (), other: $t, _: ()) -> bool {
+                self.order((), other).is_eq()
+            }
+            fn order(self, _: (), other: $t) -> Ordering {
                 let ($a, $b) = (self, other);
-                $same
+                $order
             }
         }
     )*};
 }
 
 fixed_width! {
-    i64 => Int64, 9, |x| FP_NUM ^ (x as f64).to_bits(), |a, b| a == b;
-    f64 => Float64, 9, |x| FP_NUM ^ x.to_bits(), |a, b| a.total_cmp(&b).is_eq();
-    i32 => Date, 5, |x| FP_DATE ^ (x as i64 as u64), |a, b| a == b;
-    bool => Bool, 2, |x| FP_BOOL ^ (x as u64), |a, b| a == b;
+    i64 => Int64, 9, |x| FP_NUM ^ (x as f64).to_bits(), |a, b| a.cmp(&b);
+    f64 => Float64, 9, |x| FP_NUM ^ x.to_bits(), |a, b| a.total_cmp(&b);
+    i32 => Date, 5, |x| FP_DATE ^ (x as i64 as u64), |a, b| a.cmp(&b);
+    bool => Bool, 2, |x| FP_BOOL ^ (x as u64), |a, b| a.cmp(&b);
 }
 
 /// What reads the codes of a string column: its dictionary.
@@ -289,6 +295,14 @@ impl Cell for u32 {
             a == b
         } else {
             with.hashes[a] == other_with.hashes[b] && with.dict[a] == other_with.dict[b]
+        }
+    }
+    fn order(self, with: Coded<'_>, other: u32) -> Ordering {
+        let (a, b) = (self as usize, other as usize);
+        if a == b {
+            Ordering::Equal
+        } else {
+            with.dict[a].as_ref().cmp(with.dict[b].as_ref())
         }
     }
 
@@ -502,6 +516,18 @@ impl Column {
                 },
                 _values => mixed()),
         }
+    }
+
+    /// Row `i` against row `j` of this column, exactly as
+    /// `self.get(i).total_cmp(&self.get(j))` orders them — NULL first,
+    /// then each type's own order — without materializing a [`Value`].
+    pub fn cmp_at(&self, i: usize, j: usize) -> Ordering {
+        by_layout!(self,
+            (cells, with) => match (cells.get(i), cells.get(j)) {
+                (Some(a), Some(b)) => a.order(with, b),
+                (a, b) => a.is_some().cmp(&b.is_some()),
+            },
+            values => values[i].total_cmp(&values[j]))
     }
 
     /// Gather the rows at `indices` (in order) into a new column.
@@ -1435,6 +1461,66 @@ mod tests {
         let s2 = Column::from_values(vec![Value::str("dup"), Value::str("no")]);
         assert!(s1.eq_at(0, &s2, 0));
         assert!(!s1.eq_at(0, &s2, 1));
+    }
+
+    #[test]
+    fn cmp_at_orders_every_layout_as_its_values() {
+        for (column, values) in every_layout_columns() {
+            for i in 0..values.len() {
+                for j in 0..values.len() {
+                    let want = values[i].total_cmp(&values[j]);
+                    assert_eq!(column.cmp_at(i, j), want, "{i} vs {j} of {column:?}");
+                }
+            }
+        }
+    }
+
+    /// A string column's dictionary holds each string once however the
+    /// column was made — built cell by cell or from values, gathered
+    /// (eagerly or pending), concatenated: a grouping positions rows by
+    /// dictionary code, and two codes for one string would split a group.
+    #[test]
+    fn a_dictionary_holds_each_string_once_after_build_gather_and_concat() {
+        fn dict(column: &Column) -> &Arc<Vec<Arc<str>>> {
+            match column {
+                Column::Str { dict, .. } => dict,
+                other => panic!("not a string column: {other:?}"),
+            }
+        }
+        fn distinct(column: &Column) -> usize {
+            let dict = dict(column);
+            let set: std::collections::HashSet<&str> = dict.iter().map(|s| s.as_ref()).collect();
+            assert_eq!(set.len(), dict.len(), "a string twice in {dict:?}");
+            dict.len()
+        }
+        let word = |i: usize| format!("w{}", i * 7 % 5);
+        let mut builder = ColumnarBuilder::with_capacity(2, 0);
+        for i in 0..20 {
+            builder.push_str(&word(i));
+            builder.push_value(&Value::str(word(i + 1)));
+        }
+        let built = builder.finish();
+        let (a, b) = (built.column(0), built.column(1));
+        assert_eq!((distinct(a), distinct(b)), (5, 5));
+        let from_values = Column::from_values((0..9).map(|i| Value::str(word(i + 3))).collect());
+        assert_eq!(distinct(&from_values), 5);
+
+        let positions = vec![7u32, 0, 7, 3, 19];
+        let gathered = a.gather(&positions);
+        assert_eq!(distinct(&gathered), 5);
+        assert!(Arc::ptr_eq(dict(&gathered), dict(a)), "a gather shares");
+        let pending = built.gather(Arc::new(positions));
+        assert_eq!(distinct(pending.column(1)), 5);
+
+        let fresh = Column::from_values(vec![Value::str("w1"), Value::str("new"), Value::Null]);
+        let joined = Column::concat(&[a, &gathered, b, &fresh, &from_values]);
+        assert_eq!(distinct(&joined), 6, "w0..w4 and new");
+        let parts = [Arc::new(built.clone()), Arc::new(pending)];
+        let batch = ColumnarBatch::concat(&parts, 2);
+        assert_eq!(
+            (distinct(batch.column(0)), distinct(batch.column(1))),
+            (5, 5)
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Aggregate accumulators with SQL null semantics.
 
-use geoqp_common::{GeoError, Result, Row, Value};
-use geoqp_expr::{AggFunc, BoundExpr};
+use geoqp_common::{DataType, GeoError, Result, Row, Schema, Value};
+use geoqp_expr::{bind, AggCall, AggFunc, BoundExpr};
 
 /// A single running aggregate.
 #[derive(Debug, Clone)]
@@ -52,6 +52,21 @@ pub struct BoundAgg {
 }
 
 impl BoundAgg {
+    /// `call` bound to the columns of `input`; a SUM accumulates in
+    /// integer space when its argument is declared `Int64`.
+    pub fn bind(call: &AggCall, input: &Schema) -> Result<BoundAgg> {
+        let arg = call.arg.as_ref().map(|e| bind(e, input)).transpose()?;
+        let int_sum = match &call.arg {
+            Some(e) => e.data_type(input)? == DataType::Int64,
+            None => false,
+        };
+        Ok(BoundAgg {
+            func: call.func,
+            arg,
+            int_sum,
+        })
+    }
+
     /// A fresh accumulator for this call.
     pub fn new_acc(&self) -> Accumulator {
         match self.func {
@@ -82,10 +97,41 @@ impl BoundAgg {
         self.apply(acc, value)
     }
 
+    /// An integer SUM's addend: `None` for NULL, an error for anything
+    /// but an integer. Both engines read a SUM(int) argument through here.
+    pub fn int_addend(v: Value) -> Result<Option<i64>> {
+        match v {
+            Value::Null => Ok(None),
+            Value::Int64(i) => Ok(Some(i)),
+            other => Err(GeoError::Execution(format!(
+                "SUM(int) got non-integer {other}"
+            ))),
+        }
+    }
+
+    /// A float SUM's or AVG's addend, as [`Value::as_f64`] reads it:
+    /// `None` for NULL, an error for a value that is no number. Both
+    /// engines read such an argument through here.
+    pub fn float_addend(&self, v: Value) -> Result<Option<f64>> {
+        if v.is_null() {
+            return Ok(None);
+        }
+        let name = if self.func == AggFunc::Avg {
+            "AVG"
+        } else {
+            "SUM"
+        };
+        let f = v
+            .as_f64()
+            .ok_or_else(|| GeoError::Execution(format!("{name} got non-numeric {v}")))?;
+        Ok(Some(f))
+    }
+
     /// Feed one already-evaluated argument value into an accumulator
-    /// (`None` = COUNT(*)'s argument-less case). The columnar engine
-    /// evaluates arguments column-at-a-time and feeds them through here,
-    /// so both engines share one set of null/overflow semantics.
+    /// (`None` = COUNT(*)'s argument-less case): the row engine's step.
+    /// The columnar engine accumulates per-group vectors instead, reading
+    /// a cell that is not of its typed layout through the same addend
+    /// rules, so both engines share one set of NULL and error semantics.
     pub fn apply(&self, acc: &mut Accumulator, value: Option<Value>) -> Result<()> {
         match acc {
             Accumulator::Count { n, star } => {
@@ -94,41 +140,19 @@ impl BoundAgg {
                 }
             }
             Accumulator::SumInt { sum, seen } => {
-                if let Some(v) = value {
-                    match v {
-                        Value::Null => {}
-                        Value::Int64(i) => {
-                            *sum = sum.wrapping_add(i);
-                            *seen = true;
-                        }
-                        other => {
-                            return Err(GeoError::Execution(format!(
-                                "SUM(int) got non-integer {other}"
-                            )))
-                        }
-                    }
+                if let Some(i) = value.map(BoundAgg::int_addend).transpose()?.flatten() {
+                    *sum = sum.wrapping_add(i);
+                    *seen = true;
                 }
             }
             Accumulator::SumFloat { sum, seen } => {
-                if let Some(v) = value {
-                    if v.is_null() {
-                        return Ok(());
-                    }
-                    let f = v
-                        .as_f64()
-                        .ok_or_else(|| GeoError::Execution(format!("SUM got non-numeric {v}")))?;
+                if let Some(f) = value.map(|v| self.float_addend(v)).transpose()?.flatten() {
                     *sum += f;
                     *seen = true;
                 }
             }
             Accumulator::Avg { sum, n } => {
-                if let Some(v) = value {
-                    if v.is_null() {
-                        return Ok(());
-                    }
-                    let f = v
-                        .as_f64()
-                        .ok_or_else(|| GeoError::Execution(format!("AVG got non-numeric {v}")))?;
+                if let Some(f) = value.map(|v| self.float_addend(v)).transpose()?.flatten() {
                     *sum += f;
                     *n += 1;
                 }
@@ -166,83 +190,7 @@ impl BoundAgg {
     }
 }
 
-impl BoundAgg {
-    /// True when this aggregate's result is independent of input order:
-    /// COUNT, MIN, MAX (ties keep the first-seen value, preserved by
-    /// merging partials in input order), and integer SUM (wrapping add is
-    /// associative and commutative). Float SUM and AVG accumulate in
-    /// non-associative `f64` adds, so their bit patterns depend on input
-    /// order and they must be fed sequentially.
-    pub fn order_insensitive(&self) -> bool {
-        match self.func {
-            AggFunc::Count | AggFunc::Min | AggFunc::Max => true,
-            AggFunc::Sum => self.int_sum,
-            AggFunc::Avg => false,
-        }
-    }
-}
-
 impl Accumulator {
-    /// Fold `later` (a partial accumulator over a later input range) into
-    /// `self`. For order-insensitive accumulators, merging partials in
-    /// input-range order is exactly equivalent to sequential
-    /// accumulation: MIN/MAX replace only on strict improvement, so ties
-    /// keep the earlier range's first-seen value.
-    pub fn merge(&mut self, later: Accumulator) {
-        match (self, later) {
-            (Accumulator::Count { n, .. }, Accumulator::Count { n: m, .. }) => *n += m,
-            (
-                Accumulator::SumInt { sum, seen },
-                Accumulator::SumInt {
-                    sum: s2,
-                    seen: seen2,
-                },
-            ) => {
-                *sum = sum.wrapping_add(s2);
-                *seen |= seen2;
-            }
-            (
-                Accumulator::SumFloat { sum, seen },
-                Accumulator::SumFloat {
-                    sum: s2,
-                    seen: seen2,
-                },
-            ) => {
-                *sum += s2;
-                *seen |= seen2;
-            }
-            (Accumulator::Avg { sum, n }, Accumulator::Avg { sum: s2, n: m }) => {
-                *sum += s2;
-                *n += m;
-            }
-            (Accumulator::Min(cur), Accumulator::Min(other)) => {
-                if let Some(v) = other {
-                    match cur {
-                        None => *cur = Some(v),
-                        Some(c) => {
-                            if v.total_cmp(c) == std::cmp::Ordering::Less {
-                                *cur = Some(v);
-                            }
-                        }
-                    }
-                }
-            }
-            (Accumulator::Max(cur), Accumulator::Max(other)) => {
-                if let Some(v) = other {
-                    match cur {
-                        None => *cur = Some(v),
-                        Some(c) => {
-                            if v.total_cmp(c) == std::cmp::Ordering::Greater {
-                                *cur = Some(v);
-                            }
-                        }
-                    }
-                }
-            }
-            _ => unreachable!("merge of mismatched accumulator variants"),
-        }
-    }
-
     /// The final SQL value of this accumulator.
     pub fn finish(&self) -> Value {
         match self {
@@ -350,64 +298,6 @@ mod tests {
             star.update(&mut acc, &vec![Value::Null]).unwrap();
         }
         assert_eq!(acc.finish(), Value::Int64(3));
-    }
-
-    #[test]
-    fn merged_partials_match_sequential_accumulation() {
-        // Split an input in half, accumulate each half, merge in range
-        // order: every order-insensitive aggregate must match the
-        // sequential result exactly — including MIN's tie-keeps-first
-        // rule across the numeric domain (Int64(1) vs Float64(1.0)).
-        let inputs = [
-            Value::Int64(3),
-            Value::Int64(1),
-            Value::Null,
-            Value::Float64(1.0),
-            Value::Int64(2),
-        ];
-        for (func, int_sum) in [
-            (AggFunc::Count, false),
-            (AggFunc::Min, false),
-            (AggFunc::Max, false),
-            (AggFunc::Sum, true),
-        ] {
-            let agg = bound(func, int_sum);
-            let sequential = {
-                let mut acc = agg.new_acc();
-                for v in &inputs {
-                    if func != AggFunc::Sum || matches!(v, Value::Int64(_) | Value::Null) {
-                        agg.apply(&mut acc, Some(v.clone())).unwrap();
-                    }
-                }
-                acc
-            };
-            let merged = {
-                let (a, b) = inputs.split_at(2);
-                let mut left = agg.new_acc();
-                let mut right = agg.new_acc();
-                for v in a {
-                    if func != AggFunc::Sum || matches!(v, Value::Int64(_) | Value::Null) {
-                        agg.apply(&mut left, Some(v.clone())).unwrap();
-                    }
-                }
-                for v in b {
-                    if func != AggFunc::Sum || matches!(v, Value::Int64(_) | Value::Null) {
-                        agg.apply(&mut right, Some(v.clone())).unwrap();
-                    }
-                }
-                left.merge(right);
-                left
-            };
-            let (s, m) = (sequential.finish(), merged.finish());
-            assert_eq!(s, m, "{func:?}");
-            // MIN's first-seen tie: Int64(1) arrives before Float64(1.0).
-            if func == AggFunc::Min {
-                assert!(matches!(m, Value::Int64(1)));
-            }
-            assert!(agg.order_insensitive());
-        }
-        assert!(!bound(AggFunc::Sum, false).order_insensitive());
-        assert!(!bound(AggFunc::Avg, false).order_insensitive());
     }
 
     #[test]

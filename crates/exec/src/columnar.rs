@@ -17,9 +17,10 @@
 //!   back to a per-row scalar mirror of `BoundExpr::eval`, evaluated in
 //!   row order so the first error matches the row engine's.
 //! * **Same rows, same order** — joins probe in input order and emit
-//!   matches in build-insertion order; aggregation feeds accumulators in
-//!   row order (float sums are order-sensitive) and sorts its output
-//!   with the row engine's one explicit final sort. Every operator is
+//!   matches in build-insertion order; aggregation folds every argument
+//!   in row order (float sums are order-sensitive) into per-group typed
+//!   vectors and orders its groups as the row engine's one explicit
+//!   final sort does. Every operator is
 //!   order-preserving, so SHIP payloads batch identically and shipped
 //!   bytes match to the byte.
 //!
@@ -37,12 +38,14 @@
 //! (whose byte accounting sizes every column, one task per column on the
 //! morsel pool), the plan root, and `Union` (which concatenates).
 
-use crate::aggregate::{Accumulator, BoundAgg};
-use crate::executor::{sort_group_keys, DataSource, ExchangeSource, NoExchange, ShipHandler};
-use crate::keyed::{positioning, JoinIndex, JoinSide, KeyEq, KeyIndex};
+use crate::aggregate::BoundAgg;
+use crate::executor::{DataSource, ExchangeSource, NoExchange, ShipHandler};
+use crate::keyed::{group_positioning, positioning, Grouping, JoinIndex, Keyed};
 use crate::parallel::{first_error, morsels, parallel_map, MorselRunner, SERIAL};
-use geoqp_common::{Cells, Column, ColumnarBatch, DataType, Result, Rows, SharedColumn, Value};
-use geoqp_expr::{apply_cmp, as_tv, bind, BinaryOp, BoundExpr, UnaryOp};
+use geoqp_common::{
+    Cells, Column, ColumnarBatch, DataType, GeoError, Result, Rows, SharedColumn, Value,
+};
+use geoqp_expr::{apply_cmp, as_tv, bind, AggFunc, BinaryOp, BoundExpr, UnaryOp};
 use geoqp_plan::{PhysOp, PhysicalPlan, SortKey};
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -571,9 +574,11 @@ fn col_lit_mask(
         let row = |&i: &u32| cells.get(i as usize).map(|cell| test(order(cell)));
         idx.iter().map(row).collect()
     }
-    // sql_cmp merges the numeric domain through f64 total_cmp.
+    // sql_cmp compares two integers exactly and merges any other pair of
+    // numbers through f64 total_cmp.
     let number = lit.data_type().filter(|t| t.is_numeric()).and(lit.as_f64());
     Some(match (col, lit, number) {
+        (Column::Int64(cells), Value::Int64(y), _) => mask(cells, idx, |x| x.cmp(y), test),
         (Column::Int64(cells), _, Some(y)) => mask(cells, idx, |x| (x as f64).total_cmp(&y), test),
         (Column::Float64(cells), _, Some(y)) => mask(cells, idx, |x| x.total_cmp(&y), test),
         (Column::Date(cells), Value::Date(d), _) => mask(cells, idx, |x| x.cmp(d), test),
@@ -925,9 +930,10 @@ fn execute_hash_join_columnar(
     })
 }
 
-/// `batch`'s selected rows, keyed by `keys`, as a join reads them.
-fn side<'a>(batch: &'a ColBatch, keys: &'a [usize]) -> JoinSide<'a> {
-    JoinSide {
+/// `batch`'s selected rows, keyed by `keys`, as a keyed kernel reads
+/// them.
+fn side<'a>(batch: &'a ColBatch, keys: &'a [usize]) -> Keyed<'a> {
+    Keyed {
         batch: &batch.batch,
         sel: batch.selection(),
         keys,
@@ -946,48 +952,37 @@ pub fn positioned_key(
     right: &ColBatch,
     right_keys: &[usize],
 ) -> Option<usize> {
-    positioning(&side(left, left_keys), &side(right, right_keys)).map(|p| p.pair)
+    positioning(&side(left, left_keys), &side(right, right_keys)).map(|p| p.key)
 }
 
-/// One group of a hash aggregate: its key is the key of input row `rep`
-/// (the first row that carried it), compared through [`KeyEq`] rather
-/// than materialized per candidate.
-struct Group {
-    fp: u64,
-    rep: u32,
-    accs: Vec<Accumulator>,
+/// Which grouping column — an index into `keys` — a hash aggregate
+/// over `input` positions its rows by, `None` when it hashes them: the
+/// rule the aggregate kernel applies, for a caller that wants to see it.
+/// An `Int64` or `Date` column whose selected values span at most four
+/// slots per selected row qualifies, and so does a string column whose
+/// dictionary is no longer; the one with the most distinct values among
+/// the selected rows wins.
+pub fn positioned_group_key(input: &ColBatch, keys: &[usize]) -> Option<usize> {
+    group_positioning(&side(input, keys)).map(|p| p.key)
 }
 
-/// The groups of one input range in first-appearance order, indexed by
-/// key fingerprint.
-struct Groups {
-    index: KeyIndex,
-    list: Vec<Group>,
-}
-
-impl Groups {
-    fn new() -> Groups {
-        Groups {
-            index: KeyIndex::with_capacity(0),
-            list: Vec::new(),
-        }
-    }
-
-    /// The group whose key equals physical row `row`'s, if any.
-    fn find(&self, keq: &KeyEq<'_>, fp: u64, row: u32) -> Option<usize> {
-        let same_key = |&g: &u32| keq.eq(self.list[g as usize].rep as usize, row as usize);
-        self.index.candidates(fp).find(same_key).map(|g| g as usize)
-    }
-
-    /// Append a group whose key is physical row `rep`'s; returns its
-    /// position.
-    fn add(&mut self, fp: u64, rep: u32, accs: Vec<Accumulator>) -> usize {
-        self.index.insert(fp, self.list.len() as u32);
-        self.list.push(Group { fp, rep, accs });
-        self.list.len() - 1
-    }
-}
-
+/// Hash aggregate, output bit-identical to the row engine's, in three
+/// column-at-a-time steps:
+///
+/// * **Group ids** — one serial pass gives every selected row a dense
+///   group id in first-appearance order ([`Grouping`]): by slot when a
+///   key column positions, by fingerprint otherwise, candidates verified
+///   by `KeyEq` either way.
+/// * **Accumulate** — each aggregate folds its argument column, in row
+///   order, into per-group typed vectors ([`Acc`]); a cell outside its
+///   typed layout goes through [`Column::get`] and `BoundAgg`'s addend
+///   rules, so NULLs and errors are the row engine's. The first error in
+///   row order (then aggregate order) wins, as it would row by row.
+/// * **Emit** — groups are ordered by their keys as the row engine's one
+///   final sort orders them (read off the slots when the first key
+///   positions without a chain), and the output is the key columns
+///   gathered at each group's first row beside the accumulators, laid out
+///   as [`Column::from_values`] would lay their values out.
 fn execute_hash_aggregate_columnar(
     plan: &PhysicalPlan,
     group_by: &[String],
@@ -1005,27 +1000,15 @@ fn execute_hash_aggregate_columnar(
 
     let bound: Vec<BoundAgg> = aggs
         .iter()
-        .map(|a| {
-            let arg = a.arg.as_ref().map(|e| bind(e, &input.schema)).transpose()?;
-            let int_sum = match &a.arg {
-                Some(e) => e.data_type(&input.schema)? == DataType::Int64,
-                None => false,
-            };
-            Ok(BoundAgg {
-                func: a.func,
-                arg,
-                int_sum,
-            })
-        })
+        .map(|a| BoundAgg::bind(a, &input.schema))
         .collect::<Result<_>>()?;
 
-    // Evaluate every aggregate argument column-at-a-time up front: a
-    // plain column reference is the input's own column, read in place
+    // Every aggregate argument column-at-a-time, over the selected rows:
+    // a plain column reference is the input's own column, read in place
     // (computed expressions the scalar mirror must evaluate split into
     // morsels; the chunks rejoin before type sniffing, so the columns
     // match sequential evaluation exactly).
     let runner = exchange.runner();
-    let b = &in_batch.batch;
     let base = in_batch.materialize();
     let args: Vec<Option<SharedColumn>> = bound
         .iter()
@@ -1041,87 +1024,216 @@ fn execute_hash_aggregate_columnar(
         .map(|arg| arg.as_ref().map(SharedColumn::get))
         .collect();
 
-    // NULL is a key value when grouping, so `live` only tells the
-    // comparator whether it may skip the validity checks.
-    let (fps, live) = b.key_fingerprints(&gidx, in_batch.selection());
-    let keq = KeyEq::new(b, &gidx, b, &gidx, live.iter().all(|&l| l));
-
-    // Rows `lo..hi` of the selection, grouped: each row joins the group
-    // whose representative row carries its key, or starts one, then
-    // feeds that group's accumulators — in row order.
-    let fresh = || bound.iter().map(BoundAgg::new_acc).collect::<Vec<_>>();
-    let accumulate = |(lo, hi): (usize, usize)| -> Result<Groups> {
-        let mut groups = Groups::new();
-        for (k, &fp) in fps.iter().enumerate().take(hi).skip(lo) {
-            let row = in_batch.phys(k) as u32;
-            let g = groups
-                .find(&keq, fp, row)
-                .unwrap_or_else(|| groups.add(fp, row, fresh()));
-            for (a, agg) in bound.iter().enumerate() {
-                let value = args[a].map(|col| col.get(k));
-                agg.apply(&mut groups.list[g].accs[a], value)?;
+    let grouping = Grouping::of(side(&in_batch, &gidx));
+    // SQL: a global aggregate over empty input yields one row.
+    let n_groups = match grouping.reps.len() {
+        0 if gidx.is_empty() => 1,
+        n => n,
+    };
+    // The error of the first failing row (of the first aggregate that
+    // fails there): the one the row engine meets first.
+    let mut accs = Vec::with_capacity(bound.len());
+    let mut first_error: Option<(usize, GeoError)> = None;
+    for (agg, arg) in bound.iter().zip(&args) {
+        match Acc::accumulate(agg, *arg, &grouping.ids, n_groups) {
+            Ok(acc) => accs.push(acc),
+            Err((k, e)) if first_error.as_ref().is_none_or(|(at, _)| k < *at) => {
+                first_error = Some((k, e))
             }
+            Err(_) => {}
         }
-        Ok(groups)
-    };
+    }
+    if let Some((_, e)) = first_error {
+        return Err(e);
+    }
 
-    // When any aggregate is order-sensitive (float SUM/AVG accumulate in
-    // non-associative f64 adds), rows feed the accumulators sequentially
-    // in input order, exactly like the row engine. When every aggregate
-    // is order-insensitive, morsels accumulate partial groups in parallel
-    // and later morsels fold into the first in morsel order — provably
-    // the same result (see `Accumulator::merge`), with groups in global
-    // first-appearance order either way.
-    let bounds = if bound.iter().all(BoundAgg::order_insensitive) && !bound.is_empty() {
-        morsels(runner, fps.len())
-    } else {
-        vec![(0, fps.len())]
-    };
-    let partials = parallel_map(runner, bounds.len(), |m| accumulate(bounds[m]));
-    let mut partials = first_error(partials)?.into_iter();
-    let mut groups = partials.next().expect("at least one morsel");
-    for later in partials {
-        for group in later.list {
-            match groups.find(&keq, group.fp, group.rep) {
-                Some(g) => {
-                    for (dst, src) in groups.list[g].accs.iter_mut().zip(group.accs) {
-                        dst.merge(src);
+    let b = &in_batch.batch;
+    let order = grouping.sorted.unwrap_or_else(|| {
+        // The row engine's `sort_group_keys`, over group ids in
+        // first-appearance order with the same comparisons: the same
+        // permutation, ties included.
+        let mut order: Vec<u32> = (0..n_groups as u32).collect();
+        let keys: Vec<&Column> = gidx.iter().map(|&c| b.column(c)).collect();
+        let reps = &grouping.reps;
+        order.sort_unstable_by(|&x, &y| {
+            let (x, y) = (reps[x as usize] as usize, reps[y as usize] as usize);
+            let mut ord = keys.iter().map(|key| key.cmp_at(x, y));
+            ord.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
+        });
+        order
+    });
+    // (A global aggregate over no rows has one group and no row: it has
+    // no key column to read either.)
+    let reps: Vec<u32> = order
+        .iter()
+        .filter_map(|&g| grouping.reps.get(g as usize).copied())
+        .collect();
+    let keys = gidx.iter().map(|&c| b.column(c).gather(&reps));
+    let values = accs
+        .into_iter()
+        .zip(&bound)
+        .zip(&args)
+        .map(|((acc, agg), arg)| acc.finish(agg.func, *arg).gather(&order));
+    let columns: Vec<Column> = keys.chain(values).map(sniffed).collect();
+    debug_assert_eq!(columns.len(), plan.schema.len());
+    Ok(ColBatch::all(Arc::new(ColumnarBatch::from_shared(
+        order.len(),
+        columns.into_iter().map(Into::into).collect(),
+    ))))
+}
+
+/// One aggregate's state for every group: typed vectors indexed by group
+/// id.
+enum Acc {
+    /// COUNT: the rows counted.
+    Count(Vec<i64>),
+    /// Integer SUM: the wrapping totals, and which groups saw a non-NULL
+    /// row.
+    IntSum(Vec<i64>, Vec<bool>),
+    /// Float SUM and AVG: the totals and the non-NULL rows added.
+    FloatSum(Vec<f64>, Vec<i64>),
+    /// MIN and MAX: the argument row holding each group's extreme — its
+    /// first row until a non-NULL one arrives, then the first of the
+    /// strictly best under `Value::total_cmp` (`NONE` for a group with no
+    /// row at all).
+    Extreme(Vec<u32>),
+}
+
+/// A group with no row yet.
+const NONE: u32 = u32::MAX;
+
+impl Acc {
+    /// Fold `arg` (`None` = COUNT(*)'s), one cell per selected row, into
+    /// the `n_groups` groups `ids` assigns. On error: the first failing
+    /// row and the error.
+    fn accumulate(
+        agg: &BoundAgg,
+        arg: Option<&Column>,
+        ids: &[u32],
+        n_groups: usize,
+    ) -> std::result::Result<Acc, (usize, GeoError)> {
+        let rows = ids.iter().map(|&g| g as usize).enumerate();
+        Ok(match (agg.func, arg) {
+            (AggFunc::Count, arg) => {
+                let mut n = vec![0; n_groups];
+                for (k, g) in rows {
+                    n[g] += i64::from(arg.is_none_or(|c| !c.is_null(k)));
+                }
+                Acc::Count(n)
+            }
+            (AggFunc::Sum, arg) if agg.int_sum => {
+                let (mut sum, mut seen) = (vec![0i64; n_groups], vec![false; n_groups]);
+                let mut add = |g: usize, x: i64| {
+                    sum[g] = sum[g].wrapping_add(x);
+                    seen[g] = true;
+                };
+                match arg {
+                    Some(Column::Int64(cells)) => numbers(cells, ids, |x| x, &mut add),
+                    Some(col) => {
+                        for (k, g) in rows {
+                            let x = BoundAgg::int_addend(col.get(k)).map_err(|e| (k, e))?;
+                            x.into_iter().for_each(|x| add(g, x));
+                        }
+                    }
+                    None => {}
+                }
+                Acc::IntSum(sum, seen)
+            }
+            (AggFunc::Sum | AggFunc::Avg, arg) => {
+                let (mut sum, mut n) = (vec![0.0; n_groups], vec![0; n_groups]);
+                let mut add = |g: usize, x: f64| {
+                    sum[g] += x;
+                    n[g] += 1;
+                };
+                match arg {
+                    Some(Column::Int64(cells)) => numbers(cells, ids, |x| x as f64, &mut add),
+                    Some(Column::Float64(cells)) => numbers(cells, ids, |x| x, &mut add),
+                    Some(Column::Date(cells)) => numbers(cells, ids, f64::from, &mut add),
+                    Some(col) => {
+                        for (k, g) in rows {
+                            let x = agg.float_addend(col.get(k)).map_err(|e| (k, e))?;
+                            x.into_iter().for_each(|x| add(g, x));
+                        }
+                    }
+                    None => {}
+                }
+                Acc::FloatSum(sum, n)
+            }
+            (AggFunc::Min | AggFunc::Max, arg) => {
+                let better = match agg.func {
+                    AggFunc::Min => Ordering::Less,
+                    _ => Ordering::Greater,
+                };
+                let mut at = vec![NONE; n_groups];
+                if let Some(col) = arg {
+                    for (k, g) in rows {
+                        let cur = at[g] as usize;
+                        let replace = at[g] == NONE
+                            || !col.is_null(k)
+                                && (col.is_null(cur) || col.cmp_at(k, cur) == better);
+                        if replace {
+                            at[g] = k as u32;
+                        }
                     }
                 }
-                None => {
-                    groups.add(group.fp, group.rep, group.accs);
-                }
+                Acc::Extreme(at)
             }
+        })
+    }
+
+    /// The aggregate's output column, one cell per group id: NULL where
+    /// a SUM, AVG, MIN or MAX saw no non-NULL row.
+    fn finish(self, func: AggFunc, arg: Option<&Column>) -> Column {
+        match self {
+            Acc::Count(n) => Column::Int64(Cells {
+                valid: vec![true; n.len()],
+                values: n,
+            }),
+            Acc::IntSum(values, valid) => Column::Int64(Cells { values, valid }),
+            Acc::FloatSum(sum, n) => {
+                let avg = |(s, &n): (f64, &i64)| match func {
+                    AggFunc::Avg if n > 0 => s / n as f64,
+                    _ => s,
+                };
+                Column::Float64(Cells {
+                    valid: n.iter().map(|&n| n > 0).collect(),
+                    values: sum.into_iter().zip(&n).map(avg).collect(),
+                })
+            }
+            Acc::Extreme(at) => match arg {
+                Some(col) if !at.contains(&NONE) => col.gather(&at),
+                // Only a global aggregate over no rows has a group with
+                // no row: its one value is NULL.
+                _ => Column::from_values(vec![Value::Null; at.len()]),
+            },
         }
     }
-    let mut groups: Vec<(Vec<Value>, Vec<Accumulator>)> = groups
-        .list
-        .into_iter()
-        .map(|g| {
-            let key = gidx.iter().map(|&c| b.get(g.rep as usize, c)).collect();
-            (key, g.accs)
-        })
-        .collect();
+}
 
-    // SQL: a global aggregate over empty input yields one row.
-    if groups.is_empty() && group_by.is_empty() {
-        groups.push((vec![], fresh()));
+/// Feed `add(group, x)` the value `to` reads from each valid cell, in
+/// row order.
+fn numbers<T: Copy + Default, X>(
+    cells: &Cells<T>,
+    ids: &[u32],
+    to: impl Fn(T) -> X,
+    add: &mut impl FnMut(usize, X),
+) {
+    for (k, &g) in ids.iter().enumerate() {
+        if cells.valid[k] {
+            add(g as usize, to(cells.values[k]));
+        }
     }
+}
 
-    // The same single explicit final sort as the row engine.
-    sort_group_keys(&mut groups);
-
-    let rows: Vec<Vec<Value>> = groups
-        .into_iter()
-        .map(|(mut key, accs)| {
-            key.extend(accs.iter().map(Accumulator::finish));
-            key
-        })
-        .collect();
-    Ok(ColBatch::all(Arc::new(ColumnarBatch::from_rows(
-        &rows,
-        plan.schema.len(),
-    ))))
+/// `column` laid out as [`Column::from_values`] lays out its values: a
+/// mixed column whose rows turn out to share one type is that type, and
+/// a column with no non-NULL row is an `Int64` one.
+fn sniffed(column: Column) -> Column {
+    match column {
+        Column::Any { values } => Column::from_values(values),
+        c if (0..c.len()).all(|i| c.is_null(i)) => Column::from_values(vec![Value::Null; c.len()]),
+        c => c,
+    }
 }
 
 #[cfg(test)]
@@ -1199,7 +1311,35 @@ mod tests {
                 ev(Some(0), None, 5.5),
             ]),
         );
+        // One column per typed layout BETWEEN compares, NULL in each, and
+        // integers past f64's 53-bit mantissa.
+        let big = 1i64 << 53;
+        let typed = |i: i64, d: i32, t: &str| vec![Value::Int64(i), Value::Date(d), Value::str(t)];
+        s.insert(
+            TableRef::bare("typed"),
+            loc("N"),
+            Rows::from_rows(vec![
+                typed(1, 10, "apple"),
+                typed(big, -3, "kiwi"),
+                vec![Value::Null, Value::Null, Value::Null],
+                typed(big + 1, 12, "fig"),
+                typed(3, 11, "banana"),
+                typed(-2, 20, "cherry"),
+            ]),
+        );
         s
+    }
+
+    fn typed_scan() -> Arc<PhysicalPlan> {
+        scan_node(
+            "typed",
+            "N",
+            vec![
+                Field::new("i", DataType::Int64),
+                Field::new("d", DataType::Date),
+                Field::new("t", DataType::Str),
+            ],
+        )
     }
 
     fn events_scan() -> Arc<PhysicalPlan> {
@@ -1806,8 +1946,38 @@ mod tests {
                     .lt(ScalarExpr::lit(500.0)),
             ),
         ];
-        for p in preds {
-            let scan = customer_scan();
+        // BETWEEN with literal bounds over each typed layout, and integer
+        // comparisons past f64's 53-bit mantissa.
+        fn lit(v: impl Into<Value>) -> ScalarExpr {
+            ScalarExpr::lit(v)
+        }
+        let col = ScalarExpr::col;
+        let big = 1i64 << 53;
+        let typed = vec![
+            col("i").between(lit(1i64), lit(3i64)),
+            col("i").between(lit(Value::Null), lit(3i64)),
+            col("i").between(lit(0i64), lit(Value::Null)),
+            col("i").between(lit(1i64), lit(3i64)).not(),
+            ScalarExpr::Between {
+                expr: Box::new(col("i")),
+                low: Box::new(lit(1i64)),
+                high: Box::new(lit(3i64)),
+                negated: true,
+            },
+            col("i").between(lit(0.5), lit(3.0)),
+            col("i").between(lit(-2.5), lit(1i64)),
+            // Exact past 2^53, where an f64 would call big and big + 1 equal.
+            col("i").between(lit(big + 1), lit(big + 1)),
+            col("i").gt(lit(big)),
+            col("d").between(lit(Value::Date(10)), lit(Value::Date(12))),
+            col("d").between(lit(Value::Date(11)), lit(Value::Date(10))),
+            col("t").between(lit(Value::str("b")), lit(Value::str("g"))),
+            // Incomparable bounds: false legs, never an error.
+            col("d").between(lit(1i64), lit(20i64)),
+            col("t").between(lit(Value::str("a")), lit(5i64)),
+        ];
+        let scans = preds.into_iter().map(|p| (customer_scan(), p));
+        for (scan, p) in scans.chain(typed.into_iter().map(|p| (typed_scan(), p))) {
             let schema = Arc::clone(&scan.schema);
             let plan = PhysicalPlan::new(
                 PhysOp::Filter {
@@ -1819,8 +1989,8 @@ mod tests {
             )
             .unwrap();
             let row = execute(&plan, &source(), &mut LocalShip).unwrap();
-            let col = execute_columnar(&plan, &source(), &mut LocalShip).unwrap();
-            assert_eq!(row, col, "predicate {p:?} diverged");
+            let columnar = execute_columnar(&plan, &source(), &mut LocalShip).unwrap();
+            assert_eq!(row, columnar, "predicate {p:?} diverged");
         }
     }
 

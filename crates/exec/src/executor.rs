@@ -1,9 +1,7 @@
 //! The recursive physical-plan interpreter.
 
 use crate::aggregate::BoundAgg;
-use geoqp_common::{
-    ColumnarBatch, DataType, GeoError, Location, Result, Row, Rows, Schema, TableRef, Value,
-};
+use geoqp_common::{ColumnarBatch, GeoError, Location, Result, Row, Rows, Schema, TableRef, Value};
 use geoqp_expr::{bind, BoundExpr};
 use geoqp_plan::{PhysOp, PhysicalPlan, SortKey};
 use std::collections::HashMap;
@@ -300,18 +298,7 @@ fn execute_hash_aggregate(
 
     let bound: Vec<BoundAgg> = aggs
         .iter()
-        .map(|a| {
-            let arg = a.arg.as_ref().map(|e| bind(e, &input.schema)).transpose()?;
-            let int_sum = match &a.arg {
-                Some(e) => e.data_type(&input.schema)? == DataType::Int64,
-                None => false,
-            };
-            Ok(BoundAgg {
-                func: a.func,
-                arg,
-                int_sum,
-            })
-        })
+        .map(|a| BoundAgg::bind(a, &input.schema))
         .collect::<Result<_>>()?;
 
     let mut groups: HashMap<Vec<Value>, Vec<crate::aggregate::Accumulator>> = HashMap::new();
@@ -402,7 +389,7 @@ impl DataSource for MapSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geoqp_common::Field;
+    use geoqp_common::{DataType, Field};
     use geoqp_expr::{AggCall, AggFunc, ScalarExpr};
 
     fn loc(n: &str) -> Location {

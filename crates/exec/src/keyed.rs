@@ -12,21 +12,27 @@
 //!   leaves half the word constant (an `f64`-encoded small integer does)
 //!   costs nothing here. Collisions, of fingerprints or of positions,
 //!   cost comparisons, never correctness: `candidates` may yield ids
-//!   whose key differs, and the caller's [`KeyEq`] decides. Every
-//!   aggregate hashes, and so does every join [`positioning`] turns down.
+//!   whose key differs, and the caller's [`KeyEq`] decides. A join
+//!   [`positioning`] turns down hashes, and so does a grouping
+//!   [`group_positioning`] turns down.
 //! * **Positioned** — a join with an `Int64 = Int64` or `Date = Date` key
 //!   pair whose build-side values span few enough slots
 //!   ([`SLOTS_PER_ROW`] per input row) puts a build row whose key is `v`
 //!   at `v − min` of a flat array, and the probe reads its own key column
 //!   instead: one subtraction replaces fingerprinting both sides and the
 //!   finalizer. The widest such span wins (it tells the most rows apart);
-//!   [`KeyEq`] verifies the other pairs.
+//!   [`KeyEq`] verifies the other pairs. A grouping positions the same
+//!   way by an `Int64` or `Date` column, or by a string column's
+//!   dictionary code (a dictionary holds each string once, so a code is
+//!   a position already), NULL in a slot of its own; of several such
+//!   columns the one with the most distinct values wins, and the groups
+//!   that share a slot chain.
 //!
-//! Both yield a key's rows in build insertion order — the property that
-//! makes join match order and group numbering a function of the input
-//! alone — so which way a join positions its rows never shows in its
-//! match list. [`JoinIndex`] is the join's one build/probe interface over
-//! either.
+//! Both yield a key's rows in insertion order — the property that makes
+//! join match order and group numbering a function of the input alone —
+//! so which way a kernel positions its rows never shows in its output.
+//! [`JoinIndex`] is the join's one build/probe interface over either,
+//! [`Grouping`] the aggregate's.
 
 use geoqp_common::{Cells, Column, ColumnarBatch};
 
@@ -40,9 +46,9 @@ const MAX_LOAD: usize = 1;
 /// Smallest slot count (a power of two).
 const MIN_SLOTS: usize = 16;
 
-/// Array slots a positioned join may spend per input row, build plus
-/// probe: a wider span is mostly empty slots, and hashing is cheaper
-/// than the memory.
+/// Array slots a positioned join may spend per input row (build plus
+/// probe), and a positioned grouping per selected row: a wider span is
+/// mostly empty slots, and hashing is cheaper than the memory.
 const SLOTS_PER_ROW: usize = 4;
 
 /// One `(fingerprint, id)` pair, chained to the next pair that was
@@ -181,18 +187,19 @@ impl<'a> KeyEq<'a> {
     }
 }
 
-/// One input of a join, as its kernel reads it.
+/// Selected rows of a batch and their key columns, as a keyed kernel
+/// reads them: one input of a join, or a grouping's input.
 #[derive(Clone, Copy)]
-pub(crate) struct JoinSide<'a> {
+pub(crate) struct Keyed<'a> {
     pub(crate) batch: &'a ColumnarBatch,
     /// The selected physical rows, in order and never repeated (a
     /// filter's, sort's or limit's selection); `None` = every row.
     pub(crate) sel: Option<&'a [u32]>,
-    /// Key columns, pairwise with the other side's.
+    /// Key columns; a join's pairwise with the other side's.
     pub(crate) keys: &'a [usize],
 }
 
-impl<'a> JoinSide<'a> {
+impl<'a> Keyed<'a> {
     /// Selected rows.
     fn len(&self) -> usize {
         self.sel.map_or(self.batch.len(), <[u32]>::len)
@@ -210,16 +217,24 @@ impl<'a> JoinSide<'a> {
         let columns = self.keys.iter().map(|&c| self.batch.column(c));
         columns.filter(|c| c.has_null()).collect()
     }
+
+    /// The key columns but the `skip`-th.
+    fn keys_but(&self, skip: usize) -> Vec<usize> {
+        let others = self.keys.iter().enumerate().filter(|&(k, _)| k != skip);
+        others.map(|(_, &c)| c).collect()
+    }
 }
 
-/// Which key pair positions a join's build rows, and how.
+/// Which key positions a keyed kernel's rows, and how.
 pub(crate) struct Positioning {
-    /// Index into the sides' `keys`.
-    pub(crate) pair: usize,
-    /// The smallest valid build-side value (0 when there is none).
+    /// Index into the input's `keys` (a join's, pairwise).
+    pub(crate) key: usize,
+    /// Subtracted from a key before it is a slot: the smallest valid
+    /// value of an integer key (0 when there is none), 0 for a
+    /// dictionary code.
     min: i64,
-    /// `max − min + 1` over the valid build-side values (0 when there is
-    /// none): exactly the table's length.
+    /// Slots the valid values need: `max − min + 1` of an integer key (0
+    /// when there is none), the dictionary's length for a string key.
     span: usize,
 }
 
@@ -230,17 +245,20 @@ enum Ints<'a> {
     Date(&'a [i32]),
 }
 
-/// `(min, max)` of `cells` over `side`'s selected rows where it is
-/// valid; `None` when no row is.
-fn min_max<T: Copy + Into<i64>>(side: &JoinSide<'_>, cells: &Cells<T>) -> Option<(i64, i64)> {
-    (0..side.len())
+/// `(min, max − min + 1)` of `cells` over `side`'s selected rows where it
+/// is valid, `(0, 0)` when no row is: `i128`, because `i64::MIN` and
+/// `i64::MAX` on one side span 2^64 values.
+fn range<T: Copy + Into<i64>>(side: &Keyed<'_>, cells: &Cells<T>) -> (i64, i128) {
+    let valid = (0..side.len())
         .map(|k| side.phys(k))
-        .filter(|&i| cells.valid[i])
+        .filter(|&i| cells.valid[i]);
+    let bounds = valid
         .map(|i| cells.values[i].into())
         .fold(None, |acc, v| match acc {
             None => Some((v, v)),
             Some((lo, hi)) => Some((v.min(lo), v.max(hi))),
-        })
+        });
+    bounds.map_or((0, 0), |(lo, hi)| (lo, hi as i128 - lo as i128 + 1))
 }
 
 /// The key pair whose build-side values position `build`'s rows for
@@ -248,25 +266,195 @@ fn min_max<T: Copy + Into<i64>>(side: &JoinSide<'_>, cells: &Cells<T>) -> Option
 /// and `Date = Date` pairs whose values span at most [`SLOTS_PER_ROW`]
 /// slots per row of the two inputs, the widest (the first of equals).
 /// Every other pairing — strings, `Int64 = Float64` — hashes, and so
-/// does a span the bound turns down: `i64::MIN` and `i64::MAX` on one
-/// side span 2^64 values, which the bound's `i128` arithmetic sees.
-pub(crate) fn positioning(build: &JoinSide<'_>, probe: &JoinSide<'_>) -> Option<Positioning> {
+/// does a span the bound turns down.
+pub(crate) fn positioning(build: &Keyed<'_>, probe: &Keyed<'_>) -> Option<Positioning> {
     let limit = SLOTS_PER_ROW.saturating_mul(build.len() + probe.len()) as i128;
     let (mut best, mut widest) = (None, -1);
-    for (pair, (&b, &p)) in build.keys.iter().zip(probe.keys).enumerate() {
-        let range = match (build.batch.column(b), probe.batch.column(p)) {
-            (Column::Int64(cells), Column::Int64(_)) => min_max(build, cells),
-            (Column::Date(cells), Column::Date(_)) => min_max(build, cells),
+    for (key, (&b, &p)) in build.keys.iter().zip(probe.keys).enumerate() {
+        let (min, span) = match (build.batch.column(b), probe.batch.column(p)) {
+            (Column::Int64(cells), Column::Int64(_)) => range(build, cells),
+            (Column::Date(cells), Column::Date(_)) => range(build, cells),
             _ => continue,
         };
-        let (min, span) = range.map_or((0, 0), |(lo, hi)| (lo, hi as i128 - lo as i128 + 1));
         if span <= limit && span > widest {
             widest = span;
             let span = span as usize;
-            best = Some(Positioning { pair, min, span });
+            best = Some(Positioning { key, min, span });
         }
     }
     best
+}
+
+/// The key column that positions a grouping of `input`'s rows, or
+/// `None` when the grouping hashes. A column qualifies when its slots
+/// are few — an `Int64` or `Date` column whose values span at most
+/// [`SLOTS_PER_ROW`] slots per selected row, or a string column whose
+/// dictionary is no longer (a code already is a position); `Float64`,
+/// `Bool` and mixed columns never do. Of several, the one with the most
+/// distinct values among the selected rows wins (the first of equals):
+/// it leaves the fewest groups sharing a slot, where a span or a
+/// dictionary's length — both counting values no row holds — would
+/// rank a customer's name above its key although they tell the same
+/// rows apart.
+pub(crate) fn group_positioning(input: &Keyed<'_>) -> Option<Positioning> {
+    let limit = SLOTS_PER_ROW.saturating_mul(input.len()) as i128;
+    let mut best: Option<(usize, Positioning)> = None;
+    for (key, &c) in input.keys.iter().enumerate() {
+        let candidate = match input.batch.column(c) {
+            Column::Int64(cells) => candidate(input, cells, key, range(input, cells), limit),
+            Column::Date(cells) => candidate(input, cells, key, range(input, cells), limit),
+            Column::Str { dict, codes, .. } => {
+                candidate(input, codes, key, (0, dict.len() as i128), limit)
+            }
+            _ => None,
+        };
+        if let Some((distinct, at)) = candidate {
+            if best.as_ref().is_none_or(|(most, _)| distinct > *most) {
+                best = Some((distinct, at));
+            }
+        }
+    }
+    best.map(|(_, at)| at)
+}
+
+/// Key `key` of a grouping, its `cells` positioned from `min` over
+/// `span` slots, when that is at most `limit`: with the number of slots
+/// the selected rows fill — its distinct values, NULL counting as one.
+fn candidate<T: Copy + Into<i64>>(
+    input: &Keyed<'_>,
+    cells: &Cells<T>,
+    key: usize,
+    (min, span): (i64, i128),
+    limit: i128,
+) -> Option<(usize, Positioning)> {
+    if span > limit {
+        return None;
+    }
+    let mut seen = vec![false; span as usize + 1];
+    let slots = (0..input.len()).map(|k| slot(cells, input.phys(k), min));
+    let distinct = slots
+        .filter(|&p| !std::mem::replace(&mut seen[p], true))
+        .count();
+    let span = span as usize;
+    Some((distinct, Positioning { key, min, span }))
+}
+
+/// The slot of physical row `i` in a grouping positioned by `cells`: 0
+/// for a NULL, `v − min + 1` for a value `v`.
+#[inline]
+fn slot<T: Copy + Into<i64>>(cells: &Cells<T>, i: usize, min: i64) -> usize {
+    match cells.valid[i] {
+        true => cells.values[i].into().wrapping_sub(min) as usize + 1,
+        false => 0,
+    }
+}
+
+/// Each selected row's group, numbered densely in first-appearance
+/// order whichever way the rows were grouped.
+pub(crate) struct Grouping {
+    /// The group of each selected row.
+    pub(crate) ids: Vec<u32>,
+    /// Each group's first physical row: the row its key is read from.
+    pub(crate) reps: Vec<u32>,
+    /// The groups in ascending key order, when the slots already hold
+    /// it: the first key column is an integer that positions, and no
+    /// slot holds two groups, so slot order is that column's order, NULL
+    /// (slot 0) first.
+    pub(crate) sorted: Option<Vec<u32>>,
+}
+
+impl Grouping {
+    /// Group `input`'s selected rows by its key columns, NULL equal to
+    /// NULL: by the key [`group_positioning`] picks, the other keys
+    /// verified with [`KeyEq`], or by key fingerprint when it picks none.
+    pub(crate) fn of(input: Keyed<'_>) -> Grouping {
+        let Some(at) = group_positioning(&input) else {
+            return Grouping::hashed(input);
+        };
+        let integer_first = at.key == 0;
+        match input.batch.column(input.keys[at.key]) {
+            Column::Int64(cells) => Grouping::positioned(input, &at, cells, integer_first),
+            Column::Date(cells) => Grouping::positioned(input, &at, cells, integer_first),
+            Column::Str { codes, .. } => Grouping::positioned(input, &at, codes, false),
+            // `group_positioning` picks only the three layouts above.
+            _ => Grouping::hashed(input),
+        }
+    }
+
+    /// Group by fingerprint through a [`KeyIndex`] of group ids.
+    fn hashed(input: Keyed<'_>) -> Grouping {
+        let (fps, live) = input.batch.key_fingerprints(input.keys, input.sel);
+        // NULL is a key value when grouping, so `live` only tells the
+        // comparator whether it may skip the validity checks.
+        let null_free = live.iter().all(|&l| l);
+        let keq = KeyEq::new(input.batch, input.keys, input.batch, input.keys, null_free);
+        let mut index = KeyIndex::with_capacity(0);
+        let (mut ids, mut reps) = (Vec::with_capacity(fps.len()), Vec::new());
+        for (k, &fp) in fps.iter().enumerate() {
+            let i = input.phys(k);
+            let found = index
+                .candidates(fp)
+                .find(|&g| keq.eq(reps[g as usize] as usize, i));
+            let g = found.unwrap_or_else(|| {
+                let g = reps.len() as u32;
+                index.insert(fp, g);
+                reps.push(i as u32);
+                g
+            });
+            ids.push(g);
+        }
+        Grouping {
+            ids,
+            reps,
+            sorted: None,
+        }
+    }
+
+    /// Group by slot: a row whose positioning key is `v` lands in slot
+    /// `v − min + 1`, a NULL in slot 0, and a slot chains the groups that
+    /// share it (their other keys differ). `ordered` says slot order is
+    /// key order, which is what lets [`Grouping::sorted`] be read off.
+    fn positioned<T: Copy + Default + Into<i64>>(
+        input: Keyed<'_>,
+        at: &Positioning,
+        cells: &Cells<T>,
+        ordered: bool,
+    ) -> Grouping {
+        assert!(
+            input.batch.len() < NONE as usize,
+            "a grouping holds under 2^32 - 1 rows"
+        );
+        let rest = input.keys_but(at.key);
+        let null_free = rest.iter().all(|&c| !input.batch.column(c).has_null());
+        let keq = KeyEq::new(input.batch, &rest, input.batch, &rest, null_free);
+        let mut heads = vec![NONE; at.span + 1];
+        // Per group: the next group in its slot.
+        let mut next: Vec<u32> = Vec::new();
+        let (mut ids, mut reps) = (Vec::with_capacity(input.len()), Vec::new());
+        let mut chained = false;
+        for k in 0..input.len() {
+            let i = input.phys(k);
+            let slot = slot(cells, i, at.min);
+            let mut g = heads[slot];
+            while g != NONE && !keq.eq(reps[g as usize] as usize, i) {
+                g = next[g as usize];
+            }
+            if g == NONE {
+                g = reps.len() as u32;
+                chained |= heads[slot] != NONE;
+                next.push(heads[slot]);
+                heads[slot] = g;
+                reps.push(i as u32);
+            }
+            ids.push(g);
+        }
+        let in_slot_order = || heads.iter().copied().filter(|&g| g != NONE).collect();
+        Grouping {
+            ids,
+            reps,
+            sorted: (ordered && !chained).then(in_slot_order),
+        }
+    }
 }
 
 /// A flat table of build rows by `key − min`: `heads[p]` is the first
@@ -283,7 +471,7 @@ impl Positions {
     /// `nullable`. Back to front: each row goes in front of the rows
     /// after it, so every chain reads in build order.
     fn place<T: Copy + Into<i64>>(
-        build: &JoinSide<'_>,
+        build: &Keyed<'_>,
         keys: &[T],
         at: &Positioning,
         nullable: &[&Column],
@@ -347,7 +535,7 @@ enum Lookup<'a> {
 /// thread. Candidates come back in build order whichever [`Lookup`] the
 /// inputs chose, so the match list is the row engine's.
 pub(crate) struct JoinIndex<'a> {
-    probe: JoinSide<'a>,
+    probe: Keyed<'a>,
     /// The key pairs the lookup does not already prove equal.
     keq: KeyEq<'a>,
     lookup: Lookup<'a>,
@@ -356,23 +544,19 @@ pub(crate) struct JoinIndex<'a> {
 impl<'a> JoinIndex<'a> {
     /// Index `build` for `probe`, positioned when [`positioning`] finds
     /// a pair, hashed otherwise.
-    pub(crate) fn build(build: JoinSide<'a>, probe: JoinSide<'a>) -> JoinIndex<'a> {
+    pub(crate) fn build(build: Keyed<'a>, probe: Keyed<'a>) -> JoinIndex<'a> {
         let Some(at) = positioning(&build, &probe) else {
             return JoinIndex::hashed(build, probe);
-        };
-        let rest = |keys: &[usize]| -> Vec<usize> {
-            let others = keys.iter().enumerate().filter(|&(q, _)| q != at.pair);
-            others.map(|(_, &c)| c).collect()
         };
         // NULL keys are skipped on both sides before any comparison.
         let keq = KeyEq::new(
             build.batch,
-            &rest(build.keys),
+            &build.keys_but(at.key),
             probe.batch,
-            &rest(probe.keys),
+            &probe.keys_but(at.key),
             true,
         );
-        let (b, p) = (build.keys[at.pair], probe.keys[at.pair]);
+        let (b, p) = (build.keys[at.key], probe.keys[at.key]);
         let nullable = build.nullable();
         let (table, key) = match (build.batch.column(b), probe.batch.column(p)) {
             (Column::Int64(bc), Column::Int64(pc)) => (
@@ -398,7 +582,7 @@ impl<'a> JoinIndex<'a> {
     }
 
     /// Index `build` for `probe` by key fingerprints.
-    fn hashed(build: JoinSide<'a>, probe: JoinSide<'a>) -> JoinIndex<'a> {
+    fn hashed(build: Keyed<'a>, probe: Keyed<'a>) -> JoinIndex<'a> {
         let (bfps, blive) = build.batch.key_fingerprints(build.keys, build.sel);
         let (fps, live) = probe.batch.key_fingerprints(probe.keys, probe.sel);
         let mut index = KeyIndex::with_capacity(bfps.len());
@@ -653,8 +837,8 @@ mod tests {
         ColumnarBatch::from_rows(&rows.into_iter().collect::<Vec<_>>(), arity)
     }
 
-    fn side<'a>(b: &'a ColumnarBatch, sel: Option<&'a [u32]>, keys: &'a [usize]) -> JoinSide<'a> {
-        JoinSide {
+    fn side<'a>(b: &'a ColumnarBatch, sel: Option<&'a [u32]>, keys: &'a [usize]) -> Keyed<'a> {
+        Keyed {
             batch: b,
             sel,
             keys,
@@ -664,7 +848,7 @@ mod tests {
     /// Every selected build row against every selected probe row, by
     /// [`Column::eq_at`] with NULL never joining: the list either lookup
     /// must produce.
-    fn nested_loops(build: &JoinSide<'_>, probe: &JoinSide<'_>) -> Vec<(u32, u32)> {
+    fn nested_loops(build: &Keyed<'_>, probe: &Keyed<'_>) -> Vec<(u32, u32)> {
         let mut out = Vec::new();
         for k in 0..probe.len() {
             let j = probe.phys(k);
@@ -685,7 +869,7 @@ mod tests {
     /// The join through [`JoinIndex::build`], whole and in 3-row probe
     /// morsels, equal to the hashed index's and to nested loops, in
     /// order: returns the pair that positioned it.
-    fn check(build: JoinSide<'_>, probe: JoinSide<'_>) -> Option<usize> {
+    fn check(build: Keyed<'_>, probe: Keyed<'_>) -> Option<usize> {
         let pairs =
             |(l, r): (Vec<u32>, Vec<u32>)| -> Vec<(u32, u32)> { l.into_iter().zip(r).collect() };
         let chosen = JoinIndex::build(build, probe);
@@ -705,7 +889,7 @@ mod tests {
             at.is_some(),
             "the index took the rule's choice"
         );
-        at.map(|p| p.pair)
+        at.map(|p| p.key)
     }
 
     fn int(v: i64) -> Value {
@@ -807,5 +991,145 @@ mod tests {
         // NULL in every positioned cell: a zero-length table, no match.
         let nulls = batch((0..4).map(|_| vec![Value::Null, Value::Null]), 2);
         check(side(&nulls, None, &[0]), side(&rows, None, &[0]));
+    }
+
+    /// Every selected row against each group found so far, by
+    /// [`Column::eq_at`] (NULL equal to NULL): the numbering and first
+    /// rows either grouping must produce.
+    fn naive_groups(input: &Keyed<'_>) -> (Vec<u32>, Vec<u32>) {
+        let (mut ids, mut reps) = (Vec::new(), Vec::<u32>::new());
+        for k in 0..input.len() {
+            let i = input.phys(k);
+            let same = |&r: &u32| {
+                let columns = input.keys.iter().map(|&c| input.batch.column(c));
+                columns.clone().all(|col| col.eq_at(r as usize, col, i))
+            };
+            let g = reps.iter().position(same).unwrap_or_else(|| {
+                reps.push(i as u32);
+                reps.len() - 1
+            });
+            ids.push(g as u32);
+        }
+        (ids, reps)
+    }
+
+    /// `input` grouped through [`Grouping::of`] and through the hashed
+    /// path, both equal to [`naive_groups`], with `sorted` (when read off
+    /// the slots) the groups in key order: returns the key that
+    /// positioned it and whether the slots gave the order.
+    fn check_grouping(input: Keyed<'_>) -> (Option<usize>, bool) {
+        let (ids, reps) = naive_groups(&input);
+        let chosen = Grouping::of(input);
+        let hashed = Grouping::hashed(input);
+        assert_eq!((&hashed.ids, &hashed.reps), (&ids, &reps), "hashed");
+        assert_eq!((&chosen.ids, &chosen.reps), (&ids, &reps), "chosen");
+        assert!(hashed.sorted.is_none());
+        if let Some(sorted) = &chosen.sorted {
+            let mut order: Vec<u32> = (0..reps.len() as u32).collect();
+            order.sort_by(|&x, &y| {
+                let (x, y) = (reps[x as usize] as usize, reps[y as usize] as usize);
+                let mut ord = input
+                    .keys
+                    .iter()
+                    .map(|&c| input.batch.column(c).cmp_at(x, y));
+                ord.find(|o| o.is_ne()).unwrap_or(std::cmp::Ordering::Equal)
+            });
+            assert_eq!(sorted, &order, "slot order is key order");
+        }
+        let at = group_positioning(&input).map(|p| p.key);
+        (at, chosen.sorted.is_some())
+    }
+
+    #[test]
+    fn positioned_groupings_number_rows_as_hashed_ones_do() {
+        let null_every = |i: i64, m: i64, v: Value| if i % m == 0 { Value::Null } else { v };
+        // Negative integers with duplicates and NULLs; dates; strings.
+        let b = batch(
+            (0..60).map(|i| {
+                vec![
+                    null_every(i, 7, int(i % 13 - 6)),
+                    null_every(i, 5, Value::Date((i % 9) as i32 - 4)),
+                    null_every(i, 4, Value::str(format!("s{}", i % 6))),
+                    int(i % 2),
+                    Value::Float64((i % 3) as f64),
+                ]
+            }),
+            5,
+        );
+        for key in 0..3 {
+            let slots_sort = key < 2;
+            assert_eq!(
+                check_grouping(side(&b, None, &[key])),
+                (Some(0), slots_sort)
+            );
+        }
+        // A reversed, thinned selection, as a sort and a filter leave it.
+        let sel: Vec<u32> = (0..60).rev().filter(|i| i % 4 != 1).collect();
+        assert_eq!(check_grouping(side(&b, Some(&sel), &[0])), (Some(0), true));
+        // The widest key positions; the others are verified. A dependent
+        // second key leaves each slot one group, so the slots give the
+        // order; an independent one (i % 2 beside i % 13) chains two
+        // groups in a slot, and the groups are sorted instead.
+        assert_eq!(check_grouping(side(&b, None, &[0, 1])), (Some(0), false));
+        assert_eq!(check_grouping(side(&b, None, &[3, 0])), (Some(1), false));
+        assert_eq!(check_grouping(side(&b, None, &[4, 2])), (Some(1), false));
+        // Keys that tell the same rows apart tie, whatever their spans
+        // (10 and 28): the first positions, and gives the order.
+        let dependent = batch((0..40).map(|i| vec![int(i % 10), int(i % 10 * 3)]), 2);
+        assert_eq!(
+            check_grouping(side(&dependent, None, &[0, 1])),
+            (Some(0), true)
+        );
+        assert_eq!(
+            check_grouping(side(&dependent, None, &[1, 0])),
+            (Some(0), true)
+        );
+        // Distinct values rank, not spans: two values 150 apart lose to
+        // ten values 10 apart.
+        let sparse = batch((0..40).map(|i| vec![int(i % 2 * 150), int(i % 10)]), 2);
+        assert_eq!(
+            check_grouping(side(&sparse, None, &[0, 1])),
+            (Some(1), false)
+        );
+        // Float64 never positions; no key is one group.
+        assert_eq!(check_grouping(side(&b, None, &[4])), (None, false));
+        assert_eq!(check_grouping(side(&b, None, &[])), (None, false));
+    }
+
+    #[test]
+    fn groupings_past_the_bound_hash() {
+        // 5 rows: a span of up to SLOTS_PER_ROW · 5 is positioned.
+        let limit = (SLOTS_PER_ROW * 5) as i64;
+        for (span, positioned) in [(limit - 1, true), (limit, true), (limit + 1, false)] {
+            let b = batch([0, 0, 7, span - 1, 3].map(|v| vec![int(v)]), 1);
+            let at = check_grouping(side(&b, None, &[0])).0;
+            assert_eq!(at.is_some(), positioned, "span {span}");
+        }
+        // The i64 extremes span 2^64 values.
+        let b = batch([i64::MIN, 0, i64::MAX, i64::MIN].map(|v| vec![int(v)]), 1);
+        assert_eq!(check_grouping(side(&b, None, &[0])), (None, false));
+        // Near either extreme the offset wraps, and stays exact.
+        let (lo, hi) = (i64::MIN, i64::MAX);
+        for near in [[hi - 2, hi, hi - 1, hi], [lo + 1, lo, lo + 2, lo]] {
+            let b = batch(near.map(|v| vec![int(v)]), 1);
+            assert_eq!(check_grouping(side(&b, None, &[0])), (Some(0), true));
+        }
+        // A dictionary longer than four slots per selected row hashes.
+        let words = batch((0..30).map(|i| vec![Value::str(format!("w{i}"))]), 1);
+        let few: Vec<u32> = vec![3, 9, 3];
+        assert_eq!(
+            check_grouping(side(&words, Some(&few), &[0])),
+            (None, false)
+        );
+        assert_eq!(check_grouping(side(&words, None, &[0])), (Some(0), false));
+        // Empty input, and a column of NULLs only (one slot, slot 0).
+        let empty: &[u32] = &[];
+        assert_eq!(
+            check_grouping(side(&words, Some(empty), &[0])),
+            (None, false)
+        );
+        let nulls = batch((0..4).map(|_| vec![Value::Null, int(1)]), 2);
+        assert_eq!(check_grouping(side(&nulls, None, &[0])), (Some(0), true));
+        assert_eq!(check_grouping(side(&nulls, None, &[0, 1])), (Some(0), true));
     }
 }

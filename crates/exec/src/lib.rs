@@ -29,10 +29,13 @@
 //! table position: `KeyIndex` hashes a key fingerprint (it finalizes
 //! fingerprints itself), a join whose build side has an integer key of
 //! small enough span positions its rows by `key − min` instead
-//! ([`positioned_key`] states the rule), and both return candidates in
-//! insertion order, which is what keeps match order independent of any
-//! schedule; `KeyEq` is the one typed comparator candidates are
-//! verified with.
+//! ([`positioned_key`] states the rule), an aggregate positions its
+//! groups by such a key or a string's dictionary code
+//! ([`positioned_group_key`]), and every way returns candidates in
+//! insertion order, which is what keeps match order and group numbering
+//! independent of any schedule; `KeyEq` is the one typed comparator
+//! candidates are verified with. The aggregate accumulates typed
+//! per-group vectors; the row engine's `Accumulator` is its oracle.
 //!
 //! SHIP and scan operations can additionally run under a [`RetryPolicy`]
 //! with simulated exponential backoff, so transient site/link faults are
@@ -46,7 +49,9 @@ mod keyed;
 pub mod parallel;
 pub mod retry;
 
-pub use columnar::{execute_columnar, execute_fragment_columnar, positioned_key, ColBatch};
+pub use columnar::{
+    execute_columnar, execute_fragment_columnar, positioned_group_key, positioned_key, ColBatch,
+};
 pub use executor::{
     execute, execute_fragment, DataSource, ExchangeSource, LocalShip, MapSource, NoExchange,
     ShipHandler,

@@ -45,7 +45,9 @@ pub use ship::{ShipEdge, ShipEnv, ShipStream};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geoqp_common::{DataType, Field, Location, LocationSet, Rows, Schema, TableRef, Value};
+    use geoqp_common::{
+        ColumnarBatch, DataType, Field, Location, LocationSet, Rows, Schema, TableRef, Value,
+    };
     use geoqp_exec::{execute, MapSource, RetryPolicy, ShipHandler};
     use geoqp_expr::ScalarExpr;
     use geoqp_net::{FaultPlan, NetworkTopology, TransferLog};
@@ -387,13 +389,21 @@ mod tests {
     /// schedule could show — a duplicate-heavy Int64 key whose build
     /// side spans five morsels, NULL keys on both sides, negative keys,
     /// a two-pair Int64 + Date key, filtered (selected) inputs on both
-    /// sides, an Int64 ⋈ Float64 key, and NULL/string group keys under
-    /// an order-insensitive (COUNT, MIN: morsel partials merged) and an
-    /// order-sensitive (float SUM: serial) aggregate. Every join but the
-    /// Int64 ⋈ Float64 one positions its build rows by `key − min`.
+    /// sides, an Int64 ⋈ Float64 key — and for the aggregate's grouping
+    /// shapes: positioned Int64, Date and dictionary-coded string keys,
+    /// NULL group keys, a positioned first key beside an independent
+    /// second one (two groups in one slot), spans at and one past the
+    /// bound, an all-NULL SUM, COUNT(*) over no rows with and without
+    /// GROUP BY, and `Any` arguments (one that errors). Every join but the
+    /// Int64 ⋈ Float64 one positions its build rows by `key − min`; an
+    /// aggregate's error is the row engine's first, and its output columns
+    /// have the types the row engine's rows would be laid out as.
     #[test]
     fn keyed_kernels_match_the_row_engine_at_every_worker_count() {
-        use geoqp_exec::{execute_fragment_columnar, positioned_key, LocalShip, NoExchange};
+        use geoqp_exec::{
+            execute_fragment_columnar, positioned_group_key, positioned_key, ExchangeSource,
+            LocalShip, MorselRunner, NoExchange,
+        };
         use geoqp_expr::{AggCall, AggFunc};
         let typed_scan = |table: &str, fields: &[(&str, DataType)]| {
             let fields = fields.iter().map(|(n, t)| Field::new(*n, *t)).collect();
@@ -413,12 +423,22 @@ mod tests {
         let mut source = MapSource::new();
         let build = (0..40).map(|i| {
             let tag = [Value::str("a"), Value::str("b"), Value::Null][i as usize % 3].clone();
+            // Integers, with a string every seventh row: an `Any` column.
+            let mixed = match i % 7 {
+                3 => Value::str("s"),
+                _ => Value::Int64(i % 5),
+            };
             vec![
                 nullable(i, 4),
                 tag,
                 Value::Float64(i as f64 * 0.1 + 1e15),
                 Value::Int64(i % 9 - 4),
                 Value::Date((i % 5) as i32),
+                // Spans 4 · 40 and 4 · 40 + 1 values over 40 rows.
+                Value::Int64(if i == 39 { 159 } else { i % 3 }),
+                Value::Int64(if i == 39 { 160 } else { i % 3 }),
+                Value::Null,
+                mixed,
             ]
         });
         source.insert(TableRef::bare("build"), loc("L1"), build.collect());
@@ -432,16 +452,18 @@ mod tests {
         });
         source.insert(TableRef::bare("probe"), loc("L1"), probe.collect());
 
-        let build = typed_scan(
-            "build",
-            &[
-                ("bk", DataType::Int64),
-                ("tag", DataType::Str),
-                ("x", DataType::Float64),
-                ("bn", DataType::Int64),
-                ("bd", DataType::Date),
-            ],
-        );
+        let build_fields = [
+            ("bk", DataType::Int64),
+            ("tag", DataType::Str),
+            ("x", DataType::Float64),
+            ("bn", DataType::Int64),
+            ("bd", DataType::Date),
+            ("at_bound", DataType::Int64),
+            ("past_bound", DataType::Int64),
+            ("nothing", DataType::Float64),
+            ("mixed", DataType::Int64),
+        ];
+        let build = typed_scan("build", &build_fields);
         let probe = typed_scan(
             "probe",
             &[
@@ -470,82 +492,231 @@ mod tests {
             let inputs = vec![Arc::clone(left), Arc::clone(right)];
             PhysicalPlan::new(op, schema, loc("L1"), inputs).unwrap()
         };
-        let aggregate = |aggs: Vec<AggCall>, outputs: &[(&str, DataType)]| {
-            let keys = [("bk", DataType::Int64), ("tag", DataType::Str)];
-            let fields = keys.iter().chain(outputs);
-            let fields = fields.map(|(n, t)| Field::new(*n, *t)).collect();
+        // `aggs` over `input` grouped by `keys`; the output schema's types
+        // are what the plan declares, not what the kernel checks.
+        let aggregate = |input: &Arc<PhysicalPlan>, keys: &[&str], aggs: Vec<AggCall>| {
+            let key_fields = keys.iter().map(|k| {
+                let (_, t) = build_fields.iter().find(|(n, _)| n == k).unwrap();
+                Field::new(*k, *t)
+            });
+            let out_fields = aggs.iter().map(|a| Field::new(&a.alias, DataType::Float64));
+            let schema = Arc::new(Schema::new(key_fields.chain(out_fields).collect()).unwrap());
             let op = PhysOp::HashAggregate {
-                group_by: vec!["bk".into(), "tag".into()],
+                group_by: keys.iter().map(|k| k.to_string()).collect(),
                 aggs,
             };
-            let schema = Arc::new(Schema::new(fields).unwrap());
-            PhysicalPlan::new(op, schema, loc("L1"), vec![Arc::clone(&build)]).unwrap()
+            PhysicalPlan::new(op, schema, loc("L1"), vec![Arc::clone(input)]).unwrap()
         };
-        let x = || ScalarExpr::col("x");
+        let call = |func: AggFunc, column: &str| {
+            AggCall::new(func, ScalarExpr::col(column), format!("{func}_{column}"))
+        };
         let (build_kept, probe_kept) = (
             filtered(&build, ScalarExpr::col("bn").gt(ScalarExpr::lit(-3i64))),
             filtered(&probe, ScalarExpr::col("pn").lt(ScalarExpr::lit(4i64))),
         );
-        // (plan, the key pair a join positions by)
-        let plans = [
+        let nothing_kept = filtered(&build, ScalarExpr::col("bn").gt(ScalarExpr::lit(100i64)));
+        let joins = [
             (join(&build, &probe, &["bk"], &["pk"]), Some(0)),
             (join(&build, &probe, &["bk"], &["pf"]), None),
             (join(&build, &probe, &["bn"], &["pn"]), Some(0)),
             (join(&build, &probe, &["bd", "bk"], &["pd", "pk"]), Some(0)),
             (join(&build_kept, &probe_kept, &["bn"], &["pn"]), Some(0)),
+        ];
+        // (plan, the group key it positions by)
+        let aggregates = [
+            // NULL keys; bk (span 4) positions and tag chains in its slots.
             (
                 aggregate(
+                    &build,
+                    &["bk", "tag"],
                     vec![
                         AggCall::count_star("n"),
-                        AggCall::new(AggFunc::Min, x(), "lo"),
+                        call(AggFunc::Min, "x"),
+                        call(AggFunc::Sum, "x"),
                     ],
-                    &[("n", DataType::Int64), ("lo", DataType::Float64)],
                 ),
+                Some(0),
+            ),
+            // Negative Int64 keys, over a selection.
+            (
+                aggregate(
+                    &build_kept,
+                    &["bn"],
+                    vec![
+                        call(AggFunc::Sum, "bk"),
+                        call(AggFunc::Avg, "x"),
+                        call(AggFunc::Max, "tag"),
+                        call(AggFunc::Count, "tag"),
+                    ],
+                ),
+                Some(0),
+            ),
+            (
+                aggregate(
+                    &build,
+                    &["bd"],
+                    vec![call(AggFunc::Min, "bd"), call(AggFunc::Avg, "bn")],
+                ),
+                Some(0),
+            ),
+            (
+                aggregate(
+                    &build,
+                    &["tag"],
+                    vec![call(AggFunc::Max, "bn"), call(AggFunc::Sum, "bn")],
+                ),
+                Some(0),
+            ),
+            (
+                aggregate(&build, &["at_bound"], vec![call(AggFunc::Sum, "bn")]),
+                Some(0),
+            ),
+            (
+                aggregate(&build, &["past_bound"], vec![call(AggFunc::Sum, "bn")]),
                 None,
             ),
             (
                 aggregate(
-                    vec![AggCall::new(AggFunc::Sum, x(), "total")],
-                    &[("total", DataType::Float64)],
+                    &build,
+                    &["bk"],
+                    vec![call(AggFunc::Sum, "nothing"), call(AggFunc::Max, "nothing")],
+                ),
+                Some(0),
+            ),
+            (
+                aggregate(
+                    &nothing_kept,
+                    &["bk"],
+                    vec![AggCall::count_star("n"), call(AggFunc::Sum, "x")],
+                ),
+                Some(0),
+            ),
+            (
+                aggregate(
+                    &nothing_kept,
+                    &[],
+                    vec![
+                        AggCall::count_star("n"),
+                        call(AggFunc::Sum, "x"),
+                        call(AggFunc::Min, "tag"),
+                    ],
                 ),
                 None,
             ),
+            // `Any` arguments: MIN/MAX order mixed cells, SUM(int) fails
+            // on the first string (row 3) — unless AVG(tag) fails first,
+            // on row 0.
+            (
+                aggregate(
+                    &build,
+                    &["bd"],
+                    vec![call(AggFunc::Min, "mixed"), call(AggFunc::Max, "mixed")],
+                ),
+                Some(0),
+            ),
+            (
+                aggregate(&build, &["bd"], vec![call(AggFunc::Sum, "mixed")]),
+                Some(0),
+            ),
+            (
+                aggregate(
+                    &build,
+                    &["bd"],
+                    vec![call(AggFunc::Sum, "mixed"), call(AggFunc::Avg, "tag")],
+                ),
+                Some(0),
+            ),
         ];
+
         let topology = NetworkTopology::paper_wan();
-        for (plan, positioned) in &plans {
-            if let PhysOp::HashJoin {
+        let on_pool = |plan: &PhysicalPlan, workers: usize| {
+            Runtime::new(ShipEnv::new(&topology))
+                .with_config(pooled(workers))
+                .run(plan, &source, None)
+                .map(|out| out.rows)
+        };
+        let input = |plan: &PhysicalPlan, k: usize, keys: &[String]| {
+            let input = &plan.inputs[k];
+            let batch = execute_fragment_columnar(input, &source, &mut LocalShip, &NoExchange);
+            let idx = keys.iter().map(|c| input.schema.require_index(c).unwrap());
+            (batch.unwrap(), idx.collect::<Vec<_>>())
+        };
+        for (plan, positioned) in &joins {
+            let PhysOp::HashJoin {
                 left_keys,
                 right_keys,
                 ..
             } = &plan.op
-            {
-                let side = |k: usize, keys: &[String]| {
-                    let input = &plan.inputs[k];
-                    let batch =
-                        execute_fragment_columnar(input, &source, &mut LocalShip, &NoExchange);
-                    let idx = keys.iter().map(|c| input.schema.require_index(c).unwrap());
-                    (batch.unwrap(), idx.collect::<Vec<_>>())
-                };
-                let ((l, lk), (r, rk)) = (side(0, left_keys), side(1, right_keys));
-                assert_eq!(
-                    positioned_key(&l, &lk, &r, &rk),
-                    *positioned,
-                    "{left_keys:?}"
-                );
-            }
+            else {
+                unreachable!()
+            };
+            let ((l, lk), (r, rk)) = (input(plan, 0, left_keys), input(plan, 1, right_keys));
+            let at = positioned_key(&l, &lk, &r, &rk);
+            assert_eq!(at, *positioned, "{left_keys:?}");
             let want = execute(plan, &source, &mut geoqp_exec::LocalShip).unwrap();
             assert!(
                 want.len() > 3,
                 "a fixture that matches nothing pins nothing"
             );
             for workers in [1, 2, 4] {
-                let out = Runtime::new(ShipEnv::new(&topology))
-                    .with_config(pooled(workers))
-                    .run(plan, &source, None)
-                    .unwrap();
-                assert_eq!(out.rows, want, "workers={workers}: {:?}", plan.op);
+                let out = on_pool(plan, workers).unwrap();
+                assert_eq!(out, want, "workers={workers}: {:?}", plan.op);
             }
         }
+
+        /// The fragment runtime's kernels on a pool, nothing exchanged.
+        struct Pooled(morsel::PoolRunner);
+        impl ExchangeSource for Pooled {
+            fn fetch(&self, _: &PhysicalPlan) -> Option<geoqp_common::Result<Arc<ColumnarBatch>>> {
+                None
+            }
+            fn runner(&self) -> &dyn MorselRunner {
+                &self.0
+            }
+        }
+        let mut failed = 0;
+        for (plan, positioned) in &aggregates {
+            let PhysOp::HashAggregate { group_by, .. } = &plan.op else {
+                unreachable!()
+            };
+            let (batch, keys) = input(plan, 0, group_by);
+            assert_eq!(
+                positioned_group_key(&batch, &keys),
+                *positioned,
+                "{:?}",
+                plan.op
+            );
+            let want = execute(plan, &source, &mut geoqp_exec::LocalShip);
+            failed += usize::from(want.is_err());
+            for workers in [1, 2, 4] {
+                let (out, want) = (on_pool(plan, workers), want.as_ref());
+                match (out, want) {
+                    (Ok(out), Ok(want)) => {
+                        assert_eq!(&out, want, "workers={workers}: {:?}", plan.op)
+                    }
+                    (Err(out), Err(want)) => {
+                        assert_eq!(out.to_string(), want.to_string(), "workers={workers}")
+                    }
+                    (out, want) => panic!("workers={workers}: {out:?} vs {want:?}"),
+                }
+                let pool = morsel::MorselPool::new(workers);
+                let exchange = Pooled(pool.runner(8));
+                let out = execute_fragment_columnar(plan, &source, &mut LocalShip, &exchange);
+                let (Ok(out), Ok(want)) = (out, want) else {
+                    continue;
+                };
+                let laid_out = ColumnarBatch::from_rows(want.rows(), plan.schema.len());
+                for j in 0..plan.schema.len() {
+                    assert_eq!(
+                        out.materialize().column(j).data_type(),
+                        laid_out.column(j).data_type(),
+                        "column {j} of {:?}",
+                        plan.op
+                    );
+                }
+            }
+        }
+        assert_eq!(failed, 2, "the two SUM(mixed) plans fail");
     }
 
     #[test]

@@ -146,13 +146,25 @@ if grep -rnE 'CatalogReplica|StaleGuard|StaleReplica|CatalogStale|catalog-stale|
 fi
 
 echo "==> one key-to-position map: a join or grouping key becomes a table" \
-     "slot only in crates/exec/src/keyed.rs, hashed by the fmix64 finalizer" \
-     "or positioned by key − min"
+     "slot only in crates/exec/src/keyed.rs (JoinIndex for a join, Grouping" \
+     "for an aggregate), hashed by the fmix64 finalizer or positioned by" \
+     "key − min or a dictionary code"
 if grep -rnE --include='*.rs' \
     'ff51_?afd7_?ed55_?8ccd|c4ce_?b9fe_?1a85_?ec53|wrapping_sub\((self\.|at\.)?min\)' \
     crates src tests | grep -v '^crates/exec/src/keyed.rs:'; then
     echo "a second place turns keys into table positions: hash or position" \
         "them through crates/exec/src/keyed.rs" >&2
+    exit 1
+fi
+
+echo "==> aggregates are columns: the columnar aggregate accumulates typed" \
+     "per-group vectors and gathers its keys, so above its tests" \
+     "crates/exec/src/columnar.rs holds no row accumulator, group list or" \
+     "row-built batch (the row engine keeps Accumulator as its oracle)"
+if sed '/^mod tests/,$d' crates/exec/src/columnar.rs | grep -nE 'Accumulator|\bGroups\b|from_rows\('; then
+    echo "crates/exec/src/columnar.rs accumulates through Accumulator, keeps a" \
+        "Groups list or builds a batch from rows again: a group is an id into" \
+        "typed vectors, and its output is gathered" >&2
     exit 1
 fi
 

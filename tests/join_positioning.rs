@@ -1,10 +1,15 @@
-//! Which key pair positions each hash join of the TPC-H six, read on
-//! each join's real inputs in `tpch_exec`'s deployment (SF 0.1, CR+A
-//! with 10 expressions, compliant plans, seed 2021): a join whose build
-//! rows go into a flat array by `key − min` instead of a hash table.
+//! Which key positions each hash join and each hash aggregate of the
+//! TPC-H six, read on each operator's real inputs in `tpch_exec`'s
+//! deployment (SF 0.1, CR+A with 10 expressions, compliant plans, seed
+//! 2021): a join whose build rows go into a flat array by `key − min`
+//! instead of a hash table, and an aggregate whose groups are found by
+//! slot instead of by key fingerprint.
 
 use geoqp::core::distributed::CatalogSource;
-use geoqp::exec::{execute_fragment_columnar, positioned_key, LocalShip, NoExchange};
+use geoqp::exec::{
+    execute_fragment_columnar, positioned_group_key, positioned_key, ColBatch, LocalShip,
+    NoExchange,
+};
 use geoqp::plan::{PhysOp, PhysicalPlan};
 use geoqp::prelude::*;
 use geoqp::tpch;
@@ -24,16 +29,36 @@ struct Join {
     positioned: Option<usize>,
 }
 
-fn hash_joins<'a>(plan: &'a PhysicalPlan, out: &mut Vec<&'a PhysicalPlan>) {
-    if matches!(plan.op, PhysOp::HashJoin { .. }) {
+/// One hash aggregate of a located plan: its group columns and the one,
+/// if any, that positions its rows.
+#[derive(Debug)]
+struct Aggregate {
+    query: &'static str,
+    group_by: Vec<String>,
+    positioned: Option<usize>,
+}
+
+fn nodes<'a>(plan: &'a PhysicalPlan, wanted: fn(&PhysOp) -> bool, out: &mut Vec<&'a PhysicalPlan>) {
+    if wanted(&plan.op) {
         out.push(plan);
     }
     for input in &plan.inputs {
-        hash_joins(input, out);
+        nodes(input, wanted, out);
     }
 }
 
-fn six_joins() -> Vec<Join> {
+/// `read(query, node, input)` for every node of the six's located plans
+/// that `wanted` picks, in plan pre-order; `input(k, columns)` is the
+/// node's `k`-th input as the columnar engine produces it, with the
+/// positions of `columns` in its schema.
+fn over_the_six<T>(
+    wanted: fn(&PhysOp) -> bool,
+    mut read: impl FnMut(
+        &'static str,
+        &PhysicalPlan,
+        &dyn Fn(usize, &[String]) -> (ColBatch, Vec<usize>),
+    ) -> T,
+) -> Vec<T> {
     let catalog = Arc::new(tpch::paper_catalog(SF));
     tpch::populate(&catalog, SF, SEED).unwrap();
     let policies = tpch::generate_policies(&catalog, PolicyTemplate::CRA, 10, SEED).unwrap();
@@ -49,9 +74,29 @@ fn six_joins() -> Vec<Join> {
         let optimized = engine
             .optimize(&logical, OptimizerMode::Compliant, None)
             .unwrap();
-        let mut joins = Vec::new();
-        hash_joins(&optimized.physical, &mut joins);
-        for join in joins {
+        let mut picked = Vec::new();
+        nodes(&optimized.physical, wanted, &mut picked);
+        for node in picked {
+            let input = |k: usize, columns: &[String]| {
+                let input = &node.inputs[k];
+                let batch =
+                    execute_fragment_columnar(input, &source, &mut LocalShip, &NoExchange).unwrap();
+                let idx: Vec<usize> = columns
+                    .iter()
+                    .map(|c| input.schema.require_index(c).unwrap())
+                    .collect();
+                (batch, idx)
+            };
+            out.push(read(query, node, &input));
+        }
+    }
+    out
+}
+
+fn six_joins() -> Vec<Join> {
+    over_the_six(
+        |op| matches!(op, PhysOp::HashJoin { .. }),
+        |query, join, input| {
             let PhysOp::HashJoin {
                 left_keys,
                 right_keys,
@@ -60,18 +105,8 @@ fn six_joins() -> Vec<Join> {
             else {
                 unreachable!()
             };
-            let side = |k: usize, keys: &[String]| {
-                let input = &join.inputs[k];
-                let batch =
-                    execute_fragment_columnar(input, &source, &mut LocalShip, &NoExchange).unwrap();
-                let idx: Vec<usize> = keys
-                    .iter()
-                    .map(|c| input.schema.require_index(c).unwrap())
-                    .collect();
-                (batch, idx)
-            };
-            let ((l, lk), (r, rk)) = (side(0, left_keys), side(1, right_keys));
-            out.push(Join {
+            let ((l, lk), (r, rk)) = (input(0, left_keys), input(1, right_keys));
+            Join {
                 query,
                 keys: left_keys
                     .iter()
@@ -79,10 +114,26 @@ fn six_joins() -> Vec<Join> {
                     .zip(right_keys.iter().cloned())
                     .collect(),
                 positioned: positioned_key(&l, &lk, &r, &rk),
-            });
-        }
-    }
-    out
+            }
+        },
+    )
+}
+
+fn six_aggregates() -> Vec<Aggregate> {
+    over_the_six(
+        |op| matches!(op, PhysOp::HashAggregate { .. }),
+        |query, aggregate, input| {
+            let PhysOp::HashAggregate { group_by, .. } = &aggregate.op else {
+                unreachable!()
+            };
+            let (batch, keys) = input(0, group_by);
+            Aggregate {
+                query,
+                group_by: group_by.clone(),
+                positioned: positioned_group_key(&batch, &keys),
+            }
+        },
+    )
 }
 
 /// The pair a join positions by, named by its build-side key.
@@ -111,4 +162,34 @@ fn the_six_position_every_join_by_its_widest_integer_key() {
     // A Float64 pair never positions; the Int64 pair beside it does.
     let q2 = positioned_by(&joins, "Q2", &["p_partkey", "ps_supplycost"]);
     assert_eq!(q2.as_deref(), Some("p_partkey"));
+}
+
+#[test]
+fn the_six_position_every_aggregate_by_its_most_distinct_group_column() {
+    let aggregates = six_aggregates();
+    let picked: Vec<(&str, &str)> = aggregates
+        .iter()
+        .map(|a| {
+            let at = a.positioned.map_or("hashed", |p| a.group_by[p].as_str());
+            (a.query, at)
+        })
+        .collect();
+    // Every group column of the six is a dense integer key or a short
+    // dictionary, so none of the 8 aggregates fingerprints its rows.
+    // Q3's order keys span too far for its rows, so its order date
+    // positions, and Q10's six functionally dependent columns tie on
+    // distinct values, so the first, `c_custkey`, does. Q8 and Q9 each
+    // carry a second aggregate, by `s_nationkey`, that eager aggregation
+    // places below the join with the supplier's nation.
+    let want = [
+        ("Q2", "ps_partkey"),
+        ("Q3", "o_orderdate"),
+        ("Q5", "n_name"),
+        ("Q8", "n2_name"),
+        ("Q8", "s_nationkey"),
+        ("Q9", "n_name"),
+        ("Q9", "s_nationkey"),
+        ("Q10", "c_custkey"),
+    ];
+    assert_eq!(picked, want, "{aggregates:#?}");
 }

@@ -131,9 +131,14 @@ fn churn_figure() {
             c.grant_step,
             c.revoked_pid,
             c.outcome.label(),
-            c.grant_retries,
+            c.grant_retries
+                .map_or_else(|| "-".to_string(), |n| n.to_string()),
             if c.rescued { "yes" } else { "-" },
-            if c.rows_match { "yes" } else { "NO" }
+            match c.rows_match {
+                Some(true) => "yes",
+                Some(false) => "NO",
+                None => "-",
+            }
         );
     }
     let s = churn::summarize(&grid, &grants);

@@ -111,13 +111,15 @@ pub struct GrantCell {
     pub revoked_pid: u64,
     /// What happened.
     pub outcome: ChurnOutcome,
-    /// Quiesce-free grant retries the execution performed.
-    pub grant_retries: u64,
+    /// Quiesce-free grant retries the execution performed; `None` for a
+    /// refused cell, whose error carries no counters.
+    pub grant_retries: Option<u64>,
     /// The query was refused under the revocation's pin and completed
     /// under the re-granted head — the rescue the retry exists for.
     pub rescued: bool,
-    /// Completed cells only: the answer matched the reference multiset.
-    pub rows_match: bool,
+    /// Whether the answer matched the reference multiset; `None` for a
+    /// refused cell, which has no answer.
+    pub rows_match: Option<bool>,
 }
 
 struct Fixture {
@@ -287,18 +289,18 @@ pub fn grant_grid(seed: u64) -> Vec<GrantCell> {
                     } else {
                         ChurnOutcome::Replanned(res.churn_replans)
                     },
-                    grant_retries: res.grant_retries,
+                    grant_retries: Some(res.grant_retries),
                     rescued: res.grant_retries > 0,
-                    rows_match: multiset(&res.rows) == reference_rows,
+                    rows_match: Some(multiset(&res.rows) == reference_rows),
                 },
                 Err(e) => GrantCell {
                     query,
                     grant_step,
                     revoked_pid: *pid,
                     outcome: ChurnOutcome::Refused(e.kind().to_string()),
-                    grant_retries: 0,
+                    grant_retries: None,
                     rescued: false,
-                    rows_match: true,
+                    rows_match: None,
                 },
             };
             out.push(cell);
@@ -367,12 +369,17 @@ pub fn summarize(grid: &[ChurnCell], grants: &[GrantCell]) -> ChurnSummary {
     }
     for c in grants {
         s.count(&c.outcome);
-        s.grant_retries += c.grant_retries;
+        s.grant_retries += c.grant_retries.unwrap_or(0);
         if c.rescued {
             s.grants_rescued += 1;
         }
     }
     s
+}
+
+/// A JSON value, or `null` for a field the cell could not observe.
+fn json_opt<T: std::fmt::Display>(v: Option<T>) -> String {
+    v.map_or_else(|| "null".to_string(), |v| v.to_string())
 }
 
 /// Serialize the two grids and their summary as deterministic JSON (no
@@ -410,9 +417,12 @@ pub fn to_json(grid: &[ChurnCell], grants: &[GrantCell], seed: u64) -> String {
         s.push_str(&format!("\"grant_step\": {}, ", c.grant_step));
         s.push_str(&format!("\"revoked_pid\": {}, ", c.revoked_pid));
         s.push_str(&format!("\"outcome\": \"{}\", ", c.outcome.label()));
-        s.push_str(&format!("\"grant_retries\": {}, ", c.grant_retries));
+        s.push_str(&format!(
+            "\"grant_retries\": {}, ",
+            json_opt(c.grant_retries)
+        ));
         s.push_str(&format!("\"rescued\": {}, ", c.rescued));
-        s.push_str(&format!("\"rows_match\": {}", c.rows_match));
+        s.push_str(&format!("\"rows_match\": {}", json_opt(c.rows_match)));
         s.push('}');
         if i + 1 < grants.len() {
             s.push(',');
@@ -516,10 +526,12 @@ mod tests {
         let mut rescued = 0;
         let mut refused_control = 0;
         for c in &grants {
-            assert!(
+            assert_ne!(
                 c.rows_match,
+                Some(false),
                 "{} @ grant step {}: answer changed",
-                c.query, c.grant_step
+                c.query,
+                c.grant_step
             );
             if c.rescued {
                 assert!(
@@ -531,7 +543,11 @@ mod tests {
             // The past-the-abort control column can never rescue: any
             // refusal there stays a refusal.
             if c.grant_step == 1_000 {
-                assert_eq!(c.grant_retries, 0, "{}: hindsight rescue", c.query);
+                assert!(
+                    matches!(c.grant_retries, None | Some(0)),
+                    "{}: hindsight rescue",
+                    c.query
+                );
                 if matches!(c.outcome, ChurnOutcome::Refused(_)) {
                     refused_control += 1;
                 }

@@ -4,8 +4,8 @@
 
 use geoqp_common::{CancelToken, GeoError, Location, QueryDeadline, Result, Rows, TableRef};
 use geoqp_core::{
-    CatalogService, ChurnOpts, Engine, ExecOptions, HedgeConfig, LinkReport, OptimizerMode,
-    QueryOutcome, RuntimeConfig, RuntimeMetrics,
+    CatalogService, Engine, ExecOptions, HedgeConfig, LinkReport, OptimizerMode, QueryOutcome,
+    RuntimeConfig, RuntimeMetrics,
 };
 use geoqp_exec::RetryPolicy;
 use geoqp_net::{FaultPlan, HealthConfig, NetworkTopology};
@@ -39,8 +39,9 @@ pub struct Shell {
     last_health: Option<Vec<LinkReport>>,
     service: Option<ServerSession>,
     /// The deployment's policy-catalog service: `\grant` and
-    /// `\revoke` append to its log, `\catalog` renders it, and every
-    /// resilient query pins its head seq at admission.
+    /// `\revoke` append to its log and re-admit the session's engine at
+    /// the new head, and `\catalog` renders it. Only this shell appends
+    /// to the log, so a statement always plans and runs under the head.
     churn: Option<Arc<CatalogService>>,
 }
 
@@ -321,9 +322,10 @@ impl Shell {
         ))
     }
 
-    /// `\revoke <pid>|<expression>` — append a revocation. Unlike grants,
-    /// revocations reach in-flight queries: one caught shipping on a
-    /// now-revoked edge re-plans under the new head or refuses typed.
+    /// `\revoke <pid>|<expression>` — append a revocation and re-admit
+    /// the session at the new head. The shell runs one statement at a
+    /// time, so none is in flight to catch (`\server` tenants keep
+    /// catalogs of their own).
     fn revoke(&mut self, arg: &str) -> Result<String> {
         if arg.is_empty() {
             return Err(GeoError::Execution(
@@ -345,8 +347,7 @@ impl Shell {
         let pin = svc.revoke(pid)?;
         self.refresh_engine(&svc, pin)?;
         Ok(format!(
-            "revoked p{pid}\ncatalog head: seq {pin}; queries pinned to earlier \
-             seqs re-plan or refuse typed\n"
+            "revoked p{pid}\ncatalog head: seq {pin}; the next statement plans under it\n"
         ))
     }
 
@@ -504,7 +505,7 @@ impl Shell {
     }
 
     /// Whether queries run *controlled* — failover budget, checkpoints,
-    /// a catalog pin, and the control surface threaded through execution —
+    /// and the control surface threaded through execution —
     /// which a fault plan, a deadline, an armed cancellation, or hedging
     /// each require.
     fn controlled(&self) -> bool {
@@ -531,19 +532,6 @@ impl Shell {
             result.resumed_bytes,
             result.recomputed_bytes,
         );
-        if result.churn_replans > 0 || result.grant_retries > 0 {
-            let _ = writeln!(
-                summary,
-                "churn: {} revocation re-plan(s), {} grant retry(ies){}",
-                result.churn_replans,
-                result.grant_retries,
-                if result.grant_retries > 0 {
-                    " — refused under the revoked pin, rescued under the head"
-                } else {
-                    ""
-                },
-            );
-        }
         if result.hedges_launched > 0 || result.breaker_trips > 0 {
             let _ = writeln!(
                 summary,
@@ -791,13 +779,6 @@ impl Shell {
                 deadline: self.deadline,
                 cancel: Some(self.cancel.clone()),
                 hedge: self.hedge.clone(),
-                // Every controlled query pins the catalog head at
-                // admission; a mid-flight revocation re-plans it under
-                // the new head.
-                churn: self.churn.as_ref().map(|svc| ChurnOpts {
-                    service: Arc::clone(svc),
-                    pin: svc.head(),
-                }),
                 ..ExecOptions::failover(faults, &RetryPolicy::default(), 4)
             }
         } else {
@@ -901,9 +882,8 @@ commands:
   \\policy <expression>      same as \\grant
   \\deny <expression>        grant everything a denial leaves open
                             (closed-world expansion), one append each
-  \\revoke <pid|expression>  append a revocation (pushed to in-flight
-                            queries: re-plan under the new head or a
-                            typed refusal)
+  \\revoke <pid|expression>  append a revocation (the next statement
+                            plans under the new head)
   \\catalog                  catalog head seq, live policies
                             with pids, the log
   \\mode compliant|traditional

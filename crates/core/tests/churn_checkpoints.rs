@@ -12,7 +12,7 @@
 //! against the trait its checkpoint records.
 
 use geoqp_common::{ChurnEvent, DataType, Field, Location, LocationSet, Schema, TableRef, Value};
-use geoqp_core::{CatalogService, CheckpointStore, Engine, ExecOptions, OptimizerMode};
+use geoqp_core::{CatalogService, CheckpointStore, ChurnOpts, Engine, ExecOptions, OptimizerMode};
 use geoqp_exec::RetryPolicy;
 use geoqp_net::topology::Link;
 use geoqp_net::{FaultPlan, NetworkTopology};
@@ -162,4 +162,47 @@ fn a_revocation_drops_checkpoints_homed_where_the_new_snapshot_forbids() {
         resumed_runs += usize::from(outcome.checkpoint_hits > 0);
     }
     assert!(resumed_runs > 0, "no revocation step resumed a checkpoint");
+}
+
+/// The path every service query runs: a churn watch and a re-plan budget,
+/// with no fault plan and no checkpoint store. A revocation published
+/// before the run catches the first batch, the run re-pins to the head
+/// and re-plans once, nothing is resumed, and the plan that completes
+/// audits clean under the head — which the admission plan does not.
+#[test]
+fn a_plain_run_replans_once_under_a_revocation_published_before_it() {
+    let catalog = catalog();
+    let base = policies(&catalog);
+    let engine = Engine::new(Arc::clone(&catalog), Arc::new(base.clone()), topology());
+    let optimized = engine
+        .optimize_sql(SQL, OptimizerMode::Compliant, Some(Location::new("D")))
+        .unwrap();
+    let reference = engine.run(&optimized, &ExecOptions::default()).unwrap();
+    let mut expected: Vec<String> = reference.rows.iter().map(|r| format!("{r:?}")).collect();
+    expected.sort();
+
+    let svc = Arc::new(CatalogService::new(Arc::clone(&catalog), base));
+    let head = svc.revoke(USERS_TO_B).unwrap();
+    let opts = ExecOptions {
+        churn: Some(ChurnOpts {
+            service: Arc::clone(&svc),
+            pin: 0,
+        }),
+        max_replans: 3,
+        ..ExecOptions::default()
+    };
+    let outcome = engine.run(&optimized, &opts).unwrap();
+    assert_eq!((outcome.replans, outcome.churn_replans), (1, 1));
+    assert_eq!(outcome.resumed_bytes, 0);
+    assert_eq!(outcome.checkpoint_hits, 0);
+    let mut rows: Vec<String> = outcome.rows.iter().map(|r| format!("{r:?}")).collect();
+    rows.sort();
+    assert_eq!(rows, expected);
+
+    let at_head = engine.fork_with_policies(svc.snapshot(head).unwrap());
+    at_head.audit(&outcome.physical).unwrap();
+    assert!(
+        at_head.audit(&optimized.physical).is_err(),
+        "the admission plan ships users to B, which the head forbids"
+    );
 }

@@ -12,10 +12,23 @@
 //!                                              │
 //!       parse → lower → plan-cache lookup (hit) / optimize (miss)
 //!                                              │
-//!            execute (plain or resilient: faults/deadline/cancel)
+//!     execute under the tenant's catalog pin (+ faults/deadline/cancel)
 //!                                              │
 //!                      QueryTicket ◀── reply ──┘  + TenantStats update
 //! ```
+//!
+//! # One revocation path
+//!
+//! A worker claims a job together with the tenant's engine and catalog
+//! pin, and every execution runs under that pin's churn watch with the
+//! service's re-plan budget. A revocation published after the pin —
+//! through [`QueryService::update_tenant_policies`] or straight on the
+//! tenant's [`CatalogService`] — aborts the query before its next batch
+//! leaves; the engine re-pins to the new head, re-plans, and returns the
+//! rows, or refuses typed [`GeoError::NonCompliant`] when no compliant
+//! placement survives. A query whose last batch left before the
+//! revocation returns its rows: every batch it shipped was legal when it
+//! left. Each job runs once; nothing is re-checked at completion.
 //!
 //! A plan-cache key is the SQL text, the requested result site, the
 //! tenant and the pids of the tenant's live expressions governing a table
@@ -96,7 +109,8 @@ pub struct ServiceConfig {
     /// Run attempts on the columnar engine (`false`: the row
     /// interpreter).
     pub columnar: bool,
-    /// Failover re-plan budget for resilient executions.
+    /// Re-plan budget of every execution: failover re-plans and the
+    /// re-plans a mid-flight revocation forces.
     pub max_replans: usize,
 }
 
@@ -177,7 +191,8 @@ pub struct QueryReply {
     /// result location and tenant, under a catalog whose expressions
     /// governing the query's tables were the ones live now (same pids).
     pub cached: bool,
-    /// Failover re-plans performed (0 for fault-free runs).
+    /// Re-plans performed around a failure or a revocation (0 when
+    /// neither caught the run).
     pub replans: usize,
     /// Re-plans forced by a mid-flight policy revocation (a subset of
     /// `replans`; 0 for churn-free runs).
@@ -213,7 +228,8 @@ impl QueryTicket {
 }
 
 /// Per-tenant counters and latency percentiles, as rendered by `\tenants`
-/// and the service benchmark.
+/// and the service benchmark. A tenant keeps its counters as one of
+/// these; a snapshot adds the queue depths and the latency percentiles.
 #[derive(Debug, Clone, Default)]
 pub struct TenantStats {
     /// Tenant name.
@@ -235,14 +251,13 @@ pub struct TenantStats {
     pub cache_hits: u64,
     /// Completed queries that optimized fresh.
     pub cache_misses: u64,
-    /// Failover re-plans summed over completed queries.
+    /// Re-plans (failover and revocation) summed over completed queries.
     pub replans: u64,
-    /// Re-plans forced by a mid-flight policy revocation, summed over
-    /// completed queries (a subset of `replans`).
+    /// Re-plans forced by a revocation published after a query pinned
+    /// its catalog head, summed over completed queries (a subset of
+    /// `replans`). A query refused because no compliant placement
+    /// survived counts as `failed` instead.
     pub churn_replans: u64,
-    /// Completed jobs re-run at completion time because a revocation
-    /// landed after they pinned their catalog head (the admission-race repair).
-    pub churn_reruns: u64,
     /// Quiesce-free grant retries summed over completed queries.
     pub grant_retries: u64,
     /// Completed queries that were refused under their revocation pin
@@ -295,32 +310,19 @@ struct Job {
 }
 
 struct TenantState {
-    name: String,
     engine: Arc<Engine>,
     /// The tenant's catalog service: every policy change is a
     /// log append here, and its churn signal reaches in-flight queries.
     churn: Arc<CatalogService>,
     /// The catalog head new queries pin at admission.
     pin: u64,
-    /// Log sequence of the newest revocation (0 when none has ever
-    /// happened). A job that completes under an older pin is re-run —
-    /// the admission-race repair.
-    last_revoke_seq: u64,
-    churn_reruns: u64,
     config: TenantConfig,
     queue: VecDeque<Job>,
     deficit: u64,
     inflight: usize,
-    admitted: u64,
-    rejected: u64,
-    completed: u64,
-    failed: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    replans: u64,
-    churn_replans: u64,
-    grant_retries: u64,
-    grants_rescued: u64,
+    /// Name and counters; `inflight`, `queued` and the latency fields are
+    /// filled in by [`TenantState::snapshot`].
+    stats: TenantStats,
     /// The most recent [`LATENCY_WINDOW`] latencies, oldest first.
     latencies_ms: VecDeque<f64>,
 }
@@ -331,21 +333,9 @@ impl TenantState {
     /// every `submit` and every worker's next claim needs — is released.
     fn snapshot(&self) -> (TenantStats, Vec<f64>) {
         let counters = TenantStats {
-            name: self.name.clone(),
-            admitted: self.admitted,
-            rejected: self.rejected,
-            completed: self.completed,
-            failed: self.failed,
             inflight: self.inflight,
             queued: self.queue.len(),
-            cache_hits: self.cache_hits,
-            cache_misses: self.cache_misses,
-            replans: self.replans,
-            churn_replans: self.churn_replans,
-            churn_reruns: self.churn_reruns,
-            grant_retries: self.grant_retries,
-            grants_rescued: self.grants_rescued,
-            ..TenantStats::default()
+            ..self.stats.clone()
         };
         (counters, self.latencies_ms.iter().copied().collect())
     }
@@ -479,26 +469,17 @@ impl QueryService {
         let pin = churn.head();
         let mut st = self.shared.state.lock().unwrap();
         st.tenants.push(TenantState {
-            name: name.into(),
             engine,
             churn,
             pin,
-            last_revoke_seq: 0,
-            churn_reruns: 0,
             config,
             queue: VecDeque::new(),
             deficit: 0,
             inflight: 0,
-            admitted: 0,
-            rejected: 0,
-            completed: 0,
-            failed: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            replans: 0,
-            churn_replans: 0,
-            grant_retries: 0,
-            grants_rescued: 0,
+            stats: TenantStats {
+                name: name.into(),
+                ..TenantStats::default()
+            },
             latencies_ms: VecDeque::new(),
         });
         TenantId(st.tenants.len() - 1)
@@ -522,18 +503,18 @@ impl QueryService {
             let outstanding = ten.queue.len() + ten.inflight;
             let budget = ten.config.max_inflight + ten.config.max_queue;
             if outstanding >= budget {
-                ten.rejected += 1;
+                ten.stats.rejected += 1;
                 return Err(GeoError::Admission(format!(
                     "tenant '{}' backlog full: {} in flight + {} queued \
                      reaches the {} + {} admission budget",
-                    ten.name,
+                    ten.stats.name,
                     ten.inflight,
                     ten.queue.len(),
                     ten.config.max_inflight,
                     ten.config.max_queue,
                 )));
             }
-            ten.admitted += 1;
+            ten.stats.admitted += 1;
             ten.queue.push_back(Job {
                 request,
                 submitted: Instant::now(),
@@ -567,13 +548,15 @@ impl QueryService {
     /// for it, and a grant on a table a query scans changes that query's
     /// key instead.
     ///
-    /// Grants only affect later queries. Revocations are **pushed**: the
-    /// churn signal aborts in-flight resilient executions at batch
-    /// granularity so they re-plan under the new head, and any job that
-    /// still completes under an older pin is re-run at completion time
-    /// (the admission-race repair). Returns the new head's seq. An update
-    /// with a grant that does not validate is refused whole: nothing is
-    /// appended, and the tenant keeps its engine and cached plans.
+    /// Grants only affect later queries. Revocations are **pushed**: each
+    /// revoke appended here publishes on the tenant's churn signal, and
+    /// every in-flight query pinned before it — including one claimed
+    /// between the append and the engine swap below — aborts before its
+    /// next batch leaves and re-plans under the new head, or is refused
+    /// typed [`GeoError::NonCompliant`]. Returns the new head's seq. An
+    /// update with a grant that does not validate is refused whole:
+    /// nothing is appended, and the tenant keeps its engine and cached
+    /// plans.
     pub fn update_tenant_policies(
         &self,
         tenant: TenantId,
@@ -614,9 +597,8 @@ impl QueryService {
         for expr in &grants {
             expr.validate(&engine.catalog().resolve_one(&expr.table)?.schema)?;
         }
-        let mut revoke_seq = 0u64;
         for &pid in &revoked {
-            revoke_seq = revoke_seq.max(churn.revoke(pid as u64)?);
+            churn.revoke(pid as u64)?;
         }
         for expr in grants {
             churn.grant(expr)?;
@@ -631,16 +613,15 @@ impl QueryService {
                 .ok_or_else(|| GeoError::Execution(format!("unknown tenant #{}", tenant.0)))?;
             ten.engine = new_engine;
             ten.pin = head;
-            if revoke_seq > 0 {
-                ten.last_revoke_seq = ten.last_revoke_seq.max(revoke_seq);
-            }
         }
         self.shared.cache.evict_pids(tenant.0, &revoked);
         Ok(head)
     }
 
-    /// The tenant's catalog service (the `\grant`/`\revoke`/`\catalog`
-    /// verbs and churn tests drive it directly).
+    /// The tenant's catalog service. An append made here reaches
+    /// in-flight queries through the churn signal but leaves the tenant's
+    /// engine, pin and cached plans as they were; policy changes go
+    /// through [`QueryService::update_tenant_policies`].
     pub fn tenant_catalog(&self, tenant: TenantId) -> Result<Arc<CatalogService>> {
         let st = self.shared.state.lock().unwrap();
         st.tenants
@@ -700,26 +681,18 @@ impl Drop for QueryService {
     }
 }
 
-/// How many times a completed job may be re-run because a revocation
-/// landed after it pinned its catalog head, before the race resolves to a typed
-/// refusal instead of chasing a catalog that churns faster than the
-/// query runs.
-const MAX_CHURN_RERUNS: u64 = 3;
-
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
         // Claim a job under the lock; execute it outside. The claim
         // captures the engine AND the catalog pin together, so the job's
-        // plan-cache key, churn watch, and completion re-check all agree
-        // on the policy snapshot it was admitted under.
-        let (tenant_idx, job, mut engine, mut pin, mut churn) = {
+        // plan-cache key and churn watch agree on the policy snapshot it
+        // was admitted under.
+        let (tenant_idx, job, engine, pin, churn) = {
             let mut st = shared.state.lock().unwrap();
             loop {
                 if let Some((t, job)) = next_job(&mut st) {
-                    let engine = st.tenants[t].engine.clone();
-                    let pin = st.tenants[t].pin;
-                    let churn = st.tenants[t].churn.clone();
-                    break (t, job, engine, pin, churn);
+                    let ten = &st.tenants[t];
+                    break (t, job, ten.engine.clone(), ten.pin, ten.churn.clone());
                 }
                 if st.shutdown {
                     return;
@@ -728,40 +701,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             }
         };
 
-        let mut outcome = run_job(shared, tenant_idx, &engine, &churn, pin, &job.request);
-        // Admission-race repair: `update_tenant_policies` may have
-        // revoked a policy after this job pinned its head but before it
-        // finished. A completion whose pin predates the newest revocation
-        // cannot be trusted — re-run it under the current engine and pin
-        // (which plan it under the new snapshot), bounded so a
-        // pathologically churny catalog resolves typed instead of looping.
-        let mut reruns = 0u64;
-        while outcome.is_ok() {
-            let current = {
-                let st = shared.state.lock().unwrap();
-                let ten = &st.tenants[tenant_idx];
-                if ten.last_revoke_seq > pin {
-                    Some((ten.engine.clone(), ten.pin, ten.churn.clone()))
-                } else {
-                    None
-                }
-            };
-            let Some((cur_engine, cur_pin, cur_churn)) = current else {
-                break;
-            };
-            if reruns >= MAX_CHURN_RERUNS {
-                outcome = Err(GeoError::NonCompliant(format!(
-                    "policy churn outpaced the query: {reruns} completion-time \
-                     re-runs never caught a stable catalog head"
-                )));
-                break;
-            }
-            reruns += 1;
-            engine = cur_engine;
-            pin = cur_pin;
-            churn = cur_churn;
-            outcome = run_job(shared, tenant_idx, &engine, &churn, pin, &job.request);
-        }
+        let outcome = run_job(shared, tenant_idx, &engine, &churn, pin, &job.request);
         let latency_ms = job.submitted.elapsed().as_secs_f64() * 1e3;
 
         {
@@ -772,23 +712,23 @@ fn worker_loop(shared: &Arc<Shared>) {
                 ten.latencies_ms.pop_front();
             }
             ten.latencies_ms.push_back(latency_ms);
-            ten.churn_reruns += reruns;
+            let stats = &mut ten.stats;
             match &outcome {
                 Ok(reply) => {
-                    ten.completed += 1;
-                    ten.replans += reply.replans as u64;
-                    ten.churn_replans += reply.churn_replans;
-                    ten.grant_retries += reply.grant_retries;
+                    stats.completed += 1;
+                    stats.replans += reply.replans as u64;
+                    stats.churn_replans += reply.churn_replans;
+                    stats.grant_retries += reply.grant_retries;
                     if reply.grant_retries > 0 {
-                        ten.grants_rescued += 1;
+                        stats.grants_rescued += 1;
                     }
                     if reply.cached {
-                        ten.cache_hits += 1;
+                        stats.cache_hits += 1;
                     } else {
-                        ten.cache_misses += 1;
+                        stats.cache_misses += 1;
                     }
                 }
-                Err(_) => ten.failed += 1,
+                Err(_) => stats.failed += 1,
             }
         }
         // Finishing a query can unblock both the scheduler (inflight
@@ -866,30 +806,31 @@ fn run_job(
         }
     };
 
-    // Faults, a deadline or a cancel token ask for the resilient preset
-    // (failover, checkpoint/resume, live churn enforcement); anything
-    // else is the plain single attempt. Either way it is one call, and
-    // the engine is data.
-    let needs_resilient =
+    // Every execution runs under the job's catalog pin: a revocation
+    // published after it aborts the query before its next batch leaves,
+    // and the engine re-plans under the new head within the re-plan
+    // budget. Faults, a deadline or a cancel token add the failover
+    // preset (retries, checkpoint/resume); anything else is one attempt
+    // per plan. Either way it is one call, and the engine is data.
+    let needs_failover =
         request.faults.is_some() || request.deadline.is_some() || request.cancel.is_some();
     let no_faults = FaultPlan::new(0);
-    let faults = needs_resilient.then(|| request.faults.as_ref().unwrap_or(&no_faults));
+    let faults = needs_failover.then(|| request.faults.as_ref().unwrap_or(&no_faults));
     let retry = RetryPolicy::default();
     let opts = ExecOptions {
         runtime: RuntimeConfig {
             columnar: shared.columnar,
             ..RuntimeConfig::default()
         },
+        deadline: request.deadline,
+        cancel: request.cancel.clone(),
+        churn: Some(ChurnOpts {
+            service: Arc::clone(churn),
+            pin,
+        }),
+        max_replans: shared.max_replans,
         ..match faults {
-            Some(faults) => ExecOptions {
-                deadline: request.deadline,
-                cancel: request.cancel.clone(),
-                churn: Some(ChurnOpts {
-                    service: Arc::clone(churn),
-                    pin,
-                }),
-                ..ExecOptions::failover(faults, &retry, shared.max_replans)
-            },
+            Some(faults) => ExecOptions::failover(faults, &retry, shared.max_replans),
             None => ExecOptions::default(),
         }
     };

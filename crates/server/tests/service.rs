@@ -6,13 +6,14 @@
 //! mid-queue, and cross-tenant memo/plan isolation.
 
 use geoqp_common::{
-    CancelToken, DataType, Field, Location, LocationSet, QueryDeadline, Schema, TableRef, Value,
+    CancelToken, DataType, Field, Location, LocationSet, QueryDeadline, Result, Rows, Schema,
+    TableRef, Value,
 };
 use geoqp_core::{ExecOptions, OptimizerMode};
 use geoqp_net::topology::Link;
 use geoqp_net::{FaultPlan, NetworkTopology, StepWindow};
 use geoqp_policy::PolicyCatalog;
-use geoqp_server::{QueryRequest, QueryService, ServiceConfig, TenantConfig, TenantId};
+use geoqp_server::{QueryReply, QueryRequest, QueryService, ServiceConfig, TenantConfig, TenantId};
 use geoqp_storage::{Catalog, Table, TableStats};
 use geoqp_tpch::adhoc::generate_adhoc;
 use geoqp_tpch::{generate_policies, PolicyTemplate};
@@ -440,6 +441,106 @@ fn revoking_a_governing_policy_evicts_cached_plans() {
     // Same SQL, new head: a fresh optimize, then hits again.
     assert!(!run(Q_NAMES).unwrap().cached);
     assert!(run(Q_NAMES).unwrap().cached);
+}
+
+/// Everything ships anywhere (pid 0) and ids and names also ship by
+/// their own grant (pid 1), so revoking pid 0 leaves `Q_NAMES` a
+/// compliant plan.
+fn layered_policies(catalog: &Catalog) -> Arc<PolicyCatalog> {
+    let mut p = PolicyCatalog::new();
+    add_policy(&mut p, catalog, "users", "ship * from users to *");
+    add_policy(
+        &mut p,
+        catalog,
+        "users",
+        "ship u_id, u_name from users to *",
+    );
+    add_policy(&mut p, catalog, "events", "ship * from events to *");
+    Arc::new(p)
+}
+
+/// The pid of "ship * from users to *" in [`layered_policies`].
+const USERS_ANYWHERE: u64 = 0;
+
+/// Revoke [`USERS_ANYWHERE`] on the tenant's catalog log directly: the
+/// revoke is appended and published, but the tenant keeps the engine
+/// and pin it had — the window `update_tenant_policies` opens between
+/// its log append and its engine swap. Then submit plain `Q_NAMES` at
+/// US, whose plan ships users' rows out of the EU under that grant.
+/// Returns the reply and a fresh run of the query under the new head.
+fn plain_query_across_a_revocation(max_replans: usize) -> (Result<QueryReply>, Vec<String>) {
+    let catalog = tiny_catalog();
+    let svc = QueryService::new(ServiceConfig {
+        workers: 1,
+        cache_capacity: 16,
+        columnar: true,
+        max_replans,
+    });
+    let tenant = svc.add_tenant(
+        "t0",
+        catalog.clone(),
+        layered_policies(&catalog),
+        tiny_topology(),
+        TenantConfig::default(),
+    );
+    let run = || {
+        svc.submit(tenant, QueryRequest::new(Q_NAMES).at(Location::new("US")))
+            .unwrap()
+            .wait()
+    };
+    let before = run().unwrap();
+    assert_eq!(before.churn_replans, 0);
+    assert!(
+        (before.transfers.records().iter()).any(|r| r.from == Location::new("EU")),
+        "the plan must ship users' rows out of the EU: {:?}",
+        before.transfers
+    );
+
+    let engine = svc.tenant_engine(tenant).unwrap();
+    let log = svc.tenant_catalog(tenant).unwrap();
+    let head = log.revoke(USERS_ANYWHERE).unwrap();
+    assert!(
+        Arc::ptr_eq(&engine, &svc.tenant_engine(tenant).unwrap()),
+        "a revoke on the log alone leaves the tenant's engine in place"
+    );
+
+    let fresh = engine.fork_with_policies(log.snapshot(head).unwrap());
+    let optimized = fresh
+        .optimize_sql(Q_NAMES, OptimizerMode::Compliant, Some(Location::new("US")))
+        .unwrap();
+    let expected = fresh.run(&optimized, &ExecOptions::default()).unwrap();
+    (run(), sorted_rows(&expected.rows))
+}
+
+fn sorted_rows(rows: &Rows) -> Vec<String> {
+    let mut out: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
+    out.sort();
+    out
+}
+
+/// A plain query pinned before a revocation is caught at its first
+/// batch, re-pins to the new head and re-plans there: one revocation
+/// re-plan, the rows of a fresh run under the head.
+#[test]
+fn a_plain_query_pinned_before_a_revocation_replans_under_the_head() {
+    let (reply, expected) = plain_query_across_a_revocation(2);
+    let reply = reply.unwrap();
+    assert!(
+        reply.cached,
+        "the pre-revocation plan is served from the cache"
+    );
+    assert_eq!(reply.churn_replans, 1);
+    assert_eq!(reply.replans, 1);
+    assert_eq!(sorted_rows(&reply.rows), expected);
+}
+
+/// With no re-plan budget the same query is refused typed instead of
+/// shipping under the revoked grant.
+#[test]
+fn a_plain_query_pinned_before_a_revocation_is_refused_without_a_replan_budget() {
+    let (reply, _) = plain_query_across_a_revocation(0);
+    let err = reply.unwrap_err();
+    assert_eq!(err.kind(), "non-compliant", "{err}");
 }
 
 /// Regression: removing a policy set and then restoring the *identical*

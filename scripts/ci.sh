@@ -145,6 +145,15 @@ if grep -rnE 'CatalogReplica|StaleGuard|StaleReplica|CatalogStale|catalog-stale|
     exit 1
 fi
 
+echo "==> one revocation path: every service query runs under its pin's" \
+     "churn watch, so a revocation aborts it before its next batch leaves" \
+     "and it re-plans once inside the run; no job is re-run at completion"
+if grep -rnE 'last_revoke_seq|churn_reruns|MAX_CHURN_RERUNS' crates/server/src; then
+    echo "the server's completion-time re-run is back: a revocation reaches an" \
+        "in-flight query through its churn watch, and each job runs once" >&2
+    exit 1
+fi
+
 echo "==> one key-to-position map: a join or grouping key becomes a table" \
      "slot only in crates/exec/src/keyed.rs (JoinIndex for a join, Grouping" \
      "for an aggregate), hashed by the fmix64 finalizer or positioned by" \

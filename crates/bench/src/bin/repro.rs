@@ -96,6 +96,12 @@ fn churn_figure() {
         "query", "step", "pid", "outcome", "replans", "total B", "recomp B", "resumed B", "rows="
     );
     let grid = churn::churn_grid(SEED);
+    let dash = |v: Option<String>| v.unwrap_or_else(|| "-".to_string());
+    let rows = |m: Option<bool>| match m {
+        Some(true) => "yes",
+        Some(false) => "NO",
+        None => "-",
+    };
     for c in &grid {
         let step = match c.revoke_step {
             u64::MAX => "∞".to_string(),
@@ -107,52 +113,42 @@ fn churn_figure() {
             step,
             c.revoked_pid,
             c.outcome.label(),
-            c.replans,
-            c.total_bytes,
-            c.recomputed_bytes,
-            c.resumed_bytes,
-            if c.rows_match { "yes" } else { "NO" }
+            dash(c.replans.map(|n| n.to_string())),
+            dash(c.total_bytes.map(|n| n.to_string())),
+            dash(c.recomputed_bytes.map(|n| n.to_string())),
+            dash(c.resumed_bytes.map(|n| n.to_string())),
+            rows(c.rows_match)
         );
     }
 
     header(
-        "Extension E12: quiesce-free grant retry — revoke@step 0, re-grant released at a \
+        "Extension E12: re-pin to the visible head — revoke@step 0, re-grant released at a \
          swept step",
     );
     println!(
-        "  {:6} {:>6} {:>5} {:>14} {:>8} {:>8} {:>6}",
-        "query", "gstep", "pid", "outcome", "retries", "rescued", "rows="
+        "  {:6} {:>6} {:>5} {:>14} {:>6}",
+        "query", "gstep", "pid", "outcome", "rows="
     );
     let grants = churn::grant_grid(SEED);
     for c in &grants {
         println!(
-            "  {:6} {:>6} {:>5} {:>14} {:>8} {:>8} {:>6}",
+            "  {:6} {:>6} {:>5} {:>14} {:>6}",
             c.query,
             c.grant_step,
             c.revoked_pid,
             c.outcome.label(),
-            c.grant_retries
-                .map_or_else(|| "-".to_string(), |n| n.to_string()),
-            if c.rescued { "yes" } else { "-" },
-            match c.rows_match {
-                Some(true) => "yes",
-                Some(false) => "NO",
-                None => "-",
-            }
+            rows(c.rows_match)
         );
     }
     let s = churn::summarize(&grid, &grants);
     println!(
         "  summary: {} finished, {} replanned, {} refused non-compliant, \
-         {} other; {} rescued by grant retry \
-         ({} retries); re-plan byte overhead {:.1}% \
+         {} other; re-plan byte overhead {:.1}% \
          ({} B recomputed, {} B resumed from checkpoints)",
         s.finished,
         s.replanned,
         s.refused_non_compliant,
         s.refused_other,
-        s.grants_rescued,
-        s.grant_retries,
         s.replan_byte_overhead() * 100.0,
         s.recomputed_bytes,
         s.resumed_bytes,

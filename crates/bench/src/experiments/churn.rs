@@ -11,15 +11,16 @@
 //! (checkpoints of the drained edges restricted to the re-placed plan,
 //! compliance re-verified); one released past the query's last edge
 //! never bites. Cells where the shrunken policy set leaves no compliant
-//! placement refuse typed.
+//! placement refuse typed; their counters are written `null`, because
+//! the refusal carries none.
 //!
-//! The grant grid exercises the quiesce-free grant retry: the
-//! revocation releases at step 0, and the *same* expression is
-//! re-granted at sequence 2, released at a swept grant step. A query
-//! the revocation refuses outright is rescued — re-pinned forward onto
-//! the grant and completed — exactly when the grant had landed by the
-//! abort step; a grant releasing after the abort cannot rescue in
-//! hindsight.
+//! The grant grid exercises the re-pin rule: the revocation releases at
+//! step 0, and the *same* expression is re-granted at sequence 2,
+//! released at a swept grant step. A revocation re-pins the query to the
+//! head it can see at the abort step, so a grant released by then is
+//! inside that head and the query re-plans once, straight onto it; a
+//! grant released after the abort is not, and a query the revocation
+//! alone refuses stays refused.
 //!
 //! Everything is simulated-clock and seed-driven: identically-seeded
 //! runs serialize byte-identically.
@@ -29,7 +30,6 @@ use geoqp_common::ChurnEvent;
 use geoqp_core::{CatalogService, Engine, ExecOptions, OptimizerMode};
 use geoqp_exec::RetryPolicy;
 use geoqp_net::{FaultPlan, NetworkTopology};
-use geoqp_policy::PolicyCatalog;
 use geoqp_tpch::policy_gen::{generate_policies, PolicyTemplate};
 use geoqp_tpch::queries::all_queries;
 use std::sync::Arc;
@@ -42,8 +42,8 @@ pub const REVOKE_STEPS: [u64; 5] = [0, 1, 2, 4, u64::MAX];
 
 /// Grant-release steps of the grant grid: the churn step at which
 /// the re-grant of the revoked expression becomes visible. The last
-/// value lands after any abort, so it can never rescue — the control
-/// column proving retries consult only grants the query could have
+/// value lands after any abort, so no re-pin can see it — the control
+/// column proving a re-pin reads only entries the query could have
 /// seen.
 pub const GRANT_STEPS: [u64; 5] = [0, 1, 2, 4, 1_000];
 
@@ -83,19 +83,22 @@ pub struct ChurnCell {
     pub revoked_pid: u64,
     /// What happened.
     pub outcome: ChurnOutcome,
-    /// Total re-plans (site failures + churn; here churn only).
-    pub replans: usize,
+    /// Total re-plans (site failures + churn; here churn only). Like
+    /// every counter below, `None` for a refused cell: its error carries
+    /// no counters, though it may have shipped edges and re-planned
+    /// before the refusal.
+    pub replans: Option<usize>,
     /// Bytes shipped across all attempts.
-    pub total_bytes: u64,
+    pub total_bytes: Option<u64>,
     /// Bytes the fault-free, churn-free reference run shipped.
     pub reference_bytes: u64,
     /// Bytes re-shipped after the abort (checkpoint misses); the re-plan
     /// overhead the retained checkpoints are there to bound.
-    pub recomputed_bytes: u64,
+    pub recomputed_bytes: Option<u64>,
     /// Bytes served from retained checkpoints instead of re-shipping.
-    pub resumed_bytes: u64,
-    /// Completed cells only: the answer matched the reference multiset.
-    pub rows_match: bool,
+    pub resumed_bytes: Option<u64>,
+    /// Whether the answer matched the reference multiset.
+    pub rows_match: Option<bool>,
 }
 
 /// One cell of the grant grid: revocation at step 0, the same
@@ -111,12 +114,6 @@ pub struct GrantCell {
     pub revoked_pid: u64,
     /// What happened.
     pub outcome: ChurnOutcome,
-    /// Quiesce-free grant retries the execution performed; `None` for a
-    /// refused cell, whose error carries no counters.
-    pub grant_retries: Option<u64>,
-    /// The query was refused under the revocation's pin and completed
-    /// under the re-granted head — the rescue the retry exists for.
-    pub rescued: bool,
     /// Whether the answer matched the reference multiset; `None` for a
     /// refused cell, which has no answer.
     pub rows_match: Option<bool>,
@@ -124,7 +121,6 @@ pub struct GrantCell {
 
 struct Fixture {
     catalog: Arc<geoqp_storage::Catalog>,
-    policies: PolicyCatalog,
     engine: Engine,
 }
 
@@ -135,20 +131,16 @@ fn fixture(seed: u64) -> Fixture {
         generate_policies(&catalog, PolicyTemplate::CRA, 10, seed).expect("policy generation");
     let engine = Engine::new(
         Arc::clone(&catalog),
-        Arc::new(policies.clone()),
+        Arc::new(policies),
         NetworkTopology::paper_wan(),
     );
-    Fixture {
-        catalog,
-        policies,
-        engine,
-    }
+    Fixture { catalog, engine }
 }
 
 /// A catalog service whose log already holds the revocation of `pid`
 /// at sequence 1, with the signal scripted to release it at `step`.
 fn scripted_service(fx: &Fixture, pid: u64, step: u64) -> Arc<CatalogService> {
-    let svc = CatalogService::new(Arc::clone(&fx.catalog), fx.policies.clone());
+    let svc = CatalogService::new(&fx.engine);
     let rev = svc.revoke(pid).expect("revoking a live template pid");
     Arc::new(svc.with_planned(vec![ChurnEvent {
         step,
@@ -164,7 +156,7 @@ pub fn churn_grid(seed: u64) -> Vec<ChurnCell> {
     let fx = fixture(seed);
     let sites = fx.catalog.locations().len();
     let retry = RetryPolicy::default();
-    let probe = CatalogService::new(Arc::clone(&fx.catalog), fx.policies.clone());
+    let probe = CatalogService::new(&fx.engine);
     let pids: Vec<u64> = probe.live_policies().iter().map(|(pid, _)| *pid).collect();
     assert!(!pids.is_empty(), "the template set registered no policies");
     let mut out = Vec::new();
@@ -201,24 +193,24 @@ pub fn churn_grid(seed: u64) -> Vec<ChurnCell> {
                     } else {
                         ChurnOutcome::Replanned(res.churn_replans)
                     },
-                    replans: res.replans,
-                    total_bytes: res.transfers.total_bytes(),
+                    replans: Some(res.replans),
+                    total_bytes: Some(res.transfers.total_bytes()),
                     reference_bytes,
-                    recomputed_bytes: res.recomputed_bytes,
-                    resumed_bytes: res.resumed_bytes,
-                    rows_match: multiset(&res.rows) == reference_rows,
+                    recomputed_bytes: Some(res.recomputed_bytes),
+                    resumed_bytes: Some(res.resumed_bytes),
+                    rows_match: Some(multiset(&res.rows) == reference_rows),
                 },
                 Err(e) => ChurnCell {
                     query,
                     revoke_step: step,
                     revoked_pid: pid,
                     outcome: ChurnOutcome::Refused(e.kind().to_string()),
-                    replans: 0,
-                    total_bytes: 0,
+                    replans: None,
+                    total_bytes: None,
                     reference_bytes,
-                    recomputed_bytes: 0,
-                    resumed_bytes: 0,
-                    rows_match: true,
+                    recomputed_bytes: None,
+                    resumed_bytes: None,
+                    rows_match: None,
                 },
             };
             out.push(cell);
@@ -230,13 +222,14 @@ pub fn churn_grid(seed: u64) -> Vec<ChurnCell> {
 /// The grant grid: every TPC-H query × every grant-release step. Each
 /// cell's scripted log holds the revocation of a live pid at sequence 1
 /// (released at churn step 0) and a re-grant of the *same*
-/// expression at sequence 2 (released at the swept grant step), so the
-/// grant retry decides the query's fate.
+/// expression at sequence 2 (released at the swept grant step), so
+/// whether the re-pin at the abort can see the grant decides the
+/// query's fate.
 pub fn grant_grid(seed: u64) -> Vec<GrantCell> {
     let fx = fixture(seed);
     let sites = fx.catalog.locations().len();
     let retry = RetryPolicy::default();
-    let probe = CatalogService::new(Arc::clone(&fx.catalog), fx.policies.clone());
+    let probe = CatalogService::new(&fx.engine);
     let live = probe.live_policies();
     assert!(!live.is_empty(), "the template set registered no policies");
     let mut out = Vec::new();
@@ -257,7 +250,7 @@ pub fn grant_grid(seed: u64) -> Vec<GrantCell> {
         let reference_rows = multiset(&reference.rows);
         for (si, &grant_step) in GRANT_STEPS.iter().enumerate() {
             let (pid, display) = &live[(qi * GRANT_STEPS.len() + si) % live.len()];
-            let svc = CatalogService::new(Arc::clone(&fx.catalog), fx.policies.clone());
+            let svc = CatalogService::new(&fx.engine);
             let pin = svc.head();
             let rev = svc.revoke(*pid).expect("revoking a live template pid");
             let regrant = geoqp_parser::parse_policy(display).expect("live display forms re-parse");
@@ -289,8 +282,6 @@ pub fn grant_grid(seed: u64) -> Vec<GrantCell> {
                     } else {
                         ChurnOutcome::Replanned(res.churn_replans)
                     },
-                    grant_retries: Some(res.grant_retries),
-                    rescued: res.grant_retries > 0,
                     rows_match: Some(multiset(&res.rows) == reference_rows),
                 },
                 Err(e) => GrantCell {
@@ -298,8 +289,6 @@ pub fn grant_grid(seed: u64) -> Vec<GrantCell> {
                     grant_step,
                     revoked_pid: *pid,
                     outcome: ChurnOutcome::Refused(e.kind().to_string()),
-                    grant_retries: None,
-                    rescued: false,
                     rows_match: None,
                 },
             };
@@ -326,11 +315,6 @@ pub struct ChurnSummary {
     pub resumed_bytes: u64,
     /// Reference (churn-free) bytes of the re-planned cells.
     pub replanned_reference_bytes: u64,
-    /// Grant-grid cells refused under the revocation's pin and rescued
-    /// by a quiesce-free grant retry.
-    pub grants_rescued: u64,
-    /// Quiesce-free grant retries summed over the grant grid.
-    pub grant_retries: u64,
 }
 
 impl ChurnSummary {
@@ -362,17 +346,13 @@ pub fn summarize(grid: &[ChurnCell], grants: &[GrantCell]) -> ChurnSummary {
     for c in grid {
         s.count(&c.outcome);
         if matches!(c.outcome, ChurnOutcome::Replanned(_)) {
-            s.recomputed_bytes += c.recomputed_bytes;
-            s.resumed_bytes += c.resumed_bytes;
+            s.recomputed_bytes += c.recomputed_bytes.unwrap_or(0);
+            s.resumed_bytes += c.resumed_bytes.unwrap_or(0);
             s.replanned_reference_bytes += c.reference_bytes;
         }
     }
     for c in grants {
         s.count(&c.outcome);
-        s.grant_retries += c.grant_retries.unwrap_or(0);
-        if c.rescued {
-            s.grants_rescued += 1;
-        }
     }
     s
 }
@@ -397,12 +377,18 @@ pub fn to_json(grid: &[ChurnCell], grants: &[GrantCell], seed: u64) -> String {
         s.push_str(&format!("\"revoke_step\": {}, ", c.revoke_step));
         s.push_str(&format!("\"revoked_pid\": {}, ", c.revoked_pid));
         s.push_str(&format!("\"outcome\": \"{}\", ", c.outcome.label()));
-        s.push_str(&format!("\"replans\": {}, ", c.replans));
-        s.push_str(&format!("\"total_bytes\": {}, ", c.total_bytes));
+        s.push_str(&format!("\"replans\": {}, ", json_opt(c.replans)));
+        s.push_str(&format!("\"total_bytes\": {}, ", json_opt(c.total_bytes)));
         s.push_str(&format!("\"reference_bytes\": {}, ", c.reference_bytes));
-        s.push_str(&format!("\"recomputed_bytes\": {}, ", c.recomputed_bytes));
-        s.push_str(&format!("\"resumed_bytes\": {}, ", c.resumed_bytes));
-        s.push_str(&format!("\"rows_match\": {}", c.rows_match));
+        s.push_str(&format!(
+            "\"recomputed_bytes\": {}, ",
+            json_opt(c.recomputed_bytes)
+        ));
+        s.push_str(&format!(
+            "\"resumed_bytes\": {}, ",
+            json_opt(c.resumed_bytes)
+        ));
+        s.push_str(&format!("\"rows_match\": {}", json_opt(c.rows_match)));
         s.push('}');
         if i + 1 < grid.len() {
             s.push(',');
@@ -417,11 +403,6 @@ pub fn to_json(grid: &[ChurnCell], grants: &[GrantCell], seed: u64) -> String {
         s.push_str(&format!("\"grant_step\": {}, ", c.grant_step));
         s.push_str(&format!("\"revoked_pid\": {}, ", c.revoked_pid));
         s.push_str(&format!("\"outcome\": \"{}\", ", c.outcome.label()));
-        s.push_str(&format!(
-            "\"grant_retries\": {}, ",
-            json_opt(c.grant_retries)
-        ));
-        s.push_str(&format!("\"rescued\": {}, ", c.rescued));
         s.push_str(&format!("\"rows_match\": {}", json_opt(c.rows_match)));
         s.push('}');
         if i + 1 < grants.len() {
@@ -450,14 +431,6 @@ pub fn to_json(grid: &[ChurnCell], grants: &[GrantCell], seed: u64) -> String {
         summary.resumed_bytes
     ));
     s.push_str(&format!(
-        "    \"grants_rescued\": {},\n",
-        summary.grants_rescued
-    ));
-    s.push_str(&format!(
-        "    \"grant_retries\": {},\n",
-        summary.grant_retries
-    ));
-    s.push_str(&format!(
         "    \"replan_byte_overhead\": {:.4}\n",
         summary.replan_byte_overhead()
     ));
@@ -478,10 +451,12 @@ mod tests {
         let mut replanned = 0;
         let mut finished_control = 0;
         for c in &grid {
-            assert!(
+            assert_ne!(
                 c.rows_match,
+                Some(false),
                 "{} @ step {}: answer changed",
-                c.query, c.revoke_step
+                c.query,
+                c.revoke_step
             );
             match &c.outcome {
                 ChurnOutcome::Replanned(n) => {
@@ -506,7 +481,7 @@ mod tests {
         let mostly_resumed = grid
             .iter()
             .filter(|c| matches!(c.outcome, ChurnOutcome::Replanned(_)))
-            .filter(|c| 2 * c.resumed_bytes >= c.reference_bytes)
+            .filter(|c| 2 * c.resumed_bytes.unwrap_or(0) >= c.reference_bytes)
             .count();
         assert!(
             mostly_resumed >= 3,
@@ -520,47 +495,33 @@ mod tests {
     }
 
     #[test]
-    fn grant_grid_rescues_refused_queries() {
+    fn a_revocation_repins_onto_a_grant_it_can_see() {
         let grants = grant_grid(2021);
         assert!(!grants.is_empty());
-        let mut rescued = 0;
         let mut refused_control = 0;
         for c in &grants {
-            assert_ne!(
-                c.rows_match,
-                Some(false),
-                "{} @ grant step {}: answer changed",
-                c.query,
-                c.grant_step
-            );
-            if c.rescued {
-                assert!(
-                    matches!(c.outcome, ChurnOutcome::Replanned(_)),
-                    "a rescued query completed by definition"
+            // A grant released with the revocation is inside the head the
+            // revocation re-pins to: every such query completes with the
+            // churn-free answer.
+            if c.grant_step == 0 {
+                assert_eq!(
+                    c.rows_match,
+                    Some(true),
+                    "{} @ grant step 0: {}",
+                    c.query,
+                    c.outcome.label()
                 );
-                rescued += 1;
             }
-            // The past-the-abort control column can never rescue: any
-            // refusal there stays a refusal.
-            if c.grant_step == 1_000 {
-                assert!(
-                    matches!(c.grant_retries, None | Some(0)),
-                    "{}: hindsight rescue",
-                    c.query
-                );
-                if matches!(c.outcome, ChurnOutcome::Refused(_)) {
-                    refused_control += 1;
-                }
+            // A grant released after any abort is invisible to the
+            // re-pin: the control column shows the revocation alone.
+            if c.grant_step == 1_000 && matches!(c.outcome, ChurnOutcome::Refused(_)) {
+                refused_control += 1;
             }
         }
         assert!(
-            rescued >= 1,
-            "no refused query was ever rescued by the in-flight grant: {:?}",
-            grants.iter().map(|c| c.outcome.label()).collect::<Vec<_>>()
-        );
-        assert!(
             refused_control >= 1,
-            "the control column must show what rescue-less churn looks like"
+            "the control column must show what the revocation alone refuses: {:?}",
+            grants.iter().map(|c| c.outcome.label()).collect::<Vec<_>>()
         );
     }
 }

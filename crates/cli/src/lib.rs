@@ -25,7 +25,6 @@ struct ServerSession {
 
 /// Shell state: the loaded deployment plus session settings.
 pub struct Shell {
-    engine: Option<Engine>,
     mode: OptimizerMode,
     /// `\workers` (morsel workers per site) lives here.
     config: RuntimeConfig,
@@ -38,11 +37,10 @@ pub struct Shell {
     hedge: Option<HedgeConfig>,
     last_health: Option<Vec<LinkReport>>,
     service: Option<ServerSession>,
-    /// The deployment's policy-catalog service: `\grant` and
-    /// `\revoke` append to its log and re-admit the session's engine at
-    /// the new head, and `\catalog` renders it. Only this shell appends
-    /// to the log, so a statement always plans and runs under the head.
-    churn: Option<Arc<CatalogService>>,
+    /// The loaded deployment's policy-catalog service: every statement
+    /// plans and runs on the engine at its head, `\grant` and `\revoke`
+    /// append to its log, and `\catalog` renders it.
+    churn: Option<CatalogService>,
 }
 
 impl Default for Shell {
@@ -55,7 +53,6 @@ impl Shell {
     /// A shell with no deployment loaded.
     pub fn new() -> Shell {
         Shell {
-            engine: None,
             mode: OptimizerMode::Compliant,
             config: RuntimeConfig::default(),
             result_location: None,
@@ -82,10 +79,10 @@ impl Shell {
         }
     }
 
-    fn engine(&self) -> Result<&Engine> {
-        self.engine
-            .as_ref()
-            .ok_or_else(|| GeoError::Execution("no deployment loaded; try \\demo carco".into()))
+    /// The engine at the catalog head: what the next statement plans on.
+    fn engine(&self) -> Result<Engine> {
+        let svc = self.catalog_service()?;
+        svc.engine(svc.head())
     }
 
     fn meta_command(&mut self, rest: &str) -> Result<String> {
@@ -201,8 +198,7 @@ impl Shell {
         match name {
             "carco" => {
                 self.service = None;
-                self.engine = Some(demo::carco()?);
-                self.attach_catalog();
+                self.churn = Some(CatalogService::new(&demo::carco()?));
                 Ok(
                     "loaded CarCo demo: customer@N, orders@E, supply@A with P_N/P_E/P_A\n"
                         .to_string(),
@@ -223,8 +219,7 @@ impl Shell {
                         })?,
                 };
                 self.service = None;
-                self.engine = Some(demo::tpch(sf)?);
-                self.attach_catalog();
+                self.churn = Some(CatalogService::new(&demo::tpch(sf)?));
                 Ok(format!(
                     "loaded TPC-H demo at SF {sf}: Table 2 distribution over L1–L5, CR+A policies\n"
                 ))
@@ -254,7 +249,7 @@ impl Shell {
     /// `\deny <expression>` — closed-world expansion: the denial becomes
     /// the grants of everything else, each appended to the catalog log
     /// like a `\grant`.
-    fn add_denial(&mut self, text: &str) -> Result<String> {
+    fn add_denial(&self, text: &str) -> Result<String> {
         let full = format!("deny {text}");
         let denial = geoqp_parser::parse_denial(if text.starts_with("deny") {
             text
@@ -278,42 +273,24 @@ impl Shell {
             let _ = writeln!(out, "expanded grant: {g}");
             svc.grant(g)?;
         }
-        self.refresh_engine(&svc, svc.head())?;
         Ok(out)
     }
 
-    /// (Re)build the catalog service over the loaded engine's policies:
-    /// the engine's policy set becomes log sequence 0.
-    fn attach_catalog(&mut self) {
-        self.churn = self
-            .engine
-            .as_ref()
-            .map(|eng| Arc::new(CatalogService::for_engine(eng)));
-    }
-
-    fn catalog_service(&self) -> Result<Arc<CatalogService>> {
+    fn catalog_service(&self) -> Result<&CatalogService> {
         self.churn
             .as_ref()
-            .map(Arc::clone)
             .ok_or_else(|| GeoError::Execution("no deployment loaded; try \\demo carco".into()))
-    }
-
-    /// Re-admit the session under the catalog head `pin`.
-    fn refresh_engine(&mut self, svc: &CatalogService, pin: u64) -> Result<()> {
-        self.engine = Some(self.engine()?.fork_with_policies(svc.snapshot(pin)?));
-        Ok(())
     }
 
     /// `\grant ship <attrs> from <table> to <locs> …` (or `\policy …`) —
     /// append a grant to the catalog log, the one way a session adds a
     /// policy. The new policy takes effect for queries admitted
     /// from the new head onward; it never interrupts in-flight work.
-    fn grant(&mut self, text: &str) -> Result<String> {
+    fn grant(&self, text: &str) -> Result<String> {
         let expr = geoqp_parser::parse_policy(text)?;
         let display = expr.to_string();
         let svc = self.catalog_service()?;
         let pin = svc.grant(expr)?;
-        self.refresh_engine(&svc, pin)?;
         let pid = svc
             .find_live(&display)
             .expect("the grant just appended is live at the head");
@@ -322,11 +299,11 @@ impl Shell {
         ))
     }
 
-    /// `\revoke <pid>|<expression>` — append a revocation and re-admit
-    /// the session at the new head. The shell runs one statement at a
+    /// `\revoke <pid>|<expression>` — append a revocation; the next
+    /// statement plans under the new head. The shell runs one statement at a
     /// time, so none is in flight to catch (`\server` tenants keep
     /// catalogs of their own).
-    fn revoke(&mut self, arg: &str) -> Result<String> {
+    fn revoke(&self, arg: &str) -> Result<String> {
         if arg.is_empty() {
             return Err(GeoError::Execution(
                 "usage: \\revoke <pid>|<policy expression>; \\catalog lists pids".into(),
@@ -345,7 +322,6 @@ impl Shell {
             }
         };
         let pin = svc.revoke(pid)?;
-        self.refresh_engine(&svc, pin)?;
         Ok(format!(
             "revoked p{pid}\ncatalog head: seq {pin}; the next statement plans under it\n"
         ))

@@ -10,9 +10,9 @@
 //! * [`ChurnSignal`] — how revocations reach in-flight queries: a set of
 //!   pre-planned, step-triggered events (deterministic replay for the
 //!   bench and chaos harnesses) plus a live published head (the server's
-//!   `update_tenant_policies` path). Grants never abort anything — they
-//!   only take effect for queries admitted later, or for a refused query
-//!   that re-pins forward onto them.
+//!   `update_tenant_policies` path). Only a revocation aborts a query;
+//!   the head it re-pins to holds every entry, of either kind, that the
+//!   query could see at the abort.
 //! * [`ChurnWatch`] — one attempt's pin and signal together.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,19 +35,16 @@ pub struct ChurnEvent {
 ///
 /// Two sources feed it: *planned* events with deterministic trigger
 /// steps (seeded experiments replay identically), and a *live* head
-/// published by the service when an administrator revokes a policy
-/// mid-run. Executors poll [`ChurnSignal::revoked_since`] at batch
-/// granularity; a hit aborts the attempt with
-/// [`GeoError::PolicyChurn`] so the failover loop can re-pin.
+/// published by the service on every append. Executors poll
+/// [`ChurnSignal::revoked_since`] at batch granularity; a hit aborts the
+/// attempt with [`GeoError::PolicyChurn`] so the failover loop can re-pin.
+///
+/// [`GeoError::PolicyChurn`]: crate::GeoError::PolicyChurn
 #[derive(Debug, Default)]
 pub struct ChurnSignal {
     planned: Vec<ChurnEvent>,
     live_seq: AtomicU64,
     live_revocation: AtomicU64,
-    /// Sequence of the newest live-published *grant*, feeding
-    /// [`ChurnSignal::granted_since`]: a refused in-flight query may
-    /// re-pin forward onto it, because grants only grow the legal set.
-    live_grant: AtomicU64,
 }
 
 impl ChurnSignal {
@@ -67,61 +64,33 @@ impl ChurnSignal {
     }
 
     /// Publish a new live head (the server path). `revocation` marks
-    /// whether the update contained at least one revoke; only those
-    /// interrupt in-flight queries.
+    /// whether the entry revokes a policy; only those interrupt
+    /// in-flight queries.
     pub fn publish(&self, seq: u64, revocation: bool) {
         // Publishers may race, so a revocation published after a newer
         // grant must still be recorded: each head only ever moves up.
         self.live_seq.fetch_max(seq, Ordering::AcqRel);
-        let kind = if revocation {
-            &self.live_revocation
-        } else {
-            &self.live_grant
-        };
-        kind.fetch_max(seq, Ordering::AcqRel);
-    }
-
-    /// The newest *revocation* visible at executor step `step` that the
-    /// pin at `pin_seq` has not seen, if any — the head the aborting
-    /// query should re-pin to. Returns the highest-sequence candidate
-    /// so one abort absorbs a burst of revocations.
-    pub fn revoked_since(&self, pin_seq: u64, step: u64) -> Option<u64> {
-        let live = self.live_revocation.load(Ordering::Acquire);
-        self.newest(pin_seq, step, true, live)
-    }
-
-    /// The newest *grant* visible at executor step `step` that the pin at
-    /// `pin_seq` has not seen, if any — the head a query refused
-    /// `NonCompliant` under its pin may re-pin forward to. Sound because
-    /// grants are additive: the legal set at the returned head is a
-    /// superset of the one at `pin_seq` plus whatever revocations the
-    /// re-pin already absorbed, and the retry re-runs the full compliant
-    /// optimizer and Definition-1 audit under the new snapshot anyway.
-    ///
-    /// Planned grants are gated by their trigger step (deterministic
-    /// replay); live-published grants really happened, so they are always
-    /// visible.
-    pub fn granted_since(&self, pin_seq: u64, step: u64) -> Option<u64> {
-        let live = self.live_grant.load(Ordering::Acquire);
-        self.newest(pin_seq, step, false, live)
-    }
-
-    /// The newest planned entry of the given kind released by `step`, or
-    /// the live head when the newest live entry of that kind (`live`) is
-    /// newer still — newer than the pin either way.
-    fn newest(&self, pin_seq: u64, step: u64, revocation: bool, live: u64) -> Option<u64> {
-        let planned = (self.planned.iter())
-            .filter(|e| e.step <= step && e.revocation == revocation && e.seq > pin_seq)
-            .map(|e| e.seq)
-            .max();
-        if live > pin_seq && planned.is_none_or(|h| live > h) {
-            // Re-pin to the full live head: it is at least as new as the
-            // entry, and newer entries in between must be absorbed, not
-            // skipped.
-            Some(self.live_seq.load(Ordering::Acquire).max(live))
-        } else {
-            planned
+        if revocation {
+            self.live_revocation.fetch_max(seq, Ordering::AcqRel);
         }
+    }
+
+    /// The catalog head a query pinned at `pin_seq` re-pins to when a
+    /// revocation newer than its pin is visible at executor step `step`;
+    /// `None` when no such revocation is (a grant alone never aborts).
+    ///
+    /// The head is everything the query can see at that step: the newest
+    /// planned entry of either kind released by `step`, or the live head
+    /// when that is newer. Live entries really happened, so they are
+    /// always visible; a planned entry released after `step` is not.
+    pub fn revoked_since(&self, pin_seq: u64, step: u64) -> Option<u64> {
+        let released = (self.planned.iter()).filter(|e| e.step <= step && e.seq > pin_seq);
+        let revoked = self.live_revocation.load(Ordering::Acquire) > pin_seq
+            || released.clone().any(|e| e.revocation);
+        revoked.then(|| {
+            let planned = released.map(|e| e.seq).max().unwrap_or(0);
+            planned.max(self.live_seq.load(Ordering::Acquire))
+        })
     }
 }
 
@@ -191,12 +160,14 @@ mod tests {
         sig.publish(5, true);
         assert_eq!(sig.revoked_since(4, 0), Some(6), "re-pin to the full head");
         assert_eq!(sig.revoked_since(5, 0), None);
-        assert_eq!(sig.granted_since(4, 0), Some(6));
     }
 
+    /// The head a revocation re-pins to is what the query can see at the
+    /// abort step: `(pin, step) → head`.
     #[test]
-    fn planned_grants_become_visible_by_step() {
-        let sig = ChurnSignal::with_planned(vec![
+    fn a_revocation_repins_to_the_head_visible_at_the_abort_step() {
+        // Revocation at seq 1 from step 2, grant at seq 2 from step 4.
+        let planned = ChurnSignal::with_planned(vec![
             ChurnEvent {
                 step: 2,
                 seq: 1,
@@ -207,31 +178,57 @@ mod tests {
                 seq: 2,
                 revocation: false,
             },
+        ]);
+        // A grant alone never aborts: revoke at seq 1, grant at seq 2,
+        // both released at step 0; a pin that saw the revocation is
+        // untouched by the grant.
+        let grant_first = ChurnSignal::with_planned(vec![
             ChurnEvent {
-                step: 9,
-                seq: 3,
+                step: 0,
+                seq: 1,
+                revocation: true,
+            },
+            ChurnEvent {
+                step: 0,
+                seq: 2,
                 revocation: false,
             },
         ]);
-        assert_eq!(sig.granted_since(0, 3), None, "grant not yet released");
-        assert_eq!(sig.granted_since(0, 4), Some(2));
-        // A burst: the newest visible grant wins.
-        assert_eq!(sig.granted_since(0, 100), Some(3));
-        // A pin that already saw seq 3 gains nothing from retrying.
-        assert_eq!(sig.granted_since(3, 100), None);
-        // Revocations never count as grants.
-        assert_eq!(sig.granted_since(0, 2), None);
-    }
-
-    #[test]
-    fn live_grants_are_always_visible() {
-        let sig = ChurnSignal::new();
-        assert_eq!(sig.granted_since(0, 0), None);
-        sig.publish(4, false);
-        assert_eq!(sig.granted_since(0, 0), Some(4));
-        // A newer revocation moves the head; the grant re-pin absorbs it.
-        sig.publish(5, true);
-        assert_eq!(sig.granted_since(0, 0), Some(5));
-        assert_eq!(sig.granted_since(4, 0), None, "no grant after the pin");
+        // Live: a revocation at 5 and then a grant at 7.
+        let live = ChurnSignal::new();
+        live.publish(5, true);
+        live.publish(7, false);
+        let cases: [(&str, &ChurnSignal, u64, u64, Option<u64>); 9] = [
+            ("nothing released yet", &planned, 0, 1, None),
+            ("the revocation alone", &planned, 0, 3, Some(1)),
+            (
+                "a grant released by the abort step is inside",
+                &planned,
+                0,
+                4,
+                Some(2),
+            ),
+            (
+                "a grant released after the abort step is not",
+                &planned,
+                0,
+                2,
+                Some(1),
+            ),
+            ("a grant alone never aborts", &planned, 1, 100, None),
+            ("both released together", &grant_first, 0, 0, Some(2)),
+            (
+                "a grant alone never aborts (same step)",
+                &grant_first,
+                1,
+                0,
+                None,
+            ),
+            ("a live head is returned whole", &live, 4, 0, Some(7)),
+            ("a live grant alone never aborts", &live, 5, 0, None),
+        ];
+        for (what, sig, pin, step, head) in cases {
+            assert_eq!(sig.revoked_since(pin, step), head, "{what}");
+        }
     }
 }

@@ -87,11 +87,11 @@ impl Unavailable {
 /// re-planner knows which snapshot to re-pin against.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChurnAbort {
-    /// Catalog-log sequence number of the revocation that landed.
+    /// The catalog head the query re-pins to: every log entry visible at
+    /// the abort step, the revocation that fired among them.
     pub seq: u64,
-    /// The executor step at which the abort fired. The grant-retry path
-    /// replays the churn signal at this step, so which planned grants are
-    /// visible to a refused query is as deterministic as the abort itself.
+    /// The executor step at which the abort fired (the aborted edge's
+    /// place in the runtime's walk).
     pub step: u64,
     /// Human-readable description.
     pub message: String,
@@ -181,8 +181,8 @@ impl GeoError {
         })
     }
 
-    /// The catalog head a mid-flight revocation abort observed, if this
-    /// error is one: the sequence of the newest revocation entry.
+    /// The catalog head a mid-flight revocation abort re-pins to, if this
+    /// error is one: everything visible at the abort step.
     pub fn churn_head(&self) -> Option<u64> {
         match self {
             GeoError::PolicyChurn(c) => Some(c.seq),

@@ -8,18 +8,18 @@
 //! * `geoqp-common` owns the tiny executor-facing surface
 //!   ([`ChurnSignal`], [`ChurnWatch`]).
 //!
-//! The service wires them to the storage catalog (grant validation needs
-//! the governed table's schema) and hands the engine everything churn-
-//! aware execution needs: the snapshot at a pinned log sequence and a
-//! fresh watch after a mid-flight re-pin. Whether a plan still holds
-//! under a snapshot is decided where it runs: every shipped batch is
-//! audited against the pinned snapshot, and a revocation newer than the
-//! pin aborts the attempt.
+//! The service wires them to the deployment's base engine (grant
+//! validation needs the governed table's schema) and is the one owner
+//! that turns a log sequence into an engine: [`CatalogService::engine`]
+//! forks the base engine over the cached snapshot at that seq. Whether a
+//! plan still holds under a snapshot is decided where it runs: every
+//! shipped batch is audited against the pinned snapshot, and a
+//! revocation newer than the pin aborts the attempt and re-pins it to
+//! the head it can see ([`ChurnSignal::revoked_since`]).
 
 use crate::engine::Engine;
 use geoqp_common::{ChurnEvent, ChurnSignal, ChurnWatch, Result};
 use geoqp_policy::{CatalogLog, PolicyCatalog, PolicyExpression};
-use geoqp_storage::Catalog;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -34,10 +34,12 @@ pub struct ChurnOpts {
 }
 
 /// The policy-catalog service for one deployment: the append-only
-/// [`CatalogLog`], its materialized snapshots, and the churn signal.
-#[derive(Debug)]
+/// [`CatalogLog`], its materialized snapshots, the churn signal, and the
+/// base engine every snapshot is planned on.
 pub struct CatalogService {
-    storage: Arc<Catalog>,
+    /// The engine the log started from; [`CatalogService::engine`] forks
+    /// it, so every engine of this deployment shares its implication memo.
+    base: Engine,
     log: Mutex<CatalogLog>,
     /// Materialized snapshots, keyed by log sequence. A snapshot is
     /// immutable once materialized: the log is append-only.
@@ -45,21 +47,25 @@ pub struct CatalogService {
     signal: Arc<ChurnSignal>,
 }
 
+impl std::fmt::Debug for CatalogService {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CatalogService")
+            .field("head", &self.head())
+            .field("signal", &self.signal)
+            .finish_non_exhaustive()
+    }
+}
+
 impl CatalogService {
-    /// A service whose log starts at `base`; grants are validated against
-    /// `storage`'s schemas.
-    pub fn new(storage: Arc<Catalog>, base: PolicyCatalog) -> CatalogService {
+    /// A service whose log starts at `engine`'s policy set (seq 0);
+    /// grants are validated against `engine`'s storage catalog.
+    pub fn new(engine: &Engine) -> CatalogService {
         CatalogService {
-            storage,
-            log: Mutex::new(CatalogLog::new(base)),
+            base: engine.fork_with_policies(Arc::clone(engine.policies())),
+            log: Mutex::new(CatalogLog::new((**engine.policies()).clone())),
             snapshots: Mutex::new(BTreeMap::new()),
             signal: Arc::new(ChurnSignal::new()),
         }
-    }
-
-    /// A service whose log starts at `engine`'s policy set.
-    pub fn for_engine(engine: &Engine) -> CatalogService {
-        CatalogService::new(Arc::clone(engine.catalog()), (**engine.policies()).clone())
     }
 
     /// Replace the churn signal with pre-planned, step-triggered events
@@ -89,10 +95,11 @@ impl CatalogService {
 
     /// Append a grant: the expression is validated against its governed
     /// table's schema (resolved through the storage catalog), and the new
-    /// head is published and returned. Grants never interrupt in-flight
-    /// queries — they take effect for queries admitted later.
+    /// head is published and returned. A grant never interrupts in-flight
+    /// queries: it takes effect for queries that pin a head holding it —
+    /// admitted later, or re-pinned by a revocation once it is visible.
     pub fn grant(&self, expr: PolicyExpression) -> Result<u64> {
-        let schema = Arc::clone(&self.storage.resolve_one(&expr.table)?.schema);
+        let schema = Arc::clone(&self.base.catalog().resolve_one(&expr.table)?.schema);
         let pin = self.log().grant(expr, &schema)?;
         self.signal.publish(pin, false);
         Ok(pin)
@@ -107,16 +114,23 @@ impl CatalogService {
         Ok(pin)
     }
 
-    /// The catalog snapshot at log sequence `seq`, cached; a sequence
-    /// past the head is a policy error.
-    pub fn snapshot(&self, seq: u64) -> Result<Arc<PolicyCatalog>> {
-        let mut cache = self.snapshots.lock().expect("snapshot cache lock poisoned");
-        if let Some(snap) = cache.get(&seq) {
-            return Ok(Arc::clone(snap));
-        }
-        let snap = Arc::new(self.log().materialize(seq)?);
-        cache.insert(seq, Arc::clone(&snap));
-        Ok(snap)
+    /// The engine at log sequence `seq`: the base engine forked over the
+    /// snapshot at `seq`, materialized once and cached. The fork shares
+    /// the base engine's implication memo; a sequence past the head is a
+    /// policy error.
+    pub fn engine(&self, seq: u64) -> Result<Engine> {
+        let snapshot = {
+            let mut cache = self.snapshots.lock().expect("snapshot cache lock poisoned");
+            match cache.get(&seq) {
+                Some(snap) => Arc::clone(snap),
+                None => {
+                    let snap = Arc::new(self.log().materialize(seq)?);
+                    cache.insert(seq, Arc::clone(&snap));
+                    snap
+                }
+            }
+        };
+        Ok(self.base.fork_with_policies(snapshot))
     }
 
     /// Everything one execution attempt needs to enforce churn under
@@ -187,9 +201,19 @@ mod tests {
         )
     }
 
+    fn service() -> CatalogService {
+        let sites = geoqp_common::LocationSet::from_iter(["L1", "L2", "L3"]);
+        let topology = geoqp_net::NetworkTopology::uniform(sites, 10.0, 100.0);
+        CatalogService::new(&Engine::new(
+            storage(),
+            Arc::new(PolicyCatalog::new()),
+            topology,
+        ))
+    }
+
     #[test]
     fn grants_and_revokes_move_the_head_and_publish() {
-        let svc = CatalogService::new(storage(), PolicyCatalog::new());
+        let svc = service();
         let base = svc.head();
         let g = svc.grant(expr("a")).unwrap();
         assert_eq!(g, base + 1);
@@ -204,13 +228,20 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_are_materialized_per_seq_and_cached() {
-        let svc = CatalogService::new(storage(), PolicyCatalog::new());
+    fn engines_fork_the_base_over_snapshots_materialized_once() {
+        let svc = service();
         let g = svc.grant(expr("a")).unwrap();
-        let s0 = svc.snapshot(0).unwrap();
-        let s1 = svc.snapshot(g).unwrap();
-        assert_ne!(s0.canonical_bytes(), s1.canonical_bytes());
-        assert!(Arc::ptr_eq(&s1, &svc.snapshot(g).unwrap()));
-        assert_eq!(svc.snapshot(g + 1).unwrap_err().kind(), "policy");
+        let (e0, e1) = (svc.engine(0).unwrap(), svc.engine(g).unwrap());
+        assert_ne!(
+            e0.policies().canonical_bytes(),
+            e1.policies().canonical_bytes()
+        );
+        assert!(Arc::ptr_eq(
+            e1.policies(),
+            svc.engine(g).unwrap().policies()
+        ));
+        assert!(std::ptr::eq(e0.implication_memo(), e1.implication_memo()));
+        let past = svc.engine(g + 1).err().expect("a seq past the head");
+        assert_eq!(past.kind(), "policy");
     }
 }

@@ -143,12 +143,6 @@ pub struct QueryOutcome {
     /// How many of those re-plans were forced by a mid-flight policy
     /// revocation (the query re-pinned to a newer catalog sequence).
     pub churn_replans: u64,
-    /// Quiesce-free grant retries: times a `NonCompliant` refusal under
-    /// the revocation's pin was answered by re-pinning forward onto a
-    /// newer grant and re-optimizing (bounded to once per grant). A
-    /// completed query with `grant_retries > 0` was rescued by a grant
-    /// that landed while it was in flight.
-    pub grant_retries: u64,
     /// Sites excluded from execution traits during failover.
     pub excluded: LocationSet,
     /// The plan that finally completed (the original one when
@@ -321,8 +315,9 @@ impl Engine {
     /// catalog snapshot — the catalog after a grant or revoke. It shares
     /// this engine's implication memo: verdicts are keyed by the two
     /// predicates they relate, so every one proven under the old catalog
-    /// is exact under the new one.
-    pub fn fork_with_policies(&self, policies: Arc<PolicyCatalog>) -> Engine {
+    /// is exact under the new one. Outside this crate an engine at a log
+    /// seq comes from [`CatalogService::engine`].
+    pub(crate) fn fork_with_policies(&self, policies: Arc<PolicyCatalog>) -> Engine {
         Engine {
             catalog: Arc::clone(&self.catalog),
             policies,
@@ -702,8 +697,6 @@ impl Engine {
             avoided: BTreeSet::new(),
             replans: 0,
             churn_replans: 0,
-            grant_retries: 0,
-            last_grant_retry_seq: opts.churn.as_ref().map_or(0, |c| c.pin),
             watch: opts.churn.as_ref().map(|c| c.service.watch(c.pin)),
             churned: None,
             annotated: None,
@@ -736,7 +729,6 @@ impl Engine {
                 metrics,
                 replans: recovery.replans,
                 churn_replans: recovery.churn_replans,
-                grant_retries: recovery.grant_retries,
                 excluded: recovery.excluded,
                 physical,
                 checkpoint_hits: store.hits(),
@@ -795,10 +787,10 @@ struct Phase1 {
 /// Why an attempt failed, as far as re-planning is concerned: each cause
 /// is one state change in [`Recovery::step`].
 enum Cause {
-    /// A mid-flight revocation published catalog head `head`, caught at
-    /// executor step `step`. Once re-pinned, `head` is the pin the query
-    /// continues under (a grant retry may have moved it forward).
-    Revoked { head: u64, step: u64 },
+    /// A mid-flight revocation newer than the pin was visible; `head` is
+    /// the catalog head the query could see at the abort step, and the
+    /// pin it continues under.
+    Revoked { head: u64 },
     /// A site failed past its retry budget.
     SiteDown(Location),
     /// A circuit breaker condemned this gray link.
@@ -819,11 +811,6 @@ struct Recovery<'a> {
     avoided: BTreeSet<(Location, Location)>,
     replans: usize,
     churn_replans: u64,
-    grant_retries: u64,
-    /// The newest grant sequence a retry has already consumed: each
-    /// retry must see a strictly newer grant, so a refusal retries at
-    /// most once per grant and can never spin.
-    last_grant_retry_seq: u64,
     /// The revocation watch of the current catalog pin.
     watch: Option<ChurnWatch>,
     /// The engine and re-optimized query of the current pin once a
@@ -859,11 +846,8 @@ impl Recovery<'_> {
     /// avoided link, stitch it against surviving checkpoints, and audit it
     /// under the current engine. Any other error ends the run as it is.
     fn step(&mut self, failure: GeoError, failed: Arc<PhysicalPlan>) -> Result<Arc<PhysicalPlan>> {
-        let mut cause = match (failure.churn_head(), failure.breaker_link()) {
-            (Some(head), _) if self.opts.churn.is_some() => Cause::Revoked {
-                head,
-                step: failure.churn_step().unwrap_or(0),
-            },
+        let cause = match (failure.churn_head(), failure.breaker_link()) {
+            (Some(head), _) if self.opts.churn.is_some() => Cause::Revoked { head },
             (_, Some((from, to))) => Cause::GrayLink((from.clone(), to.clone())),
             // Not an availability failure (e.g. a deadline or
             // cancellation): nothing to re-plan around.
@@ -874,7 +858,7 @@ impl Recovery<'_> {
         };
         if self.replans >= self.opts.max_replans {
             return Err(match cause {
-                Cause::Revoked { head, .. } => GeoError::NonCompliant(format!(
+                Cause::Revoked { head } => GeoError::NonCompliant(format!(
                     "revocation at catalog seq {} caught the query in flight and the \
                      re-plan budget ({}) is exhausted; refusing to finish under the \
                      revoked catalog",
@@ -884,8 +868,8 @@ impl Recovery<'_> {
             });
         }
         self.replans += 1;
-        match &mut cause {
-            Cause::Revoked { head, step } => self.repin(head, *step)?,
+        match &cause {
+            Cause::Revoked { head } => self.repin(*head)?,
             Cause::SiteDown(site) if *site == self.optimized.result_location => {
                 return Err(GeoError::QueryRejected(format!(
                     "result site {site} is unavailable; no compliant \
@@ -917,7 +901,7 @@ impl Recovery<'_> {
         let placed = annotated
             .excluding_sites(&self.excluded)
             .ok_or_else(|| match &cause {
-                Cause::Revoked { head, .. } => GeoError::NonCompliant(format!(
+                Cause::Revoked { head } => GeoError::NonCompliant(format!(
                     "no compliant placement survives the revocation at catalog seq {} \
                      with {} excluded",
                     head, self.excluded
@@ -997,51 +981,28 @@ impl Recovery<'_> {
         Ok(next)
     }
 
-    /// Re-pin to the revocation's catalog `head`: fork the engine over
-    /// that snapshot and re-run the whole optimizer under it. A refusal
-    /// there is answered by the grant retry, which moves `head` forward;
-    /// otherwise it is typed [`GeoError::NonCompliant`].
-    fn repin(&mut self, head: &mut u64, abort_step: u64) -> Result<()> {
+    /// Re-pin to the catalog `head` the revocation made visible: take the
+    /// engine at that seq and re-run the whole optimizer under it. A
+    /// refusal there is final: typed [`GeoError::NonCompliant`].
+    fn repin(&mut self, head: u64) -> Result<()> {
         let churn = (self.opts.churn.as_ref()).expect("revocations are causes only under churn");
         self.churn_replans += 1;
-        loop {
-            let forked = (self.base).fork_with_policies(churn.service.snapshot(*head)?);
-            let result_location = Some(self.optimized.result_location.clone());
-            match forked.optimize(
+        let engine = churn.service.engine(head)?;
+        let reoptimized = engine
+            .optimize(
                 &crate::normalize::normalize_plan(&self.optimized.query)?,
                 OptimizerMode::Compliant,
-                result_location,
-            ) {
-                Ok(reoptimized) => {
-                    self.watch = Some(churn.service.watch(*head));
-                    self.churned = Some((forked, reoptimized));
-                    self.annotated = None;
-                    return Ok(());
-                }
-                // Quiesce-free grant retry: the query was refused under
-                // this pin, but a grant that had already landed by the
-                // abort step may have re-grown the legal set. Policies are
-                // additive (Definition 1 re-audits the whole plan), so
-                // re-pinning forward is sound — and it is bounded: each
-                // retry must consume a strictly newer grant than the last.
-                Err(GeoError::QueryRejected(m)) => {
-                    match churn.service.signal().granted_since(*head, abort_step) {
-                        Some(grant) if grant > self.last_grant_retry_seq => {
-                            self.last_grant_retry_seq = grant;
-                            self.grant_retries += 1;
-                            *head = grant;
-                        }
-                        _ => {
-                            return Err(GeoError::NonCompliant(format!(
-                                "no compliant placement survives the revocation at \
-                                 catalog seq {}: {m}",
-                                head
-                            )))
-                        }
-                    }
-                }
-                Err(other) => return Err(other),
-            }
-        }
+                Some(self.optimized.result_location.clone()),
+            )
+            .map_err(|e| match e {
+                GeoError::QueryRejected(m) => GeoError::NonCompliant(format!(
+                    "no compliant placement survives the revocation at catalog seq {head}: {m}"
+                )),
+                other => other,
+            })?;
+        self.watch = Some(churn.service.watch(head));
+        self.churned = Some((engine, reoptimized));
+        self.annotated = None;
+        Ok(())
     }
 }

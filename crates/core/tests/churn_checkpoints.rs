@@ -126,7 +126,7 @@ fn a_revocation_drops_checkpoints_homed_where_the_new_snapshot_forbids() {
 
     let mut resumed_runs = 0;
     for step in 0..24 {
-        let svc = CatalogService::new(Arc::clone(&catalog), base.clone());
+        let svc = CatalogService::new(&engine);
         let pin = 0;
         let rev = svc.revoke(USERS_TO_B).unwrap();
         let svc = Arc::new(svc.with_planned(vec![ChurnEvent {
@@ -181,7 +181,7 @@ fn a_plain_run_replans_once_under_a_revocation_published_before_it() {
     let mut expected: Vec<String> = reference.rows.iter().map(|r| format!("{r:?}")).collect();
     expected.sort();
 
-    let svc = Arc::new(CatalogService::new(Arc::clone(&catalog), base));
+    let svc = Arc::new(CatalogService::new(&engine));
     let head = svc.revoke(USERS_TO_B).unwrap();
     let opts = ExecOptions {
         churn: Some(ChurnOpts {
@@ -199,10 +199,38 @@ fn a_plain_run_replans_once_under_a_revocation_published_before_it() {
     rows.sort();
     assert_eq!(rows, expected);
 
-    let at_head = engine.fork_with_policies(svc.snapshot(head).unwrap());
+    let at_head = svc.engine(head).unwrap();
     at_head.audit(&outcome.physical).unwrap();
     assert!(
         at_head.audit(&optimized.physical).is_err(),
         "the admission plan ships users to B, which the head forbids"
     );
+}
+
+/// The same run with no re-plan budget: the revocation published before
+/// it catches the first batch, and the query is refused typed instead of
+/// shipping under the revoked grant.
+#[test]
+fn a_plain_run_without_a_replan_budget_is_refused_under_a_revocation_published_before_it() {
+    let catalog = catalog();
+    let engine = Engine::new(
+        Arc::clone(&catalog),
+        Arc::new(policies(&catalog)),
+        topology(),
+    );
+    let optimized = engine
+        .optimize_sql(SQL, OptimizerMode::Compliant, Some(Location::new("D")))
+        .unwrap();
+    let svc = Arc::new(CatalogService::new(&engine));
+    svc.revoke(USERS_TO_B).unwrap();
+    let opts = ExecOptions {
+        churn: Some(ChurnOpts {
+            service: Arc::clone(&svc),
+            pin: 0,
+        }),
+        max_replans: 0,
+        ..ExecOptions::default()
+    };
+    let err = engine.run(&optimized, &opts).expect_err("refused");
+    assert_eq!(err.kind(), "non-compliant", "{err}");
 }

@@ -137,7 +137,7 @@ fn a_fork_shares_the_memo_and_plans_as_a_memo_less_engine() {
     let base = policies(&catalog);
     let topology = NetworkTopology::uniform(LocationSet::from_iter(["EU", "US"]), 10.0, 100.0);
     let engine = Engine::new(Arc::clone(&catalog), Arc::new(base.clone()), topology);
-    let svc = CatalogService::new(Arc::clone(&catalog), base);
+    let svc = CatalogService::new(&engine);
 
     // Warm the memo over the base catalog.
     let cold_proofs = assert_plans_as_memo_less(&engine);
@@ -147,7 +147,7 @@ fn a_fork_shares_the_memo_and_plans_as_a_memo_less_engine() {
     // the fork must plan exactly as a memo-less engine would, while
     // sharing — not copying — its parent's memo.
     let seq = svc.revoke(0).unwrap();
-    let forked = engine.fork_with_policies(svc.snapshot(seq).unwrap());
+    let forked = svc.engine(seq).unwrap();
     assert!(std::ptr::eq(
         forked.implication_memo(),
         engine.implication_memo()
@@ -173,7 +173,7 @@ fn a_fork_shares_the_memo_and_plans_as_a_memo_less_engine() {
     // they still answer exactly.
     let regrant = geoqp_parser::parse_policy("ship u_id, u_name from users to *").unwrap();
     let seq = svc.grant(regrant).unwrap();
-    let refork = forked.fork_with_policies(svc.snapshot(seq).unwrap());
+    let refork = svc.engine(seq).unwrap();
     assert_eq!(refork.policies().expressions().last().unwrap().id, 3);
     assert_eq!(
         assert_plans_as_memo_less(&refork),

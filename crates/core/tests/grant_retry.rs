@@ -1,13 +1,12 @@
-//! Quiesce-free grant retry, end to end on the resilient engine.
+//! The re-pin rule, end to end on the resilient engine.
 //!
-//! A revocation lands mid-flight and the re-pinned optimization finds no
-//! compliant placement — under the old semantics the query dies with
-//! `NonCompliant`. If a *grant* that re-grows the legal set had already
-//! landed by the abort step, the engine now re-pins forward onto it and
-//! retries: refused-under-pin becomes completed-under-head, with no
-//! quiesce of the admission pipeline. The retry is bounded (once per
-//! epoch advance), fires only after a genuine refusal, and replays
-//! byte-identically under identical seeds.
+//! A revocation lands mid-flight and aborts the query. The query re-pins
+//! to the catalog head it can see at the abort step — the newest entry of
+//! either kind released by then — and re-plans there once. If a grant
+//! that re-grows the legal set was released by the abort step, that head
+//! holds it and the query completes; a grant released later is invisible,
+//! and a refusal under the revocation alone is final (`NonCompliant`).
+//! Identical seeds replay byte-identically.
 
 use geoqp_common::{ChurnEvent, DataType, Field, Location, LocationSet, Schema, TableRef, Value};
 use geoqp_core::{CatalogService, Engine, ExecOptions, OptimizerMode};
@@ -99,7 +98,9 @@ struct Run {
     transfer_count: usize,
     replans: usize,
     churn_replans: u64,
-    grant_retries: u64,
+    /// The Definition-1 audit of the completed plan under the catalog
+    /// head.
+    audit_at_head: geoqp_common::Result<()>,
 }
 
 /// One resilient execution against a scripted catalog: the events
@@ -111,7 +112,7 @@ fn run_scripted(regrant: bool, revoke_step: u64, grant_step: u64) -> geoqp_commo
     let base = policies(&catalog);
     let topology = NetworkTopology::uniform(LocationSet::from_iter(["EU", "US"]), 10.0, 100.0);
     let engine = Engine::new(Arc::clone(&catalog), Arc::new(base.clone()), topology);
-    let svc = CatalogService::new(Arc::clone(&catalog), base);
+    let svc = CatalogService::new(&engine);
     let pin = 0;
     let rev = svc.revoke(EVENTS_PID).unwrap();
     let mut planned = vec![ChurnEvent {
@@ -142,7 +143,7 @@ fn run_scripted(regrant: bool, revoke_step: u64, grant_step: u64) -> geoqp_commo
         transfer_count: result.transfers.records().len(),
         replans: result.replans,
         churn_replans: result.churn_replans,
-        grant_retries: result.grant_retries,
+        audit_at_head: svc.engine(svc.head())?.audit(&result.physical),
     })
 }
 
@@ -160,15 +161,17 @@ fn revocation_without_a_regrant_refuses_typed() {
 #[test]
 fn a_landed_grant_rescues_the_refused_query() {
     let run = run_scripted(true, 0, 0).expect("the regrant restores a compliant placement");
-    assert_eq!(run.churn_replans, 1, "one revocation-forced re-plan");
     assert_eq!(
-        run.grant_retries, 1,
-        "the refusal under the revocation pin re-pinned onto the grant"
+        (run.replans, run.churn_replans),
+        (1, 1),
+        "one revocation re-plan, straight onto the head holding the grant"
     );
+    run.audit_at_head
+        .as_ref()
+        .expect("the completed plan audits under the head");
     assert!(!run.rows.is_empty());
     // Same rows a churn-free execution produces.
     let baseline = run_scripted(true, 1000, 0).expect("revocation released after the query");
-    assert_eq!(baseline.grant_retries, 0);
     assert_eq!(baseline.churn_replans, 0);
     assert_eq!(run.rows, baseline.rows);
 }
@@ -189,8 +192,5 @@ fn grant_retry_replays_byte_identically_under_identical_seeds() {
     assert_eq!(a.rows, b.rows);
     assert_eq!(a.transfer_bytes, b.transfer_bytes);
     assert_eq!(a.transfer_count, b.transfer_count);
-    assert_eq!(
-        (a.replans, a.churn_replans, a.grant_retries),
-        (b.replans, b.churn_replans, b.grant_retries)
-    );
+    assert_eq!((a.replans, a.churn_replans), (b.replans, b.churn_replans));
 }

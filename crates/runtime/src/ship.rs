@@ -274,15 +274,16 @@ impl ShipStream<'_> {
             // Per-batch revocation check: revocations push to in-flight
             // queries at batch granularity, on the walk's churn clock. A
             // newer revocation aborts the attempt before this batch
-            // leaves; the failover loop re-pins, re-plans, and restitches.
+            // leaves; the failover loop re-pins to the head it can see,
+            // re-plans, and restitches.
             let churn_step = self.edge.order;
             if let Some(head) = watch.signal.revoked_since(watch.pin, churn_step) {
                 return Err(GeoError::policy_churn(
                     head,
                     churn_step,
                     format!(
-                        "policy revocation at catalog seq {head} landed while {what} was in \
-                         flight under pinned seq {}",
+                        "a policy revocation newer than pinned seq {} landed while {what} \
+                         was in flight; the catalog head it re-pins to is seq {head}",
                         watch.pin
                     ),
                 ));

@@ -10,35 +10,40 @@
 //!                                              │
 //!                          bounded worker pool (OS threads)
 //!                                              │
+//!   pin the tenant's catalog head → the engine at that seq (lock released)
+//!                                              │
 //!       parse → lower → plan-cache lookup (hit) / optimize (miss)
 //!                                              │
-//!     execute under the tenant's catalog pin (+ faults/deadline/cancel)
+//!          execute under that pin (+ faults/deadline/cancel)
 //!                                              │
 //!                      QueryTicket ◀── reply ──┘  + TenantStats update
 //! ```
 //!
-//! # One revocation path
+//! # One pin rule
 //!
-//! A worker claims a job together with the tenant's engine and catalog
-//! pin, and every execution runs under that pin's churn watch with the
-//! service's re-plan budget. A revocation published after the pin —
-//! through [`QueryService::update_tenant_policies`] or straight on the
-//! tenant's [`CatalogService`] — aborts the query before its next batch
-//! leaves; the engine re-pins to the new head, re-plans, and returns the
-//! rows, or refuses typed [`GeoError::NonCompliant`] when no compliant
-//! placement survives. A query whose last batch left before the
-//! revocation returns its rows: every batch it shipped was legal when it
-//! left. Each job runs once; nothing is re-checked at completion.
+//! A tenant is its [`CatalogService`]: the service keeps no engine or pin
+//! of its own. A worker claims a job, releases the scheduler lock, pins
+//! the tenant's catalog head and plans on the engine at that seq
+//! ([`CatalogService::engine`]), so an append made through
+//! [`QueryService::update_tenant_policies`] or straight on the tenant's
+//! log reaches every query claimed after it. Every execution runs under
+//! its pin's churn watch with the service's re-plan budget. A revocation
+//! published after the pin aborts the query before its next batch
+//! leaves; the engine re-pins to the head it can see, re-plans, and
+//! returns the rows, or refuses typed [`GeoError::NonCompliant`] when no
+//! compliant placement survives. A query whose last batch left before
+//! the revocation returns its rows: every batch it shipped was legal
+//! when it left. Each job runs once; nothing is re-checked at completion.
 //!
 //! A plan-cache key is the SQL text, the requested result site, the
 //! tenant and the pids of the tenant's live expressions governing a table
 //! the query scans — everything the compliant optimizer reads — so a
 //! policy update only misses for the queries whose tables it touches.
 //!
-//! Each tenant owns a full [`Engine`] over its own policy catalog, and
-//! the engine owns the `ImplicationMemo`: separate tenants get separate
-//! memos *by construction*, while a tenant's policy update forks its
-//! engine over the new snapshot and keeps the memo, whose verdicts relate
+//! Each tenant's catalog service owns a base [`Engine`] over its own
+//! policy catalog, and the engine owns the `ImplicationMemo`: separate
+//! tenants get separate memos *by construction*, while every engine the
+//! service forks for a seq keeps the tenant's memo, whose verdicts relate
 //! two predicates and hold under every snapshot.
 //!
 //! # Admission and fairness
@@ -197,10 +202,6 @@ pub struct QueryReply {
     /// Re-plans forced by a mid-flight policy revocation (a subset of
     /// `replans`; 0 for churn-free runs).
     pub churn_replans: u64,
-    /// Quiesce-free grant retries: refusals under the revocation's pin
-    /// answered by re-pinning forward onto a newer grant. A completed
-    /// reply with `grant_retries > 0` was rescued by an in-flight grant.
-    pub grant_retries: u64,
     /// Wall-clock submit-to-completion latency, ms (includes queueing).
     pub latency_ms: f64,
     /// Where the rows materialized.
@@ -258,11 +259,6 @@ pub struct TenantStats {
     /// `replans`). A query refused because no compliant placement
     /// survived counts as `failed` instead.
     pub churn_replans: u64,
-    /// Quiesce-free grant retries summed over completed queries.
-    pub grant_retries: u64,
-    /// Completed queries that were refused under their revocation pin
-    /// and rescued by re-pinning onto an in-flight grant.
-    pub grants_rescued: u64,
     /// Median submit-to-completion latency, ms — like `p99_ms` and
     /// `mean_ms`, over the tenant's most recent [`LATENCY_WINDOW`]
     /// resolved queries.
@@ -310,12 +306,10 @@ struct Job {
 }
 
 struct TenantState {
-    engine: Arc<Engine>,
-    /// The tenant's catalog service: every policy change is a
-    /// log append here, and its churn signal reaches in-flight queries.
+    /// The tenant's catalog service: every policy change is a log append
+    /// here, a claimed job pins its head and plans on the engine at that
+    /// seq, and its churn signal reaches in-flight queries.
     churn: Arc<CatalogService>,
-    /// The catalog head new queries pin at admission.
-    pin: u64,
     config: TenantConfig,
     queue: VecDeque<Job>,
     deficit: u64,
@@ -365,8 +359,7 @@ struct Shared {
     /// Signals `wait_idle` that queues/in-flight counts changed.
     idle: Condvar,
     cache: PlanCache,
-    columnar: bool,
-    max_replans: usize,
+    config: ServiceConfig,
 }
 
 /// DRR service cost of one query, in credits.
@@ -438,8 +431,7 @@ impl QueryService {
             work: Condvar::new(),
             idle: Condvar::new(),
             cache: PlanCache::new(config.cache_capacity),
-            columnar: config.columnar,
-            max_replans: config.max_replans,
+            config,
         });
         let workers = (0..config.workers.max(1))
             .map(|i| {
@@ -453,8 +445,9 @@ impl QueryService {
         QueryService { shared, workers }
     }
 
-    /// Register a tenant: its own policy catalog, hence its own engine
-    /// and implication memo. Returns the handle used by `submit`.
+    /// Register a tenant: its own policy catalog, hence its own catalog
+    /// service, base engine and implication memo. Returns the handle used
+    /// by `submit`.
     pub fn add_tenant(
         &self,
         name: impl Into<String>,
@@ -464,14 +457,12 @@ impl QueryService {
         config: TenantConfig,
     ) -> TenantId {
         // The tenant's catalog log starts at the registered policy set.
-        let engine = Arc::new(Engine::new(catalog, policies, topology));
-        let churn = Arc::new(CatalogService::for_engine(&engine));
-        let pin = churn.head();
+        let churn = Arc::new(CatalogService::new(&Engine::new(
+            catalog, policies, topology,
+        )));
         let mut st = self.shared.state.lock().unwrap();
         st.tenants.push(TenantState {
-            engine,
             churn,
-            pin,
             config,
             queue: VecDeque::new(),
             deficit: 0,
@@ -540,36 +531,30 @@ impl QueryService {
 
     /// Move a tenant to a new policy set by **appending to its catalog
     /// log**: expressions missing from `policies` are revoked and new ones
-    /// granted. The engine forked over the new head (same implication
-    /// memo — its verdicts hold under every snapshot) serves queries
-    /// admitted from now on. The plan cache drops exactly the tenant's
-    /// entries whose key names a revoked pid; every other plan stays
-    /// valid, since its key lists every expression the optimizer read
-    /// for it, and a grant on a table a query scans changes that query's
-    /// key instead.
+    /// granted. Every query claimed from now on pins the new head; the
+    /// head's snapshot is materialized before this returns, so the first
+    /// of them does not pay for the log replay. The plan cache drops
+    /// exactly the tenant's entries whose key names a revoked pid; every
+    /// other plan stays valid, since its key lists every expression the
+    /// optimizer read for it, and a grant on a table a query scans
+    /// changes that query's key instead.
     ///
-    /// Grants only affect later queries. Revocations are **pushed**: each
-    /// revoke appended here publishes on the tenant's churn signal, and
-    /// every in-flight query pinned before it — including one claimed
-    /// between the append and the engine swap below — aborts before its
-    /// next batch leaves and re-plans under the new head, or is refused
-    /// typed [`GeoError::NonCompliant`]. Returns the new head's seq. An
-    /// update with a grant that does not validate is refused whole:
-    /// nothing is appended, and the tenant keeps its engine and cached
-    /// plans.
+    /// Grants only affect queries that pin a head holding them.
+    /// Revocations are **pushed**: each revoke appended here publishes on
+    /// the tenant's churn signal, and every in-flight query pinned before
+    /// it aborts before its next batch leaves and re-plans under the head
+    /// it can see, or is refused typed [`GeoError::NonCompliant`]. A
+    /// query claimed between this update's appends pins the intermediate
+    /// head, which is a seq of the log like any other. Returns the new
+    /// head's seq. An update with a grant that does not validate is
+    /// refused whole: nothing is appended, and the tenant keeps its head
+    /// and cached plans.
     pub fn update_tenant_policies(
         &self,
         tenant: TenantId,
         policies: Arc<PolicyCatalog>,
     ) -> Result<u64> {
-        let (churn, engine) = {
-            let st = self.shared.state.lock().unwrap();
-            let ten = st
-                .tenants
-                .get(tenant.0)
-                .ok_or_else(|| GeoError::Execution(format!("unknown tenant #{}", tenant.0)))?;
-            (ten.churn.clone(), ten.engine.clone())
-        };
+        let churn = self.tenant_catalog(tenant)?;
         // Multiset diff of display forms: live policies absent from the
         // target are revoked, target expressions not live are granted.
         let mut wanted: BTreeMap<String, Vec<PolicyExpression>> = BTreeMap::new();
@@ -592,10 +577,10 @@ impl QueryService {
         }
         let grants: Vec<PolicyExpression> = wanted.into_values().flatten().collect();
         // Validate every grant before appending anything: a refused
-        // update leaves the log, the engine and the plan cache as they
-        // were.
+        // update leaves the log and the plan cache as they were.
+        let storage = Arc::clone(churn.engine(churn.head())?.catalog());
         for expr in &grants {
-            expr.validate(&engine.catalog().resolve_one(&expr.table)?.schema)?;
+            expr.validate(&storage.resolve_one(&expr.table)?.schema)?;
         }
         for &pid in &revoked {
             churn.revoke(pid as u64)?;
@@ -604,24 +589,20 @@ impl QueryService {
             churn.grant(expr)?;
         }
         let head = churn.head();
-        let new_engine = Arc::new(engine.fork_with_policies(churn.snapshot(head)?));
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            let ten = st
-                .tenants
-                .get_mut(tenant.0)
-                .ok_or_else(|| GeoError::Execution(format!("unknown tenant #{}", tenant.0)))?;
-            ten.engine = new_engine;
-            ten.pin = head;
-        }
+        // Materialize the head now: the first query after the update
+        // then finds its snapshot cached instead of replaying the log.
+        churn.engine(head)?;
         self.shared.cache.evict_pids(tenant.0, &revoked);
         Ok(head)
     }
 
-    /// The tenant's catalog service. An append made here reaches
-    /// in-flight queries through the churn signal but leaves the tenant's
-    /// engine, pin and cached plans as they were; policy changes go
-    /// through [`QueryService::update_tenant_policies`].
+    /// The tenant's catalog service. An append made here is the tenant's
+    /// new head: a revoke reaches in-flight queries through the churn
+    /// signal, and every query claimed after it pins the new head. It
+    /// evicts no cached plan — a plan keyed by a revoked pid can never be
+    /// looked up again — and the head's snapshot is materialized by the
+    /// first query that pins it;
+    /// [`QueryService::update_tenant_policies`] does both up front.
     pub fn tenant_catalog(&self, tenant: TenantId) -> Result<Arc<CatalogService>> {
         let st = self.shared.state.lock().unwrap();
         st.tenants
@@ -630,13 +611,11 @@ impl QueryService {
             .ok_or_else(|| GeoError::Execution(format!("unknown tenant #{}", tenant.0)))
     }
 
-    /// The tenant's engine (tests use this to probe memo isolation).
-    pub fn tenant_engine(&self, tenant: TenantId) -> Result<Arc<Engine>> {
-        let st = self.shared.state.lock().unwrap();
-        st.tenants
-            .get(tenant.0)
-            .map(|t| t.engine.clone())
-            .ok_or_else(|| GeoError::Execution(format!("unknown tenant #{}", tenant.0)))
+    /// The engine at the tenant's catalog head — the one the next claimed
+    /// query plans on (tests use this to probe memo isolation).
+    pub fn tenant_engine(&self, tenant: TenantId) -> Result<Engine> {
+        let churn = self.tenant_catalog(tenant)?;
+        churn.engine(churn.head())
     }
 
     /// Snapshot one tenant's counters.
@@ -683,16 +662,12 @@ impl Drop for QueryService {
 
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
-        // Claim a job under the lock; execute it outside. The claim
-        // captures the engine AND the catalog pin together, so the job's
-        // plan-cache key and churn watch agree on the policy snapshot it
-        // was admitted under.
-        let (tenant_idx, job, engine, pin, churn) = {
+        // Claim a job under the lock; pin and execute it outside.
+        let (tenant_idx, job, churn) = {
             let mut st = shared.state.lock().unwrap();
             loop {
                 if let Some((t, job)) = next_job(&mut st) {
-                    let ten = &st.tenants[t];
-                    break (t, job, ten.engine.clone(), ten.pin, ten.churn.clone());
+                    break (t, job, st.tenants[t].churn.clone());
                 }
                 if st.shutdown {
                     return;
@@ -701,7 +676,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             }
         };
 
-        let outcome = run_job(shared, tenant_idx, &engine, &churn, pin, &job.request);
+        let outcome = run_job(shared, tenant_idx, &churn, &job.request);
         let latency_ms = job.submitted.elapsed().as_secs_f64() * 1e3;
 
         {
@@ -718,10 +693,6 @@ fn worker_loop(shared: &Arc<Shared>) {
                     stats.completed += 1;
                     stats.replans += reply.replans as u64;
                     stats.churn_replans += reply.churn_replans;
-                    stats.grant_retries += reply.grant_retries;
-                    if reply.grant_retries > 0 {
-                        stats.grants_rescued += 1;
-                    }
                     if reply.cached {
                         stats.cache_hits += 1;
                     } else {
@@ -744,14 +715,13 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Parse, plan (through the cache), and execute one query on the
-/// tenant's engine. Runs without the scheduler lock held.
+/// Pin the tenant's catalog head, then parse, plan (through the cache),
+/// and execute one query on the engine at that seq. Runs without the
+/// scheduler lock held.
 fn run_job(
     shared: &Shared,
     tenant: usize,
-    engine: &Engine,
     churn: &Arc<CatalogService>,
-    pin: u64,
     request: &QueryRequest,
 ) -> Result<QueryReply> {
     // A cancellation that fired while the query sat in the queue unwinds
@@ -759,6 +729,8 @@ fn run_job(
     if let Some(cancel) = &request.cancel {
         cancel.check("leaving the admission queue")?;
     }
+    let pin = churn.head();
+    let engine = churn.engine(pin)?;
 
     let ast = geoqp_parser::parse_query(&request.sql)?;
     let query = geoqp_parser::lower_query(&ast, engine.catalog())?;
@@ -806,34 +778,12 @@ fn run_job(
         }
     };
 
-    // Every execution runs under the job's catalog pin: a revocation
-    // published after it aborts the query before its next batch leaves,
-    // and the engine re-plans under the new head within the re-plan
-    // budget. Faults, a deadline or a cancel token add the failover
-    // preset (retries, checkpoint/resume); anything else is one attempt
-    // per plan. Either way it is one call, and the engine is data.
-    let needs_failover =
-        request.faults.is_some() || request.deadline.is_some() || request.cancel.is_some();
     let no_faults = FaultPlan::new(0);
-    let faults = needs_failover.then(|| request.faults.as_ref().unwrap_or(&no_faults));
-    let retry = RetryPolicy::default();
-    let opts = ExecOptions {
-        runtime: RuntimeConfig {
-            columnar: shared.columnar,
-            ..RuntimeConfig::default()
-        },
-        deadline: request.deadline,
-        cancel: request.cancel.clone(),
-        churn: Some(ChurnOpts {
-            service: Arc::clone(churn),
-            pin,
-        }),
-        max_replans: shared.max_replans,
-        ..match faults {
-            Some(faults) => ExecOptions::failover(faults, &retry, shared.max_replans),
-            None => ExecOptions::default(),
-        }
+    let churn = ChurnOpts {
+        service: Arc::clone(churn),
+        pin,
     };
+    let opts = exec_options(&shared.config, request, &no_faults, churn);
     let result = engine.run(&optimized, &opts)?;
 
     Ok(QueryReply {
@@ -842,15 +792,85 @@ fn run_job(
         cached,
         replans: result.replans,
         churn_replans: result.churn_replans,
-        grant_retries: result.grant_retries,
         latency_ms: 0.0, // stamped by the worker after the clock stops
         result_location: optimized.result_location.clone(),
     })
 }
 
+/// The options a job runs under. Every execution runs under the job's
+/// catalog pin (`churn`): a revocation published after it aborts the
+/// query before its next batch leaves, and the engine re-plans under the
+/// head it can see within the service's re-plan budget. Faults, a
+/// deadline or a cancel token add the failover preset (retries,
+/// checkpoint/resume; `no_faults` stands in for a request without a
+/// fault plan); anything else is one attempt per plan.
+fn exec_options<'a>(
+    config: &ServiceConfig,
+    request: &'a QueryRequest,
+    no_faults: &'a FaultPlan,
+    churn: ChurnOpts,
+) -> ExecOptions<'a> {
+    let needs_failover =
+        request.faults.is_some() || request.deadline.is_some() || request.cancel.is_some();
+    let faults = needs_failover.then(|| request.faults.as_ref().unwrap_or(no_faults));
+    let retry = RetryPolicy::default();
+    ExecOptions {
+        runtime: RuntimeConfig {
+            columnar: config.columnar,
+            ..RuntimeConfig::default()
+        },
+        deadline: request.deadline,
+        cancel: request.cancel.clone(),
+        churn: Some(churn),
+        max_replans: config.max_replans,
+        ..match faults {
+            Some(faults) => ExecOptions::failover(faults, &retry, config.max_replans),
+            None => ExecOptions::default(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use super::percentile;
+    use super::*;
+    use geoqp_common::LocationSet;
+
+    /// A plain request runs once under the claimed pin's churn watch and
+    /// the service's re-plan budget, with no fault plan.
+    #[test]
+    fn a_plain_request_runs_under_its_pin_and_the_service_budget() {
+        let sites = LocationSet::from_iter(["EU", "US"]);
+        let engine = Engine::new(
+            Arc::new(Catalog::new()),
+            Arc::new(PolicyCatalog::new()),
+            NetworkTopology::uniform(sites, 10.0, 100.0),
+        );
+        let service = Arc::new(CatalogService::new(&engine));
+        let config = ServiceConfig {
+            max_replans: 7,
+            columnar: false,
+            ..ServiceConfig::default()
+        };
+        let request = QueryRequest::new("SELECT 1");
+        let no_faults = FaultPlan::new(0);
+        let churn = ChurnOpts {
+            service: Arc::clone(&service),
+            pin: 3,
+        };
+        let opts = exec_options(&config, &request, &no_faults, churn);
+        let pinned = opts.churn.as_ref().expect("every job runs under its pin");
+        assert!(Arc::ptr_eq(&pinned.service, &service));
+        assert_eq!(pinned.pin, 3);
+        assert_eq!(opts.max_replans, 7);
+        assert!(!opts.runtime.columnar);
+        assert!(opts.faults.is_none() && !opts.resume, "no failover preset");
+
+        let deadline = request.with_deadline(QueryDeadline::new(50.0));
+        let churn = ChurnOpts { service, pin: 3 };
+        let opts = exec_options(&config, &deadline, &no_faults, churn);
+        assert!(opts.faults.is_some() && opts.resume, "the failover preset");
+        assert_eq!(opts.max_replans, 7);
+    }
 
     #[test]
     fn percentile_is_nearest_rank() {

@@ -154,6 +154,22 @@ if grep -rnE 'last_revoke_seq|churn_reruns|MAX_CHURN_RERUNS' crates/server/src; 
     exit 1
 fi
 
+echo "==> one pin rule: a revocation re-pins the query to the catalog head" \
+     "visible at the abort step and a refusal there is final, and one owner" \
+     "turns a catalog seq into an engine (CatalogService::engine)"
+if grep -rnE 'granted_since|grant_retries|grants_rescued|last_grant_retry_seq|live_grant|fn for_engine' \
+    crates/*/src src tests examples; then
+    echo "the grant retry or a second catalog-service constructor is back: a" \
+        "revocation re-pins once, to the head it can see" >&2
+    exit 1
+fi
+if grep -rnF --include='*.rs' 'fork_with_policies(' crates src tests examples |
+    grep -v '^crates/core/src/'; then
+    echo "an engine at a catalog seq is built by hand outside crates/core/src:" \
+        "take it from CatalogService::engine(seq)" >&2
+    exit 1
+fi
+
 echo "==> one key-to-position map: a join or grouping key becomes a table" \
      "slot only in crates/exec/src/keyed.rs (JoinIndex for a join, Grouping" \
      "for an aggregate), hashed by the fmix64 finalizer or positioned by" \
@@ -265,7 +281,7 @@ echo "==> chaos soak: crash/partition + gray degrade/loss + catalog-churn" \
      "odd rounds on the columnar engine with alternating 2/4-worker" \
      "morsel pools; churn round layers mid-query" \
      "revocations on the crash schedules; recovery round adds" \
-     "revoke-all + re-grant with grant-retry rescues and" \
+     "revoke-all + re-grant re-pinned onto the re-grant head and" \
      "duplicate-execution determinism checks)"
 GEOQP_CHAOS_N="${GEOQP_CHAOS_N:-24}" cargo test -q --test chaos_soak -- --nocapture
 

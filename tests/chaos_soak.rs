@@ -509,7 +509,7 @@ fn catalog_churn_round_stays_compliant_and_resolves_typed() {
             // Fresh catalog service per run: revoke one live policy,
             // releasing it to in-flight execution at a deterministic
             // step that cycles through the early executor clock.
-            let svc = CatalogService::new(Arc::clone(eng.catalog()), policies.clone());
+            let svc = CatalogService::new(&eng);
             let live = svc.live_policies();
             let (pid, _) = live[splitmix(&mut rng) as usize % live.len()];
             let rev = svc.revoke(pid).unwrap();
@@ -544,7 +544,7 @@ fn catalog_churn_round_stays_compliant_and_resolves_typed() {
                         // A revocation forced a re-plan: the final
                         // placement was chosen under the shrunken
                         // catalog and must audit clean against it.
-                        let shrunk = eng.fork_with_policies(svc.snapshot(svc.head()).unwrap());
+                        let shrunk = svc.engine(svc.head()).unwrap();
                         shrunk.audit(&res.physical).unwrap_or_else(|e| {
                             panic!(
                                 "round {round} {query} [{label}] revoke p{pid}@{step}: \
@@ -608,7 +608,6 @@ fn catalog_churn_round_stays_compliant_and_resolves_typed() {
 /// The deployment the grant round runs against.
 struct GrantRound {
     eng: Engine,
-    policies: PolicyCatalog,
 }
 
 /// One run of the round, exactly as the soak's seeded stream yields it.
@@ -648,10 +647,10 @@ impl GrantRound {
         let policies = tpch::generate_policies(&catalog, PolicyTemplate::CRA, 10, 2021).unwrap();
         let eng = Engine::new(
             Arc::clone(&catalog),
-            Arc::new(policies.clone()),
+            Arc::new(policies),
             NetworkTopology::paper_wan(),
         );
-        GrantRound { eng, policies }
+        GrantRound { eng }
     }
 
     /// The first `n` rounds of the fixed recovery-soak stream.
@@ -687,7 +686,7 @@ impl GrantRound {
     /// every live policy and re-grant it. Also returns the pin at seq 0,
     /// the base the run is admitted under.
     fn build_svc(&self, run: &GrantRun) -> (Arc<CatalogService>, u64) {
-        let svc = CatalogService::new(Arc::clone(self.eng.catalog()), self.policies.clone());
+        let svc = CatalogService::new(&self.eng);
         let base = svc.head();
         let live = svc.live_policies();
         let mut events = Vec::new();
@@ -736,10 +735,9 @@ fn grant_outcome(r: &Result<(QueryOutcome, RuntimeMetrics)>) -> String {
             let mut rows: Vec<String> = res.rows.iter().map(|r| format!("{r:?}")).collect();
             rows.sort();
             format!(
-                "ok replans={} churn={} retries={} bytes={} rows={rows:?}",
+                "ok replans={} churn={} bytes={} rows={rows:?}",
                 res.replans,
                 res.churn_replans,
-                res.grant_retries,
                 res.transfers.total_bytes()
             )
         }
@@ -749,10 +747,10 @@ fn grant_outcome(r: &Result<(QueryOutcome, RuntimeMetrics)>) -> String {
 
 /// Recovery + grant round: every run revokes the *entire* live policy set
 /// (released to in-flight execution at a seeded step) and re-grants it
-/// (released at step 0). Invariants per run: a query the revocations
-/// refuse under its re-pinned sequence is rescued by the quiesce-free
-/// grant retry and still returns the fault-free answer through a
-/// placement the head catalog allows; failures carry a typed kind; and
+/// (released at step 0). Invariants per run: a query a revocation
+/// catches re-pins to the head it can see — re-grants included — and
+/// still returns the fault-free answer through a placement the head
+/// catalog allows; failures carry a typed kind; and
 /// every fourth run re-executes from identically-seeded state and must
 /// reproduce the outcome — rows, re-plan counts, and transfer bytes —
 /// exactly.
@@ -807,17 +805,11 @@ fn grant_round_rescues_refused_queries() {
                      the grant round changed the answer"
                 );
                 if res.churn_replans > 0 {
-                    // The revocations emptied the live set, so a churn
-                    // re-plan can only have completed through the grant
-                    // retry: refused under the revocation pin, rescued
-                    // under the head where the re-grants live.
-                    assert!(
-                        res.grant_retries > 0,
-                        "round {round} {query} [{label}]: a re-plan under the \
-                         empty revocation pin completed without a grant retry"
-                    );
+                    // The re-grants are released at step 0, so the head
+                    // every revocation re-pins to holds them: the query
+                    // re-planned under the head where the re-grants live.
                     rescued += 1;
-                    let head = eng.fork_with_policies(svc.snapshot(svc.head()).unwrap());
+                    let head = svc.engine(svc.head()).unwrap();
                     head.audit(&res.physical).unwrap_or_else(|e| {
                         panic!(
                             "round {round} {query} [{label}]: a rescued query \
@@ -870,7 +862,7 @@ fn grant_round_rescues_refused_queries() {
     );
     assert!(
         rescued >= 1,
-        "no refused query was ever rescued by a grant retry across {completed} \
+        "no query ever re-planned onto the re-grant head across {completed} \
          completions ({refused} refusals) — the recovery path was not exercised"
     );
     assert!(

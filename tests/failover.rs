@@ -333,7 +333,7 @@ const TRIGGER_STEPS: [u64; 6] = [0, 1, 2, 3, 4, 6];
 
 /// A catalog service whose log starts at `eng`'s policies.
 fn catalog_service(eng: &Engine) -> CatalogService {
-    CatalogService::new(Arc::clone(eng.catalog()), (**eng.policies()).clone())
+    CatalogService::new(eng)
 }
 
 /// A catalog service whose log holds the revocation of `pid`, released
@@ -359,7 +359,6 @@ fn replay(run: &Result<QueryOutcome>) -> String {
             (
                 r.replans,
                 r.churn_replans,
-                r.grant_retries,
                 (r.checkpoint_hits, r.checkpoint_misses),
                 (r.resumed_bytes, r.recomputed_bytes),
                 (r.hedges_launched, r.hedges_won, r.breaker_trips),
@@ -443,7 +442,6 @@ fn assert_crash_and_revocation_kept(
     label: &str,
     res: &QueryOutcome,
     svc: &CatalogService,
-    eng: &Engine,
     dead: &Location,
 ) {
     assert_eq!(res.replans, 2, "{label}: {KEPT}");
@@ -457,7 +455,7 @@ fn assert_crash_and_revocation_kept(
             "{label}: the final plan runs at dead {dead}"
         );
     });
-    let shrunk = eng.fork_with_policies(svc.snapshot(svc.head()).unwrap());
+    let shrunk = svc.engine(svc.head()).unwrap();
     shrunk
         .audit(&res.physical)
         .unwrap_or_else(|e| panic!("{label}: final plan fails the post-revocation audit: {e}"));
@@ -578,7 +576,7 @@ fn a_revocation_after_a_crash_keeps_the_dead_site_excluded() {
                 if !revocation_came_second(cell.second_cause()) {
                     continue;
                 }
-                assert_crash_and_revocation_kept(&cell.label, &res, &svc, &eng, site);
+                assert_crash_and_revocation_kept(&cell.label, &res, &svc, site);
                 found = Some(cell.label);
                 break 'scan;
             }
@@ -621,7 +619,7 @@ fn a_crash_after_a_revocation_replans_the_reoptimized_tree() {
                 }
                 // Only a revocation that outlaws the admission-time plan
                 // tells the re-optimized tree from the original one.
-                let revoked = eng.fork_with_policies(svc.snapshot(svc.head()).unwrap());
+                let revoked = svc.engine(svc.head()).unwrap();
                 if revoked.audit(&opt.physical).is_ok() {
                     continue;
                 }
@@ -640,7 +638,7 @@ fn a_crash_after_a_revocation_replans_the_reoptimized_tree() {
                     "{}: the crash opens past the admitted grid, so it must be the second cause",
                     cell.label
                 );
-                assert_crash_and_revocation_kept(&cell.label, &res, &svc, &eng, site);
+                assert_crash_and_revocation_kept(&cell.label, &res, &svc, site);
                 found = Some(cell.label);
                 break 'scan;
             }

@@ -25,6 +25,7 @@ use geoqp_core::{
 };
 use geoqp_exec::RetryPolicy;
 use geoqp_net::{FaultPlan, StepWindow};
+use geoqp_plan::PhysOp;
 use geoqp_tpch::policy_gen::{generate_policies, PolicyTemplate};
 use geoqp_tpch::queries::all_queries;
 use std::sync::Arc;
@@ -217,6 +218,10 @@ pub struct CondemnCell {
     /// Sites excluded during failover (must stay empty: a gray link is a
     /// link problem, not a site problem).
     pub sites_excluded: usize,
+    /// SHIP edges a re-plan served from a checkpoint.
+    pub checkpoint_hits: u64,
+    /// The completing plan reads a checkpoint through a `ResumeScan` leaf.
+    pub stitched: bool,
     /// The run returned the fault-free row multiset.
     pub rows_match: bool,
     /// The final (re-planned) plan passed the Definition-1 audit.
@@ -276,6 +281,14 @@ pub fn condemnation_matrix(seed: u64, factor: f64) -> Vec<CondemnCell> {
             waived: run.waived_links.contains(&link),
             breaker_trips: run.breaker_trips,
             sites_excluded: run.excluded.len(),
+            checkpoint_hits: run.checkpoint_hits,
+            stitched: {
+                let mut resumes = false;
+                run.physical.visit(&mut |node| {
+                    resumes |= matches!(node.op, PhysOp::ResumeScan { .. });
+                });
+                resumes
+            },
             rows_match: multiset(&run.rows) == multiset(&reference.rows),
             audit_ok: engine.audit(&run.physical).is_ok(),
         });
@@ -351,5 +364,17 @@ mod tests {
                 .map(|c| (c.query, c.replans, c.breaker_trips))
                 .collect::<Vec<_>>()
         );
+    }
+
+    /// A waived condemnation re-runs the plan that failed as it was:
+    /// stitching it would renumber the edges' health lanes and send the
+    /// final attempt out on cold ones.
+    #[test]
+    fn a_waived_condemnation_reruns_its_plan_unstitched() {
+        let cells = condemnation_matrix(2021, 6.0);
+        let q2 = cells.iter().find(|c| c.query == "Q2").expect("Q2 measured");
+        assert!(q2.waived, "{q2:?}");
+        assert_eq!(q2.checkpoint_hits, 0, "{q2:?}");
+        assert!(!q2.stitched, "{q2:?}");
     }
 }

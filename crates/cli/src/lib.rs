@@ -480,17 +480,6 @@ impl Shell {
         Ok(format!("deadline: {ms:.1} ms simulated\n"))
     }
 
-    /// Whether queries run *controlled* — failover budget, checkpoints,
-    /// and the control surface threaded through execution —
-    /// which a fault plan, a deadline, an armed cancellation, or hedging
-    /// each require.
-    fn controlled(&self) -> bool {
-        self.faults.is_some()
-            || self.deadline.is_some()
-            || self.cancel.is_cancelled()
-            || self.hedge.is_some()
-    }
-
     /// Record the failover counters for `\metrics` and render the summary
     /// fragment appended to the result line.
     fn note_failover(&mut self, result: &QueryOutcome) -> String {
@@ -515,25 +504,17 @@ impl Shell {
                 result.hedges_launched, result.hedges_won, result.relays_used, result.breaker_trips,
             );
         }
-        if !result.avoided_links.is_empty() {
-            let links: Vec<String> = result
-                .avoided_links
-                .iter()
-                .map(|(a, b)| format!("{a}->{b}"))
-                .collect();
-            let _ = writeln!(summary, "avoided gray link(s): {}", links.join(", "));
-        }
-        if !result.waived_links.is_empty() {
-            let links: Vec<String> = result
-                .waived_links
-                .iter()
-                .map(|(a, b)| format!("{a}->{b}"))
-                .collect();
-            let _ = writeln!(
-                summary,
-                "waived condemnation(s) (no compliant detour, riding the gray link): {}",
-                links.join(", ")
-            );
+        for (what, links) in [
+            ("avoided gray link(s)", &result.avoided_links),
+            (
+                "waived condemnation(s) (no compliant detour, riding the gray link)",
+                &result.waived_links,
+            ),
+        ] {
+            if !links.is_empty() {
+                let links: Vec<String> = links.iter().map(|(a, b)| format!("{a}->{b}")).collect();
+                let _ = writeln!(summary, "{what}: {}", links.join(", "));
+            }
         }
         self.last_health = self.hedge.as_ref().map(|_| result.link_health.clone());
         self.last_failover = Some(summary);
@@ -660,7 +641,6 @@ impl Shell {
                     TenantConfig {
                         max_inflight: 4,
                         max_queue: 4096,
-                        quantum: 1,
                     },
                 ));
             }
@@ -669,7 +649,7 @@ impl Shell {
         let session = self.service.as_ref().expect("service just created");
         // Submit the whole burst before waiting on any ticket: all n
         // queries are in flight together, contending through admission,
-        // the DRR scheduler, and the shared plan cache.
+        // the round-robin scheduler, and the shared plan cache.
         let mut tickets = Vec::with_capacity(queries.len());
         let (mut rejected, mut failed, mut cached) = (0u64, 0u64, 0u64);
         for (i, q) in queries.iter().enumerate() {
@@ -745,22 +725,19 @@ impl Shell {
 
     fn sql(&mut self, sql: &str) -> Result<String> {
         let eng = self.engine()?;
-        let controlled = self.controlled();
-        // Without a fault plan, an empty one threads the deadline/cancel
-        // controls (and link-health scoring) through the same path.
-        let no_faults = FaultPlan::new(0);
-        let mut opts = if controlled {
-            let faults = self.faults.as_ref().unwrap_or(&no_faults);
-            ExecOptions {
-                deadline: self.deadline,
-                cancel: Some(self.cancel.clone()),
-                hedge: self.hedge.clone(),
-                ..ExecOptions::failover(faults, &RetryPolicy::default(), 4)
-            }
-        } else {
-            ExecOptions::default()
+        // A fault plan brings failover (retries, re-plans, checkpoints);
+        // the deadline, the cancel token and hedging attach on their own.
+        let failover = match &self.faults {
+            Some(faults) => ExecOptions::failover(faults, &RetryPolicy::default(), 4),
+            None => ExecOptions::default(),
         };
-        opts.runtime = self.config.clone();
+        let opts = ExecOptions {
+            deadline: self.deadline,
+            cancel: Some(self.cancel.clone()),
+            hedge: self.hedge.clone(),
+            runtime: self.config.clone(),
+            ..failover
+        };
         let attempt = eng.run_sql(sql, self.mode, self.result_location.clone(), &opts);
         // An armed cancellation consumes itself on the statement it
         // unwound, so the session keeps working afterwards.
@@ -772,8 +749,8 @@ impl Shell {
             Err(_) => "NON-COMPLIANT",
         };
         // One summary line: rows; what the WAN carried and when the
-        // result completed; the failover story when the run was
-        // controlled; the audit verdict.
+        // result completed; the failover story when the run had faults
+        // or hedging to tell one about; the audit verdict.
         let _ = write!(
             out,
             "({} rows at {}; {} transfers, {} bytes",
@@ -788,10 +765,10 @@ impl Shell {
             "; completion {:.1} ms of {:.1} ms network",
             m.completion_ms, m.network_ms
         );
-        if !controlled {
+        if self.faults.is_none() && self.hedge.is_none() {
             let _ = write!(out, " ({:.2}x overlap)", m.overlap_speedup());
-        }
-        if controlled {
+            self.last_failover = None;
+        } else {
             let ckpt = self.note_failover(&result);
             let _ = write!(
                 out,
@@ -878,13 +855,14 @@ commands:
   \\tenants                  per-tenant service counters (admitted,
                             rejected, cache-hit rate, p50/p99) accumulated
                             across \\server bursts
-  \\faults <spec>|off        inject faults: crash:L2; drop:L1-L3@2..5;
-                            flaky:L1-L2:0.3; delay:L1-L4:50ms;
+  \\faults <spec>|off        inject faults, with failover (retries, 4
+                            re-plans, checkpoints): crash:L2; seed=N;
+                            drop:L1-L3@2..5; flaky:L1-L2:0.3; delay:L1-L4:50ms;
                             degrade:L1-L4:3x@2..9; loss:L2-L3:0.4@..6;
-                            partition:L1,L2@..9; seed=N
+                            partition:L1,L2@..9
   \\hedge on|off|<ms>        gray-failure defense: link health scoring,
-                            per-link circuit breakers, compliant hedged
-                            backups (<ms> = backup launch delay)
+                            per-link circuit breakers, hedged backups
+                            (<ms> = backup launch delay)
   \\health                   per-link breaker/EWMA state of the last
                             hedged query
   \\deadline <ms>|off        simulated-clock completion budget per query
@@ -1151,6 +1129,24 @@ mod tests {
         assert!(sh.run_command("\\faults crash:").is_err(), "malformed spec");
     }
 
+    /// A traditional plan runs unaudited whatever else the session set:
+    /// a fault plan or hedging changes how it runs, not whether it may.
+    #[test]
+    fn a_traditional_plan_runs_unaudited_under_faults_and_hedging() {
+        let sql = "SELECT c_name, c_acctbal FROM customer";
+        for setting in ["\\faults seed=7; delay:N-E:1", "\\hedge on"] {
+            let mut sh = Shell::new();
+            for c in ["\\demo carco", "\\mode traditional", "\\at E", setting] {
+                sh.run_command(c).unwrap();
+            }
+            let out = sh
+                .run_command(sql)
+                .unwrap_or_else(|e| panic!("{setting}: {e}"));
+            assert!(out.contains("(3 rows at E;"), "{setting}: {out}");
+            assert!(out.contains("plan NON-COMPLIANT"), "{setting}: {out}");
+        }
+    }
+
     #[test]
     fn every_query_reports_runtime_metrics() {
         let mut sh = Shell::new();
@@ -1273,15 +1269,16 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.kind(), "deadline", "{err}");
 
-        // A generous budget completes and reports checkpoint counters.
+        // A generous budget completes; a deadline brings no fault plan,
+        // so there is no failover story to tell.
         sh.run_command("\\deadline 1e9").unwrap();
         let out = sh
             .run_command("SELECT c_name FROM customer ORDER BY c_name")
             .unwrap();
         assert!(out.contains("alice"), "{out}");
-        assert!(out.contains("ckpt hits"), "{out}");
+        assert!(!out.contains("ckpt hits"), "{out}");
         let metrics = sh.run_command("\\metrics").unwrap();
-        assert!(metrics.contains("failover:"), "{metrics}");
+        assert!(!metrics.contains("failover:"), "{metrics}");
 
         // Cancellation unwinds exactly one statement, then the session
         // keeps working.

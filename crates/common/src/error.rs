@@ -90,9 +90,6 @@ pub struct ChurnAbort {
     /// The catalog head the query re-pins to: every log entry visible at
     /// the abort step, the revocation that fired among them.
     pub seq: u64,
-    /// The executor step at which the abort fired (the aborted edge's
-    /// place in the runtime's walk).
-    pub step: u64,
     /// Human-readable description.
     pub message: String,
 }
@@ -171,12 +168,11 @@ impl GeoError {
         }
     }
 
-    /// Convenience constructor for a mid-flight revocation abort at
-    /// executor step `step`.
-    pub fn policy_churn(seq: u64, step: u64, message: impl Into<String>) -> GeoError {
+    /// Convenience constructor for a mid-flight revocation abort that
+    /// re-pins to catalog head `seq`.
+    pub fn policy_churn(seq: u64, message: impl Into<String>) -> GeoError {
         GeoError::PolicyChurn(ChurnAbort {
             seq,
-            step,
             message: message.into(),
         })
     }
@@ -186,15 +182,6 @@ impl GeoError {
     pub fn churn_head(&self) -> Option<u64> {
         match self {
             GeoError::PolicyChurn(c) => Some(c.seq),
-            _ => None,
-        }
-    }
-
-    /// The executor step a mid-flight revocation abort fired at, if this
-    /// error is one.
-    pub fn churn_step(&self) -> Option<u64> {
-        match self {
-            GeoError::PolicyChurn(c) => Some(c.step),
             _ => None,
         }
     }
@@ -313,7 +300,7 @@ mod tests {
             GeoError::DeadlineExceeded(String::new()),
             GeoError::Cancelled(String::new()),
             GeoError::Admission(String::new()),
-            GeoError::policy_churn(0, 0, String::new()),
+            GeoError::policy_churn(0, String::new()),
         ];
         let mut kinds: Vec<_> = variants.iter().map(|v| v.kind()).collect();
         kinds.sort_unstable();
@@ -379,11 +366,10 @@ mod tests {
     /// names no failed site: the failover loop must re-pin and re-plan,
     /// never exclude a healthy site.
     #[test]
-    fn policy_churn_carries_the_observed_head_and_step() {
-        let e = GeoError::policy_churn(3, 7, "revocation landed at seq 3");
+    fn policy_churn_carries_the_observed_head() {
+        let e = GeoError::policy_churn(3, "revocation landed at seq 3");
         assert_eq!(e.kind(), "churn");
         assert_eq!(e.churn_head(), Some(3));
-        assert_eq!(e.churn_step(), Some(7));
         assert_eq!(e.failed_site(), None);
         assert!(!e.is_transient());
         assert_eq!(e.message(), "revocation landed at seq 3");

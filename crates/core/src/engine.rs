@@ -106,10 +106,14 @@ pub struct OptimizedQuery {
     pub stats: OptimizeStats,
     /// Where the result materializes.
     pub result_location: Location,
-    /// The optimizer that produced the plan. [`Engine::run`] audits every
-    /// batch of a [`OptimizerMode::Compliant`] plan against Definition 1;
-    /// a [`OptimizerMode::Traditional`] plan is the baseline the harness
-    /// audits afterwards, and runs unaudited.
+    /// The optimizer that produced the plan, and so what its run
+    /// enforces. [`Engine::run`] audits every batch of a
+    /// [`OptimizerMode::Compliant`] plan against its edge's shipping trait
+    /// `𝒮ₙ`, relays hedged backups only inside it, and re-audits every
+    /// re-plan. A [`OptimizerMode::Traditional`] plan is the baseline the
+    /// harness audits afterwards: it runs unaudited, hedges only with
+    /// duplicate backups and retains no checkpoint, whatever else the
+    /// options ask for.
     pub mode: OptimizerMode,
 }
 
@@ -185,7 +189,10 @@ pub struct QueryOutcome {
 
 /// Everything [`Engine::run`] can be told about *how* to execute a
 /// located plan. The default is the plain run: one attempt on the
-/// columnar engine, no faults, nothing retained.
+/// columnar engine, no faults, nothing retained. Each field attaches on
+/// its own — a deadline needs no fault plan, hedging no resume — and
+/// what a run audits, relays and checkpoints is decided by the plan's
+/// [`OptimizedQuery::mode`], never by which of them are set.
 #[derive(Debug, Clone, Default)]
 pub struct ExecOptions<'a> {
     /// Fault injection: every transfer and leaf read consults this plan.
@@ -197,7 +204,9 @@ pub struct ExecOptions<'a> {
     /// failure before giving up.
     pub max_replans: usize,
     /// Retain completed SHIP edges in a checkpoint store and stitch
-    /// failover re-plans against it, so only lost work re-executes.
+    /// failover re-plans against it, so only lost work re-executes. Only
+    /// a compliant plan with a re-plan budget checkpoints: a run that
+    /// cannot re-plan has nothing to stitch.
     pub resume: bool,
     /// The checkpoint store to retain into, so tests and tools can
     /// inspect what was kept where. `None` uses one private to the run.
@@ -228,9 +237,10 @@ pub struct ExecOptions<'a> {
 }
 
 impl<'a> ExecOptions<'a> {
-    /// Fault injection with compliant failover: up to `max_replans`
-    /// re-plans around failures, transient faults retried per `retry`,
-    /// checkpoint/resume on.
+    /// What a fault plan brings: up to `max_replans` re-plans around
+    /// failures, transient faults retried per `retry`, checkpoint/resume
+    /// on. A deadline, a cancel token, hedging and churn attach on their
+    /// own, with or without it.
     pub fn failover(
         faults: &'a FaultPlan,
         retry: &RetryPolicy,
@@ -259,8 +269,9 @@ impl<'a> ExecOptions<'a> {
         self
     }
 
-    /// Enable link-health scoring, circuit breakers, and compliant hedged
-    /// transfers for every attempt of the run.
+    /// Enable link-health scoring, circuit breakers, and hedged transfers
+    /// for every attempt of the run: relayed inside `𝒮ₙ` for a compliant
+    /// plan, duplicate backups on the direct link for a traditional one.
     pub fn with_hedge(mut self, config: HedgeConfig) -> ExecOptions<'a> {
         self.hedge = Some(config);
         self
@@ -553,15 +564,7 @@ impl Engine {
             runtime: config.clone(),
             ..ExecOptions::default()
         };
-        let (outcome, transfers) = self.attempt(
-            plan,
-            &opts,
-            audited,
-            &CheckpointStore::new(),
-            None,
-            0.0,
-            None,
-        );
+        let (outcome, transfers) = self.attempt(plan, &opts, audited, None, None, 0.0, None);
         let (rows, metrics) = outcome?;
         Ok(ParallelResult {
             rows,
@@ -606,28 +609,29 @@ impl Engine {
     }
 
     /// One execution attempt of `physical` under `opts`, `base_ms` of
-    /// simulated time already spent by earlier attempts. Every batch is
-    /// audited against its edge's 𝒮ₙ when `audited`, or when hedging or
-    /// resume needs the traits anyway. The transfer log is returned even
-    /// on failure: dropped attempts are evidence the failover loop
-    /// reports.
+    /// simulated time already spent by earlier attempts. An `audited`
+    /// attempt checks every batch against its edge's 𝒮ₙ and relays hedged
+    /// backups only inside it; one given a `store` (only ever an audited
+    /// one) also retains every drained edge there. The transfer log is
+    /// returned even on failure: dropped attempts are evidence the
+    /// failover loop reports.
     #[allow(clippy::too_many_arguments)]
     fn attempt(
         &self,
         physical: &PhysicalPlan,
         opts: &ExecOptions<'_>,
         audited: bool,
-        store: &CheckpointStore,
+        store: Option<&CheckpointStore>,
         health: Option<&LinkHealth>,
         base_ms: f64,
         watch: Option<&ChurnWatch>,
     ) -> (Result<(Rows, RuntimeMetrics)>, TransferLog) {
         // The adjudicator audits and relays against each edge's 𝒮ₙ; the
         // checkpoint store additionally needs each edge's spec.
-        let traits = if opts.resume {
+        let traits = if store.is_some() {
             self.ship_specs(physical)
                 .map(|(audits, specs)| (Some(audits), specs))
-        } else if audited || opts.hedge.is_some() {
+        } else if audited {
             self.ship_audits(physical)
                 .map(|audits| (Some(audits), Vec::new()))
         } else {
@@ -641,7 +645,7 @@ impl Engine {
         if let Some(faults) = opts.faults {
             env = env.with_faults(faults, opts.retry.clone());
         }
-        if opts.resume {
+        if let Some(store) = store {
             env = env.with_checkpoints(store);
         }
         if let (Some(health), Some(config)) = (health, opts.hedge.as_ref()) {
@@ -709,7 +713,7 @@ impl Engine {
                 &physical,
                 opts,
                 optimized.mode == OptimizerMode::Compliant,
-                store,
+                recovery.checkpointed().then_some(store),
                 health,
                 transfers.total_cost_ms(),
                 recovery.watch.as_ref(),
@@ -929,6 +933,10 @@ impl Recovery<'_> {
             // completing, waive the condemnation: the breaker gate stops
             // firing for that link while health scoring and hedging
             // continue, and the current plan retries.
+            // It retries unstitched: health lanes are pre-order edge slots,
+            // which stitching renumbers, so a stitched retry re-learns the
+            // gray link on cold lanes (E8's Q2 at seed 2021: 386.9 → 1 708.6
+            // simulated ms, one more trip, to save 3 KB).
             (Err(GeoError::QueryRejected(_)), Cause::GrayLink(link)) => {
                 self.avoided.remove(link);
                 let table = self.health.expect("breaker errors require a health table");
@@ -945,7 +953,7 @@ impl Recovery<'_> {
             // now succeeds; a permanently dead site fails the retry again,
             // and once stitching stops making progress the typed error
             // surfaces. Bounded by `max_replans` like any other re-plan.
-            (Err(e), Cause::SiteDown(_) | Cause::GrayLink(_)) if self.opts.resume => {
+            (Err(e), Cause::SiteDown(_) | Cause::GrayLink(_)) if self.checkpointed() => {
                 (failed, Some(e))
             }
             (Err(e), _) => return Err(e),
@@ -955,7 +963,7 @@ impl Recovery<'_> {
         // whose fingerprint still has a live, trait-legal checkpoint
         // become ResumeScan leaves, so only lost work re-executes.
         let engine = self.current();
-        let next = if self.opts.resume {
+        let next = if self.checkpointed() {
             if let Cause::Revoked { .. } = cause {
                 // The run changed policy snapshot: keep only checkpoints
                 // the re-placed plan can resume, at homes still inside
@@ -976,9 +984,19 @@ impl Recovery<'_> {
         // Definition-1 audit under the current catalog, resume edges
         // included: a violation here would be a Theorem-1 bug (or an
         // illegal checkpoint home), and must surface as an error, never
-        // execute silently.
-        check_compliance(&next, &engine.evaluator(), &engine.catalog)?;
+        // execute silently. A traditional plan's re-plan is the baseline
+        // again, audited afterwards like the plan it replaces.
+        if self.optimized.mode == OptimizerMode::Compliant {
+            check_compliance(&next, &engine.evaluator(), &engine.catalog)?;
+        }
         Ok(next)
+    }
+
+    /// Whether the run retains checkpoints to stitch re-plans against:
+    /// only a compliant plan's, with resume on and a re-plan to use them.
+    fn checkpointed(&self) -> bool {
+        let compliant = self.optimized.mode == OptimizerMode::Compliant;
+        compliant && self.opts.resume && self.opts.max_replans > 0
     }
 
     /// Re-pin to the catalog `head` the revocation made visible: take the

@@ -90,7 +90,7 @@ pub trait ExchangeSource {
 
     /// The morsel runner that CPU-bound columnar kernels dispatch on. The
     /// default is the inline serial runner; the fragment runtime
-    /// overrides this with its per-site worker pool.
+    /// overrides this with the run's worker pool.
     fn runner(&self) -> &dyn crate::parallel::MorselRunner {
         &crate::parallel::SERIAL
     }

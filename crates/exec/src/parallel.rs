@@ -5,7 +5,7 @@
 //! a [`MorselRunner`]. The runner decides *where* the closures run — the
 //! trivial [`SerialRunner`] executes them inline in index order
 //! (bit-identical to the pre-morsel code),
-//! while `geoqp-runtime` injects a shared per-site worker pool so a
+//! while `geoqp-runtime` injects the run's one worker pool so a
 //! single fragment can saturate every core.
 //!
 //! Two rules make the parallelism observably invisible:

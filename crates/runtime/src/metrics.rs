@@ -17,7 +17,7 @@ pub struct SiteMetrics {
     /// Simulated time at which the site's last fragment finished
     /// producing, ms.
     pub busy_ms: f64,
-    /// Morsel tasks the site's pool dispatched when intra-fragment
+    /// Morsel tasks the site's fragments dispatched when intra-fragment
     /// parallelism is on (zero otherwise). Deterministic for a given
     /// plan and morsel size.
     pub morsels: u64,

@@ -1,11 +1,13 @@
-//! The per-site morsel worker pool: a shared parallel-for over the
-//! columnar kernels' morsel tasks.
+//! The morsel worker pool: a shared parallel-for over the columnar
+//! kernels' morsel tasks.
 //!
-//! One [`MorselPool`] is created per site per run when
+//! One [`MorselPool`] is created per run when
 //! [`RuntimeConfig::workers_per_site`](crate::RuntimeConfig) exceeds 1.
-//! Every fragment the runtime runs at that site dispatches its kernels'
-//! morsels into the pool, so a site's fragments share one set of CPU
-//! workers instead of each being capped at the caller's thread.
+//! The runtime walks its fragments one at a time on the caller's thread,
+//! so the fragment running — whatever its site — dispatches its kernels'
+//! morsels into the whole pool instead of being capped at the caller's
+//! thread, and the pool's morsel count accrued while it ran is its
+//! site's.
 //!
 //! Scheduling is an atomic cursor per dispatch: a dispatch of `n` tasks
 //! opens one job on the pool's list of open jobs, and every thread
@@ -80,7 +82,7 @@ struct PoolCore {
     morsels: AtomicU64,
 }
 
-/// A morsel pool for one site. Dropping the pool shuts the workers down
+/// A morsel pool for one run. Dropping the pool shuts the workers down
 /// and joins them (no thread leaks across runs).
 pub struct MorselPool {
     core: Arc<PoolCore>,

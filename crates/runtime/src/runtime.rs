@@ -46,7 +46,7 @@ use geoqp_exec::{
 use geoqp_net::TransferLog;
 use geoqp_plan::{node_key, PhysOp, PhysicalPlan};
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Knobs for the runtime.
@@ -63,10 +63,11 @@ pub struct RuntimeConfig {
     /// identical between the two.
     pub columnar: bool,
     /// Rows per morsel when columnar kernels split their work for the
-    /// per-site worker pool.
+    /// run's worker pool.
     pub morsel_rows: usize,
-    /// CPU workers per site for intra-fragment morsel parallelism: the
-    /// caller's thread plus `workers_per_site - 1` pooled threads.
+    /// CPU workers for intra-fragment morsel parallelism: the caller's
+    /// thread plus `workers_per_site - 1` threads of the run's one pool
+    /// (fragments run one at a time, so each has them all).
     /// `1` (the default) disables pooling — kernels run their morsels
     /// inline. Only the columnar engine dispatches morsels; results are
     /// bit-identical at every worker count (deterministic merge order),
@@ -190,43 +191,34 @@ impl<'a> Runtime<'a> {
         }
         let shared = Shared::new(&cut);
 
-        // One shared morsel pool per fragment-hosting site, so every
-        // fragment a site runs draws CPU workers from the same pool.
-        // Pools live exactly as long as this run: dropping the map at
-        // return joins every worker thread, so runs never leak threads.
-        let pools: BTreeMap<Location, MorselPool> =
-            if self.config.columnar && self.config.workers_per_site > 1 {
-                let mut sites: BTreeSet<Location> = BTreeSet::new();
-                sites.insert(plan.location.clone());
-                for edge in &cut.edges {
-                    sites.insert(edge.from.clone());
-                }
-                sites
-                    .into_iter()
-                    .map(|s| (s, MorselPool::new(self.config.workers_per_site)))
-                    .collect()
-            } else {
-                BTreeMap::new()
-            };
-        let runner_for =
-            |site: &Location| pools.get(site).map(|p| p.runner(self.config.morsel_rows));
+        // One morsel pool for the run: fragments run one at a time, so
+        // whichever is running has every worker. Dropping it at return
+        // joins every worker thread, so runs never leak threads.
+        let pool = (self.config.columnar && self.config.workers_per_site > 1)
+            .then(|| MorselPool::new(self.config.workers_per_site));
+        let runner = || pool.as_ref().map(|p| p.runner(self.config.morsel_rows));
+        let dispatched = || pool.as_ref().map_or(0, MorselPool::morsels);
+        // Credit `site` with the morsels dispatched since `before`: exact,
+        // since fragments never overlap.
+        let credit = |site: &Location, before: u64| {
+            let morsels = dispatched() - before;
+            if morsels > 0 {
+                let mut sites = shared.sites.borrow_mut();
+                sites.entry(site.clone()).or_default().morsels += morsels;
+            }
+        };
 
         // Post-order: every edge inside a producer's subtree has been
         // delivered (or torn down) before the producer reads it.
         for &id in &cut.walk {
             let edge = &cut.edges[id];
-            self.run_producer(edge, &shared, source, audits, runner_for(&edge.from));
+            let before = dispatched();
+            self.run_producer(edge, &shared, source, audits, runner());
+            credit(&edge.from, before);
         }
-        let root = self.run_root(plan, &shared, source, runner_for(&plan.location));
-
-        // Attribute pool activity to its site before the metrics freeze.
-        for (site, pool) in &pools {
-            let morsels = pool.morsels();
-            if morsels > 0 {
-                let mut sites = shared.sites.borrow_mut();
-                sites.entry(site.clone()).or_default().morsels += morsels;
-            }
-        }
+        let before = dispatched();
+        let root = self.run_root(plan, &shared, source, runner());
+        credit(&plan.location, before);
 
         let mut errors = shared.errors.into_inner();
         let mut log = shared.log.into_inner();
@@ -466,7 +458,7 @@ struct FragmentView<'r, 's> {
     local_extra_ms: Cell<f64>,
     /// Logical steps consumed by this fragment's scans.
     attempts: Cell<u64>,
-    /// The site's shared morsel pool, when intra-fragment parallelism is
+    /// The run's morsel pool, when intra-fragment parallelism is
     /// on. `None` keeps the inline serial runner.
     runner: Option<PoolRunner>,
 }

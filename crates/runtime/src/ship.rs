@@ -280,7 +280,6 @@ impl ShipStream<'_> {
             if let Some(head) = watch.signal.revoked_since(watch.pin, churn_step) {
                 return Err(GeoError::policy_churn(
                     head,
-                    churn_step,
                     format!(
                         "a policy revocation newer than pinned seq {} landed while {what} \
                          was in flight; the catalog head it re-pins to is seq {head}",

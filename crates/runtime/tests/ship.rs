@@ -336,12 +336,27 @@ fn cases() -> Vec<Case> {
             check: |r, _, _| {
                 let e = r.as_ref().unwrap_err();
                 assert_eq!(e.churn_head(), Some(4));
-                assert_eq!(e.churn_step(), Some(0), "the edge's place in the walk");
             },
             ..Case::new(
                 "a revocation newer than the pin aborts before the batch leaves",
                 Expect::Err {
                     kind: "churn",
+                    drops: 0,
+                },
+            )
+        },
+        Case {
+            churn: Some(watch(vec![ChurnEvent {
+                step: 1,
+                seq: 4,
+                revocation: true,
+            }])),
+            ..Case::new(
+                "a revocation released for the next edge in the walk lets this one ship",
+                Expect::Ok {
+                    attempts: 1,
+                    cost_ms: base,
+                    records: 1,
                     drops: 0,
                 },
             )
@@ -472,7 +487,6 @@ fn streams_amortize_the_header_and_recheck_churn_per_batch() {
     revoke_at_3.signal.publish(2, true);
     let abort = stream.ship_batch(BYTES, 1, &mut log).unwrap_err();
     assert_eq!(abort.churn_head(), Some(2));
-    assert_eq!(abort.churn_step(), Some(2), "the edge shipped third");
     assert_eq!(log.transfer_count(), 2);
 
     let planned = ShipEnv::new(&topology).with_churn(watch(vec![ChurnEvent {
@@ -481,7 +495,7 @@ fn streams_amortize_the_header_and_recheck_churn_per_batch() {
         revocation: true,
     }]));
     let abort = planned.open(edge(3)).ship_batch(BYTES, 1, &mut log);
-    assert_eq!(abort.unwrap_err().churn_step(), Some(3));
+    assert_eq!(abort.unwrap_err().churn_head(), Some(1));
     assert_eq!(log.transfer_count(), 2, "the fourth edge ships nothing");
 }
 

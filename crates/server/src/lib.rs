@@ -15,9 +15,9 @@
 //!   **Admission control** is per tenant: at most `max_inflight` queries
 //!   executing plus `max_queue` waiting; overflow is refused with the typed
 //!   [`GeoError::Admission`](geoqp_common::GeoError::Admission) error.
-//!   **Deficit round-robin** fair queueing guarantees a flooding tenant
-//!   cannot starve a trickle tenant — every backlogged tenant earns service
-//!   credit at the same (quantum-weighted) rate.
+//!   **Round-robin** scheduling guarantees a flooding tenant cannot starve
+//!   a trickle tenant — each claim starts scanning at the tenant after
+//!   the last one served.
 //! * A private plan cache memoizes located plans, keyed by value: the SQL
 //!   text, the requested result location, the tenant and the pids of its
 //!   live expressions governing a table the query scans. A hit is

@@ -1,4 +1,4 @@
-//! The multi-tenant query service: sessions, admission control, deficit
+//! The multi-tenant query service: sessions, admission control,
 //! round-robin fair scheduling, and per-tenant statistics.
 //!
 //! # Architecture
@@ -6,7 +6,7 @@
 //! ```text
 //!  submit(tenant, request) ──admission──▶ per-tenant bounded queue
 //!                                              │
-//!                      deficit-round-robin scheduler (shared Condvar)
+//!                     round-robin scheduler (shared Condvar)
 //!                                              │
 //!                          bounded worker pool (OS threads)
 //!                                              │
@@ -14,7 +14,7 @@
 //!                                              │
 //!       parse → lower → plan-cache lookup (hit) / optimize (miss)
 //!                                              │
-//!          execute under that pin (+ faults/deadline/cancel)
+//!   execute under that pin (+ failover if faulted, deadline, cancel)
 //!                                              │
 //!                      QueryTicket ◀── reply ──┘  + TenantStats update
 //! ```
@@ -52,11 +52,11 @@
 //! queries plus [`TenantConfig::max_queue`] waiting ones; a submit beyond
 //! that is refused immediately with the typed
 //! [`GeoError::Admission`] — the client sees backpressure instead of
-//! unbounded queueing. Among admitted queries the scheduler runs deficit
-//! round-robin: every backlogged, eligible tenant earns
-//! [`TenantConfig::quantum`] service credits per top-up round and spends
-//! one per query, so a tenant flooding its own queue can never starve a
-//! trickle tenant — the trickle tenant's next query is at most one DRR
+//! unbounded queueing. Among admitted queries the scheduler runs
+//! round-robin: a free worker scans the tenants from the one after the
+//! last served and claims the first with a queued query and a free
+//! in-flight slot, so a tenant flooding its own queue can never starve a
+//! trickle tenant — the trickle tenant's next query is at most one
 //! rotation away.
 
 use crate::plan_cache::{CacheStats, CachedPlan, PlanCache, PlanKey};
@@ -88,10 +88,6 @@ pub struct TenantConfig {
     /// `max_inflight + max_queue` outstanding is refused with
     /// [`GeoError::Admission`].
     pub max_queue: usize,
-    /// DRR weight: service credits earned per top-up round. Tenants with
-    /// a larger quantum receive proportionally more throughput under
-    /// contention.
-    pub quantum: u32,
 }
 
 impl Default for TenantConfig {
@@ -99,7 +95,6 @@ impl Default for TenantConfig {
         TenantConfig {
             max_inflight: 4,
             max_queue: 64,
-            quantum: 1,
         }
     }
 }
@@ -312,7 +307,6 @@ struct TenantState {
     churn: Arc<CatalogService>,
     config: TenantConfig,
     queue: VecDeque<Job>,
-    deficit: u64,
     inflight: usize,
     /// Name and counters; `inflight`, `queued` and the latency fields are
     /// filled in by [`TenantState::snapshot`].
@@ -362,52 +356,20 @@ struct Shared {
     config: ServiceConfig,
 }
 
-/// DRR service cost of one query, in credits.
-const QUERY_COST: u64 = 1;
-
-/// Pick the next runnable job under deficit round-robin. Two passes: if
-/// no eligible tenant holds enough credit, every backlogged eligible
-/// tenant is topped up by its quantum and the scan repeats once.
+/// Pick the next runnable job, round-robin: the first tenant from the
+/// cursor with a queued job and a free in-flight slot, whose claim moves
+/// the cursor past it.
 fn next_job(st: &mut SchedState) -> Option<(usize, Job)> {
     let n = st.tenants.len();
-    if n == 0 {
-        return None;
-    }
-    for round in 0..2 {
-        for i in 0..n {
-            let t = (st.next_rr + i) % n;
-            let ten = &mut st.tenants[t];
-            if ten.queue.is_empty()
-                || ten.inflight >= ten.config.max_inflight
-                || ten.deficit < QUERY_COST
-            {
-                continue;
-            }
-            ten.deficit -= QUERY_COST;
-            let job = ten.queue.pop_front().expect("queue checked non-empty");
-            ten.inflight += 1;
-            if ten.queue.is_empty() {
-                // An idle tenant must not bank credit (classic DRR reset),
-                // or a long-idle tenant could later burst past its share.
-                ten.deficit = 0;
-            }
-            st.next_rr = (t + 1) % n;
-            return Some((t, job));
-        }
-        if round == 0 {
-            let mut topped_up = false;
-            for ten in st.tenants.iter_mut() {
-                if !ten.queue.is_empty() && ten.inflight < ten.config.max_inflight {
-                    ten.deficit += u64::from(ten.config.quantum) * QUERY_COST;
-                    topped_up = true;
-                }
-            }
-            if !topped_up {
-                return None;
-            }
-        }
-    }
-    None
+    let t = (0..n).map(|i| (st.next_rr + i) % n).find(|&t| {
+        let ten = &st.tenants[t];
+        !ten.queue.is_empty() && ten.inflight < ten.config.max_inflight
+    })?;
+    let ten = &mut st.tenants[t];
+    let job = ten.queue.pop_front().expect("queue checked non-empty");
+    ten.inflight += 1;
+    st.next_rr = (t + 1) % n;
+    Some((t, job))
 }
 
 /// The multi-tenant query service. Dropping it shuts the worker pool
@@ -465,7 +427,6 @@ impl QueryService {
             churn,
             config,
             queue: VecDeque::new(),
-            deficit: 0,
             inflight: 0,
             stats: TenantStats {
                 name: name.into(),
@@ -778,12 +739,11 @@ fn run_job(
         }
     };
 
-    let no_faults = FaultPlan::new(0);
     let churn = ChurnOpts {
         service: Arc::clone(churn),
         pin,
     };
-    let opts = exec_options(&shared.config, request, &no_faults, churn);
+    let opts = exec_options(&shared.config, request, churn);
     let result = engine.run(&optimized, &opts)?;
 
     Ok(QueryReply {
@@ -797,23 +757,21 @@ fn run_job(
     })
 }
 
-/// The options a job runs under. Every execution runs under the job's
-/// catalog pin (`churn`): a revocation published after it aborts the
-/// query before its next batch leaves, and the engine re-plans under the
-/// head it can see within the service's re-plan budget. Faults, a
-/// deadline or a cancel token add the failover preset (retries,
-/// checkpoint/resume; `no_faults` stands in for a request without a
-/// fault plan); anything else is one attempt per plan.
+/// The options a job runs under: its catalog pin (`churn`) and the
+/// service's re-plan budget, so a revocation published after the pin
+/// aborts the query before its next batch leaves and the engine re-plans
+/// under the head it can see; plus what the request asked for. A fault
+/// plan brings the failover preset (retries, checkpoint/resume); a
+/// deadline and a cancel token attach on their own.
 fn exec_options<'a>(
     config: &ServiceConfig,
     request: &'a QueryRequest,
-    no_faults: &'a FaultPlan,
     churn: ChurnOpts,
 ) -> ExecOptions<'a> {
-    let needs_failover =
-        request.faults.is_some() || request.deadline.is_some() || request.cancel.is_some();
-    let faults = needs_failover.then(|| request.faults.as_ref().unwrap_or(no_faults));
-    let retry = RetryPolicy::default();
+    let base = match &request.faults {
+        Some(faults) => ExecOptions::failover(faults, &RetryPolicy::default(), config.max_replans),
+        None => ExecOptions::default(),
+    };
     ExecOptions {
         runtime: RuntimeConfig {
             columnar: config.columnar,
@@ -823,10 +781,7 @@ fn exec_options<'a>(
         cancel: request.cancel.clone(),
         churn: Some(churn),
         max_replans: config.max_replans,
-        ..match faults {
-            Some(faults) => ExecOptions::failover(faults, &retry, config.max_replans),
-            None => ExecOptions::default(),
-        }
+        ..base
     }
 }
 
@@ -852,12 +807,11 @@ mod tests {
             ..ServiceConfig::default()
         };
         let request = QueryRequest::new("SELECT 1");
-        let no_faults = FaultPlan::new(0);
         let churn = ChurnOpts {
             service: Arc::clone(&service),
             pin: 3,
         };
-        let opts = exec_options(&config, &request, &no_faults, churn);
+        let opts = exec_options(&config, &request, churn);
         let pinned = opts.churn.as_ref().expect("every job runs under its pin");
         assert!(Arc::ptr_eq(&pinned.service, &service));
         assert_eq!(pinned.pin, 3);
@@ -866,9 +820,22 @@ mod tests {
         assert!(opts.faults.is_none() && !opts.resume, "no failover preset");
 
         let deadline = request.with_deadline(QueryDeadline::new(50.0));
+        let churn = ChurnOpts {
+            service: Arc::clone(&service),
+            pin: 3,
+        };
+        let opts = exec_options(&config, &deadline, churn);
+        assert!(opts.deadline.is_some(), "the deadline attaches on its own");
+        assert!(opts.faults.is_none() && !opts.resume, "no failover preset");
+        assert_eq!(opts.max_replans, 7);
+
+        let faulted = deadline.with_faults(FaultPlan::new(5));
         let churn = ChurnOpts { service, pin: 3 };
-        let opts = exec_options(&config, &deadline, &no_faults, churn);
-        assert!(opts.faults.is_some() && opts.resume, "the failover preset");
+        let opts = exec_options(&config, &faulted, churn);
+        assert!(
+            opts.faults.is_some() && opts.resume,
+            "a fault plan brings it"
+        );
         assert_eq!(opts.max_replans, 7);
     }
 

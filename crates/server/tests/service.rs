@@ -1,5 +1,5 @@
 //! Integration suite for the multi-tenant query service: admission
-//! control, deficit-round-robin fairness, the value-keyed plan cache
+//! control, round-robin fairness, the value-keyed plan cache
 //! (each key component, eviction by revocation only, LRU eviction,
 //! hit/miss determinism, hits equal to a fresh optimize across policy
 //! churn, failover from a hit), cancellation/deadline handling
@@ -160,7 +160,6 @@ fn admission_overflow_is_typed_and_shutdown_resolves_tickets() {
         TenantConfig {
             max_inflight: 0,
             max_queue: 3,
-            quantum: 1,
         },
     );
 
@@ -199,7 +198,7 @@ fn unknown_tenant_is_refused() {
 // -------------------------------------------------------------- fairness
 
 /// A tenant flooding its own queue cannot starve a trickle tenant: with
-/// one worker, DRR alternates between the two backlogged tenants, so the
+/// one worker, round-robin alternates between the two backlogged tenants, so the
 /// trickle tenant's five queries all finish while the flood backlog is
 /// still mostly unserved — its p99 stays below the flood tenant's median.
 #[test]
@@ -215,7 +214,6 @@ fn flooding_tenant_cannot_starve_trickle_tenant() {
         TenantConfig {
             max_inflight: 1,
             max_queue: 40,
-            quantum: 1,
         },
     );
     let trickle = svc.add_tenant(
@@ -226,7 +224,6 @@ fn flooding_tenant_cannot_starve_trickle_tenant() {
         TenantConfig {
             max_inflight: 1,
             max_queue: 10,
-            quantum: 1,
         },
     );
 
@@ -301,7 +298,6 @@ fn cancellation_and_deadlines_mid_queue_do_not_deadlock() {
         TenantConfig {
             max_inflight: 2,
             max_queue: 100,
-            quantum: 1,
         },
     );
 
@@ -904,7 +900,6 @@ fn lru_eviction_under_adhoc_stream() {
         TenantConfig {
             max_inflight: 2,
             max_queue: 64,
-            quantum: 1,
         },
     );
     let tickets: Vec<_> = queries
@@ -972,7 +967,6 @@ fn concurrent_closed_loops_reconcile_cache_and_tenant_counters() {
                 TenantConfig {
                     max_inflight: 8,
                     max_queue: CLIENTS,
-                    quantum: 1,
                 },
             );
             (id, pool)

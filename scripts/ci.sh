@@ -154,6 +154,28 @@ if grep -rnE 'last_revoke_seq|churn_reruns|MAX_CHURN_RERUNS' crates/server/src; 
     exit 1
 fi
 
+echo "==> one run rule: a plan's mode decides what its run audits, relays" \
+     "and checkpoints, and only a fault plan brings the failover preset, so" \
+     "above their tests crates/cli/src and crates/server/src neither build" \
+     "an empty fault plan nor decide when a statement needs failover"
+for f in crates/cli/src/*.rs crates/server/src/*.rs; do
+    if sed '/^mod tests/,$d' "$f" | grep -nE 'FaultPlan::new\(|fn controlled|needs_failover'; then
+        echo "$f attaches the failover preset to something other than a fault" \
+            "plan: a deadline, a cancel token and hedging attach on their own" >&2
+        exit 1
+    fi
+done
+
+echo "==> round-robin: the service claims the first backlogged tenant below" \
+     "max_inflight from the cursor, so above their tests crates/cli/src and" \
+     "crates/server/src carry no per-tenant quantum or deficit credit"
+for f in crates/cli/src/*.rs crates/server/src/*.rs; do
+    if sed '/^mod tests/,$d' "$f" | grep -nE 'quantum|deficit'; then
+        echo "$f weighs tenants again: the scheduler is round-robin" >&2
+        exit 1
+    fi
+done
+
 echo "==> one pin rule: a revocation re-pins the query to the catalog head" \
      "visible at the abort step and a refusal there is final, and one owner" \
      "turns a catalog seq into an engine (CatalogService::engine)"

@@ -21,9 +21,9 @@
 //! * [`tpch`] — the evaluation substrate (schemas, dbgen-style generator,
 //!   the six evaluated queries, workload and policy generators),
 //! * [`server`] — the multi-tenant query service: per-tenant admission
-//!   control, deficit-round-robin fair scheduling, and a cache of
-//!   optimized located plans keyed by tenant, catalog sequence, query
-//!   and result site.
+//!   control, round-robin fair scheduling, and a cache of optimized
+//!   located plans keyed by tenant, query, result site and the pids of
+//!   the policies governing its tables.
 //!
 //! ## Quickstart
 //!

@@ -329,7 +329,7 @@ fn randomized_adhoc_round_stays_compliant_and_leak_free() {
 
 /// Service round: the soak's crash/partition/deadline schedules replayed
 /// through the multi-tenant `QueryService` — concurrent sessions,
-/// admission control, DRR scheduling, and the epoch-keyed plan cache all
+/// admission control, round-robin scheduling, and the plan cache all
 /// under chaos at once. Invariants: every ticket resolves (no deadlock,
 /// even with cancellations and deadlines mid-queue), completions return
 /// the fault-free answer, failures carry a typed kind, and the service
@@ -360,7 +360,6 @@ fn concurrent_service_round_under_chaos_resolves_every_ticket() {
             TenantConfig {
                 max_inflight: 2,
                 max_queue: 16,
-                quantum: 1,
             },
         ));
     }

@@ -407,3 +407,41 @@ fn runtime_audit_catches_non_compliant_plans() {
         "no traditional plan was non-compliant under the C template"
     );
 }
+
+/// A plan's mode, not the options beside it, decides what its run
+/// enforces: a traditional plan that fails the audit still runs
+/// unaudited under a fault plan's failover preset and hedging, returns
+/// the plain run's rows, and retains nothing to resume.
+#[test]
+fn failover_and_hedging_leave_a_traditional_plan_unaudited() {
+    let (eng, catalog) = engine(PolicyTemplate::C, SEED);
+    let faults = FaultPlan::new(SEED);
+    let mut ran = 0;
+    for (query, plan) in all_queries(&catalog).unwrap() {
+        let Ok(optimized) = eng.optimize(&plan, OptimizerMode::Traditional, None) else {
+            continue;
+        };
+        if eng.audit(&optimized.physical).is_ok() {
+            continue;
+        }
+        let store = CheckpointStore::new();
+        let opts = ExecOptions::failover(&faults, &RetryPolicy::default(), 4)
+            .with_hedge(HedgeConfig::default())
+            .with_store(&store);
+        let outcome = eng
+            .run(&optimized, &opts)
+            .unwrap_or_else(|e| panic!("{query}: the traditional baseline must run: {e}"));
+        let plain = eng.execute(&optimized.physical).unwrap();
+        assert!(same_rows(&outcome.rows, &plain.rows), "{query}");
+        assert!(
+            store.is_empty(),
+            "{query}: retained {} checkpoints",
+            store.len()
+        );
+        ran += 1;
+    }
+    assert!(
+        ran > 0,
+        "no traditional plan was non-compliant under the C template"
+    );
+}

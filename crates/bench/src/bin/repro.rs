@@ -223,23 +223,39 @@ fn grayfail_figure() {
         );
     }
 
-    header("Extension E8: breaker condemnation — re-plan around the gray link (6x degrade, 1-trip budget)");
+    header("Extension E8: link down — re-plan around the failed link (busiest link dropped always, failover preset)");
     println!(
-        "  {:6} {:>8} {:>8} {:>8} {:>7} {:>6} {:>10} {:>6} {:>6}",
-        "query", "link", "replans", "avoided", "waived", "trips", "sites-excl", "rows=", "audit"
+        "  {:6} {:>8} {:>12} {:>8} {:>10} {:>6} {:>6}",
+        "query", "link", "outcome", "avoided", "sites-excl", "rows=", "audit"
     );
-    for c in grayfail::condemnation_matrix(SEED, 6.0) {
+    for c in grayfail::link_down_matrix(SEED) {
+        let completed = !matches!(c.outcome, failover::Outcome::TypedError(_));
+        let avoided: Vec<String> = c.avoided.iter().map(|(a, b)| format!("{a}-{b}")).collect();
         println!(
-            "  {:6} {:>8} {:>8} {:>8} {:>7} {:>6} {:>10} {:>6} {:>6}",
+            "  {:6} {:>8} {:>12} {:>8} {:>10} {:>6} {:>6}",
             c.query,
             format!("{}-{}", c.link.0, c.link.1),
-            c.replans,
-            if c.avoided { "yes" } else { "no" },
-            if c.waived { "yes" } else { "no" },
-            c.breaker_trips,
+            c.outcome.label(),
+            if avoided.is_empty() {
+                "-".to_string()
+            } else {
+                avoided.join(",")
+            },
             c.sites_excluded,
-            if c.rows_match { "yes" } else { "NO" },
-            if c.audit_ok { "pass" } else { "FAIL" }
+            if !completed {
+                "-"
+            } else if c.rows_match {
+                "yes"
+            } else {
+                "NO"
+            },
+            if !completed {
+                "-"
+            } else if c.audit_ok {
+                "pass"
+            } else {
+                "FAIL"
+            }
         );
     }
 }

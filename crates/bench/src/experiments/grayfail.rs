@@ -4,28 +4,26 @@
 //!
 //! For every query the harness first runs fault-free to find the busiest
 //! cross-site exchange edge, then degrades that link and measures
-//! simulated completion time three ways:
+//! simulated completion time two ways:
 //!
 //! * **no-hedge** — the baseline rides the degraded link at full price;
 //! * **hedged** — link-health scoring launches compliant backup
 //!   transfers (delayed duplicates, or one-hop relays through a site in
-//!   the edge's shipping trait `𝒮_n`), first delivery wins;
-//! * **condemned** ([`condemnation_matrix`]) — a tight breaker budget
-//!   condemns the link entirely and the engine re-runs Algorithm 2 with
-//!   the link priced at ∞, keeping both endpoints in the execution
-//!   traits.
+//!   the edge's shipping trait `𝒮_n`), first delivery wins.
+//!
+//! When the same link fails outright ([`link_down_matrix`]) the failover
+//! preset re-runs Algorithm 2 with the link priced at ∞, keeping both
+//! endpoints in the execution traits.
 //!
 //! Every run's final plan is re-audited against Definition 1: the
 //! defense never buys latency with a non-compliant dataflow.
 
+use crate::experiments::failover::Outcome;
 use crate::experiments::setup::{engine_with_policies, multiset, EXEC_SF};
 use geoqp_common::Location;
-use geoqp_core::{
-    Engine, ExecOptions, HealthConfig, HedgeConfig, OptimizerMode, RuntimeConfig, RuntimeMetrics,
-};
+use geoqp_core::{Engine, ExecOptions, HedgeConfig, OptimizerMode, RuntimeConfig, RuntimeMetrics};
 use geoqp_exec::RetryPolicy;
 use geoqp_net::{FaultPlan, StepWindow};
-use geoqp_plan::PhysOp;
 use geoqp_tpch::policy_gen::{generate_policies, PolicyTemplate};
 use geoqp_tpch::queries::all_queries;
 use std::sync::Arc;
@@ -140,21 +138,13 @@ fn run_under(
 pub fn grayfail_matrix(seed: u64, factor: f64, loss: f64) -> Vec<GrayfailCell> {
     let (engine, config) = grayfail_engine(seed);
     let retry = RetryPolicy::default();
-    // No replanning in either arm: the comparison isolates hedging, so
-    // the breaker's open budget is effectively unlimited here (the tight
-    // budget is `condemnation_matrix`'s subject).
+    // No replanning in either arm: the comparison isolates hedging.
     let plain_opts = ExecOptions {
         retry: retry.clone(),
         runtime: config,
         ..ExecOptions::default()
     };
-    let hedge_opts = plain_opts.clone().with_hedge(HedgeConfig {
-        delay_ms: 0.0,
-        health: HealthConfig {
-            open_budget: u32::MAX,
-            ..HealthConfig::default()
-        },
-    });
+    let hedge_opts = plain_opts.clone().with_hedge(HedgeConfig { delay_ms: 0.0 });
     let mut out = Vec::new();
     for (query, plan) in all_queries(engine.catalog()).expect("queries") {
         let Ok(optimized) = engine.optimize(&plan, OptimizerMode::Compliant, None) else {
@@ -198,59 +188,39 @@ pub fn grayfail_matrix(seed: u64, factor: f64, loss: f64) -> Vec<GrayfailCell> {
     out
 }
 
-/// One query's breaker-condemnation run: a tight open budget condemns
-/// the degraded link and the engine re-plans with the link priced at ∞.
+/// One query's run with its busiest link dropped for good.
 #[derive(Debug)]
-pub struct CondemnCell {
+pub struct LinkDownCell {
     /// Query name.
     pub query: &'static str,
-    /// The degraded (and condemned) link.
+    /// The dropped link (the query's busiest cross-site edge).
     pub link: (Location, Location),
-    /// Compliant re-plans taken (≥ 1 when the breaker bit).
-    pub replans: usize,
-    /// The condemned link appears in the result's avoided set.
-    pub avoided: bool,
-    /// The condemnation was waived: no compliant placement avoids the
-    /// link, so the engine rode the degraded wire instead of rejecting.
-    pub waived: bool,
-    /// Closed → open breaker transitions observed.
-    pub breaker_trips: u64,
-    /// Sites excluded during failover (must stay empty: a gray link is a
-    /// link problem, not a site problem).
+    /// What happened: unaffected, completed after re-plans, or a typed
+    /// error.
+    pub outcome: Outcome,
+    /// Links the re-plans priced at ∞.
+    pub avoided: Vec<(Location, Location)>,
+    /// Sites excluded during failover (must stay empty: both endpoints of
+    /// a failed link are alive).
     pub sites_excluded: usize,
-    /// SHIP edges a re-plan served from a checkpoint.
-    pub checkpoint_hits: u64,
-    /// The completing plan reads a checkpoint through a `ResumeScan` leaf.
-    pub stitched: bool,
-    /// The run returned the fault-free row multiset.
+    /// The run completed with the fault-free row multiset.
     pub rows_match: bool,
-    /// The final (re-planned) plan passed the Definition-1 audit.
+    /// The completing plan passed the Definition-1 audit.
     pub audit_ok: bool,
 }
 
-/// Degrade each query's busiest link and give the breaker a one-trip
-/// budget: the link is condemned, Algorithm 2 re-runs with its cost at
-/// ∞, and the query completes on a placement that routes around it.
-pub fn condemnation_matrix(seed: u64, factor: f64) -> Vec<CondemnCell> {
+/// Drop each query's busiest link at every step under the failover
+/// preset: the failed transfer names the link, Algorithm 2 re-runs with
+/// its cost at ∞, and the query completes on a placement that routes
+/// around it — or, where compliance pins both endpoints, is refused
+/// typed.
+pub fn link_down_matrix(seed: u64) -> Vec<LinkDownCell> {
     let (engine, config) = grayfail_engine(seed);
     let retry = RetryPolicy::default();
     let plain_opts = ExecOptions {
-        retry: retry.clone(),
-        runtime: config,
+        runtime: config.clone(),
         ..ExecOptions::default()
     };
-    let condemn_opts = ExecOptions {
-        max_replans: 2,
-        resume: true,
-        ..plain_opts.clone()
-    }
-    .with_hedge(HedgeConfig {
-        delay_ms: 0.0,
-        health: HealthConfig {
-            open_budget: 1,
-            cooldown_steps: 2,
-        },
-    });
     let mut out = Vec::new();
     for (query, plan) in all_queries(engine.catalog()).expect("queries") {
         let Ok(optimized) = engine.optimize(&plan, OptimizerMode::Compliant, None) else {
@@ -263,34 +233,35 @@ pub fn condemnation_matrix(seed: u64, factor: f64) -> Vec<CondemnCell> {
         let Some(link) = busiest_link(&reference.metrics) else {
             continue;
         };
-        let faults = FaultPlan::new(seed).with_degrade(
-            link.0.clone(),
-            link.1.clone(),
-            factor,
-            StepWindow::ALWAYS,
-        );
-        let run = match run_under(&engine, &optimized, &faults, &condemn_opts) {
-            Ok(r) => r,
-            Err(_) => continue,
+        let faults =
+            FaultPlan::new(seed).with_drop(link.0.clone(), link.1.clone(), StepWindow::ALWAYS);
+        let opts = ExecOptions {
+            runtime: config.clone(),
+            ..ExecOptions::failover(&faults, &retry, 4)
         };
-        out.push(CondemnCell {
-            query,
-            link: link.clone(),
-            replans: run.replans,
-            avoided: run.avoided_links.contains(&link),
-            waived: run.waived_links.contains(&link),
-            breaker_trips: run.breaker_trips,
-            sites_excluded: run.excluded.len(),
-            checkpoint_hits: run.checkpoint_hits,
-            stitched: {
-                let mut resumes = false;
-                run.physical.visit(&mut |node| {
-                    resumes |= matches!(node.op, PhysOp::ResumeScan { .. });
-                });
-                resumes
+        out.push(match engine.run(&optimized, &opts) {
+            Ok(run) => LinkDownCell {
+                query,
+                link,
+                outcome: if run.replans == 0 {
+                    Outcome::Unaffected
+                } else {
+                    Outcome::FailedOver(run.replans)
+                },
+                sites_excluded: run.excluded.len(),
+                rows_match: multiset(&run.rows) == multiset(&reference.rows),
+                audit_ok: engine.audit(&run.physical).is_ok(),
+                avoided: run.avoided_links,
             },
-            rows_match: multiset(&run.rows) == multiset(&reference.rows),
-            audit_ok: engine.audit(&run.physical).is_ok(),
+            Err(e) => LinkDownCell {
+                query,
+                link,
+                outcome: Outcome::TypedError(e.kind().to_string()),
+                avoided: Vec::new(),
+                sites_excluded: 0,
+                rows_match: false,
+                audit_ok: false,
+            },
         });
     }
     out
@@ -326,55 +297,31 @@ mod tests {
         );
     }
 
-    /// A one-trip breaker budget condemns the gray link: the engine
-    /// re-plans around the *link* without excluding either endpoint
-    /// site, and the result still audits clean.
+    /// A link that fails for good between two live sites is avoided,
+    /// never blamed on a site: every query whose busiest link drops
+    /// completes around it with the fault-free rows under a clean audit,
+    /// or — where compliance pins both endpoints — is refused typed.
     #[test]
-    fn breaker_condemnation_replans_around_the_link() {
-        let cells = condemnation_matrix(2021, 6.0);
+    fn link_down_avoids_the_link_and_excludes_no_site() {
+        let cells = link_down_matrix(2021);
         assert!(!cells.is_empty());
-        let mut condemned = 0;
+        let mut completed = 0;
         for c in &cells {
-            assert!(
-                c.rows_match,
-                "{}: condemned run changed the answer",
-                c.query
-            );
-            assert!(c.audit_ok, "{}: re-planned plan failed audit", c.query);
-            assert_eq!(
-                c.sites_excluded, 0,
-                "{}: a gray link must never exclude a site",
-                c.query
-            );
-            assert!(
-                c.avoided || c.waived,
-                "{}: a tripped breaker must either detour around the link or \
-                 explicitly waive the condemnation",
-                c.query
-            );
-            if c.replans >= 1 && c.avoided {
-                condemned += 1;
+            match &c.outcome {
+                Outcome::FailedOver(_) => {
+                    completed += 1;
+                    assert!(c.rows_match, "{c:?}: the detour changed the answer");
+                    assert!(c.audit_ok, "{c:?}: the detour failed the audit");
+                    assert_eq!(c.sites_excluded, 0, "{c:?}: a failed link excluded a site");
+                    assert_eq!(c.avoided, vec![c.link.clone()], "{c:?}");
+                }
+                Outcome::TypedError(kind) => assert_eq!(kind, "rejected", "{c:?}"),
+                Outcome::Unaffected => panic!("{c:?}: the dropped link never bit"),
             }
         }
         assert!(
-            condemned >= 1,
-            "at least one query's breaker must condemn its gray link; cells: {:?}",
-            cells
-                .iter()
-                .map(|c| (c.query, c.replans, c.breaker_trips))
-                .collect::<Vec<_>>()
+            completed >= 1,
+            "no query routed around its dropped link: {cells:?}"
         );
-    }
-
-    /// A waived condemnation re-runs the plan that failed as it was:
-    /// stitching it would renumber the edges' health lanes and send the
-    /// final attempt out on cold ones.
-    #[test]
-    fn a_waived_condemnation_reruns_its_plan_unstitched() {
-        let cells = condemnation_matrix(2021, 6.0);
-        let q2 = cells.iter().find(|c| c.query == "Q2").expect("Q2 measured");
-        assert!(q2.waived, "{q2:?}");
-        assert_eq!(q2.checkpoint_hits, 0, "{q2:?}");
-        assert!(!q2.stitched, "{q2:?}");
     }
 }

@@ -8,7 +8,8 @@ use geoqp_core::{
     RuntimeConfig, RuntimeMetrics,
 };
 use geoqp_exec::RetryPolicy;
-use geoqp_net::{FaultPlan, HealthConfig, NetworkTopology};
+use geoqp_net::health::{FAILED_RATIO, HEDGE_RATIO};
+use geoqp_net::{FaultPlan, NetworkTopology};
 use geoqp_policy::{expand_denials, PolicyCatalog};
 use geoqp_server::{QueryRequest, QueryService, ServiceConfig, TenantConfig, TenantId};
 use geoqp_storage::Catalog;
@@ -392,10 +393,8 @@ impl Shell {
             "" => Ok(match &self.hedge {
                 None => "hedge: off\n".to_string(),
                 Some(h) => format!(
-                    "hedge: on (delay {:.1} ms, hedge ratio {:.2}, trip ratio {:.2})\n",
-                    h.delay_ms,
-                    HealthConfig::HEDGE_RATIO,
-                    HealthConfig::TRIP_RATIO
+                    "hedge: on (delay {:.1} ms, hedge ratio {:.2}, failure ratio {:.2})\n",
+                    h.delay_ms, HEDGE_RATIO, FAILED_RATIO
                 ),
             }),
             "off" => {
@@ -415,16 +414,13 @@ impl Shell {
                         "bad hedge setting `{ms}` (on|off|<delay ms>)"
                     )));
                 }
-                self.hedge = Some(HedgeConfig {
-                    delay_ms: delay,
-                    ..HedgeConfig::default()
-                });
+                self.hedge = Some(HedgeConfig { delay_ms: delay });
                 Ok(format!("hedge: on (delay {delay:.1} ms)\n"))
             }
         }
     }
 
-    /// `\health` renders the per-link-lane breaker states the last hedged
+    /// `\health` renders the per-link-lane cost scores the last hedged
     /// query observed.
     fn health(&self) -> Result<String> {
         let Some(reports) = &self.last_health else {
@@ -439,16 +435,17 @@ impl Shell {
         for r in reports {
             let _ = writeln!(
                 out,
-                "{} -> {} (lane {}): breaker {}, ewma {:.2}x model, {} obs, \
-                 {} consecutive failure(s), {} trip(s)",
+                "{} -> {} (lane {}): ewma {:.2}x model, {} obs{}",
                 r.from,
                 r.to,
                 r.lane,
-                r.state.breaker,
                 r.state.ewma_ratio,
                 r.state.observations,
-                r.state.consecutive_failures,
-                r.state.trips,
+                if r.state.ewma_ratio >= HEDGE_RATIO {
+                    ", hedging"
+                } else {
+                    ""
+                },
             );
         }
         Ok(out)
@@ -497,24 +494,18 @@ impl Shell {
             result.resumed_bytes,
             result.recomputed_bytes,
         );
-        if result.hedges_launched > 0 || result.breaker_trips > 0 {
+        if result.hedges_launched > 0 {
             let _ = writeln!(
                 summary,
-                "hedging: {} launched / {} won, {} relay(s), {} breaker trip(s)",
-                result.hedges_launched, result.hedges_won, result.relays_used, result.breaker_trips,
+                "hedging: {} launched / {} won, {} relay(s)",
+                result.hedges_launched, result.hedges_won, result.relays_used,
             );
         }
-        for (what, links) in [
-            ("avoided gray link(s)", &result.avoided_links),
-            (
-                "waived condemnation(s) (no compliant detour, riding the gray link)",
-                &result.waived_links,
-            ),
-        ] {
-            if !links.is_empty() {
-                let links: Vec<String> = links.iter().map(|(a, b)| format!("{a}->{b}")).collect();
-                let _ = writeln!(summary, "{what}: {}", links.join(", "));
-            }
+        if !result.avoided_links.is_empty() {
+            let links: Vec<String> = (result.avoided_links.iter())
+                .map(|(a, b)| format!("{a}->{b}"))
+                .collect();
+            let _ = writeln!(summary, "avoided failed link(s): {}", links.join(", "));
         }
         self.last_health = self.hedge.as_ref().map(|_| result.link_health.clone());
         self.last_failover = Some(summary);
@@ -860,10 +851,10 @@ commands:
                             drop:L1-L3@2..5; flaky:L1-L2:0.3; delay:L1-L4:50ms;
                             degrade:L1-L4:3x@2..9; loss:L2-L3:0.4@..6;
                             partition:L1,L2@..9
-  \\hedge on|off|<ms>        gray-failure defense: link health scoring,
-                            per-link circuit breakers, hedged backups
-                            (<ms> = backup launch delay)
-  \\health                   per-link breaker/EWMA state of the last
+  \\hedge on|off|<ms>        gray-failure defense: link health scoring
+                            and hedged backups (<ms> = backup launch
+                            delay)
+  \\health                   per-link EWMA cost score of the last
                             hedged query
   \\deadline <ms>|off        simulated-clock completion budget per query
                             (typed `deadline` error past the budget)

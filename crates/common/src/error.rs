@@ -20,19 +20,15 @@ pub type Result<T, E = GeoError> = std::result::Result<T, E>;
 /// retrying could help at all.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Unavailable {
-    /// The site that should be excluded from execution traits when
-    /// re-planning (for link failures: the unreachable destination).
+    /// The crashed site re-planning excludes from every execution trait.
+    /// `None` for a link that failed between two live sites: re-planning
+    /// avoids the link and keeps both endpoints.
     pub site: Option<Location>,
     /// The failing link, when the failure was observed on a transfer.
     pub link: Option<(Location, Location)>,
     /// Whether the failure is transient (a retry with backoff may
     /// succeed) or permanent (the site is down; re-plan around it).
     pub transient: bool,
-    /// Whether this is a *soft* exclusion raised by a circuit breaker
-    /// that exhausted its open budget on a gray link: both endpoints are
-    /// alive, so the re-planner must avoid the **link** (price it at ∞),
-    /// not exclude a site.
-    pub breaker: bool,
     /// Human-readable description.
     pub message: String,
 }
@@ -44,13 +40,12 @@ impl Unavailable {
             site: Some(site),
             link: None,
             transient: false,
-            breaker: false,
             message: message.into(),
         }
     }
 
-    /// Availability failure of one link; the destination is what the
-    /// re-planner excludes if the failure persists.
+    /// Availability failure of one link between two live sites: it names
+    /// the link and no site.
     pub fn link_down(
         from: Location,
         to: Location,
@@ -58,23 +53,9 @@ impl Unavailable {
         message: impl Into<String>,
     ) -> Unavailable {
         Unavailable {
-            site: Some(to.clone()),
-            link: Some((from, to)),
-            transient,
-            breaker: false,
-            message: message.into(),
-        }
-    }
-
-    /// A circuit breaker condemned a gray link: both endpoints are up,
-    /// so no site is named — the re-planner routes around the link by
-    /// cost instead of excluding an execution site.
-    pub fn breaker_open(from: Location, to: Location, message: impl Into<String>) -> Unavailable {
-        Unavailable {
             site: None,
             link: Some((from, to)),
-            transient: false,
-            breaker: true,
+            transient,
             message: message.into(),
         }
     }
@@ -201,24 +182,9 @@ impl GeoError {
         GeoError::SiteUnavailable(Unavailable::link_down(from, to, transient, message))
     }
 
-    /// Convenience constructor for a breaker-condemned gray link.
-    pub fn breaker_open(from: Location, to: Location, message: impl Into<String>) -> GeoError {
-        GeoError::SiteUnavailable(Unavailable::breaker_open(from, to, message))
-    }
-
     /// Whether retrying (with backoff) may clear this error.
     pub fn is_transient(&self) -> bool {
         matches!(self, GeoError::SiteUnavailable(u) if u.transient)
-    }
-
-    /// The gray link a circuit breaker condemned, if this error is a
-    /// breaker-raised soft exclusion. `None` for every hard availability
-    /// failure, so replan-by-site and replan-by-link never mix.
-    pub fn breaker_link(&self) -> Option<(&Location, &Location)> {
-        match self {
-            GeoError::SiteUnavailable(u) if u.breaker => u.link.as_ref().map(|(a, b)| (a, b)),
-            _ => None,
-        }
     }
 
     /// The site an availability failure points at, if any.
@@ -328,8 +294,8 @@ mod tests {
             drop.failed_link(),
             Some((&Location::new("L1"), &Location::new("L3")))
         );
-        // For a link failure, the excluded site is the destination.
-        assert_eq!(drop.failed_site(), Some(&Location::new("L3")));
+        // A link failure names no site: both endpoints stay live.
+        assert_eq!(drop.failed_site(), None);
     }
 
     #[test]
@@ -338,28 +304,6 @@ mod tests {
         assert!(!e.is_transient());
         assert_eq!(e.failed_site(), None);
         assert_eq!(e.failed_link(), None);
-    }
-
-    /// A breaker condemnation names the gray link but no site — both
-    /// endpoints are alive, so the re-planner must route around the link
-    /// instead of excluding an execution site.
-    #[test]
-    fn breaker_open_names_the_link_but_no_site() {
-        let e = GeoError::breaker_open(
-            Location::new("L1"),
-            Location::new("L4"),
-            "breaker open past budget",
-        );
-        assert_eq!(e.kind(), "unavailable");
-        assert!(!e.is_transient());
-        assert_eq!(e.failed_site(), None);
-        assert_eq!(
-            e.breaker_link(),
-            Some((&Location::new("L1"), &Location::new("L4")))
-        );
-        // Hard link failures are never breaker links.
-        let hard = GeoError::link_down(Location::new("L1"), Location::new("L4"), true, "drop");
-        assert_eq!(hard.breaker_link(), None);
     }
 
     /// A churn abort carries the catalog head the executor observed and

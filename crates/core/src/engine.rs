@@ -168,16 +168,10 @@ pub struct QueryOutcome {
     pub hedges_won: u64,
     /// Hedged backups that routed via a compliant relay site.
     pub relays_used: u64,
-    /// Circuit-breaker closed → open transitions across all link lanes.
-    pub breaker_trips: u64,
-    /// Gray links a breaker condemned: failover re-plans priced these at
-    /// ∞ in Algorithm 2's cost model instead of excluding a site (both
-    /// endpoints stayed in the execution traits).
+    /// Links that failed between live sites: failover re-plans priced
+    /// these at ∞ in Algorithm 2's cost model instead of excluding a site
+    /// (both endpoints stayed in the execution traits).
     pub avoided_links: Vec<(Location, Location)>,
-    /// Condemned gray links whose condemnation was waived because
-    /// Algorithm 2 found no compliant placement avoiding them: the query
-    /// rode the degraded link (still hedging) instead of rejecting.
-    pub waived_links: Vec<(Location, Location)>,
     /// The final folded health state of every observed link lane (empty
     /// when hedging is off), for `\health`-style reporting.
     pub link_health: Vec<LinkReport>,
@@ -218,10 +212,9 @@ pub struct ExecOptions<'a> {
     pub deadline: Option<QueryDeadline>,
     /// Cooperative abort flag, polled at batch granularity.
     pub cancel: Option<CancelToken>,
-    /// Gray-failure defense: score link health per transfer, launch
+    /// Gray-failure defense: score link health per transfer and launch
     /// compliant hedged backups on links whose EWMA crosses the hedge
-    /// threshold, and let an exhausted breaker trigger a soft-exclusion
-    /// re-plan. `None` disables hedging and breakers entirely.
+    /// threshold. `None` disables hedging.
     pub hedge: Option<HedgeConfig>,
     /// Live policy churn: the catalog service and the sequence pinned at
     /// admission. Execution re-checks SHIP edges against revocations at
@@ -269,9 +262,9 @@ impl<'a> ExecOptions<'a> {
         self
     }
 
-    /// Enable link-health scoring, circuit breakers, and hedged transfers
-    /// for every attempt of the run: relayed inside `𝒮ₙ` for a compliant
-    /// plan, duplicate backups on the direct link for a traditional one.
+    /// Enable link-health scoring and hedged transfers for every attempt
+    /// of the run: relayed inside `𝒮ₙ` for a compliant plan, duplicate
+    /// backups on the direct link for a traditional one.
     pub fn with_hedge(mut self, config: HedgeConfig) -> ExecOptions<'a> {
         self.hedge = Some(config);
         self
@@ -673,7 +666,7 @@ impl Engine {
     /// before a byte leaves its site. With a
     /// re-plan budget it is compliant failover: an attempt that dies on a
     /// mid-flight revocation, a site down past its retry budget, or a
-    /// breaker-condemned gray link takes one recovery step — the
+    /// link failed between live sites takes one recovery step — the
     /// cause's own state change, then Algorithm 2 re-run around every
     /// excluded site and avoided link, the placement stitched against
     /// surviving checkpoints and re-verified against Definition 1 — and
@@ -686,17 +679,13 @@ impl Engine {
     pub fn run(&self, optimized: &OptimizedQuery, opts: &ExecOptions<'_>) -> Result<QueryOutcome> {
         let own_store = CheckpointStore::new();
         let store = opts.store.unwrap_or(&own_store);
-        let health = opts
-            .hedge
-            .as_ref()
-            .map(|h| LinkHealth::new(h.health.clone()));
+        let health = opts.hedge.as_ref().map(|_| LinkHealth::new());
         let health = health.as_ref();
         let mut recovery = Recovery {
             base: self,
             optimized,
             opts,
             store,
-            health,
             excluded: LocationSet::new(),
             avoided: BTreeSet::new(),
             replans: 0,
@@ -742,9 +731,7 @@ impl Engine {
                 hedges_launched: health.map_or(0, |h| h.hedges_launched()),
                 hedges_won: health.map_or(0, |h| h.hedges_won()),
                 relays_used: health.map_or(0, |h| h.relays_used()),
-                breaker_trips: health.map_or(0, |h| h.breaker_trips()),
                 avoided_links: recovery.avoided.into_iter().collect(),
-                waived_links: health.map_or_else(Vec::new, |h| h.waived_links()),
                 link_health: health.map_or_else(Vec::new, |h| h.snapshot()),
                 relay_events: health.map_or_else(Vec::new, |h| h.relay_events()),
                 transfers,
@@ -795,10 +782,11 @@ enum Cause {
     /// the catalog head the query could see at the abort step, and the
     /// pin it continues under.
     Revoked { head: u64 },
-    /// A site failed past its retry budget.
+    /// A site crashed: it failed past its retry budget, or a transfer
+    /// to or from it did.
     SiteDown(Location),
-    /// A circuit breaker condemned this gray link.
-    GrayLink((Location, Location)),
+    /// A link between two live sites failed past its retry budget.
+    LinkDown((Location, Location)),
 }
 
 /// What a run's failures have changed so far, and the one step that turns
@@ -808,10 +796,9 @@ struct Recovery<'a> {
     optimized: &'a OptimizedQuery,
     opts: &'a ExecOptions<'a>,
     store: &'a CheckpointStore,
-    health: Option<&'a LinkHealth>,
     /// Crashed sites, out of every execution trait `ℰ_n`.
     excluded: LocationSet,
-    /// Condemned gray links, priced at ∞ by every placement.
+    /// Links failed between live sites, priced at ∞ by every placement.
     avoided: BTreeSet<(Location, Location)>,
     replans: usize,
     churn_replans: u64,
@@ -850,13 +837,13 @@ impl Recovery<'_> {
     /// avoided link, stitch it against surviving checkpoints, and audit it
     /// under the current engine. Any other error ends the run as it is.
     fn step(&mut self, failure: GeoError, failed: Arc<PhysicalPlan>) -> Result<Arc<PhysicalPlan>> {
-        let cause = match (failure.churn_head(), failure.breaker_link()) {
+        let cause = match (failure.churn_head(), failure.failed_site()) {
             (Some(head), _) if self.opts.churn.is_some() => Cause::Revoked { head },
-            (_, Some((from, to))) => Cause::GrayLink((from.clone(), to.clone())),
+            (_, Some(site)) => Cause::SiteDown(site.clone()),
             // Not an availability failure (e.g. a deadline or
             // cancellation): nothing to re-plan around.
-            _ => match failure.failed_site() {
-                Some(site) => Cause::SiteDown(site.clone()),
+            _ => match failure.failed_link() {
+                Some((from, to)) => Cause::LinkDown((from.clone(), to.clone())),
                 None => return Err(failure),
             },
         };
@@ -885,10 +872,10 @@ impl Recovery<'_> {
                 // The crashed site's retained state died with it.
                 self.store.drop_site(site);
             }
-            // Soft exclusion: both endpoints of the gray link are alive,
-            // so no site leaves the execution traits and no checkpoints
-            // are dropped — placement just stops routing over the link.
-            Cause::GrayLink(link) => {
+            // Both endpoints of the failed link are alive, so no site
+            // leaves the execution traits and no checkpoints are dropped —
+            // placement just stops routing over the link.
+            Cause::LinkDown(link) => {
                 self.avoided.insert(link.clone());
             }
         }
@@ -923,37 +910,29 @@ impl Recovery<'_> {
                     Some(&self.optimized.result_location),
                     Objective::TotalCost,
                 )
+            })
+            .map_err(|e| match &cause {
+                Cause::LinkDown((from, to)) => GeoError::QueryRejected(format!(
+                    "no compliant placement avoids the failed link {from} -> {to}: {}",
+                    e.message()
+                )),
+                _ => e,
             });
         let (placed, fallback) = match (placed, &cause) {
             (Ok(sited), _) => (sited.physical, None),
-            // A condemned gray link may admit no compliant detour: every
-            // placement Algorithm 2 can produce crosses it (compliance
-            // pins the endpoints). Gray is not dead — the link delivers,
-            // just slowly — so rather than rejecting a query that was
-            // completing, waive the condemnation: the breaker gate stops
-            // firing for that link while health scoring and hedging
-            // continue, and the current plan retries.
-            // It retries unstitched: health lanes are pre-order edge slots,
-            // which stitching renumbers, so a stitched retry re-learns the
-            // gray link on cold lanes (E8's Q2 at seed 2021: 386.9 → 1 708.6
-            // simulated ms, one more trip, to save 3 KB).
-            (Err(GeoError::QueryRejected(_)), Cause::GrayLink(link)) => {
-                self.avoided.remove(link);
-                let table = self.health.expect("breaker errors require a health table");
-                table.waive(&link.0, &link.1);
-                return Ok(failed);
-            }
-            // Algorithm 2 has no placement without the dead site — it
-            // hosts a base table, say, so some operator's execution trait
-            // emptied (c1 pins its scans there). Surviving checkpoints are
-            // the last line of recovery: stitch the plan that just failed,
-            // replacing every subtree whose output already reached a live
-            // home with a ResumeScan leaf, and retry. Completed work never
-            // re-executes, and if the outage was transient the remainder
-            // now succeeds; a permanently dead site fails the retry again,
-            // and once stitching stops making progress the typed error
-            // surfaces. Bounded by `max_replans` like any other re-plan.
-            (Err(e), Cause::SiteDown(_) | Cause::GrayLink(_)) if self.checkpointed() => {
+            // Algorithm 2 has no placement without the dead site or the
+            // failed link — the site hosts a base table, say, so some
+            // operator's execution trait emptied (c1 pins its scans
+            // there), or compliance pins both endpoints of the link.
+            // Surviving checkpoints are the last line of recovery: stitch
+            // the plan that just failed, replacing every subtree whose
+            // output already reached a live home with a ResumeScan leaf,
+            // and retry. Completed work never re-executes, and if the
+            // outage was transient the remainder now succeeds; a permanent
+            // one fails the retry again, and once stitching stops making
+            // progress the typed error surfaces. Bounded by `max_replans`
+            // like any other re-plan.
+            (Err(e), Cause::SiteDown(_) | Cause::LinkDown(_)) if self.checkpointed() => {
                 (failed, Some(e))
             }
             (Err(e), _) => return Err(e),

@@ -75,4 +75,4 @@ pub use geoqp_runtime::{Checkpoint, CheckpointStore, RuntimeConfig, RuntimeMetri
 // The gray-failure defense knobs and reports, re-exported so front ends
 // can enable hedged transfers ([`ExecOptions::with_hedge`]) and render
 // `\health` without depending on `geoqp-net` directly.
-pub use geoqp_net::{BreakerState, HealthConfig, HedgeConfig, LinkReport, LinkState, RelayEvent};
+pub use geoqp_net::{HedgeConfig, LinkReport, LinkState, RelayEvent};

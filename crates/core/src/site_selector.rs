@@ -95,7 +95,7 @@ pub fn select_sites_with(
     if total.is_infinite() {
         return Err(GeoError::QueryRejected(
             "no placement has finite cost: an operator's execution trait is empty, \
-             or every compliant route crosses a condemned link"
+             or every compliant route crosses an avoided link"
                 .into(),
         ));
     }
@@ -154,7 +154,7 @@ fn cost_of(
             }
             // An infinite best is a placement with no usable route to
             // `l` — an empty execution trait, or every path priced at ∞
-            // by a condemned link. It propagates as a cost, not an
+            // by an avoided link. It propagates as a cost, not an
             // error: other locations of the ancestors may still admit a
             // finite plan, and only the root decides rejection.
             match objective {

@@ -1,20 +1,18 @@
-//! Link health scoring and per-link circuit breakers — the gray-failure
-//! detector.
+//! Link health scoring — the gray-failure detector behind hedging.
 //!
 //! Fail-stop faults surface as typed errors and trigger failover; *gray*
 //! faults (a sustained slowdown, a loss burst) deliver every batch and
 //! trip nothing. [`LinkHealth`] closes that gap: every transfer reports
 //! its observed cost against the `α + β·b` model prediction, and the
-//! table maintains, per link, an EWMA of that ratio plus a
-//! consecutive-failure count. The derived per-link **circuit breaker**
-//! walks the classic closed → open → half-open lifecycle; a breaker that
-//! keeps re-opening past its budget condemns the link, which the engine
-//! turns into a soft exclusion (re-running site selection with the
-//! link's cost at ∞).
+//! table maintains, per link lane, an EWMA of that ratio. A lane whose
+//! EWMA crosses [`HEDGE_RATIO`] races a hedged backup for its next batch.
+//! A link that stops delivering altogether is not scored into anything
+//! here: the failed transfer surfaces as a typed link failure and the
+//! engine re-plans around the link.
 //!
 //! # Determinism
 //!
-//! Breaker state must be a pure function of the seeded fault grid and
+//! Health state must be a pure function of the seeded fault grid and
 //! the plan. Two mechanisms guarantee that:
 //!
 //! * observations are keyed by **lane** — the pre-order exchange-edge
@@ -22,70 +20,23 @@
 //!   batch order;
 //! * per lane, every batch attempt is one observation, grouped by its
 //!   **logical step** (every batch of an edge shares its attempt's grid
-//!   step) and kept in arrival order within a step. Every derived
-//!   quantity (EWMA, breaker state, trip count) is a fold over the
-//!   observations in (step, arrival) order, and the runtime walks one
-//!   edge's batches in order on one thread, so the fold is fixed by the
-//!   seed.
+//!   step) and kept in arrival order within a step. The EWMA is a fold
+//!   over the observations in (step, arrival) order, and the runtime
+//!   walks one edge's batches in order on one thread, so the fold is
+//!   fixed by the seed.
 
 use geoqp_common::Location;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Tuning for the breakers; the scorer's thresholds are constants.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthConfig {
-    /// Logical steps an open breaker waits before probing (half-open).
-    pub cooldown_steps: u64,
-    /// Trips a lane's breaker may take before the link is condemned and
-    /// reported to the re-planner as a soft exclusion.
-    pub open_budget: u32,
-}
-
-impl Default for HealthConfig {
-    fn default() -> HealthConfig {
-        HealthConfig {
-            cooldown_steps: 8,
-            open_budget: 2,
-        }
-    }
-}
-
-impl HealthConfig {
-    /// Weight of the newest cost ratio in the EWMA.
-    pub const EWMA_ALPHA: f64 = 0.5;
-    /// Launch a hedged backup once the EWMA ratio reaches this.
-    pub const HEDGE_RATIO: f64 = 1.5;
-    /// Trip the breaker once the EWMA ratio reaches this.
-    pub const TRIP_RATIO: f64 = 2.5;
-    /// Trip the breaker after this many consecutive failed attempts.
-    pub const TRIP_FAILURES: u32 = 3;
-    /// Observations required before ratio-based decisions fire.
-    pub const MIN_OBSERVATIONS: u32 = 1;
-}
-
-/// Circuit-breaker lifecycle state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum BreakerState {
-    /// Healthy: transfers flow normally.
-    Closed,
-    /// Tripped: the link is sick; transfers hedge, and past the open
-    /// budget the link is condemned.
-    Open,
-    /// Cooldown elapsed: the next transfer is a probe.
-    HalfOpen,
-}
-
-impl std::fmt::Display for BreakerState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            BreakerState::Closed => "closed",
-            BreakerState::Open => "open",
-            BreakerState::HalfOpen => "half-open",
-        })
-    }
-}
+/// Weight of the newest cost ratio in the EWMA.
+pub const EWMA_ALPHA: f64 = 0.5;
+/// Launch a hedged backup once the EWMA ratio reaches this.
+pub const HEDGE_RATIO: f64 = 1.5;
+/// The cost ratio a failed attempt folds into the EWMA, as a maximally
+/// degraded delivery would.
+pub const FAILED_RATIO: f64 = 2.5;
 
 /// One transfer attempt's health evidence.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,14 +54,6 @@ pub struct LinkState {
     pub ewma_ratio: f64,
     /// Total observations folded.
     pub observations: u32,
-    /// Consecutive failed attempts at the end of the sequence.
-    pub consecutive_failures: u32,
-    /// Breaker lifecycle state after the fold.
-    pub breaker: BreakerState,
-    /// Closed → open transitions taken.
-    pub trips: u32,
-    /// Step of the last observation folded.
-    pub last_step: u64,
 }
 
 impl Default for LinkState {
@@ -118,10 +61,6 @@ impl Default for LinkState {
         LinkState {
             ewma_ratio: 1.0,
             observations: 0,
-            consecutive_failures: 0,
-            breaker: BreakerState::Closed,
-            trips: 0,
-            last_step: 0,
         }
     }
 }
@@ -160,39 +99,21 @@ type LaneKey = (Location, Location, u64);
 type Stream = BTreeMap<u64, Vec<Observation>>;
 
 /// The shared health table: per-(link, lane) observation streams, the
-/// breaker fold, and the hedge counters. Interior-mutable so one `&`
+/// EWMA fold, and the hedge counters. Interior-mutable so one `&`
 /// reference serves every fragment of a run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct LinkHealth {
-    config: HealthConfig,
     lanes: Mutex<BTreeMap<LaneKey, Stream>>,
     hedges_launched: AtomicU64,
     hedges_won: AtomicU64,
     relays_used: AtomicU64,
     relay_events: Mutex<Vec<RelayEvent>>,
-    /// Links whose condemnation was waived: the re-planner found no
-    /// compliant placement avoiding them, so the engine rides the gray
-    /// link (still hedging) rather than rejecting a completing query.
-    waived: Mutex<std::collections::BTreeSet<(Location, Location)>>,
 }
 
 impl LinkHealth {
-    /// An empty table under `config`.
-    pub fn new(config: HealthConfig) -> LinkHealth {
-        LinkHealth {
-            config,
-            lanes: Mutex::new(BTreeMap::new()),
-            hedges_launched: AtomicU64::new(0),
-            hedges_won: AtomicU64::new(0),
-            relays_used: AtomicU64::new(0),
-            relay_events: Mutex::new(Vec::new()),
-            waived: Mutex::new(std::collections::BTreeSet::new()),
-        }
-    }
-
-    /// The table's tuning.
-    pub fn config(&self) -> &HealthConfig {
-        &self.config
+    /// An empty table.
+    pub fn new() -> LinkHealth {
+        LinkHealth::default()
     }
 
     /// Record a delivered transfer: `observed_ms` of actual cost against
@@ -237,52 +158,14 @@ impl LinkHealth {
         let lanes = self.lanes.lock().unwrap();
         match lanes.get(&(from.clone(), to.clone(), lane)) {
             None => LinkState::default(),
-            Some(stream) => fold(&self.config, stream),
+            Some(stream) => fold(stream),
         }
     }
 
     /// Whether a transfer on this lane should launch a hedged backup:
-    /// the EWMA crossed the hedge threshold, or the breaker already left
-    /// the closed state.
+    /// its EWMA cost ratio crossed the hedge threshold.
     pub fn should_hedge(&self, from: &Location, to: &Location, lane: u64) -> bool {
-        let s = self.state(from, to, lane);
-        s.breaker != BreakerState::Closed
-            || (s.observations >= HealthConfig::MIN_OBSERVATIONS
-                && s.ewma_ratio >= HealthConfig::HEDGE_RATIO)
-    }
-
-    /// Whether this lane's breaker has re-opened past its budget — the
-    /// condemnation the engine converts into a soft link exclusion. A
-    /// waived link never condemns: gray is not dead, and when no
-    /// compliant placement avoids the link, riding it (still hedging)
-    /// beats rejecting a query that was completing.
-    pub fn breaker_exhausted(&self, from: &Location, to: &Location, lane: u64) -> bool {
-        if self
-            .waived
-            .lock()
-            .unwrap()
-            .contains(&(from.clone(), to.clone()))
-        {
-            return false;
-        }
-        let s = self.state(from, to, lane);
-        s.breaker == BreakerState::Open && s.trips >= self.config.open_budget
-    }
-
-    /// Waive a link's condemnation: its breakers keep scoring and
-    /// hedging, but [`Self::breaker_exhausted`] no longer fires for it.
-    /// The engine waives a link when Algorithm 2 finds no compliant
-    /// placement that avoids it.
-    pub fn waive(&self, from: &Location, to: &Location) {
-        self.waived
-            .lock()
-            .unwrap()
-            .insert((from.clone(), to.clone()));
-    }
-
-    /// Links whose condemnation has been waived, in canonical order.
-    pub fn waived_links(&self) -> Vec<(Location, Location)> {
-        self.waived.lock().unwrap().iter().cloned().collect()
+        self.state(from, to, lane).ewma_ratio >= HEDGE_RATIO
     }
 
     /// Count one hedge launch; `won` when the backup beat the primary,
@@ -313,15 +196,6 @@ impl LinkHealth {
         self.relays_used.load(Ordering::SeqCst)
     }
 
-    /// Total closed → open transitions across every lane.
-    pub fn breaker_trips(&self) -> u64 {
-        let lanes = self.lanes.lock().unwrap();
-        lanes
-            .values()
-            .map(|stream| fold(&self.config, stream).trips as u64)
-            .sum()
-    }
-
     /// Every relay taken, in canonical `(lane, from, to, via)` order —
     /// the runtime records relays in its fragment-walk order, and the
     /// list is sorted by lane the way `TransferLog` sorts its records,
@@ -344,68 +218,24 @@ impl LinkHealth {
                 from: from.clone(),
                 to: to.clone(),
                 lane: *lane,
-                state: fold(&self.config, stream),
+                state: fold(stream),
             })
             .collect()
     }
 }
 
-/// The breaker fold: walk the lane's observations in (step, arrival)
-/// order, updating the EWMA/failure counters and the lifecycle state
-/// machine.
-fn fold(config: &HealthConfig, stream: &Stream) -> LinkState {
+/// The EWMA fold: walk the lane's observations in (step, arrival) order.
+fn fold(stream: &Stream) -> LinkState {
     let mut s = LinkState::default();
-    let mut opened_at = 0u64;
-    let observations = stream
-        .iter()
-        .flat_map(|(&step, batch)| batch.iter().map(move |obs| (step, obs)));
-    for (step, obs) in observations {
-        s.last_step = step;
+    for obs in stream.values().flatten() {
         s.observations += 1;
-        // An open breaker whose cooldown elapsed probes on this attempt.
-        if s.breaker == BreakerState::Open && step >= opened_at + config.cooldown_steps {
-            s.breaker = BreakerState::HalfOpen;
-        }
-        match obs {
-            Observation::Delivered { ratio } => {
-                s.consecutive_failures = 0;
-                s.ewma_ratio = HealthConfig::EWMA_ALPHA * ratio
-                    + (1.0 - HealthConfig::EWMA_ALPHA) * s.ewma_ratio;
-            }
-            Observation::Failed => {
-                s.consecutive_failures += 1;
-                // A failure is evidence of an unusable link: fold it into
-                // the ratio as a maximally-degraded delivery would be.
-                s.ewma_ratio = HealthConfig::EWMA_ALPHA * HealthConfig::TRIP_RATIO
-                    + (1.0 - HealthConfig::EWMA_ALPHA) * s.ewma_ratio;
-            }
-        }
-        match s.breaker {
-            BreakerState::Closed => {
-                let sick_ratio = s.observations >= HealthConfig::MIN_OBSERVATIONS
-                    && s.ewma_ratio >= HealthConfig::TRIP_RATIO;
-                if s.consecutive_failures >= HealthConfig::TRIP_FAILURES || sick_ratio {
-                    s.breaker = BreakerState::Open;
-                    s.trips += 1;
-                    opened_at = step;
-                }
-            }
-            BreakerState::HalfOpen => {
-                // The probe decides: a healthy delivery closes the
-                // breaker, anything else re-opens it.
-                let healthy = matches!(obs, Observation::Delivered { ratio }
-                    if *ratio < HealthConfig::HEDGE_RATIO);
-                if healthy {
-                    s.breaker = BreakerState::Closed;
-                    s.consecutive_failures = 0;
-                } else {
-                    s.breaker = BreakerState::Open;
-                    s.trips += 1;
-                    opened_at = step;
-                }
-            }
-            BreakerState::Open => {}
-        }
+        let ratio = match obs {
+            Observation::Delivered { ratio } => *ratio,
+            // A failure is evidence of an unusable link: fold it into
+            // the ratio as a maximally-degraded delivery would be.
+            Observation::Failed => FAILED_RATIO,
+        };
+        s.ewma_ratio = EWMA_ALPHA * ratio + (1.0 - EWMA_ALPHA) * s.ewma_ratio;
     }
     s
 }
@@ -418,23 +248,18 @@ mod tests {
         Location::new(n)
     }
 
-    fn cfg() -> HealthConfig {
-        HealthConfig::default()
-    }
-
     #[test]
     fn fresh_links_are_healthy_and_unhedged() {
-        let h = LinkHealth::new(cfg());
+        let h = LinkHealth::new();
         let s = h.state(&loc("L1"), &loc("L4"), 0);
-        assert_eq!(s.breaker, BreakerState::Closed);
+        assert_eq!(s, LinkState::default());
         assert_eq!(s.ewma_ratio, 1.0);
         assert!(!h.should_hedge(&loc("L1"), &loc("L4"), 0));
-        assert!(!h.breaker_exhausted(&loc("L1"), &loc("L4"), 0));
     }
 
     #[test]
-    fn sustained_degradation_hedges_then_trips_the_breaker() {
-        let h = LinkHealth::new(cfg());
+    fn sustained_degradation_hedges_its_own_lane() {
+        let h = LinkHealth::new();
         let (a, b) = (loc("L1"), loc("L4"));
         h.observe_delivery(&a, &b, 0, 0, 100.0, 300.0); // 3x
         assert!(
@@ -442,60 +267,21 @@ mod tests {
             "EWMA {} should cross the hedge threshold",
             h.state(&a, &b, 0).ewma_ratio
         );
-        h.observe_delivery(&a, &b, 0, 1, 100.0, 300.0);
-        h.observe_delivery(&a, &b, 0, 2, 100.0, 300.0);
-        let s = h.state(&a, &b, 0);
-        assert_eq!(s.breaker, BreakerState::Open, "ewma = {}", s.ewma_ratio);
-        assert_eq!(s.trips, 1);
         // Unrelated lanes and the reverse direction are untouched.
-        assert_eq!(h.state(&b, &a, 0).breaker, BreakerState::Closed);
-        assert_eq!(h.state(&a, &b, 1).breaker, BreakerState::Closed);
+        assert!(!h.should_hedge(&b, &a, 0));
+        assert!(!h.should_hedge(&a, &b, 1));
     }
 
+    /// A failed attempt folds in as a delivery at [`FAILED_RATIO`]: one
+    /// failure on a healthy lane (1 → 1.75) already hedges the next batch.
     #[test]
-    fn consecutive_failures_trip_without_any_delivery() {
-        let h = LinkHealth::new(cfg());
+    fn a_failure_folds_as_a_maximally_degraded_delivery() {
+        let h = LinkHealth::new();
         let (a, b) = (loc("L2"), loc("L3"));
-        for step in 0..3 {
-            h.observe_failure(&a, &b, 0, step);
-        }
-        assert_eq!(h.state(&a, &b, 0).breaker, BreakerState::Open);
-    }
-
-    #[test]
-    fn breaker_walks_open_half_open_closed_on_recovery() {
-        let h = LinkHealth::new(cfg());
-        let (a, b) = (loc("L1"), loc("L4"));
-        for step in 0..3 {
-            h.observe_failure(&a, &b, 0, step);
-        }
-        assert_eq!(h.state(&a, &b, 0).breaker, BreakerState::Open);
-        // Before the cooldown elapses, evidence keeps the breaker open.
-        h.observe_delivery(&a, &b, 0, 5, 100.0, 100.0);
-        assert_eq!(h.state(&a, &b, 0).breaker, BreakerState::Open);
-        // Past the cooldown a healthy probe closes it again.
-        h.observe_delivery(&a, &b, 0, 2 + cfg().cooldown_steps, 100.0, 100.0);
+        h.observe_failure(&a, &b, 0, 0);
         let s = h.state(&a, &b, 0);
-        assert_eq!(s.breaker, BreakerState::Closed);
-        assert_eq!(s.trips, 1);
-    }
-
-    #[test]
-    fn failed_probe_reopens_until_the_budget_condemns_the_link() {
-        let h = LinkHealth::new(cfg());
-        let (a, b) = (loc("L1"), loc("L4"));
-        let mut step = 0;
-        for _ in 0..3 {
-            h.observe_failure(&a, &b, 0, step);
-            step += 1;
-        }
-        // Probe past cooldown fails -> reopen (trip 2 >= open_budget).
-        step += cfg().cooldown_steps;
-        h.observe_failure(&a, &b, 0, step);
-        let s = h.state(&a, &b, 0);
-        assert_eq!(s.breaker, BreakerState::Open);
-        assert_eq!(s.trips, 2);
-        assert!(h.breaker_exhausted(&a, &b, 0));
+        assert_eq!((s.observations, s.ewma_ratio), (1, 1.75));
+        assert!(h.should_hedge(&a, &b, 0));
     }
 
     /// Observations at distinct steps fold in step order whatever order
@@ -503,8 +289,8 @@ mod tests {
     #[test]
     fn fold_is_insertion_order_independent() {
         let obs: Vec<(u64, f64)> = (0..10u64).map(|s| (s, 1.0 + (s % 4) as f64)).collect();
-        let forward = LinkHealth::new(cfg());
-        let backward = LinkHealth::new(cfg());
+        let forward = LinkHealth::new();
+        let backward = LinkHealth::new();
         for &(step, ratio) in &obs {
             forward.observe_delivery(&loc("L1"), &loc("L4"), 3, step, 100.0, 100.0 * ratio);
         }
@@ -512,7 +298,6 @@ mod tests {
             backward.observe_delivery(&loc("L1"), &loc("L4"), 3, step, 100.0, 100.0 * ratio);
         }
         assert_eq!(forward.snapshot(), backward.snapshot());
-        assert_eq!(forward.breaker_trips(), backward.breaker_trips());
     }
 
     /// Every batch of a stream shares its attempt's grid step, and each
@@ -520,27 +305,27 @@ mod tests {
     /// 1 → 1.1 → 1.15 → 1.175 → 1.1875 → 1.19375, not to the last alone.
     #[test]
     fn observations_at_one_step_all_fold_in_arrival_order() {
-        let h = LinkHealth::new(cfg());
+        let h = LinkHealth::new();
         let (a, b) = (loc("L1"), loc("L4"));
         for _ in 0..5 {
             h.observe_delivery(&a, &b, 0, 7, 100.0, 120.0);
         }
         let s = h.state(&a, &b, 0);
-        assert_eq!((s.observations, s.last_step), (5, 7));
+        assert_eq!(s.observations, 5);
         assert!((s.ewma_ratio - 1.19375).abs() < 1e-12, "{}", s.ewma_ratio);
-        // Within a step the fold follows arrival: a failure then a
-        // delivery ends on zero consecutive failures, the reverse on one.
+        // Within a step the fold follows arrival: a failure then an
+        // on-model delivery ends at 1.375, the reverse at 1.75.
         h.observe_failure(&a, &b, 1, 3);
         h.observe_delivery(&a, &b, 1, 3, 100.0, 100.0);
         h.observe_delivery(&a, &b, 2, 3, 100.0, 100.0);
         h.observe_failure(&a, &b, 2, 3);
-        assert_eq!(h.state(&a, &b, 1).consecutive_failures, 0);
-        assert_eq!(h.state(&a, &b, 2).consecutive_failures, 1);
+        assert_eq!(h.state(&a, &b, 1).ewma_ratio, 1.375);
+        assert_eq!(h.state(&a, &b, 2).ewma_ratio, 1.75);
     }
 
     #[test]
     fn hedge_counters_accumulate() {
-        let h = LinkHealth::new(cfg());
+        let h = LinkHealth::new();
         h.note_hedge(false, None);
         h.note_hedge(
             true,

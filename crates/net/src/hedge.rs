@@ -28,7 +28,6 @@
 //! verdicts.
 
 use crate::fault::{FaultPlan, FaultVerdict};
-use crate::health::HealthConfig;
 use geoqp_common::{CancelToken, GeoError, Location, LocationSet, Result};
 
 /// Base of the designed step space backup legs record under: far above
@@ -63,16 +62,11 @@ pub struct HedgeConfig {
     /// Simulated ms the backup waits before launching — long enough that
     /// a healthy primary wins outright, short enough to beat a gray one.
     pub delay_ms: f64,
-    /// Health scoring and breaker thresholds.
-    pub health: HealthConfig,
 }
 
 impl Default for HedgeConfig {
     fn default() -> HedgeConfig {
-        HedgeConfig {
-            delay_ms: 5.0,
-            health: HealthConfig::default(),
-        }
+        HedgeConfig { delay_ms: 5.0 }
     }
 }
 

@@ -19,10 +19,11 @@
 //!
 //! Gray faults — sustained degradation and loss bursts rather than clean
 //! failures — get their own defense layer: a [`LinkHealth`] table scores
-//! observed transfer cost against the `α + β·b` prediction and drives
-//! per-link circuit breakers, while [`hedge`] implements compliant hedged
-//! backup transfers (duplicate or one-hop relay, restricted to the
-//! producing subtree's shipping trait).
+//! observed transfer cost against the `α + β·b` prediction, and [`hedge`]
+//! implements the compliant hedged backup transfers it triggers
+//! (duplicate or one-hop relay, restricted to the producing subtree's
+//! shipping trait). A link that stops delivering is not a gray fault: it
+//! surfaces as a typed link failure, and the engine re-plans around it.
 
 pub mod fault;
 pub mod health;
@@ -31,7 +32,7 @@ pub mod sim;
 pub mod topology;
 
 pub use fault::{FaultPlan, FaultVerdict, StepWindow};
-pub use health::{BreakerState, HealthConfig, LinkHealth, LinkReport, LinkState, RelayEvent};
+pub use health::{LinkHealth, LinkReport, LinkState, RelayEvent};
 pub use hedge::{
     backup_beats, hedge_step, plan_hedge_with, run_hedge, HedgeConfig, HedgeLeg, HedgeRun,
 };

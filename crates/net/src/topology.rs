@@ -121,9 +121,10 @@ impl NetworkTopology {
     }
 
     /// A copy of the topology with the given directed links priced at ∞
-    /// — the soft exclusion the breaker-driven re-planner optimizes
-    /// against (Algorithm 2 then routes around the condemned edges on
-    /// cost alone, never leaving the compliant placement space). The
+    /// — what the failover re-planner optimizes against once a link
+    /// between two live sites has failed (Algorithm 2 then routes around
+    /// the failed edges on cost alone, never leaving the compliant
+    /// placement space). The
     /// per-byte slope is zeroed so `∞ · 0` bytes can never produce NaN.
     pub fn avoiding_links<'a, I>(&self, avoided: I) -> NetworkTopology
     where

@@ -21,7 +21,7 @@
 //!   per-edge batches, bytes and arrival times.
 //!
 //! [`ship`] holds the one SHIP adjudicator (fault verdicts, retries,
-//! hedging, breakers, churn, deadline, log, checkpoint capture) and the
+//! hedging, churn, deadline, log, checkpoint capture) and the
 //! one leaf gate.
 
 pub mod checkpoint;

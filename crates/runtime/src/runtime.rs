@@ -109,7 +109,7 @@ impl<'a> Runtime<'a> {
     /// A runtime adjudicating every transfer and leaf read against `env`
     /// (topology, faults, controls, checkpoint store, hedging, churn).
     /// Each edge's health lane is its pre-order slot, so the observation
-    /// stream — and therefore breaker state — is a pure function of the
+    /// stream — and therefore every link score — is a pure function of the
     /// seeded fault grid.
     pub fn new(env: ShipEnv<'a>) -> Runtime<'a> {
         Runtime {

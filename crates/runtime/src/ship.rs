@@ -9,7 +9,7 @@
 //!
 //! Per batch, [`ShipStream::ship_batch`] runs one fixed sequence: cancel
 //! poll → revocation check → Definition-1 audit →
-//! breaker gate → hedge route choice → fault verdicts under the retry
+//! hedge route choice → fault verdicts under the retry
 //! policy → hedge race (every transmitted leg logged) → rescue by a
 //! delivered backup → deadline → delivery record. [`ShipStream::finish`]
 //! then retains the drained edge in the checkpoint store.
@@ -91,7 +91,7 @@ impl<'a> ShipEnv<'a> {
     }
 
     /// Attach gray-failure defenses: a shared [`LinkHealth`] table (so
-    /// breaker state survives across failover attempts) plus hedge
+    /// link scores survive across failover attempts) plus hedge
     /// tuning. Hedged relays are restricted to each edge's `𝒮ₙ`.
     pub fn with_hedge(mut self, health: &'a LinkHealth, config: HedgeConfig) -> ShipEnv<'a> {
         self.hedge = Some((health, config));
@@ -138,7 +138,6 @@ impl<'a> ShipEnv<'a> {
                     site: Some(site.clone()),
                     link: None,
                     transient: end != u64::MAX,
-                    breaker: false,
                     message: format!("{what} failed: site {site} is down at step {step}"),
                 })),
             }
@@ -300,38 +299,24 @@ impl ShipStream<'_> {
         // The stream pays its link's α once, on the first batch.
         let alpha = if i == 0 { self.link.alpha_ms } else { 0.0 };
         let base_ms = alpha + self.link.beta_ms_per_byte * bytes as f64;
-        // Gray-failure gate, from pre-batch health state: a breaker open
-        // past its budget condemns the link (a soft exclusion the
-        // re-planner prices at ∞); a link past the hedge threshold races
-        // a backup for this batch.
+        // Gray-failure gate, from pre-batch health state: a link past the
+        // hedge threshold races a backup for this batch.
         let hedged = env
             .hedge
             .as_ref()
             .filter(|_| from != to)
             .map(|(health, config)| (*health, config));
         let health = hedged.map(|(health, _)| health);
-        let mut backup_route: Option<Option<Location>> = None;
-        if let Some(health) = health {
-            if health.breaker_exhausted(from, to, lane) {
-                let state = health.state(from, to, lane);
-                return Err(GeoError::breaker_open(
-                    from.clone(),
-                    to.clone(),
-                    format!(
-                        "circuit breaker for link {from} -> {to} is open past its budget \
-                         ({} trips, EWMA cost ratio {:.2}): soft-excluding the link",
-                        state.trips, state.ewma_ratio
-                    ),
-                ));
-            }
-            if health.should_hedge(from, to, lane) {
+        let backup_route = health
+            .filter(|h| h.should_hedge(from, to, lane))
+            .map(|health| {
                 let ratio = health.state(from, to, lane).ewma_ratio;
                 // Steady-state route choice: a stream pays each link's α
                 // header once, so the relay decision compares marginal
                 // (β-only) leg costs against the degraded primary's cost.
                 // The race itself still charges the full header on a
                 // route's first use, so it stays honest.
-                let via = legal.and_then(|legal| {
+                legal.and_then(|legal| {
                     plan_hedge_with(
                         |a, b| env.topology.link(a, b).beta_ms_per_byte * bytes as f64,
                         from,
@@ -339,10 +324,8 @@ impl ShipStream<'_> {
                         legal,
                         ratio.max(1.0) * base_ms,
                     )
-                });
-                backup_route = Some(via);
-            }
-        }
+                })
+            });
 
         // The grid step repeats per batch, so window-scheduled faults hit
         // the whole stream uniformly and probabilistic faults draw from a
@@ -378,12 +361,12 @@ impl ShipStream<'_> {
                             }
                             return Err(GeoError::SiteUnavailable(Unavailable {
                                 // A crashed endpoint is what re-planning
-                                // must exclude; for pure link/partition
-                                // faults, route away from the destination.
-                                site: culprit.or_else(|| Some(to.clone())),
+                                // excludes; a link or partition fault
+                                // names only the link, which re-planning
+                                // avoids.
+                                site: culprit,
                                 link: Some((from.clone(), to.clone())),
                                 transient,
-                                breaker: false,
                                 message: reason,
                             }));
                         }

@@ -8,9 +8,7 @@ use geoqp_common::{
 };
 use geoqp_exec::RetryPolicy;
 use geoqp_net::hedge::HEDGE_STEP_BASE;
-use geoqp_net::{
-    FaultPlan, HealthConfig, HedgeConfig, LinkHealth, NetworkTopology, StepWindow, TransferLog,
-};
+use geoqp_net::{FaultPlan, HedgeConfig, LinkHealth, NetworkTopology, StepWindow, TransferLog};
 use geoqp_plan::LogicalPlan;
 use geoqp_runtime::{CheckpointSpec, CheckpointStore, ShipEdge, ShipEnv};
 use std::sync::Arc;
@@ -48,8 +46,8 @@ enum Prime {
     Healthy,
     /// Past deliveries at `ratio ×` the model: past the hedge threshold.
     Slow(f64),
-    /// Three straight failures: the breaker is open.
-    Tripped,
+    /// Three straight failures: past the hedge threshold.
+    Failing,
 }
 
 /// What the adjudicator must answer.
@@ -72,8 +70,8 @@ struct Case {
     faults: Option<FaultPlan>,
     retry: RetryPolicy,
     legal: Option<LocationSet>,
-    /// `Some(open_budget)` turns hedging and breakers on.
-    hedge: Option<u32>,
+    /// Turns hedging on.
+    hedge: bool,
     prime: Prime,
     deadline_ms: Option<f64>,
     churn: Option<ChurnWatch>,
@@ -89,7 +87,7 @@ impl Case {
             faults: None,
             retry: RetryPolicy::default(),
             legal: Some(endpoints()),
-            hedge: None,
+            hedge: false,
             prime: Prime::Healthy,
             deadline_ms: None,
             churn: None,
@@ -162,11 +160,7 @@ fn cases() -> Vec<Case> {
                 let e = r.as_ref().unwrap_err();
                 assert!(e.is_transient());
                 assert_eq!(e.failed_link(), Some((&loc("L1"), &loc("L4"))));
-                assert_eq!(
-                    e.failed_site(),
-                    Some(&loc("L4")),
-                    "route away from the sink"
-                );
+                assert_eq!(e.failed_site(), None, "a link drop names no site");
             },
             ..Case::new(
                 "Drop past the retry budget surfaces the typed link error",
@@ -203,7 +197,7 @@ fn cases() -> Vec<Case> {
             )
         },
         Case {
-            hedge: Some(u32::MAX),
+            hedge: true,
             prime: Prime::Slow(3.0),
             check: |_, log, health| {
                 // 𝒮ₙ holds only the endpoints, so the backup is a delayed
@@ -226,7 +220,7 @@ fn cases() -> Vec<Case> {
             .faults(degrade(3.0))
         },
         Case {
-            hedge: Some(u32::MAX),
+            hedge: true,
             prime: Prime::Slow(8.0),
             legal: Some(all_sites()),
             check: |_, log, health| {
@@ -251,7 +245,7 @@ fn cases() -> Vec<Case> {
             .faults(degrade(8.0))
         },
         Case {
-            hedge: Some(u32::MAX),
+            hedge: true,
             prime: Prime::Slow(8.0),
             legal: None,
             check: |_, _, health| assert_eq!(health.relays_used(), 0),
@@ -267,7 +261,7 @@ fn cases() -> Vec<Case> {
             .faults(degrade(8.0))
         },
         Case {
-            hedge: Some(u32::MAX),
+            hedge: true,
             prime: Prime::Slow(8.0),
             legal: Some(all_sites()),
             retry: RetryPolicy::none(),
@@ -288,26 +282,10 @@ fn cases() -> Vec<Case> {
             .faults(FaultPlan::new(1).with_drop("L1", "L4", StepWindow::ALWAYS))
         },
         Case {
-            hedge: Some(1),
-            prime: Prime::Tripped,
-            check: |r, _, _| {
-                let e = r.as_ref().unwrap_err();
-                assert_eq!(e.breaker_link(), Some((&loc("L1"), &loc("L4"))));
-                assert_eq!(e.failed_site(), None, "a gray link condemns no site");
-            },
+            hedge: true,
+            prime: Prime::Failing,
             ..Case::new(
-                "a breaker open past its budget condemns the link",
-                Expect::Err {
-                    kind: "unavailable",
-                    drops: 0,
-                },
-            )
-        },
-        Case {
-            hedge: Some(u32::MAX),
-            prime: Prime::Tripped,
-            ..Case::new(
-                "an open breaker inside its budget still ships (and hedges)",
+                "a lane whose last attempts failed still ships, and hedges",
                 Expect::Ok {
                     attempts: 1,
                     cost_ms: base,
@@ -369,17 +347,14 @@ fn single_batch_verdicts() {
     let topology = wan();
     let (from, to) = (loc("L1"), loc("L4"));
     for case in cases() {
-        let health = LinkHealth::new(HealthConfig {
-            open_budget: case.hedge.unwrap_or(0),
-            ..HealthConfig::default()
-        });
+        let health = LinkHealth::new();
         match case.prime {
             Prime::Healthy => {}
             Prime::Slow(ratio) => {
                 health.observe_delivery(&from, &to, STEP0, 0, 1.0, ratio);
                 health.observe_delivery(&from, &to, STEP0, 1, 1.0, ratio);
             }
-            Prime::Tripped => (0..3).for_each(|s| health.observe_failure(&from, &to, STEP0, s)),
+            Prime::Failing => (0..3).for_each(|s| health.observe_failure(&from, &to, STEP0, s)),
         }
         let mut env = ShipEnv::new(&topology).with_control(RunControl {
             deadline: case.deadline_ms.map(QueryDeadline::new),
@@ -388,14 +363,8 @@ fn single_batch_verdicts() {
         if let Some(faults) = &case.faults {
             env = env.with_faults(faults, case.retry.clone());
         }
-        if case.hedge.is_some() {
-            env = env.with_hedge(
-                &health,
-                HedgeConfig {
-                    health: health.config().clone(),
-                    ..HedgeConfig::default()
-                },
-            );
+        if case.hedge {
+            env = env.with_hedge(&health, HedgeConfig::default());
         }
         if let Some(watch) = &case.churn {
             env = env.with_churn(watch.clone());
@@ -506,7 +475,7 @@ fn streams_amortize_the_header_and_recheck_churn_per_batch() {
 fn every_batch_of_a_stream_is_one_health_observation() {
     let topology = wan();
     let (from, to) = (loc("L1"), loc("L4"));
-    let health = LinkHealth::new(HealthConfig::default());
+    let health = LinkHealth::new();
     let faults = degrade(1.2);
     let legal = all_sites();
     let env = ShipEnv::new(&topology)

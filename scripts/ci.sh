@@ -166,6 +166,17 @@ for f in crates/cli/src/*.rs crates/server/src/*.rs; do
     fi
 done
 
+echo "==> one link rule: a transfer that fails names a crashed endpoint, which" \
+     "re-planning excludes, or only the link, which re-planning avoids, so" \
+     "crates/*/src and src/ carry no circuit breaker, no condemnation waiver" \
+     "and no blame of a live destination"
+if grep -rnE 'breaker|HealthConfig|open_budget|cooldown_steps|waive|culprit\.or_else' \
+    crates/*/src src; then
+    echo "a second rule for a failed link is back: a link drop is avoided, a" \
+        "crash excluded, and hedging alone answers a gray link" >&2
+    exit 1
+fi
+
 echo "==> round-robin: the service claims the first backlogged tenant below" \
      "max_inflight from the cursor, so above their tests crates/cli/src and" \
      "crates/server/src carry no per-tenant quantum or deficit credit"

@@ -111,9 +111,7 @@ pub mod prelude {
     };
     pub use geoqp_exec::RetryPolicy;
     pub use geoqp_expr::{AggCall, AggFunc, ScalarExpr};
-    pub use geoqp_net::{
-        FaultPlan, HealthConfig, HedgeConfig, NetworkTopology, StepWindow, TransferLog,
-    };
+    pub use geoqp_net::{FaultPlan, HedgeConfig, NetworkTopology, StepWindow, TransferLog};
     pub use geoqp_plan::{LogicalPlan, PlanBuilder};
     pub use geoqp_policy::{PolicyCatalog, PolicyEvaluator, PolicyExpression, ShipAttrs};
     pub use geoqp_server::{

@@ -130,8 +130,8 @@ fn gray_schedule(rng: &mut u64) -> (FaultPlan, String) {
 }
 
 /// Gray-failure soak: randomized degrade/loss schedules with the full
-/// hedging defense on (health scoring, backups, breakers, condemnation
-/// re-plans). Invariants per run: the fault-free answer through an
+/// hedging defense on (health scoring, backups) and failover re-plans
+/// around every link a loss burst or flaky coin takes down. Invariants per run: the fault-free answer through an
 /// audit-clean placement, or a typed refusal — hedging buys latency,
 /// never different rows and never a compliance hole.
 #[test]

@@ -315,9 +315,39 @@ fn exhausted_retries_surface_the_failing_link() {
     );
 }
 
+/// A link that drops at every step between two live sites is avoided,
+/// not blamed on a site: Q5 under CR+A at SF 0.01 ships its busiest edge
+/// over L1 → L4, and with that link down the failover re-plan routes
+/// around it — the fault-free rows, a clean audit, no site excluded.
+#[test]
+fn a_dropped_link_is_avoided_and_no_site_is_excluded() {
+    let sf = 0.01;
+    let catalog = Arc::new(tpch::paper_catalog(sf));
+    tpch::populate(&catalog, sf, 2021).unwrap();
+    let policies = tpch::generate_policies(&catalog, PolicyTemplate::CRA, 10, 2021).unwrap();
+    let eng = Engine::new(catalog, Arc::new(policies), NetworkTopology::paper_wan());
+    let plan = tpch::query_by_name(eng.catalog(), "Q5").unwrap();
+    let opt = eng.optimize(&plan, OptimizerMode::Compliant, None).unwrap();
+    let reference = eng.run(&opt, &ExecOptions::default()).unwrap();
+
+    let link = (Location::new("L1"), Location::new("L4"));
+    let faults = FaultPlan::new(2021).with_drop(link.0.clone(), link.1.clone(), StepWindow::ALWAYS);
+    let res = eng
+        .run(
+            &opt,
+            &ExecOptions::failover(&faults, &RetryPolicy::default(), 4),
+        )
+        .expect("a detour around the dropped link exists");
+    assert_eq!(canonical(&res.rows), canonical(&reference.rows));
+    eng.audit(&res.physical).expect("the detour audits clean");
+    assert!(res.replans >= 1, "the dropped link never bit");
+    assert!(res.excluded.is_empty(), "excluded {}", res.excluded);
+    assert_eq!(res.avoided_links, vec![link]);
+}
+
 // Recovery causes combined in one run. Each failure cause changes the
 // state every later re-plan places around: a crash excludes a site, a
-// condemned gray link is priced at ∞, a revocation re-pins the engine and
+// link failed between live sites is priced at ∞, a revocation re-pins the engine and
 // the annotated plan. The scans below look, the way E6 looks for
 // late-crash cells, for runs where two causes meet in a known order, and
 // check that the second re-plan kept what the first one changed.
@@ -361,8 +391,8 @@ fn replay(run: &Result<QueryOutcome>) -> String {
                 r.churn_replans,
                 (r.checkpoint_hits, r.checkpoint_misses),
                 (r.resumed_bytes, r.recomputed_bytes),
-                (r.hedges_launched, r.hedges_won, r.breaker_trips),
-                (&r.excluded, &r.avoided_links, &r.waived_links),
+                (r.hedges_launched, r.hedges_won),
+                (&r.excluded, &r.avoided_links),
             ),
             r.transfers
         ),
@@ -648,14 +678,13 @@ fn a_crash_after_a_revocation_replans_the_reoptimized_tree() {
     assert!(found.is_some(), "no cell met a revocation and then a crash");
 }
 
-/// Condemned link, then revocation: with hedging on and E8's schedule (the
-/// busiest link degraded 6x, a one-trip breaker budget), the breaker
-/// condemns the link and a revocation then catches the re-planned
-/// attempt. The revocation's re-plan must keep pricing the link at ∞: the
-/// final plan ships nothing over it. (A waived condemnation may carry the
-/// plan over the link, so the scan looks for one the re-plan avoided.)
+/// Link drop, then revocation: the busiest link of the fault-free run
+/// drops at every step, the failover re-plan prices it at ∞, and a
+/// revocation then catches the re-planned attempt. The revocation's
+/// re-plan must keep pricing the link at ∞: the final plan ships nothing
+/// over it.
 #[test]
-fn a_revocation_after_a_condemnation_keeps_the_link_avoided() {
+fn a_revocation_after_a_link_drop_keeps_the_link_avoided() {
     let eng = engine();
     let pids = live_pids(&eng);
     let config = RuntimeConfig {
@@ -666,21 +695,14 @@ fn a_revocation_after_a_condemnation_keeps_the_link_avoided() {
         resume: true,
         runtime: config.clone(),
         ..ExecOptions::default()
-    }
-    .with_hedge(HedgeConfig {
-        delay_ms: 0.0,
-        health: HealthConfig {
-            open_budget: 1,
-            cooldown_steps: 2,
-        },
-    });
+    };
     let mut found = None;
     'scan: for query in QUERIES {
         let plan = tpch::query_by_name(eng.catalog(), query).unwrap();
         let Ok(opt) = eng.optimize(&plan, OptimizerMode::Compliant, None) else {
             continue;
         };
-        // E8's gray link: the fault-free run's busiest cross-site edge.
+        // E8's link: the fault-free run's busiest cross-site edge.
         let plain = ExecOptions {
             runtime: config.clone(),
             ..ExecOptions::default()
@@ -700,21 +722,20 @@ fn a_revocation_after_a_condemnation_keeps_the_link_avoided() {
         };
         for &pid in &pids {
             for step in TRIGGER_STEPS {
-                let gray = link.clone();
+                let dropped = link.clone();
                 let cell = Cell {
                     eng: &eng,
                     opt: &opt,
                     label: format!(
-                        "{query}: condemn {}->{}, then revoke p{pid} at step {step}",
+                        "{query}: drop {}->{}, then revoke p{pid} at step {step}",
                         link.0, link.1
                     ),
                     pid,
                     step,
                     faults: Box::new(move || {
-                        FaultPlan::new(FAULT_SEED).with_degrade(
-                            gray.0.clone(),
-                            gray.1.clone(),
-                            6.0,
+                        FaultPlan::new(FAULT_SEED).with_drop(
+                            dropped.0.clone(),
+                            dropped.1.clone(),
                             StepWindow::ALWAYS,
                         )
                     }),
@@ -729,6 +750,11 @@ fn a_revocation_after_a_condemnation_keeps_the_link_avoided() {
                     continue;
                 }
                 assert_eq!(res.replans, 2, "{}: {}", cell.label, KEPT);
+                assert!(
+                    res.excluded.is_empty(),
+                    "{}: a failed link excluded a site",
+                    cell.label
+                );
                 res.physical.visit(&mut |p| {
                     if matches!(p.op, PhysOp::Ship) {
                         let hop = (p.inputs[0].location.clone(), p.location.clone());
@@ -744,9 +770,9 @@ fn a_revocation_after_a_condemnation_keeps_the_link_avoided() {
             }
         }
     }
-    eprintln!("condemned link → revocation: {found:?}");
+    eprintln!("link drop → revocation: {found:?}");
     assert!(
         found.is_some(),
-        "no cell met a condemnation and then a revocation"
+        "no cell met a link drop and then a revocation"
     );
 }

@@ -371,8 +371,8 @@ proptest! {
 
     /// The whole gray-failure defense is a pure function of (plan, fault
     /// seed): re-running the same hedged execution reproduces the health
-    /// table fold, the breaker trips, every hedge outcome, and the
-    /// simulated completion time bit-for-bit.
+    /// table fold, every hedge outcome, every link a re-plan avoided, and
+    /// the simulated completion time bit-for-bit.
     #[test]
     fn breaker_and_hedge_state_replay_identically(
         qi in 0usize..6,
@@ -400,8 +400,8 @@ proptest! {
                     "{} health table fold diverged across identical replays", query);
                 prop_assert_eq!(a.relay_events, b.relay_events);
                 prop_assert_eq!(
-                    (a.hedges_launched, a.hedges_won, a.breaker_trips, &a.avoided_links),
-                    (b.hedges_launched, b.hedges_won, b.breaker_trips, &b.avoided_links)
+                    (a.hedges_launched, a.hedges_won, &a.avoided_links),
+                    (b.hedges_launched, b.hedges_won, &b.avoided_links)
                 );
                 prop_assert_eq!(am.completion_ms, bm.completion_ms);
             }

@@ -76,23 +76,24 @@ fn annotated_and_physical_plans_match_their_snapshots() {
     );
 }
 
-/// Breaker condemnation, pinned: for each query, its busiest gray link
-/// (the link E7/E8 degrade) is priced at ∞ and Algorithm 2 re-runs over
-/// the unchanged annotated plan — exactly the engine's soft-exclusion
-/// re-plan. The snapshot pins the detoured physical plan, or records
-/// that no compliant detour exists (the case the engine answers by
-/// waiving the condemnation and riding the gray link). Any cost-model
-/// or trait change that silently alters where the defense re-routes a
-/// query shows up as a readable diff.
+/// Link-down re-plans, pinned: for each query, its busiest link (the
+/// link E7 degrades and E8 drops) is priced at ∞ and Algorithm 2 re-runs
+/// over the unchanged annotated plan — exactly the engine's re-plan
+/// after a link fails between two live sites. The snapshot pins the
+/// detoured physical plan, or records that no compliant detour exists
+/// (the case the engine answers by stitching the failed plan against its
+/// checkpoints, else by a typed rejection naming the link). Any
+/// cost-model or trait change that silently alters where failover
+/// re-routes a query shows up as a readable diff.
 #[test]
-fn breaker_replans_match_their_snapshot() {
+fn link_down_replans_match_their_snapshot() {
     let catalog = Arc::new(tpch::paper_catalog(SF));
     let policies = tpch::generate_policies(&catalog, PolicyTemplate::CRA, 10, 2021).unwrap();
     let eng = Engine::new(catalog, Arc::new(policies), NetworkTopology::paper_wan());
 
     // Each query's busiest cross-site exchange edge under CR+A — the
-    // link the gray-failure experiments degrade and condemn.
-    let condemned: [(&str, (&str, &str)); 6] = [
+    // link the gray-failure experiments degrade and drop.
+    let failed: [(&str, (&str, &str)); 6] = [
         ("Q2", ("L2", "L3")),
         ("Q3", ("L1", "L4")),
         ("Q5", ("L1", "L4")),
@@ -101,7 +102,7 @@ fn breaker_replans_match_their_snapshot() {
         ("Q10", ("L1", "L4")),
     ];
     let mut got = String::new();
-    for (query, (from, to)) in condemned {
+    for (query, (from, to)) in failed {
         let plan = tpch::query_by_name(eng.catalog(), query).unwrap();
         let opt = match eng.optimize(&plan, OptimizerMode::Compliant, None) {
             Ok(opt) => opt,
@@ -111,25 +112,25 @@ fn breaker_replans_match_their_snapshot() {
             }
         };
         let avoided = [(Location::new(from), Location::new(to))];
-        let gray = eng.topology().avoiding_links(&avoided);
-        got.push_str(&format!("{query}: condemned link {from}->{to}\n"));
+        let avoiding = eng.topology().avoiding_links(&avoided);
+        got.push_str(&format!("{query}: failed link {from}->{to}\n"));
         match geoqp::core::select_sites_with(
             &eng.annotate(&opt).unwrap(),
-            &gray,
+            &avoiding,
             Some(&opt.result_location),
             geoqp::core::Objective::TotalCost,
         ) {
             Ok(replan) => got.push_str(&format!(
-                "re-planned physical plan (condemned link priced at ∞):\n{}\n",
+                "re-planned physical plan (failed link priced at ∞):\n{}\n",
                 geoqp::plan::display::display_physical(&replan.physical),
             )),
             Err(e) => got.push_str(&format!(
-                "no compliant detour: condemnation waived, query rides the gray link\n({e})\n\n",
+                "no compliant detour: stitched against checkpoints, else rejected\n({e})\n\n",
             )),
         }
     }
 
-    let path = golden_dir().join("breaker_replan.txt");
+    let path = golden_dir().join("link_down_replan.txt");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::create_dir_all(golden_dir()).unwrap();
         std::fs::write(&path, &got).unwrap();
@@ -143,7 +144,7 @@ fn breaker_replans_match_their_snapshot() {
     });
     assert_eq!(
         got, want,
-        "breaker re-plan snapshot drifted (UPDATE_GOLDEN=1 refreshes intentional changes)"
+        "link-down re-plan snapshot drifted (UPDATE_GOLDEN=1 refreshes intentional changes)"
     );
 }
 

@@ -726,39 +726,76 @@ enum Num<'a> {
     Float(f64),
 }
 
-impl Num<'_> {
-    fn is_int(&self) -> bool {
-        matches!(self, Num::Ints(_) | Num::Int(_))
-    }
+/// One side of a typed kernel, its layout picked once per column: a
+/// cell per row with its validity, or one value for every row.
+enum Side<'a, T: Clone> {
+    Cells(Cow<'a, [T]>, &'a [bool]),
+    Lit(T),
+}
 
-    #[inline]
-    fn valid(&self, k: usize) -> bool {
+impl<'a> Num<'a> {
+    /// The operand as integers, when it is one.
+    fn ints(&'a self) -> Option<Side<'a, i64>> {
         match self {
-            Num::Ints(cells) => cells.valid[k],
-            Num::Floats(cells) => cells.valid[k],
-            Num::Int(_) | Num::Float(_) => true,
+            Num::Ints(cells) => Some(Side::Cells(Cow::Borrowed(&cells.values), &cells.valid)),
+            Num::Int(x) => Some(Side::Lit(*x)),
+            Num::Floats(_) | Num::Float(_) => None,
         }
     }
 
-    /// Row `k` of an integer operand.
-    #[inline]
-    fn int(&self, k: usize) -> i64 {
+    /// The operand as `Value::as_f64` reads it: an integer column is
+    /// widened once, here.
+    fn floats(&'a self) -> Side<'a, f64> {
         match self {
-            Num::Ints(cells) => cells.values[k],
-            Num::Int(x) => *x,
-            Num::Floats(_) | Num::Float(_) => unreachable!("checked by is_int"),
+            Num::Ints(cells) => {
+                let widened = cells.values.iter().map(|&x| x as f64).collect();
+                Side::Cells(Cow::Owned(widened), &cells.valid)
+            }
+            Num::Floats(cells) => Side::Cells(Cow::Borrowed(&cells.values), &cells.valid),
+            Num::Int(x) => Side::Lit(*x as f64),
+            Num::Float(x) => Side::Lit(*x),
         }
     }
+}
 
-    /// Row `k` as `Value::as_f64` reads it.
-    #[inline]
-    fn float(&self, k: usize) -> f64 {
-        match self {
-            Num::Ints(cells) => cells.values[k] as f64,
-            Num::Floats(cells) => cells.values[k],
-            Num::Int(x) => *x as f64,
-            Num::Float(x) => *x,
+/// `f` over `n` rows of `l` and `r`: NULL where either side is (a
+/// `T::default()` placeholder under a cleared validity bit, as
+/// [`Column::from_values`] lays it out), in one loop per pairing of
+/// layouts.
+fn zip<T: Copy + Default>(
+    l: Side<'_, T>,
+    r: Side<'_, T>,
+    n: usize,
+    f: impl Fn(T, T) -> T,
+) -> Cells<T> {
+    let cell = |ok: bool, x: T, y: T| if ok { f(x, y) } else { T::default() };
+    match (l, r) {
+        (Side::Cells(a, av), Side::Cells(b, bv)) => {
+            let valid: Vec<bool> = av.iter().zip(bv).map(|(&x, &y)| x && y).collect();
+            let cells = a.iter().zip(b.iter()).zip(&valid);
+            let values = cells.map(|((&x, &y), &ok)| cell(ok, x, y)).collect();
+            Cells { values, valid }
         }
+        (Side::Cells(a, valid), Side::Lit(y)) => Cells {
+            values: a
+                .iter()
+                .zip(valid)
+                .map(|(&x, &ok)| cell(ok, x, y))
+                .collect(),
+            valid: valid.to_vec(),
+        },
+        (Side::Lit(x), Side::Cells(b, valid)) => Cells {
+            values: b
+                .iter()
+                .zip(valid)
+                .map(|(&y, &ok)| cell(ok, x, y))
+                .collect(),
+            valid: valid.to_vec(),
+        },
+        (Side::Lit(x), Side::Lit(y)) => Cells {
+            values: vec![f(x, y); n],
+            valid: vec![true; n],
+        },
     }
 }
 
@@ -791,41 +828,34 @@ fn num_expr<'a>(e: &'a BoundExpr, b: &'a ColumnarBatch, sel: Option<&[u32]>) -> 
     }
 }
 
-/// `l op r` over `n` rows, row by row exactly as `eval_arith` computes
-/// it: two integers stay in wrapping integer arithmetic, any other pair
-/// widens both sides to `f64` first, and a NULL on either side is a NULL
-/// (a zero placeholder under a cleared validity bit, as
-/// [`Column::from_values`] lays it out). `None` for what is not
-/// arithmetic or can fail: integer division raises on a zero divisor, so
-/// it stays with the scalar mirror and its row-order errors.
+/// `l op r` over `n` rows, exactly as `eval_arith` computes it row by
+/// row: two integers stay in wrapping integer arithmetic, any other pair
+/// widens both sides to `f64` first, and a NULL on either side is a NULL.
+/// `None` for what is not arithmetic or can fail: integer division
+/// raises on a zero divisor, so it stays with the scalar mirror and its
+/// row-order errors.
 fn arith(op: BinaryOp, l: &Num<'_>, r: &Num<'_>, n: usize) -> Option<Num<'static>> {
     use BinaryOp::{Add, Div, Mul, Sub};
-    let ints = l.is_int() && r.is_int();
-    if !matches!(op, Add | Sub | Mul | Div) || (ints && op == Div) {
+    if !matches!(op, Add | Sub | Mul | Div) {
         return None;
     }
-    let int_at = |k: usize| match op {
-        Add => l.int(k).wrapping_add(r.int(k)),
-        Sub => l.int(k).wrapping_sub(r.int(k)),
-        _ => l.int(k).wrapping_mul(r.int(k)),
-    };
-    let float_at = |k: usize| match op {
-        Add => l.float(k) + r.float(k),
-        Sub => l.float(k) - r.float(k),
-        Mul => l.float(k) * r.float(k),
-        _ => l.float(k) / r.float(k),
-    };
-    fn rows<T: Default>(valid: Vec<bool>, at: impl Fn(usize) -> T) -> Cells<T> {
-        let cell = |(k, ok): (usize, &bool)| if *ok { at(k) } else { T::default() };
-        let values = valid.iter().enumerate().map(cell).collect();
-        Cells { values, valid }
+    if let (Some(a), Some(b)) = (l.ints(), r.ints()) {
+        let cells = match op {
+            Add => zip(a, b, n, i64::wrapping_add),
+            Sub => zip(a, b, n, i64::wrapping_sub),
+            Mul => zip(a, b, n, i64::wrapping_mul),
+            _ => return None,
+        };
+        return Some(Num::Ints(Cow::Owned(cells)));
     }
-    let valid: Vec<bool> = (0..n).map(|k| l.valid(k) && r.valid(k)).collect();
-    Some(if ints {
-        Num::Ints(Cow::Owned(rows(valid, int_at)))
-    } else {
-        Num::Floats(Cow::Owned(rows(valid, float_at)))
-    })
+    let (a, b) = (l.floats(), r.floats());
+    let cells = match op {
+        Add => zip(a, b, n, |x, y| x + y),
+        Sub => zip(a, b, n, |x, y| x - y),
+        Mul => zip(a, b, n, |x, y| x * y),
+        _ => zip(a, b, n, |x, y| x / y),
+    };
+    Some(Num::Floats(Cow::Owned(cells)))
 }
 
 /// The typed arm of [`eval_column`]: arithmetic over numeric columns and
@@ -869,9 +899,13 @@ fn arith_column(e: &BoundExpr, b: &ColumnarBatch, sel: Option<&[u32]>) -> Option
 /// * **Emit** — the output is the two match lists: every left column
 ///   pends on one, every right column on the other, and an input column
 ///   that was itself still pending has the lists composed (once per
-///   distinct list) rather than being read. No cell is copied here; the
-///   residual filter, which runs morsel-parallel with first-error-wins
-///   ordering, gathers the columns its predicate reads.
+///   distinct list) rather than being read. The left key of an `Int64 =
+///   Int64` or `Date = Date` pair is the probe's key column instead
+///   ([`shared_key_pairs`]): when every probe row matched once, in
+///   order, that is the probe's own column, so no key of such a join is
+///   ever gathered. No cell is copied here; the residual filter, which
+///   runs morsel-parallel with first-error-wins ordering, gathers the
+///   columns its predicate reads.
 #[allow(clippy::too_many_arguments)]
 fn execute_hash_join_columnar(
     plan: &PhysicalPlan,
@@ -908,13 +942,21 @@ fn execute_hash_join_columnar(
         (left.concat(), right.concat())
     };
 
-    // The joined batch: left columns then right columns, pending.
+    // The joined batch: left columns then right columns, pending. The
+    // left key of a shared pair is the probe's key column instead, unless
+    // its own costs nothing (every build row matched once, in order).
     let n = out_left.len();
     let (l, r) = (
         lb.gather(Arc::new(out_left)),
         rb.gather(Arc::new(out_right)),
     );
-    let joined = ColumnarBatch::from_shared(n, [l.shared_columns(), r.shared_columns()].concat());
+    let mut columns = [l.shared_columns(), r.shared_columns()].concat();
+    for k in shared_keys(lb, &lidx, rb, &ridx) {
+        if !l.is_materialized(lidx[k]) {
+            columns[lidx[k]] = r.shared_columns()[ridx[k]].clone();
+        }
+    }
+    let joined = ColumnarBatch::from_shared(n, columns);
 
     // Residual filter runs over the joined schema, like the row engine.
     let sel = match &bound_filter {
@@ -953,6 +995,41 @@ pub fn positioned_key(
     right_keys: &[usize],
 ) -> Option<usize> {
     positioning(&side(left, left_keys), &side(right, right_keys)).map(|p| p.key)
+}
+
+/// Which key pairs — indices into `left_keys` / `right_keys` — a hash
+/// join of these inputs emits the probe's (right) key column for, in
+/// place of the build's: the `Int64 = Int64` and `Date = Date` pairs.
+/// Every output row is a match, and a match's two keys are equal and
+/// not NULL, so such a pair's two output columns hold the same cells in
+/// the same layout, and one column serves both. Every other pairing
+/// keeps its own column: `Int64 = Float64` holds two layouts, and two
+/// string columns two dictionaries.
+pub fn shared_key_pairs(
+    left: &ColBatch,
+    left_keys: &[usize],
+    right: &ColBatch,
+    right_keys: &[usize],
+) -> Vec<usize> {
+    shared_keys(&left.batch, left_keys, &right.batch, right_keys).collect()
+}
+
+/// [`shared_key_pairs`] over the two batches.
+fn shared_keys<'a>(
+    left: &'a ColumnarBatch,
+    left_keys: &'a [usize],
+    right: &'a ColumnarBatch,
+    right_keys: &'a [usize],
+) -> impl Iterator<Item = usize> + 'a {
+    let pairs = left_keys.iter().zip(right_keys).enumerate();
+    pairs
+        .filter(|(_, (&l, &r))| {
+            matches!(
+                (left.column(l), right.column(r)),
+                (Column::Int64(_), Column::Int64(_)) | (Column::Date(_), Column::Date(_))
+            )
+        })
+        .map(|(k, _)| k)
 }
 
 /// Which grouping column — an index into `keys` — a hash aggregate
@@ -1577,6 +1654,102 @@ mod tests {
         assert_engines_agree(&agg);
     }
 
+    #[test]
+    fn a_typed_equal_key_pair_emits_one_column_for_both_keys() {
+        // dim ⋈ probe on four pairs — Int64 = Int64, Date = Date, Int64 =
+        // Float64, Str = Str — plus a payload column each. dim holds one
+        // row per key `k`; `fact` matches each of its rows once, in
+        // order, and `sparse` has rows that match nothing, NULL keys
+        // among them (every ninth row).
+        let row = |k: Option<i64>, x: Value, payload: Value| {
+            let k32 = k.map_or(0, |k| k as i32);
+            vec![
+                k.map_or(Value::Null, Value::Int64),
+                k.map_or(Value::Null, |_| Value::Date(100 + k32)),
+                x,
+                k.map_or(Value::Null, |k| Value::str(format!("s{k}"))),
+                payload,
+            ]
+        };
+        let dim = |k: i64| {
+            row(
+                Some(k),
+                Value::Int64(k * 10),
+                Value::Float64(k as f64 / 2.0),
+            )
+        };
+        let probe = |k: Option<i64>, i: i64| {
+            let x = k.map_or(Value::Null, |k| Value::Float64((k * 10) as f64));
+            row(k, x, Value::Int64(i))
+        };
+        let fact = (0..20).map(|i| probe(Some(i % 6), i));
+        let sparse = (0..30).map(|i| probe((i % 9 != 8).then_some(i % 8), i));
+        let mut held = MapSource::new();
+        let mut insert = |table: &str, rows: Vec<Vec<Value>>| {
+            held.insert(TableRef::bare(table), loc("N"), Rows::from_rows(rows))
+        };
+        insert("dim", (0..6).map(dim).collect());
+        insert("fact", fact.collect());
+        insert("sparse", sparse.collect());
+
+        let scan = |table: &str, prefix: &str, x: DataType, payload: DataType| {
+            let types = [DataType::Int64, DataType::Date, x, DataType::Str, payload];
+            let names = ["k", "d", "x", "s", "p"].map(|n| format!("{prefix}{n}"));
+            let fields = names.iter().zip(types).map(|(n, t)| Field::new(n, t));
+            scan_node(table, "N", fields.collect())
+        };
+        let keys = [("dk", "fk"), ("dd", "fd"), ("dx", "fx"), ("ds", "fs")];
+        let run = |plan: &PhysicalPlan| {
+            execute_fragment_columnar(plan, &held, &mut LocalShip, &NoExchange).unwrap()
+        };
+        for (table, every_row_once) in [("fact", true), ("sparse", false)] {
+            let build = scan("dim", "d", DataType::Int64, DataType::Float64);
+            let probe = scan(table, "f", DataType::Float64, DataType::Int64);
+            let join = hash_join(Arc::clone(&build), Arc::clone(&probe), &keys);
+            let k = [0, 1, 2, 3];
+            assert_eq!(shared_key_pairs(&run(&build), &k, &run(&probe), &k), [0, 1]);
+
+            // Left columns 0..5, right 5..10. The Int64 and Date left
+            // keys are the right keys' columns; the other two pairs and
+            // the payload are pending, as a join leaves every column.
+            let out = run(&join);
+            for j in [2, 3, 4] {
+                assert!(
+                    !out.batch.is_materialized(j),
+                    "{table}: column {j} gathered"
+                );
+            }
+            for (l, r) in [(0, 5), (1, 6)] {
+                assert!(
+                    std::ptr::eq(out.batch.column(l), out.batch.column(r)),
+                    "{table}: {l}"
+                );
+            }
+            if every_row_once {
+                // The right side is the probe's own batch: sharing its
+                // keys gathered nothing.
+                let own = held.scan(&TableRef::bare(table), &loc("N")).unwrap();
+                assert!(std::ptr::eq(out.batch.column(0), own.column(0)));
+                assert!(std::ptr::eq(out.batch.column(1), own.column(1)));
+            }
+            assert!(
+                matches!(out.batch.column(2), Column::Int64(_)),
+                "{table}: Int64 = Float64"
+            );
+            assert!(
+                !std::ptr::eq(out.batch.column(3), out.batch.column(8)),
+                "{table}: Str = Str"
+            );
+
+            let want = execute(&join, &held, &mut LocalShip).unwrap();
+            assert!(!want.is_empty());
+            assert_eq!(
+                execute_columnar(&join, &held, &mut LocalShip).unwrap(),
+                want
+            );
+        }
+    }
+
     /// Records what each SHIP was handed, on either path.
     #[derive(Default)]
     struct Recording {
@@ -2059,6 +2232,7 @@ mod tests {
             c("f").div(c("g")), // 0.5 / 0.0, -0.0 / -0.0, x / inf
             c("i").div(l(0.0)),
             c("i").add(n(1)),
+            n(3).mul(c("j")),
             n(1).sub(c("f")),
             l(1.5).mul(n(2)), // literal only
             n(i64::MAX).add(n(1)),

@@ -21,7 +21,9 @@
 //!   at `v − min` of a flat array, and the probe reads its own key column
 //!   instead: one subtraction replaces fingerprinting both sides and the
 //!   finalizer. The widest such span wins (it tells the most rows apart);
-//!   [`KeyEq`] verifies the other pairs. A grouping positions the same
+//!   [`KeyEq`] verifies the other pairs, except that one other `Int64 =
+//!   Int64` pair beside a probe side with no NULL key is compared from
+//!   its two slices in a loop of its own. A grouping positions the same
 //!   way by an `Int64` or `Date` column, or by a string column's
 //!   dictionary code (a dictionary holds each string once, so a code is
 //!   a position already), NULL in a slot of its own; of several such
@@ -174,6 +176,16 @@ impl<'a> KeyEq<'a> {
             (_, x, y) => KeyPair::General(x, y),
         };
         KeyEq(a_cols.iter().zip(b_cols).map(pair).collect())
+    }
+
+    /// The two slices of a comparator that is one `Int64` pair and
+    /// nothing else: what a join whose other key is one integer compares
+    /// in a loop of its own.
+    fn one_int64(&self) -> Option<(&'a [i64], &'a [i64])> {
+        match self.0[..] {
+            [KeyPair::Int64(a, b)] => Some((a, b)),
+            _ => None,
+        }
     }
 
     /// Does row `i` of A carry the same key as row `j` of B?
@@ -622,16 +634,52 @@ impl<'a> JoinIndex<'a> {
                 table,
                 key,
                 nullable,
-            } => match key {
-                Ints::Int64(keys) => self.walk(table, keys, nullable, lo, hi, &mut out),
-                Ints::Date(keys) => self.walk(table, keys, nullable, lo, hi, &mut out),
-            },
+            } => {
+                let pair = self.keq.one_int64().filter(|_| nullable.is_empty());
+                match (key, pair) {
+                    (Ints::Int64(keys), Some(pair)) => {
+                        self.walk_pair(table, keys, pair, lo, hi, &mut out)
+                    }
+                    (Ints::Date(keys), Some(pair)) => {
+                        self.walk_pair(table, keys, pair, lo, hi, &mut out)
+                    }
+                    (Ints::Int64(keys), None) => self.walk(table, keys, nullable, lo, hi, &mut out),
+                    (Ints::Date(keys), None) => self.walk(table, keys, nullable, lo, hi, &mut out),
+                }
+            }
         }
         out
     }
 
+    /// [`JoinIndex::matches`] over a positioned table whose one other key
+    /// pair is `Int64 = Int64` and whose probe keys hold no NULL (the
+    /// table already left out build rows with one): a candidate is
+    /// compared by reading that key from `build` and `probe`, with no
+    /// comparator to dispatch and no row to skip.
+    fn walk_pair<T: Copy + Into<i64>>(
+        &self,
+        table: &Positions,
+        keys: &[T],
+        (build, probe): (&[i64], &[i64]),
+        lo: usize,
+        hi: usize,
+        out: &mut (Vec<u32>, Vec<u32>),
+    ) {
+        for k in lo..hi {
+            let j = self.probe.phys(k);
+            let (v, mut i) = (probe[j], table.head(keys[j].into()));
+            while i != NONE {
+                if build[i as usize] == v {
+                    out.0.push(i);
+                    out.1.push(j as u32);
+                }
+                i = table.next[i as usize];
+            }
+        }
+    }
+
     /// [`JoinIndex::matches`] over a positioned table, the probe's key
-    /// read from `keys`.
+    /// read from `keys` and the other pairs verified by the comparator.
     fn walk<T: Copy + Into<i64>>(
         &self,
         table: &Positions,
@@ -662,6 +710,9 @@ impl<'a> JoinIndex<'a> {
 mod tests {
     use super::*;
     use geoqp_common::Value;
+    use proptest::collection::vec;
+    use proptest::option;
+    use proptest::prelude::*;
 
     const N: i64 = 1 << 17;
 
@@ -991,6 +1042,89 @@ mod tests {
         // NULL in every positioned cell: a zero-length table, no match.
         let nulls = batch((0..4).map(|_| vec![Value::Null, Value::Null]), 2);
         check(side(&nulls, None, &[0]), side(&rows, None, &[0]));
+    }
+
+    /// A join input of `(positioning key, second key)` rows: the first
+    /// column `Int64` or `Date`, the second `Int64` with its NULLs.
+    fn two_keys(rows: &[(i64, Option<i64>)], dates: bool) -> ColumnarBatch {
+        let first = |v: i64| if dates { Value::Date(v as i32) } else { int(v) };
+        let row = |&(a, b): &(i64, Option<i64>)| vec![first(a), b.map_or(Value::Null, int)];
+        batch(rows.iter().map(row), 2)
+    }
+
+    /// The rows `keep` marks, in order or reversed (a filter's or a
+    /// sort's selection); `None` when `all` is set.
+    fn selection(keep: &[bool], reversed: bool, all: bool) -> Option<Vec<u32>> {
+        let mut sel: Vec<u32> = (0..keep.len() as u32)
+            .filter(|&i| keep[i as usize])
+            .collect();
+        if reversed {
+            sel.reverse();
+        }
+        (!all).then_some(sel)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(384))]
+
+        /// A join on an `Int64` or `Date` key beside a second `Int64` one
+        /// — the shape the two-slice loop walks — matches nested loops and
+        /// the hashed path pair for pair, in order, whole and split at
+        /// arbitrary probe bounds: NULLs in the second key on either side,
+        /// selections on both inputs.
+        #[test]
+        fn a_two_integer_key_matches_nested_loops_and_the_hashed_path(
+            build in vec((0i64..24, option::of(0i64..4)), 0..40),
+            probe in vec((0i64..28, option::of(0i64..4)), 0..40),
+            // Build NULLs, probe NULLs, a `Date` first key, build and
+            // probe unselected, build selection reversed.
+            flags in (
+                any::<bool>(), any::<bool>(), any::<bool>(),
+                any::<bool>(), any::<bool>(), any::<bool>(),
+            ),
+            keep in (vec(any::<bool>(), 40), vec(any::<bool>(), 40)),
+            cuts in vec(0usize..41, 0..5),
+        ) {
+            let (build_nulls, probe_nulls, dates, build_all, probe_all, reversed) = flags;
+            // A side keeps its second key's NULLs only when asked to.
+            let strip = |rows: &[(i64, Option<i64>)], nulls: bool| -> Vec<(i64, Option<i64>)> {
+                let cell = |(a, b): (i64, Option<i64>)| (a, b.or((!nulls).then_some(a % 4)));
+                rows.iter().copied().map(cell).collect()
+            };
+            let (build, probe) = (strip(&build, build_nulls), strip(&probe, probe_nulls));
+            let (b, p) = (two_keys(&build, dates), two_keys(&probe, dates));
+            let bsel = selection(&keep.0[..build.len()], reversed, build_all);
+            let psel = selection(&keep.1[..probe.len()], false, probe_all);
+            let bs = side(&b, bsel.as_deref(), &[0, 1]);
+            let ps = side(&p, psel.as_deref(), &[0, 1]);
+            let at = check(bs, ps);
+
+            // The two-slice loop runs exactly when one key positions, the
+            // other is the `Int64` pair and no probe key cell is NULL.
+            let index = JoinIndex::build(bs, ps);
+            let probe_null = probe.iter().any(|r| r.1.is_none());
+            let other_int64 = at.is_some_and(|key| key == 0 || !dates);
+            let pair_loop = match &index.lookup {
+                Lookup::Positioned { nullable, .. } => {
+                    nullable.is_empty() && index.keq.one_int64().is_some()
+                }
+                Lookup::Hashed { .. } => false,
+            };
+            prop_assert_eq!(pair_loop, other_int64 && !probe_null);
+
+            let n = ps.len();
+            let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(n)).collect();
+            bounds.extend([0, n]);
+            bounds.sort_unstable();
+            let split: Vec<(u32, u32)> = bounds
+                .windows(2)
+                .flat_map(|w| {
+                    let (l, r) = index.matches((w[0], w[1]));
+                    l.into_iter().zip(r)
+                })
+                .collect();
+            prop_assert_eq!(split, nested_loops(&bs, &ps));
+        }
     }
 
     /// Every selected row against each group found so far, by

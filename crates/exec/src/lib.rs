@@ -34,7 +34,10 @@
 //! ([`positioned_group_key`]), and every way returns candidates in
 //! insertion order, which is what keeps match order and group numbering
 //! independent of any schedule; `KeyEq` is the one typed comparator
-//! candidates are verified with. The aggregate accumulates typed
+//! candidates are verified with, and a join whose one other key is an
+//! integer compares it in a loop of its own. A join's `Int64 = Int64` and
+//! `Date = Date` pairs emit one column for both keys
+//! ([`shared_key_pairs`]). The aggregate accumulates typed
 //! per-group vectors; the row engine's `Accumulator` is its oracle.
 //!
 //! SHIP and scan operations can additionally run under a [`RetryPolicy`]
@@ -50,7 +53,8 @@ pub mod parallel;
 pub mod retry;
 
 pub use columnar::{
-    execute_columnar, execute_fragment_columnar, positioned_group_key, positioned_key, ColBatch,
+    execute_columnar, execute_fragment_columnar, positioned_group_key, positioned_key,
+    shared_key_pairs, ColBatch,
 };
 pub use executor::{
     execute, execute_fragment, DataSource, ExchangeSource, LocalShip, MapSource, NoExchange,

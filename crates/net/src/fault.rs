@@ -130,8 +130,10 @@ pub enum FaultVerdict {
     },
     /// The transfer fails.
     Drop {
-        /// Whether a retry at a later step could succeed (link faults and
-        /// partitions heal; open-ended site crashes do not).
+        /// Whether a retry at a later step could succeed: a probabilistic
+        /// drop may pass next time, and a crash, partition or link drop
+        /// heals when its window closes; one whose window never closes
+        /// does not.
         transient: bool,
         /// The crashed site responsible, when the drop is a site fault
         /// rather than a link/partition fault.
@@ -296,8 +298,8 @@ impl FaultPlan {
     }
 
     /// Judge one `from → to` transfer attempt at `step`. Site crashes
-    /// dominate (transient only if the crash window heals), then
-    /// partitions, then link faults; delays on distinct schedules
+    /// dominate, then partitions, then link faults (a drop is transient
+    /// only if its window heals); delays on distinct schedules
     /// accumulate.
     pub fn check_transfer(&self, from: &Location, to: &Location, step: u64) -> FaultVerdict {
         self.check_transfer_salted(from, to, step, 0)
@@ -329,7 +331,9 @@ impl FaultPlan {
         for (group, window) in &self.partitions {
             if window.contains(step) && group.contains(from) != group.contains(to) {
                 return FaultVerdict::Drop {
-                    transient: true,
+                    // Like a crash: a partition that never heals needs
+                    // re-planning, not retries.
+                    transient: window.end != u64::MAX,
                     culprit: None,
                     reason: format!("partition separates {from} from {to} at step {step}"),
                 };
@@ -342,7 +346,7 @@ impl FaultPlan {
                 match fault {
                     LinkFault::Drop(window) if window.contains(step) => {
                         return FaultVerdict::Drop {
-                            transient: true,
+                            transient: window.end != u64::MAX,
                             culprit: None,
                             reason: format!("link {from}->{to} down at step {step}"),
                         };
@@ -618,6 +622,31 @@ mod tests {
             plan.check_transfer(&loc("L1"), &loc("L3"), 4),
             FaultVerdict::Deliver { .. }
         ));
+    }
+
+    #[test]
+    fn a_link_drop_or_partition_that_never_heals_is_permanent() {
+        let permanent = |plan: &FaultPlan, from: &str, to: &str| match plan.check_transfer(
+            &loc(from),
+            &loc(to),
+            7,
+        ) {
+            FaultVerdict::Drop { transient, .. } => !transient,
+            v => panic!("expected drop, got {v:?}"),
+        };
+        // Open-ended windows, as an always-on `drop:` or `partition:`
+        // spec builds them: retrying cannot outlast them.
+        let drop = FaultPlan::new(1).with_drop("L1", "L3", StepWindow::ALWAYS);
+        assert!(permanent(&drop, "L1", "L3"));
+        let late = FaultPlan::new(1).with_drop("L1", "L3", StepWindow::new(5, u64::MAX));
+        assert!(permanent(&late, "L1", "L3"));
+        let cut = FaultPlan::new(1).with_partition(["L1"], StepWindow::ALWAYS);
+        assert!(permanent(&cut, "L2", "L1"));
+        // A window that closes is ridden out by retries.
+        let bounded = FaultPlan::new(1).with_drop("L1", "L3", StepWindow::new(0, 8));
+        assert!(!permanent(&bounded, "L1", "L3"));
+        let healing = FaultPlan::new(1).with_partition(["L1"], StepWindow::new(0, 8));
+        assert!(!permanent(&healing, "L2", "L1"));
     }
 
     #[test]

@@ -169,6 +169,26 @@ fn cases() -> Vec<Case> {
                     drops: 4,
                 },
             )
+            .faults(FaultPlan::new(1).with_drop(
+                "L1",
+                "L4",
+                StepWindow::new(0, STEP0 + 10),
+            ))
+        },
+        Case {
+            check: |r, _, _| {
+                let e = r.as_ref().unwrap_err();
+                assert!(!e.is_transient());
+                assert_eq!(e.failed_link(), Some((&loc("L1"), &loc("L4"))));
+                assert_eq!(e.failed_site(), None, "a link drop names no site");
+            },
+            ..Case::new(
+                "a link dropped for good is never retried",
+                Expect::Err {
+                    kind: "unavailable",
+                    drops: 1,
+                },
+            )
             .faults(FaultPlan::new(1).with_drop("L1", "L4", StepWindow::ALWAYS))
         },
         Case {

@@ -321,13 +321,7 @@ fn exhausted_retries_surface_the_failing_link() {
 /// around it — the fault-free rows, a clean audit, no site excluded.
 #[test]
 fn a_dropped_link_is_avoided_and_no_site_is_excluded() {
-    let sf = 0.01;
-    let catalog = Arc::new(tpch::paper_catalog(sf));
-    tpch::populate(&catalog, sf, 2021).unwrap();
-    let policies = tpch::generate_policies(&catalog, PolicyTemplate::CRA, 10, 2021).unwrap();
-    let eng = Engine::new(catalog, Arc::new(policies), NetworkTopology::paper_wan());
-    let plan = tpch::query_by_name(eng.catalog(), "Q5").unwrap();
-    let opt = eng.optimize(&plan, OptimizerMode::Compliant, None).unwrap();
+    let (eng, opt) = q5_at_sf_001();
     let reference = eng.run(&opt, &ExecOptions::default()).unwrap();
 
     let link = (Location::new("L1"), Location::new("L4"));
@@ -343,6 +337,44 @@ fn a_dropped_link_is_avoided_and_no_site_is_excluded() {
     assert!(res.replans >= 1, "the dropped link never bit");
     assert!(res.excluded.is_empty(), "excluded {}", res.excluded);
     assert_eq!(res.avoided_links, vec![link]);
+}
+
+/// Q5 under CR+A at SF 0.01, compliantly optimized.
+fn q5_at_sf_001() -> (Engine, OptimizedQuery) {
+    let sf = 0.01;
+    let catalog = Arc::new(tpch::paper_catalog(sf));
+    tpch::populate(&catalog, sf, 2021).unwrap();
+    let policies = tpch::generate_policies(&catalog, PolicyTemplate::CRA, 10, 2021).unwrap();
+    let eng = Engine::new(catalog, Arc::new(policies), NetworkTopology::paper_wan());
+    let plan = tpch::query_by_name(eng.catalog(), "Q5").unwrap();
+    let opt = eng.optimize(&plan, OptimizerMode::Compliant, None).unwrap();
+    (eng, opt)
+}
+
+/// A link dropped for good is permanent, as a crash that never ends is:
+/// the first failed attempt re-plans, with no retry budget spent on it.
+/// A drop whose window closes is still retried.
+#[test]
+fn a_permanently_dropped_link_replans_after_one_attempt() {
+    let (eng, opt) = q5_at_sf_001();
+    let (from, to) = (Location::new("L1"), Location::new("L4"));
+    let retry = RetryPolicy::default();
+    let run = |window| {
+        let faults = FaultPlan::new(2021).with_drop(from.clone(), to.clone(), window);
+        eng.run(&opt, &ExecOptions::failover(&faults, &retry, 4))
+            .expect("a detour around the dropped link exists")
+    };
+    let res = run(StepWindow::ALWAYS);
+    assert_eq!((res.transfers.fault_count(), res.replans), (1, 1));
+    assert_eq!(res.avoided_links, vec![(from.clone(), to.clone())]);
+    // The same link down for every slot's first attempt only (attempt
+    // `a` of slot `s` is grid step `(a − 1) · n_slots + s`): retried,
+    // never re-planned.
+    let n_slots = geoqp::runtime::cut(&opt.physical).unwrap().n_slots() as u64;
+    let res = run(StepWindow::new(0, n_slots));
+    assert!(res.transfers.fault_count() >= 1, "the drop never bit");
+    assert_eq!(res.replans, 0);
+    assert!(res.avoided_links.is_empty());
 }
 
 // Recovery causes combined in one run. Each failure cause changes the

@@ -2,13 +2,14 @@
 //! TPC-H six, read on each operator's real inputs in `tpch_exec`'s
 //! deployment (SF 0.1, CR+A with 10 expressions, compliant plans, seed
 //! 2021): a join whose build rows go into a flat array by `key − min`
-//! instead of a hash table, and an aggregate whose groups are found by
-//! slot instead of by key fingerprint.
+//! instead of a hash table, the join key pairs whose two output columns
+//! are one, and an aggregate whose groups are found by slot instead of by
+//! key fingerprint.
 
 use geoqp::core::distributed::CatalogSource;
 use geoqp::exec::{
-    execute_fragment_columnar, positioned_group_key, positioned_key, ColBatch, LocalShip,
-    NoExchange,
+    execute_fragment_columnar, positioned_group_key, positioned_key, shared_key_pairs, ColBatch,
+    LocalShip, NoExchange,
 };
 use geoqp::plan::{PhysOp, PhysicalPlan};
 use geoqp::prelude::*;
@@ -20,13 +21,15 @@ const SF: f64 = 0.1;
 const SEED: u64 = 2021;
 const SIX: [&str; 6] = ["Q2", "Q3", "Q5", "Q8", "Q9", "Q10"];
 
-/// One hash join of a located plan: its key pairs and the pair, if
-/// any, that positions its build rows.
+/// One hash join of a located plan: its key pairs, the pair, if any,
+/// that positions its build rows, and the pairs whose two output columns
+/// are one.
 #[derive(Debug)]
 struct Join {
     query: &'static str,
     keys: Vec<(String, String)>,
     positioned: Option<usize>,
+    shared: Vec<usize>,
 }
 
 /// One hash aggregate of a located plan: its group columns and the one,
@@ -114,6 +117,7 @@ fn six_joins() -> Vec<Join> {
                     .zip(right_keys.iter().cloned())
                     .collect(),
                 positioned: positioned_key(&l, &lk, &r, &rk),
+                shared: shared_key_pairs(&l, &lk, &r, &rk),
             }
         },
     )
@@ -162,6 +166,30 @@ fn the_six_position_every_join_by_its_widest_integer_key() {
     // A Float64 pair never positions; the Int64 pair beside it does.
     let q2 = positioned_by(&joins, "Q2", &["p_partkey", "ps_supplycost"]);
     assert_eq!(q2.as_deref(), Some("p_partkey"));
+}
+
+#[test]
+fn every_integer_key_pair_of_the_six_emits_one_column_for_both_keys() {
+    let joins = six_joins();
+    let pairs: usize = joins.iter().map(|j| j.keys.len()).sum();
+    let shared: usize = joins.iter().map(|j| j.shared.len()).sum();
+    // Each `Int64 = Int64` or `Date = Date` pair's two output columns are
+    // the probe's one; only Q2's `Float64` cost pair keeps two.
+    let unshared: Vec<(&str, &str)> = joins
+        .iter()
+        .flat_map(|j| {
+            let own = (0..j.keys.len()).filter(|k| !j.shared.contains(k));
+            own.map(|k| (j.query, j.keys[k].0.as_str()))
+        })
+        .collect();
+    assert_eq!((shared, pairs), (32, 33), "{joins:#?}");
+    assert_eq!(unshared, [("Q2", "ps_supplycost")]);
+    // Q9's `partsupp ⋈ lineitem`, which ships 600 000 rows: both of
+    // partsupp's keys are lineitem's columns.
+    let q9 = joins
+        .iter()
+        .find(|j| j.query == "Q9" && j.keys[0].0 == "ps_partkey");
+    assert_eq!(q9.map(|j| j.shared.as_slice()), Some(&[0, 1][..]));
 }
 
 #[test]

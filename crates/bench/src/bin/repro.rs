@@ -225,14 +225,14 @@ fn grayfail_figure() {
 
     header("Extension E8: link down — re-plan around the failed link (busiest link dropped always, failover preset)");
     println!(
-        "  {:6} {:>8} {:>12} {:>8} {:>10} {:>6} {:>6}",
-        "query", "link", "outcome", "avoided", "sites-excl", "rows=", "audit"
+        "  {:6} {:>8} {:>12} {:>8} {:>10} {:>6} {:>6} {:>6}",
+        "query", "link", "outcome", "avoided", "sites-excl", "faults", "rows=", "audit"
     );
     for c in grayfail::link_down_matrix(SEED) {
         let completed = !matches!(c.outcome, failover::Outcome::TypedError(_));
         let avoided: Vec<String> = c.avoided.iter().map(|(a, b)| format!("{a}-{b}")).collect();
         println!(
-            "  {:6} {:>8} {:>12} {:>8} {:>10} {:>6} {:>6}",
+            "  {:6} {:>8} {:>12} {:>8} {:>10} {:>6} {:>6} {:>6}",
             c.query,
             format!("{}-{}", c.link.0, c.link.1),
             c.outcome.label(),
@@ -242,6 +242,7 @@ fn grayfail_figure() {
                 avoided.join(",")
             },
             c.sites_excluded,
+            c.faults.map_or("-".to_string(), |n| n.to_string()),
             if !completed {
                 "-"
             } else if c.rows_match {

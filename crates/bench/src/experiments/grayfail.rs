@@ -203,6 +203,10 @@ pub struct LinkDownCell {
     /// Sites excluded during failover (must stay empty: both endpoints of
     /// a failed link are alive).
     pub sites_excluded: usize,
+    /// Dropped transfer attempts in the completed run's log
+    /// (`TransferLog::fault_count`); `None` for a refused run, whose error
+    /// carries no log.
+    pub faults: Option<usize>,
     /// The run completed with the fault-free row multiset.
     pub rows_match: bool,
     /// The completing plan passed the Definition-1 audit.
@@ -249,6 +253,7 @@ pub fn link_down_matrix(seed: u64) -> Vec<LinkDownCell> {
                     Outcome::FailedOver(run.replans)
                 },
                 sites_excluded: run.excluded.len(),
+                faults: Some(run.transfers.fault_count()),
                 rows_match: multiset(&run.rows) == multiset(&reference.rows),
                 audit_ok: engine.audit(&run.physical).is_ok(),
                 avoided: run.avoided_links,
@@ -259,6 +264,7 @@ pub fn link_down_matrix(seed: u64) -> Vec<LinkDownCell> {
                 outcome: Outcome::TypedError(e.kind().to_string()),
                 avoided: Vec::new(),
                 sites_excluded: 0,
+                faults: None,
                 rows_match: false,
                 audit_ok: false,
             },
@@ -322,6 +328,22 @@ mod tests {
         assert!(
             completed >= 1,
             "no query routed around its dropped link: {cells:?}"
+        );
+        // A dead link is permanent: its first failed attempt re-plans, so
+        // a completed run logs one fault. A retry of the dead link would
+        // show here as more.
+        let faults: Vec<(&str, Option<usize>)> =
+            cells.iter().map(|c| (c.query, c.faults)).collect();
+        assert_eq!(
+            faults,
+            [
+                ("Q2", None),
+                ("Q3", Some(1)),
+                ("Q5", Some(1)),
+                ("Q8", None),
+                ("Q9", None),
+                ("Q10", Some(1)),
+            ]
         );
     }
 }

@@ -13,9 +13,15 @@
 //!   selection vectors via typed column kernels for predicate shapes
 //!   that provably cannot raise errors (comparisons of compatible typed
 //!   columns/literals, `IN`, `BETWEEN`, `LIKE` on string columns,
-//!   Kleene `AND`/`OR` over such masks); anything that may error falls
-//!   back to a per-row scalar mirror of `BoundExpr::eval`, evaluated in
-//!   row order so the first error matches the row engine's.
+//!   Kleene `AND`/`OR`/`NOT` over such masks); anything that may error
+//!   falls back to a per-row scalar mirror of `BoundExpr::eval`,
+//!   evaluated in row order so the first error matches the row engine's.
+//!   A mask is a *truth pair* — one TRUE byte and one FALSE byte per row,
+//!   neither meaning NULL — so Kleene logic is bytewise, each comparison
+//!   picks its operator once per column (an interval test for integers
+//!   and dates, one loop per operator for floats, one test per dictionary
+//!   entry for strings), and the selection is written without a branch on
+//!   the data, over the input's own rows or selection.
 //! * **Same rows, same order** — joins probe in input order and emit
 //!   matches in build-insertion order; aggregation folds every argument
 //!   in row order (float sums are order-sensitive) into per-group typed
@@ -91,7 +97,7 @@ impl ColBatch {
     }
 
     /// The logical row indices as an explicit vector (identity when no
-    /// selection is attached).
+    /// selection is attached): what a sort permutes.
     fn indices(&self) -> Vec<u32> {
         match &self.sel {
             Some(s) => s.as_ref().clone(),
@@ -129,24 +135,24 @@ impl ColBatch {
     }
 }
 
-/// Morsel-parallel [`filter_indices`]: split the index window into
-/// morsels, filter each independently, and concatenate the survivors in
-/// morsel order — the same indices, in the same order, as one sequential
-/// pass. Errors report from the lowest morsel, which holds the earliest
-/// failing row.
+/// Morsel-parallel [`filter_indices`] over the rows `sel` of `b` (`None`
+/// = every row): split the rows into morsels, filter each independently,
+/// and concatenate the survivors in morsel order — the same rows, in the
+/// same order, as one sequential pass. Errors report from the lowest
+/// morsel, which holds the earliest failing row.
 fn filter_indices_morsel(
     runner: &dyn MorselRunner,
     predicate: &BoundExpr,
     b: &ColumnarBatch,
-    idx: &[u32],
+    sel: Option<&[u32]>,
 ) -> Result<Vec<u32>> {
-    let bounds = morsels(runner, idx.len());
+    let rows = Window::of(b, sel);
+    let bounds = morsels(runner, rows.len());
     if bounds.len() <= 1 {
-        return filter_indices(predicate, b, idx);
+        return filter_indices(predicate, b, rows);
     }
     let parts = parallel_map(runner, bounds.len(), |m| {
-        let (lo, hi) = bounds[m];
-        filter_indices(predicate, b, &idx[lo..hi])
+        filter_indices(predicate, b, rows.part(bounds[m]))
     });
     Ok(first_error(parts)?.concat())
 }
@@ -221,8 +227,9 @@ pub fn execute_fragment_columnar(
             let input = &plan.inputs[0];
             let in_batch = execute_fragment_columnar(input, source, ship, exchange)?;
             let bound = bind(predicate, &input.schema)?;
-            let idx = in_batch.indices();
-            let kept = filter_indices_morsel(exchange.runner(), &bound, &in_batch.batch, &idx)?;
+            let runner = exchange.runner();
+            let kept =
+                filter_indices_morsel(runner, &bound, &in_batch.batch, in_batch.selection())?;
             Ok(ColBatch {
                 batch: in_batch.batch,
                 sel: Some(Arc::new(kept)),
@@ -270,16 +277,20 @@ pub fn execute_fragment_columnar(
                 })
                 .collect::<Result<_>>()?;
             let mut idx = in_batch.indices();
-            // Stable, like the row engine's `sort_by`: ties keep input order.
+            // Stable, like the row engine's `sort_by`: ties keep input
+            // order. `cmp_at` orders two cells as `total_cmp` orders their
+            // values, without building either.
             idx.sort_by(|&a, &b| {
-                for (col, desc) in &cols {
-                    let ord = col.get(a as usize).total_cmp(&col.get(b as usize));
-                    let ord = if *desc { ord.reverse() } else { ord };
-                    if ord != Ordering::Equal {
-                        return ord;
+                let (a, b) = (a as usize, b as usize);
+                let mut ord = cols.iter().map(|(col, desc)| {
+                    let ord = col.cmp_at(a, b);
+                    if *desc {
+                        ord.reverse()
+                    } else {
+                        ord
                     }
-                }
-                Ordering::Equal
+                });
+                ord.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
             });
             Ok(ColBatch {
                 batch: in_batch.batch,
@@ -288,11 +299,16 @@ pub fn execute_fragment_columnar(
         }
         PhysOp::Limit { fetch } => {
             let in_batch = execute_fragment_columnar(&plan.inputs[0], source, ship, exchange)?;
-            let mut idx = in_batch.indices();
-            idx.truncate(*fetch);
+            if in_batch.n_rows() <= *fetch {
+                return Ok(in_batch);
+            }
+            let first = match in_batch.selection() {
+                Some(s) => s[..*fetch].to_vec(),
+                None => (0..*fetch as u32).collect(),
+            };
             Ok(ColBatch {
                 batch: in_batch.batch,
-                sel: Some(Arc::new(idx)),
+                sel: Some(Arc::new(first)),
             })
         }
         PhysOp::Union => {
@@ -348,12 +364,161 @@ fn eval_scalar_rows(
 }
 
 // ---------------------------------------------------------------------
-// Vectorized predicate masks.
+// Vectorized predicates: truth pairs.
 // ---------------------------------------------------------------------
 
-/// Three-valued mask over a row-index window: `Some(bool)` or `None`
-/// (NULL), one entry per index.
-type Mask = Vec<Option<bool>>;
+/// The rows a predicate kernel reads, in order: a run of physical rows
+/// (an input with no selection, or one morsel of it), or a stretch of a
+/// selection. No identity index is ever built for the first.
+#[derive(Clone, Copy)]
+enum Window<'a> {
+    Range(usize, usize),
+    Sel(&'a [u32]),
+}
+
+impl<'a> Window<'a> {
+    /// Every selected row of `b` (`None` = every row).
+    fn of(b: &ColumnarBatch, sel: Option<&'a [u32]>) -> Window<'a> {
+        sel.map_or(Window::Range(0, b.len()), Window::Sel)
+    }
+
+    fn len(&self) -> usize {
+        match *self {
+            Window::Range(lo, hi) => hi - lo,
+            Window::Sel(s) => s.len(),
+        }
+    }
+
+    /// Rows `lo..hi` of this window.
+    fn part(&self, (lo, hi): (usize, usize)) -> Window<'a> {
+        match *self {
+            Window::Range(start, _) => Window::Range(start + lo, start + hi),
+            Window::Sel(s) => Window::Sel(&s[lo..hi]),
+        }
+    }
+
+    /// Physical index of row `k` of the window.
+    #[inline]
+    fn phys(&self, k: usize) -> usize {
+        match *self {
+            Window::Range(lo, _) => lo + k,
+            Window::Sel(s) => s[k] as usize,
+        }
+    }
+
+    /// `f` of each row's cell and validity, in row order: a plain walk of
+    /// the column's slices when the window is a range.
+    fn map<T: Copy>(&self, cells: &Cells<T>, f: impl Fn(T, bool) -> u8) -> Vec<u8> {
+        match *self {
+            Window::Range(lo, hi) => {
+                let rows = cells.values[lo..hi].iter().zip(&cells.valid[lo..hi]);
+                rows.map(|(&x, &valid)| f(x, valid)).collect()
+            }
+            Window::Sel(s) => {
+                let row = |&i: &u32| f(cells.values[i as usize], cells.valid[i as usize]);
+                s.iter().map(row).collect()
+            }
+        }
+    }
+
+    /// The physical rows whose `keep` byte is 1, in order. Every row is
+    /// written and the end advances by its byte, so the loop has no
+    /// branch on the data; a list under half full is shrunk.
+    fn select(&self, keep: &[u8]) -> Vec<u32> {
+        let mut out = vec![0u32; keep.len()];
+        let mut n = 0;
+        match *self {
+            Window::Range(lo, _) => {
+                for (k, &b) in keep.iter().enumerate() {
+                    out[n] = (lo + k) as u32;
+                    n += b as usize;
+                }
+            }
+            Window::Sel(s) => {
+                for (&i, &b) in s.iter().zip(keep) {
+                    out[n] = i;
+                    n += b as usize;
+                }
+            }
+        }
+        out.truncate(n);
+        if n < out.capacity() / 2 {
+            out.shrink_to_fit();
+        }
+        out
+    }
+}
+
+/// A three-valued mask over a window: per row one TRUE byte and one
+/// FALSE byte, each 0 or 1; a row with neither is NULL. Kleene logic is
+/// bytewise — AND is `&` of the TRUE bytes and `|` of the FALSE bytes, OR
+/// the other way round, and NOT swaps the two.
+struct Truth {
+    t: Vec<u8>,
+    f: Vec<u8>,
+}
+
+impl Truth {
+    /// `v` in each of `n` rows.
+    fn constant(v: Option<bool>, n: usize) -> Truth {
+        Truth {
+            t: vec![u8::from(v == Some(true)); n],
+            f: vec![u8::from(v == Some(false)); n],
+        }
+    }
+
+    fn and(self, r: Truth) -> Truth {
+        Truth {
+            t: bytewise(self.t, &r.t, |a, b| a & b),
+            f: bytewise(self.f, &r.f, |a, b| a | b),
+        }
+    }
+
+    fn or(self, r: Truth) -> Truth {
+        Truth {
+            t: bytewise(self.t, &r.t, |a, b| a | b),
+            f: bytewise(self.f, &r.f, |a, b| a & b),
+        }
+    }
+
+    fn not(self) -> Truth {
+        Truth {
+            t: self.f,
+            f: self.t,
+        }
+    }
+}
+
+/// `a[k] = op(a[k], b[k])`, in place.
+fn bytewise(mut a: Vec<u8>, b: &[u8], op: impl Fn(u8, u8) -> u8) -> Vec<u8> {
+    for (x, &y) in a.iter_mut().zip(b) {
+        *x = op(*x, y);
+    }
+    a
+}
+
+/// TRUE where a valid cell passes `hit`, FALSE where it fails, NULL
+/// where the cell is NULL: two branch-free passes, `hit` inlined into
+/// each.
+fn cells_truth<T: Copy>(cells: &Cells<T>, w: Window<'_>, hit: impl Fn(T) -> bool) -> Truth {
+    Truth {
+        t: w.map(cells, |x, valid| u8::from(valid & hit(x))),
+        f: w.map(cells, |x, valid| u8::from(valid & !hit(x))),
+    }
+}
+
+/// A truth pair from one [`Value`]-level verdict per row, for the shapes
+/// no typed loop covers (a mixed column, two columns compared, `IN` over
+/// numbers).
+fn values_truth(w: Window<'_>, verdict: impl Fn(usize) -> Option<bool>) -> Truth {
+    let mut truth = Truth::constant(None, w.len());
+    for k in 0..w.len() {
+        let v = verdict(w.phys(k));
+        truth.t[k] = u8::from(v == Some(true));
+        truth.f[k] = u8::from(v == Some(false));
+    }
+    truth
+}
 
 /// Can `sql_cmp` order values of these two types? It only returns
 /// `None` (→ "incomparable" error) when it cannot; a mixed column or a
@@ -376,36 +541,33 @@ fn operand<'a>(e: &'a BoundExpr, b: &'a ColumnarBatch) -> Option<Operand<'a>> {
     }
 }
 
-/// Try to evaluate `e` as an error-free vectorized mask over the rows
-/// `idx` of `b`. Returns `None` when `e` is not a shape this kernel can
-/// prove error-free; the caller then falls back to the scalar mirror.
-fn fast_mask(e: &BoundExpr, b: &ColumnarBatch, idx: &[u32]) -> Option<Mask> {
+/// Try to evaluate `e` as an error-free truth pair over the window `w`
+/// of `b`. Returns `None` when `e` is not a shape this kernel can prove
+/// error-free; the caller then falls back to the scalar mirror.
+fn fast_mask(e: &BoundExpr, b: &ColumnarBatch, w: Window<'_>) -> Option<Truth> {
     match e {
-        BoundExpr::Literal(Value::Bool(x)) => Some(vec![Some(*x); idx.len()]),
-        BoundExpr::Literal(Value::Null) => Some(vec![None; idx.len()]),
+        BoundExpr::Literal(Value::Bool(x)) => Some(Truth::constant(Some(*x), w.len())),
+        BoundExpr::Literal(Value::Null) => Some(Truth::constant(None, w.len())),
         BoundExpr::Binary { op, lhs, rhs } if *op == BinaryOp::And || *op == BinaryOp::Or => {
             // Both sides error-free ⇒ full evaluation matches Kleene
             // logic with or without short-circuiting.
-            let l = fast_mask(lhs, b, idx)?;
-            let r = fast_mask(rhs, b, idx)?;
-            Some(merge_kleene(*op, &l, &r))
+            let l = fast_mask(lhs, b, w)?;
+            let r = fast_mask(rhs, b, w)?;
+            Some(if *op == BinaryOp::And {
+                l.and(r)
+            } else {
+                l.or(r)
+            })
         }
         BoundExpr::Binary { op, lhs, rhs } if op.is_comparison() => {
-            cmp_mask(*op, operand(lhs, b)?, operand(rhs, b)?, idx)
+            cmp_mask(*op, operand(lhs, b)?, operand(rhs, b)?, w)
         }
         BoundExpr::Unary {
             op: UnaryOp::Not,
             expr,
-        } => {
-            let m = fast_mask(expr, b, idx)?;
-            Some(m.into_iter().map(|t| t.map(|x| !x)).collect())
-        }
+        } => Some(fast_mask(expr, b, w)?.not()),
         BoundExpr::IsNull { expr, negated } => match operand(expr, b)? {
-            Operand::Col(col) => Some(
-                idx.iter()
-                    .map(|&i| Some(col.is_null(i as usize) != *negated))
-                    .collect(),
-            ),
+            Operand::Col(col) => Some(values_truth(w, |i| Some(col.is_null(i) != *negated))),
             Operand::Lit(_) => None,
         },
         BoundExpr::InList {
@@ -415,7 +577,7 @@ fn fast_mask(e: &BoundExpr, b: &ColumnarBatch, idx: &[u32]) -> Option<Mask> {
         } => match operand(expr, b)? {
             // `IN` over constants never errors (incomparable candidates
             // simply don't match), so any column shape is fair game.
-            Operand::Col(col) => Some(in_list_mask(col, list, *negated, idx)),
+            Operand::Col(col) => Some(in_list_mask(col, list, *negated, w)),
             Operand::Lit(_) => None,
         },
         BoundExpr::Between {
@@ -423,37 +585,16 @@ fn fast_mask(e: &BoundExpr, b: &ColumnarBatch, idx: &[u32]) -> Option<Mask> {
             low,
             high,
             negated,
-        } => {
+        } => match (expr.as_ref(), low.as_ref(), high.as_ref()) {
             // BETWEEN never errors either: bounds that don't compare
             // yield `false` legs, not errors.
-            match (expr.as_ref(), low.as_ref(), high.as_ref()) {
-                (BoundExpr::Column(c), BoundExpr::Literal(lo), BoundExpr::Literal(hi))
-                    if *c < b.arity() =>
-                {
-                    let col = b.column(*c);
-                    Some(
-                        idx.iter()
-                            .map(|&i| {
-                                let v = col.get(i as usize);
-                                if v.is_null() || lo.is_null() || hi.is_null() {
-                                    return None;
-                                }
-                                let ge_lo = matches!(
-                                    v.sql_cmp(lo),
-                                    Some(Ordering::Greater) | Some(Ordering::Equal)
-                                );
-                                let le_hi = matches!(
-                                    v.sql_cmp(hi),
-                                    Some(Ordering::Less) | Some(Ordering::Equal)
-                                );
-                                Some((ge_lo && le_hi) != *negated)
-                            })
-                            .collect(),
-                    )
-                }
-                _ => None,
+            (BoundExpr::Column(c), BoundExpr::Literal(lo), BoundExpr::Literal(hi))
+                if *c < b.arity() =>
+            {
+                Some(between_mask(b.column(*c), lo, hi, *negated, w))
             }
-        }
+            _ => None,
+        },
         BoundExpr::Like {
             expr,
             pattern,
@@ -461,67 +602,130 @@ fn fast_mask(e: &BoundExpr, b: &ColumnarBatch, idx: &[u32]) -> Option<Mask> {
         } => match operand(expr, b)? {
             // Only string-typed columns are provably error-free (LIKE on
             // a non-string value is a runtime error in the row engine).
-            Operand::Col(Column::Str { dict, codes, .. }) => {
-                let hit = |s: &Arc<str>| pattern.matches(s) != *negated;
-                Some(dict_mask(dict, codes, idx, hit))
-            }
+            Operand::Col(Column::Str { dict, codes, .. }) => Some(dict_mask(dict, codes, w, |s| {
+                pattern.matches(s) != *negated
+            })),
             _ => None,
         },
         _ => None,
     }
 }
 
-fn merge_kleene(op: BinaryOp, l: &Mask, r: &Mask) -> Mask {
-    l.iter()
-        .zip(r)
-        .map(|(a, c)| match op {
-            BinaryOp::And => match (a, c) {
-                (Some(false), _) | (_, Some(false)) => Some(false),
-                (Some(true), Some(true)) => Some(true),
-                _ => None,
-            },
-            BinaryOp::Or => match (a, c) {
-                (Some(true), _) | (_, Some(true)) => Some(true),
-                (Some(false), Some(false)) => Some(false),
-                _ => None,
-            },
-            _ => unreachable!(),
-        })
-        .collect()
-}
-
-/// A mask over a string column from one test per distinct dictionary
+/// A truth pair over a string column from one test per dictionary
 /// entry; a NULL row is NULL.
 fn dict_mask(
     dict: &[Arc<str>],
     codes: &Cells<u32>,
-    idx: &[u32],
+    w: Window<'_>,
     hit: impl Fn(&Arc<str>) -> bool,
-) -> Mask {
-    let hits: Vec<bool> = dict.iter().map(hit).collect();
-    let row = |&i: &u32| codes.get(i as usize).map(|code| hits[code as usize]);
-    idx.iter().map(row).collect()
+) -> Truth {
+    let mut hits: Vec<bool> = dict.iter().map(hit).collect();
+    // A NULL row's code is a placeholder 0, read and then masked.
+    hits.resize(dict.len().max(1), false);
+    cells_truth(codes, w, |code| hits[code as usize])
 }
 
-fn in_list_mask(col: &Column, list: &[Value], negated: bool, idx: &[u32]) -> Mask {
+fn in_list_mask(col: &Column, list: &[Value], negated: bool, w: Window<'_>) -> Truth {
     let listed = |v: &Value| list.iter().any(|c| v.sql_cmp(c) == Some(Ordering::Equal)) != negated;
     if let Column::Str { dict, codes, .. } = col {
-        return dict_mask(dict, codes, idx, |s| listed(&Value::Str(Arc::clone(s))));
+        return dict_mask(dict, codes, w, |s| listed(&Value::Str(Arc::clone(s))));
     }
-    let row = |&i: &u32| {
-        let v = col.get(i as usize);
+    values_truth(w, |i| {
+        let v = col.get(i);
         (!v.is_null()).then(|| listed(&v))
+    })
+}
+
+/// `col BETWEEN lo AND hi`: one interval test per cell for an `Int64` or
+/// `Date` column between two bounds of its own type, the row engine's two
+/// `sql_cmp` legs per row otherwise. A NULL cell or bound is NULL.
+fn between_mask(col: &Column, lo: &Value, hi: &Value, negated: bool, w: Window<'_>) -> Truth {
+    match (col, lo, hi) {
+        (_, Value::Null, _) | (_, _, Value::Null) => Truth::constant(None, w.len()),
+        (Column::Int64(cells), Value::Int64(lo), Value::Int64(hi)) => {
+            interval_mask(cells, (*lo, *hi), negated, w)
+        }
+        (Column::Date(cells), Value::Date(lo), Value::Date(hi)) => {
+            interval_mask(cells, ((*lo).into(), (*hi).into()), negated, w)
+        }
+        _ => values_truth(w, |i| {
+            let v = col.get(i);
+            if v.is_null() {
+                return None;
+            }
+            let ge_lo = matches!(v.sql_cmp(lo), Some(Ordering::Greater | Ordering::Equal));
+            let le_hi = matches!(v.sql_cmp(hi), Some(Ordering::Less | Ordering::Equal));
+            Some((ge_lo && le_hi) != negated)
+        }),
+    }
+}
+
+/// `lo ≤ x ≤ hi` (empty when `lo > hi`), negated when asked, as one
+/// branch-free test per cell.
+fn interval_mask<T: Copy + Into<i64>>(
+    cells: &Cells<T>,
+    (lo, hi): (i64, i64),
+    negated: bool,
+    w: Window<'_>,
+) -> Truth {
+    cells_truth(cells, w, |x| {
+        let x = x.into();
+        ((lo <= x) & (x <= hi)) != negated
+    })
+}
+
+/// The integers `x` with `x op y`, as one closed interval and whether to
+/// negate it (`<>` is `=` negated). A bound past the `i64` range is an
+/// empty interval: no `x` is below `i64::MIN`.
+fn interval(op: BinaryOp, y: i64) -> ((i64, i64), bool) {
+    const EMPTY: (i64, i64) = (1, 0);
+    let bounds = match op {
+        BinaryOp::Eq | BinaryOp::NotEq => (y, y),
+        BinaryOp::Lt => y.checked_sub(1).map_or(EMPTY, |y| (i64::MIN, y)),
+        BinaryOp::LtEq => (i64::MIN, y),
+        BinaryOp::Gt => y.checked_add(1).map_or(EMPTY, |y| (y, i64::MAX)),
+        BinaryOp::GtEq => (y, i64::MAX),
+        _ => unreachable!("not a comparison"),
     };
-    idx.iter().map(row).collect()
+    (bounds, op == BinaryOp::NotEq)
+}
+
+/// `a op b` as `b op' a`: the operator with its operands swapped.
+fn mirrored(op: BinaryOp) -> BinaryOp {
+    match op {
+        BinaryOp::Lt => BinaryOp::Gt,
+        BinaryOp::LtEq => BinaryOp::GtEq,
+        BinaryOp::Gt => BinaryOp::Lt,
+        BinaryOp::GtEq => BinaryOp::LtEq,
+        op => op,
+    }
+}
+
+/// `order(cell) op Equal` over the window, one loop per operator.
+fn ordered_mask<T: Copy>(
+    cells: &Cells<T>,
+    op: BinaryOp,
+    w: Window<'_>,
+    order: impl Fn(T) -> Ordering,
+) -> Truth {
+    match op {
+        BinaryOp::Eq => cells_truth(cells, w, |x| order(x).is_eq()),
+        BinaryOp::NotEq => cells_truth(cells, w, |x| order(x).is_ne()),
+        BinaryOp::Lt => cells_truth(cells, w, |x| order(x).is_lt()),
+        BinaryOp::LtEq => cells_truth(cells, w, |x| order(x).is_le()),
+        BinaryOp::Gt => cells_truth(cells, w, |x| order(x).is_gt()),
+        BinaryOp::GtEq => cells_truth(cells, w, |x| order(x).is_ge()),
+        _ => unreachable!("not a comparison"),
+    }
 }
 
 /// Vectorized comparison of two operands, or `None` when the pair cannot
 /// be proven error-free (mismatched classes, `Any` columns).
-fn cmp_mask(op: BinaryOp, lhs: Operand<'_>, rhs: Operand<'_>, idx: &[u32]) -> Option<Mask> {
+fn cmp_mask(op: BinaryOp, lhs: Operand<'_>, rhs: Operand<'_>, w: Window<'_>) -> Option<Truth> {
     // A NULL literal anywhere makes the whole comparison NULL — the row
     // engine checks nullness before comparability.
     if matches!(lhs, Operand::Lit(Value::Null)) || matches!(rhs, Operand::Lit(Value::Null)) {
-        return Some(vec![None; idx.len()]);
+        return Some(Truth::constant(None, w.len()));
     }
     match (&lhs, &rhs) {
         (Operand::Lit(a), Operand::Lit(b)) => {
@@ -529,133 +733,109 @@ fn cmp_mask(op: BinaryOp, lhs: Operand<'_>, rhs: Operand<'_>, idx: &[u32]) -> Op
                 return None;
             }
             let ord = a.sql_cmp(b)?;
-            Some(vec![Some(apply_cmp(op, ord)); idx.len()])
+            Some(Truth::constant(Some(apply_cmp(op, ord)), w.len()))
         }
-        (Operand::Col(c), Operand::Lit(v)) => col_lit_mask(op, c, v, idx, false),
-        (Operand::Lit(v), Operand::Col(c)) => col_lit_mask(op, c, v, idx, true),
+        (Operand::Col(c), Operand::Lit(v)) => col_lit_mask(op, c, v, w),
+        (Operand::Lit(v), Operand::Col(c)) => col_lit_mask(mirrored(op), c, v, w),
         (Operand::Col(a), Operand::Col(b)) => {
             if !comparable(a.data_type(), b.data_type()) {
                 return None;
             }
-            Some(
-                idx.iter()
-                    .map(|&i| {
-                        let i = i as usize;
-                        if a.is_null(i) || b.is_null(i) {
-                            return None;
-                        }
-                        let ord = a.get(i).sql_cmp(&b.get(i)).expect("same class compares");
-                        Some(apply_cmp(op, ord))
-                    })
-                    .collect(),
-            )
+            Some(values_truth(w, |i| {
+                if a.is_null(i) || b.is_null(i) {
+                    return None;
+                }
+                let ord = a.get(i).sql_cmp(&b.get(i)).expect("same class compares");
+                Some(apply_cmp(op, ord))
+            }))
         }
     }
 }
 
-/// Column-vs-literal comparison, one typed pass per layout: `None` when
-/// the two are not comparable. `flipped` means the literal is on the left
-/// (`lit OP col`), so the ordering reverses.
-fn col_lit_mask(
-    op: BinaryOp,
-    col: &Column,
-    lit: &Value,
-    idx: &[u32],
-    flipped: bool,
-) -> Option<Mask> {
-    let test = |ord: Ordering| apply_cmp(op, if flipped { ord.reverse() } else { ord });
-    // `order` is `sql_cmp` against the literal, for a non-NULL cell.
-    fn mask<T: Copy + Default>(
-        cells: &Cells<T>,
-        idx: &[u32],
-        order: impl Fn(T) -> Ordering,
-        test: impl Fn(Ordering) -> bool,
-    ) -> Mask {
-        let row = |&i: &u32| cells.get(i as usize).map(|cell| test(order(cell)));
-        idx.iter().map(row).collect()
-    }
+/// `col op lit`, one typed loop per layout with the operator picked
+/// once: an interval test for an `Int64` or `Date` column against its
+/// own type, `total_cmp` against any other number, one test per
+/// dictionary entry for a string. `None` when the two are not
+/// comparable.
+fn col_lit_mask(op: BinaryOp, col: &Column, lit: &Value, w: Window<'_>) -> Option<Truth> {
     // sql_cmp compares two integers exactly and merges any other pair of
     // numbers through f64 total_cmp.
     let number = lit.data_type().filter(|t| t.is_numeric()).and(lit.as_f64());
     Some(match (col, lit, number) {
-        (Column::Int64(cells), Value::Int64(y), _) => mask(cells, idx, |x| x.cmp(y), test),
-        (Column::Int64(cells), _, Some(y)) => mask(cells, idx, |x| (x as f64).total_cmp(&y), test),
-        (Column::Float64(cells), _, Some(y)) => mask(cells, idx, |x| x.total_cmp(&y), test),
-        (Column::Date(cells), Value::Date(d), _) => mask(cells, idx, |x| x.cmp(d), test),
-        (Column::Bool(cells), Value::Bool(b), _) => mask(cells, idx, |x| x.cmp(b), test),
-        (Column::Str { dict, codes, .. }, Value::Str(lit), _) => {
-            dict_mask(dict, codes, idx, |s| test(s.as_ref().cmp(lit.as_ref())))
+        (Column::Int64(cells), Value::Int64(y), _) => {
+            let (bounds, negated) = interval(op, *y);
+            interval_mask(cells, bounds, negated, w)
         }
+        (Column::Date(cells), Value::Date(d), _) => {
+            let (bounds, negated) = interval(op, (*d).into());
+            interval_mask(cells, bounds, negated, w)
+        }
+        (Column::Int64(cells), _, Some(y)) => {
+            ordered_mask(cells, op, w, |x| (x as f64).total_cmp(&y))
+        }
+        (Column::Float64(cells), _, Some(y)) => ordered_mask(cells, op, w, |x| x.total_cmp(&y)),
+        (Column::Bool(cells), Value::Bool(b), _) => ordered_mask(cells, op, w, |x| x.cmp(b)),
+        (Column::Str { dict, codes, .. }, Value::Str(lit), _) => dict_mask(dict, codes, w, |s| {
+            apply_cmp(op, s.as_ref().cmp(lit.as_ref()))
+        }),
         _ => return None,
     })
 }
 
-/// Compute the surviving physical row indices for `predicate` over the
-/// window `idx`, with error behavior matching the row engine's
+/// Compute the surviving physical rows of the window `w` for
+/// `predicate`, with error behavior matching the row engine's
 /// row-by-row evaluation order.
-pub(crate) fn filter_indices(
-    predicate: &BoundExpr,
-    b: &ColumnarBatch,
-    idx: &[u32],
-) -> Result<Vec<u32>> {
-    if let Some(mask) = fast_mask(predicate, b, idx) {
-        return Ok(idx
-            .iter()
-            .zip(&mask)
-            .filter(|(_, m)| **m == Some(true))
-            .map(|(&i, _)| i)
-            .collect());
+fn filter_indices(predicate: &BoundExpr, b: &ColumnarBatch, w: Window<'_>) -> Result<Vec<u32>> {
+    if let Some(mask) = fast_mask(predicate, b, w) {
+        return Ok(w.select(&mask.t));
     }
     // Hybrid AND/OR: vectorize the error-free side, run the other side's
     // scalar mirror only on the rows where the row engine would have
     // evaluated it (Kleene short-circuit), preserving error order.
     if let BoundExpr::Binary { op, lhs, rhs } = predicate {
         if *op == BinaryOp::And || *op == BinaryOp::Or {
-            if let Some(lmask) = fast_mask(lhs, b, idx) {
-                return hybrid_filter(*op, &lmask, rhs, b, idx, true);
+            if let Some(lmask) = fast_mask(lhs, b, w) {
+                return hybrid_filter(*op, &lmask, rhs, b, w, true);
             }
-            if let Some(rmask) = fast_mask(rhs, b, idx) {
-                return hybrid_filter(*op, &rmask, lhs, b, idx, false);
+            if let Some(rmask) = fast_mask(rhs, b, w) {
+                return hybrid_filter(*op, &rmask, lhs, b, w, false);
             }
         }
     }
     let mut out = Vec::new();
-    for &i in idx {
-        if eval_scalar(predicate, b, i as usize)?.is_true() {
-            out.push(i);
+    for k in 0..w.len() {
+        let i = w.phys(k);
+        if eval_scalar(predicate, b, i)?.is_true() {
+            out.push(i as u32);
         }
     }
     Ok(out)
 }
 
-/// One side of an AND/OR is a precomputed error-free mask, the other is
-/// evaluated row-at-a-time. `mask_is_lhs` tells which operand the mask
-/// came from, which determines the short-circuit direction.
-#[allow(clippy::needless_range_loop)]
+/// One side of an AND/OR is a precomputed error-free truth pair, the
+/// other is evaluated row-at-a-time. `mask_is_lhs` tells which operand
+/// the pair came from, which determines the short-circuit direction.
 fn hybrid_filter(
     op: BinaryOp,
-    mask: &Mask,
+    mask: &Truth,
     slow: &BoundExpr,
     b: &ColumnarBatch,
-    idx: &[u32],
+    w: Window<'_>,
     mask_is_lhs: bool,
 ) -> Result<Vec<u32>> {
     let mut out = Vec::new();
-    for k in 0..idx.len() {
-        let i = idx[k] as usize;
-        let m = mask[k];
-        match (op, mask_is_lhs) {
+    for k in 0..w.len() {
+        let i = w.phys(k);
+        let (is_true, is_false) = (mask.t[k] == 1, mask.f[k] == 1);
+        let keep = match (op, mask_is_lhs) {
             (BinaryOp::And, true) => {
                 // Row engine: lhs false short-circuits; otherwise rhs is
                 // evaluated (even under a NULL lhs) and may error.
-                if m == Some(false) {
+                if is_false {
                     continue;
                 }
-                let r = eval_scalar(slow, b, i)?;
-                let rb = as_tv(&r)?;
-                if m == Some(true) && rb == Some(true) {
-                    out.push(idx[k]);
-                }
+                let r = as_tv(&eval_scalar(slow, b, i)?)?;
+                is_true && r == Some(true)
             }
             (BinaryOp::And, false) => {
                 // Row engine evaluates lhs first; false short-circuits
@@ -664,34 +844,18 @@ fn hybrid_filter(
                 if l == Value::Bool(false) {
                     continue;
                 }
-                let lb = as_tv(&l)?;
-                if lb == Some(true) && m == Some(true) {
-                    out.push(idx[k]);
-                }
+                as_tv(&l)? == Some(true) && is_true
             }
-            (BinaryOp::Or, true) => {
-                // lhs true short-circuits; otherwise rhs decides.
-                if m == Some(true) {
-                    out.push(idx[k]);
-                    continue;
-                }
-                let r = eval_scalar(slow, b, i)?;
-                if as_tv(&r)? == Some(true) {
-                    out.push(idx[k]);
-                }
-            }
+            // lhs true short-circuits; otherwise rhs decides.
+            (BinaryOp::Or, true) => is_true || as_tv(&eval_scalar(slow, b, i)?)? == Some(true),
             (BinaryOp::Or, false) => {
                 let l = eval_scalar(slow, b, i)?;
-                if l == Value::Bool(true) {
-                    out.push(idx[k]);
-                    continue;
-                }
-                let lb = as_tv(&l)?;
-                if lb == Some(true) || m == Some(true) {
-                    out.push(idx[k]);
-                }
+                l == Value::Bool(true) || as_tv(&l)? == Some(true) || is_true
             }
             _ => unreachable!("hybrid_filter only handles AND/OR"),
+        };
+        if keep {
+            out.push(i as u32);
         }
     }
     Ok(out)
@@ -961,10 +1125,7 @@ fn execute_hash_join_columnar(
     // Residual filter runs over the joined schema, like the row engine.
     let sel = match &bound_filter {
         None => None,
-        Some(f) => {
-            let idx: Vec<u32> = (0..joined.len() as u32).collect();
-            Some(Arc::new(filter_indices_morsel(runner, f, &joined, &idx)?))
-        }
+        Some(f) => Some(Arc::new(filter_indices_morsel(runner, f, &joined, None)?)),
     };
     Ok(ColBatch {
         batch: Arc::new(joined),
@@ -1319,6 +1480,7 @@ mod tests {
     use crate::executor::{execute, LocalShip, MapSource};
     use geoqp_common::{Field, Location, Schema, TableRef};
     use geoqp_expr::ScalarExpr;
+    use proptest::test_runner::TestRng;
 
     fn loc(n: &str) -> Location {
         Location::new(n)
@@ -2369,5 +2531,269 @@ mod tests {
         let row = execute(&plan, &source(), &mut LocalShip).unwrap_err();
         let col = execute_columnar(&plan, &source(), &mut LocalShip).unwrap_err();
         assert_eq!(row.to_string(), col.to_string());
+    }
+
+    /// A runner with `workers` workers and 3-row morsels that runs its
+    /// tasks in order: every test batch splits, so the per-morsel masks
+    /// and their merge are what is checked.
+    struct Morsels(usize);
+
+    impl MorselRunner for Morsels {
+        fn workers(&self) -> usize {
+            self.0
+        }
+        fn morsel_rows(&self) -> usize {
+            3
+        }
+        fn dispatch(&self, n_tasks: usize, task: &(dyn Fn(usize) + Sync)) {
+            (0..n_tasks).for_each(task);
+        }
+    }
+
+    /// Row `k` of a truth pair, checking that no row is both TRUE and
+    /// FALSE.
+    fn truth_at(mask: &Truth, k: usize) -> Option<bool> {
+        assert!(mask.t[k] <= 1 && mask.f[k] <= 1 && mask.t[k] & mask.f[k] == 0);
+        (mask.t[k] | mask.f[k] == 1).then_some(mask.t[k] == 1)
+    }
+
+    /// Columns `i` (`Int64`), `d` (`Date`), `x` (`Float64`), `s` (string),
+    /// `b` (`Bool`) and `m` (mixed: the `Any` layout), each NULL in about
+    /// one row in five, drawn from pools that hold the `i64` extremes,
+    /// NaN and both zeros.
+    fn truth_rows(rng: &mut TestRng, n: usize) -> Vec<Vec<Value>> {
+        let mut pick = |pool: &[Value]| match rng.below(5) {
+            0 => Value::Null,
+            _ => pool[rng.below(pool.len() as u64) as usize].clone(),
+        };
+        (0..n)
+            .map(|_| {
+                vec![
+                    pick(&truth_ints()),
+                    pick(&truth_dates()),
+                    pick(&truth_floats()),
+                    pick(&truth_strs()),
+                    pick(&[Value::Bool(false), Value::Bool(true)]),
+                    pick(&[Value::Int64(1), Value::str("apple"), Value::Float64(0.5)]),
+                ]
+            })
+            .collect()
+    }
+
+    fn truth_ints() -> Vec<Value> {
+        let ints = [
+            i64::MIN,
+            i64::MIN + 1,
+            -3,
+            -1,
+            0,
+            1,
+            2,
+            7,
+            i64::MAX - 1,
+            i64::MAX,
+        ];
+        ints.map(Value::Int64).to_vec()
+    }
+
+    fn truth_dates() -> Vec<Value> {
+        (-3..6).map(Value::Date).collect()
+    }
+
+    fn truth_floats() -> Vec<Value> {
+        let floats = [-1.5, -0.0, 0.0, 1.0, 2.0, 7.0, f64::NAN, f64::INFINITY];
+        floats.map(Value::Float64).to_vec()
+    }
+
+    fn truth_strs() -> Vec<Value> {
+        ["", "apple", "banana", "cherry", "fig"]
+            .map(Value::str)
+            .to_vec()
+    }
+
+    fn truth_schema() -> Schema {
+        let types = [
+            DataType::Int64,
+            DataType::Date,
+            DataType::Float64,
+            DataType::Str,
+            DataType::Bool,
+            DataType::Int64,
+        ];
+        let fields = ["i", "d", "x", "s", "b", "m"].into_iter().zip(types);
+        Schema::new(fields.map(|(n, t)| Field::new(n, t)).collect()).unwrap()
+    }
+
+    /// A random literal: mostly one of the column's own type, sometimes
+    /// any type (comparable or not), sometimes NULL.
+    fn truth_literal(rng: &mut TestRng, column: usize) -> Value {
+        let pools = [
+            truth_ints(),
+            truth_dates(),
+            truth_floats(),
+            truth_strs(),
+            vec![Value::Bool(false), Value::Bool(true)],
+        ];
+        let pool = match rng.below(6) {
+            0 => return Value::Null,
+            1 => &pools[rng.below(5) as usize],
+            _ => &pools[column.min(4)],
+        };
+        pool[rng.below(pool.len() as u64) as usize].clone()
+    }
+
+    /// A random predicate over [`truth_schema`], at most `depth` levels
+    /// of NOT / AND / OR above its leaves.
+    fn truth_predicate(rng: &mut TestRng, depth: u32) -> ScalarExpr {
+        use BinaryOp::{Eq, Gt, GtEq, Lt, LtEq, NotEq};
+        let names = ["i", "d", "x", "s", "b", "m"];
+        if depth > 0 && rng.below(2) == 0 {
+            let l = truth_predicate(rng, depth - 1);
+            return match rng.below(3) {
+                0 => l.not(),
+                1 => l.and(truth_predicate(rng, depth - 1)),
+                _ => l.or(truth_predicate(rng, depth - 1)),
+            };
+        }
+        let c = rng.below(6) as usize;
+        let col = ScalarExpr::col(names[c]);
+        let negated = rng.below(2) == 0;
+        let lit = |rng: &mut TestRng| ScalarExpr::lit(truth_literal(rng, c));
+        match rng.below(9) {
+            0..=3 => {
+                let op = [Eq, NotEq, Lt, LtEq, Gt, GtEq][rng.below(6) as usize];
+                let other = match rng.below(5) {
+                    0 => ScalarExpr::col(names[rng.below(6) as usize]),
+                    _ => lit(rng),
+                };
+                match rng.below(2) {
+                    0 => ScalarExpr::binary(op, col, other),
+                    _ => ScalarExpr::binary(op, other, col),
+                }
+            }
+            // Bounds either way round, so `lo > hi` comes up.
+            4 => ScalarExpr::Between {
+                expr: Box::new(col),
+                low: Box::new(lit(rng)),
+                high: Box::new(lit(rng)),
+                negated,
+            },
+            5 => ScalarExpr::InList {
+                expr: Box::new(col),
+                list: (0..rng.below(4)).map(|_| truth_literal(rng, c)).collect(),
+                negated,
+            },
+            6 => ScalarExpr::Like {
+                expr: Box::new(col),
+                pattern: ["%a%", "b%", "%", "fig", "_i_", "%an%"][rng.below(6) as usize].into(),
+                negated,
+            },
+            7 => ScalarExpr::IsNull {
+                expr: Box::new(col),
+                negated,
+            },
+            _ => ScalarExpr::lit(
+                [Value::Bool(true), Value::Bool(false), Value::Null][rng.below(3) as usize].clone(),
+            ),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// Every truth pair equals `BoundExpr::eval` row by row, and a
+        /// filter keeps exactly the rows `eval` calls TRUE — or fails
+        /// with the error of the first row `eval` fails on — over no
+        /// selection and a selection (in any order, as a sort leaves
+        /// it), on 1, 2 and 4 morsel workers.
+        #[test]
+        fn truth_pairs_equal_eval_row_by_row(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = TestRng::from_seed(seed);
+            let n = rng.below(24) as usize;
+            let rows = truth_rows(&mut rng, n);
+            let batch = ColumnarBatch::from_rows(&rows, 6);
+            let predicate = truth_predicate(&mut rng, 3);
+            let bound = bind(&predicate, &truth_schema()).unwrap();
+            let mut sel: Vec<u32> = (0..n as u32).filter(|_| rng.below(3) != 0).collect();
+            if rng.below(2) == 0 {
+                sel.reverse();
+            }
+            for sel in [None, Some(&sel[..])] {
+                let w = Window::of(&batch, sel);
+                let eval = |k: usize| bound.eval(&rows[w.phys(k)]);
+                if let Some(mask) = fast_mask(&bound, &batch, w) {
+                    for k in 0..w.len() {
+                        let want = as_tv(&eval(k).expect("a vectorized shape never errors"));
+                        proptest::prop_assert_eq!(truth_at(&mask, k), want.unwrap(), "{:?} row {}", predicate, w.phys(k));
+                    }
+                }
+                let want: Result<Vec<u32>> = (0..w.len())
+                    .filter_map(|k| match eval(k) {
+                        Ok(v) => v.is_true().then_some(Ok(w.phys(k) as u32)),
+                        Err(e) => Some(Err(e)),
+                    })
+                    .collect();
+                for workers in [1, 2, 4] {
+                    let got = filter_indices_morsel(&Morsels(workers), &bound, &batch, sel);
+                    match (&got, &want) {
+                        (Ok(a), Ok(b)) => proptest::prop_assert_eq!(a, b, "{:?}", predicate),
+                        (Err(a), Err(b)) => proptest::prop_assert_eq!(a.to_string(), b.to_string()),
+                        _ => panic!("{predicate:?} on {workers} workers: {got:?} vs {want:?}"),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_shapes_the_six_filter_on_stay_vectorized() {
+        use BinaryOp::{Eq, Gt, GtEq, Lt, LtEq, NotEq};
+        let rows = truth_rows(&mut TestRng::from_seed(7), 40);
+        let batch = ColumnarBatch::from_rows(&rows, 6);
+        let col = ScalarExpr::col;
+        fn lit(v: impl Into<Value>) -> ScalarExpr {
+            ScalarExpr::lit(v)
+        }
+        let mut shapes = Vec::new();
+        for op in [Eq, NotEq, Lt, LtEq, Gt, GtEq] {
+            for (c, v) in [
+                ("i", Value::Int64(i64::MIN)),
+                ("i", Value::Int64(i64::MAX)),
+                ("i", Value::Float64(0.5)),
+                ("d", Value::Date(3)),
+                ("x", Value::Float64(1.0)),
+                ("x", Value::Int64(1)),
+                ("s", Value::str("banana")),
+                ("b", Value::Bool(true)),
+                ("i", Value::Null),
+            ] {
+                shapes.push(ScalarExpr::binary(op, col(c), lit(v.clone())));
+                shapes.push(ScalarExpr::binary(op, lit(v), col(c)));
+            }
+        }
+        shapes.extend([
+            col("d").between(lit(Value::Date(1)), lit(Value::Date(4))),
+            col("d")
+                .between(lit(Value::Date(4)), lit(Value::Date(1)))
+                .not(),
+            col("i").between(lit(i64::MIN), lit(0i64)),
+            col("x").between(lit(0i64), lit(Value::str("z"))),
+            col("m").between(lit(0i64), lit(2i64)),
+            col("s").like("%an%"),
+            col("s").in_list(vec![Value::str("fig"), Value::Int64(1)]),
+            col("m").in_list(vec![Value::Int64(1)]),
+            col("m").is_null(),
+            col("i").eq(col("i")),
+            col("s").eq(lit(Value::str("apple"))).or(col("d")
+                .lt(lit(Value::Date(2)))
+                .and(col("x").is_null().not())),
+        ]);
+        let schema = truth_schema();
+        for w in [Window::Range(0, 40), Window::Sel(&[39, 2, 2, 17])] {
+            for shape in &shapes {
+                let bound = bind(shape, &schema).unwrap();
+                assert!(fast_mask(&bound, &batch, w).is_some(), "{shape:?}");
+            }
+        }
     }
 }

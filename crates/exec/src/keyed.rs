@@ -34,7 +34,11 @@
 //! join match order and group numbering a function of the input alone —
 //! so which way a kernel positions its rows never shows in its output.
 //! [`JoinIndex`] is the join's one build/probe interface over either,
-//! [`Grouping`] the aggregate's.
+//! [`Grouping`] the aggregate's. Every probe loop emits its matches by
+//! one rule ([`Emit`]): write the candidate pair, advance by its key
+//! test, so no loop branches on whether a candidate matched. A positioned
+//! table records while it is filled whether any slot holds two build
+//! rows; when none does, a one-key join's probe has no branch at all.
 
 use geoqp_common::{Cells, Column, ColumnarBatch};
 
@@ -253,8 +257,8 @@ pub(crate) struct Positioning {
 /// An integer key column's cells, read in place; a `Date`'s days widen
 /// to `i64`.
 enum Ints<'a> {
-    Int64(&'a [i64]),
-    Date(&'a [i32]),
+    Int64(&'a Cells<i64>),
+    Date(&'a Cells<i32>),
 }
 
 /// `(min, max − min + 1)` of `cells` over `side`'s selected rows where it
@@ -473,9 +477,13 @@ impl Grouping {
 /// build row whose key is `min + p`, `next[i]` the one after row `i`.
 struct Positions {
     min: i64,
+    /// One slot per key in `min..=max`, then one more that is always
+    /// `NONE`: every key outside the range reads that one.
     heads: Vec<u32>,
     /// Indexed by physical build row.
     next: Vec<u32>,
+    /// No slot holds two build rows, so no chain has a second link.
+    unique: bool,
 }
 
 impl Positions {
@@ -492,14 +500,16 @@ impl Positions {
             build.batch.len() < NONE as usize,
             "a join side holds under 2^32 - 1 rows"
         );
-        let mut heads = vec![NONE; at.span];
+        let mut heads = vec![NONE; at.span + 1];
         let mut next = vec![NONE; build.batch.len()];
+        let mut unique = true;
         for k in (0..build.len()).rev() {
             let i = build.phys(k);
             if nullable.iter().any(|c| c.is_null(i)) {
                 continue;
             }
             let p = keys[i].into().wrapping_sub(at.min) as usize;
+            unique &= heads[p] == NONE;
             next[i] = heads[p];
             heads[p] = i as u32;
         }
@@ -507,20 +517,72 @@ impl Positions {
             min: at.min,
             heads,
             next,
+            unique,
         }
     }
 
-    /// The first build row whose key is `v`, or `NONE`. Wrapping is
-    /// exact: `heads` is `max − min + 1` long and `max ≤ i64::MAX`, so
-    /// only a `v` in `min..=max` lands inside it.
+    /// The first build row whose key is `v`, or `NONE`, with no branch:
+    /// an offset past the key range is clamped onto the last slot, which
+    /// is always `NONE`. Wrapping is exact: the range is `max − min + 1`
+    /// slots and `max ≤ i64::MAX`, so only a `v` in `min..=max` lands
+    /// inside it.
     #[inline]
     fn head(&self, v: i64) -> u32 {
         let p = v.wrapping_sub(self.min) as u64;
-        if p < self.heads.len() as u64 {
-            self.heads[p as usize]
-        } else {
-            NONE
+        let last = self.heads.len() - 1;
+        self.heads[p.min(last as u64) as usize]
+    }
+}
+
+/// A join's match list as a probe loop writes it: every candidate pair
+/// goes at the end, and the end advances by the candidate's key test, so
+/// no loop branches on whether a candidate matched. Sized for one match
+/// per probe row and doubled when full.
+struct Emit {
+    build: Vec<u32>,
+    probe: Vec<u32>,
+    n: usize,
+}
+
+impl Emit {
+    fn with_capacity(rows: usize) -> Emit {
+        Emit {
+            build: vec![0; rows],
+            probe: vec![0; rows],
+            n: 0,
         }
+    }
+
+    /// Write `(i, j)` and keep it when `hit`.
+    #[inline]
+    fn push(&mut self, i: u32, j: u32, hit: bool) {
+        if self.n == self.build.len() {
+            self.grow();
+        }
+        self.build[self.n] = i;
+        self.probe[self.n] = j;
+        self.n += usize::from(hit);
+    }
+
+    #[cold]
+    fn grow(&mut self) {
+        let len = (self.build.len() * 2).max(16);
+        self.build.resize(len, 0);
+        self.probe.resize(len, 0);
+    }
+
+    /// The kept pairs: `(build rows, probe rows)`. A list under half full
+    /// is shrunk, so a selective join holds no more than it keeps.
+    fn finish(self) -> (Vec<u32>, Vec<u32>) {
+        let n = self.n;
+        let fit = |mut v: Vec<u32>| {
+            v.truncate(n);
+            if n < v.capacity() / 2 {
+                v.shrink_to_fit();
+            }
+            v
+        };
+        (fit(self.build), fit(self.probe))
     }
 }
 
@@ -573,11 +635,11 @@ impl<'a> JoinIndex<'a> {
         let (table, key) = match (build.batch.column(b), probe.batch.column(p)) {
             (Column::Int64(bc), Column::Int64(pc)) => (
                 Positions::place(&build, &bc.values, &at, &nullable),
-                Ints::Int64(&pc.values),
+                Ints::Int64(pc),
             ),
             (Column::Date(bc), Column::Date(pc)) => (
                 Positions::place(&build, &bc.values, &at, &nullable),
-                Ints::Date(&pc.values),
+                Ints::Date(pc),
             ),
             // `positioning` picks only the two pairings above.
             _ => return JoinIndex::hashed(build, probe),
@@ -612,9 +674,10 @@ impl<'a> JoinIndex<'a> {
 
     /// The matches of selected probe rows `lo..hi`, in probe order and,
     /// per probe row, in build order: `(build rows, probe rows)`, both
-    /// physical.
+    /// physical. Every loop emits by one rule ([`Emit`]): write each
+    /// candidate, advance by its key test.
     pub(crate) fn matches(&self, (lo, hi): (usize, usize)) -> (Vec<u32>, Vec<u32>) {
-        let mut out: (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
+        let mut out = Emit::with_capacity(hi - lo);
         match &self.lookup {
             Lookup::Hashed { index, fps, live } => {
                 for k in lo..hi {
@@ -623,10 +686,7 @@ impl<'a> JoinIndex<'a> {
                     }
                     let j = self.probe.phys(k);
                     for i in index.candidates(fps[k]) {
-                        if self.keq.eq(i as usize, j) {
-                            out.0.push(i);
-                            out.1.push(j as u32);
-                        }
+                        out.push(i, j as u32, self.keq.eq(i as usize, j));
                     }
                 }
             }
@@ -634,73 +694,59 @@ impl<'a> JoinIndex<'a> {
                 table,
                 key,
                 nullable,
-            } => {
-                let pair = self.keq.one_int64().filter(|_| nullable.is_empty());
-                match (key, pair) {
-                    (Ints::Int64(keys), Some(pair)) => {
-                        self.walk_pair(table, keys, pair, lo, hi, &mut out)
-                    }
-                    (Ints::Date(keys), Some(pair)) => {
-                        self.walk_pair(table, keys, pair, lo, hi, &mut out)
-                    }
-                    (Ints::Int64(keys), None) => self.walk(table, keys, nullable, lo, hi, &mut out),
-                    (Ints::Date(keys), None) => self.walk(table, keys, nullable, lo, hi, &mut out),
-                }
-            }
+            } => match key {
+                Ints::Int64(keys) => self.walk(table, keys, nullable, lo, hi, &mut out),
+                Ints::Date(keys) => self.walk(table, keys, nullable, lo, hi, &mut out),
+            },
         }
-        out
-    }
-
-    /// [`JoinIndex::matches`] over a positioned table whose one other key
-    /// pair is `Int64 = Int64` and whose probe keys hold no NULL (the
-    /// table already left out build rows with one): a candidate is
-    /// compared by reading that key from `build` and `probe`, with no
-    /// comparator to dispatch and no row to skip.
-    fn walk_pair<T: Copy + Into<i64>>(
-        &self,
-        table: &Positions,
-        keys: &[T],
-        (build, probe): (&[i64], &[i64]),
-        lo: usize,
-        hi: usize,
-        out: &mut (Vec<u32>, Vec<u32>),
-    ) {
-        for k in lo..hi {
-            let j = self.probe.phys(k);
-            let (v, mut i) = (probe[j], table.head(keys[j].into()));
-            while i != NONE {
-                if build[i as usize] == v {
-                    out.0.push(i);
-                    out.1.push(j as u32);
-                }
-                i = table.next[i as usize];
-            }
-        }
+        out.finish()
     }
 
     /// [`JoinIndex::matches`] over a positioned table, the probe's key
-    /// read from `keys` and the other pairs verified by the comparator.
+    /// read from `keys`, in the cheapest loop the join's shape allows:
+    ///
+    /// * one key and a unique table — a probe row has at most one
+    ///   candidate, and the loop has no branch at all;
+    /// * one other key pair, `Int64 = Int64`, and no NULL among the
+    ///   probe's keys (the table already left out build rows with one) —
+    ///   that key is compared from its two slices, with no comparator to
+    ///   dispatch and no row to skip;
+    /// * otherwise the comparator verifies the other pairs.
     fn walk<T: Copy + Into<i64>>(
         &self,
         table: &Positions,
-        keys: &[T],
+        keys: &Cells<T>,
         nullable: &[&Column],
         lo: usize,
         hi: usize,
-        out: &mut (Vec<u32>, Vec<u32>),
+        out: &mut Emit,
     ) {
-        for k in lo..hi {
-            let j = self.probe.phys(k);
-            if nullable.iter().any(|c| c.is_null(j)) {
-                continue;
+        if table.unique && self.keq.0.is_empty() {
+            for k in lo..hi {
+                let j = self.probe.phys(k);
+                let i = table.head(keys.values[j].into());
+                out.push(i, j as u32, (i != NONE) & keys.valid[j]);
             }
-            let mut i = table.head(keys[j].into());
-            while i != NONE {
-                if self.keq.eq(i as usize, j) {
-                    out.0.push(i);
-                    out.1.push(j as u32);
+        } else if let Some((build, probe)) = self.keq.one_int64().filter(|_| nullable.is_empty()) {
+            for k in lo..hi {
+                let j = self.probe.phys(k);
+                let (v, mut i) = (probe[j], table.head(keys.values[j].into()));
+                while i != NONE {
+                    out.push(i, j as u32, build[i as usize] == v);
+                    i = table.next[i as usize];
                 }
-                i = table.next[i as usize];
+            }
+        } else {
+            for k in lo..hi {
+                let j = self.probe.phys(k);
+                if nullable.iter().any(|c| c.is_null(j)) {
+                    continue;
+                }
+                let mut i = table.head(keys.values[j].into());
+                while i != NONE {
+                    out.push(i, j as u32, self.keq.eq(i as usize, j));
+                    i = table.next[i as usize];
+                }
             }
         }
     }
@@ -1124,6 +1170,111 @@ mod tests {
                 })
                 .collect();
             prop_assert_eq!(split, nested_loops(&bs, &ps));
+        }
+    }
+
+    /// A join input of one `Int64` key column, NULL where `None`.
+    fn one_key(rows: &[Option<i64>]) -> ColumnarBatch {
+        batch(rows.iter().map(|v| vec![v.map_or(Value::Null, int)]), 1)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(384))]
+
+        /// A one-key join emits what nested loops find, in order, whole
+        /// and split at arbitrary probe bounds, over a build whose keys
+        /// repeat or are each held once: NULL keys on either side,
+        /// selections on both inputs. A positioned table records that it
+        /// is unique exactly when no two selected, non-NULL build rows
+        /// share a key, and only then does the branch-free loop run.
+        #[test]
+        fn emission_matches_nested_loops_and_records_uniqueness(
+            build in vec(option::of(0i64..30), 0..40),
+            probe in vec(option::of(0i64..34), 0..60),
+            // Each build key once, build and probe unselected, build
+            // selection reversed.
+            flags in (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
+            keep in (vec(any::<bool>(), 40), vec(any::<bool>(), 60)),
+            cuts in vec(0usize..61, 0..5),
+        ) {
+            let (distinct, build_all, probe_all, reversed) = flags;
+            let mut seen = std::collections::HashSet::new();
+            let build: Vec<Option<i64>> = match distinct {
+                true => build.iter().map(|v| v.filter(|v| seen.insert(*v))).collect(),
+                false => build,
+            };
+            let (b, p) = (one_key(&build), one_key(&probe));
+            let bsel = selection(&keep.0[..build.len()], reversed, build_all);
+            let psel = selection(&keep.1[..probe.len()], false, probe_all);
+            let bs = side(&b, bsel.as_deref(), &[0]);
+            let ps = side(&p, psel.as_deref(), &[0]);
+            let at = check(bs, ps);
+
+            let keys: Vec<i64> = (0..bs.len()).filter_map(|k| build[bs.phys(k)]).collect();
+            let unique = keys.iter().enumerate().all(|(x, v)| !keys[..x].contains(v));
+            prop_assert!(!distinct || unique);
+            let index = JoinIndex::build(bs, ps);
+            match &index.lookup {
+                Lookup::Positioned { table, .. } => {
+                    prop_assert_eq!(table.unique, unique);
+                    prop_assert!(index.keq.0.is_empty(), "one key: nothing left to verify");
+                }
+                Lookup::Hashed { .. } => prop_assert!(at.is_none()),
+            }
+
+            let n = ps.len();
+            let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(n)).collect();
+            bounds.extend([0, n]);
+            bounds.sort_unstable();
+            let split: Vec<(u32, u32)> = bounds
+                .windows(2)
+                .flat_map(|w| {
+                    let (l, r) = index.matches((w[0], w[1]));
+                    l.into_iter().zip(r)
+                })
+                .collect();
+            prop_assert_eq!(split, nested_loops(&bs, &ps));
+        }
+    }
+
+    /// A list of matches is sized for one match per probe row, grown when
+    /// a probe row has several and shrunk when few rows match, so it never
+    /// holds more than twice what it keeps: a selective join's output
+    /// costs what it keeps, not what it probed.
+    #[test]
+    fn match_lists_hold_at_most_twice_their_matches() {
+        let few = batch((0..4).map(|i| vec![int(i), Value::Float64(i as f64)]), 2);
+        let many = batch(
+            (0..10_000).map(|i| vec![int(i % 2_000), Value::Float64((i % 2_000) as f64)]),
+            2,
+        );
+        let dense = batch(
+            (0..2_000).map(|i| vec![int(i), Value::Float64(i as f64)]),
+            2,
+        );
+        let fan_out = batch((0..6).map(|_| vec![int(1), Value::Float64(1.0)]), 2);
+        let cases = [
+            // Positioned and unique, 20 matches of 10 000 probe rows.
+            (&few, [0], &many, [0], 20),
+            // Hashed (Int64 ⋈ Float64), the same matches.
+            (&few, [0], &many, [1], 20),
+            // Every probe row matches once.
+            (&dense, [0], &many, [0], 10_000),
+            // Six matches per probe row: the list grows past its first size.
+            (&fan_out, [0], &many, [0], 30),
+        ];
+        for (build, bk, probe, pk, want) in cases {
+            let (bs, ps) = (side(build, None, &bk), side(probe, None, &pk));
+            let (l, r) = JoinIndex::build(bs, ps).matches((0, ps.len()));
+            assert_eq!((l.len(), r.len()), (want, want));
+            for list in [&l, &r] {
+                assert!(
+                    list.capacity() <= 2 * list.len(),
+                    "{} of {}",
+                    list.len(),
+                    list.capacity()
+                );
+            }
         }
     }
 

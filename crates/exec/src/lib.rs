@@ -35,10 +35,21 @@
 //! insertion order, which is what keeps match order and group numbering
 //! independent of any schedule; `KeyEq` is the one typed comparator
 //! candidates are verified with, and a join whose one other key is an
-//! integer compares it in a loop of its own. A join's `Int64 = Int64` and
+//! integer compares it in a loop of its own. Every probe loop writes each
+//! candidate pair and advances by its key test, so none branches on a
+//! match, and a one-key join over a build whose keys are each held once
+//! has no branch at all. A join's `Int64 = Int64` and
 //! `Date = Date` pairs emit one column for both keys
 //! ([`shared_key_pairs`]). The aggregate accumulates typed
 //! per-group vectors; the row engine's `Accumulator` is its oracle.
+//!
+//! A filter's mask is a truth pair: one TRUE byte and one FALSE byte per
+//! row, a row with neither being NULL, so `AND`, `OR` and `NOT` are
+//! bytewise. A comparison picks its operator once per column — an
+//! `Int64` or `Date` column against a literal of its own type, or
+//! `BETWEEN` two, is one interval test `lo ≤ x ≤ hi` — and the kept rows
+//! are written without a branch on the data, over the input's own
+//! selection (no identity index is built for an input without one).
 //!
 //! SHIP and scan operations can additionally run under a [`RetryPolicy`]
 //! with simulated exponential backoff, so transient site/link faults are

@@ -226,6 +226,16 @@ if sed '/^mod tests/,$d' crates/exec/src/columnar.rs | grep -nE 'Accumulator|\bG
     exit 1
 fi
 
+echo "==> masks are truth pairs: a predicate kernel writes one TRUE byte and" \
+     "one FALSE byte per row (AND and OR bytewise, NOT a swap), so above its" \
+     "tests crates/exec/src/columnar.rs holds no Vec<Option<bool>> and no" \
+     "merge_kleene"
+if sed '/^mod tests/,$d' crates/exec/src/columnar.rs | grep -nE 'Vec<Option<bool>>|merge_kleene'; then
+    echo "crates/exec/src/columnar.rs builds a per-row Option<bool> mask or merges" \
+        "masks row by row again: a mask is a truth pair" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check (geoqp crates)"
 cargo fmt --check "${pkg_flags[@]}"
 
